@@ -65,7 +65,7 @@ func runDsweepBench(cfg dsweepBenchConfig) int {
 		ScaleDiv: cfg.ScaleDivisor, Seed: cfg.Seed, Sample: cfg.Sample, Workers: 4,
 	}
 	days := []simtime.Day{simtime.Date(2016, 6, 1), simtime.End}
-	plan := spec.PlanFor(days, cfg.Shards)
+	plan := spec.PlanFor(days, cfg.Shards, 0)
 	fmt.Fprintf(os.Stderr, "dsweep bench: %d units (%d day(s) × %d shard(s)), sample %d\n",
 		plan.Units(), len(plan.Days), plan.Shards, cfg.Sample)
 
@@ -86,11 +86,11 @@ func runDsweepBench(cfg dsweepBenchConfig) int {
 		workers := make([]dsweep.WorkerSpec, n)
 		for i := range workers {
 			name := fmt.Sprintf("w%d", i+1)
-			setup, err := spec.Build(nil, 0, nil)
+			setup, err := spec.BuildStream(nil, 0, nil)
 			if err != nil {
 				return "", nil, 0, err
 			}
-			workers[i] = dsweep.WorkerSpec{Name: name, Setup: setup, Chaos: chaos[name]}
+			workers[i] = dsweep.WorkerSpec{Name: name, StreamSetup: setup, Chaos: chaos[name]}
 		}
 		start := time.Now()
 		merged, res, err := dsweep.RunLocal(context.Background(), dsweep.LocalConfig{

@@ -12,7 +12,6 @@
 //	             [-exchange-o BENCH_exchange.json] [-exchange-sample 400] [-exchange-passes 3]
 //	             [-dsweep-o BENCH_dsweep.json] [-dsweep-scale 4000] [-dsweep-sample 150] [-dsweep-shards 4]
 //	             [-worldscale-o BENCH_worldscale.json] [-worldscale-divisors 4000,400,40]
-//	             [-sweepscale-o BENCH_sweepscale.json] [-sweepscale-divisors 400,40] [-sweepscale-sample 120000]
 //	             [-api-o BENCH_api.json] [-api-days 6] [-api-domains 3000] [-api-readers 8] [-api-requests 4000]
 //
 // Each analytics workload is benchmarked in its colstore and legacy
@@ -39,14 +38,6 @@
 // snapshot+series+Table 1 workload from the re-loaded world. Where the
 // population is small enough it also runs the legacy materialized build
 // and gates on the streaming build allocating strictly less (exit 1
-// otherwise).
-//
-// The sweepscale section (enabled with -sweepscale-o) runs the same sweep
-// through the whole-day and streaming pipelines at each
-// -sweepscale-divisors population, recording wall-clock and peak heap
-// over the world-build baseline for both. It gates on the archives
-// staying byte-identical at every divisor and on the streaming peak
-// staying under half the whole-day peak at the largest population (exit 1
 // otherwise).
 //
 // The api section (enabled with -api-o) runs the observatory daemon
@@ -99,11 +90,6 @@ func run() int {
 	dsweepShards := flag.Int("dsweep-shards", 4, "shards per day in the distributed-sweep benchmark")
 	worldscaleOut := flag.String("worldscale-o", "", "world-scale streaming-build baseline output path (empty disables)")
 	worldscaleDivisors := flag.String("worldscale-divisors", "4000,400,40", "comma-separated population divisors for the world-scale section")
-	sweepscaleOut := flag.String("sweepscale-o", "", "sweep-scale streaming-pipeline baseline output path (empty disables)")
-	sweepscaleDivisors := flag.String("sweepscale-divisors", "400,40", "comma-separated population divisors for the sweep-scale section")
-	sweepscaleSample := flag.Int("sweepscale-sample", 120000, "targets per day in the sweep-scale section")
-	sweepscaleChunk := flag.Int("sweepscale-chunk", 4096, "streaming chunk size in the sweep-scale section")
-	sweepscaleBudget := flag.Int("sweepscale-budget", 8, "streaming spill budget in MiB in the sweep-scale section")
 	apiOut := flag.String("api-o", "", "observatory-daemon baseline output path (empty disables)")
 	apiDays := flag.Int("api-days", 6, "archive sections in the api benchmark")
 	apiDomains := flag.Int("api-domains", 3000, "domains per section in the api benchmark")
@@ -298,23 +284,6 @@ func run() int {
 			Seed:     *seed,
 			Divisors: divisors,
 			OutPath:  *worldscaleOut,
-		}); code != 0 {
-			return code
-		}
-	}
-	if *sweepscaleOut != "" {
-		divisors, err := parseDivisors(*sweepscaleDivisors)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		if code := runSweepscaleBench(sweepscaleBenchConfig{
-			Seed:      *seed,
-			Divisors:  divisors,
-			Sample:    *sweepscaleSample,
-			Chunk:     *sweepscaleChunk,
-			MemBudget: int64(*sweepscaleBudget) << 20,
-			OutPath:   *sweepscaleOut,
 		}); code != 0 {
 			return code
 		}

@@ -32,23 +32,22 @@
 // configured fraction of DNS operators lossy — a resilience drill for the
 // scan path; each day's sweep-health report goes to stderr.
 //
-// Long sweeps are crash-safe when -checkpoint-dir is set: every completed
-// shard is durably checkpointed, and SIGINT/SIGTERM drains the in-flight
-// shard's workers and flushes the checkpoint before exiting. Re-running
-// with -resume picks up from the last completed shard — finished work is
-// verified by checksum, not re-scanned — and the final archive is
-// byte-identical to an uninterrupted run.
+// The sweep is a bounded-memory pipeline sized for full-.com-scale runs:
+// targets come off a cursor in chunks of -chunk domains, each chunk's DNS
+// is materialized (and signed) lazily, and each day's records flow through
+// a spill-to-disk writer bounded by -mem-budget MiB of RAM (run files land
+// in -spill-dir). The archive bytes are the same at every chunk size; peak
+// memory scales with the chunk, not the day, and a chunk at least as large
+// as the sample materializes each day once.
 //
-// -chunk switches the sweep to the streaming pipeline for full-.com-scale
-// runs: targets come off a cursor in chunks of that many domains, each
-// chunk's DNS is materialized (and signed) lazily, completed chunks are
-// durably checkpointed, and each day's records flow through a spill-to-disk
-// writer bounded by -mem-budget MiB of RAM (run files land in -spill-dir).
-// The archive bytes are identical to the whole-day pipeline's; peak memory
-// scales with the chunk, not the day. A resumed streaming sweep re-enters
-// the interrupted shard at its first missing chunk; the chunk size is part
-// of the checkpoint fingerprint, so -resume with a different -chunk is
-// refused.
+// Long sweeps are crash-safe when -checkpoint-dir is set: every completed
+// chunk is durably checkpointed, and SIGINT/SIGTERM drains the in-flight
+// chunk's workers and flushes the checkpoint before exiting. Re-running
+// with -resume re-enters the interrupted shard at its first missing chunk
+// — finished work is verified by checksum, not re-scanned — and the final
+// archive is byte-identical to an uninterrupted run. The chunk size is
+// part of the checkpoint fingerprint, so -resume with a different -chunk
+// is refused.
 package main
 
 import (
@@ -68,7 +67,6 @@ import (
 	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/faultnet"
 	"securepki.org/registrarsec/internal/profdump"
-	"securepki.org/registrarsec/internal/retry"
 	"securepki.org/registrarsec/internal/scan"
 	"securepki.org/registrarsec/internal/simtime"
 	"securepki.org/registrarsec/internal/tldsim"
@@ -96,9 +94,9 @@ func run() int {
 	cpDir := flag.String("checkpoint-dir", "", "directory for durable sweep checkpoints (enables crash-safe resume)")
 	resume := flag.Bool("resume", false, "continue from an existing checkpoint in -checkpoint-dir")
 	shards := flag.Int("shards", 4, "checkpoint units per day (granularity of resume)")
-	chunk := flag.Int("chunk", 0, "streaming pipeline: targets per materialize+scan+flush chunk (0 = whole-day pipeline)")
-	memBudget := flag.Int("mem-budget", 0, "streaming pipeline: MiB of records buffered per day before spilling sorted runs to disk (default 256)")
-	spillDir := flag.String("spill-dir", "", "streaming pipeline: directory for spill run files (default: system temp dir)")
+	chunk := flag.Int("chunk", scan.DefaultChunk, "targets per materialize+scan+flush chunk")
+	memBudget := flag.Int("mem-budget", 0, "MiB of records buffered per day before spilling sorted runs to disk (default 256)")
+	spillDir := flag.String("spill-dir", "", "directory for spill run files (default: system temp dir)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	workerURL := flag.String("worker", "", "join a distributed sweep as a worker of the coordinator at this URL")
@@ -110,7 +108,7 @@ func run() int {
 	// Reject contradictory flag combinations before any work starts.
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateFlags(set); err != nil {
+	if err := validateFlags(set, *chunk); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
@@ -166,169 +164,59 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	src := world.SampleSource(*sample, *seed)
-
-	// The fingerprint binds a checkpoint to everything that shapes the
-	// sweep's output, so a stale or mismatched checkpoint is refused
-	// instead of silently mixed into a different configuration. The chunk
-	// size shapes the durable chunk files a streaming resume trusts, so it
-	// joins the fingerprint too: -resume under a different -chunk is
-	// refused instead of fabricating a day out of incompatible pieces.
-	fingerprint := fmt.Sprintf("scale=%g seed=%d days=%s sample=%d shards=%d faults=%g/%g/%d retries=%d resweeps=%d",
-		*scaleDiv, *seed, *daysStr, *sample, *shards, *faultFrac, *faultLoss, *faultSeed, *retries, *resweeps)
-	if *chunk > 0 {
-		fingerprint += fmt.Sprintf(" chunk=%d", *chunk)
+	spec := &dsweep.WorldSpec{
+		ScaleDiv: *scaleDiv, Seed: *seed, Sample: *sample, Workers: *workers,
+		Retries: *retries, Resweeps: *resweeps, Cache: *useCache, Dedup: *useDedup,
+		FaultFrac: *faultFrac, FaultLoss: *faultLoss, FaultSeed: *faultSeed,
+	}
+	eventf := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+	}
+	setup, err := spec.BuildStreamWith(world, nil, 0, eventf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 
 	// SIGINT/SIGTERM cancel the sweep context: workers drain, the partial
-	// shard is discarded, and the checkpoint is flushed before we exit.
+	// chunk is discarded, and the checkpoint is flushed before we exit.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	start := time.Now()
 	var scanners []*scan.Scanner
 	rs := &scan.ResumableSweep{
-		Checkpoint:  cp,
-		Fingerprint: fingerprint,
+		Checkpoint: cp,
+		// The fingerprint binds a checkpoint to everything that shapes the
+		// sweep's output — the chunk size included, since it shapes the
+		// durable chunk files a resume trusts — so a stale or mismatched
+		// checkpoint is refused instead of silently mixed into a different
+		// configuration.
+		Fingerprint: spec.Fingerprint(days, *shards, *chunk),
 		Shards:      *shards,
+		Chunk:       *chunk,
+		Spill:       dataset.SpillOptions{Dir: *spillDir, MemBudget: int64(*memBudget) << 20},
+		StreamSetup: func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
+			scanner, src, prepare, err := setup(ctx, day)
+			if err == nil {
+				scanners = append(scanners, scanner)
+			}
+			return scanner, src, prepare, err
+		},
 		OnDayHealth: func(day simtime.Day, h *scan.SweepHealth) {
 			fmt.Fprintln(os.Stderr, h)
 		},
-		OnEvent: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
+		OnEvent: eventf,
 	}
-
-	if *chunk > 0 {
-		rs.Chunk = *chunk
-		rs.Spill = dataset.SpillOptions{Dir: *spillDir, MemBudget: int64(*memBudget) << 20}
-		rs.StreamSetup = func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
-			fmt.Fprintf(os.Stderr, "streaming %d domains at %s in chunks of %d (lazy materialization)...\n", src.Len(), day, *chunk)
-			sm := tldsim.NewStreamMaterializer(day, src)
-			var mw []exchange.Middleware
-			if *faultFrac > 0 {
-				rules, faulty := tldsim.LossyOperatorsSource(src, *faultFrac, *faultLoss, *faultSeed)
-				inj := faultnet.New(nil, *faultSeed, func() simtime.Day { return day }, rules...)
-				mw = append(mw, inj.Middleware())
-				fmt.Fprintf(os.Stderr, "injecting %.0f%% loss on %d operator(s)\n", *faultLoss*100, len(faulty))
-			}
-			var cacheOpts *exchange.CacheOptions
-			if *useCache {
-				cacheOpts = &exchange.CacheOptions{}
-			}
-			scanner, err := scan.New(scan.Config{
-				Exchange:    sm,
-				Middleware:  mw,
-				Dedup:       *useDedup,
-				Cache:       cacheOpts,
-				TLDServers:  sm.TLDServers,
-				Workers:     *workers,
-				Clock:       func() simtime.Day { return day },
-				Retry:       retry.Policy{MaxAttempts: *retries},
-				MaxResweeps: *resweeps,
-			})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			scanners = append(scanners, scanner)
-			prepare := func(ctx context.Context, lo, hi int) error {
-				// Each chunk's materialization signs with fresh keys, so
-				// answers cached from the previous chunk must not survive
-				// into this one.
-				if *useCache {
-					scanner.Stack().FlushCache()
-				}
-				return sm.Prepare(ctx, lo, hi)
-			}
-			return scanner, src, prepare, nil
-		}
-		total, code := runStreamOut(ctx, rs, days, *outPath, cp, *cpDir)
-		if code != 0 {
-			return code
-		}
-		reportTotals(scanners, total, len(days), start)
-		return 0
+	total, code := runStreamOut(ctx, rs, days, *outPath, cp, *cpDir)
+	if code != 0 {
+		return code
 	}
-
-	domains := tldsim.Domains(src)
-	targets := make([]scan.Target, 0, len(domains))
-	for _, d := range domains {
-		targets = append(targets, scan.Target{Domain: d.Name, TLD: d.TLD})
-	}
-	rs.Setup = func(ctx context.Context, day simtime.Day) (*scan.Scanner, []scan.Target, error) {
-		fmt.Fprintf(os.Stderr, "materializing %d domains at %s (real keys, real signatures)...\n", len(domains), day)
-		mat, err := tldsim.Materialize(day, domains)
-		if err != nil {
-			return nil, nil, err
-		}
-		var mw []exchange.Middleware
-		if *faultFrac > 0 {
-			rules, faulty := tldsim.LossyOperators(domains, *faultFrac, *faultLoss, *faultSeed)
-			inj := faultnet.New(nil, *faultSeed, func() simtime.Day { return day }, rules...)
-			mw = append(mw, inj.Middleware())
-			fmt.Fprintf(os.Stderr, "injecting %.0f%% loss on %d operator(s)\n", *faultLoss*100, len(faulty))
-		}
-		var cacheOpts *exchange.CacheOptions
-		if *useCache {
-			cacheOpts = &exchange.CacheOptions{}
-		}
-		scanner, err := scan.New(scan.Config{
-			Exchange:    mat.Net,
-			Middleware:  mw,
-			Dedup:       *useDedup,
-			Cache:       cacheOpts,
-			TLDServers:  mat.TLDServers,
-			Workers:     *workers,
-			Clock:       func() simtime.Day { return day },
-			Retry:       retry.Policy{MaxAttempts: *retries},
-			MaxResweeps: *resweeps,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		scanners = append(scanners, scanner)
-		return scanner, targets, nil
-	}
-	store, err := rs.Run(ctx, days)
-	if err != nil {
-		if errors.Is(err, context.Canceled) && cp != nil {
-			fmt.Fprintf(os.Stderr, "interrupted; checkpoint saved in %s — re-run with -resume to continue\n", *cpDir)
-			return 130
-		}
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	if *outPath != "" {
-		if err := store.WriteArchiveFile(*outPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d snapshot(s) to %s\n", store.Len(), *outPath)
-	} else {
-		fmt.Println("#domain\ttld\toperator\tns\tdnskey\trrsig\tds\tvalid\tclass")
-		for _, day := range store.Days() {
-			snap := store.Get(day)
-			for i := range snap.Records {
-				printRecord(&snap.Records[i])
-			}
-		}
-	}
-	// The archive is safely on disk; the checkpoint has served its purpose.
-	if cp != nil {
-		if err := cp.Clear(); err != nil {
-			fmt.Fprintf(os.Stderr, "clearing checkpoint: %v\n", err)
-		}
-	}
-	total := 0
-	for _, day := range store.Days() {
-		total += len(store.Get(day).Records)
-	}
-	reportTotals(scanners, total, store.Len(), start)
+	reportTotals(scanners, total, len(days), start)
 	return 0
 }
 
-// printRecord writes one stdout TSV line in the record format shared by
-// the whole-day and streaming output paths.
+// printRecord writes one stdout TSV line.
 func printRecord(r *dataset.Record) {
 	class := r.Deployment().String()
 	if r.Failed {
@@ -352,10 +240,10 @@ func reportTotals(scanners []*scan.Scanner, total, days int, start time.Time) {
 	fmt.Fprintf(os.Stderr, "exchange stack: %s\n", stackTotals)
 }
 
-// runStreamOut drives the streaming sweep and its output path: day
-// sections flow straight from each day's spill writer into a streamed
-// archive with -o, or through a sorted-record stdout printer without. It
-// returns the record total and the process exit code.
+// runStreamOut drives the sweep and its output: day sections flow straight
+// from each day's spill writer into a streamed archive with -o, or through
+// a sorted-record stdout printer without. It returns the record total and
+// the process exit code.
 func runStreamOut(ctx context.Context, rs *scan.ResumableSweep, days []simtime.Day, outPath string, cp *checkpoint.Store, cpDir string) (int, int) {
 	total := 0
 	var aw *dataset.ArchiveWriter
@@ -420,14 +308,15 @@ var planFlags = []string{
 // workerOnlyFlags only have meaning when joining a coordinator.
 var workerOnlyFlags = []string{"name", "fault-profile", "vantage-seed"}
 
-// streamLocalFlags tune the local streaming pipeline's spill writer. They
-// require -chunk, and have no meaning in worker mode, where completed
-// chunks go to the shared checkpoint directory instead of a local spill.
-var streamLocalFlags = []string{"mem-budget", "spill-dir"}
+// spillFlags tune the local sweep's spill writer. They have no meaning in
+// worker mode, where completed chunks go to the shared checkpoint
+// directory instead of a local spill.
+var spillFlags = []string{"mem-budget", "spill-dir"}
 
 // validateFlags rejects contradictory combinations of explicitly set
-// flags with errors that say which flag to drop or where to set it.
-func validateFlags(set map[string]bool) error {
+// flags, and an unusable -chunk value, with errors that say which flag to
+// drop or where to set it.
+func validateFlags(set map[string]bool, chunk int) error {
 	if set["worker"] {
 		var bad []string
 		for _, f := range planFlags {
@@ -439,7 +328,7 @@ func validateFlags(set map[string]bool) error {
 			return fmt.Errorf("-worker mode takes the sweep plan from the coordinator: drop %s here and set them on regsec-sweepd instead",
 				strings.Join(bad, ", "))
 		}
-		for _, f := range streamLocalFlags {
+		for _, f := range spillFlags {
 			if set[f] {
 				return fmt.Errorf("-%s does not apply to -worker mode: workers flush chunks into the shared -checkpoint-dir, not a local spill", f)
 			}
@@ -449,10 +338,8 @@ func validateFlags(set map[string]bool) error {
 		}
 		return nil
 	}
-	for _, f := range streamLocalFlags {
-		if set[f] && !set["chunk"] {
-			return fmt.Errorf("-%s only applies to the streaming pipeline (pass -chunk with the targets-per-chunk size)", f)
-		}
+	if chunk < 0 {
+		return fmt.Errorf("-chunk is a size in targets and cannot be negative (have %d)", chunk)
 	}
 	for _, f := range workerOnlyFlags {
 		if set[f] {
@@ -501,19 +388,13 @@ func runWorker(url, name, cpDir, profilePath string, vantageSeed int64) int {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	fmt.Fprintf(os.Stderr, "worker %s joining sweep %q (%d day(s) × %d shard(s))\n",
-		name, plan.Fingerprint, len(plan.Days), plan.Shards)
+	fmt.Fprintf(os.Stderr, "worker %s joining sweep %q (%d day(s) × %d shard(s), chunks of %d)\n",
+		name, plan.Fingerprint, len(plan.Days), plan.Shards, scan.ChunkSize(plan.Chunk))
 
-	// A chunked plan puts every worker on the streaming path: shards are
-	// scanned chunk by chunk with each chunk durably flushed, so killing
-	// this process mid-shard only costs the chunk in flight.
+	// Shards are scanned chunk by chunk with each chunk durably flushed, so
+	// killing this process mid-shard only costs the chunk in flight.
 	cfg := dsweep.WorkerConfig{Name: name, Coord: client, OnEvent: eventf}
-	if plan.Chunk > 0 {
-		fmt.Fprintf(os.Stderr, "plan is chunked: streaming shards in chunks of %d targets\n", plan.Chunk)
-		cfg.StreamSetup, err = plan.Spec.BuildStream(vantage, vantageSeed, eventf)
-	} else {
-		cfg.Setup, err = plan.Spec.Build(vantage, vantageSeed, eventf)
-	}
+	cfg.StreamSetup, err = plan.Spec.BuildStream(vantage, vantageSeed, eventf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

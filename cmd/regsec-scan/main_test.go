@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"securepki.org/registrarsec/internal/scan"
 )
 
 // setOf models "these flags were explicitly passed on the command line".
@@ -16,36 +18,39 @@ func setOf(names ...string) map[string]bool {
 
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
-		name string
-		set  map[string]bool
-		want string // substring of the error, "" for accept
+		name  string
+		set   map[string]bool
+		chunk int
+		want  string // substring of the error, "" for accept
 	}{
-		{"bare scan", setOf(), ""},
-		{"plain sweep", setOf("days", "sample", "o", "fault-frac"), ""},
-		{"resume with dir", setOf("resume", "checkpoint-dir"), ""},
-		{"resume without dir", setOf("resume"), "-resume requires -checkpoint-dir"},
-		{"worker minimal", setOf("worker", "checkpoint-dir"), ""},
-		{"worker with vantage", setOf("worker", "checkpoint-dir", "name", "fault-profile", "vantage-seed"), ""},
-		{"worker with profiling", setOf("worker", "checkpoint-dir", "cpuprofile", "memprofile"), ""},
-		{"worker without dir", setOf("worker"), "requires -checkpoint-dir"},
-		{"worker with plan flags", setOf("worker", "checkpoint-dir", "days", "sample"), "set them on regsec-sweepd"},
-		{"worker with output", setOf("worker", "checkpoint-dir", "o"), "-o"},
-		{"worker with resume", setOf("worker", "checkpoint-dir", "resume"), "-resume"},
-		{"worker with world cache", setOf("worker", "checkpoint-dir", "world-cache"), "-world-cache"},
-		{"name without worker", setOf("name"), "only applies to -worker"},
-		{"fault-profile without worker", setOf("fault-profile", "checkpoint-dir"), "only applies to -worker"},
-		{"vantage-seed without worker", setOf("vantage-seed"), "only applies to -worker"},
-		{"streaming sweep", setOf("chunk", "mem-budget", "spill-dir", "o"), ""},
-		{"chunked resume", setOf("chunk", "resume", "checkpoint-dir"), ""},
-		{"mem-budget without chunk", setOf("mem-budget"), "-mem-budget only applies to the streaming pipeline"},
-		{"spill-dir without chunk", setOf("spill-dir", "o"), "-spill-dir only applies to the streaming pipeline"},
-		{"worker with chunk", setOf("worker", "checkpoint-dir", "chunk"), "set them on regsec-sweepd"},
-		{"worker with spill-dir", setOf("worker", "checkpoint-dir", "spill-dir"), "does not apply to -worker mode"},
-		{"worker with mem-budget", setOf("worker", "checkpoint-dir", "mem-budget"), "does not apply to -worker mode"},
+		{"bare scan", setOf(), scan.DefaultChunk, ""},
+		{"plain sweep", setOf("days", "sample", "o", "fault-frac"), scan.DefaultChunk, ""},
+		{"resume with dir", setOf("resume", "checkpoint-dir"), scan.DefaultChunk, ""},
+		{"resume without dir", setOf("resume"), scan.DefaultChunk, "-resume requires -checkpoint-dir"},
+		{"worker minimal", setOf("worker", "checkpoint-dir"), scan.DefaultChunk, ""},
+		{"worker with vantage", setOf("worker", "checkpoint-dir", "name", "fault-profile", "vantage-seed"), scan.DefaultChunk, ""},
+		{"worker with profiling", setOf("worker", "checkpoint-dir", "cpuprofile", "memprofile"), scan.DefaultChunk, ""},
+		{"worker without dir", setOf("worker"), scan.DefaultChunk, "requires -checkpoint-dir"},
+		{"worker with plan flags", setOf("worker", "checkpoint-dir", "days", "sample"), scan.DefaultChunk, "set them on regsec-sweepd"},
+		{"worker with output", setOf("worker", "checkpoint-dir", "o"), scan.DefaultChunk, "-o"},
+		{"worker with resume", setOf("worker", "checkpoint-dir", "resume"), scan.DefaultChunk, "-resume"},
+		{"worker with world cache", setOf("worker", "checkpoint-dir", "world-cache"), scan.DefaultChunk, "-world-cache"},
+		{"name without worker", setOf("name"), scan.DefaultChunk, "only applies to -worker"},
+		{"fault-profile without worker", setOf("fault-profile", "checkpoint-dir"), scan.DefaultChunk, "only applies to -worker"},
+		{"vantage-seed without worker", setOf("vantage-seed"), scan.DefaultChunk, "only applies to -worker"},
+		{"streaming sweep", setOf("chunk", "mem-budget", "spill-dir", "o"), 32, ""},
+		{"chunked resume", setOf("chunk", "resume", "checkpoint-dir"), 32, ""},
+		{"mem-budget without chunk", setOf("mem-budget"), scan.DefaultChunk, ""},
+		{"spill-dir without chunk", setOf("spill-dir", "o"), scan.DefaultChunk, ""},
+		{"chunk zero selects the default", setOf("chunk"), 0, ""},
+		{"negative chunk", setOf("chunk"), -1, "cannot be negative"},
+		{"worker with chunk", setOf("worker", "checkpoint-dir", "chunk"), scan.DefaultChunk, "set them on regsec-sweepd"},
+		{"worker with spill-dir", setOf("worker", "checkpoint-dir", "spill-dir"), scan.DefaultChunk, "does not apply to -worker mode"},
+		{"worker with mem-budget", setOf("worker", "checkpoint-dir", "mem-budget"), scan.DefaultChunk, "does not apply to -worker mode"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.set)
+			err := validateFlags(tc.set, tc.chunk)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -77,9 +82,9 @@ func TestValidateFlagNamesExist(t *testing.T) {
 			t.Errorf("workerOnlyFlags references unknown flag %q", f)
 		}
 	}
-	for _, f := range streamLocalFlags {
+	for _, f := range spillFlags {
 		if !known[f] {
-			t.Errorf("streamLocalFlags references unknown flag %q", f)
+			t.Errorf("spillFlags references unknown flag %q", f)
 		}
 	}
 }

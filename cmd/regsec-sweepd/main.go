@@ -1,7 +1,8 @@
 // Command regsec-sweepd is the distributed-sweep coordinator daemon. It
 // owns one sweep plan — days × shards over a deterministic world sample —
 // and serves the lease/heartbeat/complete control plane over HTTP to
-// regsec-scan processes running in -worker mode. Workers flush
+// regsec-scan processes running in -worker mode. Workers scan each shard
+// in chunks of -chunk targets, durably flushing every chunk, and write
 // checksum-trailered shard archives into the shared -checkpoint-dir; the
 // daemon leases work units with deadlines, re-leases units whose worker
 // died or stalled, settles duplicate completions by checksum, and — once
@@ -45,6 +46,7 @@ import (
 	"securepki.org/registrarsec/internal/checkpoint"
 	"securepki.org/registrarsec/internal/dsweep"
 	"securepki.org/registrarsec/internal/httpx"
+	"securepki.org/registrarsec/internal/scan"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
@@ -71,7 +73,7 @@ func run() int {
 	faultFrac := flag.Float64("fault-frac", 0, "fraction of DNS operators made faulty, identically on every worker")
 	faultLoss := flag.Float64("fault-loss", 0.2, "packet-loss probability on faulty operators")
 	faultSeed := flag.Int64("fault-seed", 1, "fault schedule seed")
-	chunk := flag.Int("chunk", 0, "run workers on the streaming path in chunks of this many targets (0 = whole-shard units)")
+	chunk := flag.Int("chunk", scan.DefaultChunk, "targets per chunk: workers scan each shard in chunks of this size, durably flushing each")
 	flag.Parse()
 
 	if *cpDir == "" || *outPath == "" {
@@ -92,9 +94,8 @@ func run() int {
 		ScaleDiv: *scaleDiv, Seed: *seed, Sample: *sample, Workers: *workers,
 		Retries: *retries, Resweeps: *resweeps, Cache: *useCache, Dedup: *useDedup,
 		FaultFrac: *faultFrac, FaultLoss: *faultLoss, FaultSeed: *faultSeed,
-		Chunk: *chunk,
 	}
-	plan := spec.PlanFor(days, *shards)
+	plan := spec.PlanFor(days, *shards, *chunk)
 
 	store, err := checkpoint.Open(*cpDir)
 	if err != nil {

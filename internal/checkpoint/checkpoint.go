@@ -1,16 +1,18 @@
 // Package checkpoint persists the progress of a multi-day measurement
 // sweep so an interrupted run — crash, SIGINT, OOM kill — resumes from the
-// last completed shard instead of day zero. The paper's core evidence is
+// last completed chunk instead of day zero. The paper's core evidence is
 // an unbroken 21-month daily archive (section 4.1); at production scale a
 // sweep that cannot survive its own process dying will eventually put a
 // hole in that series.
 //
 // A checkpoint directory holds one JSON state file plus one trailered
-// archive file per completed shard. Every write is durable (temp file +
-// fsync + atomic rename), and every shard read back on resume is verified
-// twice: the file's bytes against the CRC32C recorded in the state, and
-// the archive's own per-section trailers. A shard that fails either check
-// is reported damaged and re-scanned rather than trusted.
+// archive file per completed chunk of a shard; a distributed sweep adds
+// one owner-tagged archive per completed shard, the unit its coordinator
+// settles and merges. Every write is durable (temp file + fsync + atomic
+// rename), and every file read back on resume is verified twice: its bytes
+// against the CRC32C recorded in the state, and the archive's own
+// per-section trailers. A file that fails either check is reported damaged
+// and re-scanned rather than trusted.
 package checkpoint
 
 import (
@@ -30,32 +32,29 @@ const stateFile = "checkpoint.json"
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Shard records one completed target shard of one day.
+// Shard records one durable archive file: a completed chunk of a shard,
+// or a distributed worker's completed shard.
 type Shard struct {
-	// File is the shard archive's name inside the checkpoint directory.
+	// File is the archive's name inside the checkpoint directory.
 	File string `json:"file"`
-	// CRC is the CRC32C of the shard archive's bytes, verified on load.
+	// CRC is the CRC32C of the archive's bytes, verified on load.
 	CRC uint32 `json:"crc32c"`
-	// Records is the shard snapshot's record count, verified on load.
+	// Records is the snapshot's record count, verified on load.
 	Records int `json:"records"`
 }
 
 // DayProgress tracks one day of the sweep.
 type DayProgress struct {
-	// Done is set once every shard of the day has been written.
+	// Done is set once every chunk of every shard has been written.
 	Done bool `json:"done"`
-	// Shards maps shard index to its completed archive.
-	Shards map[int]*Shard `json:"shards"`
-	// Partial maps shard index to its chunk-granular progress for
-	// streaming sweeps, where the durable unit is a chunk of a shard
-	// rather than the whole shard. A streaming day is Done when every
-	// chunk of every shard is recorded here; the Shards map stays empty.
+	// Partial maps shard index to its chunk-granular progress. A day is
+	// Done when every chunk of every shard is recorded here.
 	Partial map[int]*ChunkProgress `json:"partial,omitempty"`
 }
 
-// ChunkProgress tracks one shard of a streaming day at chunk granularity:
-// a SIGKILL mid-shard loses at most the chunk in flight, and a resume
-// re-enters the shard at the first chunk missing from Done.
+// ChunkProgress tracks one shard of a day at chunk granularity: a SIGKILL
+// mid-shard loses at most the chunk in flight, and a resume re-enters the
+// shard at the first chunk missing from Done.
 type ChunkProgress struct {
 	// Chunk is the chunk size (targets per chunk) the shard was cut with.
 	// A resume under a different chunk size is refused — chunk boundaries
@@ -108,11 +107,8 @@ func (st *State) Day(day simtime.Day) *DayProgress {
 	key := day.String()
 	dp := st.Days[key]
 	if dp == nil {
-		dp = &DayProgress{Shards: make(map[int]*Shard)}
+		dp = &DayProgress{}
 		st.Days[key] = dp
-	}
-	if dp.Shards == nil {
-		dp.Shards = make(map[int]*Shard)
 	}
 	return dp
 }
@@ -170,11 +166,6 @@ func (s *Store) Save(st *State) error {
 	return dataset.WriteFileAtomic(filepath.Join(s.dir, stateFile), append(data, '\n'))
 }
 
-// shardFile names one shard's archive inside the directory.
-func shardFile(day simtime.Day, shard int) string {
-	return fmt.Sprintf("day-%s-shard-%03d.tsv", day, shard)
-}
-
 // shardFileAs names one shard's archive written by a specific owner, so
 // two workers racing on a re-leased shard can never clobber each other's
 // bytes — each completion is its own file, chosen between by checksum.
@@ -200,20 +191,15 @@ func sanitizeOwner(owner string) string {
 	return string(out)
 }
 
-// WriteShard durably writes one completed shard snapshot as a trailered
-// archive and returns its metadata for the state file.
-func (s *Store) WriteShard(day simtime.Day, shard int, snap *dataset.Snapshot) (*Shard, error) {
-	return s.writeShardFile(shardFile(day, shard), snap)
-}
-
-// WriteShardAs is WriteShard under an owner-tagged file name — the variant
-// distributed workers use so duplicate completions of a re-leased shard
-// land in distinct files instead of racing on one.
+// WriteShardAs durably writes one completed shard snapshot as a trailered
+// archive under an owner-tagged file name, and returns its metadata. It is
+// a distributed worker's completion artefact: duplicate completions of a
+// re-leased shard land in distinct files instead of racing on one.
 func (s *Store) WriteShardAs(day simtime.Day, shard int, owner string, snap *dataset.Snapshot) (*Shard, error) {
 	return s.writeShardFile(shardFileAs(day, shard, owner), snap)
 }
 
-// writeShardFile durably writes one shard snapshot under the given name.
+// writeShardFile durably writes one snapshot under the given name.
 func (s *Store) writeShardFile(name string, snap *dataset.Snapshot) (*Shard, error) {
 	var buf strings.Builder
 	if err := snap.WriteArchiveSection(&buf); err != nil {
@@ -235,11 +221,10 @@ func (s *Store) writeShardFile(name string, snap *dataset.Snapshot) (*Shard, err
 // snapshot carries exactly the records written at checkpoint time; any
 // mismatch is an error so the caller re-scans instead of trusting damage.
 func (s *Store) LoadShard(day simtime.Day, shard int, meta *Shard) (*dataset.Snapshot, error) {
-	name := meta.File
-	if name == "" {
-		name = shardFile(day, shard)
+	if meta.File == "" {
+		return nil, fmt.Errorf("checkpoint: shard %d of %s: completion names no file", shard, day)
 	}
-	return s.loadVerified(day, name, meta)
+	return s.loadVerified(day, meta.File, meta)
 }
 
 // loadVerified reads one trailered archive file and verifies it against
@@ -267,11 +252,11 @@ func (s *Store) loadVerified(day simtime.Day, name string, meta *Shard) (*datase
 	return snap, nil
 }
 
-// ChunkShard returns the chunk-progress entry for one shard of a
-// streaming day, creating it for the given geometry if absent. If an
-// existing entry was recorded under a different geometry (chunk size or
-// target count), it returns an error instead: the recorded chunk files
-// were cut at different boundaries and cannot be reused.
+// ChunkShard returns the chunk-progress entry for one shard of a day,
+// creating it for the given geometry if absent. If an existing entry was
+// recorded under a different geometry (chunk size or target count), it
+// returns an error instead: the recorded chunk files were cut at different
+// boundaries and cannot be reused.
 func (dp *DayProgress) ChunkShard(shard, chunkSize, targets int) (*ChunkProgress, error) {
 	if dp.Partial == nil {
 		dp.Partial = make(map[int]*ChunkProgress)

@@ -31,7 +31,11 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	day := simtime.Date(2016, 1, 1)
 	st := NewState("fp-1")
-	st.Day(day).Shards[0] = &Shard{File: "day-2016-01-01-shard-000.tsv", CRC: 42, Records: 2}
+	cpr, err := st.Day(day).ChunkShard(0, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpr.Done[0] = &Shard{File: "day-2016-01-01-shard-000-chunk-00000.tsv", CRC: 42, Records: 2}
 	st.Day(day).Done = true
 	if err := cp.Save(st); err != nil {
 		t.Fatal(err)
@@ -47,8 +51,11 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Errorf("fingerprint: %q", got.Fingerprint)
 	}
 	dp := got.Day(day)
-	if !dp.Done || dp.Shards[0] == nil || dp.Shards[0].CRC != 42 || dp.Shards[0].Records != 2 {
-		t.Errorf("day progress: %+v, shard %+v", dp, dp.Shards[0])
+	if !dp.Done || dp.Partial[0] == nil || !dp.Partial[0].Complete() {
+		t.Fatalf("day progress: %+v", dp)
+	}
+	if c := dp.Partial[0].Done[0]; c == nil || c.CRC != 42 || c.Records != 2 {
+		t.Errorf("chunk meta: %+v", c)
 	}
 }
 
@@ -73,7 +80,7 @@ func TestShardWriteLoadVerify(t *testing.T) {
 	}
 	day := simtime.Date(2016, 3, 1)
 	snap := testSnapshot(day)
-	meta, err := cp.WriteShard(day, 1, snap)
+	meta, err := cp.WriteShardAs(day, 1, "w1", snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +115,7 @@ func TestShardWriteLoadVerify(t *testing.T) {
 	}
 
 	// Wrong record count in the state is detected even with a valid file.
-	fixed, err := cp.WriteShard(day, 1, snap)
+	fixed, err := cp.WriteShardAs(day, 1, "w1", snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +132,7 @@ func TestClear(t *testing.T) {
 		t.Fatal(err)
 	}
 	day := simtime.Date(2016, 3, 1)
-	if _, err := cp.WriteShard(day, 0, testSnapshot(day)); err != nil {
+	if _, err := cp.WriteShardAs(day, 0, "w1", testSnapshot(day)); err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Save(NewState("fp")); err != nil {

@@ -93,7 +93,7 @@ func TestWriteShardAsRoundTrip(t *testing.T) {
 	}}
 	snap.Canonicalize()
 
-	plain, err := s.WriteShard(day, 0, snap)
+	other, err := s.WriteShardAs(day, 0, "worker-2", snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +103,14 @@ func TestWriteShardAsRoundTrip(t *testing.T) {
 	}
 	// Same bytes, distinct files: racing owners can never clobber each
 	// other, and identical content has identical checksums.
-	if owned.File == plain.File {
-		t.Fatalf("owner-tagged file collides with plain shard file: %s", owned.File)
+	if owned.File == other.File {
+		t.Fatalf("two owners share one shard file: %s", owned.File)
 	}
 	if strings.ContainsAny(owned.File, "/!") {
 		t.Fatalf("unsafe owner characters leaked into filename: %s", owned.File)
 	}
-	if owned.CRC != plain.CRC || owned.Records != plain.Records {
-		t.Fatalf("same snapshot, different metadata: %+v vs %+v", owned, plain)
+	if owned.CRC != other.CRC || owned.Records != other.Records {
+		t.Fatalf("same snapshot, different metadata: %+v vs %+v", owned, other)
 	}
 	got, err := s.LoadShard(day, 0, owned)
 	if err != nil {

@@ -2,6 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -144,14 +148,39 @@ func TestTSVFailedRecordRoundTrip(t *testing.T) {
 		t.Errorf("MeasuredCount = %d, want 1", got.Get(simtime.Date(2016, 6, 1)).MeasuredCount())
 	}
 
-	// Legacy eight-field archives (no status column) read as measured.
-	legacy := "#snapshot\t2016-01-01\t1\nold.com\tcom\top.net\tns1.op.net\ttrue\tfalse\tfalse\tfalse\n"
-	old, err := ReadTSV(strings.NewReader(legacy))
+}
+
+// TestRecordWithoutStatusColumnRejected: a record line cut before its
+// status column must never read back as a measurement — the plain reader
+// refuses it, and both archive readers quarantine its section.
+func TestRecordWithoutStatusColumnRejected(t *testing.T) {
+	day := simtime.Date(2016, 1, 1)
+	body := "#snapshot\t2016-01-01\t1\nold.com\tcom\top.net\tns1.op.net\ttrue\tfalse\tfalse\tfalse\n"
+	if _, err := ReadTSV(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), "8 fields") {
+		t.Errorf("ReadTSV accepted an 8-field record: %v", err)
+	}
+
+	// A trailer that matches the cut body: only the field count can catch it.
+	archive := body + fmt.Sprintf("%s\t%s\t%d\t%08x\n", trailerHeader, day, len(body),
+		crc32.Checksum([]byte(body), castagnoli))
+	store, report, err := ReadArchive(strings.NewReader(archive))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := old.Get(simtime.Date(2016, 1, 1)).Records[0]; r.Failed || !r.Measured() {
-		t.Errorf("legacy record marked failed: %+v", r)
+	if store.Len() != 0 || len(report.Quarantined) != 1 || !strings.Contains(report.Quarantined[0].Reason, "8 fields") {
+		t.Errorf("ReadArchive: %d snapshots, report %s", store.Len(), report)
+	}
+
+	path := filepath.Join(t.TempDir(), "cut.archive")
+	if err := os.WriteFile(path, []byte(archive), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := TailArchive(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Snapshots()) != 0 || len(res.Quarantined()) != 1 || !strings.Contains(res.Quarantined()[0].Reason, "8 fields") {
+		t.Errorf("TailArchive: %d snapshots, quarantined %v", len(res.Snapshots()), res.Quarantined())
 	}
 }
 

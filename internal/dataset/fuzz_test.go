@@ -41,6 +41,8 @@ func FuzzReadTSV(f *testing.F) {
 	f.Add([]byte("#snapshot\t2016-01-01\t2\na.com\tcom\top\t\ttrue\ttrue\ttrue\ttrue\tok\n"))
 	f.Add([]byte("#end\t2016-01-01\t10\tdeadbeef\n"))
 	f.Add([]byte(""))
+	// The first record cut before its status column, trailer untouched.
+	f.Add(bytes.Replace(valid, []byte("\ttrue\tok\n"), []byte("\ttrue\n"), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The legacy reader: errors are fine, panics are not; an accepted

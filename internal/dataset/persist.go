@@ -80,11 +80,12 @@ func parseSnapshotHeader(fields []string) (simtime.Day, int, error) {
 	return day, declared, nil
 }
 
-// parseRecordFields parses one record line's tab-split fields. Eight fields
-// is the legacy (pre-status-column) record layout.
+// parseRecordFields parses one record line's tab-split fields. The ninth,
+// status, column is required: a line without it has lost the one field
+// that tells a measurement from a gap, and must not read back as measured.
 func parseRecordFields(fields []string) (Record, error) {
-	if len(fields) != 8 && len(fields) != 9 {
-		return Record{}, fmt.Errorf("%d fields, want 8 or 9", len(fields))
+	if len(fields) != 9 {
+		return Record{}, fmt.Errorf("%d fields, want 9", len(fields))
 	}
 	rec := Record{Domain: fields[0], TLD: fields[1], Operator: fields[2]}
 	// An empty NS field means "no NS hosts": it must stay nil rather than
@@ -100,7 +101,7 @@ func parseRecordFields(fields []string) (Record, error) {
 		}
 		*bools[i] = v
 	}
-	if len(fields) == 9 && fields[8] != "ok" {
+	if fields[8] != "ok" {
 		rec.Failed = true
 		rec.FailReason = fields[8]
 	}

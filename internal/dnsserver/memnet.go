@@ -28,13 +28,6 @@ type MemNet struct {
 	queries atomic.Int64
 }
 
-// ErrNoRoute reports an exchange to an unregistered address. It is the
-// same error value as exchange.ErrNoRoute, so errors.Is matches across
-// both names.
-//
-// Deprecated: use exchange.ErrNoRoute.
-var ErrNoRoute = exchange.ErrNoRoute
-
 // NewMemNet creates an empty in-memory network.
 func NewMemNet() *MemNet {
 	return &MemNet{handlers: make(map[string]Handler)}
@@ -64,7 +57,7 @@ func (m *MemNet) Lookup(addr string) Handler {
 // Queries returns the number of exchanges performed, for scan accounting.
 func (m *MemNet) Queries() int64 { return m.queries.Load() }
 
-// Exchange implements Exchanger by direct dispatch to the registered
+// Exchange implements exchange.Exchanger by direct dispatch to the registered
 // handler.
 func (m *MemNet) Exchange(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
 	if err := ctx.Err(); err != nil {
@@ -72,7 +65,7 @@ func (m *MemNet) Exchange(ctx context.Context, server string, q *dnswire.Message
 	}
 	h := m.Lookup(server)
 	if h == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoRoute, server)
+		return nil, fmt.Errorf("%w: %s", exchange.ErrNoRoute, server)
 	}
 	m.queries.Add(1)
 	if !m.Strict {

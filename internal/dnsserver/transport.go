@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"securepki.org/registrarsec/internal/dnswire"
-	"securepki.org/registrarsec/internal/exchange"
 )
 
 // Server runs a Handler over real UDP and TCP sockets on the same address,
@@ -538,15 +537,6 @@ func writeTCPMessage(w io.Writer, msg []byte) error {
 	return err
 }
 
-// Exchanger issues one DNS query to a named server and returns the
-// response. The canonical definition now lives in internal/exchange, which
-// also provides the middleware stack (retry, dedup, cache, health) that
-// composes around any transport; this alias keeps dnsserver-facing code
-// compiling unchanged.
-//
-// Deprecated: use exchange.Exchanger.
-type Exchanger = exchange.Exchanger
-
 // NetExchanger sends queries over UDP with TCP fallback on truncation.
 type NetExchanger struct {
 	// Timeout per attempt (default 3s).
@@ -555,7 +545,7 @@ type NetExchanger struct {
 	DisableTCPFallback bool
 }
 
-// Exchange implements Exchanger. server must be a host:port address.
+// Exchange implements exchange.Exchanger. server must be a host:port address.
 func (e *NetExchanger) Exchange(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
 	timeout := e.Timeout
 	if timeout == 0 {

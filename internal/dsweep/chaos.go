@@ -18,9 +18,9 @@ type Action int
 const (
 	// ActNone runs the unit normally.
 	ActNone Action = iota
-	// ActKillBeforeWrite kills the worker after the scan, before anything
-	// durable is written — the strongest mid-shard SIGKILL: the unit leaves
-	// zero bytes behind and must be wholly re-leased.
+	// ActKillBeforeWrite kills the worker after the scan, before the shard
+	// archive is written: the unit leaves no completion artefact behind and
+	// must be wholly re-leased.
 	ActKillBeforeWrite
 	// ActKillAfterWrite kills the worker after the shard archive is durably
 	// flushed but before the completion report — the shard bytes exist but
@@ -34,11 +34,11 @@ const (
 	// ActSlowDisk sleeps Delay before the shard write while heartbeats
 	// continue — a slow disk that should NOT lose the lease.
 	ActSlowDisk
-	// ActKillBetweenChunks kills the worker on a chunked (streaming) unit
-	// after AfterChunks chunks have been durably flushed — the mid-shard
-	// SIGKILL the chunk files exist to survive: the re-leased unit reuses
-	// every flushed chunk by checksum and scans only the rest. On a
-	// non-chunked unit it behaves like ActKillBeforeWrite.
+	// ActKillBetweenChunks kills the worker after AfterChunks chunks of the
+	// unit have been durably flushed — the mid-shard SIGKILL the chunk
+	// files exist to survive: the same worker, restarted, reuses every
+	// flushed chunk by checksum and scans only the rest. A unit with fewer
+	// chunks than AfterChunks completes normally.
 	ActKillBetweenChunks
 )
 

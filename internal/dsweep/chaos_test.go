@@ -4,16 +4,22 @@ package dsweep
 // real in-memory signed-DNS world, with scripted kills, stalls, and slow
 // disks. Every test's acceptance bar is the same: whatever chaos is
 // injected, the merged archive must be byte-identical to an uninterrupted
-// single-process ResumableSweep of the same plan.
+// single-process ResumableSweep of the same plan — and a worker killed
+// between chunks must resume its shard from the durable chunk files
+// instead of from scratch.
 
 import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"securepki.org/registrarsec/internal/checkpoint"
+	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/registrar"
@@ -80,9 +86,11 @@ func buildTestWorld(t *testing.T) (*dnstest.Ecosystem, []scan.Target) {
 	return eco, scan.TargetsFromDomains(domains)
 }
 
-// testSetup builds a DaySetup over the fixed in-memory world.
-func testSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target) scan.DaySetup {
-	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, []scan.Target, error) {
+// testStreamSetup builds a StreamDaySetup over the fixed in-memory world:
+// a cursor over the targets, with no per-chunk prepare work (the ecosystem
+// is fully materialized already).
+func testStreamSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target) scan.StreamDaySetup {
+	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
 		s, err := scan.New(scan.Config{
 			Exchange: eco.Net,
 			TLDServers: map[string]string{
@@ -95,7 +103,7 @@ func testSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target) scan
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, targets, nil
+		return s, scan.SliceTargets(targets), nil, nil
 	}
 }
 
@@ -103,16 +111,43 @@ func testSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target) scan
 // the plan and returns its archive bytes — the byte-identity oracle.
 func referenceArchive(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, days []simtime.Day, shards int) []byte {
 	t.Helper()
-	rs := &scan.ResumableSweep{Shards: shards, Setup: testSetup(t, eco, targets)}
-	store, err := rs.Run(context.Background(), days)
+	rs := &scan.ResumableSweep{Shards: shards, StreamSetup: testStreamSetup(t, eco, targets)}
+	var buf bytes.Buffer
+	err := rs.RunStream(context.Background(), days, func(_ simtime.Day, sw *dataset.SpillWriter) error {
+		return sw.WriteSectionTo(&buf)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := store.WriteArchive(&buf); err != nil {
-		t.Fatal(err)
-	}
 	return buf.Bytes()
+}
+
+// eventLog collects progress lines for assertions while echoing to the
+// test log.
+type eventLog struct {
+	t  *testing.T
+	mu sync.Mutex
+	ls []string
+}
+
+func (el *eventLog) logf(format string, args ...any) {
+	line := fmt.Sprintf(format, args...)
+	el.mu.Lock()
+	el.ls = append(el.ls, line)
+	el.mu.Unlock()
+	el.t.Log(line)
+}
+
+func (el *eventLog) count(substr string) int {
+	el.mu.Lock()
+	defer el.mu.Unlock()
+	n := 0
+	for _, l := range el.ls {
+		if strings.Contains(l, substr) {
+			n++
+		}
+	}
+	return n
 }
 
 // chaosEnv is one prepared distributed-sweep scenario.
@@ -125,7 +160,9 @@ type chaosEnv struct {
 	want    []byte
 }
 
-// newChaosEnv builds the world, the oracle archive, and the plan.
+// newChaosEnv builds the world, the oracle archive, and a plan whose chunk
+// size is left at the default — far above the shard size here, so every
+// shard is one chunk.
 func newChaosEnv(t *testing.T, shards int) *chaosEnv {
 	t.Helper()
 	eco, targets := buildTestWorld(t)
@@ -142,21 +179,30 @@ func newChaosEnv(t *testing.T, shards int) *chaosEnv {
 	}
 }
 
+// newChunkedEnv is newChaosEnv with shards cut into several chunks.
+func newChunkedEnv(t *testing.T, shards, chunk int) *chaosEnv {
+	t.Helper()
+	env := newChaosEnv(t, shards)
+	env.plan.Fingerprint = fmt.Sprintf("chunk-drill-v1 chunk=%d", chunk)
+	env.plan.Chunk = chunk
+	return env
+}
+
 // run executes RunLocal with the given worker scripts and asserts the
 // merged archive is byte-identical to the oracle.
-func (env *chaosEnv) run(t *testing.T, ttl time.Duration, scripts map[string]*Script) *Result {
+func (env *chaosEnv) run(t *testing.T, ttl time.Duration, scripts map[string]*Script, logf func(string, ...any)) *Result {
 	t.Helper()
 	var workers []WorkerSpec
 	for _, name := range sortedKeys(scripts) {
 		workers = append(workers, WorkerSpec{
-			Name:  name,
-			Setup: testSetup(t, env.eco, env.targets),
-			Chaos: scripts[name],
+			Name:        name,
+			StreamSetup: testStreamSetup(t, env.eco, env.targets),
+			Chaos:       scripts[name],
 		})
 	}
 	store, res, err := RunLocal(context.Background(), LocalConfig{
 		Plan: env.plan, Store: env.store, LeaseTTL: ttl, Workers: workers,
-		OnEvent: t.Logf,
+		OnEvent: logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +236,7 @@ func sortedKeys(m map[string]*Script) []string {
 
 func TestRunLocalCleanByteIdentical(t *testing.T) {
 	env := newChaosEnv(t, 3)
-	res := env.run(t, 10*time.Second, map[string]*Script{"w1": nil, "w2": nil})
+	res := env.run(t, 10*time.Second, map[string]*Script{"w1": nil, "w2": nil}, t.Logf)
 	if len(res.WorkerErrs) != 0 {
 		t.Fatalf("worker errors in clean run: %v", res.WorkerErrs)
 	}
@@ -210,12 +256,13 @@ func TestRunLocalCleanByteIdentical(t *testing.T) {
 
 func TestRunLocalWorkerKilledMidShard(t *testing.T) {
 	env := newChaosEnv(t, 3)
-	// w1 is SIGKILLed mid-shard on its first claim: the scan ran but
-	// nothing durable was written. Recovery is pure lease expiry.
+	// w1 is SIGKILLed on its first claim after the scan, before the shard
+	// archive is written: only its owner-tagged chunk file exists, which w2
+	// must not trust. Recovery is pure lease expiry.
 	res := env.run(t, 300*time.Millisecond, map[string]*Script{
 		"w1": NewScript(Event{Claim: 1, Act: ActKillBeforeWrite}),
 		"w2": nil,
-	})
+	}, t.Logf)
 	if !errors.Is(res.WorkerErrs["w1"], ErrChaosKilled) {
 		t.Fatalf("w1 error: %v", res.WorkerErrs["w1"])
 	}
@@ -231,7 +278,7 @@ func TestRunLocalWorkerKilledAfterWrite(t *testing.T) {
 	res := env.run(t, 300*time.Millisecond, map[string]*Script{
 		"w1": NewScript(Event{Claim: 1, Act: ActKillAfterWrite}),
 		"w2": nil,
-	})
+	}, t.Logf)
 	if !errors.Is(res.WorkerErrs["w1"], ErrChaosKilled) {
 		t.Fatalf("w1 error: %v", res.WorkerErrs["w1"])
 	}
@@ -248,7 +295,7 @@ func TestRunLocalStragglerDuplicate(t *testing.T) {
 	res := env.run(t, 200*time.Millisecond, map[string]*Script{
 		"w1": NewScript(Event{Claim: 1, Act: ActStall, Delay: 800 * time.Millisecond}),
 		"w2": nil,
-	})
+	}, t.Logf)
 	if len(res.WorkerErrs) != 0 {
 		t.Fatalf("worker errors: %v", res.WorkerErrs)
 	}
@@ -267,7 +314,7 @@ func TestRunLocalSlowDiskKeepsLease(t *testing.T) {
 	res := env.run(t, 200*time.Millisecond, map[string]*Script{
 		"w1": NewScript(Event{Claim: 1, Act: ActSlowDisk, Delay: 700 * time.Millisecond}),
 		"w2": nil,
-	})
+	}, t.Logf)
 	if len(res.WorkerErrs) != 0 {
 		t.Fatalf("worker errors: %v", res.WorkerErrs)
 	}
@@ -284,8 +331,8 @@ func TestRunLocalCoordinatorRestartResumes(t *testing.T) {
 	_, res, err := RunLocal(context.Background(), LocalConfig{
 		Plan: env.plan, Store: env.store, LeaseTTL: 200 * time.Millisecond,
 		Workers: []WorkerSpec{
-			{Name: "w1", Setup: testSetup(t, env.eco, env.targets), Chaos: NewScript(Event{Claim: 2, Act: ActKillBeforeWrite})},
-			{Name: "w2", Setup: testSetup(t, env.eco, env.targets), Chaos: NewScript(Event{Claim: 2, Act: ActKillAfterWrite})},
+			{Name: "w1", StreamSetup: testStreamSetup(t, env.eco, env.targets), Chaos: NewScript(Event{Claim: 2, Act: ActKillBeforeWrite})},
+			{Name: "w2", StreamSetup: testStreamSetup(t, env.eco, env.targets), Chaos: NewScript(Event{Claim: 2, Act: ActKillAfterWrite})},
 		},
 		OnEvent: t.Logf,
 	})
@@ -298,7 +345,7 @@ func TestRunLocalCoordinatorRestartResumes(t *testing.T) {
 
 	// Phase 2: a fresh coordinator process over the same directory adopts
 	// the completed units and finishes with fresh workers.
-	res2 := env.run(t, 200*time.Millisecond, map[string]*Script{"w3": nil})
+	res2 := env.run(t, 200*time.Millisecond, map[string]*Script{"w3": nil}, t.Logf)
 	if res2.Stats.Recovered == 0 {
 		t.Fatalf("restart adopted nothing: %+v", res2.Stats)
 	}
@@ -308,15 +355,102 @@ func TestRunLocalCoordinatorRestartResumes(t *testing.T) {
 }
 
 func TestRunLocalMoreShardsThanTargets(t *testing.T) {
-	// Shard count above the target count: ShardSplit clamps, so the tail
+	// Shard count above the target count: ShardBounds clamps, so the tail
 	// units are legitimately empty. They must round-trip as empty archives
 	// and contribute nothing to the merge.
 	env := newChaosEnv(t, 16)
-	res := env.run(t, 10*time.Second, map[string]*Script{"w1": nil, "w2": nil})
+	res := env.run(t, 10*time.Second, map[string]*Script{"w1": nil, "w2": nil}, t.Logf)
 	if len(res.WorkerErrs) != 0 {
 		t.Fatalf("worker errors: %v", res.WorkerErrs)
 	}
 	if res.Stats.Done != env.plan.Units() {
 		t.Fatalf("done %d units, want %d", res.Stats.Done, env.plan.Units())
+	}
+}
+
+func TestRunLocalChunkedCleanByteIdentical(t *testing.T) {
+	env := newChunkedEnv(t, 3, 2)
+	el := &eventLog{t: t}
+	res := env.run(t, 10*time.Second, map[string]*Script{"w1": nil, "w2": nil}, el.logf)
+	if len(res.WorkerErrs) != 0 {
+		t.Fatalf("worker errors in clean run: %v", res.WorkerErrs)
+	}
+	if res.Stats.Done != env.plan.Units() {
+		t.Fatalf("done %d units, want %d", res.Stats.Done, env.plan.Units())
+	}
+	// Per-worker attribution still covers the whole sweep under chunking.
+	total := 0
+	for _, h := range res.HealthByWorker {
+		total += h.Targets
+	}
+	if want := len(env.targets) * len(env.days); total != want {
+		t.Fatalf("per-worker targets %d, want %d", total, want)
+	}
+}
+
+func TestRunLocalChunkedKillBetweenChunksResumes(t *testing.T) {
+	env := newChunkedEnv(t, 3, 2)
+	el := &eventLog{t: t}
+
+	// Phase 1: the only worker is SIGKILLed after durably flushing one
+	// chunk of its first unit. The sweep halts with a partial shard on disk.
+	_, res, err := RunLocal(context.Background(), LocalConfig{
+		Plan: env.plan, Store: env.store, LeaseTTL: 200 * time.Millisecond,
+		Workers: []WorkerSpec{{
+			Name:        "w1",
+			StreamSetup: testStreamSetup(t, env.eco, env.targets),
+			Chaos:       NewScript(Event{Claim: 1, Act: ActKillBetweenChunks, AfterChunks: 1}),
+		}},
+		OnEvent: el.logf,
+	})
+	if err == nil {
+		t.Fatal("phase 1 succeeded despite its only worker dying")
+	}
+	if !errors.Is(res.WorkerErrs["w1"], ErrChaosKilled) {
+		t.Fatalf("w1 error: %v", res.WorkerErrs["w1"])
+	}
+	if el.count("chaos kill after 1 flushed chunks") == 0 {
+		t.Fatal("kill-between-chunks never fired")
+	}
+
+	// Phase 2: the same worker restarts over the same directory. Its first
+	// re-claimed unit must reuse the flushed chunk by checksum instead of
+	// re-scanning it, and the finished archive must be byte-identical.
+	res2 := env.run(t, 200*time.Millisecond, map[string]*Script{"w1": nil}, el.logf)
+	if len(res2.WorkerErrs) != 0 {
+		t.Fatalf("phase 2 worker errors: %v", res2.WorkerErrs)
+	}
+	if el.count("reusing chunk") == 0 {
+		t.Fatal("restarted worker re-scanned its flushed chunk instead of reusing it")
+	}
+}
+
+func TestRunLocalChunkedOwnerTagIsolation(t *testing.T) {
+	env := newChunkedEnv(t, 3, 2)
+	el := &eventLog{t: t}
+
+	// Phase 1: w1 dies after flushing one chunk.
+	_, _, err := RunLocal(context.Background(), LocalConfig{
+		Plan: env.plan, Store: env.store, LeaseTTL: 200 * time.Millisecond,
+		Workers: []WorkerSpec{{
+			Name:        "w1",
+			StreamSetup: testStreamSetup(t, env.eco, env.targets),
+			Chaos:       NewScript(Event{Claim: 1, Act: ActKillBetweenChunks, AfterChunks: 1}),
+		}},
+		OnEvent: el.logf,
+	})
+	if err == nil {
+		t.Fatal("phase 1 succeeded despite its only worker dying")
+	}
+
+	// Phase 2: a DIFFERENT worker takes over. w1's chunks are owner-tagged
+	// (another vantage point may legitimately measure differently), so w2
+	// must re-scan from scratch — and still merge byte-identical.
+	res := env.run(t, 200*time.Millisecond, map[string]*Script{"w2": nil}, el.logf)
+	if len(res.WorkerErrs) != 0 {
+		t.Fatalf("phase 2 worker errors: %v", res.WorkerErrs)
+	}
+	if el.count("reusing chunk") != 0 {
+		t.Fatal("w2 reused another worker's owner-tagged chunks")
 	}
 }

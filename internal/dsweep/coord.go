@@ -422,9 +422,10 @@ func (c *Coordinator) doneCountLocked() int {
 func (c *Coordinator) allDoneLocked() bool { return c.doneCountLocked() == len(c.order) }
 
 // Merge assembles the final archive: every unit's chosen shard is
-// re-loaded and CRC-verified, and records are concatenated in plan order
-// (days in plan order, shards in index order) — the exact assembly a
-// single-process ResumableSweep performs, so the output bytes match.
+// re-loaded and CRC-verified, records are concatenated in plan order (days
+// in plan order, shards in index order) and each day is canonicalized —
+// the (TLD, domain) order a single-process ResumableSweep's spill merge
+// emits, so the output bytes match.
 func (c *Coordinator) Merge() (*dataset.Store, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -443,6 +444,7 @@ func (c *Coordinator) Merge() (*dataset.Store, error) {
 			}
 			daySnap.Records = append(daySnap.Records, snap.Records...)
 		}
+		daySnap.Canonicalize()
 		store.Add(daySnap)
 	}
 	return store, nil

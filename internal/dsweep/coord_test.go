@@ -360,6 +360,7 @@ func TestPlanValidation(t *testing.T) {
 		{Plan{Fingerprint: "f", Shards: 1}, "no days"},
 		{Plan{Fingerprint: "f", Days: []simtime.Day{1}, Shards: 0}, "shard"},
 		{Plan{Fingerprint: "f", Days: []simtime.Day{1, 1}, Shards: 1}, "twice"},
+		{Plan{Fingerprint: "f", Days: []simtime.Day{1}, Shards: 1, Chunk: -1}, "chunk"},
 	}
 	for _, tc := range cases {
 		if err := tc.plan.validate(); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -1,17 +1,18 @@
 // Package dsweep lifts scan.ResumableSweep into a crash-tolerant
 // multi-process topology: a coordinator that owns the sweep plan and
 // leases (day, shard) work units with deadlines, and workers that claim
-// leases, scan their shard through their own exchange stack, flush a
-// checksum-trailered shard archive via internal/checkpoint, and report
-// completion. The paper's longitudinal evidence is an OpenINTEL-style
+// leases, scan their shard chunk by chunk through their own exchange
+// stack, flush a checksum-trailered shard archive via internal/checkpoint,
+// and report completion. The paper's longitudinal evidence is an OpenINTEL-style
 // archive measured daily from multiple vantage points for 21 months — a
 // sweep that long only finishes if the pipeline shrugs off worker crashes,
 // stragglers, and coordinator restarts.
 //
 // Robustness contract:
 //
-//   - A worker killed mid-shard leaves nothing durable behind; its lease
-//     expires and the unit is re-leased to any live worker.
+//   - A worker killed mid-shard leaves behind only the owner-tagged chunk
+//     files it had flushed; its lease expires and the unit is re-leased to
+//     any live worker, and the same worker restarted reuses its own chunks.
 //   - A straggler that finishes after its unit was re-leased produces a
 //     duplicate completion. Duplicates are resolved deterministically by
 //     checksum — same bytes are acknowledged idempotently, divergent bytes
@@ -20,9 +21,10 @@
 //   - The coordinator persists lease and completion state atomically after
 //     every mutation, so a coordinator restart resumes the sweep instead
 //     of restarting it.
-//   - The final merge re-verifies every shard's CRC and concatenates
-//     shards in plan order, producing an archive byte-identical to an
-//     uninterrupted single-process ResumableSweep of the same plan.
+//   - The final merge re-verifies every shard's CRC, concatenates shards
+//     in plan order and canonicalizes each day, producing an archive
+//     byte-identical to an uninterrupted single-process ResumableSweep of
+//     the same plan.
 //
 // Workers share the coordinator's checkpoint directory (same filesystem —
 // locally, or via shared storage), the same role OpenINTEL's central
@@ -57,14 +59,13 @@ type Plan struct {
 	Fingerprint string        `json:"fingerprint"`
 	Days        []simtime.Day `json:"days"`
 	// Shards is the number of work units per day; every participant splits
-	// a day's targets with scan.ShardSplit(targets, Shards).
+	// a day's target cursor with scan.ShardBounds(n, Shards).
 	Shards int `json:"shards"`
-	// Chunk, when positive, switches workers to the streaming scan path:
-	// each shard is scanned in chunks of this many targets, with every
-	// completed chunk durably flushed, so a killed worker resumes its
-	// shard at the last flushed chunk instead of from scratch. Zero keeps
-	// the legacy whole-shard path. The value shapes the durable chunk
-	// files, so it is part of the plan (and its fingerprint) like Shards.
+	// Chunk is the targets-per-chunk size each shard is scanned in (zero
+	// selects scan.DefaultChunk): every completed chunk is durably flushed,
+	// so a killed worker resumes its shard at the last flushed chunk. The
+	// value shapes the durable chunk files, so it is part of the plan (and
+	// its fingerprint) like Shards.
 	Chunk int `json:"chunk,omitempty"`
 	// Spec, when set, carries the world configuration remote workers need
 	// to rebuild the sweep environment for themselves.

@@ -35,11 +35,11 @@ func TestHTTPTopologyByteIdentical(t *testing.T) {
 	var mu sync.Mutex
 	for _, name := range sortedKeys(scripts) {
 		w, err := NewWorker(WorkerConfig{
-			Name:  name,
-			Coord: &Client{Base: srv.URL},
-			Store: env.store,
-			Setup: testSetup(t, env.eco, env.targets),
-			Chaos: scripts[name],
+			Name:        name,
+			Coord:       &Client{Base: srv.URL},
+			Store:       env.store,
+			StreamSetup: testStreamSetup(t, env.eco, env.targets),
+			Chaos:       scripts[name],
 		})
 		if err != nil {
 			t.Fatal(err)

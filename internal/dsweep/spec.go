@@ -42,10 +42,6 @@ type WorldSpec struct {
 	// Cache and Dedup toggle the optional exchange stack layers.
 	Cache bool `json:"cache,omitempty"`
 	Dedup bool `json:"dedup,omitempty"`
-	// Chunk, when positive, runs workers on the streaming scan path in
-	// chunks of this many targets (see Plan.Chunk); zero keeps the legacy
-	// whole-shard path.
-	Chunk int `json:"chunk,omitempty"`
 	// FaultFrac/FaultLoss/FaultSeed configure the sweep-wide fault
 	// injection (a fraction of DNS operators made lossy), identically on
 	// every worker.
@@ -83,107 +79,42 @@ func (sp *WorldSpec) normalize() {
 // coordinator's state and every worker completion to one plan. Everything
 // that shapes the output bytes is in it; per-worker vantage profiles are
 // not (see the type comment).
-func (sp *WorldSpec) Fingerprint(days []simtime.Day, shards int) string {
+func (sp *WorldSpec) Fingerprint(days []simtime.Day, shards, chunk int) string {
 	s := *sp
 	s.normalize()
 	names := make([]string, 0, len(days))
 	for _, d := range days {
 		names = append(names, d.String())
 	}
-	fp := fmt.Sprintf("dsweep scale=%g seed=%d days=%s sample=%d shards=%d faults=%g/%g/%d retries=%d resweeps=%d cache=%v dedup=%v",
+	// The chunk size shapes the durable chunk files a resumed sweep trusts,
+	// so it is part of the fingerprint like the shard count.
+	return fmt.Sprintf("sweep scale=%g seed=%d days=%s sample=%d shards=%d faults=%g/%g/%d retries=%d resweeps=%d cache=%v dedup=%v chunk=%d",
 		s.ScaleDiv, s.Seed, strings.Join(names, ","), s.Sample, shards,
-		s.FaultFrac, s.FaultLoss, s.FaultSeed, s.Retries, s.Resweeps, s.Cache, s.Dedup)
-	// Chunk size shapes the durable chunk files a resumed worker trusts, so
-	// chunked plans get their own fingerprint space; legacy (chunk-less)
-	// fingerprints are unchanged.
-	if s.Chunk > 0 {
-		fp += fmt.Sprintf(" chunk=%d", s.Chunk)
-	}
-	return fp
+		s.FaultFrac, s.FaultLoss, s.FaultSeed, s.Retries, s.Resweeps, s.Cache, s.Dedup, scan.ChunkSize(chunk))
 }
 
-// PlanFor assembles a complete Plan for this spec.
-func (sp *WorldSpec) PlanFor(days []simtime.Day, shards int) Plan {
+// PlanFor assembles a complete Plan for this spec, scanned in chunks of
+// chunk targets (see Plan.Chunk).
+func (sp *WorldSpec) PlanFor(days []simtime.Day, shards, chunk int) Plan {
 	s := *sp
 	s.normalize()
 	return Plan{
-		Fingerprint: s.Fingerprint(days, shards),
+		Fingerprint: s.Fingerprint(days, shards, chunk),
 		Days:        append([]simtime.Day(nil), days...),
 		Shards:      shards,
-		Chunk:       s.Chunk,
+		Chunk:       chunk,
 		Spec:        &s,
 	}
 }
 
-// Build materializes the spec into a scan.DaySetup: the world is built
-// once (the expensive part), and each day's call materializes the sample
-// as real signed DNS with a fresh exchange stack. vantage, when non-empty,
-// is this worker's own vantage-point fault profile, layered below the
-// sweep-wide fault rules and driven by vantageSeed.
-func (sp *WorldSpec) Build(vantage []faultnet.Rule, vantageSeed int64, onEvent func(format string, args ...any)) (scan.DaySetup, error) {
-	world, err := tldsim.Build(tldsim.WorldConfig{Scale: 1 / sp.ScaleDiv, Seed: sp.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return sp.BuildWith(world, vantage, vantageSeed, onEvent)
-}
-
-// BuildWith is Build over a caller-supplied world — typically one
-// mmap-loaded from a world cache, so the population is file-backed
-// instead of resident heap.
-func (sp *WorldSpec) BuildWith(world *tldsim.World, vantage []faultnet.Rule, vantageSeed int64, onEvent func(format string, args ...any)) (scan.DaySetup, error) {
-	s := *sp
-	s.normalize()
-	domains := world.Sample(s.Sample, s.Seed)
-	targets := make([]scan.Target, 0, len(domains))
-	for _, d := range domains {
-		targets = append(targets, scan.Target{Domain: d.Name, TLD: d.TLD})
-	}
-	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, []scan.Target, error) {
-		if onEvent != nil {
-			onEvent("materializing %d domains at %s", len(domains), day)
-		}
-		mat, err := tldsim.Materialize(day, domains)
-		if err != nil {
-			return nil, nil, err
-		}
-		clock := func() simtime.Day { return day }
-		var mw []exchange.Middleware
-		if s.FaultFrac > 0 {
-			rules, _ := tldsim.LossyOperators(domains, s.FaultFrac, s.FaultLoss, s.FaultSeed)
-			mw = append(mw, faultnet.New(nil, s.FaultSeed, clock, rules...).Middleware())
-		}
-		if len(vantage) > 0 {
-			mw = append(mw, faultnet.New(nil, vantageSeed, clock, vantage...).Middleware())
-		}
-		var cacheOpts *exchange.CacheOptions
-		if s.Cache {
-			cacheOpts = &exchange.CacheOptions{}
-		}
-		scanner, err := scan.New(scan.Config{
-			Exchange:    mat.Net,
-			Middleware:  mw,
-			Dedup:       s.Dedup,
-			Cache:       cacheOpts,
-			TLDServers:  mat.TLDServers,
-			Workers:     s.Workers,
-			Clock:       clock,
-			Retry:       retry.Policy{MaxAttempts: s.Retries},
-			MaxResweeps: s.Resweeps,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return scanner, targets, nil
-	}, nil
-}
-
-// BuildStream is Build's streaming counterpart: the same world and sample,
-// but the day setup yields a target cursor plus a per-chunk prepare hook
-// that materializes only the chunk in flight — signing cost and resident
-// zone data scale with the chunk size, not the sample. Fault middleware is
-// derived from the cursor without materializing the sample, and is
-// byte-for-byte the profile Build produces for the same spec.
+// BuildStream materializes the spec into a scan.StreamDaySetup: the world
+// is built once (the expensive part), and each day's call yields a fresh
+// exchange stack, a cursor over the sample, and a per-chunk prepare hook
+// that materializes only the chunk in flight as real signed DNS — signing
+// cost and resident zone data scale with the chunk size, not the sample.
+// vantage, when non-empty, is this worker's own vantage-point fault
+// profile, layered below the sweep-wide fault rules and driven by
+// vantageSeed.
 func (sp *WorldSpec) BuildStream(vantage []faultnet.Rule, vantageSeed int64, onEvent func(format string, args ...any)) (scan.StreamDaySetup, error) {
 	world, err := tldsim.Build(tldsim.WorldConfig{Scale: 1 / sp.ScaleDiv, Seed: sp.Seed})
 	if err != nil {
@@ -192,24 +123,26 @@ func (sp *WorldSpec) BuildStream(vantage []faultnet.Rule, vantageSeed int64, onE
 	return sp.BuildStreamWith(world, vantage, vantageSeed, onEvent)
 }
 
-// BuildStreamWith is BuildStream over a caller-supplied world. The
-// streaming setup keeps the world reachable for the whole sweep (chunks
-// materialize from it lazily), so an mmap-loaded world matters more here
-// than for Build: it keeps the retained population file-backed.
+// BuildStreamWith is BuildStream over a caller-supplied world — typically
+// one mmap-loaded from a world cache: the setup keeps the world reachable
+// for the whole sweep (chunks materialize from it lazily), so a file-backed
+// population stays out of the resident heap.
 func (sp *WorldSpec) BuildStreamWith(world *tldsim.World, vantage []faultnet.Rule, vantageSeed int64, onEvent func(format string, args ...any)) (scan.StreamDaySetup, error) {
 	s := *sp
 	s.normalize()
 	src := world.SampleSource(s.Sample, s.Seed)
+	if onEvent == nil {
+		onEvent = func(string, ...any) {}
+	}
 	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
-		if onEvent != nil {
-			onEvent("streaming %d domains at %s", src.Len(), day)
-		}
+		onEvent("streaming %d domains at %s (lazy per-chunk materialization)", src.Len(), day)
 		sm := tldsim.NewStreamMaterializer(day, src)
 		clock := func() simtime.Day { return day }
 		var mw []exchange.Middleware
 		if s.FaultFrac > 0 {
-			rules, _ := tldsim.LossyOperatorsSource(src, s.FaultFrac, s.FaultLoss, s.FaultSeed)
+			rules, faulty := tldsim.LossyOperatorsSource(src, s.FaultFrac, s.FaultLoss, s.FaultSeed)
 			mw = append(mw, faultnet.New(nil, s.FaultSeed, clock, rules...).Middleware())
+			onEvent("injecting %.0f%% loss on %d operator(s)", s.FaultLoss*100, len(faulty))
 		}
 		if len(vantage) > 0 {
 			mw = append(mw, faultnet.New(nil, vantageSeed, clock, vantage...).Middleware())

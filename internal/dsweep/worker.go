@@ -24,14 +24,10 @@ type WorkerConfig struct {
 	Coord Coordination
 	// Store is the shared checkpoint directory shards are flushed into.
 	Store *checkpoint.Store
-	// Setup builds this worker's scanner and target list for one day —
-	// each worker owns its whole exchange stack, so vantage-point fault
-	// profiles and transport state never leak between workers.
-	Setup scan.DaySetup
-	// StreamSetup is Setup's streaming counterpart, required when the plan
-	// carries a positive Chunk: the worker scans its shard chunk by chunk,
-	// durably flushing each chunk, so a kill mid-shard resumes at the last
-	// flushed chunk instead of from scratch.
+	// StreamSetup builds this worker's scanner, target cursor and
+	// per-chunk prepare hook for one day — each worker owns its whole
+	// exchange stack, so vantage-point fault profiles and transport state
+	// never leak between workers.
 	StreamSetup scan.StreamDaySetup
 	// Chaos, when set, injects scripted faults (tests only).
 	Chaos *Script
@@ -39,35 +35,22 @@ type WorkerConfig struct {
 	OnEvent func(format string, args ...any)
 }
 
-// Worker claims leases from a coordinator, scans its shard through its own
-// exchange stack, flushes the result as an owner-tagged checksum-trailered
-// shard archive, and reports completion. It keeps no durable state of its
-// own: everything it knows is either in the shared checkpoint directory or
-// re-derivable, which is what makes killing it at any instant safe.
+// Worker claims leases from a coordinator, scans its shard chunk by chunk
+// through its own exchange stack — durably flushing each chunk, so a kill
+// mid-shard resumes at the last flushed chunk — writes the result as an
+// owner-tagged checksum-trailered shard archive, and reports completion.
+// It keeps no durable state of its own: everything it knows is either in
+// the shared checkpoint directory or re-derivable, which is what makes
+// killing it at any instant safe.
 type Worker struct {
 	cfg    WorkerConfig
 	claims int
 
-	cachedDay    simtime.Day
-	cachedSetup  *workerDay
-	cachedStream *workerDayStream
-}
-
-// workerDay is one day's materialized scanning environment, cached because
-// the coordinator leases a day's shards consecutively.
-type workerDay struct {
-	scanner *scan.Scanner
-	parts   [][]scan.Target
-}
-
-// workerDayStream is one day's streaming scanning environment: a target
-// cursor and per-chunk prepare hook instead of a materialized target list.
-type workerDayStream struct {
-	scanner *scan.Scanner
-	src     scan.TargetSource
-	prepare scan.ChunkPrepare
-	spans   []scan.Span
-	buf     []scan.Target
+	// The most recent day's scanning environment and shard spans, cached
+	// because the coordinator leases a day's shards consecutively.
+	cachedDay simtime.Day
+	cached    *scan.DayEnv
+	spans     []scan.Span
 }
 
 // NewWorker validates the configuration and returns a worker.
@@ -79,7 +62,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, fmt.Errorf("dsweep: worker requires a coordinator")
 	case cfg.Store == nil:
 		return nil, fmt.Errorf("dsweep: worker requires a checkpoint store")
-	case cfg.Setup == nil && cfg.StreamSetup == nil:
+	case cfg.StreamSetup == nil:
 		return nil, fmt.Errorf("dsweep: worker requires a day setup")
 	}
 	return &Worker{cfg: cfg}, nil
@@ -101,12 +84,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	if err := plan.validate(); err != nil {
 		return err
-	}
-	if plan.Chunk > 0 && w.cfg.StreamSetup == nil {
-		return fmt.Errorf("dsweep: worker %s: plan wants chunked streaming (chunk=%d) but worker has no StreamSetup", w.cfg.Name, plan.Chunk)
-	}
-	if plan.Chunk == 0 && w.cfg.Setup == nil {
-		return fmt.Errorf("dsweep: worker %s: plan is whole-shard but worker has only a StreamSetup", w.cfg.Name)
 	}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -158,48 +135,15 @@ func (w *Worker) runUnit(ctx context.Context, plan *Plan, grant *Grant) (bool, e
 	}
 	defer stopHB()
 
-	var (
-		snap   *dataset.Snapshot
-		health *scan.SweepHealth
-		err    error
-	)
-	if plan.Chunk > 0 {
-		snap, health, err = w.scanUnitChunked(ctx, plan, unit, ev)
-		if err != nil {
-			return false, err
-		}
-	} else {
-		day, err := w.day(ctx, plan, unit.Day)
-		if err != nil {
-			return false, err
-		}
-		// The plan's shard count is fixed, but ShardSplit clamps to the
-		// target count — indices past the split are legitimately empty units
-		// whose archive contributes zero records to the merge.
-		var part []scan.Target
-		if unit.Shard < len(day.parts) {
-			part = day.parts[unit.Shard]
-		}
-		snap, health, err = day.scanner.ScanDay(ctx, unit.Day, part)
-		if err != nil {
-			return false, fmt.Errorf("dsweep: worker %s: unit %s: %w", w.cfg.Name, unit, err)
-		}
+	snap, health, err := w.scanUnit(ctx, plan, unit, ev)
+	if err != nil {
+		return false, err
 	}
-	snap.Canonicalize()
 
 	switch ev.Act {
 	case ActKillBeforeWrite:
 		w.event("worker %s: chaos kill before write on %s (claim %d)", w.cfg.Name, unit, w.claims)
 		return false, ErrChaosKilled
-	case ActKillBetweenChunks:
-		// On a chunked unit the kill fires inside scanUnitChunked; reaching
-		// here means it never triggered (AfterChunks past the shard's chunk
-		// count) and the unit completes normally. On a whole-shard unit
-		// there are no chunks, so the action degrades to a pre-write kill.
-		if plan.Chunk == 0 {
-			w.event("worker %s: chaos kill before write on %s (claim %d)", w.cfg.Name, unit, w.claims)
-			return false, ErrChaosKilled
-		}
 	case ActStall:
 		w.event("worker %s: chaos stall %s on %s (claim %d)", w.cfg.Name, ev.Delay, unit, w.claims)
 		if err := sleepCtx(ctx, ev.Delay); err != nil {
@@ -237,41 +181,21 @@ func (w *Worker) runUnit(ctx context.Context, plan *Plan, grant *Grant) (bool, e
 	return reply.Done, nil
 }
 
-// day returns the worker's scanning environment for a day, building it via
-// Setup on first use. Only the most recent day is cached: the coordinator
-// grants in plan order, so day changes are monotone and rare.
-func (w *Worker) day(ctx context.Context, plan *Plan, d simtime.Day) (*workerDay, error) {
-	if w.cachedSetup != nil && w.cachedDay == d {
-		return w.cachedSetup, nil
-	}
-	scanner, targets, err := w.cfg.Setup(ctx, d)
-	if err != nil {
-		return nil, fmt.Errorf("dsweep: worker %s: setup for %s: %w", w.cfg.Name, d, err)
-	}
-	wd := &workerDay{scanner: scanner, parts: scan.ShardSplit(targets, plan.Shards)}
-	w.cachedDay, w.cachedSetup, w.cachedStream = d, wd, nil
-	return wd, nil
-}
-
-// dayStream is day's streaming counterpart, caching the cursor and the
-// shard spans derived from it.
-func (w *Worker) dayStream(ctx context.Context, plan *Plan, d simtime.Day) (*workerDayStream, error) {
-	if w.cachedStream != nil && w.cachedDay == d {
-		return w.cachedStream, nil
+// day returns the worker's scanning environment for a day, building it
+// via StreamSetup on first use. Only the most recent day is cached: the
+// coordinator grants in plan order, so day changes are monotone and rare.
+func (w *Worker) day(ctx context.Context, plan *Plan, d simtime.Day) (*scan.DayEnv, []scan.Span, error) {
+	if w.cached != nil && w.cachedDay == d {
+		return w.cached, w.spans, nil
 	}
 	scanner, src, prepare, err := w.cfg.StreamSetup(ctx, d)
 	if err != nil {
-		return nil, fmt.Errorf("dsweep: worker %s: setup for %s: %w", w.cfg.Name, d, err)
+		return nil, nil, fmt.Errorf("dsweep: worker %s: setup for %s: %w", w.cfg.Name, d, err)
 	}
-	wd := &workerDayStream{
-		scanner: scanner,
-		src:     src,
-		prepare: prepare,
-		spans:   scan.ShardBounds(src.Len(), plan.Shards),
-		buf:     make([]scan.Target, 0, plan.Chunk),
-	}
-	w.cachedDay, w.cachedStream, w.cachedSetup = d, wd, nil
-	return wd, nil
+	w.cachedDay = d
+	w.cached = &scan.DayEnv{Scanner: scanner, Source: src, Prepare: prepare}
+	w.spans = scan.ShardBounds(src.Len(), plan.Shards)
+	return w.cached, w.spans, nil
 }
 
 // chunkOwner tags this worker's durable chunk files with a hash of the plan
@@ -285,70 +209,58 @@ func (w *Worker) chunkOwner(plan *Plan) string {
 	return fmt.Sprintf("%s-%08x", w.cfg.Name, h.Sum32())
 }
 
-// scanUnitChunked scans one unit on the streaming path: the shard's cursor
-// span is walked in plan.Chunk-sized chunks, each chunk is durably flushed
-// as an owner-tagged checksum-trailered file the moment it completes, and
-// chunks already flushed by an earlier (killed) incarnation of this worker
-// are verified and reused instead of re-scanned. The assembled shard
-// snapshot is returned to runUnit, which writes the same whole-shard
-// archive a legacy worker would — the coordinator's completion and merge
-// protocol never sees the difference.
-func (w *Worker) scanUnitChunked(ctx context.Context, plan *Plan, unit UnitID, ev Event) (*dataset.Snapshot, *scan.SweepHealth, error) {
-	day, err := w.dayStream(ctx, plan, unit.Day)
+// scanUnit scans one unit through scan's chunk loop: each chunk is durably
+// flushed as an owner-tagged checksum-trailered file the moment it
+// completes, and chunks already flushed by an earlier (killed) incarnation
+// of this worker are verified by their trailers and reused instead of
+// re-scanned. The assembled shard snapshot goes back to runUnit, which
+// writes the whole-shard archive the coordinator settles and merges.
+func (w *Worker) scanUnit(ctx context.Context, plan *Plan, unit UnitID, ev Event) (*dataset.Snapshot, *scan.SweepHealth, error) {
+	env, spans, err := w.day(ctx, plan, unit.Day)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Indices past the span list are legitimately empty units, as in the
-	// legacy path.
+	// The plan's shard count is fixed, but ShardBounds clamps to the target
+	// count — indices past the span list are legitimately empty units whose
+	// archive contributes zero records to the merge.
 	var span scan.Span
-	if unit.Shard < len(day.spans) {
-		span = day.spans[unit.Shard]
-	}
-	chunks := 0
-	if span.Len() > 0 {
-		chunks = (span.Len() + plan.Chunk - 1) / plan.Chunk
+	if unit.Shard < len(spans) {
+		span = spans[unit.Shard]
 	}
 	owner := w.chunkOwner(plan)
 	snap := &dataset.Snapshot{Day: unit.Day}
-	health := &scan.SweepHealth{Day: unit.Day, ByClass: make(map[scan.FailClass]int)}
 	flushed := 0
-	for c := 0; c < chunks; c++ {
-		clo := span.Lo + c*plan.Chunk
-		chi := clo + plan.Chunk
-		if chi > span.Hi {
-			chi = span.Hi
-		}
-		part, err := w.cfg.Store.LoadChunkAs(unit.Day, unit.Shard, c, owner)
-		if err == nil {
-			w.event("worker %s: reusing chunk %d/%d of %s (%d records)", w.cfg.Name, c+1, chunks, unit, len(part.Records))
-			snap.Records = append(snap.Records, part.Records...)
-			health.Merge(scan.HealthFromSnapshot(unit.Day, chi-clo, part))
-			continue
-		}
-		if !errors.Is(err, fs.ErrNotExist) {
-			w.event("worker %s: chunk %d/%d of %s damaged (%v), re-scanning", w.cfg.Name, c+1, chunks, unit, err)
-		}
-		if day.prepare != nil {
-			if err := day.prepare(ctx, clo, chi); err != nil {
-				return nil, nil, err
+	store := scan.ChunkStore{
+		Load: func(c int) *dataset.Snapshot {
+			part, err := w.cfg.Store.LoadChunkAs(unit.Day, unit.Shard, c, owner)
+			if err != nil {
+				if !errors.Is(err, fs.ErrNotExist) {
+					w.event("worker %s: chunk %d of %s damaged (%v), re-scanning", w.cfg.Name, c, unit, err)
+				}
+				return nil
 			}
-		}
-		day.buf = scan.CollectTargets(day.src, clo, chi, day.buf)
-		part, h, scanErr := day.scanner.ScanDay(ctx, unit.Day, day.buf)
-		health.Merge(h)
-		if scanErr != nil {
-			return nil, nil, fmt.Errorf("dsweep: worker %s: unit %s: %w", w.cfg.Name, unit, scanErr)
-		}
-		part.Canonicalize()
-		if _, err := w.cfg.Store.WriteChunkAs(unit.Day, unit.Shard, c, owner, part); err != nil {
-			return nil, nil, fmt.Errorf("dsweep: worker %s: flushing chunk %d of %s: %w", w.cfg.Name, c, unit, err)
-		}
-		snap.Records = append(snap.Records, part.Records...)
-		flushed++
-		if ev.Act == ActKillBetweenChunks && flushed >= ev.AfterChunks {
-			w.event("worker %s: chaos kill after %d flushed chunks on %s (claim %d)", w.cfg.Name, flushed, unit, w.claims)
-			return nil, nil, ErrChaosKilled
-		}
+			w.event("worker %s: reusing chunk %d of %s (%d records)", w.cfg.Name, c, unit, len(part.Records))
+			return part
+		},
+		Flush: func(c int, part *dataset.Snapshot) error {
+			if _, err := w.cfg.Store.WriteChunkAs(unit.Day, unit.Shard, c, owner, part); err != nil {
+				return fmt.Errorf("flushing chunk %d: %w", c, err)
+			}
+			flushed++
+			if ev.Act == ActKillBetweenChunks && flushed >= ev.AfterChunks {
+				w.event("worker %s: chaos kill after %d flushed chunks on %s (claim %d)", w.cfg.Name, flushed, unit, w.claims)
+				return ErrChaosKilled
+			}
+			return nil
+		},
+	}
+	health, err := env.ScanSpan(ctx, unit.Day, span, scan.ChunkSize(plan.Chunk), store,
+		func(recs ...dataset.Record) error {
+			snap.Records = append(snap.Records, recs...)
+			return nil
+		})
+	if err != nil {
+		return nil, nil, fmt.Errorf("dsweep: worker %s: unit %s: %w", w.cfg.Name, unit, err)
 	}
 	return snap, health, nil
 }

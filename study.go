@@ -301,12 +301,13 @@ type LongitudinalConfig struct {
 	SampleSeed int64
 	// Workers is the per-day scan concurrency.
 	Workers int
-	// Shards is the number of checkpoint units per day (default 4).
+	// Shards is the number of target shards per day (default 4) — the
+	// lease unit of a distributed sweep.
 	Shards int
 	// CheckpointDir, when non-empty, makes the sweep crash-safe: each
-	// completed shard is durably checkpointed there, and a re-run resumes
-	// from the last completed shard with finished days verified by
-	// checksum instead of re-scanned.
+	// completed chunk (scan.DefaultChunk targets) of a shard is durably
+	// checkpointed there, and a re-run resumes from the last completed
+	// chunk with finished days verified by checksum instead of re-scanned.
 	CheckpointDir string
 	// FaultSeed and Rules optionally inject transport faults, as in
 	// ScanSampleFaulty.
@@ -324,7 +325,9 @@ type LongitudinalConfig struct {
 // cancellation (e.g. SIGINT) it persists a clean checkpoint and returns
 // the context's error; calling it again with the same configuration
 // resumes instead of restarting, and the final archive is byte-identical
-// to an uninterrupted run.
+// to an uninterrupted run. Each day of the returned archive is collected
+// from the sweep's sorted record stream, so it is in canonical order
+// across the whole day (by TLD, then domain), not shard by shard.
 func (s *Study) ScanLongitudinal(ctx context.Context, cfg LongitudinalConfig) (*Archive, error) {
 	mkSetup, err := s.longitudinalSetup(&cfg)
 	if err != nil {
@@ -340,25 +343,38 @@ func (s *Study) ScanLongitudinal(ctx context.Context, cfg LongitudinalConfig) (*
 		Checkpoint:  cp,
 		Fingerprint: longitudinalFingerprint(&cfg),
 		Shards:      cfg.Shards,
-		Setup:       mkSetup(),
+		StreamSetup: mkSetup(),
 		OnDayHealth: cfg.OnDayHealth,
 		OnEvent:     cfg.OnEvent,
 	}
-	return rs.Run(ctx, cfg.Days)
+	archive := dataset.NewStore()
+	err = rs.RunStream(ctx, cfg.Days, func(day Day, sw *dataset.SpillWriter) error {
+		snap := &Snapshot{Day: day, Records: make([]dataset.Record, 0, sw.Len())}
+		err := sw.EachSorted(func(r *dataset.Record) error {
+			snap.Records = append(snap.Records, *r)
+			return nil
+		})
+		if err == nil {
+			archive.Add(snap)
+		}
+		return err
+	})
+	return archive, err
 }
 
-// longitudinalFingerprint binds checkpoint state to the sweep configuration.
+// longitudinalFingerprint binds checkpoint state to the sweep
+// configuration, the chunk size that shapes its durable files included.
 func longitudinalFingerprint(cfg *LongitudinalConfig) string {
-	return fmt.Sprintf("sample=%d seed=%d days=%v shards=%d faults=%d",
-		cfg.Sample, cfg.SampleSeed, cfg.Days, cfg.Shards, len(cfg.Rules))
+	return fmt.Sprintf("sample=%d seed=%d days=%v shards=%d faults=%d chunk=%d",
+		cfg.Sample, cfg.SampleSeed, cfg.Days, cfg.Shards, len(cfg.Rules), scan.DefaultChunk)
 }
 
 // longitudinalSetup validates and defaults the configuration, draws the
-// sweep's fixed domain sample, and returns a factory of per-worker
-// DaySetups: each call yields an independent setup closure over the same
+// sweep's fixed domain sample, and returns a factory of per-worker day
+// setups: each call yields an independent setup closure over the same
 // sample, so concurrent distributed workers never share a scanner or an
 // exchange stack.
-func (s *Study) longitudinalSetup(cfg *LongitudinalConfig) (func() scan.DaySetup, error) {
+func (s *Study) longitudinalSetup(cfg *LongitudinalConfig) (func() scan.StreamDaySetup, error) {
 	if s.World == nil {
 		return nil, fmt.Errorf("study: a longitudinal sweep requires a world (Options.SkipWorld unset)")
 	}
@@ -371,36 +387,29 @@ func (s *Study) longitudinalSetup(cfg *LongitudinalConfig) (func() scan.DaySetup
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
-	sample := s.World.Sample(cfg.Sample, cfg.SampleSeed)
+	src := s.World.SampleSource(cfg.Sample, cfg.SampleSeed)
 	rules := cfg.Rules
 	faultSeed := cfg.FaultSeed
 	workers := cfg.Workers
-	mk := func() scan.DaySetup {
-		return func(ctx context.Context, day Day) (*scan.Scanner, []scan.Target, error) {
-			mat, err := tldsim.Materialize(day, sample)
-			if err != nil {
-				return nil, nil, err
-			}
+	mk := func() scan.StreamDaySetup {
+		return func(ctx context.Context, day Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
+			sm := tldsim.NewStreamMaterializer(day, src)
 			var mw []exchange.Middleware
 			if len(rules) > 0 {
 				inj := faultnet.New(nil, faultSeed, func() simtime.Day { return day }, rules...)
 				mw = append(mw, inj.Middleware())
 			}
 			scanner, err := scan.New(scan.Config{
-				Exchange:   mat.Net,
+				Exchange:   sm,
 				Middleware: mw,
-				TLDServers: mat.TLDServers,
+				TLDServers: sm.TLDServers,
 				Workers:    workers,
 				Clock:      func() simtime.Day { return day },
 			})
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
-			targets := make([]scan.Target, 0, len(sample))
-			for _, d := range sample {
-				targets = append(targets, scan.Target{Domain: d.Name, TLD: d.TLD})
-			}
-			return scanner, targets, nil
+			return scanner, src, sm.Prepare, nil
 		}
 	}
 	return mk, nil
@@ -451,8 +460,8 @@ func (s *Study) ScanDistributed(ctx context.Context, cfg DistributedConfig) (*Ar
 	workers := make([]dsweep.WorkerSpec, 0, cfg.Fleet)
 	for i := 0; i < cfg.Fleet; i++ {
 		workers = append(workers, dsweep.WorkerSpec{
-			Name:  fmt.Sprintf("w%02d", i+1),
-			Setup: mkSetup(),
+			Name:        fmt.Sprintf("w%02d", i+1),
+			StreamSetup: mkSetup(),
 		})
 	}
 	store, res, err := dsweep.RunLocal(ctx, dsweep.LocalConfig{
