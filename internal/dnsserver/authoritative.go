@@ -273,6 +273,9 @@ func attachNSEC3ForName(resp *dnswire.Message, z *zone.Zone, params *dnswire.NSE
 
 // attachCoveringNSEC3 appends the NSEC3 whose hash span covers name's hash.
 func attachCoveringNSEC3(resp *dnswire.Message, z *zone.Zone, params *dnswire.NSEC3PARAM, name string) {
+	if !z.HasDenialChain() {
+		return
+	}
 	h, err := dnssec.NSEC3Hash(name, params.Salt, params.Iterations)
 	if err != nil {
 		return
@@ -316,6 +319,9 @@ func attachNSEC3Denial(resp *dnswire.Message, z *zone.Zone, params *dnswire.NSEC
 // in canonical order, plus its signature. Zones signed without an NSEC
 // chain simply contribute nothing.
 func attachCoveringNSEC(resp *dnswire.Message, z *zone.Zone, qname string) {
+	if !z.HasDenialChain() {
+		return // nothing to find, and Names() sorts every owner
+	}
 	for _, name := range z.Names() {
 		for _, rr := range z.Lookup(name, dnswire.TypeNSEC) {
 			nsec := rr.Data.(*dnswire.NSEC)

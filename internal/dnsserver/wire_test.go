@@ -433,3 +433,63 @@ func TestConcurrentMutationEquivalence(t *testing.T) {
 	wg.Wait()
 	assertSweepEquivalence(t, cached, uncached, queries, "post-mutation")
 }
+
+// TestDelegationFlipBesideReads runs the registry's delegation-flip idiom —
+// Remove, MustAdd, BumpSerial — against a TLD zone while workers serve from
+// it on both wire paths, with enough names that the cache's tables fill,
+// grow and shed tombstones under the load. Under -race it holds BumpSerial
+// to replacing the SOA it bumps (the full path packs records after the zone
+// lock is released), and afterwards the cache must agree with the uncached
+// view.
+func TestDelegationFlipBesideReads(t *testing.T) {
+	h := newHierarchy(t)
+	var domains []string
+	for i := 0; i < 48; i++ {
+		d := fmt.Sprintf("flip%d.com", i)
+		domains = append(domains, d)
+		if _, _, err := h.AddDomain(d, "ns1.operator.net", []dnstest.DomainMode{dnstest.Full, dnstest.Unsigned}[i%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	z := h.TLDZone("com")
+	cached, uncached := newCachedUncachedPair(z)
+	queries := sweepQueries(t, sweepNames("com", domains))
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sc := dnsserver.NewWireScratch()
+			var buf []byte
+			for i := w; ; i += 7 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pkt := queries[i%len(queries)]
+				var hit bool
+				if buf, hit = cached.ServeWireFast(buf[:0], pkt, sc); !hit {
+					if cached.ServeWireFull(buf[:0], pkt, sc, true) == nil {
+						t.Error("full path failed beside a delegation flip")
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	for round := 0; round < 400; round++ {
+		d := domains[round%len(domains)]
+		z.Remove(d, dnswire.TypeNS)
+		z.MustAdd(dnswire.NewRR(d, 86400, &dnswire.NS{Host: fmt.Sprintf("ns%d.operator.net", 1+round%2)}))
+		z.BumpSerial()
+	}
+	close(stop)
+	wg.Wait()
+	assertSweepEquivalence(t, cached, uncached, queries, "after the flips")
+	if st := cached.CacheStats(); st.Flushed == 0 || st.Hits == 0 {
+		t.Errorf("flips and reads did not meet: %+v", st)
+	}
+}

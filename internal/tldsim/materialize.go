@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnswire"
@@ -31,39 +35,37 @@ type Materialized struct {
 // Materialize builds real DNS state for the given domains as of day. Only
 // pass the domains you intend to scan — materialization does real key
 // generation and signing per signed domain.
+//
+// The per-domain work (build, key and sign the child zone, digest its KSK,
+// sign the DS RRset with the TLD's key) runs on a GOMAXPROCS-sized worker
+// pool; TLD zones and operator servers are then assembled serially, in
+// input order, so what a zone contains and the order it was added in never
+// depend on the worker count.
 func Materialize(day simtime.Day, domains []DomainState) (*Materialized, error) {
-	now := day.Time()
-	expire := now.AddDate(2, 0, 0)
+	b := &dayBuilder{day: day, now: day.Time()}
 	net := dnsserver.NewMemNet()
 	net.Strict = true
 	m := &Materialized{Net: net, TLDServers: make(map[string]string), Day: day}
 
-	newSigner := func() (*zone.Signer, error) {
-		s, err := zone.NewSigner(dnswire.AlgED25519, now)
-		if err != nil {
-			return nil, err
-		}
-		s.Expiration = expire
-		return s, nil
-	}
-
-	// Root and TLD skeletons.
+	// Root and TLD skeletons. Every TLD's signer exists before the workers
+	// start, so they only read the table.
 	rootZone := zone.New("")
 	rootZone.MustAdd(dnswire.NewRR("", 86400, &dnswire.SOA{
 		MName: "a.root-servers.net", RName: "nstld.verisign-grs.com",
 		Serial: 1, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 86400,
 	}))
 	rootZone.MustAdd(dnswire.NewRR("", 86400, &dnswire.NS{Host: "a.root-servers.net"}))
-	rootSigner, err := newSigner()
+	rootSigner, err := b.newSigner()
 	if err != nil {
 		return nil, err
 	}
 
 	tldZones := make(map[string]*zone.Zone)
 	tldSigners := make(map[string]*zone.Signer)
-	tldOf := func(tld string) (*zone.Zone, *zone.Signer, error) {
-		if z, ok := tldZones[tld]; ok {
-			return z, tldSigners[tld], nil
+	for i := range domains {
+		tld := domains[i].TLD
+		if _, ok := tldZones[tld]; ok {
+			continue
 		}
 		ns := tldServerName(tld)
 		z := zone.New(tld)
@@ -72,12 +74,12 @@ func Materialize(day simtime.Day, domains []DomainState) (*Materialized, error) 
 			Serial: 1, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 3600,
 		}))
 		z.MustAdd(dnswire.NewRR(tld, 86400, &dnswire.NS{Host: ns}))
-		signer, err := newSigner()
+		signer, err := b.newSigner()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := signer.Sign(z); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		tldZones[tld], tldSigners[tld] = z, signer
 		srv := dnsserver.NewAuthoritative()
@@ -88,82 +90,55 @@ func Materialize(day simtime.Day, domains []DomainState) (*Materialized, error) 
 		rootZone.MustAdd(dnswire.NewRR(tld, 86400, &dnswire.NS{Host: ns}))
 		dss, err := signer.DSRecords(tld, dnswire.DigestSHA256)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, ds := range dss {
 			rootZone.MustAdd(dnswire.NewRR(tld, 86400, ds))
 		}
-		return z, signer, nil
+	}
+
+	built := make([]builtDomain, len(domains))
+	var (
+		wg       sync.WaitGroup
+		next     atomic.Int64
+		firstErr atomic.Pointer[error]
+	)
+	for w := min(runtime.GOMAXPROCS(0), len(domains)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for firstErr.Load() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(domains) {
+					return
+				}
+				d := &domains[i]
+				var err error
+				if built[i], err = b.buildDomain(i, d, tldSigners[d.TLD]); err != nil {
+					firstErr.CompareAndSwap(nil, &err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := firstErr.Load(); err != nil {
+		return nil, *err
 	}
 
 	operatorSrvs := make(map[string]*dnsserver.Authoritative)
-	opSrv := func(host string) *dnsserver.Authoritative {
-		if srv, ok := operatorSrvs[host]; ok {
-			return srv
-		}
-		srv := dnsserver.NewAuthoritative()
-		operatorSrvs[host] = srv
-		net.Register(host, srv)
-		return srv
-	}
-
 	for i := range domains {
-		d := &domains[i]
-		tz, tsigner, err := tldOf(d.TLD)
-		if err != nil {
-			return nil, err
+		tz := tldZones[domains[i].TLD]
+		for _, rr := range built[i].parent {
+			tz.MustAdd(rr)
 		}
-		nsHost := nsFor(d.Operator)
-		child := zone.New(d.Name)
-		child.MustAdd(dnswire.NewRR(d.Name, 3600, &dnswire.SOA{
-			MName: nsHost, RName: "hostmaster." + d.Name,
-			Serial: 1, Refresh: 7200, Retry: 3600, Expire: 1209600, Minimum: 300,
-		}))
-		child.MustAdd(dnswire.NewRR(d.Name, 3600, &dnswire.NS{Host: nsHost}))
-		child.MustAdd(dnswire.NewRR("www."+d.Name, 300, &dnswire.A{Addr: netip.MustParseAddr("203.0.113.80")}))
-
-		hasKey := d.KeyDay <= day
-		hasDS := d.DSDay <= day
-		var childSigner *zone.Signer
-		if hasKey {
-			if childSigner, err = newSigner(); err != nil {
-				return nil, err
-			}
-			if d.ExpiredSig {
-				// The operator let its signatures lapse: the served RRSIGs
-				// ended a month before the measurement day.
-				childSigner.Inception = now.AddDate(0, -3, 0)
-				childSigner.Expiration = now.AddDate(0, -1, 0)
-			}
-			if err := childSigner.Sign(child); err != nil {
-				return nil, err
-			}
+		nsHost := nsFor(domains[i].Operator)
+		srv, ok := operatorSrvs[nsHost]
+		if !ok {
+			srv = dnsserver.NewAuthoritative()
+			operatorSrvs[nsHost] = srv
+			net.Register(nsHost, srv)
 		}
-		tz.MustAdd(dnswire.NewRR(d.Name, 86400, &dnswire.NS{Host: nsHost}))
-		if hasDS {
-			var ds []*dnswire.DS
-			if d.BrokenDS || childSigner == nil {
-				// A DS that matches nothing served: either the registrar
-				// accepted garbage, or the zone was unsigned behind it.
-				digest := make([]byte, 32)
-				rand.New(rand.NewSource(int64(i))).Read(digest)
-				ds = []*dnswire.DS{{
-					KeyTag: uint16(i + 1), Algorithm: dnswire.AlgED25519,
-					DigestType: dnswire.DigestSHA256, Digest: digest,
-				}}
-			} else {
-				if ds, err = childSigner.DSRecords(d.Name, dnswire.DigestSHA256); err != nil {
-					return nil, err
-				}
-			}
-			for _, rec := range ds {
-				tz.MustAdd(dnswire.NewRR(d.Name, 86400, rec))
-			}
-			if err := tsigner.SignSet(tz, d.Name, dnswire.TypeDS); err != nil {
-				return nil, err
-			}
-		}
-		opSrv(nsHost).AddZone(child)
+		srv.AddZone(built[i].child)
 	}
 
 	if err := rootSigner.Sign(rootZone); err != nil {
@@ -178,6 +153,91 @@ func Materialize(day simtime.Day, domains []DomainState) (*Materialized, error) 
 	}
 	m.Anchor = anchor
 	return m, nil
+}
+
+// dayBuilder holds what every zone of one materialized day shares.
+type dayBuilder struct {
+	day simtime.Day
+	now time.Time
+}
+
+func (b *dayBuilder) newSigner() (*zone.Signer, error) {
+	s, err := zone.NewSigner(dnswire.AlgED25519, b.now)
+	if err != nil {
+		return nil, err
+	}
+	s.Expiration = b.now.AddDate(2, 0, 0)
+	return s, nil
+}
+
+// builtDomain is one domain's share of a materialized day: its own zone, and
+// the records its TLD's zone gains — the delegation NS, then the DS RRset
+// and its RRSIG when the domain has a DS on the day.
+type builtDomain struct {
+	child  *zone.Zone
+	parent []*dnswire.RR
+}
+
+// buildDomain does everything for domain i that touches no shared state; it
+// is safe to call from several goroutines. tsigner signs for d's TLD.
+func (b *dayBuilder) buildDomain(i int, d *DomainState, tsigner *zone.Signer) (builtDomain, error) {
+	nsHost := nsFor(d.Operator)
+	child := zone.New(d.Name)
+	child.MustAdd(dnswire.NewRR(d.Name, 3600, &dnswire.SOA{
+		MName: nsHost, RName: "hostmaster." + d.Name,
+		Serial: 1, Refresh: 7200, Retry: 3600, Expire: 1209600, Minimum: 300,
+	}))
+	child.MustAdd(dnswire.NewRR(d.Name, 3600, &dnswire.NS{Host: nsHost}))
+	child.MustAdd(dnswire.NewRR("www."+d.Name, 300, &dnswire.A{Addr: netip.MustParseAddr("203.0.113.80")}))
+
+	var childSigner *zone.Signer
+	if d.KeyDay <= b.day {
+		var err error
+		if childSigner, err = b.newSigner(); err != nil {
+			return builtDomain{}, err
+		}
+		if d.ExpiredSig {
+			// The operator let its signatures lapse: the served RRSIGs
+			// ended a month before the measurement day.
+			childSigner.Inception = b.now.AddDate(0, -3, 0)
+			childSigner.Expiration = b.now.AddDate(0, -1, 0)
+		}
+		if err := childSigner.Sign(child); err != nil {
+			return builtDomain{}, err
+		}
+	}
+	out := builtDomain{
+		child:  child,
+		parent: []*dnswire.RR{dnswire.NewRR(d.Name, 86400, &dnswire.NS{Host: nsHost})},
+	}
+	if d.DSDay > b.day {
+		return out, nil
+	}
+	var ds []*dnswire.DS
+	if d.BrokenDS || childSigner == nil {
+		// A DS that matches nothing served: either the registrar
+		// accepted garbage, or the zone was unsigned behind it.
+		digest := make([]byte, 32)
+		rand.New(rand.NewSource(int64(i))).Read(digest)
+		ds = []*dnswire.DS{{
+			KeyTag: uint16(i + 1), Algorithm: dnswire.AlgED25519,
+			DigestType: dnswire.DigestSHA256, Digest: digest,
+		}}
+	} else {
+		var err error
+		if ds, err = childSigner.DSRecords(d.Name, dnswire.DigestSHA256); err != nil {
+			return builtDomain{}, err
+		}
+	}
+	for _, rec := range ds {
+		out.parent = append(out.parent, dnswire.NewRR(d.Name, 86400, rec))
+	}
+	sig, err := tsigner.SignRRSet(d.TLD, out.parent[1:])
+	if err != nil {
+		return builtDomain{}, err
+	}
+	out.parent = append(out.parent, sig)
+	return out, nil
 }
 
 // tldServerName is the deterministic authoritative-server name for a TLD

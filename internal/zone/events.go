@@ -66,8 +66,7 @@ func (z *Zone) Generation() uint64 {
 
 // eventLocked classifies a committed mutation at name affecting RRsets of
 // type affects. structural reports that an owner name was created or
-// destroyed; callers only need to compute it when the zone has an NSEC
-// chain. z.mu must be held.
+// destroyed. z.mu must be held.
 func (z *Zone) eventLocked(name string, affects dnswire.Type, structural bool) Event {
 	switch {
 	case affects == dnswire.TypeNSEC || affects == dnswire.TypeNSEC3 || affects == dnswire.TypeNSEC3PARAM:
@@ -83,10 +82,12 @@ func (z *Zone) eventLocked(name string, affects dnswire.Type, structural bool) E
 	}
 }
 
-// trackSetAdded/trackSetRemoved maintain the NSEC/CNAME RRset counters that
-// drive escalation. z.mu must be held.
-func (z *Zone) trackSetAdded(t dnswire.Type) {
-	switch t {
+// trackSetAdded/trackSetRemoved maintain the owner-name refcounts and the
+// NSEC/CNAME RRset counters that drive escalation, as RRset k appears in or
+// disappears from z.sets. z.mu must be held.
+func (z *Zone) trackSetAdded(k rrKey) {
+	z.names[k.name]++
+	switch k.typ {
 	case dnswire.TypeNSEC, dnswire.TypeNSEC3:
 		z.nsecSets++
 	case dnswire.TypeCNAME:
@@ -94,8 +95,11 @@ func (z *Zone) trackSetAdded(t dnswire.Type) {
 	}
 }
 
-func (z *Zone) trackSetRemoved(t dnswire.Type) {
-	switch t {
+func (z *Zone) trackSetRemoved(k rrKey) {
+	if z.names[k.name]--; z.names[k.name] == 0 {
+		delete(z.names, k.name)
+	}
+	switch k.typ {
 	case dnswire.TypeNSEC, dnswire.TypeNSEC3:
 		z.nsecSets--
 	case dnswire.TypeCNAME:
@@ -103,21 +107,12 @@ func (z *Zone) trackSetRemoved(t dnswire.Type) {
 	}
 }
 
-// hasNameLocked is HasName without taking the lock.
-func (z *Zone) hasNameLocked(name string) bool {
-	for k := range z.sets {
-		if k.name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// needStructural reports whether a mutation must pay the owner-name
-// existence scan: only when someone is listening and the zone has an NSEC
-// chain that makes structural changes zone-wide. z.mu must be held.
-func (z *Zone) needStructural() bool {
-	return len(z.subs) > 0 && z.nsecSets > 0
+// HasDenialChain reports whether the zone holds any NSEC or NSEC3 RRset —
+// whether a denial-of-existence proof can exist at all.
+func (z *Zone) HasDenialChain() bool {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	return z.nsecSets > 0
 }
 
 func notify(subs []func(Event), ev Event) {

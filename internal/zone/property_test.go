@@ -106,3 +106,56 @@ func TestSignedZoneAlwaysVerifiableProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestHasNameMatchesRRSetsProperty: through any sequence of additions and
+// of every kind of removal, on a zone and on its clone, HasName and Names
+// agree with a walk over the RRsets actually present. The names are few and
+// the sequences long, so that owners lose their last RRset by every route.
+func TestHasNameMatchesRRSetsProperty(t *testing.T) {
+	signer := newTestSigner(t)
+	types := []dnswire.Type{dnswire.TypeA, dnswire.TypeTXT, dnswire.TypeRRSIG}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		z := randomZone(r)
+		universe := []string{z.Origin, "absent." + z.Origin}
+		for i := 0; i < 6; i++ {
+			universe = append(universe, fmt.Sprintf("h%d.%s", i, z.Origin))
+		}
+		for step := 0; step < 200; step++ {
+			name, typ := universe[r.Intn(len(universe))], types[r.Intn(len(types))]
+			switch r.Intn(8) {
+			case 0, 1:
+				z.MustAdd(dnswire.NewRR(name, 300, &dnswire.TXT{Strings: []string{fmt.Sprint(step)}}))
+			case 2:
+				if err := signer.SignSet(z, name, dnswire.TypeTXT); err != nil {
+					return false
+				}
+			case 3:
+				z.Remove(name, typ)
+			case 4:
+				z.RemoveName(name)
+			case 5:
+				z.RemoveSigs(name, typ)
+			case 6:
+				z.RemoveType(typ)
+			case 7:
+				z = z.Clone()
+			}
+			owners := make(map[string]bool)
+			z.RRSets(func(name string, _ dnswire.Type, _ []*dnswire.RR) { owners[name] = true })
+			for _, name := range universe {
+				if z.HasName(name) != owners[name] {
+					t.Logf("seed %d step %d: HasName(%q) = %v", seed, step, name, !owners[name])
+					return false
+				}
+			}
+			if len(z.Names()) != len(owners) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}

@@ -110,11 +110,7 @@ func (s *Signer) Sign(z *Zone) error {
 		tasks = append(tasks, task{name, t, rrs})
 	})
 	for _, tk := range tasks {
-		key := s.ZSK
-		if tk.typ == dnswire.TypeDNSKEY {
-			key = s.KSK
-		}
-		sig, err := dnssec.SignRRSet(tk.rrs, key, z.Origin, s.opts())
+		sig, err := s.SignRRSet(z.Origin, tk.rrs)
 		if err != nil {
 			signErr = fmt.Errorf("zone %s: signing %s/%v: %w", present(z.Origin), tk.name, tk.typ, err)
 			break
@@ -249,15 +245,26 @@ func (s *Signer) SignSet(z *Zone, name string, t dnswire.Type) error {
 	if len(rrs) == 0 {
 		return nil
 	}
-	key := s.ZSK
-	if t == dnswire.TypeDNSKEY {
-		key = s.KSK
-	}
-	sig, err := dnssec.SignRRSet(rrs, key, z.Origin, s.opts())
+	sig, err := s.SignRRSet(z.Origin, rrs)
 	if err != nil {
 		return err
 	}
 	return z.Add(sig)
+}
+
+// SignRRSet produces the RRSIG over one RRset of the zone rooted at origin
+// — the KSK signs a DNSKEY RRset, the ZSK anything else — without touching
+// a zone, so callers can sign from several goroutines and add the results
+// in an order of their choosing.
+func (s *Signer) SignRRSet(origin string, rrs []*dnswire.RR) (*dnswire.RR, error) {
+	if len(rrs) == 0 {
+		return nil, dnssec.ErrEmptyRRSet
+	}
+	key := s.ZSK
+	if rrs[0].Type == dnswire.TypeDNSKEY {
+		key = s.KSK
+	}
+	return dnssec.SignRRSet(rrs, key, origin, s.opts())
 }
 
 // Unsign strips all DNSSEC material from the zone (what a registrar does

@@ -36,7 +36,10 @@ type Zone struct {
 
 	mu   sync.RWMutex
 	sets map[rrKey][]*dnswire.RR
-	subs []func(Event)
+	// names counts the RRsets at each owner, so existence checks do not walk
+	// sets; trackSetAdded/trackSetRemoved maintain it.
+	names map[string]int
+	subs  []func(Event)
 	// gen is a seqlock-style mutation counter: incremented to odd when a
 	// mutation begins, back to even when it commits.
 	gen atomic.Uint64
@@ -52,6 +55,7 @@ func New(origin string) *Zone {
 		Origin:     dnswire.CanonicalName(origin),
 		DefaultTTL: 3600,
 		sets:       make(map[rrKey][]*dnswire.RR),
+		names:      make(map[string]int),
 	}
 }
 
@@ -74,14 +78,11 @@ func (z *Zone) Add(rr *dnswire.RR) error {
 			return nil
 		}
 	}
-	structural := false
-	if z.needStructural() && len(z.sets[k]) == 0 {
-		structural = !z.hasNameLocked(rr.Name)
-	}
+	structural := z.names[rr.Name] == 0
 	z.gen.Add(1)
 	z.sets[k] = append(z.sets[k], rr)
 	if len(z.sets[k]) == 1 {
-		z.trackSetAdded(rr.Type)
+		z.trackSetAdded(k)
 	}
 	affects := rr.Type
 	if sig, ok := rr.Data.(*dnswire.RRSIG); ok {
@@ -113,12 +114,8 @@ func (z *Zone) Remove(name string, t dnswire.Type) {
 	}
 	z.gen.Add(1)
 	delete(z.sets, k)
-	z.trackSetRemoved(t)
-	structural := false
-	if z.needStructural() {
-		structural = !z.hasNameLocked(name)
-	}
-	ev := z.eventLocked(name, t, structural)
+	z.trackSetRemoved(k)
+	ev := z.eventLocked(name, t, z.names[name] == 0)
 	z.gen.Add(1)
 	subs := z.subs
 	z.mu.Unlock()
@@ -134,7 +131,7 @@ func (z *Zone) RemoveName(name string) {
 	for k := range z.sets {
 		if k.name == name {
 			delete(z.sets, k)
-			z.trackSetRemoved(k.typ)
+			z.trackSetRemoved(k)
 			removed = true
 		}
 	}
@@ -168,6 +165,7 @@ func (z *Zone) RemoveSigs(name string, t dnswire.Type) {
 	}
 	if len(kept) == 0 {
 		delete(z.sets, k)
+		z.trackSetRemoved(k)
 	} else {
 		z.sets[k] = kept
 	}
@@ -188,7 +186,7 @@ func (z *Zone) RemoveType(t dnswire.Type) {
 	for k := range z.sets {
 		if k.typ == t {
 			delete(z.sets, k)
-			z.trackSetRemoved(k.typ)
+			z.trackSetRemoved(k)
 		}
 	}
 	z.gen.Add(1)
@@ -227,26 +225,17 @@ func (z *Zone) HasName(name string) bool {
 	name = dnswire.CanonicalName(name)
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	for k := range z.sets {
-		if k.name == name {
-			return true
-		}
-	}
-	return false
+	return z.names[name] > 0
 }
 
 // Names returns every owner name in canonical (RFC 4034 section 6.1) order.
 func (z *Zone) Names() []string {
 	z.mu.RLock()
-	seen := make(map[string]bool)
-	for k := range z.sets {
-		seen[k.name] = true
-	}
-	z.mu.RUnlock()
-	names := make([]string, 0, len(seen))
-	for n := range seen {
+	names := make([]string, 0, len(z.names))
+	for n := range z.names {
 		names = append(names, n)
 	}
+	z.mu.RUnlock()
 	sort.Slice(names, func(i, j int) bool {
 		return dnswire.CompareCanonical(names[i], names[j]) < 0
 	})
@@ -303,13 +292,24 @@ func (z *Zone) SOA() *dnswire.RR {
 // responses that embed apex-owned records (the SOA in negative answers,
 // apex RRset answers) depend on the serial, so per-mutation serial bumps
 // do not flush the rest of the zone's cached responses.
+//
+// The SOA record is replaced, never written: readers pack records they
+// looked up after releasing the zone lock.
 func (z *Zone) BumpSerial() {
 	z.mu.Lock()
 	z.gen.Add(1)
-	for _, rr := range z.sets[rrKey{z.Origin, dnswire.TypeSOA}] {
+	k := rrKey{z.Origin, dnswire.TypeSOA}
+	next := append([]*dnswire.RR(nil), z.sets[k]...)
+	for i, rr := range next {
 		if soa, ok := rr.Data.(*dnswire.SOA); ok {
-			soa.Serial++
+			bumped, cp := *soa, *rr
+			bumped.Serial++
+			cp.Data = &bumped
+			next[i] = &cp
 		}
+	}
+	if len(next) > 0 {
+		z.sets[k] = next
 	}
 	ev := z.eventLocked(z.Origin, dnswire.TypeSOA, false)
 	z.gen.Add(1)
@@ -358,6 +358,9 @@ func (z *Zone) Clone() *Zone {
 	c.nsecSets, c.cnameSets = z.nsecSets, z.cnameSets
 	for k, set := range z.sets {
 		c.sets[k] = append([]*dnswire.RR(nil), set...)
+	}
+	for name, n := range z.names {
+		c.names[name] = n
 	}
 	return c
 }

@@ -104,10 +104,16 @@ func TestDelegation(t *testing.T) {
 
 func TestBumpSerial(t *testing.T) {
 	z := buildExampleZone(t)
-	before := z.SOA().Data.(*dnswire.SOA).Serial
+	held := z.SOA()
+	before := held.Data.(*dnswire.SOA).Serial
 	z.BumpSerial()
 	if got := z.SOA().Data.(*dnswire.SOA).Serial; got != before+1 {
 		t.Errorf("serial %d, want %d", got, before+1)
+	}
+	// A reader packs the record it looked up after the zone lock is gone:
+	// the bump must replace the record, not write through it.
+	if got := held.Data.(*dnswire.SOA).Serial; got != before {
+		t.Errorf("BumpSerial wrote through a record a reader holds: serial %d, was %d", got, before)
 	}
 }
 
