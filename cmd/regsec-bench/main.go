@@ -33,12 +33,13 @@
 // divergence).
 //
 // The worldscale section (enabled with -worldscale-o) measures the
-// streaming sharded world build at each -worldscale-divisors population,
-// saves the world to disk, re-loads it, and drives the full 21-month
-// snapshot+series+Table 1 workload from the re-loaded world. Where the
-// population is small enough it also runs the legacy materialized build
-// and gates on the streaming build allocating strictly less (exit 1
-// otherwise).
+// streaming plan-then-fill world build at each -worldscale-divisors
+// population, saves the world to disk, re-loads it, and drives the full
+// 21-month snapshot+series+Table 1 workload from the re-loaded world.
+// Where the population is small enough it also runs the legacy
+// materialized build and gates on the streaming build allocating strictly
+// less; across divisors it gates on the built world's heap-object count
+// not growing with the domain count (exit 1 otherwise).
 //
 // The api section (enabled with -api-o) runs the observatory daemon
 // in-process over a synthetic archive: read QPS and p50/p99 latency

@@ -7,7 +7,11 @@ package main
 // 21-month snapshot + series + Table 1 workload from the re-loaded world
 // — the build-once/load-many lifecycle the world cache uses. Where the
 // population is small enough it also runs the legacy materialized build
-// and gates on the streaming build allocating strictly less.
+// and gates on the streaming build allocating strictly less. Across
+// divisors it gates on the built world's heap-object count staying flat:
+// the world is a fixed set of pointer-free columns plus per-operator
+// intern tables, so what the collector has to walk must not grow with the
+// population.
 
 import (
 	"encoding/json"
@@ -40,6 +44,9 @@ type worldscaleEntry struct {
 	BuildMs             float64 `json:"build_ms"`
 	BuildAllocBytes     uint64  `json:"build_alloc_bytes"`
 	LiveBytesAfterBuild uint64  `json:"live_bytes_after_build"`
+	// HeapObjectsAfterBuild is the live object count with only the built
+	// world held: what every later GC cycle has to mark.
+	HeapObjectsAfterBuild uint64 `json:"heap_objects_after_build"`
 
 	SaveMs    float64 `json:"save_ms"`
 	FileBytes int64   `json:"file_bytes"`
@@ -118,11 +125,12 @@ func runWorldscaleBench(cfg worldscaleBenchConfig) int {
 		runtime.GC()
 		runtime.ReadMemStats(&m1)
 		entry.LiveBytesAfterBuild = m1.HeapAlloc
+		entry.HeapObjectsAfterBuild = m1.HeapObjects
 		entry.Domains = world.Len()
 		entry.Operators = world.Index().Operators()
-		fmt.Fprintf(os.Stderr, "worldscale 1/%.0f: built %d domains in %.0f ms (%.0f MB allocated, %.0f MB live)\n",
+		fmt.Fprintf(os.Stderr, "worldscale 1/%.0f: built %d domains in %.0f ms (%.0f MB allocated, %.0f MB live in %d objects)\n",
 			div, entry.Domains, entry.BuildMs,
-			float64(entry.BuildAllocBytes)/1e6, float64(entry.LiveBytesAfterBuild)/1e6)
+			float64(entry.BuildAllocBytes)/1e6, float64(entry.LiveBytesAfterBuild)/1e6, entry.HeapObjectsAfterBuild)
 
 		path := filepath.Join(tmpDir, fmt.Sprintf("world-%.0f.rscw", div))
 		start = time.Now()
@@ -217,6 +225,9 @@ func runWorldscaleBench(cfg worldscaleBenchConfig) int {
 		}
 		baseline.Entries = append(baseline.Entries, entry)
 	}
+	if !heapObjectsFlat(baseline.Entries) {
+		ok = false
+	}
 
 	data, err := json.MarshalIndent(baseline, "", "  ")
 	if err != nil {
@@ -232,6 +243,35 @@ func runWorldscaleBench(cfg worldscaleBenchConfig) int {
 		return 1
 	}
 	return 0
+}
+
+// heapObjectsFlat is the gate on heap_objects_after_build: measured from
+// the smallest population, a larger one may hold a few more objects per
+// additional operator (its intern-table entries and event-day lists) and
+// must hold next to none per additional domain — 0.01, where one string
+// per name would be 1.
+func heapObjectsFlat(entries []worldscaleEntry) bool {
+	const perOperator, domainsPerObject, slack = 5, 100, 2000
+	if len(entries) == 0 {
+		return true
+	}
+	base := entries[0]
+	for _, e := range entries[1:] {
+		if e.Domains < base.Domains {
+			base = e
+		}
+	}
+	flat := true
+	for _, e := range entries {
+		grew := int64(e.HeapObjectsAfterBuild) - int64(base.HeapObjectsAfterBuild)
+		allowed := int64(perOperator*(e.Operators-base.Operators) + (e.Domains-base.Domains)/domainsPerObject + slack)
+		if grew > allowed {
+			fmt.Fprintf(os.Stderr, "worldscale 1/%.0f: %d heap objects after build, %d more than at 1/%.0f; %d allowed for %d more operators and %d more domains\n",
+				e.ScaleDivisor, e.HeapObjectsAfterBuild, grew, base.ScaleDivisor, allowed, e.Operators-base.Operators, e.Domains-base.Domains)
+			flat = false
+		}
+	}
+	return flat
 }
 
 func ms(since time.Time) float64 {

@@ -89,3 +89,45 @@ func BenchmarkCountByOperator(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIngest is the observatory's write path over a 100k-domain
+// population: three observed days folded in (every record a row-table
+// lookup by name), a Freeze, and a resume from the frozen index.
+func BenchmarkIngest(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	snaps := observedDays(randomDomains(rng, 100_000), 100, 700, 300)
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g := NewIngester()
+			for _, snap := range snaps {
+				if _, err := g.AppendDay(snap); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	g := NewIngester()
+	for _, snap := range snaps {
+		if _, err := g.AppendDay(snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("freeze", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if g.Freeze().Len() != g.Len() {
+				b.Fatal("bad freeze")
+			}
+		}
+	})
+	frozen := g.Freeze()
+	b.Run("resume", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewIngesterFromIndex(frozen); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

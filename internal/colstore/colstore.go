@@ -29,7 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -67,91 +67,112 @@ const (
 	flagExpired uint8 = 1 << 1
 )
 
+// interner assigns the dense operator, TLD and registrar IDs of an index
+// under construction, by first occurrence. The sequential Builder and the
+// planned Plan share it, so both number a given row sequence identically.
+type interner struct {
+	idx    *Index
+	regIDs map[string]uint32
+}
+
+func newInterner() interner {
+	return interner{
+		idx: &Index{
+			opIDs:  make(map[string]uint32),
+			tldIDs: make(map[string]uint16),
+		},
+		regIDs: make(map[string]uint32),
+	}
+}
+
+func (in *interner) intern(operator, nsHost, tld, registrar string) (op uint32, tldID uint16, reg uint32) {
+	x := in.idx
+	op, ok := x.opIDs[operator]
+	if !ok {
+		op = uint32(len(x.ops))
+		x.opIDs[operator] = op
+		x.ops = append(x.ops, operator)
+		x.opNS = append(x.opNS, []string{nsHost})
+	}
+	tldID, ok = x.tldIDs[tld]
+	if !ok {
+		tldID = uint16(len(x.tlds))
+		x.tldIDs[tld] = tldID
+		x.tlds = append(x.tlds, tld)
+	}
+	reg, ok = in.regIDs[registrar]
+	if !ok {
+		reg = uint32(len(x.regs))
+		in.regIDs[registrar] = reg
+		x.regs = append(x.regs, registrar)
+	}
+	return op, tldID, reg
+}
+
 // Builder accumulates domains and freezes them into an Index.
 type Builder struct {
-	idx    *Index
-	opIDs  map[string]uint32
-	tldIDs map[string]uint16
-	regIDs map[string]uint32
+	interner
 }
 
 // NewBuilder returns a builder with capacity hint n.
 func NewBuilder(n int) *Builder {
-	return &Builder{
-		idx: &Index{
-			names:   make([]string, 0, n),
-			opID:    make([]uint32, 0, n),
-			tldID:   make([]uint16, 0, n),
-			regID:   make([]uint32, 0, n),
-			created: make([]int32, 0, n),
-			keyDay:  make([]int32, 0, n),
-			dsDay:   make([]int32, 0, n),
-			fullDay: make([]int32, 0, n),
-			flags:   make([]uint8, 0, n),
-			opIDs:   make(map[string]uint32),
-			tldIDs:  make(map[string]uint16),
-		},
-		opIDs:  make(map[string]uint32),
-		tldIDs: make(map[string]uint16),
-		regIDs: make(map[string]uint32),
-	}
+	b := &Builder{newInterner()}
+	x := b.idx
+	x.nameOff = make([]uint64, 1, n+1)
+	x.opID = make([]uint32, 0, n)
+	x.tldID = make([]uint16, 0, n)
+	x.regID = make([]uint32, 0, n)
+	x.created = make([]int32, 0, n)
+	x.keyDay = make([]int32, 0, n)
+	x.dsDay = make([]int32, 0, n)
+	x.fullDay = make([]int32, 0, n)
+	x.flags = make([]uint8, 0, n)
+	return b
 }
 
 // Add appends one domain. Rows may arrive in any order; Build sorts the
 // derived event lists, not the rows themselves.
 func (b *Builder) Add(d Domain) {
 	x := b.idx
-	op, ok := b.opIDs[d.Operator]
-	if !ok {
-		op = uint32(len(x.ops))
-		b.opIDs[d.Operator] = op
-		x.opIDs[d.Operator] = op
-		x.ops = append(x.ops, d.Operator)
-		x.opNS = append(x.opNS, []string{d.NSHost})
-	}
-	tld, ok := b.tldIDs[d.TLD]
-	if !ok {
-		tld = uint16(len(x.tlds))
-		b.tldIDs[d.TLD] = tld
-		x.tldIDs[d.TLD] = tld
-		x.tlds = append(x.tlds, d.TLD)
-	}
-	reg, ok := b.regIDs[d.Registrar]
-	if !ok {
-		reg = uint32(len(x.regs))
-		b.regIDs[d.Registrar] = reg
-		x.regs = append(x.regs, d.Registrar)
-	}
-	var fl uint8
-	if d.BrokenDS {
-		fl |= flagBroken
-	}
-	if d.ExpiredSig {
-		fl |= flagExpired
-	}
-	// fullDay is the precomputed day full deployment begins: a domain is
-	// ChainValid once both halves are in place and neither breakage flag
-	// is set, i.e. from max(KeyDay, DSDay) on. A broken/expired chain can
-	// never validate, which is a strictly stronger condition than "has not
-	// happened yet": a query AT day Never matches Never-valued events (the
-	// legacy `KeyDay <= day` comparison does), so the impossible case gets
-	// its own sentinel above never.
-	full := impossible
-	if fl == 0 {
-		full = int32(d.KeyDay)
-		if int32(d.DSDay) > full {
-			full = int32(d.DSDay)
-		}
-	}
-	x.names = append(x.names, d.Name)
+	op, tld, reg := b.intern(d.Operator, d.NSHost, d.TLD, d.Registrar)
+	fl := historyFlags(d.BrokenDS, d.ExpiredSig)
+	x.appendName(d.Name)
 	x.opID = append(x.opID, op)
 	x.tldID = append(x.tldID, tld)
 	x.regID = append(x.regID, reg)
 	x.created = append(x.created, clampDay(d.Created))
 	x.keyDay = append(x.keyDay, int32(d.KeyDay))
 	x.dsDay = append(x.dsDay, int32(d.DSDay))
-	x.fullDay = append(x.fullDay, full)
+	x.fullDay = append(x.fullDay, deriveFullDay(int32(d.KeyDay), int32(d.DSDay), fl))
 	x.flags = append(x.flags, fl)
+}
+
+func historyFlags(brokenDS, expiredSig bool) uint8 {
+	var fl uint8
+	if brokenDS {
+		fl |= flagBroken
+	}
+	if expiredSig {
+		fl |= flagExpired
+	}
+	return fl
+}
+
+// deriveFullDay is the precomputed day full deployment begins: a domain is
+// ChainValid once both halves are in place and neither breakage flag is
+// set, i.e. from max(keyDay, dsDay) on. A broken/expired chain can never
+// validate, which is a strictly stronger condition than "has not happened
+// yet": a query AT day Never matches Never-valued events (the legacy
+// `KeyDay <= day` comparison does), so the impossible case gets its own
+// sentinel above never.
+func deriveFullDay(keyDay, dsDay int32, fl uint8) int32 {
+	if fl != 0 {
+		return impossible
+	}
+	if dsDay > keyDay {
+		return dsDay
+	}
+	return keyDay
 }
 
 // Build freezes the columns: the per-(operator, TLD) event groups are
@@ -166,25 +187,30 @@ func (b *Builder) Build() *Index {
 
 // finish derives everything a frozen column set needs to serve queries:
 // population size, the day-sorted event groups, and the scratch-counter
-// pool. It is shared by the sequential Builder, the parallel shard merge,
-// and the on-disk loader, so every construction path yields an identical
-// engine.
+// pool. It is shared by the sequential Builder, the planned fill, the
+// ingester's Freeze and the on-disk loader, so every construction path
+// yields an identical engine.
 func (x *Index) finish() {
-	x.n = len(x.names)
+	x.n = len(x.nameOff) - 1
 
 	// Bucket domains into (operator, TLD) event groups. Group identity is
 	// opID<<16|tldID; the per-operator group lists let a tld=="" query
 	// sweep an operator's few TLD groups without touching anyone else.
+	// Rows arrive in cohort runs, so the map is probed only when the key
+	// differs from the previous row's.
 	x.groupIDs = make(map[uint64]int)
 	x.opGroups = make([][]int, len(x.ops))
+	prevKey, gi := uint64(0), -1
 	for i := 0; i < x.n; i++ {
-		k := groupKey(x.opID[i], x.tldID[i])
-		gi, ok := x.groupIDs[k]
-		if !ok {
-			gi = len(x.groups)
-			x.groupIDs[k] = gi
-			x.groups = append(x.groups, eventGroup{op: x.opID[i], tld: x.tldID[i]})
-			x.opGroups[x.opID[i]] = append(x.opGroups[x.opID[i]], gi)
+		if k := groupKey(x.opID[i], x.tldID[i]); gi < 0 || k != prevKey {
+			var ok bool
+			if gi, ok = x.groupIDs[k]; !ok {
+				gi = len(x.groups)
+				x.groupIDs[k] = gi
+				x.groups = append(x.groups, eventGroup{op: x.opID[i], tld: x.tldID[i]})
+				x.opGroups[x.opID[i]] = append(x.opGroups[x.opID[i]], gi)
+			}
+			prevKey = k
 		}
 		g := &x.groups[gi]
 		g.total++
@@ -203,9 +229,9 @@ func (x *Index) finish() {
 	}
 	for gi := range x.groups {
 		g := &x.groups[gi]
-		sortInt32(g.keyDays)
-		sortInt32(g.dsDays)
-		sortInt32(g.fullDays)
+		slices.Sort(g.keyDays)
+		slices.Sort(g.dsDays)
+		slices.Sort(g.fullDays)
 	}
 	x.scratch.New = func() any {
 		s := make([]int32, len(x.ops))
@@ -214,24 +240,20 @@ func (x *Index) finish() {
 }
 
 // ensureTemplate builds the day-independent record fields on first use.
-// Lazy construction keeps loaded-from-disk and merge-built indexes cheap
-// until someone actually materializes a snapshot.
+// Lazy construction keeps built and loaded-from-disk indexes cheap until
+// someone actually materializes a snapshot.
 func (x *Index) ensureTemplate() {
 	x.tmplOnce.Do(func() {
 		x.template = make([]dataset.Record, x.n)
 		for i := range x.template {
 			x.template[i] = dataset.Record{
-				Domain:   x.names[i],
+				Domain:   x.name(i),
 				TLD:      x.tlds[x.tldID[i]],
 				NSHosts:  x.opNS[x.opID[i]],
 				Operator: x.ops[x.opID[i]],
 			}
 		}
 	})
-}
-
-func sortInt32(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
 func groupKey(op uint32, tld uint16) uint64 {
@@ -253,8 +275,10 @@ type eventGroup struct {
 type Index struct {
 	n int
 
-	// Per-domain fixed-width columns.
-	names   []string
+	// Per-domain columns, held exactly as the world file's sections hold
+	// them — pointer-free, whatever the population — so a built, an
+	// ingested and an mmap-loaded index are the same dozen slices.
+	packedNames
 	opID    []uint32
 	tldID   []uint16
 	regID   []uint32
@@ -320,7 +344,7 @@ func (x *Index) TLDs() []string {
 // open; a chunked sweep that flushes records before Close never notices.
 func (x *Index) Target(i int) (domain, tld string) {
 	x.mustOpen()
-	return x.names[i], x.tlds[x.tldID[i]]
+	return x.name(i), x.tlds[x.tldID[i]]
 }
 
 // Row projects domain i back into its ingest form — the inverse of
@@ -335,7 +359,7 @@ func (x *Index) Row(i int) Domain {
 		return simtime.Day(v)
 	}
 	return Domain{
-		Name:       x.names[i],
+		Name:       x.name(i),
 		TLD:        x.tlds[x.tldID[i]],
 		Operator:   x.ops[x.opID[i]],
 		Registrar:  x.regs[x.regID[i]],

@@ -4,7 +4,7 @@ package colstore
 // from observed daily snapshots, one archive section at a time, without
 // ever rebuilding from scratch.
 //
-// The Builder/Shard constructors ingest *domain histories* (each row
+// The Builder/Plan constructors ingest *domain histories* (each row
 // already knows its KeyDay/DSDay); an Ingester instead consumes what a
 // long-running measurement actually produces — per-day observation
 // snapshots — and derives the event columns on the fly:
@@ -29,6 +29,8 @@ package colstore
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math"
 	"strings"
 
 	"securepki.org/registrarsec/internal/dataset"
@@ -38,9 +40,9 @@ import (
 // Ingester accumulates observed daily snapshots into mutable columns and
 // freezes read-only Index views on demand.
 type Ingester struct {
-	rows map[string]int // domain name → row
+	rows rowTable // domain name → row
 
-	names   []string
+	packedNames
 	opID    []uint32
 	tldID   []uint16
 	regID   []uint32
@@ -69,11 +71,68 @@ type Ingester struct {
 // NewIngester returns an empty ingester.
 func NewIngester() *Ingester {
 	return &Ingester{
-		rows:   make(map[string]int),
-		opIDs:  make(map[string]uint32),
-		tldIDs: make(map[string]uint16),
-		regIDs: make(map[string]uint32),
+		rows:        newRowTable(0),
+		packedNames: packedNames{nameOff: []uint64{0}},
+		opIDs:       make(map[string]uint32),
+		tldIDs:      make(map[string]uint16),
+		regIDs:      make(map[string]uint32),
 	}
+}
+
+// rowTable finds a domain's row by name without holding a second copy of
+// the names: an open-addressed table of row numbers, each compared against
+// the packed name column it indexes. Like the columns it is pointer-free,
+// so the collector's work does not grow with the ingested population, and
+// it costs 4-8 bytes a domain where a map[string]int costs over forty.
+type rowTable struct {
+	slots []uint32 // row+1, 0 = empty; a power of two, at most half full
+	seed  maphash.Seed
+}
+
+func newRowTable(rows int) rowTable {
+	size := 16
+	for size < 2*rows {
+		size *= 2
+	}
+	return rowTable{slots: make([]uint32, size), seed: maphash.MakeSeed()}
+}
+
+// find returns name's row among names, or the empty slot it would take.
+func (t *rowTable) find(names *packedNames, name string) (row int, ok bool, slot uint64) {
+	mask := uint64(len(t.slots) - 1)
+	for slot = maphash.String(t.seed, name) & mask; ; slot = (slot + 1) & mask {
+		v := t.slots[slot]
+		if v == 0 {
+			return 0, false, slot
+		}
+		if names.name(int(v-1)) == name {
+			return int(v - 1), true, slot
+		}
+	}
+}
+
+// put records the newest row of names, whose name find just missed at
+// slot, rebuilding the table at twice the size once it is half full.
+func (t *rowTable) put(names *packedNames, slot uint64) {
+	n := len(names.nameOff) - 1
+	t.slots[slot] = uint32(n)
+	if 2*n >= len(t.slots) {
+		*t = rowTable{slots: make([]uint32, 2*len(t.slots)), seed: t.seed}
+		t.insert(names, n)
+	}
+}
+
+// insert indexes rows [0, n) of names into an empty table, stopping at the
+// first row whose name an earlier row already has.
+func (t *rowTable) insert(names *packedNames, n int) (first, second int, dup bool) {
+	for row := 0; row < n; row++ {
+		prev, found, slot := t.find(names, names.name(row))
+		if found {
+			return prev, row, true
+		}
+		t.slots[slot] = uint32(row + 1)
+	}
+	return 0, 0, false
 }
 
 // NewIngesterFromIndex resumes ingest from a previously frozen and
@@ -88,15 +147,14 @@ func NewIngesterFromIndex(x *Index) (*Ingester, error) {
 	}
 	g := NewIngester()
 	n := x.n
-	g.names = make([]string, n)
-	g.rows = make(map[string]int, n)
-	for i, name := range x.names {
-		name = strings.Clone(name)
-		g.names[i] = name
-		if prev, dup := g.rows[name]; dup {
-			return nil, fmt.Errorf("colstore: cannot resume ingest: rows %d and %d are both domain %q", prev, i, name)
-		}
-		g.rows[name] = i
+	if uint64(n) >= math.MaxUint32 {
+		return nil, fmt.Errorf("colstore: cannot resume ingest: %d rows overflow the 32-bit row table", n)
+	}
+	g.nameBlob = append([]byte(nil), x.nameBlob...)
+	g.nameOff = append([]uint64(nil), x.nameOff...)
+	g.rows = newRowTable(n)
+	if a, b, dup := g.rows.insert(&g.packedNames, n); dup {
+		return nil, fmt.Errorf("colstore: cannot resume ingest: rows %d and %d are both domain %q", a, b, g.name(a))
 	}
 	g.opID = append([]uint32(nil), x.opID...)
 	g.tldID = append([]uint16(nil), x.tldID...)
@@ -131,7 +189,7 @@ func NewIngesterFromIndex(x *Index) (*Ingester, error) {
 }
 
 // Len returns the current domain population.
-func (g *Ingester) Len() int { return len(g.names) }
+func (g *Ingester) Len() int { return len(g.nameOff) - 1 }
 
 // Days returns how many sections this instance has ingested (resumed
 // history is accounted by the caller's watermark, not here).
@@ -159,9 +217,9 @@ func (g *Ingester) AppendDay(snap *dataset.Snapshot) (skipped int, err error) {
 			skipped++
 			continue
 		}
-		row, ok := g.rows[rec.Domain]
+		row, ok, slot := g.rows.find(&g.packedNames, rec.Domain)
 		if !ok {
-			if err := g.appendRow(rec, day); err != nil {
+			if err := g.appendRow(rec, day, slot); err != nil {
 				return skipped, err
 			}
 			continue
@@ -180,8 +238,12 @@ func (g *Ingester) AppendDay(snap *dataset.Snapshot) (skipped int, err error) {
 	return skipped, nil
 }
 
-// appendRow creates the row for a domain's first observation.
-func (g *Ingester) appendRow(rec *dataset.Record, day int32) error {
+// appendRow creates the row for a domain's first observation; slot is
+// where the row table's lookup of its name came up empty.
+func (g *Ingester) appendRow(rec *dataset.Record, day int32, slot uint64) error {
+	if uint64(g.Len()) >= math.MaxUint32 {
+		return fmt.Errorf("colstore: ingesting %q would overflow the 32-bit row table", rec.Domain)
+	}
 	op, ok := g.opIDs[rec.Operator]
 	if !ok {
 		op = uint32(len(g.ops))
@@ -218,8 +280,8 @@ func (g *Ingester) appendRow(rec *dataset.Record, day int32) error {
 	if rec.HasDS {
 		dsDay = day
 	}
-	g.rows[rec.Domain] = len(g.names)
-	g.names = append(g.names, rec.Domain)
+	g.appendName(rec.Domain)
+	g.rows.put(&g.packedNames, slot)
 	g.opID = append(g.opID, op)
 	g.tldID = append(g.tldID, tld)
 	g.regID = append(g.regID, reg)
@@ -246,29 +308,22 @@ func observedFlags(rec *dataset.Record) uint8 {
 	return fl
 }
 
-// deriveFullDay mirrors Builder.Add's fullDay derivation over the mutable
-// ingest columns (see the comment there for the sentinel semantics).
-func deriveFullDay(keyDay, dsDay int32, fl uint8) int32 {
-	if fl != 0 {
-		return impossible
-	}
-	full := keyDay
-	if dsDay > full {
-		full = dsDay
-	}
-	return full
-}
-
 // Freeze publishes the current state as a frozen Index safe for
 // concurrent readers while ingest continues. The mutable columns (event
-// days, flags) are copied; the append-only columns and intern tables are
-// shared by bounded re-slice, so a freeze costs ~13 bytes per domain plus
-// the finish() group derivation. The returned index serves queries,
+// days, flags) are copied; the append-only columns — the name blob and its
+// offsets among them — and the intern tables are shared by bounded
+// re-slice, so a freeze costs ~13 bytes per domain plus the finish() group
+// derivation, and a row appended later lands past every frozen index's
+// bounds. The returned index serves queries,
 // Save/SaveFile persistence, and — via NewIngesterFromIndex — resume.
 func (g *Ingester) Freeze() *Index {
-	n := len(g.names)
+	n := g.Len()
+	blob := len(g.nameBlob)
 	x := &Index{
-		names:   g.names[:n:n],
+		packedNames: packedNames{
+			nameBlob: g.nameBlob[:blob:blob],
+			nameOff:  g.nameOff[: n+1 : n+1],
+		},
 		opID:    g.opID[:n:n],
 		tldID:   g.tldID[:n:n],
 		regID:   g.regID[:n:n],

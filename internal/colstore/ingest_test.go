@@ -251,6 +251,33 @@ func TestIngestFreezeIsolation(t *testing.T) {
 	if after := saveBytes(t, frozen); !bytes.Equal(before, after) {
 		t.Fatal("continued ingest mutated a frozen index")
 	}
+
+	// The name column is shared by bounded re-slice, not copied: a name
+	// appended after the freeze lands in the same backing array when it
+	// has room, and must still be out of the frozen index's reach.
+	g.nameBlob = append(make([]byte, 0, 4*len(g.nameBlob)), g.nameBlob...)
+	g.nameOff = append(make([]uint64, 0, 4*len(g.nameOff)), g.nameOff...)
+	roomy := g.Freeze()
+	n, last := roomy.Len(), roomy.Row(roomy.Len()-1).Name
+	late := []Domain{{Name: "after-freeze.example", TLD: "example", Operator: "op00.example", NSHost: "ns1.op00.example", KeyDay: simtime.Never, DSDay: simtime.Never}}
+	ingestAll(t, g, []*dataset.Snapshot{refSnapshot(late, 830)})
+	if &g.nameBlob[0] != &roomy.nameBlob[0] {
+		t.Fatal("the append reallocated the blob: the shared-backing case was not exercised")
+	}
+	if roomy.Len() != n || roomy.Row(n-1).Name != last {
+		t.Fatalf("frozen index now has %d rows ending in %q, had %d ending in %q", roomy.Len(), roomy.Row(roomy.Len()-1).Name, n, last)
+	}
+	for _, rec := range roomy.Snapshot(830).Records {
+		if rec.Domain == late[0].Name {
+			t.Fatal("a name appended after Freeze is visible in the frozen index")
+		}
+	}
+	if len(roomy.nameBlob) != cap(roomy.nameBlob) || len(roomy.nameOff) != cap(roomy.nameOff) {
+		t.Fatal("frozen name column has spare capacity an append could write into")
+	}
+	if again := g.Freeze(); again.Row(again.Len()-1).Name != late[0].Name {
+		t.Fatalf("a fresh Freeze ends in %q, want the late name", again.Row(again.Len()-1).Name)
+	}
 }
 
 // TestIngestTLDOverflow: the 16-bit TLD column rejects the 65537th TLD

@@ -167,23 +167,23 @@ func decode(data []byte, zeroCopy bool) (*Index, map[string]string, error) {
 		}
 	}
 
-	ops, err := unpackStrings(data, secs[secOps], secs[secOpsOff], 4, -1, "operator", zeroCopy)
+	ops, err := unpackStrings(data, secs[secOps], secs[secOpsOff], -1, "operator", zeroCopy)
 	if err != nil {
 		return nil, nil, err
 	}
-	nsHosts, err := unpackStrings(data, secs[secOpNS], secs[secOpNSOff], 4, len(ops), "NS-host", zeroCopy)
+	nsHosts, err := unpackStrings(data, secs[secOpNS], secs[secOpNSOff], len(ops), "NS-host", zeroCopy)
 	if err != nil {
 		return nil, nil, err
 	}
-	tlds, err := unpackStrings(data, secs[secTLDs], secs[secTLDsOff], 4, -1, "TLD", zeroCopy)
+	tlds, err := unpackStrings(data, secs[secTLDs], secs[secTLDsOff], -1, "TLD", zeroCopy)
 	if err != nil {
 		return nil, nil, err
 	}
-	regs, err := unpackStrings(data, secs[secRegs], secs[secRegsOff], 4, -1, "registrar", zeroCopy)
+	regs, err := unpackStrings(data, secs[secRegs], secs[secRegsOff], -1, "registrar", zeroCopy)
 	if err != nil {
 		return nil, nil, err
 	}
-	names, err := unpackStrings(data, secs[secNames], secs[secNamesOff], 8, n, "name", zeroCopy)
+	names, err := unpackNames(data, secs[secNames], secs[secNamesOff], n, zeroCopy)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -192,17 +192,17 @@ func decode(data []byte, zeroCopy bool) (*Index, map[string]string, error) {
 	}
 
 	x := &Index{
-		names:   names,
-		opID:    unpackUint32(data, secs[secOpID], zeroCopy),
-		tldID:   unpackUint16(data, secs[secTLDID], zeroCopy),
-		regID:   unpackUint32(data, secs[secRegID], zeroCopy),
-		created: unpackInt32(data, secs[secCreated], zeroCopy),
-		keyDay:  unpackInt32(data, secs[secKeyDay], zeroCopy),
-		dsDay:   unpackInt32(data, secs[secDSDay], zeroCopy),
-		flags:   secs[secFlags].bytes(data),
-		ops:     ops,
-		tlds:    tlds,
-		regs:    regs,
+		packedNames: names,
+		opID:        unpackColumn(data, secs[secOpID], zeroCopy, binary.LittleEndian.Uint32),
+		tldID:       unpackColumn(data, secs[secTLDID], zeroCopy, binary.LittleEndian.Uint16),
+		regID:       unpackColumn(data, secs[secRegID], zeroCopy, binary.LittleEndian.Uint32),
+		created:     unpackColumn(data, secs[secCreated], zeroCopy, getInt32),
+		keyDay:      unpackColumn(data, secs[secKeyDay], zeroCopy, getInt32),
+		dsDay:       unpackColumn(data, secs[secDSDay], zeroCopy, getInt32),
+		flags:       secs[secFlags].bytes(data),
+		ops:         ops,
+		tlds:        tlds,
+		regs:        regs,
 	}
 	if !zeroCopy {
 		x.flags = append([]uint8(nil), x.flags...)
@@ -251,14 +251,7 @@ func decode(data []byte, zeroCopy bool) (*Index, map[string]string, error) {
 	// trust the file.
 	x.fullDay = make([]int32, n)
 	for i := 0; i < n; i++ {
-		full := impossible
-		if x.flags[i] == 0 {
-			full = x.keyDay[i]
-			if x.dsDay[i] > full {
-				full = x.dsDay[i]
-			}
-		}
-		x.fullDay[i] = full
+		x.fullDay[i] = deriveFullDay(x.keyDay[i], x.dsDay[i], x.flags[i])
 	}
 
 	x.finish()
@@ -285,40 +278,35 @@ func decodeMeta(payload []byte) (map[string]string, error) {
 	return meta, nil
 }
 
-// unpackStrings rebuilds a string table from its blob + offsets sections.
-// offWidth is 4 or 8; wantCount, when >= 0, pins the expected entry count.
-// Offsets must start at 0, be non-decreasing, and end at the blob length.
-func unpackStrings(data []byte, blob, offs section, offWidth, wantCount int, what string, zeroCopy bool) ([]string, error) {
-	if offs.n%offWidth != 0 || offs.n/offWidth < 1 {
-		return nil, fmt.Errorf("colstore: %s offsets section is %d bytes, not a positive multiple of %d", what, offs.n, offWidth)
+// unpackStrings rebuilds an intern table from its blob + u32 offsets
+// sections; wantCount, when >= 0, pins the expected entry count. Offsets
+// must start at 0, be non-decreasing, and end at the blob length.
+func unpackStrings(data []byte, blob, offs section, wantCount int, what string, zeroCopy bool) ([]string, error) {
+	if offs.n%4 != 0 || offs.n/4 < 1 {
+		return nil, fmt.Errorf("colstore: %s offsets section is %d bytes, not a positive multiple of 4", what, offs.n)
 	}
-	count := offs.n/offWidth - 1
+	count := offs.n/4 - 1
 	if wantCount >= 0 && count != wantCount {
 		return nil, fmt.Errorf("colstore: %d %s entries, want %d", count, what, wantCount)
 	}
 	ob := offs.bytes(data)
-	at := func(i int) uint64 {
-		if offWidth == 4 {
-			return uint64(binary.LittleEndian.Uint32(ob[4*i:]))
-		}
-		return binary.LittleEndian.Uint64(ob[8*i:])
-	}
+	at := func(i int) int { return int(binary.LittleEndian.Uint32(ob[4*i:])) }
 	if at(0) != 0 {
 		return nil, fmt.Errorf("colstore: %s offsets start at %d, want 0", what, at(0))
 	}
-	if at(count) != uint64(blob.n) {
+	if at(count) != blob.n {
 		return nil, fmt.Errorf("colstore: %s offsets end at %d, blob is %d bytes", what, at(count), blob.n)
 	}
 	bb := blob.bytes(data)
 	out := make([]string, count)
-	prev := uint64(0)
+	prev := 0
 	for i := 0; i < count; i++ {
 		end := at(i + 1)
-		if end < prev || end > uint64(blob.n) {
+		if end < prev || end > blob.n {
 			return nil, fmt.Errorf("colstore: %s offsets are not monotonic at entry %d", what, i)
 		}
 		if zeroCopy && end > prev {
-			out[i] = unsafe.String(&bb[prev], int(end-prev))
+			out[i] = unsafe.String(&bb[prev], end-prev)
 		} else {
 			out[i] = string(bb[prev:end])
 		}
@@ -327,51 +315,55 @@ func unpackStrings(data []byte, blob, offs section, offWidth, wantCount int, wha
 	return out, nil
 }
 
-// The integer-column unpackers: zero-copy reinterpretation of the mapped
-// bytes on little-endian hosts (payloads are 8-byte aligned by the
-// framing), element-wise copy otherwise.
+// unpackNames validates the domain-name column — n+1 u64 offsets that
+// start at 0, never decrease, never pass the blob and end at its length —
+// and returns it as the two slices the Index keeps: views of data when
+// zeroCopy, copies otherwise. No per-name value is created either way.
+func unpackNames(data []byte, blob, offs section, n int, zeroCopy bool) (packedNames, error) {
+	if offs.n != 8*(n+1) {
+		return packedNames{}, fmt.Errorf("colstore: name offsets section is %d bytes, want %d for %d domains", offs.n, 8*(n+1), n)
+	}
+	p := packedNames{
+		nameBlob: blob.bytes(data),
+		nameOff:  unpackColumn(data, offs, zeroCopy, binary.LittleEndian.Uint64),
+	}
+	if !zeroCopy {
+		p.nameBlob = append([]byte(nil), p.nameBlob...)
+	}
+	if p.nameOff[0] != 0 {
+		return packedNames{}, fmt.Errorf("colstore: name offsets start at %d, want 0", p.nameOff[0])
+	}
+	if p.nameOff[n] != uint64(blob.n) {
+		return packedNames{}, fmt.Errorf("colstore: name offsets end at %d, blob is %d bytes", p.nameOff[n], blob.n)
+	}
+	prev := uint64(0)
+	for i, end := range p.nameOff[1:] {
+		if end < prev || end > uint64(blob.n) {
+			return packedNames{}, fmt.Errorf("colstore: name offsets are not monotonic at entry %d", i)
+		}
+		prev = end
+	}
+	return p, nil
+}
 
-func unpackUint32(data []byte, s section, zeroCopy bool) []uint32 {
+// unpackColumn returns a fixed-width column: a zero-copy reinterpretation
+// of the mapped bytes on little-endian hosts (payloads are 8-byte aligned
+// by the framing), an element-wise decode with get otherwise.
+func unpackColumn[T uint16 | uint32 | uint64 | int32](data []byte, s section, zeroCopy bool, get func([]byte) T) []T {
+	var zero T
+	width := int(unsafe.Sizeof(zero))
 	if s.n == 0 {
 		return nil
 	}
 	b := s.bytes(data)
 	if zeroCopy {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), s.n/4)
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), s.n/width)
 	}
-	out := make([]uint32, s.n/4)
+	out := make([]T, s.n/width)
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
+		out[i] = get(b[width*i:])
 	}
 	return out
 }
 
-func unpackUint16(data []byte, s section, zeroCopy bool) []uint16 {
-	if s.n == 0 {
-		return nil
-	}
-	b := s.bytes(data)
-	if zeroCopy {
-		return unsafe.Slice((*uint16)(unsafe.Pointer(&b[0])), s.n/2)
-	}
-	out := make([]uint16, s.n/2)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint16(b[2*i:])
-	}
-	return out
-}
-
-func unpackInt32(data []byte, s section, zeroCopy bool) []int32 {
-	if s.n == 0 {
-		return nil
-	}
-	b := s.bytes(data)
-	if zeroCopy {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), s.n/4)
-	}
-	out := make([]int32, s.n/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
+func getInt32(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) }

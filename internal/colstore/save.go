@@ -19,9 +19,11 @@ package colstore
 //
 // String tables are stored as one concatenated blob plus an offsets
 // column (u32 for the small intern tables, u64 for domain names, whose
-// blob exceeds 4 GiB at real-.com scale). The derived state — fullDay,
-// event groups, the record template — is rebuilt or lazily built at load
-// and never serialized.
+// blob exceeds 4 GiB at real-.com scale). The per-domain sections are the
+// Index's own slices: on a little-endian host Save writes them as they lie
+// in memory and Load maps them back without a copy. The derived state —
+// fullDay, event groups, the record template — is rebuilt or lazily built
+// at load and never serialized.
 
 import (
 	"bufio"
@@ -34,6 +36,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"unsafe"
+
+	"securepki.org/registrarsec/internal/dataset"
 )
 
 const (
@@ -109,7 +114,6 @@ func (x *Index) Save(w io.Writer, meta map[string]string) error {
 	nsBlob, nsOff := packStrings32(nsHosts)
 	tldBlob, tldOff := packStrings32(x.tlds)
 	regBlob, regOff := packStrings32(x.regs)
-	nameBlob, nameOff := packStrings64(x.names)
 
 	payloads := map[string][]byte{
 		secMeta:     metaPayload,
@@ -121,14 +125,14 @@ func (x *Index) Save(w io.Writer, meta map[string]string) error {
 		secTLDsOff:  tldOff,
 		secRegs:     regBlob,
 		secRegsOff:  regOff,
-		secNames:    nameBlob,
-		secNamesOff: nameOff,
-		secOpID:     packUint32(x.opID),
-		secTLDID:    packUint16(x.tldID),
-		secRegID:    packUint32(x.regID),
-		secCreated:  packInt32(x.created),
-		secKeyDay:   packInt32(x.keyDay),
-		secDSDay:    packInt32(x.dsDay),
+		secNames:    x.nameBlob,
+		secNamesOff: columnBytes(x.nameOff, binary.LittleEndian.PutUint64),
+		secOpID:     columnBytes(x.opID, binary.LittleEndian.PutUint32),
+		secTLDID:    columnBytes(x.tldID, binary.LittleEndian.PutUint16),
+		secRegID:    columnBytes(x.regID, binary.LittleEndian.PutUint32),
+		secCreated:  columnBytes(x.created, putInt32),
+		secKeyDay:   columnBytes(x.keyDay, putInt32),
+		secDSDay:    columnBytes(x.dsDay, putInt32),
 		secFlags:    x.flags,
 	}
 	for _, tag := range sectionOrder {
@@ -168,11 +172,7 @@ func (x *Index) SaveFile(path string, meta map[string]string) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return dataset.SyncDir(dir)
 }
 
 // writeSection frames one payload: tag, length, payload, alignment
@@ -233,43 +233,20 @@ func packStrings32(list []string) (blob, offsets []byte) {
 	return blob, offsets
 }
 
-// packStrings64 is packStrings32 with uint64 offsets, for the name table
-// whose blob can exceed 4 GiB at full scale.
-func packStrings64(list []string) (blob, offsets []byte) {
-	size := 0
-	for _, s := range list {
-		size += len(s)
+// columnBytes is a fixed-width column as its section payload. On a
+// little-endian host that is the column's own memory, so saving a world
+// costs no second copy of it; elsewhere each element is encoded with put.
+func columnBytes[T uint16 | uint32 | uint64 | int32](v []T, put func([]byte, T)) []byte {
+	var zero T
+	width := int(unsafe.Sizeof(zero))
+	if hostLittleEndian {
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), width*len(v))
 	}
-	blob = make([]byte, 0, size)
-	offsets = make([]byte, 8*(len(list)+1))
-	for i, s := range list {
-		binary.LittleEndian.PutUint64(offsets[8*i:], uint64(len(blob)))
-		blob = append(blob, s...)
-	}
-	binary.LittleEndian.PutUint64(offsets[8*len(list):], uint64(len(blob)))
-	return blob, offsets
-}
-
-func packUint32(v []uint32) []byte {
-	out := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(out[4*i:], x)
+	out := make([]byte, width*len(v))
+	for i, e := range v {
+		put(out[width*i:], e)
 	}
 	return out
 }
 
-func packUint16(v []uint16) []byte {
-	out := make([]byte, 2*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint16(out[2*i:], x)
-	}
-	return out
-}
-
-func packInt32(v []int32) []byte {
-	out := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
-	}
-	return out
-}
+func putInt32(b []byte, v int32) { binary.LittleEndian.PutUint32(b, uint32(v)) }

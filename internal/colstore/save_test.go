@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -109,6 +110,30 @@ func TestSaveFileLoadRoundTrip(t *testing.T) {
 	assertIndexEqual(t, loaded, x)
 }
 
+// TestSaveFileLeavesOnlyTheWorld: a successful save — directory fsync
+// included, whose error SaveFile now reports — renames its temp file
+// away; a failed one removes it.
+func TestSaveFileLeavesOnlyTheWorld(t *testing.T) {
+	dir := t.TempDir()
+	x := testIndex(50, 6)
+	if err := x.SaveFile(filepath.Join(dir, "idx.rscw"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.SaveFile(filepath.Join(dir, "bad.rscw"), map[string]string{"a=b": "v"}); err == nil {
+		t.Fatal("SaveFile accepted invalid meta")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "idx.rscw" {
+		t.Fatalf("directory holds %v, want only idx.rscw", entries)
+	}
+	if err := x.SaveFile(filepath.Join(dir, "missing", "idx.rscw"), nil); err == nil {
+		t.Fatal("SaveFile into a missing directory succeeded")
+	}
+}
+
 func TestSaveDeterministic(t *testing.T) {
 	x := testIndex(200, 3)
 	var a, b bytes.Buffer
@@ -203,6 +228,86 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	})
 }
 
+// rewriteSection returns file with one section's payload replaced by
+// f(payload) and re-framed, so the CRC is good and only the semantic
+// validation in decode stands between the damage and a load.
+func rewriteSection(t testing.TB, file []byte, tag string, f func(payload []byte) []byte) []byte {
+	t.Helper()
+	secs, err := parseSections(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	out.Write(file[:16])
+	for _, sec := range sectionOrder {
+		payload := append([]byte(nil), secs[sec].bytes(file)...)
+		if sec == tag {
+			payload = f(payload)
+		}
+		if err := writeSection(&out, sec, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out.Bytes()
+}
+
+// badNameColumns damages the NAMES/NAMESOFF pair of a valid file in each
+// way the packed name column could be handed offsets that do not describe
+// its blob.
+func badNameColumns(t testing.TB) map[string][]byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := testIndex(40, 9).Save(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	offsets := func(f func(off []byte) []byte) []byte {
+		return rewriteSection(t, good, secNamesOff, f)
+	}
+	return map[string][]byte{
+		"offsets go backwards": offsets(func(off []byte) []byte {
+			binary.LittleEndian.PutUint64(off[8*5:], binary.LittleEndian.Uint64(off[8*4:])-1)
+			return off
+		}),
+		"last offset short of the blob": offsets(func(off []byte) []byte {
+			last := off[len(off)-8:]
+			binary.LittleEndian.PutUint64(last, binary.LittleEndian.Uint64(last)-1)
+			return off
+		}),
+		"offset past the blob": offsets(func(off []byte) []byte {
+			binary.LittleEndian.PutUint64(off[8*7:], 1<<40)
+			return off
+		}),
+		"first offset not zero": offsets(func(off []byte) []byte {
+			binary.LittleEndian.PutUint64(off, 1)
+			return off
+		}),
+		"one offset too few":  offsets(func(off []byte) []byte { return off[:len(off)-8] }),
+		"one offset too many": offsets(func(off []byte) []byte { return append(off, off[len(off)-8:]...) }),
+		"offsets not 8-byte":  offsets(func(off []byte) []byte { return off[:len(off)-3] }),
+		"no offsets at all":   offsets(func(off []byte) []byte { return nil }),
+		"blob shorter than offsets say": rewriteSection(t, good, secNames, func(blob []byte) []byte {
+			return blob[:len(blob)-1]
+		}),
+	}
+}
+
+// TestLoadRejectsBadNameOffsets: names are served as views computed from
+// NAMESOFF, so an offsets column that does not describe the blob must be
+// refused by both the copying and the zero-copy decoder.
+func TestLoadRejectsBadNameOffsets(t *testing.T) {
+	for name, file := range badNameColumns(t) {
+		if _, _, err := LoadBytes(file); err == nil {
+			t.Errorf("%s: LoadBytes accepted the file", name)
+		}
+		if hostLittleEndian {
+			if _, _, err := decode(file, true); err == nil {
+				t.Errorf("%s: zero-copy decode accepted the file", name)
+			}
+		}
+	}
+}
+
 func TestLoadMissingFile(t *testing.T) {
 	if _, _, err := Load(filepath.Join(t.TempDir(), "nope.rscw")); err == nil {
 		t.Fatal("loading a missing file succeeded")
@@ -221,6 +326,9 @@ func FuzzLoadWorld(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte(worldMagic))
+	for _, file := range badNameColumns(f) {
+		f.Add(file)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		x, _, err := LoadBytes(data)
 		if err != nil {

@@ -102,11 +102,20 @@ func WriteFileAtomic(path string, data []byte) error {
 	if err := os.Rename(tmpName, path); err != nil {
 		return err
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	return SyncDir(dir)
+}
+
+// SyncDir fsyncs a directory, which is what makes a rename into it
+// durable. A rename that could not be made durable has not succeeded, so
+// the error is the caller's to report.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	return nil
+	err = d.Sync()
+	d.Close()
+	return err
 }
 
 // Corruption describes one quarantined piece of an archive.

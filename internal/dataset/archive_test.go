@@ -221,3 +221,31 @@ func TestSnapshotCanonicalize(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteFileAtomicLeavesOnlyTheFile: a write that succeeds — through
+// the directory fsync whose error is now reported — leaves no temp file,
+// replaces the previous contents whole, and a directory that cannot be
+// synced is an error, not a silent success.
+func TestWriteFileAtomicLeavesOnlyTheFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	for _, body := range []string{"first\n", "second, longer\n"} {
+		if err := WriteFileAtomic(path, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != body {
+			t.Fatalf("read back %q, %v; want %q", got, err, body)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "state.json" {
+		t.Fatalf("directory holds %v, want only state.json", entries)
+	}
+	if err := SyncDir(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("SyncDir of a missing directory succeeded")
+	}
+}

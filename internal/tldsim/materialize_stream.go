@@ -3,6 +3,7 @@ package tldsim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -77,10 +78,35 @@ func (w *World) SampleSource(n int, seed int64) DomainSource {
 		return w
 	}
 	rng := rand.New(rand.NewSource(seed))
-	// Clone the drawn prefix: slicing Perm's result would retain the full
-	// world-sized backing array for the life of the cursor.
-	idx := append([]int(nil), rng.Perm(w.Len())[:n]...)
-	return &sampleSource{w: w, idx: idx}
+	return &sampleSource{w: w, idx: permPrefix(rng, w.Len(), n)}
+}
+
+// permPrefix returns the first n entries of rng.Perm(total), draw for
+// draw. The permutation is world-sized and transient, so it is shuffled in
+// the narrowest element that can number the population — four bytes a
+// domain for anything below 2^32 rows, half of what Perm's []int takes —
+// and only the prefix survives the call.
+func permPrefix(rng *rand.Rand, total, n int) []int {
+	if uint64(total) <= math.MaxUint32+1 {
+		return shufflePrefix[uint32](rng, total, n)
+	}
+	return shufflePrefix[int](rng, total, n)
+}
+
+// shufflePrefix is rand.Perm's inside-out Fisher-Yates loop, including its
+// draw for i = 0, over element type T.
+func shufflePrefix[T uint32 | int](rng *rand.Rand, total, n int) []int {
+	m := make([]T, total)
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = T(i)
+	}
+	out := make([]int, n)
+	for i := range out {
+		out[i] = int(m[i])
+	}
+	return out
 }
 
 // Domains materializes a cursor as a slice — the bridge back to the

@@ -132,13 +132,10 @@ func BuildScenario(s Scenario, cfg WorldConfig) (*World, error) {
 		return Build(cfg)
 	}
 	cfg.fill()
-	// Reuse Build's tail machinery by constructing a world from the
-	// modified named cohorts plus the baseline tail cohorts.
-	base, err := Build(WorldConfig{
-		Scale: cfg.Scale, Seed: cfg.Seed,
-		TailOperators: cfg.TailOperators,
-		WindowStart:   cfg.WindowStart, WindowEnd: cfg.WindowEnd,
-	})
+	// Reuse Build's tail calibration: the world is the modified named
+	// cohorts plus the baseline plan's tail cohorts. Only the plan is
+	// needed, so no baseline population is drawn.
+	base, err := planCohorts(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -151,9 +148,9 @@ func BuildScenario(s Scenario, cfg WorldConfig) (*World, error) {
 			cohorts = append(cohorts, c)
 		}
 	}
-	// Tail cohorts from the baseline build (already scaled), adjusted per
+	// Tail cohorts from the baseline plan (already scaled), adjusted per
 	// scenario.
-	for _, c := range base.Cohorts {
+	for _, c := range base {
 		if c.Registrar != "" {
 			continue // named; replaced above
 		}
@@ -170,7 +167,5 @@ func BuildScenario(s Scenario, cfg WorldConfig) (*World, error) {
 		}
 		cohorts = append(cohorts, c)
 	}
-	w := &World{Config: cfg, Cohorts: cohorts}
-	w.idx = buildIndexStreaming(&cfg, cohorts, cfg.Seed*31+int64(s), cfg.Workers)
-	return w, nil
+	return buildWorld(cfg, cohorts, cfg.Seed*31+int64(s))
 }

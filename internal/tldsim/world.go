@@ -286,19 +286,27 @@ func planCohorts(cfg WorldConfig) ([]Cohort, error) {
 	return cohorts, nil
 }
 
-// Build generates the world with the streaming columnar pipeline: cohorts
-// are sampled in parallel into per-cohort column shards and merged into
-// the canonical index without ever materializing []DomainState. The
-// result is byte-identical for a given seed regardless of worker count.
+// Build generates the world with the streaming columnar pipeline: the
+// cohort plan fixes where every row goes, and cohorts are sampled in
+// parallel straight into the canonical index's columns without ever
+// materializing []DomainState. The result is byte-identical for a given
+// seed regardless of worker count.
 func Build(cfg WorldConfig) (*World, error) {
 	cfg.fill()
 	cohorts, err := planCohorts(cfg)
 	if err != nil {
 		return nil, err
 	}
-	w := &World{Config: cfg, Cohorts: cohorts}
-	w.idx = buildIndexStreaming(&cfg, cohorts, cfg.Seed, cfg.Workers)
-	return w, nil
+	return buildWorld(cfg, cohorts, cfg.Seed)
+}
+
+// buildWorld generates the population of an already scaled cohort list.
+func buildWorld(cfg WorldConfig, cohorts []Cohort, baseSeed int64) (*World, error) {
+	idx, err := buildIndexStreaming(&cfg, cohorts, baseSeed, cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return &World{Config: cfg, Cohorts: cohorts, idx: idx}, nil
 }
 
 // BuildLegacy generates the same world as Build but materialized as
@@ -326,9 +334,7 @@ func BuildCustom(cfg WorldConfig, cohorts []Cohort) (*World, error) {
 			scaled = append(scaled, c)
 		}
 	}
-	w := &World{Config: cfg, Cohorts: scaled}
-	w.idx = buildIndexStreaming(&cfg, scaled, cfg.Seed, cfg.Workers)
-	return w, nil
+	return buildWorld(cfg, scaled, cfg.Seed)
 }
 
 // cohortSeed derives cohort ci's independent RNG stream from the base
@@ -369,114 +375,142 @@ func drawDomain(rng *rand.Rand, c *Cohort, cfg *WorldConfig) domainDraw {
 	return domainDraw{created: created, keyDay: keyDay, dsDay: dsDay, broken: broken, expired: expired}
 }
 
-// domainName formats "d<idx, zero-padded to 7>-<slug>.<tld>" where suffix
-// is the precomputed "-<slug>.<tld>" fragment. Equivalent to
-// fmt.Sprintf("d%07d%s", idx, suffix) without the formatting overhead.
-func domainName(idx int, suffix string) string {
-	var digits [20]byte
-	b := strconv.AppendInt(digits[:0], int64(idx), 10)
-	pad := 7 - len(b)
-	if pad < 0 {
-		pad = 0
+// appendDomainName appends "d<idx, zero-padded to 7><suffix>", where suffix
+// is the cohort's "-<slug>.<tld>" fragment — fmt.Sprintf("d%07d%s", idx,
+// suffix) without the formatting overhead or an allocation per name.
+func appendDomainName(dst []byte, idx int, suffix []byte) []byte {
+	dst = append(dst, 'd')
+	for limit := 1_000_000; limit > idx && limit > 1; limit /= 10 {
+		dst = append(dst, '0')
 	}
-	out := make([]byte, 0, 1+pad+len(b)+len(suffix))
-	out = append(out, 'd')
-	for i := 0; i < pad; i++ {
-		out = append(out, '0')
-	}
-	out = append(out, b...)
-	out = append(out, suffix...)
-	return string(out)
+	dst = strconv.AppendInt(dst, int64(idx), 10)
+	return append(dst, suffix...)
 }
 
-// cohortSuffix is the per-cohort name fragment shared by every domain.
-func cohortSuffix(c *Cohort) string {
-	return "-" + slug(c.Operator) + "." + c.TLD
+// namesLen is the exact byte count of the names appendDomainName gives
+// rows [start, start+n) under a suffix of suffixLen bytes: the index
+// takes seven digits below 10^7 and its own width from there on.
+func namesLen(start, n, suffixLen int) uint64 {
+	total := uint64(0)
+	for width, limit := 7, 10_000_000; n > 0; width, limit = width+1, limit*10 {
+		if start >= limit {
+			continue
+		}
+		run := min(n, limit-start)
+		total += uint64(run) * uint64(1+width+suffixLen)
+		start, n = start+run, n-run
+	}
+	return total
 }
 
-// shardChunkDomains is the target row count per generation shard. The
-// power-law tail yields tens of thousands of cohorts of a handful of
-// domains each; giving every one its own shard would make fixed per-shard
-// overhead dominate the build at small scale. Instead contiguous cohorts
-// are batched into chunks of roughly this many domains. The boundaries
-// depend only on the cohort sizes — never on the worker count — so the
-// chunking cannot perturb the byte-identity guarantee.
-const shardChunkDomains = 4096
+// appendCohortSuffix appends the per-cohort name fragment shared by every
+// domain of the cohort: "-<slug>.<tld>", the slug being the operator name
+// shortened to its first twelve domain-label-safe characters.
+func appendCohortSuffix(dst []byte, c *Cohort) []byte {
+	dst = append(dst, '-')
+	for i, n := 0, 0; i < len(c.Operator) && n < 12; i++ {
+		if ch := c.Operator[i]; ch >= 'a' && ch <= 'z' || ch >= '0' && ch <= '9' {
+			dst = append(dst, ch)
+			n++
+		}
+	}
+	dst = append(dst, '.')
+	return append(dst, c.TLD...)
+}
 
-// buildIndexStreaming is the parallel sharded generation pipeline:
-// contiguous cohorts are batched into column-shard chunks, filled by a
-// worker pool, and merged in chunk order. Cohort ci always draws from
-// cohortSeed(baseSeed, ci) and names its domains from the prefix-sum
-// start index regardless of which chunk or worker it lands on, so the
-// merged index — and its serialized bytes — are identical for any worker
-// count, and identical domain-for-domain to the sequential legacy build.
-func buildIndexStreaming(cfg *WorldConfig, cohorts []Cohort, baseSeed int64, workers int) *colstore.Index {
+// fillChunkDomains is the target row count per unit of generation work.
+// The power-law tail yields tens of thousands of cohorts of a handful of
+// domains each; handing them out one by one would make the hand-off
+// dominate the build at small scale, so contiguous cohorts are batched
+// into chunks of roughly this many domains.
+const fillChunkDomains = 4096
+
+// buildIndexStreaming is the parallel plan-then-fill generation pipeline.
+// The cohort list fixes everything about the index's layout before a
+// single domain is drawn: cohort ci's rows start at the prefix sum of the
+// cohort sizes, its names are numbered from there and so have a known
+// total length, and operators, TLDs and registrars get their intern IDs
+// in cohort order. A worker pool then fills the cohorts' disjoint row and
+// name-byte ranges of the final columns in place, cohort ci always drawing
+// from cohortSeed(baseSeed, ci). No worker's output is ever moved or
+// renumbered, so the index — and its serialized bytes — are identical for
+// any worker count, and identical domain-for-domain to the sequential
+// legacy build.
+func buildIndexStreaming(cfg *WorldConfig, cohorts []Cohort, baseSeed int64, workers int) (*colstore.Index, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	plan := colstore.NewPlan(len(cohorts))
 	starts := make([]int, len(cohorts)+1)
-	for i := range cohorts {
-		starts[i+1] = starts[i] + cohorts[i].Domains
+	var suffix []byte
+	for ci := range cohorts {
+		c := &cohorts[ci]
+		starts[ci+1] = starts[ci] + c.Domains
+		suffix = appendCohortSuffix(suffix[:0], c)
+		plan.Reserve(c.Domains, namesLen(starts[ci], c.Domains, len(suffix)),
+			c.Operator, nsFor(c.Operator), c.TLD, c.Registrar)
 	}
 	// Chunk boundaries: close a chunk once it has accumulated the target
 	// domain count. chunks[k]..chunks[k+1] is a half-open cohort range.
 	chunks := []int{0}
-	acc := 0
 	for ci := range cohorts {
-		acc += cohorts[ci].Domains
-		if acc >= shardChunkDomains {
+		if starts[ci+1]-starts[chunks[len(chunks)-1]] >= fillChunkDomains {
 			chunks = append(chunks, ci+1)
-			acc = 0
 		}
 	}
 	if chunks[len(chunks)-1] != len(cohorts) {
 		chunks = append(chunks, len(cohorts))
 	}
-	shards := make([]*colstore.Shard, len(chunks)-1)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			f := newCohortFiller(cfg)
 			for job := range jobs {
-				lo, hi := chunks[job], chunks[job+1]
-				s := colstore.NewShard(starts[hi] - starts[lo])
-				for ci := lo; ci < hi; ci++ {
-					fillCohort(s, cfg, &cohorts[ci], cohortSeed(baseSeed, ci), starts[ci])
+				for ci := chunks[job]; ci < chunks[job+1]; ci++ {
+					w := plan.Writer(ci)
+					f.fill(&w, &cohorts[ci], cohortSeed(baseSeed, ci), starts[ci])
 				}
-				shards[job] = s
 			}
 		}()
 	}
-	for job := range shards {
+	for job := 0; job+1 < len(chunks); job++ {
 		jobs <- job
 	}
 	close(jobs)
 	wg.Wait()
-	return colstore.MergeShards(shards)
+	return plan.Build()
 }
 
-// fillCohort samples one cohort into the shard from its own RNG stream.
-func fillCohort(s *colstore.Shard, cfg *WorldConfig, c *Cohort, seed int64, nameStart int) {
-	rng := rand.New(rand.NewSource(seed))
-	suffix := cohortSuffix(c)
-	ns := nsFor(c.Operator)
+// cohortFiller is one worker's reusable state: its RNG is re-seeded per
+// cohort — the same stream a fresh rand.NewSource(seed) yields, without
+// five kilobytes of generator state per cohort — and its suffix and name
+// buffers are recycled, so filling a cohort allocates nothing.
+type cohortFiller struct {
+	cfg    *WorldConfig
+	src    rand.Source
+	rng    *rand.Rand
+	suffix []byte
+	name   []byte
+}
+
+func newCohortFiller(cfg *WorldConfig) *cohortFiller {
+	src := rand.NewSource(0)
+	return &cohortFiller{cfg: cfg, src: src, rng: rand.New(src)}
+}
+
+// fill samples one cohort into its reserved rows from its own RNG stream.
+func (f *cohortFiller) fill(w *colstore.RowWriter, c *Cohort, seed int64, nameStart int) {
+	f.src.Seed(seed)
+	f.suffix = appendCohortSuffix(f.suffix[:0], c)
 	for i := 0; i < c.Domains; i++ {
-		dr := drawDomain(rng, c, cfg)
-		s.Add(colstore.Domain{
-			Name:       domainName(nameStart+i, suffix),
-			TLD:        c.TLD,
-			Operator:   c.Operator,
-			Registrar:  c.Registrar,
-			NSHost:     ns,
-			Created:    dr.created,
-			KeyDay:     dr.keyDay,
-			DSDay:      dr.dsDay,
-			BrokenDS:   dr.broken,
-			ExpiredSig: dr.expired,
-		})
+		dr := drawDomain(f.rng, c, f.cfg)
+		f.name = appendDomainName(f.name[:0], nameStart+i, f.suffix)
+		w.Add(f.name, dr.created, dr.keyDay, dr.dsDay, dr.broken, dr.expired)
 	}
+	w.Close()
 }
 
 // sampleCohorts is the legacy sequential materializer: every domain's
@@ -490,14 +524,16 @@ func (w *World) sampleCohorts(baseSeed int64, cohorts []Cohort) {
 		total += cohorts[i].Domains
 	}
 	w.Domains = make([]DomainState, 0, total)
+	var suffix, name []byte
 	for ci := range cohorts {
 		c := &cohorts[ci]
 		rng := rand.New(rand.NewSource(cohortSeed(baseSeed, ci)))
-		suffix := cohortSuffix(c)
+		suffix = appendCohortSuffix(suffix[:0], c)
 		for i := 0; i < c.Domains; i++ {
 			dr := drawDomain(rng, c, &cfg)
+			name = appendDomainName(name[:0], len(w.Domains), suffix)
 			w.Domains = append(w.Domains, DomainState{
-				Name:       domainName(len(w.Domains), suffix),
+				Name:       string(name),
 				TLD:        c.TLD,
 				Operator:   c.Operator,
 				Registrar:  c.Registrar,
@@ -509,18 +545,6 @@ func (w *World) sampleCohorts(baseSeed int64, cohorts []Cohort) {
 			})
 		}
 	}
-}
-
-// slug shortens an operator name into a domain-label-safe fragment.
-func slug(operator string) string {
-	out := make([]byte, 0, 12)
-	for i := 0; i < len(operator) && len(out) < 12; i++ {
-		ch := operator[i]
-		if ch >= 'a' && ch <= 'z' || ch >= '0' && ch <= '9' {
-			out = append(out, ch)
-		}
-	}
-	return string(out)
 }
 
 // powerLawSizes distributes total domains over k operators with a power-law
