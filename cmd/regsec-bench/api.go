@@ -277,18 +277,12 @@ func runAPIBench(cfg apiBenchConfig) int {
 		OverloadShedRate: shedRate,
 		OverloadP99Us:    percentileUs(oall, 0.99),
 	}
-	data, err := json.MarshalIndent(baseline, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	if err := os.WriteFile(cfg.OutPath, append(data, '\n'), 0o644); err != nil {
+	if err := writeBaseline(cfg.OutPath, baseline); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	fmt.Fprintf(os.Stderr, "api: %.0f reads/s (p50 %.0fµs, p99 %.0fµs) over %d domains, ingest-under-load %v; overload shed %.0f%% (p99 %.0fµs)\n",
 		qps, baseline.P50MicrosRT, baseline.P99MicrosRT, st.Domains, ingestedMid, 100*shedRate, baseline.OverloadP99Us)
-	fmt.Fprintf(os.Stderr, "wrote %s\n", cfg.OutPath)
 
 	if !ingestedMid {
 		fmt.Fprintln(os.Stderr, "api bench: concurrent ingest did not complete during the read phase")

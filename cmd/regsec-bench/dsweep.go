@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -161,16 +160,10 @@ func runDsweepBench(cfg dsweepBenchConfig) int {
 	fmt.Fprintf(os.Stderr, "dsweep chaos: %d re-leased after mid-shard kill, byte-identical=%v\n",
 		res.Stats.Releases, baseline.ChaosByteIdentical)
 
-	data, err := json.MarshalIndent(baseline, "", "  ")
-	if err != nil {
+	if err := writeBaseline(cfg.OutPath, baseline); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	if err := os.WriteFile(cfg.OutPath, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", cfg.OutPath)
 
 	if !baseline.ByteIdentical || !baseline.ChaosByteIdentical {
 		return 1

@@ -1,25 +1,28 @@
-// Command regsec-bench measures the columnar analytics engine against the
-// legacy record-materializing path over a generated world and writes the
-// BENCH_colstore.json baseline, so the engine's trajectory is tracked
-// across PRs. It also benchmarks the DNS exchange stack — repeated scans
-// through the cache+dedup middleware versus the bare retry path — and
-// writes BENCH_exchange.json. CI runs both on every push and archives the
-// JSON files as artifacts.
+// Command regsec-bench measures the columnar analytics engine over a
+// generated world and writes the BENCH_colstore.json baseline, so the
+// engine's trajectory is tracked across PRs. It also benchmarks the DNS
+// exchange stack — repeated scans through the cache+dedup middleware versus
+// the bare retry path — and writes BENCH_exchange.json. CI runs every
+// section on every push and archives the JSON files as artifacts.
 //
 // Usage:
 //
 //	regsec-bench [-scale 1000] [-seed 1] [-o BENCH_colstore.json] [-compare old.json]
-//	             [-exchange-o BENCH_exchange.json] [-exchange-sample 400] [-exchange-passes 3]
+//	             [-exchange-o BENCH_exchange.json] [-exchange-sample 400] [-exchange-passes 3] [-exchange-min-reduction 2]
 //	             [-dsweep-o BENCH_dsweep.json] [-dsweep-scale 4000] [-dsweep-sample 150] [-dsweep-shards 4]
 //	             [-worldscale-o BENCH_worldscale.json] [-worldscale-divisors 4000,400,40]
 //	             [-api-o BENCH_api.json] [-api-days 6] [-api-domains 3000] [-api-readers 8] [-api-requests 4000]
+//	             [-serve-o BENCH_serve.json] [-serve-sample 60] [-serve-rate 100000] [-serve-duration 1.5s]
+//	             [-serve-min-speedup 5] [-serve-max-allocs 2]
 //
-// Each analytics workload is benchmarked in its colstore and legacy
-// variants via testing.Benchmark; the emitted file carries ns/op,
-// allocs/op, B/op and the legacy/colstore speedup per workload. With
-// -compare the run is also diffed against a previous baseline and
-// regressions are reported (exit 1 when a workload slowed by more than 2x,
-// so CI can gate on it).
+// Each analytics workload runs under testing.Benchmark; the emitted file
+// carries ns/op, allocs/op and B/op per workload. The two aggregations
+// (operator CDF, Table 1 overview) run in two variants — "/colstore" on the
+// index's columns and "/legacy" through internal/analysis over a
+// materialized snapshot, the path regsec-report takes over an archive —
+// and the file records their ratio. With -compare the run is also diffed
+// against a previous baseline and regressions are reported (exit 1 when a
+// workload slowed by more than 2x, so CI can gate on it).
 //
 // The exchange section re-scans one materialized day several times (one
 // cold pass, the rest warm) with and without the cache+dedup layers,
@@ -33,19 +36,24 @@
 // divergence).
 //
 // The worldscale section (enabled with -worldscale-o) measures the
-// streaming plan-then-fill world build at each -worldscale-divisors
-// population, saves the world to disk, re-loads it, and drives the full
-// 21-month snapshot+series+Table 1 workload from the re-loaded world.
-// Where the population is small enough it also runs the legacy
-// materialized build and gates on the streaming build allocating strictly
-// less; across divisors it gates on the built world's heap-object count
-// not growing with the domain count (exit 1 otherwise).
+// plan-then-fill world build at each -worldscale-divisors population,
+// saves the world to disk, re-loads it, and drives the full 21-month
+// snapshot+series+Table 1 workload from the re-loaded world. Across
+// divisors it gates on the built world's heap-object count not growing
+// with the domain count (exit 1 otherwise).
 //
 // The api section (enabled with -api-o) runs the observatory daemon
 // in-process over a synthetic archive: read QPS and p50/p99 latency
 // through the full handler stack while one section is ingested
 // concurrently (exit 1 if the ingest does not land mid-run), then the
 // shed rate of a two-slot admission gate under flood.
+//
+// The serve section (enabled with -serve-o) measures the authoritative
+// serving path: handler ns/op and allocs/op for the seed handler (Unpack,
+// Authoritative.ServeDNS, Pack) against the warm wire fast path, then
+// closed- and open-loop loopback UDP load from internal/loadgen. It
+// gates on the warm fast path being at least -serve-min-speedup times the
+// seed handler at no more than -serve-max-allocs allocations per query.
 package main
 
 import (
@@ -104,11 +112,8 @@ func run() int {
 	serveMaxAllocs := flag.Int64("serve-max-allocs", 2, "maximum allocations per warm cache-hit query (exit 1 above it)")
 	flag.Parse()
 
-	// The legacy materialized build: its []DomainState is what the
-	// */legacy workloads below iterate, so the speedup numbers compare the
-	// columnar engine against the true record-at-a-time path.
 	fmt.Fprintf(os.Stderr, "building world (scale 1/%.0f, seed %d)...\n", *scaleDiv, *seed)
-	world, err := tldsim.BuildLegacy(tldsim.WorldConfig{Scale: 1 / *scaleDiv, Seed: *seed})
+	world, err := tldsim.Build(tldsim.WorldConfig{Scale: 1 / *scaleDiv, Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -116,9 +121,9 @@ func run() int {
 	idx := world.Index()
 	fmt.Fprintf(os.Stderr, "population: %d domains, %d operators\n", idx.Len(), idx.Operators())
 
-	// One legacy snapshot for the aggregation oracles, built outside the
-	// timed regions.
-	legacySnap := world.SnapshotAtLegacy(simtime.End)
+	// One materialized snapshot for the */legacy aggregations (internal/
+	// analysis scanning records), built outside the timed regions.
+	snap := world.SnapshotAt(simtime.End)
 	inGTLD := func(r *dataset.Record) bool {
 		return r.TLD == "com" || r.TLD == "net" || r.TLD == "org"
 	}
@@ -135,23 +140,9 @@ func run() int {
 				}
 			}
 		}},
-		{"SnapshotAt/legacy", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if snap := world.SnapshotAtLegacy(simtime.End); len(snap.Records) == 0 {
-					b.Fatal("empty")
-				}
-			}
-		}},
 		{"SeriesOVH/colstore", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if pts := world.SeriesFor("ovh.net", "", simtime.GTLDStart, simtime.End, 1); len(pts) == 0 {
-					b.Fatal("empty")
-				}
-			}
-		}},
-		{"SeriesOVH/legacy", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if pts := world.SeriesForLegacy("ovh.net", "", simtime.GTLDStart, simtime.End, 1); len(pts) == 0 {
 					b.Fatal("empty")
 				}
 			}
@@ -165,7 +156,7 @@ func run() int {
 		}},
 		{"OperatorCDF/legacy", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if cdf := analysis.OperatorCDF(legacySnap, inGTLD); len(cdf) == 0 {
+				if cdf := analysis.OperatorCDF(snap, inGTLD); len(cdf) == 0 {
 					b.Fatal("empty")
 				}
 			}
@@ -179,7 +170,7 @@ func run() int {
 		}},
 		{"Overview/legacy", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if ov := analysis.Overview(legacySnap, tldsim.AllTLDs); len(ov) == 0 {
+				if ov := analysis.Overview(snap, tldsim.AllTLDs); len(ov) == 0 {
 					b.Fatal("empty")
 				}
 			}
@@ -315,6 +306,21 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// writeBaseline durably replaces path with v as indented JSON (temp file,
+// fsync, rename), so neither a crash nor a concurrent run can leave a torn
+// BENCH_*.json behind.
+func writeBaseline(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := dataset.WriteFileAtomic(path, append(data, '\n')); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	return nil
 }
 
 // exchangeBenchConfig parameterizes the exchange-stack benchmark.
@@ -500,12 +506,7 @@ func runExchangeBench(world *tldsim.World, cfg exchangeBenchConfig) int {
 		DedupOnExchanges:   dedupOn,
 		DedupCoalesced:     coalesced,
 	}
-	data, err := json.MarshalIndent(baseline, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	if err := os.WriteFile(cfg.OutPath, append(data, '\n'), 0o644); err != nil {
+	if err := writeBaseline(cfg.OutPath, baseline); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
@@ -513,7 +514,6 @@ func runExchangeBench(world *tldsim.World, cfg exchangeBenchConfig) int {
 		plainCounters.Transport.Exchanges, cachedCounters.Transport.Exchanges, reduction,
 		cachedCounters.Cache.Hits, cachedCounters.Cache.Hits+cachedCounters.Cache.Misses,
 		coalesced, dedupOff)
-	fmt.Fprintf(os.Stderr, "wrote %s\n", cfg.OutPath)
 
 	if !identical {
 		return 1

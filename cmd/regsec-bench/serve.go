@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -32,9 +31,9 @@ type serveBenchConfig struct {
 // in-process request path with the network removed — the seed path
 // (Unpack → ServeDNS → Pack) against the warm wire fast path — which is
 // what the speedup and allocation gates run on, because it is deterministic
-// on shared CI runners. The loopback sections drive real sockets with
-// regsec-loadgen: closed-loop sustainable QPS for both server paths, and
-// an open-loop run at a fixed offered rate for honest latency percentiles.
+// on shared CI runners. The loopback sections drive the real server's
+// sockets with internal/loadgen: closed-loop sustainable QPS, and an
+// open-loop run at a fixed offered rate for honest latency percentiles.
 type serveBaseline struct {
 	Schema       string  `json:"schema"`
 	GoMaxProcs   int     `json:"gomaxprocs"`
@@ -43,23 +42,21 @@ type serveBaseline struct {
 	Sample       int     `json:"sample"`
 	QueryMix     int     `json:"query_mix"`
 
-	LegacyNsPerOp    float64 `json:"legacy_ns_per_op"`
-	LegacyAllocs     int64   `json:"legacy_allocs_per_op"`
+	SeedNsPerOp      float64 `json:"seed_ns_per_op"`
+	SeedAllocs       int64   `json:"seed_allocs_per_op"`
 	FastNsPerOp      float64 `json:"fast_ns_per_op"`
 	FastAllocs       int64   `json:"fast_allocs_per_op"`
 	HandlerSpeedup   float64 `json:"handler_speedup"`
 	MinSpeedup       float64 `json:"min_speedup"`
 	MaxAllocsAllowed int64   `json:"max_allocs_allowed"`
 
-	LegacyLoop loadgen.Result        `json:"legacy_closed_loop"`
 	ServerLoop loadgen.Result        `json:"server_closed_loop"`
-	LoopbackX  float64               `json:"loopback_speedup"`
 	OpenLoop   loadgen.Result        `json:"open_loop"`
 	Server     dnsserver.ServerStats `json:"server_stats"`
 	Cache      dnsserver.CacheStats  `json:"cache_stats"`
 }
 
-const serveBaselineSchema = "regsec-bench-serve/1"
+const serveBaselineSchema = "regsec-bench-serve/2"
 
 // runServeBench measures the serving hot path and writes BENCH_serve.json.
 // It exits nonzero when the warm fast path is less than MinSpeedup times
@@ -126,7 +123,7 @@ func runServeBench(world *tldsim.World, cfg serveBenchConfig) int {
 	}
 
 	// In-process handler benchmark: seed path vs warm fast path.
-	legacy := testing.Benchmark(func(tb *testing.B) {
+	seedPath := testing.Benchmark(func(tb *testing.B) {
 		for i := 0; i < tb.N; i++ {
 			pkt := mix[i%len(mix)]
 			var q dnswire.Message
@@ -151,19 +148,19 @@ func runServeBench(world *tldsim.World, cfg serveBenchConfig) int {
 			}
 		}
 	})
-	b.LegacyNsPerOp = float64(legacy.T.Nanoseconds()) / float64(legacy.N)
-	b.LegacyAllocs = legacy.AllocsPerOp()
+	b.SeedNsPerOp = float64(seedPath.T.Nanoseconds()) / float64(seedPath.N)
+	b.SeedAllocs = seedPath.AllocsPerOp()
 	b.FastNsPerOp = float64(fast.T.Nanoseconds()) / float64(fast.N)
 	b.FastAllocs = fast.AllocsPerOp()
 	if b.FastNsPerOp > 0 {
-		b.HandlerSpeedup = b.LegacyNsPerOp / b.FastNsPerOp
+		b.HandlerSpeedup = b.SeedNsPerOp / b.FastNsPerOp
 	}
-	fmt.Fprintf(os.Stderr, "serve bench: handler legacy %.0f ns/op (%d allocs), fast %.0f ns/op (%d allocs), speedup %.1fx\n",
-		b.LegacyNsPerOp, b.LegacyAllocs, b.FastNsPerOp, b.FastAllocs, b.HandlerSpeedup)
+	fmt.Fprintf(os.Stderr, "serve bench: handler seed %.0f ns/op (%d allocs), fast %.0f ns/op (%d allocs), speedup %.1fx\n",
+		b.SeedNsPerOp, b.SeedAllocs, b.FastNsPerOp, b.FastAllocs, b.HandlerSpeedup)
 
-	// Loopback closed-loop: both real-server paths under the same client.
-	runLoop := func(handler dnsserver.Handler, legacyPath bool, mode loadgen.Mode, rate int) (loadgen.Result, *dnsserver.Server, error) {
-		srv := &dnsserver.Server{Handler: handler, Legacy: legacyPath}
+	// Loopback: the real server under internal/loadgen's client.
+	runLoop := func(mode loadgen.Mode, rate int) (loadgen.Result, *dnsserver.Server, error) {
+		srv := &dnsserver.Server{Handler: sharded}
 		if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 			return loadgen.Result{}, nil, err
 		}
@@ -180,29 +177,17 @@ func runServeBench(world *tldsim.World, cfg serveBenchConfig) int {
 		return res, srv, err
 	}
 
-	legacyLoop, legacySrv, err := runLoop(auth, true, loadgen.Closed, 0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	legacySrv.Close()
-	b.LegacyLoop = legacyLoop
-
-	serverLoop, srv, err := runLoop(sharded, false, loadgen.Closed, 0)
+	serverLoop, srv, err := runLoop(loadgen.Closed, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	srv.Close()
 	b.ServerLoop = serverLoop
-	if legacyLoop.QPS > 0 {
-		b.LoopbackX = serverLoop.QPS / legacyLoop.QPS
-	}
-	fmt.Fprintf(os.Stderr, "serve bench: loopback closed-loop legacy %.0f qps, server %.0f qps (%.1fx)\n",
-		legacyLoop.QPS, serverLoop.QPS, b.LoopbackX)
+	fmt.Fprintf(os.Stderr, "serve bench: loopback closed-loop %.0f qps\n", serverLoop.QPS)
 
 	// Open loop at the configured offered rate for honest percentiles.
-	openLoop, srv, err := runLoop(sharded, false, loadgen.Open, cfg.Rate)
+	openLoop, srv, err := runLoop(loadgen.Open, cfg.Rate)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -214,16 +199,10 @@ func runServeBench(world *tldsim.World, cfg serveBenchConfig) int {
 	fmt.Fprintf(os.Stderr, "serve bench: open-loop %.0f qps offered, %.0f achieved, p50=%s p99=%s p999=%s\n",
 		openLoop.OfferedQPS, openLoop.QPS, openLoop.P50, openLoop.P99, openLoop.P999)
 
-	buf, err := json.MarshalIndent(&b, "", "  ")
-	if err != nil {
+	if err := writeBaseline(cfg.OutPath, &b); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	if err := os.WriteFile(cfg.OutPath, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", cfg.OutPath)
 
 	ok := true
 	if b.HandlerSpeedup < cfg.MinSpeedup {

@@ -1,20 +1,17 @@
 package main
 
-// The world-scale section: how the streaming columnar pipeline behaves as
-// the population approaches real-.com size. For each divisor it measures
-// the parallel streaming build (wall-clock, allocation footprint, live
-// heap), saves the world to disk, re-loads it, and drives the full
-// 21-month snapshot + series + Table 1 workload from the re-loaded world
-// — the build-once/load-many lifecycle the world cache uses. Where the
-// population is small enough it also runs the legacy materialized build
-// and gates on the streaming build allocating strictly less. Across
-// divisors it gates on the built world's heap-object count staying flat:
+// The world-scale section: how the world build behaves as the population
+// approaches real-.com size. For each divisor it measures the parallel
+// plan-then-fill build (wall-clock, allocation footprint, live heap),
+// saves the world to disk, re-loads it, and drives the full 21-month
+// snapshot + series + Table 1 workload from the re-loaded world — the
+// build-once/load-many lifecycle the world cache uses. Across divisors it
+// gates on the built world's heap-object count staying flat:
 // the world is a fixed set of pointer-free columns plus per-operator
 // intern tables, so what the collector has to walk must not grow with the
 // population.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -33,8 +30,7 @@ type worldscaleBenchConfig struct {
 	OutPath  string
 }
 
-// worldscaleEntry is one divisor's measurements. Legacy fields are zero
-// when the population was too large to materialize record-at-a-time.
+// worldscaleEntry is one divisor's measurements.
 type worldscaleEntry struct {
 	ScaleDivisor float64 `json:"scale_divisor"`
 	Domains      int     `json:"domains"`
@@ -55,11 +51,6 @@ type worldscaleEntry struct {
 	SnapshotMs float64 `json:"snapshot_ms"`
 	SeriesMs   float64 `json:"series_ms"`
 	Table1Ms   float64 `json:"table1_ms"`
-
-	LegacyBuildMs    float64 `json:"legacy_build_ms,omitempty"`
-	LegacyAllocBytes uint64  `json:"legacy_alloc_bytes,omitempty"`
-	// AllocReduction is legacy/streaming build allocation bytes.
-	AllocReduction float64 `json:"alloc_reduction,omitempty"`
 }
 
 type worldscaleBaseline struct {
@@ -71,11 +62,6 @@ type worldscaleBaseline struct {
 
 const worldscaleBaselineSchema = "regsec-bench-worldscale/1"
 
-// legacyMaxDomains bounds the populations the legacy comparison runs at:
-// materializing millions of DomainStates is exactly the failure mode the
-// streaming build removes, so the oracle only runs where it fits easily.
-const legacyMaxDomains = 1_000_000
-
 func parseDivisors(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
@@ -86,10 +72,6 @@ func parseDivisors(s string) ([]float64, error) {
 		out = append(out, d)
 	}
 	return out, nil
-}
-
-func allocDelta(before, after *runtime.MemStats) uint64 {
-	return after.TotalAlloc - before.TotalAlloc
 }
 
 func runWorldscaleBench(cfg worldscaleBenchConfig) int {
@@ -105,7 +87,6 @@ func runWorldscaleBench(cfg worldscaleBenchConfig) int {
 		Seed:       cfg.Seed,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
-	ok := true
 	for _, div := range cfg.Divisors {
 		wcfg := tldsim.WorldConfig{Scale: 1 / div, Seed: cfg.Seed}
 		entry := worldscaleEntry{ScaleDivisor: div, Workers: runtime.GOMAXPROCS(0)}
@@ -121,7 +102,7 @@ func runWorldscaleBench(cfg worldscaleBenchConfig) int {
 		}
 		entry.BuildMs = ms(start)
 		runtime.ReadMemStats(&m1)
-		entry.BuildAllocBytes = allocDelta(&m0, &m1)
+		entry.BuildAllocBytes = m1.TotalAlloc - m0.TotalAlloc
 		runtime.GC()
 		runtime.ReadMemStats(&m1)
 		entry.LiveBytesAfterBuild = m1.HeapAlloc
@@ -186,60 +167,13 @@ func runWorldscaleBench(cfg worldscaleBenchConfig) int {
 			div, entry.SaveMs, float64(entry.FileBytes)/1e6, entry.LoadMs,
 			entry.SnapshotMs, entry.SeriesMs, entry.Table1Ms)
 
-		if entry.Domains <= legacyMaxDomains {
-			// The legacy lifecycle the streaming pipeline replaces:
-			// materialize []DomainState, then copy it all again into the
-			// analytics index.
-			runtime.GC()
-			runtime.ReadMemStats(&m0)
-			start = time.Now()
-			lw, err := tldsim.BuildLegacy(wcfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			lw.Index()
-			entry.LegacyBuildMs = ms(start)
-			runtime.ReadMemStats(&m1)
-			entry.LegacyAllocBytes = allocDelta(&m0, &m1)
-			if lw.Len() != entry.Domains {
-				fmt.Fprintf(os.Stderr, "worldscale 1/%.0f: legacy build has %d domains, streaming %d\n",
-					div, lw.Len(), entry.Domains)
-				return 1
-			}
-			if entry.BuildAllocBytes > 0 {
-				entry.AllocReduction = float64(entry.LegacyAllocBytes) / float64(entry.BuildAllocBytes)
-			}
-			fmt.Fprintf(os.Stderr, "worldscale 1/%.0f: legacy build %.0f ms, %.0f MB allocated (streaming allocates %.2fx less)\n",
-				div, entry.LegacyBuildMs, float64(entry.LegacyAllocBytes)/1e6, entry.AllocReduction)
-			// The gate: the streaming build must allocate strictly less
-			// than the legacy materialized build at the same divisor.
-			if entry.BuildAllocBytes >= entry.LegacyAllocBytes {
-				fmt.Fprintf(os.Stderr, "worldscale 1/%.0f: streaming build allocated %d bytes, not below legacy's %d\n",
-					div, entry.BuildAllocBytes, entry.LegacyAllocBytes)
-				ok = false
-			}
-		} else {
-			fmt.Fprintf(os.Stderr, "worldscale 1/%.0f: skipping legacy comparison (%d domains > %d)\n",
-				div, entry.Domains, legacyMaxDomains)
-		}
 		baseline.Entries = append(baseline.Entries, entry)
 	}
+	if err := writeBaseline(cfg.OutPath, baseline); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
 	if !heapObjectsFlat(baseline.Entries) {
-		ok = false
-	}
-
-	data, err := json.MarshalIndent(baseline, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	if err := os.WriteFile(cfg.OutPath, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", cfg.OutPath)
-	if !ok {
 		return 1
 	}
 	return 0

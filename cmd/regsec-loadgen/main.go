@@ -35,7 +35,6 @@ import (
 type report struct {
 	Addr       string                 `json:"addr"`
 	SelfServe  bool                   `json:"self_serve"`
-	Legacy     bool                   `json:"legacy,omitempty"`
 	Domains    int                    `json:"domains"`
 	Queries    int                    `json:"query_mix"`
 	DORatio    float64                `json:"do_ratio"`
@@ -64,7 +63,6 @@ func run() int {
 	duration := flag.Duration("duration", 2*time.Second, "measured window")
 	doRatio := flag.Float64("do", 0.3, "fraction of queries carrying the DNSSEC OK bit")
 	types := flag.String("types", "NS,DS,SOA,A", "comma-separated query types")
-	legacy := flag.Bool("legacy", false, "self-serve through the legacy goroutine-per-packet path with no wire cache (baseline)")
 	shards := flag.Int("shards", 0, "zone shards for the self-served handler (0 = default)")
 	workers := flag.Int("workers", 0, "UDP worker loops for the self-served server (0 = GOMAXPROCS)")
 	outPath := flag.String("o", "", "write the JSON report to this path instead of stdout")
@@ -101,7 +99,6 @@ func run() int {
 	}
 	rep := report{
 		SelfServe:  *addr == "",
-		Legacy:     *legacy,
 		Domains:    len(domains),
 		DORatio:    *doRatio,
 		Types:      *types,
@@ -118,7 +115,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		srv, sharded, err = selfServe(mat, *legacy, *shards, *workers)
+		srv, sharded, err = selfServe(mat, *shards, *workers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -196,35 +193,18 @@ func run() int {
 	return 0
 }
 
-// selfServe collects the materialized TLD zones into one handler behind a
-// real Server on an ephemeral loopback port. legacy selects the seed
-// goroutine-per-packet path with a plain Authoritative (no wire cache) as
-// the benchmark baseline.
-func selfServe(mat *tldsim.Materialized, legacy bool, shards, workers int) (*dnsserver.Server, *dnsserver.Sharded, error) {
-	var handler dnsserver.Handler
-	var sharded *dnsserver.Sharded
-	if legacy {
-		auth := dnsserver.NewAuthoritative()
-		for tld, ns := range mat.TLDServers {
-			z := tldZone(mat, tld, ns)
-			if z == nil {
-				return nil, nil, fmt.Errorf("no zone for TLD %q", tld)
-			}
-			auth.AddZone(z)
+// selfServe collects the materialized TLD zones into one Sharded handler
+// behind a real Server on an ephemeral loopback port.
+func selfServe(mat *tldsim.Materialized, shards, workers int) (*dnsserver.Server, *dnsserver.Sharded, error) {
+	sharded := dnsserver.NewSharded(dnsserver.ShardedConfig{ZoneShards: shards})
+	for tld, ns := range mat.TLDServers {
+		z := tldZone(mat, tld, ns)
+		if z == nil {
+			return nil, nil, fmt.Errorf("no zone for TLD %q", tld)
 		}
-		handler = auth
-	} else {
-		sharded = dnsserver.NewSharded(dnsserver.ShardedConfig{ZoneShards: shards})
-		for tld, ns := range mat.TLDServers {
-			z := tldZone(mat, tld, ns)
-			if z == nil {
-				return nil, nil, fmt.Errorf("no zone for TLD %q", tld)
-			}
-			sharded.AddZone(z)
-		}
-		handler = sharded
+		sharded.AddZone(z)
 	}
-	srv := &dnsserver.Server{Handler: handler, Legacy: legacy, UDPWorkers: workers}
+	srv := &dnsserver.Server{Handler: sharded, UDPWorkers: workers}
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		return nil, nil, err
 	}

@@ -38,7 +38,6 @@ func main() {
 	drain := flag.Duration("drain", 5*time.Second, "grace period for in-flight queries on shutdown")
 	shards := flag.Int("shards", 0, "zone shards (0 = default)")
 	cacheEntries := flag.Int("cache", 0, "wire response cache entries (0 = default, negative disables)")
-	legacy := flag.Bool("legacy", false, "serve through the goroutine-per-packet path with no wire cache")
 	flag.Parse()
 
 	z, err := loadZone(*zonePath, *origin)
@@ -73,21 +72,12 @@ func main() {
 		}
 	}
 
-	var handler dnsserver.Handler
-	var sharded *dnsserver.Sharded
-	if *legacy {
-		auth := dnsserver.NewAuthoritative()
-		auth.AddZone(z)
-		handler = auth
-	} else {
-		sharded = dnsserver.NewSharded(dnsserver.ShardedConfig{
-			ZoneShards:   *shards,
-			CacheEntries: *cacheEntries,
-		})
-		sharded.AddZone(z)
-		handler = sharded
-	}
-	srv := &dnsserver.Server{Handler: handler, Legacy: *legacy}
+	sharded := dnsserver.NewSharded(dnsserver.ShardedConfig{
+		ZoneShards:   *shards,
+		CacheEntries: *cacheEntries,
+	})
+	sharded.AddZone(z)
+	srv := &dnsserver.Server{Handler: sharded}
 	if err := srv.ListenAndServe(*addr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -108,11 +98,9 @@ func main() {
 	st := srv.Stats()
 	fmt.Fprintf(os.Stderr, "served %d queries (%d wire-cache hits, %d slow path, %d dropped, %d malformed)\n",
 		st.Queries, st.CacheHits, st.SlowPath, st.Dropped, st.Malformed)
-	if sharded != nil {
-		cs := sharded.CacheStats()
-		fmt.Fprintf(os.Stderr, "wire cache: %d entries, %d fills, %d flushed, %d rejected\n",
-			cs.Entries, cs.Fills, cs.Flushed, cs.Rejected)
-	}
+	cs := sharded.CacheStats()
+	fmt.Fprintf(os.Stderr, "wire cache: %d entries, %d fills, %d flushed, %d rejected\n",
+		cs.Entries, cs.Fills, cs.Flushed, cs.Rejected)
 	fmt.Fprintln(os.Stderr, "all in-flight queries answered; bye")
 }
 

@@ -16,6 +16,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -201,11 +202,11 @@ func (s *Store) WriteShardAs(day simtime.Day, shard int, owner string, snap *dat
 
 // writeShardFile durably writes one snapshot under the given name.
 func (s *Store) writeShardFile(name string, snap *dataset.Snapshot) (*Shard, error) {
-	var buf strings.Builder
+	var buf bytes.Buffer
 	if err := snap.WriteArchiveSection(&buf); err != nil {
 		return nil, err
 	}
-	data := []byte(buf.String())
+	data := buf.Bytes()
 	if err := dataset.WriteFileAtomic(filepath.Join(s.dir, name), data); err != nil {
 		return nil, err
 	}
@@ -238,7 +239,7 @@ func (s *Store) loadVerified(day simtime.Day, name string, meta *Shard) (*datase
 	if got := crc32.Checksum(data, castagnoli); got != meta.CRC {
 		return nil, fmt.Errorf("checkpoint: shard %s: checksum mismatch (state %08x, file %08x)", name, meta.CRC, got)
 	}
-	store, err := dataset.ReadArchiveStrict(strings.NewReader(string(data)))
+	store, err := dataset.ReadArchiveStrict(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: shard %s: %w", name, err)
 	}
@@ -324,7 +325,7 @@ func (s *Store) LoadChunkAs(day simtime.Day, shard, chunk int, owner string) (*d
 	if err != nil {
 		return nil, err
 	}
-	store, err := dataset.ReadArchiveStrict(strings.NewReader(string(data)))
+	store, err := dataset.ReadArchiveStrict(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: chunk %s: %w", name, err)
 	}

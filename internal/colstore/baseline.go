@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"securepki.org/registrarsec/internal/dataset"
 )
 
 // BenchResult is one measured benchmark in a Baseline file.
@@ -26,7 +28,9 @@ type Baseline struct {
 	Seed         int64   `json:"seed"`
 	Domains      int     `json:"domains"`
 	Operators    int     `json:"operators"`
-	// Benchmarks pairs colstore and legacy variants of each workload.
+	// Benchmarks holds every workload, the aggregations in two variants:
+	// "<work>/colstore" on the index's columns and "<work>/legacy" through
+	// internal/analysis over a materialized snapshot.
 	Benchmarks []BenchResult `json:"benchmarks"`
 	// Speedups maps workload name to legacy-ns-per-op / colstore-ns-per-op.
 	Speedups map[string]float64 `json:"speedups"`
@@ -61,7 +65,7 @@ func cutSuffix(s, suffix string) (string, bool) {
 	return s[:len(s)-len(suffix)], true
 }
 
-// WriteFile atomically writes the baseline as indented JSON.
+// WriteFile durably and atomically writes the baseline as indented JSON.
 func (b *Baseline) WriteFile(path string) error {
 	if b.Schema == "" {
 		b.Schema = BaselineSchema
@@ -70,16 +74,7 @@ func (b *Baseline) WriteFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("colstore: encoding baseline: %w", err)
 	}
-	data = append(data, '\n')
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return dataset.WriteFileAtomic(path, append(data, '\n'))
 }
 
 // ReadBaseline loads a previously written baseline (for trajectory

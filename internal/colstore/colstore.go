@@ -20,9 +20,10 @@
 //     memcpy'd and only the four day-dependent booleans are patched, and
 //     every record of an operator shares one NS-host slice.
 //
-// Results are bit-identical to the legacy record-at-a-time path, which is
-// retained as the oracle (see tldsim.World.SnapshotAtLegacy /
-// SeriesForLegacy and the equivalence property tests).
+// Results are bit-identical to a record-at-a-time computation over
+// tldsim.DomainState, which tldsim's tests keep as the oracle
+// (referenceSnapshot / referenceSeries and the equivalence property
+// tests).
 package colstore
 
 import (
@@ -162,8 +163,8 @@ func historyFlags(brokenDS, expiredSig bool) uint8 {
 // ChainValid once both halves are in place and neither breakage flag is
 // set, i.e. from max(keyDay, dsDay) on. A broken/expired chain can never
 // validate, which is a strictly stronger condition than "has not happened
-// yet": a query AT day Never matches Never-valued events (the legacy
-// `KeyDay <= day` comparison does), so the impossible case gets its own
+// yet": a query AT day Never matches Never-valued events (the
+// `KeyDay <= day` comparison of DomainState.RecordAt does), so the impossible case gets its own
 // sentinel above never.
 func deriveFullDay(keyDay, dsDay int32, fl uint8) int32 {
 	if fl != 0 {
@@ -220,7 +221,7 @@ func (x *Index) finish() {
 		if x.dsDay[i] != never {
 			g.dsDays = append(g.dsDays, x.dsDay[i])
 			if x.fullDay[i] != impossible {
-				// Mirrors the legacy event list exactly: a DS-holding,
+				// Mirrors the full-scan oracle's event list exactly: a DS-holding,
 				// unbroken chain contributes max(KeyDay, DSDay) — which may
 				// itself be Never when the zone is never signed.
 				g.fullDays = append(g.fullDays, x.fullDay[i])
@@ -498,7 +499,7 @@ func (x *Index) materializeCtx(ctx context.Context, day simtime.Day) (*dataset.S
 // TLDs when tld == "") by sweeping cursors over the day-sorted event
 // groups: O(group events + days) total, independent of the rest of the
 // population. Unknown operators/TLDs yield all-zero points, matching the
-// legacy scan.
+// full-scan oracle.
 func (x *Index) Series(operator, tld string, from, to simtime.Day, stepDays int) []analysis.SeriesPoint {
 	x.mustOpen()
 	out, _ := x.SeriesCtx(context.Background(), operator, tld, from, to, stepDays)

@@ -26,14 +26,11 @@ package colstore
 // at load and never serialized.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"unsafe"
@@ -143,36 +140,19 @@ func (x *Index) Save(w io.Writer, meta map[string]string) error {
 	return nil
 }
 
-// SaveFile writes the index to path atomically (temp file + fsync +
-// rename + directory fsync): a crash mid-save leaves either the old file
-// or none, never a torn one.
+// SaveFile writes the index to path durably and atomically (through a
+// dataset.AtomicFile): a crash mid-save leaves either the old file or
+// none, never a torn one.
 func (x *Index) SaveFile(path string, meta map[string]string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".world-*")
+	f, err := dataset.CreateAtomic(path, 1<<20)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err := x.Save(bw, meta); err != nil {
-		tmp.Close()
+	defer f.Abort()
+	if err := x.Save(f, meta); err != nil {
 		return err
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return dataset.SyncDir(dir)
+	return f.Commit()
 }
 
 // writeSection frames one payload: tag, length, payload, alignment

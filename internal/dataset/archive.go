@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -64,58 +63,19 @@ func (s *Store) WriteArchive(w io.Writer) error {
 	return nil
 }
 
-// WriteArchiveFile durably replaces path with the archive: the bytes go to
-// a temp file in the same directory, are fsynced, and the temp file is
-// atomically renamed over path (with a directory fsync after), so a crash
-// at any point leaves either the old archive or the complete new one on
-// disk — never a torn mixture.
+// WriteArchiveFile durably replaces path with the archive through an
+// AtomicFile, section by section: a crash at any point leaves either the
+// old archive or the complete new one on disk — never a torn mixture.
 func (s *Store) WriteArchiveFile(path string) error {
-	var buf bytes.Buffer
-	if err := s.WriteArchive(&buf); err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, buf.Bytes())
-}
-
-// WriteFileAtomic writes data to path via temp file + fsync + rename +
-// directory fsync. It is the durability primitive behind archive and
-// checkpoint writes.
-func WriteFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-")
+	f, err := CreateAtomic(path, archiveBufSize)
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	defer f.Abort()
+	if err := s.WriteArchive(f); err != nil {
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return err
-	}
-	return SyncDir(dir)
-}
-
-// SyncDir fsyncs a directory, which is what makes a rename into it
-// durable. A rename that could not be made durable has not succeeded, so
-// the error is the caller's to report.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	d.Close()
-	return err
+	return f.Commit()
 }
 
 // Corruption describes one quarantined piece of an archive.

@@ -1,0 +1,108 @@
+package dataset
+
+import (
+	"bufio"
+	"errors"
+	"os"
+	"path/filepath"
+)
+
+// AtomicFile is a file on its way to durably replacing path: bytes are
+// buffered into a temp file in path's directory, and Commit flushes,
+// fsyncs, closes, renames the temp file over path and fsyncs the directory.
+// A crash (or Abort) at any point before the rename leaves the previous
+// file at path untouched, and after it the complete new one — never a torn
+// mixture. It is the one durability primitive behind archive, checkpoint,
+// watermark, baseline and world-file writes.
+type AtomicFile struct {
+	path string
+	tmp  *os.File
+	bw   *bufio.Writer
+	done bool
+}
+
+var errAtomicFileDone = errors.New("dataset: AtomicFile used after Commit or Abort")
+
+// CreateAtomic starts a replacement of path, buffering writes in bufSize
+// bytes (as bufio.NewWriterSize).
+func CreateAtomic(path string, bufSize int) (*AtomicFile, error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-")
+	if err != nil {
+		return nil, err
+	}
+	return &AtomicFile{path: path, tmp: tmp, bw: bufio.NewWriterSize(tmp, bufSize)}, nil
+}
+
+// Write buffers p for the temp file.
+func (f *AtomicFile) Write(p []byte) (int, error) {
+	if f.done {
+		return 0, errAtomicFileDone
+	}
+	return f.bw.Write(p)
+}
+
+// Commit makes everything written the durable contents of path. On any
+// error the temp file is removed and path keeps its previous contents —
+// except a failed directory fsync, which comes after the rename: the new
+// file is in place but not known durable, and the error says so.
+func (f *AtomicFile) Commit() error {
+	if f.done {
+		return errAtomicFileDone
+	}
+	f.done = true
+	tmpName := f.tmp.Name()
+	err := f.bw.Flush()
+	if err == nil {
+		err = f.tmp.Sync()
+	}
+	if cerr := f.tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmpName, f.path)
+	}
+	if err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	return SyncDir(filepath.Dir(f.path))
+}
+
+// Abort discards the temp file, leaving path untouched. It is a no-op after
+// Commit or a previous Abort, so it can be deferred.
+func (f *AtomicFile) Abort() {
+	if f.done {
+		return
+	}
+	f.done = true
+	f.tmp.Close()
+	os.Remove(f.tmp.Name())
+}
+
+// WriteFileAtomic durably replaces path with data.
+func WriteFileAtomic(path string, data []byte) error {
+	// The default-sized buffer is bypassed by any payload larger than it, so
+	// data reaches the temp file in one write either way.
+	f, err := CreateAtomic(path, 0)
+	if err != nil {
+		return err
+	}
+	defer f.Abort()
+	if _, err := f.Write(data); err != nil {
+		return err
+	}
+	return f.Commit()
+}
+
+// SyncDir fsyncs a directory, which is what makes a rename into it
+// durable. A rename that could not be made durable has not succeeded, so
+// the error is the caller's to report.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	d.Close()
+	return err
+}

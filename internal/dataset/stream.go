@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -347,7 +346,7 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // Snapshot.Canonicalize + WriteArchiveSection. It may be called more than
 // once (run files are re-read each time) until Close removes the runs.
 func (w *SpillWriter) WriteSectionTo(out io.Writer) error {
-	bw := bufio.NewWriterSize(out, 256<<10)
+	bw := bufio.NewWriterSize(out, archiveBufSize)
 	cw := &crcWriter{w: bw}
 	if _, err := fmt.Fprintf(cw, "%s\t%s\t%d\n", tsvHeader, w.day, w.total); err != nil {
 		return err
@@ -384,35 +383,36 @@ func (w *SpillWriter) EachSorted(fn func(r *Record) error) error {
 	})
 }
 
+// archiveBufSize is the write buffer of a streamed archive. WriteSectionTo
+// asks for the same size, so handed an ArchiveWriter's buffer it writes
+// through it (bufio.NewWriterSize returns a large-enough *bufio.Writer as
+// it is) instead of stacking a second copy on top.
+const archiveBufSize = 256 << 10
+
 // ArchiveWriter writes a multi-day trailered archive to a file one
 // section at a time, with the same durability contract as
-// Store.WriteArchiveFile (temp file + fsync + atomic rename + directory
-// fsync on Close) but without ever holding more than one section's merge
-// state in memory. Sections must arrive in ascending day order — the
-// order Store.WriteArchive emits — so streamed and in-RAM archives of the
-// same days are byte-identical.
+// Store.WriteArchiveFile (an AtomicFile committed on Close) but without
+// ever holding more than one section's merge state in memory. Sections
+// must arrive in ascending day order — the order Store.WriteArchive emits
+// — so streamed and in-RAM archives of the same days are byte-identical.
 type ArchiveWriter struct {
-	path    string
-	tmp     *os.File
-	bw      *bufio.Writer
+	f       *AtomicFile
 	lastDay simtime.Day
 	hasDay  bool
-	done    bool
 }
 
 // NewArchiveWriter starts a streamed archive replacing path on Close.
 func NewArchiveWriter(path string) (*ArchiveWriter, error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-")
+	f, err := CreateAtomic(path, archiveBufSize)
 	if err != nil {
 		return nil, err
 	}
-	return &ArchiveWriter{path: path, tmp: tmp, bw: bufio.NewWriterSize(tmp, 256<<10)}, nil
+	return &ArchiveWriter{f: f}, nil
 }
 
 // checkDay enforces the ascending-day section order.
 func (aw *ArchiveWriter) checkDay(day simtime.Day) error {
-	if aw.done {
+	if aw.f.done {
 		return fmt.Errorf("dataset: ArchiveWriter: section after Close")
 	}
 	if aw.hasDay && day <= aw.lastDay {
@@ -427,7 +427,7 @@ func (aw *ArchiveWriter) Section(sw *SpillWriter) error {
 	if err := aw.checkDay(sw.Day()); err != nil {
 		return err
 	}
-	return sw.WriteSectionTo(aw.bw)
+	return sw.WriteSectionTo(aw.f.bw)
 }
 
 // Snapshot writes one in-RAM snapshot as a section (canonicalizing it) —
@@ -437,45 +437,18 @@ func (aw *ArchiveWriter) Snapshot(snap *Snapshot) error {
 		return err
 	}
 	snap.Canonicalize()
-	return snap.WriteArchiveSection(aw.bw)
+	return snap.WriteArchiveSection(aw.f)
 }
 
 // Abort discards the partial archive, leaving any previous file at the
 // target path untouched. Safe after Close (no-op).
-func (aw *ArchiveWriter) Abort() {
-	if aw.done {
-		return
-	}
-	aw.done = true
-	aw.tmp.Close()
-	os.Remove(aw.tmp.Name())
-}
+func (aw *ArchiveWriter) Abort() { aw.f.Abort() }
 
-// Close flushes, fsyncs, and atomically renames the archive into place.
+// Close flushes, fsyncs, and atomically renames the archive into place; a
+// rename whose directory fsync failed is reported, not assumed durable.
 func (aw *ArchiveWriter) Close() error {
-	if aw.done {
+	if aw.f.done {
 		return fmt.Errorf("dataset: ArchiveWriter: double Close")
 	}
-	aw.done = true
-	tmpName := aw.tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if err := aw.bw.Flush(); err != nil {
-		aw.tmp.Close()
-		return err
-	}
-	if err := aw.tmp.Sync(); err != nil {
-		aw.tmp.Close()
-		return err
-	}
-	if err := aw.tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpName, aw.path); err != nil {
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(aw.path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return aw.f.Commit()
 }

@@ -25,10 +25,12 @@ import (
 // The UDP request path runs a fixed pool of reader/worker loops (one per
 // CPU by default). When the Handler is a *Sharded, each worker first tries
 // the zero-alloc wire fast path (lazy parse + response cache) inline;
-// misses and off-fast-path packets are dispatched to goroutines bounded by
-// a MaxInFlight semaphore — when the semaphore is exhausted the packet is
-// dropped and counted, mirroring the apiserv admission gate, so a query
-// flood degrades to shed load instead of unbounded goroutines.
+// misses and off-fast-path packets — and every packet of a Handler without
+// a wire path, such as *Authoritative, which takes the full Message round
+// trip — are dispatched to goroutines bounded by a MaxInFlight semaphore.
+// When the semaphore is exhausted the packet is dropped and counted,
+// mirroring the apiserv admission gate, so a query flood degrades to shed
+// load instead of unbounded goroutines.
 type Server struct {
 	Handler Handler
 	// Logger receives malformed-packet and I/O diagnostics; slog.Default()
@@ -48,17 +50,13 @@ type Server struct {
 	// Connections beyond the cap are closed at accept and counted in Stats,
 	// the same shed-don't-queue admission the UDP path applies.
 	MaxTCPConns int
-	// Legacy selects the original goroutine-per-packet UDP path with no
-	// worker pool, pooling, or wire cache. Retained as the benchmark
-	// baseline for regsec-bench's serve section.
-	Legacy bool
 
 	stats  serverCounters
 	sem    chan struct{}
 	tcpSem chan struct{}
 
 	mu       sync.Mutex
-	pc       net.PacketConn
+	pc       *net.UDPConn
 	ln       net.Listener
 	wg       sync.WaitGroup
 	conns    map[net.Conn]struct{}
@@ -124,7 +122,11 @@ var scratchPool = sync.Pool{New: func() any { return NewWireScratch() }}
 // port) and serves until Close. It returns once both listeners are active;
 // Addr then reports the bound address.
 func (s *Server) ListenAndServe(addr string) error {
-	pc, err := net.ListenPacket("udp", addr)
+	udpAddr, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return fmt.Errorf("dnsserver: udp listen: %w", err)
+	}
+	pc, err := net.ListenUDP("udp", udpAddr)
 	if err != nil {
 		return fmt.Errorf("dnsserver: udp listen: %w", err)
 	}
@@ -158,19 +160,13 @@ func (s *Server) ListenAndServe(addr string) error {
 		s.tcpSem = make(chan struct{}, n)
 	}
 	s.mu.Unlock()
-	udp, isUDP := pc.(*net.UDPConn)
-	if s.Legacy || !isUDP {
-		s.wg.Add(1)
-		go s.serveUDPLegacy(pc)
-	} else {
-		workers := s.UDPWorkers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		s.wg.Add(workers)
-		for i := 0; i < workers; i++ {
-			go s.udpWorker(udp)
-		}
+	workers := s.UDPWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	s.wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go s.udpWorker(pc)
 	}
 	s.wg.Add(1)
 	go s.serveTCP(ln)
@@ -399,54 +395,6 @@ func (s *Server) serveGeneric(pkt []byte, sc *WireScratch) []byte {
 		}
 	}
 	return out
-}
-
-// serveUDPLegacy is the seed goroutine-per-packet path, kept as the
-// benchmark baseline (Legacy) and for non-UDP PacketConns.
-func (s *Server) serveUDPLegacy(pc net.PacketConn) {
-	defer s.wg.Done()
-	buf := make([]byte, 65535)
-	for {
-		n, from, err := pc.ReadFrom(buf)
-		if err != nil {
-			return // closed
-		}
-		s.stats.queries.Add(1)
-		pkt := make([]byte, n)
-		copy(pkt, buf[:n])
-		s.wg.Add(1)
-		go func(pkt []byte, from net.Addr) {
-			defer s.wg.Done()
-			var q dnswire.Message
-			if err := q.Unpack(pkt); err != nil {
-				s.stats.malformed.Add(1)
-				s.logger().Debug("dropping malformed query", "from", from, "err", err)
-				return
-			}
-			resp := s.Handler.ServeDNS(&q)
-			if resp == nil {
-				return
-			}
-			out, err := resp.Pack()
-			if err != nil {
-				s.logger().Error("packing response", "err", err)
-				return
-			}
-			if len(out) > q.MaxPayload() {
-				// Truncate: header, question and mirrored EDNS, TC set.
-				tr := q.Reply()
-				tr.RCode = resp.RCode
-				tr.Truncated = true
-				tr.Authoritative = resp.Authoritative
-				if out, err = tr.Pack(); err != nil {
-					return
-				}
-			}
-			if _, err := pc.WriteTo(out, from); err != nil {
-				s.logger().Debug("udp write", "err", err)
-			}
-		}(pkt, from)
-	}
 }
 
 func (s *Server) serveTCP(ln net.Listener) {

@@ -3,8 +3,10 @@ package dnsserver_test
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnstest"
@@ -256,10 +258,12 @@ func TestFastPathAllocs(t *testing.T) {
 	}
 }
 
-// TestTruncatedReplyEchoesEDNS covers the truncation path on both the slow
-// and fast paths: a response exceeding the client's advertised payload must
-// come back TC with the responder's OPT when (and only when) the query
-// carried EDNS, and the two paths must agree byte for byte.
+// TestTruncatedReplyEchoesEDNS covers every truncation path: the Sharded
+// wire path slow and fast, and a real Server carrying a plain Handler
+// (Authoritative) over loopback UDP, which truncates in serveGeneric. A
+// response exceeding the client's advertised payload must come back TC with
+// the responder's OPT when (and only when) the query carried EDNS, and all
+// three must agree byte for byte.
 func TestTruncatedReplyEchoesEDNS(t *testing.T) {
 	h := newHierarchy(t)
 	if _, _, err := h.AddDomain("example.com", "ns1.operator.net", dnstest.Full); err != nil {
@@ -273,6 +277,32 @@ func TestTruncatedReplyEchoesEDNS(t *testing.T) {
 		}))
 	}
 	cached, uncached := newCachedUncachedPair(z)
+
+	auth := dnsserver.NewAuthoritative()
+	auth.AddZone(z)
+	srv := &dnsserver.Server{Handler: auth}
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	overUDP := func(t *testing.T, pkt []byte) []byte {
+		t.Helper()
+		conn, err := net.Dial("udp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(pkt); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 65535)
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf[:n]
+	}
 
 	check := func(t *testing.T, pkt []byte, wantOPT bool) {
 		scC := dnsserver.NewWireScratch()
@@ -294,6 +324,9 @@ func TestTruncatedReplyEchoesEDNS(t *testing.T) {
 		}
 		if !bytes.Equal(slowTC, fastTC) {
 			t.Fatalf("slow and fast truncations differ:\nslow: %x\nfast: %x", slowTC, fastTC)
+		}
+		if serverTC := overUDP(t, pkt); !bytes.Equal(serverTC, fastTC) {
+			t.Fatalf("Server{Handler: Authoritative} truncation differs from the wire path:\nserver: %x\nwire:   %x", serverTC, fastTC)
 		}
 		var m dnswire.Message
 		if err := m.Unpack(fastTC); err != nil {

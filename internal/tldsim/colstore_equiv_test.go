@@ -12,10 +12,17 @@ import (
 	"securepki.org/registrarsec/internal/simtime"
 )
 
+// equivWorld pairs a world with the reference population its index is
+// held equal to.
+type equivWorld struct {
+	*World
+	domains []DomainState
+}
+
 // randomWorld fabricates a world directly from random DomainStates,
 // covering state combinations the cohort machinery never produces (DS
 // without DNSKEY, broken+expired, Never in every slot).
-func randomWorld(rng *rand.Rand, n int) *World {
+func randomWorld(rng *rand.Rand, n int) equivWorld {
 	tlds := []string{"com", "net", "org", "nl", "se"}
 	ops := make([]string, 1+rng.Intn(10))
 	for i := range ops {
@@ -27,14 +34,14 @@ func randomWorld(rng *rand.Rand, n int) *World {
 		}
 		return simtime.Day(rng.Intn(900) - 100)
 	}
-	w := &World{}
+	var domains []DomainState
 	for i := 0; i < n; i++ {
 		op := ops[rng.Intn(len(ops))]
 		reg := ""
 		if rng.Intn(2) == 0 {
 			reg = "Registrar-" + op
 		}
-		w.Domains = append(w.Domains, DomainState{
+		domains = append(domains, DomainState{
 			Name:       fmt.Sprintf("e%05d.%s", i, tlds[rng.Intn(len(tlds))]),
 			TLD:        tlds[rng.Intn(len(tlds))],
 			Operator:   op,
@@ -45,13 +52,14 @@ func randomWorld(rng *rand.Rand, n int) *World {
 			ExpiredSig: rng.Intn(7) == 0,
 		})
 	}
-	return w
+	return equivWorld{worldFromDomains(domains), domains}
 }
 
 // equivWorlds yields the property-test population: the shared calibrated
-// world plus a batch of small adversarial random ones.
-func equivWorlds(t *testing.T, rng *rand.Rand) []*World {
-	worlds := []*World{testWorld(t)}
+// world (the parallel build against the sequentially sampled reference
+// population) plus a batch of small adversarial random ones.
+func equivWorlds(t *testing.T, rng *rand.Rand) []equivWorld {
+	worlds := []equivWorld{{testWorld(t), testDomains(t)}}
 	for i := 0; i < 8; i++ {
 		worlds = append(worlds, randomWorld(rng, rng.Intn(500)))
 	}
@@ -63,8 +71,8 @@ func TestColstoreSeriesEquivalence(t *testing.T) {
 	for wi, w := range equivWorlds(t, rng) {
 		for trial := 0; trial < 25; trial++ {
 			operator := "no-such-operator.example"
-			if len(w.Domains) > 0 && rng.Intn(5) > 0 {
-				operator = w.Domains[rng.Intn(len(w.Domains))].Operator
+			if len(w.domains) > 0 && rng.Intn(5) > 0 {
+				operator = w.domains[rng.Intn(len(w.domains))].Operator
 			}
 			tld := ""
 			switch rng.Intn(3) {
@@ -77,7 +85,7 @@ func TestColstoreSeriesEquivalence(t *testing.T) {
 			to := from + simtime.Day(rng.Intn(600)-60)
 			step := rng.Intn(45) - 5
 			got := w.SeriesFor(operator, tld, from, to, step)
-			want := w.SeriesForLegacy(operator, tld, from, to, step)
+			want := referenceSeries(w.domains, operator, tld, from, to, step)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("world %d trial %d: series diverges for op=%s tld=%q [%v,%v] step %d",
 					wi, trial, operator, tld, from, to, step)
@@ -96,13 +104,13 @@ func TestColstoreSnapshotEquivalence(t *testing.T) {
 		}
 		for _, day := range days {
 			got := w.SnapshotAt(day)
-			want := w.SnapshotAtLegacy(day)
+			want := referenceSnapshot(w.domains, day)
 			if len(got.Records) != len(want.Records) {
 				t.Fatalf("world %d day %v: %d vs %d records", wi, day, len(got.Records), len(want.Records))
 			}
 			for i := range want.Records {
 				if !reflect.DeepEqual(got.Records[i], want.Records[i]) {
-					t.Fatalf("world %d day %v record %d:\ncolstore %+v\nlegacy   %+v",
+					t.Fatalf("world %d day %v record %d:\ncolstore  %+v\nreference %+v",
 						wi, day, i, got.Records[i], want.Records[i])
 				}
 			}
@@ -123,7 +131,7 @@ func TestColstoreCDFAndOverviewEquivalence(t *testing.T) {
 	}
 	for wi, w := range equivWorlds(t, rng) {
 		day := simtime.Day(rng.Intn(800))
-		snap := w.SnapshotAtLegacy(day)
+		snap := referenceSnapshot(w.domains, day)
 		for _, tlds := range [][]string{nil, GTLDs, {"se"}} {
 			tf := analysis.All
 			if tlds != nil {
@@ -162,8 +170,8 @@ func TestColstoreRegistrarTallyEquivalence(t *testing.T) {
 			for _, t := range tlds {
 				want[t] = true
 			}
-			for i := range w.Domains {
-				d := &w.Domains[i]
+			for i := range w.domains {
+				d := &w.domains[i]
 				if d.Registrar == "" || (len(want) > 0 && !want[d.TLD]) {
 					continue
 				}
@@ -183,12 +191,11 @@ func TestColstoreRegistrarTallyEquivalence(t *testing.T) {
 }
 
 // TestWorldSnapshotAllocs is the alloc-regression guard on the interned
-// snapshot path: the legacy projection allocated an NS-host slice (plus
-// the "ns1."+op concatenation) per record per day; the columnar path must
-// stay O(1) allocations per snapshot.
+// snapshot path: a record-at-a-time projection through RecordAt allocates
+// an NS-host slice (plus the "ns1."+op concatenation) per record per day;
+// the columnar path must stay O(1) allocations per snapshot.
 func TestWorldSnapshotAllocs(t *testing.T) {
 	w := testWorld(t)
-	w.Index() // build outside the measured region
 	allocs := testing.AllocsPerRun(5, func() {
 		if snap := w.SnapshotAt(simtime.End); len(snap.Records) == 0 {
 			t.Fatal("empty snapshot")
@@ -197,13 +204,12 @@ func TestWorldSnapshotAllocs(t *testing.T) {
 	if allocs > 4 {
 		t.Errorf("SnapshotAt allocates %.1f objects per call, want <= 4 (was O(records) before colstore)", allocs)
 	}
-	// The bulk projection primitive must not allocate the NS-host slice:
-	// one shared slice per operator per world, zero allocations per
-	// projection.
-	d := &w.Domains[0]
-	w.recordAt(d, simtime.End) // intern the operator outside the measured region
+	// The projection primitive must not allocate when handed a shared
+	// NS-host slice: zero allocations per projection.
+	d := w.DomainAt(0)
+	hosts := []string{nsFor(d.Operator)}
 	recAllocs := testing.AllocsPerRun(100, func() {
-		r := w.recordAt(d, simtime.End)
+		r := d.recordAt(simtime.End, hosts)
 		if r.Domain == "" {
 			t.Fatal("bad record")
 		}

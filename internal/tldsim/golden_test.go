@@ -4,10 +4,15 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"securepki.org/registrarsec/internal/analysis"
+	"securepki.org/registrarsec/internal/dataset"
+	"securepki.org/registrarsec/internal/simtime"
 )
 
 // TestSavedWorldGoldenDigests pins the bytes of a saved world — generator
@@ -56,6 +61,63 @@ func TestSavedWorldGoldenDigests(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWorldQueryGoldenDigests pins what the world answers, not only how it
+// is stored: the Table 1 day's snapshot (as TSV) and OVH's daily series,
+// through the index at Workers 1 and 8 and through the record-at-a-time
+// reference implementations over the reference population. The digests were
+// computed at the last commit that shipped both paths in production, where
+// all of them agreed, so neither side can drift and take the other along.
+func TestWorldQueryGoldenDigests(t *testing.T) {
+	golden := readGoldenDigests(t, filepath.Join("testdata", "world_digests.txt"))
+	const operator = "ovh.net"
+	for _, seed := range []int64{1, 7} {
+		cfg := WorldConfig{Scale: 1.0 / 4000, Seed: seed}
+		snapKey := fmt.Sprintf("snapshot-end-divisor4000-seed%d", seed)
+		seriesKey := fmt.Sprintf("series-%s-divisor4000-seed%d", operator, seed)
+		check := func(who, key, got string) {
+			t.Helper()
+			if want, ok := golden[key]; !ok {
+				t.Errorf("%s: no golden digest checked in", key)
+			} else if got != want {
+				t.Errorf("%s via %s hashes to %s, golden %s", key, who, got, want)
+			}
+		}
+		for _, workers := range []int{1, 8} {
+			c := cfg
+			c.Workers = workers
+			w, err := Build(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			who := fmt.Sprintf("the index at %d workers", workers)
+			check(who, snapKey, snapshotDigest(t, w.SnapshotAt(simtime.End)))
+			check(who, seriesKey, seriesDigest(w.SeriesFor(operator, "", simtime.GTLDStart, simtime.End, 1)))
+		}
+		ref := referenceDomains(t, cfg)
+		check("the reference projection", snapKey, snapshotDigest(t, referenceSnapshot(ref, simtime.End)))
+		check("the reference scan", seriesKey, seriesDigest(referenceSeries(ref, operator, "", simtime.GTLDStart, simtime.End, 1)))
+	}
+}
+
+// snapshotDigest hashes the snapshot's TSV serialization.
+func snapshotDigest(t *testing.T, snap *dataset.Snapshot) string {
+	t.Helper()
+	h := sha256.New()
+	if err := snap.WriteTSV(h); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// seriesDigest hashes one "day total dnskey ds full" line per point.
+func seriesDigest(pts []analysis.SeriesPoint) string {
+	h := sha256.New()
+	for _, p := range pts {
+		fmt.Fprintf(h, "%d\t%d\t%d\t%d\t%d\n", int(p.Day), p.Total, p.WithDNSKEY, p.WithDS, p.Full)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // readGoldenDigests parses "key sha256" lines; '#' starts a comment.

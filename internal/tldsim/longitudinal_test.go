@@ -33,7 +33,7 @@ func TestLongitudinalScanMatchesModelSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	domains := w.AllDomains()
+	domains := Domains(w)
 	days := []simtime.Day{
 		simtime.GTLDStart + 30,
 		simtime.CloudflareUniversalDNSSEC + 30,

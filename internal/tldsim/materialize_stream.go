@@ -35,14 +35,8 @@ type DomainSource interface {
 }
 
 // Target returns domain i's name and TLD — the cheap cursor accessor that
-// skips the full DomainState gather on streaming worlds.
-func (w *World) Target(i int) (domain, tld string) {
-	if w.Domains != nil {
-		d := &w.Domains[i]
-		return d.Name, d.TLD
-	}
-	return w.Index().Target(i)
-}
+// skips the full DomainState gather.
+func (w *World) Target(i int) (domain, tld string) { return w.Index().Target(i) }
 
 // TLDs lists the distinct TLDs present in the population, in index-interning
 // order.

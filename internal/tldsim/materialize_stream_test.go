@@ -47,15 +47,6 @@ func TestWorldTargetMatchesDomainAt(t *testing.T) {
 			t.Fatalf("Target(%d) = (%s, %s), DomainAt = (%s, %s)", i, name, tld, d.Name, d.TLD)
 		}
 	}
-	// Legacy worlds (materialized Domains) must agree too.
-	lw := &World{Domains: w.AllDomains()}
-	for i := 0; i < lw.Len(); i += 97 {
-		d := lw.Domains[i]
-		name, tld := lw.Target(i)
-		if name != d.Name || tld != d.TLD {
-			t.Fatalf("legacy Target(%d) = (%s, %s), want (%s, %s)", i, name, tld, d.Name, d.TLD)
-		}
-	}
 }
 
 func TestLossyOperatorsSourceMatchesSlice(t *testing.T) {

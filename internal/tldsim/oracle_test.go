@@ -1,0 +1,146 @@
+package tldsim
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"securepki.org/registrarsec/internal/analysis"
+	"securepki.org/registrarsec/internal/colstore"
+	"securepki.org/registrarsec/internal/dataset"
+	"securepki.org/registrarsec/internal/simtime"
+)
+
+// The reference implementations the columnar world is held equal to: a
+// population sampled one domain at a time into []DomainState, a snapshot
+// projected record by record, and a series computed by a full scan. They
+// share nothing with the index but the per-cohort RNG streams and the
+// drawDomain/appendDomainName primitives, and live only in tests.
+
+// referenceDomains samples cfg's population sequentially: every cohort's
+// domains from rand.NewSource(cohortSeed(seed, ci)), in cohort order, named
+// by their position. Build must realize the same world domain for domain.
+func referenceDomains(t testing.TB, cfg WorldConfig) []DomainState {
+	t.Helper()
+	cfg.fill()
+	cohorts, err := planCohorts(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for i := range cohorts {
+		total += cohorts[i].Domains
+	}
+	domains := make([]DomainState, 0, total)
+	var suffix, name []byte
+	for ci := range cohorts {
+		c := &cohorts[ci]
+		rng := rand.New(rand.NewSource(cohortSeed(cfg.Seed, ci)))
+		suffix = appendCohortSuffix(suffix[:0], c)
+		for i := 0; i < c.Domains; i++ {
+			dr := drawDomain(rng, c, &cfg)
+			name = appendDomainName(name[:0], len(domains), suffix)
+			domains = append(domains, DomainState{
+				Name:       string(name),
+				TLD:        c.TLD,
+				Operator:   c.Operator,
+				Registrar:  c.Registrar,
+				Created:    dr.created,
+				KeyDay:     dr.keyDay,
+				DSDay:      dr.dsDay,
+				BrokenDS:   dr.broken,
+				ExpiredSig: dr.expired,
+			})
+		}
+	}
+	return domains
+}
+
+// worldFromDomains indexes an explicit population through colstore's
+// row-at-a-time Builder — how tests fabricate worlds the cohort machinery
+// never produces.
+func worldFromDomains(domains []DomainState) *World {
+	b := colstore.NewBuilder(len(domains))
+	for i := range domains {
+		d := &domains[i]
+		b.Add(colstore.Domain{
+			Name:       d.Name,
+			TLD:        d.TLD,
+			Operator:   d.Operator,
+			Registrar:  d.Registrar,
+			NSHost:     nsFor(d.Operator),
+			Created:    d.Created,
+			KeyDay:     d.KeyDay,
+			DSDay:      d.DSDay,
+			BrokenDS:   d.BrokenDS,
+			ExpiredSig: d.ExpiredSig,
+		})
+	}
+	return &World{idx: b.Build()}
+}
+
+// referenceSnapshot is the record-at-a-time projection of a population
+// onto one day, one NS-host slice per operator.
+func referenceSnapshot(domains []DomainState, day simtime.Day) *dataset.Snapshot {
+	snap := &dataset.Snapshot{Day: day, Records: make([]dataset.Record, 0, len(domains))}
+	nsHosts := map[string][]string{}
+	for i := range domains {
+		d := &domains[i]
+		hosts, ok := nsHosts[d.Operator]
+		if !ok {
+			hosts = []string{nsFor(d.Operator)}
+			nsHosts[d.Operator] = hosts
+		}
+		snap.Records = append(snap.Records, d.recordAt(day, hosts))
+	}
+	return snap
+}
+
+// referenceSeries is the full-scan series computation: gather the
+// operator's event days, sort them, and count the events at or before each
+// sampled day.
+func referenceSeries(domains []DomainState, operator, tld string, from, to simtime.Day, stepDays int) []analysis.SeriesPoint {
+	if stepDays <= 0 {
+		stepDays = 1
+	}
+	var keyDays, dsDays, fullDays []simtime.Day
+	total := 0
+	for i := range domains {
+		d := &domains[i]
+		if d.Operator != operator || (tld != "" && d.TLD != tld) {
+			continue
+		}
+		total++
+		if d.KeyDay != simtime.Never {
+			keyDays = append(keyDays, d.KeyDay)
+		}
+		if d.DSDay != simtime.Never {
+			dsDays = append(dsDays, d.DSDay)
+			if !d.BrokenDS && !d.ExpiredSig {
+				// Full deployment begins when both halves are in place.
+				full := d.DSDay
+				if d.KeyDay > full {
+					full = d.KeyDay
+				}
+				fullDays = append(fullDays, full)
+			}
+		}
+	}
+	for _, s := range [][]simtime.Day{keyDays, dsDays, fullDays} {
+		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	}
+	countLE := func(s []simtime.Day, day simtime.Day) int {
+		return sort.Search(len(s), func(i int) bool { return s[i] > day })
+	}
+	var out []analysis.SeriesPoint
+	for day := from; day <= to; day += simtime.Day(stepDays) {
+		out = append(out, analysis.SeriesPoint{
+			Day:        day,
+			Total:      total,
+			WithDNSKEY: countLE(keyDays, day),
+			WithDS:     countLE(dsDays, day),
+			Full:       countLE(fullDays, day),
+		})
+	}
+	return out
+}

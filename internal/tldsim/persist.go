@@ -61,12 +61,7 @@ func LoadWorld(path string) (*World, map[string]string, error) {
 
 // Close releases the world's resources (the file mapping, when the index
 // was loaded from disk). The world must not be queried afterwards.
-func (w *World) Close() error {
-	if w.idx != nil {
-		return w.idx.Close()
-	}
-	return nil
-}
+func (w *World) Close() error { return w.idx.Close() }
 
 // BuildCached returns the world for cfg, loading it from dir when a
 // matching save exists and building-then-saving it otherwise. The cache

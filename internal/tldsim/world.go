@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -72,8 +71,8 @@ type DomainState struct {
 }
 
 // RecordAt projects the domain onto one measurement day. The NS-host
-// slice is freshly allocated; bulk projections should go through
-// World.recordAt, which interns one slice per operator per world.
+// slice is freshly allocated; bulk projections go through the index
+// (World.SnapshotAt), which shares one slice per operator.
 func (d *DomainState) RecordAt(day simtime.Day) dataset.Record {
 	return d.recordAt(day, []string{nsFor(d.Operator)})
 }
@@ -93,77 +92,27 @@ func (d *DomainState) recordAt(day simtime.Day, nsHosts []string) dataset.Record
 	}
 }
 
-// World is a generated ecosystem population. The canonical representation
-// is the columnar index; the streaming build never materializes Domains.
-// The legacy record-at-a-time path (BuildLegacy, Domains non-nil) is
-// retained as the equivalence oracle at small scale.
+// World is a generated ecosystem population, held as the columnar index:
+// generation fills the index's columns directly, a load maps them from
+// disk, and every query (snapshot, series, aggregation, sample) is served
+// from them.
 type World struct {
 	Config WorldConfig
-	// Domains is the materialized population — only set by BuildLegacy
-	// (and by tests that fabricate worlds directly). Streaming worlds
-	// leave it nil and serve everything from the index.
-	Domains []DomainState
 	// Cohorts are the resolved (scaled) cohorts, named then tail.
 	Cohorts []Cohort
 
-	// idx is the columnar analytics index — set eagerly by the streaming
-	// build (or a Load), lazily built from Domains for legacy worlds.
-	// Every snapshot/series/aggregation query routes through it.
-	idxOnce sync.Once
-	idx     *colstore.Index
-
-	// nsHosts interns the one-element NS-host slice per operator, scoped
-	// to this world so slices never leak or cross-contaminate between
-	// worlds in one process.
-	nsMu    sync.Mutex
-	nsHosts map[string][]string
+	idx *colstore.Index
 }
 
-// Index returns the world's columnar analytics engine. Streaming worlds
-// carry it from construction; legacy worlds build it from Domains on
-// first use, interning operators/TLDs/registrars into dense IDs.
-func (w *World) Index() *colstore.Index {
-	w.idxOnce.Do(func() {
-		if w.idx != nil {
-			return
-		}
-		b := colstore.NewBuilder(len(w.Domains))
-		for i := range w.Domains {
-			d := &w.Domains[i]
-			b.Add(colstore.Domain{
-				Name:       d.Name,
-				TLD:        d.TLD,
-				Operator:   d.Operator,
-				Registrar:  d.Registrar,
-				NSHost:     nsFor(d.Operator),
-				Created:    d.Created,
-				KeyDay:     d.KeyDay,
-				DSDay:      d.DSDay,
-				BrokenDS:   d.BrokenDS,
-				ExpiredSig: d.ExpiredSig,
-			})
-		}
-		w.idx = b.Build()
-	})
-	return w.idx
-}
+// Index returns the world's columnar analytics engine.
+func (w *World) Index() *colstore.Index { return w.idx }
 
-// Len returns the population size without materializing anything.
-func (w *World) Len() int {
-	if w.Domains != nil {
-		return len(w.Domains)
-	}
-	return w.Index().Len()
-}
+// Len returns the population size.
+func (w *World) Len() int { return w.idx.Len() }
 
-// DomainAt projects one domain out of the population — a struct copy for
-// legacy worlds, a column gather for streaming ones. Both build paths
-// yield identical values at the same position for the same seed.
+// DomainAt projects one domain out of the population (a column gather).
 func (w *World) DomainAt(i int) DomainState {
-	if w.Domains != nil {
-		return w.Domains[i]
-	}
-	d := w.Index().Row(i)
+	d := w.idx.Row(i)
 	return DomainState{
 		Name:       d.Name,
 		TLD:        d.TLD,
@@ -175,43 +124,6 @@ func (w *World) DomainAt(i int) DomainState {
 		BrokenDS:   d.BrokenDS,
 		ExpiredSig: d.ExpiredSig,
 	}
-}
-
-// AllDomains materializes the full population as DomainStates. Intended
-// for small worlds (tests, ablations); at scale, iterate DomainAt or use
-// the index directly.
-func (w *World) AllDomains() []DomainState {
-	if w.Domains != nil {
-		return append([]DomainState(nil), w.Domains...)
-	}
-	n := w.Index().Len()
-	out := make([]DomainState, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, w.DomainAt(i))
-	}
-	return out
-}
-
-// nsHostsFor interns the one-element NS-host slice per operator within
-// this world. Callers must treat the returned slice as immutable.
-func (w *World) nsHostsFor(operator string) []string {
-	w.nsMu.Lock()
-	defer w.nsMu.Unlock()
-	if w.nsHosts == nil {
-		w.nsHosts = make(map[string][]string)
-	}
-	v, ok := w.nsHosts[operator]
-	if !ok {
-		v = []string{nsFor(operator)}
-		w.nsHosts[operator] = v
-	}
-	return v
-}
-
-// recordAt projects a domain onto one day with the per-world interned
-// NS-host slice — the allocation-free bulk projection primitive.
-func (w *World) recordAt(d *DomainState, day simtime.Day) dataset.Record {
-	return d.recordAt(day, w.nsHostsFor(d.Operator))
 }
 
 // tailDSByTLD encodes how the anonymous tail handles DS records: gTLD tail
@@ -286,11 +198,10 @@ func planCohorts(cfg WorldConfig) ([]Cohort, error) {
 	return cohorts, nil
 }
 
-// Build generates the world with the streaming columnar pipeline: the
-// cohort plan fixes where every row goes, and cohorts are sampled in
-// parallel straight into the canonical index's columns without ever
-// materializing []DomainState. The result is byte-identical for a given
-// seed regardless of worker count.
+// Build generates the world: the cohort plan fixes where every row goes,
+// and cohorts are sampled in parallel straight into the index's columns.
+// The result is byte-identical for a given seed regardless of worker
+// count.
 func Build(cfg WorldConfig) (*World, error) {
 	cfg.fill()
 	cohorts, err := planCohorts(cfg)
@@ -309,21 +220,7 @@ func buildWorld(cfg WorldConfig, cohorts []Cohort, baseSeed int64) (*World, erro
 	return &World{Config: cfg, Cohorts: cohorts, idx: idx}, nil
 }
 
-// BuildLegacy generates the same world as Build but materialized as
-// []DomainState — the record-at-a-time equivalence oracle. Same seed,
-// same population, domain for domain.
-func BuildLegacy(cfg WorldConfig) (*World, error) {
-	cfg.fill()
-	cohorts, err := planCohorts(cfg)
-	if err != nil {
-		return nil, err
-	}
-	w := &World{Config: cfg}
-	w.sampleCohorts(cfg.Seed, cohorts)
-	return w, nil
-}
-
-// BuildCustom generates a streaming world from an explicit cohort list
+// BuildCustom generates a world from an explicit cohort list
 // (no named catalogue, no tail) — for ablations and focused experiments.
 func BuildCustom(cfg WorldConfig, cohorts []Cohort) (*World, error) {
 	cfg.fill()
@@ -362,8 +259,8 @@ type domainDraw struct {
 }
 
 // drawDomain samples one domain's history from its cohort profile. The
-// draw order (created, key, DS, expired) is the contract both build paths
-// share: a cohort's RNG stream yields the same population either way.
+// draw order (created, key, DS, expired) is part of the world's identity:
+// changing it changes every saved world's bytes.
 func drawDomain(rng *rand.Rand, c *Cohort, cfg *WorldConfig) domainDraw {
 	// Registrations spread over the three years before the window end;
 	// most predate the window start.
@@ -434,8 +331,7 @@ const fillChunkDomains = 4096
 // name-byte ranges of the final columns in place, cohort ci always drawing
 // from cohortSeed(baseSeed, ci). No worker's output is ever moved or
 // renumbered, so the index — and its serialized bytes — are identical for
-// any worker count, and identical domain-for-domain to the sequential
-// legacy build.
+// any worker count.
 func buildIndexStreaming(cfg *WorldConfig, cohorts []Cohort, baseSeed int64, workers int) (*colstore.Index, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -513,40 +409,6 @@ func (f *cohortFiller) fill(w *colstore.RowWriter, c *Cohort, seed int64, nameSt
 	w.Close()
 }
 
-// sampleCohorts is the legacy sequential materializer: every domain's
-// history lands in w.Domains. It draws from the same per-cohort RNG
-// streams as the parallel build, so both paths realize the same world.
-func (w *World) sampleCohorts(baseSeed int64, cohorts []Cohort) {
-	cfg := w.Config
-	w.Cohorts = cohorts
-	total := 0
-	for i := range cohorts {
-		total += cohorts[i].Domains
-	}
-	w.Domains = make([]DomainState, 0, total)
-	var suffix, name []byte
-	for ci := range cohorts {
-		c := &cohorts[ci]
-		rng := rand.New(rand.NewSource(cohortSeed(baseSeed, ci)))
-		suffix = appendCohortSuffix(suffix[:0], c)
-		for i := 0; i < c.Domains; i++ {
-			dr := drawDomain(rng, c, &cfg)
-			name = appendDomainName(name[:0], len(w.Domains), suffix)
-			w.Domains = append(w.Domains, DomainState{
-				Name:       string(name),
-				TLD:        c.TLD,
-				Operator:   c.Operator,
-				Registrar:  c.Registrar,
-				Created:    dr.created,
-				KeyDay:     dr.keyDay,
-				DSDay:      dr.dsDay,
-				BrokenDS:   dr.broken,
-				ExpiredSig: dr.expired,
-			})
-		}
-	}
-}
-
 // powerLawSizes distributes total domains over k operators with a power-law
 // profile (exponent solved so the largest operator stays moderate), largest
 // first. The distribution shape drives the long tail of Figure 3.
@@ -614,26 +476,6 @@ func (w *World) SnapshotAt(day simtime.Day) *dataset.Snapshot {
 	return w.Index().Snapshot(day)
 }
 
-// SnapshotAtLegacy is the original record-at-a-time projection, retained
-// as the reference oracle for the columnar engine: equivalence tests
-// assert SnapshotAt output is identical, and regsec-bench measures the
-// speedup against it.
-func (w *World) SnapshotAtLegacy(day simtime.Day) *dataset.Snapshot {
-	n := w.Len()
-	snap := &dataset.Snapshot{Day: day, Records: make([]dataset.Record, 0, n)}
-	if w.Domains != nil {
-		for i := range w.Domains {
-			snap.Records = append(snap.Records, w.recordAt(&w.Domains[i], day))
-		}
-		return snap
-	}
-	for i := 0; i < n; i++ {
-		d := w.DomainAt(i)
-		snap.Records = append(snap.Records, w.recordAt(&d, day))
-	}
-	return snap
-}
-
 // SeriesFor computes a daily deployment series for one operator (all its
 // TLDs when tld == "", one otherwise) on the columnar engine: the
 // operator's day-sorted event groups are swept once with advancing
@@ -641,55 +483,6 @@ func (w *World) SnapshotAtLegacy(day simtime.Day) *dataset.Snapshot {
 // a full population scan plus per-query sorting.
 func (w *World) SeriesFor(operator, tld string, from, to simtime.Day, stepDays int) []analysis.SeriesPoint {
 	return w.Index().Series(operator, tld, from, to, stepDays)
-}
-
-// SeriesForLegacy is the original full-scan series computation, retained
-// as the reference oracle for the incremental engine.
-func (w *World) SeriesForLegacy(operator, tld string, from, to simtime.Day, stepDays int) []analysis.SeriesPoint {
-	if stepDays <= 0 {
-		stepDays = 1
-	}
-	var keyDays, dsDays, fullDays []simtime.Day
-	total := 0
-	n := w.Len()
-	for i := 0; i < n; i++ {
-		d := w.DomainAt(i)
-		if d.Operator != operator || (tld != "" && d.TLD != tld) {
-			continue
-		}
-		total++
-		if d.KeyDay != simtime.Never {
-			keyDays = append(keyDays, d.KeyDay)
-		}
-		if d.DSDay != simtime.Never {
-			dsDays = append(dsDays, d.DSDay)
-			if !d.BrokenDS && !d.ExpiredSig {
-				// Full deployment begins when both halves are in place.
-				full := d.DSDay
-				if d.KeyDay > full {
-					full = d.KeyDay
-				}
-				fullDays = append(fullDays, full)
-			}
-		}
-	}
-	for _, s := range [][]simtime.Day{keyDays, dsDays, fullDays} {
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	}
-	countLE := func(s []simtime.Day, day simtime.Day) int {
-		return sort.Search(len(s), func(i int) bool { return s[i] > day })
-	}
-	var out []analysis.SeriesPoint
-	for day := from; day <= to; day += simtime.Day(stepDays) {
-		out = append(out, analysis.SeriesPoint{
-			Day:        day,
-			Total:      total,
-			WithDNSKEY: countLE(keyDays, day),
-			WithDS:     countLE(dsDays, day),
-			Full:       countLE(fullDays, day),
-		})
-	}
-	return out
 }
 
 // OperatorsOf lists the operators a named registrar runs (from the named

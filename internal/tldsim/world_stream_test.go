@@ -39,33 +39,32 @@ func TestStreamingBuildWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesLegacy holds the streaming build equal to the
-// materialized oracle, domain for domain and query for query.
+// TestStreamingMatchesLegacy holds the parallel build equal to the
+// reference population sampled one domain at a time from the same
+// per-cohort streams (oracle_test.go), domain for domain and query for
+// query.
 func TestStreamingMatchesLegacy(t *testing.T) {
 	cfg := WorldConfig{Scale: 1.0 / 2000, Seed: 77}
 	stream, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := BuildLegacy(cfg)
-	if err != nil {
-		t.Fatal(err)
+	ref := referenceDomains(t, cfg)
+	if stream.Len() != len(ref) {
+		t.Fatalf("population sizes differ: built %d, reference %d", stream.Len(), len(ref))
 	}
-	if stream.Len() != legacy.Len() {
-		t.Fatalf("population sizes differ: streaming %d, legacy %d", stream.Len(), legacy.Len())
-	}
-	for i := 0; i < stream.Len(); i++ {
-		if s, l := stream.DomainAt(i), legacy.DomainAt(i); s != l {
-			t.Fatalf("domain %d differs:\nstreaming %+v\nlegacy    %+v", i, s, l)
+	for i := range ref {
+		if s := stream.DomainAt(i); s != ref[i] {
+			t.Fatalf("domain %d differs:\nbuilt     %+v\nreference %+v", i, s, ref[i])
 		}
 	}
 	for _, day := range []simtime.Day{simtime.GTLDStart, simtime.End} {
 		got := stream.SnapshotAt(day)
-		want := legacy.SnapshotAt(day)
+		want := referenceSnapshot(ref, day)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("SnapshotAt(%v) diverges between build paths", day)
+			t.Fatalf("SnapshotAt(%v) diverges from the reference projection", day)
 		}
-		gotOv := analysis.Overview(got, AllTLDs)
+		gotOv := stream.Index().Overview(day, AllTLDs)
 		wantOv := analysis.Overview(want, AllTLDs)
 		if !reflect.DeepEqual(gotOv, wantOv) {
 			t.Fatalf("Overview(%v) diverges: %v vs %v", day, gotOv, wantOv)
@@ -73,15 +72,15 @@ func TestStreamingMatchesLegacy(t *testing.T) {
 	}
 	for _, op := range []string{"ovh.net", "cloudflare.com", "tail0000.com-hosting.example"} {
 		got := stream.SeriesFor(op, "", simtime.GTLDStart, simtime.End, 30)
-		want := legacy.SeriesFor(op, "", simtime.GTLDStart, simtime.End, 30)
+		want := referenceSeries(ref, op, "", simtime.GTLDStart, simtime.End, 30)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("SeriesFor(%s) diverges between build paths", op)
+			t.Fatalf("SeriesFor(%s) diverges from the reference scan", op)
 		}
 	}
 	// Samples must coincide too: the sweep pipeline scans identical
-	// domains whichever path built the world.
-	if !reflect.DeepEqual(stream.Sample(200, 7), legacy.Sample(200, 7)) {
-		t.Fatal("Sample diverges between build paths")
+	// domains however the population was indexed.
+	if !reflect.DeepEqual(stream.Sample(200, 7), worldFromDomains(ref).Sample(200, 7)) {
+		t.Fatal("Sample diverges between the built world and the reference population")
 	}
 }
 

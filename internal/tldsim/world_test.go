@@ -13,23 +13,37 @@ import (
 	"securepki.org/registrarsec/internal/simtime"
 )
 
-// testWorld builds a reduced-scale world once per test binary. It uses
-// the legacy materialized build so it doubles as the equivalence oracle:
-// the statistical assertions run against []DomainState, and the streaming
-// path is held equal to it by the equivalence tests in
-// world_stream_test.go.
-var testWorldCache *World
+// testWorldConfig is the reduced-scale world the statistical and
+// equivalence tests share.
+var testWorldConfig = WorldConfig{Scale: 1.0 / 250, Seed: 99}
 
+var (
+	testWorldCache   *World
+	testDomainsCache []DomainState
+)
+
+// testWorld builds the shared world once per test binary.
 func testWorld(t *testing.T) *World {
 	t.Helper()
 	if testWorldCache == nil {
-		w, err := BuildLegacy(WorldConfig{Scale: 1.0 / 250, Seed: 99})
+		w, err := Build(testWorldConfig)
 		if err != nil {
 			t.Fatal(err)
 		}
 		testWorldCache = w
 	}
 	return testWorldCache
+}
+
+// testDomains is the reference population of testWorld's config, sampled
+// record by record (oracle_test.go): what the equivalence tests hold the
+// built world and its index equal to.
+func testDomains(t *testing.T) []DomainState {
+	t.Helper()
+	if testDomainsCache == nil {
+		testDomainsCache = referenceDomains(t, testWorldConfig)
+	}
+	return testDomainsCache
 }
 
 func within(t *testing.T, name string, got, want, tol float64) {
@@ -359,7 +373,7 @@ func TestExpiredSignaturesScannedAsBroken(t *testing.T) {
 			t.Fatalf("model: %s is %v, want broken", snap.Records[i].Domain, snap.Records[i].Deployment())
 		}
 	}
-	domains := w.AllDomains()
+	domains := Domains(w)
 	mat, err := Materialize(simtime.End, domains)
 	if err != nil {
 		t.Fatal(err)
