@@ -89,9 +89,23 @@ type SignOptions struct {
 	TTL uint32
 }
 
-// SignRRSet produces an RRSIG record over rrs using key, with signerZone as
-// the signer name (the apex of the signing zone).
-func SignRRSet(rrs []*dnswire.RR, key *KeyPair, signerZone string, opts SignOptions) (*dnswire.RR, error) {
+// PendingSig is an RRSIG that lacks only its signature: every field the
+// signer chooses is set and the octets the key will sign are assembled, so
+// the private-key operation is all that is left — and all that can still
+// fail. It is immutable; Sign may be called from any goroutine.
+type PendingSig struct {
+	owner string
+	ttl   uint32
+	sig   dnswire.RRSIG // Signature empty
+	key   *KeyPair
+	data  []byte
+}
+
+// PrepareRRSIG does everything SignRRSet does short of the private-key
+// operation, and returns every error SignRRSet can return without it: an
+// empty, mixed or unpackable RRset, an owner outside signerZone, a key whose
+// algorithm cannot sign.
+func PrepareRRSIG(rrs []*dnswire.RR, key *KeyPair, signerZone string, opts SignOptions) (*PendingSig, error) {
 	if len(rrs) == 0 {
 		return nil, ErrEmptyRRSet
 	}
@@ -99,11 +113,16 @@ func SignRRSet(rrs []*dnswire.RR, key *KeyPair, signerZone string, opts SignOpti
 	if !dnswire.IsSubdomain(owner, dnswire.CanonicalName(signerZone)) {
 		return nil, fmt.Errorf("%w: %q not under %q", ErrSignerMismatch, owner, signerZone)
 	}
+	switch key.Algorithm {
+	case dnswire.AlgRSASHA256, dnswire.AlgECDSAP256SHA256, dnswire.AlgED25519:
+	default:
+		return nil, fmt.Errorf("%w: %v", ErrUnsupportedAlgorithm, key.Algorithm)
+	}
 	ttl := opts.TTL
 	if ttl == 0 {
 		ttl = rrs[0].TTL
 	}
-	sig := &dnswire.RRSIG{
+	p := &PendingSig{owner: owner, ttl: ttl, key: key, sig: dnswire.RRSIG{
 		TypeCovered: rrs[0].Type,
 		Algorithm:   key.Algorithm,
 		Labels:      uint8(dnswire.CountLabels(owner)),
@@ -112,16 +131,36 @@ func SignRRSet(rrs []*dnswire.RR, key *KeyPair, signerZone string, opts SignOpti
 		Inception:   uint32(opts.Inception.Unix()),
 		KeyTag:      key.KeyTag(),
 		SignerName:  dnswire.CanonicalName(signerZone),
+	}}
+	var err error
+	if p.data, err = signedData(&p.sig, rrs); err != nil {
+		return nil, err
 	}
-	data, err := signedData(sig, rrs)
+	return p, nil
+}
+
+// Owner and Covered name the RRset the signature will cover.
+func (p *PendingSig) Owner() string         { return p.owner }
+func (p *PendingSig) Covered() dnswire.Type { return p.sig.TypeCovered }
+
+// Sign performs the private-key operation and returns the RRSIG record.
+func (p *PendingSig) Sign() (*dnswire.RR, error) {
+	sig := p.sig
+	var err error
+	if sig.Signature, err = signDigest(p.key, p.data); err != nil {
+		return nil, err
+	}
+	return dnswire.NewRR(p.owner, p.ttl, &sig), nil
+}
+
+// SignRRSet produces an RRSIG record over rrs using key, with signerZone as
+// the signer name (the apex of the signing zone).
+func SignRRSet(rrs []*dnswire.RR, key *KeyPair, signerZone string, opts SignOptions) (*dnswire.RR, error) {
+	p, err := PrepareRRSIG(rrs, key, signerZone, opts)
 	if err != nil {
 		return nil, err
 	}
-	sig.Signature, err = signDigest(key, data)
-	if err != nil {
-		return nil, err
-	}
-	return dnswire.NewRR(owner, ttl, sig), nil
+	return p.Sign()
 }
 
 // signDigest hashes data per the key's algorithm and signs it, producing the

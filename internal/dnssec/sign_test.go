@@ -1,8 +1,10 @@
 package dnssec
 
 import (
+	"errors"
 	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -163,23 +165,50 @@ func TestVerifyRejectsWrongKeyAndMetadata(t *testing.T) {
 	}
 }
 
+// TestSignRejectsBadInput: everything wrong with a signing request other
+// than the key failing is found by PrepareRRSIG, before the key is used, and
+// SignRRSet reports the same error.
 func TestSignRejectsBadInput(t *testing.T) {
 	key := genKey(t, dnswire.AlgED25519, dnswire.FlagsZSK)
-	if _, err := SignRRSet(nil, key, "example.org", testWindow); err == nil {
-		t.Error("signed empty RRset")
+	unsupported := *key
+	unsupported.Algorithm = 250
+	addr := &dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")}
+	for _, tc := range []struct {
+		name string
+		rrs  []*dnswire.RR
+		key  *KeyPair
+		want error
+	}{
+		{"empty RRset", nil, key, ErrEmptyRRSet},
+		{"mixed RRset", []*dnswire.RR{
+			dnswire.NewRR("a.example.org", 300, addr), dnswire.NewRR("b.example.org", 300, addr),
+		}, key, ErrMixedRRSet},
+		{"owner outside the signer zone", []*dnswire.RR{dnswire.NewRR("www.other.test", 300, addr)}, key, ErrSignerMismatch},
+		{"unpackable RRset", []*dnswire.RR{
+			dnswire.NewRR("example.org", 300, &dnswire.NS{Host: strings.Repeat("x", 64) + ".example.org"}),
+		}, key, dnswire.ErrLabelTooLong},
+		{"algorithm that cannot sign", sampleRRSet(), &unsupported, ErrUnsupportedAlgorithm},
+	} {
+		if _, err := PrepareRRSIG(tc.rrs, tc.key, "example.org", testWindow); !errors.Is(err, tc.want) {
+			t.Errorf("PrepareRRSIG, %s: %v, want %v", tc.name, err, tc.want)
+		}
+		if _, err := SignRRSet(tc.rrs, tc.key, "example.org", testWindow); !errors.Is(err, tc.want) {
+			t.Errorf("SignRRSet, %s: %v, want %v", tc.name, err, tc.want)
+		}
 	}
-	mixed := []*dnswire.RR{
-		dnswire.NewRR("a.example.org", 300, &dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")}),
-		dnswire.NewRR("b.example.org", 300, &dnswire.A{Addr: netip.MustParseAddr("192.0.2.2")}),
+	// A prepared signature can be produced any number of times.
+	p, err := PrepareRRSIG(sampleRRSet(), key, "example.org", testWindow)
+	if err != nil || p.Covered() != dnswire.TypeA {
+		t.Fatalf("PrepareRRSIG: %v, covers %v", err, p.Covered())
 	}
-	if _, err := SignRRSet(mixed, key, "example.org", testWindow); err == nil {
-		t.Error("signed mixed RRset")
-	}
-	outside := []*dnswire.RR{
-		dnswire.NewRR("www.other.test", 300, &dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")}),
-	}
-	if _, err := SignRRSet(outside, key, "example.org", testWindow); err == nil {
-		t.Error("signed RRset outside the signer zone")
+	for i := 0; i < 2; i++ {
+		sig, err := p.Sign()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyRRSet(sampleRRSet(), sig.Data.(*dnswire.RRSIG), key.DNSKEY(), testNow); err != nil {
+			t.Errorf("signature %d of one preparation: %v", i, err)
+		}
 	}
 }
 

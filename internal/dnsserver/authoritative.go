@@ -348,11 +348,9 @@ func nsecCovers(owner, next, qname string) bool {
 }
 
 // appendSigs adds the RRSIGs covering (name, covered) to the given section.
+// Zone.Sigs runs the key for a signature that was planned and not read yet,
+// so a response costs the signatures it carries and no others.
 func appendSigs(resp *dnswire.Message, z *zone.Zone, name string, covered dnswire.Type, section *[]*dnswire.RR) {
 	_ = resp
-	for _, rr := range z.Lookup(name, dnswire.TypeRRSIG) {
-		if rr.Data.(*dnswire.RRSIG).TypeCovered == covered {
-			*section = append(*section, rr)
-		}
-	}
+	*section = append(*section, z.Sigs(name, covered)...)
 }

@@ -1,6 +1,7 @@
 package dnsserver_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -98,5 +99,44 @@ func TestAXFRLargeZoneChunks(t *testing.T) {
 	resp, err := ex.Exchange(context.Background(), srv.Addr(), dnswire.NewQuery(5, "bulkaaa.com", dnswire.TypeNS))
 	if err != nil || resp.RCode != dnswire.RCodeSuccess {
 		t.Fatalf("post-AXFR query: %v %v", err, resp)
+	}
+}
+
+// TestAXFROfPlannedZone: a transfer carries every signature the zone plans,
+// whether or not anyone has asked for it yet — the transfer of a zone nobody
+// has read equals the transfer of the same zone once everything is produced,
+// and both equal the zone as it writes itself.
+func TestAXFROfPlannedZone(t *testing.T) {
+	h := newHierarchy(t)
+	if _, _, err := h.AddDomain("alpha.com", "ns1.op.net", dnstest.Full); err != nil {
+		t.Fatal(err)
+	}
+	served := h.TLDZone("com")
+	if served.PlannedSigs() == 0 {
+		t.Fatal("fixture: nothing left planned in the TLD zone")
+	}
+	srv := startTLDServer(t, h, func(string) bool { return true })
+	client := &dnsserver.AXFRClient{Timeout: 5 * time.Second}
+	var files [3]bytes.Buffer
+	for i := 0; i < 2; i++ {
+		z, err := client.Transfer(context.Background(), srv.Addr(), "com")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if served.PlannedSigs() != 0 {
+			t.Fatalf("transfer %d left %d signatures planned", i, served.PlannedSigs())
+		}
+		if _, err := z.WriteTo(&files[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := served.WriteTo(&files[2]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(files[0].Bytes(), files[1].Bytes()) || !bytes.Equal(files[1].Bytes(), files[2].Bytes()) {
+		t.Errorf("transfers of the planned and of the produced zone differ:\n%s\n---\n%s\n---\n%s", &files[0], &files[1], &files[2])
+	}
+	if !bytes.Contains(files[0].Bytes(), []byte("RRSIG\tSOA")) && !bytes.Contains(files[0].Bytes(), []byte("RRSIG SOA")) {
+		t.Errorf("no SOA signature in the transferred zone:\n%s", &files[0])
 	}
 }

@@ -78,8 +78,7 @@ type respTable struct {
 }
 
 type respEntry struct {
-	// key is the respKey the entry answers and hash its hashKey; insert
-	// sets both.
+	// key is the respKey the entry answers and hash its hashKey.
 	key  string
 	hash uint64
 	// wire is the packed response with ID zeroed and RD cleared.
@@ -178,20 +177,23 @@ func (c *ResponseCache) lookup(key []byte) *respEntry {
 	}
 }
 
-// insert stores e under key unless guard reports the world moved since the
-// response was rendered or the bucket is full. guard runs under the bucket
+// insert stores a normalized copy of the rendered response wire under key
+// unless guard reports the world moved since the response was rendered or
+// the bucket is full, and returns the entry stored (nil when rejected). The
+// copy, the entry and the key string are built only once both checks have
+// passed: a rejected fill allocates nothing. guard runs under the bucket
 // mutex, after which no invalidation for the pinned state can be missed:
 // events fire after the mutation's generation bump, and every flush takes
 // the bucket mutex, so either guard sees the bump (reject) or the event's
 // flush runs after this insert (delete).
-func (c *ResponseCache) insert(key []byte, e *respEntry, guard func() bool) {
+func (c *ResponseCache) insert(key, wire []byte, origin string, apexDep bool, guard func() bool) *respEntry {
 	h := hashKey(key)
 	b := &c.buckets[h&(cacheBuckets-1)]
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !guard() {
 		c.rejected.Add(1)
-		return
+		return nil
 	}
 	// Probe to the key or to the empty slot that ends its sequence, noting
 	// the first tombstone on the way: a new key reuses it.
@@ -207,13 +209,17 @@ func (c *ResponseCache) insert(key []byte, e *respEntry, guard func() bool) {
 			free = at
 		}
 	}
-	e.key, e.hash = string(key), h
+	if old == nil && b.live >= c.perBucketCap {
+		c.rejected.Add(1)
+		return nil
+	}
+	e := &respEntry{key: string(key), hash: h, wire: make([]byte, len(wire)), origin: origin, apexDep: apexDep}
+	copy(e.wire, wire)
+	e.wire[0], e.wire[1] = 0, 0
+	e.wire[2] &^= flagRDByte
 	switch {
 	case old != nil: // replace in place
 		b.unlist(old)
-	case b.live >= c.perBucketCap:
-		c.rejected.Add(1)
-		return
 	case free != nil:
 		at = free
 		b.live++
@@ -230,6 +236,7 @@ func (c *ResponseCache) insert(key []byte, e *respEntry, guard func() bool) {
 	b.list(e)
 	at.Store(e)
 	c.fills.Add(1)
+	return e
 }
 
 // rebuild publishes a tombstone-free copy of t sized so that the live

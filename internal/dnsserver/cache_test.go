@@ -34,12 +34,21 @@ func (m *cacheModel) lookup(key []byte) *respEntry {
 	return e
 }
 
-func (m *cacheModel) insert(key []byte, e *respEntry, ok bool) {
+// insert files e, the entry the cache stored or nil if it stored none, when
+// the model's own rules accept the fill; the two must agree.
+func (m *cacheModel) insert(t *testing.T, key []byte, e *respEntry, ok bool) {
+	t.Helper()
 	b := hashKey(key) & (cacheBuckets - 1)
 	_, have := m.entries[string(key)]
 	if !ok || !have && m.inBucket[b] >= m.perCap {
+		if e != nil {
+			t.Fatalf("key %q: the cache stored a fill the model rejects", key)
+		}
 		m.rejected++
 		return
+	}
+	if e == nil {
+		t.Fatalf("key %q: the cache rejected a fill the model accepts", key)
 	}
 	if !have {
 		m.inBucket[b]++
@@ -117,20 +126,16 @@ func newCacheUniverse(domains int) *cacheUniverse {
 	return u
 }
 
-// entryFor renders a synthetic entry for key from a random zone that
+// entryFor renders a synthetic response for key from a random zone that
 // contains its qname.
-func (u *cacheUniverse) entryFor(rng *rand.Rand, key []byte, serial int) *respEntry {
+func (u *cacheUniverse) entryFor(rng *rand.Rand, key []byte, serial int) (wire []byte, origin string, apexDep bool) {
 	var origins []string
 	for _, z := range u.zones {
 		if dnswire.IsSubdomain(keyQName(string(key)), z.Origin) {
 			origins = append(origins, z.Origin)
 		}
 	}
-	return &respEntry{
-		wire:    []byte(fmt.Sprintf("%s#%d", key, serial)),
-		origin:  origins[rng.Intn(len(origins))],
-		apexDep: rng.Intn(4) == 0,
-	}
+	return []byte(fmt.Sprintf("%s#%d", key, serial)), origins[rng.Intn(len(origins))], rng.Intn(4) == 0
 }
 
 // randomEvent draws an event as a zone would emit it: a name in the zone's
@@ -192,10 +197,10 @@ func TestCacheMatchesMapModel(t *testing.T) {
 					switch op := rng.Intn(100); {
 					case op < 90:
 						key := u.keys[rng.Intn(len(u.keys))]
-						e := u.entryFor(rng, key, step)
+						wire, origin, apexDep := u.entryFor(rng, key, step)
 						ok := rng.Intn(20) != 0
-						c.insert(key, e, func() bool { return ok })
-						m.insert(key, e, ok)
+						e := c.insert(key, wire, origin, apexDep, func() bool { return ok })
+						m.insert(t, key, e, ok)
 					case op < 99:
 						z, ev := u.randomEvent(rng)
 						c.applyEvent(z, ev)
@@ -252,9 +257,9 @@ func TestIndexedFlushMatchesScan(t *testing.T) {
 		m := newCacheModel(c)
 		for round := 0; round < 2; round++ { // the second round replaces
 			for _, key := range u.keys {
-				e := u.entryFor(rng, key, round)
-				c.insert(key, e, func() bool { return true })
-				m.insert(key, e, true)
+				wire, origin, apexDep := u.entryFor(rng, key, round)
+				e := c.insert(key, wire, origin, apexDep, func() bool { return true })
+				m.insert(t, key, e, true)
 			}
 		}
 		c.applyEvent(tc.z, tc.ev)
@@ -280,7 +285,7 @@ func TestCacheLookupDuringChurn(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		k := key(fmt.Sprintf("stable%d.org", i))
 		stable = append(stable, k)
-		c.insert(k, &respEntry{wire: k, origin: "org"}, pass)
+		c.insert(k, k, "org", false, pass)
 	}
 
 	var stop atomic.Bool
@@ -293,7 +298,8 @@ func TestCacheLookupDuringChurn(t *testing.T) {
 			churn := key("")
 			for !stop.Load() {
 				k := stable[rng.Intn(len(stable))]
-				if e := c.lookup(k); e == nil || string(e.wire) != string(k) {
+				// insert cleared the ID and the RD bit in its copy.
+				if e := c.lookup(k); e == nil || string(e.wire[3:]) != string(k[3:]) {
 					t.Errorf("stable key %q: lookup returned %v", k, e)
 					return
 				}
@@ -321,7 +327,7 @@ func TestCacheLookupDuringChurn(t *testing.T) {
 						c.applyEvent(com, zone.Event{Scope: zone.ScopeZone})
 					}
 				default:
-					c.insert(key(name), &respEntry{wire: []byte(name), origin: "com"}, pass)
+					c.insert(key(name), key(name), "com", false, pass)
 				}
 			}
 		}(w)
@@ -349,7 +355,7 @@ func benchKeys(n int) [][]byte {
 func fillCache(c *ResponseCache, keys [][]byte, lo, hi, step int) {
 	pass := func() bool { return true }
 	for i := lo; i < hi; i += step {
-		c.insert(keys[i], &respEntry{wire: keys[i], origin: "com", apexDep: i%20 == 0}, pass)
+		c.insert(keys[i], keys[i], "com", i%20 == 0, pass)
 	}
 }
 

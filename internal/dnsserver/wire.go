@@ -163,36 +163,27 @@ func (s *Sharded) ServeWireFull(dst, pkt []byte, sc *WireScratch, udp bool) []by
 		return nil
 	}
 	sc.pack = wire
+	// The query's OPT decides both the cache key and the size limit.
+	edns, maxPayload := ednsNone, dnswire.MaxUDPPayload
+	if e := q.EDNS(); e != nil {
+		edns, maxPayload = ednsPlain, int(e.UDPSize)
+		if e.DNSSECOK {
+			edns = ednsDO
+		}
+	}
 	// Fill the cache. Only zone-derived INET responses are cacheable:
 	// REFUSED/NOTIMP have no invalidation source, and non-INET classes
 	// would collide with the INET key space.
 	if s.cache != nil && z != nil && q.Questions[0].Class == dnswire.ClassINET {
-		edns := ednsNone
-		if e := q.EDNS(); e != nil {
-			if e.DNSSECOK {
-				edns = ednsDO
-			} else {
-				edns = ednsPlain
-			}
-		}
 		sc.name = append(sc.name[:0], q.Questions[0].Name...)
 		sc.key = respKey(sc.key, sc.name, q.Questions[0].Type, edns)
-		norm := make([]byte, len(wire))
-		copy(norm, wire)
-		norm[0], norm[1] = 0, 0
-		norm[2] &^= flagRDByte
-		entry := &respEntry{
-			wire:    norm,
-			origin:  z.Origin,
-			apexDep: respDependsOnApex(resp, z.Origin),
-		}
 		zz, zgPin, pgPin := z, zg, pg
-		s.cache.insert(sc.key, entry, func() bool {
+		s.cache.insert(sc.key, wire, z.Origin, respDependsOnApex(resp, z.Origin), func() bool {
 			return pgPin&1 == 0 && zgPin&1 == 0 &&
 				s.pubGen.Load() == pgPin && zz.Generation() == zgPin
 		})
 	}
-	if udp && len(wire) > q.MaxPayload() {
+	if udp && len(wire) > maxPayload {
 		tr := q.Reply()
 		tr.RCode = resp.RCode
 		tr.Truncated = true

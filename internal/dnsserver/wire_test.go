@@ -258,6 +258,64 @@ func TestFastPathAllocs(t *testing.T) {
 	}
 }
 
+// TestRejectedFillAllocs pins what a fill into a full bucket costs: nothing
+// beyond rendering the response. With every bucket at its cap, the full path
+// of the caching handler may allocate no more than the cache-disabled
+// handler does for the same query, and each such query counts as one
+// rejection and no fill.
+func TestRejectedFillAllocs(t *testing.T) {
+	h := newHierarchy(t)
+	z := h.TLDZone("com")
+	cached := dnsserver.NewSharded(dnsserver.ShardedConfig{CacheEntries: 1}) // the minimum: 4 per bucket
+	cached.AddZone(z)
+	plain := dnsserver.NewSharded(dnsserver.ShardedConfig{CacheEntries: -1})
+	plain.AddZone(z)
+	pack := func(name string) []byte {
+		q := dnswire.NewQuery(7, name, dnswire.TypeA)
+		q.SetEDNS(dnswire.ReplyUDPPayload, true)
+		pkt, err := q.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkt
+	}
+	sc := dnsserver.NewWireScratch()
+	out := make([]byte, 0, 4096)
+	// Fill until a long run of distinct names leaves the cache as it was.
+	for i, idle := 0, 0; idle < 2000; i++ {
+		before := cached.CacheStats().Fills
+		if cached.ServeWireFull(out[:0], pack(fmt.Sprintf("fill%d.com", i)), sc, true) == nil {
+			t.Fatal("fill query failed")
+		}
+		if idle++; cached.CacheStats().Fills != before {
+			idle = 0
+		}
+	}
+	pkt := pack("rejected.com")
+	if _, hit := cached.ServeWireFast(out[:0], pkt, sc); hit {
+		t.Fatal("the probe name was cached")
+	}
+	before := cached.CacheStats()
+	const runs = 500
+	rejected := testing.AllocsPerRun(runs, func() {
+		if cached.ServeWireFull(out[:0], pkt, sc, true) == nil {
+			t.Fatal("query failed")
+		}
+	})
+	after := cached.CacheStats()
+	if after.Fills != before.Fills || after.Rejected-before.Rejected != runs+1 { // AllocsPerRun warms up once
+		t.Fatalf("not a rejected fill each time: before %+v, after %+v", before, after)
+	}
+	uncached := testing.AllocsPerRun(runs, func() {
+		if plain.ServeWireFull(out[:0], pkt, sc, true) == nil {
+			t.Fatal("query failed")
+		}
+	})
+	if rejected > uncached {
+		t.Errorf("a rejected fill allocates %.1f/op, rendering alone %.1f/op", rejected, uncached)
+	}
+}
+
 // TestTruncatedReplyEchoesEDNS covers every truncation path: the Sharded
 // wire path slow and fast, and a real Server carrying a plain Handler
 // (Authoritative) over loopback UDP, which truncates in serveGeneric. A

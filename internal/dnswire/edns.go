@@ -1,5 +1,7 @@
 package dnswire
 
+import "encoding/binary"
+
 // EDNS0 support (RFC 6891). The OPT pseudo-record overloads the RR header:
 // CLASS carries the requestor's UDP payload size and the TTL carries the
 // extended RCODE and flags, including the DO ("DNSSEC OK") bit that a
@@ -43,6 +45,32 @@ func (m *Message) SetEDNS(udpSize uint16, dnssecOK bool) {
 		}
 	}
 	m.Additional = append(m.Additional, opt)
+}
+
+// AppendEDNSQuery appends to buf the wire form of NewQuery(id, name, t)
+// after SetEDNS(udpSize, dnssecOK) — the bytes Pack gives — without
+// building the Message: header, question and the OPT record.
+func AppendEDNSQuery(buf []byte, id uint16, name string, t Type, udpSize uint16, dnssecOK bool) ([]byte, error) {
+	if udpSize < MaxUDPPayload {
+		udpSize = MaxUDPPayload
+	}
+	h := Header{ID: id}
+	buf = h.pack(buf, [4]uint16{1, 0, 0, 1}) // one question, the OPT in additional
+	buf, err := appendName(buf, CanonicalName(name), nil)
+	if err != nil {
+		return nil, err
+	}
+	buf = binary.BigEndian.AppendUint16(buf, uint16(t))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(ClassINET))
+	buf = append(buf, 0) // OPT owner: the root
+	buf = binary.BigEndian.AppendUint16(buf, uint16(TypeOPT))
+	buf = binary.BigEndian.AppendUint16(buf, udpSize)
+	var ttl uint32
+	if dnssecOK {
+		ttl = doBit
+	}
+	buf = binary.BigEndian.AppendUint32(buf, ttl)
+	return append(buf, 0, 0), nil // RDLEN 0
 }
 
 // EDNS returns the decoded OPT record if the message carries one, else nil.

@@ -30,7 +30,9 @@ func CheckName(name string) error {
 		return nil
 	}
 	wire := 1 // terminating root label
-	for _, label := range strings.Split(name, ".") {
+	for rest, more := name, true; more; {
+		var label string
+		label, rest, more = strings.Cut(rest, ".")
 		if label == "" {
 			return fmt.Errorf("%w in %q", ErrEmptyLabel, name)
 		}

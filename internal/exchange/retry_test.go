@@ -1,16 +1,14 @@
-package dnsserver_test
+package exchange_test
 
 import (
 	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/exchange"
-	"securepki.org/registrarsec/internal/retry"
 )
 
 // scriptedExchanger returns the scripted outcomes in order, then succeeds.
@@ -39,10 +37,6 @@ func rcode(rc dnswire.RCode) func(*dnswire.Message) (*dnswire.Message, error) {
 		resp.RCode = rc
 		return resp, nil
 	}
-}
-
-func fastPolicy(attempts int) retry.Policy {
-	return retry.Policy{MaxAttempts: attempts, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
 }
 
 func TestRetryingRecoversFromTransientErrors(t *testing.T) {

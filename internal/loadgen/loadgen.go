@@ -362,21 +362,28 @@ func nowNanos() int64 { return int64(time.Since(nanoBase)) }
 // QueryMix pre-packs a query wire per (name, type) pair; doRatio of them
 // (deterministically by seed) carry EDNS with the DO bit set, the rest are
 // plain EDNS queries. The packed IDs are zero; Run patches them per send.
+// The packets lie end to end in one allocation, each capped at its length.
 func QueryMix(names []string, types []dnswire.Type, doRatio float64, seed int64) ([][]byte, error) {
 	if len(names) == 0 || len(types) == 0 {
 		return nil, errors.New("loadgen: empty name or type set")
 	}
+	// Header 12, name as labels at most len+2, type and class 4, OPT 11.
+	size := 0
+	for _, name := range names {
+		size += len(types) * (len(name) + 29)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	mix := make([][]byte, 0, len(names)*len(types))
+	buf := make([]byte, 0, size)
 	for _, name := range names {
 		for _, t := range types {
-			q := dnswire.NewQuery(0, name, t)
-			q.SetEDNS(dnswire.ReplyUDPPayload, rng.Float64() < doRatio)
-			wire, err := q.Pack()
+			start := len(buf)
+			var err error
+			buf, err = dnswire.AppendEDNSQuery(buf, 0, name, t, dnswire.ReplyUDPPayload, rng.Float64() < doRatio)
 			if err != nil {
 				return nil, err
 			}
-			mix = append(mix, wire)
+			mix = append(mix, buf[start:len(buf):len(buf)])
 		}
 	}
 	return mix, nil

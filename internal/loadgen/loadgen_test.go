@@ -1,7 +1,10 @@
 package loadgen_test
 
 import (
+	"bytes"
 	"context"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,5 +112,44 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		Addr: "127.0.0.1:1", Queries: [][]byte{make([]byte, 12)}, Mode: loadgen.Open,
 	}); err == nil {
 		t.Error("open mode without rate accepted")
+	}
+}
+
+// TestQueryMixMatchesPack holds the hand-appended packets to the Message
+// construction they replaced: the same bytes for every (name, type) pair,
+// with the DO draws taken from the seeded stream in the same order.
+func TestQueryMixMatchesPack(t *testing.T) {
+	names := []string{"example.com", "WWW.Example.COM.", "a.b.c.d.example.nl", "se", ""}
+	types := []dnswire.Type{dnswire.TypeNS, dnswire.TypeDS, dnswire.TypeDNSKEY, dnswire.TypeA}
+	for _, doRatio := range []float64{0, 0.3, 1} {
+		const seed = 11
+		mix, err := loadgen.QueryMix(names, types, doRatio, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(mix) != len(names)*len(types) {
+			t.Fatalf("doRatio %v: %d packets, want %d", doRatio, len(mix), len(names)*len(types))
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for i, name := range names {
+			for j, typ := range types {
+				q := dnswire.NewQuery(0, name, typ)
+				q.SetEDNS(dnswire.ReplyUDPPayload, rng.Float64() < doRatio)
+				want, err := q.Pack()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := mix[i*len(types)+j]
+				if !bytes.Equal(got, want) {
+					t.Errorf("doRatio %v, %q/%v:\n got %x\nwant %x", doRatio, name, typ, got, want)
+				}
+				if cap(got) != len(got) {
+					t.Errorf("%q/%v: packet has %d spare bytes that belong to its neighbour", name, typ, cap(got)-len(got))
+				}
+			}
+		}
+	}
+	if _, err := loadgen.QueryMix([]string{"ok.example", strings.Repeat("x", 64) + ".example"}, types, 1, 1); err == nil {
+		t.Error("a 64-octet label was packed")
 	}
 }

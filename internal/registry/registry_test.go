@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnsserver"
@@ -396,4 +397,60 @@ func TestDropRemovesDelegation(t *testing.T) {
 	if err := reg.Drop("rival", "keep.com"); !errors.Is(err, registry.ErrWrongRegistrar) {
 		t.Errorf("cross-registrar drop: %v", err)
 	}
+}
+
+// TestNegativeAnswerVerifiesAfterDelegationChange: every delegation change
+// bumps the TLD zone's serial, and the SOA a DO negative answer carries must
+// still verify against the zone's keys afterwards — before the first change,
+// after a registration, after a DS upload and after a drop.
+func TestNegativeAnswerVerifiesAfterDelegationChange(t *testing.T) {
+	e := newEco(t)
+	reg := e.Registries["com"]
+	reg.Accredit("acme")
+	var keys []*dnswire.DNSKEY
+	for _, rr := range reg.Zone().Lookup("com", dnswire.TypeDNSKEY) {
+		keys = append(keys, rr.Data.(*dnswire.DNSKEY))
+	}
+	check := func(step string, serial uint32) {
+		t.Helper()
+		q := dnswire.NewQuery(1, "no-such-name.com", dnswire.TypeA)
+		q.SetEDNS(dnswire.ReplyUDPPayload, true)
+		resp := reg.Server().ServeDNS(q)
+		if resp.RCode != dnswire.RCodeNameError {
+			t.Fatalf("%s: rcode %v", step, resp.RCode)
+		}
+		var soa []*dnswire.RR
+		var sigs []*dnswire.RRSIG
+		for _, rr := range resp.Authority {
+			if sig, ok := rr.Data.(*dnswire.RRSIG); ok && sig.TypeCovered == dnswire.TypeSOA {
+				sigs = append(sigs, sig)
+			} else if rr.Type == dnswire.TypeSOA {
+				soa = append(soa, rr)
+			}
+		}
+		if len(soa) != 1 || len(sigs) != 1 {
+			t.Fatalf("%s: %d SOA records, %d signatures over them", step, len(soa), len(sigs))
+		}
+		if got := soa[0].Data.(*dnswire.SOA).Serial; got != serial {
+			t.Errorf("%s: serial %d, want %d", step, got, serial)
+		}
+		now := time.Unix(int64(sigs[0].Inception)+1, 0)
+		if err := dnssec.VerifyWithAnyKey(soa, sigs[0], keys, now); err != nil {
+			t.Errorf("%s: the SOA's signature: %v", step, err)
+		}
+	}
+	check("fresh zone", 1)
+	if err := reg.Register("acme", "example.com", []string{"ns1.host.net"}); err != nil {
+		t.Fatal(err)
+	}
+	check("after Register", 2)
+	ds := &dnswire.DS{KeyTag: 7, Algorithm: dnswire.AlgED25519, DigestType: dnswire.DigestSHA256, Digest: make([]byte, 32)}
+	if err := reg.SetDS("acme", "example.com", []*dnswire.DS{ds}); err != nil {
+		t.Fatal(err)
+	}
+	check("after SetDS", 3)
+	if err := reg.Drop("acme", "example.com"); err != nil {
+		t.Fatal(err)
+	}
+	check("after Drop", 3) // a drop removes the delegation without a bump
 }

@@ -132,6 +132,81 @@ func TestMaterializeIndependentOfWorkerCount(t *testing.T) {
 	}
 }
 
+// TestSweepProducesOnlyWhatItReads counts private-key operations by what
+// they leave behind: a materialized signed child has its four signatures
+// planned and none produced, and after one sweep of the day — NS and DS at
+// the registry, DNSKEY at the operator — exactly the DNSKEY RRset's has been
+// produced. Unsigned children plan nothing.
+func TestSweepProducesOnlyWhatItReads(t *testing.T) {
+	domains := signedWorld(t).Sample(160, 9)
+	m, err := tldsim.Materialize(simtime.End, domains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := func(d *tldsim.DomainState) *zone.Zone {
+		return m.Net.Lookup(tldsim.NSHostOf(d.Operator)).(*dnsserver.Authoritative).Zone(d.Name)
+	}
+	planned := func(stage string, wantSigned int) (signed int) {
+		t.Helper()
+		for i := range domains {
+			d := &domains[i]
+			want := 0
+			if d.KeyDay <= simtime.End {
+				want = wantSigned
+				signed++
+			}
+			if got := child(d).PlannedSigs(); got != want {
+				t.Fatalf("%s: %s has %d signatures planned, want %d", stage, d.Name, got, want)
+			}
+		}
+		return signed
+	}
+	signed := planned("before the sweep", 4)
+	if signed*10 < len(domains)*4 || signed == len(domains) {
+		t.Fatalf("sample has %d signed of %d domains; the test needs about 60%%", signed, len(domains))
+	}
+
+	scanner, err := scan.New(scan.Config{
+		Exchange: m.Net, TLDServers: m.TLDServers, Workers: 8,
+		Clock: func() simtime.Day { return simtime.End },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make([]scan.Target, len(domains))
+	for i, d := range domains {
+		targets[i] = scan.Target{Domain: d.Name, TLD: d.TLD}
+	}
+	live, _, err := scanner.ScanDay(context.Background(), simtime.End, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withKeys := 0
+	for i := range live.Records {
+		if live.Records[i].HasDNSKEY {
+			if !live.Records[i].HasRRSIG {
+				t.Errorf("%s: DNSKEY answer without its signature", live.Records[i].Domain)
+			}
+			withKeys++
+		}
+	}
+	if withKeys != signed {
+		t.Errorf("the sweep saw DNSKEYs at %d domains, the world signs %d", withKeys, signed)
+	}
+	planned("after the sweep", 3)
+	for i := range domains {
+		// SOA, NS, A; DNSKEY (2) and the four RRSIGs when signed: counting
+		// produces the three nobody read.
+		want := 3
+		if domains[i].KeyDay <= simtime.End {
+			want = 9
+		}
+		if got := child(&domains[i]).Len(); got != want {
+			t.Fatalf("%s: %d records, want %d", domains[i].Name, got, want)
+		}
+	}
+}
+
 // sweepArchive sweeps a sample of the world over two days through the
 // chunked pipeline — every chunk a Materialize call — and returns the
 // archive's bytes.

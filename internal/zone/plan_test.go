@@ -1,0 +1,384 @@
+package zone
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"net/netip"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"securepki.org/registrarsec/internal/dnssec"
+	"securepki.org/registrarsec/internal/dnswire"
+)
+
+// filedSigs counts the RRSIG records actually held at name, without asking
+// for any to be produced.
+func filedSigs(z *Zone, name string) int {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	return len(z.sets[sigKey(name)])
+}
+
+// verifies reports whether sigs is exactly one RRSIG that verifies over the
+// RRset now at (name, t) under key.
+func verifies(z *Zone, sigs []*dnswire.RR, name string, t dnswire.Type, key *dnssec.KeyPair) error {
+	if len(sigs) != 1 {
+		return fmt.Errorf("%s/%v: %d signatures, want 1", name, t, len(sigs))
+	}
+	return dnssec.VerifyRRSet(z.Lookup(name, t), sigs[0].Data.(*dnswire.RRSIG), key.DNSKEY(), testNow)
+}
+
+func TestSignPlansAndFirstReadProduces(t *testing.T) {
+	z := buildExampleZone(t)
+	s := newTestSigner(t)
+	if err := s.Sign(z); err != nil {
+		t.Fatal(err)
+	}
+	// Apex SOA, NS, DNSKEY and three hosts' A; the delegation and its glue
+	// are not signed.
+	const want = 6
+	if got := z.PlannedSigs(); got != want {
+		t.Fatalf("planned %d signatures, want %d", got, want)
+	}
+	for _, name := range z.Names() {
+		if n := filedSigs(z, name); n != 0 {
+			t.Errorf("%s: %d signatures produced by Sign itself", name, n)
+		}
+	}
+	gen := z.Generation()
+	first := z.Sigs("www.example.com", dnswire.TypeA)
+	if err := verifies(z, first, "www.example.com", dnswire.TypeA, s.ZSK); err != nil {
+		t.Fatal(err)
+	}
+	if z.PlannedSigs() != want-1 || filedSigs(z, "www.example.com") != 1 {
+		t.Errorf("after one read: %d planned, %d filed at www", z.PlannedSigs(), filedSigs(z, "www.example.com"))
+	}
+	if again := z.Sigs("WWW.example.com.", dnswire.TypeA); len(again) != 1 || again[0] != first[0] {
+		t.Error("the second read did not return the signature the first produced")
+	}
+	if err := verifies(z, z.Sigs("example.com", dnswire.TypeDNSKEY), "example.com", dnswire.TypeDNSKEY, s.KSK); err != nil {
+		t.Errorf("DNSKEY RRset not signed by the KSK: %v", err)
+	}
+	if len(z.Sigs("sub.example.com", dnswire.TypeNS)) != 0 || len(z.Sigs("absent.example.com", dnswire.TypeA)) != 0 {
+		t.Error("signature over a delegation or an absent name")
+	}
+	if z.Generation() != gen {
+		t.Errorf("producing moved the generation %d -> %d", gen, z.Generation())
+	}
+	// The plan holds the window and keys of the moment Sign ran.
+	s.Expiration = testNow.AddDate(-1, 0, 0)
+	if err := verifies(z, z.Sigs("example.com", dnswire.TypeSOA), "example.com", dnswire.TypeSOA, s.ZSK); err != nil {
+		t.Errorf("changing the Signer after Sign changed a planned signature: %v", err)
+	}
+}
+
+func TestSignReportsAtPlanTime(t *testing.T) {
+	z := buildExampleZone(t)
+	s := newTestSigner(t)
+	zsk := *s.ZSK
+	zsk.Algorithm = 250
+	s.ZSK = &zsk
+	if err := s.Sign(z); !errors.Is(err, dnssec.ErrUnsupportedAlgorithm) {
+		t.Fatalf("Sign with a key that cannot sign: %v", err)
+	}
+	if z.PlannedSigs() != 0 {
+		t.Errorf("a failed Sign left %d plans", z.PlannedSigs())
+	}
+	if err := s.SignSet(z, "www.example.com", dnswire.TypeA); !errors.Is(err, dnssec.ErrUnsupportedAlgorithm) {
+		t.Errorf("SignSet with a key that cannot sign: %v", err)
+	}
+}
+
+// TestPlansDroppedWithTheirSignatures: whatever removes a signature removes
+// it planned or produced, and nothing brings it back.
+func TestPlansDroppedWithTheirSignatures(t *testing.T) {
+	const www, apex = "www.example.com", "example.com"
+	// The six RRsets of TestSignPlansAndFirstReadProduces, and the NSEC at
+	// the apex, the three hosts and the delegation.
+	const all = 11
+	other := newTestSigner(t)
+	other.AddNSEC = true
+	ops := []struct {
+		name string
+		do   func(z *Zone)
+		// gone lists the (owner, covered) pairs the op leaves unsigned;
+		// planned is what must still be planned right after it on a zone
+		// nobody had read.
+		gone    []rrKey
+		planned int
+	}{
+		{"RemoveSigs", func(z *Zone) { z.RemoveSigs(www, dnswire.TypeA) },
+			[]rrKey{{www, dnswire.TypeA}}, all - 1},
+		{"Remove RRSIG", func(z *Zone) { z.Remove(www, dnswire.TypeRRSIG) },
+			[]rrKey{{www, dnswire.TypeA}, {www, dnswire.TypeNSEC}}, all - 2},
+		{"RemoveName", func(z *Zone) { z.RemoveName(www) },
+			[]rrKey{{www, dnswire.TypeA}, {www, dnswire.TypeNSEC}}, all - 2},
+		{"RemoveType RRSIG", func(z *Zone) { z.RemoveType(dnswire.TypeRRSIG) },
+			[]rrKey{{www, dnswire.TypeA}, {apex, dnswire.TypeSOA}, {apex, dnswire.TypeDNSKEY}, {"sub.example.com", dnswire.TypeNSEC}}, 0},
+		{"Unsign", Unsign,
+			[]rrKey{{www, dnswire.TypeA}, {apex, dnswire.TypeSOA}, {apex, dnswire.TypeDNSKEY}}, 0},
+	}
+	for _, op := range ops {
+		for _, read := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/read=%v", op.name, read), func(t *testing.T) {
+				z := buildExampleZone(t)
+				s := newTestSigner(t)
+				s.AddNSEC = true
+				if err := s.Sign(z); err != nil {
+					t.Fatal(err)
+				}
+				if z.PlannedSigs() != all {
+					t.Fatalf("fixture plans %d signatures", z.PlannedSigs())
+				}
+				if read {
+					for _, k := range op.gone {
+						if len(z.Sigs(k.name, k.typ)) != 1 {
+							t.Fatalf("fixture: %s/%v unsigned", k.name, k.typ)
+						}
+					}
+				}
+				events := 0
+				z.OnEvent(func(Event) { events++ })
+				op.do(z)
+				if events == 0 {
+					t.Error("no event")
+				}
+				if !read && z.PlannedSigs() != op.planned {
+					t.Errorf("%d signatures still planned, want %d", z.PlannedSigs(), op.planned)
+				}
+				for pass := 0; pass < 2; pass++ {
+					for _, k := range op.gone {
+						if sigs := z.Sigs(k.name, k.typ); len(sigs) != 0 {
+							t.Errorf("pass %d: %s/%v still signed", pass, k.name, k.typ)
+						}
+					}
+					z.Len() // produces whatever is left
+				}
+				owners := make(map[string]bool)
+				z.RRSets(func(name string, _ dnswire.Type, _ []*dnswire.RR) { owners[name] = true })
+				for _, name := range []string{www, apex, "ns1.example.com", "sub.example.com"} {
+					if z.HasName(name) != owners[name] {
+						t.Errorf("HasName(%s) = %v with RRsets present: %v", name, z.HasName(name), owners[name])
+					}
+				}
+			})
+		}
+	}
+
+	t.Run("second Sign", func(t *testing.T) {
+		z := buildExampleZone(t)
+		s := newTestSigner(t)
+		s.AddNSEC = true
+		if err := s.Sign(z); err != nil {
+			t.Fatal(err)
+		}
+		z.Sigs(www, dnswire.TypeA) // one produced, the rest planned
+		if err := other.Sign(z); err != nil {
+			t.Fatal(err)
+		}
+		if z.PlannedSigs() != all {
+			t.Errorf("%d signatures planned after re-signing, want %d", z.PlannedSigs(), all)
+		}
+		for _, rr := range z.Lookup(www, dnswire.TypeRRSIG) {
+			if tag := rr.Data.(*dnswire.RRSIG).KeyTag; tag != other.ZSK.KeyTag() {
+				t.Errorf("signature by key %d survived re-signing under key %d", tag, other.ZSK.KeyTag())
+			}
+		}
+		if err := verifies(z, z.Sigs(apex, dnswire.TypeSOA), apex, dnswire.TypeSOA, other.ZSK); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+func TestBumpSerialResignsSOA(t *testing.T) {
+	const apex = "example.com"
+	for _, read := range []bool{false, true} {
+		z := buildExampleZone(t)
+		s := newTestSigner(t)
+		if err := s.Sign(z); err != nil {
+			t.Fatal(err)
+		}
+		if read {
+			if err := verifies(z, z.Sigs(apex, dnswire.TypeSOA), apex, dnswire.TypeSOA, s.ZSK); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := z.PlannedSigs()
+		if read {
+			want++ // the produced signature is replaced by a plan
+		}
+		z.BumpSerial()
+		if z.PlannedSigs() != want {
+			t.Errorf("read=%v: %d signatures planned after the bump, want %d", read, z.PlannedSigs(), want)
+		}
+		if err := verifies(z, z.Sigs(apex, dnswire.TypeSOA), apex, dnswire.TypeSOA, s.ZSK); err != nil {
+			t.Errorf("read=%v: SOA signature after BumpSerial: %v", read, err)
+		}
+		// A clone is bumped under the same signer.
+		c := z.Clone()
+		c.BumpSerial()
+		if err := verifies(c, c.Sigs(apex, dnswire.TypeSOA), apex, dnswire.TypeSOA, s.ZSK); err != nil {
+			t.Errorf("read=%v: clone's SOA signature after BumpSerial: %v", read, err)
+		}
+	}
+
+	// Nothing to re-sign: a zone never signed, one whose SOA signature was
+	// removed, one unsigned again.
+	unsigned := buildExampleZone(t)
+	stripped, undone := buildExampleZone(t), buildExampleZone(t)
+	s := newTestSigner(t)
+	for _, z := range []*Zone{stripped, undone} {
+		if err := s.Sign(z); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stripped.RemoveSigs(apex, dnswire.TypeSOA)
+	Unsign(undone)
+	for i, z := range []*Zone{unsigned, stripped, undone} {
+		z.BumpSerial()
+		if sigs := z.Sigs(apex, dnswire.TypeSOA); len(sigs) != 0 {
+			t.Errorf("zone %d: BumpSerial signed an unsigned SOA", i)
+		}
+	}
+}
+
+// TestConcurrentFirstReads: sixteen readers ask for overlapping signatures
+// while a writer removes some, re-signs others and bumps the serial. No
+// signature is ever filed twice, none comes back once removed, and what is
+// left at the end verifies. Meaningful under -race.
+func TestConcurrentFirstReads(t *testing.T) {
+	const hosts, apex = 60, "race.example"
+	host := func(i int) string { return fmt.Sprintf("h%d.%s", i, apex) }
+	z := New(apex)
+	z.MustAdd(dnswire.NewRR(apex, 3600, &dnswire.SOA{MName: "ns1." + apex, RName: "admin." + apex, Serial: 1, Minimum: 300}))
+	z.MustAdd(dnswire.NewRR(apex, 3600, &dnswire.NS{Host: "ns1." + apex}))
+	for i := 0; i < hosts; i++ {
+		a(t, z, host(i), "192.0.2.1")
+	}
+	s := newTestSigner(t)
+	if err := s.Sign(z); err != nil {
+		t.Fatal(err)
+	}
+
+	var removed [hosts]atomic.Bool
+	var stop atomic.Bool
+	var readers sync.WaitGroup
+	var reads atomic.Int64
+	for r := 0; r < 16; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for !stop.Load() {
+				i := rng.Intn(hosts)
+				was := removed[i].Load()
+				switch n := len(z.Sigs(host(i), dnswire.TypeA)); {
+				case n > 1:
+					t.Errorf("%s: %d signatures over one RRset", host(i), n)
+					return
+				case was && n != 0:
+					t.Errorf("%s: signature back after its removal", host(i))
+					return
+				}
+				if n := len(z.Sigs(apex, dnswire.TypeSOA)); n != 1 {
+					t.Errorf("SOA: %d signatures", n)
+					return
+				}
+				reads.Add(1)
+			}
+		}(r)
+	}
+	// Host i is removed from (i%3 == 0), re-signed over a new address
+	// (i%3 == 1) or left alone; three passes, so re-signing also replaces
+	// plans nobody read and signatures somebody did.
+	for pass := 0; pass < 3; pass++ {
+		for i := 0; i < hosts; i++ {
+			switch i % 3 {
+			case 0:
+				z.RemoveSigs(host(i), dnswire.TypeA)
+				removed[i].Store(true)
+			case 1:
+				z.Remove(host(i), dnswire.TypeA)
+				a(t, z, host(i), fmt.Sprintf("192.0.2.%d", 10+pass))
+				if err := s.SignSet(z, host(i), dnswire.TypeA); err != nil {
+					t.Fatal(err)
+				}
+			}
+			z.BumpSerial()
+		}
+		for before := reads.Load(); reads.Load() < before+64 && !t.Failed(); {
+			runtime.Gosched() // let the readers at what this pass left
+		}
+	}
+	stop.Store(true)
+	readers.Wait()
+
+	for i := 0; i < hosts; i++ {
+		sigs := z.Sigs(host(i), dnswire.TypeA)
+		if i%3 == 0 {
+			if len(sigs) != 0 || z.signedLocked(host(i), dnswire.TypeA) {
+				t.Errorf("%s: signed after RemoveSigs", host(i))
+			}
+		} else if err := verifies(z, sigs, host(i), dnswire.TypeA, s.ZSK); err != nil {
+			t.Error(err)
+		}
+	}
+	if err := verifies(z, z.Sigs(apex, dnswire.TypeSOA), apex, dnswire.TypeSOA, s.ZSK); err != nil {
+		t.Error(err)
+	}
+	if got := z.SOA().Data.(*dnswire.SOA).Serial; got != 1+3*hosts {
+		t.Errorf("serial %d after %d bumps", got, 3*hosts)
+	}
+}
+
+// planBenchZone is a child zone as tldsim.Materialize builds it: SOA, NS and
+// one A — with the DNSKEY RRset, four RRsets to sign.
+func planBenchZone() *Zone {
+	const apex = "bench.example"
+	z := New(apex)
+	z.MustAdd(dnswire.NewRR(apex, 3600, &dnswire.SOA{MName: "ns1.operator.example", RName: "hostmaster." + apex, Serial: 1, Minimum: 300}))
+	z.MustAdd(dnswire.NewRR(apex, 3600, &dnswire.NS{Host: "ns1.operator.example"}))
+	z.MustAdd(dnswire.NewRR("www."+apex, 300, &dnswire.A{Addr: netip.MustParseAddr("203.0.113.80")}))
+	return z
+}
+
+// BenchmarkSignPlan is Sign on a four-RRset zone: strip, install keys,
+// plan; no private-key operation.
+func BenchmarkSignPlan(b *testing.B) {
+	s, err := NewSigner(dnswire.AlgED25519, testNow)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		z := planBenchZone()
+		if err := s.Sign(z); err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 && z.PlannedSigs() != 4 {
+			b.Fatalf("planned %d signatures, want 4", z.PlannedSigs())
+		}
+	}
+}
+
+// BenchmarkFirstRead adds the one read the measurement makes of a child
+// zone: the DNSKEY RRset's signature.
+func BenchmarkFirstRead(b *testing.B) {
+	s, err := NewSigner(dnswire.AlgED25519, testNow)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		z := planBenchZone()
+		if err := s.Sign(z); err != nil {
+			b.Fatal(err)
+		}
+		if len(z.Sigs(z.Origin, dnswire.TypeDNSKEY)) != 1 || z.PlannedSigs() != 3 {
+			b.Fatal("first read did not produce exactly the DNSKEY signature")
+		}
+	}
+}

@@ -55,11 +55,44 @@ func (s *Signer) opts() dnssec.SignOptions {
 }
 
 // Sign (re-)signs the zone in place: it strips existing DNSSEC material,
-// installs the DNSKEY RRset, optionally builds the NSEC chain, and produces
-// RRSIGs for every authoritative RRset. Delegation NS RRsets and glue below
+// installs the DNSKEY RRset, optionally builds the NSEC chain, and plans an
+// RRSIG for every authoritative RRset. Delegation NS RRsets and glue below
 // cuts are left unsigned, DS RRsets at cuts are signed, per RFC 4035
 // section 2.2.
+//
+// Everything but the private-key operation happens here, so every error
+// signing can report short of a failing key is reported here; the zone runs
+// the key for each signature when a reader first needs it (see plan.go).
+// The plans hold the signer's keys and validity window as they are now:
+// changing the Signer afterwards changes nothing already planned.
 func (s *Signer) Sign(z *Zone) error {
+	if err := s.install(z); err != nil {
+		return err
+	}
+	var plans []*dnssec.PendingSig
+	var planErr error
+	signable(z, func(rrs []*dnswire.RR) {
+		if planErr != nil {
+			return
+		}
+		p, err := s.prepare(z.Origin, rrs)
+		if err != nil {
+			planErr = fmt.Errorf("zone %s: signing %s/%v: %w", present(z.Origin), rrs[0].Name, rrs[0].Type, err)
+			return
+		}
+		plans = append(plans, p)
+	})
+	if planErr != nil {
+		return planErr
+	}
+	frozen := *s
+	z.planZone(&frozen, plans)
+	return nil
+}
+
+// install strips the zone's DNSSEC material, installs the signer's DNSKEY
+// RRset and builds the denial chain the signer asks for.
+func (s *Signer) install(z *Zone) error {
 	if s.KSK == nil || s.ZSK == nil {
 		return errors.New("zone: signer requires both KSK and ZSK")
 	}
@@ -74,53 +107,30 @@ func (s *Signer) Sign(z *Zone) error {
 	z.Remove(z.Origin, dnswire.TypeDNSKEY)
 	z.MustAdd(s.KSK.RR(z.Origin, keyTTL))
 	z.MustAdd(s.ZSK.RR(z.Origin, keyTTL))
-
 	switch {
 	case s.NSEC3 != nil:
-		if err := s.addNSEC3Chain(z); err != nil {
-			return err
-		}
+		return s.addNSEC3Chain(z)
 	case s.AddNSEC:
-		if err := s.addNSECChain(z); err != nil {
-			return err
-		}
+		return s.addNSECChain(z)
 	}
+	return nil
+}
 
-	// Collect the signing work first: signing mutates the zone and RRSets
-	// iteration must not observe the records it adds.
-	type task struct {
-		name string
-		typ  dnswire.Type
-		rrs  []*dnswire.RR
-	}
-	var tasks []task
-	var signErr error
+// signable calls fn with every RRset of z that gets a signature: all but
+// RRSIGs themselves and, at and below a delegation cut, all but the DS and
+// NSEC RRsets at the cut itself (the rest is the child's, or glue).
+func signable(z *Zone, fn func(rrs []*dnswire.RR)) {
 	z.RRSets(func(name string, t dnswire.Type, rrs []*dnswire.RR) {
 		if t == dnswire.TypeRRSIG {
 			return
 		}
-		cut, _ := z.DelegationFor(name)
-		if cut != "" {
-			// At the cut itself only the DS RRset (and NSEC) is
-			// authoritative; below the cut everything is glue.
+		if cut, _ := z.DelegationFor(name); cut != "" {
 			if name != cut || (t != dnswire.TypeDS && t != dnswire.TypeNSEC) {
 				return
 			}
 		}
-		tasks = append(tasks, task{name, t, rrs})
+		fn(rrs)
 	})
-	for _, tk := range tasks {
-		sig, err := s.SignRRSet(z.Origin, tk.rrs)
-		if err != nil {
-			signErr = fmt.Errorf("zone %s: signing %s/%v: %w", present(z.Origin), tk.name, tk.typ, err)
-			break
-		}
-		if err := z.Add(sig); err != nil {
-			signErr = err
-			break
-		}
-	}
-	return signErr
 }
 
 // addNSECChain links every authoritative owner name to the next in
@@ -147,16 +157,23 @@ func (s *Signer) addNSECChain(z *Zone) error {
 	}
 	for i, n := range auth {
 		next := auth[(i+1)%len(auth)]
-		var types []dnswire.Type
-		for t := range z.LookupAll(n) {
-			types = append(types, t)
-		}
-		types = append(types, dnswire.TypeNSEC, dnswire.TypeRRSIG)
+		types := typesAt(z, n, dnswire.TypeNSEC, dnswire.TypeRRSIG)
 		if err := z.Add(dnswire.NewRR(n, minTTL, &dnswire.NSEC{NextName: next, Types: types})); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// typesAt lists the types present at name plus those the chain is about to
+// add there, ascending, so the zone's text does not depend on map order.
+func typesAt(z *Zone, name string, adding ...dnswire.Type) []dnswire.Type {
+	types := adding
+	for t := range z.LookupAll(name) {
+		types = append(types, t)
+	}
+	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
+	return types
 }
 
 // addNSEC3Chain builds the hashed denial chain (RFC 5155): every
@@ -202,11 +219,7 @@ func (s *Signer) addNSEC3Chain(z *Zone) error {
 	}
 	for i, e := range entries {
 		next := entries[(i+1)%len(entries)]
-		var types []dnswire.Type
-		for t := range z.LookupAll(e.owner) {
-			types = append(types, t)
-		}
-		types = append(types, dnswire.TypeRRSIG)
+		types := typesAt(z, e.owner, dnswire.TypeRRSIG)
 		ownerName := dnswire.Base32HexEncode(e.hash)
 		if z.Origin != "" {
 			ownerName += "." + z.Origin
@@ -236,27 +249,29 @@ func (s *Signer) DSRecords(zoneName string, dt dnswire.DigestType) ([]*dnswire.D
 }
 
 // SignSet signs (or re-signs) a single RRset in place, replacing any
-// existing RRSIGs covering it. Registries use this to maintain DS RRsets
-// incrementally as registrars upload records, instead of re-signing the
-// whole multi-million-entry TLD zone.
+// existing RRSIGs covering it, planned or produced, with a plan as Sign
+// would. Registries use this to maintain DS RRsets incrementally as
+// registrars upload records, instead of re-signing the whole
+// multi-million-entry TLD zone.
 func (s *Signer) SignSet(z *Zone, name string, t dnswire.Type) error {
-	z.RemoveSigs(name, t)
+	name = dnswire.CanonicalName(name)
 	rrs := z.Lookup(name, t)
 	if len(rrs) == 0 {
+		z.RemoveSigs(name, t)
 		return nil
 	}
-	sig, err := s.SignRRSet(z.Origin, rrs)
+	p, err := s.prepare(z.Origin, rrs)
 	if err != nil {
+		z.RemoveSigs(name, t)
 		return err
 	}
-	return z.Add(sig)
+	z.resign(name, t, p)
+	return nil
 }
 
-// SignRRSet produces the RRSIG over one RRset of the zone rooted at origin
-// — the KSK signs a DNSKEY RRset, the ZSK anything else — without touching
-// a zone, so callers can sign from several goroutines and add the results
-// in an order of their choosing.
-func (s *Signer) SignRRSet(origin string, rrs []*dnswire.RR) (*dnswire.RR, error) {
+// prepare plans the RRSIG over one RRset of the zone rooted at origin: the
+// KSK signs a DNSKEY RRset, the ZSK anything else.
+func (s *Signer) prepare(origin string, rrs []*dnswire.RR) (*dnssec.PendingSig, error) {
 	if len(rrs) == 0 {
 		return nil, dnssec.ErrEmptyRRSet
 	}
@@ -264,7 +279,18 @@ func (s *Signer) SignRRSet(origin string, rrs []*dnswire.RR) (*dnswire.RR, error
 	if rrs[0].Type == dnswire.TypeDNSKEY {
 		key = s.KSK
 	}
-	return dnssec.SignRRSet(rrs, key, origin, s.opts())
+	return dnssec.PrepareRRSIG(rrs, key, origin, s.opts())
+}
+
+// SignRRSet produces the RRSIG over one RRset of the zone rooted at origin
+// here and now, without touching a zone, so callers can sign from several
+// goroutines and add the results in an order of their choosing.
+func (s *Signer) SignRRSet(origin string, rrs []*dnswire.RR) (*dnswire.RR, error) {
+	p, err := s.prepare(origin, rrs)
+	if err != nil {
+		return nil, err
+	}
+	return p.Sign()
 }
 
 // Unsign strips all DNSSEC material from the zone (what a registrar does
@@ -281,8 +307,8 @@ func Unsign(z *Zone) {
 }
 
 // PublishCDS installs CDS and CDNSKEY records for the signer's KSK at the
-// apex and signs them, signalling the parent to update its DS RRset
-// (RFC 7344).
+// apex and plans their signatures under the KSK, signalling the parent to
+// update its DS RRset (RFC 7344).
 func (s *Signer) PublishCDS(z *Zone, dt dnswire.DigestType) error {
 	ds, err := dnssec.ComputeDS(z.Origin, s.KSK.DNSKEY(), dt)
 	if err != nil {
@@ -296,13 +322,11 @@ func (s *Signer) PublishCDS(z *Zone, dt dnswire.DigestType) error {
 		if err := z.Add(rr); err != nil {
 			return err
 		}
-		sig, err := dnssec.SignRRSet([]*dnswire.RR{rr}, s.KSK, z.Origin, s.opts())
+		p, err := dnssec.PrepareRRSIG([]*dnswire.RR{rr}, s.KSK, z.Origin, s.opts())
 		if err != nil {
 			return err
 		}
-		if err := z.Add(sig); err != nil {
-			return err
-		}
+		z.resign(rr.Name, rr.Type, p)
 	}
 	return nil
 }

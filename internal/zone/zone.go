@@ -47,6 +47,14 @@ type Zone struct {
 	// invalidation scopes (see eventLocked).
 	nsecSets  int
 	cnameSets int
+	// plans holds, per owner and ordered by covered type, the signatures
+	// that were planned and that no reader has needed yet (see plan.go). An
+	// owner with plans counts as holding an RRSIG RRset in names.
+	plans map[string][]sigPlan
+	// signer is a copy of the Signer whose Sign last planned the whole zone,
+	// nil for a zone that is unsigned or was signed elsewhere; BumpSerial
+	// re-plans the SOA's signature under it.
+	signer *Signer
 }
 
 // New creates an empty zone for the given origin.
@@ -80,13 +88,19 @@ func (z *Zone) Add(rr *dnswire.RR) error {
 	}
 	structural := z.names[rr.Name] == 0
 	z.gen.Add(1)
-	z.sets[k] = append(z.sets[k], rr)
-	if len(z.sets[k]) == 1 {
-		z.trackSetAdded(k)
-	}
 	affects := rr.Type
-	if sig, ok := rr.Data.(*dnswire.RRSIG); ok {
-		affects = sig.TypeCovered
+	if rr.Type != dnswire.TypeRRSIG {
+		z.sets[k] = append(z.sets[k], rr)
+		if len(z.sets[k]) == 1 {
+			z.trackSetAdded(k)
+		}
+	} else {
+		had := z.hasSigsLocked(rr.Name)
+		z.sets[k] = insertSig(z.sets[k], rr)
+		z.trackSigsLocked(rr.Name, had)
+		if sig, ok := rr.Data.(*dnswire.RRSIG); ok {
+			affects = sig.TypeCovered
+		}
 	}
 	ev := z.eventLocked(rr.Name, affects, structural)
 	z.gen.Add(1)
@@ -103,16 +117,24 @@ func (z *Zone) MustAdd(rr *dnswire.RR) {
 	}
 }
 
-// Remove deletes the whole RRset at (name, type).
+// Remove deletes the whole RRset at (name, type); for TypeRRSIG that takes
+// the planned signatures with it.
 func (z *Zone) Remove(name string, t dnswire.Type) {
 	name = dnswire.CanonicalName(name)
 	z.mu.Lock()
 	k := rrKey{name, t}
-	if _, ok := z.sets[k]; !ok {
+	_, ok := z.sets[k]
+	if t == dnswire.TypeRRSIG {
+		ok = z.hasSigsLocked(name)
+	}
+	if !ok {
 		z.mu.Unlock()
 		return
 	}
 	z.gen.Add(1)
+	if t == dnswire.TypeRRSIG {
+		delete(z.plans, name)
+	}
 	delete(z.sets, k)
 	z.trackSetRemoved(k)
 	ev := z.eventLocked(name, t, z.names[name] == 0)
@@ -128,6 +150,10 @@ func (z *Zone) RemoveName(name string) {
 	z.mu.Lock()
 	z.gen.Add(1)
 	removed := false
+	if len(z.plans[name]) > 0 {
+		z.dropPlansLocked(name)
+		removed = true
+	}
 	for k := range z.sets {
 		if k.name == name {
 			delete(z.sets, k)
@@ -144,45 +170,25 @@ func (z *Zone) RemoveName(name string) {
 	}
 }
 
-// RemoveSigs deletes the RRSIGs at name that cover type t, leaving other
-// signatures at the same owner untouched.
+// RemoveSigs deletes the RRSIGs at name that cover type t, planned or
+// produced, leaving other signatures at the same owner untouched.
 func (z *Zone) RemoveSigs(name string, t dnswire.Type) {
-	name = dnswire.CanonicalName(name)
-	z.mu.Lock()
-	k := rrKey{name, dnswire.TypeRRSIG}
-	set := z.sets[k]
-	if len(set) == 0 {
-		z.mu.Unlock()
-		return
-	}
-	z.gen.Add(1)
-	kept := set[:0]
-	for _, rr := range set {
-		if sig, ok := rr.Data.(*dnswire.RRSIG); ok && sig.TypeCovered == t {
-			continue
-		}
-		kept = append(kept, rr)
-	}
-	if len(kept) == 0 {
-		delete(z.sets, k)
-		z.trackSetRemoved(k)
-	} else {
-		z.sets[k] = kept
-	}
-	// The event is classified by the covered type: dropping the signature
-	// over an NSEC chain link invalidates denial proofs zone-wide.
-	ev := z.eventLocked(name, t, false)
-	z.gen.Add(1)
-	subs := z.subs
-	z.mu.Unlock()
-	notify(subs, ev)
+	z.resign(dnswire.CanonicalName(name), t, nil)
 }
 
 // RemoveType deletes every RRset of the given type anywhere in the zone
-// (used to strip RRSIG/NSEC before re-signing). Always a zone-wide event.
+// (used to strip RRSIG/NSEC before re-signing); for TypeRRSIG that is every
+// planned signature too, and the signer they were planned under. Always a
+// zone-wide event.
 func (z *Zone) RemoveType(t dnswire.Type) {
 	z.mu.Lock()
 	z.gen.Add(1)
+	if t == dnswire.TypeRRSIG {
+		for name := range z.plans {
+			z.dropPlansLocked(name)
+		}
+		z.signer = nil
+	}
 	for k := range z.sets {
 		if k.typ == t {
 			delete(z.sets, k)
@@ -195,11 +201,18 @@ func (z *Zone) RemoveType(t dnswire.Type) {
 	notify(subs, Event{Scope: ScopeZone})
 }
 
-// Lookup returns a copy of the RRset at (name, type), nil if absent.
+// Lookup returns a copy of the RRset at (name, type), nil if absent. For
+// TypeRRSIG that is every signature at name, produced now if still planned;
+// a response that needs the signatures over one RRset asks Sigs.
 func (z *Zone) Lookup(name string, t dnswire.Type) []*dnswire.RR {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	set := z.sets[rrKey{dnswire.CanonicalName(name), t}]
+	name = dnswire.CanonicalName(name)
+	if t == dnswire.TypeRRSIG {
+		defer z.lockProduced(name, false)()
+	} else {
+		z.mu.RLock()
+		defer z.mu.RUnlock()
+	}
+	set := z.sets[rrKey{name, t}]
 	if len(set) == 0 {
 		return nil
 	}
@@ -209,8 +222,7 @@ func (z *Zone) Lookup(name string, t dnswire.Type) []*dnswire.RR {
 // LookupAll returns every RRset owned by name, grouped by type.
 func (z *Zone) LookupAll(name string) map[dnswire.Type][]*dnswire.RR {
 	name = dnswire.CanonicalName(name)
-	z.mu.RLock()
-	defer z.mu.RUnlock()
+	defer z.lockProduced(name, false)()
 	out := make(map[dnswire.Type][]*dnswire.RR)
 	for k, set := range z.sets {
 		if k.name == name {
@@ -245,12 +257,12 @@ func (z *Zone) Names() []string {
 // RRSets invokes fn for every RRset in deterministic order. fn must not
 // mutate the zone.
 func (z *Zone) RRSets(fn func(name string, t dnswire.Type, rrs []*dnswire.RR)) {
-	z.mu.RLock()
+	unlock := z.lockProduced("", true)
 	keys := make([]rrKey, 0, len(z.sets))
 	for k := range z.sets {
 		keys = append(keys, k)
 	}
-	z.mu.RUnlock()
+	unlock()
 	sort.Slice(keys, func(i, j int) bool {
 		if c := dnswire.CompareCanonical(keys[i].name, keys[j].name); c != 0 {
 			return c < 0
@@ -258,10 +270,7 @@ func (z *Zone) RRSets(fn func(name string, t dnswire.Type, rrs []*dnswire.RR)) {
 		return keys[i].typ < keys[j].typ
 	})
 	for _, k := range keys {
-		z.mu.RLock()
-		set := append([]*dnswire.RR(nil), z.sets[k]...)
-		z.mu.RUnlock()
-		if len(set) > 0 {
+		if set := z.Lookup(k.name, k.typ); len(set) > 0 {
 			fn(k.name, k.typ, set)
 		}
 	}
@@ -269,8 +278,7 @@ func (z *Zone) RRSets(fn func(name string, t dnswire.Type, rrs []*dnswire.RR)) {
 
 // Len returns the total number of records.
 func (z *Zone) Len() int {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
+	defer z.lockProduced("", true)()
 	n := 0
 	for _, set := range z.sets {
 		n += len(set)
@@ -294,7 +302,9 @@ func (z *Zone) SOA() *dnswire.RR {
 // do not flush the rest of the zone's cached responses.
 //
 // The SOA record is replaced, never written: readers pack records they
-// looked up after releasing the zone lock.
+// looked up after releasing the zone lock. In a zone planned by Sign, the
+// SOA's signature is planned again over the new serial, under the same
+// signer.
 func (z *Zone) BumpSerial() {
 	z.mu.Lock()
 	z.gen.Add(1)
@@ -310,6 +320,13 @@ func (z *Zone) BumpSerial() {
 	}
 	if len(next) > 0 {
 		z.sets[k] = next
+		if z.signer != nil && z.signedLocked(z.Origin, dnswire.TypeSOA) {
+			// The signature covered the old serial. Only the serial changed,
+			// so what was signable still is; were it not, the SOA goes
+			// unsigned rather than out with a signature that cannot verify.
+			p, _ := z.signer.prepare(z.Origin, next)
+			z.resignLocked(z.Origin, dnswire.TypeSOA, p)
+		}
 	}
 	ev := z.eventLocked(z.Origin, dnswire.TypeSOA, false)
 	z.gen.Add(1)
@@ -349,12 +366,14 @@ func (z *Zone) IsDelegated(qname string) bool {
 }
 
 // Clone produces a deep-enough copy: RRset slices are copied; the records
-// themselves are shared (they are treated as immutable once added).
+// themselves are shared (they are treated as immutable once added). Planned
+// signatures are produced first, so the copy and the original serve the same
+// bytes.
 func (z *Zone) Clone() *Zone {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
+	defer z.lockProduced("", true)()
 	c := New(z.Origin)
 	c.DefaultTTL = z.DefaultTTL
+	c.signer = z.signer
 	c.nsecSets, c.cnameSets = z.nsecSets, z.cnameSets
 	for k, set := range z.sets {
 		c.sets[k] = append([]*dnswire.RR(nil), set...)
