@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"securepki.org/registrarsec/internal/simtime"
@@ -81,6 +82,85 @@ func FuzzReadTSV(f *testing.F) {
 		}
 		if again.Len() != store.Len() {
 			t.Fatalf("archive round trip changed snapshot count: %d -> %d", store.Len(), again.Len())
+		}
+	})
+}
+
+// FuzzTailArchive holds the tail scanner, on arbitrary bytes, to what
+// tail.go's header comment claims: it never panics; its events' End offsets
+// strictly increase and stay at or below Offset, which stays within the
+// input; a scan resumed at any event's End yields exactly the events after
+// that one, so a consumer's state is a pure function of the bytes before its
+// cursor; and on the input cut at Offset, a section boundary, its verified
+// snapshots are the sections ReadArchive accepts, except that ReadArchive
+// keeps only the first section of a day.
+func FuzzTailArchive(f *testing.F) {
+	valid := fuzzSeedArchive()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2]) // torn mid-archive
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)/3] ^= 0x40 // bit rot
+	f.Add(flipped)
+	f.Add(bytes.Join([][]byte{valid, []byte("stray\n\n"), valid}, nil)) // a superseded stray run, then every day again
+	f.Add(append(bytes.Clone(valid), "\n\n#snapshot\t2016-07-01\t1\na.com"...))
+	f.Add([]byte("#end\t2016-01-01\t10\tdeadbeef\n"))
+	f.Add([]byte(""))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res := scanTail(data)
+		var last int64
+		for i, ev := range res.Events {
+			if (ev.Snap == nil) == (ev.Damage == nil) {
+				t.Fatalf("event %d carries neither or both of a snapshot and damage: %+v", i, ev)
+			}
+			if ev.End <= last {
+				t.Fatalf("event %d ends at %d, the one before at %d", i, ev.End, last)
+			}
+			last = ev.End
+		}
+		if res.Offset < last || res.Offset > int64(len(data)) {
+			t.Fatalf("offset %d with the last event ending at %d in %d bytes", res.Offset, last, len(data))
+		}
+
+		// absolute rebases a window's events onto the whole input. Damage
+		// line numbers count from the window's start, so of a damage entry
+		// only the day is comparable.
+		absolute := func(events []TailEvent, base int64) []TailEvent {
+			out := make([]TailEvent, len(events))
+			for i, ev := range events {
+				out[i] = TailEvent{Snap: ev.Snap, End: ev.End + base}
+				if ev.Damage != nil {
+					out[i].Damage = &Corruption{Day: ev.Damage.Day}
+				}
+			}
+			return out
+		}
+		for i, ev := range res.Events {
+			resumed := scanTail(data[ev.End:])
+			got, want := absolute(resumed.Events, ev.End), absolute(res.Events[i+1:], 0)
+			if !reflect.DeepEqual(got, want) || resumed.Offset+ev.End != res.Offset {
+				t.Fatalf("resumed after event %d at %d: events %+v to offset %d, want %+v to %d",
+					i, ev.End, got, resumed.Offset+ev.End, want, res.Offset)
+			}
+		}
+
+		store, _, err := ReadArchive(bytes.NewReader(data[:res.Offset]))
+		if err != nil {
+			t.Fatalf("ReadArchive returned I/O error on bytes: %v", err)
+		}
+		firstOfDay := map[simtime.Day]*Snapshot{}
+		for _, snap := range res.Snapshots() {
+			if firstOfDay[snap.Day] == nil {
+				firstOfDay[snap.Day] = snap
+			}
+		}
+		if store.Len() != len(firstOfDay) {
+			t.Fatalf("ReadArchive accepted %d day(s), the tail scan verified %d", store.Len(), len(firstOfDay))
+		}
+		for day, snap := range firstOfDay {
+			if got := store.Get(day); !reflect.DeepEqual(got, snap) {
+				t.Fatalf("day %s: ReadArchive accepted %+v, the tail scan verified %+v", day, got, snap)
+			}
 		}
 	})
 }

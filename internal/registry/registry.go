@@ -354,14 +354,16 @@ func (r *Registry) DomainCount() int {
 }
 
 // syncDelegationLocked rewrites the zone records for one domain from its
-// registration and re-signs the DS RRset only. Callers hold the lock.
+// registration and re-signs the DS RRset only. A dropped domain has no
+// registration and so nothing to publish, but its removal changes the zone
+// like any other sync and moves the serial. Callers hold the lock.
 func (r *Registry) syncDelegationLocked(domain string) error {
 	r.zone.Remove(domain, dnswire.TypeNS)
 	r.zone.Remove(domain, dnswire.TypeDS)
 	r.zone.RemoveSigs(domain, dnswire.TypeDS)
-	reg, ok := r.regs[domain]
-	if !ok {
-		return nil
+	var reg Registration
+	if cur, ok := r.regs[domain]; ok {
+		reg = *cur
 	}
 	for _, host := range reg.NS {
 		if err := r.zone.Add(dnswire.NewRR(domain, 86400, &dnswire.NS{Host: host})); err != nil {

@@ -399,6 +399,45 @@ func TestDropRemovesDelegation(t *testing.T) {
 	}
 }
 
+// zoneKeys returns the DNSKEYs at the registry zone's apex.
+func zoneKeys(reg *registry.Registry) []*dnswire.DNSKEY {
+	var keys []*dnswire.DNSKEY
+	for _, rr := range reg.Zone().Lookup(reg.Zone().Origin, dnswire.TypeDNSKEY) {
+		keys = append(keys, rr.Data.(*dnswire.DNSKEY))
+	}
+	return keys
+}
+
+// negativeSerial asks the registry's server for qname with DO set, requires
+// an NXDOMAIN whose one SOA verifies under keys, and returns that SOA's
+// serial.
+func negativeSerial(t *testing.T, reg *registry.Registry, keys []*dnswire.DNSKEY, qname, step string) uint32 {
+	t.Helper()
+	q := dnswire.NewQuery(1, qname, dnswire.TypeA)
+	q.SetEDNS(dnswire.ReplyUDPPayload, true)
+	resp := reg.Server().ServeDNS(q)
+	if resp.RCode != dnswire.RCodeNameError {
+		t.Fatalf("%s: rcode %v", step, resp.RCode)
+	}
+	var soa []*dnswire.RR
+	var sigs []*dnswire.RRSIG
+	for _, rr := range resp.Authority {
+		if sig, ok := rr.Data.(*dnswire.RRSIG); ok && sig.TypeCovered == dnswire.TypeSOA {
+			sigs = append(sigs, sig)
+		} else if rr.Type == dnswire.TypeSOA {
+			soa = append(soa, rr)
+		}
+	}
+	if len(soa) != 1 || len(sigs) != 1 {
+		t.Fatalf("%s: %d SOA records, %d signatures over them", step, len(soa), len(sigs))
+	}
+	now := time.Unix(int64(sigs[0].Inception)+1, 0)
+	if err := dnssec.VerifyWithAnyKey(soa, sigs[0], keys, now); err != nil {
+		t.Errorf("%s: the SOA's signature: %v", step, err)
+	}
+	return soa[0].Data.(*dnswire.SOA).Serial
+}
+
 // TestNegativeAnswerVerifiesAfterDelegationChange: every delegation change
 // bumps the TLD zone's serial, and the SOA a DO negative answer carries must
 // still verify against the zone's keys afterwards — before the first change,
@@ -407,36 +446,11 @@ func TestNegativeAnswerVerifiesAfterDelegationChange(t *testing.T) {
 	e := newEco(t)
 	reg := e.Registries["com"]
 	reg.Accredit("acme")
-	var keys []*dnswire.DNSKEY
-	for _, rr := range reg.Zone().Lookup("com", dnswire.TypeDNSKEY) {
-		keys = append(keys, rr.Data.(*dnswire.DNSKEY))
-	}
+	keys := zoneKeys(reg)
 	check := func(step string, serial uint32) {
 		t.Helper()
-		q := dnswire.NewQuery(1, "no-such-name.com", dnswire.TypeA)
-		q.SetEDNS(dnswire.ReplyUDPPayload, true)
-		resp := reg.Server().ServeDNS(q)
-		if resp.RCode != dnswire.RCodeNameError {
-			t.Fatalf("%s: rcode %v", step, resp.RCode)
-		}
-		var soa []*dnswire.RR
-		var sigs []*dnswire.RRSIG
-		for _, rr := range resp.Authority {
-			if sig, ok := rr.Data.(*dnswire.RRSIG); ok && sig.TypeCovered == dnswire.TypeSOA {
-				sigs = append(sigs, sig)
-			} else if rr.Type == dnswire.TypeSOA {
-				soa = append(soa, rr)
-			}
-		}
-		if len(soa) != 1 || len(sigs) != 1 {
-			t.Fatalf("%s: %d SOA records, %d signatures over them", step, len(soa), len(sigs))
-		}
-		if got := soa[0].Data.(*dnswire.SOA).Serial; got != serial {
+		if got := negativeSerial(t, reg, keys, "no-such-name.com", step); got != serial {
 			t.Errorf("%s: serial %d, want %d", step, got, serial)
-		}
-		now := time.Unix(int64(sigs[0].Inception)+1, 0)
-		if err := dnssec.VerifyWithAnyKey(soa, sigs[0], keys, now); err != nil {
-			t.Errorf("%s: the SOA's signature: %v", step, err)
 		}
 	}
 	check("fresh zone", 1)
@@ -452,5 +466,59 @@ func TestNegativeAnswerVerifiesAfterDelegationChange(t *testing.T) {
 	if err := reg.Drop("acme", "example.com"); err != nil {
 		t.Fatal(err)
 	}
-	check("after Drop", 3) // a drop removes the delegation without a bump
+	check("after Drop", 4)
+}
+
+// TestDropBumpsSerial: an EPP <delete> changes the TLD zone, so a secondary
+// polling the serial must see it move. The serial strictly increases across
+// the drop, the dropped name's DO NXDOMAIN carries an SOA that verifies, and
+// a zone transfer taken afterwards has the new serial and neither the NS nor
+// the DS.
+func TestDropBumpsSerial(t *testing.T) {
+	e := newEco(t)
+	reg := e.Registries["com"]
+	reg.Accredit("acme")
+	if err := reg.Register("acme", "gone.com", []string{"ns1.op.net"}); err != nil {
+		t.Fatal(err)
+	}
+	ds := &dnswire.DS{KeyTag: 3, Algorithm: dnswire.AlgED25519, DigestType: dnswire.DigestSHA256, Digest: make([]byte, 32)}
+	if err := reg.SetDS("acme", "gone.com", []*dnswire.DS{ds}); err != nil {
+		t.Fatal(err)
+	}
+	reg.Server().EnableAXFR(func(string) bool { return true })
+	srv := &dnsserver.Server{Handler: reg.Server()}
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	transfer := func() *zone.Zone {
+		t.Helper()
+		client := &dnsserver.AXFRClient{Timeout: 5 * time.Second}
+		z, err := client.Transfer(context.Background(), srv.Addr(), "com")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return z
+	}
+
+	before := transfer()
+	if len(before.Lookup("gone.com", dnswire.TypeNS)) == 0 || len(before.Lookup("gone.com", dnswire.TypeDS)) == 0 {
+		t.Fatal("transfer before the drop lacks the delegation")
+	}
+	serialBefore := before.SOA().Data.(*dnswire.SOA).Serial
+
+	if err := reg.Drop("acme", "gone.com"); err != nil {
+		t.Fatal(err)
+	}
+	served := negativeSerial(t, reg, zoneKeys(reg), "gone.com", "after Drop")
+	if served <= serialBefore {
+		t.Errorf("serial %d after Drop, %d before: a serial-polling secondary never learns of the removal", served, serialBefore)
+	}
+	after := transfer()
+	if got := after.SOA().Data.(*dnswire.SOA).Serial; got != served {
+		t.Errorf("transferred serial %d, served serial %d", got, served)
+	}
+	if len(after.Lookup("gone.com", dnswire.TypeNS)) != 0 || len(after.Lookup("gone.com", dnswire.TypeDS)) != 0 {
+		t.Error("transfer after the drop still carries the delegation")
+	}
 }
