@@ -19,9 +19,10 @@
 // (days, sample, world, sharding) comes from a regsec-sweepd coordinator,
 // so the plan-shaping flags of the first form are rejected. The worker
 // claims (day, shard) leases, scans them through its own exchange stack,
-// flushes checksummed shard archives into the shared -checkpoint-dir, and
-// heartbeats while working; killing it at any instant is safe — the
-// coordinator re-leases its unit. -fault-profile overlays this worker's
+// flushes every chunk as a checksummed file into the shared
+// -checkpoint-dir, reports each finished unit as a manifest of those
+// files, and heartbeats while working; killing it at any instant is safe —
+// the coordinator re-leases its unit. -fault-profile overlays this worker's
 // own vantage-point fault rules (see faultnet.ParseProfile) without
 // affecting the sweep plan.
 //
@@ -47,7 +48,8 @@
 // — finished work is verified by checksum, not re-scanned — and the final
 // archive is byte-identical to an uninterrupted run. The chunk size is
 // part of the checkpoint fingerprint, so -resume with a different -chunk
-// is refused.
+// is refused; so is a -checkpoint-dir that holds a regsec-sweepd
+// coordinator's state, with or without -resume.
 package main
 
 import (
@@ -77,24 +79,11 @@ func main() {
 }
 
 func run() int {
-	scaleDiv := flag.Float64("scale", 2000, "population divisor (2000 → .com has ~59k domains)")
-	seed := flag.Int64("seed", 1, "world seed")
-	daysStr := flag.String("days", "2016-12-31", "comma-separated measurement days (YYYY-MM-DD)")
-	sample := flag.Int("sample", 1000, "domains to materialize and scan")
-	workers := flag.Int("workers", 16, "scan concurrency")
+	planOf := dsweep.RegisterPlanFlags(flag.CommandLine)
 	outPath := flag.String("o", "", "write a checksummed TSV snapshot archive instead of stdout records")
-	retries := flag.Int("retries", 3, "per-query attempt budget")
-	resweeps := flag.Int("resweeps", 2, "re-sweep passes over failed targets (-1 disables)")
-	faultFrac := flag.Float64("fault-frac", 0, "fraction of DNS operators made faulty (0 disables injection)")
-	faultLoss := flag.Float64("fault-loss", 0.2, "packet-loss probability on faulty operators")
-	faultSeed := flag.Int64("fault-seed", 1, "fault schedule seed")
-	useCache := flag.Bool("cache", false, "enable the TTL-respecting response cache in the exchange stack")
-	useDedup := flag.Bool("dedup", false, "coalesce concurrent identical queries in the exchange stack")
 	worldCache := flag.String("world-cache", "", "directory caching built worlds keyed by (seed, scale, config): build once, load many")
 	cpDir := flag.String("checkpoint-dir", "", "directory for durable sweep checkpoints (enables crash-safe resume)")
 	resume := flag.Bool("resume", false, "continue from an existing checkpoint in -checkpoint-dir")
-	shards := flag.Int("shards", 4, "checkpoint units per day (granularity of resume)")
-	chunk := flag.Int("chunk", scan.DefaultChunk, "targets per materialize+scan+flush chunk")
 	memBudget := flag.Int("mem-budget", 0, "MiB of records buffered per day before spilling sorted runs to disk (default 256)")
 	spillDir := flag.String("spill-dir", "", "directory for spill run files (default: system temp dir)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -105,10 +94,16 @@ func run() int {
 	vantageSeed := flag.Int64("vantage-seed", 1, "seed for the vantage-point fault schedule (worker mode only)")
 	flag.Parse()
 
-	// Reject contradictory flag combinations before any work starts.
+	// Reject unusable values and contradictory flag combinations before any
+	// work starts.
+	plan, err := planOf()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateFlags(set, *chunk); err != nil {
+	if err := validateFlags(set, plan.Chunk); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
@@ -124,15 +119,7 @@ func run() int {
 		return runWorker(*workerURL, *workerName, *cpDir, *faultProfile, *vantageSeed)
 	}
 
-	var days []simtime.Day
-	for _, part := range strings.Split(*daysStr, ",") {
-		day, err := simtime.Parse(strings.TrimSpace(part))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		days = append(days, day)
-	}
+	spec, days := plan.Spec, plan.Days
 
 	var cp *checkpoint.Store
 	if *cpDir != "" {
@@ -141,33 +128,29 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		if cp.Exists() && !*resume {
-			fmt.Fprintf(os.Stderr, "checkpoint already present in %s: pass -resume to continue it, or remove the directory to start over\n", *cpDir)
+		found, err := cp.Adopt(checkpoint.SweepLedger, *resume)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		if !cp.Exists() && *resume {
+		if !found && *resume {
 			fmt.Fprintf(os.Stderr, "no checkpoint in %s; starting a fresh sweep\n", *cpDir)
 		}
 	}
 
-	worldCfg := tldsim.WorldConfig{Scale: 1 / *scaleDiv, Seed: *seed}
+	worldCfg := tldsim.WorldConfig{Scale: 1 / spec.ScaleDiv, Seed: spec.Seed}
 	var world *tldsim.World
 	if *worldCache != "" {
 		fmt.Fprintf(os.Stderr, "world cache %s (scale 1/%.0f, seed %d, key %s)...\n",
-			*worldCache, *scaleDiv, *seed, worldCfg.Fingerprint())
+			*worldCache, spec.ScaleDiv, spec.Seed, worldCfg.Fingerprint())
 		world, err = tldsim.BuildCached(*worldCache, worldCfg)
 	} else {
-		fmt.Fprintf(os.Stderr, "building world (scale 1/%.0f, seed %d)...\n", *scaleDiv, *seed)
+		fmt.Fprintf(os.Stderr, "building world (scale 1/%.0f, seed %d)...\n", spec.ScaleDiv, spec.Seed)
 		world, err = tldsim.Build(worldCfg)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
-	}
-	spec := &dsweep.WorldSpec{
-		ScaleDiv: *scaleDiv, Seed: *seed, Sample: *sample, Workers: *workers,
-		Retries: *retries, Resweeps: *resweeps, Cache: *useCache, Dedup: *useDedup,
-		FaultFrac: *faultFrac, FaultLoss: *faultLoss, FaultSeed: *faultSeed,
 	}
 	eventf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -192,9 +175,9 @@ func run() int {
 		// durable chunk files a resume trusts — so a stale or mismatched
 		// checkpoint is refused instead of silently mixed into a different
 		// configuration.
-		Fingerprint: spec.Fingerprint(days, *shards, *chunk),
-		Shards:      *shards,
-		Chunk:       *chunk,
+		Fingerprint: plan.Fingerprint,
+		Shards:      plan.Shards,
+		Chunk:       plan.Chunk,
 		Spill:       dataset.SpillOptions{Dir: *spillDir, MemBudget: int64(*memBudget) << 20},
 		StreamSetup: func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
 			scanner, src, prepare, err := setup(ctx, day)
@@ -296,14 +279,12 @@ func runStreamOut(ctx context.Context, rs *scan.ResumableSweep, days []simtime.D
 	return total, 0
 }
 
-// planFlags are the flags that shape a sweep's output. In worker mode the
-// plan comes from the coordinator, so setting any of them locally would
-// silently disagree with every other participant — reject instead.
-var planFlags = []string{
-	"scale", "seed", "days", "sample", "shards", "workers", "o", "retries",
-	"resweeps", "cache", "dedup", "fault-frac", "fault-loss", "fault-seed",
-	"resume", "world-cache", "chunk",
-}
+// planFlags are the flags that shape a sweep's output — the plan flags
+// shared with regsec-sweepd, plus this command's own output and resume
+// flags. In worker mode the plan comes from the coordinator, so setting any
+// of them locally would silently disagree with every other participant —
+// reject instead.
+var planFlags = append(dsweep.PlanFlagNames(), "o", "resume", "world-cache")
 
 // workerOnlyFlags only have meaning when joining a coordinator.
 var workerOnlyFlags = []string{"name", "fault-profile", "vantage-seed"}
@@ -334,7 +315,7 @@ func validateFlags(set map[string]bool, chunk int) error {
 			}
 		}
 		if !set["checkpoint-dir"] {
-			return fmt.Errorf("-worker requires -checkpoint-dir: the shard store shared with the coordinator")
+			return fmt.Errorf("-worker requires -checkpoint-dir: the chunk store shared with the coordinator")
 		}
 		return nil
 	}

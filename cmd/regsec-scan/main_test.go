@@ -1,11 +1,57 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"securepki.org/registrarsec/internal/scan"
 )
+
+// TestMain lets the tests run the command itself: re-executed with
+// REGSEC_RUN_MAIN set, the test binary is regsec-scan.
+func TestMain(m *testing.M) {
+	if os.Getenv("REGSEC_RUN_MAIN") == "1" {
+		os.Exit(run())
+	}
+	os.Exit(m.Run())
+}
+
+// A stopped coordinator's directory is not a single-process checkpoint:
+// regsec-scan refuses it by name, with or without -resume, before any work
+// — its closing Clear would delete the fleet's durable chunks.
+func TestCoordinatorDirectoryIsRefused(t *testing.T) {
+	for _, resume := range []bool{false, true} {
+		dir := t.TempDir()
+		chunk := filepath.Join(dir, "day-2016-12-31-shard-000-chunk-00000.w-w1-0badcafe.tsv")
+		for _, name := range []string{filepath.Join(dir, "coordinator.json"), chunk} {
+			if err := os.WriteFile(name, []byte("{}\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		args := []string{"-checkpoint-dir", dir, "-o", filepath.Join(dir, "out.tsv"), "-scale", "4000", "-sample", "10"}
+		if resume {
+			args = append(args, "-resume")
+		}
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "REGSEC_RUN_MAIN=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+			!strings.Contains(stderr.String(), "coordinator.json") || !strings.Contains(stderr.String(), "regsec-sweepd") {
+			t.Errorf("resume=%v: %v, stderr %q; want exit 2 naming the regsec-sweepd coordinator's state", resume, err, stderr.String())
+		}
+		if _, err := os.Stat(chunk); err != nil {
+			t.Errorf("resume=%v: the coordinator's chunk file did not survive: %v", resume, err)
+		}
+	}
+}
 
 // setOf models "these flags were explicitly passed on the command line".
 func setOf(names ...string) map[string]bool {

@@ -2,13 +2,14 @@
 // owns one sweep plan — days × shards over a deterministic world sample —
 // and serves the lease/heartbeat/complete control plane over HTTP to
 // regsec-scan processes running in -worker mode. Workers scan each shard
-// in chunks of -chunk targets, durably flushing every chunk, and write
-// checksum-trailered shard archives into the shared -checkpoint-dir; the
-// daemon leases work units with deadlines, re-leases units whose worker
-// died or stalled, settles duplicate completions by checksum, and — once
-// every unit is complete — writes the CRC-verified merged archive, which
-// is byte-identical to a single-process `regsec-scan` of the same
-// configuration.
+// in chunks of -chunk targets, durably flush every chunk as a
+// checksum-trailered file in the shared -checkpoint-dir, and report each
+// finished unit as a manifest of its chunk files; the daemon leases work
+// units with deadlines, re-leases units whose worker died or stalled,
+// verifies manifests and settles duplicate completions by checksum, and —
+// once every unit is complete — streams the CRC-verified chunks through a
+// bounded spill writer into the merged archive, which is byte-identical to
+// a single-process `regsec-scan` of the same configuration.
 //
 // Usage:
 //
@@ -24,9 +25,11 @@
 //	regsec-scan -worker http://coordinator:7353 -checkpoint-dir state/ [-name w1]
 //
 // The daemon's own death is recoverable: lease and completion state is
-// persisted atomically after every change, so restarting it with -resume
-// adopts all completed units and re-leases the rest. SIGINT/SIGTERM stop
-// the daemon cleanly with state intact.
+// persisted atomically (coordinator.json) after every change, so restarting
+// it with -resume adopts all completed units and re-leases the rest;
+// without -resume a directory holding that state is refused, and a
+// single-process regsec-scan checkpoint directory is refused either way.
+// SIGINT/SIGTERM stop the daemon cleanly with state intact.
 package main
 
 import (
@@ -39,14 +42,13 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
 	"securepki.org/registrarsec/internal/checkpoint"
+	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dsweep"
 	"securepki.org/registrarsec/internal/httpx"
-	"securepki.org/registrarsec/internal/scan"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
@@ -55,57 +57,31 @@ func main() {
 }
 
 func run() int {
-	cpDir := flag.String("checkpoint-dir", "", "shared checkpoint directory workers flush shards into (required)")
+	cpDir := flag.String("checkpoint-dir", "", "shared checkpoint directory workers flush chunks into (required)")
 	outPath := flag.String("o", "", "write the merged checksummed TSV archive here once the plan completes (required)")
 	listen := flag.String("listen", "127.0.0.1:7353", "control-plane listen address")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "lease deadline budget: a worker must complete or heartbeat within it")
 	resume := flag.Bool("resume", false, "adopt persisted coordinator state from a previous run in -checkpoint-dir")
-	daysStr := flag.String("days", "2016-12-31", "comma-separated measurement days (YYYY-MM-DD)")
-	sample := flag.Int("sample", 1000, "domains to sample from the world")
-	shards := flag.Int("shards", 4, "work units per day")
-	scaleDiv := flag.Float64("scale", 2000, "population divisor (2000 → .com has ~59k domains)")
-	seed := flag.Int64("seed", 1, "world seed")
-	workers := flag.Int("workers", 16, "per-worker internal scan concurrency")
-	retries := flag.Int("retries", 3, "per-query attempt budget")
-	resweeps := flag.Int("resweeps", 2, "re-sweep passes over failed targets (-1 disables)")
-	useCache := flag.Bool("cache", false, "enable the response cache in every worker's exchange stack")
-	useDedup := flag.Bool("dedup", false, "coalesce concurrent identical queries in every worker's exchange stack")
-	faultFrac := flag.Float64("fault-frac", 0, "fraction of DNS operators made faulty, identically on every worker")
-	faultLoss := flag.Float64("fault-loss", 0.2, "packet-loss probability on faulty operators")
-	faultSeed := flag.Int64("fault-seed", 1, "fault schedule seed")
-	chunk := flag.Int("chunk", scan.DefaultChunk, "targets per chunk: workers scan each shard in chunks of this size, durably flushing each")
+	planOf := dsweep.RegisterPlanFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *cpDir == "" || *outPath == "" {
 		fmt.Fprintln(os.Stderr, "regsec-sweepd requires -checkpoint-dir and -o")
 		return 2
 	}
-	var days []simtime.Day
-	for _, part := range strings.Split(*daysStr, ",") {
-		day, err := simtime.Parse(strings.TrimSpace(part))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		days = append(days, day)
+	plan, err := planOf()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
-
-	spec := &dsweep.WorldSpec{
-		ScaleDiv: *scaleDiv, Seed: *seed, Sample: *sample, Workers: *workers,
-		Retries: *retries, Resweeps: *resweeps, Cache: *useCache, Dedup: *useDedup,
-		FaultFrac: *faultFrac, FaultLoss: *faultLoss, FaultSeed: *faultSeed,
-	}
-	plan := spec.PlanFor(days, *shards, *chunk)
 
 	store, err := checkpoint.Open(*cpDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	if store.Exists() && !*resume {
-		// Exists() reports single-process checkpoint state; coordinator
-		// state is separate but the refusal semantics are the same.
-		fmt.Fprintf(os.Stderr, "checkpoint state already present in %s: pass -resume to continue it, or remove the directory to start over\n", *cpDir)
+	if _, err := store.Adopt(checkpoint.CoordLedger, *resume); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 
@@ -152,12 +128,19 @@ func run() int {
 	}
 	srv.Shutdown(context.Background())
 
-	merged, err := coord.Merge()
+	aw, err := dataset.NewArchiveWriter(*outPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	if err := merged.WriteArchiveFile(*outPath); err != nil {
+	defer aw.Abort()
+	err = coord.Merge(dataset.SpillOptions{}, func(_ simtime.Day, sw *dataset.SpillWriter) error {
+		return aw.Section(sw)
+	})
+	if err == nil {
+		err = aw.Close()
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
@@ -180,9 +163,9 @@ func run() int {
 	fmt.Fprintf(os.Stderr, "sweep complete in %v: %d units (%d recovered, %d re-leased, %d duplicate, %d divergent, %d rejected); archive %s\n",
 		time.Since(start).Round(time.Millisecond), stats.Units, stats.Recovered, stats.Releases, stats.Duplicates, stats.Divergent, stats.Rejected, *outPath)
 
-	// The archive is durable; the shards and lease state have served
+	// The archive is durable; the chunks and lease state have served
 	// their purpose.
-	if err := coord.Clear(); err != nil {
+	if err := store.Clear(); err != nil {
 		fmt.Fprintf(os.Stderr, "clearing checkpoint: %v\n", err)
 	}
 	return 0

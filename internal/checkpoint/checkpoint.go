@@ -5,21 +5,26 @@
 // sweep that cannot survive its own process dying will eventually put a
 // hole in that series.
 //
-// A checkpoint directory holds one JSON state file plus one trailered
-// archive file per completed chunk of a shard; a distributed sweep adds
-// one owner-tagged archive per completed shard, the unit its coordinator
-// settles and merges. Every write is durable (temp file + fsync + atomic
-// rename), and every file read back on resume is verified twice: its bytes
-// against the CRC32C recorded in the state, and the archive's own
-// per-section trailers. A file that fails either check is reported damaged
-// and re-scanned rather than trusted.
+// A checkpoint directory holds one ledger plus one trailered archive file
+// per completed chunk of a shard. The durable unit of a sweep is a finished
+// (day, shard): a ChunkProgress naming each of its chunk files with the
+// file's CRC32C and record count. Whoever runs the sweep owns the ledger
+// that records those units — SweepLedger for a single-process
+// scan.ResumableSweep, CoordLedger for a dsweep.Coordinator — and both turn
+// finished units into an archive through AppendUnit. Every write is durable
+// (temp file + fsync + atomic rename), and every file read back is verified
+// three times: its bytes against the recorded CRC32C, the archive against
+// its own per-section trailers, its record count against the ledger. A file
+// that fails any check is reported damaged rather than trusted.
 package checkpoint
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,13 +33,18 @@ import (
 	"securepki.org/registrarsec/internal/simtime"
 )
 
-// stateFile is the JSON progress file inside a checkpoint directory.
-const stateFile = "checkpoint.json"
+// The two ledgers a checkpoint directory can hold. A directory belongs to
+// the sweep whose ledger is in it, and never to both kinds.
+const (
+	// SweepLedger is a single-process scan.ResumableSweep's State.
+	SweepLedger = "checkpoint.json"
+	// CoordLedger is a dsweep.Coordinator's lease and completion state.
+	CoordLedger = "coordinator.json"
+)
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Shard records one durable archive file: a completed chunk of a shard,
-// or a distributed worker's completed shard.
+// Shard records one durable archive file: a completed chunk of a shard.
 type Shard struct {
 	// File is the archive's name inside the checkpoint directory.
 	File string `json:"file"`
@@ -63,29 +73,10 @@ type ChunkProgress struct {
 	Chunk int `json:"chunk"`
 	// Chunks is the shard's total chunk count.
 	Chunks int `json:"chunks"`
-	// Targets is the shard's target count, so per-chunk target counts
-	// (and the health ledger) reconstruct without re-deriving the plan.
+	// Targets is the shard's target count; with Chunk it fixes Chunks.
 	Targets int `json:"targets"`
 	// Done maps chunk index to its completed archive.
 	Done map[int]*Shard `json:"done"`
-}
-
-// Complete reports whether every chunk of the shard is recorded.
-func (cp *ChunkProgress) Complete() bool {
-	return len(cp.Done) == cp.Chunks
-}
-
-// ChunkTargets returns chunk c's target count under this progress' fixed
-// chunk size (the last chunk is the remainder).
-func (cp *ChunkProgress) ChunkTargets(c int) int {
-	lo := c * cp.Chunk
-	if lo >= cp.Targets {
-		return 0
-	}
-	if hi := lo + cp.Chunk; hi < cp.Targets {
-		return cp.Chunk
-	}
-	return cp.Targets - lo
 }
 
 // State is the whole sweep's progress.
@@ -133,15 +124,43 @@ func Open(dir string) (*Store, error) {
 // Dir returns the checkpoint directory path.
 func (s *Store) Dir() string { return s.dir }
 
-// Exists reports whether a checkpoint state file is present.
-func (s *Store) Exists() bool {
-	_, err := os.Stat(filepath.Join(s.dir, stateFile))
-	return err == nil
+// Ledger returns the name of the ledger the directory holds (SweepLedger or
+// CoordLedger), or "" when it holds no sweep state.
+func (s *Store) Ledger() string {
+	for _, name := range []string{SweepLedger, CoordLedger} {
+		if _, err := os.Stat(filepath.Join(s.dir, name)); err == nil {
+			return name
+		}
+	}
+	return ""
+}
+
+// Adopt is a CLI's gate before it runs the sweep whose ledger is want in the
+// directory: found reports state of that kind to continue. State of the
+// other kind is refused by name — finishing a sweep clears the directory,
+// which would destroy the other sweep's chunks — and state of this kind is
+// refused unless resume says the operator means to continue it.
+func (s *Store) Adopt(want string, resume bool) (found bool, err error) {
+	switch have := s.Ledger(); {
+	case have == "":
+		return false, nil
+	case have != want:
+		owner := map[string]string{
+			SweepLedger: "a single-process regsec-scan sweep",
+			CoordLedger: "a regsec-sweepd coordinator",
+		}[have]
+		return false, fmt.Errorf("checkpoint: %s holds %s: it belongs to %s; continue it there, or use another directory",
+			s.dir, have, owner)
+	case !resume:
+		return false, fmt.Errorf("checkpoint: %s already present in %s: pass -resume to continue it, or remove the directory to start over",
+			have, s.dir)
+	}
+	return true, nil
 }
 
 // Load returns the saved state, or nil when no checkpoint exists yet.
 func (s *Store) Load() (*State, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, stateFile))
+	data, err := os.ReadFile(filepath.Join(s.dir, SweepLedger))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
@@ -150,7 +169,7 @@ func (s *Store) Load() (*State, error) {
 	}
 	st := &State{}
 	if err := json.Unmarshal(data, st); err != nil {
-		return nil, fmt.Errorf("checkpoint: corrupt state file %s: %w", stateFile, err)
+		return nil, fmt.Errorf("checkpoint: corrupt state file %s: %w", SweepLedger, err)
 	}
 	if st.Days == nil {
 		st.Days = make(map[string]*DayProgress)
@@ -164,14 +183,67 @@ func (s *Store) Save(st *State) error {
 	if err != nil {
 		return err
 	}
-	return dataset.WriteFileAtomic(filepath.Join(s.dir, stateFile), append(data, '\n'))
+	return dataset.WriteFileAtomic(filepath.Join(s.dir, SweepLedger), append(data, '\n'))
 }
 
-// shardFileAs names one shard's archive written by a specific owner, so
-// two workers racing on a re-leased shard can never clobber each other's
-// bytes — each completion is its own file, chosen between by checksum.
-func shardFileAs(day simtime.Day, shard int, owner string) string {
-	return fmt.Sprintf("day-%s-shard-%03d.w-%s.tsv", day, shard, sanitizeOwner(owner))
+// chunkCount is the number of chunks of chunkSize that targets targets make.
+func chunkCount(chunkSize, targets int) int { return (targets + chunkSize - 1) / chunkSize }
+
+// NewChunkProgress returns empty progress for a shard of targets targets
+// cut into chunks of chunkSize.
+func NewChunkProgress(chunkSize, targets int) *ChunkProgress {
+	return &ChunkProgress{Chunk: chunkSize, Chunks: chunkCount(chunkSize, targets), Targets: targets, Done: make(map[int]*Shard)}
+}
+
+// ChunkShard returns the chunk-progress entry for one shard of a day,
+// creating it for the given geometry if absent. If an existing entry was
+// recorded under a different geometry (chunk size or target count), it
+// returns an error instead: the recorded chunk files were cut at different
+// boundaries and cannot be reused.
+func (dp *DayProgress) ChunkShard(shard, chunkSize, targets int) (*ChunkProgress, error) {
+	if dp.Partial == nil {
+		dp.Partial = make(map[int]*ChunkProgress)
+	}
+	cp := dp.Partial[shard]
+	if cp == nil {
+		cp = NewChunkProgress(chunkSize, targets)
+		dp.Partial[shard] = cp
+		return cp, nil
+	}
+	if cp.Chunk != chunkSize || cp.Targets != targets {
+		return nil, fmt.Errorf("checkpoint: shard %d was chunked as %d targets in chunks of %d; this run wants %d in chunks of %d",
+			shard, cp.Targets, cp.Chunk, targets, chunkSize)
+	}
+	if cp.Done == nil {
+		cp.Done = make(map[int]*Shard)
+	}
+	return cp, nil
+}
+
+// WellFormed checks a manifest that arrived from outside the process — a
+// worker's completion, a coordinator ledger read back — before anything
+// walks it: the geometry is the one chunkSize cuts, and every chunk of the
+// shard, and nothing else, is recorded. (What a recorded chunk names is
+// checked when its file is read.)
+func (cp *ChunkProgress) WellFormed(chunkSize int) error {
+	if chunkSize < 1 || cp.Chunk != chunkSize || cp.Targets < 0 {
+		return fmt.Errorf("checkpoint: manifest of %d targets in chunks of %d, want chunks of %d", cp.Targets, cp.Chunk, chunkSize)
+	}
+	if want := chunkCount(chunkSize, cp.Targets); cp.Chunks != want || len(cp.Done) != want {
+		return fmt.Errorf("checkpoint: manifest records %d of %d chunks; %d targets in chunks of %d make %d",
+			len(cp.Done), cp.Chunks, cp.Targets, chunkSize, want)
+	}
+	for c := 0; c < cp.Chunks; c++ {
+		if cp.Done[c] == nil {
+			return fmt.Errorf("checkpoint: manifest does not record chunk %d", c)
+		}
+	}
+	return nil
+}
+
+// plainName reports whether name is a file directly inside the directory.
+func plainName(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, `/\`)
 }
 
 // sanitizeOwner restricts an owner tag to filename-safe characters.
@@ -192,151 +264,132 @@ func sanitizeOwner(owner string) string {
 	return string(out)
 }
 
-// WriteShardAs durably writes one completed shard snapshot as a trailered
-// archive under an owner-tagged file name, and returns its metadata. It is
-// a distributed worker's completion artefact: duplicate completions of a
-// re-leased shard land in distinct files instead of racing on one.
-func (s *Store) WriteShardAs(day simtime.Day, shard int, owner string, snap *dataset.Snapshot) (*Shard, error) {
-	return s.writeShardFile(shardFileAs(day, shard, owner), snap)
-}
-
-// writeShardFile durably writes one snapshot under the given name.
-func (s *Store) writeShardFile(name string, snap *dataset.Snapshot) (*Shard, error) {
-	var buf bytes.Buffer
-	if err := snap.WriteArchiveSection(&buf); err != nil {
-		return nil, err
+// chunkFile names one chunk's archive inside the directory. A distributed
+// worker's files carry its owner tag, so two workers racing on a re-leased
+// shard never clobber each other's bytes: each completion is its own set of
+// files, chosen between by checksum.
+func chunkFile(day simtime.Day, shard, chunk int, owner string) string {
+	if owner == "" {
+		return fmt.Sprintf("day-%s-shard-%03d-chunk-%05d.tsv", day, shard, chunk)
 	}
-	data := buf.Bytes()
-	if err := dataset.WriteFileAtomic(filepath.Join(s.dir, name), data); err != nil {
-		return nil, err
-	}
-	return &Shard{
-		File:    name,
-		CRC:     crc32.Checksum(data, castagnoli),
-		Records: len(snap.Records),
-	}, nil
-}
-
-// LoadShard re-reads a shard archive, verifying the file's bytes against
-// the recorded CRC and the archive against its own trailers. The returned
-// snapshot carries exactly the records written at checkpoint time; any
-// mismatch is an error so the caller re-scans instead of trusting damage.
-func (s *Store) LoadShard(day simtime.Day, shard int, meta *Shard) (*dataset.Snapshot, error) {
-	if meta.File == "" {
-		return nil, fmt.Errorf("checkpoint: shard %d of %s: completion names no file", shard, day)
-	}
-	return s.loadVerified(day, meta.File, meta)
-}
-
-// loadVerified reads one trailered archive file and verifies it against
-// its state metadata: file bytes against the recorded CRC, the archive
-// against its own trailers, record count against the state.
-func (s *Store) loadVerified(day simtime.Day, name string, meta *Shard) (*dataset.Snapshot, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, name))
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: shard %s: %w", name, err)
-	}
-	if got := crc32.Checksum(data, castagnoli); got != meta.CRC {
-		return nil, fmt.Errorf("checkpoint: shard %s: checksum mismatch (state %08x, file %08x)", name, meta.CRC, got)
-	}
-	store, err := dataset.ReadArchiveStrict(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: shard %s: %w", name, err)
-	}
-	snap := store.Get(day)
-	if snap == nil {
-		return nil, fmt.Errorf("checkpoint: shard %s: no snapshot for %s", name, day)
-	}
-	if len(snap.Records) != meta.Records {
-		return nil, fmt.Errorf("checkpoint: shard %s: %d records, state says %d", name, len(snap.Records), meta.Records)
-	}
-	return snap, nil
-}
-
-// ChunkShard returns the chunk-progress entry for one shard of a day,
-// creating it for the given geometry if absent. If an existing entry was
-// recorded under a different geometry (chunk size or target count), it
-// returns an error instead: the recorded chunk files were cut at different
-// boundaries and cannot be reused.
-func (dp *DayProgress) ChunkShard(shard, chunkSize, targets int) (*ChunkProgress, error) {
-	if dp.Partial == nil {
-		dp.Partial = make(map[int]*ChunkProgress)
-	}
-	cp := dp.Partial[shard]
-	if cp == nil {
-		nChunks := (targets + chunkSize - 1) / chunkSize
-		if targets == 0 {
-			nChunks = 0
-		}
-		cp = &ChunkProgress{Chunk: chunkSize, Chunks: nChunks, Targets: targets, Done: make(map[int]*Shard)}
-		dp.Partial[shard] = cp
-		return cp, nil
-	}
-	if cp.Chunk != chunkSize || cp.Targets != targets {
-		return nil, fmt.Errorf("checkpoint: shard %d was chunked as %d targets in chunks of %d; this run wants %d in chunks of %d",
-			shard, cp.Targets, cp.Chunk, targets, chunkSize)
-	}
-	if cp.Done == nil {
-		cp.Done = make(map[int]*Shard)
-	}
-	return cp, nil
-}
-
-// chunkFile names one chunk's archive inside the directory.
-func chunkFile(day simtime.Day, shard, chunk int) string {
-	return fmt.Sprintf("day-%s-shard-%03d-chunk-%05d.tsv", day, shard, chunk)
-}
-
-// chunkFileAs is the owner-tagged variant for distributed workers (see
-// shardFileAs).
-func chunkFileAs(day simtime.Day, shard, chunk int, owner string) string {
 	return fmt.Sprintf("day-%s-shard-%03d-chunk-%05d.w-%s.tsv", day, shard, chunk, sanitizeOwner(owner))
 }
 
 // WriteChunk durably writes one completed chunk snapshot as a trailered
-// archive and returns its metadata for the state file.
-func (s *Store) WriteChunk(day simtime.Day, shard, chunk int, snap *dataset.Snapshot) (*Shard, error) {
-	return s.writeShardFile(chunkFile(day, shard, chunk), snap)
-}
-
-// WriteChunkAs is WriteChunk under an owner-tagged file name.
-func (s *Store) WriteChunkAs(day simtime.Day, shard, chunk int, owner string, snap *dataset.Snapshot) (*Shard, error) {
-	return s.writeShardFile(chunkFileAs(day, shard, chunk, owner), snap)
-}
-
-// LoadChunk re-reads a chunk archive with the same double verification as
-// LoadShard (state CRC plus archive trailers).
-func (s *Store) LoadChunk(day simtime.Day, shard, chunk int, meta *Shard) (*dataset.Snapshot, error) {
-	name := meta.File
-	if name == "" {
-		name = chunkFile(day, shard, chunk)
+// archive — under owner's tag when owner is non-empty — and returns its
+// metadata for the ledger.
+func (s *Store) WriteChunk(day simtime.Day, shard, chunk int, owner string, snap *dataset.Snapshot) (*Shard, error) {
+	var buf bytes.Buffer
+	if err := snap.WriteArchiveSection(&buf); err != nil {
+		return nil, err
 	}
-	return s.loadVerified(day, name, meta)
+	name := chunkFile(day, shard, chunk, owner)
+	if err := dataset.WriteFileAtomic(filepath.Join(s.dir, name), buf.Bytes()); err != nil {
+		return nil, err
+	}
+	return &Shard{
+		File:    name,
+		CRC:     crc32.Checksum(buf.Bytes(), castagnoli),
+		Records: len(snap.Records),
+	}, nil
 }
 
-// LoadChunkAs re-reads an owner-tagged chunk archive, verified only by
-// its own trailers — there is no recorded CRC because the writer died (or
-// lost its lease) before reporting it. A missing file is returned as
-// fs.ErrNotExist (via os.ReadFile) so callers can distinguish "never
-// written" from "written but damaged".
-func (s *Store) LoadChunkAs(day simtime.Day, shard, chunk int, owner string) (*dataset.Snapshot, error) {
-	name := chunkFileAs(day, shard, chunk, owner)
+// readChunk reads one trailered chunk file and verifies the archive against
+// its own trailers, returning the day's snapshot and the CRC32C of the bytes
+// read. A missing file is returned as fs.ErrNotExist (via os.ReadFile).
+func (s *Store) readChunk(day simtime.Day, name string) (*dataset.Snapshot, uint32, error) {
+	if !plainName(name) {
+		return nil, 0, fmt.Errorf("checkpoint: chunk %q names no file in the directory", name)
+	}
 	data, err := os.ReadFile(filepath.Join(s.dir, name))
 	if err != nil {
-		return nil, err
+		return nil, 0, fmt.Errorf("checkpoint: chunk %s: %w", name, err)
 	}
 	store, err := dataset.ReadArchiveStrict(bytes.NewReader(data))
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: chunk %s: %w", name, err)
+		return nil, 0, fmt.Errorf("checkpoint: chunk %s: %w", name, err)
 	}
 	snap := store.Get(day)
 	if snap == nil {
-		return nil, fmt.Errorf("checkpoint: chunk %s: no snapshot for %s", name, day)
+		return nil, 0, fmt.Errorf("checkpoint: chunk %s: no snapshot for %s", name, day)
+	}
+	return snap, crc32.Checksum(data, castagnoli), nil
+}
+
+// LoadChunk re-reads a chunk archive and verifies it against its ledger
+// entry: the file's bytes against the recorded CRC, the archive against its
+// own trailers, the record count against the ledger. The returned snapshot
+// carries exactly the records written at checkpoint time; any mismatch is
+// an error so the caller re-scans instead of trusting damage.
+func (s *Store) LoadChunk(day simtime.Day, meta *Shard) (*dataset.Snapshot, error) {
+	snap, crc, err := s.readChunk(day, meta.File)
+	if err != nil {
+		return nil, err
+	}
+	if crc != meta.CRC {
+		return nil, fmt.Errorf("checkpoint: chunk %s: checksum mismatch (state %08x, file %08x)", meta.File, meta.CRC, crc)
+	}
+	if len(snap.Records) != meta.Records {
+		return nil, fmt.Errorf("checkpoint: chunk %s: %d records, state says %d", meta.File, len(snap.Records), meta.Records)
 	}
 	return snap, nil
 }
 
-// Clear removes the state file and every shard archive — called after the
+// RecoverChunks rebuilds an owner's progress on one shard from the files it
+// left in the directory: a distributed worker keeps no ledger of its own, so
+// after a kill its owner-tagged chunk files are the record. Each file found
+// is verified by its trailers and entered in cp under the CRC of the bytes
+// read; found hears of each (err non-nil for a damaged file, which is left
+// out and re-scanned).
+func (s *Store) RecoverChunks(day simtime.Day, shard int, owner string, cp *ChunkProgress, found func(chunk, records int, err error)) {
+	for c := 0; c < cp.Chunks; c++ {
+		name := chunkFile(day, shard, c, owner)
+		snap, crc, err := s.readChunk(day, name)
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+		case err != nil:
+			found(c, 0, err)
+		default:
+			cp.Done[c] = &Shard{File: name, CRC: crc, Records: len(snap.Records)}
+			found(c, len(snap.Records), nil)
+		}
+	}
+}
+
+// ChunkError reports the chunk of a finished unit that is missing from its
+// manifest or whose file failed verification.
+type ChunkError struct {
+	Chunk int
+	Err   error
+}
+
+func (e *ChunkError) Error() string { return fmt.Sprintf("chunk %d: %v", e.Chunk, e.Err) }
+func (e *ChunkError) Unwrap() error { return e.Err }
+
+// AppendUnit turns one finished (day, shard) into records: every chunk the
+// manifest counts is loaded in chunk order, verified against its recorded
+// CRC, its trailers and its record count, and handed to emit (typically a
+// dataset.SpillWriter's Append). A chunk that is not recorded or does not
+// verify stops the walk with a *ChunkError; an error from emit is returned
+// as it is.
+func (s *Store) AppendUnit(day simtime.Day, cp *ChunkProgress, emit func(recs ...dataset.Record) error) error {
+	for c := 0; c < cp.Chunks; c++ {
+		meta := cp.Done[c]
+		if meta == nil {
+			return &ChunkError{Chunk: c, Err: errors.New("checkpoint: not recorded in the manifest")}
+		}
+		snap, err := s.LoadChunk(day, meta)
+		if err != nil {
+			return &ChunkError{Chunk: c, Err: err}
+		}
+		if err := emit(snap.Records...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Clear removes both ledgers and every chunk archive — called after the
 // final archive has been durably written, when the checkpoint has nothing
 // left to protect.
 func (s *Store) Clear() error {
@@ -346,7 +399,7 @@ func (s *Store) Clear() error {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if name == stateFile || (strings.HasPrefix(name, "day-") && strings.HasSuffix(name, ".tsv")) {
+		if name == SweepLedger || name == CoordLedger || (strings.HasPrefix(name, "day-") && strings.HasSuffix(name, ".tsv")) {
 			if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
 				return err
 			}

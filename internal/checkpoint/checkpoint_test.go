@@ -26,8 +26,8 @@ func TestStateRoundTrip(t *testing.T) {
 	if st, err := cp.Load(); err != nil || st != nil {
 		t.Fatalf("fresh dir: %v, %v", st, err)
 	}
-	if cp.Exists() {
-		t.Error("Exists before any save")
+	if got := cp.Ledger(); got != "" {
+		t.Errorf("ledger %q before any save", got)
 	}
 	day := simtime.Date(2016, 1, 1)
 	st := NewState("fp-1")
@@ -40,8 +40,8 @@ func TestStateRoundTrip(t *testing.T) {
 	if err := cp.Save(st); err != nil {
 		t.Fatal(err)
 	}
-	if !cp.Exists() {
-		t.Error("Exists after save")
+	if got := cp.Ledger(); got != SweepLedger {
+		t.Errorf("ledger %q after save, want %q", got, SweepLedger)
 	}
 	got, err := cp.Load()
 	if err != nil {
@@ -51,7 +51,7 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Errorf("fingerprint: %q", got.Fingerprint)
 	}
 	dp := got.Day(day)
-	if !dp.Done || dp.Partial[0] == nil || !dp.Partial[0].Complete() {
+	if !dp.Done || dp.Partial[0] == nil || dp.Partial[0].WellFormed(8) != nil {
 		t.Fatalf("day progress: %+v", dp)
 	}
 	if c := dp.Partial[0].Done[0]; c == nil || c.CRC != 42 || c.Records != 2 {
@@ -65,7 +65,7 @@ func TestCorruptStateFileRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), []byte("{torn"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, SweepLedger), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cp.Load(); err == nil {
@@ -80,14 +80,14 @@ func TestShardWriteLoadVerify(t *testing.T) {
 	}
 	day := simtime.Date(2016, 3, 1)
 	snap := testSnapshot(day)
-	meta, err := cp.WriteShardAs(day, 1, "w1", snap)
+	meta, err := cp.WriteChunk(day, 1, 0, "w1", snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta.Records != 2 || meta.File == "" {
 		t.Fatalf("meta: %+v", meta)
 	}
-	got, err := cp.LoadShard(day, 1, meta)
+	got, err := cp.LoadChunk(day, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,22 +105,28 @@ func TestShardWriteLoadVerify(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.LoadShard(day, 1, meta); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, err := cp.LoadChunk(day, meta); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("tampered shard: %v", err)
 	}
 
 	// A missing shard is an error, not a silent empty snapshot.
-	if _, err := cp.LoadShard(day, 7, &Shard{File: "day-2016-03-01-shard-007.tsv"}); err == nil {
+	if _, err := cp.LoadChunk(day, &Shard{File: "day-2016-03-01-shard-007-chunk-00000.tsv"}); err == nil {
 		t.Error("missing shard accepted")
+	}
+	// A ledger entry may only name a file directly inside the directory.
+	for _, name := range []string{"", "..", "../" + meta.File, "sub/" + meta.File} {
+		if _, err := cp.LoadChunk(day, &Shard{File: name, CRC: meta.CRC, Records: meta.Records}); err == nil {
+			t.Errorf("file name %q accepted", name)
+		}
 	}
 
 	// Wrong record count in the state is detected even with a valid file.
-	fixed, err := cp.WriteShardAs(day, 1, "w1", snap)
+	fixed, err := cp.WriteChunk(day, 1, 0, "w1", snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fixed.Records = 99
-	if _, err := cp.LoadShard(day, 1, fixed); err == nil {
+	if _, err := cp.LoadChunk(day, fixed); err == nil {
 		t.Error("record-count mismatch accepted")
 	}
 }
@@ -132,10 +138,14 @@ func TestClear(t *testing.T) {
 		t.Fatal(err)
 	}
 	day := simtime.Date(2016, 3, 1)
-	if _, err := cp.WriteShardAs(day, 0, "w1", testSnapshot(day)); err != nil {
+	if _, err := cp.WriteChunk(day, 0, 0, "w1", testSnapshot(day)); err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Save(NewState("fp")); err != nil {
+		t.Fatal(err)
+	}
+	// Clear leaves neither ledger behind.
+	if err := os.WriteFile(filepath.Join(dir, CoordLedger), []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// An unrelated file survives Clear.
@@ -153,13 +163,57 @@ func TestClear(t *testing.T) {
 	if len(entries) != 1 || entries[0].Name() != "notes.txt" {
 		t.Errorf("after Clear: %v", entries)
 	}
-	if cp.Exists() {
-		t.Error("Exists after Clear")
+	if got := cp.Ledger(); got != "" {
+		t.Errorf("ledger %q after Clear", got)
 	}
 }
 
 func TestOpenValidation(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Error("empty dir accepted")
+	}
+}
+
+// TestAdopt is the -resume contract both CLIs share: an empty directory is
+// free, a directory holding this kind of state needs -resume, and one
+// holding the other kind's state is refused by name either way.
+func TestAdopt(t *testing.T) {
+	for _, tc := range []struct {
+		have, want string
+		resume     bool
+		found      bool
+		refusal    string
+	}{
+		{"", SweepLedger, false, false, ""},
+		{"", CoordLedger, true, false, ""},
+		{SweepLedger, SweepLedger, true, true, ""},
+		{CoordLedger, CoordLedger, true, true, ""},
+		{SweepLedger, SweepLedger, false, false, "pass -resume"},
+		{CoordLedger, CoordLedger, false, false, "pass -resume"},
+		{CoordLedger, SweepLedger, false, false, "regsec-sweepd"},
+		{CoordLedger, SweepLedger, true, false, "regsec-sweepd"},
+		{SweepLedger, CoordLedger, false, false, "regsec-scan"},
+		{SweepLedger, CoordLedger, true, false, "regsec-scan"},
+	} {
+		dir := t.TempDir()
+		cp, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.have != "" {
+			if err := os.WriteFile(filepath.Join(dir, tc.have), []byte("{}"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		found, err := cp.Adopt(tc.want, tc.resume)
+		if found != tc.found {
+			t.Errorf("%+v: found %v", tc, found)
+		}
+		if tc.refusal == "" && err != nil {
+			t.Errorf("%+v: refused: %v", tc, err)
+		}
+		if tc.refusal != "" && (err == nil || !strings.Contains(err.Error(), tc.refusal) || !strings.Contains(err.Error(), tc.have)) {
+			t.Errorf("%+v: err %v, want a refusal naming %q and %q", tc, err, tc.have, tc.refusal)
+		}
 	}
 }

@@ -84,7 +84,7 @@ func TestLockBreaksUnparseablePayload(t *testing.T) {
 	release()
 }
 
-func TestWriteShardAsRoundTrip(t *testing.T) {
+func TestOwnerTaggedChunkRoundTrip(t *testing.T) {
 	s := openTestStore(t)
 	day := simtime.Day(42)
 	snap := &dataset.Snapshot{Day: day, Records: []dataset.Record{
@@ -93,18 +93,18 @@ func TestWriteShardAsRoundTrip(t *testing.T) {
 	}}
 	snap.Canonicalize()
 
-	other, err := s.WriteShardAs(day, 0, "worker-2", snap)
+	other, err := s.WriteChunk(day, 0, 0, "worker-2", snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	owned, err := s.WriteShardAs(day, 0, "worker/1!", snap)
+	owned, err := s.WriteChunk(day, 0, 0, "worker/1!", snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same bytes, distinct files: racing owners can never clobber each
 	// other, and identical content has identical checksums.
 	if owned.File == other.File {
-		t.Fatalf("two owners share one shard file: %s", owned.File)
+		t.Fatalf("two owners share one chunk file: %s", owned.File)
 	}
 	if strings.ContainsAny(owned.File, "/!") {
 		t.Fatalf("unsafe owner characters leaked into filename: %s", owned.File)
@@ -112,7 +112,7 @@ func TestWriteShardAsRoundTrip(t *testing.T) {
 	if owned.CRC != other.CRC || owned.Records != other.Records {
 		t.Fatalf("same snapshot, different metadata: %+v vs %+v", owned, other)
 	}
-	got, err := s.LoadShard(day, 0, owned)
+	got, err := s.LoadChunk(day, owned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,32 +120,32 @@ func TestWriteShardAsRoundTrip(t *testing.T) {
 		t.Fatalf("round-trip: %+v", got.Records)
 	}
 
-	// Clear removes owner-tagged shards too.
+	// Clear removes owner-tagged chunks too.
 	if err := s.Clear(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadShard(day, 0, owned); err == nil {
-		t.Fatal("owner-tagged shard survived Clear")
+	if _, err := s.LoadChunk(day, owned); err == nil {
+		t.Fatal("owner-tagged chunk survived Clear")
 	}
 }
 
-func TestWriteShardAsEmptySnapshot(t *testing.T) {
+func TestEmptyChunkRoundTrip(t *testing.T) {
 	s := openTestStore(t)
 	day := simtime.Day(7)
 	snap := &dataset.Snapshot{Day: day}
 	snap.Canonicalize()
-	meta, err := s.WriteShardAs(day, 3, "w1", snap)
+	meta, err := s.WriteChunk(day, 3, 0, "w1", snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta.Records != 0 {
-		t.Fatalf("empty shard records: %d", meta.Records)
+		t.Fatalf("empty chunk records: %d", meta.Records)
 	}
-	got, err := s.LoadShard(day, 3, meta)
+	got, err := s.LoadChunk(day, meta)
 	if err != nil {
-		t.Fatalf("empty shard does not round-trip: %v", err)
+		t.Fatalf("empty chunk does not round-trip: %v", err)
 	}
 	if len(got.Records) != 0 || got.Day != day {
-		t.Fatalf("empty shard loaded as %+v", got)
+		t.Fatalf("empty chunk loaded as %+v", got)
 	}
 }

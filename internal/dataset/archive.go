@@ -63,21 +63,6 @@ func (s *Store) WriteArchive(w io.Writer) error {
 	return nil
 }
 
-// WriteArchiveFile durably replaces path with the archive through an
-// AtomicFile, section by section: a crash at any point leaves either the
-// old archive or the complete new one on disk — never a torn mixture.
-func (s *Store) WriteArchiveFile(path string) error {
-	f, err := CreateAtomic(path, archiveBufSize)
-	if err != nil {
-		return err
-	}
-	defer f.Abort()
-	if err := s.WriteArchive(f); err != nil {
-		return err
-	}
-	return f.Commit()
-}
-
 // Corruption describes one quarantined piece of an archive.
 type Corruption struct {
 	// Day is the section's day token as written (it may itself be damaged;

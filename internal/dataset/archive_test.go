@@ -175,13 +175,29 @@ func TestArchiveDuplicateDayQuarantined(t *testing.T) {
 	}
 }
 
+// writeArchiveFile writes the store to path the way production writes an
+// archive file: section by section through an ArchiveWriter.
+func writeArchiveFile(t *testing.T, store *Store, path string) {
+	t.Helper()
+	aw, err := NewArchiveWriter(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, day := range store.Days() {
+		if err := aw.Snapshot(store.Get(day)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWriteArchiveFileAtomic(t *testing.T) {
 	store, raw := archiveFixture(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "archive.tsv")
-	if err := store.WriteArchiveFile(path); err != nil {
-		t.Fatal(err)
-	}
+	writeArchiveFile(t, store, path)
 	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -190,9 +206,7 @@ func TestWriteArchiveFileAtomic(t *testing.T) {
 		t.Error("file content differs from in-memory archive")
 	}
 	// Overwrite in place: atomic replacement, no temp litter.
-	if err := store.WriteArchiveFile(path); err != nil {
-		t.Fatal(err)
-	}
+	writeArchiveFile(t, store, path)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -390,9 +390,8 @@ func (w *SpillWriter) EachSorted(fn func(r *Record) error) error {
 const archiveBufSize = 256 << 10
 
 // ArchiveWriter writes a multi-day trailered archive to a file one
-// section at a time, with the same durability contract as
-// Store.WriteArchiveFile (an AtomicFile committed on Close) but without
-// ever holding more than one section's merge state in memory. Sections
+// section at a time: an AtomicFile committed on Close, never holding more
+// than one section's merge state in memory. Sections
 // must arrive in ascending day order — the order Store.WriteArchive emits
 // — so streamed and in-RAM archives of the same days are byte-identical.
 type ArchiveWriter struct {

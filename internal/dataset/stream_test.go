@@ -178,7 +178,7 @@ func TestSpillWriterCleanup(t *testing.T) {
 }
 
 // TestArchiveWriterByteIdentity streams a multi-day archive and compares
-// it byte-for-byte with Store.WriteArchiveFile over the same snapshots.
+// it byte-for-byte with Store.WriteArchive over the same snapshots.
 func TestArchiveWriterByteIdentity(t *testing.T) {
 	days := []simtime.Day{
 		simtime.Date(2016, 6, 1),
@@ -195,8 +195,8 @@ func TestArchiveWriterByteIdentity(t *testing.T) {
 		store.Add(snap)
 	}
 	dir := t.TempDir()
-	wantPath := filepath.Join(dir, "want.tsv")
-	if err := store.WriteArchiveFile(wantPath); err != nil {
+	var want bytes.Buffer
+	if err := store.WriteArchive(&want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -219,16 +219,12 @@ func TestArchiveWriterByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, err := os.ReadFile(wantPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := os.ReadFile(gotPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("streamed archive differs from Store.WriteArchiveFile")
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("streamed archive differs from Store.WriteArchive")
 	}
 }
 

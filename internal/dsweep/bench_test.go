@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"securepki.org/registrarsec/internal/checkpoint"
+	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
 	"securepki.org/registrarsec/internal/tldsim"
 )
@@ -46,15 +47,12 @@ func BenchmarkRunLocal(b *testing.B) {
 		// A 2s lease keeps the GrantWait retry cadence (TTL/8) short, so the
 		// tail, workers idling while the last leases finish, reflects the
 		// topology and not the 30s production TTL.
-		merged, res, err := RunLocal(context.Background(), LocalConfig{
+		var buf bytes.Buffer
+		res, err := RunLocal(context.Background(), LocalConfig{
 			Plan: plan, Store: store, LeaseTTL: 2 * time.Second, Workers: workers,
-		})
+		}, func(_ simtime.Day, sw *dataset.SpillWriter) error { return sw.WriteSectionTo(&buf) })
 		wall := time.Since(start)
 		if err != nil {
-			b.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := merged.WriteArchive(&buf); err != nil {
 			b.Fatal(err)
 		}
 		return buf.Bytes(), res.Stats.Releases, wall

@@ -18,27 +18,24 @@ type Action int
 const (
 	// ActNone runs the unit normally.
 	ActNone Action = iota
-	// ActKillBeforeWrite kills the worker after the scan, before the shard
-	// archive is written: the unit leaves no completion artefact behind and
-	// must be wholly re-leased.
-	ActKillBeforeWrite
-	// ActKillAfterWrite kills the worker after the shard archive is durably
-	// flushed but before the completion report — the shard bytes exist but
-	// the coordinator never hears about them, so the unit is re-leased and
-	// the orphan file is simply never referenced by the merge.
-	ActKillAfterWrite
+	// ActKillBeforeReport kills the worker after the scan, before the
+	// completion report: every chunk of the unit is durable but the
+	// coordinator never hears of them, so the unit is re-leased and the
+	// orphan chunk files are never referenced by a manifest, hence never
+	// merged.
+	ActKillBeforeReport
 	// ActStall suppresses the unit's heartbeats and sleeps Delay before the
-	// write, making the worker a straggler: its lease expires, the unit is
+	// report, making the worker a straggler: its lease expires, the unit is
 	// re-leased, and its late completion arrives as a duplicate.
 	ActStall
-	// ActSlowDisk sleeps Delay before the shard write while heartbeats
-	// continue — a slow disk that should NOT lose the lease.
+	// ActSlowDisk sleeps Delay before the report while heartbeats continue —
+	// a slow disk that should NOT lose the lease.
 	ActSlowDisk
 	// ActKillBetweenChunks kills the worker after AfterChunks chunks of the
 	// unit have been durably flushed — the mid-shard SIGKILL the chunk
-	// files exist to survive: the same worker, restarted, reuses every
-	// flushed chunk by checksum and scans only the rest. A unit with fewer
-	// chunks than AfterChunks completes normally.
+	// files exist to survive: the same worker, restarted, recovers every
+	// flushed chunk from its own files and scans only the rest. A unit with
+	// fewer chunks than AfterChunks completes normally.
 	ActKillBetweenChunks
 )
 

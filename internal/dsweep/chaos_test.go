@@ -188,6 +188,11 @@ func newChunkedEnv(t *testing.T, shards, chunk int) *chaosEnv {
 	return env
 }
 
+// sectionsTo is the sink that writes each merged day's section to buf.
+func sectionsTo(buf *bytes.Buffer) scan.DaySink {
+	return func(_ simtime.Day, sw *dataset.SpillWriter) error { return sw.WriteSectionTo(buf) }
+}
+
 // run executes RunLocal with the given worker scripts and asserts the
 // merged archive is byte-identical to the oracle.
 func (env *chaosEnv) run(t *testing.T, ttl time.Duration, scripts map[string]*Script, logf func(string, ...any)) *Result {
@@ -200,15 +205,12 @@ func (env *chaosEnv) run(t *testing.T, ttl time.Duration, scripts map[string]*Sc
 			Chaos:       scripts[name],
 		})
 	}
-	store, res, err := RunLocal(context.Background(), LocalConfig{
+	var got bytes.Buffer
+	res, err := RunLocal(context.Background(), LocalConfig{
 		Plan: env.plan, Store: env.store, LeaseTTL: ttl, Workers: workers,
 		OnEvent: logf,
-	})
+	}, sectionsTo(&got))
 	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := store.WriteArchive(&got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(env.want, got.Bytes()) {
@@ -256,11 +258,11 @@ func TestRunLocalCleanByteIdentical(t *testing.T) {
 
 func TestRunLocalWorkerKilledMidShard(t *testing.T) {
 	env := newChaosEnv(t, 3)
-	// w1 is SIGKILLed on its first claim after the scan, before the shard
-	// archive is written: only its owner-tagged chunk file exists, which w2
-	// must not trust. Recovery is pure lease expiry.
+	// w1 is SIGKILLed on its first claim after the scan, before it reports:
+	// only its owner-tagged chunk file exists, which w2 must not trust and
+	// no manifest names. Recovery is pure lease expiry.
 	res := env.run(t, 300*time.Millisecond, map[string]*Script{
-		"w1": NewScript(Event{Claim: 1, Act: ActKillBeforeWrite}),
+		"w1": NewScript(Event{Claim: 1, Act: ActKillBeforeReport}),
 		"w2": nil,
 	}, t.Logf)
 	if !errors.Is(res.WorkerErrs["w1"], ErrChaosKilled) {
@@ -268,22 +270,6 @@ func TestRunLocalWorkerKilledMidShard(t *testing.T) {
 	}
 	if res.Stats.Releases == 0 {
 		t.Fatalf("killed worker's lease never expired: %+v", res.Stats)
-	}
-}
-
-func TestRunLocalWorkerKilledAfterWrite(t *testing.T) {
-	env := newChaosEnv(t, 3)
-	// w1 dies after flushing its shard but before reporting: the orphan
-	// owner-tagged file must simply never be referenced by the merge.
-	res := env.run(t, 300*time.Millisecond, map[string]*Script{
-		"w1": NewScript(Event{Claim: 1, Act: ActKillAfterWrite}),
-		"w2": nil,
-	}, t.Logf)
-	if !errors.Is(res.WorkerErrs["w1"], ErrChaosKilled) {
-		t.Fatalf("w1 error: %v", res.WorkerErrs["w1"])
-	}
-	if res.Stats.Releases == 0 {
-		t.Fatalf("dead worker's lease never expired: %+v", res.Stats)
 	}
 }
 
@@ -325,17 +311,18 @@ func TestRunLocalSlowDiskKeepsLease(t *testing.T) {
 
 func TestRunLocalCoordinatorRestartResumes(t *testing.T) {
 	env := newChaosEnv(t, 3)
-	// Phase 1: every worker dies after its second claim's write, so the
-	// sweep halts partway with durable-but-unreported shards and an
-	// unfinished plan. RunLocal must fail, leaving recoverable state.
-	_, res, err := RunLocal(context.Background(), LocalConfig{
+	// Phase 1: every worker dies on its second claim, after its scan and
+	// before its report, so the sweep halts partway with durable but
+	// unreported chunks and an unfinished plan. RunLocal must fail, leaving
+	// recoverable state.
+	res, err := RunLocal(context.Background(), LocalConfig{
 		Plan: env.plan, Store: env.store, LeaseTTL: 200 * time.Millisecond,
 		Workers: []WorkerSpec{
-			{Name: "w1", StreamSetup: testStreamSetup(t, env.eco, env.targets), Chaos: NewScript(Event{Claim: 2, Act: ActKillBeforeWrite})},
-			{Name: "w2", StreamSetup: testStreamSetup(t, env.eco, env.targets), Chaos: NewScript(Event{Claim: 2, Act: ActKillAfterWrite})},
+			{Name: "w1", StreamSetup: testStreamSetup(t, env.eco, env.targets), Chaos: NewScript(Event{Claim: 2, Act: ActKillBeforeReport})},
+			{Name: "w2", StreamSetup: testStreamSetup(t, env.eco, env.targets), Chaos: NewScript(Event{Claim: 2, Act: ActKillBeforeReport})},
 		},
 		OnEvent: t.Logf,
-	})
+	}, nil)
 	if err == nil {
 		t.Fatal("phase 1 succeeded despite every worker dying")
 	}
@@ -394,7 +381,7 @@ func TestRunLocalChunkedKillBetweenChunksResumes(t *testing.T) {
 
 	// Phase 1: the only worker is SIGKILLed after durably flushing one
 	// chunk of its first unit. The sweep halts with a partial shard on disk.
-	_, res, err := RunLocal(context.Background(), LocalConfig{
+	res, err := RunLocal(context.Background(), LocalConfig{
 		Plan: env.plan, Store: env.store, LeaseTTL: 200 * time.Millisecond,
 		Workers: []WorkerSpec{{
 			Name:        "w1",
@@ -402,7 +389,7 @@ func TestRunLocalChunkedKillBetweenChunksResumes(t *testing.T) {
 			Chaos:       NewScript(Event{Claim: 1, Act: ActKillBetweenChunks, AfterChunks: 1}),
 		}},
 		OnEvent: el.logf,
-	})
+	}, nil)
 	if err == nil {
 		t.Fatal("phase 1 succeeded despite its only worker dying")
 	}
@@ -430,7 +417,7 @@ func TestRunLocalChunkedOwnerTagIsolation(t *testing.T) {
 	el := &eventLog{t: t}
 
 	// Phase 1: w1 dies after flushing one chunk.
-	_, _, err := RunLocal(context.Background(), LocalConfig{
+	_, err := RunLocal(context.Background(), LocalConfig{
 		Plan: env.plan, Store: env.store, LeaseTTL: 200 * time.Millisecond,
 		Workers: []WorkerSpec{{
 			Name:        "w1",
@@ -438,7 +425,7 @@ func TestRunLocalChunkedOwnerTagIsolation(t *testing.T) {
 			Chaos:       NewScript(Event{Claim: 1, Act: ActKillBetweenChunks, AfterChunks: 1}),
 		}},
 		OnEvent: el.logf,
-	})
+	}, nil)
 	if err == nil {
 		t.Fatal("phase 1 succeeded despite its only worker dying")
 	}

@@ -1,10 +1,9 @@
 package dsweep
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -14,18 +13,11 @@ import (
 	"securepki.org/registrarsec/internal/simtime"
 )
 
-// coordStateFile is the coordinator's durable state inside the checkpoint
-// directory: completed units with their checksums, outstanding leases, and
-// the sweep's fault counters. It is rewritten atomically after every
-// mutation, so a coordinator killed at any instant restarts into a
-// consistent lease table.
-const coordStateFile = "coordinator.json"
-
 // CoordinatorConfig configures a Coordinator.
 type CoordinatorConfig struct {
 	// Plan is the sweep's work definition.
 	Plan Plan
-	// Store is the shared checkpoint directory workers flush shards into.
+	// Store is the shared checkpoint directory workers flush chunks into.
 	Store *checkpoint.Store
 	// LeaseTTL is the lease deadline budget (default 30s). A worker that
 	// neither completes nor heartbeats within it loses the unit.
@@ -53,15 +45,15 @@ type Stats struct {
 	// Divergent counts completions of already-done units with different
 	// checksums (distinct vantage-point profiles); settled by value order.
 	Divergent int `json:"divergent"`
-	// Rejected counts completions whose shard archive failed verification.
+	// Rejected counts completions whose chunk files failed verification.
 	Rejected int `json:"rejected"`
 }
 
 // unit is one work unit's live state.
 type unit struct {
-	meta   *checkpoint.Shard // non-nil once the unit is done
-	worker string            // completer (first accepted, or divergence winner)
-	lease  *lease            // active lease, nil when pending or done
+	manifest *checkpoint.ChunkProgress // non-nil once the unit is done
+	worker   string                    // completer (first accepted, or divergence winner)
+	lease    *lease                    // active lease, nil when pending or done
 }
 
 // lease is one outstanding work grant.
@@ -74,7 +66,7 @@ type lease struct {
 
 // Coordinator owns a sweep plan: it grants leases over (day, shard) units,
 // re-leases expired ones, settles duplicate completions by checksum,
-// persists every state change, and performs the final CRC-verified merge.
+// persists every state change, and streams the final CRC-verified merge.
 // Its lease/heartbeat/complete methods are safe for concurrent use and
 // implement Coordination directly for in-process workers.
 type Coordinator struct {
@@ -148,7 +140,7 @@ func (c *Coordinator) event(format string, args ...any) {
 }
 
 // Close releases the checkpoint directory lock. The persisted state stays
-// behind for a restart; use Clear after a successful merge instead.
+// behind for a restart; Clear the store once the merged archive is durable.
 func (c *Coordinator) Close() error {
 	if c.release == nil {
 		return nil
@@ -156,15 +148,6 @@ func (c *Coordinator) Close() error {
 	rel := c.release
 	c.release = nil
 	return rel()
-}
-
-// Clear removes the coordinator state file and every shard archive — for
-// after the merged archive is durably on disk.
-func (c *Coordinator) Clear() error {
-	if err := os.Remove(filepath.Join(c.cfg.Store.Dir(), coordStateFile)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return c.cfg.Store.Clear()
 }
 
 // Done is closed once every unit of the plan is complete.
@@ -241,7 +224,7 @@ func (c *Coordinator) Lease(_ context.Context, worker string) (*Grant, error) {
 	anyLeased := false
 	for _, id := range c.order {
 		u := c.units[id]
-		if u.meta != nil {
+		if u.manifest != nil {
 			continue
 		}
 		if u.lease != nil {
@@ -297,36 +280,39 @@ func (c *Coordinator) Heartbeat(_ context.Context, leaseID string) error {
 	return nil
 }
 
-// sameShard reports whether two completions carry identical shard bytes.
-// File names are excluded: each worker writes its own owner-tagged file,
-// and identical CRC+length over the same archive section format means
-// identical content.
-func sameShard(a, b *checkpoint.Shard) bool {
-	return a.CRC == b.CRC && a.Records == b.Records
+// compareManifests is the deterministic value ordering over two well-formed
+// manifests of one unit: lexicographic over their chunks' (CRC, records).
+// Zero means identical content — file names are excluded, since each worker
+// writes its own owner-tagged files and equal CRC and count over the same
+// section format mean equal bytes; otherwise the smaller manifest wins a
+// divergence, independently of arrival order.
+func compareManifests(a, b *checkpoint.ChunkProgress) int {
+	for c := 0; c < a.Chunks && c < b.Chunks; c++ {
+		x, y := a.Done[c], b.Done[c]
+		if d := cmp.Compare(x.CRC, y.CRC); d != 0 {
+			return d
+		}
+		if d := cmp.Compare(x.Records, y.Records); d != 0 {
+			return d
+		}
+	}
+	return cmp.Compare(a.Chunks, b.Chunks)
 }
 
-// shardLess is the deterministic value ordering that settles divergent
-// duplicate completions independently of arrival order: smallest
-// (CRC, records, file name) wins.
-func shardLess(a, b *checkpoint.Shard) bool {
-	if a.CRC != b.CRC {
-		return a.CRC < b.CRC
-	}
-	if a.Records != b.Records {
-		return a.Records < b.Records
-	}
-	return a.File < b.File
-}
-
-// Complete implements Coordination: settle a completion report. The shard
-// archive is re-read and CRC-verified before it is trusted; a duplicate of
-// an already-done unit is resolved by checksum, never by arrival order.
+// Complete implements Coordination: settle a completion report. A manifest
+// is verified against its chunk files before it is adopted — as a unit's
+// first completion, or as the winner of a divergence — so a worker with a
+// sick disk cannot poison the merge; a duplicate of an already-done unit is
+// resolved by checksum, never by arrival order.
 func (c *Coordinator) Complete(_ context.Context, req *CompleteRequest) (*CompleteReply, error) {
-	if req == nil || req.Meta == nil {
+	if req == nil || req.Manifest == nil {
 		return nil, fmt.Errorf("dsweep: empty completion")
 	}
 	if req.Fingerprint != c.cfg.Plan.Fingerprint {
 		return nil, fmt.Errorf("dsweep: completion for fingerprint %q, this sweep is %q", req.Fingerprint, c.cfg.Plan.Fingerprint)
+	}
+	if err := req.Manifest.WellFormed(scan.ChunkSize(c.cfg.Plan.Chunk)); err != nil {
+		return nil, fmt.Errorf("dsweep: completion of %s: %w", req.Unit, err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -342,49 +328,44 @@ func (c *Coordinator) Complete(_ context.Context, req *CompleteRequest) (*Comple
 		}
 	}
 
-	if u.meta != nil {
+	status, adopt := CompleteAccepted, true
+	if u.manifest != nil {
 		// Straggler: the unit was re-leased and already completed by
 		// someone. Same bytes → idempotent acknowledgement; different
 		// bytes → the fixed value ordering picks the winner.
 		c.stats.Duplicates++
-		status := CompleteDuplicate
-		if !sameShard(u.meta, req.Meta) {
+		status, adopt = CompleteDuplicate, false
+		if d := compareManifests(req.Manifest, u.manifest); d != 0 {
 			c.stats.Divergent++
-			status = CompleteDivergent
-			c.event("coordinator: divergent duplicate for %s (have crc %08x from %s, got %08x from %s)",
-				req.Unit, u.meta.CRC, u.worker, req.Meta.CRC, req.Worker)
-			if shardLess(req.Meta, u.meta) {
-				u.meta, u.worker = req.Meta, req.Worker
+			status, adopt = CompleteDivergent, d < 0
+			c.event("coordinator: divergent duplicate for %s (have %s's, got another from %s)", req.Unit, u.worker, req.Worker)
+		}
+	}
+	if adopt {
+		// Verify the chunk files the way the merge will: recorded CRC,
+		// trailers and record count of every chunk.
+		err := c.cfg.Store.AppendUnit(req.Unit.Day, req.Manifest, func(...dataset.Record) error { return nil })
+		if err != nil {
+			c.stats.Rejected++
+			status = CompleteRejected
+			c.event("coordinator: rejected completion of %s from %s: %v", req.Unit, req.Worker, err)
+		} else {
+			if u.manifest == nil {
+				c.mergeHealthLocked(req)
+				c.event("coordinator: %s completed by %s (%d chunks) — %d/%d units done",
+					req.Unit, req.Worker, req.Manifest.Chunks, c.doneCountLocked()+1, len(c.order))
 			}
+			u.manifest, u.worker = req.Manifest, req.Worker
 		}
-		if err := c.saveLocked(); err != nil {
-			return nil, err
-		}
-		return &CompleteReply{Status: status, Done: c.allDoneLocked()}, nil
 	}
-
-	// First completion: verify the flushed shard before trusting it. A
-	// worker with a sick disk must not poison the merge.
-	if _, err := c.cfg.Store.LoadShard(req.Unit.Day, req.Unit.Shard, req.Meta); err != nil {
-		c.stats.Rejected++
-		c.event("coordinator: rejected completion of %s from %s: %v", req.Unit, req.Worker, err)
-		if serr := c.saveLocked(); serr != nil {
-			return nil, serr
-		}
-		return &CompleteReply{Status: CompleteRejected}, nil
-	}
-	u.meta, u.worker = req.Meta, req.Worker
-	c.mergeHealthLocked(req)
 	if err := c.saveLocked(); err != nil {
 		return nil, err
 	}
-	c.event("coordinator: %s completed by %s (%d records, crc %08x) — %d/%d units done",
-		req.Unit, req.Worker, req.Meta.Records, req.Meta.CRC, c.doneCountLocked(), len(c.order))
 	done := c.allDoneLocked()
-	if done {
+	if done && status == CompleteAccepted {
 		close(c.doneCh)
 	}
-	return &CompleteReply{Status: CompleteAccepted, Done: done}, nil
+	return &CompleteReply{Status: status, Done: done}, nil
 }
 
 // mergeHealthLocked folds an accepted completion's health report into the
@@ -411,7 +392,7 @@ func (c *Coordinator) mergeHealthLocked(req *CompleteRequest) {
 func (c *Coordinator) doneCountLocked() int {
 	n := 0
 	for _, u := range c.units {
-		if u.meta != nil {
+		if u.manifest != nil {
 			n++
 		}
 	}
@@ -421,31 +402,44 @@ func (c *Coordinator) doneCountLocked() int {
 // allDoneLocked reports whether every unit is complete.
 func (c *Coordinator) allDoneLocked() bool { return c.doneCountLocked() == len(c.order) }
 
-// Merge assembles the final archive: every unit's chosen shard is
-// re-loaded and CRC-verified, records are concatenated in plan order (days
-// in plan order, shards in index order) and each day is canonicalized —
-// the (TLD, domain) order a single-process ResumableSweep's spill merge
-// emits, so the output bytes match.
-func (c *Coordinator) Merge() (*dataset.Store, error) {
+// Merge streams the final archive a day at a time, in plan order: every
+// unit of the day is verified and appended (checkpoint.Store.AppendUnit) to
+// a spill writer bounded by spill, and the writer — which emits the
+// (TLD, domain) order a single-process ResumableSweep's day has, so the
+// output bytes match — is handed to sink, then closed. Memory is bounded by
+// the spill budget, not by the sweep.
+func (c *Coordinator) Merge(spill dataset.SpillOptions, sink scan.DaySink) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.allDoneLocked() {
-		return nil, fmt.Errorf("dsweep: merge before completion (%d/%d units done)", c.doneCountLocked(), len(c.order))
+		c.mu.Unlock()
+		return fmt.Errorf("dsweep: merge before completion (%d/%d units done)", c.doneCountLocked(), len(c.order))
 	}
-	store := dataset.NewStore()
+	// A straggler may still settle a divergence while the merge runs: merge
+	// the manifests as they stand now, without holding the lock over I/O.
+	manifests := make(map[UnitID]*checkpoint.ChunkProgress, len(c.order))
+	for id, u := range c.units {
+		manifests[id] = u.manifest
+	}
+	c.mu.Unlock()
+
 	for _, day := range c.cfg.Plan.Days {
-		daySnap := &dataset.Snapshot{Day: day}
-		for k := 0; k < c.cfg.Plan.Shards; k++ {
+		sw := dataset.NewSpillWriter(day, spill)
+		var err error
+		for k := 0; k < c.cfg.Plan.Shards && err == nil; k++ {
 			id := UnitID{Day: day, Shard: k}
-			u := c.units[id]
-			snap, err := c.cfg.Store.LoadShard(day, k, u.meta)
-			if err != nil {
-				return nil, fmt.Errorf("dsweep: merge: unit %s: %w", id, err)
+			if err = c.cfg.Store.AppendUnit(day, manifests[id], sw.Append); err != nil {
+				err = fmt.Errorf("dsweep: merge: unit %s: %w", id, err)
 			}
-			daySnap.Records = append(daySnap.Records, snap.Records...)
 		}
-		daySnap.Canonicalize()
-		store.Add(daySnap)
+		if err == nil {
+			err = sink(day, sw)
+		}
+		if cerr := sw.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
 	}
-	return store, nil
+	return nil
 }

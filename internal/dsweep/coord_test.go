@@ -1,6 +1,7 @@
 package dsweep
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -47,23 +48,54 @@ func openStore(t *testing.T) *checkpoint.Store {
 	return st
 }
 
-// flush writes a unit's snapshot as the given owner and returns its meta.
-func flush(t *testing.T, st *checkpoint.Store, u UnitID, owner string, snap *dataset.Snapshot) *checkpoint.Shard {
+// flush writes a unit's snapshot as the given owner — one chunk at the
+// default chunk size, as a worker would cut so small a shard — and returns
+// the unit's manifest.
+func flush(t testing.TB, st *checkpoint.Store, u UnitID, owner string, snap *dataset.Snapshot) *checkpoint.ChunkProgress {
 	t.Helper()
-	meta, err := st.WriteShardAs(u.Day, u.Shard, owner, snap)
+	manifest := checkpoint.NewChunkProgress(scan.DefaultChunk, len(snap.Records))
+	for c := 0; c < manifest.Chunks; c++ {
+		meta, err := st.WriteChunk(u.Day, u.Shard, c, owner, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		manifest.Done[c] = meta
+	}
+	return manifest
+}
+
+// mergeArchive runs the coordinator's merge under the given spill options
+// and returns the archive bytes, the archive parsed back, and the number of
+// run files the merge spilled.
+func mergeArchive(t *testing.T, c *Coordinator, spill dataset.SpillOptions) ([]byte, *dataset.Store, int) {
+	t.Helper()
+	var buf bytes.Buffer
+	runs := 0
+	err := c.Merge(spill, func(_ simtime.Day, sw *dataset.SpillWriter) error {
+		runs += sw.Runs()
+		return sw.WriteSectionTo(&buf)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return meta
+	store, err := dataset.ReadArchiveStrict(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), store, runs
 }
 
 // complete reports a unit done and asserts the settled status.
-func complete(t *testing.T, c *Coordinator, leaseID, worker string, u UnitID, meta *checkpoint.Shard, want CompleteStatus) {
+func complete(t *testing.T, c *Coordinator, leaseID, worker string, u UnitID, manifest *checkpoint.ChunkProgress, want CompleteStatus) {
 	t.Helper()
+	records := 0
+	for _, meta := range manifest.Done {
+		records += meta.Records
+	}
 	rep, err := c.Complete(context.Background(), &CompleteRequest{
 		LeaseID: leaseID, Worker: worker, Unit: u,
-		Fingerprint: c.cfg.Plan.Fingerprint, Meta: meta,
-		Health: &scan.SweepHealth{Day: u.Day, Targets: meta.Records, Measured: meta.Records},
+		Fingerprint: c.cfg.Plan.Fingerprint, Manifest: manifest,
+		Health: &scan.SweepHealth{Day: u.Day, Targets: records, Measured: records},
 	})
 	if err != nil {
 		t.Fatalf("complete %s: %v", u, err)
@@ -106,10 +138,7 @@ func TestCoordinatorLeasesInPlanOrderAndMerges(t *testing.T) {
 		t.Fatalf("post-completion lease: %+v, %v", g, err)
 	}
 
-	store, err := c.Merge()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, store, _ := mergeArchive(t, c, dataset.SpillOptions{})
 	if store.Len() != 2 {
 		t.Fatalf("merged days: %d", store.Len())
 	}
@@ -197,7 +226,7 @@ func TestCoordinatorDivergentDuplicateSettledByValue(t *testing.T) {
 		metaA := flush(t, st, u, "w1", makeSnap(u.Day, "a.com"))
 		metaB := flush(t, st, u, "w2", makeSnap(u.Day, "b.com"))
 		want := metaA
-		if shardLess(metaB, metaA) {
+		if compareManifests(metaB, metaA) < 0 {
 			want = metaB
 		}
 		first, second := g2, g1
@@ -210,8 +239,8 @@ func TestCoordinatorDivergentDuplicateSettledByValue(t *testing.T) {
 		}
 		complete(t, c, first.LeaseID, firstW, u, firstMeta, CompleteAccepted)
 		complete(t, c, second.LeaseID, secondW, u, secondMeta, CompleteDivergent)
-		if got := c.units[u].meta.CRC; got != want.CRC {
-			t.Fatalf("swap=%v: winner crc %08x, want %08x", swap, got, want.CRC)
+		if got := c.units[u].manifest.Done[0].CRC; got != want.Done[0].CRC {
+			t.Fatalf("swap=%v: winner crc %08x, want %08x", swap, got, want.Done[0].CRC)
 		}
 		c.Close()
 	}
@@ -227,9 +256,9 @@ func TestCoordinatorRejectsUnverifiableShard(t *testing.T) {
 	u := UnitID{day(10), 0}
 	g, _ := c.Lease(context.Background(), "w1")
 	meta := flush(t, st, u, "w1", makeSnap(u.Day, "a.com"))
-	meta.CRC ^= 1 // claim bytes that are not on disk
+	meta.Done[0].CRC ^= 1 // claim bytes that are not on disk
 	rep, err := c.Complete(context.Background(), &CompleteRequest{
-		LeaseID: g.LeaseID, Worker: "w1", Unit: u, Fingerprint: c.cfg.Plan.Fingerprint, Meta: meta,
+		LeaseID: g.LeaseID, Worker: "w1", Unit: u, Fingerprint: c.cfg.Plan.Fingerprint, Manifest: meta,
 	})
 	if err != nil || rep.Status != CompleteRejected {
 		t.Fatalf("bad shard: %+v, %v", rep, err)
@@ -297,9 +326,7 @@ func TestCoordinatorRestartRecoversState(t *testing.T) {
 	default:
 		t.Fatal("plan not done after draining all units")
 	}
-	if _, err := c2.Merge(); err != nil {
-		t.Fatal(err)
-	}
+	mergeArchive(t, c2, dataset.SpillOptions{})
 
 	// Health survives the restart.
 	byDay, _ := c2.Health()

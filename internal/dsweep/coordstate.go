@@ -13,11 +13,12 @@ import (
 	"securepki.org/registrarsec/internal/simtime"
 )
 
-// persistedUnit is one completed unit in the coordinator state file.
+// persistedUnit is one completed unit in the coordinator's ledger: the
+// chunk manifest the merge will verify and stream.
 type persistedUnit struct {
-	Unit   UnitID            `json:"unit"`
-	Worker string            `json:"worker"`
-	Meta   *checkpoint.Shard `json:"meta"`
+	Unit     UnitID                    `json:"unit"`
+	Worker   string                    `json:"worker"`
+	Manifest *checkpoint.ChunkProgress `json:"manifest"`
 }
 
 // persistedLease is one outstanding lease in the coordinator state file.
@@ -31,7 +32,11 @@ type persistedLease struct {
 	Expires time.Time `json:"expires"`
 }
 
-// coordState is the coordinator's durable state file layout.
+// coordState is the layout of the coordinator's ledger
+// (checkpoint.CoordLedger): completed units with their manifests,
+// outstanding leases, and the sweep's fault counters. It is rewritten
+// atomically after every mutation, so a coordinator killed at any instant
+// restarts into a consistent lease table.
 type coordState struct {
 	// Fingerprint and Shards guard against restoring state into a
 	// different sweep configuration.
@@ -61,8 +66,8 @@ func (c *Coordinator) saveLocked() error {
 		HealthByWorker: c.healthWkr,
 	}
 	for _, id := range c.order {
-		if u := c.units[id]; u.meta != nil {
-			st.Completed = append(st.Completed, persistedUnit{Unit: id, Worker: u.worker, Meta: u.meta})
+		if u := c.units[id]; u.manifest != nil {
+			st.Completed = append(st.Completed, persistedUnit{Unit: id, Worker: u.worker, Manifest: u.manifest})
 		}
 	}
 	for _, l := range c.leases {
@@ -72,16 +77,17 @@ func (c *Coordinator) saveLocked() error {
 	if err != nil {
 		return fmt.Errorf("dsweep: encoding coordinator state: %w", err)
 	}
-	return dataset.WriteFileAtomic(filepath.Join(c.cfg.Store.Dir(), coordStateFile), append(data, '\n'))
+	return dataset.WriteFileAtomic(filepath.Join(c.cfg.Store.Dir(), checkpoint.CoordLedger), append(data, '\n'))
 }
 
 // restore loads persisted coordinator state, if any. Completed units are
-// adopted (counted in Stats.Recovered), outstanding leases resume with
+// adopted with their manifests (counted in Stats.Recovered; the chunk files
+// are verified when the merge reads them), outstanding leases resume with
 // their original absolute deadlines. State written under a different
 // fingerprint or shard count is refused: mixing two sweeps' lease tables
 // would fabricate data.
 func (c *Coordinator) restore() error {
-	data, err := os.ReadFile(filepath.Join(c.cfg.Store.Dir(), coordStateFile))
+	data, err := os.ReadFile(filepath.Join(c.cfg.Store.Dir(), checkpoint.CoordLedger))
 	if os.IsNotExist(err) {
 		return nil
 	}
@@ -90,7 +96,7 @@ func (c *Coordinator) restore() error {
 	}
 	var st coordState
 	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("dsweep: corrupt coordinator state %s: %w", coordStateFile, err)
+		return fmt.Errorf("dsweep: corrupt coordinator state %s: %w", checkpoint.CoordLedger, err)
 	}
 	if st.Fingerprint != c.cfg.Plan.Fingerprint {
 		return fmt.Errorf("dsweep: coordinator state in %s belongs to a different sweep (fingerprint %q, this run %q)",
@@ -108,15 +114,20 @@ func (c *Coordinator) restore() error {
 		if u == nil {
 			return fmt.Errorf("dsweep: coordinator state completes unit %s, which is not in this plan", pu.Unit)
 		}
-		if pu.Meta == nil {
-			return fmt.Errorf("dsweep: coordinator state completes unit %s without shard metadata", pu.Unit)
+		if pu.Manifest == nil {
+			return fmt.Errorf("dsweep: coordinator state completes unit %s without a chunk manifest", pu.Unit)
 		}
-		u.meta, u.worker = pu.Meta, pu.Worker
-		c.stats.Recovered++
+		if err := pu.Manifest.WellFormed(scan.ChunkSize(c.cfg.Plan.Chunk)); err != nil {
+			return fmt.Errorf("dsweep: coordinator state completes unit %s: %w", pu.Unit, err)
+		}
+		if u.manifest == nil {
+			c.stats.Recovered++
+		}
+		u.manifest, u.worker = pu.Manifest, pu.Worker
 	}
 	for _, pl := range st.Leases {
 		u := c.units[pl.Unit]
-		if u == nil || u.meta != nil || u.lease != nil {
+		if u == nil || u.manifest != nil || u.lease != nil {
 			continue // lease for a unit that is gone, done, or double-listed
 		}
 		l := &lease{id: pl.ID, unit: pl.Unit, worker: pl.Worker, expires: pl.Expires}

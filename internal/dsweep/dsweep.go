@@ -2,29 +2,36 @@
 // multi-process topology: a coordinator that owns the sweep plan and
 // leases (day, shard) work units with deadlines, and workers that claim
 // leases, scan their shard chunk by chunk through their own exchange
-// stack, flush a checksum-trailered shard archive via internal/checkpoint,
-// and report completion. The paper's longitudinal evidence is an OpenINTEL-style
-// archive measured daily from multiple vantage points for 21 months — a
-// sweep that long only finishes if the pipeline shrugs off worker crashes,
-// stragglers, and coordinator restarts.
+// stack, durably flush every chunk via internal/checkpoint, and report the
+// finished unit as a manifest of those chunk files. The paper's
+// longitudinal evidence is an OpenINTEL-style archive measured daily from
+// multiple vantage points for 21 months — a sweep that long only finishes
+// if the pipeline shrugs off worker crashes, stragglers, and coordinator
+// restarts.
+//
+// A finished unit is what it is in a single-process sweep: a
+// checkpoint.ChunkProgress naming each chunk file with its CRC32C and
+// record count, recorded in the coordinator's ledger (coordinator.json).
 //
 // Robustness contract:
 //
 //   - A worker killed mid-shard leaves behind only the owner-tagged chunk
 //     files it had flushed; its lease expires and the unit is re-leased to
-//     any live worker, and the same worker restarted reuses its own chunks.
+//     any live worker, and the same worker restarted rebuilds its progress
+//     from its own files and scans only the rest.
 //   - A straggler that finishes after its unit was re-leased produces a
 //     duplicate completion. Duplicates are resolved deterministically by
 //     checksum — same bytes are acknowledged idempotently, divergent bytes
 //     (distinct vantage-point fault profiles) are settled by a fixed
-//     value ordering, never by arrival order.
+//     value ordering, never by arrival order — and a manifest is verified
+//     against its files before it is adopted, first or duplicate.
 //   - The coordinator persists lease and completion state atomically after
 //     every mutation, so a coordinator restart resumes the sweep instead
 //     of restarting it.
-//   - The final merge re-verifies every shard's CRC, concatenates shards
-//     in plan order and canonicalizes each day, producing an archive
-//     byte-identical to an uninterrupted single-process ResumableSweep of
-//     the same plan.
+//   - The final merge re-verifies every chunk against its recorded CRC,
+//     its trailers and its record count, and emits each day in canonical
+//     order: an archive byte-identical to an uninterrupted single-process
+//     ResumableSweep of the same plan.
 //
 // Workers share the coordinator's checkpoint directory (same filesystem —
 // locally, or via shared storage), the same role OpenINTEL's central
@@ -121,17 +128,17 @@ type Grant struct {
 	RetryMillis int64 `json:"retry_millis,omitempty"`
 }
 
-// CompleteRequest reports one finished unit: the checksum metadata of the
-// shard archive the worker flushed into the shared checkpoint directory,
-// plus the shard's health accounting for per-worker attribution.
+// CompleteRequest reports one finished unit: the manifest of the chunk
+// files the worker flushed into the shared checkpoint directory, plus the
+// shard's health accounting for per-worker attribution.
 type CompleteRequest struct {
 	LeaseID string `json:"lease_id"`
 	Worker  string `json:"worker"`
 	Unit    UnitID `json:"unit"`
 	// Fingerprint guards against a worker reporting into the wrong sweep.
-	Fingerprint string            `json:"fingerprint"`
-	Meta        *checkpoint.Shard `json:"meta"`
-	Health      *scan.SweepHealth `json:"health,omitempty"`
+	Fingerprint string                    `json:"fingerprint"`
+	Manifest    *checkpoint.ChunkProgress `json:"manifest"`
+	Health      *scan.SweepHealth         `json:"health,omitempty"`
 }
 
 // CompleteStatus classifies how a completion was settled.
@@ -146,8 +153,9 @@ const (
 	// CompleteDivergent: the unit was already done with different bytes;
 	// the winner was chosen by the deterministic checksum ordering.
 	CompleteDivergent CompleteStatus = "divergent"
-	// CompleteRejected: the shard archive failed verification on the
-	// coordinator's side; the unit returns to the pool.
+	// CompleteRejected: the manifest's chunk files failed verification on
+	// the coordinator's side; a first completion's unit returns to the pool,
+	// a duplicate leaves the accepted manifest in place.
 	CompleteRejected CompleteStatus = "rejected"
 )
 

@@ -11,10 +11,10 @@ import (
 )
 
 // The HTTP control plane: four JSON endpoints mirroring Coordination.
-// Shard bytes never travel over it — workers flush archives into the
+// Records never travel over it — workers flush chunk files into the
 // shared checkpoint directory; the control plane carries only leases and
-// checksums, so it stays small enough to reason about under partial
-// failure (a lost reply at worst costs one lease TTL).
+// chunk manifests (names and checksums), so it stays small enough to reason
+// about under partial failure (a lost reply at worst costs one lease TTL).
 
 // NewHandler exposes a coordinator over HTTP.
 func NewHandler(c *Coordinator) http.Handler {

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"securepki.org/registrarsec/internal/dataset"
 )
 
 // TestHTTPTopologyByteIdentical runs the full control plane over real
@@ -27,7 +29,7 @@ func TestHTTPTopologyByteIdentical(t *testing.T) {
 	defer srv.Close()
 
 	scripts := map[string]*Script{
-		"hw1": NewScript(Event{Claim: 1, Act: ActKillBeforeWrite}),
+		"hw1": NewScript(Event{Claim: 1, Act: ActKillBeforeReport}),
 		"hw2": nil,
 	}
 	var wg sync.WaitGroup
@@ -64,15 +66,8 @@ func TestHTTPTopologyByteIdentical(t *testing.T) {
 	if errs["hw1"] == nil || !strings.Contains(errs["hw1"].Error(), "chaos") {
 		t.Fatalf("hw1 should have been chaos-killed: %v", errs["hw1"])
 	}
-	store, err := coord.Merge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := store.WriteArchive(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(env.want, got.Bytes()) {
+	got, _, _ := mergeArchive(t, coord, dataset.SpillOptions{})
+	if !bytes.Equal(env.want, got) {
 		t.Error("HTTP-topology archive differs from single-process sweep")
 	}
 	if coord.Stats().Releases == 0 {
@@ -107,7 +102,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 	meta := flush(t, env.store, g.Unit, "w1", makeSnap(g.Unit.Day, "a.com"))
 	if _, err := client.Complete(ctx, &CompleteRequest{
 		LeaseID: g.LeaseID, Worker: "w1", Unit: g.Unit,
-		Fingerprint: "wrong-fingerprint", Meta: meta,
+		Fingerprint: "wrong-fingerprint", Manifest: meta,
 	}); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("wrong fingerprint: %v", err)
 	}

@@ -50,12 +50,13 @@ type Result struct {
 
 // RunLocal runs a complete coordinator + N in-process workers topology to
 // completion: every worker drains the plan concurrently, dead workers are
-// tolerated while at least one survives, and the final archive is the
-// coordinator's CRC-verified merge. The checkpoint directory is left
-// intact for the caller to Clear once the merged archive is durable.
-func RunLocal(ctx context.Context, cfg LocalConfig) (*dataset.Store, *Result, error) {
+// tolerated while at least one survives, and the coordinator's CRC-verified
+// merge then hands each day to sink, as ResumableSweep.RunStream does. The
+// checkpoint directory is left intact for the caller to Clear once the
+// merged archive is durable.
+func RunLocal(ctx context.Context, cfg LocalConfig, sink scan.DaySink) (*Result, error) {
 	if len(cfg.Workers) == 0 {
-		return nil, nil, fmt.Errorf("dsweep: RunLocal needs at least one worker")
+		return nil, fmt.Errorf("dsweep: RunLocal needs at least one worker")
 	}
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Plan:     cfg.Plan,
@@ -65,7 +66,7 @@ func RunLocal(ctx context.Context, cfg LocalConfig) (*dataset.Store, *Result, er
 		OnEvent:  cfg.OnEvent,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer coord.Close()
 
@@ -84,7 +85,7 @@ func RunLocal(ctx context.Context, cfg LocalConfig) (*dataset.Store, *Result, er
 			OnEvent:     cfg.OnEvent,
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		wg.Add(1)
 		go func(w *Worker, name string) {
@@ -108,17 +109,13 @@ func RunLocal(ctx context.Context, cfg LocalConfig) (*dataset.Store, *Result, er
 		// chaos, or the context was cancelled. The checkpoint and the
 		// coordinator state survive for a re-run.
 		if err := ctx.Err(); err != nil {
-			return nil, res, err
+			return res, err
 		}
-		return nil, res, fmt.Errorf("dsweep: all %d workers died with %d/%d units done (errors: %v)",
+		return res, fmt.Errorf("dsweep: all %d workers died with %d/%d units done (errors: %v)",
 			len(cfg.Workers), res.Stats.Done, cfg.Plan.Units(), joinWorkerErrs(errs))
 	}
 
-	store, err := coord.Merge()
-	if err != nil {
-		return nil, res, err
-	}
-	return store, res, nil
+	return res, coord.Merge(dataset.SpillOptions{}, sink)
 }
 
 // joinWorkerErrs renders the worker error map compactly.

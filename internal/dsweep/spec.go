@@ -2,6 +2,7 @@ package dsweep
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"strings"
 
@@ -50,29 +51,80 @@ type WorldSpec struct {
 	FaultSeed int64   `json:"fault_seed,omitempty"`
 }
 
-// normalize fills defaults matching the regsec-scan CLI.
+// defaultSpec holds the defaults of the plan flags; normalize falls back to
+// them for fields left at their zero value.
+var defaultSpec = WorldSpec{
+	ScaleDiv: 2000, Seed: 1, Sample: 1000, Workers: 16,
+	Retries: 3, Resweeps: 2, FaultLoss: 0.2, FaultSeed: 1,
+}
+
+// normalize fills unset fields from defaultSpec. FaultLoss stays as given:
+// zero loss is a value, and it only matters once FaultFrac is set.
 func (sp *WorldSpec) normalize() {
 	if sp.ScaleDiv <= 0 {
-		sp.ScaleDiv = 2000
+		sp.ScaleDiv = defaultSpec.ScaleDiv
 	}
 	if sp.Seed == 0 {
-		sp.Seed = 1
+		sp.Seed = defaultSpec.Seed
 	}
 	if sp.Sample <= 0 {
-		sp.Sample = 1000
+		sp.Sample = defaultSpec.Sample
 	}
 	if sp.Workers <= 0 {
-		sp.Workers = 16
+		sp.Workers = defaultSpec.Workers
 	}
 	if sp.Retries <= 0 {
-		sp.Retries = 3
+		sp.Retries = defaultSpec.Retries
 	}
 	if sp.Resweeps == 0 {
-		sp.Resweeps = 2
+		sp.Resweeps = defaultSpec.Resweeps
 	}
 	if sp.FaultSeed == 0 {
-		sp.FaultSeed = 1
+		sp.FaultSeed = defaultSpec.FaultSeed
 	}
+}
+
+// RegisterPlanFlags declares on fs the flags that shape a sweep's plan —
+// the ones regsec-scan and regsec-sweepd must agree on for a distributed
+// sweep to merge byte-identical to a single-process one. It is the one
+// place their names, defaults and help strings live; the returned function
+// assembles the parsed values into a plan.
+func RegisterPlanFlags(fs *flag.FlagSet) func() (Plan, error) {
+	var spec WorldSpec
+	fs.Float64Var(&spec.ScaleDiv, "scale", defaultSpec.ScaleDiv, "population divisor (2000 → .com has ~59k domains)")
+	fs.Int64Var(&spec.Seed, "seed", defaultSpec.Seed, "world seed")
+	daysStr := fs.String("days", "2016-12-31", "comma-separated measurement days (YYYY-MM-DD)")
+	fs.IntVar(&spec.Sample, "sample", defaultSpec.Sample, "domains to sample from the world and scan")
+	shards := fs.Int("shards", 4, "shards per day: the checkpoint unit of a resume, the lease unit of a distributed sweep")
+	fs.IntVar(&spec.Workers, "workers", defaultSpec.Workers, "scan concurrency (of each worker process in a distributed sweep)")
+	fs.IntVar(&spec.Retries, "retries", defaultSpec.Retries, "per-query attempt budget")
+	fs.IntVar(&spec.Resweeps, "resweeps", defaultSpec.Resweeps, "re-sweep passes over failed targets (-1 disables)")
+	fs.BoolVar(&spec.Cache, "cache", false, "enable the TTL-respecting response cache in the exchange stack")
+	fs.BoolVar(&spec.Dedup, "dedup", false, "coalesce concurrent identical queries in the exchange stack")
+	fs.Float64Var(&spec.FaultFrac, "fault-frac", 0, "fraction of DNS operators made faulty (0 disables injection)")
+	fs.Float64Var(&spec.FaultLoss, "fault-loss", defaultSpec.FaultLoss, "packet-loss probability on faulty operators")
+	fs.Int64Var(&spec.FaultSeed, "fault-seed", defaultSpec.FaultSeed, "fault schedule seed")
+	chunk := fs.Int("chunk", scan.DefaultChunk, "targets per materialize+scan+flush chunk; every completed chunk is durably flushed")
+	return func() (Plan, error) {
+		var days []simtime.Day
+		for _, part := range strings.Split(*daysStr, ",") {
+			day, err := simtime.Parse(strings.TrimSpace(part))
+			if err != nil {
+				return Plan{}, err
+			}
+			days = append(days, day)
+		}
+		return spec.PlanFor(days, *shards, *chunk), nil
+	}
+}
+
+// PlanFlagNames lists the flags RegisterPlanFlags declares.
+func PlanFlagNames() []string {
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	RegisterPlanFlags(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	return names
 }
 
 // Fingerprint renders the sweep configuration fingerprint that binds the

@@ -2,10 +2,8 @@ package dsweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
-	"io/fs"
 	"sync"
 	"time"
 
@@ -17,12 +15,12 @@ import (
 
 // WorkerConfig configures a Worker.
 type WorkerConfig struct {
-	// Name identifies the worker to the coordinator and tags its shard
+	// Name identifies the worker to the coordinator and tags its chunk
 	// files; must be unique within one sweep.
 	Name string
 	// Coord is the control plane: a *Coordinator directly, or a *Client.
 	Coord Coordination
-	// Store is the shared checkpoint directory shards are flushed into.
+	// Store is the shared checkpoint directory chunks are flushed into.
 	Store *checkpoint.Store
 	// StreamSetup builds this worker's scanner, target cursor and
 	// per-chunk prepare hook for one day — each worker owns its whole
@@ -36,11 +34,11 @@ type WorkerConfig struct {
 }
 
 // Worker claims leases from a coordinator, scans its shard chunk by chunk
-// through its own exchange stack — durably flushing each chunk, so a kill
-// mid-shard resumes at the last flushed chunk — writes the result as an
-// owner-tagged checksum-trailered shard archive, and reports completion.
-// It keeps no durable state of its own: everything it knows is either in
-// the shared checkpoint directory or re-derivable, which is what makes
+// through its own exchange stack — durably flushing each chunk as an
+// owner-tagged checksum-trailered file, so a kill mid-shard resumes at the
+// last flushed chunk — and reports the unit's chunk manifest as its
+// completion. It keeps no ledger of its own: everything it knows is either
+// in the shared checkpoint directory or re-derivable, which is what makes
 // killing it at any instant safe.
 type Worker struct {
 	cfg    WorkerConfig
@@ -116,7 +114,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// runUnit scans one leased unit, flushes it, and reports completion,
+// runUnit scans one leased unit and reports its chunk manifest,
 // honouring any chaos event scripted for this claim ordinal. It reports
 // whether this completion finished the whole plan — in that case the
 // coordinator may stop serving immediately, so the worker must not come
@@ -135,14 +133,14 @@ func (w *Worker) runUnit(ctx context.Context, plan *Plan, grant *Grant) (bool, e
 	}
 	defer stopHB()
 
-	snap, health, err := w.scanUnit(ctx, plan, unit, ev)
+	manifest, health, err := w.scanUnit(ctx, plan, unit, ev)
 	if err != nil {
 		return false, err
 	}
 
 	switch ev.Act {
-	case ActKillBeforeWrite:
-		w.event("worker %s: chaos kill before write on %s (claim %d)", w.cfg.Name, unit, w.claims)
+	case ActKillBeforeReport:
+		w.event("worker %s: chaos kill before report on %s (claim %d)", w.cfg.Name, unit, w.claims)
 		return false, ErrChaosKilled
 	case ActStall:
 		w.event("worker %s: chaos stall %s on %s (claim %d)", w.cfg.Name, ev.Delay, unit, w.claims)
@@ -156,14 +154,6 @@ func (w *Worker) runUnit(ctx context.Context, plan *Plan, grant *Grant) (bool, e
 		}
 	}
 
-	meta, err := w.cfg.Store.WriteShardAs(unit.Day, unit.Shard, w.cfg.Name, snap)
-	if err != nil {
-		return false, fmt.Errorf("dsweep: worker %s: flushing %s: %w", w.cfg.Name, unit, err)
-	}
-	if ev.Act == ActKillAfterWrite {
-		w.event("worker %s: chaos kill after write on %s (claim %d)", w.cfg.Name, unit, w.claims)
-		return false, ErrChaosKilled
-	}
 	stopHB()
 
 	reply, err := w.cfg.Coord.Complete(ctx, &CompleteRequest{
@@ -171,13 +161,13 @@ func (w *Worker) runUnit(ctx context.Context, plan *Plan, grant *Grant) (bool, e
 		Worker:      w.cfg.Name,
 		Unit:        unit,
 		Fingerprint: plan.Fingerprint,
-		Meta:        meta,
+		Manifest:    manifest,
 		Health:      health,
 	})
 	if err != nil {
 		return false, fmt.Errorf("dsweep: worker %s: completing %s: %w", w.cfg.Name, unit, err)
 	}
-	w.event("worker %s: unit %s settled as %s (%d records)", w.cfg.Name, unit, reply.Status, meta.Records)
+	w.event("worker %s: unit %s settled as %s (%d chunks)", w.cfg.Name, unit, reply.Status, manifest.Chunks)
 	return reply.Done, nil
 }
 
@@ -209,60 +199,48 @@ func (w *Worker) chunkOwner(plan *Plan) string {
 	return fmt.Sprintf("%s-%08x", w.cfg.Name, h.Sum32())
 }
 
-// scanUnit scans one unit through scan's chunk loop: each chunk is durably
-// flushed as an owner-tagged checksum-trailered file the moment it
-// completes, and chunks already flushed by an earlier (killed) incarnation
-// of this worker are verified by their trailers and reused instead of
-// re-scanned. The assembled shard snapshot goes back to runUnit, which
-// writes the whole-shard archive the coordinator settles and merges.
-func (w *Worker) scanUnit(ctx context.Context, plan *Plan, unit UnitID, ev Event) (*dataset.Snapshot, *scan.SweepHealth, error) {
+// scanUnit scans one unit through scan's chunk loop and returns the unit's
+// chunk manifest. Chunks already flushed by an earlier (killed) incarnation
+// of this worker are recovered from its owner-tagged files; from there the
+// loop runs the store the single-process sweep runs — recorded chunks are
+// reused once they verify against their checksum, fresh ones are flushed
+// and recorded the moment they complete.
+func (w *Worker) scanUnit(ctx context.Context, plan *Plan, unit UnitID, ev Event) (*checkpoint.ChunkProgress, *scan.SweepHealth, error) {
 	env, spans, err := w.day(ctx, plan, unit.Day)
 	if err != nil {
 		return nil, nil, err
 	}
 	// The plan's shard count is fixed, but ShardBounds clamps to the target
 	// count — indices past the span list are legitimately empty units whose
-	// archive contributes zero records to the merge.
+	// manifest has no chunks and contributes no records to the merge.
 	var span scan.Span
 	if unit.Shard < len(spans) {
 		span = spans[unit.Shard]
 	}
 	owner := w.chunkOwner(plan)
-	snap := &dataset.Snapshot{Day: unit.Day}
+	manifest := checkpoint.NewChunkProgress(scan.ChunkSize(plan.Chunk), span.Len())
+	w.cfg.Store.RecoverChunks(unit.Day, unit.Shard, owner, manifest, func(c, records int, err error) {
+		if err != nil {
+			w.event("worker %s: chunk %d of %s damaged (%v), re-scanning", w.cfg.Name, c, unit, err)
+			return
+		}
+		w.event("worker %s: reusing chunk %d of %s (%d records)", w.cfg.Name, c, unit, records)
+	})
 	flushed := 0
-	store := scan.ChunkStore{
-		Load: func(c int) *dataset.Snapshot {
-			part, err := w.cfg.Store.LoadChunkAs(unit.Day, unit.Shard, c, owner)
-			if err != nil {
-				if !errors.Is(err, fs.ErrNotExist) {
-					w.event("worker %s: chunk %d of %s damaged (%v), re-scanning", w.cfg.Name, c, unit, err)
-				}
+	store := &scan.ChunkStore{Dir: w.cfg.Store, Shard: unit.Shard, Owner: owner, Progress: manifest, Event: w.event,
+		Persist: func() error {
+			if flushed++; ev.Act != ActKillBetweenChunks || flushed < ev.AfterChunks {
 				return nil
 			}
-			w.event("worker %s: reusing chunk %d of %s (%d records)", w.cfg.Name, c, unit, len(part.Records))
-			return part
-		},
-		Flush: func(c int, part *dataset.Snapshot) error {
-			if _, err := w.cfg.Store.WriteChunkAs(unit.Day, unit.Shard, c, owner, part); err != nil {
-				return fmt.Errorf("flushing chunk %d: %w", c, err)
-			}
-			flushed++
-			if ev.Act == ActKillBetweenChunks && flushed >= ev.AfterChunks {
-				w.event("worker %s: chaos kill after %d flushed chunks on %s (claim %d)", w.cfg.Name, flushed, unit, w.claims)
-				return ErrChaosKilled
-			}
-			return nil
-		},
-	}
-	health, err := env.ScanSpan(ctx, unit.Day, span, scan.ChunkSize(plan.Chunk), store,
-		func(recs ...dataset.Record) error {
-			snap.Records = append(snap.Records, recs...)
-			return nil
-		})
+			w.event("worker %s: chaos kill after %d flushed chunks on %s (claim %d)", w.cfg.Name, flushed, unit, w.claims)
+			return ErrChaosKilled
+		}}
+	// The records stay in the chunk files; the merge reads them from there.
+	health, err := env.ScanSpan(ctx, unit.Day, span, store, func(...dataset.Record) error { return nil })
 	if err != nil {
 		return nil, nil, fmt.Errorf("dsweep: worker %s: unit %s: %w", w.cfg.Name, unit, err)
 	}
-	return snap, health, nil
+	return manifest, health, nil
 }
 
 // startHeartbeat extends the lease on a ttl/3 cadence until stopped. A

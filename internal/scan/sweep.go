@@ -2,6 +2,7 @@ package scan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"securepki.org/registrarsec/internal/checkpoint"
@@ -112,32 +113,77 @@ type DayEnv struct {
 	buf     []Target
 }
 
-// ChunkStore is where a chunk loop keeps its durable chunks. The
-// single-process sweep verifies chunk files against its checkpoint state;
-// a distributed worker trusts only files carrying its own owner tag.
+// ChunkStore is one shard's durable chunk ledger as the chunk loop uses it:
+// chunks recorded in Progress are reused once their file verifies against
+// the recorded checksum, and every fresh chunk is written and recorded
+// before the loop moves on. The single-process sweep and a distributed
+// worker run the same store; they differ in who persists the ledger.
 type ChunkStore struct {
-	// Load returns chunk c's durable snapshot, or nil when there is none to
-	// reuse (never written, damaged, or durability is off).
-	Load func(c int) *dataset.Snapshot
-	// Flush makes chunk c's freshly scanned snapshot durable.
-	Flush func(c int, snap *dataset.Snapshot) error
+	// Dir holds the chunk files; nil runs the loop without durability.
+	Dir *checkpoint.Store
+	// Shard is the shard index the chunk files are named for.
+	Shard int
+	// Owner tags a distributed worker's chunk files; empty for the
+	// single-process sweep.
+	Owner string
+	// Progress is the shard's geometry and its recorded chunks.
+	Progress *checkpoint.ChunkProgress
+	// Persist makes the ledger holding Progress durable after a chunk is
+	// recorded. A worker has nothing to do here: its ledger is the
+	// directory itself (checkpoint.Store.RecoverChunks).
+	Persist func() error
+	// Event receives progress lines.
+	Event func(format string, args ...any)
 }
 
-// ScanSpan is the chunk loop: it walks the cursor span in chunk-sized
-// steps and, per chunk, either reuses the durable snapshot store.Load
-// returns or prepares, scans, canonicalizes and flushes a fresh one, then
-// hands the chunk's records to emit. It returns the span's aggregated
+// load returns chunk c's durable snapshot, or nil when there is none to
+// reuse (never recorded, or damaged — then it is dropped from Progress).
+func (s *ChunkStore) load(day simtime.Day, c int) *dataset.Snapshot {
+	// Without a directory nothing is ever recorded in Progress.Done.
+	meta := s.Progress.Done[c]
+	if meta == nil {
+		return nil
+	}
+	snap, err := s.Dir.LoadChunk(day, meta)
+	if err != nil {
+		s.Event("resume: day %s shard %d chunk %d/%d damaged (%v), re-scanning", day, s.Shard, c+1, s.Progress.Chunks, err)
+		delete(s.Progress.Done, c)
+		return nil
+	}
+	s.Event("resume: day %s shard %d chunk %d/%d verified from checkpoint (%d records)",
+		day, s.Shard, c+1, s.Progress.Chunks, len(snap.Records))
+	return snap
+}
+
+// flush makes chunk c's freshly scanned snapshot durable and records it.
+func (s *ChunkStore) flush(day simtime.Day, c int, snap *dataset.Snapshot) error {
+	if s.Dir == nil {
+		return nil
+	}
+	meta, err := s.Dir.WriteChunk(day, s.Shard, c, s.Owner, snap)
+	if err != nil {
+		return fmt.Errorf("flushing chunk %d: %w", c, err)
+	}
+	s.Progress.Done[c] = meta
+	return s.Persist()
+}
+
+// ScanSpan is the chunk loop: it walks the cursor span in steps of the
+// store's chunk size and, per chunk, either reuses the durable snapshot the
+// store holds or prepares, scans, canonicalizes and flushes a fresh one,
+// then hands the chunk's records to emit. It returns the span's aggregated
 // health — also on error, where it covers the chunks reached so far.
 //
 // The ledger stays exact under chunking: each chunk's ScanDay balances
 // Targets == Measured + Unregistered + skipped + failed, and every counter
 // is commutative under Merge, so the aggregate balances too — including
 // after a cancellation, where chunks never started do not enter it.
-func (e *DayEnv) ScanSpan(ctx context.Context, day simtime.Day, span Span, chunk int, store ChunkStore, emit func(recs ...dataset.Record) error) (*SweepHealth, error) {
+func (e *DayEnv) ScanSpan(ctx context.Context, day simtime.Day, span Span, store *ChunkStore, emit func(recs ...dataset.Record) error) (*SweepHealth, error) {
 	health := &SweepHealth{Day: day, ByClass: make(map[FailClass]int)}
+	chunk := store.Progress.Chunk
 	for c, lo := 0, span.Lo; lo < span.Hi; c, lo = c+1, lo+chunk {
 		hi := min(lo+chunk, span.Hi)
-		snap := store.Load(c)
+		snap := store.load(day, c)
 		if snap != nil {
 			health.Merge(healthFromSnapshot(day, hi-lo, snap))
 		} else {
@@ -161,7 +207,7 @@ func (e *DayEnv) ScanSpan(ctx context.Context, day simtime.Day, span Span, chunk
 				return health, err
 			}
 			snap.Canonicalize()
-			if err := store.Flush(c, snap); err != nil {
+			if err := store.flush(day, c, snap); err != nil {
 				return health, err
 			}
 		}
@@ -345,7 +391,9 @@ func (rs *ResumableSweep) runDay(ctx context.Context, day simtime.Day, st *check
 			// of incompatible pieces.
 			return fmt.Errorf("scan: day %s: %w", day, err)
 		}
-		h, err := env.ScanSpan(ctx, day, span, chunkSz, rs.chunkStore(day, k, cp, st), sw.Append)
+		store := &ChunkStore{Dir: rs.Checkpoint, Shard: k, Progress: cp, Event: rs.event,
+			Persist: func() error { return rs.saveState(st) }}
+		h, err := env.ScanSpan(ctx, day, span, store, sw.Append)
 		dayHealth.Merge(h)
 		if err != nil {
 			// Persist what is already complete and hand the caller a clean
@@ -370,42 +418,6 @@ func (rs *ResumableSweep) runDay(ctx context.Context, day simtime.Day, st *check
 	return finishDay(day, sw, sink)
 }
 
-// chunkStore is shard k's durable chunk store: chunks recorded in the
-// checkpoint state are reused once their file verifies against the state's
-// checksum, and every fresh chunk is written and recorded before the loop
-// moves on.
-func (rs *ResumableSweep) chunkStore(day simtime.Day, k int, cp *checkpoint.ChunkProgress, st *checkpoint.State) ChunkStore {
-	return ChunkStore{
-		Load: func(c int) *dataset.Snapshot {
-			// Without a checkpoint nothing is ever recorded in cp.Done.
-			meta := cp.Done[c]
-			if meta == nil {
-				return nil
-			}
-			snap, err := rs.Checkpoint.LoadChunk(day, k, c, meta)
-			if err != nil {
-				rs.event("resume: day %s shard %d chunk %d/%d damaged (%v), re-scanning", day, k, c+1, cp.Chunks, err)
-				delete(cp.Done, c)
-				return nil
-			}
-			rs.event("resume: day %s shard %d chunk %d/%d verified from checkpoint (%d records)",
-				day, k, c+1, cp.Chunks, len(snap.Records))
-			return snap
-		},
-		Flush: func(c int, snap *dataset.Snapshot) error {
-			if rs.Checkpoint == nil {
-				return nil
-			}
-			meta, err := rs.Checkpoint.WriteChunk(day, k, c, snap)
-			if err != nil {
-				return err
-			}
-			cp.Done[c] = meta
-			return rs.Checkpoint.Save(st)
-		},
-	}
-}
-
 // finishDay hands the completed day to the sink.
 func finishDay(day simtime.Day, sw *dataset.SpillWriter, sink DaySink) error {
 	if sink == nil {
@@ -414,7 +426,7 @@ func finishDay(day simtime.Day, sw *dataset.SpillWriter, sink DaySink) error {
 	return sink(day, sw)
 }
 
-// loadDoneDay assembles a completed day from its checkpointed chunks into
+// loadDoneDay assembles a completed day from its checkpointed units into
 // sw, verifying each. ok is false if any chunk fails verification (damaged
 // entries are removed so the caller re-scans just those).
 func (rs *ResumableSweep) loadDoneDay(day simtime.Day, dp *checkpoint.DayProgress, sw *dataset.SpillWriter) (bool, error) {
@@ -430,21 +442,15 @@ func (rs *ResumableSweep) loadDoneDay(day simtime.Day, dp *checkpoint.DayProgres
 			rs.event("resume: day %s shard %d missing from chunk progress", day, k)
 			return false, nil
 		}
-		for c := 0; c < cp.Chunks; c++ {
-			meta := cp.Done[c]
-			if meta == nil {
-				rs.event("resume: day %s shard %d chunk %d missing from checkpoint state", day, k, c)
-				return false, nil
-			}
-			snap, err := rs.Checkpoint.LoadChunk(day, k, c, meta)
-			if err != nil {
-				rs.event("resume: day %s shard %d chunk %d failed verification (%v)", day, k, c, err)
-				delete(cp.Done, c)
-				return false, nil
-			}
-			if err := sw.Append(snap.Records...); err != nil {
-				return false, err
-			}
+		err := rs.Checkpoint.AppendUnit(day, cp, sw.Append)
+		var bad *checkpoint.ChunkError
+		if errors.As(err, &bad) {
+			rs.event("resume: day %s shard %d chunk %d failed verification (%v)", day, k, bad.Chunk, bad.Err)
+			delete(cp.Done, bad.Chunk)
+			return false, nil
+		}
+		if err != nil {
+			return false, err
 		}
 	}
 	return true, nil

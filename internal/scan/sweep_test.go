@@ -311,7 +311,7 @@ func killResume(t *testing.T, chunk int) {
 	if err := interrupted.RunStream(ctx, days, nil); err == nil {
 		t.Fatal("interrupted run reported success")
 	}
-	if !cp.Exists() {
+	if cp.Ledger() != checkpoint.SweepLedger {
 		t.Fatal("no checkpoint persisted by the interrupted run")
 	}
 	st, err := cp.Load()

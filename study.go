@@ -348,7 +348,13 @@ func (s *Study) ScanLongitudinal(ctx context.Context, cfg LongitudinalConfig) (*
 		OnEvent:     cfg.OnEvent,
 	}
 	archive := dataset.NewStore()
-	err = rs.RunStream(ctx, cfg.Days, func(day Day, sw *dataset.SpillWriter) error {
+	return archive, rs.RunStream(ctx, cfg.Days, collectDays(archive))
+}
+
+// collectDays is the sink that gathers a sweep's days into an in-memory
+// archive, each from the day's sorted record stream.
+func collectDays(archive *Archive) scan.DaySink {
+	return func(day Day, sw *dataset.SpillWriter) error {
 		snap := &Snapshot{Day: day, Records: make([]dataset.Record, 0, sw.Len())}
 		err := sw.EachSorted(func(r *dataset.Record) error {
 			snap.Records = append(snap.Records, *r)
@@ -358,8 +364,7 @@ func (s *Study) ScanLongitudinal(ctx context.Context, cfg LongitudinalConfig) (*
 			archive.Add(snap)
 		}
 		return err
-	})
-	return archive, err
+	}
 }
 
 // longitudinalFingerprint binds checkpoint state to the sweep
@@ -418,7 +423,7 @@ func (s *Study) longitudinalSetup(cfg *LongitudinalConfig) (func() scan.StreamDa
 // DistributedConfig configures ScanDistributed.
 type DistributedConfig struct {
 	// Longitudinal is the sweep definition: days, sample, sharding, faults.
-	// CheckpointDir is mandatory — it is the workers' shared shard store.
+	// CheckpointDir is mandatory — it is the workers' shared chunk store.
 	Longitudinal LongitudinalConfig
 	// Fleet is the number of concurrent sweep workers (default 2). Each
 	// worker owns a full exchange stack and claims (day, shard) leases
@@ -430,8 +435,9 @@ type DistributedConfig struct {
 
 // ScanDistributed runs the longitudinal sweep through the crash-tolerant
 // coordinator/worker topology of internal/dsweep: Fleet workers lease
-// (day, shard) units, flush checksummed shard archives into the shared
-// checkpoint directory, and the coordinator's CRC-verified merge yields an
+// (day, shard) units, flush checksummed chunk files into the shared
+// checkpoint directory, and the coordinator's CRC-verified merge of their
+// manifests, collected as ScanLongitudinal collects its days, yields an
 // archive byte-identical to ScanLongitudinal of the same configuration. A
 // previous partial run in the same checkpoint directory is adopted, not
 // redone. The checkpoint directory is left for the caller to clear once
@@ -443,7 +449,7 @@ func (s *Study) ScanDistributed(ctx context.Context, cfg DistributedConfig) (*Ar
 		return nil, nil, err
 	}
 	if lc.CheckpointDir == "" {
-		return nil, nil, fmt.Errorf("study: a distributed sweep requires a checkpoint directory (the workers' shared shard store)")
+		return nil, nil, fmt.Errorf("study: a distributed sweep requires a checkpoint directory (the workers' shared chunk store)")
 	}
 	if cfg.Fleet <= 0 {
 		cfg.Fleet = 2
@@ -464,13 +470,14 @@ func (s *Study) ScanDistributed(ctx context.Context, cfg DistributedConfig) (*Ar
 			StreamSetup: mkSetup(),
 		})
 	}
-	store, res, err := dsweep.RunLocal(ctx, dsweep.LocalConfig{
+	archive := dataset.NewStore()
+	res, err := dsweep.RunLocal(ctx, dsweep.LocalConfig{
 		Plan:     plan,
 		Store:    cp,
 		LeaseTTL: cfg.LeaseTTL,
 		Workers:  workers,
 		OnEvent:  lc.OnEvent,
-	})
+	}, collectDays(archive))
 	if err != nil {
 		return nil, res, err
 	}
@@ -481,7 +488,7 @@ func (s *Study) ScanDistributed(ctx context.Context, cfg DistributedConfig) (*Ar
 			}
 		}
 	}
-	return store, res, nil
+	return archive, res, nil
 }
 
 // RenderTable2 formats Table 2 observations with per-registrar domain
