@@ -85,6 +85,7 @@ func runDemo() {
 	add("unsigned.com", dnstest.Unsigned)
 	add("partial.com", dnstest.Partial)
 	add("bogus-ds.com", dnstest.BogusDS)
+	add("wrong-signer.com", dnstest.WrongSigner)
 
 	// A healthy NSEC3-signed domain.
 	child, _, err := h.AddDomain("healthy.com", "ns1.op.net", dnstest.Unsigned)
@@ -122,7 +123,7 @@ func runDemo() {
 		Now:          func() time.Time { return now },
 	}
 	for _, domain := range []string{
-		"healthy.com", "unsigned.com", "partial.com", "bogus-ds.com", "expired.com",
+		"healthy.com", "unsigned.com", "partial.com", "bogus-ds.com", "expired.com", "wrong-signer.com",
 	} {
 		rep, err := c.Check(context.Background(), domain)
 		must(err)

@@ -9,7 +9,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -136,14 +135,19 @@ func run() int {
 }
 
 // reportArchive summarizes a scan archive: per-day overview plus the
-// operator CDFs of the final day. Checksummed archives (sections carrying
-// an #end trailer) are read through the salvaging reader, which quarantines
-// corrupted sections and reports them instead of mis-parsing; plain TSV
-// archives from older regsec-scan builds still read directly.
+// operator CDFs of the final day. The archive is read through the salvaging
+// reader, which quarantines torn and corrupted sections and reports them
+// instead of mis-parsing.
 func reportArchive(path string) error {
-	store, err := readAnyArchive(path)
+	store, report, err := dataset.ReadArchiveFile(path)
 	if err != nil {
 		return err
+	}
+	if !report.Clean() {
+		fmt.Fprintf(os.Stderr, "warning: %s\n", report)
+		for _, c := range report.Quarantined {
+			fmt.Fprintf(os.Stderr, "  quarantined %s (line %d): %s\n", c.Day, c.Line, c.Reason)
+		}
 	}
 	if store.Len() == 0 {
 		return fmt.Errorf("archive %s contains no snapshots", path)
@@ -174,29 +178,6 @@ func reportArchive(path string) error {
 	fmt.Printf("final day: %d operators; 50%% coverage needs %d (all) / %d (full)\n",
 		len(all), analysis.OperatorsToCover(all, 0.5), analysis.OperatorsToCover(full, 0.5))
 	return nil
-}
-
-// readAnyArchive loads either archive flavor, sniffing for the checksummed
-// format's trailer lines.
-func readAnyArchive(path string) (*dataset.Store, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Contains(data, []byte("\n#end\t")) && !bytes.HasPrefix(data, []byte("#end\t")) {
-		return dataset.ReadTSV(bytes.NewReader(data))
-	}
-	store, report, err := dataset.ReadArchive(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	if !report.Clean() {
-		fmt.Fprintf(os.Stderr, "warning: %s\n", report)
-		for _, c := range report.Quarantined {
-			fmt.Fprintf(os.Stderr, "  quarantined %s (line %d): %s\n", c.Day, c.Line, c.Reason)
-		}
-	}
-	return store, nil
 }
 
 func cumAt(cdf []registrarsec.CDFPoint, rank int) float64 {

@@ -6,9 +6,10 @@ package apiserv
 // resume cursor — world and cursor commit in one atomic rename — so the
 // watermark exists for cheap introspection (operators and the readiness
 // probe can read it without mapping the world) and as a cross-check: a
-// watermark that disagrees with the world META means someone swapped
-// files underneath the daemon, which resets to a full re-ingest rather
-// than trust either.
+// watermark that is unreadable, or disagrees with the world META, means
+// someone swapped or edited files underneath the daemon. Resume logs the
+// disagreement and carries on from the world META — the watermark is the
+// non-authoritative copy and the next commit rewrites it.
 
 import (
 	"encoding/json"

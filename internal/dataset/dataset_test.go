@@ -96,10 +96,10 @@ func TestTSVRoundTrip(t *testing.T) {
 			HasDNSKEY: true, HasRRSIG: true},
 	}})
 	var buf bytes.Buffer
-	if err := store.WriteTSV(&buf); err != nil {
+	if err := store.WriteArchive(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTSV(&buf)
+	got, err := ReadArchiveStrict(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +123,10 @@ func TestTSVFailedRecordRoundTrip(t *testing.T) {
 		{Domain: "odd.com", TLD: "com", Failed: true}, // no class recorded
 	}})
 	var buf bytes.Buffer
-	if err := store.WriteTSV(&buf); err != nil {
+	if err := store.WriteArchive(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTSV(&buf)
+	got, err := ReadArchiveStrict(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,19 +150,24 @@ func TestTSVFailedRecordRoundTrip(t *testing.T) {
 
 }
 
-// TestRecordWithoutStatusColumnRejected: a record line cut before its
-// status column must never read back as a measurement — the plain reader
-// refuses it, and both archive readers quarantine its section.
-func TestRecordWithoutStatusColumnRejected(t *testing.T) {
-	day := simtime.Date(2016, 1, 1)
-	body := "#snapshot\t2016-01-01\t1\nold.com\tcom\top.net\tns1.op.net\ttrue\tfalse\tfalse\tfalse\n"
-	if _, err := ReadTSV(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), "8 fields") {
-		t.Errorf("ReadTSV accepted an 8-field record: %v", err)
+// sealed closes a hand-written section body with the trailer that matches
+// it, so that what a reader makes of the section depends on its header and
+// record lines alone.
+func sealed(body string) string {
+	day := ""
+	if header := strings.Split(strings.SplitN(body, "\n", 2)[0], "\t"); len(header) >= 2 {
+		day = header[1]
 	}
-
-	// A trailer that matches the cut body: only the field count can catch it.
-	archive := body + fmt.Sprintf("%s\t%s\t%d\t%08x\n", trailerHeader, day, len(body),
+	return body + fmt.Sprintf("%s\t%s\t%d\t%08x\n", trailerHeader, day, len(body),
 		crc32.Checksum([]byte(body), castagnoli))
+}
+
+// TestRecordWithoutStatusColumnRejected: a record line cut before its
+// status column must never read back as a measurement — both archive
+// readers quarantine its section.
+func TestRecordWithoutStatusColumnRejected(t *testing.T) {
+	// A trailer that matches the cut body: only the field count can catch it.
+	archive := sealed("#snapshot\t2016-01-01\t1\nold.com\tcom\top.net\tns1.op.net\ttrue\tfalse\tfalse\tfalse\n")
 	store, report, err := ReadArchive(strings.NewReader(archive))
 	if err != nil {
 		t.Fatal(err)
@@ -194,10 +199,10 @@ func TestTSVEmptyNSHostsRoundTrip(t *testing.T) {
 		{Domain: "ok.com", TLD: "com", Operator: "op.net", NSHosts: []string{"ns1.op.net"}},
 	}})
 	var buf bytes.Buffer
-	if err := store.WriteTSV(&buf); err != nil {
+	if err := store.WriteArchive(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTSV(bytes.NewReader(buf.Bytes()))
+	got, err := ReadArchiveStrict(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,49 +220,68 @@ func TestTSVEmptyNSHostsRoundTrip(t *testing.T) {
 	}
 }
 
+// quarantines reads a hand-written archive and returns how many snapshots
+// it yielded and the reasons of everything quarantined, joined.
+func quarantines(t *testing.T, archive string) (int, string) {
+	t.Helper()
+	store, report, err := ReadArchive(strings.NewReader(archive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reasons []string
+	for _, c := range report.Quarantined {
+		reasons = append(reasons, c.Reason)
+	}
+	return store.Len(), strings.Join(reasons, "; ")
+}
+
+// The TestReadTSV tests check how the TSV lines of a section — its header
+// and its records — are read. ReadArchive is the one reader; the sections
+// are sealed with matching trailers so that only those lines decide.
+
 func TestReadTSVRecordCountMismatch(t *testing.T) {
 	// The header declares 2 records but only 1 survives — a torn write
-	// must be an error, not a silently shorter day.
+	// must be quarantined, not read as a silently shorter day.
 	torn := "#snapshot\t2016-01-01\t2\na.com\tcom\top\tns1.op.net\ttrue\ttrue\ttrue\ttrue\tok\n"
-	if _, err := ReadTSV(strings.NewReader(torn)); err == nil {
-		t.Error("count mismatch accepted")
+	if n, reasons := quarantines(t, sealed(torn)); n != 0 || !strings.Contains(reasons, "record count mismatch") {
+		t.Errorf("count mismatch: %d snapshot(s), quarantined %q", n, reasons)
 	}
 	// A headerless count (hand-written archive) is still tolerated.
 	loose := "#snapshot\t2016-01-01\na.com\tcom\top\tns1.op.net\ttrue\ttrue\ttrue\ttrue\tok\n"
-	if _, err := ReadTSV(strings.NewReader(loose)); err != nil {
-		t.Errorf("countless header rejected: %v", err)
+	if n, reasons := quarantines(t, sealed(loose)); n != 1 || reasons != "" {
+		t.Errorf("countless header: %d snapshot(s), quarantined %q", n, reasons)
 	}
-	// Mismatch on the final section (EOF close) is caught too.
-	tail := "#snapshot\t2016-01-01\t1\na.com\tcom\top\t\ttrue\ttrue\ttrue\ttrue\tok\n#snapshot\t2016-06-01\t3\n"
-	if _, err := ReadTSV(strings.NewReader(tail)); err == nil {
-		t.Error("trailing count mismatch accepted")
+	// Mismatch on the final section is caught too, and costs the first
+	// section nothing.
+	first := "#snapshot\t2016-01-01\t1\na.com\tcom\top\t\ttrue\ttrue\ttrue\ttrue\tok\n"
+	if n, reasons := quarantines(t, sealed(first)+sealed("#snapshot\t2016-06-01\t3\n")); n != 1 || !strings.Contains(reasons, "record count mismatch") {
+		t.Errorf("trailing count mismatch: %d snapshot(s), quarantined %q", n, reasons)
 	}
 }
 
 func TestReadTSVDuplicateDayRejected(t *testing.T) {
-	rec := "a.com\tcom\top\tns1.op.net\ttrue\ttrue\ttrue\ttrue\tok\n"
-	dup := "#snapshot\t2016-01-01\t1\n" + rec + "#snapshot\t2016-01-01\t1\n" + rec
-	if _, err := ReadTSV(strings.NewReader(dup)); err == nil {
-		t.Error("duplicate snapshot day accepted")
+	section := sealed("#snapshot\t2016-01-01\t1\na.com\tcom\top\tns1.op.net\ttrue\ttrue\ttrue\ttrue\tok\n")
+	if n, reasons := quarantines(t, section+section); n != 1 || !strings.Contains(reasons, "duplicate snapshot day") {
+		t.Errorf("duplicate day: %d snapshot(s), quarantined %q", n, reasons)
 	}
 }
 
 func TestReadTSVErrors(t *testing.T) {
-	cases := []string{
-		"a.com\tcom\top\tns\ttrue\ttrue\ttrue\ttrue\n", // record before header
-		"#snapshot\n",                                            // missing day
-		"#snapshot\tnot-a-date\t1\n",                             // bad day
-		"#snapshot\t2016-01-01\t1\na.com\tcom\top\n",             // short record
-		"#snapshot\t2016-01-01\t1\na\tcom\top\tns\tx\tt\tt\tt\n", // bad bool
+	cases := []struct{ archive, reason string }{
+		{"a.com\tcom\top\tns\ttrue\ttrue\ttrue\ttrue\tok\n", "records outside any section"},
+		{sealed("#snapshot\n"), "bad header"},                                                            // missing day
+		{sealed("#snapshot\tnot-a-date\t1\n"), "bad header"},                                             // bad day
+		{sealed("#snapshot\t2016-01-01\t1\na.com\tcom\top\n"), "3 fields"},                               // short record
+		{sealed("#snapshot\t2016-01-01\t1\na\tcom\top\tns\tx\tt\tt\tt\tok\n"), "bad bool"},               // bad bool
+		{"#snapshot\t2016-01-01\t1\na\tcom\top\tns\tt\tt\tt\tt\tok\n", "truncated section (no trailer)"}, // never sealed
 	}
 	for i, c := range cases {
-		if _, err := ReadTSV(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d accepted", i)
+		if n, reasons := quarantines(t, c.archive); n != 0 || !strings.Contains(reasons, c.reason) {
+			t.Errorf("case %d: %d snapshot(s), quarantined %q, want %q", i, n, reasons, c.reason)
 		}
 	}
-	// Empty input yields an empty store.
-	store, err := ReadTSV(strings.NewReader(""))
-	if err != nil || store.Len() != 0 {
-		t.Errorf("empty input: %v, %d", err, store.Len())
+	// Empty input yields an empty store and nothing to quarantine.
+	if n, reasons := quarantines(t, ""); n != 0 || reasons != "" {
+		t.Errorf("empty input: %d snapshot(s), quarantined %q", n, reasons)
 	}
 }

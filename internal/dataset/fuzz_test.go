@@ -26,12 +26,12 @@ func fuzzSeedArchive() []byte {
 	return buf.Bytes()
 }
 
-// FuzzReadTSV exercises both readers with arbitrary bytes: neither may
-// panic, and whatever ReadArchive accepts must be internally consistent —
+// FuzzReadArchive exercises the salvage reader with arbitrary bytes: it may
+// not panic, and whatever it accepts must be internally consistent —
 // re-serializing the salvaged store and re-reading it must verify clean
 // with the same number of snapshots. A corrupted section that slipped into
 // the store "as clean" would break that round trip.
-func FuzzReadTSV(f *testing.F) {
+func FuzzReadArchive(f *testing.F) {
 	valid := fuzzSeedArchive()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2]) // torn mid-archive
@@ -46,24 +46,7 @@ func FuzzReadTSV(f *testing.F) {
 	f.Add(bytes.Replace(valid, []byte("\ttrue\tok\n"), []byte("\ttrue\n"), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The legacy reader: errors are fine, panics are not; an accepted
-		// store must round-trip through the plain TSV dialect.
-		if store, err := ReadTSV(bytes.NewReader(data)); err == nil {
-			var buf bytes.Buffer
-			if err := store.WriteTSV(&buf); err != nil {
-				t.Fatalf("re-serialize accepted TSV: %v", err)
-			}
-			again, err := ReadTSV(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("re-read own TSV output: %v", err)
-			}
-			if again.Len() != store.Len() {
-				t.Fatalf("TSV round trip changed snapshot count: %d -> %d", store.Len(), again.Len())
-			}
-		}
-
-		// The salvage reader: never an error on in-memory bytes, never a
-		// mislabeled section.
+		// Never an error on in-memory bytes, never a mislabeled section.
 		store, report, err := ReadArchive(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("ReadArchive returned I/O error on bytes: %v", err)

@@ -12,12 +12,14 @@ package diagnose
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/exchange"
+	"securepki.org/registrarsec/internal/scan"
 )
 
 // Severity grades a finding.
@@ -57,6 +59,7 @@ const (
 	CodeSigExpired   Code = "RRSIG_EXPIRED"
 	CodeSigNotYet    Code = "RRSIG_NOT_YET_VALID"
 	CodeSigInvalid   Code = "RRSIG_INVALID"
+	CodeWrongSigner  Code = "DNSKEY_WRONG_SIGNER"
 	CodeNoDenial     Code = "NO_DENIAL_CHAIN"
 	CodeNoSEP        Code = "NO_SEP_KEY"
 	CodeHealthy      Code = "CHAIN_OK"
@@ -110,75 +113,37 @@ func (c *Checker) now() time.Time {
 	return time.Now()
 }
 
-func (c *Checker) query(ctx context.Context, server, name string, t dnswire.Type) (*dnswire.Message, error) {
+// send stamps the next query ID on q and issues it.
+func (c *Checker) send(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
 	c.qid++
-	q := dnswire.NewQuery(c.qid, name, t)
-	q.SetEDNS(4096, true)
+	q.ID = c.qid
 	return c.Exchange.Exchange(ctx, server, q)
 }
 
-// Check diagnoses one domain.
+// Check diagnoses one domain. It looks at the domain exactly as the sweep
+// does (scan.Observe, dnssec.Link), so the two cannot disagree about it; an
+// observation that could not be completed — the parent unreachable for the
+// DS query, every nameserver dark — is an error, never a report.
 func (c *Checker) Check(ctx context.Context, domain string) (*Report, error) {
 	domain = dnswire.CanonicalName(domain)
 	rep := &Report{Domain: domain}
 
-	// 1. Delegation from the parent.
-	resp, err := c.query(ctx, c.ParentServer, domain, dnswire.TypeNS)
-	if err != nil {
-		return nil, fmt.Errorf("diagnose: querying parent: %w", err)
-	}
-	var nsHosts []string
-	for _, section := range [][]*dnswire.RR{resp.Authority, resp.Answers} {
-		for _, rr := range section {
-			if rr.Type == dnswire.TypeNS && rr.Name == domain {
-				nsHosts = append(nsHosts, rr.Data.(*dnswire.NS).Host)
-			}
-		}
-	}
-	if len(nsHosts) == 0 {
+	obs, err := scan.Observe(ctx, exchange.Func(c.send), c.ParentServer, domain, nil)
+	var fail *scan.Failure
+	switch {
+	case errors.Is(err, scan.ErrUnregistered), errors.As(err, &fail) && fail.Class == scan.FailNoNS:
 		rep.add(Error, CodeNoDelegation, "no NS delegation for %s at the parent", domain)
 		return rep, nil
+	case err != nil:
+		return nil, fmt.Errorf("diagnose: %w", err)
 	}
+	link := dnssec.Link(domain, obs.DS, obs.Keys, c.now())
+	explain(rep, obs, &link)
+	rep.Deployment = dnssec.Classify(link.HasDNSKEY, link.HasDS, link.KeysValid)
 
-	// 2. DS from the parent.
-	var dss []*dnswire.DS
-	if resp, err := c.query(ctx, c.ParentServer, domain, dnswire.TypeDS); err == nil {
-		for _, rr := range resp.Answers {
-			if ds, ok := rr.Data.(*dnswire.DS); ok && rr.Name == domain {
-				dss = append(dss, ds)
-			}
-		}
-	}
-
-	// 3. DNSKEY + RRSIGs from the child.
-	var keys []*dnswire.DNSKEY
-	var keyRRs []*dnswire.RR
-	var sigs []*dnswire.RRSIG
-	for _, host := range nsHosts {
-		resp, err := c.query(ctx, host, domain, dnswire.TypeDNSKEY)
-		if err != nil || resp.RCode != dnswire.RCodeSuccess {
-			continue
-		}
-		for _, rr := range resp.Answers {
-			switch d := rr.Data.(type) {
-			case *dnswire.DNSKEY:
-				keys = append(keys, d)
-				keyRRs = append(keyRRs, rr)
-			case *dnswire.RRSIG:
-				if d.TypeCovered == dnswire.TypeDNSKEY {
-					sigs = append(sigs, d)
-				}
-			}
-		}
-		break
-	}
-
-	chainValid := c.gradeChain(rep, domain, dss, keys, keyRRs, sigs)
-	rep.Deployment = dnssec.Classify(len(keys) > 0, len(dss) > 0, chainValid)
-
-	// 4. Denial-of-existence chain.
-	if len(keys) > 0 {
-		c.checkDenial(ctx, rep, domain, nsHosts)
+	// Denial-of-existence chain.
+	if link.HasDNSKEY {
+		c.checkDenial(ctx, rep, domain, obs.NSHosts)
 	}
 
 	if len(rep.Errors()) == 0 && rep.Deployment == dnssec.DeploymentFull {
@@ -187,57 +152,54 @@ func (c *Checker) Check(ctx context.Context, domain string) (*Report, error) {
 	return rep, nil
 }
 
-// gradeChain evaluates the DS↔DNSKEY↔RRSIG linkage and reports whether it
-// validates.
-func (c *Checker) gradeChain(rep *Report, domain string, dss []*dnswire.DS, keys []*dnswire.DNSKEY, keyRRs []*dnswire.RR, sigs []*dnswire.RRSIG) bool {
+// explain turns the link's verdict into findings.
+func explain(rep *Report, obs *scan.Observation, link *dnssec.ZoneLink) {
+	domain := rep.Domain
 	switch {
-	case len(keys) == 0 && len(dss) == 0:
+	case !link.HasDNSKEY && !link.HasDS:
 		rep.add(Info, CodeUnsigned, "%s is unsigned (no DNSKEY, no DS)", domain)
-		return false
-	case len(keys) == 0 && len(dss) > 0:
+		return
+	case !link.HasDNSKEY:
 		rep.add(Error, CodeDSOrphan,
-			"the parent publishes %d DS record(s) but %s serves no DNSKEY — validating resolvers cannot resolve this domain", len(dss), domain)
-		return false
-	case len(keys) > 0 && len(dss) == 0:
+			"the parent publishes %d DS record(s) but %s serves no DNSKEY — validating resolvers cannot resolve this domain", len(obs.DS), domain)
+		return
+	case !link.HasDS:
 		rep.add(Error, CodePartial,
 			"%s publishes DNSKEYs but no DS exists at the parent: the chain of trust is broken (partial deployment); ask your registrar to install the DS", domain)
 	}
 	hasSEP := false
-	for _, k := range keys {
+	for _, k := range obs.Keys.Keys() {
 		if k.IsSEP() {
 			hasSEP = true
 		}
 	}
-	if len(keys) > 0 && !hasSEP {
+	if !hasSEP {
 		rep.add(Warning, CodeNoSEP, "no DNSKEY carries the SEP flag; key management tooling may mishandle rollovers")
 	}
-	if len(dss) > 0 && len(keys) > 0 && !dnssec.MatchAnyDS(domain, dss, keys) {
+	if link.HasDS && !link.DSMatches {
 		rep.add(Error, CodeDSNoMatch,
-			"none of the %d DS record(s) matches a served DNSKEY — a mis-uploaded DS; the domain is bogus for validating resolvers", len(dss))
-		return false
+			"none of the %d DS record(s) matches a served DNSKEY — a mis-uploaded DS; the domain is bogus for validating resolvers", len(obs.DS))
+		return
 	}
-	if len(keys) > 0 && len(sigs) == 0 {
+	if len(obs.Keys.Sigs) == 0 {
 		rep.add(Error, CodeKeyUnsigned, "the DNSKEY RRset is not signed")
-		return false
+		return
 	}
-	now := c.now()
-	valid := false
-	for _, sig := range sigs {
-		err := dnssec.VerifyWithAnyKey(keyRRs, sig, keys, now)
-		switch {
-		case err == nil:
-			valid = true
-		case uint32(now.Unix()) > sig.Expiration:
+	for _, f := range link.SigFailures {
+		switch f.Fault {
+		case dnssec.SigExpired:
 			rep.add(Error, CodeSigExpired, "RRSIG over DNSKEY expired %s",
-				time.Unix(int64(sig.Expiration), 0).UTC().Format("2006-01-02"))
-		case uint32(now.Unix()) < sig.Inception:
+				time.Unix(int64(f.Sig.Expiration), 0).UTC().Format("2006-01-02"))
+		case dnssec.SigNotYetValid:
 			rep.add(Error, CodeSigNotYet, "RRSIG over DNSKEY not valid until %s",
-				time.Unix(int64(sig.Inception), 0).UTC().Format("2006-01-02"))
+				time.Unix(int64(f.Sig.Inception), 0).UTC().Format("2006-01-02"))
+		case dnssec.SigUntrustedKey:
+			rep.add(Error, CodeWrongSigner,
+				"RRSIG over DNSKEY was made by key %d, which no DS matches — the parent vouches for no key that signed the key set (a rollover that swapped DS and signing key out of order?)", f.Sig.KeyTag)
 		default:
-			rep.add(Error, CodeSigInvalid, "RRSIG over DNSKEY does not verify: %v", err)
+			rep.add(Error, CodeSigInvalid, "RRSIG over DNSKEY does not verify: %v", f.Err)
 		}
 	}
-	return valid && len(dss) > 0 && dnssec.MatchAnyDS(domain, dss, keys)
 }
 
 // checkDenial probes a guaranteed-nonexistent name and checks that the zone
@@ -245,7 +207,9 @@ func (c *Checker) gradeChain(rep *Report, domain string, dss []*dnswire.DS, keys
 func (c *Checker) checkDenial(ctx context.Context, rep *Report, domain string, nsHosts []string) {
 	probe := "regsec-denial-probe." + domain
 	for _, host := range nsHosts {
-		resp, err := c.query(ctx, host, probe, dnswire.TypeA)
+		q := dnswire.NewQuery(0, probe, dnswire.TypeA)
+		q.SetEDNS(4096, true)
+		resp, err := c.send(ctx, host, q)
 		if err != nil {
 			continue
 		}

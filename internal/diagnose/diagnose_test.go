@@ -9,6 +9,8 @@ import (
 	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/exchange"
+	"securepki.org/registrarsec/internal/faultnet"
 	"securepki.org/registrarsec/internal/zone"
 )
 
@@ -201,5 +203,65 @@ func TestCheckOrphanDS(t *testing.T) {
 	}
 	if !hasCode(rep, diagnose.CodeDSOrphan) {
 		t.Errorf("missing DS_WITHOUT_DNSKEY: %+v", rep.Findings)
+	}
+}
+
+func TestCheckWrongSigner(t *testing.T) {
+	h, err := dnstest.NewHierarchy(testNow, "com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.AddDomain("rolled.com", "ns1.op.net", dnstest.WrongSigner); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := newChecker(t, h).Check(context.Background(), "rolled.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasCode(rep, diagnose.CodeWrongSigner) || len(rep.Errors()) != 1 {
+		t.Errorf("want DNSKEY_WRONG_SIGNER as the one error: %+v", rep.Findings)
+	}
+	if rep.Deployment != dnssec.DeploymentBroken {
+		t.Errorf("deployment: %v", rep.Deployment)
+	}
+}
+
+// TestCheckUnobservedIsAnError: a domain the checker could not observe whole
+// gets no report. A parent that times out on the DS question must not turn a
+// full deployment into PARTIAL_NO_DS, nor dark nameservers a signed zone into
+// UNSIGNED or DS_WITHOUT_DNSKEY.
+func TestCheckUnobservedIsAnError(t *testing.T) {
+	h, err := dnstest.NewHierarchy(testNow, "com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.AddDomain("full.com", "ns1.op.net", dnstest.Full); err != nil {
+		t.Fatal(err)
+	}
+	parent := dnstest.TLDServerAddr("com")
+	for _, tc := range []struct {
+		name string
+		rule faultnet.Rule
+		only dnswire.Type // the rule applies to questions of this type
+	}{
+		{"parent times out on DS", faultnet.Rule{Pattern: parent, Timeout: 1}, dnswire.TypeDS},
+		{"parent answers DS with SERVFAIL", faultnet.Rule{Pattern: parent, ServFail: 1}, dnswire.TypeDS},
+		{"every nameserver dark", faultnet.Rule{Pattern: "ns1.op.net", Timeout: 1}, dnswire.TypeDNSKEY},
+	} {
+		faulty := faultnet.New(h.Net, 1, nil, tc.rule)
+		c := newChecker(t, h)
+		c.Exchange = exchange.Func(func(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
+			if q.Questions[0].Type == tc.only {
+				return faulty.Exchange(ctx, server, q)
+			}
+			return h.Net.Exchange(ctx, server, q)
+		})
+		rep, err := c.Check(context.Background(), "full.com")
+		if err == nil {
+			t.Errorf("%s: got a report (%s, %+v), want an error", tc.name, rep.Deployment, rep.Findings)
+		}
+		if faulty.Total() == 0 {
+			t.Errorf("%s: the rule never fired", tc.name)
+		}
 	}
 }

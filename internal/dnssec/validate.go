@@ -87,22 +87,6 @@ func Classify(hasDNSKEY, hasDS, chainValid bool) Deployment {
 	}
 }
 
-// RRSet groups the records of one (name, type) together with their
-// signatures, as fetched from the DNS. For negative answers, Authority
-// carries the response's authority section (SOA plus NSEC/NSEC3 proofs) and
-// NXDomain records the rcode, so the validator can authenticate the denial.
-type RRSet struct {
-	RRs  []*dnswire.RR
-	Sigs []*dnswire.RRSIG
-	// Authority is the authority section of the response (negative answers).
-	Authority []*dnswire.RR
-	// NXDomain is set when the response rcode was NXDOMAIN.
-	NXDomain bool
-}
-
-// Empty reports whether the set holds no records.
-func (s *RRSet) Empty() bool { return s == nil || len(s.RRs) == 0 }
-
 // Fetcher supplies the validator with RRsets and with the zone-cut structure
 // of the namespace. A validating resolver implements this against live
 // servers; tests implement it over in-memory zones.
@@ -114,16 +98,6 @@ type Fetcher interface {
 	// containing name, e.g. ["", "com", "example.com"] for
 	// "www.example.com".
 	Cuts(ctx context.Context, name string) ([]string, error)
-}
-
-// ZoneLink describes the validation evidence for one zone in the chain.
-type ZoneLink struct {
-	Zone      string
-	HasDS     bool // DS RRset present at the parent
-	HasDNSKEY bool
-	DSMatches bool // some DS matches some DNSKEY
-	KeysValid bool // DNSKEY RRset self-signature verifies
-	SigError  string
 }
 
 // Result is the full outcome of a chain validation.
@@ -153,43 +127,6 @@ func (v *Validator) now() time.Time {
 	return time.Now()
 }
 
-// ValidateZoneKeys establishes the validated DNSKEY RRset of zone: the DS
-// from the parent (or the anchor for the root) must match a KSK, and the
-// DNSKEY RRset must verify under that RRset's own keys.
-func (v *Validator) validateZoneKeys(ctx context.Context, zone string, parentDS []*dnswire.DS, link *ZoneLink) ([]*dnswire.DNSKEY, error) {
-	keySet, err := v.Fetch.FetchRRSet(ctx, zone, dnswire.TypeDNSKEY)
-	if err != nil {
-		return nil, fmt.Errorf("fetching DNSKEY %s: %w", zone, err)
-	}
-	if keySet.Empty() {
-		return nil, nil
-	}
-	link.HasDNSKEY = true
-	keys := make([]*dnswire.DNSKEY, 0, len(keySet.RRs))
-	for _, rr := range keySet.RRs {
-		if dk, ok := rr.Data.(*dnswire.DNSKEY); ok {
-			keys = append(keys, dk)
-		}
-	}
-	if !MatchAnyDS(zone, parentDS, keys) {
-		return keys, nil
-	}
-	link.DSMatches = true
-	now := v.now()
-	for _, sig := range keySet.Sigs {
-		if err := VerifyWithAnyKey(keySet.RRs, sig, keys, now); err == nil {
-			link.KeysValid = true
-			return keys, nil
-		} else if link.SigError == "" {
-			link.SigError = err.Error()
-		}
-	}
-	if len(keySet.Sigs) == 0 {
-		link.SigError = "DNSKEY RRset is unsigned"
-	}
-	return keys, nil
-}
-
 // Validate checks the chain of trust for the RRset (name, t) and, when the
 // chain is intact, verifies the target RRset itself.
 func (v *Validator) Validate(ctx context.Context, name string, t dnswire.Type) (*Result, error) {
@@ -202,42 +139,37 @@ func (v *Validator) Validate(ctx context.Context, name string, t dnswire.Type) (
 	ds := v.Anchor
 	var zoneKeys []*dnswire.DNSKEY
 	for i, zone := range cuts {
-		link := ZoneLink{Zone: zone, HasDS: len(ds) > 0}
 		if len(ds) == 0 {
 			// The parent did not delegate securely: everything below is
 			// provably insecure.
-			res.Chain = append(res.Chain, link)
+			res.Chain = append(res.Chain, ZoneLink{Zone: zone})
 			res.Status = Insecure
 			res.Reason = fmt.Sprintf("no DS for zone %q", present(zone))
 			return res, nil
 		}
-		keys, err := v.validateZoneKeys(ctx, zone, ds, &link)
+		keySet, err := v.Fetch.FetchRRSet(ctx, zone, dnswire.TypeDNSKEY)
 		if err != nil {
-			res.Chain = append(res.Chain, link)
+			res.Chain = append(res.Chain, ZoneLink{Zone: zone, HasDS: true})
 			res.Status = Indeterminate
-			res.Reason = err.Error()
+			res.Reason = fmt.Sprintf("fetching DNSKEY %s: %v", zone, err)
 			return res, nil
 		}
-		if !link.HasDNSKEY {
-			res.Chain = append(res.Chain, link)
-			res.Status = Bogus
-			res.Reason = fmt.Sprintf("zone %q has DS but no DNSKEY", present(zone))
-			return res, nil
-		}
-		if !link.DSMatches {
-			res.Chain = append(res.Chain, link)
-			res.Status = Bogus
-			res.Reason = fmt.Sprintf("no DS matches a DNSKEY of %q", present(zone))
-			return res, nil
-		}
-		if !link.KeysValid {
-			res.Chain = append(res.Chain, link)
-			res.Status = Bogus
-			res.Reason = fmt.Sprintf("DNSKEY RRset of %q does not verify: %s", present(zone), link.SigError)
-			return res, nil
-		}
+		link := Link(zone, ds, keySet, v.now())
 		res.Chain = append(res.Chain, link)
-		zoneKeys = keys
+		if !link.KeysValid {
+			res.Status = Bogus
+			switch {
+			case !link.HasDNSKEY:
+				res.Reason = fmt.Sprintf("zone %q has DS but no DNSKEY", present(zone))
+			case !link.DSMatches:
+				res.Reason = fmt.Sprintf("no DS matches a DNSKEY of %q", present(zone))
+			default:
+				res.Reason = fmt.Sprintf("DNSKEY RRset of %q does not verify: %s", present(zone), link.SigError())
+			}
+			return res, nil
+		}
+		// Every key of a validated DNSKEY RRset may sign the zone's data.
+		zoneKeys = keySet.Keys()
 		if i == len(cuts)-1 {
 			break
 		}
@@ -252,28 +184,13 @@ func (v *Validator) Validate(ctx context.Context, name string, t dnswire.Type) (
 		if !dsSet.Empty() {
 			// The DS RRset lives in the parent zone and must verify under
 			// the parent's keys.
-			ok := false
-			var sigErr string
-			for _, sig := range dsSet.Sigs {
-				if err := VerifyWithAnyKey(dsSet.RRs, sig, zoneKeys, v.now()); err == nil {
-					ok = true
-					break
-				} else {
-					sigErr = err.Error()
-				}
-			}
-			if !ok {
+			if err := dsSet.VerifiedBy(zoneKeys, v.now()); err != nil {
 				res.Status = Bogus
-				res.Reason = fmt.Sprintf("DS RRset for %q does not verify: %s", child, sigErr)
+				res.Reason = fmt.Sprintf("DS RRset for %q does not verify: %v", child, err)
 				return res, nil
 			}
 		}
-		ds = nil
-		for _, rr := range dsSet.RRs {
-			if d, ok := rr.Data.(*dnswire.DS); ok {
-				ds = append(ds, d)
-			}
-		}
+		ds = dsSet.DS()
 	}
 	// Chain is intact down to the target's zone; verify the target RRset.
 	target, err := v.Fetch.FetchRRSet(ctx, name, t)
@@ -287,19 +204,12 @@ func (v *Validator) Validate(ctx context.Context, name string, t dnswire.Type) (
 		res.Status, res.Reason = v.gradeDenial(name, t, cuts[len(cuts)-1], target, zoneKeys)
 		return res, nil
 	}
-	now := v.now()
-	for _, sig := range target.Sigs {
-		if err := VerifyWithAnyKey(target.RRs, sig, zoneKeys, now); err == nil {
-			res.Status = Secure
-			return res, nil
-		} else {
-			res.Reason = err.Error()
-		}
+	if err := target.VerifiedBy(zoneKeys, v.now()); err != nil {
+		res.Status = Bogus
+		res.Reason = fmt.Sprintf("RRset %s/%v does not verify: %v", name, t, err)
+		return res, nil
 	}
-	res.Status = Bogus
-	if res.Reason == "" {
-		res.Reason = fmt.Sprintf("RRset %s/%v is unsigned in a signed zone", name, t)
-	}
+	res.Status = Secure
 	return res, nil
 }
 

@@ -33,6 +33,12 @@ const (
 	// BogusDS: signed zone, but the TLD carries a DS that matches no key —
 	// what happens when a registrar accepts a garbage DS upload.
 	BogusDS
+	// WrongSigner: the DS digests the KSK, but the DNSKEY RRset is signed
+	// by the ZSK alone — what a rollover leaves when DS and signing key
+	// are swapped out of order, and what an on-path attacker can forge.
+	// Every record is present and every signature verifies; no key the
+	// parent vouches for has signed the key set.
+	WrongSigner
 )
 
 // RootAddr is the address of the root nameserver on the in-memory network.
@@ -191,11 +197,20 @@ func (h *Hierarchy) AddDomain(domain, nsHost string, mode DomainMode) (*zone.Zon
 			return nil, nil, err
 		}
 	}
+	if mode == WrongSigner {
+		sig, err := dnssec.SignRRSet(child.Lookup(domain, dnswire.TypeDNSKEY), signer.ZSK, domain,
+			dnssec.SignOptions{Inception: signer.Inception, Expiration: signer.Expiration})
+		if err != nil {
+			return nil, nil, err
+		}
+		child.RemoveSigs(domain, dnswire.TypeDNSKEY)
+		child.MustAdd(sig)
+	}
 
 	// Delegation in the TLD zone.
 	tz.MustAdd(dnswire.NewRR(domain, 86400, &dnswire.NS{Host: nsHost}))
 	switch mode {
-	case Full:
+	case Full, WrongSigner:
 		dss, err := signer.DSRecords(domain, dnswire.DigestSHA256)
 		if err != nil {
 			return nil, nil, err

@@ -78,7 +78,7 @@ func (r *Registrar) RequestDSFetch(ctx context.Context, accountEmail, name strin
 	if reg, ok := path.reg.Registration(d.Name); ok && len(reg.DS) > 0 {
 		return fmt.Errorf("%w: DS already present; rollovers require email", ErrNotSupported)
 	}
-	keys := r.fetchDNSKEYs(ctx, d.Name, d.ExternalNS)
+	keys := r.fetchDNSKEYs(ctx, d.Name, d.ExternalNS).Keys()
 	if len(keys) == 0 {
 		return fmt.Errorf("%w: no DNSKEY served", ErrDSRejected)
 	}

@@ -742,26 +742,16 @@ func (r *Registrar) TransferIn(accountEmail, name string, from *Registrar) error
 	return nil
 }
 
-// fetchDNSKEYs queries the domain's delegated nameservers for DNSKEYs.
-// The caller's context bounds the lookups, so probe timeouts and
-// cancellation propagate into the registrar's own DNS traffic.
-func (r *Registrar) fetchDNSKEYs(ctx context.Context, name string, ns []string) []*dnswire.DNSKEY {
-	q := dnswire.NewQuery(uint16(r.deps.Rng.Intn(1<<16)), name, dnswire.TypeDNSKEY)
-	q.SetEDNS(4096, true)
-	for _, host := range ns {
-		resp, err := r.deps.Net.Exchange(ctx, host, q)
-		if err != nil || resp.RCode != dnswire.RCodeSuccess {
-			continue
-		}
-		var keys []*dnswire.DNSKEY
-		for _, rr := range resp.Answers {
-			if dk, ok := rr.Data.(*dnswire.DNSKEY); ok {
-				keys = append(keys, dk)
-			}
-		}
-		return keys
+// fetchDNSKEYs queries the domain's delegated nameservers for its DNSKEY
+// RRset; a domain that cannot be observed is treated as serving none. The
+// caller's context bounds the lookups, so probe timeouts and cancellation
+// propagate into the registrar's own DNS traffic.
+func (r *Registrar) fetchDNSKEYs(ctx context.Context, name string, ns []string) *dnssec.RRSet {
+	set, err := dnssec.FetchKeys(ctx, r.deps.Net, uint16(r.deps.Rng.Intn(1<<16)), name, ns)
+	if err != nil {
+		return &dnssec.RRSet{}
 	}
-	return nil
+	return set
 }
 
 // installDS pushes a DS set to the registry for an externally hosted
@@ -771,8 +761,8 @@ func (r *Registrar) installDS(ctx context.Context, d *Domain, ds []*dnswire.DS, 
 		return ErrHosted
 	}
 	if validate {
-		keys := r.fetchDNSKEYs(ctx, d.Name, d.ExternalNS)
-		if !dnssec.MatchAnyDS(d.Name, ds, keys) {
+		keySet := r.fetchDNSKEYs(ctx, d.Name, d.ExternalNS)
+		if !dnssec.Link(d.Name, ds, keySet, r.now()).DSMatches {
 			return fmt.Errorf("%w: does not match any served DNSKEY", ErrDSRejected)
 		}
 	}

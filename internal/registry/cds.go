@@ -4,8 +4,8 @@ import (
 	"context"
 
 	"securepki.org/registrarsec/internal/dnssec"
-	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
@@ -55,56 +55,32 @@ func (r *Registry) ScanCDS(ctx context.Context, ex exchange.Exchanger, day simti
 	for _, it := range items {
 		report.Scanned++
 		qid++
-		cdsRRs, sigs, keys, keyRRs, keySigs := r.fetchCDS(ctx, ex, qid, it.domain, it.ns)
-		if len(cdsRRs) == 0 {
+		cdsSet := fetchCDS(ctx, ex, qid, it.domain, it.ns)
+		if cdsSet.Empty() {
+			continue
+		}
+		keySet, err := dnssec.FetchKeys(ctx, ex, qid, it.domain, it.ns)
+		if err != nil {
+			report.Rejected++
 			continue
 		}
 		var cds []*dnswire.CDS
-		for _, rr := range cdsRRs {
+		for _, rr := range cdsSet.RRs {
 			cds = append(cds, rr.Data.(*dnswire.CDS))
 		}
 		newDS, remove := dnssec.DSFromCDS(cds)
-		authenticated := false
+		keys := keySet.Keys()
+		// In either case the CDS RRset must verify under a served key.
+		authenticated := cdsSet.VerifiedBy(keys, day.Time()) == nil
 		if len(it.ds) > 0 {
 			// RFC 7344: the CDS must be signed by a key that the current
-			// chain of trust (existing DS) vouches for.
-			var trusted []*dnswire.DNSKEY
-			for _, dk := range keys {
-				if dnssec.MatchAnyDS(it.domain, it.ds, []*dnswire.DNSKEY{dk}) {
-					trusted = append(trusted, dk)
-				}
-			}
-			// The DNSKEY RRset itself must verify under a trusted key, and
-			// the CDS RRset under some key in the (now-verified) set.
-			keysValid := false
-			for _, sig := range keySigs {
-				if dnssec.VerifyWithAnyKey(keyRRs, sig, trusted, day.Time()) == nil {
-					keysValid = true
-					break
-				}
-			}
-			if keysValid {
-				for _, sig := range sigs {
-					if dnssec.VerifyWithAnyKey(cdsRRs, sig, keys, day.Time()) == nil {
-						authenticated = true
-						break
-					}
-				}
-			}
-		} else if bootstrap && !remove {
-			// No existing DS: accept self-consistent CDS (TOFU policy).
-			for _, sig := range sigs {
-				if dnssec.VerifyWithAnyKey(cdsRRs, sig, keys, day.Time()) == nil {
-					authenticated = true
-					break
-				}
-			}
-			if authenticated {
-				// The bootstrap CDS must match a served DNSKEY.
-				if !dnssec.MatchAnyDS(it.domain, newDS, keys) {
-					authenticated = false
-				}
-			}
+			// chain of trust (existing DS) vouches for — the served key
+			// set has to be a valid link under the DS on file.
+			authenticated = authenticated && dnssec.Link(it.domain, it.ds, keySet, day.Time()).KeysValid
+		} else {
+			// No existing DS: accept a self-consistent CDS that matches a
+			// served DNSKEY, when policy allows (TOFU).
+			authenticated = authenticated && bootstrap && !remove && dnssec.MatchAnyDS(it.domain, newDS, keys)
 		}
 		if !authenticated {
 			report.Rejected++
@@ -128,44 +104,15 @@ func (r *Registry) ScanCDS(ctx context.Context, ex exchange.Exchanger, day simti
 	return report, nil
 }
 
-// fetchCDS queries a domain's nameservers for its CDS RRset and DNSKEY
-// RRset (both with signatures).
-func (r *Registry) fetchCDS(ctx context.Context, ex exchange.Exchanger, qid uint16, domain string, ns []string) (cdsRRs []*dnswire.RR, cdsSigs []*dnswire.RRSIG, keys []*dnswire.DNSKEY, keyRRs []*dnswire.RR, keySigs []*dnswire.RRSIG) {
-	ask := func(t dnswire.Type) *dnswire.Message {
-		q := dnswire.NewQuery(qid, domain, t)
-		q.SetEDNS(4096, true)
-		for _, host := range ns {
-			resp, err := ex.Exchange(ctx, host, q)
-			if err == nil && resp.RCode == dnswire.RCodeSuccess {
-				return resp
-			}
-		}
-		return nil
-	}
-	if resp := ask(dnswire.TypeCDS); resp != nil {
-		for _, rr := range resp.Answers {
-			switch d := rr.Data.(type) {
-			case *dnswire.CDS:
-				cdsRRs = append(cdsRRs, rr)
-			case *dnswire.RRSIG:
-				if d.TypeCovered == dnswire.TypeCDS {
-					cdsSigs = append(cdsSigs, d)
-				}
-			}
+// fetchCDS queries a domain's nameservers for its CDS RRset (with
+// signatures); the set is empty when no host answered.
+func fetchCDS(ctx context.Context, ex exchange.Exchanger, qid uint16, domain string, ns []string) *dnssec.RRSet {
+	q := dnswire.NewQuery(qid, domain, dnswire.TypeCDS)
+	q.SetEDNS(4096, true)
+	for _, host := range ns {
+		if resp, err := ex.Exchange(ctx, host, q); err == nil && resp.RCode == dnswire.RCodeSuccess {
+			return dnssec.ExtractRRSet(resp.Answers, domain, dnswire.TypeCDS)
 		}
 	}
-	if resp := ask(dnswire.TypeDNSKEY); resp != nil {
-		for _, rr := range resp.Answers {
-			switch d := rr.Data.(type) {
-			case *dnswire.DNSKEY:
-				keys = append(keys, d)
-				keyRRs = append(keyRRs, rr)
-			case *dnswire.RRSIG:
-				if d.TypeCovered == dnswire.TypeDNSKEY {
-					keySigs = append(keySigs, d)
-				}
-			}
-		}
-	}
-	return
+	return &dnssec.RRSet{}
 }

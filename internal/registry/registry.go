@@ -20,8 +20,8 @@ import (
 
 	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnsserver"
-	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/simtime"
 	"securepki.org/registrarsec/internal/zone"
 )
@@ -415,8 +415,9 @@ type HealthReport struct {
 }
 
 // HealthCheck audits every DS-bearing domain by querying its nameservers
-// for DNSKEYs over ex and checking the DS linkage and DNSKEY RRset
-// signature — the daily compliance test .nl and .se run (section 6.3).
+// for DNSKEYs over ex (dnssec.FetchKeys) and judging the DS ↔ DNSKEY ↔ RRSIG
+// link (dnssec.Link) — the daily compliance test .nl and .se run (section
+// 6.3). A domain none of whose nameservers answers fails the audit.
 // Correctly signed domains accrue the pro-rated daily discount for their
 // registrar unless the registrar is over the failure threshold.
 func (r *Registry) HealthCheck(ctx context.Context, ex exchange.Exchanger, day simtime.Day) (*HealthReport, error) {
@@ -448,7 +449,8 @@ func (r *Registry) HealthCheck(ctx context.Context, ex exchange.Exchanger, day s
 	for _, it := range items {
 		report.Checked++
 		qid++
-		if r.domainHealthy(ctx, ex, qid, it.domain, it.ns, it.ds, day) {
+		keySet, err := dnssec.FetchKeys(ctx, ex, qid, it.domain, it.ns)
+		if err == nil && dnssec.Link(it.domain, it.ds, keySet, day.Time()).KeysValid {
 			report.Valid++
 			perRegistrarValid[it.registrarID]++
 		} else {
@@ -470,46 +472,6 @@ func (r *Registry) HealthCheck(ctx context.Context, ex exchange.Exchanger, day s
 	}
 	r.mu.Unlock()
 	return report, nil
-}
-
-// domainHealthy checks one domain's DS↔DNSKEY linkage via live queries.
-func (r *Registry) domainHealthy(ctx context.Context, ex exchange.Exchanger, qid uint16, domain string, ns []string, ds []*dnswire.DS, day simtime.Day) bool {
-	q := dnswire.NewQuery(qid, domain, dnswire.TypeDNSKEY)
-	q.SetEDNS(4096, true)
-	var resp *dnswire.Message
-	var err error
-	for _, host := range ns {
-		resp, err = ex.Exchange(ctx, host, q)
-		if err == nil && resp.RCode == dnswire.RCodeSuccess {
-			break
-		}
-	}
-	if err != nil || resp == nil || resp.RCode != dnswire.RCodeSuccess {
-		return false
-	}
-	var keys []*dnswire.DNSKEY
-	var keyRRs []*dnswire.RR
-	var sigs []*dnswire.RRSIG
-	for _, rr := range resp.Answers {
-		switch d := rr.Data.(type) {
-		case *dnswire.DNSKEY:
-			keys = append(keys, d)
-			keyRRs = append(keyRRs, rr)
-		case *dnswire.RRSIG:
-			if d.TypeCovered == dnswire.TypeDNSKEY {
-				sigs = append(sigs, d)
-			}
-		}
-	}
-	if len(keys) == 0 || !dnssec.MatchAnyDS(domain, ds, keys) {
-		return false
-	}
-	for _, sig := range sigs {
-		if dnssec.VerifyWithAnyKey(keyRRs, sig, keys, day.Time()) == nil {
-			return true
-		}
-	}
-	return false
 }
 
 func (r *Registry) recordFailure(registrarID string, day simtime.Day) {

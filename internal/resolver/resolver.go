@@ -79,21 +79,7 @@ type Result struct {
 // RRSet extracts the records of type t owned by name from the answers,
 // together with the RRSIGs covering them.
 func (r *Result) RRSet(name string, t dnswire.Type) *dnssec.RRSet {
-	name = dnswire.CanonicalName(name)
-	set := &dnssec.RRSet{}
-	for _, rr := range r.Answers {
-		if rr.Name != name {
-			continue
-		}
-		if rr.Type == t {
-			set.RRs = append(set.RRs, rr)
-		} else if rr.Type == dnswire.TypeRRSIG {
-			if sig := rr.Data.(*dnswire.RRSIG); sig.TypeCovered == t {
-				set.Sigs = append(set.Sigs, sig)
-			}
-		}
-	}
-	return set
+	return dnssec.ExtractRRSet(r.Answers, name, t)
 }
 
 // Resolver iteratively resolves names starting from the root servers.

@@ -47,6 +47,15 @@ type Failure struct {
 	Err string
 }
 
+// Error makes a *Failure the error Observe returns.
+func (f *Failure) Error() string {
+	msg := fmt.Sprintf("%s: %s step failed (%s)", f.Target.Domain, f.Stage, f.Class)
+	if f.Err != "" {
+		msg += ": " + f.Err
+	}
+	return msg
+}
+
 // SweepHealth is the failure accounting for one ScanDay: what was measured,
 // what could not be, and what the retry layer spent getting there. It is
 // how longitudinal series distinguish "no DNSKEY" from "could not measure"

@@ -25,6 +25,7 @@ package scan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -75,6 +76,7 @@ type Config struct {
 type Scanner struct {
 	cfg     Config
 	stack   *exchange.Stack
+	ask     exchange.Exchanger // send, as Observe takes it
 	queries atomic.Int64
 	qid     atomic.Uint32
 
@@ -120,7 +122,9 @@ func New(cfg Config) (*Scanner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scan: %w", err)
 	}
-	return &Scanner{cfg: cfg, stack: stack}, nil
+	s := &Scanner{cfg: cfg, stack: stack}
+	s.ask = exchange.Func(s.send)
+	return s, nil
 }
 
 // Stack exposes the scanner's exchange stack: per-layer counters for
@@ -292,21 +296,12 @@ func (s *Scanner) recordFailures(snap *dataset.Snapshot, health *SweepHealth, fa
 	}
 }
 
-// exchange sends one query, counting it.
-func (s *Scanner) exchange(ctx context.Context, server string, name string, t dnswire.Type) (*dnswire.Message, error) {
-	q := dnswire.NewQuery(uint16(s.qid.Add(1)), name, t)
-	q.SetEDNS(4096, true)
+// send carries one query of a sweep: it stamps a fresh ID and counts the
+// logical query before handing it to the stack.
+func (s *Scanner) send(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
+	q.ID = uint16(s.qid.Add(1))
 	s.queries.Add(1)
 	return s.stack.Exchange(ctx, server, q)
-}
-
-// failTarget builds a Failure for one target.
-func failTarget(t Target, stage string, class FailClass, err error) *Failure {
-	f := &Failure{Target: t, Stage: stage, Class: class}
-	if err != nil {
-		f.Err = err.Error()
-	}
-	return f
 }
 
 // orderHosts returns hosts with known-dead servers moved to the back,
@@ -330,121 +325,111 @@ func orderHosts(hosts []string, dead map[string]bool) []string {
 	return append(alive, down...)
 }
 
-// scanOne collects the four facts for one domain. dead, when non-nil, is
-// the pass-frozen known-dead server set used to order DNSKEY failover.
+// Observation is what the DNS publishes about one delegation — the facts
+// the paper's dataset records per domain: the NS and DS RRsets at the
+// parent, and the DNSKEY RRset with the RRSIGs over it at the domain's own
+// nameservers.
+type Observation struct {
+	NSHosts []string
+	DS      []*dnswire.DS
+	// Keys is never nil; it is empty for a domain that serves no DNSKEY.
+	Keys *dnssec.RRSet
+}
+
+// ErrUnregistered reports a domain the parent answers NXDOMAIN for.
+var ErrUnregistered = errors.New("scan: domain is not registered at the parent")
+
+// Observe collects one domain's Observation through ex: NS and DS from the
+// parent's server, DNSKEY from the domain's nameservers (dnssec.FetchKeys,
+// with the hosts in dead tried last). A domain is either observed whole or
+// not at all: besides ErrUnregistered, every error is a *Failure naming the
+// step that failed — a DS query that fails must not turn a full deployment
+// into a partial one, nor dark nameservers a partial one into none.
+func Observe(ctx context.Context, ex exchange.Exchanger, parent, domain string, dead map[string]bool) (*Observation, error) {
+	domain = dnswire.CanonicalName(domain)
+	fail := func(stage string, class FailClass, err error) *Failure {
+		f := &Failure{Target: Target{Domain: domain}, Stage: stage, Class: class}
+		if err != nil {
+			f.Err = err.Error()
+		}
+		return f
+	}
+	askParent := func(stage string, t dnswire.Type) (*dnswire.Message, error) {
+		q := dnswire.NewQuery(0, domain, t)
+		q.SetEDNS(4096, true)
+		resp, err := ex.Exchange(ctx, parent, q)
+		switch {
+		case err != nil:
+			return nil, fail(stage, classifyErr(err), err)
+		case resp.RCode == dnswire.RCodeNameError && t == dnswire.TypeNS:
+			return nil, ErrUnregistered
+		case resp.RCode != dnswire.RCodeSuccess:
+			return nil, fail(stage, FailLame, fmt.Errorf("%v from TLD server %s", resp.RCode, parent))
+		}
+		return resp, nil
+	}
+	obs := &Observation{}
+
+	// NS from the parent zone (a referral; the NS set rides in authority).
+	resp, err := askParent("ns", dnswire.TypeNS)
+	if err != nil {
+		return nil, err
+	}
+	for _, section := range [][]*dnswire.RR{resp.Authority, resp.Answers} {
+		for _, rr := range section {
+			if rr.Type == dnswire.TypeNS && rr.Name == domain {
+				obs.NSHosts = append(obs.NSHosts, rr.Data.(*dnswire.NS).Host)
+			}
+		}
+	}
+	if len(obs.NSHosts) == 0 {
+		// Registered (no NXDOMAIN) but no delegation NS: a lame entry in
+		// the parent zone — measurable domains always carry an NS RRset.
+		return nil, fail("ns", FailNoNS, nil)
+	}
+
+	// DS from the parent zone (answered authoritatively by the parent).
+	if resp, err = askParent("ds", dnswire.TypeDS); err != nil {
+		return nil, err
+	}
+	obs.DS = dnssec.ExtractRRSet(resp.Answers, domain, dnswire.TypeDS).DS()
+
+	// DNSKEY (+RRSIG) from the domain's own nameservers. Re-sweep passes
+	// order the hosts by the health layer's record so known-dead servers
+	// go last instead of being re-probed first every pass.
+	if obs.Keys, err = dnssec.FetchKeys(ctx, ex, 0, domain, orderHosts(obs.NSHosts, dead)); err != nil {
+		return nil, fail("dnskey", classifyErr(err), err)
+	}
+	return obs, nil
+}
+
+// scanOne measures one domain: it collects the Observation and judges the
+// DS ↔ DNSKEY ↔ RRSIG link. dead, when non-nil, is the pass-frozen
+// known-dead server set used to order DNSKEY failover.
 func (s *Scanner) scanOne(ctx context.Context, t Target, dead map[string]bool) (dataset.Record, scanStatus, *Failure) {
 	rec := dataset.Record{Domain: t.Domain, TLD: t.TLD}
 	tldServer, ok := s.cfg.TLDServers[t.TLD]
 	if !ok {
 		return rec, statusUnknownTLD, nil
 	}
-	// 1. NS from the TLD zone (a referral; the NS set rides in authority).
-	resp, err := s.exchange(ctx, tldServer, t.Domain, dnswire.TypeNS)
-	if err != nil {
-		return rec, statusFailed, failTarget(t, "ns", classifyErr(err), err)
-	}
-	if resp.RCode == dnswire.RCodeNameError {
+	obs, err := Observe(ctx, s.ask, tldServer, t.Domain, dead)
+	var fail *Failure
+	switch {
+	case errors.Is(err, ErrUnregistered):
 		return rec, statusUnregistered, nil
+	case errors.As(err, &fail):
+		fail.Target = t
+		return rec, statusFailed, fail
 	}
-	if resp.RCode != dnswire.RCodeSuccess {
-		return rec, statusFailed, failTarget(t, "ns", FailLame,
-			fmt.Errorf("%v from TLD server %s", resp.RCode, tldServer))
-	}
-	for _, section := range [][]*dnswire.RR{resp.Authority, resp.Answers} {
-		for _, rr := range section {
-			if rr.Type == dnswire.TypeNS && rr.Name == t.Domain {
-				rec.NSHosts = append(rec.NSHosts, rr.Data.(*dnswire.NS).Host)
-			}
-		}
-	}
-	if len(rec.NSHosts) == 0 {
-		// Registered (no NXDOMAIN) but no delegation NS: a lame entry in
-		// the TLD zone — measurable domains always carry an NS RRset.
-		return rec, statusFailed, failTarget(t, "ns", FailNoNS, nil)
-	}
-	rec.Operator = dataset.GroupOperatorAll(rec.NSHosts)
-
-	// 2. DS from the TLD zone (answered authoritatively by the parent).
-	// A failure here would silently turn "partial" into "none", so it
-	// marks the whole target unmeasured.
-	var dss []*dnswire.DS
-	resp, err = s.exchange(ctx, tldServer, t.Domain, dnswire.TypeDS)
-	if err != nil {
-		return rec, statusFailed, failTarget(t, "ds", classifyErr(err), err)
-	}
-	if resp.RCode != dnswire.RCodeSuccess {
-		return rec, statusFailed, failTarget(t, "ds", FailLame,
-			fmt.Errorf("%v from TLD server %s", resp.RCode, tldServer))
-	}
-	for _, rr := range resp.Answers {
-		if ds, ok := rr.Data.(*dnswire.DS); ok && rr.Name == t.Domain {
-			dss = append(dss, ds)
-			rec.HasDS = true
-		}
-	}
-
-	// 3. DNSKEY (+RRSIG) from the domain's own nameservers. Every NS host
-	// is tried before the domain is declared keyless: a lame or dark
-	// first host must fail over, not misclassify. Re-sweep passes order
-	// the hosts by the health layer's record so known-dead servers go
-	// last instead of being re-probed first every pass.
-	var keys []*dnswire.DNSKEY
-	var keyRRs []*dnswire.RR
-	var sigs []*dnswire.RRSIG
-	responsive := false
-	var lastHostErr error
-	for _, host := range orderHosts(rec.NSHosts, dead) {
-		resp, err := s.exchange(ctx, host, t.Domain, dnswire.TypeDNSKEY)
-		if err != nil {
-			lastHostErr = err
-			continue
-		}
-		if resp.RCode != dnswire.RCodeSuccess {
-			lastHostErr = fmt.Errorf("%v from %s", resp.RCode, host)
-			continue
-		}
-		responsive = true
-		for _, rr := range resp.Answers {
-			switch d := rr.Data.(type) {
-			case *dnswire.DNSKEY:
-				keys = append(keys, d)
-				keyRRs = append(keyRRs, rr)
-			case *dnswire.RRSIG:
-				if d.TypeCovered == dnswire.TypeDNSKEY {
-					sigs = append(sigs, d)
-				}
-			}
-		}
-		if len(keys) > 0 {
-			break
-		}
-		// A responsive host with no keys: ask the remaining hosts before
-		// concluding the domain is unsigned (the RRset may live on a
-		// sibling while this host is lame for the zone).
-		keyRRs, sigs = nil, nil
-	}
-	if !responsive {
-		class := FailTimeout
-		if lastHostErr != nil {
-			class = classifyErr(lastHostErr)
-		}
-		return rec, statusFailed, failTarget(t, "dnskey", class, lastHostErr)
-	}
-	rec.HasDNSKEY = len(keys) > 0
-	rec.HasRRSIG = len(sigs) > 0
-
-	// 4. Chain validity: some DS matches a served key AND the DNSKEY RRset
-	// signature verifies — the paper's criterion for a correctly deployed
+	// Chain validity is the paper's criterion for a correctly deployed
 	// domain.
-	if rec.HasDS && rec.HasDNSKEY && dnssec.MatchAnyDS(t.Domain, dss, keys) {
-		now := s.cfg.Clock().Time()
-		for _, sig := range sigs {
-			if dnssec.VerifyWithAnyKey(keyRRs, sig, keys, now) == nil {
-				rec.ChainValid = true
-				break
-			}
-		}
-	}
+	link := dnssec.Link(t.Domain, obs.DS, obs.Keys, s.cfg.Clock().Time())
+	rec.NSHosts = obs.NSHosts
+	rec.Operator = dataset.GroupOperatorAll(rec.NSHosts)
+	rec.HasDS = link.HasDS
+	rec.HasDNSKEY = link.HasDNSKEY
+	rec.HasRRSIG = len(obs.Keys.Sigs) > 0
+	rec.ChainValid = link.KeysValid
 	return rec, statusMeasured, nil
 }
 
