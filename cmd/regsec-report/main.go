@@ -5,7 +5,8 @@
 // Usage:
 //
 //	regsec-report [-scale 1000] [-seed 1] -artifact table1|figure3|figure4|figure5|figure6|figure7|figure8|all
-//	              [-cpuprofile cpu.prof] [-memprofile mem.prof]
+//	              [-step 7] [-world-cache dir] [-cpuprofile cpu.prof] [-memprofile mem.prof]
+//	regsec-report -archive scans.tsv
 package main
 
 import (

@@ -114,7 +114,7 @@ func recoverPanics(logf func(string, ...any), counter *atomic.Uint64, next http.
 }
 
 // withDeadline bounds each admitted request's work: the context the
-// handlers thread into SnapshotCtx/SeriesCtx expires, the scan aborts,
+// handlers thread into SeriesCtx expires, the scan aborts,
 // and the slot frees for the next request.
 func withDeadline(d time.Duration, next http.Handler) http.Handler {
 	if d <= 0 {

@@ -67,12 +67,11 @@ func appendSection(t *testing.T, path string, snap *dataset.Snapshot) {
 func newTestServer(t *testing.T, dir string) *Server {
 	t.Helper()
 	return New(Config{
-		ArchivePath:     filepath.Join(dir, "scans.tsv"),
-		WorldPath:       filepath.Join(dir, "world.colstore"),
-		PollInterval:    5 * time.Millisecond,
-		RefreshInterval: 10 * time.Millisecond,
-		ReadyMaxLag:     5 * time.Second,
-		Logf:            t.Logf,
+		ArchivePath:  filepath.Join(dir, "scans.tsv"),
+		WorldPath:    filepath.Join(dir, "world.colstore"),
+		PollInterval: 5 * time.Millisecond,
+		ReadyMaxLag:  5 * time.Second,
+		Logf:         t.Logf,
 	})
 }
 

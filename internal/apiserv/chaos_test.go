@@ -9,9 +9,11 @@ package apiserv
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -197,6 +199,37 @@ func TestChaosCorruptTailQuarantined(t *testing.T) {
 	st2 := decodeJSON[Status](t, get(s2.Handler(), "/v1/status"))
 	if st2.Sections != 2 || st2.Quarantined != 1 {
 		t.Fatalf("status after restart: %+v", st2)
+	}
+}
+
+// TestChaosDamageIsLocatable: damage found by a later poll is logged with
+// its absolute byte offset in the archive — where the damaged section's
+// header sits in the file — not a position counted from where that poll
+// resumed.
+func TestChaosDamageIsLocatable(t *testing.T) {
+	s := newTestServer(t, t.TempDir())
+	var logged []string
+	s.cfg.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	appendSection(t, s.cfg.ArchivePath, mkSnap(500, 40))
+	appendSection(t, s.cfg.ArchivePath, mkSnap(530, 40))
+	runToEnd(t, s)
+
+	good, err := os.ReadFile(s.cfg.ArchivePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := archiveBytes(t, []simtime.Day{560}, 40)
+	bad[len(bad)/2] ^= 0x40
+	if err := os.WriteFile(s.cfg.ArchivePath, append(good, bad...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	logged = nil
+	if err := s.pollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("section %s (byte %d)", simtime.Day(560), len(good))
+	if len(logged) != 1 || !strings.Contains(logged[0], want) {
+		t.Fatalf("second poll logged %q, want one line locating the damage at %q", logged, want)
 	}
 }
 

@@ -7,7 +7,7 @@
 //     incrementally, and commits crash-safe world+watermark files;
 //   - readers serve every query from the immutable frozen Index the
 //     pointer currently holds — no locks, no coordination with ingest;
-//   - a supervisor (supervisor.go) restarts either side on failure, and
+//   - a supervisor (supervisor.go) restarts the tailer on failure, and
 //     the admission gate (admission.go) sheds load before overload can
 //     take the process down.
 //
@@ -53,8 +53,6 @@ type Config struct {
 	// ReadyMaxLag is how stale the last successful poll may be before
 	// /readyz starts failing (default 10s).
 	ReadyMaxLag time.Duration
-	// RefreshInterval is the snapshot refresher cadence (default 2s).
-	RefreshInterval time.Duration
 
 	// MaxInFlight bounds concurrently executing requests (default 64).
 	MaxInFlight int
@@ -165,8 +163,8 @@ func (s *Server) ready() (bool, string) {
 	return true, ""
 }
 
-// Run supervises the daemon's background components until ctx is
-// canceled. The HTTP listener is the caller's (cmd/regsec-api pairs
+// Run supervises the daemon's background component, the tailer, until ctx
+// is canceled. The HTTP listener is the caller's (cmd/regsec-api pairs
 // Handler with httpx.NewServer).
 func (s *Server) Run(ctx context.Context) {
 	sup := &Supervisor{
@@ -175,34 +173,7 @@ func (s *Server) Run(ctx context.Context) {
 			s.restarts.Add(1)
 		},
 	}
-	sup.Run(ctx,
-		Component{Name: "tailer", Run: s.runTailer},
-		Component{Name: "refresher", Run: s.runRefresher},
-	)
-}
-
-// runRefresher keeps the published world's snapshot cache warm: after
-// every world swap the first snapshot query would otherwise pay the full
-// materialization, so the refresher pays it off the request path.
-func (s *Server) runRefresher(ctx context.Context) error {
-	interval := s.cfg.RefreshInterval
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-t.C:
-		}
-		if view := s.world.Load(); view != nil && view.idx.Len() > 0 {
-			if _, err := view.idx.SnapshotCtx(ctx, s.queryDay(view)); err != nil && !errors.Is(err, ctx.Err()) {
-				return err
-			}
-		}
-	}
+	sup.Run(ctx, Component{Name: "tailer", Run: s.runTailer})
 }
 
 // Handler returns the full middleware stack: panic recovery outermost,

@@ -1,8 +1,8 @@
 package apiserv
 
-// A minimal supervision tree for the daemon's internal components
-// (tailer, snapshot refresher): each component runs in its own goroutine
-// and is restarted with exponential backoff when it fails — by returning
+// A minimal supervision tree for the daemon's internal components (today
+// the tailer alone): each component runs in its own goroutine and is
+// restarted with exponential backoff when it fails — by returning
 // an error or by panicking. A panic in the ingest loop must never take
 // down the query plane, and vice versa; the supervisor converts both into
 // a logged restart.

@@ -19,7 +19,7 @@ package apiserv
 // watermark is rewritten at the next commit.
 //
 // Damage in the archive never stops ingest: torn or corrupt sections are
-// quarantined (dataset.TailArchive) and counted, and an archive that
+// quarantined (dataset.ScanArchiveFile) and counted, and an archive that
 // shrank — rotation or operator intervention — resets the daemon to a
 // clean full re-ingest.
 
@@ -150,13 +150,13 @@ func resumeFromWorld(idx *colstore.Index, meta map[string]string) (*colstore.Ing
 }
 
 // pollOnce consumes whatever complete tail events have appeared since the
-// committed offset, committing every CommitEvery events and once more at
-// the end of the batch.
+// committed offset, one section in memory at a time, committing every
+// CommitEvery events and once more at the end of the batch.
 func (s *Server) pollOnce() error {
 	s.ingMu.Lock()
 	defer s.ingMu.Unlock()
 
-	res, err := dataset.TailArchive(s.cfg.ArchivePath, s.wm.Offset)
+	offset, err := dataset.ScanArchiveFile(s.cfg.ArchivePath, s.wm.Offset, s.ingestLocked)
 	if errors.Is(err, dataset.ErrTailTruncated) {
 		// The archive was rotated or rewritten underneath us: drop
 		// everything, commit the empty state, and re-ingest the new file
@@ -169,7 +169,7 @@ func (s *Server) pollOnce() error {
 		if err := s.commitLocked(); err != nil {
 			return err
 		}
-		res, err = dataset.TailArchive(s.cfg.ArchivePath, 0)
+		offset, err = dataset.ScanArchiveFile(s.cfg.ArchivePath, 0, s.ingestLocked)
 	}
 	switch {
 	case err == nil:
@@ -180,43 +180,41 @@ func (s *Server) pollOnce() error {
 		return err
 	}
 
-	commitEvery := s.cfg.CommitEvery
-	if commitEvery <= 0 {
-		commitEvery = 1
-	}
-	for _, ev := range res.Events {
-		if ev.Damage != nil {
-			s.logf("apiserv: archive damage quarantined: %s", ev.Damage.String())
-			s.wm.Quarantined++
-		} else {
-			skipped, err := s.ing.AppendDay(ev.Snap)
-			if err != nil {
-				return err
-			}
-			if skipped > 0 {
-				s.logf("apiserv: day %s: %d failed record(s) skipped", ev.Snap.Day, skipped)
-			}
-			s.wm.Sections++
-			s.lastDay = ev.Snap.Day
-			s.wm.LastDay = lastDayString(s.lastDay)
-		}
-		s.wm.Offset = ev.End
-		s.pending++
-		if s.pending >= commitEvery {
-			if err := s.commitLocked(); err != nil {
-				return err
-			}
-		}
-	}
 	// Trailing blank lines advance the offset without an event; fold them
 	// into a final commit along with any uncommitted remainder.
-	if s.pending > 0 || res.Offset != s.wm.Offset {
-		s.wm.Offset = res.Offset
+	if s.pending > 0 || offset != s.wm.Offset {
+		s.wm.Offset = offset
 		if err := s.commitLocked(); err != nil {
 			return err
 		}
 	}
 	s.markPolled()
+	return nil
+}
+
+// ingestLocked folds one tail event into the ingest state and advances the
+// cursor past it. Caller holds ingMu.
+func (s *Server) ingestLocked(ev dataset.TailEvent) error {
+	if ev.Damage != nil {
+		s.logf("apiserv: archive damage quarantined: %s", ev.Damage.String())
+		s.wm.Quarantined++
+	} else {
+		skipped, err := s.ing.AppendDay(ev.Snap)
+		if err != nil {
+			return err
+		}
+		if skipped > 0 {
+			s.logf("apiserv: day %s: %d failed record(s) skipped", ev.Snap.Day, skipped)
+		}
+		s.wm.Sections++
+		s.lastDay = ev.Snap.Day
+		s.wm.LastDay = lastDayString(s.lastDay)
+	}
+	s.wm.Offset = ev.End
+	s.pending++
+	if s.pending >= orDefault(s.cfg.CommitEvery, 1) {
+		return s.commitLocked()
+	}
 	return nil
 }
 

@@ -36,8 +36,8 @@ func TestCloseDoubleClose(t *testing.T) {
 	}
 }
 
-// TestQueryAfterClose: the Ctx variants report misuse as ErrClosed; the
-// legacy error-free surface panics with a pointed message instead of
+// TestQueryAfterClose: the error-returning surface reports misuse as
+// ErrClosed; the error-free surface panics with a pointed message instead of
 // faulting on the released mapping.
 func TestQueryAfterClose(t *testing.T) {
 	x := mmapWorld(t)
@@ -46,12 +46,6 @@ func TestQueryAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := x.SnapshotCtx(context.Background(), 100); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SnapshotCtx after Close = %v, want ErrClosed", err)
-	}
-	if _, err := x.MaterializeCtx(context.Background(), 100); !errors.Is(err, ErrClosed) {
-		t.Fatalf("MaterializeCtx after Close = %v, want ErrClosed", err)
-	}
 	if _, err := x.SeriesCtx(context.Background(), op, "", 0, simtime.End, 30); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SeriesCtx after Close = %v, want ErrClosed", err)
 	}
@@ -92,18 +86,19 @@ func TestQueryAfterClose(t *testing.T) {
 // release.
 func TestCloseOfHeapIndex(t *testing.T) {
 	x := testIndex(50, 6)
+	op := x.Row(0).Operator
 	if err := x.Close(); err != nil {
 		t.Fatalf("Close of heap index: %v", err)
 	}
 	if err := x.Close(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("second Close = %v, want ErrClosed", err)
 	}
-	if _, err := x.SnapshotCtx(context.Background(), 100); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SnapshotCtx after Close = %v, want ErrClosed", err)
+	if _, err := x.SeriesCtx(context.Background(), op, "", 0, simtime.End, 30); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SeriesCtx after Close = %v, want ErrClosed", err)
 	}
 }
 
-// TestQueryCancellation: a canceled request context aborts the scan paths
+// TestQueryCancellation: a canceled request context aborts the scan path
 // a dropped API request would otherwise keep burning CPU on.
 func TestQueryCancellation(t *testing.T) {
 	x := testIndex(400, 7)
@@ -111,24 +106,11 @@ func TestQueryCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := x.SnapshotCtx(ctx, 100); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SnapshotCtx with canceled ctx = %v, want context.Canceled", err)
-	}
-	if _, err := x.MaterializeCtx(ctx, 100); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MaterializeCtx with canceled ctx = %v, want context.Canceled", err)
-	}
 	if _, err := x.SeriesCtx(ctx, op, "", 0, simtime.End, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SeriesCtx with canceled ctx = %v, want context.Canceled", err)
 	}
 
 	// A live context still completes and matches the legacy surface.
-	snap, err := x.SnapshotCtx(context.Background(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Records) != x.Len() {
-		t.Fatalf("SnapshotCtx returned %d records, want %d", len(snap.Records), x.Len())
-	}
 	series, err := x.SeriesCtx(context.Background(), op, "", 0, simtime.End, 30)
 	if err != nil {
 		t.Fatal(err)

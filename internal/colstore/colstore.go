@@ -40,10 +40,9 @@ import (
 )
 
 // ErrClosed reports use of an Index after Close released its memory
-// mapping. The context-aware query variants (SnapshotCtx, SeriesCtx,
-// MaterializeCtx) and Save return it; the legacy error-free variants
-// panic with a pointed message instead, since reading an unmapped column
-// would otherwise fault the whole process.
+// mapping. SeriesCtx, Save and NewIngesterFromIndex return it; the
+// error-free query variants panic with a pointed message instead, since
+// reading an unmapped column would otherwise fault the whole process.
 var ErrClosed = errors.New("colstore: index is closed")
 
 // never mirrors simtime.Never in the int32 day columns (1<<30 fits).
@@ -398,7 +397,7 @@ func (x *Index) Close() error {
 // fault, so misuse dies here with a message that names the bug instead.
 func (x *Index) mustOpen() {
 	if x.closed.Load() {
-		panic("colstore: use of closed Index: Close already released its backing; keep the world open for the lifetime of its queries (or use the Ctx variants, which return ErrClosed)")
+		panic("colstore: use of closed Index: Close already released its backing; keep the world open for the lifetime of its queries (or use SeriesCtx, which returns ErrClosed)")
 	}
 }
 
@@ -416,18 +415,6 @@ const snapCacheSize = 2
 // a private copy.
 func (x *Index) Snapshot(day simtime.Day) *dataset.Snapshot {
 	x.mustOpen()
-	snap, _ := x.SnapshotCtx(context.Background(), day)
-	return snap
-}
-
-// SnapshotCtx is Snapshot with cancellation: a dropped request stops the
-// population pass mid-scan instead of burning a full projection, and a
-// closed index answers ErrClosed instead of faulting. The cache hit path
-// never blocks on the context.
-func (x *Index) SnapshotCtx(ctx context.Context, day simtime.Day) (*dataset.Snapshot, error) {
-	if x.closed.Load() {
-		return nil, ErrClosed
-	}
 	x.snapMu.Lock()
 	defer x.snapMu.Unlock()
 	for i, snap := range x.snapCache {
@@ -435,50 +422,23 @@ func (x *Index) SnapshotCtx(ctx context.Context, day simtime.Day) (*dataset.Snap
 			// Move to front so the working set's days stay resident.
 			copy(x.snapCache[1:i+1], x.snapCache[:i])
 			x.snapCache[0] = snap
-			return snap, nil
+			return snap
 		}
 	}
-	snap, err := x.materializeCtx(ctx, day)
-	if err != nil {
-		return nil, err
-	}
+	snap := x.Materialize(day)
 	copy(x.snapCache[1:], x.snapCache[:snapCacheSize-1])
 	x.snapCache[0] = snap
-	return snap, nil
+	return snap
 }
 
 // Materialize projects the population at one day into a freshly allocated
 // snapshot the caller owns, bypassing the shared-view cache.
 func (x *Index) Materialize(day simtime.Day) *dataset.Snapshot {
 	x.mustOpen()
-	snap, _ := x.materializeCtx(context.Background(), day)
-	return snap
-}
-
-// MaterializeCtx is Materialize with cancellation and ErrClosed
-// reporting, for callers serving interactive requests off a long-lived
-// world.
-func (x *Index) MaterializeCtx(ctx context.Context, day simtime.Day) (*dataset.Snapshot, error) {
-	if x.closed.Load() {
-		return nil, ErrClosed
-	}
-	return x.materializeCtx(ctx, day)
-}
-
-// cancelStride is how many rows (or series steps) a cancellable scan
-// processes between context polls: small enough that a dropped request
-// stops burning CPU within microseconds, large enough that the poll is
-// invisible in throughput.
-const cancelStride = 32 << 10
-
-func (x *Index) materializeCtx(ctx context.Context, day simtime.Day) (*dataset.Snapshot, error) {
 	x.ensureTemplate()
 	recs := make([]dataset.Record, x.n)
 	d := clampDay(day)
 	for i := range recs {
-		if i%cancelStride == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
 		r := x.template[i]
 		if x.keyDay[i] <= d {
 			r.HasDNSKEY = true
@@ -492,8 +452,14 @@ func (x *Index) materializeCtx(ctx context.Context, day simtime.Day) (*dataset.S
 		}
 		recs[i] = r
 	}
-	return &dataset.Snapshot{Day: day, Records: recs}, nil
+	return &dataset.Snapshot{Day: day, Records: recs}
 }
+
+// cancelStride is how many series steps a cancellable scan processes
+// between context polls: small enough that a dropped request stops burning
+// CPU within microseconds, large enough that the poll is invisible in
+// throughput.
+const cancelStride = 32 << 10
 
 // Series computes the daily deployment series for one operator (all its
 // TLDs when tld == "") by sweeping cursors over the day-sorted event

@@ -1,16 +1,11 @@
 package dataset
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"strconv"
 	"strings"
-
-	"securepki.org/registrarsec/internal/simtime"
 )
 
 // The journaled archive format wraps each TSV snapshot section with an
@@ -40,16 +35,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // WriteArchiveSection writes the snapshot as one trailered section.
 func (s *Snapshot) WriteArchiveSection(w io.Writer) error {
-	var buf bytes.Buffer
-	if err := s.WriteTSV(&buf); err != nil {
-		return err
-	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s\t%s\t%d\t%08x\n", trailerHeader, s.Day,
-		buf.Len(), crc32.Checksum(buf.Bytes(), castagnoli))
-	return err
+	return writeSection(w, s.Day, len(s.Records), func(body io.Writer) error {
+		for i := range s.Records {
+			writeRecord(body, &s.Records[i])
+		}
+		return nil
+	})
 }
 
 // WriteArchive writes every snapshot, oldest first, with an integrity
@@ -70,16 +61,22 @@ type Corruption struct {
 	Day string
 	// Line is the 1-based line number where the damage was anchored — the
 	// section header for section-level damage, the offending line otherwise.
+	// It counts from where the scan started — the top of the file for
+	// ReadArchive, the resume offset for a tail scan — so String leaves it
+	// to callers that read a whole file.
 	Line int
+	// Offset is the absolute byte offset of that line in the archive,
+	// whichever scan found it.
+	Offset int64
 	// Reason says which integrity check failed.
 	Reason string
 }
 
 func (c Corruption) String() string {
 	if c.Day == "" {
-		return fmt.Sprintf("line %d: %s", c.Line, c.Reason)
+		return fmt.Sprintf("byte %d: %s", c.Offset, c.Reason)
 	}
-	return fmt.Sprintf("section %s (line %d): %s", c.Day, c.Line, c.Reason)
+	return fmt.Sprintf("section %s (byte %d): %s", c.Day, c.Offset, c.Reason)
 }
 
 // ArchiveReport is the integrity accounting of one ReadArchive pass.
@@ -107,169 +104,40 @@ func (r *ArchiveReport) String() string {
 		r.Sections, len(r.Quarantined), strings.Join(reasons, "; "))
 }
 
-// section is the in-flight parse state of one archive section.
-type section struct {
-	day      string      // raw day token from the header
-	parsed   simtime.Day // valid only when bad == ""
-	declared int
-	headerLn int
-	raw      bytes.Buffer // exact section bytes, for the CRC check
-	snap     *Snapshot
-	bad      string // first structural defect, "" while intact
-}
-
 // ReadArchive reads a trailered archive in salvage mode: every section
 // whose trailer verifies (length, CRC32C, declared record count, unique
 // day) lands in the store; torn, truncated, corrupted and duplicate
 // sections are quarantined in the report with a precise reason instead of
-// being silently mis-parsed. The returned error is non-nil only for I/O
+// being silently mis-parsed. It is the batch fold over the section scanner
+// (tail.go): the input is final, so whatever the scanner left undecided at
+// its end is damage too. The returned error is non-nil only for I/O
 // failures — corruption is data, not an error.
 func ReadArchive(r io.Reader) (*Store, *ArchiveReport, error) {
 	store := NewStore()
 	report := &ArchiveReport{}
-	br := bufio.NewReaderSize(r, 64*1024)
-
-	var cur *section
-	quarantine := func(s *section, reason string) {
-		report.Quarantined = append(report.Quarantined,
-			Corruption{Day: s.day, Line: s.headerLn, Reason: reason})
-	}
-	orphan := false // suppress repeated reports for one stray run
-	lineNo := 0
+	sc := newSectionScanner(r, 0)
 	for {
-		line, readErr := br.ReadString('\n')
-		if line != "" {
-			lineNo++
-			full := strings.HasSuffix(line, "\n")
-			text := strings.TrimSuffix(line, "\n")
-			fields := strings.Split(text, "\t")
-			switch fields[0] {
-			case tsvHeader:
-				if cur != nil {
-					quarantine(cur, "missing trailer (torn write)")
-				}
-				report.Sections++
-				cur = &section{headerLn: lineNo, declared: -1}
-				cur.raw.WriteString(line)
-				if len(fields) >= 2 {
-					cur.day = fields[1]
-				}
-				day, declared, err := parseSnapshotHeader(fields)
-				switch {
-				case err != nil:
-					cur.bad = fmt.Sprintf("bad header: %v", err)
-				case !full:
-					cur.bad = "truncated mid-header"
-				default:
-					cur.parsed, cur.declared = day, declared
-					cur.snap = &Snapshot{Day: day}
-				}
-				orphan = false
-
-			case trailerHeader:
-				if cur == nil {
-					if !orphan {
-						report.Quarantined = append(report.Quarantined,
-							Corruption{Line: lineNo, Reason: "trailer without a section"})
-						orphan = true
-					}
-					continue
-				}
-				if reason := verifyTrailer(cur, fields, full, store); reason != "" {
-					quarantine(cur, reason)
-				} else {
-					store.Add(cur.snap)
-				}
-				cur = nil
-
-			default:
-				if cur == nil {
-					if text == "" {
-						continue // blank lines between sections are tolerated
-					}
-					if !orphan {
-						report.Quarantined = append(report.Quarantined,
-							Corruption{Line: lineNo, Reason: "records outside any section"})
-						orphan = true
-					}
-					continue
-				}
-				cur.raw.WriteString(line)
-				if cur.bad != "" {
-					continue // keep consuming the damaged section's bytes
-				}
-				switch {
-				case !full:
-					cur.bad = "truncated mid-record"
-				case text == "":
-					cur.bad = "blank line inside section"
-				default:
-					rec, err := parseRecordFields(fields)
-					if err != nil {
-						cur.bad = fmt.Sprintf("line %d: %v", lineNo, err)
-					} else {
-						cur.snap.Records = append(cur.snap.Records, rec)
-					}
-				}
-			}
+		ev, err := sc.next()
+		report.Sections = sc.sections
+		if err == io.EOF {
+			report.Quarantined = append(report.Quarantined, sc.undecided...)
+			return store, report, nil
 		}
-		if readErr == io.EOF {
-			break
+		if err != nil {
+			return store, report, err
 		}
-		if readErr != nil {
-			return store, report, readErr
+		switch {
+		case ev.Damage != nil:
+			report.Quarantined = append(report.Quarantined, *ev.Damage)
+		case store.Get(ev.Snap.Day) != nil:
+			// Only the first verified section of a day is kept.
+			dup := ev.At
+			dup.Reason = "duplicate snapshot day"
+			report.Quarantined = append(report.Quarantined, dup)
+		default:
+			store.Add(ev.Snap)
 		}
 	}
-	if cur != nil {
-		quarantine(cur, "truncated section (no trailer)")
-	}
-	return store, report, nil
-}
-
-// verifyTrailer runs every integrity check for a section against its
-// trailer line, returning "" when the section is intact or the reason it
-// must be quarantined.
-func verifyTrailer(cur *section, fields []string, full bool, store *Store) string {
-	if reason := checkTrailer(cur, fields, full); reason != "" {
-		return reason
-	}
-	if store.Get(cur.parsed) != nil {
-		return "duplicate snapshot day"
-	}
-	return ""
-}
-
-// checkTrailer is verifyTrailer minus the store-level duplicate-day check:
-// the integrity of one section in isolation, shared with the tail scanner
-// (whose duplicate policy is the ingester's idempotency, not a store).
-func checkTrailer(cur *section, fields []string, full bool) string {
-	if cur.bad != "" {
-		return cur.bad
-	}
-	if !full || len(fields) != 4 {
-		return "malformed trailer"
-	}
-	if fields[1] != cur.day {
-		return fmt.Sprintf("trailer day %q does not match section day %q", fields[1], cur.day)
-	}
-	wantLen, err := strconv.Atoi(fields[2])
-	if err != nil || wantLen < 0 {
-		return fmt.Sprintf("malformed trailer length %q", fields[2])
-	}
-	wantCRC, err := strconv.ParseUint(fields[3], 16, 32)
-	if err != nil {
-		return fmt.Sprintf("malformed trailer checksum %q", fields[3])
-	}
-	if wantLen != cur.raw.Len() {
-		return fmt.Sprintf("length mismatch: trailer declares %d bytes, section has %d", wantLen, cur.raw.Len())
-	}
-	if got := crc32.Checksum(cur.raw.Bytes(), castagnoli); got != uint32(wantCRC) {
-		return fmt.Sprintf("checksum mismatch: trailer %08x, section %08x", uint32(wantCRC), got)
-	}
-	if cur.declared >= 0 && cur.declared != len(cur.snap.Records) {
-		return fmt.Sprintf("record count mismatch: header declares %d, found %d", cur.declared, len(cur.snap.Records))
-	}
-	return ""
 }
 
 // ReadArchiveStrict is ReadArchive for pipelines that must not proceed on

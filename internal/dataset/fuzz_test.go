@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"securepki.org/registrarsec/internal/simtime"
 )
@@ -69,14 +71,34 @@ func FuzzReadArchive(f *testing.F) {
 	})
 }
 
-// FuzzTailArchive holds the tail scanner, on arbitrary bytes, to what
+// scanAll drains the section scanner over r, which starts at absolute
+// offset base of its archive — what TailArchive does over a file.
+func scanAll(t testing.TB, r io.Reader, base int64) *TailResult {
+	t.Helper()
+	res := &TailResult{}
+	sc := newSectionScanner(r, base)
+	for {
+		ev, err := sc.next()
+		if err == io.EOF {
+			res.Offset = sc.offset
+			return res
+		}
+		if err != nil {
+			t.Fatalf("scanner returned I/O error on bytes: %v", err)
+		}
+		res.Events = append(res.Events, ev)
+	}
+}
+
+// FuzzTailArchive holds the section scanner, on arbitrary bytes, to what
 // tail.go's header comment claims: it never panics; its events' End offsets
 // strictly increase and stay at or below Offset, which stays within the
-// input; a scan resumed at any event's End yields exactly the events after
-// that one, so a consumer's state is a pure function of the bytes before its
-// cursor; and on the input cut at Offset, a section boundary, its verified
-// snapshots are the sections ReadArchive accepts, except that ReadArchive
-// keeps only the first section of a day.
+// input; the same bytes handed over one at a time yield the same events, so
+// nothing depends on read boundaries; a scan resumed at any event's End
+// yields exactly the events after that one, so a consumer's state is a pure
+// function of the bytes before its cursor; and on the input cut at Offset, a
+// section boundary, its verified snapshots are the sections ReadArchive
+// accepts, except that ReadArchive keeps only the first section of a day.
 func FuzzTailArchive(f *testing.F) {
 	valid := fuzzSeedArchive()
 	f.Add(valid)
@@ -90,7 +112,7 @@ func FuzzTailArchive(f *testing.F) {
 	f.Add([]byte(""))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res := scanTail(data)
+		res := scanAll(t, bytes.NewReader(data), 0)
 		var last int64
 		for i, ev := range res.Events {
 			if (ev.Snap == nil) == (ev.Damage == nil) {
@@ -99,31 +121,39 @@ func FuzzTailArchive(f *testing.F) {
 			if ev.End <= last {
 				t.Fatalf("event %d ends at %d, the one before at %d", i, ev.End, last)
 			}
+			if ev.At.Offset < last || ev.At.Offset >= ev.End || (ev.Damage != nil && *ev.Damage != ev.At) {
+				t.Fatalf("event %d: located at %+v, damage %+v, consuming bytes %d..%d", i, ev.At, ev.Damage, last, ev.End)
+			}
 			last = ev.End
 		}
 		if res.Offset < last || res.Offset > int64(len(data)) {
 			t.Fatalf("offset %d with the last event ending at %d in %d bytes", res.Offset, last, len(data))
 		}
 
-		// absolute rebases a window's events onto the whole input. Damage
-		// line numbers count from the window's start, so of a damage entry
-		// only the day is comparable.
-		absolute := func(events []TailEvent, base int64) []TailEvent {
+		if trickled := scanAll(t, iotest.OneByteReader(bytes.NewReader(data)), 0); !reflect.DeepEqual(trickled, res) {
+			t.Fatalf("one byte at a time: events %+v to offset %d, want %+v to %d",
+				trickled.Events, trickled.Offset, res.Events, res.Offset)
+		}
+
+		// A resumed scan counts lines from its own start, so Line is the one
+		// field of an event that is not comparable.
+		comparable := func(events []TailEvent) []TailEvent {
 			out := make([]TailEvent, len(events))
 			for i, ev := range events {
-				out[i] = TailEvent{Snap: ev.Snap, End: ev.End + base}
+				out[i] = ev
+				out[i].At.Line = 0
 				if ev.Damage != nil {
-					out[i].Damage = &Corruption{Day: ev.Damage.Day}
+					out[i].Damage = &out[i].At
 				}
 			}
 			return out
 		}
 		for i, ev := range res.Events {
-			resumed := scanTail(data[ev.End:])
-			got, want := absolute(resumed.Events, ev.End), absolute(res.Events[i+1:], 0)
-			if !reflect.DeepEqual(got, want) || resumed.Offset+ev.End != res.Offset {
+			resumed := scanAll(t, bytes.NewReader(data[ev.End:]), ev.End)
+			got, want := comparable(resumed.Events), comparable(res.Events[i+1:])
+			if !reflect.DeepEqual(got, want) || resumed.Offset != res.Offset {
 				t.Fatalf("resumed after event %d at %d: events %+v to offset %d, want %+v to %d",
-					i, ev.End, got, resumed.Offset+ev.End, want, res.Offset)
+					i, ev.End, got, resumed.Offset, want, res.Offset)
 			}
 		}
 

@@ -14,8 +14,8 @@ import (
 // one record per line, a header line naming the day. This file is the
 // section body — header and record lines; on disk a section is always
 // closed by the length+CRC32C trailer of the journaled archive format
-// (archive.go), so torn writes and bit rot are detectable, and ReadArchive
-// is the one reader.
+// (archive.go), so torn writes and bit rot are detectable, and the section
+// scanner (tail.go) is the one reader.
 
 // tsvHeader introduces one snapshot section.
 const tsvHeader = "#snapshot"

@@ -341,32 +341,42 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// writeSection frames one trailered archive section, the only place the
+// format is written: the header and the record lines body renders go
+// through the counting, checksumming writer, and the trailer records what
+// it saw.
+func writeSection(out io.Writer, day simtime.Day, count int, body func(w io.Writer) error) error {
+	bw := bufio.NewWriterSize(out, archiveBufSize)
+	cw := &crcWriter{w: bw}
+	if _, err := fmt.Fprintf(cw, "%s\t%s\t%d\n", tsvHeader, day, count); err != nil {
+		return err
+	}
+	if err := body(cw); err != nil {
+		return err
+	}
+	if _, err := fmt.Fprintf(bw, "%s\t%s\t%d\t%08x\n", trailerHeader, day, cw.n, cw.crc); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
 // WriteSectionTo streams the day's records as one trailered archive
 // section, byte-identical to writing the same records through
 // Snapshot.Canonicalize + WriteArchiveSection. It may be called more than
 // once (run files are re-read each time) until Close removes the runs.
 func (w *SpillWriter) WriteSectionTo(out io.Writer) error {
-	bw := bufio.NewWriterSize(out, archiveBufSize)
-	cw := &crcWriter{w: bw}
-	if _, err := fmt.Fprintf(cw, "%s\t%s\t%d\n", tsvHeader, w.day, w.total); err != nil {
-		return err
-	}
-	n := 0
-	err := w.merge(func(line []byte) error {
-		n++
-		_, err := cw.Write(line)
+	return writeSection(out, w.day, w.total, func(body io.Writer) error {
+		n := 0
+		err := w.merge(func(line []byte) error {
+			n++
+			_, err := body.Write(line)
+			return err
+		})
+		if err == nil && n != w.total {
+			err = fmt.Errorf("dataset: spill merge for %s produced %d records, appended %d (lost or duplicated run?)", w.day, n, w.total)
+		}
 		return err
 	})
-	if err != nil {
-		return err
-	}
-	if n != w.total {
-		return fmt.Errorf("dataset: spill merge for %s produced %d records, appended %d (lost or duplicated run?)", w.day, n, w.total)
-	}
-	if _, err := fmt.Fprintf(bw, "%s\t%s\t%d\t%08x\n", trailerHeader, w.day, cw.n, cw.crc); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
 // EachSorted calls fn for every record in canonical order, parsing run
@@ -383,7 +393,7 @@ func (w *SpillWriter) EachSorted(fn func(r *Record) error) error {
 	})
 }
 
-// archiveBufSize is the write buffer of a streamed archive. WriteSectionTo
+// archiveBufSize is the write buffer of a streamed archive. writeSection
 // asks for the same size, so handed an ArchiveWriter's buffer it writes
 // through it (bufio.NewWriterSize returns a large-enough *bufio.Writer as
 // it is) instead of stacking a second copy on top.
@@ -436,7 +446,7 @@ func (aw *ArchiveWriter) Snapshot(snap *Snapshot) error {
 		return err
 	}
 	snap.Canonicalize()
-	return snap.WriteArchiveSection(aw.f)
+	return snap.WriteArchiveSection(aw.f.bw)
 }
 
 // Abort discards the partial archive, leaving any previous file at the

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -305,6 +307,160 @@ func TestTailEventOffsetsAreResumePoints(t *testing.T) {
 			if got.End != want.End || (got.Snap == nil) != (want.Snap == nil) {
 				t.Fatalf("resume at event %d, event %d: got %+v, want %+v", i, j, got, want)
 			}
+		}
+	}
+}
+
+// TestDamageLocatedAlikeFromAnyStart: a section with a bad record is
+// reported at the same absolute offset for the same reason — the record
+// named by its position in the section — wherever the scan started.
+func TestDamageLocatedAlikeFromAnyStart(t *testing.T) {
+	s1 := sectionBytes(t, tailSnap(10, 2))
+	lines := bytes.SplitAfter(sectionBytes(t, tailSnap(11, 3)), []byte("\n"))
+	lines[2] = []byte("not a record\n")
+	path := filepath.Join(t.TempDir(), "a.archive")
+	writeTail(t, path, s1, bytes.Join(lines, nil))
+
+	for _, from := range []int64{0, int64(len(s1))} {
+		res, err := TailArchive(path, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := res.Quarantined()
+		if len(q) != 1 || q[0].Offset != int64(len(s1)) || !strings.HasPrefix(q[0].Reason, "record 2: ") {
+			t.Fatalf("scan from %d quarantined %+v, want record 2 of the section at byte %d", from, q, len(s1))
+		}
+	}
+}
+
+// countingReader counts the bytes it has handed over.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestScannerStreams: the scanner reads no further ahead than its buffer.
+// Each event comes back once the reader has handed over that section and at
+// most one buffer more — never the archive.
+func TestScannerStreams(t *testing.T) {
+	var archive bytes.Buffer
+	for day := simtime.Day(10); day < 60; day++ {
+		archive.Write(sectionBytes(t, tailSnap(day, 2000)))
+	}
+	sectionLen := int64(archive.Len() / 50)
+	if sectionLen < 2*scanBufSize {
+		t.Fatalf("sections of %d bytes are too small against a %d-byte buffer to show anything", sectionLen, scanBufSize)
+	}
+	in := &countingReader{r: &archive}
+	sc := newSectionScanner(in, 0)
+	for i := int64(1); i <= 50; i++ {
+		ev, err := sc.next()
+		if err != nil || ev.Snap == nil || ev.End != i*sectionLen {
+			t.Fatalf("event %d: %+v, %v; want a snapshot ending at %d", i, ev, err, i*sectionLen)
+		}
+		if in.n > ev.End+scanBufSize {
+			t.Fatalf("event %d ends at %d, the reader has handed over %d bytes: more than one buffer ahead", i, ev.End, in.n)
+		}
+	}
+	if _, err := sc.next(); err != io.EOF {
+		t.Fatalf("after the last section: %v, want io.EOF", err)
+	}
+}
+
+// TestEndOfInputStates: whatever the input ends in, the bytes TailArchive
+// leaves unconsumed are the bytes ReadArchive quarantines, for ReadArchive's
+// reasons — one scanner decides both.
+func TestEndOfInputStates(t *testing.T) {
+	s1 := string(sectionBytes(t, tailSnap(10, 2)))
+	s2 := string(sectionBytes(t, tailSnap(11, 2)))
+	header, rest, _ := strings.Cut(s2, "\n")
+	record, _, _ := strings.Cut(rest, "\n")
+	trailer := s2[strings.LastIndex(s2, trailerHeader):]
+	for _, tc := range []struct {
+		name    string
+		tail    string   // what follows one intact section
+		blank   int      // leading bytes of tail that are consumed as blank lines
+		reasons []string // what ReadArchive makes of the rest, in order
+	}{
+		{name: "open section", tail: header + "\n" + record + "\n",
+			reasons: []string{"truncated section (no trailer)"}},
+		{name: "stray run at EOF", tail: "\nstray\n\n", blank: 1,
+			reasons: []string{"records outside any section"}},
+		{name: "partial header", tail: header[:len(header)-3],
+			reasons: []string{"truncated section (no trailer)"}},
+		{name: "partial record", tail: header + "\n" + record[:len(record)/2],
+			reasons: []string{"truncated section (no trailer)"}},
+		{name: "partial trailer", tail: s2[:len(s2)-1],
+			reasons: []string{"malformed trailer"}},
+		{name: "partial line outside any section", tail: "\n\nstr", blank: 2,
+			reasons: []string{"records outside any section"}},
+		{name: "orphan trailer", tail: trailer,
+			reasons: []string{"trailer without a section"}},
+		{name: "torn section before a partial header", tail: header + "\n" + record + "\n" + header[:len(header)-3],
+			reasons: []string{"missing trailer (torn write)", "truncated section (no trailer)"}},
+		{name: "blank lines after the last section", tail: "\n\n", blank: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "a.archive")
+			writeTail(t, path, []byte(s1+tc.tail))
+			res, err := TailArchive(path, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(len(s1) + tc.blank); len(res.Events) != 1 || res.Offset != want {
+				t.Fatalf("TailArchive: %d event(s) to offset %d, want the intact section and offset %d", len(res.Events), res.Offset, want)
+			}
+			store, report, err := ReadArchive(strings.NewReader(s1 + tc.tail))
+			if err != nil || store.Len() != 1 {
+				t.Fatalf("ReadArchive: %v, %d snapshot(s)", err, store.Len())
+			}
+			var reasons []string
+			for _, c := range report.Quarantined {
+				reasons = append(reasons, c.Reason)
+			}
+			if !reflect.DeepEqual(reasons, tc.reasons) {
+				t.Fatalf("ReadArchive quarantined %q, want %q", reasons, tc.reasons)
+			}
+			if len(reasons) > 0 && report.Quarantined[0].Offset != res.Offset {
+				t.Fatalf("ReadArchive's first damage starts at byte %d, TailArchive stopped at %d", report.Quarantined[0].Offset, res.Offset)
+			}
+		})
+	}
+}
+
+// BenchmarkArchiveScan is the one reader's throughput: scan a 20-section
+// archive and discard the events.
+func BenchmarkArchiveScan(b *testing.B) {
+	var archive bytes.Buffer
+	for day := simtime.Day(10); day < 30; day++ {
+		if err := tailSnap(day, 5000).WriteArchiveSection(&archive); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(archive.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc := newSectionScanner(bytes.NewReader(archive.Bytes()), 0)
+		sections := 0
+		for {
+			ev, err := sc.next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil || ev.Snap == nil {
+				b.Fatalf("event %+v, %v", ev, err)
+			}
+			sections++
+		}
+		if sections != 20 {
+			b.Fatalf("%d sections, want 20", sections)
 		}
 	}
 }
