@@ -1,0 +1,37 @@
+package main
+
+import (
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the test run the command itself: re-executed with
+// REGSEC_RUN_MAIN set, the test binary is regsec-check.
+func TestMain(m *testing.M) {
+	if os.Getenv("REGSEC_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// The demonstration hierarchy holds one domain per misconfiguration class
+// the paper's measurements surface, and -demo must report each of them.
+func TestDemoReportsEveryFindingClass(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-demo")
+	cmd.Env = append(os.Environ(), "REGSEC_RUN_MAIN=1")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("regsec-check -demo: %v\n%s", err, out)
+	}
+	for _, code := range []string{
+		"CHAIN_OK", "UNSIGNED", "PARTIAL_NO_DS", "DS_MATCHES_NO_KEY", "RRSIG_EXPIRED", "DNSKEY_WRONG_SIGNER",
+	} {
+		if !strings.Contains(string(out), code) {
+			t.Errorf("-demo reported no %s finding:\n%s", code, out)
+		}
+	}
+}

@@ -4,8 +4,8 @@
 //
 // With no -addr it is self-contained: it builds (or loads from -world-cache)
 // a simulated world, materializes a day of signed TLD zones, installs them
-// into a Sharded handler behind a real Server on loopback, and measures
-// that. With -addr it drives an already-running server (for example
+// into a cache-carrying Authoritative behind a real Server on loopback, and
+// measures that. With -addr it drives an already-running server (for example
 // regsec-server) and builds the same query mix from the same world seed, so
 // both sides agree on what names exist.
 //
@@ -63,7 +63,6 @@ func run() int {
 	duration := flag.Duration("duration", 2*time.Second, "measured window")
 	doRatio := flag.Float64("do", 0.3, "fraction of queries carrying the DNSSEC OK bit")
 	types := flag.String("types", "NS,DS,SOA,A", "comma-separated query types")
-	shards := flag.Int("shards", 0, "zone shards for the self-served handler (0 = default)")
 	workers := flag.Int("workers", 0, "UDP worker loops for the self-served server (0 = GOMAXPROCS)")
 	outPath := flag.String("o", "", "write the JSON report to this path instead of stdout")
 	flag.Parse()
@@ -106,7 +105,7 @@ func run() int {
 	}
 
 	var srv *dnsserver.Server
-	var sharded *dnsserver.Sharded
+	var auth *dnsserver.Authoritative
 	target := *addr
 	if target == "" {
 		fmt.Fprintf(os.Stderr, "materializing %d domains at day %d...\n", len(domains), simtime.End)
@@ -115,7 +114,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		srv, sharded, err = selfServe(mat, *shards, *workers)
+		srv, auth, err = selfServe(mat, *workers)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -170,8 +169,8 @@ func run() int {
 		st := srv.Stats()
 		rep.Server = &st
 	}
-	if sharded != nil {
-		cst := sharded.CacheStats()
+	if auth != nil {
+		cst := auth.CacheStats()
 		rep.Cache = &cst
 	}
 
@@ -193,22 +192,22 @@ func run() int {
 	return 0
 }
 
-// selfServe collects the materialized TLD zones into one Sharded handler
-// behind a real Server on an ephemeral loopback port.
-func selfServe(mat *tldsim.Materialized, shards, workers int) (*dnsserver.Server, *dnsserver.Sharded, error) {
-	sharded := dnsserver.NewSharded(dnsserver.ShardedConfig{ZoneShards: shards})
+// selfServe collects the materialized TLD zones into one cache-carrying
+// host behind a real Server on an ephemeral loopback port.
+func selfServe(mat *tldsim.Materialized, workers int) (*dnsserver.Server, *dnsserver.Authoritative, error) {
+	auth := dnsserver.NewSharded(dnsserver.ShardedConfig{})
 	for tld, ns := range mat.TLDServers {
 		z := tldZone(mat, tld, ns)
 		if z == nil {
 			return nil, nil, fmt.Errorf("no zone for TLD %q", tld)
 		}
-		sharded.AddZone(z)
+		auth.AddZone(z)
 	}
-	srv := &dnsserver.Server{Handler: sharded, UDPWorkers: workers}
+	srv := &dnsserver.Server{Handler: auth, UDPWorkers: workers}
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		return nil, nil, err
 	}
-	return srv, sharded, nil
+	return srv, auth, nil
 }
 
 // tldZone digs the signed TLD zone out of the materialized in-memory net:

@@ -36,7 +36,6 @@ func main() {
 	nsec := flag.Bool("nsec", false, "add an NSEC chain when signing")
 	algName := flag.String("alg", "ed25519", "signing algorithm: rsa, ecdsa, ed25519")
 	drain := flag.Duration("drain", 5*time.Second, "grace period for in-flight queries on shutdown")
-	shards := flag.Int("shards", 0, "zone shards (0 = default)")
 	cacheEntries := flag.Int("cache", 0, "wire response cache entries (0 = default, negative disables)")
 	flag.Parse()
 
@@ -72,12 +71,9 @@ func main() {
 		}
 	}
 
-	sharded := dnsserver.NewSharded(dnsserver.ShardedConfig{
-		ZoneShards:   *shards,
-		CacheEntries: *cacheEntries,
-	})
-	sharded.AddZone(z)
-	srv := &dnsserver.Server{Handler: sharded}
+	auth := dnsserver.NewSharded(dnsserver.ShardedConfig{CacheEntries: *cacheEntries})
+	auth.AddZone(z)
+	srv := &dnsserver.Server{Handler: auth}
 	if err := srv.ListenAndServe(*addr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -98,7 +94,7 @@ func main() {
 	st := srv.Stats()
 	fmt.Fprintf(os.Stderr, "served %d queries (%d wire-cache hits, %d slow path, %d dropped, %d malformed)\n",
 		st.Queries, st.CacheHits, st.SlowPath, st.Dropped, st.Malformed)
-	cs := sharded.CacheStats()
+	cs := auth.CacheStats()
 	fmt.Fprintf(os.Stderr, "wire cache: %d entries, %d fills, %d flushed, %d rejected\n",
 		cs.Entries, cs.Fills, cs.Flushed, cs.Rejected)
 	fmt.Fprintln(os.Stderr, "all in-flight queries answered; bye")

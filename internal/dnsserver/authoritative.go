@@ -12,6 +12,7 @@ package dnsserver
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnswire"
@@ -30,31 +31,91 @@ type HandlerFunc func(q *dnswire.Message) *dnswire.Message
 // ServeDNS implements Handler.
 func (f HandlerFunc) ServeDNS(q *dnswire.Message) *dnswire.Message { return f(q) }
 
-// Authoritative serves one or more zones.
+// Authoritative hosts one or more zones: every registry, registrar and
+// operator server of the simulation, and — when NewSharded built it with a
+// ResponseCache — the handler the serving daemons put behind real sockets.
+//
+// The zone set is one map under an RWMutex: an operator's host takes
+// thousands of child zones in one Materialize, so a write must stay O(1);
+// cache hits never read the map, and the uncontended RLock of a miss is
+// about 1% of the render it precedes.
+//
+// With a cache, installing a zone subscribes the cache to the zone's
+// mutation events before the zone becomes visible to queries, so every
+// response the cache ever holds is covered by the invalidation stream.
+// Zone-set changes themselves are guarded by a publish seqlock (pubGen):
+// fills pin it alongside the zone generation, so a fill racing
+// AddZone/RemoveZone can never strand a response rendered from the
+// superseded zone set.
 type Authoritative struct {
 	mu    sync.RWMutex
 	zones map[string]*zone.Zone
 	// axfr gates zone transfers (nil denies all; see EnableAXFR).
 	axfr AXFRAllowed
+
+	// cache is nil on a host from NewAuthoritative. subscribed, the zones
+	// whose events already reach the cache, exists only beside it.
+	cache      *ResponseCache
+	subscribed map[*zone.Zone]bool
+	// pubGen is odd while a zone-set publish (and its cache flush) is in
+	// progress; fills pinned across a publish are rejected.
+	pubGen atomic.Uint64
 }
 
-// NewAuthoritative creates an empty authoritative server.
+// NewAuthoritative creates an empty authoritative server with no response
+// cache.
 func NewAuthoritative() *Authoritative {
 	return &Authoritative{zones: make(map[string]*zone.Zone)}
 }
 
-// AddZone installs (or replaces) a zone.
-func (a *Authoritative) AddZone(z *zone.Zone) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.zones[z.Origin] = z
+// Sharded is the name the serving daemons and the benchmark use for an
+// Authoritative that carries a response cache.
+type Sharded = Authoritative
+
+// ShardedConfig sizes the response cache NewSharded builds.
+type ShardedConfig struct {
+	// CacheEntries bounds the response cache (0 = default 256k entries,
+	// negative = no cache at all).
+	CacheEntries int
 }
 
+// NewSharded creates an empty authoritative server with a response cache.
+func NewSharded(cfg ShardedConfig) *Authoritative {
+	a := NewAuthoritative()
+	if cfg.CacheEntries >= 0 {
+		a.cache = NewResponseCache(cfg.CacheEntries)
+		a.subscribed = make(map[*zone.Zone]bool)
+	}
+	return a
+}
+
+// AddZone installs (or replaces) a zone.
+func (a *Authoritative) AddZone(z *zone.Zone) { a.setZone(z.Origin, z) }
+
 // RemoveZone drops the zone rooted at origin.
-func (a *Authoritative) RemoveZone(origin string) {
+func (a *Authoritative) RemoveZone(origin string) { a.setZone(dnswire.CanonicalName(origin), nil) }
+
+// setZone changes what the host serves at origin (nil removes it). The
+// cache is subscribed to z before z is visible, and origin's subtree is
+// flushed after: an enclosing zone may have answered below its cut before
+// the child zone arrived, and a removed zone's renderings are all stale.
+func (a *Authoritative) setZone(origin string, z *zone.Zone) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	delete(a.zones, dnswire.CanonicalName(origin))
+	if z != nil && a.cache != nil && !a.subscribed[z] {
+		a.subscribed[z] = true
+		z.OnEvent(func(ev zone.Event) { a.cache.applyEvent(z, ev) })
+	}
+	a.pubGen.Add(1)
+	if z == nil {
+		delete(a.zones, origin)
+	} else {
+		a.zones[origin] = z
+	}
+	if a.cache != nil {
+		a.cache.FlushSubtree(origin)
+	}
+	a.pubGen.Add(1)
 }
 
 // Zone returns the hosted zone with the given origin, or nil.
@@ -69,6 +130,14 @@ func (a *Authoritative) ZoneCount() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	return len(a.zones)
+}
+
+// CacheStats snapshots the response-cache counters (zero without a cache).
+func (a *Authoritative) CacheStats() CacheStats {
+	if a.cache == nil {
+		return CacheStats{}
+	}
+	return a.cache.Stats()
 }
 
 // findZone returns the most specific zone containing qname.
@@ -90,24 +159,31 @@ func (a *Authoritative) findZone(qname string) *zone.Zone {
 
 // ServeDNS implements Handler.
 func (a *Authoritative) ServeDNS(q *dnswire.Message) *dnswire.Message {
-	resp := q.Reply()
-	if len(q.Questions) != 1 || q.OpCode != dnswire.OpCodeQuery {
-		resp.RCode = dnswire.RCodeNotImplemented
-		return resp
-	}
-	qname := dnswire.CanonicalName(q.Questions[0].Name)
-	z := a.findZone(qname)
-	if z == nil {
-		resp.RCode = dnswire.RCodeRefused
-		return resp
-	}
-	answerInZone(resp, q, qname, z)
+	resp, _, _ := a.answer(q)
 	return resp
 }
 
+// answer renders the response to q. z is the zone it came from — nil for
+// NOTIMP and REFUSED, which no zone event could ever invalidate — and zg
+// that zone's generation, read before rendering for the cache fill to pin.
+func (a *Authoritative) answer(q *dnswire.Message) (resp *dnswire.Message, z *zone.Zone, zg uint64) {
+	resp = q.Reply()
+	if len(q.Questions) != 1 || q.OpCode != dnswire.OpCodeQuery {
+		resp.RCode = dnswire.RCodeNotImplemented
+		return resp, nil, 0
+	}
+	qname := dnswire.CanonicalName(q.Questions[0].Name)
+	if z = a.findZone(qname); z == nil {
+		resp.RCode = dnswire.RCodeRefused
+		return resp, nil, 0
+	}
+	zg = z.Generation()
+	answerInZone(resp, q, qname, z)
+	return resp, z, zg
+}
+
 // answerInZone fills resp with the authoritative answer for q's single
-// question out of zone z, per RFC 4035 section 3. It is the shared core of
-// Authoritative and Sharded.
+// question out of zone z, per RFC 4035 section 3.
 func answerInZone(resp *dnswire.Message, q *dnswire.Message, qname string, z *zone.Zone) {
 	question := q.Questions[0]
 	dnssecOK := q.DNSSECOK()
@@ -130,7 +206,7 @@ func answerInZone(resp *dnswire.Message, q *dnswire.Message, qname string, z *zo
 			for _, ds := range z.Lookup(cut, dnswire.TypeDS) {
 				resp.Authority = append(resp.Authority, ds)
 			}
-			appendSigs(resp, z, cut, dnswire.TypeDS, &resp.Authority)
+			appendSigs(z, cut, dnswire.TypeDS, &resp.Authority)
 			if len(z.Lookup(cut, dnswire.TypeDS)) == 0 {
 				// Prove the delegation is insecure: NSEC at the cut, or
 				// the NSEC3 matching its hash.
@@ -140,7 +216,7 @@ func answerInZone(resp *dnswire.Message, q *dnswire.Message, qname string, z *zo
 					for _, nsec := range z.Lookup(cut, dnswire.TypeNSEC) {
 						resp.Authority = append(resp.Authority, nsec)
 					}
-					appendSigs(resp, z, cut, dnswire.TypeNSEC, &resp.Authority)
+					appendSigs(z, cut, dnswire.TypeNSEC, &resp.Authority)
 				}
 			}
 		}
@@ -172,13 +248,13 @@ func answerInZone(resp *dnswire.Message, q *dnswire.Message, qname string, z *zo
 	if question.Type != dnswire.TypeCNAME && question.Type != dnswire.TypeANY {
 		if cn := z.Lookup(qname, dnswire.TypeCNAME); len(cn) > 0 {
 			resp.Answers = append(resp.Answers, cn...)
-			appendSigs(resp, z, qname, dnswire.TypeCNAME, &resp.Answers)
+			appendSigs(z, qname, dnswire.TypeCNAME, &resp.Answers)
 			target := cn[0].Data.(*dnswire.CNAME).Target
 			if dnswire.IsSubdomain(target, z.Origin) && z.HasName(target) {
 				for _, rr := range z.Lookup(target, question.Type) {
 					resp.Answers = append(resp.Answers, rr)
 				}
-				appendSigs(resp, z, target, question.Type, &resp.Answers)
+				appendSigs(z, target, question.Type, &resp.Answers)
 			}
 			return
 		}
@@ -215,7 +291,7 @@ func answerInZone(resp *dnswire.Message, q *dnswire.Message, qname string, z *zo
 				for _, nsec := range z.Lookup(qname, dnswire.TypeNSEC) {
 					resp.Authority = append(resp.Authority, nsec)
 				}
-				appendSigs(resp, z, qname, dnswire.TypeNSEC, &resp.Authority)
+				appendSigs(z, qname, dnswire.TypeNSEC, &resp.Authority)
 			}
 		}
 	}
@@ -230,7 +306,7 @@ func answerRRSet(resp *dnswire.Message, z *zone.Zone, name string, t dnswire.Typ
 	}
 	resp.Answers = append(resp.Answers, rrs...)
 	if dnssecOK {
-		appendSigs(resp, z, name, t, &resp.Answers)
+		appendSigs(z, name, t, &resp.Answers)
 	}
 	return true
 }
@@ -241,7 +317,7 @@ func attachSOA(resp *dnswire.Message, z *zone.Zone, dnssecOK bool) {
 	if soa := z.SOA(); soa != nil {
 		resp.Authority = append(resp.Authority, soa)
 		if dnssecOK {
-			appendSigs(resp, z, z.Origin, dnswire.TypeSOA, &resp.Authority)
+			appendSigs(z, z.Origin, dnswire.TypeSOA, &resp.Authority)
 		}
 	}
 }
@@ -267,7 +343,7 @@ func attachNSEC3ForName(resp *dnswire.Message, z *zone.Zone, params *dnswire.NSE
 		return false
 	}
 	resp.Authority = append(resp.Authority, rrs...)
-	appendSigs(resp, z, owner, dnswire.TypeNSEC3, &resp.Authority)
+	appendSigs(z, owner, dnswire.TypeNSEC3, &resp.Authority)
 	return true
 }
 
@@ -285,7 +361,7 @@ func attachCoveringNSEC3(resp *dnswire.Message, z *zone.Zone, params *dnswire.NS
 			proof := &dnssec.NSEC3Proof{Owner: owner, NSEC3: rr.Data.(*dnswire.NSEC3)}
 			if proof.Covers(h) {
 				resp.Authority = append(resp.Authority, rr)
-				appendSigs(resp, z, owner, dnswire.TypeNSEC3, &resp.Authority)
+				appendSigs(z, owner, dnswire.TypeNSEC3, &resp.Authority)
 				return
 			}
 		}
@@ -327,7 +403,7 @@ func attachCoveringNSEC(resp *dnswire.Message, z *zone.Zone, qname string) {
 			nsec := rr.Data.(*dnswire.NSEC)
 			if nsecCovers(name, nsec.NextName, qname) {
 				resp.Authority = append(resp.Authority, rr)
-				appendSigs(resp, z, name, dnswire.TypeNSEC, &resp.Authority)
+				appendSigs(z, name, dnswire.TypeNSEC, &resp.Authority)
 				return
 			}
 		}
@@ -350,7 +426,6 @@ func nsecCovers(owner, next, qname string) bool {
 // appendSigs adds the RRSIGs covering (name, covered) to the given section.
 // Zone.Sigs runs the key for a signature that was planned and not read yet,
 // so a response costs the signatures it carries and no others.
-func appendSigs(resp *dnswire.Message, z *zone.Zone, name string, covered dnswire.Type, section *[]*dnswire.RR) {
-	_ = resp
+func appendSigs(z *zone.Zone, name string, covered dnswire.Type, section *[]*dnswire.RR) {
 	*section = append(*section, z.Sigs(name, covered)...)
 }

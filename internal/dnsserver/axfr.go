@@ -87,36 +87,33 @@ func axfrMessages(q *dnswire.Message, z *zone.Zone) ([]*dnswire.Message, error) 
 }
 
 // serveAXFR handles an AXFR query on an established TCP connection,
-// returning true if it consumed the query.
-func (s *Server) serveAXFR(conn net.Conn, q *dnswire.Message) bool {
-	if len(q.Questions) != 1 || q.Questions[0].Type != TypeAXFR {
+// returning true if it consumed msg. It peeks at the question through the
+// lazy parser, so only a plain query (one INET question, at most an OPT
+// beside it) can ask for a transfer; anything else is answered as an
+// ordinary query of type 252.
+func (s *Server) serveAXFR(conn net.Conn, msg []byte) bool {
+	v, _, err := dnswire.ParseQueryView(msg, nil)
+	if err != nil || v.Type != TypeAXFR {
 		return false
 	}
-	auth, ok := s.Handler.(*Authoritative)
-	refuse := func() {
-		resp := q.Reply()
-		resp.RCode = dnswire.RCodeRefused
-		if out, err := resp.Pack(); err == nil {
-			writeTCPMessage(conn, out)
+	var q dnswire.Message
+	if err := q.Unpack(msg); err != nil {
+		return false
+	}
+	// REFUSED unless the handler hosts the zone and its policy allows.
+	refused := q.Reply()
+	refused.RCode = dnswire.RCodeRefused
+	msgs := []*dnswire.Message{refused}
+	if auth, ok := s.Handler.(*Authoritative); ok {
+		origin := string(v.Name)
+		auth.mu.RLock()
+		z, policy := auth.zones[origin], auth.axfr
+		auth.mu.RUnlock()
+		if z != nil && policy != nil && policy(origin) {
+			if transfer, err := axfrMessages(&q, z); err == nil {
+				msgs = transfer
+			}
 		}
-	}
-	if !ok {
-		refuse()
-		return true
-	}
-	origin := dnswire.CanonicalName(q.Questions[0].Name)
-	auth.mu.RLock()
-	z := auth.zones[origin]
-	policy := auth.axfr
-	auth.mu.RUnlock()
-	if z == nil || policy == nil || !policy(origin) {
-		refuse()
-		return true
-	}
-	msgs, err := axfrMessages(q, z)
-	if err != nil {
-		refuse()
-		return true
 	}
 	for _, m := range msgs {
 		out, err := m.Pack()

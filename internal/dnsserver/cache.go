@@ -22,7 +22,7 @@ import (
 // size with the tombstones shed) over the old one — so a fill costs
 // amortized O(1) whatever the bucket holds.
 //
-// Invalidation is driven by zone.Events (see Sharded.AddZone): a
+// Invalidation is driven by zone.Events (see Authoritative.setZone): a
 // name-scoped event flushes the enclosing delegation cut's subtree, an
 // apex-scoped event flushes only entries that embed apex-owned records,
 // and a zone-scoped event flushes everything rendered from that zone.
@@ -106,6 +106,16 @@ const (
 	ednsDO    = byte(2)
 )
 
+func ednsState(hasEDNS, dnssecOK bool) byte {
+	switch {
+	case !hasEDNS:
+		return ednsNone
+	case dnssecOK:
+		return ednsDO
+	}
+	return ednsPlain
+}
+
 // NewResponseCache creates a cache bounded to roughly maxEntries entries
 // (0 means the 256k default).
 func NewResponseCache(maxEntries int) *ResponseCache {
@@ -139,6 +149,15 @@ func hashKey(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
 		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}
+
+func hashString(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
 	return h

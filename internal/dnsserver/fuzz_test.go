@@ -11,8 +11,8 @@ import (
 	"securepki.org/registrarsec/internal/dnswire"
 )
 
-// fuzzHandler builds one Sharded handler per process for the fuzz target.
-var fuzzHandler = sync.OnceValue(func() *dnsserver.Sharded {
+// fuzzHandler builds one cache-carrying host per process for the fuzz target.
+var fuzzHandler = sync.OnceValue(func() *dnsserver.Authoritative {
 	h, err := dnstest.NewHierarchy(time.Date(2016, 7, 1, 0, 0, 0, 0, time.UTC), "com")
 	if err != nil {
 		panic(err)
@@ -25,12 +25,10 @@ var fuzzHandler = sync.OnceValue(func() *dnsserver.Sharded {
 	return s
 })
 
-// FuzzServeDNS feeds raw packets through both wire entry points and pins
-// three properties: nothing panics; a lazy-parse success implies a full
-// Unpack success with the identical (qname, qtype, class, DO) view (the
-// cache-key soundness contract); and when the fast path answers from cache
-// it returns exactly the bytes the full path renders.
-func FuzzServeDNS(f *testing.F) {
+// fuzzSeeds is FuzzServeDNS's seed corpus, which TestTransportIndependence
+// replays over the real transports too.
+func fuzzSeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
 	seed := func(name string, t dnswire.Type, edns int, rd bool) {
 		q := dnswire.NewQuery(0x7e57, name, t)
 		q.RecursionDesired = rd
@@ -40,9 +38,11 @@ func FuzzServeDNS(f *testing.F) {
 		case 2:
 			q.SetEDNS(512, true)
 		}
-		if wire, err := q.Pack(); err == nil {
-			f.Add(wire)
+		wire, err := q.Pack()
+		if err != nil {
+			tb.Fatal(err)
 		}
+		seeds = append(seeds, wire)
 	}
 	seed("example.com", dnswire.TypeNS, 0, false)
 	seed("example.com", dnswire.TypeDS, 2, true)
@@ -51,9 +51,23 @@ func FuzzServeDNS(f *testing.F) {
 	seed("com", dnswire.TypeANY, 2, true)
 	seed("com", dnswire.TypeSOA, 0, true)
 	seed("", dnswire.TypeNS, 0, false)
-	f.Add([]byte{})
-	f.Add([]byte{0, 9, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xc0, 12, 0, 1, 0, 1})
-	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	return append(seeds,
+		[]byte{},
+		[]byte{0, 9, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xc0, 12, 0, 1, 0, 1},
+		bytes.Repeat([]byte{0xff}, 64))
+}
+
+// FuzzServeDNS feeds raw packets through both wire entry points and pins
+// four properties: nothing panics; a lazy-parse success implies a full
+// Unpack success with the identical (qname, qtype, class, DO) view (the
+// cache-key soundness contract); when the fast path answers from cache it
+// returns exactly the bytes the full path renders; and the UDP rendering is
+// the unlimited (TCP) one wherever that fits the client's payload limit,
+// and a TC reply no larger than the limit wherever it does not.
+func FuzzServeDNS(f *testing.F) {
+	for _, pkt := range fuzzSeeds(f) {
+		f.Add(pkt)
+	}
 
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		v, _, lazyErr := dnswire.ParseQueryView(pkt, nil)
@@ -88,6 +102,19 @@ func FuzzServeDNS(f *testing.F) {
 			var resp dnswire.Message
 			if err := resp.Unpack(full); err != nil {
 				t.Fatalf("emitted unparseable response: %v", err)
+			}
+		}
+		whole := s.ServeWireFull(nil, pkt, dnsserver.NewWireScratch(), false)
+		if (whole == nil) != (full == nil) {
+			t.Fatalf("udp answers %v, tcp answers %v", full != nil, whole != nil)
+		}
+		if full != nil {
+			if limit := m.MaxPayload(); len(whole) <= limit {
+				if !bytes.Equal(full, whole) {
+					t.Fatalf("udp and tcp renderings differ within the limit:\nudp: %x\ntcp: %x", full, whole)
+				}
+			} else if len(full) > limit || full[2]&0x02 == 0 {
+				t.Fatalf("%d-byte response under limit %d came back as %x", len(whole), limit, full)
 			}
 		}
 		fast, hit := s.ServeWireFast(nil, pkt, sc)

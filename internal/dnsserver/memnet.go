@@ -2,7 +2,6 @@ package dnsserver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -16,8 +15,9 @@ import (
 // tens of thousands of them — without consuming sockets, while exercising
 // the same Handler code the real transport runs.
 //
-// With Strict set, Exchange still round-trips messages through Pack/Unpack,
-// so wire-format bugs cannot hide behind the in-memory shortcut.
+// With Strict set, Exchange packs the query and answers it through
+// serveWire, as the TCP transport does, so wire-format bugs cannot hide
+// behind the in-memory shortcut.
 type MemNet struct {
 	// Strict forces a full wire-format round trip on every exchange.
 	Strict bool
@@ -75,15 +75,10 @@ func (m *MemNet) Exchange(ctx context.Context, server string, q *dnswire.Message
 	if err != nil {
 		return nil, err
 	}
-	var decoded dnswire.Message
-	if err := decoded.Unpack(wire); err != nil {
-		return nil, err
-	}
-	resp := h.ServeDNS(&decoded)
-	if resp == nil {
-		return nil, errors.New("dnsserver: handler returned nil")
-	}
-	respWire, err := resp.Pack()
+	sc := scratchPool.Get().(*WireScratch)
+	defer scratchPool.Put(sc)
+	// A nil dst: the decoded response must not alias the pooled scratch.
+	respWire, err := serveWire(h, nil, wire, sc, false)
 	if err != nil {
 		return nil, err
 	}

@@ -23,11 +23,11 @@ import (
 // (RFC 1035 section 4.2).
 //
 // The UDP request path runs a fixed pool of reader/worker loops (one per
-// CPU by default). When the Handler is a *Sharded, each worker first tries
-// the zero-alloc wire fast path (lazy parse + response cache) inline;
-// misses and off-fast-path packets — and every packet of a Handler without
-// a wire path, such as *Authoritative, which takes the full Message round
-// trip — are dispatched to goroutines bounded by a MaxInFlight semaphore.
+// CPU by default). When the Handler is an *Authoritative with a response
+// cache, each worker first tries the zero-alloc hit side (lazy parse +
+// cache) inline; misses and off-fast-path packets — and every packet of
+// any other Handler — take serveWire on goroutines bounded by a
+// MaxInFlight semaphore.
 // When the semaphore is exhausted the packet is dropped and counted,
 // mirroring the apiserv admission gate, so a query flood degrades to shed
 // load instead of unbounded goroutines.
@@ -100,13 +100,6 @@ func (s *Server) Stats() ServerStats {
 		Malformed: s.stats.malformed.Load(),
 		TCPShed:   s.stats.tcpShed.Load(),
 	}
-}
-
-// wireServer is the raw-packet interface the worker loops prefer; *Sharded
-// implements it.
-type wireServer interface {
-	ServeWireFast(dst, pkt []byte, sc *WireScratch) ([]byte, bool)
-	ServeWireFull(dst, pkt []byte, sc *WireScratch, udp bool) []byte
 }
 
 // pktPool recycles slow-path packet copies; scratchPool recycles the
@@ -305,7 +298,7 @@ func (s *Server) logger() *slog.Logger {
 // goroutines.
 func (s *Server) udpWorker(c *net.UDPConn) {
 	defer s.wg.Done()
-	ws, _ := s.Handler.(wireServer)
+	auth, _ := s.Handler.(*Authoritative)
 	sc := NewWireScratch()
 	in := make([]byte, 65535)
 	out := make([]byte, 0, 4096)
@@ -315,9 +308,9 @@ func (s *Server) udpWorker(c *net.UDPConn) {
 			return // closed or drain deadline
 		}
 		s.stats.queries.Add(1)
-		if ws != nil {
+		if auth != nil {
 			var hit bool
-			out, hit = ws.ServeWireFast(out[:0], in[:n], sc)
+			out, hit = auth.ServeWireFast(out[:0], in[:n], sc)
 			if hit {
 				s.stats.cacheHits.Add(1)
 				if _, err := c.WriteToUDPAddrPort(out, from); err != nil {
@@ -336,65 +329,27 @@ func (s *Server) udpWorker(c *net.UDPConn) {
 		pkt := pktPool.Get().(*[]byte)
 		copy(*pkt, in[:n])
 		s.wg.Add(1)
-		go s.serveSlowUDP(c, pkt, n, from, ws)
+		go s.serveSlowUDP(c, pkt, n, from)
 	}
 }
 
 // serveSlowUDP answers one query through the full parse path.
-func (s *Server) serveSlowUDP(c *net.UDPConn, pkt *[]byte, n int, from netip.AddrPort, ws wireServer) {
+func (s *Server) serveSlowUDP(c *net.UDPConn, pkt *[]byte, n int, from netip.AddrPort) {
 	defer s.wg.Done()
 	defer func() { <-s.sem }()
 	defer pktPool.Put(pkt)
 	sc := scratchPool.Get().(*WireScratch)
 	defer scratchPool.Put(sc)
-	var out []byte
-	if ws != nil {
-		out = ws.ServeWireFull(sc.out[:0], (*pkt)[:n], sc, true)
-		if out != nil {
-			sc.out = out[:0:cap(out)]
-		}
-	} else {
-		out = s.serveGeneric((*pkt)[:n], sc)
-	}
-	if out == nil {
+	out, err := serveWire(s.Handler, sc.out[:0], (*pkt)[:n], sc, true)
+	if err != nil {
 		s.stats.malformed.Add(1)
+		s.logger().Debug("dropping query", "err", err)
 		return
 	}
+	sc.out = out[:0]
 	if _, err := c.WriteToUDPAddrPort(out, from); err != nil {
 		s.logger().Debug("udp write", "err", err)
 	}
-}
-
-// serveGeneric is the full Message round trip for Handlers that do not
-// implement the wire interface.
-func (s *Server) serveGeneric(pkt []byte, sc *WireScratch) []byte {
-	q := &sc.q
-	if err := q.Unpack(pkt); err != nil {
-		s.logger().Debug("dropping malformed query", "err", err)
-		return nil
-	}
-	resp := s.Handler.ServeDNS(q)
-	if resp == nil {
-		return nil
-	}
-	out, err := resp.AppendPack(sc.out[:0])
-	if err != nil {
-		s.logger().Error("packing response", "err", err)
-		return nil
-	}
-	sc.out = out[:0:cap(out)]
-	if len(out) > q.MaxPayload() {
-		// Truncate: header, question and the responder OPT (when the query
-		// carried EDNS — Reply mirrors it), TC set.
-		tr := q.Reply()
-		tr.RCode = resp.RCode
-		tr.Truncated = true
-		tr.Authoritative = resp.Authoritative
-		if out, err = tr.Pack(); err != nil {
-			return nil
-		}
-	}
-	return out
 }
 
 func (s *Server) serveTCP(ln net.Listener) {
@@ -427,6 +382,9 @@ func (s *Server) serveTCP(ln net.Listener) {
 			if timeout == 0 {
 				timeout = 5 * time.Second
 			}
+			auth, _ := s.Handler.(*Authoritative)
+			sc := scratchPool.Get().(*WireScratch)
+			defer scratchPool.Put(sc)
 			for {
 				if s.isDraining() {
 					return
@@ -436,21 +394,21 @@ func (s *Server) serveTCP(ln net.Listener) {
 				if err != nil {
 					return
 				}
-				var q dnswire.Message
-				if err := q.Unpack(msg); err != nil {
-					return
-				}
-				if s.serveAXFR(conn, &q) {
+				if s.serveAXFR(conn, msg) {
 					continue
 				}
-				resp := s.Handler.ServeDNS(&q)
-				if resp == nil {
-					return
+				// The same two sides as UDP with no size limit, so a retry
+				// after TC is served from the entry the UDP miss filled.
+				out, hit := sc.out[:0], false
+				if auth != nil {
+					out, hit = auth.serveCached(out, msg, sc, false)
 				}
-				out, err := resp.Pack()
-				if err != nil {
-					return
+				if !hit {
+					if out, err = serveWire(s.Handler, out, msg, sc, false); err != nil {
+						return
+					}
 				}
+				sc.out = out[:0]
 				if err := writeTCPMessage(conn, out); err != nil {
 					return
 				}

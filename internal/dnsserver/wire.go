@@ -3,15 +3,17 @@ package dnsserver
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 
 	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/zone"
 )
 
-// Wire-level serving: the raw-packet entry points the UDP worker loops
-// drive. ServeWireFast is the zero-alloc cache-hit path (lazy parse → key
-// → lock-free lookup → copy + patch ID/RD); ServeWireFull is the miss
-// path (full parse → render → pack → guarded cache fill).
+// Wire-level serving: a packet is answered by two functions, whichever
+// transport carried it. serveCached is the zero-alloc hit side (lazy parse
+// → key → lock-free lookup → copy + patch ID/RD) and serveWire the slow
+// side (full parse → answer → pack → guarded cache fill → truncate), which
+// every Handler has; ServeWireFast and ServeWireFull export them.
 
 // WireScratch is per-worker reusable state for the wire paths. All slices
 // grow once and are recycled; Message q is reused across full parses.
@@ -42,13 +44,19 @@ const (
 	flagRDByte = 0x01
 )
 
-// ServeWireFast attempts to answer the raw query pkt from the response
+// ServeWireFast attempts to answer the raw UDP query pkt from the response
 // cache, appending the reply to dst. It reports false (dst unchanged in
 // content) when the packet is off the fast path or the cache misses, in
 // which case the caller must take ServeWireFull. Steady-state hits do not
 // allocate.
-func (s *Sharded) ServeWireFast(dst, pkt []byte, sc *WireScratch) ([]byte, bool) {
-	if s.cache == nil {
+func (a *Authoritative) ServeWireFast(dst, pkt []byte, sc *WireScratch) ([]byte, bool) {
+	return a.serveCached(dst, pkt, sc, true)
+}
+
+// serveCached is ServeWireFast for either transport: udp applies the
+// client's payload limit, TCP has none.
+func (a *Authoritative) serveCached(dst, pkt []byte, sc *WireScratch, udp bool) ([]byte, bool) {
+	if a.cache == nil {
 		return dst, false
 	}
 	v, nameBuf, err := dnswire.ParseQueryView(pkt, sc.name)
@@ -56,20 +64,12 @@ func (s *Sharded) ServeWireFast(dst, pkt []byte, sc *WireScratch) ([]byte, bool)
 	if err != nil {
 		return dst, false
 	}
-	edns := ednsNone
-	if v.HasEDNS {
-		if v.DNSSECOK {
-			edns = ednsDO
-		} else {
-			edns = ednsPlain
-		}
-	}
-	sc.key = respKey(sc.key, v.Name, v.Type, edns)
-	e := s.cache.lookup(sc.key)
+	sc.key = respKey(sc.key, v.Name, v.Type, ednsState(v.HasEDNS, v.DNSSECOK))
+	e := a.cache.lookup(sc.key)
 	if e == nil {
 		return dst, false
 	}
-	if len(e.wire) > v.MaxPayload() {
+	if udp && len(e.wire) > v.MaxPayload() {
 		return appendTruncated(dst, &v, e), true
 	}
 	n := len(dst)
@@ -134,67 +134,72 @@ func appendWireName(dst []byte, name []byte) []byte {
 // message offset 0) and filling the cache when the response is cacheable.
 // It returns nil for packets that must be dropped (malformed, unpackable
 // response). udp enables payload-size truncation.
-func (s *Sharded) ServeWireFull(dst, pkt []byte, sc *WireScratch, udp bool) []byte {
+func (a *Authoritative) ServeWireFull(dst, pkt []byte, sc *WireScratch, udp bool) []byte {
+	out, _ := serveWire(a, dst, pkt, sc, udp)
+	return out
+}
+
+// serveWire is the slow side every transport shares: it parses pkt in full,
+// has h answer it, packs the response into dst (which must be empty) and,
+// over UDP, replaces a response larger than the client's payload limit by
+// its TC form. An Authoritative with a cache also fills it here. An error
+// means the packet gets no reply.
+func serveWire(h Handler, dst, pkt []byte, sc *WireScratch, udp bool) ([]byte, error) {
 	q := &sc.q
 	if err := q.Unpack(pkt); err != nil {
-		return nil
+		return nil, err
 	}
-	// Pin the publish generation before consulting the zone set, and the
-	// zone generation before rendering: the cache fill below is discarded
-	// unless both are even and unmoved at insert time, which makes a
-	// response rendered from mid-mutation or superseded state uncacheable.
-	pg := s.pubGen.Load()
-	resp := q.Reply()
-	var z *zone.Zone
-	var zg uint64
-	if len(q.Questions) != 1 || q.OpCode != dnswire.OpCodeQuery {
-		resp.RCode = dnswire.RCodeNotImplemented
-	} else {
-		qname := dnswire.CanonicalName(q.Questions[0].Name)
-		if z = s.findZone(qname); z == nil {
-			resp.RCode = dnswire.RCodeRefused
-		} else {
-			zg = z.Generation()
-			answerInZone(resp, q, qname, z)
-		}
+	var (
+		resp   *dnswire.Message
+		z      *zone.Zone
+		pg, zg uint64
+	)
+	a, _ := h.(*Authoritative)
+	if a != nil {
+		// Pin the publish generation before consulting the zone set, and
+		// (in answer) the zone generation before rendering: the cache fill
+		// below is discarded unless both are even and unmoved at insert
+		// time, which makes a response rendered from mid-mutation or
+		// superseded state uncacheable.
+		pg = a.pubGen.Load()
+		resp, z, zg = a.answer(q)
+	} else if resp = h.ServeDNS(q); resp == nil {
+		return nil, errors.New("dnsserver: handler returned nil")
 	}
 	wire, err := resp.AppendPack(sc.pack[:0])
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	sc.pack = wire
-	// The query's OPT decides both the cache key and the size limit.
-	edns, maxPayload := ednsNone, dnswire.MaxUDPPayload
-	if e := q.EDNS(); e != nil {
-		edns, maxPayload = ednsPlain, int(e.UDPSize)
-		if e.DNSSECOK {
-			edns = ednsDO
-		}
+	if z != nil && a.cache != nil {
+		a.fill(sc, q, resp, wire, z, pg, zg)
 	}
-	// Fill the cache. Only zone-derived INET responses are cacheable:
-	// REFUSED/NOTIMP have no invalidation source, and non-INET classes
-	// would collide with the INET key space.
-	if s.cache != nil && z != nil && q.Questions[0].Class == dnswire.ClassINET {
-		sc.name = append(sc.name[:0], q.Questions[0].Name...)
-		sc.key = respKey(sc.key, sc.name, q.Questions[0].Type, edns)
-		zz, zgPin, pgPin := z, zg, pg
-		s.cache.insert(sc.key, wire, z.Origin, respDependsOnApex(resp, z.Origin), func() bool {
-			return pgPin&1 == 0 && zgPin&1 == 0 &&
-				s.pubGen.Load() == pgPin && zz.Generation() == zgPin
-		})
-	}
-	if udp && len(wire) > maxPayload {
+	if udp && len(wire) > q.MaxPayload() {
+		// Header, question and the responder OPT (when the query carried
+		// EDNS — Reply mirrors it), TC set.
 		tr := q.Reply()
 		tr.RCode = resp.RCode
 		tr.Truncated = true
 		tr.Authoritative = resp.Authoritative
-		out, err := tr.AppendPack(dst)
-		if err != nil {
-			return nil
-		}
-		return out
+		return tr.AppendPack(dst)
 	}
-	return append(dst, wire...)
+	return append(dst, wire...), nil
+}
+
+// fill offers the packed response to q, rendered from z, to the cache
+// under the pins taken before it was rendered. Only INET responses are
+// cacheable: other classes would collide with the INET key space.
+func (a *Authoritative) fill(sc *WireScratch, q, resp *dnswire.Message, wire []byte, z *zone.Zone, pg, zg uint64) {
+	if q.Questions[0].Class != dnswire.ClassINET {
+		return
+	}
+	e := q.EDNS()
+	sc.name = append(sc.name[:0], q.Questions[0].Name...)
+	sc.key = respKey(sc.key, sc.name, q.Questions[0].Type, ednsState(e != nil, e != nil && e.DNSSECOK))
+	a.cache.insert(sc.key, wire, z.Origin, respDependsOnApex(resp, z.Origin), func() bool {
+		return pg&1 == 0 && zg&1 == 0 &&
+			a.pubGen.Load() == pg && z.Generation() == zg
+	})
 }
 
 // respDependsOnApex reports whether the response embeds records owned by

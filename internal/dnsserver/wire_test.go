@@ -3,10 +3,8 @@ package dnsserver_test
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnstest"
@@ -55,9 +53,9 @@ func sweepNames(tld string, domains []string) []string {
 	return names
 }
 
-// newCachedUncachedPair installs the same zone into a caching Sharded and a
-// cache-disabled baseline.
-func newCachedUncachedPair(z *zone.Zone) (cached, uncached *dnsserver.Sharded) {
+// newCachedUncachedPair installs the same zone into a cache-carrying host
+// and a cache-disabled baseline.
+func newCachedUncachedPair(z *zone.Zone) (cached, uncached *dnsserver.Authoritative) {
 	cached = dnsserver.NewSharded(dnsserver.ShardedConfig{})
 	cached.AddZone(z)
 	uncached = dnsserver.NewSharded(dnsserver.ShardedConfig{CacheEntries: -1})
@@ -68,7 +66,7 @@ func newCachedUncachedPair(z *zone.Zone) (cached, uncached *dnsserver.Sharded) {
 // assertSweepEquivalence replays every query against the cached handler
 // (twice: fill, then the fast path must hit) and the uncached baseline, and
 // requires byte-identical responses. ctxLabel names the assertion site.
-func assertSweepEquivalence(t *testing.T, cached, uncached *dnsserver.Sharded, queries [][]byte, ctxLabel string) {
+func assertSweepEquivalence(t *testing.T, cached, uncached *dnsserver.Authoritative, queries [][]byte, ctxLabel string) {
 	t.Helper()
 	scC := dnsserver.NewWireScratch()
 	scU := dnsserver.NewWireScratch()
@@ -316,51 +314,18 @@ func TestRejectedFillAllocs(t *testing.T) {
 	}
 }
 
-// TestTruncatedReplyEchoesEDNS covers every truncation path: the Sharded
-// wire path slow and fast, and a real Server carrying a plain Handler
-// (Authoritative) over loopback UDP, which truncates in serveGeneric. A
-// response exceeding the client's advertised payload must come back TC with
-// the responder's OPT when (and only when) the query carried EDNS, and all
-// three must agree byte for byte.
+// TestTruncatedReplyEchoesEDNS covers both functions that render a TC
+// response — serveWire on the slow side, appendTruncated on the hit side —
+// and a real Server's UDP slow path over loopback. A response exceeding the
+// client's advertised payload must come back TC with the responder's OPT
+// when (and only when) the query carried EDNS, and all three must agree
+// byte for byte.
 func TestTruncatedReplyEchoesEDNS(t *testing.T) {
-	h := newHierarchy(t)
-	if _, _, err := h.AddDomain("example.com", "ns1.operator.net", dnstest.Full); err != nil {
-		t.Fatal(err)
-	}
-	z := h.TLDZone("com")
-	// Fatten the apex so ANY answers cannot fit in 512 bytes.
-	for i := 0; i < 8; i++ {
-		z.MustAdd(dnswire.NewRR("com", 300, &dnswire.TXT{
-			Strings: []string{fmt.Sprintf("padding-%d-%s", i, string(bytes.Repeat([]byte{'x'}, 60)))},
-		}))
-	}
+	z := fatApexHierarchy(t).TLDZone("com")
 	cached, uncached := newCachedUncachedPair(z)
-
 	auth := dnsserver.NewAuthoritative()
 	auth.AddZone(z)
-	srv := &dnsserver.Server{Handler: auth}
-	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	overUDP := func(t *testing.T, pkt []byte) []byte {
-		t.Helper()
-		conn, err := net.Dial("udp", srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		if _, err := conn.Write(pkt); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 65535)
-		n, err := conn.Read(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return buf[:n]
-	}
+	srv := listen(t, auth)
 
 	check := func(t *testing.T, pkt []byte, wantOPT bool) {
 		scC := dnsserver.NewWireScratch()
@@ -383,7 +348,7 @@ func TestTruncatedReplyEchoesEDNS(t *testing.T) {
 		if !bytes.Equal(slowTC, fastTC) {
 			t.Fatalf("slow and fast truncations differ:\nslow: %x\nfast: %x", slowTC, fastTC)
 		}
-		if serverTC := overUDP(t, pkt); !bytes.Equal(serverTC, fastTC) {
+		if serverTC := overUDP(t, srv.Addr(), pkt); !bytes.Equal(serverTC, fastTC) {
 			t.Fatalf("Server{Handler: Authoritative} truncation differs from the wire path:\nserver: %x\nwire:   %x", serverTC, fastTC)
 		}
 		var m dnswire.Message
@@ -425,40 +390,6 @@ func TestTruncatedReplyEchoesEDNS(t *testing.T) {
 		}
 		check(t, pkt, false)
 	})
-}
-
-// TestShardedMatchesAuthoritative is a differential check of the two
-// Message-level handlers over the sweep.
-func TestShardedMatchesAuthoritative(t *testing.T) {
-	h := newHierarchy(t)
-	if _, _, err := h.AddDomain("example.com", "ns1.operator.net", dnstest.Full); err != nil {
-		t.Fatal(err)
-	}
-	z := h.TLDZone("com")
-	auth := dnsserver.NewAuthoritative()
-	auth.AddZone(z)
-	sh := dnsserver.NewSharded(dnsserver.ShardedConfig{})
-	sh.AddZone(z)
-	for _, pkt := range sweepQueries(t, sweepNames("com", []string{"example.com"})) {
-		var q1, q2 dnswire.Message
-		if err := q1.Unpack(pkt); err != nil {
-			t.Fatal(err)
-		}
-		if err := q2.Unpack(pkt); err != nil {
-			t.Fatal(err)
-		}
-		r1, err := auth.ServeDNS(&q1).Pack()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := sh.ServeDNS(&q2).Pack()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(r1, r2) {
-			t.Fatalf("handlers diverge for %x", pkt)
-		}
-	}
 }
 
 // TestConcurrentMutationEquivalence hammers the cached wire paths from

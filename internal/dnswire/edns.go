@@ -74,17 +74,24 @@ func AppendEDNSQuery(buf []byte, id uint16, name string, t Type, udpSize uint16,
 }
 
 // EDNS returns the decoded OPT record if the message carries one, else nil.
+// The result is built after the loop, not in it, so that an inlined call
+// whose result does not escape allocates nothing.
 func (m *Message) EDNS() *EDNS {
+	var opt *RR
 	for _, rr := range m.Additional {
 		if rr.Type == TypeOPT {
-			return &EDNS{
-				UDPSize:  uint16(rr.Class),
-				DNSSECOK: rr.TTL&doBit != 0,
-				Version:  uint8(rr.TTL >> 16),
-			}
+			opt = rr
+			break
 		}
 	}
-	return nil
+	if opt == nil {
+		return nil
+	}
+	return &EDNS{
+		UDPSize:  uint16(opt.Class),
+		DNSSECOK: opt.TTL&doBit != 0,
+		Version:  uint8(opt.TTL >> 16),
+	}
 }
 
 // DNSSECOK reports whether the message requests DNSSEC records (DO bit set).
@@ -93,11 +100,16 @@ func (m *Message) DNSSECOK() bool {
 	return e != nil && e.DNSSECOK
 }
 
-// MaxPayload returns the response size the sender can accept: the EDNS0
-// advertised size, or the classic 512-octet limit without EDNS0.
+// MaxPayload returns the UDP response size the sender can accept: what its
+// OPT advertises, or the classic 512-octet limit without EDNS0.
 func (m *Message) MaxPayload() int {
 	if e := m.EDNS(); e != nil {
-		return int(e.UDPSize)
+		return udpLimit(e.UDPSize)
 	}
 	return MaxUDPPayload
 }
+
+// udpLimit is the limit an OPT advertising udpSize sets, for the full and
+// the lazy parse alike: RFC 6891 section 6.2.3 requires a value below 512
+// to be treated as 512.
+func udpLimit(udpSize uint16) int { return max(int(udpSize), MaxUDPPayload) }

@@ -43,7 +43,7 @@ type QueryView struct {
 // MaxPayload mirrors Message.MaxPayload for the lazy view.
 func (v *QueryView) MaxPayload() int {
 	if v.HasEDNS {
-		return int(v.UDPSize)
+		return udpLimit(v.UDPSize)
 	}
 	return MaxUDPPayload
 }

@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -88,6 +89,27 @@ func TestParseQueryViewEDNS(t *testing.T) {
 		}
 		if v.MaxPayload() != 1232 {
 			t.Errorf("MaxPayload %d", v.MaxPayload())
+		}
+	}
+}
+
+// TestPayloadBelow512IsFloored: an OPT advertising less than 512 octets
+// means 512 (RFC 6891 section 6.2.3), to the lazy and the full parse alike.
+func TestPayloadBelow512IsFloored(t *testing.T) {
+	for _, size := range []uint16{0, 100, 511, 512, 513} {
+		q := NewQuery(9, "example.org", TypeA)
+		q.SetEDNS(512, false)
+		pkt := packQuery(t, q)
+		binary.BigEndian.PutUint16(pkt[len(pkt)-8:], size) // the OPT's class: SetEDNS will not write one this small
+		v, ok := parseBoth(t, pkt)
+		if !ok {
+			t.Fatalf("size %d: rejected by lazy parse", size)
+		}
+		if v.UDPSize != size {
+			t.Fatalf("size %d: the patch missed the OPT class (view says %d)", size, v.UDPSize)
+		}
+		if want := max(int(size), 512); v.MaxPayload() != want {
+			t.Errorf("size %d: MaxPayload %d, want %d", size, v.MaxPayload(), want)
 		}
 	}
 }

@@ -2,17 +2,20 @@ package dsweep
 
 // The chaos harness: a real coordinator + in-process workers sweeping a
 // real in-memory signed-DNS world, with scripted kills, stalls, and slow
-// disks. Every test's acceptance bar is the same: whatever chaos is
-// injected, the merged archive must be byte-identical to an uninterrupted
-// single-process ResumableSweep of the same plan — and a worker killed
-// between chunks must resume its shard from the durable chunk files
-// instead of from scratch.
+// disks. The worker knows nothing of it: every injection goes through the
+// two things a worker is given anyway, its Coordination and its
+// StreamDaySetup, each wrapped by the script. Every test's acceptance bar
+// is the same: whatever chaos is injected, the merged archive must be
+// byte-identical to an uninterrupted single-process ResumableSweep of the
+// same plan — and a worker killed between chunks must resume its shard
+// from the durable chunk files instead of from scratch.
 
 import (
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +29,150 @@ import (
 	"securepki.org/registrarsec/internal/scan"
 	"securepki.org/registrarsec/internal/simtime"
 )
+
+// errChaosKilled is what a scripted kill makes Worker.Run return — the
+// in-process equivalent of SIGKILL: the worker goroutine exits on the spot,
+// with no completion report, no further heartbeat and no cleanup, and
+// recovery is entirely the coordinator's lease-expiry path, exactly as with
+// a real killed process.
+var errChaosKilled = errors.New("dsweep: worker killed by chaos script")
+
+// action is one chaos injection kind.
+type action int
+
+const (
+	// actKillBeforeReport kills the worker after the scan, in place of the
+	// completion report: every chunk of the unit is durable but the
+	// coordinator never hears of them, so the unit is re-leased and the
+	// orphan chunk files are never referenced by a manifest, hence never
+	// merged.
+	actKillBeforeReport action = iota + 1
+	// actStall swallows the unit's heartbeats and holds the report back by
+	// delay, making the worker a straggler: its lease expires, the unit is
+	// re-leased, and its late completion arrives as a duplicate.
+	actStall
+	// actSlowDisk makes the unit's first chunk take delay to prepare while
+	// heartbeats continue — a slow disk that should NOT lose the lease.
+	actSlowDisk
+	// actKillBetweenChunks kills the worker once afterChunks chunks of the
+	// unit have been durably flushed, as it prepares the next — the
+	// mid-shard SIGKILL the chunk files exist to survive: the same worker,
+	// restarted, recovers every flushed chunk from its own files and scans
+	// only the rest.
+	actKillBetweenChunks
+)
+
+// chaos scripts one injection against one worker. A nil *chaos injects
+// nothing.
+type chaos struct {
+	// claim is the 1-based ordinal of the worker's lease claim the
+	// injection fires on (the Nth unit this worker starts, whatever unit
+	// that is — scripts are written against worker behaviour, not plan
+	// layout).
+	claim       int
+	act         action
+	delay       time.Duration
+	afterChunks int
+
+	mu       sync.Mutex
+	claims   int    // leases granted so far
+	lease    string // the scripted claim's lease, once granted
+	prepares int    // chunks prepared under it
+}
+
+// firesOn reports whether leaseID is the scripted claim's lease.
+func (c *chaos) firesOn(leaseID string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lease == leaseID
+}
+
+// chaosCoord is a worker's control plane as its script distorts it.
+type chaosCoord struct {
+	Coordination
+	c    *chaos
+	logf func(string, ...any)
+}
+
+func (cc *chaosCoord) Lease(ctx context.Context, worker string) (*Grant, error) {
+	g, err := cc.Coordination.Lease(ctx, worker)
+	if err == nil && g.Status == GrantRun {
+		cc.c.mu.Lock()
+		cc.c.lease = ""
+		if cc.c.claims++; cc.c.claims == cc.c.claim {
+			cc.c.lease = g.LeaseID
+		}
+		cc.c.mu.Unlock()
+	}
+	return g, err
+}
+
+func (cc *chaosCoord) Heartbeat(ctx context.Context, leaseID string) error {
+	if cc.c.act == actStall && cc.c.firesOn(leaseID) {
+		return nil // lost on the way: the coordinator hears nothing
+	}
+	return cc.Coordination.Heartbeat(ctx, leaseID)
+}
+
+func (cc *chaosCoord) Complete(ctx context.Context, req *CompleteRequest) (*CompleteReply, error) {
+	if cc.c.firesOn(req.LeaseID) {
+		switch cc.c.act {
+		case actKillBeforeReport:
+			cc.logf("worker %s: chaos kill before report on %s", req.Worker, req.Unit)
+			return nil, errChaosKilled
+		case actStall:
+			cc.logf("worker %s: chaos stall %s on %s", req.Worker, cc.c.delay, req.Unit)
+			if err := sleepCtx(ctx, cc.c.delay); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return cc.Coordination.Complete(ctx, req)
+}
+
+// worker builds the named worker of a fleet around coord, its control
+// plane and day setup wrapped by the script c (nil: neither).
+func (c *chaos) worker(name string, coord Coordination, store *checkpoint.Store, setup scan.StreamDaySetup, logf func(string, ...any)) (*Worker, error) {
+	if c != nil {
+		coord = &chaosCoord{Coordination: coord, c: c, logf: logf}
+		inner := setup
+		setup = func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
+			s, src, prepare, err := inner(ctx, day)
+			return s, src, func(ctx context.Context, lo, hi int) error {
+				if err := c.prepare(ctx, name, logf); err != nil {
+					return err
+				}
+				if prepare == nil {
+					return nil
+				}
+				return prepare(ctx, lo, hi)
+			}, err
+		}
+	}
+	return NewWorker(WorkerConfig{Name: name, Coord: coord, Store: store, StreamSetup: setup, OnEvent: logf})
+}
+
+// prepare is the script's part in readying one chunk: the slow disk and
+// the kill between chunks.
+func (c *chaos) prepare(ctx context.Context, name string, logf func(string, ...any)) error {
+	c.mu.Lock()
+	scripted := c.lease != ""
+	if scripted {
+		c.prepares++
+	}
+	prepares := c.prepares
+	c.mu.Unlock()
+	switch {
+	case !scripted:
+	case c.act == actSlowDisk && prepares == 1:
+		logf("worker %s: chaos slow disk %s", name, c.delay)
+		return sleepCtx(ctx, c.delay)
+	case c.act == actKillBetweenChunks && prepares > c.afterChunks:
+		logf("worker %s: chaos kill after %d flushed chunks", name, c.afterChunks)
+		return errChaosKilled
+	}
+	return nil
+}
 
 // buildTestWorld wires an ecosystem with registrars producing every
 // deployment class (mirrors the scan package's test world).
@@ -193,23 +340,37 @@ func sectionsTo(buf *bytes.Buffer) scan.DaySink {
 	return func(_ simtime.Day, sw *dataset.SpillWriter) error { return sw.WriteSectionTo(buf) }
 }
 
-// run executes RunLocal with the given worker scripts and asserts the
-// merged archive is byte-identical to the oracle.
-func (env *chaosEnv) run(t *testing.T, ttl time.Duration, scripts map[string]*Script, logf func(string, ...any)) *Result {
+// fleet runs a coordinator over the scenario's plan and store with one
+// worker per script (nil: a worker nothing happens to), as RunLocal does.
+func (env *chaosEnv) fleet(t *testing.T, ttl time.Duration, scripts map[string]*chaos, logf func(string, ...any), sink scan.DaySink) (*Result, error) {
 	t.Helper()
-	var workers []WorkerSpec
-	for _, name := range sortedKeys(scripts) {
-		workers = append(workers, WorkerSpec{
-			Name:        name,
-			StreamSetup: testStreamSetup(t, env.eco, env.targets),
-			Chaos:       scripts[name],
-		})
+	coord, err := NewCoordinator(CoordinatorConfig{Plan: env.plan, Store: env.store, LeaseTTL: ttl, OnEvent: logf})
+	if err != nil {
+		return nil, err
 	}
+	defer coord.Close()
+	names := make([]string, 0, len(scripts))
+	for name := range scripts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var workers []*Worker
+	for _, name := range names {
+		w, err := scripts[name].worker(name, coord, env.store, testStreamSetup(t, env.eco, env.targets), logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers = append(workers, w)
+	}
+	return runFleet(context.Background(), coord, workers, sink)
+}
+
+// run executes a fleet with the given worker scripts and asserts the
+// merged archive is byte-identical to the oracle.
+func (env *chaosEnv) run(t *testing.T, ttl time.Duration, scripts map[string]*chaos, logf func(string, ...any)) *Result {
+	t.Helper()
 	var got bytes.Buffer
-	res, err := RunLocal(context.Background(), LocalConfig{
-		Plan: env.plan, Store: env.store, LeaseTTL: ttl, Workers: workers,
-		OnEvent: logf,
-	}, sectionsTo(&got))
+	res, err := env.fleet(t, ttl, scripts, logf, sectionsTo(&got))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,25 +381,9 @@ func (env *chaosEnv) run(t *testing.T, ttl time.Duration, scripts map[string]*Sc
 	return res
 }
 
-// sortedKeys returns map keys in deterministic order.
-func sortedKeys(m map[string]*Script) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := range keys {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j] < keys[i] {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
-	return keys
-}
-
 func TestRunLocalCleanByteIdentical(t *testing.T) {
 	env := newChaosEnv(t, 3)
-	res := env.run(t, 10*time.Second, map[string]*Script{"w1": nil, "w2": nil}, t.Logf)
+	res := env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil}, t.Logf)
 	if len(res.WorkerErrs) != 0 {
 		t.Fatalf("worker errors in clean run: %v", res.WorkerErrs)
 	}
@@ -261,11 +406,11 @@ func TestRunLocalWorkerKilledMidShard(t *testing.T) {
 	// w1 is SIGKILLed on its first claim after the scan, before it reports:
 	// only its owner-tagged chunk file exists, which w2 must not trust and
 	// no manifest names. Recovery is pure lease expiry.
-	res := env.run(t, 300*time.Millisecond, map[string]*Script{
-		"w1": NewScript(Event{Claim: 1, Act: ActKillBeforeReport}),
+	res := env.run(t, 300*time.Millisecond, map[string]*chaos{
+		"w1": {claim: 1, act: actKillBeforeReport},
 		"w2": nil,
 	}, t.Logf)
-	if !errors.Is(res.WorkerErrs["w1"], ErrChaosKilled) {
+	if !errors.Is(res.WorkerErrs["w1"], errChaosKilled) {
 		t.Fatalf("w1 error: %v", res.WorkerErrs["w1"])
 	}
 	if res.Stats.Releases == 0 {
@@ -278,8 +423,8 @@ func TestRunLocalStragglerDuplicate(t *testing.T) {
 	// w1 stalls (no heartbeats) for far longer than the TTL on its first
 	// claim, loses the unit to w2, then finishes anyway: a duplicate
 	// completion the coordinator must settle by checksum, idempotently.
-	res := env.run(t, 200*time.Millisecond, map[string]*Script{
-		"w1": NewScript(Event{Claim: 1, Act: ActStall, Delay: 800 * time.Millisecond}),
+	res := env.run(t, 200*time.Millisecond, map[string]*chaos{
+		"w1": {claim: 1, act: actStall, delay: 800 * time.Millisecond},
 		"w2": nil,
 	}, t.Logf)
 	if len(res.WorkerErrs) != 0 {
@@ -297,8 +442,8 @@ func TestRunLocalSlowDiskKeepsLease(t *testing.T) {
 	env := newChaosEnv(t, 3)
 	// w1's disk is slow — well past the TTL — but its heartbeats keep
 	// arriving, so the lease must never be stolen.
-	res := env.run(t, 200*time.Millisecond, map[string]*Script{
-		"w1": NewScript(Event{Claim: 1, Act: ActSlowDisk, Delay: 700 * time.Millisecond}),
+	res := env.run(t, 200*time.Millisecond, map[string]*chaos{
+		"w1": {claim: 1, act: actSlowDisk, delay: 700 * time.Millisecond},
 		"w2": nil,
 	}, t.Logf)
 	if len(res.WorkerErrs) != 0 {
@@ -315,14 +460,10 @@ func TestRunLocalCoordinatorRestartResumes(t *testing.T) {
 	// before its report, so the sweep halts partway with durable but
 	// unreported chunks and an unfinished plan. RunLocal must fail, leaving
 	// recoverable state.
-	res, err := RunLocal(context.Background(), LocalConfig{
-		Plan: env.plan, Store: env.store, LeaseTTL: 200 * time.Millisecond,
-		Workers: []WorkerSpec{
-			{Name: "w1", StreamSetup: testStreamSetup(t, env.eco, env.targets), Chaos: NewScript(Event{Claim: 2, Act: ActKillBeforeReport})},
-			{Name: "w2", StreamSetup: testStreamSetup(t, env.eco, env.targets), Chaos: NewScript(Event{Claim: 2, Act: ActKillBeforeReport})},
-		},
-		OnEvent: t.Logf,
-	}, nil)
+	res, err := env.fleet(t, 200*time.Millisecond, map[string]*chaos{
+		"w1": {claim: 2, act: actKillBeforeReport},
+		"w2": {claim: 2, act: actKillBeforeReport},
+	}, t.Logf, nil)
 	if err == nil {
 		t.Fatal("phase 1 succeeded despite every worker dying")
 	}
@@ -332,7 +473,7 @@ func TestRunLocalCoordinatorRestartResumes(t *testing.T) {
 
 	// Phase 2: a fresh coordinator process over the same directory adopts
 	// the completed units and finishes with fresh workers.
-	res2 := env.run(t, 200*time.Millisecond, map[string]*Script{"w3": nil}, t.Logf)
+	res2 := env.run(t, 200*time.Millisecond, map[string]*chaos{"w3": nil}, t.Logf)
 	if res2.Stats.Recovered == 0 {
 		t.Fatalf("restart adopted nothing: %+v", res2.Stats)
 	}
@@ -346,7 +487,7 @@ func TestRunLocalMoreShardsThanTargets(t *testing.T) {
 	// units are legitimately empty. They must round-trip as empty archives
 	// and contribute nothing to the merge.
 	env := newChaosEnv(t, 16)
-	res := env.run(t, 10*time.Second, map[string]*Script{"w1": nil, "w2": nil}, t.Logf)
+	res := env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil}, t.Logf)
 	if len(res.WorkerErrs) != 0 {
 		t.Fatalf("worker errors: %v", res.WorkerErrs)
 	}
@@ -358,7 +499,7 @@ func TestRunLocalMoreShardsThanTargets(t *testing.T) {
 func TestRunLocalChunkedCleanByteIdentical(t *testing.T) {
 	env := newChunkedEnv(t, 3, 2)
 	el := &eventLog{t: t}
-	res := env.run(t, 10*time.Second, map[string]*Script{"w1": nil, "w2": nil}, el.logf)
+	res := env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil}, el.logf)
 	if len(res.WorkerErrs) != 0 {
 		t.Fatalf("worker errors in clean run: %v", res.WorkerErrs)
 	}
@@ -381,19 +522,13 @@ func TestRunLocalChunkedKillBetweenChunksResumes(t *testing.T) {
 
 	// Phase 1: the only worker is SIGKILLed after durably flushing one
 	// chunk of its first unit. The sweep halts with a partial shard on disk.
-	res, err := RunLocal(context.Background(), LocalConfig{
-		Plan: env.plan, Store: env.store, LeaseTTL: 200 * time.Millisecond,
-		Workers: []WorkerSpec{{
-			Name:        "w1",
-			StreamSetup: testStreamSetup(t, env.eco, env.targets),
-			Chaos:       NewScript(Event{Claim: 1, Act: ActKillBetweenChunks, AfterChunks: 1}),
-		}},
-		OnEvent: el.logf,
-	}, nil)
+	res, err := env.fleet(t, 200*time.Millisecond, map[string]*chaos{
+		"w1": {claim: 1, act: actKillBetweenChunks, afterChunks: 1},
+	}, el.logf, nil)
 	if err == nil {
 		t.Fatal("phase 1 succeeded despite its only worker dying")
 	}
-	if !errors.Is(res.WorkerErrs["w1"], ErrChaosKilled) {
+	if !errors.Is(res.WorkerErrs["w1"], errChaosKilled) {
 		t.Fatalf("w1 error: %v", res.WorkerErrs["w1"])
 	}
 	if el.count("chaos kill after 1 flushed chunks") == 0 {
@@ -403,7 +538,7 @@ func TestRunLocalChunkedKillBetweenChunksResumes(t *testing.T) {
 	// Phase 2: the same worker restarts over the same directory. Its first
 	// re-claimed unit must reuse the flushed chunk by checksum instead of
 	// re-scanning it, and the finished archive must be byte-identical.
-	res2 := env.run(t, 200*time.Millisecond, map[string]*Script{"w1": nil}, el.logf)
+	res2 := env.run(t, 200*time.Millisecond, map[string]*chaos{"w1": nil}, el.logf)
 	if len(res2.WorkerErrs) != 0 {
 		t.Fatalf("phase 2 worker errors: %v", res2.WorkerErrs)
 	}
@@ -417,15 +552,9 @@ func TestRunLocalChunkedOwnerTagIsolation(t *testing.T) {
 	el := &eventLog{t: t}
 
 	// Phase 1: w1 dies after flushing one chunk.
-	_, err := RunLocal(context.Background(), LocalConfig{
-		Plan: env.plan, Store: env.store, LeaseTTL: 200 * time.Millisecond,
-		Workers: []WorkerSpec{{
-			Name:        "w1",
-			StreamSetup: testStreamSetup(t, env.eco, env.targets),
-			Chaos:       NewScript(Event{Claim: 1, Act: ActKillBetweenChunks, AfterChunks: 1}),
-		}},
-		OnEvent: el.logf,
-	}, nil)
+	_, err := env.fleet(t, 200*time.Millisecond, map[string]*chaos{
+		"w1": {claim: 1, act: actKillBetweenChunks, afterChunks: 1},
+	}, el.logf, nil)
 	if err == nil {
 		t.Fatal("phase 1 succeeded despite its only worker dying")
 	}
@@ -433,7 +562,7 @@ func TestRunLocalChunkedOwnerTagIsolation(t *testing.T) {
 	// Phase 2: a DIFFERENT worker takes over. w1's chunks are owner-tagged
 	// (another vantage point may legitimately measure differently), so w2
 	// must re-scan from scratch — and still merge byte-identical.
-	res := env.run(t, 200*time.Millisecond, map[string]*Script{"w2": nil}, el.logf)
+	res := env.run(t, 200*time.Millisecond, map[string]*chaos{"w2": nil}, el.logf)
 	if len(res.WorkerErrs) != 0 {
 		t.Fatalf("phase 2 worker errors: %v", res.WorkerErrs)
 	}

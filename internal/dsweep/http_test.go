@@ -28,21 +28,15 @@ func TestHTTPTopologyByteIdentical(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(coord))
 	defer srv.Close()
 
-	scripts := map[string]*Script{
-		"hw1": NewScript(Event{Claim: 1, Act: ActKillBeforeReport}),
+	scripts := map[string]*chaos{
+		"hw1": {claim: 1, act: actKillBeforeReport},
 		"hw2": nil,
 	}
 	var wg sync.WaitGroup
 	errs := make(map[string]error)
 	var mu sync.Mutex
-	for _, name := range sortedKeys(scripts) {
-		w, err := NewWorker(WorkerConfig{
-			Name:        name,
-			Coord:       &Client{Base: srv.URL},
-			Store:       env.store,
-			StreamSetup: testStreamSetup(t, env.eco, env.targets),
-			Chaos:       scripts[name],
-		})
+	for name, script := range scripts {
+		w, err := script.worker(name, &Client{Base: srv.URL}, env.store, testStreamSetup(t, env.eco, env.targets), t.Logf)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,8 +19,6 @@ type WorkerSpec struct {
 	Name string
 	// StreamSetup builds the worker's scanning environment per day.
 	StreamSetup scan.StreamDaySetup
-	// Chaos, when set, injects scripted faults into this worker.
-	Chaos *Script
 }
 
 // LocalConfig configures RunLocal.
@@ -43,7 +41,7 @@ type Result struct {
 	HealthByDay    map[simtime.Day]*scan.SweepHealth
 	HealthByWorker map[string]*scan.SweepHealth
 	// WorkerErrs maps worker name to its terminal error, for workers that
-	// died (chaos kills, context cancellation). A sweep can still succeed
+	// died (kills, context cancellation). A sweep can still succeed
 	// with dead workers as long as at least one survivor finished the plan.
 	WorkerErrs map[string]error
 }
@@ -70,32 +68,41 @@ func RunLocal(ctx context.Context, cfg LocalConfig, sink scan.DaySink) (*Result,
 	}
 	defer coord.Close()
 
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs = make(map[string]error)
-	)
+	workers := make([]*Worker, 0, len(cfg.Workers))
 	for _, ws := range cfg.Workers {
 		w, err := NewWorker(WorkerConfig{
 			Name:        ws.Name,
 			Coord:       coord,
 			Store:       cfg.Store,
 			StreamSetup: ws.StreamSetup,
-			Chaos:       ws.Chaos,
 			OnEvent:     cfg.OnEvent,
 		})
 		if err != nil {
 			return nil, err
 		}
+		workers = append(workers, w)
+	}
+	return runFleet(ctx, coord, workers, sink)
+}
+
+// runFleet runs the workers against coord until each has exited, then
+// merges what the coordinator holds into sink.
+func runFleet(ctx context.Context, coord *Coordinator, workers []*Worker, sink scan.DaySink) (*Result, error) {
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		errs = make(map[string]error)
+	)
+	for _, w := range workers {
 		wg.Add(1)
-		go func(w *Worker, name string) {
+		go func(w *Worker) {
 			defer wg.Done()
 			if err := w.Run(ctx); err != nil {
 				mu.Lock()
-				errs[name] = err
+				errs[w.cfg.Name] = err
 				mu.Unlock()
 			}
-		}(w, ws.Name)
+		}(w)
 	}
 	wg.Wait()
 
@@ -105,14 +112,14 @@ func RunLocal(ctx context.Context, cfg LocalConfig, sink scan.DaySink) (*Result,
 	select {
 	case <-coord.Done():
 	default:
-		// Every worker exited without finishing the plan — all killed by
-		// chaos, or the context was cancelled. The checkpoint and the
-		// coordinator state survive for a re-run.
+		// Every worker exited without finishing the plan — all killed, or
+		// the context was cancelled. The checkpoint and the coordinator
+		// state survive for a re-run.
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
 		return res, fmt.Errorf("dsweep: all %d workers died with %d/%d units done (errors: %v)",
-			len(cfg.Workers), res.Stats.Done, cfg.Plan.Units(), joinWorkerErrs(errs))
+			len(workers), res.Stats.Done, coord.cfg.Plan.Units(), joinWorkerErrs(errs))
 	}
 
 	return res, coord.Merge(dataset.SpillOptions{}, sink)

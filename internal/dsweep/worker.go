@@ -27,8 +27,6 @@ type WorkerConfig struct {
 	// exchange stack, so vantage-point fault profiles and transport state
 	// never leak between workers.
 	StreamSetup scan.StreamDaySetup
-	// Chaos, when set, injects scripted faults (tests only).
-	Chaos *Script
 	// OnEvent, when set, receives progress lines.
 	OnEvent func(format string, args ...any)
 }
@@ -41,8 +39,7 @@ type WorkerConfig struct {
 // in the shared checkpoint directory or re-derivable, which is what makes
 // killing it at any instant safe.
 type Worker struct {
-	cfg    WorkerConfig
-	claims int
+	cfg WorkerConfig
 
 	// The most recent day's scanning environment and shard spans, cached
 	// because the coordinator leases a day's shards consecutively.
@@ -74,7 +71,7 @@ func (w *Worker) event(format string, args ...any) {
 }
 
 // Run claims and completes units until the plan is done, the context is
-// cancelled, or a fault (real or chaos-injected) kills the worker.
+// cancelled, or a fault kills the worker.
 func (w *Worker) Run(ctx context.Context) error {
 	plan, err := w.cfg.Coord.FetchPlan(ctx)
 	if err != nil {
@@ -114,46 +111,19 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// runUnit scans one leased unit and reports its chunk manifest,
-// honouring any chaos event scripted for this claim ordinal. It reports
-// whether this completion finished the whole plan — in that case the
-// coordinator may stop serving immediately, so the worker must not come
-// back for another lease.
+// runUnit scans one leased unit under a heartbeat and reports its chunk
+// manifest. It reports whether this completion finished the whole plan — in
+// that case the coordinator may stop serving immediately, so the worker
+// must not come back for another lease.
 func (w *Worker) runUnit(ctx context.Context, plan *Plan, grant *Grant) (bool, error) {
-	w.claims++
-	ev := w.cfg.Chaos.next(w.claims)
 	unit := grant.Unit
-	ttl := time.Duration(grant.TTLMillis) * time.Millisecond
-
-	// A stalled worker is one whose heartbeats stop arriving — so the
-	// stall injection simply never starts the heartbeat loop.
-	stopHB := func() {}
-	if ev.Act != ActStall {
-		stopHB = w.startHeartbeat(ctx, grant.LeaseID, ttl)
-	}
+	stopHB := w.startHeartbeat(ctx, grant.LeaseID, time.Duration(grant.TTLMillis)*time.Millisecond)
 	defer stopHB()
 
-	manifest, health, err := w.scanUnit(ctx, plan, unit, ev)
+	manifest, health, err := w.scanUnit(ctx, plan, unit)
 	if err != nil {
 		return false, err
 	}
-
-	switch ev.Act {
-	case ActKillBeforeReport:
-		w.event("worker %s: chaos kill before report on %s (claim %d)", w.cfg.Name, unit, w.claims)
-		return false, ErrChaosKilled
-	case ActStall:
-		w.event("worker %s: chaos stall %s on %s (claim %d)", w.cfg.Name, ev.Delay, unit, w.claims)
-		if err := sleepCtx(ctx, ev.Delay); err != nil {
-			return false, err
-		}
-	case ActSlowDisk:
-		w.event("worker %s: chaos slow disk %s on %s (claim %d)", w.cfg.Name, ev.Delay, unit, w.claims)
-		if err := sleepCtx(ctx, ev.Delay); err != nil {
-			return false, err
-		}
-	}
-
 	stopHB()
 
 	reply, err := w.cfg.Coord.Complete(ctx, &CompleteRequest{
@@ -205,7 +175,7 @@ func (w *Worker) chunkOwner(plan *Plan) string {
 // loop runs the store the single-process sweep runs — recorded chunks are
 // reused once they verify against their checksum, fresh ones are flushed
 // and recorded the moment they complete.
-func (w *Worker) scanUnit(ctx context.Context, plan *Plan, unit UnitID, ev Event) (*checkpoint.ChunkProgress, *scan.SweepHealth, error) {
+func (w *Worker) scanUnit(ctx context.Context, plan *Plan, unit UnitID) (*checkpoint.ChunkProgress, *scan.SweepHealth, error) {
 	env, spans, err := w.day(ctx, plan, unit.Day)
 	if err != nil {
 		return nil, nil, err
@@ -226,15 +196,8 @@ func (w *Worker) scanUnit(ctx context.Context, plan *Plan, unit UnitID, ev Event
 		}
 		w.event("worker %s: reusing chunk %d of %s (%d records)", w.cfg.Name, c, unit, records)
 	})
-	flushed := 0
 	store := &scan.ChunkStore{Dir: w.cfg.Store, Shard: unit.Shard, Owner: owner, Progress: manifest, Event: w.event,
-		Persist: func() error {
-			if flushed++; ev.Act != ActKillBetweenChunks || flushed < ev.AfterChunks {
-				return nil
-			}
-			w.event("worker %s: chaos kill after %d flushed chunks on %s (claim %d)", w.cfg.Name, flushed, unit, w.claims)
-			return ErrChaosKilled
-		}}
+		Persist: func() error { return nil }}
 	// The records stay in the chunk files; the merge reads them from there.
 	health, err := env.ScanSpan(ctx, unit.Day, span, store, func(...dataset.Record) error { return nil })
 	if err != nil {

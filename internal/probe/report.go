@@ -2,7 +2,6 @@ package probe
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"securepki.org/registrarsec/internal/channel"
@@ -245,9 +244,4 @@ func RenderTable4(rows []SurveyRow, tlds []string) string {
 		out = append(out, cells)
 	}
 	return renderTable(header, out)
-}
-
-// SortObservations orders observations by registrar name for stable output.
-func SortObservations(obs []*Observation) {
-	sort.Slice(obs, func(i, j int) bool { return obs[i].Registrar < obs[j].Registrar })
 }

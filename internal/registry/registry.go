@@ -182,13 +182,6 @@ func (r *Registry) Accredit(registrarID string) {
 	r.accredited[registrarID] = true
 }
 
-// IsAccredited reports whether a registrar can write to this registry.
-func (r *Registry) IsAccredited(registrarID string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.accredited[registrarID]
-}
-
 // checkDomain validates bailiwick and accreditation.
 func (r *Registry) checkDomain(registrarID, domain string) (string, error) {
 	domain = dnswire.CanonicalName(domain)

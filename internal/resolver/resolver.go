@@ -92,7 +92,6 @@ type Resolver struct {
 
 	queries atomic.Int64
 	id      atomic.Uint32
-	lame    atomic.Int64
 	errs    atomic.Int64
 }
 
@@ -129,10 +128,6 @@ func (r *Resolver) Stack() *exchange.Stack { return r.stack }
 
 // Queries returns the number of upstream queries sent.
 func (r *Resolver) Queries() int64 { return r.queries.Load() }
-
-// LameResponses returns how many SERVFAIL/REFUSED answers forced a server
-// rotation.
-func (r *Resolver) LameResponses() int64 { return r.lame.Load() }
 
 // TransportErrors returns how many exchanges failed outright (after any
 // configured retries) and forced a server rotation.
@@ -202,7 +197,6 @@ func (r *Resolver) exchangeAny(ctx context.Context, servers []string, q *dnswire
 			continue
 		}
 		if resp.RCode == dnswire.RCodeServerFailure || resp.RCode == dnswire.RCodeRefused {
-			r.lame.Add(1)
 			lastErr = fmt.Errorf("%w: %s from %s", ErrLame, resp.RCode, server)
 			continue
 		}

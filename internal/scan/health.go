@@ -137,14 +137,6 @@ func (h *SweepHealth) Merge(o *SweepHealth) {
 	h.Exchange = h.Exchange.Add(o.Exchange)
 }
 
-// FailureRate is the fraction of targets that could not be measured.
-func (h *SweepHealth) FailureRate() float64 {
-	if h.Targets == 0 {
-		return 0
-	}
-	return float64(len(h.Failures)+len(h.SkippedUnknownTLD)) / float64(h.Targets)
-}
-
 // String renders a one-line summary for logs and CLI output.
 func (h *SweepHealth) String() string {
 	var sb strings.Builder

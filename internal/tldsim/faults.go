@@ -1,8 +1,6 @@
 package tldsim
 
 import (
-	"time"
-
 	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/faultnet"
 	"securepki.org/registrarsec/internal/simtime"
@@ -35,11 +33,6 @@ func LossyOperators(domains []DomainState, frac, loss float64, seed int64) ([]fa
 // times out on every simulated day in [from, to].
 func OperatorOutage(operator string, from, to simtime.Day) faultnet.Rule {
 	return faultnet.Rule{Pattern: nsFor(operator), OutageFrom: from, OutageTo: to}
-}
-
-// SlowOperator adds fixed latency to one operator's nameserver.
-func SlowOperator(operator string, latency time.Duration) faultnet.Rule {
-	return faultnet.Rule{Pattern: nsFor(operator), Latency: latency}
 }
 
 // FaultyExchanger wraps the materialized network in a fault injector bound

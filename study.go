@@ -341,7 +341,7 @@ func (s *Study) ScanLongitudinal(ctx context.Context, cfg LongitudinalConfig) (*
 	}
 	rs := &scan.ResumableSweep{
 		Checkpoint:  cp,
-		Fingerprint: longitudinalFingerprint(&cfg),
+		Fingerprint: s.longitudinalFingerprint(&cfg),
 		Shards:      cfg.Shards,
 		StreamSetup: mkSetup(),
 		OnDayHealth: cfg.OnDayHealth,
@@ -367,11 +367,14 @@ func collectDays(archive *Archive) scan.DaySink {
 	}
 }
 
-// longitudinalFingerprint binds checkpoint state to the sweep
-// configuration, the chunk size that shapes its durable files included.
-func longitudinalFingerprint(cfg *LongitudinalConfig) string {
-	return fmt.Sprintf("sample=%d seed=%d days=%v shards=%d faults=%d chunk=%d",
-		cfg.Sample, cfg.SampleSeed, cfg.Days, cfg.Shards, len(cfg.Rules), scan.DefaultChunk)
+// longitudinalFingerprint binds checkpoint state to everything that decides
+// what a chunk holds: the world the sample is drawn from, the sweep
+// configuration, the injected faults, and the chunk size that shapes the
+// durable files.
+func (s *Study) longitudinalFingerprint(cfg *LongitudinalConfig) string {
+	return fmt.Sprintf("world=%s sample=%d seed=%d days=%v shards=%d faultseed=%d faults=%+v chunk=%d",
+		s.World.Config.Fingerprint(), cfg.Sample, cfg.SampleSeed, cfg.Days, cfg.Shards,
+		cfg.FaultSeed, cfg.Rules, scan.DefaultChunk)
 }
 
 // longitudinalSetup validates and defaults the configuration, draws the
@@ -459,7 +462,7 @@ func (s *Study) ScanDistributed(ctx context.Context, cfg DistributedConfig) (*Ar
 		return nil, nil, err
 	}
 	plan := dsweep.Plan{
-		Fingerprint: "dsweep " + longitudinalFingerprint(&lc),
+		Fingerprint: "dsweep " + s.longitudinalFingerprint(&lc),
 		Days:        lc.Days,
 		Shards:      lc.Shards,
 	}

@@ -170,6 +170,49 @@ func TestStudyScanLongitudinal(t *testing.T) {
 	}
 }
 
+// TestLongitudinalResumeRefusesOtherConfiguration: a checkpoint is bound to
+// the world, the fault seed and the fault rules' contents, not only to the
+// sample and the day list — a resume that differs in any of them would mix
+// chunks measured under two configurations, and is refused like any other
+// fingerprint mismatch.
+func TestLongitudinalResumeRefusesOtherConfiguration(t *testing.T) {
+	s := testStudy(t)
+	otherWorld, err := NewStudy(Options{Scale: 1.0 / 2000, Seed: 4, SkipAgents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := LongitudinalConfig{
+		Days: []Day{simtime.End}, Sample: 20, Workers: 2, Shards: 2,
+		FaultSeed: 1, Rules: []FaultRule{{Pattern: "*.com-hosting.example", Loss: 0.1}},
+		CheckpointDir: t.TempDir(),
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.ScanLongitudinal(ctx, base); err == nil {
+		t.Fatal("cancelled sweep reported success")
+	}
+	for _, tc := range []struct {
+		name   string
+		study  *Study
+		change func(*LongitudinalConfig)
+	}{
+		{"fault seed", s, func(c *LongitudinalConfig) { c.FaultSeed = 2 }},
+		{"rule contents", s, func(c *LongitudinalConfig) {
+			c.Rules = []FaultRule{{Pattern: "*.com-hosting.example", Loss: 0.2}}
+		}},
+		{"world", otherWorld, func(*LongitudinalConfig) {}},
+	} {
+		cfg := base
+		tc.change(&cfg)
+		if _, err := tc.study.ScanLongitudinal(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "different sweep") {
+			t.Errorf("resume with another %s: err = %v, want a fingerprint refusal", tc.name, err)
+		}
+	}
+	if _, err := s.ScanLongitudinal(context.Background(), base); err != nil {
+		t.Errorf("resume under the original configuration: %v", err)
+	}
+}
+
 // TestStudyScanDistributed runs the coordinator/worker topology through
 // the public facade: the merged archive must be byte-identical to the
 // single-process resumable sweep of the same configuration.
