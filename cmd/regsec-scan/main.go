@@ -138,7 +138,7 @@ func run() int {
 		}
 	}
 
-	worldCfg := tldsim.WorldConfig{Scale: 1 / spec.ScaleDiv, Seed: spec.Seed}
+	worldCfg := spec.WorldConfig()
 	var world *tldsim.World
 	if *worldCache != "" {
 		fmt.Fprintf(os.Stderr, "world cache %s (scale 1/%.0f, seed %d, key %s)...\n",

@@ -364,6 +364,49 @@ func TestCoordinatorRefusesForeignState(t *testing.T) {
 	}
 }
 
+// TestSweepStateOfGeneratorV1IsRefused: a sweep fingerprint names the
+// world's generator, so a coordinator ledger or a single-process checkpoint
+// recorded before the generator changed (the v1 fingerprint had scale= and
+// seed= but no world=) cannot be resumed into an archive of two worlds.
+func TestSweepStateOfGeneratorV1IsRefused(t *testing.T) {
+	const v1 = "sweep scale=4000 seed=1 days=2016-12-31 sample=50 shards=2 faults=0/0/1 retries=3 resweeps=2 cache=false dedup=false chunk=8"
+	spec := &WorldSpec{ScaleDiv: 4000, Seed: 1, Sample: 50}
+	plan := spec.PlanFor([]simtime.Day{simtime.End}, 2, 8)
+	if want := strings.Replace(v1, "sweep ", "sweep world="+spec.WorldConfig().Fingerprint()+" ", 1); plan.Fingerprint != want {
+		t.Fatalf("fingerprint %q, want %q", plan.Fingerprint, want)
+	}
+	old := plan
+	old.Fingerprint = v1
+
+	st := openStore(t)
+	c1, err := NewCoordinator(CoordinatorConfig{Plan: old, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Lease(context.Background(), "w1"); err != nil { // writes coordinator.json
+		t.Fatal(err)
+	}
+	c1.Close()
+	if _, err := NewCoordinator(CoordinatorConfig{Plan: plan, Store: st}); err == nil ||
+		!strings.Contains(err.Error(), "different sweep") {
+		t.Errorf("coordinator.json of generator v1 accepted: %v", err)
+	}
+
+	cp := openStore(t)
+	if err := cp.Save(checkpoint.NewState(v1)); err != nil {
+		t.Fatal(err)
+	}
+	rs := &scan.ResumableSweep{Checkpoint: cp, Fingerprint: plan.Fingerprint, Shards: plan.Shards, Chunk: plan.Chunk,
+		StreamSetup: func(context.Context, simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
+			t.Error("the sweep started on a foreign checkpoint")
+			return nil, nil, nil, context.Canceled
+		}}
+	if err := rs.RunStream(context.Background(), plan.Days, nil); err == nil ||
+		!strings.Contains(err.Error(), "different sweep") {
+		t.Errorf("checkpoint.json of generator v1 accepted: %v", err)
+	}
+}
+
 func TestCoordinatorLockRefusesSecondInstance(t *testing.T) {
 	st := openStore(t)
 	plan := testPlan(1, 10)

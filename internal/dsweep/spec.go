@@ -127,10 +127,17 @@ func PlanFlagNames() []string {
 	return names
 }
 
+// WorldConfig is the generator configuration of the world the spec sweeps.
+func (sp *WorldSpec) WorldConfig() tldsim.WorldConfig {
+	return tldsim.WorldConfig{Scale: 1 / sp.ScaleDiv, Seed: sp.Seed}
+}
+
 // Fingerprint renders the sweep configuration fingerprint that binds the
 // coordinator's state and every worker completion to one plan. Everything
-// that shapes the output bytes is in it; per-worker vantage profiles are
-// not (see the type comment).
+// that shapes the output bytes is in it — the world's own fingerprint
+// included, which names the generator's version: a checkpoint or ledger
+// left by another generator holds days of a different world. Per-worker
+// vantage profiles are not (see the type comment).
 func (sp *WorldSpec) Fingerprint(days []simtime.Day, shards, chunk int) string {
 	s := *sp
 	s.normalize()
@@ -140,8 +147,8 @@ func (sp *WorldSpec) Fingerprint(days []simtime.Day, shards, chunk int) string {
 	}
 	// The chunk size shapes the durable chunk files a resumed sweep trusts,
 	// so it is part of the fingerprint like the shard count.
-	return fmt.Sprintf("sweep scale=%g seed=%d days=%s sample=%d shards=%d faults=%g/%g/%d retries=%d resweeps=%d cache=%v dedup=%v chunk=%d",
-		s.ScaleDiv, s.Seed, strings.Join(names, ","), s.Sample, shards,
+	return fmt.Sprintf("sweep world=%s scale=%g seed=%d days=%s sample=%d shards=%d faults=%g/%g/%d retries=%d resweeps=%d cache=%v dedup=%v chunk=%d",
+		s.WorldConfig().Fingerprint(), s.ScaleDiv, s.Seed, strings.Join(names, ","), s.Sample, shards,
 		s.FaultFrac, s.FaultLoss, s.FaultSeed, s.Retries, s.Resweeps, s.Cache, s.Dedup, scan.ChunkSize(chunk))
 }
 
@@ -168,7 +175,7 @@ func (sp *WorldSpec) PlanFor(days []simtime.Day, shards, chunk int) Plan {
 // profile, layered below the sweep-wide fault rules and driven by
 // vantageSeed.
 func (sp *WorldSpec) BuildStream(vantage []faultnet.Rule, vantageSeed int64, onEvent func(format string, args ...any)) (scan.StreamDaySetup, error) {
-	world, err := tldsim.Build(tldsim.WorldConfig{Scale: 1 / sp.ScaleDiv, Seed: sp.Seed})
+	world, err := tldsim.Build(sp.WorldConfig())
 	if err != nil {
 		return nil, err
 	}

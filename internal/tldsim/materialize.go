@@ -218,7 +218,7 @@ func (b *dayBuilder) buildDomain(i int, d *DomainState, tsigner *zone.Signer) (b
 		// A DS that matches nothing served: either the registrar
 		// accepted garbage, or the zone was unsigned behind it.
 		digest := make([]byte, 32)
-		rand.New(rand.NewSource(int64(i))).Read(digest)
+		rand.New(newStream(int64(i))).Read(digest)
 		ds = []*dnswire.DS{{
 			KeyTag: uint16(i + 1), Algorithm: dnswire.AlgED25519,
 			DigestType: dnswire.DigestSHA256, Digest: digest,

@@ -3,7 +3,6 @@ package tldsim
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -64,41 +63,28 @@ func (s *sampleSource) Target(i int) (string, string) {
 func (s *sampleSource) TLDs() []string { return s.w.TLDs() }
 
 // SampleSource returns a cursor over n deterministically (seeded) sampled
-// domains. It draws the identical permutation Sample draws — same seed,
-// same domains in the same order — but holds only []int for the draw, so
-// a full-population sweep costs index space, not DomainState space.
+// domains — the draw Sample materializes, same seed, same domains in the
+// same order. The cursor holds only the n drawn row numbers, and drawing
+// them costs O(n) time and memory whatever the population.
 func (w *World) SampleSource(n int, seed int64) DomainSource {
 	if n >= w.Len() {
 		return w
 	}
-	rng := rand.New(rand.NewSource(seed))
-	return &sampleSource{w: w, idx: permPrefix(rng, w.Len(), n)}
+	return &sampleSource{w: w, idx: drawSample(rand.New(newStream(seed)), w.Len(), n)}
 }
 
-// permPrefix returns the first n entries of rng.Perm(total), draw for
-// draw. The permutation is world-sized and transient, so it is shuffled in
-// the narrowest element that can number the population — four bytes a
-// domain for anything below 2^32 rows, half of what Perm's []int takes —
-// and only the prefix survives the call.
-func permPrefix(rng *rand.Rand, total, n int) []int {
-	if uint64(total) <= math.MaxUint32+1 {
-		return shufflePrefix[uint32](rng, total, n)
-	}
-	return shufflePrefix[int](rng, total, n)
-}
-
-// shufflePrefix is rand.Perm's inside-out Fisher-Yates loop, including its
-// draw for i = 0, over element type T.
-func shufflePrefix[T uint32 | int](rng *rand.Rand, total, n int) []int {
-	m := make([]T, total)
-	for i := range m {
-		j := rng.Intn(i + 1)
-		m[i] = m[j]
-		m[j] = T(i)
-	}
+// drawSample returns n distinct rows of [0, total) in uniformly random
+// order: the first n steps of a forward Fisher-Yates shuffle of the
+// identity permutation, of which only the entries a swap has displaced are
+// held — at most one per step. The draw sequence is part of every sweep
+// archive's identity (generatorVersion).
+func drawSample(rng *rand.Rand, total, n int) []int {
 	out := make([]int, n)
+	offset := make(map[int]int, n) // entry at position p, minus p: absent while p holds itself
 	for i := range out {
-		out[i] = int(m[i])
+		j := i + rng.Intn(total-i)
+		out[i] = j + offset[j]
+		offset[j] = i + offset[i] - j // position i is final; only j's new entry is read again
 	}
 	return out
 }

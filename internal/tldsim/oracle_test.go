@@ -1,6 +1,7 @@
 package tldsim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -18,8 +19,10 @@ import (
 // drawDomain/appendDomainName primitives, and live only in tests.
 
 // referenceDomains samples cfg's population sequentially: every cohort's
-// domains from rand.NewSource(cohortSeed(seed, ci)), in cohort order, named
-// by their position. Build must realize the same world domain for domain.
+// domains from a fresh newStream(cohortSeed(seed, ci)) — never the filler's
+// re-seeded one, so equality with Build shows re-seeding ≡ fresh — in
+// cohort order, named by their position. Build must realize the same world
+// domain for domain.
 func referenceDomains(t testing.TB, cfg WorldConfig) []DomainState {
 	t.Helper()
 	cfg.fill()
@@ -35,7 +38,7 @@ func referenceDomains(t testing.TB, cfg WorldConfig) []DomainState {
 	var suffix, name []byte
 	for ci := range cohorts {
 		c := &cohorts[ci]
-		rng := rand.New(rand.NewSource(cohortSeed(cfg.Seed, ci)))
+		rng := rand.New(newStream(cohortSeed(cfg.Seed, ci)))
 		suffix = appendCohortSuffix(suffix[:0], c)
 		for i := 0; i < c.Domains; i++ {
 			dr := drawDomain(rng, c, &cfg)
@@ -54,6 +57,58 @@ func referenceDomains(t testing.TB, cfg WorldConfig) []DomainState {
 		}
 	}
 	return domains
+}
+
+// referenceExponent is the tail plan's exponent by sixty bisections of
+// [0, 3] over sums of math.Pow — slow, and with nothing to converge.
+func referenceExponent(k int, ratio float64) float64 {
+	lo, hi := 0.0, 3.0
+	for iter := 0; iter < 60; iter++ {
+		mid, sum := (lo+hi)/2, 0.0
+		for i := 1; i <= k; i++ {
+			sum += math.Pow(float64(i), -mid)
+		}
+		if sum > ratio {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// TestTailPlanMatchesReferenceExponent: the Newton solve over the ln table
+// lands on the bisection's exponent — to 1e-13, the rounding of a sum of k
+// terms being all that separates them — for the default tail plans, for
+// degenerate ones (one operator; fewer operators than the head ratio), and
+// the sizes it yields are a largest-first split of exactly the total.
+func TestTailPlanMatchesReferenceExponent(t *testing.T) {
+	for _, tc := range []struct{ k, total int }{
+		{1, 1}, {1, 500}, {2, 2}, {5, 19}, {19, 19}, {20, 400}, {21, 400},
+		{600, 3500}, {1000, 14000}, {1300, 37000}, {6000, 290000}, {6000, 29000000},
+	} {
+		lnI := make([]float64, tc.k)
+		for i := range lnI {
+			lnI[i] = math.Log(float64(i + 1))
+		}
+		ratio := math.Min(20, float64(tc.total))
+		got, want := solveExponent(lnI, ratio), referenceExponent(tc.k, ratio)
+		if math.Abs(got-want) > 1e-13 {
+			t.Errorf("k=%d ratio=%v: exponent %.17g, reference %.17g", tc.k, ratio, got, want)
+		}
+		sizes := powerLawSizes(tc.k, tc.total)
+		sum := 0
+		for i, size := range sizes {
+			sum += size
+			if size < 0 || (i > 0 && size > sizes[i-1]+1) {
+				t.Errorf("k=%d total=%d: operator %d has %d domains after one of %d", tc.k, tc.total, i, size, sizes[i-1])
+				break
+			}
+		}
+		if len(sizes) != tc.k || sum != tc.total {
+			t.Errorf("k=%d total=%d: %d operators holding %d domains", tc.k, tc.total, len(sizes), sum)
+		}
+	}
 }
 
 // worldFromDomains indexes an explicit population through colstore's

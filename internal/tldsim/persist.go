@@ -20,9 +20,15 @@ import (
 	"securepki.org/registrarsec/internal/colstore"
 )
 
-// Fingerprint hashes the generation-determining parts of the config:
-// scale, seed, window, and tail-operator plan. Workers is excluded — the
-// build is byte-identical at any parallelism.
+// generatorVersion names the generator's identity: its random source, the
+// tail plan's sizing, the order of a domain's and of a sample's draws. A
+// change that makes any config yield other world bytes or another sample
+// bumps it, so the old generator's caches and checkpoints are refused.
+const generatorVersion = "v2"
+
+// Fingerprint hashes the generator version and the generation-determining
+// parts of the config: scale, seed, window, and tail-operator plan. Workers
+// is excluded — the build is byte-identical at any parallelism.
 func (c WorldConfig) Fingerprint() string {
 	cc := c
 	cc.fill()
@@ -31,8 +37,8 @@ func (c WorldConfig) Fingerprint() string {
 		tails = append(tails, tld+":"+strconv.Itoa(n))
 	}
 	sort.Strings(tails)
-	canon := fmt.Sprintf("v1 scale=%.12g seed=%d window=%d..%d tail=%v",
-		cc.Scale, cc.Seed, int(cc.WindowStart), int(cc.WindowEnd), tails)
+	canon := fmt.Sprintf("%s scale=%.12g seed=%d window=%d..%d tail=%v",
+		generatorVersion, cc.Scale, cc.Seed, int(cc.WindowStart), int(cc.WindowEnd), tails)
 	sum := sha256.Sum256([]byte(canon))
 	return hex.EncodeToString(sum[:8])
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"runtime"
 	"strconv"
 	"sync"
@@ -249,6 +250,21 @@ func cohortSeed(base int64, ci int) int64 {
 	return int64(z)
 }
 
+// stream is the generator's random source: math/rand/v2's PCG (128 bits of
+// state, seeded in O(1)) behind the math/rand.Source64 the draw functions
+// take. It is part of the world's identity (generatorVersion).
+type stream struct{ pcg randv2.PCG }
+
+func newStream(seed int64) *stream {
+	s := new(stream)
+	s.Seed(seed)
+	return s
+}
+
+func (s *stream) Seed(seed int64) { s.pcg.Seed(uint64(seed), 0x9E3779B97F4A7C15) }
+func (s *stream) Uint64() uint64  { return s.pcg.Uint64() }
+func (s *stream) Int63() int64    { return int64(s.pcg.Uint64() >> 1) }
+
 // domainDraw is one domain's sampled history, before naming.
 type domainDraw struct {
 	created simtime.Day
@@ -381,25 +397,23 @@ func buildIndexStreaming(cfg *WorldConfig, cohorts []Cohort, baseSeed int64, wor
 }
 
 // cohortFiller is one worker's reusable state: its RNG is re-seeded per
-// cohort — the same stream a fresh rand.NewSource(seed) yields, without
-// five kilobytes of generator state per cohort — and its suffix and name
-// buffers are recycled, so filling a cohort allocates nothing.
+// cohort — the same stream a fresh newStream(seed) yields, at the cost of
+// two stores — and its suffix and name buffers are recycled, so filling a
+// cohort allocates nothing.
 type cohortFiller struct {
 	cfg    *WorldConfig
-	src    rand.Source
 	rng    *rand.Rand
 	suffix []byte
 	name   []byte
 }
 
 func newCohortFiller(cfg *WorldConfig) *cohortFiller {
-	src := rand.NewSource(0)
-	return &cohortFiller{cfg: cfg, src: src, rng: rand.New(src)}
+	return &cohortFiller{cfg: cfg, rng: rand.New(newStream(0))}
 }
 
 // fill samples one cohort into its reserved rows from its own RNG stream.
 func (f *cohortFiller) fill(w *colstore.RowWriter, c *Cohort, seed int64, nameStart int) {
-	f.src.Seed(seed)
+	f.rng.Seed(seed)
 	f.suffix = appendCohortSuffix(f.suffix[:0], c)
 	for i := 0; i < c.Domains; i++ {
 		dr := drawDomain(f.rng, c, f.cfg)
@@ -420,16 +434,20 @@ func powerLawSizes(k, total int) []int {
 		k = total
 	}
 	// Find s such that sizes c*i^-s sum to the total with a head size of
-	// about total/20 (keeps tail operators below the named ones).
+	// about total/20 (keeps tail operators below the named ones). i^-s is
+	// exp(-s ln i), so the logarithms are taken once, for solve and weights.
 	head := float64(total) / 20
 	if head < 1 {
 		head = 1
 	}
-	s := solveExponent(k, float64(total)/head)
 	weights := make([]float64, k)
-	sum := 0.0
 	for i := range weights {
-		weights[i] = math.Pow(float64(i+1), -s)
+		weights[i] = math.Log(float64(i + 1))
+	}
+	s := solveExponent(weights, float64(total)/head)
+	sum := 0.0
+	for i, ln := range weights {
+		weights[i] = math.Exp(-s * ln)
 		sum += weights[i]
 	}
 	sizes := make([]int, k)
@@ -447,26 +465,26 @@ func powerLawSizes(k, total int) []int {
 	return sizes
 }
 
-// solveExponent finds s with sum(i^-s)/1^-s == ratio via bisection: the
-// ratio of total mass to head mass determines the tail flatness.
-func solveExponent(k int, ratio float64) float64 {
-	lo, hi := 0.0, 3.0
-	f := func(s float64) float64 {
-		sum := 0.0
-		for i := 1; i <= k; i++ {
-			sum += math.Pow(float64(i), -s)
+// solveExponent finds s in [0, 3] with sum(i^-s)/1^-s == ratio, given
+// lnI[i-1] = ln i: the ratio of total mass to head mass determines the
+// tail flatness. The logarithm of the sum is convex and decreasing in s,
+// so Newton's iteration on it from s = 0 climbs to the root without
+// overshooting, and ends at the first step that no longer moves s.
+func solveExponent(lnI []float64, ratio float64) float64 {
+	s := 0.0
+	for {
+		sum, slope := 0.0, 0.0
+		for _, ln := range lnI {
+			w := math.Exp(-s * ln)
+			sum += w
+			slope += ln * w
 		}
-		return sum
-	}
-	for iter := 0; iter < 60; iter++ {
-		mid := (lo + hi) / 2
-		if f(mid) > ratio {
-			lo = mid
-		} else {
-			hi = mid
+		next := math.Min(s+math.Log(sum/ratio)*sum/slope, 3)
+		if !(next > s) {
+			return s
 		}
+		s = next
 	}
-	return (lo + hi) / 2
 }
 
 // SnapshotAt projects the whole world onto one day through the columnar

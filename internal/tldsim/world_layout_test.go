@@ -2,6 +2,7 @@ package tldsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -75,25 +76,83 @@ func TestWorldIsPointerFree(t *testing.T) {
 	}
 }
 
-// TestPermPrefixMatchesRandPerm: the sample draw is rand.Perm's, element
-// for element, whichever element width shuffles it — a different draw
-// would change every sweep archive.
-func TestPermPrefixMatchesRandPerm(t *testing.T) {
+// TestSampleDrawProperties: whatever the seed, population and sample size,
+// the draw is n distinct rows in range and a pure function of the seed; and
+// over many seeds every row is as likely to be chosen, and to come first,
+// as any other (5σ of the binomial).
+func TestSampleDrawProperties(t *testing.T) {
+	draw := func(seed int64, total, n int) []int {
+		return drawSample(rand.New(newStream(seed)), total, n)
+	}
 	for _, seed := range []int64{1, 7, 1234, -5} {
 		for _, total := range []int{1, 2, 17, 1000, 70001} {
 			for _, n := range []int{0, 1, total / 3, total} {
-				want := rand.New(rand.NewSource(seed)).Perm(total)[:n]
-				for name, got := range map[string][]int{
-					"permPrefix":            permPrefix(rand.New(rand.NewSource(seed)), total, n),
-					"shufflePrefix[uint32]": shufflePrefix[uint32](rand.New(rand.NewSource(seed)), total, n),
-					"shufflePrefix[int]":    shufflePrefix[int](rand.New(rand.NewSource(seed)), total, n),
-				} {
-					if len(got) != n || (n > 0 && !reflect.DeepEqual(got, want)) {
-						t.Fatalf("%s(seed %d, total %d, n %d) differs from rand.Perm's prefix", name, seed, total, n)
+				got := draw(seed, total, n)
+				if len(got) != n {
+					t.Fatalf("draw(seed %d, total %d, n %d) has %d rows", seed, total, n, len(got))
+				}
+				seen := make(map[int]bool, n)
+				for _, row := range got {
+					if row < 0 || row >= total || seen[row] {
+						t.Fatalf("draw(seed %d, total %d, n %d) holds row %d out of range or twice", seed, total, n, row)
 					}
+					seen[row] = true
+				}
+				if !reflect.DeepEqual(got, draw(seed, total, n)) {
+					t.Fatalf("draw(seed %d, total %d, n %d) is not a function of its seed", seed, total, n)
 				}
 			}
 		}
+	}
+
+	const seeds, total, n = 2000, 50, 10
+	var chosen, first [total]int
+	for seed := int64(0); seed < seeds; seed++ {
+		got := draw(seed, total, n)
+		first[got[0]]++
+		for _, row := range got {
+			chosen[row]++
+		}
+	}
+	within5Sigma := func(what string, counts [total]int, p float64) {
+		mean, sigma := seeds*p, math.Sqrt(seeds*p*(1-p))
+		for row, c := range counts {
+			if math.Abs(float64(c)-mean) > 5*sigma {
+				t.Errorf("row %d %s in %d of %d draws, expected %.0f ± %.1f", row, what, c, seeds, mean, 5*sigma)
+			}
+		}
+	}
+	within5Sigma("chosen", chosen, float64(n)/total)
+	within5Sigma("drawn first", first, 1.0/total)
+}
+
+// TestSampleDrawFootprint: a sample costs what is asked for, not what
+// exists. Drawing 1,000 rows allocates under 256 KB, and no more from ten
+// times the population.
+func TestSampleDrawFootprint(t *testing.T) {
+	allocated := func(div float64) (bytes uint64, domains int) {
+		w, err := Build(WorldConfig{Scale: 1 / div, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		src := w.SampleSource(1000, 1)
+		runtime.ReadMemStats(&m1)
+		if src.Len() != 1000 {
+			t.Fatalf("divisor %v: sample of %d rows, want 1000", div, src.Len())
+		}
+		return m1.TotalAlloc - m0.TotalAlloc, w.Len()
+	}
+	small, smallN := allocated(4000)
+	large, largeN := allocated(400)
+	t.Logf("SampleSource(1000): %d B from %d domains, %d B from %d domains", small, smallN, large, largeN)
+	if large > 256<<10 {
+		t.Errorf("SampleSource(1000) allocated %d B from %d domains, budget 256 KB", large, largeN)
+	}
+	if large > small+small/10 {
+		t.Errorf("SampleSource(1000) allocated %d B from %d domains but %d B from %d: the draw scales with the population",
+			large, largeN, small, smallN)
 	}
 }
 
@@ -120,6 +179,59 @@ func TestNamesLenIsExact(t *testing.T) {
 		if got := namesLen(tc.start, tc.n, len(suffix)); got != want {
 			t.Errorf("namesLen(%d, %d) = %d, the names take %d", tc.start, tc.n, got, want)
 		}
+	}
+}
+
+// BenchmarkBuild is generation alone at three populations. The default plan
+// has some 10,000 cohorts whatever the scale, so ns/domain falling with the
+// divisor is the build's fixed cost (the plan, a stream per cohort) showing.
+func BenchmarkBuild(b *testing.B) {
+	for _, div := range []float64{4000, 400, 40} {
+		b.Run(fmt.Sprintf("divisor=%v", div), func(b *testing.B) {
+			cfg := WorldConfig{Scale: 1 / div, Seed: 1}
+			var w *World
+			for i := 0; i < b.N; i++ {
+				var err error
+				if w, err = Build(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(w.Len()), "ns/domain")
+			b.ReportMetric(float64(len(w.Cohorts)), "cohorts")
+		})
+	}
+}
+
+// BenchmarkPlanCohorts is the part of a build that draws no domain: the
+// catalogue scaled, five power-law tails solved and sized.
+func BenchmarkPlanCohorts(b *testing.B) {
+	cfg := WorldConfig{Scale: 1.0 / 400, Seed: 1}
+	cfg.fill()
+	for i := 0; i < b.N; i++ {
+		if _, err := planCohorts(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSampleSource draws one sample size from two populations: B/op
+// and ns/op belong to the 16,000 rows, not to the 372 k or 3.7 M they are
+// drawn from.
+func BenchmarkSampleSource(b *testing.B) {
+	for _, div := range []float64{400, 40} {
+		b.Run(fmt.Sprintf("n=16000/divisor=%v", div), func(b *testing.B) {
+			w, err := Build(WorldConfig{Scale: 1 / div, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if src := w.SampleSource(16000, int64(i)); src.Len() != 16000 {
+					b.Fatalf("sample of %d rows", src.Len())
+				}
+			}
+		})
 	}
 }
 

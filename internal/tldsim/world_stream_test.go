@@ -194,6 +194,53 @@ func TestBuildCached(t *testing.T) {
 	}
 }
 
+// TestBuildCachedIgnoresGeneratorV1Files: the cache key carries the
+// generator version, so a world the v1 generator left in the directory
+// (testdata/world-v1.rscw, under the name v1 gave that config) is a miss
+// that stays where it is, and the same bytes under today's name are
+// rebuilt over, not served.
+func TestBuildCachedIgnoresGeneratorV1Files(t *testing.T) {
+	v1File, err := os.ReadFile(filepath.Join("testdata", "world-v1.rscw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := WorldConfig{Scale: 1.0 / 400000, Seed: 1}
+	fresh, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	v1Path := filepath.Join(dir, "world-"+worldV1Fingerprint+".rscw")
+	v2Path := filepath.Join(dir, "world-"+cfg.Fingerprint()+".rscw")
+	if v1Path == v2Path {
+		t.Fatal("the cache key did not change with the generator")
+	}
+	for _, path := range []string{v1Path, v2Path} {
+		if err := os.WriteFile(path, v1File, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := BuildCached(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if !reflect.DeepEqual(w.SnapshotAt(simtime.End), fresh.SnapshotAt(simtime.End)) {
+		t.Error("BuildCached served something other than a fresh build")
+	}
+	if left, err := os.ReadFile(v1Path); err != nil || !bytes.Equal(left, v1File) {
+		t.Errorf("the v1 generator's cache file was touched (%v)", err)
+	}
+	rebuilt, meta, err := LoadWorld(v2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rebuilt.Close()
+	if meta["fingerprint"] != cfg.Fingerprint() {
+		t.Errorf("the cache entry was not rebuilt: it records fingerprint %q", meta["fingerprint"])
+	}
+}
+
 // TestWorkersExcludedFromFingerprint: worker count must not change the
 // cache key, because it does not change the world.
 func TestWorkersExcludedFromFingerprint(t *testing.T) {
