@@ -10,7 +10,6 @@
 package dnsserver
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -159,43 +158,50 @@ func (a *Authoritative) findZone(qname string) *zone.Zone {
 
 // ServeDNS implements Handler.
 func (a *Authoritative) ServeDNS(q *dnswire.Message) *dnswire.Message {
-	resp, _, _ := a.answer(q)
+	resp := q.Reply()
+	if len(q.Questions) != 1 || q.OpCode != dnswire.OpCodeQuery {
+		resp.RCode = dnswire.RCodeNotImplemented
+		return resp
+	}
+	question := q.Questions[0]
+	a.answer(resp, nil, dnswire.CanonicalName(question.Name), question.Type, q.DNSSECOK())
 	return resp
 }
 
-// answer renders the response to q. z is the zone it came from — nil for
-// NOTIMP and REFUSED, which no zone event could ever invalidate — and zg
-// that zone's generation, read before rendering for the cache fill to pin.
-func (a *Authoritative) answer(q *dnswire.Message) (resp *dnswire.Message, z *zone.Zone, zg uint64) {
-	resp = q.Reply()
-	if len(q.Questions) != 1 || q.OpCode != dnswire.OpCodeQuery {
-		resp.RCode = dnswire.RCodeNotImplemented
-		return resp, nil, 0
-	}
-	qname := dnswire.CanonicalName(q.Questions[0].Name)
+// answer renders the response to (qname, qtype) into resp, which arrives as
+// the skeleton of one: header, question and — for an EDNS query — the
+// responder's OPT. z is the zone the answer came from — nil for REFUSED,
+// which no zone event could ever invalidate — and zg that zone's generation,
+// read before rendering for the cache fill to pin. r is the caller's reader
+// to reuse, or nil.
+func (a *Authoritative) answer(resp *dnswire.Message, r *zone.Reader, qname string, qtype dnswire.Type, dnssecOK bool) (z *zone.Zone, zg uint64) {
 	if z = a.findZone(qname); z == nil {
 		resp.RCode = dnswire.RCodeRefused
-		return resp, nil, 0
+		return nil, 0
 	}
 	zg = z.Generation()
-	answerInZone(resp, q, qname, z)
-	return resp, z, zg
+	skeleton := len(resp.Additional)
+	z.Read(r, func(r *zone.Reader) {
+		// A pass over the zone may be run again: each starts from the skeleton.
+		resp.RCode, resp.Authoritative = dnswire.RCodeSuccess, true
+		resp.Answers, resp.Authority, resp.Additional = resp.Answers[:0], resp.Authority[:0], resp.Additional[:skeleton]
+		answerInZone(resp, r, qname, qtype, dnssecOK)
+	})
+	return z, zg
 }
 
-// answerInZone fills resp with the authoritative answer for q's single
-// question out of zone z, per RFC 4035 section 3.
-func answerInZone(resp *dnswire.Message, q *dnswire.Message, qname string, z *zone.Zone) {
-	question := q.Questions[0]
-	dnssecOK := q.DNSSECOK()
-	resp.Authoritative = true
-
+// answerInZone fills resp with the authoritative answer for (qname, qtype)
+// out of the zone r reads, per RFC 4035 section 3. Everything it reads it
+// reads through r, so the answer is one state of the zone and never parts of
+// two.
+func answerInZone(resp *dnswire.Message, r *zone.Reader, qname string, qtype dnswire.Type, dnssecOK bool) {
 	// Delegation handling: anything at or below a cut is referred, except a
 	// DS query for the cut itself, which the parent answers authoritatively
 	// (RFC 4035 section 3.1.4.1).
-	if cut, nsSet := z.DelegationFor(qname); cut != "" {
-		if qname == cut && question.Type == dnswire.TypeDS {
-			if !answerRRSet(resp, z, qname, dnswire.TypeDS, dnssecOK) {
-				attachSOA(resp, z, dnssecOK)
+	if cut, nsSet := r.Delegation(qname); cut != "" {
+		if qname == cut && qtype == dnswire.TypeDS {
+			if !attach(r, &resp.Answers, qname, dnswire.TypeDS, dnssecOK) {
+				attachSOA(resp, r, dnssecOK)
 			}
 			return
 		}
@@ -203,209 +209,172 @@ func answerInZone(resp *dnswire.Message, q *dnswire.Message, qname string, z *zo
 		resp.Authority = append(resp.Authority, nsSet...)
 		if dnssecOK {
 			// DS (or proof of its absence) travels with the referral.
-			for _, ds := range z.Lookup(cut, dnswire.TypeDS) {
-				resp.Authority = append(resp.Authority, ds)
-			}
-			appendSigs(z, cut, dnswire.TypeDS, &resp.Authority)
-			if len(z.Lookup(cut, dnswire.TypeDS)) == 0 {
-				// Prove the delegation is insecure: NSEC at the cut, or
-				// the NSEC3 matching its hash.
-				if params := nsec3Params(z); params != nil {
-					attachNSEC3ForName(resp, z, params, cut)
-				} else {
-					for _, nsec := range z.Lookup(cut, dnswire.TypeNSEC) {
-						resp.Authority = append(resp.Authority, nsec)
-					}
-					appendSigs(z, cut, dnswire.TypeNSEC, &resp.Authority)
-				}
+			secure := attach(r, &resp.Authority, cut, dnswire.TypeDS, false)
+			resp.Authority = r.AppendSigs(resp.Authority, cut, dnswire.TypeDS)
+			if !secure {
+				attachTypeDenial(resp, r, cut)
 			}
 		}
 		// Glue for in-bailiwick nameservers.
 		for _, ns := range nsSet {
-			host := ns.Data.(*dnswire.NS).Host
-			if dnswire.IsSubdomain(host, cut) {
-				resp.Additional = append(resp.Additional, z.Lookup(host, dnswire.TypeA)...)
-				resp.Additional = append(resp.Additional, z.Lookup(host, dnswire.TypeAAAA)...)
+			if host := ns.Data.(*dnswire.NS).Host; dnswire.IsSubdomain(host, cut) {
+				host = dnswire.CanonicalName(host)
+				resp.Additional = append(resp.Additional, r.RRSet(host, dnswire.TypeA)...)
+				resp.Additional = append(resp.Additional, r.RRSet(host, dnswire.TypeAAAA)...)
 			}
 		}
 		return
 	}
 
-	if !z.HasName(qname) {
+	if !r.HasName(qname) {
 		resp.RCode = dnswire.RCodeNameError
-		attachSOA(resp, z, dnssecOK)
+		attachSOA(resp, r, dnssecOK)
 		if dnssecOK {
-			if params := nsec3Params(z); params != nil {
-				attachNSEC3Denial(resp, z, params, qname)
+			if params := nsec3Params(r); params != nil {
+				attachNSEC3Denial(resp, r, params, qname)
 			} else {
-				attachCoveringNSEC(resp, z, qname)
+				attachCoveringNSEC(resp, r, qname)
 			}
 		}
 		return
 	}
 
-	// CNAME indirection (unless CNAME itself was asked for).
-	if question.Type != dnswire.TypeCNAME && question.Type != dnswire.TypeANY {
-		if cn := z.Lookup(qname, dnswire.TypeCNAME); len(cn) > 0 {
+	// CNAME indirection (unless CNAME itself was asked for). The signatures
+	// ride along whatever the DO bit says, as they always have here.
+	if qtype != dnswire.TypeCNAME && qtype != dnswire.TypeANY {
+		if cn := r.RRSet(qname, dnswire.TypeCNAME); len(cn) > 0 {
 			resp.Answers = append(resp.Answers, cn...)
-			appendSigs(z, qname, dnswire.TypeCNAME, &resp.Answers)
+			resp.Answers = r.AppendSigs(resp.Answers, qname, dnswire.TypeCNAME)
 			target := cn[0].Data.(*dnswire.CNAME).Target
-			if dnswire.IsSubdomain(target, z.Origin) && z.HasName(target) {
-				for _, rr := range z.Lookup(target, question.Type) {
-					resp.Answers = append(resp.Answers, rr)
+			if dnswire.IsSubdomain(target, r.Origin()) {
+				if target = dnswire.CanonicalName(target); r.HasName(target) {
+					attach(r, &resp.Answers, target, qtype, false)
+					resp.Answers = r.AppendSigs(resp.Answers, target, qtype)
 				}
-				appendSigs(z, target, question.Type, &resp.Answers)
 			}
 			return
 		}
 	}
 
-	if question.Type == dnswire.TypeANY {
-		// Render in ascending type order so the response bytes are a pure
-		// function of zone content — the wire cache's equivalence contract.
-		all := z.LookupAll(qname)
-		types := make([]dnswire.Type, 0, len(all))
-		for t := range all {
-			if t == dnswire.TypeRRSIG && !dnssecOK {
-				continue
-			}
-			types = append(types, t)
-		}
-		sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-		for _, t := range types {
-			resp.Answers = append(resp.Answers, all[t]...)
-		}
-		if len(resp.Answers) == 0 {
-			attachSOA(resp, z, dnssecOK)
+	if qtype == dnswire.TypeANY {
+		// In ascending type order, so the response bytes are a pure function
+		// of zone content — the wire cache's equivalence contract.
+		if resp.Answers = r.AppendAll(resp.Answers, qname, dnssecOK); len(resp.Answers) == 0 {
+			attachSOA(resp, r, dnssecOK)
 		}
 		return
 	}
 
-	if !answerRRSet(resp, z, qname, question.Type, dnssecOK) {
+	if !attach(r, &resp.Answers, qname, qtype, dnssecOK) {
 		// NODATA: name exists but not this type.
-		attachSOA(resp, z, dnssecOK)
+		attachSOA(resp, r, dnssecOK)
 		if dnssecOK {
-			if params := nsec3Params(z); params != nil {
-				attachNSEC3ForName(resp, z, params, qname)
-			} else {
-				for _, nsec := range z.Lookup(qname, dnswire.TypeNSEC) {
-					resp.Authority = append(resp.Authority, nsec)
-				}
-				appendSigs(z, qname, dnswire.TypeNSEC, &resp.Authority)
-			}
+			attachTypeDenial(resp, r, qname)
 		}
 	}
 }
 
-// answerRRSet copies the RRset (and signatures when dnssecOK) into the
-// answer section; it reports whether any records were found.
-func answerRRSet(resp *dnswire.Message, z *zone.Zone, name string, t dnswire.Type, dnssecOK bool) bool {
-	rrs := z.Lookup(name, t)
+// attach appends the RRset at (name, t), and with sigs its signatures, to
+// the section; it reports whether there is such an RRset.
+func attach(r *zone.Reader, section *[]*dnswire.RR, name string, t dnswire.Type, sigs bool) bool {
+	rrs := r.RRSet(name, t)
 	if len(rrs) == 0 {
 		return false
 	}
-	resp.Answers = append(resp.Answers, rrs...)
-	if dnssecOK {
-		appendSigs(z, name, t, &resp.Answers)
+	*section = append(*section, rrs...)
+	if sigs {
+		*section = r.AppendSigs(*section, name, t)
 	}
 	return true
 }
 
 // attachSOA places the zone SOA in the authority section for negative
 // responses, with its signature under DO.
-func attachSOA(resp *dnswire.Message, z *zone.Zone, dnssecOK bool) {
-	if soa := z.SOA(); soa != nil {
-		resp.Authority = append(resp.Authority, soa)
+func attachSOA(resp *dnswire.Message, r *zone.Reader, dnssecOK bool) {
+	if soa := r.RRSet(r.Origin(), dnswire.TypeSOA); len(soa) > 0 {
+		resp.Authority = append(resp.Authority, soa[0])
 		if dnssecOK {
-			appendSigs(z, z.Origin, dnswire.TypeSOA, &resp.Authority)
+			resp.Authority = r.AppendSigs(resp.Authority, r.Origin(), dnswire.TypeSOA)
 		}
 	}
 }
 
+// attachTypeDenial proves that name, which exists, lacks the type asked for
+// (or, at a cut, a DS): the NSEC3 matching its hash, or the NSEC it owns.
+func attachTypeDenial(resp *dnswire.Message, r *zone.Reader, name string) {
+	if params := nsec3Params(r); params != nil {
+		attachNSEC3ForName(resp, r, params, name)
+		return
+	}
+	attach(r, &resp.Authority, name, dnswire.TypeNSEC, false)
+	resp.Authority = r.AppendSigs(resp.Authority, name, dnswire.TypeNSEC)
+}
+
 // nsec3Params returns the zone's NSEC3PARAM, or nil for NSEC/unsigned
 // zones.
-func nsec3Params(z *zone.Zone) *dnswire.NSEC3PARAM {
-	for _, rr := range z.Lookup(z.Origin, dnswire.TypeNSEC3PARAM) {
+func nsec3Params(r *zone.Reader) *dnswire.NSEC3PARAM {
+	for _, rr := range r.RRSet(r.Origin(), dnswire.TypeNSEC3PARAM) {
 		return rr.Data.(*dnswire.NSEC3PARAM)
 	}
 	return nil
 }
 
 // attachNSEC3ForName appends the NSEC3 RRset (with signatures) whose owner
-// name is the hash of name, and reports whether one was found.
-func attachNSEC3ForName(resp *dnswire.Message, z *zone.Zone, params *dnswire.NSEC3PARAM, name string) bool {
-	owner, err := dnssec.NSEC3OwnerName(name, z.Origin, params.Salt, params.Iterations)
-	if err != nil {
-		return false
-	}
-	rrs := z.Lookup(owner, dnswire.TypeNSEC3)
-	if len(rrs) == 0 {
-		return false
-	}
-	resp.Authority = append(resp.Authority, rrs...)
-	appendSigs(z, owner, dnswire.TypeNSEC3, &resp.Authority)
-	return true
-}
-
-// attachCoveringNSEC3 appends the NSEC3 whose hash span covers name's hash.
-func attachCoveringNSEC3(resp *dnswire.Message, z *zone.Zone, params *dnswire.NSEC3PARAM, name string) {
-	if !z.HasDenialChain() {
-		return
-	}
-	h, err := dnssec.NSEC3Hash(name, params.Salt, params.Iterations)
-	if err != nil {
-		return
-	}
-	for _, owner := range z.Names() {
-		for _, rr := range z.Lookup(owner, dnswire.TypeNSEC3) {
-			proof := &dnssec.NSEC3Proof{Owner: owner, NSEC3: rr.Data.(*dnswire.NSEC3)}
-			if proof.Covers(h) {
-				resp.Authority = append(resp.Authority, rr)
-				appendSigs(z, owner, dnswire.TypeNSEC3, &resp.Authority)
-				return
-			}
-		}
+// name is the hash of name.
+func attachNSEC3ForName(resp *dnswire.Message, r *zone.Reader, params *dnswire.NSEC3PARAM, name string) {
+	if owner, err := dnssec.NSEC3OwnerName(name, r.Origin(), params.Salt, params.Iterations); err == nil {
+		attach(r, &resp.Authority, owner, dnswire.TypeNSEC3, true)
 	}
 }
 
 // attachNSEC3Denial builds the RFC 5155 NXDOMAIN proof: the NSEC3 matching
-// the closest encloser plus the NSEC3 covering the next-closer name.
-func attachNSEC3Denial(resp *dnswire.Message, z *zone.Zone, params *dnswire.NSEC3PARAM, qname string) {
+// the closest encloser plus the NSEC3 covering the next-closer name — the
+// one whose owner precedes that name's hash in the chain.
+func attachNSEC3Denial(resp *dnswire.Message, r *zone.Reader, params *dnswire.NSEC3PARAM, qname string) {
 	ce := qname
 	nextCloser := ""
-	for {
-		if z.HasName(ce) || ce == z.Origin {
-			break
-		}
+	for !r.HasName(ce) && ce != r.Origin() {
 		nextCloser = ce
 		parent, ok := dnswire.Parent(ce)
-		if !ok || !dnswire.IsSubdomain(parent, z.Origin) {
+		if !ok || !dnswire.IsSubdomain(parent, r.Origin()) {
 			return
 		}
 		ce = parent
 	}
-	attachNSEC3ForName(resp, z, params, ce)
-	if nextCloser != "" {
-		attachCoveringNSEC3(resp, z, params, nextCloser)
+	attachNSEC3ForName(resp, r, params, ce)
+	if nextCloser == "" {
+		return
+	}
+	h, err := dnssec.NSEC3Hash(nextCloser, params.Salt, params.Iterations)
+	if err != nil {
+		return
+	}
+	hashed := dnswire.Base32HexEncode(h)
+	if r.Origin() != "" {
+		hashed += "." + r.Origin()
+	}
+	owner := r.Before(dnswire.TypeNSEC3, hashed)
+	for _, rr := range r.RRSet(owner, dnswire.TypeNSEC3) {
+		proof := dnssec.NSEC3Proof{Owner: owner, NSEC3: rr.Data.(*dnswire.NSEC3)}
+		if proof.Covers(h) {
+			resp.Authority = append(resp.Authority, rr)
+			resp.Authority = r.AppendSigs(resp.Authority, owner, dnswire.TypeNSEC3)
+			return
+		}
 	}
 }
 
 // attachCoveringNSEC adds the NSEC record proving qname's nonexistence
 // (RFC 4035 section 3.1.3.2): the NSEC whose owner/next span covers qname
-// in canonical order, plus its signature. Zones signed without an NSEC
-// chain simply contribute nothing.
-func attachCoveringNSEC(resp *dnswire.Message, z *zone.Zone, qname string) {
-	if !z.HasDenialChain() {
-		return // nothing to find, and Names() sorts every owner
-	}
-	for _, name := range z.Names() {
-		for _, rr := range z.Lookup(name, dnswire.TypeNSEC) {
-			nsec := rr.Data.(*dnswire.NSEC)
-			if nsecCovers(name, nsec.NextName, qname) {
-				resp.Authority = append(resp.Authority, rr)
-				appendSigs(z, name, dnswire.TypeNSEC, &resp.Authority)
-				return
-			}
+// in canonical order — its owner is the one that precedes qname — plus its
+// signature. Zones signed without an NSEC chain simply contribute nothing.
+func attachCoveringNSEC(resp *dnswire.Message, r *zone.Reader, qname string) {
+	owner := r.Before(dnswire.TypeNSEC, qname)
+	for _, rr := range r.RRSet(owner, dnswire.TypeNSEC) {
+		if nsecCovers(owner, rr.Data.(*dnswire.NSEC).NextName, qname) {
+			resp.Authority = append(resp.Authority, rr)
+			resp.Authority = r.AppendSigs(resp.Authority, owner, dnswire.TypeNSEC)
+			return
 		}
 	}
 }
@@ -421,11 +390,4 @@ func nsecCovers(owner, next, qname string) bool {
 	}
 	// Last NSEC wraps to the apex: it covers everything after the owner.
 	return cmpOwner < 0 || cmpNext < 0
-}
-
-// appendSigs adds the RRSIGs covering (name, covered) to the given section.
-// Zone.Sigs runs the key for a signature that was planned and not read yet,
-// so a response costs the signatures it carries and no others.
-func appendSigs(z *zone.Zone, name string, covered dnswire.Type, section *[]*dnswire.RR) {
-	*section = append(*section, z.Sigs(name, covered)...)
 }

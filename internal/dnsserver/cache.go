@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/zone"
@@ -26,8 +27,9 @@ import (
 // name-scoped event flushes the enclosing delegation cut's subtree, an
 // apex-scoped event flushes only entries that embed apex-owned records,
 // and a zone-scoped event flushes everything rendered from that zone.
-// Name- and apex-scoped events find their entries through per-bucket
-// indexes and visit nothing else; zone-scoped events and FlushSubtree scan.
+// Name-scoped events find their entries through the index by name (see
+// nameShard), apex-scoped events through per-bucket lists, and visit
+// nothing else; zone-scoped events and FlushSubtree scan.
 //
 // A fill races with concurrent zone mutation, so inserts carry a guard:
 // the filler pins the zone's generation (and the handler's publish
@@ -35,6 +37,7 @@ import (
 // moved — a response rendered from half-mutated state can never be cached.
 type ResponseCache struct {
 	buckets [cacheBuckets]respBucket
+	shards  [cacheBuckets]nameShard
 	// perBucketCap bounds each bucket's entries; inserts into a full bucket
 	// are rejected (counted, not evicted — the workload is a closed universe
 	// of simulated names, so steady state fits or it doesn't).
@@ -62,19 +65,42 @@ type respBucket struct {
 	// live counts the entries a lookup can find; used also counts the
 	// tombstones, and is what bounds the table's load.
 	live, used int
-	// index lets a name- or apex-scoped flush visit only its candidates:
-	// nameList and apexList give the keys an entry is listed under. Lists
-	// shed dead entries lazily: listed counts every membership, listedLive
-	// those of live entries, and list sweeps the index when the dead
-	// outnumber the living.
-	index              entryIndex
-	listed, listedLive int
+	// apex lets an apex-scoped flush visit only its candidates: under the
+	// hash of an origin, the bucket's apexDep entries rendered from that
+	// zone. A list sheds its dead entries when a flush walks it and before it
+	// would grow.
+	apex entryIndex
 }
 
 // respTable is one published generation of a bucket: len(slots) is a power
 // of two and at least half the slots are nil, so every probe terminates.
 type respTable struct {
 	slots []atomic.Pointer[respEntry]
+}
+
+// nameShard is one shard of the index by name. The hash of the whole key
+// chooses an entry's bucket, which scatters a name's entries; the last two
+// labels of its qname choose its shard, and every name at or below a flush
+// target of two labels or more shares them with the target. chains holds,
+// under the hash of a name directly below a zone's origin, the entries
+// rendered from that zone whose qname is that name or below it — the names
+// a ScopeName event can carry are such a name or lie below one — chained
+// through respEntry.next, so listing an entry allocates nothing.
+//
+// Lock order: shard, then bucket. A fill holds both; a name-scoped flush
+// holds the shard's mutex and takes the bucket's of each entry it removes;
+// every other flush goes bucket by bucket.
+type nameShard struct {
+	mu     sync.Mutex
+	chains map[uint64]nameChain
+}
+
+// nameChain is one chain of a nameShard. It sheds dead entries whenever it
+// is walked, by a flush or by link: n counts the entries chained, kept how
+// many the last walk left, and link walks it when that has doubled.
+type nameChain struct {
+	head    *respEntry
+	n, kept int32
 }
 
 type respEntry struct {
@@ -88,10 +114,50 @@ type respEntry struct {
 	// apexDep marks responses embedding apex-owned records (SOA in negative
 	// answers, apex RRsets): the only entries a ScopeApex event flushes.
 	apexDep bool
-	// lists is how many index lists hold the entry. dead is set once the
-	// entry is flushed or replaced. Both belong to the bucket mutex.
-	lists int
-	dead  bool
+	// next chains the entry in its shard and belongs to the shard mutex.
+	// dead is set, under the bucket mutex, once the entry is flushed or
+	// replaced.
+	next *respEntry
+	dead atomic.Bool
+}
+
+// slab is a respEntry and the bytes its key and wire point into, so that an
+// entry is one allocation (two beyond the largest slab).
+type slab[B any] struct {
+	respEntry
+	buf B
+}
+
+// newRespEntry builds the entry for key holding a normalized copy of the
+// rendered response wire.
+func newRespEntry(key, wire []byte) *respEntry {
+	var e *respEntry
+	var buf []byte
+	switch n := len(key) + len(wire); {
+	case n <= 128:
+		s := new(slab[[128]byte])
+		e, buf = &s.respEntry, s.buf[:]
+	case n <= 256:
+		s := new(slab[[256]byte])
+		e, buf = &s.respEntry, s.buf[:]
+	case n <= 384:
+		s := new(slab[[384]byte])
+		e, buf = &s.respEntry, s.buf[:]
+	case n <= 768:
+		s := new(slab[[768]byte])
+		e, buf = &s.respEntry, s.buf[:]
+	default:
+		e, buf = new(respEntry), make([]byte, n)
+	}
+	n := copy(buf, key)
+	// The slab's bytes are written here and never again, which is what a
+	// string asks of its bytes.
+	e.key = unsafe.String(&buf[0], n)
+	e.wire = buf[n : n+len(wire) : n+len(wire)]
+	copy(e.wire, wire)
+	e.wire[0], e.wire[1] = 0, 0
+	e.wire[2] &^= flagRDByte
+	return e
 }
 
 // tombstone marks a slot whose entry was flushed: a probe passes over it
@@ -130,7 +196,8 @@ func NewResponseCache(maxEntries int) *ResponseCache {
 	for i := range c.buckets {
 		b := &c.buckets[i]
 		b.table.Store(&respTable{slots: make([]atomic.Pointer[respEntry], minTableSlots)})
-		b.index = make(entryIndex)
+		b.apex = make(entryIndex)
+		c.shards[i].chains = make(map[uint64]nameChain)
 	}
 	return c
 }
@@ -145,22 +212,30 @@ func respKey(buf []byte, qname []byte, qtype dnswire.Type, edns byte) []byte {
 // keyQName recovers the qname portion of a key.
 func keyQName(key string) string { return key[:len(key)-3] }
 
-func hashKey(b []byte) uint64 {
+func hashKey(b []byte) uint64 { return fnv(b, 0) }
+
+// fnv is the FNV-1a hash of name[from:].
+func fnv[T string | []byte](name T, from int) uint64 {
 	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
+	for i := from; i < len(name); i++ {
+		h ^= uint64(name[i])
 		h *= 1099511628211
 	}
 	return h
 }
 
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
+// shardOf picks the index shard of a name: by its last two labels.
+func shardOf[T string | []byte](c *ResponseCache, name T) *nameShard {
+	from := 0
+	for i, dots := len(name)-1, 0; i >= 0; i-- {
+		if name[i] == '.' {
+			if dots++; dots == 2 {
+				from = i + 1
+				break
+			}
+		}
 	}
-	return h
+	return &c.shards[fnv(name, from)&(cacheBuckets-1)]
 }
 
 // emptySlot returns the first empty slot of h's probe sequence: where a key
@@ -199,15 +274,18 @@ func (c *ResponseCache) lookup(key []byte) *respEntry {
 // insert stores a normalized copy of the rendered response wire under key
 // unless guard reports the world moved since the response was rendered or
 // the bucket is full, and returns the entry stored (nil when rejected). The
-// copy, the entry and the key string are built only once both checks have
-// passed: a rejected fill allocates nothing. guard runs under the bucket
-// mutex, after which no invalidation for the pinned state can be missed:
-// events fire after the mutation's generation bump, and every flush takes
-// the bucket mutex, so either guard sees the bump (reject) or the event's
+// entry is built only once both checks have passed: a rejected fill
+// allocates nothing. guard runs under the shard and bucket mutexes, after
+// which no invalidation for the pinned state can be missed: events fire
+// after the mutation's generation bump, and every flush of this entry takes
+// one of the two, so either guard sees the bump (reject) or the event's
 // flush runs after this insert (delete).
 func (c *ResponseCache) insert(key, wire []byte, origin string, apexDep bool, guard func() bool) *respEntry {
 	h := hashKey(key)
+	s := shardOf(c, key[:len(key)-3])
 	b := &c.buckets[h&(cacheBuckets-1)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !guard() {
@@ -232,13 +310,11 @@ func (c *ResponseCache) insert(key, wire []byte, origin string, apexDep bool, gu
 		c.rejected.Add(1)
 		return nil
 	}
-	e := &respEntry{key: string(key), hash: h, wire: make([]byte, len(wire)), origin: origin, apexDep: apexDep}
-	copy(e.wire, wire)
-	e.wire[0], e.wire[1] = 0, 0
-	e.wire[2] &^= flagRDByte
+	e := newRespEntry(key, wire)
+	e.hash, e.origin, e.apexDep = h, origin, apexDep
 	switch {
 	case old != nil: // replace in place
-		b.unlist(old)
+		old.dead.Store(true)
 	case free != nil:
 		at = free
 		b.live++
@@ -252,6 +328,7 @@ func (c *ResponseCache) insert(key, wire []byte, origin string, apexDep bool, gu
 		b.live++
 		b.used++
 	}
+	s.link(e)
 	b.list(e)
 	at.Store(e)
 	c.fills.Add(1)
@@ -291,61 +368,80 @@ func (b *respBucket) remove(t *respTable, e *respEntry) {
 	}
 }
 
-// drop leaves a tombstone in the slot that holds e and marks e dead. b.mu
-// held.
+// drop leaves a tombstone in the slot that holds e and marks e dead; the
+// list and the chain that hold it shed it later. b.mu held.
 func (b *respBucket) drop(s *atomic.Pointer[respEntry], e *respEntry) {
 	s.Store(tombstone)
 	b.live--
-	b.unlist(e)
+	e.dead.Store(true)
 }
 
-// entryIndex maps nameList and apexList keys to candidate lists.
+// entryIndex maps the hash of an origin to a bucket's candidate list, a
+// nameShard's chains that of a name to a chain's head. Being hashes, either
+// may hold strangers; a flush takes them as candidates and its predicate
+// decides.
 type entryIndex map[uint64][]*respEntry
 
-// nameList is the index key of the entries whose qname is at or below name:
-// each entry is listed under every ancestor of its qname (the qname
-// included) strictly below its origin — the names a ScopeName event can
-// carry. apexList is the key of the apexDep entries of the zone rooted at
-// origin. Both are hashes, so a list may hold strangers; a flush takes the
-// list as candidates and its predicate decides.
-func nameList(name string) uint64   { return hashString(name) }
-func apexList(origin string) uint64 { return ^hashString(origin) }
-
-// parentName is the name one label up ("" above a single label).
-func parentName(name string) string {
-	_, parent, _ := strings.Cut(name, ".")
-	return parent
+// childOf returns the ancestor of name (or name itself) directly below
+// origin, which name must be strictly below.
+func childOf(name, origin string) string {
+	above := len(name) - len(origin)
+	if origin != "" {
+		above-- // the dot before origin
+	}
+	return name[strings.LastIndexByte(name[:above], '.')+1:]
 }
 
-// list enters e in the index. b.mu held.
-func (b *respBucket) list(e *respEntry) {
-	for name := keyQName(e.key); len(name) > len(e.origin); name = parentName(name) {
-		k := nameList(name)
-		b.index[k] = append(b.index[k], e)
-		e.lists++
+// link chains e, which is about to go live, in its shard. s.mu held.
+func (s *nameShard) link(e *respEntry) {
+	qname := keyQName(e.key)
+	if len(qname) <= len(e.origin) {
+		return
 	}
-	if e.apexDep {
-		k := apexList(e.origin)
-		b.index[k] = append(b.index[k], e)
-		e.lists++
+	k := fnv(childOf(qname, e.origin), 0)
+	c := s.chains[k]
+	e.next, c.head = c.head, e
+	c.n++
+	s.chains[k] = c
+	// Walking when the chain has doubled keeps the shedding amortized O(1)
+	// per entry and the chain within twice what was live at the last walk.
+	if c.n > 2*max(c.kept, 8) {
+		s.keep(k, func(e *respEntry) bool { return !e.dead.Load() })
 	}
-	b.listed += e.lists
-	b.listedLive += e.lists
-	// A dead entry leaves the lists only here, so that a flush pays nothing
-	// per list; sweeping once the dead outnumber the living keeps that
-	// amortized O(1) per membership and the index within twice its live size.
-	if b.listed > 2*b.listedLive {
-		for k, l := range b.index {
-			b.index.keep(k, l, func(e *respEntry) bool { return !e.dead })
+}
+
+// keep filters chain k in place, dropping the key when nothing is left.
+// s.mu held.
+func (s *nameShard) keep(k uint64, keep func(*respEntry) bool) {
+	c := s.chains[k]
+	for at := &c.head; *at != nil; {
+		if e := *at; keep(e) {
+			at = &e.next
+		} else {
+			*at, e.next = e.next, nil
+			c.n--
 		}
-		b.listed = b.listedLive
+	}
+	if c.kept = c.n; c.head == nil {
+		delete(s.chains, k)
+	} else {
+		s.chains[k] = c
 	}
 }
 
-// unlist marks e dead; its list memberships are shed later. b.mu held.
-func (b *respBucket) unlist(e *respEntry) {
-	e.dead = true
-	b.listedLive -= e.lists
+// list enters e in the bucket's apex lists. b.mu held.
+func (b *respBucket) list(e *respEntry) {
+	if !e.apexDep {
+		return
+	}
+	k := fnv(e.origin, 0)
+	l := b.apex[k]
+	if len(l) == cap(l) {
+		// Shedding the dead before growing keeps that amortized O(1) per
+		// entry and the list within twice its live size.
+		l = b.apex.keep(k, l, func(e *respEntry) bool { return !e.dead.Load() })
+	}
+	b.apex[k] = append(l, e)
 }
 
 // applyEvent translates one zone mutation event into the narrowest flush.
@@ -355,7 +451,7 @@ func (c *ResponseCache) applyEvent(z *zone.Zone, ev zone.Event) {
 	case zone.ScopeZone:
 		c.flushWhere(func(e *respEntry) bool { return e.origin == origin })
 	case zone.ScopeApex:
-		c.flushListed(apexList(origin), func(e *respEntry) bool {
+		c.flushListed(fnv(origin, 0), func(e *respEntry) bool {
 			return e.apexDep && e.origin == origin
 		})
 	default: // ScopeName
@@ -369,10 +465,15 @@ func (c *ResponseCache) applyEvent(z *zone.Zone, ev zone.Event) {
 		match := func(e *respEntry) bool {
 			return e.origin == origin && dnswire.IsSubdomain(keyQName(e.key), target)
 		}
-		if len(target) > len(origin) {
-			c.flushListed(nameList(target), match)
-		} else {
-			c.flushWhere(match) // not a name the index lists entries under
+		switch {
+		case len(target) <= len(origin):
+			c.flushWhere(match) // not a name the index chains entries under
+		case strings.Contains(target, "."):
+			c.flushChain(shardOf(c, target), fnv(childOf(target, origin), 0), match)
+		default: // a TLD in the root zone: what lies below it is in every shard
+			for i := range c.shards {
+				c.flushChain(&c.shards[i], fnv(target, 0), match)
+			}
 		}
 	}
 }
@@ -386,34 +487,48 @@ func (c *ResponseCache) FlushSubtree(name string) {
 	})
 }
 
+// flushChain removes the entries match accepts among those on chain k of
+// shard s, and visits nothing else.
+func (c *ResponseCache) flushChain(s *nameShard, k uint64, match func(*respEntry) bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.keep(k, func(e *respEntry) bool {
+		if !e.dead.Load() && match(e) {
+			b := &c.buckets[e.hash&(cacheBuckets-1)]
+			b.mu.Lock()
+			if !e.dead.Load() { // still, now that no other flush can have it
+				b.remove(b.table.Load(), e)
+				c.flushed.Add(1)
+			}
+			b.mu.Unlock()
+		}
+		return !e.dead.Load()
+	})
+}
+
 // flushListed removes the entries match accepts among those listed under k,
 // visiting only that list in each bucket.
 func (c *ResponseCache) flushListed(k uint64, match func(*respEntry) bool) {
 	for i := range c.buckets {
 		b := &c.buckets[i]
 		b.mu.Lock()
-		if l := b.index[k]; l != nil {
+		if l := b.apex[k]; l != nil {
 			t := b.table.Load()
-			kept := b.index.keep(k, l, func(e *respEntry) bool {
-				if e.dead {
-					return false
-				}
-				if match(e) {
+			b.apex.keep(k, l, func(e *respEntry) bool {
+				if !e.dead.Load() && match(e) {
 					b.remove(t, e)
 					c.flushed.Add(1)
-					return false
 				}
-				return true
+				return !e.dead.Load()
 			})
-			b.listed -= len(l) - kept
 		}
 		b.mu.Unlock()
 	}
 }
 
 // keep filters list l of index key k in place, dropping the key when nothing
-// is left, and returns how many entries stayed.
-func (ix entryIndex) keep(k uint64, l []*respEntry, keep func(*respEntry) bool) int {
+// is left, and returns what stayed.
+func (ix entryIndex) keep(k uint64, l []*respEntry, keep func(*respEntry) bool) []*respEntry {
 	kept := l[:0]
 	for _, e := range l {
 		if keep(e) {
@@ -426,7 +541,7 @@ func (ix entryIndex) keep(k uint64, l []*respEntry, keep func(*respEntry) bool) 
 	} else {
 		ix[k] = kept
 	}
-	return len(kept)
+	return kept
 }
 
 // flushWhere removes every entry match accepts, scanning the whole cache.

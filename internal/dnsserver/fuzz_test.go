@@ -58,12 +58,14 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 }
 
 // FuzzServeDNS feeds raw packets through both wire entry points and pins
-// four properties: nothing panics; a lazy-parse success implies a full
+// five properties: nothing panics; a lazy-parse success implies a full
 // Unpack success with the identical (qname, qtype, class, DO) view (the
 // cache-key soundness contract); when the fast path answers from cache it
-// returns exactly the bytes the full path renders; and the UDP rendering is
+// returns exactly the bytes the full path renders; the UDP rendering is
 // the unlimited (TCP) one wherever that fits the client's payload limit,
-// and a TC reply no larger than the limit wherever it does not.
+// and a TC reply no larger than the limit wherever it does not; and every
+// packet answered is answered with the bytes the reference renderer
+// (oracle_test.go) packs for it.
 func FuzzServeDNS(f *testing.F) {
 	for _, pkt := range fuzzSeeds(f) {
 		f.Add(pkt)
@@ -107,6 +109,11 @@ func FuzzServeDNS(f *testing.F) {
 		whole := s.ServeWireFull(nil, pkt, dnsserver.NewWireScratch(), false)
 		if (whole == nil) != (full == nil) {
 			t.Fatalf("udp answers %v, tcp answers %v", full != nil, whole != nil)
+		}
+		if whole != nil {
+			if want, err := dnsserver.ReferenceServeDNS(s, &m).Pack(); err != nil || !bytes.Equal(whole, want) {
+				t.Fatalf("the response diverges from the reference renderer's (%v):\ngot:  %x\nwant: %x", err, whole, want)
+			}
 		}
 		if full != nil {
 			if limit := m.MaxPayload(); len(whole) <= limit {

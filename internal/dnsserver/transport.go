@@ -333,7 +333,7 @@ func (s *Server) udpWorker(c *net.UDPConn) {
 	}
 }
 
-// serveSlowUDP answers one query through the full parse path.
+// serveSlowUDP answers one query through the slow side.
 func (s *Server) serveSlowUDP(c *net.UDPConn, pkt *[]byte, n int, from netip.AddrPort) {
 	defer s.wg.Done()
 	defer func() { <-s.sem }()

@@ -1,7 +1,6 @@
 package dnsserver
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 
@@ -12,17 +11,21 @@ import (
 // Wire-level serving: a packet is answered by two functions, whichever
 // transport carried it. serveCached is the zero-alloc hit side (lazy parse
 // → key → lock-free lookup → copy + patch ID/RD) and serveWire the slow
-// side (full parse → answer → pack → guarded cache fill → truncate), which
+// side (parse → answer → pack → guarded cache fill → truncate), which
 // every Handler has; ServeWireFast and ServeWireFull export them.
 
 // WireScratch is per-worker reusable state for the wire paths. All slices
-// grow once and are recycled; Message q is reused across full parses.
+// grow once and are recycled: a miss an Authoritative answers builds its
+// response in resp, reading the zone through reader, and allocates nothing
+// of its own; q is reused across full parses.
 type WireScratch struct {
-	name []byte
-	key  []byte
-	pack []byte
-	out  []byte
-	q    dnswire.Message
+	name   []byte
+	key    []byte
+	pack   []byte
+	out    []byte
+	q      dnswire.Message
+	resp   dnswire.Message
+	reader zone.Reader
 }
 
 // NewWireScratch allocates scratch sized for typical authoritative traffic.
@@ -70,7 +73,7 @@ func (a *Authoritative) serveCached(dst, pkt []byte, sc *WireScratch, udp bool) 
 		return dst, false
 	}
 	if udp && len(e.wire) > v.MaxPayload() {
-		return appendTruncated(dst, &v, e), true
+		return appendTruncated(dst, &v, e.wire), true
 	}
 	n := len(dst)
 	dst = append(dst, e.wire...)
@@ -81,25 +84,23 @@ func (a *Authoritative) serveCached(dst, pkt []byte, sc *WireScratch, udp bool) 
 	return dst, true
 }
 
-// appendTruncated renders the TC response for an oversize cached entry
-// from scratch: header, the question, and — when the client sent EDNS —
-// the responder OPT, byte-identical to what the slow path's
-// Reply/Pack sequence produces (so cached and uncached truncations agree).
-func appendTruncated(dst []byte, v *dnswire.QueryView, e *respEntry) []byte {
+// appendTruncated renders the TC form of the packed response wire to the
+// query v describes: wire's header and question section, and — when the
+// client sent EDNS — the responder OPT, as Reply would mirror it. Both sides
+// call it, so cached and uncached truncations agree.
+func appendTruncated(dst []byte, v *dnswire.QueryView, wire []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, v.ID)
-	b2 := byte(flagQRByte) | e.wire[2]&flagAAByte | flagTCByte
+	b2 := wire[2]&^(flagTCByte|flagRDByte) | flagTCByte // QR, opcode and AA as rendered
 	if v.RecursionDesired {
 		b2 |= flagRDByte
 	}
-	dst = append(dst, b2, e.wire[3]&0x0f) // RA/AD/CD clear, RCode preserved
+	dst = append(dst, b2, wire[3]&0x0f) // RA/AD/CD clear, RCode preserved
 	ar := byte(0)
 	if v.HasEDNS {
 		ar = 1
 	}
-	dst = append(dst, 0, 1, 0, 0, 0, 0, 0, ar)
-	dst = appendWireName(dst, v.Name)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(v.Type))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(v.Class))
+	dst = append(dst, wire[4], wire[5], 0, 0, 0, 0, 0, ar)
+	dst = append(dst, wire[12:questionsEnd(wire)]...)
 	if v.HasEDNS {
 		dst = append(dst, 0, 0, byte(dnswire.TypeOPT)) // root owner, type 41
 		dst = binary.BigEndian.AppendUint16(dst, dnswire.ReplyUDPPayload)
@@ -112,21 +113,20 @@ func appendTruncated(dst []byte, v *dnswire.QueryView, e *respEntry) []byte {
 	return dst
 }
 
-// appendWireName encodes a canonical name (no trailing dot) as
-// uncompressed wire labels.
-func appendWireName(dst []byte, name []byte) []byte {
-	for len(name) > 0 {
-		i := bytes.IndexByte(name, '.')
-		label := name
-		if i >= 0 {
-			label, name = name[:i], name[i+1:]
-		} else {
-			name = nil
+// questionsEnd is the offset just past the question section of a message
+// this package packed.
+func questionsEnd(wire []byte) int {
+	off := 12
+	for n := binary.BigEndian.Uint16(wire[4:]); n > 0; n-- {
+		for wire[off] != 0 && wire[off]&0xc0 == 0 {
+			off += 1 + int(wire[off])
 		}
-		dst = append(dst, byte(len(label)))
-		dst = append(dst, label...)
+		if wire[off] != 0 {
+			off++ // a compression pointer is two octets and ends the name
+		}
+		off += 1 + 4
 	}
-	return append(dst, 0)
+	return off
 }
 
 // ServeWireFull serves a raw packet through the full parse/render path,
@@ -139,32 +139,47 @@ func (a *Authoritative) ServeWireFull(dst, pkt []byte, sc *WireScratch, udp bool
 	return out
 }
 
-// serveWire is the slow side every transport shares: it parses pkt in full,
-// has h answer it, packs the response into dst (which must be empty) and,
-// over UDP, replaces a response larger than the client's payload limit by
-// its TC form. An Authoritative with a cache also fills it here. An error
-// means the packet gets no reply.
+// serveWire is the slow side every transport shares: it parses pkt, has h
+// answer it, packs the response into dst (which must be empty) and, over
+// UDP, replaces a response larger than the client's payload limit by its TC
+// form. An Authoritative parses with the hit side's parser and renders
+// straight from its zones into sc — and, with a cache, fills it; the full
+// Unpack and ServeDNS are for the packets that parser leaves to them and
+// for any other Handler. An error means the packet gets no reply.
 func serveWire(h Handler, dst, pkt []byte, sc *WireScratch, udp bool) ([]byte, error) {
-	q := &sc.q
-	if err := q.Unpack(pkt); err != nil {
-		return nil, err
-	}
 	var (
+		v      dnswire.QueryView
 		resp   *dnswire.Message
 		z      *zone.Zone
 		pg, zg uint64
 	)
-	a, _ := h.(*Authoritative)
-	if a != nil {
+	a, lazy := h.(*Authoritative)
+	if lazy {
+		var err error
+		v, sc.name, err = dnswire.ParseQueryView(pkt, sc.name)
+		lazy = err == nil
+	}
+	if lazy {
 		// Pin the publish generation before consulting the zone set, and
 		// (in answer) the zone generation before rendering: the cache fill
 		// below is discarded unless both are even and unmoved at insert
 		// time, which makes a response rendered from mid-mutation or
 		// superseded state uncacheable.
 		pg = a.pubGen.Load()
-		resp, z, zg = a.answer(q)
-	} else if resp = h.ServeDNS(q); resp == nil {
-		return nil, errors.New("dnsserver: handler returned nil")
+		resp = sc.replySkeleton(&v)
+		z, zg = a.answer(resp, &sc.reader, resp.Questions[0].Name, v.Type, v.DNSSECOK)
+	} else {
+		q := &sc.q
+		if err := q.Unpack(pkt); err != nil {
+			return nil, err
+		}
+		if resp = h.ServeDNS(q); resp == nil {
+			return nil, errors.New("dnsserver: handler returned nil")
+		}
+		v = dnswire.QueryView{ID: q.ID, RecursionDesired: q.RecursionDesired}
+		if e := q.EDNS(); e != nil {
+			v.HasEDNS, v.DNSSECOK, v.UDPSize = true, e.DNSSECOK, e.UDPSize
+		}
 	}
 	wire, err := resp.AppendPack(sc.pack[:0])
 	if err != nil {
@@ -172,34 +187,42 @@ func serveWire(h Handler, dst, pkt []byte, sc *WireScratch, udp bool) ([]byte, e
 	}
 	sc.pack = wire
 	if z != nil && a.cache != nil {
-		a.fill(sc, q, resp, wire, z, pg, zg)
+		sc.key = respKey(sc.key, v.Name, v.Type, ednsState(v.HasEDNS, v.DNSSECOK))
+		a.cache.insert(sc.key, wire, z.Origin, respDependsOnApex(resp, z.Origin), func() bool {
+			return pg&1 == 0 && zg&1 == 0 &&
+				a.pubGen.Load() == pg && z.Generation() == zg
+		})
 	}
-	if udp && len(wire) > q.MaxPayload() {
-		// Header, question and the responder OPT (when the query carried
-		// EDNS — Reply mirrors it), TC set.
-		tr := q.Reply()
-		tr.RCode = resp.RCode
-		tr.Truncated = true
-		tr.Authoritative = resp.Authoritative
-		return tr.AppendPack(dst)
+	if udp && len(wire) > v.MaxPayload() {
+		return appendTruncated(dst, &v, wire), nil
 	}
 	return append(dst, wire...), nil
 }
 
-// fill offers the packed response to q, rendered from z, to the cache
-// under the pins taken before it was rendered. Only INET responses are
-// cacheable: other classes would collide with the INET key space.
-func (a *Authoritative) fill(sc *WireScratch, q, resp *dnswire.Message, wire []byte, z *zone.Zone, pg, zg uint64) {
-	if q.Questions[0].Class != dnswire.ClassINET {
-		return
+// replyOPT holds the responder OPT records Reply would build, without and
+// with the DO bit: every response rendered in a WireScratch shares them.
+var replyOPT, replyOPTDO = responderOPT(false), responderOPT(true)
+
+func responderOPT(dnssecOK bool) *dnswire.RR {
+	var m dnswire.Message
+	m.SetEDNS(dnswire.ReplyUDPPayload, dnssecOK)
+	return m.Additional[0]
+}
+
+// replySkeleton resets the scratch response to what Reply gives for the
+// query v describes: ID, QR, RD, the question and the responder OPT.
+func (sc *WireScratch) replySkeleton(v *dnswire.QueryView) *dnswire.Message {
+	resp := &sc.resp
+	resp.Header = dnswire.Header{ID: v.ID, Response: true, RecursionDesired: v.RecursionDesired}
+	resp.Questions = append(resp.Questions[:0], dnswire.Question{Name: string(v.Name), Type: v.Type, Class: v.Class})
+	resp.Answers, resp.Authority, resp.Additional = resp.Answers[:0], resp.Authority[:0], resp.Additional[:0]
+	switch {
+	case v.DNSSECOK:
+		resp.Additional = append(resp.Additional, replyOPTDO)
+	case v.HasEDNS:
+		resp.Additional = append(resp.Additional, replyOPT)
 	}
-	e := q.EDNS()
-	sc.name = append(sc.name[:0], q.Questions[0].Name...)
-	sc.key = respKey(sc.key, sc.name, q.Questions[0].Type, ednsState(e != nil, e != nil && e.DNSSECOK))
-	a.cache.insert(sc.key, wire, z.Origin, respDependsOnApex(resp, z.Origin), func() bool {
-		return pg&1 == 0 && zg&1 == 0 &&
-			a.pubGen.Load() == pg && z.Generation() == zg
-	})
+	return resp
 }
 
 // respDependsOnApex reports whether the response embeds records owned by

@@ -3,7 +3,9 @@ package dnsserver_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"securepki.org/registrarsec/internal/dnsserver"
@@ -462,7 +464,9 @@ func TestConcurrentMutationEquivalence(t *testing.T) {
 // grow and shed tombstones under the load. Under -race it holds BumpSerial
 // to replacing the SOA it bumps (the full path packs records after the zone
 // lock is released), and afterwards the cache must agree with the uncached
-// view.
+// view. The flips start once a reader has been served from the cache and
+// each waits for the readers to have served more, so that flips and reads
+// meet whatever the scheduler does.
 func TestDelegationFlipBesideReads(t *testing.T) {
 	h := newHierarchy(t)
 	var domains []string
@@ -477,6 +481,7 @@ func TestDelegationFlipBesideReads(t *testing.T) {
 	cached, uncached := newCachedUncachedPair(z)
 	queries := sweepQueries(t, sweepNames("com", domains))
 
+	var served, hits atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -493,16 +498,26 @@ func TestDelegationFlipBesideReads(t *testing.T) {
 				}
 				pkt := queries[i%len(queries)]
 				var hit bool
-				if buf, hit = cached.ServeWireFast(buf[:0], pkt, sc); !hit {
-					if cached.ServeWireFull(buf[:0], pkt, sc, true) == nil {
-						t.Error("full path failed beside a delegation flip")
-						return
-					}
+				if buf, hit = cached.ServeWireFast(buf[:0], pkt, sc); hit {
+					hits.Add(1)
+				} else if cached.ServeWireFull(buf[:0], pkt, sc, true) == nil {
+					t.Error("full path failed beside a delegation flip")
+					return
 				}
+				served.Add(1)
+				runtime.Gosched() // a single P must let the flips in between the reads
 			}
 		}(w)
 	}
+	// awaitReaders returns once counter has passed floor, or the readers died.
+	awaitReaders := func(counter *atomic.Int64, floor int64) {
+		for counter.Load() <= floor && !t.Failed() {
+			runtime.Gosched()
+		}
+	}
+	awaitReaders(&hits, 0)
 	for round := 0; round < 400; round++ {
+		awaitReaders(&served, served.Load()+8)
 		d := domains[round%len(domains)]
 		z.Remove(d, dnswire.TypeNS)
 		z.MustAdd(dnswire.NewRR(d, 86400, &dnswire.NS{Host: fmt.Sprintf("ns%d.operator.net", 1+round%2)}))

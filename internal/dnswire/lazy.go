@@ -19,7 +19,8 @@ import (
 // back to the full parser. The subset property is what FuzzServeDNS pins
 // down: ParseQueryView success implies Unpack success with an identical
 // (qname, qtype, DO) view, so a cache keyed by the lazy view can never
-// disagree with a response rendered from the full parse.
+// disagree with a response rendered from the full parse — nor can the
+// response an authoritative server renders from the view itself on a miss.
 
 var errNotFastPath = errors.New("dnswire: packet outside the lazy-parse fast path")
 

@@ -195,10 +195,11 @@ func (m *Message) AppendPack(buf []byte) ([]byte, error) {
 	}
 	start := len(buf)
 	buf = m.Header.pack(buf, counts)
-	cmp := newCompressor()
 	// Compression offsets are relative to the start of the DNS message, so
 	// packing must begin at offset 0 of the working buffer for pointer
 	// arithmetic to hold. Enforce rather than silently corrupt.
+	var offsets compressor
+	cmp := &offsets
 	if start != 0 {
 		cmp = nil
 	}

@@ -365,3 +365,34 @@ func TestUnpackMutatedMessagesNeverPanic(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAppendPack packs the responses an authoritative server sends most,
+// into a reused buffer.
+func BenchmarkAppendPack(b *testing.B) {
+	referral := NewQuery(1, "www.example.com", TypeA)
+	referral.Response = true
+	referral.SetEDNS(ReplyUDPPayload, true)
+	referral.Authority = []*RR{
+		NewRR("example.com", 86400, &NS{Host: "ns1.operator.example"}),
+		NewRR("example.com", 86400, &DS{KeyTag: 7, Algorithm: AlgED25519, DigestType: DigestSHA256, Digest: make([]byte, 32)}),
+		NewRR("example.com", 86400, &RRSIG{
+			TypeCovered: TypeDS, Algorithm: AlgED25519, Labels: 2, OriginalTTL: 86400,
+			SignerName: "com", Signature: make([]byte, 64),
+		}),
+	}
+	for _, tc := range []struct {
+		name string
+		m    *Message
+	}{{"referral", referral}} {
+		b.Run(tc.name, func(b *testing.B) {
+			buf := make([]byte, 0, 1024)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if buf, err = tc.m.AppendPack(buf[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

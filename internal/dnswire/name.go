@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strings"
@@ -107,21 +108,15 @@ func SecondLevel(name string) string {
 // section 6.1: names are compared right-to-left, label by label, as
 // case-insensitive octet strings. It returns -1, 0 or +1.
 func CompareCanonical(a, b string) int {
-	la, lb := SplitLabels(a), SplitLabels(b)
-	for i := 1; ; i++ {
-		if i > len(la) && i > len(lb) {
-			return 0
-		}
-		if i > len(la) {
-			return -1
-		}
-		if i > len(lb) {
-			return 1
-		}
-		x, y := la[len(la)-i], lb[len(lb)-i]
-		if c := strings.Compare(x, y); c != 0 {
+	for {
+		i, j := strings.LastIndexByte(a, '.'), strings.LastIndexByte(b, '.')
+		if c := strings.Compare(a[i+1:], b[j+1:]); c != 0 {
 			return c
 		}
+		if i < 0 || j < 0 {
+			return cmp.Compare(i, j) // the name with labels left sorts after
+		}
+		a, b = a[:i], b[:j]
 	}
 }
 
@@ -129,12 +124,40 @@ func CompareCanonical(a, b string) int {
 // repeated names can be encoded as compression pointers (RFC 1035 section
 // 4.1.4). A nil *compressor disables compression, which is required when
 // producing the canonical form of RDATA for signing.
+//
+// A message names a handful of suffixes — its question's and its owners' —
+// so they are kept in a fixed array the packer holds on its stack, searched
+// in order; only a message that names more spills into the map.
 type compressor struct {
-	offsets map[string]int
+	n    int
+	seen [8]struct {
+		suffix string
+		off    int
+	}
+	spills map[string]int
 }
 
-func newCompressor() *compressor {
-	return &compressor{offsets: make(map[string]int)}
+// offset returns where suffix was first packed; failing that, it records at
+// as the place, if a pointer can reach it.
+func (c *compressor) offset(suffix string, at int) (int, bool) {
+	for _, s := range c.seen[:c.n] {
+		if s.suffix == suffix {
+			return s.off, true
+		}
+	}
+	if off, ok := c.spills[suffix]; ok || at >= 0x3fff {
+		return off, ok
+	}
+	if c.n < len(c.seen) {
+		c.seen[c.n].suffix, c.seen[c.n].off = suffix, at
+		c.n++
+	} else {
+		if c.spills == nil {
+			c.spills = make(map[string]int)
+		}
+		c.spills[suffix] = at
+	}
+	return 0, false
 }
 
 // appendName appends the wire encoding of a canonical name to buf, using
@@ -147,11 +170,8 @@ func appendName(buf []byte, name string, cmp *compressor) ([]byte, error) {
 	rest := name
 	for rest != "" {
 		if cmp != nil {
-			if off, ok := cmp.offsets[rest]; ok {
+			if off, ok := cmp.offset(rest, len(buf)); ok {
 				return append(buf, 0xc0|byte(off>>8), byte(off)), nil
-			}
-			if len(buf) < 0x3fff {
-				cmp.offsets[rest] = len(buf)
 			}
 		}
 		label := rest

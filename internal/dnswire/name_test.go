@@ -156,7 +156,7 @@ func TestNameRoundTripProperty(t *testing.T) {
 }
 
 func TestNameCompressionRoundTrip(t *testing.T) {
-	cmp := newCompressor()
+	cmp := new(compressor)
 	var buf []byte
 	var err error
 	names := []string{"example.com", "www.example.com", "example.com", "mail.example.com"}
@@ -222,5 +222,89 @@ func TestSplitLabels(t *testing.T) {
 	}
 	if got := SplitLabels("a.b"); !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Errorf("SplitLabels = %v", got)
+	}
+}
+
+// TestCompareCanonicalMatchesSplit holds the allocation-free comparison to
+// the label-splitting one it replaced, on random names and on malformed ones
+// (empty labels), and to allocating nothing.
+func TestCompareCanonicalMatchesSplit(t *testing.T) {
+	bySplit := func(a, b string) int {
+		la, lb := SplitLabels(a), SplitLabels(b)
+		for i := 1; ; i++ {
+			switch {
+			case i > len(la) && i > len(lb):
+				return 0
+			case i > len(la):
+				return -1
+			case i > len(lb):
+				return 1
+			}
+			if c := strings.Compare(la[len(la)-i], lb[len(lb)-i]); c != 0 {
+				return c
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(9))
+	names := []string{"", ".", ".a", "a.", "a..b", "a.b", "b", "ab"}
+	for i := 0; i < 200; i++ {
+		names = append(names, randomName(r))
+	}
+	for _, a := range names {
+		for _, b := range names {
+			if got, want := CompareCanonical(a, b), bySplit(a, b); got != want {
+				t.Fatalf("CompareCanonical(%q, %q) = %d, the split comparison says %d", a, b, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { CompareCanonical("www.example.com", "mail.example.com") }); n != 0 {
+		t.Errorf("CompareCanonical allocates %.0f times", n)
+	}
+}
+
+// TestCompressorMatchesMap packs name sequences — shorter and longer than the
+// compressor's fixed array — with the compressor and with the map of suffix
+// offsets it replaced: same bytes, so same first-seen offsets.
+func TestCompressorMatchesMap(t *testing.T) {
+	byMap := func(buf []byte, name string, offsets map[string]int) []byte {
+		for rest := name; rest != ""; {
+			if off, ok := offsets[rest]; ok {
+				return append(buf, 0xc0|byte(off>>8), byte(off))
+			}
+			if len(buf) < 0x3fff {
+				offsets[rest] = len(buf)
+			}
+			label, tail, _ := strings.Cut(rest, ".")
+			buf = append(append(buf, byte(len(label))), label...)
+			rest = tail
+		}
+		return append(buf, 0)
+	}
+	r := rand.New(rand.NewSource(5))
+	for _, count := range []int{1, 3, 8, 9, 40, 400} {
+		var cmp compressor
+		offsets := make(map[string]int)
+		got, want := make([]byte, 12), make([]byte, 12)
+		var names []string
+		for i := 0; i < count; i++ {
+			name := randomName(r)
+			if i%3 == 2 {
+				if parent := names[r.Intn(len(names))]; parent != "" {
+					name = "x." + parent
+				}
+			}
+			names = append(names, name)
+			var err error
+			if got, err = appendName(got, name, &cmp); err != nil {
+				t.Fatal(err)
+			}
+			want = byMap(want, name, offsets)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%d names: the compressor and the map disagree:\n%x\n%x", count, got, want)
+		}
+		if count > len(cmp.seen) && len(cmp.spills) == 0 {
+			t.Errorf("%d names never spilled", count)
+		}
 	}
 }

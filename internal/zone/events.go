@@ -90,6 +90,7 @@ func (z *Zone) trackSetAdded(k rrKey) {
 	switch k.typ {
 	case dnswire.TypeNSEC, dnswire.TypeNSEC3:
 		z.nsecSets++
+		z.denial = nil
 	case dnswire.TypeCNAME:
 		z.cnameSets++
 	}
@@ -102,17 +103,10 @@ func (z *Zone) trackSetRemoved(k rrKey) {
 	switch k.typ {
 	case dnswire.TypeNSEC, dnswire.TypeNSEC3:
 		z.nsecSets--
+		z.denial = nil
 	case dnswire.TypeCNAME:
 		z.cnameSets--
 	}
-}
-
-// HasDenialChain reports whether the zone holds any NSEC or NSEC3 RRset —
-// whether a denial-of-existence proof can exist at all.
-func (z *Zone) HasDenialChain() bool {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return z.nsecSets > 0
 }
 
 func notify(subs []func(Event), ev Event) {

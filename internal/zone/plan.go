@@ -234,32 +234,10 @@ func (z *Zone) lockProduced(name string, all bool) (unlock func()) {
 }
 
 // Sigs returns the RRSIGs at name covering the given type, producing the
-// one still planned, if any. It is how a response gets its signatures.
-func (z *Zone) Sigs(name string, covered dnswire.Type) []*dnswire.RR {
+// one still planned, if any.
+func (z *Zone) Sigs(name string, covered dnswire.Type) (out []*dnswire.RR) {
 	name = dnswire.CanonicalName(name)
-	z.mu.RLock()
-	if _, planned := planIndex(z.plans[name], covered); !planned {
-		out := z.sigsLocked(name, covered)
-		z.mu.RUnlock()
-		return out
-	}
-	z.mu.RUnlock()
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	// The plan may have been produced, replaced or dropped meanwhile.
-	if i, planned := planIndex(z.plans[name], covered); planned {
-		z.produceLocked(name, i)
-	}
-	return z.sigsLocked(name, covered)
-}
-
-func (z *Zone) sigsLocked(name string, covered dnswire.Type) []*dnswire.RR {
-	var out []*dnswire.RR
-	for _, rr := range z.sets[sigKey(name)] {
-		if coveredBy(rr, covered) {
-			out = append(out, rr)
-		}
-	}
+	z.Read(nil, func(r *Reader) { out = r.AppendSigs(nil, name, covered) })
 	return out
 }
 

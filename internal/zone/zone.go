@@ -55,6 +55,10 @@ type Zone struct {
 	// nil for a zone that is unsigned or was signed elsewhere; BumpSerial
 	// re-plans the SOA's signature under it.
 	signer *Signer
+	// denial holds the owners of the NSEC and of the NSEC3 RRsets in canonical
+	// order, nil until an answer needs them and again after such an RRset
+	// appeared or disappeared (see Reader.Before).
+	denial map[dnswire.Type][]string
 }
 
 // New creates an empty zone for the given origin.
@@ -204,19 +208,10 @@ func (z *Zone) RemoveType(t dnswire.Type) {
 // Lookup returns a copy of the RRset at (name, type), nil if absent. For
 // TypeRRSIG that is every signature at name, produced now if still planned;
 // a response that needs the signatures over one RRset asks Sigs.
-func (z *Zone) Lookup(name string, t dnswire.Type) []*dnswire.RR {
+func (z *Zone) Lookup(name string, t dnswire.Type) (out []*dnswire.RR) {
 	name = dnswire.CanonicalName(name)
-	if t == dnswire.TypeRRSIG {
-		defer z.lockProduced(name, false)()
-	} else {
-		z.mu.RLock()
-		defer z.mu.RUnlock()
-	}
-	set := z.sets[rrKey{name, t}]
-	if len(set) == 0 {
-		return nil
-	}
-	return append([]*dnswire.RR(nil), set...)
+	z.Read(nil, func(r *Reader) { out = append([]*dnswire.RR(nil), r.RRSet(name, t)...) })
+	return out
 }
 
 // LookupAll returns every RRset owned by name, grouped by type.
@@ -339,13 +334,21 @@ func (z *Zone) BumpSerial() {
 // below the apex). It returns the cut name and its NS RRset, or "" when
 // qname is authoritatively inside this zone.
 func (z *Zone) DelegationFor(qname string) (string, []*dnswire.RR) {
-	qname = dnswire.CanonicalName(qname)
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	cut, ns := z.delegationLocked(dnswire.CanonicalName(qname))
+	return cut, append([]*dnswire.RR(nil), ns...)
+}
+
+// delegationLocked is DelegationFor for a canonical qname, returning the
+// zone's own NS RRset. z.mu must be held.
+func (z *Zone) delegationLocked(qname string) (string, []*dnswire.RR) {
 	if !dnswire.IsSubdomain(qname, z.Origin) {
 		return "", nil
 	}
 	// Walk from qname up to (but excluding) the apex looking for NS sets.
 	for cur := qname; cur != z.Origin; {
-		if ns := z.Lookup(cur, dnswire.TypeNS); len(ns) > 0 {
+		if ns := z.sets[rrKey{cur, dnswire.TypeNS}]; len(ns) > 0 {
 			return cur, ns
 		}
 		p, ok := dnswire.Parent(cur)
