@@ -58,10 +58,8 @@ func main() {
 		q.SetEDNS(4096, true)
 	}
 	st, err := exchange.Build(exchange.Options{
-		Transport:      &dnsserver.NetExchanger{Timeout: *timeout},
-		Retry:          &retry.Policy{MaxAttempts: *retries},
-		RetryLame:      true,
-		RetryTruncated: true,
+		Transport: &dnsserver.NetExchanger{Timeout: *timeout},
+		Retry:     &retry.Policy{MaxAttempts: *retries},
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "building exchange stack: %v\n", err)

@@ -12,8 +12,8 @@
 //	            [-chunk 4096] [-mem-budget 256] [-spill-dir /scratch]
 //	            [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
-//	regsec-scan -worker http://coordinator:7353 -checkpoint-dir state/
-//	            [-name w1] [-fault-profile vantage.txt] [-vantage-seed 1]
+//	regsec-scan -worker http://coordinator:7353 [-name w1] [-fault-profile vantage.txt] [-vantage-seed 1]
+//	            (and the first form's checkpoint directory: required, the store shared with the coordinator)
 //
 // The second form joins a distributed sweep as a worker: the sweep plan
 // (days, sample, world, sharding) comes from a regsec-sweepd coordinator,
@@ -119,7 +119,7 @@ func run() int {
 		return runWorker(*workerURL, *workerName, *cpDir, *faultProfile, *vantageSeed)
 	}
 
-	spec, days := plan.Spec, plan.Days
+	spec := plan.Spec
 
 	var cp *checkpoint.Store
 	if *cpDir != "" {
@@ -155,10 +155,17 @@ func run() int {
 	eventf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
-	setup, err := spec.BuildStreamWith(world, nil, 0, eventf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+	rs := plan.Sweep(world, cp, dataset.SpillOptions{Dir: *spillDir, MemBudget: int64(*memBudget) << 20},
+		func(day simtime.Day, h *scan.SweepHealth) { fmt.Fprintln(os.Stderr, h) }, eventf)
+	// Keep each day's scanner for the closing totals.
+	var scanners []*scan.Scanner
+	setup := rs.StreamSetup
+	rs.StreamSetup = func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
+		scanner, src, prepare, err := setup(ctx, day)
+		if err == nil {
+			scanners = append(scanners, scanner)
+		}
+		return scanner, src, prepare, err
 	}
 
 	// SIGINT/SIGTERM cancel the sweep context: workers drain, the partial
@@ -167,35 +174,11 @@ func run() int {
 	defer stop()
 
 	start := time.Now()
-	var scanners []*scan.Scanner
-	rs := &scan.ResumableSweep{
-		Checkpoint: cp,
-		// The fingerprint binds a checkpoint to everything that shapes the
-		// sweep's output — the chunk size included, since it shapes the
-		// durable chunk files a resume trusts — so a stale or mismatched
-		// checkpoint is refused instead of silently mixed into a different
-		// configuration.
-		Fingerprint: plan.Fingerprint,
-		Shards:      plan.Shards,
-		Chunk:       plan.Chunk,
-		Spill:       dataset.SpillOptions{Dir: *spillDir, MemBudget: int64(*memBudget) << 20},
-		StreamSetup: func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
-			scanner, src, prepare, err := setup(ctx, day)
-			if err == nil {
-				scanners = append(scanners, scanner)
-			}
-			return scanner, src, prepare, err
-		},
-		OnDayHealth: func(day simtime.Day, h *scan.SweepHealth) {
-			fmt.Fprintln(os.Stderr, h)
-		},
-		OnEvent: eventf,
-	}
-	total, code := runStreamOut(ctx, rs, days, *outPath, cp, *cpDir)
+	total, code := runStreamOut(ctx, rs, plan.Days, *outPath, cp, *cpDir)
 	if code != 0 {
 		return code
 	}
-	reportTotals(scanners, total, len(days), start)
+	reportTotals(scanners, total, len(plan.Days), start)
 	return 0
 }
 

@@ -3,13 +3,21 @@ package main
 import (
 	"bytes"
 	"errors"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
+	"securepki.org/registrarsec/internal/checkpoint"
+	"securepki.org/registrarsec/internal/cmdtest"
+	"securepki.org/registrarsec/internal/dataset"
+	"securepki.org/registrarsec/internal/dsweep"
 	"securepki.org/registrarsec/internal/scan"
+	"securepki.org/registrarsec/internal/simtime"
 )
 
 // TestMain lets the tests run the command itself: re-executed with
@@ -37,8 +45,7 @@ func TestCoordinatorDirectoryIsRefused(t *testing.T) {
 		if resume {
 			args = append(args, "-resume")
 		}
-		cmd := exec.Command(os.Args[0], args...)
-		cmd.Env = append(os.Environ(), "REGSEC_RUN_MAIN=1")
+		cmd := cmdtest.Command(args...)
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		err := cmd.Run()
@@ -50,6 +57,99 @@ func TestCoordinatorDirectoryIsRefused(t *testing.T) {
 		if _, err := os.Stat(chunk); err != nil {
 			t.Errorf("resume=%v: the coordinator's chunk file did not survive: %v", resume, err)
 		}
+	}
+}
+
+// TestFlagDocs: README's Tools row and the Usage comment name the flags -h
+// prints, each once, and no other.
+func TestFlagDocs(t *testing.T) { cmdtest.CheckFlagDocs(t, "regsec-scan") }
+
+// TestWorkerKilledMidUnitFleetDrains is the worker half of the distributed
+// drill with the real binary: regsec-scan -worker processes take the plan —
+// the spec, as JSON — from a coordinator over HTTP; one, measuring from a
+// slow vantage point, is SIGKILLed while it holds a lease, a second drains
+// the plan once that lease expires, and the merged archive is the
+// single-process regsec-scan's, byte for byte.
+func TestWorkerKilledMidUnitFleetDrains(t *testing.T) {
+	dir := t.TempDir()
+	ref := filepath.Join(dir, "ref.tsv")
+	if out, err := cmdtest.Command("-scale", "4000", "-sample", "120", "-days", "2016-06-01,2016-12-31",
+		"-shards", "4", "-o", ref).CombinedOutput(); err != nil {
+		t.Fatalf("single-process reference: %v\n%s", err, out)
+	}
+
+	state := filepath.Join(dir, "state")
+	store, err := checkpoint.Open(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &dsweep.WorldSpec{ScaleDiv: 4000, Sample: 120}
+	plan := spec.PlanFor([]simtime.Day{simtime.Date(2016, 6, 1), simtime.End}, 4, 8)
+	coord, err := dsweep.NewCoordinator(dsweep.CoordinatorConfig{Plan: plan, Store: store, LeaseTTL: 2 * time.Second, OnEvent: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	srv := httptest.NewServer(dsweep.NewHandler(coord))
+	defer srv.Close()
+
+	// Every exchange of the doomed worker takes 100 ms, so a unit takes
+	// most of a second, and the coordinator persists its ledger on every
+	// grant: the worker dies owning a unit.
+	vantage := filepath.Join(dir, "slow-vantage.txt")
+	if err := os.WriteFile(vantage, []byte("* latency=100ms\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	doomed := cmdtest.Command("-worker", srv.URL, "-checkpoint-dir", state, "-name", "doomed", "-fault-profile", vantage)
+	if err := doomed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if ledger, _ := os.ReadFile(filepath.Join(state, "coordinator.json")); bytes.Contains(ledger, []byte("doomed")) {
+			break
+		}
+		if time.Now().After(deadline) {
+			doomed.Process.Kill()
+			t.Fatal("the doomed worker never held a lease")
+		}
+	}
+	doomed.Process.Signal(syscall.SIGKILL)
+	doomed.Wait()
+
+	if out, err := cmdtest.Command("-worker", srv.URL, "-checkpoint-dir", state, "-name", "survivor").CombinedOutput(); err != nil {
+		t.Fatalf("surviving worker: %v\n%s", err, out)
+	}
+	select {
+	case <-coord.Done():
+	default:
+		t.Fatal("the surviving worker exited with the plan unfinished")
+	}
+	if coord.Stats().Releases == 0 {
+		t.Errorf("the killed worker's lease never expired: %+v", coord.Stats())
+	}
+
+	// A finished unit is a manifest of chunk files: no shard archive.
+	names, err := filepath.Glob(filepath.Join(state, "*.tsv"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no chunk files in %s (%v)", state, err)
+	}
+	for _, name := range names {
+		if !strings.Contains(filepath.Base(name), "-chunk-") {
+			t.Errorf("%s is not a chunk file", name)
+		}
+	}
+	var merged bytes.Buffer
+	if err := coord.Merge(dataset.SpillOptions{}, func(_ simtime.Day, sw *dataset.SpillWriter) error {
+		return sw.WriteSectionTo(&merged)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(merged.Bytes(), want) {
+		t.Error("the fleet's merged archive differs from the single-process regsec-scan archive")
 	}
 }
 

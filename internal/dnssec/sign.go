@@ -80,13 +80,11 @@ func signedData(sig *dnswire.RRSIG, rrs []*dnswire.RR) ([]byte, error) {
 	return append(data, rrsWire...), nil
 }
 
-// SignOptions control RRSIG generation.
+// SignOptions control RRSIG generation. The RRSIG's TTL and OriginalTTL are
+// those of the first record in the set.
 type SignOptions struct {
 	// Inception and Expiration bound the signature validity window.
 	Inception, Expiration time.Time
-	// TTL overrides the RRSIG (and OriginalTTL) value; when zero the TTL of
-	// the first record in the set is used.
-	TTL uint32
 }
 
 // PendingSig is an RRSIG that lacks only its signature: every field the
@@ -118,10 +116,7 @@ func PrepareRRSIG(rrs []*dnswire.RR, key *KeyPair, signerZone string, opts SignO
 	default:
 		return nil, fmt.Errorf("%w: %v", ErrUnsupportedAlgorithm, key.Algorithm)
 	}
-	ttl := opts.TTL
-	if ttl == 0 {
-		ttl = rrs[0].TTL
-	}
+	ttl := rrs[0].TTL
 	p := &PendingSig{owner: owner, ttl: ttl, key: key, sig: dnswire.RRSIG{
 		TypeCovered: rrs[0].Type,
 		Algorithm:   key.Algorithm,

@@ -23,7 +23,7 @@ import (
 func BenchmarkRunLocal(b *testing.B) {
 	spec := &WorldSpec{ScaleDiv: 4000, Seed: 1, Sample: 150, Workers: 4}
 	plan := spec.PlanFor([]simtime.Day{simtime.Date(2016, 6, 1), simtime.End}, 4, 0)
-	world, err := tldsim.Build(tldsim.WorldConfig{Scale: 1 / spec.ScaleDiv, Seed: spec.Seed})
+	world, err := tldsim.Build(spec.WorldConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,14 +35,7 @@ func BenchmarkRunLocal(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		workers := make([]WorkerSpec, n)
-		for i := range workers {
-			setup, err := spec.BuildStreamWith(world, nil, 0, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			workers[i] = WorkerSpec{Name: fmt.Sprintf("w%d", i+1), StreamSetup: setup}
-		}
+		workers := plan.Fleet(world, n, nil)
 		start := time.Now()
 		// A 2s lease keeps the GrantWait retry cadence (TTL/8) short, so the
 		// tail, workers idling while the last leases finish, reflects the

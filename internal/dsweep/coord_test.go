@@ -364,22 +364,16 @@ func TestCoordinatorRefusesForeignState(t *testing.T) {
 	}
 }
 
-// TestSweepStateOfGeneratorV1IsRefused: a sweep fingerprint names the
-// world's generator, so a coordinator ledger or a single-process checkpoint
-// recorded before the generator changed (the v1 fingerprint had scale= and
-// seed= but no world=) cannot be resumed into an archive of two worlds.
-func TestSweepStateOfGeneratorV1IsRefused(t *testing.T) {
-	const v1 = "sweep scale=4000 seed=1 days=2016-12-31 sample=50 shards=2 faults=0/0/1 retries=3 resweeps=2 cache=false dedup=false chunk=8"
-	spec := &WorldSpec{ScaleDiv: 4000, Seed: 1, Sample: 50}
-	plan := spec.PlanFor([]simtime.Day{simtime.End}, 2, 8)
-	if want := strings.Replace(v1, "sweep ", "sweep world="+spec.WorldConfig().Fingerprint()+" ", 1); plan.Fingerprint != want {
-		t.Fatalf("fingerprint %q, want %q", plan.Fingerprint, want)
+// refusedAsDifferentSweep leaves a coordinator.json and a checkpoint.json
+// written under the fingerprint old and requires the plan's coordinator and
+// its single-process sweep to refuse them.
+func refusedAsDifferentSweep(t *testing.T, plan Plan, old string) {
+	t.Helper()
+	if plan.Fingerprint == old {
+		t.Fatalf("the plan still fingerprints as %q", old)
 	}
-	old := plan
-	old.Fingerprint = v1
-
 	st := openStore(t)
-	c1, err := NewCoordinator(CoordinatorConfig{Plan: old, Store: st})
+	c1, err := NewCoordinator(CoordinatorConfig{Plan: Plan{Fingerprint: old, Days: plan.Days, Shards: plan.Shards, Chunk: plan.Chunk}, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,11 +383,11 @@ func TestSweepStateOfGeneratorV1IsRefused(t *testing.T) {
 	c1.Close()
 	if _, err := NewCoordinator(CoordinatorConfig{Plan: plan, Store: st}); err == nil ||
 		!strings.Contains(err.Error(), "different sweep") {
-		t.Errorf("coordinator.json of generator v1 accepted: %v", err)
+		t.Errorf("coordinator.json of %q accepted: %v", old, err)
 	}
 
 	cp := openStore(t)
-	if err := cp.Save(checkpoint.NewState(v1)); err != nil {
+	if err := cp.Save(checkpoint.NewState(old)); err != nil {
 		t.Fatal(err)
 	}
 	rs := &scan.ResumableSweep{Checkpoint: cp, Fingerprint: plan.Fingerprint, Shards: plan.Shards, Chunk: plan.Chunk,
@@ -403,7 +397,39 @@ func TestSweepStateOfGeneratorV1IsRefused(t *testing.T) {
 		}}
 	if err := rs.RunStream(context.Background(), plan.Days, nil); err == nil ||
 		!strings.Contains(err.Error(), "different sweep") {
-		t.Errorf("checkpoint.json of generator v1 accepted: %v", err)
+		t.Errorf("checkpoint.json of %q accepted: %v", old, err)
+	}
+}
+
+// TestSweepStateOfGeneratorV1IsRefused: a sweep fingerprint names the
+// world's generator, so a coordinator ledger or a single-process checkpoint
+// recorded before the generator changed (the v1 fingerprint had scale= and
+// seed= but no world=) cannot be resumed into an archive of two worlds.
+func TestSweepStateOfGeneratorV1IsRefused(t *testing.T) {
+	const v1 = "sweep scale=4000 seed=1 days=2016-12-31 sample=50 shards=2 faults=0/0/1 retries=3 resweeps=2 cache=false dedup=false chunk=8"
+	spec := &WorldSpec{ScaleDiv: 4000, Seed: 1, Sample: 50}
+	plan := spec.PlanFor([]simtime.Day{simtime.End}, 2, 8)
+	if want := "world=" + spec.WorldConfig().Fingerprint() + " "; !strings.Contains(plan.Fingerprint, want) {
+		t.Fatalf("fingerprint %q does not name the world (%q)", plan.Fingerprint, want)
+	}
+	refusedAsDifferentSweep(t, plan, v1)
+}
+
+// TestParentFormatLedgerIsRefused: the fingerprint became an encoding of the
+// spec; a ledger carrying one of the two hand-formatted strings it replaced
+// (regsec-scan/regsec-sweepd's, and the facade's with its "dsweep " twin)
+// belongs to a different sweep.
+func TestParentFormatLedgerIsRefused(t *testing.T) {
+	spec := &WorldSpec{ScaleDiv: 4000, Seed: 1, Sample: 50}
+	plan := spec.PlanFor([]simtime.Day{simtime.End}, 2, 8)
+	world := spec.WorldConfig().Fingerprint()
+	facade := "world=" + world + " sample=50 seed=1 days=[2016-12-31] shards=2 faultseed=0 faults=[] chunk=4096"
+	for _, old := range []string{
+		"sweep world=" + world + " scale=4000 seed=1 days=2016-12-31 sample=50 shards=2 faults=0/0.2/1 retries=3 resweeps=2 cache=false dedup=false chunk=8",
+		facade,
+		"dsweep " + facade,
+	} {
+		refusedAsDifferentSweep(t, plan, old)
 	}
 }
 

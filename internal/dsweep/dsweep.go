@@ -74,8 +74,9 @@ type Plan struct {
 	// value shapes the durable chunk files, so it is part of the plan (and
 	// its fingerprint) like Shards.
 	Chunk int `json:"chunk,omitempty"`
-	// Spec, when set, carries the world configuration remote workers need
-	// to rebuild the sweep environment for themselves.
+	// Spec, when set, is the sweep definition the fingerprint encodes: what
+	// Sweep and Fleet run, and what a remote worker rebuilds the sweep
+	// environment from.
 	Spec *WorldSpec `json:"spec,omitempty"`
 }
 
@@ -93,6 +94,11 @@ func (p *Plan) validate() error {
 		return fmt.Errorf("dsweep: plan needs at least 1 shard per day, have %d", p.Shards)
 	case p.Chunk < 0:
 		return fmt.Errorf("dsweep: plan chunk size must be non-negative, have %d", p.Chunk)
+	case p.Spec != nil && p.Spec.Fingerprint(p.Days, p.Shards, p.Chunk) != p.Fingerprint:
+		// A coordinator and a worker of different builds: the worker would
+		// sweep its own reading of the spec under the coordinator's name.
+		return fmt.Errorf("dsweep: plan fingerprint %q is not its spec's (%q)",
+			p.Fingerprint, p.Spec.Fingerprint(p.Days, p.Shards, p.Chunk))
 	}
 	seen := make(map[simtime.Day]bool, len(p.Days))
 	for _, d := range p.Days {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 )
 
 // The HTTP control plane: four JSON endpoints mirroring Coordination.
@@ -74,24 +75,29 @@ func reply(w http.ResponseWriter, value any, err error) {
 	json.NewEncoder(w).Encode(value)
 }
 
+// callBudget bounds one control-plane round trip, well under the default
+// lease TTL: a coordinator that accepts the connection and then stalls costs
+// a worker this long, not forever. The worker exits on a failed lease or
+// completion (its unit's lease expires and is re-leased) and only logs a
+// failed heartbeat.
+const callBudget = 10 * time.Second
+
 // Client is the worker-side Coordination over HTTP.
 type Client struct {
 	// Base is the coordinator's base URL ("http://host:port").
 	Base string
-	// HTTPClient overrides http.DefaultClient when set.
-	HTTPClient *http.Client
+
+	budget time.Duration // zero: callBudget; tests shorten it
 }
 
-// httpClient returns the effective client.
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
-}
-
-// call performs one JSON round trip.
+// call performs one JSON round trip within the call budget.
 func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
+	budget := c.budget
+	if budget == 0 {
+		budget = callBudget
+	}
+	ctx, cancel := context.WithTimeout(ctx, budget)
+	defer cancel()
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
@@ -107,7 +113,7 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

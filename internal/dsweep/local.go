@@ -29,8 +29,6 @@ type LocalConfig struct {
 	Workers  []WorkerSpec
 	// OnEvent receives coordinator and worker progress lines.
 	OnEvent func(format string, args ...any)
-	// Now overrides the coordinator clock (tests).
-	Now func() time.Time
 }
 
 // Result is RunLocal's outcome accounting.
@@ -60,7 +58,6 @@ func RunLocal(ctx context.Context, cfg LocalConfig, sink scan.DaySink) (*Result,
 		Plan:     cfg.Plan,
 		Store:    cfg.Store,
 		LeaseTTL: cfg.LeaseTTL,
-		Now:      cfg.Now,
 		OnEvent:  cfg.OnEvent,
 	})
 	if err != nil {

@@ -4,8 +4,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"reflect"
 	"strings"
 
+	"securepki.org/registrarsec/internal/checkpoint"
+	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/faultnet"
 	"securepki.org/registrarsec/internal/retry"
@@ -14,12 +17,19 @@ import (
 	"securepki.org/registrarsec/internal/tldsim"
 )
 
-// WorldSpec carries everything a worker needs to rebuild the sweep
-// environment for itself: the world, the sample, and the scan
-// configuration. It travels inside the Plan, so a remote worker process
-// needs only the coordinator's address — determinism of the world builder
-// and the scan engine guarantees every worker sees the same targets and
-// produces the same bytes for the same shard.
+// WorldSpec is the one declaration of a sweep: the world, the sample, the
+// query stack and the sweep-wide faults. The facade (Study.ScanLongitudinal,
+// ScanDistributed, ScanSample), regsec-scan, regsec-sweepd and every worker
+// translate what they are given into a spec and hand it to BuildStreamWith,
+// the only assembler; the fingerprint is an encoding of the same value. It
+// travels inside the Plan, so a remote worker process needs only the
+// coordinator's address — determinism of the world builder and the scan
+// engine guarantees every worker sees the same targets and produces the
+// same bytes for the same shard.
+//
+// A field shapes the sweep's bytes, and is bound by the fingerprint, unless
+// it is tagged `fingerprint:"-"`; the determinism tests hold a tagged field
+// to not shaping them.
 //
 // Per-worker vantage-point fault profiles are deliberately NOT part of the
 // spec (or the fingerprint): they model where a worker measures from, not
@@ -30,12 +40,14 @@ type WorldSpec struct {
 	// ScaleDiv is the population divisor (the -scale flag; 2000 → .com has
 	// ~59k domains).
 	ScaleDiv float64 `json:"scale_div"`
-	// Seed fixes the world build and the sample draw.
+	// Seed fixes the world build.
 	Seed int64 `json:"seed"`
 	// Sample is the number of domains drawn from the world.
 	Sample int `json:"sample"`
+	// SampleSeed drives the sample draw (zero: the world seed).
+	SampleSeed int64 `json:"sample_seed,omitempty"`
 	// Workers is each worker's internal scan concurrency.
-	Workers int `json:"workers"`
+	Workers int `json:"workers" fingerprint:"-"`
 	// Retries is the per-query attempt budget.
 	Retries int `json:"retries"`
 	// Resweeps is the bounded re-sweep pass count (-1 disables).
@@ -43,12 +55,14 @@ type WorldSpec struct {
 	// Cache and Dedup toggle the optional exchange stack layers.
 	Cache bool `json:"cache,omitempty"`
 	Dedup bool `json:"dedup,omitempty"`
-	// FaultFrac/FaultLoss/FaultSeed configure the sweep-wide fault
-	// injection (a fraction of DNS operators made lossy), identically on
+	// FaultFrac/FaultLoss make a fraction of the sample's DNS operators
+	// lossy; Rules are explicit sweep-wide fault rules, matched before
+	// them. One injector seeded by FaultSeed applies both, identically on
 	// every worker.
-	FaultFrac float64 `json:"fault_frac,omitempty"`
-	FaultLoss float64 `json:"fault_loss,omitempty"`
-	FaultSeed int64   `json:"fault_seed,omitempty"`
+	FaultFrac float64         `json:"fault_frac,omitempty"`
+	FaultLoss float64         `json:"fault_loss,omitempty"`
+	FaultSeed int64           `json:"fault_seed,omitempty"`
+	Rules     []faultnet.Rule `json:"rules,omitempty"`
 }
 
 // defaultSpec holds the defaults of the plan flags; normalize falls back to
@@ -69,6 +83,9 @@ func (sp *WorldSpec) normalize() {
 	}
 	if sp.Sample <= 0 {
 		sp.Sample = defaultSpec.Sample
+	}
+	if sp.SampleSeed == 0 {
+		sp.SampleSeed = sp.Seed
 	}
 	if sp.Workers <= 0 {
 		sp.Workers = defaultSpec.Workers
@@ -132,12 +149,13 @@ func (sp *WorldSpec) WorldConfig() tldsim.WorldConfig {
 	return tldsim.WorldConfig{Scale: 1 / sp.ScaleDiv, Seed: sp.Seed}
 }
 
-// Fingerprint renders the sweep configuration fingerprint that binds the
-// coordinator's state and every worker completion to one plan. Everything
-// that shapes the output bytes is in it — the world's own fingerprint
-// included, which names the generator's version: a checkpoint or ledger
-// left by another generator holds days of a different world. Per-worker
-// vantage profiles are not (see the type comment).
+// Fingerprint binds checkpoint state, the coordinator's ledger and every
+// worker completion to one sweep: the world's own fingerprint (which names
+// the generator's version — a ledger left by another generator holds days of
+// a different world), the days, the shard count, the chunk size that shapes
+// the durable chunk files, and every field of the normalized spec not
+// tagged out. It is the only function that formats one, so a field added to
+// the spec cannot be forgotten by it.
 func (sp *WorldSpec) Fingerprint(days []simtime.Day, shards, chunk int) string {
 	s := *sp
 	s.normalize()
@@ -145,11 +163,16 @@ func (sp *WorldSpec) Fingerprint(days []simtime.Day, shards, chunk int) string {
 	for _, d := range days {
 		names = append(names, d.String())
 	}
-	// The chunk size shapes the durable chunk files a resumed sweep trusts,
-	// so it is part of the fingerprint like the shard count.
-	return fmt.Sprintf("sweep world=%s scale=%g seed=%d days=%s sample=%d shards=%d faults=%g/%g/%d retries=%d resweeps=%d cache=%v dedup=%v chunk=%d",
-		s.WorldConfig().Fingerprint(), s.ScaleDiv, s.Seed, strings.Join(names, ","), s.Sample, shards,
-		s.FaultFrac, s.FaultLoss, s.FaultSeed, s.Retries, s.Resweeps, s.Cache, s.Dedup, scan.ChunkSize(chunk))
+	var b strings.Builder
+	fmt.Fprintf(&b, "sweep world=%s days=%s shards=%d chunk=%d",
+		s.WorldConfig().Fingerprint(), strings.Join(names, ","), shards, scan.ChunkSize(chunk))
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.Tag.Get("fingerprint") != "-" {
+			fmt.Fprintf(&b, " %s=%+v", f.Name, v.Field(i).Interface())
+		}
+	}
+	return b.String()
 }
 
 // PlanFor assembles a complete Plan for this spec, scanned in chunks of
@@ -166,42 +189,47 @@ func (sp *WorldSpec) PlanFor(days []simtime.Day, shards, chunk int) Plan {
 	}
 }
 
-// BuildStream materializes the spec into a scan.StreamDaySetup: the world
-// is built once (the expensive part), and each day's call yields a fresh
-// exchange stack, a cursor over the sample, and a per-chunk prepare hook
-// that materializes only the chunk in flight as real signed DNS — signing
-// cost and resident zone data scale with the chunk size, not the sample.
-// vantage, when non-empty, is this worker's own vantage-point fault
-// profile, layered below the sweep-wide fault rules and driven by
-// vantageSeed.
+// BuildStream is BuildStreamWith over a world built from the spec.
 func (sp *WorldSpec) BuildStream(vantage []faultnet.Rule, vantageSeed int64, onEvent func(format string, args ...any)) (scan.StreamDaySetup, error) {
 	world, err := tldsim.Build(sp.WorldConfig())
 	if err != nil {
 		return nil, err
 	}
-	return sp.BuildStreamWith(world, vantage, vantageSeed, onEvent)
+	return sp.BuildStreamWith(world, vantage, vantageSeed, onEvent), nil
 }
 
-// BuildStreamWith is BuildStream over a caller-supplied world — typically
-// one mmap-loaded from a world cache: the setup keeps the world reachable
-// for the whole sweep (chunks materialize from it lazily), so a file-backed
-// population stays out of the resident heap.
-func (sp *WorldSpec) BuildStreamWith(world *tldsim.World, vantage []faultnet.Rule, vantageSeed int64, onEvent func(format string, args ...any)) (scan.StreamDaySetup, error) {
+// BuildStreamWith assembles the spec into a scan.StreamDaySetup over world
+// (the one the spec names — typically built, or mmap-loaded from a world
+// cache, out of WorldConfig). The sample and the sweep-wide fault rules are
+// drawn once; each day's call then yields a fresh exchange stack, a cursor
+// over the sample, and a per-chunk prepare hook that materializes only the
+// chunk in flight as real signed DNS — signing cost and resident zone data
+// scale with the chunk size, not the sample. The setup keeps the world
+// reachable for the whole sweep (chunks materialize from it lazily), so a
+// file-backed population stays out of the resident heap. vantage, when
+// non-empty, is this worker's own vantage-point fault profile, layered
+// below the sweep-wide fault rules and driven by vantageSeed.
+func (sp *WorldSpec) BuildStreamWith(world *tldsim.World, vantage []faultnet.Rule, vantageSeed int64, onEvent func(format string, args ...any)) scan.StreamDaySetup {
 	s := *sp
 	s.normalize()
-	src := world.SampleSource(s.Sample, s.Seed)
+	src := world.SampleSource(s.Sample, s.SampleSeed)
 	if onEvent == nil {
 		onEvent = func(string, ...any) {}
+	}
+	faults := s.Rules
+	if s.FaultFrac > 0 {
+		lossy, faulty := tldsim.LossyOperatorsSource(src, s.FaultFrac, s.FaultLoss, s.FaultSeed)
+		// Capacity clipped: the append must not write into the caller's Rules.
+		faults = append(faults[:len(faults):len(faults)], lossy...)
+		onEvent("injecting %.0f%% loss on %d operator(s)", s.FaultLoss*100, len(faulty))
 	}
 	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
 		onEvent("streaming %d domains at %s (lazy per-chunk materialization)", src.Len(), day)
 		sm := tldsim.NewStreamMaterializer(day, src)
 		clock := func() simtime.Day { return day }
 		var mw []exchange.Middleware
-		if s.FaultFrac > 0 {
-			rules, faulty := tldsim.LossyOperatorsSource(src, s.FaultFrac, s.FaultLoss, s.FaultSeed)
-			mw = append(mw, faultnet.New(nil, s.FaultSeed, clock, rules...).Middleware())
-			onEvent("injecting %.0f%% loss on %d operator(s)", s.FaultLoss*100, len(faulty))
+		if len(faults) > 0 {
+			mw = append(mw, faultnet.New(nil, s.FaultSeed, clock, faults...).Middleware())
 		}
 		if len(vantage) > 0 {
 			mw = append(mw, faultnet.New(nil, vantageSeed, clock, vantage...).Middleware())
@@ -234,5 +262,33 @@ func (sp *WorldSpec) BuildStreamWith(world *tldsim.World, vantage []faultnet.Rul
 			return sm.Prepare(ctx, lo, hi)
 		}
 		return scanner, src, prepare, nil
-	}, nil
+	}
+}
+
+// Sweep is the plan (one PlanFor made: it has its Spec) as a single-process
+// resumable sweep over world, durable in cp when cp is non-nil; run it with
+// RunStream(ctx, p.Days, sink).
+func (p *Plan) Sweep(world *tldsim.World, cp *checkpoint.Store, spill dataset.SpillOptions,
+	onDayHealth func(simtime.Day, *scan.SweepHealth), onEvent func(format string, args ...any)) *scan.ResumableSweep {
+	return &scan.ResumableSweep{
+		Checkpoint:  cp,
+		Fingerprint: p.Fingerprint,
+		Shards:      p.Shards,
+		Chunk:       p.Chunk,
+		Spill:       spill,
+		StreamSetup: p.Spec.BuildStreamWith(world, nil, 0, onEvent),
+		OnDayHealth: onDayHealth,
+		OnEvent:     onEvent,
+	}
+}
+
+// Fleet is the plan (PlanFor's, as for Sweep) as n in-process workers over
+// world for RunLocal, named w01…; each owns its sample cursor and exchange
+// stack, as a separate regsec-scan -worker process would.
+func (p *Plan) Fleet(world *tldsim.World, n int, onEvent func(format string, args ...any)) []WorkerSpec {
+	workers := make([]WorkerSpec, n)
+	for i := range workers {
+		workers[i] = WorkerSpec{Name: fmt.Sprintf("w%02d", i+1), StreamSetup: p.Spec.BuildStreamWith(world, nil, 0, onEvent)}
+	}
+	return workers
 }

@@ -85,6 +85,43 @@ func TestLoginRequiredAndAuth(t *testing.T) {
 	}
 }
 
+// TestCloseDoesNotWaitOutSessions: Close ends the sessions it finds open —
+// an idle one would otherwise hold it for the read deadline, and one that
+// keeps issuing commands for good.
+func TestCloseDoesNotWaitOutSessions(t *testing.T) {
+	_, srv := startServer(t)
+	dial(t, srv) // idle: greeted, never speaks
+	chatty := dial(t, srv)
+	if err := chatty.Login("acme", "s3cret"); err != nil {
+		t.Fatal(err)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			if _, err := chatty.Info("absent.com"); err != nil && !errors.Is(err, epp.ErrEPPResult) {
+				return // the server hung up
+			}
+		}
+	}()
+
+	closed := make(chan struct{})
+	start := time.Now()
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still waiting on open sessions after 5s")
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Close took %v with two open sessions", took)
+	}
+	<-stopped
+}
+
 func TestDomainLifecycleOverEPP(t *testing.T) {
 	eco, srv := startServer(t)
 	c := dial(t, srv)

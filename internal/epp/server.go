@@ -20,15 +20,18 @@ type Server struct {
 	Registry *registry.Registry
 	// Passwords maps registrar ID → login password.
 	Passwords map[string]string
-	// ReadTimeout bounds per-frame reads (default 10s).
-	ReadTimeout time.Duration
 
 	mu     sync.Mutex
 	ln     net.Listener
+	conns  map[net.Conn]struct{} // live sessions, closed by Close
 	wg     sync.WaitGroup
 	closed bool
 	svTRID int
 }
+
+// frameTimeout bounds each frame read and each reply write: a client that
+// goes silent, or stops reading, holds its session no longer than this.
+const frameTimeout = 10 * time.Second
 
 // ListenAndServe binds addr and serves sessions until Close.
 func (s *Server) ListenAndServe(addr string) error {
@@ -59,17 +62,42 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close stops the listener and waits for sessions to finish.
+// Close stops the listener, closes every open session — a command in
+// flight loses its reply — and waits for the session goroutines to exit.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	ln := s.ln
+	for conn := range s.conns {
+		conn.Close()
+	}
 	s.mu.Unlock()
 	if ln != nil {
 		ln.Close()
 	}
 	s.wg.Wait()
 	return nil
+}
+
+// track registers a live session; false means the server is closing and the
+// connection must not be served.
+func (s *Server) track(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	if s.conns == nil {
+		s.conns = make(map[net.Conn]struct{})
+	}
+	s.conns[conn] = struct{}{}
+	return true
+}
+
+func (s *Server) untrack(conn net.Conn) {
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
 }
 
 func (s *Server) nextTRID() string {
@@ -90,6 +118,10 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		go func(conn net.Conn) {
 			defer s.wg.Done()
 			defer conn.Close()
+			if !s.track(conn) {
+				return
+			}
+			defer s.untrack(conn)
 			s.session(conn)
 		}(conn)
 	}
@@ -98,10 +130,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // session runs one EPP connection: greeting, then command/response until
 // logout or error.
 func (s *Server) session(conn net.Conn) {
-	timeout := s.ReadTimeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
 	greeting, err := Marshal(&Epp{Greeting: &Greeting{
 		SvID:     "regsec-epp/" + s.Registry.TLD(),
 		Services: []string{"urn:ietf:params:xml:ns:domain-1.0", "urn:ietf:params:xml:ns:secDNS-1.1"},
@@ -109,12 +137,12 @@ func (s *Server) session(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	if err := WriteFrame(conn, greeting); err != nil {
+	if err := send(conn, greeting); err != nil {
 		return
 	}
 	var clID string // empty until a successful login
 	for {
-		conn.SetReadDeadline(time.Now().Add(timeout))
+		conn.SetReadDeadline(time.Now().Add(frameTimeout))
 		frame, err := ReadFrame(conn)
 		if err != nil {
 			return
@@ -133,7 +161,7 @@ func (s *Server) session(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if err := WriteFrame(conn, out); err != nil {
+		if err := send(conn, out); err != nil {
 			return
 		}
 		if done {
@@ -142,10 +170,17 @@ func (s *Server) session(conn net.Conn) {
 	}
 }
 
+// send writes one frame under the write deadline.
+func send(conn net.Conn, payload []byte) error {
+	conn.SetWriteDeadline(time.Now().Add(frameTimeout))
+	return WriteFrame(conn, payload)
+}
+
 func (s *Server) reply(conn net.Conn, clTRID string, result Result, data *DomainInfo) {
 	out, err := Marshal(&Epp{Response: &Response{Result: result, ResData: data, ClTRID: clTRID, SvTRID: s.nextTRID()}})
 	if err == nil {
-		WriteFrame(conn, out)
+		// A failed write surfaces as the next read's error.
+		_ = send(conn, out)
 	}
 }
 

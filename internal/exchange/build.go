@@ -23,9 +23,6 @@ type Options struct {
 
 	// Retry, when non-nil, adds the Retry layer with this policy.
 	Retry *retry.Policy
-	// RetryLame and RetryTruncated tune the Retry layer (ignored without
-	// Retry).
-	RetryLame, RetryTruncated bool
 
 	// Health, when non-nil, adds the per-server breaker/bookkeeping layer.
 	Health *HealthOptions
@@ -68,14 +65,7 @@ func Build(opts Options) (*Stack, error) {
 		ex = opts.Middleware[i](ex)
 	}
 	if opts.Retry != nil {
-		var ro []RetryOption
-		if opts.RetryLame {
-			ro = append(ro, RetryLame())
-		}
-		if opts.RetryTruncated {
-			ro = append(ro, RetryTruncated())
-		}
-		s.Retry = NewRetry(ex, *opts.Retry, ro...)
+		s.Retry = NewRetry(ex, *opts.Retry)
 		ex = s.Retry
 	}
 	if opts.Health != nil {
@@ -109,19 +99,19 @@ func MustBuild(opts Options) *Stack {
 func (s *Stack) Counters() Counters {
 	var c Counters
 	if s.Tap != nil {
-		c.Transport = TransportCounters{Exchanges: s.Tap.Exchanges(), Errors: s.Tap.Errors()}
+		c.Transport = s.Tap.counters()
 	}
 	if s.Cache != nil {
-		c.Cache = CacheCounters{Hits: s.Cache.Hits(), Misses: s.Cache.Misses(), Stores: s.Cache.Stores(), Expired: s.Cache.Expired()}
+		c.Cache = s.Cache.counters()
 	}
 	if s.Dedup != nil {
-		c.Dedup = DedupCounters{Hits: s.Dedup.Hits(), Misses: s.Dedup.Misses()}
+		c.Dedup = s.Dedup.counters()
 	}
 	if s.Health != nil {
-		c.Health = HealthCounters{Trips: s.Health.Trips(), Recoveries: s.Health.Recoveries(), FastFails: s.Health.FastFails(), Probes: s.Health.Probes()}
+		c.Health = s.Health.counters()
 	}
 	if s.Retry != nil {
-		c.Retry = RetryCounters{Retries: s.Retry.Retries(), Failures: s.Retry.Failures()}
+		c.Retry = s.Retry.counters()
 	}
 	return c
 }

@@ -16,17 +16,18 @@ type CacheOptions struct {
 	// the default, where a day's worth of queries completes well inside
 	// the shortest real TTL.
 	Now func() time.Time
-	// MaxTTL caps how long any positive answer is kept, regardless of its
-	// record TTLs (0 = honor record TTLs unconditionally).
-	MaxTTL time.Duration
-	// NegTTL caps the RFC 2308 negative-caching TTL taken from the SOA
-	// (default 1h, mirroring common resolver practice).
-	NegTTL time.Duration
-	// MaxEntries bounds the cache size (default 1<<18). When full, an
-	// arbitrary ~10% of entries are evicted to make room — crude, but the
-	// sweeps this cache serves have working sets far below the bound.
-	MaxEntries int
 }
+
+const (
+	// cacheNegTTL caps the RFC 2308 negative-caching TTL taken from the
+	// SOA, mirroring common resolver practice. Positive answers live for
+	// their record TTLs, uncapped.
+	cacheNegTTL = time.Hour
+	// cacheMaxEntries bounds the cache size. When full, an arbitrary ~10%
+	// of entries are evicted to make room — crude, but the sweeps this
+	// cache serves have working sets far below the bound.
+	cacheMaxEntries = 1 << 18
+)
 
 // Cache is a TTL-honoring DNS message cache keyed by (server, qname,
 // qtype, DO bit): positive answers live for the minimum TTL of their
@@ -64,33 +65,14 @@ func NewCache(inner Exchanger, opts CacheOptions) *Cache {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	if opts.NegTTL <= 0 {
-		opts.NegTTL = time.Hour
-	}
-	if opts.MaxEntries <= 0 {
-		opts.MaxEntries = 1 << 18
-	}
 	return &Cache{inner: inner, opts: opts, entries: make(map[key]cacheEntry)}
 }
 
-// Hits reports lookups served from the cache.
-func (c *Cache) Hits() int64 { return c.hits.Load() }
-
-// Misses reports lookups that went downstream.
-func (c *Cache) Misses() int64 { return c.misses.Load() }
-
-// Stores reports responses admitted to the cache.
-func (c *Cache) Stores() int64 { return c.stores.Load() }
-
-// Expired reports lookups that found only a stale entry (counted within
-// Misses as well).
-func (c *Cache) Expired() int64 { return c.expired.Load() }
-
-// Len reports the current number of live entries.
-func (c *Cache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
+// counters snapshots lookups served from the cache, lookups that went
+// downstream, responses admitted, and lookups that found only a stale
+// entry (counted within Misses as well).
+func (c *Cache) counters() CacheCounters {
+	return CacheCounters{Hits: c.hits.Load(), Misses: c.misses.Load(), Stores: c.stores.Load(), Expired: c.expired.Load()}
 }
 
 // Flush drops every entry; the simulation calls this when it mutates
@@ -140,11 +122,8 @@ func (c *Cache) Exchange(ctx context.Context, server string, q *dnswire.Message)
 func (c *Cache) store(k key, resp *dnswire.Message, expires time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.entries) >= c.opts.MaxEntries {
-		drop := c.opts.MaxEntries / 10
-		if drop < 1 {
-			drop = 1
-		}
+	if len(c.entries) >= cacheMaxEntries {
+		drop := cacheMaxEntries / 10
 		for victim := range c.entries {
 			delete(c.entries, victim)
 			if drop--; drop <= 0 {
@@ -165,9 +144,6 @@ func (c *Cache) responseTTL(resp *dnswire.Message) (time.Duration, bool) {
 	case dnswire.RCodeSuccess:
 		if minTTL, ok := minRecordTTL(resp); ok {
 			ttl := time.Duration(minTTL) * time.Second
-			if c.opts.MaxTTL > 0 && ttl > c.opts.MaxTTL {
-				ttl = c.opts.MaxTTL
-			}
 			return ttl, ttl > 0
 		}
 		// NODATA with no records beyond an OPT: negative-cacheable only
@@ -177,8 +153,8 @@ func (c *Cache) responseTTL(resp *dnswire.Message) (time.Duration, bool) {
 		return 0, false
 	case dnswire.RCodeNameError:
 		if ttl, ok := negativeTTL(resp); ok {
-			if ttl > c.opts.NegTTL {
-				ttl = c.opts.NegTTL
+			if ttl > cacheNegTTL {
+				ttl = cacheNegTTL
 			}
 			return ttl, ttl > 0
 		}

@@ -25,11 +25,11 @@ func NewTap(inner Exchanger) *Tap {
 	return &Tap{inner: inner}
 }
 
-// Exchanges reports exchanges that reached the transport.
-func (t *Tap) Exchanges() int64 { return t.exchanges.Load() }
-
-// Errors reports transport exchanges that returned an error.
-func (t *Tap) Errors() int64 { return t.errors.Load() }
+// counters snapshots the exchanges that reached the transport and those
+// that returned an error.
+func (t *Tap) counters() TransportCounters {
+	return TransportCounters{Exchanges: t.exchanges.Load(), Errors: t.errors.Load()}
+}
 
 // Exchange implements Exchanger with transport accounting.
 func (t *Tap) Exchange(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {

@@ -39,12 +39,11 @@ func NewDedup(inner Exchanger) *Dedup {
 	return &Dedup{inner: inner, inflight: make(map[key]*flight)}
 }
 
-// Hits reports how many exchanges were served by joining an existing
-// flight (each hit is one upstream exchange avoided).
-func (d *Dedup) Hits() int64 { return d.hits.Load() }
-
-// Misses reports how many exchanges led a flight of their own.
-func (d *Dedup) Misses() int64 { return d.misses.Load() }
+// counters snapshots the exchanges served by joining an existing flight
+// (each hit is one upstream exchange avoided) and those that led their own.
+func (d *Dedup) counters() DedupCounters {
+	return DedupCounters{Hits: d.hits.Load(), Misses: d.misses.Load()}
+}
 
 // Exchange implements Exchanger with in-flight coalescing.
 func (d *Dedup) Exchange(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {

@@ -6,14 +6,10 @@
 // probes), Retry (bounded per-query retries), and Tap (transport-level
 // exchange accounting) — assembled in one declared order by Build.
 //
-// Before this package, every network-consuming layer built its own ad-hoc
-// query path: dnsserver owned the interface plus a retrying wrapper,
-// faultnet wrapped it separately, the resolver re-implemented server
-// rotation, and the scan engine re-implemented NS-host failover. The
-// paper's longitudinal half (section 4.1) issues millions of
+// The paper's longitudinal half (section 4.1) issues millions of
 // NS/DS/DNSKEY/RRSIG queries per simulated day; real collector fleets get
-// their throughput from exactly the machinery consolidated here — query
-// dedup, referral caching, and server-health tracking.
+// their throughput from exactly this machinery — query dedup, referral
+// caching, and server-health tracking.
 //
 // The stack composes outermost to innermost as
 //

@@ -52,7 +52,7 @@ func TestCacheServesRepeatsAndHonorsTTL(t *testing.T) {
 	now := time.Unix(1_000_000, 0)
 	var mu sync.Mutex
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	c := exchange.NewCache(inner, exchange.CacheOptions{Now: clock})
+	c := exchange.MustBuild(exchange.Options{Transport: inner, Cache: &exchange.CacheOptions{Now: clock}})
 
 	q1 := dnswire.NewQuery(1, "example.com", dnswire.TypeNS)
 	r1, err := c.Exchange(context.Background(), "srv", q1)
@@ -73,8 +73,8 @@ func TestCacheServesRepeatsAndHonorsTTL(t *testing.T) {
 	if len(r2.Answers) != 1 {
 		t.Fatalf("cached answer lost records: %v", r2.Answers)
 	}
-	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Errorf("hits=%d misses=%d", c.Hits(), c.Misses())
+	if cc := c.Counters().Cache; cc.Hits != 1 || cc.Misses != 1 {
+		t.Errorf("hits=%d misses=%d", cc.Hits, cc.Misses)
 	}
 
 	// Advance past the 300s record TTL: the entry must expire.
@@ -87,8 +87,8 @@ func TestCacheServesRepeatsAndHonorsTTL(t *testing.T) {
 	if inner.calls.Load() != 2 {
 		t.Fatalf("inner calls after TTL expiry = %d, want 2", inner.calls.Load())
 	}
-	if c.Expired() != 1 {
-		t.Errorf("expired = %d, want 1", c.Expired())
+	if got := c.Counters().Cache.Expired; got != 1 {
+		t.Errorf("expired = %d, want 1", got)
 	}
 }
 
@@ -169,7 +169,7 @@ func TestCacheNeverStoresTransientFailures(t *testing.T) {
 		}
 		return resp, nil
 	}}
-	c := exchange.NewCache(inner, exchange.CacheOptions{})
+	c := exchange.MustBuild(exchange.Options{Transport: inner, Cache: &exchange.CacheOptions{}})
 	ctx := context.Background()
 	for i, m := range []string{"servfail", "truncated", "error"} {
 		mode = m
@@ -180,8 +180,8 @@ func TestCacheNeverStoresTransientFailures(t *testing.T) {
 	if got := inner.calls.Load(); got != 6 {
 		t.Fatalf("inner calls = %d, want 6: a transient failure was served from cache", got)
 	}
-	if c.Stores() != 0 {
-		t.Errorf("stores = %d, want 0", c.Stores())
+	if got := c.Counters().Cache.Stores; got != 0 {
+		t.Errorf("stores = %d, want 0", got)
 	}
 }
 
@@ -195,7 +195,7 @@ func TestDedupCoalescesConcurrentIdenticalQueries(t *testing.T) {
 		resp.Authoritative = true
 		return resp, nil
 	}}
-	d := exchange.NewDedup(inner)
+	d := exchange.MustBuild(exchange.Options{Transport: inner, Dedup: true})
 
 	const followers = 15
 	var wg sync.WaitGroup
@@ -233,11 +233,12 @@ func TestDedupCoalescesConcurrentIdenticalQueries(t *testing.T) {
 	if inner.calls.Load() >= followers+1 {
 		t.Fatalf("no coalescing happened: %d transport calls", inner.calls.Load())
 	}
-	if d.Hits() == 0 {
+	dc := d.Counters().Dedup
+	if dc.Hits == 0 {
 		t.Error("dedup hits = 0")
 	}
-	if d.Hits()+d.Misses() != followers+1 {
-		t.Errorf("hits+misses = %d, want %d", d.Hits()+d.Misses(), followers+1)
+	if dc.Hits+dc.Misses != followers+1 {
+		t.Errorf("hits+misses = %d, want %d", dc.Hits+dc.Misses, followers+1)
 	}
 }
 
@@ -284,16 +285,17 @@ func TestHealthBreakerTripsFastFailsAndRecovers(t *testing.T) {
 		resp.Authoritative = true
 		return resp, nil
 	}}
-	h := exchange.NewHealth(inner, exchange.HealthOptions{Threshold: 3, ProbeProb: 0.5, Seed: 7})
+	h := exchange.MustBuild(exchange.Options{Transport: inner, Health: &exchange.HealthOptions{}})
 	ctx := context.Background()
 
-	for i := 0; i < 3; i++ {
+	// Five consecutive failures open the circuit.
+	for i := 0; i < 5; i++ {
 		if _, err := h.Exchange(ctx, "bad", dnswire.NewQuery(uint16(i), "example.com", dnswire.TypeNS)); err == nil {
 			t.Fatal("expected failure")
 		}
 	}
-	if h.Trips() != 1 {
-		t.Fatalf("trips = %d, want 1", h.Trips())
+	if got := h.Counters().Health.Trips; got != 1 {
+		t.Fatalf("trips = %d, want 1", got)
 	}
 
 	// With the circuit open, calls either fast-fail with a BreakerError
@@ -312,11 +314,11 @@ func TestHealthBreakerTripsFastFailsAndRecovers(t *testing.T) {
 			}
 		}
 	}
-	if !sawFastFail || h.FastFails() == 0 {
+	if !sawFastFail || h.Counters().Health.FastFails == 0 {
 		t.Fatal("open breaker never fast-failed")
 	}
-	if h.Probes() == 0 {
-		t.Fatal("open breaker never probed (ProbeProb=0.5, 20 draws)")
+	if h.Counters().Health.Probes == 0 {
+		t.Fatal("open breaker never probed (one call in four, 20 draws)")
 	}
 
 	// Server recovers: the next successful probe closes the circuit.
@@ -328,8 +330,8 @@ func TestHealthBreakerTripsFastFailsAndRecovers(t *testing.T) {
 			break
 		}
 	}
-	if !recovered || h.Recoveries() != 1 {
-		t.Fatalf("breaker did not recover: recoveries=%d", h.Recoveries())
+	if got := h.Counters().Health.Recoveries; !recovered || got != 1 {
+		t.Fatalf("breaker did not recover: recoveries=%d", got)
 	}
 	// And the healthy server never fast-fails again.
 	if _, err := h.Exchange(ctx, "bad", dnswire.NewQuery(999, "example.com", dnswire.TypeNS)); err != nil {
@@ -344,9 +346,9 @@ func TestHealthOrderPrefersClosedCircuits(t *testing.T) {
 		}
 		return q.Reply(), nil
 	}}
-	h := exchange.NewHealth(inner, exchange.HealthOptions{Threshold: 2})
+	h := exchange.NewHealth(inner, exchange.HealthOptions{})
 	ctx := context.Background()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 5; i++ {
 		h.Exchange(ctx, "dead", dnswire.NewQuery(uint16(i), "x.com", dnswire.TypeNS))
 	}
 	h.Exchange(ctx, "alive-a", dnswire.NewQuery(10, "x.com", dnswire.TypeNS))
@@ -375,7 +377,7 @@ func TestHealthDisableFastFailStillTracks(t *testing.T) {
 	inner := &countingExchanger{hook: func(server string, q *dnswire.Message) (*dnswire.Message, error) {
 		return nil, errors.New("down")
 	}}
-	h := exchange.NewHealth(inner, exchange.HealthOptions{Threshold: 2, DisableFastFail: true})
+	h := exchange.MustBuild(exchange.Options{Transport: inner, Health: &exchange.HealthOptions{DisableFastFail: true}})
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		h.Exchange(ctx, "srv", dnswire.NewQuery(uint16(i), "x.com", dnswire.TypeNS))
@@ -383,10 +385,10 @@ func TestHealthDisableFastFailStillTracks(t *testing.T) {
 	if inner.calls.Load() != 10 {
 		t.Fatalf("DisableFastFail short-circuited: %d transport calls", inner.calls.Load())
 	}
-	if h.Trips() != 1 || h.FastFails() != 0 {
-		t.Errorf("trips=%d fastFails=%d", h.Trips(), h.FastFails())
+	if hc := h.Counters().Health; hc.Trips != 1 || hc.FastFails != 0 {
+		t.Errorf("trips=%d fastFails=%d", hc.Trips, hc.FastFails)
 	}
-	if !h.Snapshot()["srv"].Dead() {
+	if !h.Health.Snapshot()["srv"].Dead() {
 		t.Error("bookkeeping lost in DisableFastFail mode")
 	}
 }
@@ -473,13 +475,14 @@ func TestRetryMiddlewareRefusesCircuitOpen(t *testing.T) {
 	inner := exchange.Func(func(_ context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
 		return nil, &exchange.BreakerError{Server: server, Last: errors.New("timeout")}
 	})
-	r := exchange.NewRetry(inner, fastPolicy(5))
+	p := fastPolicy(5)
+	r := exchange.MustBuild(exchange.Options{Transport: inner, Retry: &p})
 	_, err := r.Exchange(context.Background(), "srv", dnswire.NewQuery(1, "x.com", dnswire.TypeNS))
 	if !errors.Is(err, exchange.ErrCircuitOpen) {
 		t.Fatalf("err: %v", err)
 	}
-	if r.Retries() != 0 {
-		t.Fatalf("retried a fast-fail %d times", r.Retries())
+	if got := r.Counters().Retry.Retries; got != 0 {
+		t.Fatalf("retried a fast-fail %d times", got)
 	}
 }
 

@@ -45,37 +45,26 @@ func (e *BreakerError) Timeout() bool {
 	return errors.As(e.Last, &to) && to.Timeout()
 }
 
+const (
+	// breakerThreshold is the consecutive-failure count that opens a
+	// server's circuit.
+	breakerThreshold = 5
+	// breakerProbeProb is the probability that a call to an open-circuit
+	// server is let through as a half-open probe instead of fast-failing.
+	// A successful probe closes the circuit.
+	breakerProbeProb = 0.25
+	// breakerSeed drives the deterministic probe draw.
+	breakerSeed = 1
+)
+
 // HealthOptions tunes the Health middleware.
 type HealthOptions struct {
-	// Threshold is the consecutive-failure count that opens a server's
-	// circuit (default 5).
-	Threshold int
-	// ProbeProb is the probability that a call to an open-circuit server
-	// is let through as a half-open probe instead of fast-failing
-	// (default 0.25). A successful probe closes the circuit.
-	ProbeProb float64
-	// Seed drives the deterministic probe draw (default 1).
-	Seed int64
 	// DisableFastFail keeps the full per-server bookkeeping (trips,
 	// ordering, snapshots) but never short-circuits an exchange. The scan
 	// engine runs in this mode: its outputs must stay a pure function of
 	// the fault schedule, and a fast-fail whose timing depends on worker
 	// interleaving would break byte-identical re-runs.
 	DisableFastFail bool
-}
-
-// withDefaults fills unset fields.
-func (o HealthOptions) withDefaults() HealthOptions {
-	if o.Threshold <= 0 {
-		o.Threshold = 5
-	}
-	if o.ProbeProb <= 0 {
-		o.ProbeProb = 0.25
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
 }
 
 // ServerHealth is a commutative snapshot of one server's history:
@@ -104,7 +93,7 @@ type serverState struct {
 
 // Health tracks per-server outcomes and applies a consecutive-failure
 // circuit breaker with probabilistic half-open probes: a server that has
-// failed Threshold times in a row stops receiving real traffic — calls
+// failed breakerThreshold times in a row stops receiving real traffic — calls
 // fast-fail with a BreakerError — except for a deterministic fraction let
 // through to detect recovery. This replaces blind server rotation: callers
 // ask Order (or Snapshot) which servers are worth trying first instead of
@@ -125,20 +114,15 @@ type Health struct {
 
 // NewHealth creates the health middleware over inner.
 func NewHealth(inner Exchanger, opts HealthOptions) *Health {
-	return &Health{inner: inner, opts: opts.withDefaults(), servers: make(map[string]*serverState)}
+	return &Health{inner: inner, opts: opts, servers: make(map[string]*serverState)}
 }
 
-// Trips reports closed→open breaker transitions.
-func (h *Health) Trips() int64 { return h.trips.Load() }
-
-// Recoveries reports open→closed transitions (successful probes).
-func (h *Health) Recoveries() int64 { return h.recoveries.Load() }
-
-// FastFails reports exchanges short-circuited by an open breaker.
-func (h *Health) FastFails() int64 { return h.fastFails.Load() }
-
-// Probes reports half-open probe exchanges let through an open breaker.
-func (h *Health) Probes() int64 { return h.probes.Load() }
+// counters snapshots closed→open transitions, open→closed transitions
+// (successful probes), exchanges short-circuited by an open breaker, and
+// half-open probes let through one.
+func (h *Health) counters() HealthCounters {
+	return HealthCounters{Trips: h.trips.Load(), Recoveries: h.recoveries.Load(), FastFails: h.fastFails.Load(), Probes: h.probes.Load()}
+}
 
 // state returns (creating if needed) the tracked state for server.
 func (h *Health) state(server string) *serverState {
@@ -208,9 +192,9 @@ func (h *Health) Order(servers []string) []string {
 // probeDraw produces the deterministic uniform sample for the n-th draw
 // against server since its circuit opened (same splitmix finalizer the
 // fault injector uses, for well-spread consecutive draws).
-func (h *Health) probeDraw(server string, n uint64) float64 {
+func probeDraw(server string, n uint64) float64 {
 	hsh := fnv.New64a()
-	fmt.Fprintf(hsh, "%d|%s|%d", h.opts.Seed, server, n)
+	fmt.Fprintf(hsh, "%d|%s|%d", breakerSeed, server, n)
 	x := hsh.Sum64()
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -238,7 +222,7 @@ func (h *Health) observe(s *serverState, server string, err error) {
 	s.mu.Lock()
 	s.lastErr = err
 	s.consecFails++
-	if !s.open && s.consecFails >= h.opts.Threshold {
+	if !s.open && s.consecFails >= breakerThreshold {
 		s.open = true
 		s.draws = 0
 		h.trips.Add(1)
@@ -254,7 +238,7 @@ func (h *Health) Exchange(ctx context.Context, server string, q *dnswire.Message
 		if s.open {
 			n := s.draws
 			s.draws++
-			if h.probeDraw(server, n) >= h.opts.ProbeProb {
+			if probeDraw(server, n) >= breakerProbeProb {
 				last := s.lastErr
 				s.mu.Unlock()
 				h.fastFails.Add(1)

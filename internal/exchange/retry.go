@@ -10,10 +10,15 @@ import (
 )
 
 // Retry wraps an Exchanger with the retry.Policy discipline: transport
-// errors (and optionally lame rcodes and truncation) are retried against
-// the same server up to the attempt budget, with exponential backoff and
-// deterministic jitter between attempts. It is the resilience seam of the
-// measurement path — a flaky server costs retries, not records.
+// errors, lame rcodes (SERVFAIL/REFUSED, treated as transient) and
+// truncation (the in-memory transport has no TCP fallback, so re-asking is
+// how a TC'd exchange recovers; NetExchanger falls back to TCP before the
+// layer ever sees TC) are retried against the same server up to the attempt
+// budget, with exponential backoff and deterministic jitter between
+// attempts. When the budget runs out on a lame or truncated answer that
+// answer is returned, not an error, so callers keep their rcode semantics.
+// It is the resilience seam of the measurement path — a flaky server costs
+// retries, not records.
 //
 // Counters are cumulative and safe for concurrent use; the scan engine
 // samples them around each sweep to fill its SweepHealth report.
@@ -21,45 +26,20 @@ type Retry struct {
 	inner Exchanger
 	doer  *retry.Doer
 
-	// retryLame retries SERVFAIL/REFUSED responses, treating them as
-	// transient lameness. When the budget runs out the last lame response
-	// is returned (not an error) so callers keep their rcode semantics.
-	retryLame bool
-	// retryTruncated retries truncated responses. The in-memory transport
-	// has no TCP fallback, so re-asking is how a TC'd exchange recovers;
-	// NetExchanger does its own TCP fallback and should leave this off.
-	retryTruncated bool
-
 	retries  atomic.Int64
 	failures atomic.Int64
 }
 
-// RetryOption tunes a Retry middleware.
-type RetryOption func(*Retry)
-
-// RetryLame makes SERVFAIL/REFUSED responses count as retryable.
-func RetryLame() RetryOption { return func(e *Retry) { e.retryLame = true } }
-
-// RetryTruncated makes TC=1 responses count as retryable (for transports
-// without a TCP fallback of their own).
-func RetryTruncated() RetryOption { return func(e *Retry) { e.retryTruncated = true } }
-
 // NewRetry wraps inner with the policy (zero fields get retry defaults).
-func NewRetry(inner Exchanger, p retry.Policy, opts ...RetryOption) *Retry {
-	e := &Retry{inner: inner, doer: retry.NewDoer(p)}
-	for _, opt := range opts {
-		opt(e)
-	}
-	return e
+func NewRetry(inner Exchanger, p retry.Policy) *Retry {
+	return &Retry{inner: inner, doer: retry.NewDoer(p)}
 }
 
-// Retries reports the cumulative retry attempts (attempts beyond each
-// query's first).
-func (e *Retry) Retries() int64 { return e.retries.Load() }
-
-// Failures reports the cumulative exchanges that failed after exhausting
-// their attempt budget.
-func (e *Retry) Failures() int64 { return e.failures.Load() }
+// counters snapshots the retry attempts (attempts beyond each query's
+// first) and the exchanges that failed after exhausting their budget.
+func (e *Retry) counters() RetryCounters {
+	return RetryCounters{Retries: e.retries.Load(), Failures: e.failures.Load()}
+}
 
 // errSoftResponse wraps a response whose rcode/TC makes it retryable; if
 // the budget runs out the response itself is still returned to the caller.
@@ -91,8 +71,7 @@ func (e *Retry) Exchange(ctx context.Context, server string, q *dnswire.Message)
 		if err != nil {
 			return err
 		}
-		if (e.retryLame && (m.RCode == dnswire.RCodeServerFailure || m.RCode == dnswire.RCodeRefused)) ||
-			(e.retryTruncated && m.Truncated) {
+		if m.RCode == dnswire.RCodeServerFailure || m.RCode == dnswire.RCodeRefused || m.Truncated {
 			return errSoftResponse{resp: m}
 		}
 		resp = m

@@ -27,6 +27,12 @@ func (e *scriptedExchanger) Exchange(_ context.Context, _ string, q *dnswire.Mes
 	return resp, nil
 }
 
+// retrying is the stack Tap → Retry over inner with a fast policy.
+func retrying(inner exchange.Exchanger, attempts int) *exchange.Stack {
+	p := fastPolicy(attempts)
+	return exchange.MustBuild(exchange.Options{Transport: inner, Retry: &p})
+}
+
 func fail(msg string) func(*dnswire.Message) (*dnswire.Message, error) {
 	return func(*dnswire.Message) (*dnswire.Message, error) { return nil, errors.New(msg) }
 }
@@ -43,13 +49,13 @@ func TestRetryingRecoversFromTransientErrors(t *testing.T) {
 	inner := &scriptedExchanger{script: []func(*dnswire.Message) (*dnswire.Message, error){
 		fail("timeout"), fail("timeout"),
 	}}
-	ex := exchange.NewRetry(inner, fastPolicy(3))
+	ex := retrying(inner, 3)
 	resp, err := ex.Exchange(context.Background(), "srv", dnswire.NewQuery(1, "a.com", dnswire.TypeNS))
 	if err != nil || !resp.Authoritative {
 		t.Fatalf("exchange: %v %v", resp, err)
 	}
-	if ex.Retries() != 2 || ex.Failures() != 0 {
-		t.Errorf("retries=%d failures=%d", ex.Retries(), ex.Failures())
+	if rc := ex.Counters().Retry; rc.Retries != 2 || rc.Failures != 0 {
+		t.Errorf("retries=%d failures=%d", rc.Retries, rc.Failures)
 	}
 }
 
@@ -57,27 +63,27 @@ func TestRetryingExhaustsBudget(t *testing.T) {
 	inner := &scriptedExchanger{script: []func(*dnswire.Message) (*dnswire.Message, error){
 		fail("t1"), fail("t2"), fail("t3"), fail("t4"),
 	}}
-	ex := exchange.NewRetry(inner, fastPolicy(3))
+	ex := retrying(inner, 3)
 	if _, err := ex.Exchange(context.Background(), "srv", dnswire.NewQuery(1, "a.com", dnswire.TypeNS)); err == nil {
 		t.Fatal("expected failure")
 	}
 	if inner.calls.Load() != 3 {
 		t.Errorf("attempts: %d, want 3", inner.calls.Load())
 	}
-	if ex.Retries() != 2 || ex.Failures() != 1 {
-		t.Errorf("retries=%d failures=%d", ex.Retries(), ex.Failures())
+	if rc := ex.Counters().Retry; rc.Retries != 2 || rc.Failures != 1 {
+		t.Errorf("retries=%d failures=%d", rc.Retries, rc.Failures)
 	}
 }
 
 func TestRetryingNoRouteIsPermanent(t *testing.T) {
 	net := dnsserver.NewMemNet()
-	ex := exchange.NewRetry(net, fastPolicy(5))
+	ex := retrying(net, 5)
 	_, err := ex.Exchange(context.Background(), "dark.example", dnswire.NewQuery(1, "a.com", dnswire.TypeNS))
 	if !errors.Is(err, exchange.ErrNoRoute) {
 		t.Fatalf("err: %v", err)
 	}
-	if ex.Retries() != 0 {
-		t.Errorf("retried a no-route address %d times", ex.Retries())
+	if got := ex.Counters().Retry.Retries; got != 0 {
+		t.Errorf("retried a no-route address %d times", got)
 	}
 }
 
@@ -86,20 +92,20 @@ func TestRetryLameRecoversAndGivesUpGracefully(t *testing.T) {
 	inner := &scriptedExchanger{script: []func(*dnswire.Message) (*dnswire.Message, error){
 		rcode(dnswire.RCodeServerFailure),
 	}}
-	ex := exchange.NewRetry(inner, fastPolicy(3), exchange.RetryLame())
+	ex := retrying(inner, 3)
 	resp, err := ex.Exchange(context.Background(), "srv", dnswire.NewQuery(1, "a.com", dnswire.TypeNS))
 	if err != nil || resp.RCode != dnswire.RCodeSuccess {
 		t.Fatalf("recovery: %v %v", resp, err)
 	}
-	if ex.Retries() != 1 {
-		t.Errorf("retries: %d", ex.Retries())
+	if got := ex.Counters().Retry.Retries; got != 1 {
+		t.Errorf("retries: %d", got)
 	}
 
 	// Persistent SERVFAIL: the caller still sees the rcode, not an error.
 	always := &scriptedExchanger{script: []func(*dnswire.Message) (*dnswire.Message, error){
 		rcode(dnswire.RCodeServerFailure), rcode(dnswire.RCodeServerFailure), rcode(dnswire.RCodeServerFailure),
 	}}
-	ex2 := exchange.NewRetry(always, fastPolicy(3), exchange.RetryLame())
+	ex2 := retrying(always, 3)
 	resp, err = ex2.Exchange(context.Background(), "srv", dnswire.NewQuery(2, "a.com", dnswire.TypeNS))
 	if err != nil || resp.RCode != dnswire.RCodeServerFailure {
 		t.Fatalf("persistent lame: %v %v", resp, err)
@@ -113,7 +119,7 @@ func TestRetryTruncated(t *testing.T) {
 		return resp, nil
 	}
 	inner := &scriptedExchanger{script: []func(*dnswire.Message) (*dnswire.Message, error){tc}}
-	ex := exchange.NewRetry(inner, fastPolicy(3), exchange.RetryTruncated())
+	ex := retrying(inner, 3)
 	resp, err := ex.Exchange(context.Background(), "srv", dnswire.NewQuery(1, "a.com", dnswire.TypeNS))
 	if err != nil || resp.Truncated {
 		t.Fatalf("truncation retry: %v %v", resp, err)

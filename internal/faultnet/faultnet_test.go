@@ -184,7 +184,8 @@ func TestDeterministicSchedule(t *testing.T) {
 func TestRetryRecoversThroughInjector(t *testing.T) {
 	inner := &okExchanger{}
 	in := New(inner, 3, nil, Rule{Pattern: "*", Loss: 0.4})
-	rex := exchange.NewRetry(in, retryTestPolicy())
+	policy := retryTestPolicy()
+	rex := exchange.MustBuild(exchange.Options{Transport: in, Retry: &policy})
 	ok, failed := 0, 0
 	for i := 0; i < 200; i++ {
 		name := string(rune('a'+i%26)) + "x.com"
@@ -197,9 +198,9 @@ func TestRetryRecoversThroughInjector(t *testing.T) {
 	if ok == 0 {
 		t.Fatal("nothing recovered under 40% loss with retries")
 	}
-	if got := rex.Retries() + rex.Failures(); got != in.Total() {
+	if rc := rex.Counters().Retry; rc.Retries+rc.Failures != in.Total() {
 		t.Errorf("fault accounting: retries(%d) + failures(%d) != injected(%d)",
-			rex.Retries(), rex.Failures(), in.Total())
+			rc.Retries, rc.Failures, in.Total())
 	}
 }
 

@@ -7,23 +7,22 @@ import (
 
 	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/faultnet"
 	"securepki.org/registrarsec/internal/resolver"
 	"securepki.org/registrarsec/internal/retry"
 )
 
 // TestResolutionSurvivesLossyNetwork drives the full referral chase through
-// a fault injector dropping a quarter of all packets: with the retry policy
-// wired in, every lookup still completes, and the resolver's failure
-// counters reflect what the transport absorbed.
+// a fault injector dropping a quarter of all packets: over a transport that
+// retries, every lookup still completes.
 func TestResolutionSurvivesLossyNetwork(t *testing.T) {
 	h := newWorld(t)
 	lossy := faultnet.New(h.Net, 11, nil, faultnet.Rule{Pattern: "*", Loss: 0.25})
 	r := resolver.New(resolver.Config{
 		Roots:    []string{dnstest.RootAddr},
-		Exchange: lossy,
+		Exchange: exchange.NewRetry(lossy, retry.Policy{MaxAttempts: 6, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}),
 		DNSSEC:   true,
-		Retry:    &retry.Policy{MaxAttempts: 6, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
 	})
 	ctx := context.Background()
 	for _, name := range []string{"www.signed.com", "www.partial.com", "www.plain.com", "www.signed.org"} {

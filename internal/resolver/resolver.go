@@ -3,8 +3,8 @@
 // package dnssec.
 //
 // The resolver is transport-agnostic: it issues queries through an
-// exchange.Exchanger stack (retry, per-server health breaker, optional
-// dedup and message cache — see internal/exchange), so the same code
+// exchange.Exchanger stack (transport accounting under a per-server health
+// breaker — see internal/exchange), so the same code
 // resolves against real UDP/TCP servers and against the in-memory
 // ecosystem simulation. This mirrors how the paper's measurements work —
 // the OpenINTEL scans and the hands-on registrar probes both observe
@@ -21,7 +21,6 @@ import (
 	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/exchange"
-	"securepki.org/registrarsec/internal/retry"
 )
 
 // Errors returned by resolution.
@@ -47,19 +46,6 @@ type Config struct {
 	DNSSEC bool
 	// MaxReferrals bounds the referral chase (default 16).
 	MaxReferrals int
-	// Retry wraps Exchange in the per-query retry discipline (nil
-	// disables retries; transient transport errors then immediately
-	// rotate to the next server).
-	Retry *retry.Policy
-	// Health tunes the per-server circuit breaker (nil = defaults). The
-	// breaker layer is always present: it drives healthy-first server
-	// ordering during referral chases.
-	Health *exchange.HealthOptions
-	// Dedup coalesces identical in-flight queries.
-	Dedup bool
-	// Cache adds a TTL-honoring message cache below the referral cache
-	// (nil disables it).
-	Cache *exchange.CacheOptions
 }
 
 // Result is the outcome of an iterative resolution.
@@ -105,18 +91,13 @@ func New(cfg Config) *Resolver {
 	}
 	r := &Resolver{cfg: cfg, cache: make(map[string]cacheEntry)}
 	if cfg.Exchange != nil {
-		hopts := cfg.Health
-		if hopts == nil {
-			hopts = &exchange.HealthOptions{}
-		}
-		// Lame rcodes stay with exchangeAny's own server failover; the
-		// retry layer only absorbs transient transport faults.
+		// The breaker drives healthy-first server ordering during referral
+		// chases; a failed exchange rotates to the next server at once
+		// (exchangeAny), so there is no retry layer — a caller on a lossy
+		// transport hands in an Exchange that retries.
 		r.stack = exchange.MustBuild(exchange.Options{
 			Transport: cfg.Exchange,
-			Retry:     cfg.Retry,
-			Health:    hopts,
-			Dedup:     cfg.Dedup,
-			Cache:     cfg.Cache,
+			Health:    &exchange.HealthOptions{},
 		})
 	}
 	return r
@@ -129,20 +110,16 @@ func (r *Resolver) Stack() *exchange.Stack { return r.stack }
 // Queries returns the number of upstream queries sent.
 func (r *Resolver) Queries() int64 { return r.queries.Load() }
 
-// TransportErrors returns how many exchanges failed outright (after any
-// configured retries) and forced a server rotation.
+// TransportErrors returns how many exchanges failed outright and forced a
+// server rotation.
 func (r *Resolver) TransportErrors() int64 { return r.errs.Load() }
 
-// FlushCache clears the referral cache and any message cache in the
-// exchange stack; the simulation calls this when it mutates delegations
-// between measurement days.
+// FlushCache clears the referral cache; the simulation calls this when it
+// mutates delegations between measurement days.
 func (r *Resolver) FlushCache() {
 	r.mu.Lock()
 	r.cache = make(map[string]cacheEntry)
 	r.mu.Unlock()
-	if r.stack != nil {
-		r.stack.FlushCache()
-	}
 }
 
 // cacheEntry remembers a zone cut's nameserver addresses and the chain of

@@ -105,19 +105,15 @@ func New(cfg Config) (*Scanner, error) {
 	case cfg.MaxResweeps < 0:
 		cfg.MaxResweeps = 0
 	}
-	// Lame rcodes and truncation are retried too: the in-memory transport
-	// has no TCP fallback, and a transient SERVFAIL should cost a retry,
-	// not a record. Health runs with fast-fail disabled — see the package
-	// determinism contract.
+	// Health runs with fast-fail disabled — see the package determinism
+	// contract.
 	stack, err := exchange.Build(exchange.Options{
-		Transport:      cfg.Exchange,
-		Middleware:     cfg.Middleware,
-		Retry:          &cfg.Retry,
-		RetryLame:      true,
-		RetryTruncated: true,
-		Health:         &exchange.HealthOptions{DisableFastFail: true},
-		Dedup:          cfg.Dedup,
-		Cache:          cfg.Cache,
+		Transport:  cfg.Exchange,
+		Middleware: cfg.Middleware,
+		Retry:      &cfg.Retry,
+		Health:     &exchange.HealthOptions{DisableFastFail: true},
+		Dedup:      cfg.Dedup,
+		Cache:      cfg.Cache,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scan: %w", err)

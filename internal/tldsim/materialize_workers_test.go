@@ -213,10 +213,7 @@ func TestSweepProducesOnlyWhatItReads(t *testing.T) {
 func sweepArchive(t *testing.T, world *tldsim.World) []byte {
 	t.Helper()
 	spec := &dsweep.WorldSpec{ScaleDiv: 4000, Seed: 5, Sample: 120}
-	setup, err := spec.BuildStreamWith(world, nil, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	setup := spec.BuildStreamWith(world, nil, 0, nil)
 	path := filepath.Join(t.TempDir(), "sweep.tsv")
 	aw, err := dataset.NewArchiveWriter(path)
 	if err != nil {

@@ -26,9 +26,10 @@ type Signer struct {
 	// (RFC 5155); takes precedence over AddNSEC. Zero iterations and an
 	// empty salt are valid (and recommended by modern guidance).
 	NSEC3 *dnswire.NSEC3PARAM
-	// KeyTTL is the DNSKEY RRset TTL (default 3600).
-	KeyTTL uint32
 }
+
+// keyTTL is the DNSKEY RRset TTL.
+const keyTTL = 3600
 
 // NewSigner generates a fresh KSK/ZSK pair for the given algorithm with a
 // validity window around now.
@@ -95,10 +96,6 @@ func (s *Signer) Sign(z *Zone) error {
 func (s *Signer) install(z *Zone) error {
 	if s.KSK == nil || s.ZSK == nil {
 		return errors.New("zone: signer requires both KSK and ZSK")
-	}
-	keyTTL := s.KeyTTL
-	if keyTTL == 0 {
-		keyTTL = 3600
 	}
 	z.RemoveType(dnswire.TypeRRSIG)
 	z.RemoveType(dnswire.TypeNSEC)

@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"securepki.org/registrarsec/internal/analysis"
 	"securepki.org/registrarsec/internal/checkpoint"
@@ -29,7 +28,6 @@ import (
 	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dsweep"
 	"securepki.org/registrarsec/internal/ecosystem"
-	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/faultnet"
 	"securepki.org/registrarsec/internal/probe"
 	"securepki.org/registrarsec/internal/registrar"
@@ -260,42 +258,29 @@ func (s *Study) ScanSample(ctx context.Context, day Day, n int, workers int) (*S
 // ScanSampleFaulty is ScanSample under injected transport faults: the
 // materialized network is wrapped in a faultnet.Injector driven by the
 // seed and rules, so resilience experiments run through the public facade.
-// With no rules it degrades to a clean scan.
+// With no rules it degrades to a clean scan. A sampled day is a one-day,
+// one-shard ScanLongitudinal whose sample seed is the day: the snapshot is
+// in canonical order (by TLD, then domain).
 func (s *Study) ScanSampleFaulty(ctx context.Context, day Day, n int, workers int, faultSeed int64, rules []faultnet.Rule) (*Snapshot, *SweepHealth, error) {
-	sample := s.World.Sample(n, int64(day))
-	mat, err := tldsim.Materialize(day, sample)
-	if err != nil {
-		return nil, nil, err
-	}
-	var mw []exchange.Middleware
-	if len(rules) > 0 {
-		inj := faultnet.New(nil, faultSeed, func() simtime.Day { return day }, rules...)
-		mw = append(mw, inj.Middleware())
-	}
-	scanner, err := scan.New(scan.Config{
-		Exchange:   mat.Net,
-		Middleware: mw,
-		TLDServers: mat.TLDServers,
-		Workers:    workers,
-		Clock:      func() simtime.Day { return day },
+	var health *SweepHealth
+	archive, err := s.ScanLongitudinal(ctx, LongitudinalConfig{
+		Days: []Day{day}, Sample: n, SampleSeed: int64(day), Workers: workers, Shards: 1,
+		FaultSeed: faultSeed, Rules: rules,
+		OnDayHealth: func(_ Day, h *SweepHealth) { health = h },
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, health, err
 	}
-	targets := make([]scan.Target, 0, len(sample))
-	for _, d := range sample {
-		targets = append(targets, scan.Target{Domain: d.Name, TLD: d.TLD})
-	}
-	return scanner.ScanDay(ctx, day, targets)
+	return archive.Get(day), health, nil
 }
 
 // LongitudinalConfig configures a resumable multi-day sweep.
 type LongitudinalConfig struct {
 	// Days are the measurement days, oldest first.
 	Days []Day
-	// Sample is the number of domains drawn from the world (the same
-	// sample is tracked across every day, as the paper tracks a fixed
-	// population).
+	// Sample is the number of domains drawn from the world (default 1000;
+	// the same sample is tracked across every day, as the paper tracks a
+	// fixed population).
 	Sample int
 	// SampleSeed drives the sample draw (default 1).
 	SampleSeed int64
@@ -309,14 +294,46 @@ type LongitudinalConfig struct {
 	// checkpointed there, and a re-run resumes from the last completed
 	// chunk with finished days verified by checksum instead of re-scanned.
 	CheckpointDir string
-	// FaultSeed and Rules optionally inject transport faults, as in
-	// ScanSampleFaulty.
+	// FaultSeed (default 1) and Rules optionally inject transport faults,
+	// as in ScanSampleFaulty.
 	FaultSeed int64
 	Rules     []FaultRule
 	// OnDayHealth and OnEvent receive per-day health reports and resume
 	// progress lines.
 	OnDayHealth func(day Day, h *SweepHealth)
 	OnEvent     func(format string, args ...any)
+}
+
+// plan translates the configuration into the sweep definition regsec-scan
+// and regsec-sweepd assemble from their flags, over this study's world, and
+// opens the checkpoint store when the configuration names one.
+func (s *Study) plan(cfg LongitudinalConfig) (dsweep.Plan, *checkpoint.Store, error) {
+	if s.World == nil {
+		return dsweep.Plan{}, nil, fmt.Errorf("study: a longitudinal sweep requires a world (Options.SkipWorld unset)")
+	}
+	if len(cfg.Days) == 0 {
+		return dsweep.Plan{}, nil, fmt.Errorf("study: no measurement days")
+	}
+	spec := dsweep.WorldSpec{
+		ScaleDiv: 1 / s.World.Config.Scale, Seed: s.World.Config.Seed,
+		Sample: cfg.Sample, SampleSeed: cfg.SampleSeed, Workers: cfg.Workers,
+		FaultSeed: cfg.FaultSeed, Rules: cfg.Rules,
+	}
+	if spec.SampleSeed == 0 {
+		spec.SampleSeed = 1
+	}
+	shards := cfg.Shards
+	if shards <= 0 {
+		shards = 4
+	}
+	var cp *checkpoint.Store
+	if cfg.CheckpointDir != "" {
+		var err error
+		if cp, err = checkpoint.Open(cfg.CheckpointDir); err != nil {
+			return dsweep.Plan{}, nil, err
+		}
+	}
+	return spec.PlanFor(cfg.Days, shards, 0), cp, nil
 }
 
 // ScanLongitudinal runs a multi-day, checkpoint-resumable measurement
@@ -329,26 +346,13 @@ type LongitudinalConfig struct {
 // from the sweep's sorted record stream, so it is in canonical order
 // across the whole day (by TLD, then domain), not shard by shard.
 func (s *Study) ScanLongitudinal(ctx context.Context, cfg LongitudinalConfig) (*Archive, error) {
-	mkSetup, err := s.longitudinalSetup(&cfg)
+	plan, cp, err := s.plan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var cp *checkpoint.Store
-	if cfg.CheckpointDir != "" {
-		if cp, err = checkpoint.Open(cfg.CheckpointDir); err != nil {
-			return nil, err
-		}
-	}
-	rs := &scan.ResumableSweep{
-		Checkpoint:  cp,
-		Fingerprint: s.longitudinalFingerprint(&cfg),
-		Shards:      cfg.Shards,
-		StreamSetup: mkSetup(),
-		OnDayHealth: cfg.OnDayHealth,
-		OnEvent:     cfg.OnEvent,
-	}
+	rs := plan.Sweep(s.World, cp, dataset.SpillOptions{}, cfg.OnDayHealth, cfg.OnEvent)
 	archive := dataset.NewStore()
-	return archive, rs.RunStream(ctx, cfg.Days, collectDays(archive))
+	return archive, rs.RunStream(ctx, plan.Days, collectDays(archive))
 }
 
 // collectDays is the sink that gathers a sweep's days into an in-memory
@@ -367,62 +371,6 @@ func collectDays(archive *Archive) scan.DaySink {
 	}
 }
 
-// longitudinalFingerprint binds checkpoint state to everything that decides
-// what a chunk holds: the world the sample is drawn from, the sweep
-// configuration, the injected faults, and the chunk size that shapes the
-// durable files.
-func (s *Study) longitudinalFingerprint(cfg *LongitudinalConfig) string {
-	return fmt.Sprintf("world=%s sample=%d seed=%d days=%v shards=%d faultseed=%d faults=%+v chunk=%d",
-		s.World.Config.Fingerprint(), cfg.Sample, cfg.SampleSeed, cfg.Days, cfg.Shards,
-		cfg.FaultSeed, cfg.Rules, scan.DefaultChunk)
-}
-
-// longitudinalSetup validates and defaults the configuration, draws the
-// sweep's fixed domain sample, and returns a factory of per-worker day
-// setups: each call yields an independent setup closure over the same
-// sample, so concurrent distributed workers never share a scanner or an
-// exchange stack.
-func (s *Study) longitudinalSetup(cfg *LongitudinalConfig) (func() scan.StreamDaySetup, error) {
-	if s.World == nil {
-		return nil, fmt.Errorf("study: a longitudinal sweep requires a world (Options.SkipWorld unset)")
-	}
-	if len(cfg.Days) == 0 {
-		return nil, fmt.Errorf("study: no measurement days")
-	}
-	if cfg.SampleSeed == 0 {
-		cfg.SampleSeed = 1
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
-	}
-	src := s.World.SampleSource(cfg.Sample, cfg.SampleSeed)
-	rules := cfg.Rules
-	faultSeed := cfg.FaultSeed
-	workers := cfg.Workers
-	mk := func() scan.StreamDaySetup {
-		return func(ctx context.Context, day Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
-			sm := tldsim.NewStreamMaterializer(day, src)
-			var mw []exchange.Middleware
-			if len(rules) > 0 {
-				inj := faultnet.New(nil, faultSeed, func() simtime.Day { return day }, rules...)
-				mw = append(mw, inj.Middleware())
-			}
-			scanner, err := scan.New(scan.Config{
-				Exchange:   sm,
-				Middleware: mw,
-				TLDServers: sm.TLDServers,
-				Workers:    workers,
-				Clock:      func() simtime.Day { return day },
-			})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return scanner, src, sm.Prepare, nil
-		}
-	}
-	return mk, nil
-}
-
 // DistributedConfig configures ScanDistributed.
 type DistributedConfig struct {
 	// Longitudinal is the sweep definition: days, sample, sharding, faults.
@@ -432,8 +380,6 @@ type DistributedConfig struct {
 	// worker owns a full exchange stack and claims (day, shard) leases
 	// from the in-process coordinator.
 	Fleet int
-	// LeaseTTL is the coordinator's lease deadline budget (default 30s).
-	LeaseTTL time.Duration
 }
 
 // ScanDistributed runs the longitudinal sweep through the crash-tolerant
@@ -447,45 +393,28 @@ type DistributedConfig struct {
 // the archive is durable.
 func (s *Study) ScanDistributed(ctx context.Context, cfg DistributedConfig) (*Archive, *DistributedResult, error) {
 	lc := cfg.Longitudinal
-	mkSetup, err := s.longitudinalSetup(&lc)
+	plan, cp, err := s.plan(lc)
 	if err != nil {
 		return nil, nil, err
 	}
-	if lc.CheckpointDir == "" {
+	if cp == nil {
 		return nil, nil, fmt.Errorf("study: a distributed sweep requires a checkpoint directory (the workers' shared chunk store)")
 	}
 	if cfg.Fleet <= 0 {
 		cfg.Fleet = 2
 	}
-	cp, err := checkpoint.Open(lc.CheckpointDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan := dsweep.Plan{
-		Fingerprint: "dsweep " + s.longitudinalFingerprint(&lc),
-		Days:        lc.Days,
-		Shards:      lc.Shards,
-	}
-	workers := make([]dsweep.WorkerSpec, 0, cfg.Fleet)
-	for i := 0; i < cfg.Fleet; i++ {
-		workers = append(workers, dsweep.WorkerSpec{
-			Name:        fmt.Sprintf("w%02d", i+1),
-			StreamSetup: mkSetup(),
-		})
-	}
 	archive := dataset.NewStore()
 	res, err := dsweep.RunLocal(ctx, dsweep.LocalConfig{
-		Plan:     plan,
-		Store:    cp,
-		LeaseTTL: cfg.LeaseTTL,
-		Workers:  workers,
-		OnEvent:  lc.OnEvent,
+		Plan:    plan,
+		Store:   cp,
+		Workers: plan.Fleet(s.World, cfg.Fleet, lc.OnEvent),
+		OnEvent: lc.OnEvent,
 	}, collectDays(archive))
 	if err != nil {
 		return nil, res, err
 	}
 	if lc.OnDayHealth != nil {
-		for _, day := range lc.Days {
+		for _, day := range plan.Days {
 			if h := res.HealthByDay[day]; h != nil {
 				lc.OnDayHealth(day, h)
 			}

@@ -2,10 +2,15 @@ package registrarsec
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"securepki.org/registrarsec/internal/checkpoint"
+	"securepki.org/registrarsec/internal/dataset"
+	"securepki.org/registrarsec/internal/dsweep"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
@@ -210,6 +215,103 @@ func TestLongitudinalResumeRefusesOtherConfiguration(t *testing.T) {
 	}
 	if _, err := s.ScanLongitudinal(context.Background(), base); err != nil {
 		t.Errorf("resume under the original configuration: %v", err)
+	}
+}
+
+// TestFacadeAndCLIRunOneDefinition: Study.ScanLongitudinal and the sweep
+// regsec-scan builds from a spec's plan are one definition — equal
+// fingerprints, byte-identical archives, and a checkpoint either wrote is a
+// resume point for the other.
+func TestFacadeAndCLIRunOneDefinition(t *testing.T) {
+	s := testStudy(t)
+	days := []Day{simtime.Date(2016, 6, 1), simtime.End}
+	rules := []FaultRule{{Pattern: "*.com-hosting.example", Loss: 0.3}}
+	cfg := LongitudinalConfig{Days: days, Sample: 40, Workers: 4, Shards: 2, FaultSeed: 5, Rules: rules}
+	spec := &dsweep.WorldSpec{ScaleDiv: 2000, Seed: 3, Sample: 40, SampleSeed: 1, Workers: 2, FaultSeed: 5, Rules: rules}
+	plan := spec.PlanFor(days, 2, 0)
+
+	facadePlan, _, err := s.plan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if facadePlan.Fingerprint != plan.Fingerprint {
+		t.Fatalf("fingerprints differ:\nfacade %s\nspec   %s", facadePlan.Fingerprint, plan.Fingerprint)
+	}
+
+	// cli runs the plan as regsec-scan does, until stopAfter days are done.
+	cli := func(dir string, stopAfter int) (string, []string, error) {
+		var cp *checkpoint.Store
+		if dir != "" {
+			if cp, err = checkpoint.Open(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var events []string
+		done := 0
+		rs := plan.Sweep(s.World, cp, dataset.SpillOptions{}, func(Day, *SweepHealth) {
+			if done++; done == stopAfter {
+				cancel()
+			}
+		}, func(f string, a ...any) { events = append(events, fmt.Sprintf(f, a...)) })
+		var out strings.Builder
+		err = rs.RunStream(ctx, plan.Days, func(_ Day, sw *dataset.SpillWriter) error { return sw.WriteSectionTo(&out) })
+		return out.String(), events, err
+	}
+	// facade runs the same sweep through ScanLongitudinal.
+	facade := func(dir string, stopAfter int) (string, []string, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		c := cfg
+		c.CheckpointDir = dir
+		var events []string
+		done := 0
+		c.OnDayHealth = func(Day, *SweepHealth) {
+			if done++; done == stopAfter {
+				cancel()
+			}
+		}
+		c.OnEvent = func(f string, a ...any) { events = append(events, fmt.Sprintf(f, a...)) }
+		archive, err := s.ScanLongitudinal(ctx, c)
+		if err != nil {
+			return "", events, err
+		}
+		var out strings.Builder
+		if err := archive.WriteArchive(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), events, nil
+	}
+
+	want, _, err := cli("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := facade("", 0); err != nil || got != want {
+		t.Fatalf("facade archive differs from the spec's sweep (err %v)", err)
+	}
+	for _, tc := range []struct {
+		name          string
+		first, second func(string, int) (string, []string, error)
+	}{
+		{"facade then cli", facade, cli},
+		{"cli then facade", cli, facade},
+	} {
+		dir := t.TempDir()
+		if _, _, err := tc.first(dir, 1); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: interrupted run: %v", tc.name, err)
+		}
+		got, events, err := tc.second(dir, 0)
+		if err != nil {
+			t.Fatalf("%s: resume: %v", tc.name, err)
+		}
+		if got != want {
+			t.Errorf("%s: resumed archive differs", tc.name)
+		}
+		if !strings.Contains(strings.Join(events, "\n"), "verified from checkpoint") {
+			t.Errorf("%s: the resume re-scanned the finished day: %q", tc.name, events)
+		}
 	}
 }
 
