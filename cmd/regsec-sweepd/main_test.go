@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -58,26 +57,8 @@ func sweepd(t *testing.T, args ...string) (int, string) {
 // daemon is a running regsec-sweepd.
 type daemon struct {
 	cmd    *exec.Cmd
-	stderr *lockedBuffer
+	stderr *cmdtest.Buffer
 	url    string
-}
-
-// lockedBuffer is the daemon's stderr, read while the process writes it.
-type lockedBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *lockedBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *lockedBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
 }
 
 var servingOn = regexp.MustCompile(`on (http://127\.0\.0\.1:\d+) `)
@@ -86,7 +67,7 @@ var servingOn = regexp.MustCompile(`on (http://127\.0\.0\.1:\d+) `)
 // announces its control-plane address.
 func startDaemon(t *testing.T, args ...string) *daemon {
 	t.Helper()
-	d := &daemon{cmd: cmdtest.Command(append(args, "-listen", "127.0.0.1:0")...), stderr: &lockedBuffer{}}
+	d := &daemon{cmd: cmdtest.Command(append(args, "-listen", "127.0.0.1:0")...), stderr: &cmdtest.Buffer{}}
 	d.cmd.Stderr = d.stderr
 	if err := d.cmd.Start(); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -18,6 +19,25 @@ func Command(args ...string) *exec.Cmd {
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "REGSEC_RUN_MAIN=1")
 	return cmd
+}
+
+// Buffer collects a running command's output for the test to read while
+// the process writes it.
+type Buffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *Buffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *Buffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 var (

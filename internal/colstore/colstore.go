@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -227,16 +228,65 @@ func (x *Index) finish() {
 			}
 		}
 	}
+	var counts []int32
 	for gi := range x.groups {
 		g := &x.groups[gi]
-		slices.Sort(g.keyDays)
-		slices.Sort(g.dsDays)
-		slices.Sort(g.fullDays)
+		counts = sortDays(g.keyDays, counts)
+		counts = sortDays(g.dsDays, counts)
+		counts = sortDays(g.fullDays, counts)
 	}
 	x.scratch.New = func() any {
 		s := make([]int32, len(x.ops))
 		return &s
 	}
+}
+
+// sortDays sorts an event list ascending, leaving exactly what slices.Sort
+// would. It counts the days over their span, never (which a full-day list
+// may hold) apart and last: O(len + span) instead of O(len log len). A list
+// whose span is wider than maxSpread days per event is left to slices.Sort,
+// which keeps the counts buffer at most maxSpread times the list. counts is
+// scratch; sortDays returns it for the next call.
+func sortDays(days, counts []int32) []int32 {
+	const maxSpread = 8
+	lo, hi, nevers := int32(math.MaxInt32), int32(math.MinInt32), 0
+	for _, d := range days {
+		if d == never {
+			nevers++
+			continue
+		}
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	if nevers == len(days) {
+		return counts
+	}
+	span := int64(hi) - int64(lo) + 1
+	if hi > never || span > int64(maxSpread*len(days)) {
+		slices.Sort(days)
+		return counts
+	}
+	if int64(cap(counts)) < span {
+		counts = make([]int32, span)
+	} else {
+		counts = counts[:span]
+		clear(counts)
+	}
+	for _, d := range days {
+		if d != never {
+			counts[d-lo]++
+		}
+	}
+	i := 0
+	for off, n := range counts {
+		for ; n > 0; n-- {
+			days[i] = lo + int32(off)
+			i++
+		}
+	}
+	for ; i < len(days); i++ {
+		days[i] = never
+	}
+	return counts
 }
 
 // ensureTemplate builds the day-independent record fields on first use.

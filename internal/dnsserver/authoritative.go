@@ -37,18 +37,23 @@ func (f HandlerFunc) ServeDNS(q *dnswire.Message) *dnswire.Message { return f(q)
 // The zone set is one map under an RWMutex: an operator's host takes
 // thousands of child zones in one Materialize, so a write must stay O(1);
 // cache hits never read the map, and the uncontended RLock of a miss is
-// about 1% of the render it precedes.
+// about 1% of the render it precedes. An origin may also be deferred
+// (AddZoneFunc): its zone is built, and installed like any other, the
+// first time the host reaches it.
 //
 // With a cache, installing a zone subscribes the cache to the zone's
 // mutation events before the zone becomes visible to queries, so every
 // response the cache ever holds is covered by the invalidation stream.
 // Zone-set changes themselves are guarded by a publish seqlock (pubGen):
 // fills pin it alongside the zone generation, so a fill racing
-// AddZone/RemoveZone can never strand a response rendered from the
-// superseded zone set.
+// AddZone/RemoveZone — or a deferred zone's build — can never strand a
+// response rendered from the superseded zone set.
 type Authoritative struct {
 	mu    sync.RWMutex
 	zones map[string]*zone.Zone
+	// deferred holds the origins whose zone is not built yet; an origin is
+	// in zones or in deferred, never in both.
+	deferred map[string]*deferredZone
 	// axfr gates zone transfers (nil denies all; see EnableAXFR).
 	axfr AXFRAllowed
 
@@ -88,28 +93,60 @@ func NewSharded(cfg ShardedConfig) *Authoritative {
 	return a
 }
 
+// deferredZone is an origin whose zone is built at first use.
+type deferredZone struct {
+	once  sync.Once
+	build func() *zone.Zone
+	z     *zone.Zone
+}
+
 // AddZone installs (or replaces) a zone.
-func (a *Authoritative) AddZone(z *zone.Zone) { a.setZone(z.Origin, z) }
+func (a *Authoritative) AddZone(z *zone.Zone) { a.setZone(z.Origin, z, nil, nil) }
 
-// RemoveZone drops the zone rooted at origin.
-func (a *Authoritative) RemoveZone(origin string) { a.setZone(dnswire.CanonicalName(origin), nil) }
+// AddZoneFunc installs (or replaces) the zone at origin without building
+// it: build runs once, the first time a query or Zone reaches origin, and
+// the zone it returns is installed as AddZone would install it. Until then
+// ZoneCount counts the origin, and RemoveZone or AddZone drop or replace it
+// unbuilt. build runs outside the host's lock, so origins build
+// concurrently; it must return a zone rooted at origin and must not call
+// back into the host.
+func (a *Authoritative) AddZoneFunc(origin string, build func() *zone.Zone) {
+	a.setZone(dnswire.CanonicalName(origin), nil, &deferredZone{build: build}, nil)
+}
 
-// setZone changes what the host serves at origin (nil removes it). The
-// cache is subscribed to z before z is visible, and origin's subtree is
+// RemoveZone drops the zone rooted at origin, built or not.
+func (a *Authoritative) RemoveZone(origin string) {
+	a.setZone(dnswire.CanonicalName(origin), nil, nil, nil)
+}
+
+// setZone changes what the host serves at origin: z, or the zone d builds
+// at first use, or nothing when both are nil. from is set when z is the
+// zone from built: the install is skipped unless from still holds origin.
+// The cache is subscribed to z before z is visible, and origin's subtree is
 // flushed after: an enclosing zone may have answered below its cut before
 // the child zone arrived, and a removed zone's renderings are all stale.
-func (a *Authoritative) setZone(origin string, z *zone.Zone) {
+func (a *Authoritative) setZone(origin string, z *zone.Zone, d, from *deferredZone) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if from != nil && a.deferred[origin] != from {
+		return
+	}
 	if z != nil && a.cache != nil && !a.subscribed[z] {
 		a.subscribed[z] = true
 		z.OnEvent(func(ev zone.Event) { a.cache.applyEvent(z, ev) })
 	}
 	a.pubGen.Add(1)
-	if z == nil {
-		delete(a.zones, origin)
-	} else {
+	if z != nil {
 		a.zones[origin] = z
+	} else {
+		delete(a.zones, origin)
+	}
+	if d == nil {
+		delete(a.deferred, origin)
+	} else if a.deferred == nil {
+		a.deferred = map[string]*deferredZone{origin: d}
+	} else {
+		a.deferred[origin] = d
 	}
 	if a.cache != nil {
 		a.cache.FlushSubtree(origin)
@@ -117,18 +154,43 @@ func (a *Authoritative) setZone(origin string, z *zone.Zone) {
 	a.pubGen.Add(1)
 }
 
-// Zone returns the hosted zone with the given origin, or nil.
-func (a *Authoritative) Zone(origin string) *zone.Zone {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.zones[dnswire.CanonicalName(origin)]
+// built returns d's zone, building it first if no reader has: one build
+// however many readers arrive at once, installed in d's place unless d was
+// replaced or removed meanwhile — then the zone answers only the readers
+// that reached d before that.
+func (a *Authoritative) built(origin string, d *deferredZone) *zone.Zone {
+	d.once.Do(func() {
+		d.z, d.build = d.build(), nil
+		a.setZone(origin, d.z, nil, d)
+	})
+	return d.z
 }
 
-// ZoneCount returns the number of hosted zones.
+// Zone returns the hosted zone with the given origin, or nil. A deferred
+// origin's zone is built.
+func (a *Authoritative) Zone(origin string) *zone.Zone {
+	origin = dnswire.CanonicalName(origin)
+	a.mu.RLock()
+	z, d := a.zones[origin], a.deferred[origin]
+	a.mu.RUnlock()
+	if d != nil {
+		return a.built(origin, d)
+	}
+	return z
+}
+
+// ZoneCount returns the number of hosted zones, deferred ones included.
 func (a *Authoritative) ZoneCount() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return len(a.zones)
+	return len(a.zones) + len(a.deferred)
+}
+
+// DeferredCount returns how many of ZoneCount's origins are not built yet.
+func (a *Authoritative) DeferredCount() int {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return len(a.deferred)
 }
 
 // CacheStats snapshots the response-cache counters (zero without a cache).
@@ -139,18 +201,32 @@ func (a *Authoritative) CacheStats() CacheStats {
 	return a.cache.Stats()
 }
 
-// findZone returns the most specific zone containing qname.
+// findZone returns the most specific zone containing qname, building it if
+// its origin is deferred.
 func (a *Authoritative) findZone(qname string) *zone.Zone {
+	origin, z, d := a.lookup(qname)
+	if d != nil {
+		return a.built(origin, d)
+	}
+	return z
+}
+
+// lookup finds the most specific origin containing qname and what the host
+// holds there: its zone, or its deferred build.
+func (a *Authoritative) lookup(qname string) (string, *zone.Zone, *deferredZone) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	cur := qname
 	for {
 		if z, ok := a.zones[cur]; ok {
-			return z
+			return cur, z, nil
+		}
+		if d, ok := a.deferred[cur]; ok {
+			return cur, nil, d
 		}
 		p, ok := dnswire.Parent(cur)
 		if !ok {
-			return nil
+			return "", nil, nil
 		}
 		cur = p
 	}
@@ -239,17 +315,21 @@ func answerInZone(resp *dnswire.Message, r *zone.Reader, qname string, qtype dns
 		return
 	}
 
-	// CNAME indirection (unless CNAME itself was asked for). The signatures
-	// ride along whatever the DO bit says, as they always have here.
+	// CNAME indirection (unless CNAME itself was asked for), signed only
+	// under DO, like every other answer (RFC 3225 section 3).
 	if qtype != dnswire.TypeCNAME && qtype != dnswire.TypeANY {
 		if cn := r.RRSet(qname, dnswire.TypeCNAME); len(cn) > 0 {
 			resp.Answers = append(resp.Answers, cn...)
-			resp.Answers = r.AppendSigs(resp.Answers, qname, dnswire.TypeCNAME)
+			if dnssecOK {
+				resp.Answers = r.AppendSigs(resp.Answers, qname, dnswire.TypeCNAME)
+			}
 			target := cn[0].Data.(*dnswire.CNAME).Target
 			if dnswire.IsSubdomain(target, r.Origin()) {
 				if target = dnswire.CanonicalName(target); r.HasName(target) {
 					attach(r, &resp.Answers, target, qtype, false)
-					resp.Answers = r.AppendSigs(resp.Answers, target, qtype)
+					if dnssecOK {
+						resp.Answers = r.AppendSigs(resp.Answers, target, qtype)
+					}
 				}
 			}
 			return

@@ -107,11 +107,13 @@ func (s *Server) serveAXFR(conn net.Conn, msg []byte) bool {
 	if auth, ok := s.Handler.(*Authoritative); ok {
 		origin := string(v.Name)
 		auth.mu.RLock()
-		z, policy := auth.zones[origin], auth.axfr
+		policy := auth.axfr
 		auth.mu.RUnlock()
-		if z != nil && policy != nil && policy(origin) {
-			if transfer, err := axfrMessages(&q, z); err == nil {
-				msgs = transfer
+		if policy != nil && policy(origin) {
+			if z := auth.Zone(origin); z != nil {
+				if transfer, err := axfrMessages(&q, z); err == nil {
+					msgs = transfer
+				}
 			}
 		}
 	}

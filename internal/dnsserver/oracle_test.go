@@ -9,8 +9,9 @@ import (
 )
 
 // The reference renderer: answerInZone and its helpers as they stood before
-// the zone view, moved here verbatim but for the ref prefix on their names
-// and the two HasDenialChain guards, which only spared Names() its sort. It
+// the zone view, moved here verbatim but for the ref prefix on their names,
+// the two HasDenialChain guards, which only spared Names() its sort, and the
+// DO gate on a CNAME answer's signatures, which both renderers gained. It
 // reads the zone one locked call at a time — so it is no reference beside a
 // concurrent writer — copies every RRset it touches, and sorts every owner
 // name for each denial proof. TestAnswerMatchesReference and FuzzServeDNS
@@ -99,13 +100,17 @@ func refAnswerInZone(resp *dnswire.Message, q *dnswire.Message, qname string, z 
 	if question.Type != dnswire.TypeCNAME && question.Type != dnswire.TypeANY {
 		if cn := z.Lookup(qname, dnswire.TypeCNAME); len(cn) > 0 {
 			resp.Answers = append(resp.Answers, cn...)
-			refAppendSigs(z, qname, dnswire.TypeCNAME, &resp.Answers)
+			if dnssecOK {
+				refAppendSigs(z, qname, dnswire.TypeCNAME, &resp.Answers)
+			}
 			target := cn[0].Data.(*dnswire.CNAME).Target
 			if dnswire.IsSubdomain(target, z.Origin) && z.HasName(target) {
 				for _, rr := range z.Lookup(target, question.Type) {
 					resp.Answers = append(resp.Answers, rr)
 				}
-				refAppendSigs(z, target, question.Type, &resp.Answers)
+				if dnssecOK {
+					refAppendSigs(z, target, question.Type, &resp.Answers)
+				}
 			}
 			return
 		}

@@ -1,6 +1,9 @@
 package tldsim
 
 import (
+	"bytes"
+	"crypto/ed25519"
+	crand "crypto/rand"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -9,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/registrar"
@@ -32,15 +36,24 @@ type Materialized struct {
 	Day        simtime.Day
 }
 
-// Materialize builds real DNS state for the given domains as of day. Only
-// pass the domains you intend to scan — materialization does real key
-// generation and signing per signed domain.
+// Materialize builds real DNS state for the given domains as of day.
 //
-// The per-domain work (build, key and sign the child zone, digest its KSK,
-// sign the DS RRset with the TLD's key) runs on a GOMAXPROCS-sized worker
-// pool; TLD zones and operator servers are then assembled serially, in
-// input order, so what a zone contains and the order it was added in never
-// depend on the worker count.
+// It builds now what the parent zones publish: the signed root and TLD
+// zones, and per domain the delegation NS and, when the domain has a DS on
+// the day, the DS RRset and the TLD's RRSIG over it. A child's KSK is
+// generated now only when that DS must match it. The child zone itself is
+// built the first time a query or Zone reaches its origin on the
+// operator's server (dnsserver.Authoritative.AddZoneFunc), from random seeds
+// drawn here, so the build cannot fail. A caller that asks only the
+// registries, as a serving start does, pays for no child zone; a sweep pays
+// for each child when it first asks it. Private-key operations per child
+// at bring-up: two for a signed child whose DS matches (its KSK and the
+// RRSIG(DS)), one for any other child with a DS, none without one.
+//
+// The per-domain work (the KSK and its digest, the RRSIG(DS), the seeds)
+// runs on a GOMAXPROCS-sized worker pool; TLD zones and operator servers are
+// then assembled serially, in input order, so what a zone contains and the
+// order it was added in never depend on the worker count.
 func Materialize(day simtime.Day, domains []DomainState) (*Materialized, error) {
 	b := &dayBuilder{day: day, now: day.Time()}
 	net := dnsserver.NewMemNet()
@@ -131,14 +144,14 @@ func Materialize(day simtime.Day, domains []DomainState) (*Materialized, error) 
 		for _, rr := range built[i].parent {
 			tz.MustAdd(rr)
 		}
-		nsHost := nsFor(domains[i].Operator)
-		srv, ok := operatorSrvs[nsHost]
+		c := built[i].child
+		srv, ok := operatorSrvs[c.nsHost]
 		if !ok {
 			srv = dnsserver.NewAuthoritative()
-			operatorSrvs[nsHost] = srv
-			net.Register(nsHost, srv)
+			operatorSrvs[c.nsHost] = srv
+			net.Register(c.nsHost, srv)
 		}
-		srv.AddZone(built[i].child)
+		srv.AddZoneFunc(c.name, c.build)
 	}
 
 	if err := rootSigner.Sign(rootZone); err != nil {
@@ -170,74 +183,116 @@ func (b *dayBuilder) newSigner() (*zone.Signer, error) {
 	return s, nil
 }
 
-// builtDomain is one domain's share of a materialized day: its own zone, and
-// the records its TLD's zone gains — the delegation NS, then the DS RRset
-// and its RRSIG when the domain has a DS on the day.
+// builtDomain is one domain's share of a materialized day: its zone, to be
+// built at first query, and the records its TLD's zone gains now — the
+// delegation NS, then the DS RRset and its RRSIG when the domain has a DS on
+// the day.
 type builtDomain struct {
-	child  *zone.Zone
+	child  *childZone
 	parent []*dnswire.RR
 }
 
 // buildDomain does everything for domain i that touches no shared state; it
 // is safe to call from several goroutines. tsigner signs for d's TLD.
 func (b *dayBuilder) buildDomain(i int, d *DomainState, tsigner *zone.Signer) (builtDomain, error) {
-	nsHost := nsFor(d.Operator)
-	child := zone.New(d.Name)
-	child.MustAdd(dnswire.NewRR(d.Name, 3600, &dnswire.SOA{
-		MName: nsHost, RName: "hostmaster." + d.Name,
+	c := &childZone{now: b.now, name: d.Name, nsHost: nsFor(d.Operator), signed: d.KeyDay <= b.day, expired: d.ExpiredSig}
+	out := builtDomain{
+		child:  c,
+		parent: []*dnswire.RR{dnswire.NewRR(d.Name, 86400, &dnswire.NS{Host: c.nsHost})},
+	}
+	if d.DSDay <= b.day {
+		var ds *dnswire.DS
+		if d.BrokenDS || !c.signed {
+			// A DS that matches nothing served: either the registrar
+			// accepted garbage, or the zone was unsigned behind it.
+			digest := make([]byte, 32)
+			rand.New(newStream(int64(i))).Read(digest)
+			ds = &dnswire.DS{
+				KeyTag: uint16(i + 1), Algorithm: dnswire.AlgED25519,
+				DigestType: dnswire.DigestSHA256, Digest: digest,
+			}
+		} else {
+			// The DS digests the child's KSK, so that key exists now.
+			var err error
+			if c.ksk, err = dnssec.GenerateKeyPair(dnswire.AlgED25519, dnswire.FlagsKSK, nil); err != nil {
+				return builtDomain{}, err
+			}
+			if ds, err = dnssec.ComputeDS(d.Name, c.ksk.DNSKEY(), dnswire.DigestSHA256); err != nil {
+				return builtDomain{}, err
+			}
+		}
+		out.parent = append(out.parent, dnswire.NewRR(d.Name, 86400, ds))
+		sig, err := tsigner.SignRRSet(d.TLD, out.parent[1:])
+		if err != nil {
+			return builtDomain{}, err
+		}
+		out.parent = append(out.parent, sig)
+	}
+	if c.signed {
+		n := ed25519.SeedSize // the ZSK's seed
+		if c.ksk == nil {
+			n *= 2 // and the KSK's
+		}
+		if _, err := crand.Read(c.seeds[:n]); err != nil {
+			return builtDomain{}, err
+		}
+	}
+	return out, nil
+}
+
+// childZone is one domain's zone before its first query: everything its
+// build needs, every random draw included, so the build cannot fail.
+type childZone struct {
+	now          time.Time // the measurement day's
+	name, nsHost string
+	// signed: the zone is signed on the day; expired: its signatures lapsed.
+	signed, expired bool
+	// ksk is generated at bring-up when the published DS digests it; the
+	// build generates the other keys from seeds: the ZSK's, then the KSK's.
+	ksk   *dnssec.KeyPair
+	seeds [2 * ed25519.SeedSize]byte
+}
+
+// build builds the zone, signed with keys from the seeds drawn at bring-up.
+// dnsserver.Authoritative runs it once, at the first query for the origin.
+func (c *childZone) build() *zone.Zone {
+	z := zone.New(c.name)
+	z.MustAdd(dnswire.NewRR(c.name, 3600, &dnswire.SOA{
+		MName: c.nsHost, RName: "hostmaster." + c.name,
 		Serial: 1, Refresh: 7200, Retry: 3600, Expire: 1209600, Minimum: 300,
 	}))
-	child.MustAdd(dnswire.NewRR(d.Name, 3600, &dnswire.NS{Host: nsHost}))
-	child.MustAdd(dnswire.NewRR("www."+d.Name, 300, &dnswire.A{Addr: netip.MustParseAddr("203.0.113.80")}))
-
-	var childSigner *zone.Signer
-	if d.KeyDay <= b.day {
-		var err error
-		if childSigner, err = b.newSigner(); err != nil {
-			return builtDomain{}, err
+	z.MustAdd(dnswire.NewRR(c.name, 3600, &dnswire.NS{Host: c.nsHost}))
+	z.MustAdd(dnswire.NewRR("www."+c.name, 300, &dnswire.A{Addr: netip.MustParseAddr("203.0.113.80")}))
+	if c.signed {
+		s := &zone.Signer{
+			KSK: c.ksk, ZSK: c.seededKey(dnswire.FlagsZSK, c.seeds[:ed25519.SeedSize]),
+			Inception: c.now.Add(-time.Hour), Expiration: c.now.AddDate(2, 0, 0),
 		}
-		if d.ExpiredSig {
+		if s.KSK == nil {
+			s.KSK = c.seededKey(dnswire.FlagsKSK, c.seeds[ed25519.SeedSize:])
+		}
+		if c.expired {
 			// The operator let its signatures lapse: the served RRSIGs
 			// ended a month before the measurement day.
-			childSigner.Inception = b.now.AddDate(0, -3, 0)
-			childSigner.Expiration = b.now.AddDate(0, -1, 0)
+			s.Inception, s.Expiration = c.now.AddDate(0, -3, 0), c.now.AddDate(0, -1, 0)
 		}
-		if err := childSigner.Sign(child); err != nil {
-			return builtDomain{}, err
-		}
-	}
-	out := builtDomain{
-		child:  child,
-		parent: []*dnswire.RR{dnswire.NewRR(d.Name, 86400, &dnswire.NS{Host: nsHost})},
-	}
-	if d.DSDay > b.day {
-		return out, nil
-	}
-	var ds []*dnswire.DS
-	if d.BrokenDS || childSigner == nil {
-		// A DS that matches nothing served: either the registrar
-		// accepted garbage, or the zone was unsigned behind it.
-		digest := make([]byte, 32)
-		rand.New(newStream(int64(i))).Read(digest)
-		ds = []*dnswire.DS{{
-			KeyTag: uint16(i + 1), Algorithm: dnswire.AlgED25519,
-			DigestType: dnswire.DigestSHA256, Digest: digest,
-		}}
-	} else {
-		var err error
-		if ds, err = childSigner.DSRecords(d.Name, dnswire.DigestSHA256); err != nil {
-			return builtDomain{}, err
+		// Planning fails only for a missing key or an algorithm that
+		// cannot sign.
+		if err := s.Sign(z); err != nil {
+			panic(fmt.Sprintf("tldsim: planning the signatures of %s: %v", c.name, err))
 		}
 	}
-	for _, rec := range ds {
-		out.parent = append(out.parent, dnswire.NewRR(d.Name, 86400, rec))
-	}
-	sig, err := tsigner.SignRRSet(d.TLD, out.parent[1:])
+	return z
+}
+
+// seededKey generates the Ed25519 key with the given DNSKEY flags from the
+// seed drawn for it: all the randomness an Ed25519 key reads.
+func (c *childZone) seededKey(flags uint16, seed []byte) *dnssec.KeyPair {
+	k, err := dnssec.GenerateKeyPair(dnswire.AlgED25519, flags, bytes.NewReader(seed))
 	if err != nil {
-		return builtDomain{}, err
+		panic(fmt.Sprintf("tldsim: a key for %s from its seed: %v", c.name, err))
 	}
-	out.parent = append(out.parent, sig)
-	return out, nil
+	return k
 }
 
 // tldServerName is the deterministic authoritative-server name for a TLD

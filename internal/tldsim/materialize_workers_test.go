@@ -7,9 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"securepki.org/registrarsec/internal/dataset"
+	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/dsweep"
@@ -132,39 +135,110 @@ func TestMaterializeIndependentOfWorkerCount(t *testing.T) {
 	}
 }
 
+// childKind is the row of a materialized child in the bring-up accounting.
+type childKind int
+
+const (
+	signedDSMatches childKind = iota
+	signedBrokenDS
+	signedNoDS
+	unsignedGarbageDS
+	unsignedNoDS
+)
+
+func kindOf(d *tldsim.DomainState, day simtime.Day) childKind {
+	signed, ds := d.KeyDay <= day, d.DSDay <= day
+	switch {
+	case signed && ds && !d.BrokenDS:
+		return signedDSMatches
+	case signed && ds:
+		return signedBrokenDS
+	case signed:
+		return signedNoDS
+	case ds:
+		return unsignedGarbageDS
+	}
+	return unsignedNoDS
+}
+
 // TestSweepProducesOnlyWhatItReads counts private-key operations by what
-// they leave behind: a materialized signed child has its four signatures
-// planned and none produced, and after one sweep of the day — NS and DS at
-// the registry, DNSKEY at the operator — exactly the DNSKEY RRset's has been
-// produced. Unsigned children plan nothing.
+// they leave behind. Materialize builds no child zone: every one is still
+// deferred on its operator's host, and stays so while the TLD servers answer
+// every question the serve rig asks. What bring-up cost shows in the TLD
+// zone: the RRSIG(DS) of a child with a DS, and a DS that digests the KSK
+// its child serves once built — a key that had to exist when the DS was
+// published. Two operations, one or none per child. After one sweep of the
+// day — NS and DS at the registry, DNSKEY at the operator — every child is
+// built, a signed one holding its two keys and having produced exactly its
+// DNSKEY RRset's signature: four operations for a signed child behind a DS.
+// Unsigned children plan nothing.
 func TestSweepProducesOnlyWhatItReads(t *testing.T) {
 	domains := signedWorld(t).Sample(160, 9)
 	m, err := tldsim.Materialize(simtime.End, domains)
 	if err != nil {
 		t.Fatal(err)
 	}
-	child := func(d *tldsim.DomainState) *zone.Zone {
-		return m.Net.Lookup(tldsim.NSHostOf(d.Operator)).(*dnsserver.Authoritative).Zone(d.Name)
+	var kinds [5]int
+	signed := 0
+	for i := range domains {
+		kind := kindOf(&domains[i], simtime.End)
+		kinds[kind]++
+		if kind <= signedNoDS {
+			signed++
+		}
 	}
-	planned := func(stage string, wantSigned int) (signed int) {
+	if signed*10 < len(domains)*4 || signed == len(domains) || kinds[signedDSMatches] == 0 || kinds[signedNoDS] == 0 || kinds[unsignedNoDS] == 0 {
+		t.Fatalf("sample has %d signed of %d domains, by kind %v; the test needs about 60%% and each common kind", signed, len(domains), kinds)
+	}
+	host := func(d *tldsim.DomainState) *dnsserver.Authoritative {
+		return m.Net.Lookup(tldsim.NSHostOf(d.Operator)).(*dnsserver.Authoritative)
+	}
+	tldZone := func(d *tldsim.DomainState) *zone.Zone {
+		return m.Net.Lookup(m.TLDServers[d.TLD]).(*dnsserver.Authoritative).Zone(d.TLD)
+	}
+	deferred := func(stage string, want int) {
 		t.Helper()
+		hosts := make(map[*dnsserver.Authoritative]bool)
+		n := 0
 		for i := range domains {
-			d := &domains[i]
-			want := 0
-			if d.KeyDay <= simtime.End {
-				want = wantSigned
-				signed++
-			}
-			if got := child(d).PlannedSigs(); got != want {
-				t.Fatalf("%s: %s has %d signatures planned, want %d", stage, d.Name, got, want)
+			if h := host(&domains[i]); !hosts[h] {
+				hosts[h] = true
+				n += h.DeferredCount()
 			}
 		}
-		return signed
+		if n != want {
+			t.Fatalf("%s: %d child zones unbuilt, want %d", stage, n, want)
+		}
 	}
-	signed := planned("before the sweep", 4)
-	if signed*10 < len(domains)*4 || signed == len(domains) {
-		t.Fatalf("sample has %d signed of %d domains; the test needs about 60%%", signed, len(domains))
+	dsSigs := func(d *tldsim.DomainState) int { return len(tldZone(d).Sigs(d.Name, dnswire.TypeDS)) }
+	deferred("at bring-up", len(domains))
+	for i := range domains {
+		d := &domains[i]
+		want := 0
+		if d.DSDay <= simtime.End {
+			want = 1
+		}
+		if got := dsSigs(d); got != want {
+			t.Fatalf("at bring-up: %s has %d RRSIG(DS) in its TLD zone, want %d", d.Name, got, want)
+		}
 	}
+
+	// The serve rig's questions, asked of the registries.
+	ctx := context.Background()
+	for _, d := range domains {
+		for _, name := range []string{d.Name, "www." + d.Name} {
+			for _, qtype := range []dnswire.Type{dnswire.TypeNS, dnswire.TypeDS, dnswire.TypeSOA, dnswire.TypeA} {
+				for _, do := range []bool{false, true} {
+					q := dnswire.NewQuery(1, name, qtype)
+					q.SetEDNS(dnswire.ReplyUDPPayload, do)
+					if _, err := m.Net.Exchange(ctx, m.TLDServers[d.TLD], q); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	deferred("after serving the registries", len(domains))
 
 	scanner, err := scan.New(scan.Config{
 		Exchange: m.Net, TLDServers: m.TLDServers, Workers: 8,
@@ -193,16 +267,57 @@ func TestSweepProducesOnlyWhatItReads(t *testing.T) {
 	if withKeys != signed {
 		t.Errorf("the sweep saw DNSKEYs at %d domains, the world signs %d", withKeys, signed)
 	}
-	planned("after the sweep", 3)
+	deferred("after the sweep", 0)
+
+	bringUp := [5]int{signedDSMatches: 2, signedBrokenDS: 1, signedNoDS: 0, unsignedGarbageDS: 1, unsignedNoDS: 0}
+	swept := [5]int{signedDSMatches: 4, signedBrokenDS: 4, signedNoDS: 3, unsignedGarbageDS: 1, unsignedNoDS: 0}
 	for i := range domains {
-		// SOA, NS, A; DNSKEY (2) and the four RRSIGs when signed: counting
-		// produces the three nobody read.
-		want := 3
-		if domains[i].KeyDay <= simtime.End {
-			want = 9
+		d := &domains[i]
+		kind := kindOf(d, simtime.End)
+		child := host(d).Zone(d.Name)
+		// Read before anything produces the rest: a signed child plans four
+		// signatures, of which the sweep produced the DNSKEY RRset's.
+		wantPlanned, wantLen := 0, 3
+		if d.KeyDay <= simtime.End {
+			wantPlanned, wantLen = 3, 9
 		}
-		if got := child(&domains[i]).Len(); got != want {
-			t.Fatalf("%s: %d records, want %d", domains[i].Name, got, want)
+		planned := child.PlannedSigs()
+		if planned != wantPlanned {
+			t.Fatalf("after the sweep: %s has %d signatures planned, want %d", d.Name, planned, wantPlanned)
+		}
+		var ksks []*dnswire.DNSKEY
+		keys, sigs := 0, 0
+		child.RRSets(func(_ string, _ dnswire.Type, rrs []*dnswire.RR) {
+			for _, rr := range rrs {
+				switch data := rr.Data.(type) {
+				case *dnswire.DNSKEY:
+					keys++
+					if data.Flags == dnswire.FlagsKSK {
+						ksks = append(ksks, data)
+					}
+				case *dnswire.RRSIG:
+					sigs++
+				}
+			}
+		})
+		var dss []*dnswire.DS
+		for _, rr := range tldZone(d).Lookup(d.Name, dnswire.TypeDS) {
+			dss = append(dss, rr.Data.(*dnswire.DS))
+		}
+		kskForDS := 0
+		if dnssec.MatchAnyDS(d.Name, dss, ksks) {
+			kskForDS = 1
+		}
+		if got := dsSigs(d) + kskForDS; got != bringUp[kind] {
+			t.Fatalf("%s (kind %d) cost %d private-key operations at bring-up, want %d", d.Name, kind, got, bringUp[kind])
+		}
+		if got := dsSigs(d) + keys + sigs - planned; got != swept[kind] {
+			t.Fatalf("%s (kind %d) cost %d private-key operations after the sweep, want %d", d.Name, kind, got, swept[kind])
+		}
+		// SOA, NS, A; DNSKEY (2) and the four RRSIGs when signed: counting
+		// produced the three nobody read.
+		if got := child.Len(); got != wantLen {
+			t.Fatalf("%s: %d records, want %d", d.Name, got, wantLen)
 		}
 	}
 }
@@ -239,7 +354,10 @@ func sweepArchive(t *testing.T, world *tldsim.World) []byte {
 
 // BenchmarkMaterialize measures one chunk-sized Materialize call on an
 // unsigned population and on one that is about 60% signed, at the ambient
-// GOMAXPROCS (run with -cpu 1,N to see what the worker pool buys).
+// GOMAXPROCS (run with -cpu 1,N to see what the worker pool buys). The
+// +dnskey variant then asks every child for its DNSKEY RRset under DO, from
+// GOMAXPROCS goroutines, as a sweep does: it builds every child zone and
+// produces the signature the sweep reads.
 func BenchmarkMaterialize(b *testing.B) {
 	baseline, err := tldsim.Build(tldsim.WorldConfig{Scale: 1.0 / 4000, Seed: 5})
 	if err != nil {
@@ -249,20 +367,49 @@ func BenchmarkMaterialize(b *testing.B) {
 	for i := range unsigned {
 		unsigned[i].KeyDay, unsigned[i].DSDay = simtime.End+1, simtime.End+1
 	}
+	signed := signedWorld(b).Sample(1024, 9)
 	for _, bc := range []struct {
 		name    string
 		domains []tldsim.DomainState
+		dnskey  bool
 	}{
-		{"signed=0%", unsigned},
-		{"signed=60%", signedWorld(b).Sample(1024, 9)},
+		{"signed=0%", unsigned, false},
+		{"signed=60%", signed, false},
+		{"signed=60%/+dnskey", signed, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := tldsim.Materialize(simtime.End, bc.domains); err != nil {
+				m, err := tldsim.Materialize(simtime.End, bc.domains)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if bc.dnskey {
+					askDNSKEYs(b, m, bc.domains)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(len(bc.domains)), "us/domain")
 		})
 	}
+}
+
+// askDNSKEYs sends one DO DNSKEY query per domain to its operator's server
+// through m's network, from GOMAXPROCS goroutines.
+func askDNSKEYs(b *testing.B, m *tldsim.Materialized, domains []tldsim.DomainState) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := runtime.GOMAXPROCS(0); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(domains); i = int(next.Add(1)) - 1 {
+				q := dnswire.NewQuery(uint16(i), domains[i].Name, dnswire.TypeDNSKEY)
+				q.SetEDNS(dnswire.ReplyUDPPayload, true)
+				if _, err := m.Net.Exchange(context.Background(), tldsim.NSHostOf(domains[i].Operator), q); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
