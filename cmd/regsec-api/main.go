@@ -15,9 +15,10 @@
 //
 // Usage:
 //
-//	regsec-api -archive scans.tsv -world world.colstore
-//	           [-listen 127.0.0.1:7363] [-poll 500ms] [-ready-max-lag 10s]
-//	           [-max-in-flight 64] [-max-queue 256] [-request-timeout 10s]
+//	regsec-api -archive scans.tsv -world world.colstore [-watermark path]
+//	           [-listen 127.0.0.1:7363] [-poll 500ms] [-commit-every 1] [-ready-max-lag 10s]
+//	           [-max-in-flight 64] [-max-queue 256] [-queue-wait 100ms]
+//	           [-request-timeout 10s] [-drain-timeout 15s]
 //
 // The daemon is crash-safe by construction: every ingest commit lands the
 // world file and its watermark atomically at a section boundary, so a kill

@@ -229,3 +229,7 @@ func TestKilledMidIngestRecovers(t *testing.T) {
 		t.Error("the recovered world file differs from the clean pass's")
 	}
 }
+
+// TestFlagDocs: README's Tools row and the Usage comment name the flags -h
+// prints, each once, and no other.
+func TestFlagDocs(t *testing.T) { cmdtest.CheckFlagDocs(t, "regsec-api") }

@@ -3,14 +3,15 @@
 // misconfiguration in the chain — missing DS (partial deployment),
 // mismatched DS, expired signatures, missing denial chains.
 //
-// Against live servers (e.g. a local regsec-server plus its parent):
+// Usage:
 //
-//	regsec-check -parent 127.0.0.1:5300 example.com
-//
-// Or as a self-contained demonstration over an in-memory hierarchy with
-// one domain in every misconfiguration class:
-//
+//	regsec-check -parent 127.0.0.1:5300 [-timeout 3s] example.com
 //	regsec-check -demo
+//
+// The first form checks a domain against live servers (e.g. a local
+// regsec-server plus its parent); the second is a self-contained
+// demonstration over an in-memory hierarchy with one domain in every
+// misconfiguration class.
 package main
 
 import (

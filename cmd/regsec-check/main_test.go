@@ -5,6 +5,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"securepki.org/registrarsec/internal/cmdtest"
 )
 
 // TestMain lets the test run the command itself: re-executed with
@@ -35,3 +37,7 @@ func TestDemoReportsEveryFindingClass(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagDocs: README's Tools row and the Usage comment name the flags -h
+// prints, each once, and no other.
+func TestFlagDocs(t *testing.T) { cmdtest.CheckFlagDocs(t, "regsec-check") }

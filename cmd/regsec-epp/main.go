@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	regsec-epp -tld com -epp 127.0.0.1:7000 -dns 127.0.0.1:5301 -accredit acme:s3cret
+//	regsec-epp -tld com -epp 127.0.0.1:7000 -dns 127.0.0.1:5301 -accredit acme:s3cret [-axfr]
 //
 // Then provision with any EPP client speaking the subset (see
 // internal/epp), and watch with:
@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"securepki.org/registrarsec/internal/dnsserver"
+	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/epp"
 	"securepki.org/registrarsec/internal/registry"
 )
@@ -36,9 +37,9 @@ func main() {
 
 	reg, err := registry.New(registry.Config{
 		TLD:       *tld,
-		NSHost:    "ns1." + *tld + "-registry.example",
+		NSHost:    ecosystem.TLDServerAddr(*tld),
 		AcceptsDS: true,
-	}, nil)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -12,6 +12,12 @@
 // Closed-loop mode (-mode closed) reports the server's sustainable service
 // rate; open-loop mode (-mode open -rate N) offers load at a fixed rate and
 // reports honest latency percentiles under that load.
+//
+// Usage:
+//
+//	regsec-loadgen [-addr host:port | -workers 0] [-scale 20000] [-seed 1] [-sample 120]
+//	               [-world-cache dir] [-types NS,DS,SOA,A] [-do 0.3] [-conns 8]
+//	               [-mode closed|open [-rate 100000] [-ramp 0s]] [-duration 2s] [-o report.json]
 package main
 
 import (

@@ -4,7 +4,8 @@
 //
 // Usage:
 //
-//	regsec-server -origin example.com -zone example.zone -addr 127.0.0.1:5300 -sign [-drain 5s]
+//	regsec-server -origin example.com -zone example.zone -addr 127.0.0.1:5300
+//	              [-sign [-alg ed25519] [-nsec]] [-cache 0] [-drain 5s]
 //
 // With no -zone argument a small demonstration zone is generated. On
 // SIGINT/SIGTERM the server drains: in-flight queries get their answers,

@@ -40,13 +40,6 @@ func (m *MemNet) Register(addr string, h Handler) {
 	m.handlers[addr] = h
 }
 
-// Unregister removes the binding for addr.
-func (m *MemNet) Unregister(addr string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.handlers, addr)
-}
-
 // Lookup returns the handler bound to addr, or nil.
 func (m *MemNet) Lookup(addr string) Handler {
 	m.mu.RLock()

@@ -101,7 +101,7 @@ func TestChainLinkAgreement(t *testing.T) {
 	audit, err := registry.New(registry.Config{
 		TLD: "com", NSHost: "audit.com-registry.example", AcceptsDS: true,
 		Incentive: &registry.Incentive{DiscountPerYear: 1},
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

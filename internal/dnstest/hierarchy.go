@@ -1,7 +1,9 @@
 // Package dnstest builds small signed DNS hierarchies (root → TLDs →
-// second-level domains) on an in-memory network, for use by tests across
-// the registrarsec module. It exercises the same zone, signing and serving
-// code paths as the full ecosystem simulation.
+// second-level domains) on an in-memory network, for tests across the
+// registrarsec module and regsec-check's demonstration. The root and TLDs
+// are an ecosystem.Tree, the one builder the materialized day and the
+// registry ecosystem use too; this package adds the domains below, in the
+// postures the paper's deployment classes need.
 package dnstest
 
 import (
@@ -44,26 +46,15 @@ const (
 // RootAddr is the address of the root nameserver on the in-memory network.
 const RootAddr = ecosystem.RootAddr
 
-// Hierarchy is a root plus TLD servers with helpers to hang domains below
-// them.
+// Hierarchy is an ecosystem.Tree with helpers to hang domains below its
+// TLDs.
 type Hierarchy struct {
-	Net    *dnsserver.MemNet
-	Now    time.Time
-	Anchor []*dnswire.DS
-
-	rootZone *zone.Zone
-	rootSrv  *dnsserver.Authoritative
-
-	tldZones   map[string]*zone.Zone
-	tldSigners map[string]*zone.Signer
-	tldSrv     map[string]*dnsserver.Authoritative
+	*ecosystem.Tree
+	Now time.Time
 
 	// operator NS host -> its authoritative server
 	operators map[string]*dnsserver.Authoritative
 }
-
-// tldNS names the nameserver host for a TLD.
-func tldNS(tld string) string { return "ns1." + tld + "-registry.example" }
 
 // TLDServerAddr returns the network address of a TLD's authoritative
 // server in hierarchies and ecosystems built by this package.
@@ -71,89 +62,21 @@ func TLDServerAddr(tld string) string { return ecosystem.TLDServerAddr(tld) }
 
 // NewHierarchy builds a signed root and the given signed TLDs at time now.
 func NewHierarchy(now time.Time, tlds ...string) (*Hierarchy, error) {
-	h := &Hierarchy{
-		Net:        dnsserver.NewMemNet(),
-		Now:        now,
-		tldZones:   make(map[string]*zone.Zone),
-		tldSigners: make(map[string]*zone.Signer),
-		tldSrv:     make(map[string]*dnsserver.Authoritative),
-		operators:  make(map[string]*dnsserver.Authoritative),
-	}
-	h.Net.Strict = true
-
-	h.rootZone = zone.New("")
-	h.rootZone.MustAdd(dnswire.NewRR("", 86400, &dnswire.SOA{
-		MName: RootAddr, RName: "nstld.verisign-grs.com",
-		Serial: 2016123100, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 86400,
-	}))
-	h.rootZone.MustAdd(dnswire.NewRR("", 86400, &dnswire.NS{Host: RootAddr}))
-	rootSigner, err := zone.NewSigner(dnswire.AlgED25519, now)
+	tree, err := ecosystem.NewTree(now, tlds...)
 	if err != nil {
 		return nil, err
 	}
-	h.tldSigners[""] = rootSigner
-
-	for _, tld := range tlds {
-		if err := h.addTLD(tld, now); err != nil {
-			return nil, err
-		}
-	}
-	if err := rootSigner.Sign(h.rootZone); err != nil {
-		return nil, err
-	}
-	h.rootSrv = dnsserver.NewAuthoritative()
-	h.rootSrv.AddZone(h.rootZone)
-	h.Net.Register(RootAddr, h.rootSrv)
-
-	anchor, err := rootSigner.DSRecords("", dnswire.DigestSHA256)
-	if err != nil {
-		return nil, err
-	}
-	h.Anchor = anchor
-	return h, nil
-}
-
-func (h *Hierarchy) addTLD(tld string, now time.Time) error {
-	z := zone.New(tld)
-	z.MustAdd(dnswire.NewRR(tld, 86400, &dnswire.SOA{
-		MName: tldNS(tld), RName: "hostmaster." + tld + "-registry.example",
-		Serial: 2016123100, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 3600,
-	}))
-	z.MustAdd(dnswire.NewRR(tld, 86400, &dnswire.NS{Host: tldNS(tld)}))
-	signer, err := zone.NewSigner(dnswire.AlgED25519, now)
-	if err != nil {
-		return err
-	}
-	if err := signer.Sign(z); err != nil {
-		return err
-	}
-	h.tldZones[tld] = z
-	h.tldSigners[tld] = signer
-	srv := dnsserver.NewAuthoritative()
-	srv.AddZone(z)
-	h.tldSrv[tld] = srv
-	h.Net.Register(tldNS(tld), srv)
-
-	// Delegate in the root with DS.
-	h.rootZone.MustAdd(dnswire.NewRR(tld, 86400, &dnswire.NS{Host: tldNS(tld)}))
-	dss, err := signer.DSRecords(tld, dnswire.DigestSHA256)
-	if err != nil {
-		return err
-	}
-	for _, ds := range dss {
-		h.rootZone.MustAdd(dnswire.NewRR(tld, 86400, ds))
-	}
-	return nil
+	return &Hierarchy{Tree: tree, Now: now, operators: make(map[string]*dnsserver.Authoritative)}, nil
 }
 
 // TLDZone exposes a TLD's zone for direct inspection or mutation.
-func (h *Hierarchy) TLDZone(tld string) *zone.Zone { return h.tldZones[tld] }
+func (h *Hierarchy) TLDZone(tld string) *zone.Zone { return h.TLDs[tld].Zone }
 
-// TLDSigner exposes the signer of a TLD (or of the root for "").
-func (h *Hierarchy) TLDSigner(tld string) *zone.Signer { return h.tldSigners[tld] }
+// TLDSigner exposes the signer of a TLD.
+func (h *Hierarchy) TLDSigner(tld string) *zone.Signer { return h.TLDs[tld].Signer }
 
 // TLDServer exposes a TLD's authoritative server.
-func (h *Hierarchy) TLDServer(tld string) *dnsserver.Authoritative { return h.tldSrv[tld] }
+func (h *Hierarchy) TLDServer(tld string) *dnsserver.Authoritative { return h.TLDs[tld].Server }
 
 // OperatorServer returns (creating on demand) the authoritative server
 // registered at the given NS hostname.
@@ -173,10 +96,11 @@ func (h *Hierarchy) OperatorServer(nsHost string) *dnsserver.Authoritative {
 func (h *Hierarchy) AddDomain(domain, nsHost string, mode DomainMode) (*zone.Zone, *zone.Signer, error) {
 	domain = dnswire.CanonicalName(domain)
 	tld, _ := dnswire.Parent(domain)
-	tz, ok := h.tldZones[tld]
+	apex, ok := h.TLDs[tld]
 	if !ok {
 		return nil, nil, fmt.Errorf("dnstest: TLD %q not in hierarchy", tld)
 	}
+	tz := apex.Zone
 	child := zone.New(domain)
 	child.MustAdd(dnswire.NewRR(domain, 3600, &dnswire.SOA{
 		MName: nsHost, RName: "hostmaster." + domain,
@@ -226,7 +150,7 @@ func (h *Hierarchy) AddDomain(domain, nsHost string, mode DomainMode) (*zone.Zon
 		}))
 	}
 	// Re-sign the TLD so the new delegation's DS RRset carries signatures.
-	if err := h.tldSigners[tld].Sign(tz); err != nil {
+	if err := apex.Signer.Sign(tz); err != nil {
 		return nil, nil, err
 	}
 
@@ -234,23 +158,10 @@ func (h *Hierarchy) AddDomain(domain, nsHost string, mode DomainMode) (*zone.Zon
 	return child, signer, nil
 }
 
-// Resolver builds an iterative resolver over the in-memory network.
-func (h *Hierarchy) Resolver(dnssecOK bool) *resolver.Resolver {
-	return resolver.New(resolver.Config{
-		Roots:    []string{RootAddr},
-		Exchange: h.Net,
-		DNSSEC:   dnssecOK,
-	})
-}
-
-// Validating builds a validating resolver anchored at this hierarchy's
-// root key.
+// Validating builds a validating resolver over the hierarchy that judges
+// signatures at h.Now.
 func (h *Hierarchy) Validating() *resolver.Validating {
-	return &resolver.Validating{
-		R:      h.Resolver(true),
-		Anchor: h.Anchor,
-		Now:    func() time.Time { return h.Now },
-	}
+	return h.ValidatingAt(func() time.Time { return h.Now })
 }
 
 // ValidateDomain is a convenience wrapper classifying one domain the way
@@ -259,11 +170,11 @@ func (h *Hierarchy) Validating() *resolver.Validating {
 func (h *Hierarchy) ValidateDomain(domain string) (dnssec.Deployment, error) {
 	domain = dnswire.CanonicalName(domain)
 	tld, _ := dnswire.Parent(domain)
-	tz := h.tldZones[tld]
-	if tz == nil {
+	apex := h.TLDs[tld]
+	if apex == nil {
 		return dnssec.DeploymentNone, fmt.Errorf("no TLD for %s", domain)
 	}
-	hasDS := len(tz.Lookup(domain, dnswire.TypeDS)) > 0
+	hasDS := len(apex.Zone.Lookup(domain, dnswire.TypeDS)) > 0
 	v := h.Validating()
 	res, chain, err := v.Lookup(context.Background(), domain, dnswire.TypeDNSKEY)
 	if err != nil {

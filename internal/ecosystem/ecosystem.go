@@ -1,19 +1,18 @@
-// Package ecosystem assembles the live DNS substrate the study runs on: a
-// signed root zone, one registry.Registry per TLD (each serving its signed
-// TLD zone on the in-memory network), a shared simulation clock, and
-// validating-resolver helpers anchored at the root key.
+// Package ecosystem assembles the live DNS substrate the study runs on. A
+// Tree is the signed root and TLD apexes on an in-memory network, with the
+// validating resolver anchored at the root key: the one builder of that top
+// for the materialized day, the registry ecosystem and the dnstest
+// hierarchy. An Ecosystem is a Tree whose TLDs are run by
+// registry.Registry agents, plus a shared simulation clock.
 package ecosystem
 
 import (
 	"sync"
 	"time"
 
-	"securepki.org/registrarsec/internal/dnsserver"
-	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/registry"
 	"securepki.org/registrarsec/internal/resolver"
 	"securepki.org/registrarsec/internal/simtime"
-	"securepki.org/registrarsec/internal/zone"
 )
 
 // Clock is a mutable simulation clock shared by every agent in an
@@ -57,13 +56,6 @@ func (c *Clock) TimeFunc() func() time.Time {
 	return func() time.Time { return c.Day().Time() }
 }
 
-// RootAddr is the address of the root nameserver on the in-memory network.
-const RootAddr = "a.root-servers.net"
-
-// TLDServerAddr returns the network address of a TLD's authoritative
-// server ("ns1.<tld>-registry.example").
-func TLDServerAddr(tld string) string { return "ns1." + tld + "-registry.example" }
-
 // Config configures New.
 type Config struct {
 	// Start is the initial simulation day (default simtime.GTLDStart).
@@ -80,16 +72,13 @@ type Config struct {
 // It is the substrate on which registrar agents and the full paper
 // simulation run.
 type Ecosystem struct {
-	Net        *dnsserver.MemNet
+	*Tree
 	Clock      *Clock
 	Registries map[string]*registry.Registry
-	Anchor     []*dnswire.DS
-
-	RootZone   *zone.Zone
-	RootSigner *zone.Signer
 }
 
-// New builds the world.
+// New builds the world: a tree as of the start day, each TLD apex run by a
+// registry.
 func New(cfg Config) (*Ecosystem, error) {
 	if cfg.Start == 0 {
 		cfg.Start = simtime.GTLDStart
@@ -97,77 +86,29 @@ func New(cfg Config) (*Ecosystem, error) {
 	if len(cfg.TLDs) == 0 {
 		cfg.TLDs = []string{"com", "net", "org", "nl", "se"}
 	}
-	e := &Ecosystem{
-		Net:        dnsserver.NewMemNet(),
-		Clock:      NewClock(cfg.Start),
-		Registries: make(map[string]*registry.Registry),
-	}
-	e.Net.Strict = true
-
-	e.RootZone = zone.New("")
-	e.RootZone.MustAdd(dnswire.NewRR("", 86400, &dnswire.SOA{
-		MName: RootAddr, RName: "nstld.verisign-grs.com",
-		Serial: 1, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 86400,
-	}))
-	e.RootZone.MustAdd(dnswire.NewRR("", 86400, &dnswire.NS{Host: RootAddr}))
-	rootSigner, err := zone.NewSigner(dnswire.AlgED25519, cfg.Start.Time())
+	tree, err := NewTree(cfg.Start.Time(), cfg.TLDs...)
 	if err != nil {
 		return nil, err
 	}
-	rootSigner.Expiration = simtime.End.Time().AddDate(1, 0, 0)
-	e.RootSigner = rootSigner
-
+	e := &Ecosystem{
+		Tree:       tree,
+		Clock:      NewClock(cfg.Start),
+		Registries: make(map[string]*registry.Registry),
+	}
 	for _, tld := range cfg.TLDs {
-		reg, err := registry.New(registry.Config{
+		e.Registries[tld] = registry.Operate(registry.Config{
 			TLD:         tld,
-			NSHost:      TLDServerAddr(tld),
 			AcceptsDS:   true,
 			SupportsCDS: cfg.CDSTLDs[tld],
 			Incentive:   cfg.Incentives[tld],
 			Clock:       e.Clock.Day,
-		}, e.Net)
-		if err != nil {
-			return nil, err
-		}
-		e.Registries[tld] = reg
-		e.RootZone.MustAdd(dnswire.NewRR(tld, 86400, &dnswire.NS{Host: TLDServerAddr(tld)}))
-		dss, err := reg.DSRecords()
-		if err != nil {
-			return nil, err
-		}
-		for _, ds := range dss {
-			e.RootZone.MustAdd(dnswire.NewRR(tld, 86400, ds))
-		}
+		}, tree.TLDs[tld])
 	}
-	if err := rootSigner.Sign(e.RootZone); err != nil {
-		return nil, err
-	}
-	rootSrv := dnsserver.NewAuthoritative()
-	rootSrv.AddZone(e.RootZone)
-	e.Net.Register(RootAddr, rootSrv)
-
-	anchor, err := rootSigner.DSRecords("", dnswire.DigestSHA256)
-	if err != nil {
-		return nil, err
-	}
-	e.Anchor = anchor
 	return e, nil
 }
 
-// Resolver builds an iterative resolver over the ecosystem's network.
-func (e *Ecosystem) Resolver(dnssecOK bool) *resolver.Resolver {
-	return resolver.New(resolver.Config{
-		Roots:    []string{RootAddr},
-		Exchange: e.Net,
-		DNSSEC:   dnssecOK,
-	})
-}
-
-// Validating builds a validating resolver anchored at the ecosystem root.
+// Validating builds a validating resolver over the ecosystem's tree that
+// judges signatures at the simulation clock.
 func (e *Ecosystem) Validating() *resolver.Validating {
-	return &resolver.Validating{
-		R:      e.Resolver(true),
-		Anchor: e.Anchor,
-		Now:    e.Clock.TimeFunc(),
-	}
+	return e.ValidatingAt(e.Clock.TimeFunc())
 }

@@ -22,20 +22,19 @@ import (
 	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/registrar"
 	"securepki.org/registrarsec/internal/registry"
-	"securepki.org/registrarsec/internal/resolver"
 	"securepki.org/registrarsec/internal/simtime"
 	"securepki.org/registrarsec/internal/zone"
 )
 
-// Env gives the probe its view of the world: the network to host its own
-// nameserver on, the registries to read delegations from, and a validating
-// resolver anchor.
+// Env gives the probe its view of the world: the DNS tree, whose network
+// hosts the probe's own nameserver and whose root anchors its validation,
+// and the registries to read delegations from.
 type Env struct {
-	Net        *dnsserver.MemNet
+	*ecosystem.Tree
 	Registries map[string]*registry.Registry
-	Anchor     []*dnswire.DS
 	Clock      func() simtime.Day
 	// AccountEmail is the identity the probe registers with (defaults to
 	// probe@securepki.org).
@@ -126,19 +125,6 @@ func nextSeq() int64 { return probeSeq.Add(1) }
 // New creates a prober.
 func New(env *Env) *Prober { return &Prober{Env: env} }
 
-// validating builds a validating resolver over the environment.
-func (p *Prober) validating() *resolver.Validating {
-	return &resolver.Validating{
-		R: resolver.New(resolver.Config{
-			Roots:    []string{"a.root-servers.net"},
-			Exchange: p.Env.Net,
-			DNSSEC:   true,
-		}),
-		Anchor: p.Env.Anchor,
-		Now:    p.Env.now,
-	}
-}
-
 // classify observes a domain's deployment state through registry data and
 // live validated DNS — never through agent internals.
 func (p *Prober) classify(ctx context.Context, domain, tld string) (dnssec.Deployment, error) {
@@ -146,8 +132,7 @@ func (p *Prober) classify(ctx context.Context, domain, tld string) (dnssec.Deplo
 	if !ok {
 		return dnssec.DeploymentNone, fmt.Errorf("probe: %s not registered", domain)
 	}
-	v := p.validating()
-	res, chain, err := v.Lookup(ctx, domain, dnswire.TypeDNSKEY)
+	res, chain, err := p.Env.ValidatingAt(p.Env.now).Lookup(ctx, domain, dnswire.TypeDNSKEY)
 	if err != nil {
 		return dnssec.DeploymentNone, err
 	}

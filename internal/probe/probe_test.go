@@ -28,9 +28,8 @@ func newWorld(t *testing.T) *world {
 	return &world{
 		eco: eco,
 		env: &probe.Env{
-			Net:        eco.Net,
+			Tree:       eco.Tree,
 			Registries: eco.Registries,
-			Anchor:     eco.Anchor,
 			Clock:      eco.Clock.Day,
 		},
 		byID: make(map[string]*registrar.Registrar),

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnsserver"
@@ -73,10 +74,8 @@ func (r *Registration) clone() *Registration {
 type Config struct {
 	// TLD is the zone this registry operates ("com", "nl", ...).
 	TLD string
-	// NSHost is the hostname of the TLD's authoritative server.
+	// NSHost is the hostname New serves the TLD zone at.
 	NSHost string
-	// Algorithm signs the TLD zone (default Ed25519 for speed at scale).
-	Algorithm dnswire.Algorithm
 	// AcceptsDS is true for DNSSEC-enabled registries (all five studied
 	// TLDs accept DS records).
 	AcceptsDS bool
@@ -91,13 +90,56 @@ type Config struct {
 	RegistrationYears int
 }
 
+// Apex is a zone as the one server that answers for it runs it: the zone,
+// the signer that signed it, and the authoritative server.
+type Apex struct {
+	Zone   *zone.Zone
+	Signer *zone.Signer
+	Server *dnsserver.Authoritative
+}
+
+// NewApex builds the zone origin served by nsHost as of now: its SOA and NS,
+// then rrs (the delegations of a parent zone), signed with fresh Ed25519
+// keys, and the server that answers for it.
+//
+// Every apex is signed by one rule: its signatures are valid from an hour
+// before now until a year past the later of now and simtime.End. A TLD
+// zone built at the window's start thus re-signs DS RRsets through its
+// end, a day's zones hold for any day of the window they are built for, and
+// an apex built at the wall clock, past the window, holds for a year.
+func NewApex(origin, nsHost string, now time.Time, rrs ...*dnswire.RR) (*Apex, error) {
+	z := zone.New(origin)
+	z.MustAdd(dnswire.NewRR(origin, 86400, &dnswire.SOA{
+		MName: nsHost, RName: "hostmaster." + nsHost,
+		Serial: 1, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 3600,
+	}))
+	z.MustAdd(dnswire.NewRR(origin, 86400, &dnswire.NS{Host: nsHost}))
+	for _, rr := range rrs {
+		z.MustAdd(rr)
+	}
+	signer, err := zone.NewSigner(dnswire.AlgED25519, now)
+	if err != nil {
+		return nil, err
+	}
+	end := simtime.End.Time()
+	if now.After(end) {
+		end = now
+	}
+	signer.Expiration = end.AddDate(1, 0, 0)
+	if err := signer.Sign(z); err != nil {
+		return nil, err
+	}
+	a := &Apex{Zone: z, Signer: signer, Server: dnsserver.NewAuthoritative()}
+	a.Server.AddZone(z)
+	return a, nil
+}
+
 // Registry is one TLD registry.
 type Registry struct {
-	cfg    Config
-	signer *zone.Signer
+	cfg  Config
+	apex *Apex
 
 	mu         sync.RWMutex
-	zone       *zone.Zone
 	regs       map[string]*Registration
 	accredited map[string]bool
 	// failures tracks validation-failure days per registrar for the
@@ -105,71 +147,54 @@ type Registry struct {
 	failures map[string][]simtime.Day
 	// discounts accrues paid incentives per registrar.
 	discounts map[string]float64
-
-	srv *dnsserver.Authoritative
 }
 
-// New builds a registry with a freshly signed TLD zone and registers its
-// authoritative server on net.
-func New(cfg Config, net *dnsserver.MemNet) (*Registry, error) {
-	if cfg.Algorithm == 0 {
-		cfg.Algorithm = dnswire.AlgED25519
+// New builds a registry with a freshly signed TLD zone (NewApex).
+func New(cfg Config) (*Registry, error) {
+	cfg = cfg.withDefaults()
+	apex, err := NewApex(cfg.TLD, cfg.NSHost, cfg.Clock().Time())
+	if err != nil {
+		return nil, err
 	}
+	return Operate(cfg, apex), nil
+}
+
+// Operate makes a registry of an existing TLD apex: registrations and DS
+// uploads go into its zone, signed by its signer.
+func Operate(cfg Config, apex *Apex) *Registry {
+	return &Registry{
+		cfg:        cfg.withDefaults(),
+		apex:       apex,
+		regs:       make(map[string]*Registration),
+		accredited: make(map[string]bool),
+		failures:   make(map[string][]simtime.Day),
+		discounts:  make(map[string]float64),
+	}
+}
+
+func (cfg Config) withDefaults() Config {
 	if cfg.Clock == nil {
 		cfg.Clock = func() simtime.Day { return simtime.GTLDStart }
 	}
 	if cfg.RegistrationYears == 0 {
 		cfg.RegistrationYears = 1
 	}
-	tld := dnswire.CanonicalName(cfg.TLD)
-	cfg.TLD = tld
-	z := zone.New(tld)
-	z.MustAdd(dnswire.NewRR(tld, 86400, &dnswire.SOA{
-		MName: cfg.NSHost, RName: "hostmaster." + cfg.NSHost,
-		Serial: 1, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 3600,
-	}))
-	z.MustAdd(dnswire.NewRR(tld, 86400, &dnswire.NS{Host: cfg.NSHost}))
-	signer, err := zone.NewSigner(cfg.Algorithm, cfg.Clock().Time())
-	if err != nil {
-		return nil, err
-	}
-	// A registry's signatures must outlive the whole measurement window.
-	signer.Expiration = simtime.End.Time().AddDate(1, 0, 0)
-	if err := signer.Sign(z); err != nil {
-		return nil, err
-	}
-	r := &Registry{
-		cfg:        cfg,
-		signer:     signer,
-		zone:       z,
-		regs:       make(map[string]*Registration),
-		accredited: make(map[string]bool),
-		failures:   make(map[string][]simtime.Day),
-		discounts:  make(map[string]float64),
-		srv:        dnsserver.NewAuthoritative(),
-	}
-	r.srv.AddZone(z)
-	if net != nil {
-		net.Register(cfg.NSHost, r.srv)
-	}
-	return r, nil
+	cfg.TLD = dnswire.CanonicalName(cfg.TLD)
+	return cfg
 }
 
 // TLD returns the TLD this registry operates.
 func (r *Registry) TLD() string { return r.cfg.TLD }
 
-// NSHost returns the registry nameserver hostname.
-func (r *Registry) NSHost() string { return r.cfg.NSHost }
-
-// Zone exposes the live TLD zone (for scan harnesses and wiring the root).
-func (r *Registry) Zone() *zone.Zone { return r.zone }
+// Zone exposes the live TLD zone (for scan harnesses and tests).
+func (r *Registry) Zone() *zone.Zone { return r.apex.Zone }
 
 // Server exposes the registry's authoritative server.
-func (r *Registry) Server() *dnsserver.Authoritative { return r.srv }
+func (r *Registry) Server() *dnsserver.Authoritative { return r.apex.Server }
 
 // DSRecords returns the DS set the root should publish for this TLD.
 func (r *Registry) DSRecords() ([]*dnswire.DS, error) {
-	return r.signer.DSRecords(r.cfg.TLD, dnswire.DigestSHA256)
+	return r.apex.Signer.DSRecords(r.cfg.TLD, dnswire.DigestSHA256)
 }
 
 // SupportsCDS reports whether the registry polls CDS/CDNSKEY records.
@@ -351,31 +376,32 @@ func (r *Registry) DomainCount() int {
 // registration and so nothing to publish, but its removal changes the zone
 // like any other sync and moves the serial. Callers hold the lock.
 func (r *Registry) syncDelegationLocked(domain string) error {
-	r.zone.Remove(domain, dnswire.TypeNS)
-	r.zone.Remove(domain, dnswire.TypeDS)
-	r.zone.RemoveSigs(domain, dnswire.TypeDS)
+	z := r.apex.Zone
+	z.Remove(domain, dnswire.TypeNS)
+	z.Remove(domain, dnswire.TypeDS)
+	z.RemoveSigs(domain, dnswire.TypeDS)
 	var reg Registration
 	if cur, ok := r.regs[domain]; ok {
 		reg = *cur
 	}
 	for _, host := range reg.NS {
-		if err := r.zone.Add(dnswire.NewRR(domain, 86400, &dnswire.NS{Host: host})); err != nil {
+		if err := z.Add(dnswire.NewRR(domain, 86400, &dnswire.NS{Host: host})); err != nil {
 			return err
 		}
 	}
 	for _, ds := range reg.DS {
 		d := *ds
 		d.Digest = append([]byte(nil), ds.Digest...)
-		if err := r.zone.Add(dnswire.NewRR(domain, 86400, &d)); err != nil {
+		if err := z.Add(dnswire.NewRR(domain, 86400, &d)); err != nil {
 			return err
 		}
 	}
 	if len(reg.DS) > 0 {
-		if err := r.signer.SignSet(r.zone, domain, dnswire.TypeDS); err != nil {
+		if err := r.apex.Signer.SignSet(z, domain, dnswire.TypeDS); err != nil {
 			return err
 		}
 	}
-	r.zone.BumpSerial()
+	z.BumpSerial()
 	return nil
 }
 

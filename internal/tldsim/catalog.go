@@ -17,10 +17,9 @@ import (
 // paper-reported endpoints as calibration constants; each is annotated with
 // its source.
 
-// GTLDs are the generic TLDs of the study; CCTLDs the country-code ones.
 var (
-	GTLDs  = []string{"com", "net", "org"}
-	CCTLDs = []string{"nl", "se"}
+	// GTLDs are the generic TLDs of the study.
+	GTLDs = []string{"com", "net", "org"}
 	// AllTLDs is the full set, in the paper's order.
 	AllTLDs = []string{"com", "net", "org", "nl", "se"}
 )

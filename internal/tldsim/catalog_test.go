@@ -51,7 +51,7 @@ func TestCatalogSizes(t *testing.T) {
 func TestTable2HeadlineNumbers(t *testing.T) {
 	eco, _, top20, _ := buildProbeWorld(t)
 	p := probe.New(&probe.Env{
-		Net: eco.Net, Registries: eco.Registries, Anchor: eco.Anchor, Clock: eco.Clock.Day,
+		Tree: eco.Tree, Registries: eco.Registries, Clock: eco.Clock.Day,
 	})
 	obs := p.RunAll(context.Background(), top20)
 	s := probe.Summarize(obs)
@@ -111,7 +111,7 @@ func TestTable2HeadlineNumbers(t *testing.T) {
 func TestTable3HeadlineNumbers(t *testing.T) {
 	eco, byID, _, top10 := buildProbeWorld(t)
 	p := probe.New(&probe.Env{
-		Net: eco.Net, Registries: eco.Registries, Anchor: eco.Anchor, Clock: eco.Clock.Day,
+		Tree: eco.Tree, Registries: eco.Registries, Clock: eco.Clock.Day,
 	})
 	// Table 3 covers ten registrars: the eight Table-3-only ones plus OVH
 	// and NameCheap from the top-20 list.

@@ -15,6 +15,7 @@ import (
 	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/registrar"
 	"securepki.org/registrarsec/internal/registry"
 	"securepki.org/registrarsec/internal/simtime"
@@ -30,8 +31,7 @@ import (
 // servers, which lets tests verify that the world model's aggregate counts
 // equal what live measurement observes.
 type Materialized struct {
-	Net        *dnsserver.MemNet
-	Anchor     []*dnswire.DS
+	*ecosystem.Tree
 	TLDServers map[string]string
 	Day        simtime.Day
 }
@@ -39,8 +39,9 @@ type Materialized struct {
 // Materialize builds real DNS state for the given domains as of day.
 //
 // It builds now what the parent zones publish: the signed root and TLD
-// zones, and per domain the delegation NS and, when the domain has a DS on
-// the day, the DS RRset and the TLD's RRSIG over it. A child's KSK is
+// zones (ecosystem.NewTree, TLDs in first-appearance order), and per domain
+// the delegation NS and, when the domain has a DS on the day, the DS RRset
+// and the TLD's RRSIG over it. A child's KSK is
 // generated now only when that DS must match it. The child zone itself is
 // built the first time a query or Zone reaches its origin on the
 // operator's server (dnsserver.Authoritative.AddZoneFunc), from random seeds
@@ -56,59 +57,21 @@ type Materialized struct {
 // order it was added in never depend on the worker count.
 func Materialize(day simtime.Day, domains []DomainState) (*Materialized, error) {
 	b := &dayBuilder{day: day, now: day.Time()}
-	net := dnsserver.NewMemNet()
-	net.Strict = true
-	m := &Materialized{Net: net, TLDServers: make(map[string]string), Day: day}
-
-	// Root and TLD skeletons. Every TLD's signer exists before the workers
-	// start, so they only read the table.
-	rootZone := zone.New("")
-	rootZone.MustAdd(dnswire.NewRR("", 86400, &dnswire.SOA{
-		MName: "a.root-servers.net", RName: "nstld.verisign-grs.com",
-		Serial: 1, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 86400,
-	}))
-	rootZone.MustAdd(dnswire.NewRR("", 86400, &dnswire.NS{Host: "a.root-servers.net"}))
-	rootSigner, err := b.newSigner()
+	// The tree's TLDs, in first-appearance order. Every TLD's signer exists
+	// before the workers start, so they only read the table.
+	m := &Materialized{TLDServers: make(map[string]string), Day: day}
+	var tlds []string
+	for i := range domains {
+		if tld := domains[i].TLD; m.TLDServers[tld] == "" {
+			m.TLDServers[tld] = ecosystem.TLDServerAddr(tld)
+			tlds = append(tlds, tld)
+		}
+	}
+	tree, err := ecosystem.NewTree(b.now, tlds...)
 	if err != nil {
 		return nil, err
 	}
-
-	tldZones := make(map[string]*zone.Zone)
-	tldSigners := make(map[string]*zone.Signer)
-	for i := range domains {
-		tld := domains[i].TLD
-		if _, ok := tldZones[tld]; ok {
-			continue
-		}
-		ns := tldServerName(tld)
-		z := zone.New(tld)
-		z.MustAdd(dnswire.NewRR(tld, 86400, &dnswire.SOA{
-			MName: ns, RName: "hostmaster." + ns,
-			Serial: 1, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 3600,
-		}))
-		z.MustAdd(dnswire.NewRR(tld, 86400, &dnswire.NS{Host: ns}))
-		signer, err := b.newSigner()
-		if err != nil {
-			return nil, err
-		}
-		if err := signer.Sign(z); err != nil {
-			return nil, err
-		}
-		tldZones[tld], tldSigners[tld] = z, signer
-		srv := dnsserver.NewAuthoritative()
-		srv.AddZone(z)
-		net.Register(ns, srv)
-		m.TLDServers[tld] = ns
-		// Delegate in the root.
-		rootZone.MustAdd(dnswire.NewRR(tld, 86400, &dnswire.NS{Host: ns}))
-		dss, err := signer.DSRecords(tld, dnswire.DigestSHA256)
-		if err != nil {
-			return nil, err
-		}
-		for _, ds := range dss {
-			rootZone.MustAdd(dnswire.NewRR(tld, 86400, ds))
-		}
-	}
+	m.Tree = tree
 
 	built := make([]builtDomain, len(domains))
 	var (
@@ -127,7 +90,7 @@ func Materialize(day simtime.Day, domains []DomainState) (*Materialized, error) 
 				}
 				d := &domains[i]
 				var err error
-				if built[i], err = b.buildDomain(i, d, tldSigners[d.TLD]); err != nil {
+				if built[i], err = b.buildDomain(i, d, tree.TLDs[d.TLD].Signer); err != nil {
 					firstErr.CompareAndSwap(nil, &err)
 				}
 			}
@@ -140,7 +103,7 @@ func Materialize(day simtime.Day, domains []DomainState) (*Materialized, error) 
 
 	operatorSrvs := make(map[string]*dnsserver.Authoritative)
 	for i := range domains {
-		tz := tldZones[domains[i].TLD]
+		tz := tree.TLDs[domains[i].TLD].Zone
 		for _, rr := range built[i].parent {
 			tz.MustAdd(rr)
 		}
@@ -149,22 +112,10 @@ func Materialize(day simtime.Day, domains []DomainState) (*Materialized, error) 
 		if !ok {
 			srv = dnsserver.NewAuthoritative()
 			operatorSrvs[c.nsHost] = srv
-			net.Register(c.nsHost, srv)
+			m.Net.Register(c.nsHost, srv)
 		}
 		srv.AddZoneFunc(c.name, c.build)
 	}
-
-	if err := rootSigner.Sign(rootZone); err != nil {
-		return nil, err
-	}
-	rootSrv := dnsserver.NewAuthoritative()
-	rootSrv.AddZone(rootZone)
-	net.Register("a.root-servers.net", rootSrv)
-	anchor, err := rootSigner.DSRecords("", dnswire.DigestSHA256)
-	if err != nil {
-		return nil, err
-	}
-	m.Anchor = anchor
 	return m, nil
 }
 
@@ -172,15 +123,6 @@ func Materialize(day simtime.Day, domains []DomainState) (*Materialized, error) 
 type dayBuilder struct {
 	day simtime.Day
 	now time.Time
-}
-
-func (b *dayBuilder) newSigner() (*zone.Signer, error) {
-	s, err := zone.NewSigner(dnswire.AlgED25519, b.now)
-	if err != nil {
-		return nil, err
-	}
-	s.Expiration = b.now.AddDate(2, 0, 0)
-	return s, nil
 }
 
 // builtDomain is one domain's share of a materialized day: its zone, to be
@@ -294,12 +236,6 @@ func (c *childZone) seededKey(flags uint16, seed []byte) *dnssec.KeyPair {
 	}
 	return k
 }
-
-// tldServerName is the deterministic authoritative-server name for a TLD
-// registry. Chunked materializations rely on it: every chunk of a day
-// rebuilds the TLD zone but addresses it by the same name, so one
-// TLDServers map is valid for the whole day.
-func tldServerName(tld string) string { return "ns1." + tld + "-registry.example" }
 
 // Sample materializes n deterministically (seeded) sampled domains as a
 // slice. It is the test/ablation form: at population scale the slice

@@ -9,6 +9,7 @@ import (
 
 	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/faultnet"
 	"securepki.org/registrarsec/internal/simtime"
 )
@@ -18,7 +19,7 @@ import (
 // sweeps materialize one chunk of the cursor at a time. Determinism makes
 // this safe — every domain's zone content is a pure function of its
 // DomainState and the day, and TLD/root server names are fixed by
-// tldServerName — so a chunked materialization answers every query about
+// ecosystem.TLDServerAddr and ecosystem.RootAddr — so a chunked materialization answers every query about
 // its chunk's domains exactly as the whole-day materialization would.
 
 // DomainSource is a random-access cursor over a domain population. It
@@ -139,14 +140,14 @@ func NewStreamMaterializer(day simtime.Day, src DomainSource) *StreamMaterialize
 	m := &StreamMaterializer{day: day, src: src, TLDServers: make(map[string]string)}
 	if tl, ok := src.(tldLister); ok {
 		for _, tld := range tl.TLDs() {
-			m.TLDServers[tld] = tldServerName(tld)
+			m.TLDServers[tld] = ecosystem.TLDServerAddr(tld)
 		}
 		return m
 	}
 	for i := 0; i < src.Len(); i++ {
 		_, tld := src.Target(i)
 		if _, ok := m.TLDServers[tld]; !ok {
-			m.TLDServers[tld] = tldServerName(tld)
+			m.TLDServers[tld] = ecosystem.TLDServerAddr(tld)
 		}
 	}
 	return m

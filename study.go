@@ -175,9 +175,8 @@ func NewStudy(opts Options) (*Study, error) {
 // Prober returns a prober bound to this study's environment.
 func (s *Study) Prober() *probe.Prober {
 	return probe.New(&probe.Env{
-		Net:        s.Eco.Net,
+		Tree:       s.Eco.Tree,
 		Registries: s.Eco.Registries,
-		Anchor:     s.Eco.Anchor,
 		Clock:      s.Eco.Clock.Day,
 	})
 }
