@@ -12,11 +12,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 
 	"securepki.org/registrarsec"
 	"securepki.org/registrarsec/internal/analysis"
+	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/profdump"
 	"securepki.org/registrarsec/internal/simtime"
@@ -138,9 +140,16 @@ func run() int {
 // reportArchive summarizes a scan archive: per-day overview plus the
 // operator CDFs of the final day. The archive is read through the salvaging
 // reader, which quarantines torn and corrupted sections and reports them
-// instead of mis-parsing.
+// instead of mis-parsing, and each section it verifies is folded into the
+// colstore engine as regsec-api folds it, one section in memory at a time.
 func reportArchive(path string) error {
-	store, report, err := dataset.ReadArchiveFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	fold := newArchiveFold()
+	report, err := dataset.ScanArchive(f, fold.add)
 	if err != nil {
 		return err
 	}
@@ -150,34 +159,67 @@ func reportArchive(path string) error {
 			fmt.Fprintf(os.Stderr, "  quarantined %s (line %d): %s\n", c.Day, c.Line, c.Reason)
 		}
 	}
-	if store.Len() == 0 {
+	if len(fold.days) == 0 {
 		return fmt.Errorf("archive %s contains no snapshots", path)
 	}
-	tlds := map[string]bool{}
-	for _, day := range store.Days() {
-		snap := store.Get(day)
-		for i := range snap.Records {
-			tlds[snap.Records[i].TLD] = true
-		}
-	}
-	var order []string
-	for tld := range tlds {
-		order = append(order, tld)
-	}
-	sort.Strings(order)
-	for _, day := range store.Days() {
-		snap := store.Get(day)
-		fmt.Printf("snapshot %s (%d records):\n", day, len(snap.Records))
-		for _, row := range analysis.Overview(snap, order) {
+	tlds := slices.Sorted(maps.Keys(fold.tlds))
+	for _, d := range fold.days {
+		fmt.Printf("snapshot %s (%d records):\n", d.day, d.records)
+		for _, tld := range tlds {
+			row := d.rows[tld]
 			fmt.Printf("  .%-4s %8d domains  %6.2f%% DNSKEY  %6.2f%% full  %6.2f%% partial\n",
-				row.TLD, row.Domains, row.PctDNSKEY, row.PctFull, row.PctPartial)
+				tld, row.Domains, row.PctDNSKEY, row.PctFull, row.PctPartial)
 		}
 	}
-	final := store.Latest()
-	all := analysis.OperatorCDF(final, analysis.All)
-	full := analysis.OperatorCDF(final, analysis.FullyDeployed)
+	final := fold.days[len(fold.days)-1].day
+	all := fold.idx.OperatorCDF(final, colstore.ClassAny)
+	full := fold.idx.OperatorCDF(final, colstore.ClassFull)
 	fmt.Printf("final day: %d operators; 50%% coverage needs %d (all) / %d (full)\n",
 		len(all), analysis.OperatorsToCover(all, 0.5), analysis.OperatorsToCover(full, 0.5))
+	return nil
+}
+
+// archiveFold is what the report keeps of an archive: the ingester, the
+// index frozen after the section folded last, each day's Table 1 rows, and
+// every TLD a record names, Failed records included.
+type archiveFold struct {
+	ing  *colstore.Ingester
+	idx  *colstore.Index
+	days []dayRows
+	tlds map[string]bool
+}
+
+type dayRows struct {
+	day     simtime.Day
+	records int
+	rows    map[string]analysis.TLDOverview
+}
+
+func newArchiveFold() *archiveFold {
+	return &archiveFold{ing: colstore.NewIngester(), tlds: map[string]bool{}}
+}
+
+// add folds one section in, freezes, and keeps the day's rows: regsec-api's
+// commit, with the Table 1 query it would answer for the day. A day's rows
+// are the state after its section, so sections must ascend by day: one
+// older than a section already folded is refused, not answered from later
+// observations.
+func (a *archiveFold) add(snap *dataset.Snapshot) error {
+	if n := len(a.days); n > 0 && snap.Day < a.days[n-1].day {
+		return fmt.Errorf("archive section %s follows section %s: sections must ascend by day", snap.Day, a.days[n-1].day)
+	}
+	for i := range snap.Records {
+		a.tlds[snap.Records[i].TLD] = true
+	}
+	if _, err := a.ing.AppendDay(snap); err != nil {
+		return err
+	}
+	a.idx = a.ing.Freeze()
+	rows := map[string]analysis.TLDOverview{}
+	for _, row := range a.idx.Overview(snap.Day, a.idx.TLDs()) {
+		rows[row.TLD] = row
+	}
+	a.days = append(a.days, dayRows{snap.Day, len(snap.Records), rows})
 	return nil
 }
 

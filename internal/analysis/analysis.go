@@ -1,6 +1,10 @@
-// Package analysis computes the paper's measurements from dataset
-// snapshots: per-operator cumulative distributions (Figure 3), deployment
-// time series (Figures 4-8), and the per-TLD dataset overview (Table 1).
+// Package analysis holds the result types of the paper's measurements —
+// per-operator cumulative distributions (Figure 3), deployment time series
+// (Figures 4-8) and the per-TLD dataset overview (Table 1) — and the
+// record-at-a-time reference that computes them from dataset snapshots.
+// Production asks colstore, which answers the same queries from columns;
+// the aggregators here are what colstore's equivalence tests and bench/'s
+// oracles hold it to.
 package analysis
 
 import (
@@ -16,10 +20,6 @@ type Filter func(*dataset.Record) bool
 
 // All accepts every record.
 func All(*dataset.Record) bool { return true }
-
-// Measured selects records that carry a real observation (not a sweep
-// failure placeholder).
-func Measured(r *dataset.Record) bool { return r.Measured() }
 
 // PartiallyDeployed selects domains with DNSKEYs but no DS.
 func PartiallyDeployed(r *dataset.Record) bool {
@@ -76,13 +76,19 @@ func CountByOperator(snap *dataset.Snapshot, f Filter) []OperatorCount {
 	for op, n := range counts {
 		out = append(out, OperatorCount{Operator: op, Count: n})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Operator < out[j].Operator
-	})
+	Rank(out)
 	return out
+}
+
+// Rank orders per-operator counts as Figure 3 ranks operators: count
+// descending, operator name breaking ties.
+func Rank(counts []OperatorCount) {
+	sort.Slice(counts, func(i, j int) bool {
+		if counts[i].Count != counts[j].Count {
+			return counts[i].Count > counts[j].Count
+		}
+		return counts[i].Operator < counts[j].Operator
+	})
 }
 
 // CDFPoint is one step of the operator-coverage CDF of Figure 3: after the
@@ -97,7 +103,12 @@ type CDFPoint struct {
 // OperatorCDF computes the cumulative distribution of domains over
 // operators ranked by size — the exact construction of Figure 3.
 func OperatorCDF(snap *dataset.Snapshot, f Filter) []CDFPoint {
-	counts := CountByOperator(snap, f)
+	return CDF(CountByOperator(snap, f))
+}
+
+// CDF accumulates ranked per-operator counts into the Figure 3
+// distribution; no domains is no distribution (nil).
+func CDF(counts []OperatorCount) []CDFPoint {
 	total := 0
 	for _, c := range counts {
 		total += c.Count

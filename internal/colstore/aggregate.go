@@ -2,7 +2,6 @@ package colstore
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 
 	"securepki.org/registrarsec/internal/analysis"
@@ -53,18 +52,18 @@ func (x *Index) matches(i int, d int32, c Class) bool {
 // populations aggregate serially.
 const aggShardMin = 16 << 10
 
-// operatorCounts tallies matching domains per interned operator at day d,
-// sharding the column scan across workers. Each worker counts into a
-// recycled dense []int32 (no string keys, no maps) and the shards merge at
-// the end.
-func (x *Index) operatorCounts(d int32, c Class, tldMask []bool) []int32 {
-	workers := runtime.GOMAXPROCS(0)
-	if max := x.n / aggShardMin; workers > max {
-		workers = max
-	}
-	out := make([]int32, len(x.ops))
+// scratch recycles the per-worker tallies of the sharded aggregations.
+var scratch = sync.Pool{New: func() any { return new([]int32) }}
+
+// tally runs count over every row into size dense counters and returns
+// them. The rows shard across up to GOMAXPROCS workers of at least
+// aggShardMin rows each; each worker counts its stride into a recycled,
+// zeroed []int32 (no string keys, no maps), and the shards merge at the end.
+func (x *Index) tally(size int, count func(lo, hi int, t []int32)) []int32 {
+	out := make([]int32, size)
+	workers := min(runtime.GOMAXPROCS(0), x.n/aggShardMin)
 	if workers <= 1 {
-		x.countRange(0, x.n, d, c, tldMask, out)
+		count(0, x.n, out)
 		return out
 	}
 	var (
@@ -72,161 +71,95 @@ func (x *Index) operatorCounts(d int32, c Class, tldMask []bool) []int32 {
 		mu     sync.Mutex
 		stride = (x.n + workers - 1) / workers
 	)
-	for w := 0; w < workers; w++ {
-		lo := w * stride
-		hi := lo + stride
-		if hi > x.n {
-			hi = x.n
-		}
+	for lo := 0; lo < x.n; lo += stride {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			bufp := x.scratch.Get().(*[]int32)
-			buf := *bufp
-			for i := range buf {
-				buf[i] = 0
+			bufp := scratch.Get().(*[]int32)
+			if cap(*bufp) < size {
+				*bufp = make([]int32, size)
 			}
-			x.countRange(lo, hi, d, c, tldMask, buf)
+			buf := (*bufp)[:size]
+			clear(buf)
+			count(lo, hi, buf)
 			mu.Lock()
 			for i, n := range buf {
 				out[i] += n
 			}
 			mu.Unlock()
-			x.scratch.Put(bufp)
-		}(lo, hi)
+			scratch.Put(bufp)
+		}(lo, min(lo+stride, x.n))
 	}
 	wg.Wait()
 	return out
 }
 
-func (x *Index) countRange(lo, hi int, d int32, c Class, tldMask []bool, counts []int32) {
-	for i := lo; i < hi; i++ {
-		if tldMask != nil && !tldMask[x.tldID[i]] {
-			continue
-		}
-		if x.matches(i, d, c) {
-			counts[x.opID[i]]++
-		}
-	}
-}
-
 // CountByOperator tallies matching domains per operator at the given day,
-// descending by count (operator name breaking ties) — identical output to
-// analysis.CountByOperator over the materialized snapshot, without the
-// snapshot or the string-keyed map.
+// ranked as analysis.CountByOperator ranks them over the materialized
+// snapshot, without the snapshot or the string-keyed map.
 func (x *Index) CountByOperator(day simtime.Day, c Class, tlds ...string) []analysis.OperatorCount {
 	x.mustOpen()
-	counts := x.operatorCounts(clampDay(day), c, x.tldMask(tlds))
+	d, tldMask := clampDay(day), x.tldMask(tlds)
+	counts := x.tally(len(x.ops), func(lo, hi int, t []int32) {
+		for i := lo; i < hi; i++ {
+			if (tldMask == nil || tldMask[x.tldID[i]]) && x.matches(i, d, c) {
+				t[x.opID[i]]++
+			}
+		}
+	})
 	out := make([]analysis.OperatorCount, 0, len(counts))
 	for id, n := range counts {
 		if n > 0 {
 			out = append(out, analysis.OperatorCount{Operator: x.ops[id], Count: int(n)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Operator < out[j].Operator
-	})
+	analysis.Rank(out)
 	return out
 }
 
 // OperatorCDF computes the Figure 3 cumulative distribution of domains
 // over operators ranked by size, identical to analysis.OperatorCDF.
 func (x *Index) OperatorCDF(day simtime.Day, c Class, tlds ...string) []analysis.CDFPoint {
-	counts := x.CountByOperator(day, c, tlds...)
-	total := 0
-	for _, cnt := range counts {
-		total += cnt.Count
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]analysis.CDFPoint, len(counts))
-	cum := 0
-	for i, cnt := range counts {
-		cum += cnt.Count
-		out[i] = analysis.CDFPoint{
-			Rank: i + 1, Operator: cnt.Operator, Count: cnt.Count,
-			CumFrac: float64(cum) / float64(total),
-		}
-	}
-	return out
+	return analysis.CDF(x.CountByOperator(day, c, tlds...))
 }
 
 // Overview computes the Table 1 per-TLD dataset summary at the given day,
-// identical to analysis.Overview over the materialized snapshot. The scan
-// shards across workers, each tallying four counters per requested TLD.
+// identical to analysis.Overview over the materialized snapshot: one row
+// per entry of tlds, a TLD named twice answered twice, and an unknown one
+// with zeros. The sharded tally keeps four counters per interned TLD.
 func (x *Index) Overview(day simtime.Day, tlds []string) []analysis.TLDOverview {
 	x.mustOpen()
 	d := clampDay(day)
-	// Dense row index per interned TLD; -1 for TLDs not requested.
-	rowOf := make([]int, len(x.tlds))
-	for i := range rowOf {
-		rowOf[i] = -1
-	}
-	for row, t := range tlds {
-		if id, ok := x.tldIDs[t]; ok && rowOf[id] == -1 {
-			rowOf[id] = row
-		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if max := x.n / aggShardMin; workers > max {
-		workers = max
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	stride := (x.n + workers - 1) / workers
-	shards := make([][][4]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * stride
-		hi := lo + stride
-		if hi > x.n {
-			hi = x.n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			tally := make([][4]int, len(tlds)) // total, dnskey, full, partial
-			for i := lo; i < hi; i++ {
-				row := rowOf[x.tldID[i]]
-				if row < 0 {
-					continue
-				}
-				tally[row][0]++
-				hasKey := x.keyDay[i] <= d
-				if hasKey {
-					tally[row][1]++
-				}
-				if x.fullDay[i] <= d {
-					tally[row][2]++
-				} else if hasKey && x.dsDay[i] > d {
-					tally[row][3]++
-				}
+	// Per TLD: total, DNSKEY, full, partial.
+	c := x.tally(4*len(x.tlds), func(lo, hi int, t []int32) {
+		for i := lo; i < hi; i++ {
+			k := 4 * int(x.tldID[i])
+			t[k]++
+			hasKey := x.keyDay[i] <= d
+			if hasKey {
+				t[k+1]++
 			}
-			shards[w] = tally
-		}(w, lo, hi)
-	}
-	wg.Wait()
+			if x.fullDay[i] <= d {
+				t[k+2]++
+			} else if hasKey && x.dsDay[i] > d {
+				t[k+3]++
+			}
+		}
+	})
 	out := make([]analysis.TLDOverview, len(tlds))
-	for row, t := range tlds {
-		var c [4]int
-		for _, tally := range shards {
-			if tally != nil {
-				for k := 0; k < 4; k++ {
-					c[k] += tally[row][k]
-				}
+	for row, tld := range tlds {
+		var n [4]int
+		if id, ok := x.tldIDs[tld]; ok {
+			for k := range n {
+				n[k] = int(c[4*int(id)+k])
 			}
 		}
 		out[row] = analysis.TLDOverview{
-			TLD:        t,
-			Domains:    c[0],
-			PctDNSKEY:  pct(c[1], c[0]),
-			PctFull:    pct(c[2], c[0]),
-			PctPartial: pct(c[3], c[0]),
+			TLD:        tld,
+			Domains:    n[0],
+			PctDNSKEY:  pct(n[1], n[0]),
+			PctFull:    pct(n[2], n[0]),
+			PctPartial: pct(n[3], n[0]),
 		}
 	}
 	return out

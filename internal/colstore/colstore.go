@@ -14,8 +14,8 @@
 //     are sorted once, so an N-day series is a cursor sweep costing
 //     O(group events + days) instead of O(days × all domains);
 //   - sharded parallel aggregation: CountByOperator/CDF/Overview tally
-//     into dense per-worker int32 scratch counters (recycled through a
-//     pool) and merge, with no per-day map churn;
+//     into dense per-worker int32 counters through one shard-and-merge
+//     helper, with no per-day map churn;
 //   - cheap snapshot materialization: a prebuilt record template is
 //     memcpy'd and only the four day-dependent booleans are patched, and
 //     every record of an operator shares one NS-host slice.
@@ -187,10 +187,9 @@ func (b *Builder) Build() *Index {
 }
 
 // finish derives everything a frozen column set needs to serve queries:
-// population size, the day-sorted event groups, and the scratch-counter
-// pool. It is shared by the sequential Builder, the planned fill, the
-// ingester's Freeze and the on-disk loader, so every construction path
-// yields an identical engine.
+// population size and the day-sorted event groups. It is shared by the
+// sequential Builder, the planned fill, the ingester's Freeze and the
+// on-disk loader, so every construction path yields an identical engine.
 func (x *Index) finish() {
 	x.n = len(x.nameOff) - 1
 
@@ -234,10 +233,6 @@ func (x *Index) finish() {
 		counts = sortDays(g.keyDays, counts)
 		counts = sortDays(g.dsDays, counts)
 		counts = sortDays(g.fullDays, counts)
-	}
-	x.scratch.New = func() any {
-		s := make([]int32, len(x.ops))
-		return &s
 	}
 }
 
@@ -369,9 +364,6 @@ type Index struct {
 	groups   []eventGroup
 	groupIDs map[uint64]int
 	opGroups [][]int
-
-	// Recycled per-worker operator counters for parallel aggregation.
-	scratch sync.Pool
 }
 
 // Len returns the domain population size.

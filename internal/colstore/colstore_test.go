@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"securepki.org/registrarsec/internal/analysis"
@@ -229,12 +230,33 @@ func TestAggregationsMatchAnalysis(t *testing.T) {
 				t.Fatalf("trial %d tlds %v: DS gap %.6f != %.6f", trial, tlds, gotGap, wantGap)
 			}
 		}
-		order := []string{"com", "net", "org", "nl", "se", "xyz", "missing"}
+		// A TLD named twice is answered twice, known or not.
+		order := []string{"com", "net", "org", "nl", "se", "xyz", "missing", "com", "missing"}
 		gotOv := idx.Overview(day, order)
 		wantOv := analysis.Overview(snap, order)
 		if !reflect.DeepEqual(gotOv, wantOv) {
 			t.Fatalf("trial %d: overview mismatch\ngot  %v\nwant %v", trial, gotOv, wantOv)
 		}
+	}
+}
+
+// TestShardedAggregationsMatchAnalysis: a population of several shards,
+// tallied by four workers with a stride that does not divide it, answers
+// what the serial reference does.
+func TestShardedAggregationsMatchAnalysis(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	domains := randomDomains(rand.New(rand.NewSource(5)), 3*aggShardMin+17)
+	idx := buildIndex(domains)
+	day := simtime.Day(400)
+	snap := refSnapshot(domains, day)
+	for _, c := range []Class{ClassAny, ClassFull} {
+		if got, want := idx.CountByOperator(day, c), analysis.CountByOperator(snap, classFilter(c)); !reflect.DeepEqual(got, want) {
+			t.Errorf("class %d: counts\ngot  %v\nwant %v", c, got, want)
+		}
+	}
+	order := []string{"com", "net", "org", "nl", "se", "xyz", "com"}
+	if got, want := idx.Overview(day, order), analysis.Overview(snap, order); !reflect.DeepEqual(got, want) {
+		t.Errorf("overview\ngot  %v\nwant %v", got, want)
 	}
 }
 

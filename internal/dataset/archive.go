@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"strings"
+
+	"securepki.org/registrarsec/internal/simtime"
 )
 
 // The journaled archive format wraps each TSV snapshot section with an
@@ -104,40 +106,54 @@ func (r *ArchiveReport) String() string {
 		r.Sections, len(r.Quarantined), strings.Join(reasons, "; "))
 }
 
-// ReadArchive reads a trailered archive in salvage mode: every section
-// whose trailer verifies (length, CRC32C, declared record count, unique
-// day) lands in the store; torn, truncated, corrupted and duplicate
-// sections are quarantined in the report with a precise reason instead of
-// being silently mis-parsed. It is the batch fold over the section scanner
-// (tail.go): the input is final, so whatever the scanner left undecided at
-// its end is damage too. The returned error is non-nil only for I/O
-// failures — corruption is data, not an error.
-func ReadArchive(r io.Reader) (*Store, *ArchiveReport, error) {
-	store := NewStore()
+// ScanArchive reads a trailered archive in salvage mode, one section in
+// memory at a time: fn sees every section whose trailer verifies (length,
+// CRC32C, declared record count, unique day) as soon as it closes; torn,
+// truncated, corrupted and duplicate sections are quarantined in the
+// report with a precise reason instead of being silently mis-parsed. It is
+// the batch fold over the section scanner (tail.go): the input is final,
+// so whatever the scanner left undecided at its end is damage too. The
+// returned error is non-nil only for I/O failures and fn's errors —
+// corruption is data, not an error.
+func ScanArchive(r io.Reader, fn func(*Snapshot) error) (*ArchiveReport, error) {
 	report := &ArchiveReport{}
+	seen := map[simtime.Day]bool{}
 	sc := newSectionScanner(r, 0)
 	for {
 		ev, err := sc.next()
 		report.Sections = sc.sections
 		if err == io.EOF {
 			report.Quarantined = append(report.Quarantined, sc.undecided...)
-			return store, report, nil
+			return report, nil
 		}
 		if err != nil {
-			return store, report, err
+			return report, err
 		}
 		switch {
 		case ev.Damage != nil:
 			report.Quarantined = append(report.Quarantined, *ev.Damage)
-		case store.Get(ev.Snap.Day) != nil:
+		case seen[ev.Snap.Day]:
 			// Only the first verified section of a day is kept.
 			dup := ev.At
 			dup.Reason = "duplicate snapshot day"
 			report.Quarantined = append(report.Quarantined, dup)
 		default:
-			store.Add(ev.Snap)
+			seen[ev.Snap.Day] = true
+			if err := fn(ev.Snap); err != nil {
+				return report, err
+			}
 		}
 	}
+}
+
+// ReadArchive is ScanArchive into a store of every verified section.
+func ReadArchive(r io.Reader) (*Store, *ArchiveReport, error) {
+	store := NewStore()
+	report, err := ScanArchive(r, func(snap *Snapshot) error {
+		store.Add(snap)
+		return nil
+	})
+	return store, report, err
 }
 
 // ReadArchiveStrict is ReadArchive for pipelines that must not proceed on

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -172,6 +173,28 @@ func TestArchiveDuplicateDayQuarantined(t *testing.T) {
 	}
 	if !strings.Contains(report.Quarantined[0].Reason, "duplicate") {
 		t.Errorf("reason: %s", report.Quarantined[0].Reason)
+	}
+}
+
+// TestScanArchiveStreamsSections: ScanArchive hands over the sections
+// ReadArchive stores, in file order, and stops at fn's first error.
+func TestScanArchiveStreamsSections(t *testing.T) {
+	store, raw := archiveFixture(t)
+	var days []simtime.Day
+	report, err := ScanArchive(bytes.NewReader(raw), func(snap *Snapshot) error {
+		if !reflect.DeepEqual(snap.Records, store.Get(snap.Day).Records) {
+			t.Errorf("day %s records differ", snap.Day)
+		}
+		days = append(days, snap.Day)
+		return nil
+	})
+	if err != nil || !report.Clean() || !reflect.DeepEqual(days, store.Days()) {
+		t.Fatalf("scan: err %v, report %s, days %v", err, report, days)
+	}
+	stop := errors.New("stop")
+	calls := 0
+	if _, err := ScanArchive(bytes.NewReader(raw), func(*Snapshot) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Errorf("fn error: err %v after %d call(s), want %v after 1", err, calls, stop)
 	}
 }
 

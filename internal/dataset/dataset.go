@@ -36,7 +36,11 @@ type Record struct {
 	// Failed marks a target that could not be measured that day — the
 	// OpenINTEL-style measurement-gap marker. A failed record's DNSSEC
 	// fields are meaningless and must not enter deployment statistics:
-	// "could not measure" is not "no DNSKEY".
+	// "could not measure" is not "no DNSKEY". The figures (colstore's
+	// ingest) never let a Failed record create or change a domain's row,
+	// so a domain measured earlier keeps its last observed state: Table
+	// 1's Domains column is the zone's population, and the world file
+	// would need a column of its own to say "unmeasured on day d".
 	Failed bool
 	// FailReason carries the failure class when Failed ("timeout",
 	// "lame", ...), empty otherwise.
@@ -158,15 +162,6 @@ func (s *Store) Days() []simtime.Day {
 	}
 	sort.Slice(days, func(i, j int) bool { return days[i] < days[j] })
 	return days
-}
-
-// Latest returns the most recent snapshot, or nil when empty.
-func (s *Store) Latest() *Snapshot {
-	days := s.Days()
-	if len(days) == 0 {
-		return nil
-	}
-	return s.Get(days[len(days)-1])
 }
 
 // Len returns the number of archived snapshots.

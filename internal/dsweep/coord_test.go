@@ -455,7 +455,8 @@ func TestPlanValidation(t *testing.T) {
 		{Plan{Days: []simtime.Day{1}, Shards: 1}, "fingerprint"},
 		{Plan{Fingerprint: "f", Shards: 1}, "no days"},
 		{Plan{Fingerprint: "f", Days: []simtime.Day{1}, Shards: 0}, "shard"},
-		{Plan{Fingerprint: "f", Days: []simtime.Day{1, 1}, Shards: 1}, "twice"},
+		{Plan{Fingerprint: "f", Days: []simtime.Day{1, 1}, Shards: 1}, "must ascend"},
+		{Plan{Fingerprint: "f", Days: []simtime.Day{2, 1}, Shards: 1}, "must ascend"},
 		{Plan{Fingerprint: "f", Days: []simtime.Day{1}, Shards: 1, Chunk: -1}, "chunk"},
 	}
 	for _, tc := range cases {

@@ -110,7 +110,7 @@ func RegisterPlanFlags(fs *flag.FlagSet) func() (Plan, error) {
 	var spec WorldSpec
 	fs.Float64Var(&spec.ScaleDiv, "scale", defaultSpec.ScaleDiv, "population divisor (2000 → .com has ~59k domains)")
 	fs.Int64Var(&spec.Seed, "seed", defaultSpec.Seed, "world seed")
-	daysStr := fs.String("days", "2016-12-31", "comma-separated measurement days (YYYY-MM-DD)")
+	daysStr := fs.String("days", "2016-12-31", "comma-separated measurement days, ascending (YYYY-MM-DD)")
 	fs.IntVar(&spec.Sample, "sample", defaultSpec.Sample, "domains to sample from the world and scan")
 	shards := fs.Int("shards", 4, "shards per day: the checkpoint unit of a resume, the lease unit of a distributed sweep")
 	fs.IntVar(&spec.Workers, "workers", defaultSpec.Workers, "scan concurrency (of each worker process in a distributed sweep)")
@@ -130,6 +130,9 @@ func RegisterPlanFlags(fs *flag.FlagSet) func() (Plan, error) {
 				return Plan{}, err
 			}
 			days = append(days, day)
+		}
+		if err := checkDays(days); err != nil {
+			return Plan{}, err
 		}
 		return spec.PlanFor(days, *shards, *chunk), nil
 	}

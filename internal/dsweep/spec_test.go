@@ -2,6 +2,7 @@ package dsweep
 
 import (
 	"context"
+	"flag"
 	"net"
 	"reflect"
 	"strings"
@@ -70,6 +71,26 @@ func TestEveryDefinitionFieldIsFingerprinted(t *testing.T) {
 	}
 	if base.Fingerprint(days, 2, 0) != base.Fingerprint(days, 2, 4096) {
 		t.Error("chunk 0 and the default chunk size it selects fingerprint differently")
+	}
+}
+
+// TestPlanFlagsRefuseUnorderedDays: -days must ascend, so a sweep writes its
+// archive oldest section first.
+func TestPlanFlagsRefuseUnorderedDays(t *testing.T) {
+	for days, want := range map[string]string{
+		"2016-06-01,2016-12-31": "",
+		"2016-12-31,2016-06-01": "must ascend",
+		"2016-06-01,2016-06-01": "must ascend",
+	} {
+		fs := flag.NewFlagSet("", flag.ContinueOnError)
+		planOf := RegisterPlanFlags(fs)
+		if err := fs.Parse([]string{"-days", days}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := planOf()
+		if (want == "" && err != nil) || (want != "" && (err == nil || !strings.Contains(err.Error(), want))) {
+			t.Errorf("-days %s: err %v, want %q", days, err, want)
+		}
 	}
 }
 
