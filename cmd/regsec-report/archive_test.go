@@ -203,6 +203,34 @@ func TestArchiveReportGolden(t *testing.T) {
 	}
 }
 
+// TestArchiveReportReadsLongForm: an archive in the record line's long
+// form (every column spelled out, flags as true/false) reports exactly as
+// its rewrite in today's form does.
+func TestArchiveReportReadsLongForm(t *testing.T) {
+	long, err := os.ReadFile(filepath.Join("..", "..", "internal", "dataset", "testdata", "archive-parent.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := dataset.ReadArchiveStrict(bytes.NewReader(long))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rewritten bytes.Buffer
+	if err := store.WriteArchive(&rewritten); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(rewritten.Bytes(), long) {
+		t.Fatal("the rewrite is the long form itself")
+	}
+	got, want := runReport(t, rewritten.Bytes()), runReport(t, long)
+	if got != want {
+		t.Errorf("today's form reports\n%s\nthe long form\n%s", got, want)
+	}
+	if !strings.HasPrefix(want, "exit 0\n") || !strings.Contains(want, "operators") {
+		t.Errorf("the long form reports no figures:\n%s", want)
+	}
+}
+
 // TestArchiveReportHeapFlat: the report holds one section at a time, so its
 // peak RSS over an archive ten times longer stays within 8 MB of the
 // shorter one's.

@@ -38,10 +38,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // WriteArchiveSection writes the snapshot as one trailered section.
 func (s *Snapshot) WriteArchiveSection(w io.Writer) error {
 	return writeSection(w, s.Day, len(s.Records), func(body io.Writer) error {
-		for i := range s.Records {
-			writeRecord(body, &s.Records[i])
-		}
-		return nil
+		return writeRecords(body, s.Records)
 	})
 }
 

@@ -5,18 +5,23 @@
 package dataset
 
 import (
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
 
 	"securepki.org/registrarsec/internal/dnssec"
-	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
 // Record is one domain's observed state on one day: the NS, DS, DNSKEY and
 // RRSIG facts the paper's dataset carries for every second-level domain.
+//
+// Its archive line (persist.go) leaves the TLD and Operator columns empty
+// when they hold what the reader derives: the domain's last label, and
+// GroupOperatorAll(NSHosts). So a record whose TLD or Operator is empty
+// while its derivation is not reads back with the derived value. No writer
+// produces one: the sweep always sets the grouping and the world its
+// cohort names.
 type Record struct {
 	Domain string
 	TLD    string
@@ -68,11 +73,15 @@ type Snapshot struct {
 // order; canonicalizing before archiving makes two runs over the same
 // targets produce byte-identical archives — the property the
 // checkpoint/resume path's integrity checks rely on.
-func (s *Snapshot) Canonicalize() {
-	sort.Slice(s.Records, func(i, j int) bool {
-		a, b := &s.Records[i], &s.Records[j]
-		if a.TLD != b.TLD {
-			return a.TLD < b.TLD
+func (s *Snapshot) Canonicalize() { sortRecords(s.Records) }
+
+// sortRecords orders records by the (TLD, domain) key their lines read back
+// with, the order the spill merge keeps (lineKey).
+func sortRecords(recs []Record) {
+	sort.Slice(recs, func(i, j int) bool {
+		a, b := &recs[i], &recs[j]
+		if ta, tb := lineTLD(a), lineTLD(b); ta != tb {
+			return ta < tb
 		}
 		return a.Domain < b.Domain
 	})
@@ -89,32 +98,80 @@ func (s *Snapshot) MeasuredCount() int {
 	return n
 }
 
-// awsdnsPattern matches Amazon Route 53's nameserver naming convention,
-// awsdns-NN.TLD (footnote 15): the second-level grouping rule would split
-// Amazon into one operator per TLD without this special case.
-var awsdnsPattern = regexp.MustCompile(`(^|\.)awsdns-\d+\.[a-z.]+$`)
-
 // GroupOperator maps an authoritative nameserver hostname to a DNS-operator
 // identity. The base rule is the nameserver's second-level domain; two
 // special cases from the paper are applied: Amazon's awsdns-NN.* fleet
 // collapses to "awsdns", and 1&1's per-ccTLD nameservers collapse to
-// "1and1" (footnotes 13 and 15).
+// "1and1" (footnotes 13 and 15). It runs for every swept, written and read
+// record, so it reads the name in one pass: for a canonical (lowercase)
+// host it allocates nothing and returns a substring of it.
 func GroupOperator(nsHost string) string {
-	h := dnswire.CanonicalName(nsHost)
-	if h == "" {
-		return ""
+	h := strings.TrimSuffix(nsHost, ".")
+	op, canonical := groupName(h, false)
+	if !canonical {
+		op, _ = groupName(strings.ToLower(h), true)
 	}
-	if awsdnsPattern.MatchString(h) {
-		return "awsdns"
+	return op
+}
+
+// groupName is GroupOperator over a name without its trailing dot. Unless
+// the name is lowered already, it gives up (canonical false) at the first
+// byte strings.ToLower could change.
+func groupName(h string, lowered bool) (op string, canonical bool) {
+	start, dot1, dot2 := 0, -1, -1 // the label in hand, the last two dots
+	// Amazon Route 53's convention is a label awsdns-NN followed by a name of
+	// [a-z.] alone: the second-level rule would split Amazon into one
+	// operator per TLD. A later awsdns-NN label has a '-' in it, so only the
+	// last one can be followed by [a-z.] alone.
+	aws, off := -1, -1 // the dot after the last awsdns-NN label; the last byte outside [a-z.]
+	// 1and1 nameservers share the "1and1" label across many ccTLDs
+	// (ns-1and1.co.uk, ns.1and1.fr, ...).
+	oneAndOne := false
+	for i := 0; i <= len(h); i++ {
+		if i < len(h) && h[i] != '.' {
+			switch c := h[i]; {
+			case 'a' <= c && c <= 'z':
+			case !lowered && (c >= 0x80 || 'A' <= c && c <= 'Z'):
+				return "", false
+			default:
+				off = i
+			}
+			continue
+		}
+		// A dot, or the end of the name: the label in hand is complete.
+		label := h[start:i]
+		if i < len(h) && awsdnsLabel(label) {
+			aws = i
+		}
+		oneAndOne = oneAndOne || label == "1and1" || strings.HasSuffix(label, "-1and1")
+		if i < len(h) {
+			dot2, dot1 = dot1, i
+		}
+		start = i + 1
 	}
-	// 1and1 nameservers share the "1and1" second-level label across many
-	// ccTLDs (ns-1and1.co.uk, ns.1and1.fr, ...).
-	for _, label := range dnswire.SplitLabels(h) {
-		if label == "1and1" || strings.HasSuffix(label, "-1and1") {
-			return "1and1"
+	switch {
+	case h == "":
+		return "", true
+	case aws >= 0 && aws < len(h)-1 && off < aws:
+		return "awsdns", true
+	case oneAndOne:
+		return "1and1", true
+	}
+	return h[dot2+1:], true // the second level, as dnswire.SecondLevel has it
+}
+
+// awsdnsLabel reports whether label is "awsdns-" and one or more digits.
+func awsdnsLabel(label string) bool {
+	digits, ok := strings.CutPrefix(label, "awsdns-")
+	if !ok || digits == "" {
+		return false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return false
 		}
 	}
-	return dnswire.SecondLevel(h)
+	return true
 }
 
 // GroupOperatorAll groups a whole NS set, using the first host's group (NS

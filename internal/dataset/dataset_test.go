@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
 	"securepki.org/registrarsec/internal/dnssec"
+	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
@@ -39,6 +42,78 @@ func TestGroupOperator(t *testing.T) {
 	}
 	if got := GroupOperatorAll(nil); got != "" {
 		t.Errorf("GroupOperatorAll(nil) = %q", got)
+	}
+}
+
+// awsdnsPattern and groupOperatorRegexp state the grouping rule the plain
+// way — a regexp for Amazon's fleet, the labels split out for 1and1, the
+// second level split and joined — as the oracle GroupOperator's one-pass
+// scan is held to.
+var awsdnsPattern = regexp.MustCompile(`(^|\.)awsdns-\d+\.[a-z.]+$`)
+
+func groupOperatorRegexp(nsHost string) string {
+	h := dnswire.CanonicalName(nsHost)
+	if h == "" {
+		return ""
+	}
+	if awsdnsPattern.MatchString(h) {
+		return "awsdns"
+	}
+	labels := strings.Split(h, ".")
+	for _, label := range labels {
+		if label == "1and1" || strings.HasSuffix(label, "-1and1") {
+			return "1and1"
+		}
+	}
+	if len(labels) <= 2 {
+		return h
+	}
+	return strings.Join(labels[len(labels)-2:], ".")
+}
+
+// TestGroupOperatorMatchesRegexp holds GroupOperator to the regexp oracle on
+// the edge cases of its two special rules and on random names built from
+// their pieces, and to no allocation on canonical names.
+func TestGroupOperatorMatchesRegexp(t *testing.T) {
+	hosts := []string{
+		// Two awsdns-NN labels, only the second followed by [a-z.] alone.
+		"a.awsdns-1x.awsdns-2.com", "awsdns-1.awsdns-2.c0m", "ns.awsdns-1.awsdns-x.com",
+		// Digits, hyphens or uppercase after the label.
+		"ns-1.awsdns-12.c0m", "ns-1.awsdns-12.co-uk", "ns-1.awsdns-12.COM", "ns-1.AWSDNS-12.com",
+		"ns-1.awsdns-.com", "ns-1.awsdns-12", "awsdns-12.", "awsdns-12..", "awsdns-12...", "xawsdns-12.com",
+		// A trailing dot.
+		"ns-1.awsdns-12.net.", "ns1.ovh.net.", "ns1.ovh.net..",
+		// 1and1 labels, and near misses.
+		"ns-1and1.co.uk", "ns.1and1.fr", "-1and1.com", "1and1", "x1and1.com", "1and1x.com", "ns.1AND1.fr",
+		// One and two labels, and the empty name.
+		"com", "ovh.net", "", ".", "..", ".com", "a..b", "ns1..ovh.net",
+	}
+	r := rand.New(rand.NewSource(1))
+	pieces := []string{"ns1", "awsdns-", "awsdns-7", "awsdns-42", "awsdns-4x", "1and1", "-1and1", "ns-1and1",
+		"com", "co", "uk", "NET", "0", "-", "", "é", "ovh"}
+	for i := 0; i < 20000; i++ {
+		labels := make([]string, 1+r.Intn(5))
+		for j := range labels {
+			labels[j] = pieces[r.Intn(len(pieces))]
+			if r.Intn(4) == 0 {
+				labels[j] += pieces[r.Intn(len(pieces))]
+			}
+		}
+		host := strings.Join(labels, ".")
+		if r.Intn(5) == 0 {
+			host += "."
+		}
+		hosts = append(hosts, host)
+	}
+	for _, h := range hosts {
+		if got, want := GroupOperator(h), groupOperatorRegexp(h); got != want {
+			t.Errorf("GroupOperator(%q) = %q, the regexp oracle %q", h, got, want)
+		}
+	}
+	for _, h := range []string{"ns-123.awsdns-13.net", "ns-1and1.co.uk", "ns1.tail0001.com-hosting.example", "com", ""} {
+		if n := testing.AllocsPerRun(100, func() { GroupOperator(h) }); n != 0 {
+			t.Errorf("GroupOperator(%q) allocates %v times", h, n)
+		}
 	}
 }
 

@@ -1,0 +1,256 @@
+package dataset
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"securepki.org/registrarsec/internal/simtime"
+)
+
+// writeLongRecord writes the record line's long form: every column spelled
+// out, flags as true/false. Archives, checkpoint chunks and spill runs exist
+// in that form, and the reader must keep decoding them; this is their
+// reference writer.
+func writeLongRecord(w io.Writer, r *Record) {
+	status := "ok"
+	if r.Failed {
+		status = r.FailReason
+		if status == "" {
+			status = "failed"
+		}
+	}
+	fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%t\t%t\t%t\t%t\t%s\n",
+		r.Domain, r.TLD, r.Operator, strings.Join(r.NSHosts, ","),
+		r.HasDNSKEY, r.HasRRSIG, r.HasDS, r.ChainValid, status)
+}
+
+// writeLongSection is WriteArchiveSection through the reference writer.
+func writeLongSection(w io.Writer, s *Snapshot) error {
+	return writeSection(w, s.Day, len(s.Records), func(body io.Writer) error {
+		for i := range s.Records {
+			writeLongRecord(body, &s.Records[i])
+		}
+		return nil
+	})
+}
+
+// longFormFixture is what testdata/archive-parent.tsv holds in the long
+// form: two sections
+// with a Failed record, an awsdns and a 1and1 NS set, and a record whose
+// operator is not the grouping of its hosts (a cohort name of the world).
+func longFormFixture() *Store {
+	store := NewStore()
+	for k, day := range []simtime.Day{simtime.Date(2016, 6, 30), simtime.End} {
+		snap := &Snapshot{Day: day, Records: []Record{
+			{Domain: "alpha.com", TLD: "com", NSHosts: []string{"ns-1.awsdns-13.net", "ns-2.awsdns-07.co.uk"}, Operator: "awsdns",
+				HasDNSKEY: true, HasRRSIG: true, HasDS: k == 1, ChainValid: k == 1},
+			{Domain: "beta.de", TLD: "de", NSHosts: []string{"ns-1and1.co.uk", "ns.1and1.fr"}, Operator: "1and1",
+				HasDNSKEY: true, HasRRSIG: true},
+			{Domain: "gamma.nl", TLD: "nl", NSHosts: []string{"ns1.transip.nl", "ns2.transip.net"}, Operator: "transip.nl",
+				HasDNSKEY: true, HasRRSIG: true, HasDS: true, ChainValid: true},
+			{Domain: "delta.com", TLD: "com", NSHosts: []string{"ns1.tail0001.com-hosting.example"}, Operator: "tail0001.com-hosting.example",
+				HasDNSKEY: k == 1, HasRRSIG: k == 1, HasDS: k == 1},
+			{Domain: "epsilon.org", TLD: "org", NSHosts: []string{"ns1.ovh.net"}, Operator: "ovh.net"},
+		}}
+		if k == 0 {
+			snap.Records[4] = Record{Domain: "epsilon.org", TLD: "org", Failed: true, FailReason: "timeout"}
+		}
+		snap.Canonicalize()
+		store.Add(snap)
+	}
+	return store
+}
+
+// TestLongFormArchive: the committed archive in the long form is what
+// the reference writer makes of the fixture, reads back to the fixture's
+// records exactly, and so does its rewrite in today's form.
+func TestLongFormArchive(t *testing.T) {
+	fixture := longFormFixture()
+	var want bytes.Buffer
+	for _, day := range fixture.Days() {
+		if err := writeLongSection(&want, fixture.Get(day)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	onDisk, err := os.ReadFile(filepath.Join("testdata", "archive-parent.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, want.Bytes()) {
+		t.Fatalf("testdata/archive-parent.tsv is not the reference writer's rendering of the fixture:\n%s", want.Bytes())
+	}
+	got, err := ReadArchiveStrict(bytes.NewReader(onDisk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rewritten bytes.Buffer
+	if err := got.WriteArchive(&rewritten); err != nil {
+		t.Fatal(err)
+	}
+	if rewritten.Len() >= len(onDisk) {
+		t.Errorf("today's form takes %d bytes, the long form %d", rewritten.Len(), len(onDisk))
+	}
+	again, err := ReadArchiveStrict(&rewritten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, day := range fixture.Days() {
+		if !reflect.DeepEqual(got.Get(day), fixture.Get(day)) || !reflect.DeepEqual(again.Get(day), fixture.Get(day)) {
+			t.Errorf("%s: the long form read %+v, its rewrite %+v, want %+v", day, got.Get(day), again.Get(day), fixture.Get(day))
+		}
+	}
+}
+
+// TestRecordLineForm pins the columns today's writer leaves empty and the
+// flag form: the TLD and operator only where the reader derives them.
+func TestRecordLineForm(t *testing.T) {
+	for _, tc := range []struct {
+		rec  Record
+		line string
+	}{
+		{Record{Domain: "a.com", TLD: "com", NSHosts: []string{"ns1.op.net", "ns2.op.net"}, Operator: "op.net", HasDNSKEY: true, HasDS: true},
+			"a.com\t\t\tns1.op.net,ns2.op.net\t1\t0\t1\t0\tok\n"},
+		{Record{Domain: "a.co.uk", TLD: "co.uk", NSHosts: []string{"ns1.tail0001.uk-hosting.example"}, Operator: "tail0001.uk-hosting.example"},
+			"a.co.uk\tco.uk\ttail0001.uk-hosting.example\tns1.tail0001.uk-hosting.example\t0\t0\t0\t0\tok\n"},
+		{Record{Domain: "b.com", TLD: "com", NSHosts: []string{"ns-5.awsdns-01.org"}, Operator: "awsdns", HasDNSKEY: true, HasRRSIG: true, ChainValid: true},
+			"b.com\t\t\tns-5.awsdns-01.org\t1\t1\t0\t1\tok\n"},
+		{Record{Domain: "gap.nl", TLD: "nl", Failed: true, FailReason: "timeout"}, "gap.nl\t\t\t\t0\t0\t0\t0\ttimeout\n"},
+		{Record{Domain: "odd.nl", TLD: "nl", Failed: true}, "odd.nl\t\t\t\t0\t0\t0\t0\tfailed\n"},
+	} {
+		if got := string(appendRecord(nil, &tc.rec)); got != tc.line {
+			t.Errorf("%+v renders %q, want %q", tc.rec, got, tc.line)
+		}
+	}
+}
+
+// TestRecordLineAllocs: rendering into a reused buffer allocates nothing,
+// and reading a section back costs a fixed number of allocations a line
+// (the line's string, its fields, its NS hosts, the growing record slice).
+func TestRecordLineAllocs(t *testing.T) {
+	recs := fakeRecords(1000, 5)
+	for i := range recs {
+		recs[i].Operator = GroupOperatorAll(recs[i].NSHosts)
+	}
+	line := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(10, func() {
+		for i := range recs {
+			line = appendRecord(line[:0], &recs[i])
+		}
+	}); n != 0 {
+		t.Errorf("rendering %d records into a reused buffer allocates %v times", len(recs), n)
+	}
+
+	snap := &Snapshot{Day: simtime.End, Records: recs}
+	snap.Canonicalize()
+	var section bytes.Buffer
+	if err := snap.WriteArchiveSection(&section); err != nil {
+		t.Fatal(err)
+	}
+	const maxPerLine = 4
+	n := testing.AllocsPerRun(10, func() {
+		if _, err := ScanArchive(bytes.NewReader(section.Bytes()), func(*Snapshot) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perLine := n / float64(len(recs)); perLine > maxPerLine {
+		t.Errorf("reading a section allocates %.2f times a line, bound %d", perLine, maxPerLine)
+	}
+}
+
+// FuzzRecordLine holds the record line to two round trips: any line the
+// reader accepts renders to a line that reads back to the same Record; and
+// a record built from the fuzzed fields survives render → read, up to the
+// normalization Record documents (an empty TLD or operator reads back as
+// its derivation) and the ones the line has always made (see normalized).
+func FuzzRecordLine(f *testing.F) {
+	for _, line := range []string{
+		// The long form, as the hand-written archives of the tests wrote it.
+		"old.com\tcom\top.net\tns1.op.net\ttrue\tfalse\tfalse\tfalse",
+		"a.com\tcom\top\tns1.op.net\ttrue\ttrue\ttrue\ttrue\tok",
+		"a.com\tcom\top\t\ttrue\ttrue\ttrue\ttrue\tok",
+		"a.com\tcom\top.net\tns1.op.net\ttrue\tfalse\tfalse\tfalse",
+		"a.com\tcom\top\tns\ttrue\ttrue\ttrue\ttrue\tok",
+		"a\tcom\top\tns\tx\tt\tt\tt\tok",
+		"a\tcom\top\tns\tt\tt\tt\tt\tok",
+		"a.com\tcom\top\n",
+		"gap.com\tcom\t\t\tfalse\tfalse\tfalse\tfalse\ttimeout",
+		// Today's form.
+		"a.com\t\t\tns1.op.net,ns2.op.net\t1\t0\t1\t0\tok",
+		"a.co.uk\tco.uk\ttail0001.uk-hosting.example\tns1.tail0001.uk-hosting.example\t0\t0\t0\t0\tok",
+		"gap.nl\t\t\t\t0\t0\t0\t0\ttimeout",
+		"odd.nl\t\t\t\t0\t0\t0\t0\t",
+		// awsdns and 1and1 hosts, grouped and not.
+		"b.com\t\t\tns-5.awsdns-01.org,ns-9.awsdns-22.co.uk\t1\t1\t0\t1\tok",
+		"b.com\tcom\tawsdns\tns-5.awsdns-01.org\ttrue\ttrue\tfalse\ttrue\tok",
+		"c.de\t\t\tns-1and1.co.uk,ns.1and1.fr\t1\t1\t0\t0\tok",
+		"c.de\tde\tawsdns-01.org\tns-5.awsdns-01.org\t1\t1\t0\t0\tok",
+		"d.com.\t\tNS1.OVH.NET\tNS1.OVH.NET.,\t1\t0\t0\t0\tlame",
+	} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		line = strings.TrimSuffix(line, "\n")
+		if strings.Contains(line, "\n") {
+			return
+		}
+		fields := strings.Split(line, "\t")
+		if rec, err := parseRecordFields(fields); err == nil {
+			again := readLine(t, appendRecord(nil, &rec))
+			if !reflect.DeepEqual(again, rec) {
+				t.Fatalf("%q reads as %+v, its rendering %q as %+v", line, rec, appendRecord(nil, &rec), again)
+			}
+		}
+
+		// Any record the line can carry: no tab or newline in a field, no
+		// comma in a host.
+		fields = append(fields, make([]string, 9)...)
+		rec := Record{Domain: fields[0], TLD: fields[1], Operator: fields[2],
+			HasDNSKEY: fields[4] != "", HasRRSIG: fields[5] != "", HasDS: fields[6] != "", ChainValid: fields[7] != "",
+			Failed: fields[8] != "", FailReason: fields[8]}
+		if fields[3] != "" {
+			rec.NSHosts = strings.Split(fields[3], ",")
+		}
+		if got, want := readLine(t, appendRecord(nil, &rec)), normalized(rec); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v reads back as %+v, want %+v", rec, got, want)
+		}
+	})
+}
+
+// readLine reads one rendered line back.
+func readLine(t *testing.T, line []byte) Record {
+	t.Helper()
+	rec, err := parseRecordFields(strings.Split(strings.TrimSuffix(string(line), "\n"), "\t"))
+	if err != nil {
+		t.Fatalf("rendered line %q does not read back: %v", line, err)
+	}
+	return rec
+}
+
+// normalized is what rec reads back as: its TLD and operator derived when
+// empty; and, as the line has always had it, a single empty NS host read as
+// none, a Failed record without a class as "failed", one whose class is
+// "ok" as measured, and a measured record without a class.
+func normalized(rec Record) Record {
+	if len(rec.NSHosts) == 1 && rec.NSHosts[0] == "" {
+		rec.NSHosts = nil
+	}
+	if rec.TLD == "" {
+		rec.TLD = lastLabel(rec.Domain)
+	}
+	if rec.Operator == "" {
+		rec.Operator = GroupOperatorAll(rec.NSHosts)
+	}
+	switch {
+	case rec.Failed && rec.FailReason == "":
+		rec.FailReason = "failed"
+	case rec.Failed && rec.FailReason == "ok", !rec.Failed:
+		rec.Failed, rec.FailReason = false, ""
+	}
+	return rec
+}

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"strconv"
@@ -16,6 +17,18 @@ import (
 // closed by the length+CRC32C trailer of the journaled archive format
 // (archive.go), so torn writes and bit rot are detectable, and the section
 // scanner (tail.go) is the one reader.
+//
+// A record line has nine tab-separated columns:
+//
+//	domain  tld  operator  ns-hosts  dnskey  rrsig  ds  chain  status
+//
+// ns-hosts is comma-joined; the four flags are 1 or 0; status is "ok" or
+// the failure class of an unmeasured target ("failed" when it names none).
+// The tld column is empty when it is the domain's last label, and the
+// operator column when it is GroupOperatorAll(ns-hosts): the reader derives
+// both back, so those bytes are never written. The reader also takes the
+// long form — every column spelled out, flags as true/false — which reads
+// back to the same records.
 
 // tsvHeader introduces one snapshot section.
 const tsvHeader = "#snapshot"
@@ -25,25 +38,72 @@ const tsvHeader = "#snapshot"
 func (s *Snapshot) WriteTSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%s\t%s\t%d\n", tsvHeader, s.Day, len(s.Records))
-	for i := range s.Records {
-		writeRecord(bw, &s.Records[i])
+	if err := writeRecords(bw, s.Records); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// writeRecord renders one record line. The ninth column is the measurement
-// status: "ok", or the failure class of an unmeasured target.
-func writeRecord(bw io.Writer, r *Record) {
-	status := "ok"
-	if r.Failed {
-		status = r.FailReason
-		if status == "" {
-			status = "failed"
+// writeRecords writes one line per record through a reused line buffer.
+func writeRecords(w io.Writer, recs []Record) error {
+	var line []byte
+	for i := range recs {
+		line = appendRecord(line[:0], &recs[i])
+		if _, err := w.Write(line); err != nil {
+			return err
 		}
 	}
-	fmt.Fprintf(bw, "%s\t%s\t%s\t%s\t%t\t%t\t%t\t%t\t%s\n",
-		r.Domain, r.TLD, r.Operator, strings.Join(r.NSHosts, ","),
-		r.HasDNSKEY, r.HasRRSIG, r.HasDS, r.ChainValid, status)
+	return nil
+}
+
+// appendRecord appends r's record line, newline included, to dst.
+func appendRecord(dst []byte, r *Record) []byte {
+	dst = append(dst, r.Domain...)
+	dst = append(dst, '\t')
+	if r.TLD != lastLabel(r.Domain) {
+		dst = append(dst, r.TLD...)
+	}
+	dst = append(dst, '\t')
+	if r.Operator != GroupOperatorAll(r.NSHosts) {
+		dst = append(dst, r.Operator...)
+	}
+	dst = append(dst, '\t')
+	for i, h := range r.NSHosts {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, h...)
+	}
+	for _, f := range [4]bool{r.HasDNSKEY, r.HasRRSIG, r.HasDS, r.ChainValid} {
+		flag := byte('0')
+		if f {
+			flag = '1'
+		}
+		dst = append(dst, '\t', flag)
+	}
+	dst = append(dst, '\t')
+	switch {
+	case !r.Failed:
+		dst = append(dst, "ok"...)
+	case r.FailReason == "":
+		dst = append(dst, "failed"...)
+	default:
+		dst = append(dst, r.FailReason...)
+	}
+	return append(dst, '\n')
+}
+
+// lastLabel is what an empty tld column stands for: the domain's last label.
+func lastLabel(domain string) string {
+	return domain[strings.LastIndexByte(domain, '.')+1:]
+}
+
+// lineTLD is the TLD r's line reads back with.
+func lineTLD(r *Record) string {
+	if r.TLD == "" {
+		return lastLabel(r.Domain)
+	}
+	return r.TLD
 }
 
 // parseSnapshotHeader parses a "#snapshot <day> [count]" line. The declared
@@ -75,11 +135,19 @@ func parseRecordFields(fields []string) (Record, error) {
 		return Record{}, fmt.Errorf("%d fields, want 9", len(fields))
 	}
 	rec := Record{Domain: fields[0], TLD: fields[1], Operator: fields[2]}
+	if rec.TLD == "" {
+		rec.TLD = lastLabel(rec.Domain)
+	}
 	// An empty NS field means "no NS hosts": it must stay nil rather than
 	// re-parse as [""], which strings.Split would produce.
 	if fields[3] != "" {
 		rec.NSHosts = strings.Split(fields[3], ",")
 	}
+	if rec.Operator == "" {
+		rec.Operator = GroupOperatorAll(rec.NSHosts)
+	}
+	// ParseBool takes the 1/0 of today's lines and the true/false of the
+	// long form alike.
 	bools := [4]*bool{&rec.HasDNSKEY, &rec.HasRRSIG, &rec.HasDS, &rec.ChainValid}
 	for i, f := range fields[4:8] {
 		v, err := strconv.ParseBool(f)
@@ -88,9 +156,11 @@ func parseRecordFields(fields []string) (Record, error) {
 		}
 		*bools[i] = v
 	}
-	if fields[8] != "ok" {
+	// An empty status reads as the writer renders a Failed record without
+	// a class.
+	if status := fields[8]; status != "ok" {
 		rec.Failed = true
-		rec.FailReason = fields[8]
+		rec.FailReason = cmp.Or(status, "failed")
 	}
 	return rec, nil
 }

@@ -3,12 +3,12 @@ package dataset
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"container/heap"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"securepki.org/registrarsec/internal/simtime"
@@ -116,17 +116,6 @@ func (w *SpillWriter) Append(recs ...Record) error {
 	return nil
 }
 
-// sortRecords orders records exactly as Snapshot.Canonicalize does.
-func sortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := &recs[i], &recs[j]
-		if a.TLD != b.TLD {
-			return a.TLD < b.TLD
-		}
-		return a.Domain < b.Domain
-	})
-}
-
 // spill sorts the buffer and writes it as one run file.
 func (w *SpillWriter) spill() error {
 	if len(w.buf) == 0 {
@@ -138,10 +127,7 @@ func (w *SpillWriter) spill() error {
 		return fmt.Errorf("dataset: spill: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 256<<10)
-	for i := range w.buf {
-		writeRecord(bw, &w.buf[i])
-	}
-	if err := bw.Flush(); err != nil {
+	if err := cmp.Or(writeRecords(bw, w.buf), bw.Flush()); err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return fmt.Errorf("dataset: spill %s: %w", f.Name(), err)
@@ -201,7 +187,8 @@ func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeItem)) }
 func (h *mergeHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
 // lineKey extracts the (domain, TLD) sort key from a rendered record line
-// (domain and TLD are its first two tab-separated fields).
+// (domain and TLD are its first two tab-separated fields), deriving an
+// empty TLD as the reader does.
 func lineKey(line []byte) (domain, tld string, err error) {
 	t1 := bytes.IndexByte(line, '\t')
 	if t1 < 0 {
@@ -212,7 +199,11 @@ func lineKey(line []byte) (domain, tld string, err error) {
 	if t2 < 0 {
 		return "", "", fmt.Errorf("dataset: malformed run line %q", line)
 	}
-	return string(line[:t1]), string(rest[:t2]), nil
+	domain = string(line[:t1])
+	if t2 == 0 {
+		return domain, lastLabel(domain), nil
+	}
+	return domain, string(rest[:t2]), nil
 }
 
 // mergeSource yields one source's lines in sorted order.
@@ -255,17 +246,16 @@ func (r *runSource) close() error { return r.f.Close() }
 type bufSource struct {
 	recs []Record
 	i    int
-	line bytes.Buffer
+	line []byte
 }
 
 func (b *bufSource) next() ([]byte, bool, error) {
 	if b.i >= len(b.recs) {
 		return nil, false, nil
 	}
-	b.line.Reset()
-	writeRecord(&b.line, &b.recs[b.i])
+	b.line = appendRecord(b.line[:0], &b.recs[b.i])
 	b.i++
-	return b.line.Bytes(), true, nil
+	return b.line, true, nil
 }
 
 func (b *bufSource) close() error { return nil }

@@ -1,0 +1,183 @@
+package dataset_test
+
+import (
+	"bytes"
+	"context"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"securepki.org/registrarsec/internal/checkpoint"
+	"securepki.org/registrarsec/internal/dataset"
+	"securepki.org/registrarsec/internal/dsweep"
+	"securepki.org/registrarsec/internal/scan"
+	"securepki.org/registrarsec/internal/simtime"
+	"securepki.org/registrarsec/internal/tldsim"
+)
+
+// sweepShape is one seeded sweep: a few hundred targets of a divisor-4000
+// world over two days. clean is the paper's population; lossy puts 30% of
+// the targets behind operators that lose 20% of packets, with one attempt
+// a query and no re-sweep so that failures stay in the archive; signed is
+// the GTLDIncentives world, about 60% signed at the end of the window.
+type sweepShape struct {
+	name     string
+	scenario tldsim.Scenario
+	spec     dsweep.WorldSpec
+}
+
+var sweepShapes = []sweepShape{
+	{"clean", tldsim.Baseline, dsweep.WorldSpec{Sample: 300}},
+	{"lossy", tldsim.Baseline, dsweep.WorldSpec{Sample: 300, FaultFrac: 0.3, FaultLoss: 0.2, Retries: 1, Resweeps: -1}},
+	{"signed", tldsim.GTLDIncentives, dsweep.WorldSpec{Sample: 300}},
+}
+
+var sweepDays = []simtime.Day{simtime.Date(2016, 11, 30), simtime.End}
+
+// sweptDay is one day of a seeded sweep: the records as the scan emitted
+// them, canonicalized, and the section the spill writer made of them.
+type sweptDay struct {
+	snap    *dataset.Snapshot
+	section []byte
+}
+
+var sweptCache = map[string][]sweptDay{}
+
+// sweep runs the shape's sweep through the scan engine's chunk loop and a
+// spill writer small enough to spill runs, once per test binary.
+func sweep(t *testing.T, shape sweepShape) []sweptDay {
+	t.Helper()
+	if days, ok := sweptCache[shape.name]; ok {
+		return days
+	}
+	spec := shape.spec
+	spec.ScaleDiv, spec.Seed, spec.Workers = 4000, 1, 4
+	world, err := tldsim.BuildScenario(shape.scenario, spec.WorldConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup := spec.BuildStreamWith(world, nil, 0, nil)
+	var days []sweptDay
+	for _, day := range sweepDays {
+		scanner, src, prepare, err := setup(context.Background(), day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := &scan.DayEnv{Scanner: scanner, Source: src, Prepare: prepare}
+		sw := dataset.NewSpillWriter(day, dataset.SpillOptions{Dir: t.TempDir(), MemBudget: 8 << 10})
+		snap := &dataset.Snapshot{Day: day}
+		store := &scan.ChunkStore{Progress: checkpoint.NewChunkProgress(64, src.Len())}
+		if _, err := env.ScanSpan(context.Background(), day, scan.Span{Hi: src.Len()}, store, func(recs ...dataset.Record) error {
+			snap.Records = append(snap.Records, recs...)
+			return sw.Append(recs...)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if sw.Runs() == 0 {
+			t.Fatalf("%s %s: the spill writer spilled no run", shape.name, day)
+		}
+		var section bytes.Buffer
+		if err := sw.WriteSectionTo(&section); err != nil {
+			t.Fatal(err)
+		}
+		sw.Close()
+		snap.Canonicalize()
+		days = append(days, sweptDay{snap: snap, section: section.Bytes()})
+	}
+	sweptCache[shape.name] = days
+	return days
+}
+
+// TestSweptRecordBytes pins what a swept record costs on disk: the archive
+// bytes of each seeded sweep, headers and trailers included, over its
+// records. A change of the record line moves these exact figures.
+func TestSweptRecordBytes(t *testing.T) {
+	type cost struct{ records, signed, failed, bytes int }
+	want := map[string]cost{
+		// The long form (every column spelled out, flags as true/false)
+		// took 58,938 B (98.2 B/record), 58,196 B (97.0) and 57,558 B (95.9).
+		"clean":  {600, 32, 0, 37982},  // 63.3 B/record
+		"lossy":  {600, 30, 20, 37560}, // 62.6 B/record
+		"signed": {600, 384, 0, 37982}, // 63.3 B/record
+	}
+	for _, shape := range sweepShapes {
+		var got cost
+		for _, d := range sweep(t, shape) {
+			got.records += len(d.snap.Records)
+			got.bytes += len(d.section)
+			for _, r := range d.snap.Records {
+				if r.HasDNSKEY {
+					got.signed++
+				}
+				if r.Failed {
+					got.failed++
+				}
+			}
+		}
+		if got != want[shape.name] {
+			t.Errorf("%s: %+v (%.1f B/record), want %+v", shape.name, got, float64(got.bytes)/float64(got.records), want[shape.name])
+		}
+	}
+}
+
+// TestLongFormDecodesIdentically: each seeded sweep's days, written by
+// the spill writer in today's form and by the reference writer in the
+// long form, read back to the records the scan emitted — through
+// ReadArchive, TailArchive and the checkpoint's chunk reader alike.
+func TestLongFormDecodesIdentically(t *testing.T) {
+	dir := t.TempDir()
+	chunks, err := checkpoint.Open(filepath.Join(dir, "checkpoint"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for _, shape := range sweepShapes {
+		for _, d := range sweep(t, shape) {
+			var long bytes.Buffer
+			if err := dataset.WriteLongSection(&long, d.snap); err != nil {
+				t.Fatal(err)
+			}
+			for form, section := range map[string][]byte{"today's": d.section, "long": long.Bytes()} {
+				readers := map[string]func() (*dataset.Snapshot, error){
+					"ReadArchive": func() (*dataset.Snapshot, error) {
+						store, err := dataset.ReadArchiveStrict(bytes.NewReader(section))
+						if err != nil {
+							return nil, err
+						}
+						return store.Get(d.snap.Day), nil
+					},
+					"TailArchive": func() (*dataset.Snapshot, error) {
+						path := filepath.Join(dir, "tail.tsv")
+						if err := os.WriteFile(path, section, 0o644); err != nil {
+							return nil, err
+						}
+						res, err := dataset.TailArchive(path, 0)
+						if err != nil || len(res.Snapshots()) != 1 {
+							return nil, err
+						}
+						return res.Snapshots()[0], nil
+					},
+					"LoadChunk": func() (*dataset.Snapshot, error) {
+						const name = "chunk.tsv"
+						if err := os.WriteFile(filepath.Join(chunks.Dir(), name), section, 0o644); err != nil {
+							return nil, err
+						}
+						return chunks.LoadChunk(d.snap.Day, &checkpoint.Shard{
+							File: name, CRC: crc32.Checksum(section, castagnoli), Records: len(d.snap.Records)})
+					},
+				}
+				for reader, read := range readers {
+					got, err := read()
+					if err != nil || got == nil {
+						t.Fatalf("%s %s, %s form, %s: %v", shape.name, d.snap.Day, form, reader, err)
+					}
+					if !reflect.DeepEqual(got.Records, d.snap.Records) {
+						t.Errorf("%s %s, %s form, %s: records differ from the sweep's", shape.name, d.snap.Day, form, reader)
+					}
+				}
+			}
+		}
+	}
+}

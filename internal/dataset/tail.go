@@ -172,6 +172,7 @@ type sectionScanner struct {
 	lineNo int
 	cur    *section    // open snapshot section, nil otherwise
 	stray  *Corruption // open stray run, nil otherwise
+	fields []string    // the line in hand, split at its tabs
 
 	// offset is the resume point: every byte before it has been consumed,
 	// by an event or as a blank line between sections.
@@ -260,7 +261,8 @@ func (s *sectionScanner) step(line []byte, full bool) (ev TailEvent, ok bool) {
 	s.lineNo++
 	end := s.pos + int64(len(line))
 	text := strings.TrimSuffix(string(line), "\n")
-	fields := strings.Split(text, "\t")
+	s.fields = appendFields(s.fields[:0], text)
+	fields := s.fields
 	here := Corruption{Line: s.lineNo, Offset: s.pos}
 	switch fields[0] {
 	case tsvHeader:
@@ -310,6 +312,18 @@ func (s *sectionScanner) step(line []byte, full bool) (ev TailEvent, ok bool) {
 		}
 	}
 	return ev, ok
+}
+
+// appendFields appends text's tab-separated fields to dst, as
+// strings.Split(text, "\t") would return them.
+func appendFields(dst []string, text string) []string {
+	for {
+		i := strings.IndexByte(text, '\t')
+		if i < 0 {
+			return append(dst, text)
+		}
+		dst, text = append(dst, text[:i]), text[i+1:]
+	}
 }
 
 // damaged is the event that consumes one piece of damage, up to end.

@@ -86,7 +86,8 @@ func fillToCap(tb testing.TB, host *dnsserver.Authoritative) {
 // dnsserver.full_ns: one cache miss per operation — parse, zone walk, pack,
 // fill — over a 5,000-delegation TLD zone. Every operation is a first touch:
 // the host, and with it the cache, is replaced each time the queries wrap.
-// rejected-fill is the same referral against a cache whose buckets are full.
+// rejected-fill is the same referral against a cache whose buckets are full;
+// any is an ANY at the apex with no cache, one walk of the apex's RRsets.
 func BenchmarkServeWireFull(b *testing.B) {
 	const delegations = 5000
 	z, names := benchTLD(b, delegations)
@@ -101,6 +102,7 @@ func BenchmarkServeWireFull(b *testing.B) {
 		{"ds-answer", 0, func(i int) []byte { return benchQuery(b, signed(i), dnswire.TypeDS, true, i%2 == 0) }},
 		{"nxdomain-do", 0, func(i int) []byte { return benchQuery(b, fmt.Sprintf("nx-%d.com", i), dnswire.TypeA, true, true) }},
 		{"rejected-fill", 1, func(i int) []byte { return benchQuery(b, "www."+names[i], dnswire.TypeA, false, false) }},
+		{"any", -1, func(int) []byte { return benchQuery(b, "com", dnswire.TypeANY, true, false) }},
 	}
 	for _, shape := range shapes {
 		b.Run(shape.name, func(b *testing.B) {
@@ -113,7 +115,7 @@ func BenchmarkServeWireFull(b *testing.B) {
 			fresh := func() *dnsserver.Authoritative {
 				host := dnsserver.NewSharded(dnsserver.ShardedConfig{CacheEntries: shape.entries})
 				host.AddZone(z)
-				if shape.entries != 0 {
+				if shape.entries > 0 {
 					fillToCap(b, host) // so that each measured fill is rejected
 				}
 				return host
@@ -137,7 +139,7 @@ func BenchmarkServeWireFull(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			if st := host.CacheStats(); shape.entries != 0 && st.Fills > 4*256 {
+			if st := host.CacheStats(); shape.entries > 0 && st.Fills > 4*256 {
 				b.Fatalf("fills were not rejected: %+v", st)
 			}
 		})

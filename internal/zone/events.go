@@ -1,6 +1,8 @@
 package zone
 
 import (
+	"slices"
+
 	"securepki.org/registrarsec/internal/dnswire"
 )
 
@@ -82,11 +84,13 @@ func (z *Zone) eventLocked(name string, affects dnswire.Type, structural bool) E
 	}
 }
 
-// trackSetAdded/trackSetRemoved maintain the owner-name refcounts and the
+// trackSetAdded/trackSetRemoved maintain the owners' type lists and the
 // NSEC/CNAME RRset counters that drive escalation, as RRset k appears in or
 // disappears from z.sets. z.mu must be held.
 func (z *Zone) trackSetAdded(k rrKey) {
-	z.names[k.name]++
+	types := z.types[k.name]
+	i, _ := slices.BinarySearch(types, k.typ)
+	z.types[k.name] = slices.Insert(types, i, k.typ)
 	switch k.typ {
 	case dnswire.TypeNSEC, dnswire.TypeNSEC3:
 		z.nsecSets++
@@ -97,8 +101,14 @@ func (z *Zone) trackSetAdded(k rrKey) {
 }
 
 func (z *Zone) trackSetRemoved(k rrKey) {
-	if z.names[k.name]--; z.names[k.name] == 0 {
-		delete(z.names, k.name)
+	types := z.types[k.name]
+	if i, ok := slices.BinarySearch(types, k.typ); ok {
+		types = slices.Delete(types, i, i+1)
+	}
+	if len(types) == 0 {
+		delete(z.types, k.name)
+	} else {
+		z.types[k.name] = types
 	}
 	switch k.typ {
 	case dnswire.TypeNSEC, dnswire.TypeNSEC3:

@@ -95,12 +95,12 @@ func (z *Zone) signedLocked(name string, t dnswire.Type) bool {
 }
 
 // hasSigsLocked reports whether an RRSIG RRset exists at name, filed,
-// planned or both; it is what counts towards z.names. z.mu must be held.
+// planned or both; it is what z.types lists as TypeRRSIG. z.mu must be held.
 func (z *Zone) hasSigsLocked(name string) bool {
 	return len(z.sets[sigKey(name)]) > 0 || len(z.plans[name]) > 0
 }
 
-// trackSigsLocked brings z.names up to date after the RRSIG RRset at name,
+// trackSigsLocked brings z.types up to date after the RRSIG RRset at name,
 // which existed or not as had says, was changed. z.mu must be held.
 func (z *Zone) trackSigsLocked(name string, had bool) {
 	switch has := z.hasSigsLocked(name); {

@@ -382,3 +382,33 @@ func BenchmarkFirstRead(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSign is Sign with an NSEC chain over a zone of delegations, the
+// shape regsec-server -sign -nsec signs a TLD in: each chain link's type
+// bitmap reads one owner's types, so the cost grows with the owners, not
+// with their square.
+func BenchmarkSign(b *testing.B) {
+	s, err := NewSigner(dnswire.AlgED25519, testNow)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.AddNSEC = true
+	for _, owners := range []int{1000, 4000, 16000} {
+		b.Run(fmt.Sprintf("nsec/owners=%dk", owners/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				z := New("bench")
+				z.MustAdd(dnswire.NewRR("bench", 3600, &dnswire.SOA{MName: "ns1.registry.example", RName: "hostmaster.registry.example", Serial: 1, Minimum: 300}))
+				z.MustAdd(dnswire.NewRR("bench", 3600, &dnswire.NS{Host: "ns1.registry.example"}))
+				for d := 1; d < owners; d++ {
+					z.MustAdd(dnswire.NewRR(fmt.Sprintf("d%d.bench", d), 3600, &dnswire.NS{Host: "ns1.operator.example"}))
+				}
+				b.StartTimer()
+				if err := s.Sign(z); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

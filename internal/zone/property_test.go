@@ -2,9 +2,11 @@ package zone
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -158,4 +160,104 @@ func TestHasNameMatchesRRSetsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestOwnerWalksMatchScanProperty: through any sequence of additions and
+// removals, on a zone and on its clone, the walks that read one owner's
+// RRsets from its type list — Reader.AppendAll with and without signatures,
+// LookupAll, RemoveName — return and remove exactly what a scan of every
+// RRset of the zone finds at that owner.
+func TestOwnerWalksMatchScanProperty(t *testing.T) {
+	signer := newTestSigner(t)
+	types := []dnswire.Type{dnswire.TypeA, dnswire.TypeTXT, dnswire.TypeMX, dnswire.TypeAAAA, dnswire.TypeRRSIG}
+	record := func(r *rand.Rand, name string, typ dnswire.Type) *dnswire.RR {
+		switch typ {
+		case dnswire.TypeA:
+			return dnswire.NewRR(name, 300, &dnswire.A{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(r.Intn(4))})})
+		case dnswire.TypeAAAA:
+			return dnswire.NewRR(name, 300, &dnswire.AAAA{Addr: netip.AddrFrom16([16]byte{0x20, 0x01, 15: byte(r.Intn(4))})})
+		case dnswire.TypeMX:
+			return dnswire.NewRR(name, 300, &dnswire.MX{Pref: uint16(r.Intn(4)), Host: "mx.example"})
+		}
+		return dnswire.NewRR(name, 300, &dnswire.TXT{Strings: []string{fmt.Sprint(r.Intn(4))}})
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		z := randomZone(r)
+		universe := []string{z.Origin, "absent." + z.Origin}
+		for i := 0; i < 4; i++ {
+			universe = append(universe, fmt.Sprintf("h%d.%s", i, z.Origin))
+		}
+		for step := 0; step < 200; step++ {
+			name, typ := universe[r.Intn(len(universe))], types[r.Intn(len(types))]
+			switch r.Intn(8) {
+			case 0, 1, 2:
+				if typ != dnswire.TypeRRSIG {
+					z.MustAdd(record(r, name, typ))
+				}
+			case 3:
+				if err := signer.SignSet(z, name, types[r.Intn(len(types)-1)]); err != nil {
+					t.Logf("seed %d step %d: %v", seed, step, err)
+					return false
+				}
+			case 4:
+				z.Remove(name, typ)
+			case 5:
+				z.RemoveName(name)
+				if len(scanOwner(z, name, true)) != 0 || z.HasName(name) {
+					t.Logf("seed %d step %d: RemoveName(%q) left RRsets behind", seed, step, name)
+					return false
+				}
+			case 6:
+				z.RemoveSigs(name, typ)
+			case 7:
+				z = z.Clone()
+			}
+			for _, name := range universe {
+				for _, sigs := range []bool{false, true} {
+					var got []*dnswire.RR
+					z.Read(nil, func(rd *Reader) { got = rd.AppendAll(nil, name, sigs) })
+					if want := scanOwner(z, name, sigs); !slices.Equal(got, want) {
+						t.Logf("seed %d step %d: AppendAll(%q, %v) = %v, scan %v", seed, step, name, sigs, got, want)
+						return false
+					}
+				}
+				all := z.LookupAll(name)
+				n := 0
+				for _, rr := range scanOwner(z, name, true) {
+					if !slices.Contains(all[rr.Type], rr) {
+						t.Logf("seed %d step %d: LookupAll(%q) misses %v", seed, step, name, rr)
+						return false
+					}
+					n++
+				}
+				for _, set := range all {
+					n -= len(set)
+				}
+				if n != 0 {
+					t.Logf("seed %d step %d: LookupAll(%q) = %v, more than the scan finds", seed, step, name, all)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// scanOwner is the brute-force owner walk: every RRset of z at name, the
+// RRSIGs only when sigs is set, in ascending type order.
+func scanOwner(z *Zone, name string, sigs bool) []*dnswire.RR {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	var out []*dnswire.RR
+	for k, set := range z.sets {
+		if k.name == name && (sigs || k.typ != dnswire.TypeRRSIG) {
+			out = append(out, set...)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b *dnswire.RR) int { return cmp.Compare(a.Type, b.Type) })
+	return out
 }

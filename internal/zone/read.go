@@ -1,7 +1,6 @@
 package zone
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 
@@ -82,7 +81,7 @@ func (r *Reader) ask(need int, name string, covered dnswire.Type) bool {
 func (r *Reader) Origin() string { return r.z.Origin }
 
 // HasName reports whether any RRset is owned by name.
-func (r *Reader) HasName(name string) bool { return r.z.names[name] > 0 }
+func (r *Reader) HasName(name string) bool { return len(r.z.types[name]) > 0 }
 
 // Delegation is DelegationFor within the pass.
 func (r *Reader) Delegation(qname string) (string, []*dnswire.RR) { return r.z.delegationLocked(qname) }
@@ -115,13 +114,11 @@ func (r *Reader) AppendAll(dst []*dnswire.RR, name string, sigs bool) []*dnswire
 	if sigs && len(r.z.plans[name]) > 0 && r.ask(needSigs, name, 0) {
 		return dst
 	}
-	first := len(dst)
-	for k, set := range r.z.sets {
-		if k.name == name && (sigs || k.typ != dnswire.TypeRRSIG) {
-			dst = append(dst, set...)
+	for _, t := range r.z.types[name] {
+		if sigs || t != dnswire.TypeRRSIG {
+			dst = append(dst, r.z.sets[rrKey{name, t}]...)
 		}
 	}
-	slices.SortStableFunc(dst[first:], func(a, b *dnswire.RR) int { return cmp.Compare(a.Type, b.Type) })
 	return dst
 }
 

@@ -10,6 +10,7 @@ package zone
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,9 +37,10 @@ type Zone struct {
 
 	mu   sync.RWMutex
 	sets map[rrKey][]*dnswire.RR
-	// names counts the RRsets at each owner, so existence checks do not walk
-	// sets; trackSetAdded/trackSetRemoved maintain it.
-	names map[string]int
+	// types lists, ascending, the types of the RRsets at each owner, so
+	// existence checks and owner walks do not range over sets;
+	// trackSetAdded/trackSetRemoved maintain it.
+	types map[string][]dnswire.Type
 	subs  []func(Event)
 	// gen is a seqlock-style mutation counter: incremented to odd when a
 	// mutation begins, back to even when it commits.
@@ -49,7 +51,7 @@ type Zone struct {
 	cnameSets int
 	// plans holds, per owner and ordered by covered type, the signatures
 	// that were planned and that no reader has needed yet (see plan.go). An
-	// owner with plans counts as holding an RRSIG RRset in names.
+	// owner with plans counts as holding an RRSIG RRset in types.
 	plans map[string][]sigPlan
 	// signer is a copy of the Signer whose Sign last planned the whole zone,
 	// nil for a zone that is unsigned or was signed elsewhere; BumpSerial
@@ -67,7 +69,7 @@ func New(origin string) *Zone {
 		Origin:     dnswire.CanonicalName(origin),
 		DefaultTTL: 3600,
 		sets:       make(map[rrKey][]*dnswire.RR),
-		names:      make(map[string]int),
+		types:      make(map[string][]dnswire.Type),
 	}
 }
 
@@ -90,7 +92,7 @@ func (z *Zone) Add(rr *dnswire.RR) error {
 			return nil
 		}
 	}
-	structural := z.names[rr.Name] == 0
+	structural := len(z.types[rr.Name]) == 0
 	z.gen.Add(1)
 	affects := rr.Type
 	if rr.Type != dnswire.TypeRRSIG {
@@ -141,7 +143,7 @@ func (z *Zone) Remove(name string, t dnswire.Type) {
 	}
 	delete(z.sets, k)
 	z.trackSetRemoved(k)
-	ev := z.eventLocked(name, t, z.names[name] == 0)
+	ev := z.eventLocked(name, t, len(z.types[name]) == 0)
 	z.gen.Add(1)
 	subs := z.subs
 	z.mu.Unlock()
@@ -158,12 +160,11 @@ func (z *Zone) RemoveName(name string) {
 		z.dropPlansLocked(name)
 		removed = true
 	}
-	for k := range z.sets {
-		if k.name == name {
-			delete(z.sets, k)
-			z.trackSetRemoved(k)
-			removed = true
-		}
+	for _, t := range slices.Clone(z.types[name]) {
+		k := rrKey{name, t}
+		delete(z.sets, k)
+		z.trackSetRemoved(k)
+		removed = true
 	}
 	ev := z.eventLocked(name, 0, removed)
 	z.gen.Add(1)
@@ -219,9 +220,9 @@ func (z *Zone) LookupAll(name string) map[dnswire.Type][]*dnswire.RR {
 	name = dnswire.CanonicalName(name)
 	defer z.lockProduced(name, false)()
 	out := make(map[dnswire.Type][]*dnswire.RR)
-	for k, set := range z.sets {
-		if k.name == name {
-			out[k.typ] = append([]*dnswire.RR(nil), set...)
+	for _, t := range z.types[name] {
+		if set := z.sets[rrKey{name, t}]; len(set) > 0 {
+			out[t] = append([]*dnswire.RR(nil), set...)
 		}
 	}
 	return out
@@ -232,14 +233,14 @@ func (z *Zone) HasName(name string) bool {
 	name = dnswire.CanonicalName(name)
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	return z.names[name] > 0
+	return len(z.types[name]) > 0
 }
 
 // Names returns every owner name in canonical (RFC 4034 section 6.1) order.
 func (z *Zone) Names() []string {
 	z.mu.RLock()
-	names := make([]string, 0, len(z.names))
-	for n := range z.names {
+	names := make([]string, 0, len(z.types))
+	for n := range z.types {
 		names = append(names, n)
 	}
 	z.mu.RUnlock()
@@ -381,8 +382,8 @@ func (z *Zone) Clone() *Zone {
 	for k, set := range z.sets {
 		c.sets[k] = append([]*dnswire.RR(nil), set...)
 	}
-	for name, n := range z.names {
-		c.names[name] = n
+	for name, types := range z.types {
+		c.types[name] = slices.Clone(types)
 	}
 	return c
 }
