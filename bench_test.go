@@ -286,7 +286,7 @@ func BenchmarkScanSampleVerification(b *testing.B) {
 // (section 4.2's methodology choice).
 func BenchmarkAblationGrouping(b *testing.B) {
 	s := getStudy(b)
-	snap := s.World.SnapshotAt(simtime.End)
+	snap := s.World.Index().Snapshot(simtime.End)
 	b.Run("second-level", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ops := map[string]int{}
@@ -471,7 +471,7 @@ func BenchmarkSnapshotAt(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap := s.World.SnapshotAt(simtime.End)
+		snap := s.World.Index().Snapshot(simtime.End)
 		if len(snap.Records) == 0 {
 			b.Fatal("empty snapshot")
 		}
@@ -491,7 +491,7 @@ func min(a, b int) int {
 // paid .nl-style incentives.
 func BenchmarkRecommendations(b *testing.B) {
 	gtldStats := func(w *tldsim.World) (keyPct, fullPct float64) {
-		snap := w.SnapshotAt(simtime.End)
+		snap := w.Index().Snapshot(simtime.End)
 		total, keyed, full := 0, 0, 0
 		for i := range snap.Records {
 			r := &snap.Records[i]

@@ -16,9 +16,7 @@
 // Usage:
 //
 //	regsec-api -archive scans.tsv -world world.colstore [-watermark path]
-//	           [-listen 127.0.0.1:7363] [-poll 500ms] [-commit-every 1] [-ready-max-lag 10s]
-//	           [-max-in-flight 64] [-max-queue 256] [-queue-wait 100ms]
-//	           [-request-timeout 10s] [-drain-timeout 15s]
+//	           [-listen 127.0.0.1:7363] [-poll 500ms] [-drain-timeout 15s]
 //
 // The daemon is crash-safe by construction: every ingest commit lands the
 // world file and its watermark atomically at a section boundary, so a kill
@@ -52,12 +50,6 @@ func run() int {
 	watermark := flag.String("watermark", "", "ingest watermark path (default <world>.watermark)")
 	listen := flag.String("listen", "127.0.0.1:7363", "query-plane listen address")
 	poll := flag.Duration("poll", 500*time.Millisecond, "archive poll cadence")
-	commitEvery := flag.Int("commit-every", 1, "archive sections per world commit")
-	readyMaxLag := flag.Duration("ready-max-lag", 10*time.Second, "max staleness of the last archive poll before /readyz fails")
-	maxInFlight := flag.Int("max-in-flight", 64, "concurrently executing requests before queueing")
-	maxQueue := flag.Int("max-queue", 256, "requests waiting for a slot before shedding")
-	queueWait := flag.Duration("queue-wait", 100*time.Millisecond, "max wait for a slot before shedding with 429")
-	requestTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request work deadline")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "hard deadline for graceful shutdown")
 	flag.Parse()
 
@@ -70,17 +62,11 @@ func run() int {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
 	s := apiserv.New(apiserv.Config{
-		ArchivePath:    *archive,
-		WorldPath:      *world,
-		WatermarkPath:  *watermark,
-		PollInterval:   *poll,
-		CommitEvery:    *commitEvery,
-		ReadyMaxLag:    *readyMaxLag,
-		MaxInFlight:    *maxInFlight,
-		MaxQueue:       *maxQueue,
-		QueueWait:      *queueWait,
-		RequestTimeout: *requestTimeout,
-		Logf:           logf,
+		ArchivePath:   *archive,
+		WorldPath:     *world,
+		WatermarkPath: *watermark,
+		PollInterval:  *poll,
+		Logf:          logf,
 	})
 
 	ln, err := net.Listen("tcp", *listen)

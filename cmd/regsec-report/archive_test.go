@@ -216,8 +216,10 @@ func TestArchiveReportReadsLongForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rewritten bytes.Buffer
-	if err := store.WriteArchive(&rewritten); err != nil {
-		t.Fatal(err)
+	for _, day := range store.Days() {
+		if err := store.Get(day).WriteArchiveSection(&rewritten); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if bytes.Equal(rewritten.Bytes(), long) {
 		t.Fatal("the rewrite is the long form itself")

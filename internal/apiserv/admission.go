@@ -6,10 +6,10 @@ package apiserv
 //	recoverPanics → admission gate → per-request deadline → handler
 //
 // The gate bounds concurrent handler work and the memory behind it: up to
-// MaxInFlight requests run, up to MaxQueue more wait at most QueueWait for
+// maxInFlight requests run, up to maxQueue more wait at most queueWait for
 // a slot, and everything beyond that is shed immediately with 429 +
 // Retry-After. Shedding is the design outcome, not a failure — under a
-// flood the daemon serves MaxInFlight requests at full speed and answers
+// flood the daemon serves maxInFlight requests at full speed and answers
 // the rest cheaply, instead of collapsing with ten thousand goroutines all
 // too slow to matter.
 
@@ -33,19 +33,10 @@ type gate struct {
 	shed     atomic.Uint64
 }
 
-func newGate(maxInFlight, maxQueue int, wait time.Duration) *gate {
-	if maxInFlight <= 0 {
-		maxInFlight = 64
-	}
-	if maxQueue < 0 {
-		maxQueue = 0
-	}
-	if wait <= 0 {
-		wait = 100 * time.Millisecond
-	}
+func newGate(inFlight, queue int, wait time.Duration) *gate {
 	return &gate{
-		slots:    make(chan struct{}, maxInFlight),
-		maxQueue: int32(maxQueue),
+		slots:    make(chan struct{}, inFlight),
+		maxQueue: int32(queue),
 		wait:     wait,
 	}
 }
@@ -117,9 +108,6 @@ func recoverPanics(logf func(string, ...any), counter *atomic.Uint64, next http.
 // handlers thread into SeriesCtx expires, the scan aborts,
 // and the slot frees for the next request.
 func withDeadline(d time.Duration, next http.Handler) http.Handler {
-	if d <= 0 {
-		return next
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), d)
 		defer cancel()

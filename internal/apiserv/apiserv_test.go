@@ -70,7 +70,6 @@ func newTestServer(t *testing.T, dir string) *Server {
 		ArchivePath:  filepath.Join(dir, "scans.tsv"),
 		WorldPath:    filepath.Join(dir, "world.colstore"),
 		PollInterval: 5 * time.Millisecond,
-		ReadyMaxLag:  5 * time.Second,
 		Logf:         t.Logf,
 	})
 }
@@ -272,7 +271,7 @@ func TestServerIncrementalIngest(t *testing.T) {
 func TestReadinessGoesStaleWithoutPolls(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, dir)
-	s.cfg.ReadyMaxLag = 30 * time.Millisecond
+	s.readyMaxLag = 30 * time.Millisecond
 	appendSection(t, s.cfg.ArchivePath, mkSnap(300, 20))
 	if err := s.resumeOnce(); err != nil {
 		t.Fatal(err)

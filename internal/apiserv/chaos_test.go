@@ -269,10 +269,7 @@ func TestChaosArchiveRotated(t *testing.T) {
 func TestChaosFloodShedsNotCrash(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, dir)
-	s.cfg.MaxInFlight = 2
-	s.cfg.MaxQueue = 1
-	s.cfg.QueueWait = time.Millisecond
-	s.gate = newGate(s.cfg.MaxInFlight, s.cfg.MaxQueue, s.cfg.QueueWait)
+	s.gate = newGate(2, 1, time.Millisecond)
 	appendSection(t, s.cfg.ArchivePath, mkSnap(800, 40))
 	runToEnd(t, s)
 

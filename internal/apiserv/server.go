@@ -47,26 +47,24 @@ type Config struct {
 
 	// PollInterval is the tailer's archive poll cadence (default 500ms).
 	PollInterval time.Duration
-	// CommitEvery is how many tail events may accumulate before a
-	// commit; default 1 (commit per section).
-	CommitEvery int
-	// ReadyMaxLag is how stale the last successful poll may be before
-	// /readyz starts failing (default 10s).
-	ReadyMaxLag time.Duration
-
-	// MaxInFlight bounds concurrently executing requests (default 64).
-	MaxInFlight int
-	// MaxQueue bounds requests waiting for a slot (default 256).
-	MaxQueue int
-	// QueueWait bounds how long a queued request may wait before being
-	// shed (default 100ms).
-	QueueWait time.Duration
-	// RequestTimeout bounds each admitted request's work (default 10s).
-	RequestTimeout time.Duration
 
 	// Logf receives operational diagnostics; nil discards them.
 	Logf func(format string, args ...any)
 }
+
+// The daemon's fixed limits.
+const (
+	// readyMaxLag is how stale the last successful poll may be before
+	// /readyz starts failing.
+	readyMaxLag = 10 * time.Second
+	// requestTimeout bounds each admitted request's work.
+	requestTimeout = 10 * time.Second
+	// The admission gate: maxInFlight requests run, maxQueue more wait
+	// at most queueWait for a slot.
+	maxInFlight = 64
+	maxQueue    = 256
+	queueWait   = 100 * time.Millisecond
+)
 
 // worldView pairs a frozen index with the day its data reaches.
 type worldView struct {
@@ -77,9 +75,10 @@ type worldView struct {
 // Server is the daemon: the tailer's mutable ingest state, the published
 // world, the admission gate, and the HTTP surface.
 type Server struct {
-	cfg  Config
-	gate *gate
-	mux  *http.ServeMux
+	cfg         Config
+	gate        *gate
+	mux         *http.ServeMux
+	readyMaxLag time.Duration
 
 	world        atomic.Pointer[worldView]
 	lastPollNano atomic.Int64
@@ -92,15 +91,15 @@ type Server struct {
 	ing     *colstore.Ingester
 	wm      Watermark
 	lastDay simtime.Day
-	pending int
 }
 
 // New builds a Server. It performs no I/O; the world is resumed when Run
 // starts the tailer.
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:  cfg,
-		gate: newGate(cfg.MaxInFlight, orDefault(cfg.MaxQueue, 256), cfg.QueueWait),
+		cfg:         cfg,
+		gate:        newGate(maxInFlight, maxQueue, queueWait),
+		readyMaxLag: readyMaxLag,
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -112,13 +111,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/registrars", s.guarded(s.handleRegistrars))
 	s.mux.HandleFunc("GET /v1/dsgap", s.guarded(s.handleDSGap))
 	return s
-}
-
-func orDefault(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -149,10 +141,7 @@ func (s *Server) ready() (bool, string) {
 	if s.world.Load() == nil {
 		return false, "world not loaded"
 	}
-	lag := s.cfg.ReadyMaxLag
-	if lag <= 0 {
-		lag = 10 * time.Second
-	}
+	lag := s.readyMaxLag
 	last := s.lastPollNano.Load()
 	if last == 0 {
 		return false, "ingest has not polled the archive yet"
@@ -179,15 +168,8 @@ func (s *Server) Run(ctx context.Context) {
 // Handler returns the full middleware stack: panic recovery outermost,
 // then admission, then the per-request deadline, then routing.
 func (s *Server) Handler() http.Handler {
-	inner := withDeadline(orDuration(s.cfg.RequestTimeout, 10*time.Second), s.mux)
+	inner := withDeadline(requestTimeout, s.mux)
 	return recoverPanics(s.cfg.Logf, &s.panics, s.gate.wrap(inner))
-}
-
-func orDuration(v, def time.Duration) time.Duration {
-	if v == 0 {
-		return def
-	}
-	return v
 }
 
 // GateStats reports admission accounting (bench and status surface).

@@ -114,7 +114,6 @@ func (s *Server) resumeOnce() error {
 	s.ing = ing
 	s.wm = wm
 	s.lastDay = lastDay
-	s.pending = 0
 	s.publish(s.ing.Freeze(), lastDay)
 	return nil
 }
@@ -150,8 +149,8 @@ func resumeFromWorld(idx *colstore.Index, meta map[string]string) (*colstore.Ing
 }
 
 // pollOnce consumes whatever complete tail events have appeared since the
-// committed offset, one section in memory at a time, committing every
-// CommitEvery events and once more at the end of the batch.
+// committed offset, one section in memory at a time, committing after
+// every event and once more when trailing bytes moved the offset.
 func (s *Server) pollOnce() error {
 	s.ingMu.Lock()
 	defer s.ingMu.Unlock()
@@ -165,7 +164,6 @@ func (s *Server) pollOnce() error {
 		s.ing = colstore.NewIngester()
 		s.wm = Watermark{}
 		s.lastDay = simtime.Never
-		s.pending = 0
 		if err := s.commitLocked(); err != nil {
 			return err
 		}
@@ -181,8 +179,8 @@ func (s *Server) pollOnce() error {
 	}
 
 	// Trailing blank lines advance the offset without an event; fold them
-	// into a final commit along with any uncommitted remainder.
-	if s.pending > 0 || offset != s.wm.Offset {
+	// into a final commit.
+	if offset != s.wm.Offset {
 		s.wm.Offset = offset
 		if err := s.commitLocked(); err != nil {
 			return err
@@ -192,8 +190,8 @@ func (s *Server) pollOnce() error {
 	return nil
 }
 
-// ingestLocked folds one tail event into the ingest state and advances the
-// cursor past it. Caller holds ingMu.
+// ingestLocked folds one tail event into the ingest state, advances the
+// cursor past it and commits. Caller holds ingMu.
 func (s *Server) ingestLocked(ev dataset.TailEvent) error {
 	if ev.Damage != nil {
 		s.logf("apiserv: archive damage quarantined: %s", ev.Damage.String())
@@ -211,11 +209,7 @@ func (s *Server) ingestLocked(ev dataset.TailEvent) error {
 		s.wm.LastDay = lastDayString(s.lastDay)
 	}
 	s.wm.Offset = ev.End
-	s.pending++
-	if s.pending >= orDefault(s.cfg.CommitEvery, 1) {
-		return s.commitLocked()
-	}
-	return nil
+	return s.commitLocked()
 }
 
 // commitLocked publishes and persists the current ingest state. Caller
@@ -232,11 +226,7 @@ func (s *Server) commitLocked() error {
 	if err := idx.SaveFile(s.cfg.WorldPath, meta); err != nil {
 		return err
 	}
-	if err := s.wm.WriteFile(s.watermarkPath()); err != nil {
-		return err
-	}
-	s.pending = 0
-	return nil
+	return s.wm.WriteFile(s.watermarkPath())
 }
 
 // sealedCopy returns wm with its CRC populated, for comparison against a

@@ -42,17 +42,6 @@ func (s *Snapshot) WriteArchiveSection(w io.Writer) error {
 	})
 }
 
-// WriteArchive writes every snapshot, oldest first, with an integrity
-// trailer per section.
-func (s *Store) WriteArchive(w io.Writer) error {
-	for _, day := range s.Days() {
-		if err := s.Get(day).WriteArchiveSection(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Corruption describes one quarantined piece of an archive.
 type Corruption struct {
 	// Day is the section's day token as written (it may itself be damaged;

@@ -12,6 +12,18 @@ import (
 	"securepki.org/registrarsec/internal/simtime"
 )
 
+// archiveOf renders store as an archive the way the sweep writes one: one
+// WriteArchiveSection per day, oldest first.
+func archiveOf(store *Store) []byte {
+	var buf bytes.Buffer
+	for _, day := range store.Days() {
+		if err := store.Get(day).WriteArchiveSection(&buf); err != nil {
+			panic(err) // writes to a bytes.Buffer do not fail
+		}
+	}
+	return buf.Bytes()
+}
+
 // archiveFixture builds a two-day store and its archive bytes.
 func archiveFixture(t *testing.T) (*Store, []byte) {
 	t.Helper()
@@ -26,11 +38,7 @@ func archiveFixture(t *testing.T) (*Store, []byte) {
 		{Domain: "a.com", TLD: "com", Operator: "op.net", NSHosts: []string{"ns1.op.net"},
 			HasDNSKEY: true, HasRRSIG: true},
 	}})
-	var buf bytes.Buffer
-	if err := store.WriteArchive(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return store, buf.Bytes()
+	return store, archiveOf(store)
 }
 
 func TestArchiveRoundTrip(t *testing.T) {
@@ -159,11 +167,8 @@ func TestArchiveDuplicateDayQuarantined(t *testing.T) {
 	store.Add(&Snapshot{Day: simtime.Date(2016, 1, 1), Records: []Record{
 		{Domain: "a.com", TLD: "com"},
 	}})
-	var buf bytes.Buffer
-	if err := store.WriteArchive(&buf); err != nil {
-		t.Fatal(err)
-	}
-	double := append(bytes.Clone(buf.Bytes()), buf.Bytes()...)
+	raw := archiveOf(store)
+	double := append(bytes.Clone(raw), raw...)
 	got, report, err := ReadArchive(bytes.NewReader(double))
 	if err != nil {
 		t.Fatal(err)

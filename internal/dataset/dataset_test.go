@@ -167,11 +167,7 @@ func TestTSVRoundTrip(t *testing.T) {
 		{Domain: "a.com", TLD: "com", Operator: "op.net", NSHosts: []string{"ns1.op.net"},
 			HasDNSKEY: true, HasRRSIG: true},
 	}})
-	var buf bytes.Buffer
-	if err := store.WriteArchive(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadArchiveStrict(&buf)
+	got, err := ReadArchiveStrict(bytes.NewReader(archiveOf(store)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +190,7 @@ func TestTSVFailedRecordRoundTrip(t *testing.T) {
 		{Domain: "down.com", TLD: "com", Failed: true, FailReason: "timeout"},
 		{Domain: "odd.com", TLD: "com", Failed: true}, // no class recorded
 	}})
-	var buf bytes.Buffer
-	if err := store.WriteArchive(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadArchiveStrict(&buf)
+	got, err := ReadArchiveStrict(bytes.NewReader(archiveOf(store)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +248,8 @@ func TestRecordWithoutStatusColumnRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Snapshots()) != 0 || len(res.Quarantined()) != 1 || !strings.Contains(res.Quarantined()[0].Reason, "8 fields") {
-		t.Errorf("TailArchive: %d snapshots, quarantined %v", len(res.Snapshots()), res.Quarantined())
+	if snaps := snapshotsOf(res); len(snaps) != 0 || len(res.Quarantined()) != 1 || !strings.Contains(res.Quarantined()[0].Reason, "8 fields") {
+		t.Errorf("TailArchive: %d snapshots, quarantined %v", len(snaps), res.Quarantined())
 	}
 }
 
@@ -270,11 +262,7 @@ func TestTSVEmptyNSHostsRoundTrip(t *testing.T) {
 		{Domain: "gap.com", TLD: "com", Failed: true, FailReason: "timeout"},
 		{Domain: "ok.com", TLD: "com", Operator: "op.net", NSHosts: []string{"ns1.op.net"}},
 	}})
-	var buf bytes.Buffer
-	if err := store.WriteArchive(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadArchiveStrict(&buf)
+	got, err := ReadArchiveStrict(bytes.NewReader(archiveOf(store)))
 	if err != nil {
 		t.Fatal(err)
 	}

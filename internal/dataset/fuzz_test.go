@@ -21,11 +21,7 @@ func fuzzSeedArchive() []byte {
 	store.Add(&Snapshot{Day: simtime.Date(2016, 6, 1), Records: []Record{
 		{Domain: "a.com", TLD: "com", Operator: "op.net", NSHosts: nil},
 	}})
-	var buf bytes.Buffer
-	if err := store.WriteArchive(&buf); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	return archiveOf(store)
 }
 
 // FuzzReadArchive exercises the salvage reader with arbitrary bytes: it may
@@ -57,11 +53,7 @@ func FuzzReadArchive(f *testing.F) {
 			t.Fatalf("sections unaccounted for: %d in store, %d quarantined, %d seen",
 				store.Len(), len(report.Quarantined), report.Sections)
 		}
-		var buf bytes.Buffer
-		if err := store.WriteArchive(&buf); err != nil {
-			t.Fatalf("re-serialize salvaged store: %v", err)
-		}
-		again, report2, err := ReadArchive(bytes.NewReader(buf.Bytes()))
+		again, report2, err := ReadArchive(bytes.NewReader(archiveOf(store)))
 		if err != nil || !report2.Clean() {
 			t.Fatalf("salvaged store did not re-read clean: %v, %s", err, report2)
 		}
@@ -162,7 +154,7 @@ func FuzzTailArchive(f *testing.F) {
 			t.Fatalf("ReadArchive returned I/O error on bytes: %v", err)
 		}
 		firstOfDay := map[simtime.Day]*Snapshot{}
-		for _, snap := range res.Snapshots() {
+		for _, snap := range snapshotsOf(res) {
 			if firstOfDay[snap.Day] == nil {
 				firstOfDay[snap.Day] = snap
 			}

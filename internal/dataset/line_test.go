@@ -89,14 +89,11 @@ func TestLongFormArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rewritten bytes.Buffer
-	if err := got.WriteArchive(&rewritten); err != nil {
-		t.Fatal(err)
-	}
+	rewritten := bytes.NewBuffer(archiveOf(got))
 	if rewritten.Len() >= len(onDisk) {
 		t.Errorf("today's form takes %d bytes, the long form %d", rewritten.Len(), len(onDisk))
 	}
-	again, err := ReadArchiveStrict(&rewritten)
+	again, err := ReadArchiveStrict(rewritten)
 	if err != nil {
 		t.Fatal(err)
 	}

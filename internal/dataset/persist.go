@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bufio"
 	"cmp"
 	"fmt"
 	"io"
@@ -32,17 +31,6 @@ import (
 
 // tsvHeader introduces one snapshot section.
 const tsvHeader = "#snapshot"
-
-// WriteTSV serializes the snapshot as a section body, without the trailer
-// WriteArchiveSection closes it with.
-func (s *Snapshot) WriteTSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%s\t%s\t%d\n", tsvHeader, s.Day, len(s.Records))
-	if err := writeRecords(bw, s.Records); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
 
 // writeRecords writes one line per record through a reused line buffer.
 func writeRecords(w io.Writer, recs []Record) error {

@@ -391,9 +391,9 @@ const archiveBufSize = 256 << 10
 
 // ArchiveWriter writes a multi-day trailered archive to a file one
 // section at a time: an AtomicFile committed on Close, never holding more
-// than one section's merge state in memory. Sections
-// must arrive in ascending day order — the order Store.WriteArchive emits
-// — so streamed and in-RAM archives of the same days are byte-identical.
+// than one section's merge state in memory. Sections must arrive in
+// ascending day order, so the file is byte-identical to the same days'
+// WriteArchiveSection output in that order.
 type ArchiveWriter struct {
 	f       *AtomicFile
 	lastDay simtime.Day

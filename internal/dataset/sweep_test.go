@@ -154,10 +154,10 @@ func TestLongFormDecodesIdentically(t *testing.T) {
 							return nil, err
 						}
 						res, err := dataset.TailArchive(path, 0)
-						if err != nil || len(res.Snapshots()) != 1 {
+						if err != nil || len(res.Events) != 1 {
 							return nil, err
 						}
-						return res.Snapshots()[0], nil
+						return res.Events[0].Snap, nil
 					},
 					"LoadChunk": func() (*dataset.Snapshot, error) {
 						const name = "chunk.tsv"

@@ -70,17 +70,6 @@ type TailResult struct {
 	Offset int64
 }
 
-// Snapshots returns the verified sections, in file order.
-func (r *TailResult) Snapshots() []*Snapshot {
-	var out []*Snapshot
-	for _, ev := range r.Events {
-		if ev.Snap != nil {
-			out = append(out, ev.Snap)
-		}
-	}
-	return out
-}
-
 // Quarantined returns the damage entries, in file order.
 func (r *TailResult) Quarantined() []Corruption {
 	var out []Corruption

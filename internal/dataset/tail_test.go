@@ -60,11 +60,11 @@ func TestTailConsumesCompleteSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Snapshots()) != 2 || len(res.Quarantined()) != 0 {
-		t.Fatalf("got %d snapshots, %d quarantined, want 2/0", len(res.Snapshots()), len(res.Quarantined()))
+	if len(snapshotsOf(res)) != 2 || len(res.Quarantined()) != 0 {
+		t.Fatalf("got %d snapshots, %d quarantined, want 2/0", len(snapshotsOf(res)), len(res.Quarantined()))
 	}
-	if res.Snapshots()[0].Day != 10 || res.Snapshots()[1].Day != 11 {
-		t.Fatalf("days %v/%v, want 10/11", res.Snapshots()[0].Day, res.Snapshots()[1].Day)
+	if snapshotsOf(res)[0].Day != 10 || snapshotsOf(res)[1].Day != 11 {
+		t.Fatalf("days %v/%v, want 10/11", snapshotsOf(res)[0].Day, snapshotsOf(res)[1].Day)
 	}
 	if want := int64(len(s1) + len(s2)); res.Offset != want {
 		t.Fatalf("Offset %d, want %d", res.Offset, want)
@@ -75,8 +75,8 @@ func TestTailConsumesCompleteSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res2.Snapshots()) != 0 || res2.Offset != res.Offset {
-		t.Fatalf("re-poll consumed %d snapshots, offset %d→%d", len(res2.Snapshots()), res.Offset, res2.Offset)
+	if len(snapshotsOf(res2)) != 0 || res2.Offset != res.Offset {
+		t.Fatalf("re-poll consumed %d snapshots, offset %d→%d", len(snapshotsOf(res2)), res.Offset, res2.Offset)
 	}
 }
 
@@ -94,8 +94,8 @@ func TestTailLeavesGrowingSection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Snapshots()) != 1 || len(res.Quarantined()) != 0 {
-			t.Fatalf("cut %d: got %d snapshots, %d quarantined, want 1/0", cut, len(res.Snapshots()), len(res.Quarantined()))
+		if len(snapshotsOf(res)) != 1 || len(res.Quarantined()) != 0 {
+			t.Fatalf("cut %d: got %d snapshots, %d quarantined, want 1/0", cut, len(snapshotsOf(res)), len(res.Quarantined()))
 		}
 		if res.Offset != int64(len(s1)) {
 			t.Fatalf("cut %d: Offset %d, want %d (partial section must stay unconsumed)", cut, res.Offset, len(s1))
@@ -106,7 +106,7 @@ func TestTailLeavesGrowingSection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res2.Snapshots()) != 1 || res2.Snapshots()[0].Day != 11 || len(res2.Snapshots()[0].Records) != 4 {
+		if len(snapshotsOf(res2)) != 1 || snapshotsOf(res2)[0].Day != 11 || len(snapshotsOf(res2)[0].Records) != 4 {
 			t.Fatalf("cut %d: completed section not consumed on re-poll: %+v", cut, res2)
 		}
 		if res2.Offset != int64(len(s1)+len(s2)) {
@@ -131,8 +131,8 @@ func TestTailTornSuperseded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Snapshots()) != 1 || res.Snapshots()[0].Day != 11 {
-		t.Fatalf("snapshots %+v, want just day 11", res.Snapshots())
+	if len(snapshotsOf(res)) != 1 || snapshotsOf(res)[0].Day != 11 {
+		t.Fatalf("snapshots %+v, want just day 11", snapshotsOf(res))
 	}
 	if len(res.Quarantined()) != 1 || !strings.Contains(res.Quarantined()[0].Reason, "torn") {
 		t.Fatalf("quarantined %+v, want one torn-write entry", res.Quarantined())
@@ -156,8 +156,8 @@ func TestTailCorruptSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Snapshots()) != 1 || res.Snapshots()[0].Day != 11 {
-		t.Fatalf("snapshots %+v, want just day 11", res.Snapshots())
+	if len(snapshotsOf(res)) != 1 || snapshotsOf(res)[0].Day != 11 {
+		t.Fatalf("snapshots %+v, want just day 11", snapshotsOf(res))
 	}
 	if len(res.Quarantined()) != 1 {
 		t.Fatalf("quarantined %+v, want one entry", res.Quarantined())
@@ -180,8 +180,8 @@ func TestTailStrayBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Snapshots()) != 2 {
-		t.Fatalf("got %d snapshots, want 2", len(res.Snapshots()))
+	if len(snapshotsOf(res)) != 2 {
+		t.Fatalf("got %d snapshots, want 2", len(snapshotsOf(res)))
 	}
 	if len(res.Quarantined()) != 1 {
 		t.Fatalf("quarantined %+v, want one stray-run entry", res.Quarantined())
@@ -228,10 +228,10 @@ func TestTailMatchesReadArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Snapshots()) != len(store.Days()) {
-		t.Fatalf("tail salvaged %d sections, batch reader %d", len(res.Snapshots()), len(store.Days()))
+	if len(snapshotsOf(res)) != len(store.Days()) {
+		t.Fatalf("tail salvaged %d sections, batch reader %d", len(snapshotsOf(res)), len(store.Days()))
 	}
-	for _, snap := range res.Snapshots() {
+	for _, snap := range snapshotsOf(res) {
 		got := store.Get(snap.Day)
 		if got == nil || len(got.Records) != len(snap.Records) {
 			t.Fatalf("day %v: tail and batch reader disagree", snap.Day)
@@ -258,8 +258,8 @@ func TestTailStrayAtEOFStaysPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Snapshots()) != 1 || len(res.Quarantined()) != 0 {
-		t.Fatalf("got %d snapshots, %d quarantined, want 1/0", len(res.Snapshots()), len(res.Quarantined()))
+	if len(snapshotsOf(res)) != 1 || len(res.Quarantined()) != 0 {
+		t.Fatalf("got %d snapshots, %d quarantined, want 1/0", len(snapshotsOf(res)), len(res.Quarantined()))
 	}
 	if res.Offset != int64(len(s1)) {
 		t.Fatalf("Offset %d, want %d (pending stray run must stay unconsumed)", res.Offset, len(s1))
@@ -271,8 +271,8 @@ func TestTailStrayAtEOFStaysPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res2.Snapshots()) != 1 || len(res2.Quarantined()) != 1 {
-		t.Fatalf("got %d snapshots, %d quarantined after supersession, want 1/1", len(res2.Snapshots()), len(res2.Quarantined()))
+	if len(snapshotsOf(res2)) != 1 || len(res2.Quarantined()) != 1 {
+		t.Fatalf("got %d snapshots, %d quarantined after supersession, want 1/1", len(snapshotsOf(res2)), len(res2.Quarantined()))
 	}
 }
 
@@ -463,4 +463,15 @@ func BenchmarkArchiveScan(b *testing.B) {
 			b.Fatalf("%d sections, want 20", sections)
 		}
 	}
+}
+
+// snapshotsOf returns the verified sections of a tail scan, in file order.
+func snapshotsOf(r *TailResult) []*Snapshot {
+	var out []*Snapshot
+	for _, ev := range r.Events {
+		if ev.Snap != nil {
+			out = append(out, ev.Snap)
+		}
+	}
+	return out
 }

@@ -109,9 +109,6 @@ func (k *KeyPair) RR(zone string, ttl uint32) *dnswire.RR {
 // KeyTag returns the RFC 4034 Appendix B tag of the public key.
 func (k *KeyPair) KeyTag() uint16 { return k.tag }
 
-// IsKSK reports whether the key carries the SEP flag.
-func (k *KeyPair) IsKSK() bool { return k.Flags&dnswire.FlagSEP != 0 }
-
 // encodePublicKey produces the algorithm-specific DNSKEY public key field.
 func encodePublicKey(alg dnswire.Algorithm, pub crypto.PublicKey) ([]byte, error) {
 	switch alg {

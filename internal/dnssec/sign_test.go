@@ -284,8 +284,8 @@ func TestParsePublicKeyRejectsGarbage(t *testing.T) {
 func TestKeyPairBasics(t *testing.T) {
 	ksk := genKey(t, dnswire.AlgECDSAP256SHA256, dnswire.FlagsKSK)
 	zsk := genKey(t, dnswire.AlgECDSAP256SHA256, dnswire.FlagsZSK)
-	if !ksk.IsKSK() || zsk.IsKSK() {
-		t.Error("IsKSK misreports")
+	if ksk.Flags&dnswire.FlagSEP == 0 || zsk.Flags&dnswire.FlagSEP != 0 {
+		t.Error("SEP flag on the wrong key")
 	}
 	rr := ksk.RR("example.org", 3600)
 	if rr.Type != dnswire.TypeDNSKEY || rr.Name != "example.org" {

@@ -106,7 +106,7 @@ func (a *Authoritative) AddZone(z *zone.Zone) { a.setZone(z.Origin, z, nil, nil)
 // AddZoneFunc installs (or replaces) the zone at origin without building
 // it: build runs once, the first time a query or Zone reaches origin, and
 // the zone it returns is installed as AddZone would install it. Until then
-// ZoneCount counts the origin, and RemoveZone or AddZone drop or replace it
+// the origin is hosted, and RemoveZone or AddZone drop or replace it
 // unbuilt. build runs outside the host's lock, so origins build
 // concurrently; it must return a zone rooted at origin and must not call
 // back into the host.
@@ -179,14 +179,7 @@ func (a *Authoritative) Zone(origin string) *zone.Zone {
 	return z
 }
 
-// ZoneCount returns the number of hosted zones, deferred ones included.
-func (a *Authoritative) ZoneCount() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return len(a.zones) + len(a.deferred)
-}
-
-// DeferredCount returns how many of ZoneCount's origins are not built yet.
+// DeferredCount returns how many hosted origins are not built yet.
 func (a *Authoritative) DeferredCount() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()

@@ -20,12 +20,13 @@ func (b *blockingHandler) ServeDNS(q *dnswire.Message) *dnswire.Message {
 	return q.Reply()
 }
 
-// TestSlowPathShedsLoad pins the apiserv-style admission gate: with
-// MaxInFlight exhausted by a stuck handler, excess packets are dropped and
-// counted instead of spawning unbounded goroutines.
+// TestSlowPathShedsLoad pins the apiserv-style admission gate: with the
+// slow-path slots exhausted by a stuck handler, excess packets are dropped
+// and counted instead of spawning unbounded goroutines.
 func TestSlowPathShedsLoad(t *testing.T) {
 	bh := &blockingHandler{release: make(chan struct{})}
-	srv := &dnsserver.Server{Handler: bh, MaxInFlight: 1, UDPWorkers: 1}
+	srv := &dnsserver.Server{Handler: bh, UDPWorkers: 1}
+	srv.SetLimits(1, 64, 5*time.Second)
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -83,22 +84,19 @@ type replyHandler struct{}
 func (replyHandler) ServeDNS(q *dnswire.Message) *dnswire.Message { return q.Reply() }
 
 // TestTCPConnFloodShedsLoad pins the TCP admission gate: a flood of
-// held-open connections past MaxTCPConns is shed at accept and counted,
-// idle admitted connections are reaped by the read deadline, and the
-// server keeps answering fresh queries throughout.
+// held-open connections past the connection cap is shed at accept and
+// counted, idle admitted connections are reaped by the read deadline, and
+// the server keeps answering fresh queries throughout.
 func TestTCPConnFloodShedsLoad(t *testing.T) {
-	srv := &dnsserver.Server{
-		Handler:     replyHandler{},
-		MaxTCPConns: 4,
-		ReadTimeout: 200 * time.Millisecond,
-	}
+	srv := &dnsserver.Server{Handler: replyHandler{}}
+	srv.SetLimits(512, 4, 200*time.Millisecond)
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
 	// Flood: 50 connections that send nothing and never hang up on their
-	// own. At most MaxTCPConns may ever be admitted at once.
+	// own. At most four may ever be admitted at once.
 	var flood []net.Conn
 	defer func() {
 		for _, c := range flood {

@@ -146,7 +146,8 @@ func TestShutdownIdleServerIsImmediate(t *testing.T) {
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	// An idle TCP connection must not hold the drain open for ReadTimeout.
+	// An idle TCP connection must not hold the drain open for its read
+	// timeout.
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)

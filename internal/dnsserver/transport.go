@@ -27,33 +27,27 @@ import (
 // cache, each worker first tries the zero-alloc hit side (lazy parse +
 // cache) inline; misses and off-fast-path packets — and every packet of
 // any other Handler — take serveWire on goroutines bounded by a
-// MaxInFlight semaphore.
+// semaphore of maxInFlight slots.
 // When the semaphore is exhausted the packet is dropped and counted,
 // mirroring the apiserv admission gate, so a query flood degrades to shed
 // load instead of unbounded goroutines.
+//
+// The TCP path is goroutine-per-connection with blocking reads — the
+// expensive slow path truncation retries and AXFR land on — so without a
+// cap a connection flood would pin one goroutine plus buffers per socket.
+// At most maxTCPConns connections are served at once; those beyond are
+// closed at accept and counted, the same shed-don't-queue admission. An
+// idle connection is closed after tcpReadTimeout. Diagnostics go to
+// slog.Default at debug level.
 type Server struct {
 	Handler Handler
-	// Logger receives malformed-packet and I/O diagnostics; slog.Default()
-	// when nil.
-	Logger *slog.Logger
-	// ReadTimeout bounds TCP connection reads (default 5s).
-	ReadTimeout time.Duration
 	// UDPWorkers sets the reader/worker pool size (default GOMAXPROCS).
 	UDPWorkers int
-	// MaxInFlight caps concurrent slow-path query goroutines (default 512);
-	// packets beyond the cap are dropped and counted in Stats.
-	MaxInFlight int
-	// MaxTCPConns caps concurrently served TCP connections (default 64).
-	// The TCP path is goroutine-per-connection with blocking reads — the
-	// expensive slow path truncation retries and AXFR land on — so without
-	// a cap a connection flood pins one goroutine plus buffers per socket.
-	// Connections beyond the cap are closed at accept and counted in Stats,
-	// the same shed-don't-queue admission the UDP path applies.
-	MaxTCPConns int
 
-	stats  serverCounters
-	sem    chan struct{}
-	tcpSem chan struct{}
+	stats       serverCounters
+	sem         chan struct{}
+	tcpSem      chan struct{}
+	readTimeout time.Duration
 
 	mu       sync.Mutex
 	pc       *net.UDPConn
@@ -81,14 +75,21 @@ type ServerStats struct {
 	CacheHits uint64 `json:"cache_hits"`
 	// SlowPath queries took the full parse/render path.
 	SlowPath uint64 `json:"slow_path"`
-	// Dropped packets were shed because MaxInFlight was exhausted.
+	// Dropped packets were shed because the slow-path slots were exhausted.
 	Dropped uint64 `json:"dropped"`
 	// Malformed packets failed the full parse (or packing) and got no reply.
 	Malformed uint64 `json:"malformed"`
-	// TCPShed connections were closed at accept because MaxTCPConns was
-	// exhausted.
+	// TCPShed connections were closed at accept because the TCP connection
+	// slots were exhausted.
 	TCPShed uint64 `json:"tcp_shed"`
 }
+
+// The server's admission limits.
+const (
+	maxInFlight    = 512
+	maxTCPConns    = 64
+	tcpReadTimeout = 5 * time.Second
+)
 
 // Stats snapshots the server's UDP counters.
 func (s *Server) Stats() ServerStats {
@@ -139,18 +140,9 @@ func (s *Server) ListenAndServe(addr string) error {
 	}
 	s.pc, s.ln = pc, ln
 	if s.sem == nil {
-		n := s.MaxInFlight
-		if n <= 0 {
-			n = 512
-		}
-		s.sem = make(chan struct{}, n)
-	}
-	if s.tcpSem == nil {
-		n := s.MaxTCPConns
-		if n <= 0 {
-			n = 64
-		}
-		s.tcpSem = make(chan struct{}, n)
+		s.sem = make(chan struct{}, maxInFlight)
+		s.tcpSem = make(chan struct{}, maxTCPConns)
+		s.readTimeout = tcpReadTimeout
 	}
 	s.mu.Unlock()
 	workers := s.UDPWorkers
@@ -285,13 +277,6 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
-func (s *Server) logger() *slog.Logger {
-	if s.Logger != nil {
-		return s.Logger
-	}
-	return slog.Default()
-}
-
 // udpWorker is one reader/worker loop: it owns a read buffer, a response
 // buffer and parse scratch for its lifetime, answers cache hits inline
 // without allocating, and dispatches everything else to semaphore-bounded
@@ -314,7 +299,7 @@ func (s *Server) udpWorker(c *net.UDPConn) {
 			if hit {
 				s.stats.cacheHits.Add(1)
 				if _, err := c.WriteToUDPAddrPort(out, from); err != nil {
-					s.logger().Debug("udp write", "err", err)
+					slog.Debug("udp write", "err", err)
 				}
 				continue
 			}
@@ -343,12 +328,12 @@ func (s *Server) serveSlowUDP(c *net.UDPConn, pkt *[]byte, n int, from netip.Add
 	out, err := serveWire(s.Handler, sc.out[:0], (*pkt)[:n], sc, true)
 	if err != nil {
 		s.stats.malformed.Add(1)
-		s.logger().Debug("dropping query", "err", err)
+		slog.Debug("dropping query", "err", err)
 		return
 	}
 	sc.out = out[:0]
 	if _, err := c.WriteToUDPAddrPort(out, from); err != nil {
-		s.logger().Debug("udp write", "err", err)
+		slog.Debug("udp write", "err", err)
 	}
 }
 
@@ -378,10 +363,6 @@ func (s *Server) serveTCP(ln net.Listener) {
 				return
 			}
 			defer s.untrackConn(conn)
-			timeout := s.ReadTimeout
-			if timeout == 0 {
-				timeout = 5 * time.Second
-			}
 			auth, _ := s.Handler.(*Authoritative)
 			sc := scratchPool.Get().(*WireScratch)
 			defer scratchPool.Put(sc)
@@ -389,7 +370,7 @@ func (s *Server) serveTCP(ln net.Listener) {
 				if s.isDraining() {
 					return
 				}
-				conn.SetReadDeadline(time.Now().Add(timeout))
+				conn.SetReadDeadline(time.Now().Add(s.readTimeout))
 				msg, err := readTCPMessage(conn)
 				if err != nil {
 					return

@@ -101,7 +101,7 @@ func allRDataSamples() []RData {
 			Digest: []byte{0x2b, 0xb1, 0x83, 0xaf}},
 		&CDS{DS: DS{KeyTag: 1, Algorithm: AlgDelete, DigestType: 0, Digest: []byte{0}}},
 		&NSEC{NextName: "next.example.com", Types: []Type{TypeA, TypeNS, TypeRRSIG, TypeNSEC, TypeDNSKEY}},
-		&NSEC3{HashAlg: NSEC3HashSHA1, Flags: NSEC3FlagOptOut, Iterations: 12,
+		&NSEC3{HashAlg: NSEC3HashSHA1, Flags: 1 /* opt-out */, Iterations: 12,
 			Salt: []byte{0xaa, 0xbb, 0xcc, 0xdd}, NextHashed: bytes20(),
 			Types: []Type{TypeA, TypeRRSIG}},
 		&NSEC3PARAM{HashAlg: NSEC3HashSHA1, Iterations: 12, Salt: []byte{0xaa, 0xbb}},

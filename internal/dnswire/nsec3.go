@@ -22,9 +22,6 @@ const (
 // NSEC3HashSHA1 is the only hash algorithm defined for NSEC3.
 const NSEC3HashSHA1 uint8 = 1
 
-// NSEC3FlagOptOut marks spans that may skip unsigned delegations.
-const NSEC3FlagOptOut uint8 = 0x01
-
 // base32Hex is the RFC 4648 extended-hex alphabet without padding, as used
 // for NSEC3 owner labels.
 var base32Hex = base32.HexEncoding.WithPadding(base32.NoPadding)
@@ -73,9 +70,6 @@ func (r *NSEC3) appendRData(buf []byte) ([]byte, error) {
 	buf = append(buf, r.NextHashed...)
 	return appendTypeBitmap(buf, r.Types)
 }
-
-// OptOut reports the opt-out flag.
-func (r *NSEC3) OptOut() bool { return r.Flags&NSEC3FlagOptOut != 0 }
 
 // NSEC3PARAM advertises a zone's NSEC3 parameters at the apex (RFC 5155
 // section 4).

@@ -146,13 +146,30 @@ type TXT struct {
 // Type implements RData.
 func (*TXT) Type() Type { return TypeTXT }
 
-// String implements RData.
+// String implements RData: each string quoted, with a quote or a backslash
+// escaped by a backslash and any byte outside printable ASCII as \DDD
+// (RFC 1035 section 5.1).
 func (r *TXT) String() string {
-	parts := make([]string, len(r.Strings))
+	var b strings.Builder
 	for i, s := range r.Strings {
-		parts[i] = strconv.Quote(s)
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteByte('"')
+		for j := 0; j < len(s); j++ {
+			switch c := s[j]; {
+			case c == '"' || c == '\\':
+				b.WriteByte('\\')
+				b.WriteByte(c)
+			case c < ' ' || c > '~':
+				fmt.Fprintf(&b, "\\%03d", c)
+			default:
+				b.WriteByte(c)
+			}
+		}
+		b.WriteByte('"')
 	}
-	return strings.Join(parts, " ")
+	return b.String()
 }
 
 func (r *TXT) appendRData(buf []byte) ([]byte, error) {

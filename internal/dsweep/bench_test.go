@@ -42,7 +42,7 @@ func BenchmarkRunLocal(b *testing.B) {
 		// topology and not the 30s production TTL.
 		var buf bytes.Buffer
 		res, err := RunLocal(context.Background(), LocalConfig{
-			Plan: plan, Store: store, LeaseTTL: 2 * time.Second, Workers: workers,
+			Plan: plan, Store: store, leaseTTL: 2 * time.Second, Workers: workers,
 		}, func(_ simtime.Day, sw *dataset.SpillWriter) error { return sw.WriteSectionTo(&buf) })
 		wall := time.Since(start)
 		if err != nil {

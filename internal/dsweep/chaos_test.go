@@ -230,8 +230,18 @@ func buildTestWorld(t *testing.T) (*dnstest.Ecosystem, []scan.Target) {
 		t.Fatal(err)
 	}
 	domains = append(domains, "ghost.com")
-	return eco, scan.TargetsFromDomains(domains)
+	targets := make(targetList, len(domains))
+	for i, d := range domains {
+		targets[i] = scan.Target{Domain: d, TLD: d[strings.LastIndexByte(d, '.')+1:]}
+	}
+	return eco, targets
 }
+
+// targetList is an in-memory scan.TargetSource.
+type targetList []scan.Target
+
+func (l targetList) Len() int                      { return len(l) }
+func (l targetList) Target(i int) (string, string) { return l[i].Domain, l[i].TLD }
 
 // testStreamSetup builds a StreamDaySetup over the fixed in-memory world:
 // a cursor over the targets, with no per-chunk prepare work (the ecosystem
@@ -250,7 +260,7 @@ func testStreamSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, scan.SliceTargets(targets), nil, nil
+		return s, targetList(targets), nil, nil
 	}
 }
 

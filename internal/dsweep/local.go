@@ -21,14 +21,17 @@ type WorkerSpec struct {
 	StreamSetup scan.StreamDaySetup
 }
 
-// LocalConfig configures RunLocal.
+// LocalConfig configures RunLocal. Leases run for the coordinator's
+// default TTL.
 type LocalConfig struct {
-	Plan     Plan
-	Store    *checkpoint.Store
-	LeaseTTL time.Duration
-	Workers  []WorkerSpec
+	Plan    Plan
+	Store   *checkpoint.Store
+	Workers []WorkerSpec
 	// OnEvent receives coordinator and worker progress lines.
 	OnEvent func(format string, args ...any)
+
+	// leaseTTL replaces the default lease TTL in tests.
+	leaseTTL time.Duration
 }
 
 // Result is RunLocal's outcome accounting.
@@ -57,7 +60,7 @@ func RunLocal(ctx context.Context, cfg LocalConfig, sink scan.DaySink) (*Result,
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Plan:     cfg.Plan,
 		Store:    cfg.Store,
-		LeaseTTL: cfg.LeaseTTL,
+		LeaseTTL: cfg.leaseTTL,
 		OnEvent:  cfg.OnEvent,
 	})
 	if err != nil {

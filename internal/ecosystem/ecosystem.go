@@ -58,8 +58,6 @@ func (c *Clock) TimeFunc() func() time.Time {
 
 // Config configures New.
 type Config struct {
-	// Start is the initial simulation day (default simtime.GTLDStart).
-	Start simtime.Day
 	// TLDs lists the registries to create. Default: the paper's five.
 	TLDs []string
 	// Incentives maps TLD → incentive program (the .nl/.se discounts).
@@ -77,22 +75,19 @@ type Ecosystem struct {
 	Registries map[string]*registry.Registry
 }
 
-// New builds the world: a tree as of the start day, each TLD apex run by a
-// registry.
+// New builds the world: a tree as of simtime.GTLDStart, the day its clock
+// starts at, each TLD apex run by a registry.
 func New(cfg Config) (*Ecosystem, error) {
-	if cfg.Start == 0 {
-		cfg.Start = simtime.GTLDStart
-	}
 	if len(cfg.TLDs) == 0 {
 		cfg.TLDs = []string{"com", "net", "org", "nl", "se"}
 	}
-	tree, err := NewTree(cfg.Start.Time(), cfg.TLDs...)
+	tree, err := NewTree(simtime.GTLDStart.Time(), cfg.TLDs...)
 	if err != nil {
 		return nil, err
 	}
 	e := &Ecosystem{
 		Tree:       tree,
-		Clock:      NewClock(cfg.Start),
+		Clock:      NewClock(simtime.GTLDStart),
 		Registries: make(map[string]*registry.Registry),
 	}
 	for _, tld := range cfg.TLDs {

@@ -20,9 +20,10 @@ import (
 //	*.maint.example  outage=2016-06-01..2016-06-03
 //
 // Keys: loss, timeout, servfail, refused, truncate, badid (probabilities
-// in [0,1]); latency (Go duration); outage (ISO day range, inclusive).
-// Blank lines and #-comments are ignored. Rules keep file order (first
-// match wins, as in Injector).
+// in [0,1] that sum to at most 1 on a line, since the classes share one
+// draw); latency (Go duration); outage (ISO day range, inclusive). Blank
+// lines and #-comments are ignored. Rules keep file order (first match
+// wins, as in Injector).
 func ParseProfile(text string) ([]Rule, error) {
 	var rules []Rule
 	for lineNo, raw := range strings.Split(text, "\n") {
@@ -44,6 +45,9 @@ func ParseProfile(text string) ([]Rule, error) {
 				return nil, fmt.Errorf("faultnet: profile line %d: %w", lineNo+1, err)
 			}
 		}
+		if sum := probSum(&rule); sum > 1+1e-9 { // allow decimal rounding
+			return nil, fmt.Errorf("faultnet: profile line %d: fault probabilities sum to %g, more than 1", lineNo+1, sum)
+		}
 		rules = append(rules, rule)
 	}
 	return rules, nil
@@ -53,7 +57,7 @@ func ParseProfile(text string) ([]Rule, error) {
 func setRuleField(rule *Rule, key, value string) error {
 	prob := func(dst *float64) error {
 		p, err := strconv.ParseFloat(value, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("%s=%q: want a probability in [0,1]", key, value)
 		}
 		*dst = p
@@ -100,4 +104,11 @@ func setRuleField(rule *Rule, key, value string) error {
 	default:
 		return fmt.Errorf("unknown fault key %q", key)
 	}
+}
+
+// probSum is the share of one rule's draws that inject a fault: the
+// Injector walks the classes as consecutive bands of one uniform draw, so
+// a sum above 1 would silently shrink the later classes.
+func probSum(r *Rule) float64 {
+	return r.Loss + r.Timeout + r.ServFail + r.Refused + r.Truncate + r.BadID
 }

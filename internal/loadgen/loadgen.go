@@ -53,9 +53,6 @@ type Config struct {
 	Ramp time.Duration
 	// Duration is the measured window (default 2s).
 	Duration time.Duration
-	// Timeout is the per-query response deadline in Closed mode
-	// (default 1s); timed-out queries count as lost, not as latency.
-	Timeout time.Duration
 	// Seed shuffles the per-connection query order deterministically.
 	Seed int64
 }
@@ -153,10 +150,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	if duration <= 0 {
 		duration = 2 * time.Second
 	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = time.Second
-	}
 	if cfg.Mode == Open && cfg.Rate <= 0 {
 		return Result{}, errors.New("loadgen: open-loop mode requires Rate")
 	}
@@ -194,7 +187,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			wg.Add(1)
 			go func(i int, c *net.UDPConn) {
 				defer wg.Done()
-				closedLoop(ctx, cfg, i, c, hists[i], &sent, &received, deadline, timeout)
+				closedLoop(ctx, cfg, i, c, hists[i], &sent, &received, deadline)
 			}(i, c)
 		}
 		wg.Wait()
@@ -221,9 +214,13 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	return res, nil
 }
 
+// closedTimeout is the per-query response deadline in Closed mode; a
+// timed-out query counts as lost, not as latency.
+const closedTimeout = time.Second
+
 // closedLoop keeps one query outstanding on c until deadline.
 func closedLoop(ctx context.Context, cfg Config, worker int, c *net.UDPConn, h *hist,
-	sent, received *atomic.Uint64, deadline time.Time, timeout time.Duration) {
+	sent, received *atomic.Uint64, deadline time.Time) {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(worker)))
 	buf := make([]byte, 65535)
 	q := make([]byte, 0, 512)
@@ -240,7 +237,7 @@ func closedLoop(ctx context.Context, cfg Config, worker int, c *net.UDPConn, h *
 			return
 		}
 		sent.Add(1)
-		c.SetReadDeadline(t0.Add(timeout))
+		c.SetReadDeadline(t0.Add(closedTimeout))
 		for {
 			n, err := c.Read(buf)
 			if err != nil {

@@ -49,7 +49,6 @@ func TestClosedLoopSmoke(t *testing.T) {
 		Queries:  mix,
 		Conns:    2,
 		Duration: 300 * time.Millisecond,
-		Timeout:  time.Second,
 		Seed:     7,
 	})
 	if err != nil {

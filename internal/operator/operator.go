@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
-	"time"
 
 	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnswire"
@@ -34,6 +33,9 @@ var (
 	ErrNotLaunched = errors.New("operator: DNSSEC product not launched yet")
 )
 
+// algorithm signs every operator zone: Cloudflare deployed ECDSA P-256.
+const algorithm = dnswire.AlgECDSAP256SHA256
+
 // Config describes a third-party operator.
 type Config struct {
 	// ID and Name identify the operator ("cloudflare").
@@ -48,8 +50,6 @@ type Config struct {
 	// PublishesCDS adds CDS/CDNSKEY records to signed zones so polling
 	// registries can pick the DS up automatically.
 	PublishesCDS bool
-	// Algorithm for zone signing (Cloudflare deployed ECDSA P-256).
-	Algorithm dnswire.Algorithm
 	// Clock supplies the simulation day.
 	Clock func() simtime.Day
 	// Net hosts the operator's nameservers.
@@ -69,9 +69,6 @@ type Operator struct {
 
 // New creates the operator and registers its nameservers.
 func New(cfg Config) (*Operator, error) {
-	if cfg.Algorithm == 0 {
-		cfg.Algorithm = dnswire.AlgECDSAP256SHA256
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = func() simtime.Day { return simtime.GTLDStart }
 	}
@@ -155,7 +152,7 @@ func (o *Operator) EnableDNSSEC(domain string) (*dnswire.DS, error) {
 	signer, ok := o.signers[domain]
 	if !ok {
 		var err error
-		signer, err = zone.NewSigner(o.cfg.Algorithm, day.Time())
+		signer, err = zone.NewSigner(algorithm, day.Time())
 		if err != nil {
 			return nil, err
 		}
@@ -231,16 +228,4 @@ func (o *Operator) BootstrapViaRegistrar(ctx context.Context, domain string, api
 		return err
 	}
 	return api.BootstrapDS(ctx, domain, ds)
-}
-
-// SignatureValidUntil reports how long the operator's signatures remain
-// valid (test hook).
-func (o *Operator) SignatureValidUntil(domain string) (time.Time, bool) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	s, ok := o.signers[dnswire.CanonicalName(domain)]
-	if !ok {
-		return time.Time{}, false
-	}
-	return s.Expiration, true
 }

@@ -164,10 +164,10 @@ type Policy struct {
 	// records to registries at all; before it, uploads fail (KeySystems
 	// "enabled DNSSEC at a later date"). Zero means always.
 	DSSupportFrom simtime.Day
-
-	// Algorithm used for zones this registrar signs (default Ed25519).
-	Algorithm dnswire.Algorithm
 }
+
+// algorithm signs every zone a registrar hosts.
+const algorithm = dnswire.AlgED25519
 
 // Account is one customer relationship.
 type Account struct {
@@ -226,9 +226,6 @@ type Registrar struct {
 // network, and requests accreditation at every registry it is a registrar
 // for.
 func New(p Policy, deps Deps) (*Registrar, error) {
-	if p.Algorithm == 0 {
-		p.Algorithm = dnswire.AlgED25519
-	}
 	if deps.Clock == nil {
 		deps.Clock = func() simtime.Day { return simtime.GTLDStart }
 	}
@@ -526,7 +523,7 @@ func (r *Registrar) EnableHostedDNSSEC(accountEmail, name string, pay bool) erro
 // registry is precisely the paper's "partial deployment".
 func (r *Registrar) enableHostedDNSSEC(d *Domain, path *regPath) error {
 	if d.signer == nil {
-		signer, err := zone.NewSigner(r.Algorithm, r.now())
+		signer, err := zone.NewSigner(algorithm, r.now())
 		if err != nil {
 			return err
 		}
@@ -573,7 +570,7 @@ func (r *Registrar) RolloverHostedDNSSEC(accountEmail, name string) error {
 	if err != nil {
 		return err
 	}
-	newSigner, err := zone.NewSigner(r.Algorithm, r.now())
+	newSigner, err := zone.NewSigner(algorithm, r.now())
 	if err != nil {
 		return err
 	}

@@ -86,9 +86,10 @@ type Config struct {
 	Incentive *Incentive
 	// Clock supplies the current simulation day.
 	Clock func() simtime.Day
-	// RegistrationYears is the registration period (default 1 year).
-	RegistrationYears int
 }
+
+// registrationPeriod is how long a registration or a renewal runs: a year.
+const registrationPeriod = simtime.Day(365)
 
 // Apex is a zone as the one server that answers for it runs it: the zone,
 // the signer that signed it, and the authoritative server.
@@ -176,9 +177,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Clock == nil {
 		cfg.Clock = func() simtime.Day { return simtime.GTLDStart }
 	}
-	if cfg.RegistrationYears == 0 {
-		cfg.RegistrationYears = 1
-	}
 	cfg.TLD = dnswire.CanonicalName(cfg.TLD)
 	return cfg
 }
@@ -240,7 +238,7 @@ func (r *Registry) Register(registrarID, domain string, ns []string) error {
 		RegistrarID: registrarID,
 		NS:          normalizeHosts(ns),
 		Created:     now,
-		Expires:     now + simtime.Day(365*r.cfg.RegistrationYears),
+		Expires:     now + registrationPeriod,
 	}
 	return r.syncDelegationLocked(domain)
 }
@@ -304,7 +302,7 @@ func (r *Registry) Renew(registrarID, domain string) error {
 	if err != nil {
 		return err
 	}
-	r.regs[domain].Expires += simtime.Day(365 * r.cfg.RegistrationYears)
+	r.regs[domain].Expires += registrationPeriod
 	return nil
 }
 
@@ -362,13 +360,6 @@ func (r *Registry) Domains() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// DomainCount returns the number of registrations.
-func (r *Registry) DomainCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.regs)
 }
 
 // syncDelegationLocked rewrites the zone records for one domain from its

@@ -58,7 +58,9 @@ func TestRotationPastDeadServer(t *testing.T) {
 		}
 		r.FlushCache()
 	}
-	if r.TransportErrors() == 0 {
+	// A failed exchange is a transport error, or a fast fail once the
+	// breaker has opened on the dead server.
+	if c := r.Stack().Counters(); c.Transport.Errors+c.Health.FastFails == 0 {
 		t.Error("dead server never hit: rotation not exercised")
 	}
 }

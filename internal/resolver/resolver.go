@@ -28,7 +28,6 @@ var (
 	ErrNoServers     = errors.New("resolver: no servers configured")
 	ErrReferralLoop  = errors.New("resolver: too many referrals")
 	ErrLame          = errors.New("resolver: lame delegation")
-	ErrNoGlue        = errors.New("resolver: referral without resolvable nameserver address")
 	ErrAllServersBad = errors.New("resolver: all servers failed")
 )
 
@@ -38,15 +37,12 @@ type Config struct {
 	Roots []string
 	// Exchange issues individual queries (the transport).
 	Exchange exchange.Exchanger
-	// AddrOf maps an NS hostname to a server address when no glue is
-	// available. The in-memory simulation registers handlers under the NS
-	// hostname itself, so identity is the default.
-	AddrOf func(host string) (string, bool)
 	// DNSSEC sets the DO bit on queries so responses carry RRSIGs.
 	DNSSEC bool
-	// MaxReferrals bounds the referral chase (default 16).
-	MaxReferrals int
 }
+
+// maxReferrals bounds the referral chase.
+const maxReferrals = 16
 
 // Result is the outcome of an iterative resolution.
 type Result struct {
@@ -78,17 +74,10 @@ type Resolver struct {
 
 	queries atomic.Int64
 	id      atomic.Uint32
-	errs    atomic.Int64
 }
 
 // New creates a resolver from cfg.
 func New(cfg Config) *Resolver {
-	if cfg.MaxReferrals == 0 {
-		cfg.MaxReferrals = 16
-	}
-	if cfg.AddrOf == nil {
-		cfg.AddrOf = func(host string) (string, bool) { return host, true }
-	}
 	r := &Resolver{cfg: cfg, cache: make(map[string]cacheEntry)}
 	if cfg.Exchange != nil {
 		// The breaker drives healthy-first server ordering during referral
@@ -109,10 +98,6 @@ func (r *Resolver) Stack() *exchange.Stack { return r.stack }
 
 // Queries returns the number of upstream queries sent.
 func (r *Resolver) Queries() int64 { return r.queries.Load() }
-
-// TransportErrors returns how many exchanges failed outright and forced a
-// server rotation.
-func (r *Resolver) TransportErrors() int64 { return r.errs.Load() }
 
 // FlushCache clears the referral cache; the simulation calls this when it
 // mutates delegations between measurement days.
@@ -169,7 +154,6 @@ func (r *Resolver) exchangeAny(ctx context.Context, servers []string, q *dnswire
 		r.queries.Add(1)
 		resp, err := r.stack.Exchange(ctx, server, q)
 		if err != nil {
-			r.errs.Add(1)
 			lastErr = err
 			continue
 		}
@@ -200,7 +184,7 @@ func (r *Resolver) Resolve(ctx context.Context, name string, t dnswire.Type) (*R
 		zone, servers = start, cached
 		cuts = ancestors
 	}
-	for hop := 0; hop < r.cfg.MaxReferrals; hop++ {
+	for hop := 0; hop < maxReferrals; hop++ {
 		resp, server, err := r.exchangeAny(ctx, servers, r.newQuery(name, t))
 		if err != nil {
 			return nil, fmt.Errorf("resolving %s/%v in zone %q: %w", name, t, zone, err)
@@ -221,11 +205,7 @@ func (r *Resolver) Resolve(ctx context.Context, name string, t dnswire.Type) (*R
 		}
 		zone = cut
 		cuts = append(cuts, cut)
-		nextServers, err := r.serversFor(cut, nsHosts, glue, cuts)
-		if err != nil {
-			return nil, err
-		}
-		servers = nextServers
+		servers = r.serversFor(cut, nsHosts, glue, cuts)
 	}
 	return nil, ErrReferralLoop
 }
@@ -248,27 +228,23 @@ func (r *Resolver) deepestCached(name string) (string, []string, []string) {
 }
 
 // serversFor resolves the addresses of a cut's nameservers, consulting the
-// cache, glue, and the AddrOf mapping. cutChain is the root-to-cut chain
-// recorded alongside the cache entry.
-func (r *Resolver) serversFor(cut string, nsHosts []string, glue map[string][]string, cutChain []string) ([]string, error) {
+// cache and glue; a nameserver without glue is addressed by its hostname,
+// which is what the in-memory simulation registers handlers under.
+// cutChain is the root-to-cut chain recorded alongside the cache entry.
+func (r *Resolver) serversFor(cut string, nsHosts []string, glue map[string][]string, cutChain []string) []string {
 	if cached := r.cachedServers(cut); cached != nil {
-		return cached, nil
+		return cached
 	}
 	var servers []string
 	for _, host := range nsHosts {
 		if addrs := glue[host]; len(addrs) > 0 {
 			servers = append(servers, addrs...)
-			continue
+		} else {
+			servers = append(servers, host)
 		}
-		if addr, ok := r.cfg.AddrOf(host); ok {
-			servers = append(servers, addr)
-		}
-	}
-	if len(servers) == 0 {
-		return nil, fmt.Errorf("%w: cut %q (ns %v)", ErrNoGlue, cut, nsHosts)
 	}
 	r.storeServers(cut, servers, cutChain)
-	return servers, nil
+	return servers
 }
 
 // referralInfo extracts the deepest delegation present in a referral

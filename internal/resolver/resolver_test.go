@@ -2,6 +2,9 @@ package resolver_test
 
 import (
 	"context"
+	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,24 +233,27 @@ func TestResolverLameDelegation(t *testing.T) {
 
 func TestResolverReferralLoopBounded(t *testing.T) {
 	h := newWorld(t)
-	// A handler that always refers one label deeper: the resolver must
-	// give up at MaxReferrals.
+	// A handler that refers one label deeper on every query, under a name
+	// deeper than the chase may go: the resolver must give up after 16
+	// referrals.
+	qname := strings.Repeat("x.", 30) + "victim.com"
+	labels := strings.Split(qname, ".")
+	var calls atomic.Int32
 	evil := dnsserver.HandlerFunc(func(q *dnswire.Message) *dnswire.Message {
 		resp := q.Reply()
-		qname := q.Questions[0].Name
+		cut := strings.Join(labels[len(labels)-int(calls.Add(1)):], ".")
 		resp.Authority = append(resp.Authority,
-			dnswire.NewRR(qname, 60, &dnswire.NS{Host: "ns1.evil.example"}))
+			dnswire.NewRR(cut, 60, &dnswire.NS{Host: "ns1.evil.example"}))
 		return resp
 	})
 	h.Net.Register("ns1.evil.example", evil)
 	r := resolver.New(resolver.Config{
-		Roots:        []string{"ns1.evil.example"},
-		Exchange:     h.Net,
-		MaxReferrals: 5,
+		Roots:    []string{"ns1.evil.example"},
+		Exchange: h.Net,
 	})
-	_, err := r.Resolve(context.Background(), "a.b.c.d.e.f.g.h.victim.com", dnswire.TypeA)
-	if err == nil {
-		t.Fatal("referral loop not bounded")
+	_, err := r.Resolve(context.Background(), qname, dnswire.TypeA)
+	if !errors.Is(err, resolver.ErrReferralLoop) || calls.Load() != 16 {
+		t.Fatalf("after %d referrals: %v, want %v after 16", calls.Load(), err, resolver.ErrReferralLoop)
 	}
 }
 

@@ -46,12 +46,8 @@ func TestFullChainOverRealUDP(t *testing.T) {
 
 	r := resolver.New(resolver.Config{
 		Roots:    []string{rootSrv.Addr()},
-		Exchange: &dnsserver.NetExchanger{Timeout: 2 * time.Second},
-		AddrOf: func(host string) (string, bool) {
-			addr, ok := addrOf[host]
-			return addr, ok
-		},
-		DNSSEC: true,
+		Exchange: byName{&dnsserver.NetExchanger{Timeout: 2 * time.Second}, addrOf},
+		DNSSEC:   true,
 	})
 	v := &resolver.Validating{
 		R:      r,
@@ -82,4 +78,19 @@ func TestFullChainOverRealUDP(t *testing.T) {
 	if r.Queries() == 0 {
 		t.Error("no queries recorded")
 	}
+}
+
+// byName sends a query addressed to a nameserver's hostname, as the
+// resolver addresses a nameserver without glue, to the loopback address
+// that server listens on.
+type byName struct {
+	ex    *dnsserver.NetExchanger
+	addrs map[string]string
+}
+
+func (b byName) Exchange(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
+	if addr, ok := b.addrs[server]; ok {
+		server = addr
+	}
+	return b.ex.Exchange(ctx, server, q)
 }

@@ -30,10 +30,11 @@ type Policy struct {
 	// JitterFrac scatters each delay uniformly in
 	// [delay*(1-JitterFrac), delay*(1+JitterFrac)] (default 0.5).
 	JitterFrac float64
-	// Seed drives the jitter sequence; the zero seed is replaced by 1 so
-	// the zero-value Policy is still deterministic.
-	Seed int64
 }
+
+// jitterSeed seeds every Doer's jitter sequence, so the same policy
+// always draws the same delays.
+const jitterSeed = 1
 
 // Default returns the measurement path's standard policy: three attempts,
 // 10ms base backoff doubling to a 500ms cap, ±50% jitter.
@@ -55,9 +56,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.JitterFrac < 0 {
 		p.JitterFrac = 0
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
 	}
 	return p
 }
@@ -106,7 +104,7 @@ type Doer struct {
 // NewDoer creates a Doer for the policy (zero fields get defaults).
 func NewDoer(p Policy) *Doer {
 	p = p.withDefaults()
-	return &Doer{policy: p, rng: rand.New(rand.NewSource(p.Seed))}
+	return &Doer{policy: p, rng: rand.New(rand.NewSource(jitterSeed))}
 }
 
 // Policy returns the normalized policy in force.

@@ -102,7 +102,7 @@ func TestDelayBackoffAndCap(t *testing.T) {
 
 func TestJitterDeterministic(t *testing.T) {
 	seq := func() []time.Duration {
-		d := NewDoer(Policy{Seed: 42})
+		d := NewDoer(Policy{})
 		out := make([]time.Duration, 5)
 		for i := range out {
 			out[i] = d.jittered(i + 1)
@@ -120,7 +120,7 @@ func TestJitterDeterministic(t *testing.T) {
 func TestDefaultsFilled(t *testing.T) {
 	d := NewDoer(Policy{})
 	p := d.Policy()
-	if p.MaxAttempts != 3 || p.BaseDelay != 10*time.Millisecond || p.MaxDelay != 500*time.Millisecond || p.Seed != 1 {
+	if p.MaxAttempts != 3 || p.BaseDelay != 10*time.Millisecond || p.MaxDelay != 500*time.Millisecond {
 		t.Errorf("defaults: %+v", p)
 	}
 }

@@ -77,7 +77,7 @@ func runLossySweep(t *testing.T, cached bool) ([]*dataset.Snapshot, *scan.SweepH
 func snapshotTSV(t *testing.T, snap *dataset.Snapshot) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := snap.WriteTSV(&buf); err != nil {
+	if err := snap.WriteArchiveSection(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()

@@ -99,21 +99,6 @@ func (h *SweepHealth) Complete() bool {
 	return len(h.Failures) == 0 && len(h.SkippedUnknownTLD) == 0
 }
 
-// Balanced reports whether the ledger identity holds: every input target
-// is accounted for exactly once as measured, unregistered, skipped
-// (unknown TLD), or failed. ScanDay guarantees it per sweep — including
-// under cancellation — and Merge preserves it, so any aggregation of
-// chunk or shard reports must balance too.
-func (h *SweepHealth) Balanced() bool {
-	return h.Targets == h.Measured+h.Unregistered+len(h.SkippedUnknownTLD)+len(h.Failures)
-}
-
-// Cancelled reports how many targets were abandoned to context
-// cancellation rather than lost to the network.
-func (h *SweepHealth) Cancelled() int {
-	return h.ByClass[FailCancelled]
-}
-
 // Merge folds another report into h — used to aggregate per-shard health
 // into one per-day report in checkpointed sweeps.
 func (h *SweepHealth) Merge(o *SweepHealth) {

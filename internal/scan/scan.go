@@ -36,7 +36,6 @@ import (
 	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/retry"
 	"securepki.org/registrarsec/internal/simtime"
-	"securepki.org/registrarsec/internal/zone"
 )
 
 // Target is one domain to scan.
@@ -427,37 +426,4 @@ func (s *Scanner) scanOne(ctx context.Context, t Target, dead map[string]bool) (
 	rec.HasRRSIG = len(obs.Keys.Sigs) > 0
 	rec.ChainValid = link.KeysValid
 	return rec, statusMeasured, nil
-}
-
-// TargetsFromZone extracts the second-level scan targets from a TLD zone
-// (e.g. one obtained via AXFR): every delegation directly below the apex.
-func TargetsFromZone(z *zone.Zone) []Target {
-	tld := z.Origin
-	seen := map[string]bool{}
-	var out []Target
-	z.RRSets(func(name string, t dnswire.Type, _ []*dnswire.RR) {
-		if t != dnswire.TypeNS || name == tld || seen[name] {
-			return
-		}
-		if parent, _ := dnswire.Parent(name); parent != tld {
-			return
-		}
-		seen[name] = true
-		out = append(out, Target{Domain: name, TLD: tld})
-	})
-	return out
-}
-
-// TargetsFromDomains builds scan targets from bare domain names.
-func TargetsFromDomains(domains []string) []Target {
-	out := make([]Target, 0, len(domains))
-	for _, d := range domains {
-		d = dnswire.CanonicalName(d)
-		tld, ok := dnswire.Parent(d)
-		if !ok {
-			continue
-		}
-		out = append(out, Target{Domain: d, TLD: tld})
-	}
-	return out
 }

@@ -290,30 +290,6 @@ func TestTargetsFromDomains(t *testing.T) {
 	}
 }
 
-func TestTargetsFromZone(t *testing.T) {
-	eco, _ := buildWorld(t)
-	z := eco.Registries["com"].Zone()
-	targets := scan.TargetsFromZone(z)
-	// buildWorld registers 7 .com domains (full1/2, half1/2, none1/2/3,
-	// victim) = 8; dutch.nl is in the other registry.
-	if len(targets) != 8 {
-		t.Fatalf("targets: %d (%v)", len(targets), targets)
-	}
-	seen := map[string]bool{}
-	for _, tg := range targets {
-		if tg.TLD != "com" {
-			t.Errorf("target %s has TLD %q", tg.Domain, tg.TLD)
-		}
-		if seen[tg.Domain] {
-			t.Errorf("duplicate target %s", tg.Domain)
-		}
-		seen[tg.Domain] = true
-	}
-	if !seen["full1.com"] || !seen["victim.com"] {
-		t.Errorf("missing expected targets: %v", seen)
-	}
-}
-
 // TestAXFRDrivenScan reproduces the paper's actual pipeline head: obtain
 // the TLD zone file (AXFR under agreement), derive the target list from its
 // delegations, then sweep.
@@ -332,7 +308,13 @@ func TestAXFRDrivenScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets := scan.TargetsFromZone(z)
+	// The targets are the delegations directly below the apex.
+	var targets []scan.Target
+	z.RRSets(func(name string, typ dnswire.Type, _ []*dnswire.RR) {
+		if parent, _ := dnswire.Parent(name); typ == dnswire.TypeNS && parent == "com" {
+			targets = append(targets, scan.Target{Domain: name, TLD: "com"})
+		}
+	})
 	if len(targets) != 8 {
 		t.Fatalf("targets from AXFR: %d", len(targets))
 	}

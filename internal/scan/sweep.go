@@ -47,18 +47,6 @@ type TargetSource interface {
 	Target(i int) (domain, tld string)
 }
 
-// sliceTargets adapts a materialized []Target to the cursor interface.
-type sliceTargets []Target
-
-func (s sliceTargets) Len() int { return len(s) }
-func (s sliceTargets) Target(i int) (string, string) {
-	return s[i].Domain, s[i].TLD
-}
-
-// SliceTargets wraps an in-memory target list as a TargetSource — the
-// bridge for small sweeps and tests.
-func SliceTargets(ts []Target) TargetSource { return sliceTargets(ts) }
-
 // ChunkPrepare readies the scanning environment for the cursor span
 // [lo, hi) before it is scanned — the hook where a simulated world
 // materializes just that chunk's signed DNS, bounding zone memory and
@@ -461,7 +449,8 @@ func (rs *ResumableSweep) loadDoneDay(day simtime.Day, dp *checkpoint.DayProgres
 // exact (they are in the snapshot); targets absent from the snapshot were
 // unregistered or unknown-TLD at scan time and are folded into
 // Unregistered, since the checkpoint does not persist that distinction.
-// The reconstruction is always Balanced.
+// The reconstruction always balances: Targets = Measured + Unregistered +
+// skipped + failed.
 func healthFromSnapshot(day simtime.Day, chunkTargets int, snap *dataset.Snapshot) *SweepHealth {
 	h := &SweepHealth{Day: day, Targets: chunkTargets, ByClass: make(map[FailClass]int)}
 	h.Measured = snap.MeasuredCount()

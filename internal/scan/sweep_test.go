@@ -83,8 +83,10 @@ func oracleArchive(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, 
 		healths = append(healths, h)
 	}
 	var buf bytes.Buffer
-	if err := store.WriteArchive(&buf); err != nil {
-		t.Fatal(err)
+	for _, day := range store.Days() {
+		if err := store.Get(day).WriteArchiveSection(&buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return buf.Bytes(), healths
 }

@@ -85,6 +85,10 @@ type Cohort struct {
 // materialized zones.
 func nsFor(operator string) string { return "ns1." + operator }
 
+// NSHostOf exposes the operator→nameserver mapping for tests and tools
+// that need to address one operator's server directly.
+func NSHostOf(operator string) string { return nsFor(operator) }
+
 // pcxStepDay is PCExtreme's observed mass enablement (March 2015, jumping
 // 0.44%→98.3% within ten days).
 var pcxStepDay = simtime.Date(2015, 3, 15)

@@ -103,7 +103,7 @@ func TestColstoreSnapshotEquivalence(t *testing.T) {
 			simtime.Day(rng.Intn(900) - 100),
 		}
 		for _, day := range days {
-			got := w.SnapshotAt(day)
+			got := w.Index().Snapshot(day)
 			want := referenceSnapshot(w.domains, day)
 			if len(got.Records) != len(want.Records) {
 				t.Fatalf("world %d day %v: %d vs %d records", wi, day, len(got.Records), len(want.Records))
@@ -197,12 +197,12 @@ func TestColstoreRegistrarTallyEquivalence(t *testing.T) {
 func TestWorldSnapshotAllocs(t *testing.T) {
 	w := testWorld(t)
 	allocs := testing.AllocsPerRun(5, func() {
-		if snap := w.SnapshotAt(simtime.End); len(snap.Records) == 0 {
+		if snap := w.Index().Snapshot(simtime.End); len(snap.Records) == 0 {
 			t.Fatal("empty snapshot")
 		}
 	})
 	if allocs > 4 {
-		t.Errorf("SnapshotAt allocates %.1f objects per call, want <= 4 (was O(records) before colstore)", allocs)
+		t.Errorf("Index().Snapshot allocates %.1f objects per call, want <= 4 (was O(records) before colstore)", allocs)
 	}
 	// The projection primitive must not allocate when handed a shared
 	// NS-host slice: zero allocations per projection.

@@ -80,11 +80,11 @@ func TestScanUnderFaultsMatchesCleanRun(t *testing.T) {
 		t.Fatalf("clean baseline incomplete: %s", cleanHealth)
 	}
 
-	rules, flaky := LossyOperators(sample, 0.5, 0.2, 5)
+	rules, flaky := LossyOperatorsSource(w.SampleSource(150, 9), 0.5, 0.2, 5)
 	if len(flaky) == 0 || len(rules) != len(flaky) {
 		t.Fatalf("lossy operator selection: %d rules for %d operators", len(rules), len(flaky))
 	}
-	inj := mat.FaultyExchanger(5, rules...)
+	inj := faultnet.New(mat.Net, 5, func() simtime.Day { return mat.Day }, rules...)
 	faulty := newScanner(t, mat, scan.Config{Exchange: inj, Retry: fastRetry(4)})
 	snap, health, err := faulty.ScanDay(context.Background(), simtime.End, targets)
 	if err != nil {
@@ -148,7 +148,8 @@ func TestOperatorOutageSurfacesAsFailedRecords(t *testing.T) {
 			darkDomains[d.Name] = true
 		}
 	}
-	inj := mat.FaultyExchanger(1, OperatorOutage(dark, simtime.End-1, simtime.End+1))
+	inj := faultnet.New(mat.Net, 1, func() simtime.Day { return mat.Day },
+		faultnet.Rule{Pattern: NSHostOf(dark), OutageFrom: simtime.End - 1, OutageTo: simtime.End + 1})
 	scanner := newScanner(t, mat, scan.Config{Exchange: inj, Retry: fastRetry(2)})
 	snap, health, err := scanner.ScanDay(context.Background(), simtime.End, scanTargets(sample))
 	if err != nil {

@@ -93,7 +93,7 @@ func TestWorldQueryGoldenDigests(t *testing.T) {
 				t.Fatal(err)
 			}
 			who := fmt.Sprintf("the index at %d workers", workers)
-			check(who, snapKey, snapshotDigest(t, w.SnapshotAt(simtime.End)))
+			check(who, snapKey, snapshotDigest(t, w.Index().Snapshot(simtime.End)))
 			check(who, seriesKey, seriesDigest(w.SeriesFor(operator, "", simtime.GTLDStart, simtime.End, 1)))
 		}
 		ref := referenceDomains(t, cfg)

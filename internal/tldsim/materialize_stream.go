@@ -187,10 +187,12 @@ func (m *StreamMaterializer) Exchange(ctx context.Context, server string, q *dns
 	return net.Exchange(ctx, server, q)
 }
 
-// LossyOperatorsSource is LossyOperators over a cursor: it walks the
-// population once to collect distinct operators, then makes the identical
-// seeded selection. A slice-backed cursor yields exactly the rules
-// LossyOperators yields for the slice.
+// LossyOperatorsSource deterministically picks frac of the distinct DNS
+// operators of the domains src yields and returns faultnet rules injecting
+// packet loss on each of their nameservers, plus the chosen operator names
+// (sorted). It walks the population once to collect the operators, sorts
+// them and takes frac of a seeded shuffle, so the same inputs always
+// produce the same flaky set.
 func LossyOperatorsSource(src DomainSource, frac, loss float64, seed int64) ([]faultnet.Rule, []string) {
 	seen := map[string]bool{}
 	var operators []string
@@ -201,13 +203,6 @@ func LossyOperatorsSource(src DomainSource, frac, loss float64, seed int64) ([]f
 			operators = append(operators, d.Operator)
 		}
 	}
-	return lossyFromOperators(operators, frac, loss, seed)
-}
-
-// lossyFromOperators applies the seeded selection shared by both fault
-// pickers: sort, shuffle, take frac, emit one loss rule per chosen
-// operator's nameserver.
-func lossyFromOperators(operators []string, frac, loss float64, seed int64) ([]faultnet.Rule, []string) {
 	sort.Strings(operators)
 	n := int(float64(len(operators)) * frac)
 	if n > len(operators) {

@@ -3,9 +3,11 @@ package tldsim
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/faultnet"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
@@ -49,20 +51,38 @@ func TestWorldTargetMatchesDomainAt(t *testing.T) {
 	}
 }
 
+// TestLossyOperatorsSourceMatchesSlice: the selection is frac of the
+// distinct operators in the sample's domain slice, sorted, with one loss
+// rule per chosen operator's nameserver, and the same seed picks the same
+// set.
 func TestLossyOperatorsSourceMatchesSlice(t *testing.T) {
 	w := streamTestWorld(t)
 	src := w.SampleSource(400, 3)
-	domains := Domains(src)
-	wantRules, wantChosen := LossyOperators(domains, 0.25, 0.5, 99)
-	gotRules, gotChosen := LossyOperatorsSource(src, 0.25, 0.5, 99)
-	if !reflect.DeepEqual(gotChosen, wantChosen) {
-		t.Fatalf("chosen operators differ:\n got %v\nwant %v", gotChosen, wantChosen)
+	operators := map[string]bool{}
+	for _, d := range Domains(src) {
+		operators[d.Operator] = true
 	}
-	if !reflect.DeepEqual(gotRules, wantRules) {
-		t.Fatalf("rules differ:\n got %v\nwant %v", gotRules, wantRules)
+	rules, chosen := LossyOperatorsSource(src, 0.25, 0.5, 99)
+	if want := int(float64(len(operators)) * 0.25); len(chosen) != want || want == 0 {
+		t.Fatalf("chose %d of %d operators, want %d (and more than none)", len(chosen), len(operators), want)
 	}
-	if len(gotChosen) == 0 {
-		t.Fatal("fault selection picked no operators; test world too small")
+	if !slices.IsSorted(chosen) || len(rules) != len(chosen) {
+		t.Fatalf("%d rules for the chosen operators %v", len(rules), chosen)
+	}
+	for i, op := range chosen {
+		if !operators[op] {
+			t.Errorf("chose %s, which runs none of the sample's domains", op)
+		}
+		if want := (faultnet.Rule{Pattern: NSHostOf(op), Loss: 0.5}); !reflect.DeepEqual(rules[i], want) {
+			t.Errorf("rule %d = %+v, want %+v", i, rules[i], want)
+		}
+	}
+	againRules, againChosen := LossyOperatorsSource(src, 0.25, 0.5, 99)
+	if !reflect.DeepEqual(againChosen, chosen) || !reflect.DeepEqual(againRules, rules) {
+		t.Error("the same seed picked another selection")
+	}
+	if _, other := LossyOperatorsSource(src, 0.25, 0.5, 100); reflect.DeepEqual(other, chosen) {
+		t.Error("another seed picked the same selection")
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"strconv"
 
 	"securepki.org/registrarsec/internal/colstore"
+	"securepki.org/registrarsec/internal/simtime"
 )
 
 // generatorVersion names the generator's identity: its random source, the
@@ -27,18 +28,19 @@ import (
 const generatorVersion = "v2"
 
 // Fingerprint hashes the generator version and the generation-determining
-// parts of the config: scale, seed, window, and tail-operator plan. Workers
-// is excluded — the build is byte-identical at any parallelism.
+// parts of the config: scale and seed, with the window and tail-operator
+// plan every world shares. Workers is excluded — the build is
+// byte-identical at any parallelism.
 func (c WorldConfig) Fingerprint() string {
 	cc := c
 	cc.fill()
-	tails := make([]string, 0, len(cc.TailOperators))
-	for tld, n := range cc.TailOperators {
+	tails := make([]string, 0, len(tailOperators))
+	for tld, n := range tailOperators {
 		tails = append(tails, tld+":"+strconv.Itoa(n))
 	}
 	sort.Strings(tails)
 	canon := fmt.Sprintf("%s scale=%.12g seed=%d window=%d..%d tail=%v",
-		generatorVersion, cc.Scale, cc.Seed, int(cc.WindowStart), int(cc.WindowEnd), tails)
+		generatorVersion, cc.Scale, cc.Seed, int(simtime.GTLDStart), int(simtime.End), tails)
 	sum := sha256.Sum256([]byte(canon))
 	return hex.EncodeToString(sum[:8])
 }

@@ -15,7 +15,7 @@ func scenarioKeyPct(t *testing.T, s Scenario) (keyPct, fullPct float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := w.SnapshotAt(simtime.End)
+	snap := w.Index().Snapshot(simtime.End)
 	total, keyed, full := 0, 0, 0
 	for i := range snap.Records {
 		r := &snap.Records[i]

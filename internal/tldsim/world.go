@@ -22,12 +22,6 @@ type WorldConfig struct {
 	Scale float64
 	// Seed drives all sampling; same seed → same world.
 	Seed int64
-	// TailOperators is the number of anonymous tail operators per TLD
-	// (defaults chosen so the total operator count is ~10^4, matching the
-	// x-axis of Figure 3).
-	TailOperators map[string]int
-	// WindowStart/WindowEnd bound the measurement (defaults: the paper's).
-	WindowStart, WindowEnd simtime.Day
 	// Workers bounds the parallelism of the streaming build (0 = all
 	// cores). The generated world is byte-identical for a given seed
 	// regardless of this value, so it is excluded from the config
@@ -35,20 +29,17 @@ type WorldConfig struct {
 	Workers int
 }
 
+// tailOperators is the number of anonymous tail operators per TLD, chosen
+// so the total operator count is ~10^4, matching the x-axis of Figure 3.
+// Every world is generated over the paper's measurement window,
+// simtime.GTLDStart to simtime.End.
+var tailOperators = map[string]int{
+	"com": 6000, "net": 1300, "org": 1100, "nl": 1000, "se": 600,
+}
+
 func (c *WorldConfig) fill() {
 	if c.Scale == 0 {
 		c.Scale = 1.0 / 1000
-	}
-	if c.WindowStart == 0 {
-		c.WindowStart = simtime.GTLDStart
-	}
-	if c.WindowEnd == 0 {
-		c.WindowEnd = simtime.End
-	}
-	if c.TailOperators == nil {
-		c.TailOperators = map[string]int{
-			"com": 6000, "net": 1300, "org": 1100, "nl": 1000, "se": 600,
-		}
 	}
 }
 
@@ -73,7 +64,7 @@ type DomainState struct {
 
 // RecordAt projects the domain onto one measurement day. The NS-host
 // slice is freshly allocated; bulk projections go through the index
-// (World.SnapshotAt), which shares one slice per operator.
+// (Index().Snapshot), which shares one slice per operator.
 func (d *DomainState) RecordAt(day simtime.Day) dataset.Record {
 	return d.recordAt(day, []string{nsFor(d.Operator)})
 }
@@ -177,7 +168,7 @@ func planCohorts(cfg WorldConfig) ([]Cohort, error) {
 		if tailKeyFrac > 1 {
 			tailKeyFrac = 1
 		}
-		sizes := powerLawSizes(cfg.TailOperators[tld], tailTotal)
+		sizes := powerLawSizes(tailOperators[tld], tailTotal)
 		ds := tailDSByTLD[tld]
 		for i, size := range sizes {
 			if size == 0 {
@@ -280,8 +271,8 @@ type domainDraw struct {
 func drawDomain(rng *rand.Rand, c *Cohort, cfg *WorldConfig) domainDraw {
 	// Registrations spread over the three years before the window end;
 	// most predate the window start.
-	created := simtime.Day(rng.Intn(int(cfg.WindowStart)+700)) - 700
-	keyDay := c.Key.sampleKeyDay(rng, created, cfg.WindowStart, cfg.WindowEnd)
+	created := simtime.Day(rng.Intn(int(simtime.GTLDStart)+700)) - 700
+	keyDay := c.Key.sampleKeyDay(rng, created, simtime.GTLDStart, simtime.End)
 	dsDay, broken := c.DS.sampleDS(rng, keyDay, created)
 	expired := keyDay != simtime.Never && c.ExpiredSigFrac > 0 &&
 		rng.Float64() < c.ExpiredSigFrac
@@ -487,13 +478,6 @@ func solveExponent(lnI []float64, ratio float64) float64 {
 	}
 }
 
-// SnapshotAt projects the whole world onto one day through the columnar
-// engine: a prebuilt record template is copied and only the day-dependent
-// booleans are patched, with one shared NS-host slice per operator.
-func (w *World) SnapshotAt(day simtime.Day) *dataset.Snapshot {
-	return w.Index().Snapshot(day)
-}
-
 // SeriesFor computes a daily deployment series for one operator (all its
 // TLDs when tld == "", one otherwise) on the columnar engine: the
 // operator's day-sorted event groups are swept once with advancing
@@ -501,20 +485,6 @@ func (w *World) SnapshotAt(day simtime.Day) *dataset.Snapshot {
 // a full population scan plus per-query sorting.
 func (w *World) SeriesFor(operator, tld string, from, to simtime.Day, stepDays int) []analysis.SeriesPoint {
 	return w.Index().Series(operator, tld, from, to, stepDays)
-}
-
-// OperatorsOf lists the operators a named registrar runs (from the named
-// cohorts), for joining probe output with measurement series.
-func OperatorsOf(registrarName string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range NamedCohorts() {
-		if c.Registrar == registrarName && !seen[c.Operator] {
-			seen[c.Operator] = true
-			out = append(out, c.Operator)
-		}
-	}
-	return out
 }
 
 // DomainsByRegistrar tallies scaled population per named registrar in the

@@ -59,10 +59,10 @@ func TestStreamingMatchesLegacy(t *testing.T) {
 		}
 	}
 	for _, day := range []simtime.Day{simtime.GTLDStart, simtime.End} {
-		got := stream.SnapshotAt(day)
+		got := stream.Index().Snapshot(day)
 		want := referenceSnapshot(ref, day)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("SnapshotAt(%v) diverges from the reference projection", day)
+			t.Fatalf("Index().Snapshot(%v) diverges from the reference projection", day)
 		}
 		gotOv := stream.Index().Overview(day, AllTLDs)
 		wantOv := analysis.Overview(want, AllTLDs)
@@ -113,7 +113,7 @@ func TestWorldSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("domain %d differs after round trip:\nloaded %+v\nbuilt  %+v", i, got, want)
 		}
 	}
-	if !reflect.DeepEqual(loaded.SnapshotAt(simtime.End), w.SnapshotAt(simtime.End)) {
+	if !reflect.DeepEqual(loaded.Index().Snapshot(simtime.End), w.Index().Snapshot(simtime.End)) {
 		t.Fatal("snapshot diverges after round trip")
 	}
 	series := func(w *World) []analysis.SeriesPoint {
@@ -160,7 +160,7 @@ func TestBuildCached(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatalf("cached world has %d domains, built world %d", b.Len(), a.Len())
 	}
-	if !reflect.DeepEqual(a.SnapshotAt(simtime.End), b.SnapshotAt(simtime.End)) {
+	if !reflect.DeepEqual(a.Index().Snapshot(simtime.End), b.Index().Snapshot(simtime.End)) {
 		t.Fatal("cached world snapshot diverges from built world")
 	}
 	// Scenario derivation needs cohorts, which BuildCached re-plans.
@@ -225,7 +225,7 @@ func TestBuildCachedIgnoresGeneratorV1Files(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if !reflect.DeepEqual(w.SnapshotAt(simtime.End), fresh.SnapshotAt(simtime.End)) {
+	if !reflect.DeepEqual(w.Index().Snapshot(simtime.End), fresh.Index().Snapshot(simtime.End)) {
 		t.Error("BuildCached served something other than a fresh build")
 	}
 	if left, err := os.ReadFile(v1Path); err != nil || !bytes.Equal(left, v1File) {

@@ -60,7 +60,7 @@ func inGTLD(r *dataset.Record) bool {
 
 func TestTable1PopulationAndKeyPercentages(t *testing.T) {
 	w := testWorld(t)
-	snap := w.SnapshotAt(simtime.End)
+	snap := w.Index().Snapshot(simtime.End)
 	rows := analysis.Overview(snap, AllTLDs)
 	wantDomains := map[string]int{"com": 472589, "net": 55096, "org": 38731, "nl": 22697, "se": 5553}
 	for _, row := range rows {
@@ -78,7 +78,7 @@ func TestTable1PopulationAndKeyPercentages(t *testing.T) {
 
 func TestFigure3OperatorConcentration(t *testing.T) {
 	w := testWorld(t)
-	snap := w.SnapshotAt(simtime.End)
+	snap := w.Index().Snapshot(simtime.End)
 
 	all := analysis.OperatorCDF(snap, inGTLD)
 	partial := analysis.OperatorCDF(snap, analysis.And(inGTLD, analysis.PartiallyDeployed))
@@ -248,7 +248,7 @@ func TestFigure8CloudflareDSGap(t *testing.T) {
 
 func TestSection52RegistrarShares(t *testing.T) {
 	w := testWorld(t)
-	snap := w.SnapshotAt(simtime.End)
+	snap := w.Index().Snapshot(simtime.End)
 	fullPct := func(op string) float64 {
 		total, full := 0, 0
 		for i := range snap.Records {
@@ -352,9 +352,23 @@ func TestRegistrarAggregations(t *testing.T) {
 	// OVH ~372, Loopia ~132, TransIP ~138 at scale 1/1000.
 	within(t, "OVH DNSKEY count", float64(keys["OVH"]), 372*4, 150)
 	within(t, "Loopia DNSKEY count", float64(keys["Loopia"]), 132*4, 80)
-	if ops := OperatorsOf("OVH"); len(ops) != 2 {
+	if ops := operatorsOf("OVH"); len(ops) != 2 {
 		t.Errorf("OVH operators: %v", ops)
 	}
+}
+
+// operatorsOf lists the operators a named registrar runs (from the named
+// cohorts).
+func operatorsOf(registrarName string) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, c := range NamedCohorts() {
+		if c.Registrar == registrarName && !seen[c.Operator] {
+			seen[c.Operator] = true
+			out = append(out, c.Operator)
+		}
+	}
+	return out
 }
 
 func TestExpiredSignaturesScannedAsBroken(t *testing.T) {
@@ -367,7 +381,7 @@ func TestExpiredSignaturesScannedAsBroken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := w.SnapshotAt(simtime.End)
+	snap := w.Index().Snapshot(simtime.End)
 	for i := range snap.Records {
 		if snap.Records[i].Deployment() != dnssec.DeploymentBroken {
 			t.Fatalf("model: %s is %v, want broken", snap.Records[i].Domain, snap.Records[i].Deployment())
@@ -411,7 +425,7 @@ func TestSection1DSGapHeadline(t *testing.T) {
 	// Section 1: "nearly 30% of .com, .net, and .org domains do not
 	// properly upload DS records even though they have DNSKEYs and RRSIGs."
 	w := testWorld(t)
-	snap := w.SnapshotAt(simtime.End)
+	snap := w.Index().Snapshot(simtime.End)
 	gap := analysis.DSGapPct(snap, inGTLD)
 	within(t, "gTLD DS gap among DNSKEY domains", gap, 30, 8)
 	// The ccTLDs, under incentive auditing, have a far smaller gap.

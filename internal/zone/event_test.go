@@ -102,9 +102,10 @@ func TestNSECEscalation(t *testing.T) {
 		t.Errorf("non-structural add with NSEC chain: %+v", ev)
 	}
 	// Destroying an owner name entirely is structural again.
-	z.RemoveName("new.example.com")
+	z.Remove("new.example.com", dnswire.TypeTXT)
+	z.Remove("new.example.com", dnswire.TypeA)
 	if ev := lastEvent(t, log); ev.Scope != ScopeZone {
-		t.Errorf("RemoveName with NSEC chain: %+v", ev)
+		t.Errorf("owner's last RRset removed with NSEC chain: %+v", ev)
 	}
 
 	// An RRSIG covering NSEC escalates; an RRSIG covering A at a non-apex

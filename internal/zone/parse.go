@@ -17,8 +17,12 @@ import (
 // Parse reads a zone in master-file format (RFC 1035 section 5). It
 // supports $ORIGIN and $TTL directives, "@", relative names, parenthesized
 // continuations, ";" comments and quoted character strings. defaultOrigin
-// seeds $ORIGIN; a $ORIGIN directive in the file overrides it.
+// seeds $ORIGIN; a $ORIGIN directive in the file overrides it. The dialect
+// has no escapes in names, so a name that would need one is refused.
 func Parse(r io.Reader, defaultOrigin string) (*Zone, error) {
+	if strings.ContainsAny(defaultOrigin, unpresentable) {
+		return nil, fmt.Errorf("origin %q: not a name a zone file can carry", defaultOrigin)
+	}
 	origin := dnswire.CanonicalName(defaultOrigin)
 	z := New(origin)
 	sc := bufio.NewScanner(r)
@@ -38,8 +42,8 @@ func Parse(r io.Reader, defaultOrigin string) (*Zone, error) {
 		}
 		switch tokens[0] {
 		case "$ORIGIN":
-			if len(tokens) != 2 {
-				return fmt.Errorf("line %d: $ORIGIN needs one argument", startLine)
+			if len(tokens) != 2 || strings.ContainsAny(tokens[1], unpresentable) {
+				return fmt.Errorf("line %d: $ORIGIN needs one name", startLine)
 			}
 			origin = dnswire.CanonicalName(tokens[1])
 			return nil
@@ -109,13 +113,22 @@ func Parse(r io.Reader, defaultOrigin string) (*Zone, error) {
 // blankOwner marks an entry that inherits the previous owner name.
 const blankOwner = "\x00blank"
 
-// stripComment removes a ";" comment, respecting quoted strings.
+// unpresentable are the bytes no name or non-TXT field may hold: they
+// separate, quote or comment out tokens, or end the line.
+const unpresentable = " \t\r\n()\";"
+
+// stripComment removes a ";" comment, respecting quoted strings and the
+// escapes inside them.
 func stripComment(line string) string {
 	inQuote := false
 	for i := 0; i < len(line); i++ {
 		switch line[i] {
 		case '"':
 			inQuote = !inQuote
+		case '\\':
+			if inQuote {
+				i++
+			}
 		case ';':
 			if !inQuote {
 				return line[:i]
@@ -126,8 +139,9 @@ func stripComment(line string) string {
 }
 
 // tokenize splits a line into tokens, treating parentheses as structure and
-// honoring quoted strings. It returns tokens plus the count of opening and
-// closing parens.
+// honoring quoted strings, inside which \X stands for X and \DDD for the
+// byte DDD (RFC 1035 section 5.1). It returns tokens plus the count of
+// opening and closing parens.
 func tokenize(line string) (tokens []string, opens, closes int, err error) {
 	i := 0
 	for i < len(line) {
@@ -142,14 +156,27 @@ func tokenize(line string) (tokens []string, opens, closes int, err error) {
 			closes++
 			i++
 		case c == '"':
+			s := []byte{'"'} // keep a marker for "quoted"
 			j := i + 1
-			for j < len(line) && line[j] != '"' {
-				j++
+			for ; j < len(line) && line[j] != '"'; j++ {
+				if line[j] == '\\' && j+1 < len(line) {
+					j++
+					if d := line[j:min(j+3, len(line))]; len(d) == 3 && isDigits(d) {
+						v, _ := strconv.Atoi(d)
+						if v > 255 {
+							return nil, 0, 0, fmt.Errorf("escape \\%s is not a byte", d)
+						}
+						s = append(s, byte(v))
+						j += 2
+						continue
+					}
+				}
+				s = append(s, line[j])
 			}
 			if j >= len(line) {
 				return nil, 0, 0, fmt.Errorf("unterminated quote")
 			}
-			tokens = append(tokens, "\""+line[i+1:j]) // keep a marker for "quoted"
+			tokens = append(tokens, string(s))
 			i = j + 1
 		default:
 			j := i
@@ -161,6 +188,10 @@ func tokenize(line string) (tokens []string, opens, closes int, err error) {
 		}
 	}
 	return tokens, opens, closes, nil
+}
+
+func isDigits(s string) bool {
+	return strings.Trim(s, "0123456789") == ""
 }
 
 // parseTTL accepts plain seconds or BIND-style unit suffixes (1h30m, 2d, 1w).
@@ -252,6 +283,11 @@ func parseRecordTokens(tokens []string, origin, lastName string, defTTL uint32, 
 		return nil, fmt.Errorf("line %d: unknown record type %q", line, tokens[i])
 	}
 	i++
+	for j, tok := range tokens {
+		if (j < i || typ != dnswire.TypeTXT) && tok != blankOwner && strings.ContainsAny(tok, unpresentable) {
+			return nil, fmt.Errorf("line %d: %q: quotes and comments belong in TXT strings", line, tok)
+		}
+	}
 	data, err := parseRData(typ, tokens[i:], origin, line)
 	if err != nil {
 		return nil, err
@@ -449,6 +485,9 @@ func parseRData(t dnswire.Type, f []string, origin string, line int) (dnswire.RD
 			}
 		}
 		next, err := dnswire.Base32HexDecode(f[4])
+		if err == nil && len(next) == 0 {
+			err = fmt.Errorf("%q holds no octet", f[4])
+		}
 		if err != nil {
 			return nil, fmt.Errorf("line %d: bad NSEC3 next hash: %v", line, err)
 		}

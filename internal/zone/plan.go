@@ -26,7 +26,7 @@ import (
 //     master-file writer), Len, Clone — first produces what it is about to
 //     enumerate.
 //   - A plan is dropped by what would have removed the signature: RemoveSigs,
-//     Remove of the RRSIG set, RemoveName, RemoveType(RRSIG) (so Unsign and a
+//     Remove of the RRSIG set, RemoveType(RRSIG) (so Unsign and a
 //     second Sign), or a new plan for the same RRset. Removing or changing
 //     the covered RRset does not touch it, as it would not have touched the
 //     signature.

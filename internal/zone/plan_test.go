@@ -114,8 +114,6 @@ func TestPlansDroppedWithTheirSignatures(t *testing.T) {
 			[]rrKey{{www, dnswire.TypeA}}, all - 1},
 		{"Remove RRSIG", func(z *Zone) { z.Remove(www, dnswire.TypeRRSIG) },
 			[]rrKey{{www, dnswire.TypeA}, {www, dnswire.TypeNSEC}}, all - 2},
-		{"RemoveName", func(z *Zone) { z.RemoveName(www) },
-			[]rrKey{{www, dnswire.TypeA}, {www, dnswire.TypeNSEC}}, all - 2},
 		{"RemoveType RRSIG", func(z *Zone) { z.RemoveType(dnswire.TypeRRSIG) },
 			[]rrKey{{www, dnswire.TypeA}, {apex, dnswire.TypeSOA}, {apex, dnswire.TypeDNSKEY}, {"sub.example.com", dnswire.TypeNSEC}}, 0},
 		{"Unsign", Unsign,

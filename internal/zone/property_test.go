@@ -125,7 +125,7 @@ func TestHasNameMatchesRRSetsProperty(t *testing.T) {
 		}
 		for step := 0; step < 200; step++ {
 			name, typ := universe[r.Intn(len(universe))], types[r.Intn(len(types))]
-			switch r.Intn(8) {
+			switch r.Intn(7) {
 			case 0, 1:
 				z.MustAdd(dnswire.NewRR(name, 300, &dnswire.TXT{Strings: []string{fmt.Sprint(step)}}))
 			case 2:
@@ -135,12 +135,10 @@ func TestHasNameMatchesRRSetsProperty(t *testing.T) {
 			case 3:
 				z.Remove(name, typ)
 			case 4:
-				z.RemoveName(name)
-			case 5:
 				z.RemoveSigs(name, typ)
-			case 6:
+			case 5:
 				z.RemoveType(typ)
-			case 7:
+			case 6:
 				z = z.Clone()
 			}
 			owners := make(map[string]bool)
@@ -165,8 +163,8 @@ func TestHasNameMatchesRRSetsProperty(t *testing.T) {
 // TestOwnerWalksMatchScanProperty: through any sequence of additions and
 // removals, on a zone and on its clone, the walks that read one owner's
 // RRsets from its type list — Reader.AppendAll with and without signatures,
-// LookupAll, RemoveName — return and remove exactly what a scan of every
-// RRset of the zone finds at that owner.
+// and LookupAll — return exactly what a scan of every RRset of the zone
+// finds at that owner.
 func TestOwnerWalksMatchScanProperty(t *testing.T) {
 	signer := newTestSigner(t)
 	types := []dnswire.Type{dnswire.TypeA, dnswire.TypeTXT, dnswire.TypeMX, dnswire.TypeAAAA, dnswire.TypeRRSIG}
@@ -190,7 +188,7 @@ func TestOwnerWalksMatchScanProperty(t *testing.T) {
 		}
 		for step := 0; step < 200; step++ {
 			name, typ := universe[r.Intn(len(universe))], types[r.Intn(len(types))]
-			switch r.Intn(8) {
+			switch r.Intn(7) {
 			case 0, 1, 2:
 				if typ != dnswire.TypeRRSIG {
 					z.MustAdd(record(r, name, typ))
@@ -203,14 +201,8 @@ func TestOwnerWalksMatchScanProperty(t *testing.T) {
 			case 4:
 				z.Remove(name, typ)
 			case 5:
-				z.RemoveName(name)
-				if len(scanOwner(z, name, true)) != 0 || z.HasName(name) {
-					t.Logf("seed %d step %d: RemoveName(%q) left RRsets behind", seed, step, name)
-					return false
-				}
-			case 6:
 				z.RemoveSigs(name, typ)
-			case 7:
+			case 6:
 				z = z.Clone()
 			}
 			for _, name := range universe {

@@ -150,31 +150,6 @@ func (z *Zone) Remove(name string, t dnswire.Type) {
 	notify(subs, ev)
 }
 
-// RemoveName deletes every RRset owned by name.
-func (z *Zone) RemoveName(name string) {
-	name = dnswire.CanonicalName(name)
-	z.mu.Lock()
-	z.gen.Add(1)
-	removed := false
-	if len(z.plans[name]) > 0 {
-		z.dropPlansLocked(name)
-		removed = true
-	}
-	for _, t := range slices.Clone(z.types[name]) {
-		k := rrKey{name, t}
-		delete(z.sets, k)
-		z.trackSetRemoved(k)
-		removed = true
-	}
-	ev := z.eventLocked(name, 0, removed)
-	z.gen.Add(1)
-	subs := z.subs
-	z.mu.Unlock()
-	if removed {
-		notify(subs, ev)
-	}
-}
-
 // RemoveSigs deletes the RRSIGs at name that cover type t, planned or
 // produced, leaving other signatures at the same owner untouched.
 func (z *Zone) RemoveSigs(name string, t dnswire.Type) {
@@ -359,14 +334,6 @@ func (z *Zone) delegationLocked(qname string) (string, []*dnswire.RR) {
 		cur = p
 	}
 	return "", nil
-}
-
-// IsDelegated reports whether qname falls at or under a delegation cut
-// (i.e. this zone is not authoritative for it, except for the DS RRset at
-// the cut itself, which the caller must special-case).
-func (z *Zone) IsDelegated(qname string) bool {
-	cut, _ := z.DelegationFor(qname)
-	return cut != ""
 }
 
 // Clone produces a deep-enough copy: RRset slices are copied; the records

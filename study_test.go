@@ -119,7 +119,7 @@ func TestStudyScanSampleAgreesWithModel(t *testing.T) {
 	if !health.Complete() || health.Measured != 120 {
 		t.Fatalf("unhealthy sweep over a clean network: %s", health)
 	}
-	model := s.World.SnapshotAt(simtime.End)
+	model := s.World.Index().Snapshot(simtime.End)
 	modelClass := map[string]Deployment{}
 	for i := range model.Records {
 		modelClass[model.Records[i].Domain] = model.Records[i].Deployment()
@@ -135,6 +135,19 @@ func TestStudyScanSampleAgreesWithModel(t *testing.T) {
 // TestStudyScanLongitudinal runs the resumable multi-day sweep through the
 // public facade: interrupted and uninterrupted runs must converge on
 // byte-identical archives.
+// archiveText renders a swept store as the sweep's archive writer does: one
+// trailered section per day, oldest first.
+func archiveText(t *testing.T, store *dataset.Store) string {
+	t.Helper()
+	var b strings.Builder
+	for _, day := range store.Days() {
+		if err := store.Get(day).WriteArchiveSection(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.String()
+}
+
 func TestStudyScanLongitudinal(t *testing.T) {
 	s := testStudy(t)
 	days := []Day{simtime.Date(2016, 6, 1), simtime.End}
@@ -147,10 +160,7 @@ func TestStudyScanLongitudinal(t *testing.T) {
 	if store.Len() != 2 {
 		t.Fatalf("snapshots: %d", store.Len())
 	}
-	var want strings.Builder
-	if err := store.WriteArchive(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := archiveText(t, store)
 
 	// Checkpointed run interrupted before day two, then resumed.
 	cfg := base
@@ -166,11 +176,8 @@ func TestStudyScanLongitudinal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got strings.Builder
-	if err := resumed.WriteArchive(&got); err != nil {
-		t.Fatal(err)
-	}
-	if want.String() != got.String() {
+	got := archiveText(t, resumed)
+	if want != got {
 		t.Error("resumed archive differs from uninterrupted run")
 	}
 }
@@ -277,11 +284,7 @@ func TestFacadeAndCLIRunOneDefinition(t *testing.T) {
 		if err != nil {
 			return "", events, err
 		}
-		var out strings.Builder
-		if err := archive.WriteArchive(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out.String(), events, nil
+		return archiveText(t, archive), events, nil
 	}
 
 	want, _, err := cli("", 0)
@@ -327,10 +330,7 @@ func TestStudyScanDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want strings.Builder
-	if err := single.WriteArchive(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := archiveText(t, single)
 
 	cfg := DistributedConfig{Longitudinal: base, Fleet: 3}
 	cfg.Longitudinal.CheckpointDir = t.TempDir()
@@ -338,11 +338,8 @@ func TestStudyScanDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got strings.Builder
-	if err := store.WriteArchive(&got); err != nil {
-		t.Fatal(err)
-	}
-	if want.String() != got.String() {
+	got := archiveText(t, store)
+	if want != got {
 		t.Error("distributed archive differs from single-process sweep")
 	}
 	if res.Stats.Done != len(days)*base.Shards {
