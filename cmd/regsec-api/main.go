@@ -58,15 +58,11 @@ func run() int {
 		return 2
 	}
 
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
 	s := apiserv.New(apiserv.Config{
 		ArchivePath:   *archive,
 		WorldPath:     *world,
 		WatermarkPath: *watermark,
 		PollInterval:  *poll,
-		Logf:          logf,
 	})
 
 	ln, err := net.Listen("tcp", *listen)
@@ -89,7 +85,7 @@ func run() int {
 		defer close(bgDone)
 		s.Run(ctx)
 	}()
-	logf("regsec-api serving http://%s (archive %s, world %s)", ln.Addr(), *archive, *world)
+	fmt.Fprintf(os.Stderr, "regsec-api serving http://%s (archive %s, world %s)\n", ln.Addr(), *archive, *world)
 
 	select {
 	case err := <-serveErr:
@@ -103,14 +99,14 @@ func run() int {
 	// Drain: stop admitting connections, let in-flight requests finish,
 	// give up at the hard deadline. Ingest has already committed at its
 	// last section boundary, so a hard exit loses nothing.
-	logf("regsec-api draining (up to %v)", *drainTimeout)
+	fmt.Fprintf(os.Stderr, "regsec-api draining (up to %v)\n", *drainTimeout)
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
-		logf("regsec-api drain deadline hit: %v", err)
+		fmt.Fprintf(os.Stderr, "regsec-api drain deadline hit: %v\n", err)
 	}
 	<-bgDone
 	admitted, shed := s.GateStats()
-	logf("regsec-api stopped: %d request(s) served, %d shed", admitted, shed)
+	fmt.Fprintf(os.Stderr, "regsec-api stopped: %d request(s) served, %d shed\n", admitted, shed)
 	return 0
 }

@@ -126,7 +126,7 @@ func fourDayArchive(t *testing.T, path string) []byte {
 		t.Fatal(err)
 	}
 	var archive bytes.Buffer
-	if err := plan.Sweep(world, nil, dataset.SpillOptions{}, nil, nil).RunStream(context.Background(), plan.Days,
+	if err := plan.Sweep(world, nil, dataset.SpillOptions{}, nil).RunStream(context.Background(), plan.Days,
 		func(_ simtime.Day, sw *dataset.SpillWriter) error { return sw.WriteSectionTo(&archive) }); err != nil {
 		t.Fatal(err)
 	}

@@ -85,14 +85,7 @@ func run() int {
 
 	fmt.Fprintf(os.Stderr, "building world (scale 1/%.0f, seed %d)...\n", *scaleDiv, *seed)
 	buildStart := time.Now()
-	cfg := tldsim.WorldConfig{Scale: 1 / *scaleDiv, Seed: *seed}
-	var world *tldsim.World
-	var err error
-	if *worldCache != "" {
-		world, err = tldsim.BuildCached(*worldCache, cfg)
-	} else {
-		world, err = tldsim.Build(cfg)
-	}
+	world, err := tldsim.BuildCached(*worldCache, tldsim.WorldConfig{Scale: 1 / *scaleDiv, Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

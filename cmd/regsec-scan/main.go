@@ -139,24 +139,14 @@ func run() int {
 	}
 
 	worldCfg := spec.WorldConfig()
-	var world *tldsim.World
-	if *worldCache != "" {
-		fmt.Fprintf(os.Stderr, "world cache %s (scale 1/%.0f, seed %d, key %s)...\n",
-			*worldCache, spec.ScaleDiv, spec.Seed, worldCfg.Fingerprint())
-		world, err = tldsim.BuildCached(*worldCache, worldCfg)
-	} else {
-		fmt.Fprintf(os.Stderr, "building world (scale 1/%.0f, seed %d)...\n", spec.ScaleDiv, spec.Seed)
-		world, err = tldsim.Build(worldCfg)
-	}
+	fmt.Fprintf(os.Stderr, "world (scale 1/%.0f, seed %d, key %s)...\n", spec.ScaleDiv, spec.Seed, worldCfg.Fingerprint())
+	world, err := tldsim.BuildCached(*worldCache, worldCfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	eventf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
 	rs := plan.Sweep(world, cp, dataset.SpillOptions{Dir: *spillDir, MemBudget: int64(*memBudget) << 20},
-		func(day simtime.Day, h *scan.SweepHealth) { fmt.Fprintln(os.Stderr, h) }, eventf)
+		func(day simtime.Day, h *scan.SweepHealth) { fmt.Fprintln(os.Stderr, h) })
 	// Keep each day's scanner for the closing totals.
 	var scanners []*scan.Scanner
 	setup := rs.StreamSetup
@@ -319,9 +309,6 @@ func validateFlags(set map[string]bool, chunk int) error {
 // runWorker joins a distributed sweep: fetch the plan, rebuild the world
 // from its spec, and claim leases until the coordinator says done.
 func runWorker(url, name, cpDir, profilePath string, vantageSeed int64) int {
-	eventf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -357,8 +344,8 @@ func runWorker(url, name, cpDir, profilePath string, vantageSeed int64) int {
 
 	// Shards are scanned chunk by chunk with each chunk durably flushed, so
 	// killing this process mid-shard only costs the chunk in flight.
-	cfg := dsweep.WorkerConfig{Name: name, Coord: client, OnEvent: eventf}
-	cfg.StreamSetup, err = plan.Spec.BuildStream(vantage, vantageSeed, eventf)
+	cfg := dsweep.WorkerConfig{Name: name, Coord: client}
+	cfg.StreamSetup, err = plan.Spec.BuildStream(vantage, vantageSeed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

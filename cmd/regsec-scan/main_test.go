@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"securepki.org/registrarsec/internal/dsweep"
 	"securepki.org/registrarsec/internal/scan"
 	"securepki.org/registrarsec/internal/simtime"
+	"securepki.org/registrarsec/internal/tldsim"
 )
 
 // TestMain lets the tests run the command itself: re-executed with
@@ -85,7 +88,7 @@ func TestWorkerKilledMidUnitFleetDrains(t *testing.T) {
 	}
 	spec := &dsweep.WorldSpec{ScaleDiv: 4000, Sample: 120}
 	plan := spec.PlanFor([]simtime.Day{simtime.Date(2016, 6, 1), simtime.End}, 4, 8)
-	coord, err := dsweep.NewCoordinator(dsweep.CoordinatorConfig{Plan: plan, Store: store, LeaseTTL: 2 * time.Second, OnEvent: t.Logf})
+	coord, err := dsweep.NewCoordinator(dsweep.CoordinatorConfig{Plan: plan, Store: store, LeaseTTL: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +153,55 @@ func TestWorkerKilledMidUnitFleetDrains(t *testing.T) {
 	}
 	if !bytes.Equal(merged.Bytes(), want) {
 		t.Error("the fleet's merged archive differs from the single-process regsec-scan archive")
+	}
+}
+
+// TestResumeLogsChunkReuse: regsec-scan -resume over a checkpoint holding
+// the first chunk of an interrupted shard reuses that chunk and says so on
+// stderr as a record locating it by day, shard and chunk.
+func TestResumeLogsChunkReuse(t *testing.T) {
+	dir := t.TempDir()
+	spec := &dsweep.WorldSpec{ScaleDiv: 4000, Sample: 40, FaultLoss: 0.2} // -fault-loss's default
+	plan := spec.PlanFor([]simtime.Day{simtime.End}, 1, 20)
+	world, err := tldsim.Build(spec.WorldConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sweep is interrupted as it prepares its second chunk, with the
+	// first one durable.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rs := plan.Sweep(world, store, dataset.SpillOptions{}, nil)
+	setup := rs.StreamSetup
+	rs.StreamSetup = func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
+		s, src, prepare, err := setup(ctx, day)
+		prepared := 0
+		return s, src, func(ctx context.Context, lo, hi int) error {
+			if prepared++; prepared == 2 {
+				cancel()
+				return ctx.Err()
+			}
+			return prepare(ctx, lo, hi)
+		}, err
+	}
+	if err := rs.RunStream(ctx, plan.Days, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted sweep: %v", err)
+	}
+
+	cmd := cmdtest.Command("-scale", "4000", "-sample", "40", "-shards", "1", "-chunk", "20", "-days", simtime.End.String(),
+		"-checkpoint-dir", dir, "-resume", "-o", filepath.Join(t.TempDir(), "out.tsv"))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("regsec-scan -resume: %v\n%s", err, stderr.String())
+	}
+	reuse := regexp.MustCompile(`(?m) WARN resume: chunk verified from checkpoint day=` + simtime.End.String() + ` shard=0 chunk=0 `)
+	if !reuse.MatchString(stderr.String()) {
+		t.Errorf("no record of the reused chunk with its day, shard and chunk:\n%s", stderr.String())
 	}
 }
 

@@ -85,12 +85,7 @@ func run() int {
 		return 2
 	}
 
-	eventf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-	coord, err := dsweep.NewCoordinator(dsweep.CoordinatorConfig{
-		Plan: plan, Store: store, LeaseTTL: *leaseTTL, OnEvent: eventf,
-	})
+	coord, err := dsweep.NewCoordinator(dsweep.CoordinatorConfig{Plan: plan, Store: store, LeaseTTL: *leaseTTL})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		if owner, pid, ok := store.LockedBy(); ok {

@@ -111,7 +111,7 @@ func TestDaemonKilledMidPlanResumes(t *testing.T) {
 	// drain runs one in-process worker against the daemon at url.
 	drain := func(url string) error {
 		w, err := dsweep.NewWorker(dsweep.WorkerConfig{Name: "w1", Coord: &dsweep.Client{Base: url}, Store: store,
-			StreamSetup: plan.Spec.BuildStreamWith(world, nil, 0, nil)})
+			StreamSetup: plan.Spec.BuildStreamWith(world, nil, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestDaemonKilledMidPlanResumes(t *testing.T) {
 		t.Fatalf("resumed daemon: %v\n%s", err, d.stderr)
 	}
 
-	rs := plan.Sweep(world, nil, dataset.SpillOptions{}, nil, nil)
+	rs := plan.Sweep(world, nil, dataset.SpillOptions{}, nil)
 	var want bytes.Buffer
 	if err := rs.RunStream(ctx, plan.Days, func(_ simtime.Day, sw *dataset.SpillWriter) error {
 		return sw.WriteSectionTo(&want)

@@ -56,6 +56,9 @@ type exportedDecl struct {
 // TestNoTestOnlyExports fails on an exported name of the root module that
 // no non-test Go file names outside its own declaration: surface that only
 // tests use belongs beside those tests. bench/ and examples/ count as users.
+// It also fails on a format callback — an exported struct field or a
+// function parameter of type func(string, ...any) — in the root module:
+// diagnostics go to log/slog's default logger.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
 	uses := map[string]int{} // identifier → occurrences outside declarations
@@ -63,6 +66,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	declared := map[token.Pos]bool{}
 	var files []*ast.File
 	checkedFiles := map[*ast.File]string{} // checked file → its package name
+	var callbacks []string
 
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -86,6 +90,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if guarded(filepath.ToSlash(filepath.Dir(path))) {
 			checkedFiles[f] = f.Name.Name
 		}
+		if !strings.HasPrefix(filepath.ToSlash(path), "bench/") {
+			for _, pos := range formatCallbacks(f) {
+				callbacks = append(callbacks, fset.Position(pos).String())
+			}
+		}
 		return nil
 	})
 	if err != nil {
@@ -93,6 +102,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	if len(files) == 0 || len(checkedFiles) == 0 {
 		t.Fatalf("parsed %d files, %d checked: the guard checks nothing", len(files), len(checkedFiles))
+	}
+	if len(callbacks) > 0 {
+		t.Errorf("%d format callbacks; log through log/slog's default logger instead:\n%s",
+			len(callbacks), strings.Join(callbacks, "\n"))
 	}
 
 	// Every top-level declaring identifier, in any file, is a declaration
@@ -187,12 +200,64 @@ func guarded(dir string) bool {
 	if dir == "." {
 		return false
 	}
-	for _, skip := range []string{"bench", "examples", "cmd", "internal/dnstest", "internal/cmdtest", "internal/analysis"} {
+	for _, skip := range []string{"bench", "examples", "cmd", "internal/dnstest", "internal/cmdtest", "internal/logtest", "internal/analysis"} {
 		if dir == skip || strings.HasPrefix(dir, skip+"/") {
 			return false
 		}
 	}
 	return true
+}
+
+// formatCallbacks returns where f declares an exported struct field or a
+// function parameter of type func(string, ...any).
+func formatCallbacks(f *ast.File) []token.Pos {
+	var at []token.Pos
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.StructType:
+			for _, field := range n.Fields.List {
+				for _, name := range field.Names {
+					if name.IsExported() && isFormatFunc(field.Type) {
+						at = append(at, name.Pos())
+					}
+				}
+			}
+		case *ast.FuncType:
+			for _, field := range n.Params.List {
+				if isFormatFunc(field.Type) {
+					at = append(at, field.Pos())
+				}
+			}
+		}
+		return true
+	})
+	return at
+}
+
+// isFormatFunc reports whether e is the type func(string, ...any), with or
+// without parameter names and results.
+func isFormatFunc(e ast.Expr) bool {
+	fn, ok := e.(*ast.FuncType)
+	if !ok {
+		return false
+	}
+	var params []ast.Expr
+	for _, field := range fn.Params.List {
+		for range max(len(field.Names), 1) {
+			params = append(params, field.Type)
+		}
+	}
+	if len(params) != 2 || !isIdent(params[0], "string") {
+		return false
+	}
+	rest, ok := params[1].(*ast.Ellipsis)
+	return ok && isIdent(rest.Elt, "any")
+}
+
+// isIdent reports whether e is the identifier name.
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
 }
 
 // recvName is the type name of a method receiver.

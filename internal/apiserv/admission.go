@@ -16,6 +16,7 @@ package apiserv
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"runtime/debug"
 	"sync/atomic"
@@ -89,14 +90,12 @@ func (g *gate) wrap(next http.Handler) http.Handler {
 // request cannot take the daemon down. (net/http would also recover, but
 // only after killing the connection and without accounting; here the
 // failure is logged, counted, and answered.)
-func recoverPanics(logf func(string, ...any), counter *atomic.Uint64, next http.Handler) http.Handler {
+func recoverPanics(counter *atomic.Uint64, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if rec := recover(); rec != nil {
 				counter.Add(1)
-				if logf != nil {
-					logf("apiserv: panic serving %s: %v\n%s", r.URL.Path, rec, debug.Stack())
-				}
+				slog.Error("apiserv: panic serving request", "path", r.URL.Path, "panic", rec, "stack", string(debug.Stack()))
 				http.Error(w, fmt.Sprintf("internal error: %v", rec), http.StatusInternalServerError)
 			}
 		}()

@@ -109,7 +109,7 @@ func TestGateQueueAdmitsWhenSlotFrees(t *testing.T) {
 func TestRecoverPanics(t *testing.T) {
 	var panics atomic.Uint64
 	calls := 0
-	h := recoverPanics(nil, &panics, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := recoverPanics(&panics, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls++
 		if calls == 1 {
 			panic("handler bug")

@@ -70,7 +70,6 @@ func newTestServer(t *testing.T, dir string) *Server {
 		ArchivePath:  filepath.Join(dir, "scans.tsv"),
 		WorldPath:    filepath.Join(dir, "world.colstore"),
 		PollInterval: 5 * time.Millisecond,
-		Logf:         t.Logf,
 	})
 }
 

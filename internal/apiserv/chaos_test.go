@@ -9,16 +9,17 @@ package apiserv
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"strings"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"securepki.org/registrarsec/internal/dataset"
+	"securepki.org/registrarsec/internal/logtest"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
@@ -208,8 +209,6 @@ func TestChaosCorruptTailQuarantined(t *testing.T) {
 // resumed.
 func TestChaosDamageIsLocatable(t *testing.T) {
 	s := newTestServer(t, t.TempDir())
-	var logged []string
-	s.cfg.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
 	appendSection(t, s.cfg.ArchivePath, mkSnap(500, 40))
 	appendSection(t, s.cfg.ArchivePath, mkSnap(530, 40))
 	runToEnd(t, s)
@@ -223,13 +222,14 @@ func TestChaosDamageIsLocatable(t *testing.T) {
 	if err := os.WriteFile(s.cfg.ArchivePath, append(good, bad...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	logged = nil
+	logged := logtest.Capture(t)
 	if err := s.pollOnce(); err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("section %s (byte %d)", simtime.Day(560), len(good))
-	if len(logged) != 1 || !strings.Contains(logged[0], want) {
-		t.Fatalf("second poll logged %q, want one line locating the damage at %q", logged, want)
+	recs := logged.Records("")
+	if len(recs) != 1 || recs[0].Message != "apiserv: archive damage quarantined" || recs[0].Level != slog.LevelWarn ||
+		recs[0].Attrs["day"] != simtime.Day(560).String() || recs[0].Attrs["offset"] != strconv.Itoa(len(good)) {
+		t.Fatalf("second poll logged %+v, want one warning locating the damage at day %s, offset %d", recs, simtime.Day(560), len(good))
 	}
 }
 
@@ -358,8 +358,7 @@ func TestChaosTailerPanicIsSupervised(t *testing.T) {
 	// real tailer stands in for a transient ingest bug.
 	ran := false
 	sup := &Supervisor{
-		Backoff:   time.Millisecond,
-		Logf:      t.Logf,
+		backoff:   time.Millisecond,
 		OnRestart: func(string, error) { s.restarts.Add(1) },
 	}
 	ctx, cancel := context.WithCancel(context.Background())

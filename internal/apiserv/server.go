@@ -47,9 +47,6 @@ type Config struct {
 
 	// PollInterval is the tailer's archive poll cadence (default 500ms).
 	PollInterval time.Duration
-
-	// Logf receives operational diagnostics; nil discards them.
-	Logf func(format string, args ...any)
 }
 
 // The daemon's fixed limits.
@@ -113,12 +110,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
 func (s *Server) watermarkPath() string {
 	if s.cfg.WatermarkPath != "" {
 		return s.cfg.WatermarkPath
@@ -157,7 +148,6 @@ func (s *Server) ready() (bool, string) {
 // Handler with httpx.NewServer).
 func (s *Server) Run(ctx context.Context) {
 	sup := &Supervisor{
-		Logf: s.cfg.Logf,
 		OnRestart: func(string, error) {
 			s.restarts.Add(1)
 		},
@@ -169,7 +159,7 @@ func (s *Server) Run(ctx context.Context) {
 // then admission, then the per-request deadline, then routing.
 func (s *Server) Handler() http.Handler {
 	inner := withDeadline(requestTimeout, s.mux)
-	return recoverPanics(s.cfg.Logf, &s.panics, s.gate.wrap(inner))
+	return recoverPanics(&s.panics, s.gate.wrap(inner))
 }
 
 // GateStats reports admission accounting (bench and status surface).

@@ -8,8 +8,10 @@ package apiserv
 // a logged restart.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"log/slog"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -23,43 +25,31 @@ type Component struct {
 	Run  func(ctx context.Context) error
 }
 
+// The restart policy: the first restart waits restartBackoff, the wait
+// doubles per consecutive failure up to maxRestartBackoff, and it resets
+// once a run survives longer than resetBackoffAfter.
+const (
+	restartBackoff    = 100 * time.Millisecond
+	maxRestartBackoff = 5 * time.Second
+	resetBackoffAfter = 30 * time.Second
+)
+
 // Supervisor restarts failed components with exponential backoff.
 type Supervisor struct {
-	// Backoff is the delay before the first restart; it doubles per
-	// consecutive failure up to MaxBackoff and resets once a run survives
-	// longer than ResetAfter.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	ResetAfter time.Duration
-	// Logf receives restart diagnostics; nil discards them.
-	Logf func(format string, args ...any)
-
 	// OnRestart, when non-nil, observes every restart (test hook and
 	// health accounting).
 	OnRestart func(component string, cause error)
-}
 
-func (s *Supervisor) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
+	// backoff and maxBackoff replace restartBackoff and maxRestartBackoff
+	// in tests.
+	backoff, maxBackoff time.Duration
 }
 
 // Run supervises every component until ctx is canceled and all of them
 // have returned.
 func (s *Supervisor) Run(ctx context.Context, components ...Component) {
-	backoff := s.Backoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
-	maxBackoff := s.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 5 * time.Second
-	}
-	resetAfter := s.ResetAfter
-	if resetAfter <= 0 {
-		resetAfter = 30 * time.Second
-	}
+	backoff := cmp.Or(s.backoff, restartBackoff)
+	maxBackoff := cmp.Or(s.maxBackoff, maxRestartBackoff)
 	var wg sync.WaitGroup
 	for _, c := range components {
 		wg.Add(1)
@@ -72,10 +62,10 @@ func (s *Supervisor) Run(ctx context.Context, components ...Component) {
 				if err == nil || ctx.Err() != nil {
 					return
 				}
-				if time.Since(start) > resetAfter {
+				if time.Since(start) > resetBackoffAfter {
 					delay = backoff
 				}
-				s.logf("apiserv: component %s failed (%v), restarting in %v", c.Name, err, delay)
+				slog.Warn("apiserv: component failed, restarting", "component", c.Name, "delay", delay, "err", err)
 				if s.OnRestart != nil {
 					s.OnRestart(c.Name, err)
 				}

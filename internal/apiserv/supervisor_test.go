@@ -14,7 +14,7 @@ import (
 func TestSupervisorRestartsOnPanic(t *testing.T) {
 	var runs, restarts atomic.Int32
 	sup := &Supervisor{
-		Backoff: time.Millisecond,
+		backoff: time.Millisecond,
 		OnRestart: func(name string, cause error) {
 			if name != "flaky" {
 				t.Errorf("restarted component %q, want flaky", name)
@@ -52,7 +52,7 @@ func TestSupervisorRestartsOnPanic(t *testing.T) {
 // perpetually failing component.
 func TestSupervisorStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	sup := &Supervisor{Backoff: time.Millisecond}
+	sup := &Supervisor{backoff: time.Millisecond}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -75,7 +75,7 @@ func TestSupervisorBackoffGrows(t *testing.T) {
 	var stamps []time.Time
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sup := &Supervisor{Backoff: 10 * time.Millisecond, MaxBackoff: 40 * time.Millisecond}
+	sup := &Supervisor{backoff: 10 * time.Millisecond, maxBackoff: 40 * time.Millisecond}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

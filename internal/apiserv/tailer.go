@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"strconv"
 	"time"
@@ -88,7 +89,7 @@ func (s *Server) resumeOnce() error {
 		closeErr := idx.Close()
 		switch {
 		case rerr != nil:
-			s.logf("apiserv: world %s is not resumable (%v); re-ingesting from scratch", s.cfg.WorldPath, rerr)
+			slog.Warn("apiserv: world is not resumable; re-ingesting from scratch", "world", s.cfg.WorldPath, "err", rerr)
 		case closeErr != nil:
 			return closeErr
 		default:
@@ -97,18 +98,18 @@ func (s *Server) resumeOnce() error {
 			// against the world META and warn when they diverge (swapped
 			// or hand-edited files).
 			if disk, err := ReadWatermark(s.watermarkPath()); err != nil {
-				s.logf("apiserv: %v (world META wins)", err)
+				slog.Warn("apiserv: unreadable watermark; world META wins", "err", err)
 			} else if disk != nil && *disk != sealedCopy(wm) {
-				s.logf("apiserv: watermark %s disagrees with world META (offset %d vs %d); world META wins",
-					s.watermarkPath(), disk.Offset, wm.Offset)
+				slog.Warn("apiserv: watermark disagrees with world META; world META wins",
+					"watermark", s.watermarkPath(), "watermark_offset", disk.Offset, "offset", wm.Offset)
 			}
-			s.logf("apiserv: resumed world %s: %d domain(s), %d section(s), offset %d",
-				s.cfg.WorldPath, ing.Len(), wm.Sections, wm.Offset)
+			slog.Info("apiserv: resumed world", "world", s.cfg.WorldPath, "domains", ing.Len(),
+				"sections", wm.Sections, "offset", wm.Offset)
 		}
 	case os.IsNotExist(err):
 		// First boot: empty world, ingest everything.
 	default:
-		s.logf("apiserv: cannot load world %s (%v); re-ingesting from scratch", s.cfg.WorldPath, err)
+		slog.Warn("apiserv: cannot load world; re-ingesting from scratch", "world", s.cfg.WorldPath, "err", err)
 	}
 
 	s.ing = ing
@@ -160,7 +161,7 @@ func (s *Server) pollOnce() error {
 		// The archive was rotated or rewritten underneath us: drop
 		// everything, commit the empty state, and re-ingest the new file
 		// from the top within this same poll.
-		s.logf("apiserv: %v; resetting to a full re-ingest", err)
+		slog.Warn("apiserv: archive shrank; resetting to a full re-ingest", "offset", s.wm.Offset, "err", err)
 		s.ing = colstore.NewIngester()
 		s.wm = Watermark{}
 		s.lastDay = simtime.Never
@@ -193,8 +194,8 @@ func (s *Server) pollOnce() error {
 // ingestLocked folds one tail event into the ingest state, advances the
 // cursor past it and commits. Caller holds ingMu.
 func (s *Server) ingestLocked(ev dataset.TailEvent) error {
-	if ev.Damage != nil {
-		s.logf("apiserv: archive damage quarantined: %s", ev.Damage.String())
+	if d := ev.Damage; d != nil {
+		slog.Warn("apiserv: archive damage quarantined", "day", d.Day, "offset", d.Offset, "reason", d.Reason)
 		s.wm.Quarantined++
 	} else {
 		skipped, err := s.ing.AppendDay(ev.Snap)
@@ -202,7 +203,7 @@ func (s *Server) ingestLocked(ev dataset.TailEvent) error {
 			return err
 		}
 		if skipped > 0 {
-			s.logf("apiserv: day %s: %d failed record(s) skipped", ev.Snap.Day, skipped)
+			slog.Info("apiserv: failed records skipped", "day", ev.Snap.Day, "offset", ev.At.Offset, "skipped", skipped)
 		}
 		s.wm.Sections++
 		s.lastDay = ev.Snap.Day

@@ -58,7 +58,7 @@ func sweep(t *testing.T, shape sweepShape) []sweptDay {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup := spec.BuildStreamWith(world, nil, 0, nil)
+	setup := spec.BuildStreamWith(world, nil, 0)
 	var days []sweptDay
 	for _, day := range sweepDays {
 		scanner, src, prepare, err := setup(context.Background(), day)

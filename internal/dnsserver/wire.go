@@ -41,8 +41,6 @@ func NewWireScratch() *WireScratch {
 // header flag bits in packed byte order: byte 2 carries QR..RD, byte 3
 // carries RA/AD/CD and the RCode.
 const (
-	flagQRByte = 0x80
-	flagAAByte = 0x04
 	flagTCByte = 0x02
 	flagRDByte = 0x01
 )

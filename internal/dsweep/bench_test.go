@@ -35,7 +35,7 @@ func BenchmarkRunLocal(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		workers := plan.Fleet(world, n, nil)
+		workers := plan.Fleet(world, n)
 		start := time.Now()
 		// A 2s lease keeps the GrantWait retry cadence (TTL/8) short, so the
 		// tail, workers idling while the last leases finish, reflects the

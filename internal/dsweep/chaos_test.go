@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"strings"
 	"sync"
@@ -25,6 +26,7 @@ import (
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/logtest"
 	"securepki.org/registrarsec/internal/registrar"
 	"securepki.org/registrarsec/internal/scan"
 	"securepki.org/registrarsec/internal/simtime"
@@ -90,8 +92,7 @@ func (c *chaos) firesOn(leaseID string) bool {
 // chaosCoord is a worker's control plane as its script distorts it.
 type chaosCoord struct {
 	Coordination
-	c    *chaos
-	logf func(string, ...any)
+	c *chaos
 }
 
 func (cc *chaosCoord) Lease(ctx context.Context, worker string) (*Grant, error) {
@@ -118,10 +119,10 @@ func (cc *chaosCoord) Complete(ctx context.Context, req *CompleteRequest) (*Comp
 	if cc.c.firesOn(req.LeaseID) {
 		switch cc.c.act {
 		case actKillBeforeReport:
-			cc.logf("worker %s: chaos kill before report on %s", req.Worker, req.Unit)
+			slog.Info("chaos: kill before report", "worker", req.Worker, "unit", req.Unit)
 			return nil, errChaosKilled
 		case actStall:
-			cc.logf("worker %s: chaos stall %s on %s", req.Worker, cc.c.delay, req.Unit)
+			slog.Info("chaos: stall", "worker", req.Worker, "unit", req.Unit, "delay", cc.c.delay)
 			if err := sleepCtx(ctx, cc.c.delay); err != nil {
 				return nil, err
 			}
@@ -132,14 +133,14 @@ func (cc *chaosCoord) Complete(ctx context.Context, req *CompleteRequest) (*Comp
 
 // worker builds the named worker of a fleet around coord, its control
 // plane and day setup wrapped by the script c (nil: neither).
-func (c *chaos) worker(name string, coord Coordination, store *checkpoint.Store, setup scan.StreamDaySetup, logf func(string, ...any)) (*Worker, error) {
+func (c *chaos) worker(name string, coord Coordination, store *checkpoint.Store, setup scan.StreamDaySetup) (*Worker, error) {
 	if c != nil {
-		coord = &chaosCoord{Coordination: coord, c: c, logf: logf}
+		coord = &chaosCoord{Coordination: coord, c: c}
 		inner := setup
 		setup = func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
 			s, src, prepare, err := inner(ctx, day)
 			return s, src, func(ctx context.Context, lo, hi int) error {
-				if err := c.prepare(ctx, name, logf); err != nil {
+				if err := c.prepare(ctx, name); err != nil {
 					return err
 				}
 				if prepare == nil {
@@ -149,12 +150,12 @@ func (c *chaos) worker(name string, coord Coordination, store *checkpoint.Store,
 			}, err
 		}
 	}
-	return NewWorker(WorkerConfig{Name: name, Coord: coord, Store: store, StreamSetup: setup, OnEvent: logf})
+	return NewWorker(WorkerConfig{Name: name, Coord: coord, Store: store, StreamSetup: setup})
 }
 
 // prepare is the script's part in readying one chunk: the slow disk and
 // the kill between chunks.
-func (c *chaos) prepare(ctx context.Context, name string, logf func(string, ...any)) error {
+func (c *chaos) prepare(ctx context.Context, name string) error {
 	c.mu.Lock()
 	scripted := c.lease != ""
 	if scripted {
@@ -165,10 +166,10 @@ func (c *chaos) prepare(ctx context.Context, name string, logf func(string, ...a
 	switch {
 	case !scripted:
 	case c.act == actSlowDisk && prepares == 1:
-		logf("worker %s: chaos slow disk %s", name, c.delay)
+		slog.Info("chaos: slow disk", "worker", name, "delay", c.delay)
 		return sleepCtx(ctx, c.delay)
 	case c.act == actKillBetweenChunks && prepares > c.afterChunks:
-		logf("worker %s: chaos kill after %d flushed chunks", name, c.afterChunks)
+		slog.Info("chaos: kill between chunks", "worker", name, "flushed", c.afterChunks)
 		return errChaosKilled
 	}
 	return nil
@@ -279,34 +280,6 @@ func referenceArchive(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Targe
 	return buf.Bytes()
 }
 
-// eventLog collects progress lines for assertions while echoing to the
-// test log.
-type eventLog struct {
-	t  *testing.T
-	mu sync.Mutex
-	ls []string
-}
-
-func (el *eventLog) logf(format string, args ...any) {
-	line := fmt.Sprintf(format, args...)
-	el.mu.Lock()
-	el.ls = append(el.ls, line)
-	el.mu.Unlock()
-	el.t.Log(line)
-}
-
-func (el *eventLog) count(substr string) int {
-	el.mu.Lock()
-	defer el.mu.Unlock()
-	n := 0
-	for _, l := range el.ls {
-		if strings.Contains(l, substr) {
-			n++
-		}
-	}
-	return n
-}
-
 // chaosEnv is one prepared distributed-sweep scenario.
 type chaosEnv struct {
 	eco     *dnstest.Ecosystem
@@ -352,9 +325,9 @@ func sectionsTo(buf *bytes.Buffer) scan.DaySink {
 
 // fleet runs a coordinator over the scenario's plan and store with one
 // worker per script (nil: a worker nothing happens to), as RunLocal does.
-func (env *chaosEnv) fleet(t *testing.T, ttl time.Duration, scripts map[string]*chaos, logf func(string, ...any), sink scan.DaySink) (*Result, error) {
+func (env *chaosEnv) fleet(t *testing.T, ttl time.Duration, scripts map[string]*chaos, sink scan.DaySink) (*Result, error) {
 	t.Helper()
-	coord, err := NewCoordinator(CoordinatorConfig{Plan: env.plan, Store: env.store, LeaseTTL: ttl, OnEvent: logf})
+	coord, err := NewCoordinator(CoordinatorConfig{Plan: env.plan, Store: env.store, LeaseTTL: ttl})
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +339,7 @@ func (env *chaosEnv) fleet(t *testing.T, ttl time.Duration, scripts map[string]*
 	sort.Strings(names)
 	var workers []*Worker
 	for _, name := range names {
-		w, err := scripts[name].worker(name, coord, env.store, testStreamSetup(t, env.eco, env.targets), logf)
+		w, err := scripts[name].worker(name, coord, env.store, testStreamSetup(t, env.eco, env.targets))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,10 +350,10 @@ func (env *chaosEnv) fleet(t *testing.T, ttl time.Duration, scripts map[string]*
 
 // run executes a fleet with the given worker scripts and asserts the
 // merged archive is byte-identical to the oracle.
-func (env *chaosEnv) run(t *testing.T, ttl time.Duration, scripts map[string]*chaos, logf func(string, ...any)) *Result {
+func (env *chaosEnv) run(t *testing.T, ttl time.Duration, scripts map[string]*chaos) *Result {
 	t.Helper()
 	var got bytes.Buffer
-	res, err := env.fleet(t, ttl, scripts, logf, sectionsTo(&got))
+	res, err := env.fleet(t, ttl, scripts, sectionsTo(&got))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +366,7 @@ func (env *chaosEnv) run(t *testing.T, ttl time.Duration, scripts map[string]*ch
 
 func TestRunLocalCleanByteIdentical(t *testing.T) {
 	env := newChaosEnv(t, 3)
-	res := env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil}, t.Logf)
+	res := env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil})
 	if len(res.WorkerErrs) != 0 {
 		t.Fatalf("worker errors in clean run: %v", res.WorkerErrs)
 	}
@@ -419,7 +392,7 @@ func TestRunLocalWorkerKilledMidShard(t *testing.T) {
 	res := env.run(t, 300*time.Millisecond, map[string]*chaos{
 		"w1": {claim: 1, act: actKillBeforeReport},
 		"w2": nil,
-	}, t.Logf)
+	})
 	if !errors.Is(res.WorkerErrs["w1"], errChaosKilled) {
 		t.Fatalf("w1 error: %v", res.WorkerErrs["w1"])
 	}
@@ -436,7 +409,7 @@ func TestRunLocalStragglerDuplicate(t *testing.T) {
 	res := env.run(t, 200*time.Millisecond, map[string]*chaos{
 		"w1": {claim: 1, act: actStall, delay: 800 * time.Millisecond},
 		"w2": nil,
-	}, t.Logf)
+	})
 	if len(res.WorkerErrs) != 0 {
 		t.Fatalf("worker errors: %v", res.WorkerErrs)
 	}
@@ -455,7 +428,7 @@ func TestRunLocalSlowDiskKeepsLease(t *testing.T) {
 	res := env.run(t, 200*time.Millisecond, map[string]*chaos{
 		"w1": {claim: 1, act: actSlowDisk, delay: 700 * time.Millisecond},
 		"w2": nil,
-	}, t.Logf)
+	})
 	if len(res.WorkerErrs) != 0 {
 		t.Fatalf("worker errors: %v", res.WorkerErrs)
 	}
@@ -473,7 +446,7 @@ func TestRunLocalCoordinatorRestartResumes(t *testing.T) {
 	res, err := env.fleet(t, 200*time.Millisecond, map[string]*chaos{
 		"w1": {claim: 2, act: actKillBeforeReport},
 		"w2": {claim: 2, act: actKillBeforeReport},
-	}, t.Logf, nil)
+	}, nil)
 	if err == nil {
 		t.Fatal("phase 1 succeeded despite every worker dying")
 	}
@@ -483,7 +456,7 @@ func TestRunLocalCoordinatorRestartResumes(t *testing.T) {
 
 	// Phase 2: a fresh coordinator process over the same directory adopts
 	// the completed units and finishes with fresh workers.
-	res2 := env.run(t, 200*time.Millisecond, map[string]*chaos{"w3": nil}, t.Logf)
+	res2 := env.run(t, 200*time.Millisecond, map[string]*chaos{"w3": nil})
 	if res2.Stats.Recovered == 0 {
 		t.Fatalf("restart adopted nothing: %+v", res2.Stats)
 	}
@@ -497,7 +470,7 @@ func TestRunLocalMoreShardsThanTargets(t *testing.T) {
 	// units are legitimately empty. They must round-trip as empty archives
 	// and contribute nothing to the merge.
 	env := newChaosEnv(t, 16)
-	res := env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil}, t.Logf)
+	res := env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil})
 	if len(res.WorkerErrs) != 0 {
 		t.Fatalf("worker errors: %v", res.WorkerErrs)
 	}
@@ -508,8 +481,7 @@ func TestRunLocalMoreShardsThanTargets(t *testing.T) {
 
 func TestRunLocalChunkedCleanByteIdentical(t *testing.T) {
 	env := newChunkedEnv(t, 3, 2)
-	el := &eventLog{t: t}
-	res := env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil}, el.logf)
+	res := env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil})
 	if len(res.WorkerErrs) != 0 {
 		t.Fatalf("worker errors in clean run: %v", res.WorkerErrs)
 	}
@@ -528,43 +500,47 @@ func TestRunLocalChunkedCleanByteIdentical(t *testing.T) {
 
 func TestRunLocalChunkedKillBetweenChunksResumes(t *testing.T) {
 	env := newChunkedEnv(t, 3, 2)
-	el := &eventLog{t: t}
+	logged := logtest.Capture(t)
 
 	// Phase 1: the only worker is SIGKILLed after durably flushing one
 	// chunk of its first unit. The sweep halts with a partial shard on disk.
 	res, err := env.fleet(t, 200*time.Millisecond, map[string]*chaos{
 		"w1": {claim: 1, act: actKillBetweenChunks, afterChunks: 1},
-	}, el.logf, nil)
+	}, nil)
 	if err == nil {
 		t.Fatal("phase 1 succeeded despite its only worker dying")
 	}
 	if !errors.Is(res.WorkerErrs["w1"], errChaosKilled) {
 		t.Fatalf("w1 error: %v", res.WorkerErrs["w1"])
 	}
-	if el.count("chaos kill after 1 flushed chunks") == 0 {
+	if len(logged.Records("chaos: kill between chunks")) == 0 {
 		t.Fatal("kill-between-chunks never fired")
 	}
 
 	// Phase 2: the same worker restarts over the same directory. Its first
 	// re-claimed unit must reuse the flushed chunk by checksum instead of
 	// re-scanning it, and the finished archive must be byte-identical.
-	res2 := env.run(t, 200*time.Millisecond, map[string]*chaos{"w1": nil}, el.logf)
+	res2 := env.run(t, 200*time.Millisecond, map[string]*chaos{"w1": nil})
 	if len(res2.WorkerErrs) != 0 {
 		t.Fatalf("phase 2 worker errors: %v", res2.WorkerErrs)
 	}
-	if el.count("reusing chunk") == 0 {
+	reused := logged.Records("worker: reusing chunk")
+	if len(reused) == 0 {
 		t.Fatal("restarted worker re-scanned its flushed chunk instead of reusing it")
+	}
+	if r := reused[0]; r.Attrs["worker"] != "w1" || r.Attrs["chunk"] != "0" || r.Attrs["day"] == "" || r.Attrs["shard"] == "" {
+		t.Errorf("chunk reuse record does not locate the chunk: %+v", r)
 	}
 }
 
 func TestRunLocalChunkedOwnerTagIsolation(t *testing.T) {
 	env := newChunkedEnv(t, 3, 2)
-	el := &eventLog{t: t}
+	logged := logtest.Capture(t)
 
 	// Phase 1: w1 dies after flushing one chunk.
 	_, err := env.fleet(t, 200*time.Millisecond, map[string]*chaos{
 		"w1": {claim: 1, act: actKillBetweenChunks, afterChunks: 1},
-	}, el.logf, nil)
+	}, nil)
 	if err == nil {
 		t.Fatal("phase 1 succeeded despite its only worker dying")
 	}
@@ -572,11 +548,11 @@ func TestRunLocalChunkedOwnerTagIsolation(t *testing.T) {
 	// Phase 2: a DIFFERENT worker takes over. w1's chunks are owner-tagged
 	// (another vantage point may legitimately measure differently), so w2
 	// must re-scan from scratch — and still merge byte-identical.
-	res := env.run(t, 200*time.Millisecond, map[string]*chaos{"w2": nil}, el.logf)
+	res := env.run(t, 200*time.Millisecond, map[string]*chaos{"w2": nil})
 	if len(res.WorkerErrs) != 0 {
 		t.Fatalf("phase 2 worker errors: %v", res.WorkerErrs)
 	}
-	if el.count("reusing chunk") != 0 {
+	if len(logged.Records("worker: reusing chunk")) != 0 {
 		t.Fatal("w2 reused another worker's owner-tagged chunks")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -24,8 +25,6 @@ type CoordinatorConfig struct {
 	LeaseTTL time.Duration
 	// Now is the clock (default time.Now); injectable for tests.
 	Now func() time.Time
-	// OnEvent, when set, receives progress lines.
-	OnEvent func(format string, args ...any)
 }
 
 // Stats is the coordinator's fault accounting.
@@ -132,13 +131,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// event emits a progress line if a sink is attached.
-func (c *Coordinator) event(format string, args ...any) {
-	if c.cfg.OnEvent != nil {
-		c.cfg.OnEvent(format, args...)
-	}
-}
-
 // Close releases the checkpoint directory lock. The persisted state stays
 // behind for a restart; Clear the store once the merged archive is durable.
 func (c *Coordinator) Close() error {
@@ -204,7 +196,7 @@ func (c *Coordinator) expireLocked(now time.Time) bool {
 			u.lease = nil
 			c.stats.Releases++
 			changed = true
-			c.event("coordinator: lease %s on %s (worker %s) expired; unit returns to the pool", id, l.unit, l.worker)
+			slog.Warn("coordinator: lease expired; unit returns to the pool", "lease", id, "unit", l.unit, "worker", l.worker)
 		}
 	}
 	return changed
@@ -250,7 +242,7 @@ func (c *Coordinator) Lease(_ context.Context, worker string) (*Grant, error) {
 		}
 	}
 	if grant != nil {
-		c.event("coordinator: leased %s to %s (%s)", grant.Unit, worker, grant.LeaseID)
+		slog.Info("coordinator: leased unit", "unit", grant.Unit, "worker", worker, "lease", grant.LeaseID)
 		return grant, nil
 	}
 	if anyLeased {
@@ -338,7 +330,7 @@ func (c *Coordinator) Complete(_ context.Context, req *CompleteRequest) (*Comple
 		if d := compareManifests(req.Manifest, u.manifest); d != 0 {
 			c.stats.Divergent++
 			status, adopt = CompleteDivergent, d < 0
-			c.event("coordinator: divergent duplicate for %s (have %s's, got another from %s)", req.Unit, u.worker, req.Worker)
+			slog.Warn("coordinator: divergent duplicate completion", "unit", req.Unit, "accepted", u.worker, "worker", req.Worker, "lease", req.LeaseID)
 		}
 	}
 	if adopt {
@@ -348,12 +340,12 @@ func (c *Coordinator) Complete(_ context.Context, req *CompleteRequest) (*Comple
 		if err != nil {
 			c.stats.Rejected++
 			status = CompleteRejected
-			c.event("coordinator: rejected completion of %s from %s: %v", req.Unit, req.Worker, err)
+			slog.Warn("coordinator: rejected completion", "unit", req.Unit, "worker", req.Worker, "lease", req.LeaseID, "err", err)
 		} else {
 			if u.manifest == nil {
 				c.mergeHealthLocked(req)
-				c.event("coordinator: %s completed by %s (%d chunks) — %d/%d units done",
-					req.Unit, req.Worker, req.Manifest.Chunks, c.doneCountLocked()+1, len(c.order))
+				slog.Info("coordinator: unit completed", "unit", req.Unit, "worker", req.Worker, "lease", req.LeaseID,
+					"chunks", req.Manifest.Chunks, "done", c.doneCountLocked()+1, "units", len(c.order))
 			}
 			u.manifest, u.worker = req.Manifest, req.Worker
 		}

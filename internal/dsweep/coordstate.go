@@ -3,6 +3,7 @@ package dsweep
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"time"
@@ -140,7 +141,6 @@ func (c *Coordinator) restore() error {
 	if st.HealthByWorker != nil {
 		c.healthWkr = st.HealthByWorker
 	}
-	c.event("coordinator: restored state (%d/%d units complete, %d leases outstanding)",
-		c.doneCountLocked(), len(c.order), len(c.leases))
+	slog.Warn("coordinator: restored state", "done", c.doneCountLocked(), "units", len(c.order), "leases", len(c.leases))
 	return nil
 }

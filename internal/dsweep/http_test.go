@@ -19,7 +19,7 @@ import (
 func TestHTTPTopologyByteIdentical(t *testing.T) {
 	env := newChaosEnv(t, 3)
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Plan: env.plan, Store: env.store, LeaseTTL: 300 * time.Millisecond, OnEvent: t.Logf,
+		Plan: env.plan, Store: env.store, LeaseTTL: 300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestHTTPTopologyByteIdentical(t *testing.T) {
 	errs := make(map[string]error)
 	var mu sync.Mutex
 	for name, script := range scripts {
-		w, err := script.worker(name, &Client{Base: srv.URL}, env.store, testStreamSetup(t, env.eco, env.targets), t.Logf)
+		w, err := script.worker(name, &Client{Base: srv.URL}, env.store, testStreamSetup(t, env.eco, env.targets))
 		if err != nil {
 			t.Fatal(err)
 		}

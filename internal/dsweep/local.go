@@ -27,8 +27,6 @@ type LocalConfig struct {
 	Plan    Plan
 	Store   *checkpoint.Store
 	Workers []WorkerSpec
-	// OnEvent receives coordinator and worker progress lines.
-	OnEvent func(format string, args ...any)
 
 	// leaseTTL replaces the default lease TTL in tests.
 	leaseTTL time.Duration
@@ -61,7 +59,6 @@ func RunLocal(ctx context.Context, cfg LocalConfig, sink scan.DaySink) (*Result,
 		Plan:     cfg.Plan,
 		Store:    cfg.Store,
 		LeaseTTL: cfg.leaseTTL,
-		OnEvent:  cfg.OnEvent,
 	})
 	if err != nil {
 		return nil, err
@@ -75,7 +72,6 @@ func RunLocal(ctx context.Context, cfg LocalConfig, sink scan.DaySink) (*Result,
 			Coord:       coord,
 			Store:       cfg.Store,
 			StreamSetup: ws.StreamSetup,
-			OnEvent:     cfg.OnEvent,
 		})
 		if err != nil {
 			return nil, err

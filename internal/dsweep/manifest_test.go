@@ -85,7 +85,7 @@ func reopen(t *testing.T, env *chaosEnv) *Coordinator {
 // file emits the bytes of the in-budget merge and of the single process.
 func TestMergeForcedSpillByteIdentical(t *testing.T) {
 	env := newChunkedEnv(t, 3, 2)
-	env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil}, t.Logf)
+	env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil})
 	c := reopen(t, env)
 	inBudget, _, runs := mergeArchive(t, c, dataset.SpillOptions{})
 	if runs != 0 {
@@ -105,7 +105,7 @@ func TestMergeForcedSpillByteIdentical(t *testing.T) {
 // the merge fails naming the unit and the chunk.
 func TestCoordinatorRestartMergeNamesDamagedChunk(t *testing.T) {
 	env := newChunkedEnv(t, 3, 2)
-	env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil}, t.Logf)
+	env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil})
 	c := reopen(t, env)
 	discard := func(simtime.Day, *dataset.SpillWriter) error { return nil }
 	mergeNames := func(what string, id UnitID, chunk int) {
@@ -192,7 +192,7 @@ func checkDirectory(t *testing.T, env *chaosEnv, deadWorker string) int {
 func TestRunLocalLeavesOnlyLedgerAndChunks(t *testing.T) {
 	t.Run("clean", func(t *testing.T) {
 		env := newChunkedEnv(t, 3, 2)
-		env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil}, t.Logf)
+		env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil})
 		checkDirectory(t, env, "")
 	})
 	t.Run("worker killed before its report", func(t *testing.T) {
@@ -200,7 +200,7 @@ func TestRunLocalLeavesOnlyLedgerAndChunks(t *testing.T) {
 		env.run(t, 300*time.Millisecond, map[string]*chaos{
 			"w1": {claim: 1, act: actKillBeforeReport},
 			"w2": nil,
-		}, t.Logf)
+		})
 		if orphans := checkDirectory(t, env, "w1"); orphans == 0 {
 			t.Error("the killed worker left no orphan chunk behind; the drill exercised nothing")
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"reflect"
 	"strings"
 
@@ -193,12 +194,12 @@ func (sp *WorldSpec) PlanFor(days []simtime.Day, shards, chunk int) Plan {
 }
 
 // BuildStream is BuildStreamWith over a world built from the spec.
-func (sp *WorldSpec) BuildStream(vantage []faultnet.Rule, vantageSeed int64, onEvent func(format string, args ...any)) (scan.StreamDaySetup, error) {
+func (sp *WorldSpec) BuildStream(vantage []faultnet.Rule, vantageSeed int64) (scan.StreamDaySetup, error) {
 	world, err := tldsim.Build(sp.WorldConfig())
 	if err != nil {
 		return nil, err
 	}
-	return sp.BuildStreamWith(world, vantage, vantageSeed, onEvent), nil
+	return sp.BuildStreamWith(world, vantage, vantageSeed), nil
 }
 
 // BuildStreamWith assembles the spec into a scan.StreamDaySetup over world
@@ -212,22 +213,19 @@ func (sp *WorldSpec) BuildStream(vantage []faultnet.Rule, vantageSeed int64, onE
 // file-backed population stays out of the resident heap. vantage, when
 // non-empty, is this worker's own vantage-point fault profile, layered
 // below the sweep-wide fault rules and driven by vantageSeed.
-func (sp *WorldSpec) BuildStreamWith(world *tldsim.World, vantage []faultnet.Rule, vantageSeed int64, onEvent func(format string, args ...any)) scan.StreamDaySetup {
+func (sp *WorldSpec) BuildStreamWith(world *tldsim.World, vantage []faultnet.Rule, vantageSeed int64) scan.StreamDaySetup {
 	s := *sp
 	s.normalize()
 	src := world.SampleSource(s.Sample, s.SampleSeed)
-	if onEvent == nil {
-		onEvent = func(string, ...any) {}
-	}
 	faults := s.Rules
 	if s.FaultFrac > 0 {
 		lossy, faulty := tldsim.LossyOperatorsSource(src, s.FaultFrac, s.FaultLoss, s.FaultSeed)
 		// Capacity clipped: the append must not write into the caller's Rules.
 		faults = append(faults[:len(faults):len(faults)], lossy...)
-		onEvent("injecting %.0f%% loss on %d operator(s)", s.FaultLoss*100, len(faulty))
+		slog.Info("injecting loss on faulty operators", "loss", s.FaultLoss, "operators", len(faulty))
 	}
 	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
-		onEvent("streaming %d domains at %s (lazy per-chunk materialization)", src.Len(), day)
+		slog.Info("streaming domains (lazy per-chunk materialization)", "day", day, "domains", src.Len())
 		sm := tldsim.NewStreamMaterializer(day, src)
 		clock := func() simtime.Day { return day }
 		var mw []exchange.Middleware
@@ -272,26 +270,25 @@ func (sp *WorldSpec) BuildStreamWith(world *tldsim.World, vantage []faultnet.Rul
 // resumable sweep over world, durable in cp when cp is non-nil; run it with
 // RunStream(ctx, p.Days, sink).
 func (p *Plan) Sweep(world *tldsim.World, cp *checkpoint.Store, spill dataset.SpillOptions,
-	onDayHealth func(simtime.Day, *scan.SweepHealth), onEvent func(format string, args ...any)) *scan.ResumableSweep {
+	onDayHealth func(simtime.Day, *scan.SweepHealth)) *scan.ResumableSweep {
 	return &scan.ResumableSweep{
 		Checkpoint:  cp,
 		Fingerprint: p.Fingerprint,
 		Shards:      p.Shards,
 		Chunk:       p.Chunk,
 		Spill:       spill,
-		StreamSetup: p.Spec.BuildStreamWith(world, nil, 0, onEvent),
+		StreamSetup: p.Spec.BuildStreamWith(world, nil, 0),
 		OnDayHealth: onDayHealth,
-		OnEvent:     onEvent,
 	}
 }
 
 // Fleet is the plan (PlanFor's, as for Sweep) as n in-process workers over
 // world for RunLocal, named w01…; each owns its sample cursor and exchange
 // stack, as a separate regsec-scan -worker process would.
-func (p *Plan) Fleet(world *tldsim.World, n int, onEvent func(format string, args ...any)) []WorkerSpec {
+func (p *Plan) Fleet(world *tldsim.World, n int) []WorkerSpec {
 	workers := make([]WorkerSpec, n)
 	for i := range workers {
-		workers[i] = WorkerSpec{Name: fmt.Sprintf("w%02d", i+1), StreamSetup: p.Spec.BuildStreamWith(world, nil, 0, onEvent)}
+		workers[i] = WorkerSpec{Name: fmt.Sprintf("w%02d", i+1), StreamSetup: p.Spec.BuildStreamWith(world, nil, 0)}
 	}
 	return workers
 }

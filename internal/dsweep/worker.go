@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -27,8 +28,6 @@ type WorkerConfig struct {
 	// exchange stack, so vantage-point fault profiles and transport state
 	// never leak between workers.
 	StreamSetup scan.StreamDaySetup
-	// OnEvent, when set, receives progress lines.
-	OnEvent func(format string, args ...any)
 }
 
 // Worker claims leases from a coordinator, scans its shard chunk by chunk
@@ -63,13 +62,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return &Worker{cfg: cfg}, nil
 }
 
-// event emits a progress line if a sink is attached.
-func (w *Worker) event(format string, args ...any) {
-	if w.cfg.OnEvent != nil {
-		w.cfg.OnEvent(format, args...)
-	}
-}
-
 // Run claims and completes units until the plan is done, the context is
 // cancelled, or a fault kills the worker.
 func (w *Worker) Run(ctx context.Context) error {
@@ -90,7 +82,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		switch grant.Status {
 		case GrantDone:
-			w.event("worker %s: plan complete, exiting", w.cfg.Name)
+			slog.Info("worker: plan complete, exiting", "worker", w.cfg.Name)
 			return nil
 		case GrantWait:
 			if err := sleepCtx(ctx, time.Duration(grant.RetryMillis)*time.Millisecond); err != nil {
@@ -102,7 +94,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				return err
 			}
 			if done {
-				w.event("worker %s: plan complete, exiting", w.cfg.Name)
+				slog.Info("worker: plan complete, exiting", "worker", w.cfg.Name)
 				return nil
 			}
 		default:
@@ -137,7 +129,8 @@ func (w *Worker) runUnit(ctx context.Context, plan *Plan, grant *Grant) (bool, e
 	if err != nil {
 		return false, fmt.Errorf("dsweep: worker %s: completing %s: %w", w.cfg.Name, unit, err)
 	}
-	w.event("worker %s: unit %s settled as %s (%d chunks)", w.cfg.Name, unit, reply.Status, manifest.Chunks)
+	slog.Info("worker: unit settled", "worker", w.cfg.Name, "unit", unit, "lease", grant.LeaseID, "status", reply.Status,
+		"chunks", manifest.Chunks)
 	return reply.Done, nil
 }
 
@@ -191,12 +184,12 @@ func (w *Worker) scanUnit(ctx context.Context, plan *Plan, unit UnitID) (*checkp
 	manifest := checkpoint.NewChunkProgress(scan.ChunkSize(plan.Chunk), span.Len())
 	w.cfg.Store.RecoverChunks(unit.Day, unit.Shard, owner, manifest, func(c, records int, err error) {
 		if err != nil {
-			w.event("worker %s: chunk %d of %s damaged (%v), re-scanning", w.cfg.Name, c, unit, err)
+			slog.Warn("worker: chunk damaged, re-scanning", "worker", w.cfg.Name, "day", unit.Day, "shard", unit.Shard, "chunk", c, "err", err)
 			return
 		}
-		w.event("worker %s: reusing chunk %d of %s (%d records)", w.cfg.Name, c, unit, records)
+		slog.Warn("worker: reusing chunk", "worker", w.cfg.Name, "day", unit.Day, "shard", unit.Shard, "chunk", c, "records", records)
 	})
-	store := &scan.ChunkStore{Dir: w.cfg.Store, Shard: unit.Shard, Owner: owner, Progress: manifest, Event: w.event,
+	store := &scan.ChunkStore{Dir: w.cfg.Store, Shard: unit.Shard, Owner: owner, Progress: manifest,
 		Persist: func() error { return nil }}
 	// The records stay in the chunk files; the merge reads them from there.
 	health, err := env.ScanSpan(ctx, unit.Day, span, store, func(...dataset.Record) error { return nil })
@@ -228,7 +221,7 @@ func (w *Worker) startHeartbeat(ctx context.Context, leaseID string, ttl time.Du
 				return
 			case <-t.C:
 				if err := w.cfg.Coord.Heartbeat(ctx, leaseID); err != nil {
-					w.event("worker %s: heartbeat for %s: %v", w.cfg.Name, leaseID, err)
+					slog.Warn("worker: heartbeat failed", "worker", w.cfg.Name, "lease", leaseID, "err", err)
 					return
 				}
 			}

@@ -8,6 +8,7 @@ package profdump
 
 import (
 	"fmt"
+	"log/slog"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -16,8 +17,8 @@ import (
 // Start begins CPU profiling when cpuPath is non-empty. The returned stop
 // function ends the CPU profile and, when memPath is non-empty, writes a
 // heap profile (after a GC, so it reflects live objects). stop is safe to
-// call when both paths are empty; failures while writing the heap profile
-// are reported to stderr rather than lost.
+// call when both paths are empty; failures while writing the profiles are
+// logged rather than lost.
 func Start(cpuPath, memPath string) (stop func(), err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
@@ -34,21 +35,21 @@ func Start(cpuPath, memPath string) (stop func(), err error) {
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			if err := cpuFile.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "profdump: closing %s: %v\n", cpuPath, err)
+				slog.Error("profdump: closing CPU profile", "path", cpuPath, "err", err)
 			}
 		}
 		if memPath != "" {
 			f, err := os.Create(memPath)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "profdump: %v\n", err)
+				slog.Error("profdump: creating heap profile", "path", memPath, "err", err)
 				return
 			}
 			runtime.GC() // materialize final live-heap state
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "profdump: writing heap profile: %v\n", err)
+				slog.Error("profdump: writing heap profile", "path", memPath, "err", err)
 			}
 			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "profdump: closing %s: %v\n", memPath, err)
+				slog.Error("profdump: closing heap profile", "path", memPath, "err", err)
 			}
 		}
 	}, nil

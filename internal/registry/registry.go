@@ -490,12 +490,6 @@ func (r *Registry) recordFailure(registrarID string, day simtime.Day) {
 	r.failures[registrarID] = append(r.failures[registrarID], day)
 }
 
-func (r *Registry) overThreshold(registrarID string, day simtime.Day) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.overThresholdLocked(registrarID, day)
-}
-
 func (r *Registry) overThresholdLocked(registrarID string, day simtime.Day) bool {
 	inc := r.cfg.Incentive
 	if inc == nil || inc.MaxFailures <= 0 {

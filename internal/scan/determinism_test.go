@@ -121,7 +121,7 @@ func TestCachedSweepOutputIdenticalUnderFaults(t *testing.T) {
 	// The faults must actually have bitten — a clean sweep would make the
 	// equality vacuous — and recovery must have exercised the resweep path,
 	// which is where the cache earns its keep (re-asked clean queries).
-	if plainHealth.Retries == 0 {
+	if plainHealth.Exchange.Retry.Retries == 0 {
 		t.Error("no retries: fault injection did not engage")
 	}
 	if cachedHealth.Resweeps == 0 {

@@ -77,19 +77,12 @@ type SweepHealth struct {
 	Failures []Failure
 	// ByClass tallies failures (and unknown-TLD skips) per class.
 	ByClass map[FailClass]int
-	// Retries is the number of extra per-query attempts the retry layer
-	// spent during this sweep.
-	Retries int64
-	// FailedExchanges counts queries that failed after exhausting their
-	// attempt budget.
-	FailedExchanges int64
 	// Resweeps is how many bounded re-sweep passes ran over failed
 	// targets.
 	Resweeps int
 	// Exchange is the exchange stack's per-layer interval accounting for
 	// this sweep: transport exchanges, cache hit rate, dedup coalescing,
-	// breaker activity. Retries/FailedExchanges above are its retry
-	// section, kept as top-level fields for compatibility.
+	// retries spent and exchanges that exhausted them.
 	Exchange exchange.Counters
 }
 
@@ -116,8 +109,6 @@ func (h *SweepHealth) Merge(o *SweepHealth) {
 	for class, n := range o.ByClass {
 		h.ByClass[class] += n
 	}
-	h.Retries += o.Retries
-	h.FailedExchanges += o.FailedExchanges
 	h.Resweeps += o.Resweeps
 	h.Exchange = h.Exchange.Add(o.Exchange)
 }
@@ -141,7 +132,7 @@ func (h *SweepHealth) String() string {
 	if n := len(h.SkippedUnknownTLD); n > 0 {
 		fmt.Fprintf(&sb, ", %d unknown-TLD skipped", n)
 	}
-	fmt.Fprintf(&sb, ", %d retries", h.Retries)
+	fmt.Fprintf(&sb, ", %d retries", h.Exchange.Retry.Retries)
 	if h.Resweeps > 0 {
 		fmt.Fprintf(&sb, ", %d resweep(s)", h.Resweeps)
 	}

@@ -26,14 +26,12 @@ var failClasses = []scan.FailClass{
 // genHealth fabricates one shard's health report from the rng.
 func genHealth(rng *rand.Rand, day simtime.Day, shard int) *scan.SweepHealth {
 	h := &scan.SweepHealth{
-		Day:             day,
-		Targets:         rng.Intn(50),
-		Measured:        rng.Intn(50),
-		Unregistered:    rng.Intn(5),
-		Retries:         rng.Int63n(100),
-		FailedExchanges: rng.Int63n(20),
-		Resweeps:        rng.Intn(3),
-		ByClass:         make(map[scan.FailClass]int),
+		Day:          day,
+		Targets:      rng.Intn(50),
+		Measured:     rng.Intn(50),
+		Unregistered: rng.Intn(5),
+		Resweeps:     rng.Intn(3),
+		ByClass:      make(map[scan.FailClass]int),
 		Exchange: exchange.Counters{
 			Transport: exchange.TransportCounters{Exchanges: rng.Int63n(1000), Errors: rng.Int63n(50)},
 			Cache:     exchange.CacheCounters{Hits: rng.Int63n(300), Misses: rng.Int63n(300)},

@@ -161,8 +161,6 @@ func (s *Scanner) ScanDay(ctx context.Context, day simtime.Day, targets []Target
 	defer func() {
 		health.Measured = snap.MeasuredCount()
 		health.Exchange = s.stack.Counters().Sub(start)
-		health.Retries = health.Exchange.Retry.Retries
-		health.FailedExchanges = health.Exchange.Retry.Failures
 	}()
 
 	pending := targets

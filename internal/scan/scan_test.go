@@ -251,8 +251,9 @@ func TestScanCancelAccountsEveryTarget(t *testing.T) {
 
 // TestSweepHealthMerge checks the shard-aggregation arithmetic.
 func TestSweepHealthMerge(t *testing.T) {
-	a := &scan.SweepHealth{Targets: 5, Measured: 4, Unregistered: 1, Retries: 2,
-		ByClass: map[scan.FailClass]int{scan.FailTimeout: 1}}
+	a := &scan.SweepHealth{Targets: 5, Measured: 4, Unregistered: 1,
+		Exchange: exchange.Counters{Retry: exchange.RetryCounters{Retries: 2}},
+		ByClass:  map[scan.FailClass]int{scan.FailTimeout: 1}}
 	b := &scan.SweepHealth{Targets: 3, Measured: 2, Resweeps: 1,
 		Failures: []scan.Failure{{Class: scan.FailTimeout}},
 		ByClass:  map[scan.FailClass]int{scan.FailTimeout: 1}}
@@ -261,7 +262,7 @@ func TestSweepHealthMerge(t *testing.T) {
 	sum.Merge(b)
 	sum.Merge(nil)
 	if sum.Targets != 8 || sum.Measured != 6 || sum.Unregistered != 1 ||
-		sum.Retries != 2 || sum.Resweeps != 1 || len(sum.Failures) != 1 ||
+		sum.Exchange.Retry.Retries != 2 || sum.Resweeps != 1 || len(sum.Failures) != 1 ||
 		sum.ByClass[scan.FailTimeout] != 2 {
 		t.Errorf("merge: %+v", sum)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 
 	"securepki.org/registrarsec/internal/checkpoint"
 	"securepki.org/registrarsec/internal/dataset"
@@ -120,8 +121,6 @@ type ChunkStore struct {
 	// recorded. A worker has nothing to do here: its ledger is the
 	// directory itself (checkpoint.Store.RecoverChunks).
 	Persist func() error
-	// Event receives progress lines.
-	Event func(format string, args ...any)
 }
 
 // load returns chunk c's durable snapshot, or nil when there is none to
@@ -134,12 +133,12 @@ func (s *ChunkStore) load(day simtime.Day, c int) *dataset.Snapshot {
 	}
 	snap, err := s.Dir.LoadChunk(day, meta)
 	if err != nil {
-		s.Event("resume: day %s shard %d chunk %d/%d damaged (%v), re-scanning", day, s.Shard, c+1, s.Progress.Chunks, err)
+		slog.Warn("resume: chunk damaged, re-scanning", "day", day, "shard", s.Shard, "chunk", c, "chunks", s.Progress.Chunks, "err", err)
 		delete(s.Progress.Done, c)
 		return nil
 	}
-	s.Event("resume: day %s shard %d chunk %d/%d verified from checkpoint (%d records)",
-		day, s.Shard, c+1, s.Progress.Chunks, len(snap.Records))
+	slog.Warn("resume: chunk verified from checkpoint", "day", day, "shard", s.Shard, "chunk", c, "chunks", s.Progress.Chunks,
+		"records", len(snap.Records))
 	return snap
 }
 
@@ -243,16 +242,6 @@ type ResumableSweep struct {
 	Spill dataset.SpillOptions
 	// OnDayHealth, when set, receives each day's aggregated health report.
 	OnDayHealth func(day simtime.Day, h *SweepHealth)
-	// OnEvent, when set, receives progress lines (resume skips, damage
-	// re-scans).
-	OnEvent func(format string, args ...any)
-}
-
-// event emits a progress line if a sink is attached.
-func (rs *ResumableSweep) event(format string, args ...any) {
-	if rs.OnEvent != nil {
-		rs.OnEvent(format, args...)
-	}
 }
 
 // shards returns the effective shard count.
@@ -348,7 +337,7 @@ func (rs *ResumableSweep) runDay(ctx context.Context, day simtime.Day, st *check
 			return lerr
 		}
 		if ok {
-			rs.event("resume: day %s verified from checkpoint (%d records), skipping scan", day, sw.Len())
+			slog.Warn("resume: day verified from checkpoint, skipping scan", "day", day, "records", sw.Len())
 			return finishDay(day, sw, sink)
 		}
 		// Some chunk is damaged or missing: demote the day, discard
@@ -379,7 +368,7 @@ func (rs *ResumableSweep) runDay(ctx context.Context, day simtime.Day, st *check
 			// of incompatible pieces.
 			return fmt.Errorf("scan: day %s: %w", day, err)
 		}
-		store := &ChunkStore{Dir: rs.Checkpoint, Shard: k, Progress: cp, Event: rs.event,
+		store := &ChunkStore{Dir: rs.Checkpoint, Shard: k, Progress: cp,
 			Persist: func() error { return rs.saveState(st) }}
 		h, err := env.ScanSpan(ctx, day, span, store, sw.Append)
 		dayHealth.Merge(h)
@@ -421,19 +410,19 @@ func (rs *ResumableSweep) loadDoneDay(day simtime.Day, dp *checkpoint.DayProgres
 	if len(dp.Partial) == 0 {
 		// A state that calls the day done but names no chunks has nothing
 		// to verify; trusting it would fabricate an empty day.
-		rs.event("resume: day %s marked done without chunk progress", day)
+		slog.Warn("resume: day marked done without chunk progress", "day", day)
 		return false, nil
 	}
 	for k := 0; k < len(dp.Partial); k++ {
 		cp := dp.Partial[k]
 		if cp == nil {
-			rs.event("resume: day %s shard %d missing from chunk progress", day, k)
+			slog.Warn("resume: shard missing from chunk progress", "day", day, "shard", k)
 			return false, nil
 		}
 		err := rs.Checkpoint.AppendUnit(day, cp, sw.Append)
 		var bad *checkpoint.ChunkError
 		if errors.As(err, &bad) {
-			rs.event("resume: day %s shard %d chunk %d failed verification (%v)", day, k, bad.Chunk, bad.Err)
+			slog.Warn("resume: chunk failed verification", "day", day, "shard", k, "chunk", bad.Chunk, "err", bad.Err)
 			delete(cp.Done, bad.Chunk)
 			return false, nil
 		}

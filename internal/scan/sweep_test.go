@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,6 +18,7 @@ import (
 	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/exchange"
+	"securepki.org/registrarsec/internal/logtest"
 	"securepki.org/registrarsec/internal/scan"
 	"securepki.org/registrarsec/internal/simtime"
 )
@@ -134,7 +136,7 @@ func healthKey(h *scan.SweepHealth) string {
 	sort.Strings(skipped)
 	return fmt.Sprintf("t=%d m=%d u=%d by[%s] fail[%s] skip[%s] retries=%d",
 		h.Targets, h.Measured, h.Unregistered, strings.Join(classes, ","),
-		strings.Join(fails, ","), strings.Join(skipped, ","), h.Retries)
+		strings.Join(fails, ","), strings.Join(skipped, ","), h.Exchange.Retry.Retries)
 }
 
 // chunkHealths scans the targets in chunks of the given size, as the chunk
@@ -298,7 +300,6 @@ func killResume(t *testing.T, chunk int) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	killer := &cancelAtExchanger{cancel: cancel, at: killAt}
-	var events []string
 	interrupted := &scan.ResumableSweep{
 		Checkpoint:  cp,
 		Fingerprint: "drill-v1",
@@ -308,7 +309,6 @@ func killResume(t *testing.T, chunk int) {
 			killer.inner = ex
 			return killer
 		}),
-		OnEvent: func(f string, a ...any) { events = append(events, fmt.Sprintf(f, a...)) },
 	}
 	if err := interrupted.RunStream(ctx, days, nil); err == nil {
 		t.Fatal("interrupted run reported success")
@@ -338,20 +338,14 @@ func killResume(t *testing.T, chunk int) {
 		Shards:      3,
 		Chunk:       chunk,
 		StreamSetup: sweepSetup(t, eco, targets, nil),
-		OnEvent:     func(f string, a ...any) { events = append(events, fmt.Sprintf(f, a...)) },
 	}
+	logged := logtest.Capture(t)
 	got := archiveViaStream(t, resumed, days)
 	if !bytes.Equal(want, got) {
 		t.Errorf("resumed archive differs from uninterrupted run:\n--- want\n%s\n--- got\n%s", want, got)
 	}
-	chunkVerified := false
-	for _, e := range events {
-		if strings.Contains(e, "chunk") && strings.Contains(e, "verified from checkpoint") {
-			chunkVerified = true
-		}
-	}
-	if !chunkVerified {
-		t.Errorf("no chunk-level verification events in %q", events)
+	if len(logged.Records("resume: chunk verified from checkpoint")) == 0 {
+		t.Errorf("no chunk-level verification records in %v", logged.Records(""))
 	}
 
 	// A full re-run verifies every chunk from checksum without scanning.
@@ -426,22 +420,17 @@ func TestResumableSweepDamagedShardRescanned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var events []string
-	rs.OnEvent = func(f string, a ...any) { events = append(events, fmt.Sprintf(f, a...)) }
+	logged := logtest.Capture(t)
 	if got := archiveViaStream(t, rs, days); !bytes.Equal(want, got) {
 		t.Error("re-scan after chunk damage diverges from original archive")
 	}
 	if n := scans.Load(); n != 1 {
 		t.Errorf("re-scanned %d of %d chunks after damaging one", n, totalChunks)
 	}
-	sawDamage := false
-	for _, e := range events {
-		if strings.Contains(e, "shard 0 chunk 1 failed verification") {
-			sawDamage = true
-		}
-	}
-	if !sawDamage {
-		t.Errorf("damage not reported: %q", events)
+	damage := logged.Records("resume: chunk failed verification")
+	if len(damage) != 1 || damage[0].Level != slog.LevelWarn || damage[0].Attrs["day"] != days[0].String() ||
+		damage[0].Attrs["shard"] != "0" || damage[0].Attrs["chunk"] != "1" {
+		t.Errorf("damage not reported as one warning locating day %s shard 0 chunk 1: %v", days[0], logged.Records(""))
 	}
 }
 

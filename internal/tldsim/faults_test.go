@@ -119,9 +119,9 @@ func TestScanUnderFaultsMatchesCleanRun(t *testing.T) {
 	if inj.Total() == 0 {
 		t.Fatal("no faults injected; the drill exercised nothing")
 	}
-	if health.Retries+health.FailedExchanges != inj.Total() {
+	if rc := health.Exchange.Retry; rc.Retries+rc.Failures != inj.Total() {
 		t.Errorf("accounting: %d retries + %d failed exchanges != %d injected faults",
-			health.Retries, health.FailedExchanges, inj.Total())
+			rc.Retries, rc.Failures, inj.Total())
 	}
 	stats := inj.Stats()
 	if len(stats) != 1 || stats[faultnet.ClassLoss] != inj.Total() {

@@ -328,7 +328,7 @@ func TestSweepProducesOnlyWhatItReads(t *testing.T) {
 func sweepArchive(t *testing.T, world *tldsim.World) []byte {
 	t.Helper()
 	spec := &dsweep.WorldSpec{ScaleDiv: 4000, Seed: 5, Sample: 120}
-	setup := spec.BuildStreamWith(world, nil, 0, nil)
+	setup := spec.BuildStreamWith(world, nil, 0)
 	path := filepath.Join(t.TempDir(), "sweep.tsv")
 	aw, err := dataset.NewArchiveWriter(path)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -72,11 +73,14 @@ func LoadWorld(path string) (*World, map[string]string, error) {
 func (w *World) Close() error { return w.idx.Close() }
 
 // BuildCached returns the world for cfg, loading it from dir when a
-// matching save exists and building-then-saving it otherwise. The cache
-// key is the config fingerprint, so any change to scale, seed, window, or
-// tail plan builds a distinct file. A corrupt or mismatched cache entry
-// is rebuilt, never trusted.
+// matching save exists and building-then-saving it otherwise; dir "" builds
+// without a cache. The cache key is the config fingerprint, so any change
+// to scale, seed, window, or tail plan builds a distinct file. A corrupt or
+// mismatched cache entry is rebuilt, never trusted.
 func BuildCached(dir string, cfg WorldConfig) (*World, error) {
+	if dir == "" {
+		return Build(cfg)
+	}
 	cfg.fill()
 	fp := cfg.Fingerprint()
 	path := filepath.Join(dir, "world-"+fp+".rscw")
@@ -93,7 +97,7 @@ func BuildCached(dir string, cfg WorldConfig) (*World, error) {
 		idx.Close() // stale key scheme or hash collision: rebuild
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		// A corrupt cache file is not fatal — rebuild and overwrite it.
-		fmt.Fprintf(os.Stderr, "tldsim: ignoring unreadable world cache %s: %v\n", path, err)
+		slog.Warn("tldsim: ignoring unreadable world cache", "path", path, "err", err)
 	}
 	w, err := Build(cfg)
 	if err != nil {

@@ -156,14 +156,7 @@ func NewStudy(opts Options) (*Study, error) {
 		s.Agents, s.Top20, s.Top10 = byID, top20, top10
 	}
 	if !opts.SkipWorld {
-		cfg := tldsim.WorldConfig{Scale: opts.Scale, Seed: opts.Seed}
-		var world *tldsim.World
-		var err error
-		if opts.WorldCacheDir != "" {
-			world, err = tldsim.BuildCached(opts.WorldCacheDir, cfg)
-		} else {
-			world, err = tldsim.Build(cfg)
-		}
+		world, err := tldsim.BuildCached(opts.WorldCacheDir, tldsim.WorldConfig{Scale: opts.Scale, Seed: opts.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -297,10 +290,8 @@ type LongitudinalConfig struct {
 	// as in ScanSampleFaulty.
 	FaultSeed int64
 	Rules     []FaultRule
-	// OnDayHealth and OnEvent receive per-day health reports and resume
-	// progress lines.
+	// OnDayHealth receives per-day health reports.
 	OnDayHealth func(day Day, h *SweepHealth)
-	OnEvent     func(format string, args ...any)
 }
 
 // plan translates the configuration into the sweep definition regsec-scan
@@ -349,7 +340,7 @@ func (s *Study) ScanLongitudinal(ctx context.Context, cfg LongitudinalConfig) (*
 	if err != nil {
 		return nil, err
 	}
-	rs := plan.Sweep(s.World, cp, dataset.SpillOptions{}, cfg.OnDayHealth, cfg.OnEvent)
+	rs := plan.Sweep(s.World, cp, dataset.SpillOptions{}, cfg.OnDayHealth)
 	archive := dataset.NewStore()
 	return archive, rs.RunStream(ctx, plan.Days, collectDays(archive))
 }
@@ -406,8 +397,7 @@ func (s *Study) ScanDistributed(ctx context.Context, cfg DistributedConfig) (*Ar
 	res, err := dsweep.RunLocal(ctx, dsweep.LocalConfig{
 		Plan:    plan,
 		Store:   cp,
-		Workers: plan.Fleet(s.World, cfg.Fleet, lc.OnEvent),
-		OnEvent: lc.OnEvent,
+		Workers: plan.Fleet(s.World, cfg.Fleet),
 	}, collectDays(archive))
 	if err != nil {
 		return nil, res, err

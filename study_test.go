@@ -3,7 +3,6 @@ package registrarsec
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +10,7 @@ import (
 	"securepki.org/registrarsec/internal/checkpoint"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dsweep"
+	"securepki.org/registrarsec/internal/logtest"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
@@ -170,8 +170,6 @@ func TestStudyScanLongitudinal(t *testing.T) {
 	if _, err := s.ScanLongitudinal(ctx, cfg); err == nil {
 		t.Fatal("cancelled sweep reported success")
 	}
-	var events []string
-	cfg.OnEvent = func(f string, a ...any) { events = append(events, f) }
 	resumed, err := s.ScanLongitudinal(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +244,7 @@ func TestFacadeAndCLIRunOneDefinition(t *testing.T) {
 	}
 
 	// cli runs the plan as regsec-scan does, until stopAfter days are done.
-	cli := func(dir string, stopAfter int) (string, []string, error) {
+	cli := func(dir string, stopAfter int) (string, error) {
 		var cp *checkpoint.Store
 		if dir != "" {
 			if cp, err = checkpoint.Open(dir); err != nil {
@@ -255,65 +253,64 @@ func TestFacadeAndCLIRunOneDefinition(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		var events []string
 		done := 0
 		rs := plan.Sweep(s.World, cp, dataset.SpillOptions{}, func(Day, *SweepHealth) {
 			if done++; done == stopAfter {
 				cancel()
 			}
-		}, func(f string, a ...any) { events = append(events, fmt.Sprintf(f, a...)) })
+		})
 		var out strings.Builder
 		err = rs.RunStream(ctx, plan.Days, func(_ Day, sw *dataset.SpillWriter) error { return sw.WriteSectionTo(&out) })
-		return out.String(), events, err
+		return out.String(), err
 	}
 	// facade runs the same sweep through ScanLongitudinal.
-	facade := func(dir string, stopAfter int) (string, []string, error) {
+	facade := func(dir string, stopAfter int) (string, error) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		c := cfg
 		c.CheckpointDir = dir
-		var events []string
 		done := 0
 		c.OnDayHealth = func(Day, *SweepHealth) {
 			if done++; done == stopAfter {
 				cancel()
 			}
 		}
-		c.OnEvent = func(f string, a ...any) { events = append(events, fmt.Sprintf(f, a...)) }
 		archive, err := s.ScanLongitudinal(ctx, c)
 		if err != nil {
-			return "", events, err
+			return "", err
 		}
-		return archiveText(t, archive), events, nil
+		return archiveText(t, archive), nil
 	}
 
-	want, _, err := cli("", 0)
+	want, err := cli("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _, err := facade("", 0); err != nil || got != want {
+	if got, err := facade("", 0); err != nil || got != want {
 		t.Fatalf("facade archive differs from the spec's sweep (err %v)", err)
 	}
 	for _, tc := range []struct {
 		name          string
-		first, second func(string, int) (string, []string, error)
+		first, second func(string, int) (string, error)
 	}{
 		{"facade then cli", facade, cli},
 		{"cli then facade", cli, facade},
 	} {
 		dir := t.TempDir()
-		if _, _, err := tc.first(dir, 1); !errors.Is(err, context.Canceled) {
+		if _, err := tc.first(dir, 1); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: interrupted run: %v", tc.name, err)
 		}
-		got, events, err := tc.second(dir, 0)
+		logged := logtest.Capture(t)
+		got, err := tc.second(dir, 0)
 		if err != nil {
 			t.Fatalf("%s: resume: %v", tc.name, err)
 		}
 		if got != want {
 			t.Errorf("%s: resumed archive differs", tc.name)
 		}
-		if !strings.Contains(strings.Join(events, "\n"), "verified from checkpoint") {
-			t.Errorf("%s: the resume re-scanned the finished day: %q", tc.name, events)
+		verified := logged.Records("resume: day verified from checkpoint, skipping scan")
+		if len(verified) != 1 || verified[0].Attrs["day"] != days[0].String() {
+			t.Errorf("%s: the resume re-scanned the finished day %s: %v", tc.name, days[0], logged.Records(""))
 		}
 	}
 }
