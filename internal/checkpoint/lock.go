@@ -2,10 +2,10 @@ package checkpoint
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"syscall"
 	"time"
 )
 
@@ -14,12 +14,18 @@ import (
 // interleaving Save calls would silently corrupt each other's progress and
 // could mix shards of different runs into one archive. The lockfile makes
 // the second process fail loudly instead.
+//
+// Ownership is an exclusive flock on the file, held for the owner's
+// lifetime: the kernel drops it when the process dies, and it never
+// outlives a boot. A LOCK file left behind by a crash therefore excludes
+// no one, whatever PID it names — a restarted sweep is often the very same
+// PID again.
 const lockFile = "LOCK"
 
 // lockInfo is the lockfile's JSON payload: enough to tell the operator who
-// holds the directory and to detect a stale lock left by a dead process.
+// holds the directory. It takes no part in acquisition.
 type lockInfo struct {
-	// PID is the holder's process ID, probed for liveness on conflict.
+	// PID is the holder's process ID.
 	PID int `json:"pid"`
 	// Owner names the holding component ("resumable-sweep", "coordinator").
 	Owner string `json:"owner"`
@@ -29,88 +35,90 @@ type lockInfo struct {
 	Acquired string `json:"acquired"`
 }
 
-// pidAlive reports whether a process with the given PID exists. Signal 0
-// performs the existence check without delivering anything; EPERM still
-// means "alive, owned by someone else".
-func pidAlive(pid int) bool {
-	if pid <= 0 {
-		return false
-	}
-	proc, err := os.FindProcess(pid)
-	if err != nil {
-		return false
-	}
-	err = proc.Signal(syscall.Signal(0))
-	return err == nil || err == syscall.EPERM
-}
+// errLockHeld is what tryLock returns when another open file holds the
+// flock.
+var errLockHeld = errors.New("lock held")
 
 // AcquireLock claims exclusive mutation rights over the checkpoint
-// directory, returning a release function. A lock held by a live process is
-// a hard error — concurrent mutation is exactly the corruption this guards
-// against. A lock whose owner process is gone (a crash or SIGKILL) is
-// stale: it is broken and re-acquired, since the durable state it protected
-// is already consistent (every write in this package is atomic).
+// directory, returning a release function. A lock held by a live process,
+// this one included, is a hard error — concurrent mutation is exactly the
+// corruption this guards against.
 func (s *Store) AcquireLock(owner, fingerprint string) (release func() error, err error) {
 	path := filepath.Join(s.dir, lockFile)
 	for attempt := 0; attempt < 3; attempt++ {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if err == nil {
-			info := lockInfo{
-				PID: os.Getpid(), Owner: owner, Fingerprint: fingerprint,
-				Acquired: time.Now().UTC().Format(time.RFC3339),
-			}
-			data, merr := json.Marshal(info)
-			if merr == nil {
-				_, merr = f.Write(append(data, '\n'))
-			}
-			if cerr := f.Close(); merr == nil {
-				merr = cerr
-			}
-			if merr != nil {
-				os.Remove(path)
-				return nil, fmt.Errorf("checkpoint: writing lock: %w", merr)
-			}
-			return func() error {
-				if rmErr := os.Remove(path); rmErr != nil && !os.IsNotExist(rmErr) {
-					return rmErr
-				}
-				return nil
-			}, nil
-		}
-		if !os.IsExist(err) {
+		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
 			return nil, fmt.Errorf("checkpoint: lock: %w", err)
 		}
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			if os.IsNotExist(rerr) {
-				continue // released between our open and read; retry
+		if err := tryLock(f); err != nil {
+			f.Close()
+			if errors.Is(err, errLockHeld) {
+				held, _ := s.lockHolder()
+				return nil, fmt.Errorf(
+					"checkpoint: %s is locked by %s (pid %d, fingerprint %q); refusing concurrent mutation of the same checkpoint directory",
+					s.dir, held.Owner, held.PID, held.Fingerprint)
 			}
-			return nil, fmt.Errorf("checkpoint: lock: %w", rerr)
+			return nil, fmt.Errorf("checkpoint: lock: %w", err)
 		}
-		var held lockInfo
-		if jerr := json.Unmarshal(data, &held); jerr == nil && pidAlive(held.PID) {
-			return nil, fmt.Errorf(
-				"checkpoint: %s is locked by %s (pid %d, fingerprint %q); refusing concurrent mutation of the same checkpoint directory",
-				s.dir, held.Owner, held.PID, held.Fingerprint)
+		// A release unlinks LOCK before it lets go of the flock. If the path
+		// no longer names the file locked here, its owner released between
+		// the open and the flock, and another process may hold the path's
+		// new file: start over.
+		if !namesFile(path, f) {
+			f.Close()
+			continue
 		}
-		// Unparseable payload (crash mid-write) or dead owner: stale lock.
-		if rmErr := os.Remove(path); rmErr != nil && !os.IsNotExist(rmErr) {
-			return nil, fmt.Errorf("checkpoint: breaking stale lock: %w", rmErr)
+		info := lockInfo{
+			PID: os.Getpid(), Owner: owner, Fingerprint: fingerprint,
+			Acquired: time.Now().UTC().Format(time.RFC3339),
 		}
+		data, err := json.Marshal(info)
+		if err == nil {
+			err = f.Truncate(0)
+		}
+		if err == nil {
+			_, err = f.WriteAt(append(data, '\n'), 0)
+		}
+		if err != nil {
+			os.Remove(path)
+			f.Close()
+			return nil, fmt.Errorf("checkpoint: writing lock: %w", err)
+		}
+		return func() error {
+			rmErr := os.Remove(path)
+			if cerr := f.Close(); rmErr == nil || os.IsNotExist(rmErr) {
+				return cerr
+			}
+			return rmErr
+		}, nil
 	}
 	return nil, fmt.Errorf("checkpoint: could not acquire lock in %s", s.dir)
 }
 
-// LockedBy reports the current lock holder, if any — diagnostics for CLI
-// error messages; it takes no part in acquisition.
-func (s *Store) LockedBy() (owner string, pid int, ok bool) {
-	data, err := os.ReadFile(filepath.Join(s.dir, lockFile))
+// namesFile reports whether path still names the open file f.
+func namesFile(path string, f *os.File) bool {
+	opened, err := f.Stat()
 	if err != nil {
-		return "", 0, false
+		return false
 	}
+	named, err := os.Stat(path)
+	return err == nil && os.SameFile(opened, named)
+}
+
+// lockHolder reads the lockfile's payload.
+func (s *Store) lockHolder() (lockInfo, bool) {
 	var held lockInfo
-	if json.Unmarshal(data, &held) != nil {
-		return "", 0, false
+	data, err := os.ReadFile(filepath.Join(s.dir, lockFile))
+	if err != nil || json.Unmarshal(data, &held) != nil {
+		return lockInfo{}, false
 	}
-	return held.Owner, held.PID, true
+	return held, true
+}
+
+// LockedBy reports the holder the lockfile names, if any — diagnostics for
+// CLI error messages; it takes no part in acquisition, and a file left by a
+// dead owner still names it.
+func (s *Store) LockedBy() (owner string, pid int, ok bool) {
+	held, ok := s.lockHolder()
+	return held.Owner, held.PID, ok
 }

@@ -1,12 +1,15 @@
 package checkpoint
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"securepki.org/registrarsec/internal/cmdtest"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
 )
@@ -52,28 +55,87 @@ func TestLockExcludesLiveHolder(t *testing.T) {
 	}
 }
 
+// A LOCK file that no process holds excludes no one, whatever PID it names:
+// one that no longer exists, or this very process's, as a sweep restarted
+// in a fresh container often is.
 func TestLockBreaksStaleDeadOwner(t *testing.T) {
+	for _, pid := range []int{1<<22 + 1, os.Getpid()} {
+		s := openTestStore(t)
+		stale, _ := json.Marshal(lockInfo{PID: pid, Owner: "dead-sweep", Fingerprint: "fp-x"})
+		if err := os.WriteFile(filepath.Join(s.Dir(), lockFile), stale, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		release, err := s.AcquireLock("sweep-new", "fp-y")
+		if err != nil {
+			t.Fatalf("a LOCK left behind naming pid %d: %v", pid, err)
+		}
+		if owner, _, _ := s.LockedBy(); owner != "sweep-new" {
+			t.Fatalf("lock not re-owned: %q", owner)
+		}
+		if err := release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestMain: with REGSEC_RUN_MAIN set, the test binary holds the lock of the
+// checkpoint directory its argument names, says "locked" on stdout, and
+// keeps it until it is killed.
+func TestMain(m *testing.M) {
+	if os.Getenv("REGSEC_RUN_MAIN") == "1" {
+		s, err := Open(os.Args[1])
+		if err == nil {
+			_, err = s.AcquireLock("holder", "fp-h")
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Println("locked")
+		select {}
+	}
+	os.Exit(m.Run())
+}
+
+// TestLockHeldByAnotherProcess: a lock held by another live process refuses
+// a second owner, and is free once that process is killed, its LOCK file
+// still in place.
+func TestLockHeldByAnotherProcess(t *testing.T) {
 	s := openTestStore(t)
-	// Fabricate a lock held by a process that no longer exists. PID
-	// 2^22+1 is above the default pid_max on Linux, so no live process
-	// can hold it.
-	stale, _ := json.Marshal(lockInfo{PID: 1<<22 + 1, Owner: "dead-sweep", Fingerprint: "fp-x"})
-	if err := os.WriteFile(filepath.Join(s.Dir(), lockFile), stale, 0o644); err != nil {
+	holder := cmdtest.Command(s.Dir())
+	holder.Stderr = os.Stderr
+	out, err := holder.StdoutPipe()
+	if err != nil {
 		t.Fatal(err)
 	}
-	release, err := s.AcquireLock("sweep-new", "fp-y")
-	if err != nil {
-		t.Fatalf("stale lock not broken: %v", err)
+	if err := holder.Start(); err != nil {
+		t.Fatal(err)
 	}
-	defer release()
-	if owner, _, _ := s.LockedBy(); owner != "sweep-new" {
-		t.Fatalf("lock not re-owned: %q", owner)
+	defer holder.Process.Kill()
+	if line, err := bufio.NewReader(out).ReadString('\n'); line != "locked\n" {
+		t.Fatalf("holder said %q, %v", line, err)
+	}
+	want := fmt.Sprintf("locked by holder (pid %d", holder.Process.Pid)
+	if _, err := s.AcquireLock("second", "fp-2"); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("a second owner while the holder lives: %v, want %q", err, want)
+	}
+	holder.Process.Kill()
+	holder.Wait()
+	if _, err := os.Stat(filepath.Join(s.Dir(), lockFile)); err != nil {
+		t.Fatalf("the killed holder's LOCK: %v", err)
+	}
+	release, err := s.AcquireLock("second", "fp-2")
+	if err != nil {
+		t.Fatalf("after the holder was killed: %v", err)
+	}
+	if err := release(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestLockBreaksUnparseablePayload(t *testing.T) {
 	s := openTestStore(t)
-	// A crash mid-write leaves a torn payload: stale by definition.
+	// A crash mid-write leaves a torn payload, held by no one.
 	if err := os.WriteFile(filepath.Join(s.Dir(), lockFile), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}

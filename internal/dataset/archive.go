@@ -37,8 +37,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // WriteArchiveSection writes the snapshot as one trailered section.
 func (s *Snapshot) WriteArchiveSection(w io.Writer) error {
-	return writeSection(w, s.Day, len(s.Records), func(body io.Writer) error {
-		return writeRecords(body, s.Records)
+	return writeSection(w, s.Day, len(s.Records), func(emit func(line []byte) error) error {
+		return eachLine(s.Records, emit)
 	})
 }
 

@@ -25,7 +25,10 @@ import (
 type Record struct {
 	Domain string
 	TLD    string
-	// NSHosts are the delegation's nameserver names from the TLD zone.
+	// NSHosts are the delegation's nameserver names from the TLD zone. A
+	// record read from an archive section may share this slice with the
+	// other records of the section that name the same NS set: it is
+	// read-only.
 	NSHosts []string
 	// Operator is the grouped DNS operator identity (see GroupOperator).
 	Operator string

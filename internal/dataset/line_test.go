@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -30,14 +31,17 @@ func writeLongRecord(w io.Writer, r *Record) {
 		r.HasDNSKEY, r.HasRRSIG, r.HasDS, r.ChainValid, status)
 }
 
-// writeLongSection is WriteArchiveSection through the reference writer.
+// writeLongSection is WriteArchiveSection through the reference writer,
+// framed here so that no NS set is written as a reference.
 func writeLongSection(w io.Writer, s *Snapshot) error {
-	return writeSection(w, s.Day, len(s.Records), func(body io.Writer) error {
-		for i := range s.Records {
-			writeLongRecord(body, &s.Records[i])
-		}
-		return nil
-	})
+	var section bytes.Buffer
+	fmt.Fprintf(&section, "%s\t%s\t%d\n", tsvHeader, s.Day, len(s.Records))
+	for i := range s.Records {
+		writeLongRecord(&section, &s.Records[i])
+	}
+	fmt.Fprintf(&section, "%s\t%s\t%d\t%08x\n", trailerHeader, s.Day, section.Len(), crc32.Checksum(section.Bytes(), castagnoli))
+	_, err := w.Write(section.Bytes())
+	return err
 }
 
 // longFormFixture is what testdata/archive-parent.tsv holds in the long
@@ -197,15 +201,15 @@ func FuzzRecordLine(f *testing.F) {
 			return
 		}
 		fields := strings.Split(line, "\t")
-		if rec, err := parseRecordFields(fields); err == nil {
+		if rec, err := parseRecordFields(fields, &nsSets{}); err == nil {
 			again := readLine(t, appendRecord(nil, &rec))
 			if !reflect.DeepEqual(again, rec) {
 				t.Fatalf("%q reads as %+v, its rendering %q as %+v", line, rec, appendRecord(nil, &rec), again)
 			}
 		}
 
-		// Any record the line can carry: no tab or newline in a field, no
-		// comma in a host.
+		// Any record the line can carry: no tab or newline in a field, and
+		// hosts that LineCarriesHost accepts.
 		fields = append(fields, make([]string, 9)...)
 		rec := Record{Domain: fields[0], TLD: fields[1], Operator: fields[2],
 			HasDNSKEY: fields[4] != "", HasRRSIG: fields[5] != "", HasDS: fields[6] != "", ChainValid: fields[7] != "",
@@ -213,16 +217,21 @@ func FuzzRecordLine(f *testing.F) {
 		if fields[3] != "" {
 			rec.NSHosts = strings.Split(fields[3], ",")
 		}
+		for _, h := range rec.NSHosts {
+			if !LineCarriesHost(h) {
+				return
+			}
+		}
 		if got, want := readLine(t, appendRecord(nil, &rec)), normalized(rec); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v reads back as %+v, want %+v", rec, got, want)
 		}
 	})
 }
 
-// readLine reads one rendered line back.
+// readLine reads one rendered line back, as the first line of a section.
 func readLine(t *testing.T, line []byte) Record {
 	t.Helper()
-	rec, err := parseRecordFields(strings.Split(strings.TrimSuffix(string(line), "\n"), "\t"))
+	rec, err := parseRecordFields(strings.Split(strings.TrimSuffix(string(line), "\n"), "\t"), &nsSets{})
 	if err != nil {
 		t.Fatalf("rendered line %q does not read back: %v", line, err)
 	}
@@ -230,13 +239,10 @@ func readLine(t *testing.T, line []byte) Record {
 }
 
 // normalized is what rec reads back as: its TLD and operator derived when
-// empty; and, as the line has always had it, a single empty NS host read as
-// none, a Failed record without a class as "failed", one whose class is
-// "ok" as measured, and a measured record without a class.
+// empty; and, as the line has always had it, a Failed record without a
+// class as "failed", one whose class is "ok" as measured, and a measured
+// record without a class.
 func normalized(rec Record) Record {
-	if len(rec.NSHosts) == 1 && rec.NSHosts[0] == "" {
-		rec.NSHosts = nil
-	}
 	if rec.TLD == "" {
 		rec.TLD = lastLabel(rec.Domain)
 	}

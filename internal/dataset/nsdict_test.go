@@ -1,0 +1,266 @@
+package dataset
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"securepki.org/registrarsec/internal/simtime"
+)
+
+// TestNSReferences pins how a section writes a repeated NS set, and that
+// the records referring to one set share its decoded hosts.
+func TestNSReferences(t *testing.T) {
+	a, b := []string{"ns1.op.net", "ns2.op.net"}, []string{"ns-5.awsdns-01.org"}
+	snap := &Snapshot{Day: simtime.End, Records: []Record{
+		{Domain: "a.com", TLD: "com", NSHosts: a, Operator: "op.net"},
+		{Domain: "b.com", TLD: "com", NSHosts: b, Operator: "awsdns", HasDNSKEY: true},
+		{Domain: "c.com", TLD: "com", NSHosts: a, Operator: "op.net"},
+		{Domain: "d.com", TLD: "com", NSHosts: b, Operator: "cohort"},
+		{Domain: "e.com", TLD: "com", Failed: true, FailReason: "timeout"},
+		{Domain: "f.com", TLD: "com", NSHosts: a, Operator: "op.net"},
+	}}
+	var section bytes.Buffer
+	if err := snap.WriteArchiveSection(&section); err != nil {
+		t.Fatal(err)
+	}
+	want := "#snapshot\t2016-12-31\t6\n" +
+		"a.com\t\t\tns1.op.net,ns2.op.net\t0\t0\t0\t0\tok\n" +
+		"b.com\t\t\tns-5.awsdns-01.org\t1\t0\t0\t0\tok\n" +
+		"c.com\t\t\t=0\t0\t0\t0\t0\tok\n" +
+		"d.com\t\tcohort\t=1\t0\t0\t0\t0\tok\n" +
+		"e.com\t\t\t\t0\t0\t0\t0\ttimeout\n" +
+		"f.com\t\t\t=0\t0\t0\t0\t0\tok\n"
+	if got := section.String(); got != sealed(want) {
+		t.Fatalf("section:\n%s\nwant:\n%s", got, sealed(want))
+	}
+	got, err := ReadArchiveStrict(&section)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := got.Get(simtime.End).Records
+	if !reflect.DeepEqual(recs, snap.Records) {
+		t.Fatalf("read back %+v, want %+v", recs, snap.Records)
+	}
+	if &recs[2].NSHosts[0] != &recs[0].NSHosts[0] || &recs[5].NSHosts[0] != &recs[0].NSHosts[0] || &recs[3].NSHosts[0] != &recs[1].NSHosts[0] {
+		t.Error("records referring to one NS set do not share its hosts")
+	}
+}
+
+// TestBadNSReference: a reference that is malformed, non-canonical, not yet
+// defined, or defined only in an earlier section damages its section, and
+// is never resolved to another set.
+func TestBadNSReference(t *testing.T) {
+	const defined = "#snapshot\t2016-01-01\t3\n" +
+		"a.com\t\t\tns1.op.net\t0\t0\t0\t0\tok\n" +
+		"b.com\t\t\tns1.other.net\t0\t0\t0\t0\tok\n"
+	for _, ref := range []string{"=", "=01", "=00", "=-1", "=+1", "= 1", "=1x", "=2", "=65536", "=99999999999999999999"} {
+		archive := sealed(defined + "c.com\t\t\t" + ref + "\t0\t0\t0\t0\tok\n")
+		if n, reasons := quarantines(t, archive); n != 0 || reasons != "record 3: bad NS reference" {
+			t.Errorf("%q: %d snapshot(s), quarantined %q", ref, n, reasons)
+		}
+	}
+	// The same section with canonical references reads.
+	ok := sealed("#snapshot\t2016-01-01\t4\n" +
+		"a.com\t\t\tns1.op.net\t0\t0\t0\t0\tok\n" +
+		"b.com\t\t\tns1.other.net\t0\t0\t0\t0\tok\n" +
+		"c.com\t\t\t=1\t0\t0\t0\t0\tok\n" +
+		"d.com\t\t\t=0\t0\t0\t0\t0\tok\n")
+	store, err := ReadArchiveStrict(strings.NewReader(ok))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs := store.Get(simtime.Date(2016, 1, 1)).Records; recs[2].NSHosts[0] != "ns1.other.net" || recs[3].NSHosts[0] != "ns1.op.net" || recs[3].Operator != "op.net" {
+		t.Errorf("canonical references read as %+v", recs)
+	}
+	// A second section starts with no sets: a reference to the first's is
+	// damage, and costs the first section nothing.
+	second := sealed("#snapshot\t2016-01-02\t1\nc.com\t\t\t=0\t0\t0\t0\t0\tok\n")
+	if n, reasons := quarantines(t, ok+second); n != 1 || reasons != "record 1: bad NS reference" {
+		t.Errorf("a reference across sections: %d snapshot(s), quarantined %q", n, reasons)
+	}
+}
+
+// TestNSSetCap: a section numbers its first maxNSSets distinct NS sets; one
+// first seen after that is written in full every time it appears, and the
+// section still reads back exactly.
+func TestNSSetCap(t *testing.T) {
+	const distinct = maxNSSets + 10
+	snap := &Snapshot{Day: simtime.End}
+	set := func(i int) []string { return []string{fmt.Sprintf("ns1.op%06d.net", i)} }
+	for i := range distinct {
+		snap.Records = append(snap.Records, Record{Domain: fmt.Sprintf("d%06d.com", i), TLD: "com", NSHosts: set(i), Operator: GroupOperatorAll(set(i))})
+	}
+	// After every d*.com line: the first and the last numbered sets, then
+	// the first and the last set past the cap, each twice.
+	for i, s := range []int{0, maxNSSets - 1, maxNSSets, distinct - 1, 0, maxNSSets - 1, maxNSSets, distinct - 1} {
+		snap.Records = append(snap.Records, Record{Domain: fmt.Sprintf("e%d.com", i), TLD: "com", NSHosts: set(s), Operator: GroupOperatorAll(set(s))})
+	}
+	var section bytes.Buffer
+	if err := snap.WriteArchiveSection(&section); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(section.String(), "\n")
+	tail := lines[1+distinct : 1+distinct+8]
+	for i, col := range []string{"=0", "=65535", "ns1.op065536.net", "ns1.op065545.net", "=0", "=65535", "ns1.op065536.net", "ns1.op065545.net"} {
+		if got := strings.Split(tail[i], "\t")[3]; got != col {
+			t.Errorf("e%d.com writes its NS set as %q, want %q", i, got, col)
+		}
+	}
+	got, err := ReadArchiveStrict(&section)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Get(simtime.End).Records, snap.Records) {
+		t.Error("a section past the cap does not read back to its records")
+	}
+}
+
+// nsPool is the NS sets FuzzSectionRoundTrip draws from; the fuzzed string
+// adds one more when the line can carry its hosts.
+var nsPool = [][]string{
+	nil,
+	{"ns1.op.net", "ns2.op.net"},
+	{"ns-5.awsdns-01.org", "ns-9.awsdns-22.co.uk"},
+	{"ns.1and1.fr"},
+	{"ns1.tail0001.com-hosting.example"},
+}
+
+// fuzzRecords turns fuzz bytes into a canonical section's records, one per
+// byte: its NS set from the pool, its flags, and whether its operator is a
+// cohort name rather than the grouping of its hosts.
+func fuzzRecords(data []byte, pool [][]string) []Record {
+	recs := make([]Record, 0, len(data))
+	for i, b := range data {
+		hosts := pool[int(b)%len(pool)]
+		r := Record{Domain: fmt.Sprintf("d%04d.com", i), TLD: "com", NSHosts: hosts, Operator: GroupOperatorAll(hosts),
+			HasDNSKEY: b&0x10 != 0, HasRRSIG: b&0x20 != 0, HasDS: b&0x40 != 0, ChainValid: b&0x80 != 0}
+		switch {
+		case hosts == nil && b&0x08 != 0:
+			r.Failed, r.FailReason = true, "timeout"
+			r.HasDNSKEY, r.HasRRSIG, r.HasDS, r.ChainValid = false, false, false, false
+		case b&0x08 != 0:
+			r.Operator = "cohort"
+		}
+		recs = append(recs, r)
+	}
+	return recs
+}
+
+// FuzzSectionRoundTrip holds the NS-set dictionary to its contract. Records
+// made from the fuzz bytes, whose hosts the line can carry and whose NS
+// sets repeat, round-trip through WriteArchiveSection and TailArchive, and
+// the section is byte for byte what a SpillWriter that spilled runs makes
+// of them. Then a line whose NS column is the fuzzed string is added to the
+// section, or to a second section after it: a column starting with '='
+// reads only as a canonical reference to a set defined earlier in the same
+// section, and as exactly that set; anything else starting with '=' is
+// damage.
+func FuzzSectionRoundTrip(f *testing.F) {
+	f.Add([]byte{1, 2, 1, 3, 0, 8, 1, 2}, "=", false)
+	f.Add([]byte{1, 2, 1, 3}, "=01", false)
+	f.Add([]byte{1, 2, 1, 3}, "=-1", false)
+	f.Add([]byte{1, 2, 1, 3}, "=65536", false)
+	f.Add([]byte{1, 2, 1}, "=2", false)   // a forward reference: two sets defined
+	f.Add([]byte{1, 2, 3, 4}, "=0", true) // defined only in the first section
+	f.Add([]byte{1, 1, 1, 5, 5, 0}, "ns9.x.net,ns8.x.net", false)
+	f.Fuzz(func(t *testing.T, data []byte, col string, second bool) {
+		if len(data) == 0 || len(data) > 512 || strings.ContainsAny(col, "\t\n") {
+			return
+		}
+		pool := nsPool
+		if hosts := strings.Split(col, ","); !slices.ContainsFunc(hosts, func(h string) bool { return !LineCarriesHost(h) }) {
+			pool = append(slices.Clip(pool), hosts)
+		}
+		snap := &Snapshot{Day: simtime.Date(2016, 1, 1), Records: fuzzRecords(data, pool)}
+		var section bytes.Buffer
+		if err := snap.WriteArchiveSection(&section); err != nil {
+			t.Fatal(err)
+		}
+
+		path := filepath.Join(t.TempDir(), "a.archive")
+		if err := os.WriteFile(path, section.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := TailArchive(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snaps := snapshotsOf(res); len(res.Events) != 1 || len(snaps) != 1 || !reflect.DeepEqual(snaps[0].Records, snap.Records) {
+			t.Fatalf("TailArchive read %+v, want the records %+v", res.Events, snap.Records)
+		}
+
+		sw := NewSpillWriter(snap.Day, SpillOptions{Dir: t.TempDir(), MemBudget: 1 << 10})
+		defer sw.Close()
+		for i := len(snap.Records) - 1; i >= 0; i-- {
+			if err := sw.Append(snap.Records[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var merged bytes.Buffer
+		if err := sw.WriteSectionTo(&merged); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(merged.Bytes(), section.Bytes()) {
+			t.Fatalf("the spill merge (%d runs) wrote\n%s\nWriteArchiveSection\n%s", sw.Runs(), merged.Bytes(), section.Bytes())
+		}
+
+		// The hand-written line: after the records in their own section, or
+		// alone in a second one.
+		var sets []string
+		if !second {
+			seen := map[string]bool{}
+			for _, r := range snap.Records {
+				if key := strings.Join(r.NSHosts, ","); key != "" && !seen[key] {
+					seen[key] = true
+					sets = append(sets, key)
+				}
+			}
+		}
+		line := "zz.com\t\t\t" + col + "\t0\t0\t0\t0\tok\n"
+		body := "#snapshot\t2016-01-02\t1\n" + line
+		archive := section.String()
+		if !second {
+			body = strings.Replace(archive[:strings.Index(archive, trailerHeader)], fmt.Sprintf("\t%d\n", len(snap.Records)), fmt.Sprintf("\t%d\n", len(snap.Records)+1), 1) + line
+			archive = ""
+		}
+		store, report, err := ReadArchive(strings.NewReader(archive + sealed(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := strings.Split(col, ",")
+		canonical := false
+		if strings.HasPrefix(col, "=") {
+			for k, s := range sets {
+				if col == fmt.Sprintf("=%d", k) {
+					want, canonical = strings.Split(s, ","), true
+				}
+			}
+			if !canonical {
+				if len(report.Quarantined) != 1 || !strings.HasSuffix(report.Quarantined[0].Reason, ": bad NS reference") {
+					t.Fatalf("NS column %q, %d set(s) defined: quarantined %v", col, len(sets), report.Quarantined)
+				}
+				return
+			}
+		}
+		if col == "" {
+			want = nil
+		}
+		day := simtime.Date(2016, 1, 1)
+		if second {
+			day = simtime.Date(2016, 1, 2)
+		}
+		recs := store.Get(day)
+		if !report.Clean() || recs == nil {
+			t.Fatalf("NS column %q: quarantined %v", col, report.Quarantined)
+		}
+		if got := recs.Records[len(recs.Records)-1].NSHosts; !reflect.DeepEqual(got, want) {
+			t.Fatalf("NS column %q reads as %q, want %q", col, got, want)
+		}
+	})
+}

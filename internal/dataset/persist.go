@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"io"
@@ -28,20 +29,116 @@ import (
 // both back, so those bytes are never written. The reader also takes the
 // long form — every column spelled out, flags as true/false — which reads
 // back to the same records.
+//
+// Within one section, an NS set is written in full the first time it
+// appears and takes the next ordinal, up to maxNSSets of them; every later
+// record with the same set writes "=<ordinal>" instead (nsDict). The reader
+// hands each ordinal's decoded hosts, and their derived operator, to every
+// record that refers to it (nsSets), so records of one section may share
+// one NSHosts slice, which is read-only. A reference that is malformed,
+// non-canonical or not yet defined damages the section. Spill runs are
+// plain lines: no dictionary outside a section.
 
 // tsvHeader introduces one snapshot section.
 const tsvHeader = "#snapshot"
 
-// writeRecords writes one line per record through a reused line buffer.
-func writeRecords(w io.Writer, recs []Record) error {
+// maxNSSets caps the ordinals one section's NS-set dictionary hands out: a
+// set first seen after that many is written in full every time.
+const maxNSSets = 1 << 16
+
+// LineCarriesHost reports whether a record line can carry host as an NS
+// host: not empty (a lone empty host would read back as none), no tab or
+// newline (they end a column or the line), no comma (it joins hosts), and
+// no leading '=' (it marks an NS-set reference).
+func LineCarriesHost(host string) bool {
+	return host != "" && host[0] != '=' && !strings.ContainsAny(host, "\t\n,")
+}
+
+// eachLine renders one line per record through a reused line buffer and
+// hands each to emit.
+func eachLine(recs []Record, emit func(line []byte) error) error {
 	var line []byte
 	for i := range recs {
 		line = appendRecord(line[:0], &recs[i])
-		if _, err := w.Write(line); err != nil {
+		if err := emit(line); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// nsDict is the writer's half of a section's NS-set dictionary: each NS
+// column seen in full so far, by ordinal.
+type nsDict struct {
+	ordinal map[string]int
+	line    []byte // the rewritten line, reused
+}
+
+// write writes one rendered record line, newline included, to w, its NS
+// column replaced by a reference when an earlier line defined the set.
+func (d *nsDict) write(w io.Writer, line []byte) error {
+	if start, end := nsColumn(line); start < end {
+		if k, ok := d.ordinal[string(line[start:end])]; ok {
+			d.line = append(append(d.line[:0], line[:start]...), '=')
+			d.line = append(strconv.AppendInt(d.line, int64(k), 10), line[end:]...)
+			line = d.line
+		} else if len(d.ordinal) < maxNSSets {
+			d.ordinal[string(line[start:end])] = len(d.ordinal)
+		}
+	}
+	_, err := w.Write(line)
+	return err
+}
+
+// nsColumn returns the bounds of a rendered line's fourth, NS, column.
+func nsColumn(line []byte) (start, end int) {
+	for range 3 {
+		i := bytes.IndexByte(line[start:], '\t')
+		if i < 0 {
+			return 0, 0
+		}
+		start += i + 1
+	}
+	end = bytes.IndexByte(line[start:], '\t')
+	if end < 0 {
+		return 0, 0
+	}
+	return start, start + end
+}
+
+// nsSets is the reader's half of a section's NS-set dictionary: the hosts
+// of each NS column read in full so far, by ordinal, with their operator.
+type nsSets struct {
+	hosts [][]string
+	ops   []string
+}
+
+// define numbers one NS set read in full, while the cap allows.
+func (s *nsSets) define(hosts []string, op string) {
+	if len(s.hosts) < maxNSSets {
+		s.hosts = append(s.hosts, hosts)
+		s.ops = append(s.ops, op)
+	}
+}
+
+// ref returns the ordinal a reference column names: "=" and a decimal with
+// no sign and no leading zero, of a set defined already.
+func (s *nsSets) ref(col string) (int, bool) {
+	digits := col[1:]
+	if digits == "" || len(digits) > 1 && digits[0] == '0' {
+		return 0, false
+	}
+	k := 0
+	for i := 0; i < len(digits); i++ {
+		c := digits[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if k = k*10 + int(c-'0'); k >= len(s.hosts) {
+			return 0, false
+		}
+	}
+	return k, true
 }
 
 // appendRecord appends r's record line, newline included, to dst.
@@ -118,7 +215,9 @@ func parseSnapshotHeader(fields []string) (simtime.Day, int, error) {
 // parseRecordFields parses one record line's tab-split fields. The ninth,
 // status, column is required: a line without it has lost the one field
 // that tells a measurement from a gap, and must not read back as measured.
-func parseRecordFields(fields []string) (Record, error) {
+// sets is the section's NS-set dictionary; a line outside any section (a
+// spill run) has none, and its NS column is always hosts.
+func parseRecordFields(fields []string, sets *nsSets) (Record, error) {
 	if len(fields) != 9 {
 		return Record{}, fmt.Errorf("%d fields, want 9", len(fields))
 	}
@@ -128,11 +227,22 @@ func parseRecordFields(fields []string) (Record, error) {
 	}
 	// An empty NS field means "no NS hosts": it must stay nil rather than
 	// re-parse as [""], which strings.Split would produce.
-	if fields[3] != "" {
-		rec.NSHosts = strings.Split(fields[3], ",")
-	}
-	if rec.Operator == "" {
-		rec.Operator = GroupOperatorAll(rec.NSHosts)
+	switch col := fields[3]; {
+	case col == "":
+	case col[0] == '=' && sets != nil:
+		k, ok := sets.ref(col)
+		if !ok {
+			return Record{}, fmt.Errorf("bad NS reference")
+		}
+		rec.NSHosts = sets.hosts[k]
+		rec.Operator = cmp.Or(rec.Operator, sets.ops[k])
+	default:
+		rec.NSHosts = strings.Split(col, ",")
+		op := GroupOperatorAll(rec.NSHosts)
+		rec.Operator = cmp.Or(rec.Operator, op)
+		if sets != nil {
+			sets.define(rec.NSHosts, op)
+		}
 	}
 	// ParseBool takes the 1/0 of today's lines and the true/false of the
 	// long form alike.

@@ -127,7 +127,11 @@ func (w *SpillWriter) spill() error {
 		return fmt.Errorf("dataset: spill: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 256<<10)
-	if err := cmp.Or(writeRecords(bw, w.buf), bw.Flush()); err != nil {
+	write := func(line []byte) error {
+		_, err := bw.Write(line)
+		return err
+	}
+	if err := cmp.Or(eachLine(w.buf, write), bw.Flush()); err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return fmt.Errorf("dataset: spill %s: %w", f.Name(), err)
@@ -332,16 +336,18 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 }
 
 // writeSection frames one trailered archive section, the only place the
-// format is written: the header and the record lines body renders go
-// through the counting, checksumming writer, and the trailer records what
-// it saw.
-func writeSection(out io.Writer, day simtime.Day, count int, body func(w io.Writer) error) error {
+// format is written: body hands each record line it renders, newline
+// included, to emit, which writes it through the section's own NS-set
+// dictionary; the header and those lines go through the counting,
+// checksumming writer, and the trailer records what it saw.
+func writeSection(out io.Writer, day simtime.Day, count int, body func(emit func(line []byte) error) error) error {
 	bw := bufio.NewWriterSize(out, archiveBufSize)
 	cw := &crcWriter{w: bw}
 	if _, err := fmt.Fprintf(cw, "%s\t%s\t%d\n", tsvHeader, day, count); err != nil {
 		return err
 	}
-	if err := body(cw); err != nil {
+	dict := nsDict{ordinal: map[string]int{}}
+	if err := body(func(line []byte) error { return dict.write(cw, line) }); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(bw, "%s\t%s\t%d\t%08x\n", trailerHeader, day, cw.n, cw.crc); err != nil {
@@ -355,12 +361,11 @@ func writeSection(out io.Writer, day simtime.Day, count int, body func(w io.Writ
 // Snapshot.Canonicalize + WriteArchiveSection. It may be called more than
 // once (run files are re-read each time) until Close removes the runs.
 func (w *SpillWriter) WriteSectionTo(out io.Writer) error {
-	return writeSection(out, w.day, w.total, func(body io.Writer) error {
+	return writeSection(out, w.day, w.total, func(emit func(line []byte) error) error {
 		n := 0
 		err := w.merge(func(line []byte) error {
 			n++
-			_, err := body.Write(line)
-			return err
+			return emit(line)
 		})
 		if err == nil && n != w.total {
 			err = fmt.Errorf("dataset: spill merge for %s produced %d records, appended %d (lost or duplicated run?)", w.day, n, w.total)
@@ -375,7 +380,7 @@ func (w *SpillWriter) WriteSectionTo(out io.Writer) error {
 func (w *SpillWriter) EachSorted(fn func(r *Record) error) error {
 	return w.merge(func(line []byte) error {
 		text := strings.TrimSuffix(string(line), "\n")
-		rec, err := parseRecordFields(strings.Split(text, "\t"))
+		rec, err := parseRecordFields(strings.Split(text, "\t"), nil)
 		if err != nil {
 			return err
 		}

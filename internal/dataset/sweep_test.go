@@ -3,6 +3,7 @@ package dataset_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -97,10 +98,12 @@ func TestSweptRecordBytes(t *testing.T) {
 	type cost struct{ records, signed, failed, bytes int }
 	want := map[string]cost{
 		// The long form (every column spelled out, flags as true/false)
-		// took 58,938 B (98.2 B/record), 58,196 B (97.0) and 57,558 B (95.9).
-		"clean":  {600, 32, 0, 37982},  // 63.3 B/record
-		"lossy":  {600, 30, 20, 37560}, // 62.6 B/record
-		"signed": {600, 384, 0, 37982}, // 63.3 B/record
+		// took 58,938 B (98.2 B/record), 58,196 B (97.0) and 57,558 B (95.9);
+		// with every NS set written in full, 37,982 B (63.3), 37,560 B
+		// (62.6) and 37,982 B (63.3).
+		"clean":  {600, 32, 0, 32544},  // 54.2 B/record
+		"lossy":  {600, 30, 20, 32240}, // 53.7 B/record
+		"signed": {600, 384, 0, 32544}, // 54.2 B/record
 	}
 	for _, shape := range sweepShapes {
 		var got cost
@@ -122,17 +125,67 @@ func TestSweptRecordBytes(t *testing.T) {
 	}
 }
 
-// TestLongFormDecodesIdentically: each seeded sweep's days, written by
-// the spill writer in today's form and by the reference writer in the
-// long form, read back to the records the scan emitted — through
-// ReadArchive, TailArchive and the checkpoint's chunk reader alike.
-func TestLongFormDecodesIdentically(t *testing.T) {
+// sectionReaders are the three readers of a section: ReadArchive,
+// TailArchive and the checkpoint's chunk reader, each handed one section's
+// bytes and returning its snapshot.
+func sectionReaders(t *testing.T) map[string]func(section []byte, want *dataset.Snapshot) (*dataset.Snapshot, error) {
 	dir := t.TempDir()
 	chunks, err := checkpoint.Open(filepath.Join(dir, "checkpoint"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	return map[string]func([]byte, *dataset.Snapshot) (*dataset.Snapshot, error){
+		"ReadArchive": func(section []byte, want *dataset.Snapshot) (*dataset.Snapshot, error) {
+			store, err := dataset.ReadArchiveStrict(bytes.NewReader(section))
+			if err != nil {
+				return nil, err
+			}
+			return store.Get(want.Day), nil
+		},
+		"TailArchive": func(section []byte, _ *dataset.Snapshot) (*dataset.Snapshot, error) {
+			path := filepath.Join(dir, "tail.tsv")
+			if err := os.WriteFile(path, section, 0o644); err != nil {
+				return nil, err
+			}
+			res, err := dataset.TailArchive(path, 0)
+			if err != nil || len(res.Events) != 1 {
+				return nil, err
+			}
+			return res.Events[0].Snap, nil
+		},
+		"LoadChunk": func(section []byte, want *dataset.Snapshot) (*dataset.Snapshot, error) {
+			const name = "chunk.tsv"
+			if err := os.WriteFile(filepath.Join(chunks.Dir(), name), section, 0o644); err != nil {
+				return nil, err
+			}
+			return chunks.LoadChunk(want.Day, &checkpoint.Shard{
+				File: name, CRC: crc32.Checksum(section, castagnoli), Records: len(want.Records)})
+		},
+	}
+}
+
+// checkDecodes requires every section reader to read section back to
+// want's records.
+func checkDecodes(t *testing.T, readers map[string]func([]byte, *dataset.Snapshot) (*dataset.Snapshot, error), what string, section []byte, want *dataset.Snapshot) {
+	t.Helper()
+	for reader, read := range readers {
+		got, err := read(section, want)
+		if err != nil || got == nil {
+			t.Fatalf("%s, %s: %v", what, reader, err)
+		}
+		if !reflect.DeepEqual(got.Records, want.Records) {
+			t.Errorf("%s, %s: records differ from the sweep's", what, reader)
+		}
+	}
+}
+
+// TestLongFormDecodesIdentically: each seeded sweep's days, written by
+// the spill writer in today's form and by the reference writer in the
+// long form, read back to the records the scan emitted — through
+// ReadArchive, TailArchive and the checkpoint's chunk reader alike.
+func TestLongFormDecodesIdentically(t *testing.T) {
+	readers := sectionReaders(t)
 	for _, shape := range sweepShapes {
 		for _, d := range sweep(t, shape) {
 			var long bytes.Buffer
@@ -140,44 +193,37 @@ func TestLongFormDecodesIdentically(t *testing.T) {
 				t.Fatal(err)
 			}
 			for form, section := range map[string][]byte{"today's": d.section, "long": long.Bytes()} {
-				readers := map[string]func() (*dataset.Snapshot, error){
-					"ReadArchive": func() (*dataset.Snapshot, error) {
-						store, err := dataset.ReadArchiveStrict(bytes.NewReader(section))
-						if err != nil {
-							return nil, err
-						}
-						return store.Get(d.snap.Day), nil
-					},
-					"TailArchive": func() (*dataset.Snapshot, error) {
-						path := filepath.Join(dir, "tail.tsv")
-						if err := os.WriteFile(path, section, 0o644); err != nil {
-							return nil, err
-						}
-						res, err := dataset.TailArchive(path, 0)
-						if err != nil || len(res.Events) != 1 {
-							return nil, err
-						}
-						return res.Events[0].Snap, nil
-					},
-					"LoadChunk": func() (*dataset.Snapshot, error) {
-						const name = "chunk.tsv"
-						if err := os.WriteFile(filepath.Join(chunks.Dir(), name), section, 0o644); err != nil {
-							return nil, err
-						}
-						return chunks.LoadChunk(d.snap.Day, &checkpoint.Shard{
-							File: name, CRC: crc32.Checksum(section, castagnoli), Records: len(d.snap.Records)})
-					},
-				}
-				for reader, read := range readers {
-					got, err := read()
-					if err != nil || got == nil {
-						t.Fatalf("%s %s, %s form, %s: %v", shape.name, d.snap.Day, form, reader, err)
-					}
-					if !reflect.DeepEqual(got.Records, d.snap.Records) {
-						t.Errorf("%s %s, %s form, %s: records differ from the sweep's", shape.name, d.snap.Day, form, reader)
-					}
-				}
+				checkDecodes(t, readers, fmt.Sprintf("%s %s, %s form", shape.name, d.snap.Day, form), section, d.snap)
 			}
 		}
+	}
+}
+
+// TestFullNSFormDecodesIdentically: testdata/archive-full-ns.tsv is the
+// clean sweep's two days as the writer made them before NS-set references,
+// with every NS set in full. Its sections read back, through all three
+// readers, to the records today's sections of the same sweep read back to.
+func TestFullNSFormDecodesIdentically(t *testing.T) {
+	archive, err := os.ReadFile(filepath.Join("testdata", "archive-full-ns.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(archive, []byte("\t=")) {
+		t.Fatal("testdata/archive-full-ns.tsv holds an NS-set reference")
+	}
+	readers := sectionReaders(t)
+	for _, d := range sweep(t, sweepShapes[0]) {
+		// Each section ends with its trailer line.
+		end := bytes.Index(archive, []byte("\n#end\t")) + 1
+		end += bytes.IndexByte(archive[end:], '\n') + 1
+		section := archive[:end]
+		archive = archive[end:]
+		if bytes.Equal(section, d.section) {
+			t.Fatalf("%s: today's section is the full-NS one", d.snap.Day)
+		}
+		checkDecodes(t, readers, fmt.Sprintf("%s, full-NS form", d.snap.Day), section, d.snap)
+	}
+	if len(archive) != 0 {
+		t.Fatalf("%d bytes after the sweep's days", len(archive))
 	}
 }

@@ -145,6 +145,7 @@ type section struct {
 	crc      uint32 // CRC32C of those bytes
 	snap     *Snapshot
 	bad      string // first structural defect, "" while intact
+	sets     nsSets // the NS sets the section's lines have defined so far
 }
 
 func (c *section) damage(reason string) *Corruption {
@@ -338,7 +339,9 @@ func (c *section) add(line []byte) {
 
 // record takes one line in record position. A damaged section keeps
 // consuming lines up to its trailer. A bad record is named by its position
-// in the section, which no scan's starting point changes.
+// in the section, which no scan's starting point changes. A record whose
+// NS column refers to a set shares that set's hosts with the line that
+// defined it.
 func (c *section) record(line []byte, text string, fields []string) {
 	if c.bad != "" {
 		return
@@ -348,7 +351,7 @@ func (c *section) record(line []byte, text string, fields []string) {
 		c.bad = "blank line inside section"
 		return
 	}
-	rec, err := parseRecordFields(fields)
+	rec, err := parseRecordFields(fields, &c.sets)
 	if err != nil {
 		c.bad = fmt.Sprintf("record %d: %v", len(c.snap.Records)+1, err)
 		return

@@ -351,7 +351,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 func TestScannerStreams(t *testing.T) {
 	var archive bytes.Buffer
 	for day := simtime.Day(10); day < 60; day++ {
-		archive.Write(sectionBytes(t, tailSnap(day, 4000)))
+		archive.Write(sectionBytes(t, tailSnap(day, 5000)))
 	}
 	sectionLen := int64(archive.Len() / 50)
 	if sectionLen < 2*scanBufSize {

@@ -24,6 +24,10 @@ const (
 	FailLame FailClass = "lame"
 	// FailNoNS is a registered domain whose referral carried no NS RRset.
 	FailNoNS FailClass = "no-ns"
+	// FailMalformed is a referral naming an NS host that an archive record
+	// line cannot carry (dataset.LineCarriesHost): a hostile or broken
+	// parent, recorded as a gap rather than a line that corrupts its day.
+	FailMalformed FailClass = "malformed"
 	// FailTransport is any other transport-level error.
 	FailTransport FailClass = "transport"
 	// FailUnknownTLD is a target under a TLD with no configured server —

@@ -20,7 +20,7 @@ import (
 
 var failClasses = []scan.FailClass{
 	scan.FailTimeout, scan.FailNoRoute, scan.FailLame, scan.FailNoNS,
-	scan.FailTransport, scan.FailUnknownTLD, scan.FailCancelled,
+	scan.FailTransport, scan.FailUnknownTLD, scan.FailCancelled, scan.FailMalformed,
 }
 
 // genHealth fabricates one shard's health report from the rng.

@@ -337,7 +337,9 @@ var ErrUnregistered = errors.New("scan: domain is not registered at the parent")
 // with the hosts in dead tried last). A domain is either observed whole or
 // not at all: besides ErrUnregistered, every error is a *Failure naming the
 // step that failed — a DS query that fails must not turn a full deployment
-// into a partial one, nor dark nameservers a partial one into none.
+// into a partial one, nor dark nameservers a partial one into none. A
+// referral naming an NS host that an archive line cannot carry
+// (dataset.LineCarriesHost) fails as FailMalformed.
 func Observe(ctx context.Context, ex exchange.Exchanger, parent, domain string, dead map[string]bool) (*Observation, error) {
 	domain = dnswire.CanonicalName(domain)
 	fail := func(stage string, class FailClass, err error) *Failure {
@@ -379,6 +381,11 @@ func Observe(ctx context.Context, ex exchange.Exchanger, parent, domain string, 
 		// Registered (no NXDOMAIN) but no delegation NS: a lame entry in
 		// the parent zone — measurable domains always carry an NS RRset.
 		return nil, fail("ns", FailNoNS, nil)
+	}
+	for _, h := range obs.NSHosts {
+		if !dataset.LineCarriesHost(h) {
+			return nil, fail("ns", FailMalformed, fmt.Errorf("NS host %q from TLD server %s", h, parent))
+		}
 	}
 
 	// DS from the parent zone (answered authoritatively by the parent).

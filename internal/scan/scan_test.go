@@ -1,7 +1,9 @@
 package scan_test
 
 import (
+	"bytes"
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/registrar"
 	"securepki.org/registrarsec/internal/scan"
+	"securepki.org/registrarsec/internal/simtime"
 )
 
 // buildWorld wires an ecosystem with registrars producing every deployment
@@ -335,5 +338,68 @@ func TestAXFRDrivenScan(t *testing.T) {
 	}
 	if full != 2 { // full1.com, full2.com (dutch.nl is outside .com)
 		t.Errorf("full count via AXFR-driven scan: %d", full)
+	}
+}
+
+// TestHostileReferralFailsMalformed: a referral naming an NS host that an
+// archive line cannot carry fails its target as malformed instead of
+// corrupting the day. Each host here once did: a tab split the line into
+// ten fields and quarantined the whole section, a comma split one host in
+// two, the root name read back as no hosts, and "=0" would read back as
+// another record's NS set.
+func TestHostileReferralFailsMalformed(t *testing.T) {
+	hosts := map[string]string{
+		"tab.test":   "ns\t1.evil.test",
+		"comma.test": "ns1.evil.test,ns2.evil.test",
+		"root.test":  "",
+		"ref.test":   "=0",
+		"good.test":  "ns1.good.test",
+	}
+	net := dnsserver.NewMemNet()
+	net.Strict = true
+	net.Register("tld.test", dnsserver.HandlerFunc(func(q *dnswire.Message) *dnswire.Message {
+		resp := q.Reply()
+		if name := q.Questions[0].Name; q.Questions[0].Type == dnswire.TypeNS {
+			resp.Authority = append(resp.Authority, dnswire.NewRR(name, 300, &dnswire.NS{Host: hosts[name]}))
+		}
+		return resp
+	}))
+	// Every named host answers, so that only the line can fail a target.
+	for _, h := range hosts {
+		net.Register(h, dnsserver.HandlerFunc(func(q *dnswire.Message) *dnswire.Message { return q.Reply() }))
+	}
+	s, err := scan.New(scan.Config{
+		Exchange:   net,
+		TLDServers: map[string]string{"test": "tld.test"},
+		Workers:    2,
+		Clock:      func() simtime.Day { return simtime.End },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var targets []scan.Target
+	for domain := range hosts {
+		targets = append(targets, scan.Target{Domain: domain, TLD: "test"})
+	}
+	snap, _, err := s.ScanDay(context.Background(), simtime.End, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Canonicalize()
+	for _, r := range snap.Records {
+		if malformed := r.Domain != "good.test"; r.Failed != malformed || malformed && r.FailReason != string(scan.FailMalformed) {
+			t.Errorf("%s (NS host %q): failed %v (%q)", r.Domain, hosts[r.Domain], r.Failed, r.FailReason)
+		}
+	}
+	var section bytes.Buffer
+	if err := snap.WriteArchiveSection(&section); err != nil {
+		t.Fatal(err)
+	}
+	store, err := dataset.ReadArchiveStrict(&section)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Get(simtime.End); got == nil || !reflect.DeepEqual(got.Records, snap.Records) {
+		t.Fatalf("the day reads back as %+v, want %+v", got, snap.Records)
 	}
 }
