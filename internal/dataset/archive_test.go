@@ -3,6 +3,8 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -289,5 +291,51 @@ func TestWriteFileAtomicLeavesOnlyTheFile(t *testing.T) {
 	}
 	if err := SyncDir(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("SyncDir of a missing directory succeeded")
+	}
+}
+
+// TestSectionOrder: a section's records ascend strictly by (TLD, domain),
+// the TLD as read back. The reader quarantines a section that names a
+// domain twice or lists records out of order, and the writer refuses to
+// make one, naming the day and the domain.
+func TestSectionOrder(t *testing.T) {
+	for body, reason := range map[string]string{
+		"a.com\tns1.op.net\nb.com\tns1.op.net\nb.com\t=0\n": "record 3: out of order",
+		"b.com\tns1.op.net\na.com\t=0\n":                    "record 2: out of order",
+		"a.com\tns1.op.net\na.nl\t=0\nb.com\t=0\n":          "record 3: out of order",
+		"b.com\tns1.op.net\na.co.uk\t=0\t\t\tco.uk\n":       "record 2: out of order",
+		"a.com\tns1.op.net\nb.co.uk\t=0\t\t\tco.uk\n":       "record 2: out of order",
+	} {
+		count := strings.Count(body, "\n")
+		archive := sealed(fmt.Sprintf("#snapshot\t2016-01-01\t%d\n", count) + body)
+		if n, reasons := quarantines(t, archive); n != 0 || reasons != reason {
+			t.Errorf("%q: %d snapshot(s), quarantined %q, want %q", body, n, reasons, reason)
+		}
+	}
+	// In order by the TLD as read back, not by the domain's last label.
+	ordered := sealed("#snapshot\t2016-01-01\t3\na.co.uk\tns1.op.net\t\t\tco.uk\na.com\t=0\nb.com\t=0\n")
+	if n, reasons := quarantines(t, ordered); n != 1 || reasons != "" {
+		t.Errorf("an ordered section: %d snapshot(s), quarantined %q", n, reasons)
+	}
+
+	day := simtime.Date(2016, 1, 1)
+	for _, recs := range [][]Record{
+		{{Domain: "a.com", TLD: "com"}, {Domain: "a.com", TLD: "com", Failed: true}},
+		{{Domain: "b.com", TLD: "com"}, {Domain: "a.com", TLD: "com"}},
+	} {
+		var buf bytes.Buffer
+		err := (&Snapshot{Day: day, Records: recs}).WriteArchiveSection(&buf)
+		if err == nil || !strings.Contains(err.Error(), "2016-01-01") || !strings.Contains(err.Error(), "record a.com does not sort after") {
+			t.Errorf("writing %+v: %v, want a refusal naming the day and a.com", recs, err)
+		}
+	}
+	// The spill merge sorts what it is given, and refuses a domain twice.
+	sw := NewSpillWriter(day, SpillOptions{Dir: t.TempDir(), MemBudget: 1})
+	defer sw.Close()
+	if err := sw.Append(Record{Domain: "a.com", TLD: "com"}, Record{Domain: "b.com", TLD: "com"}, Record{Domain: "a.com", TLD: "com"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.WriteSectionTo(io.Discard); err == nil || !strings.Contains(err.Error(), "record a.com does not sort after a.com") {
+		t.Errorf("merging a.com twice: %v, want a refusal", err)
 	}
 }

@@ -16,8 +16,8 @@ import (
 // Record is one domain's observed state on one day: the NS, DS, DNSKEY and
 // RRSIG facts the paper's dataset carries for every second-level domain.
 //
-// Its archive line (persist.go) leaves the TLD and Operator columns empty
-// when they hold what the reader derives: the domain's last label, and
+// Its archive line (persist.go) writes the TLD and Operator only where they
+// differ from what the reader derives: the domain's last label, and
 // GroupOperatorAll(NSHosts). So a record whose TLD or Operator is empty
 // while its derivation is not reads back with the derived value. No writer
 // produces one: the sweep always sets the grouping and the world its

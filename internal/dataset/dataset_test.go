@@ -186,9 +186,9 @@ func TestTSVRoundTrip(t *testing.T) {
 func TestTSVFailedRecordRoundTrip(t *testing.T) {
 	store := NewStore()
 	store.Add(&Snapshot{Day: simtime.Date(2016, 6, 1), Records: []Record{
-		{Domain: "up.com", TLD: "com", Operator: "op.net", NSHosts: []string{"ns1.op.net"}, HasDNSKEY: true},
 		{Domain: "down.com", TLD: "com", Failed: true, FailReason: "timeout"},
 		{Domain: "odd.com", TLD: "com", Failed: true}, // no class recorded
+		{Domain: "up.com", TLD: "com", Operator: "op.net", NSHosts: []string{"ns1.op.net"}, HasDNSKEY: true},
 	}})
 	got, err := ReadArchiveStrict(bytes.NewReader(archiveOf(store)))
 	if err != nil {
@@ -198,15 +198,15 @@ func TestTSVFailedRecordRoundTrip(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("records: %d", len(recs))
 	}
-	if recs[0].Failed || !recs[0].Measured() {
-		t.Errorf("up.com marked failed after round trip: %+v", recs[0])
+	if recs[2].Failed || !recs[2].Measured() {
+		t.Errorf("up.com marked failed after round trip: %+v", recs[2])
 	}
-	if !recs[1].Failed || recs[1].FailReason != "timeout" || recs[1].Measured() {
-		t.Errorf("down.com lost its gap marker: %+v", recs[1])
+	if !recs[0].Failed || recs[0].FailReason != "timeout" || recs[0].Measured() {
+		t.Errorf("down.com lost its gap marker: %+v", recs[0])
 	}
 	// A Failed record without a class still round-trips as failed.
-	if !recs[2].Failed || recs[2].FailReason != "failed" {
-		t.Errorf("odd.com: %+v", recs[2])
+	if !recs[1].Failed || recs[1].FailReason != "failed" {
+		t.Errorf("odd.com: %+v", recs[1])
 	}
 	if got.Get(simtime.Date(2016, 6, 1)).MeasuredCount() != 1 {
 		t.Errorf("MeasuredCount = %d, want 1", got.Get(simtime.Date(2016, 6, 1)).MeasuredCount())
@@ -258,8 +258,8 @@ func TestTSVEmptyNSHostsRoundTrip(t *testing.T) {
 	// as no NS hosts, never as [""].
 	store := NewStore()
 	store.Add(&Snapshot{Day: simtime.Date(2016, 1, 1), Records: []Record{
-		{Domain: "lame.com", TLD: "com", Operator: ""},
 		{Domain: "gap.com", TLD: "com", Failed: true, FailReason: "timeout"},
+		{Domain: "lame.com", TLD: "com", Operator: ""},
 		{Domain: "ok.com", TLD: "com", Operator: "op.net", NSHosts: []string{"ns1.op.net"}},
 	}})
 	got, err := ReadArchiveStrict(bytes.NewReader(archiveOf(store)))
@@ -331,7 +331,8 @@ func TestReadTSVErrors(t *testing.T) {
 		{"a.com\tcom\top\tns\ttrue\ttrue\ttrue\ttrue\tok\n", "records outside any section"},
 		{sealed("#snapshot\n"), "bad header"},                                                            // missing day
 		{sealed("#snapshot\tnot-a-date\t1\n"), "bad header"},                                             // bad day
-		{sealed("#snapshot\t2016-01-01\t1\na.com\tcom\top\n"), "3 fields"},                               // short record
+		{sealed("#snapshot\t2016-01-01\t1\na.com\n"), "1 fields"},                                        // short record
+		{sealed("#snapshot\t2016-01-01\t1\na.com\tcom\top\tns\t1\t1\t1\n"), "7 fields"},                  // neither form
 		{sealed("#snapshot\t2016-01-01\t1\na\tcom\top\tns\tx\tt\tt\tt\tok\n"), "bad bool"},               // bad bool
 		{"#snapshot\t2016-01-01\t1\na\tcom\top\tns\tt\tt\tt\tt\tok\n", "truncated section (no trailer)"}, // never sealed
 	}

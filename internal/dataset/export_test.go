@@ -1,6 +1,9 @@
 package dataset
 
-// WriteLongSection lends the reference writer of the long form to the
-// tests of package dataset_test, which sweep through packages that import
-// this one.
-var WriteLongSection = writeLongSection
+// The reference writer of the long form and the fixture committed in it,
+// lent to the tests of package dataset_test, which sweep through packages
+// that import this one.
+var (
+	WriteLongSection = writeLongSection
+	LongFormFixture  = longFormFixture
+)

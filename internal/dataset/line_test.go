@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,9 +72,10 @@ func longFormFixture() *Store {
 	return store
 }
 
-// TestLongFormArchive: the committed archive in the long form is what
-// the reference writer makes of the fixture, reads back to the fixture's
-// records exactly, and so does its rewrite in today's form.
+// TestLongFormArchive: the committed archive in the long form is what the
+// reference writer makes of the fixture, and today's form of the fixture is
+// shorter and reads back to its records exactly. TestLegacyArchivesDecode
+// reads the committed file.
 func TestLongFormArchive(t *testing.T) {
 	fixture := longFormFixture()
 	var want bytes.Buffer
@@ -89,43 +91,94 @@ func TestLongFormArchive(t *testing.T) {
 	if !bytes.Equal(onDisk, want.Bytes()) {
 		t.Fatalf("testdata/archive-parent.tsv is not the reference writer's rendering of the fixture:\n%s", want.Bytes())
 	}
-	got, err := ReadArchiveStrict(bytes.NewReader(onDisk))
-	if err != nil {
-		t.Fatal(err)
+	today := archiveOf(fixture)
+	if len(today) >= len(onDisk) {
+		t.Errorf("today's form takes %d bytes, the long form %d", len(today), len(onDisk))
 	}
-	rewritten := bytes.NewBuffer(archiveOf(got))
-	if rewritten.Len() >= len(onDisk) {
-		t.Errorf("today's form takes %d bytes, the long form %d", rewritten.Len(), len(onDisk))
-	}
-	again, err := ReadArchiveStrict(rewritten)
+	got, err := ReadArchiveStrict(bytes.NewReader(today))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, day := range fixture.Days() {
-		if !reflect.DeepEqual(got.Get(day), fixture.Get(day)) || !reflect.DeepEqual(again.Get(day), fixture.Get(day)) {
-			t.Errorf("%s: the long form read %+v, its rewrite %+v, want %+v", day, got.Get(day), again.Get(day), fixture.Get(day))
+		if !reflect.DeepEqual(got.Get(day), fixture.Get(day)) {
+			t.Errorf("%s: today's form read %+v, want %+v", day, got.Get(day), fixture.Get(day))
 		}
 	}
 }
 
-// TestRecordLineForm pins the columns today's writer leaves empty and the
-// flag form: the TLD and operator only where the reader derives them.
+// TestRecordLineForm pins today's record line: the domain and NS hosts, then
+// the flags, status, TLD and operator up to the last that is not empty —
+// the TLD and operator only where the reader cannot derive them.
 func TestRecordLineForm(t *testing.T) {
 	for _, tc := range []struct {
 		rec  Record
 		line string
 	}{
+		{Record{Domain: "a.com", TLD: "com", NSHosts: []string{"ns1.op.net", "ns2.op.net"}, Operator: "op.net"},
+			"a.com\tns1.op.net,ns2.op.net\n"},
 		{Record{Domain: "a.com", TLD: "com", NSHosts: []string{"ns1.op.net", "ns2.op.net"}, Operator: "op.net", HasDNSKEY: true, HasDS: true},
-			"a.com\t\t\tns1.op.net,ns2.op.net\t1\t0\t1\t0\tok\n"},
+			"a.com\tns1.op.net,ns2.op.net\tkd\n"},
 		{Record{Domain: "a.co.uk", TLD: "co.uk", NSHosts: []string{"ns1.tail0001.uk-hosting.example"}, Operator: "tail0001.uk-hosting.example"},
-			"a.co.uk\tco.uk\ttail0001.uk-hosting.example\tns1.tail0001.uk-hosting.example\t0\t0\t0\t0\tok\n"},
+			"a.co.uk\tns1.tail0001.uk-hosting.example\t\t\tco.uk\ttail0001.uk-hosting.example\n"},
+		{Record{Domain: "a.com", TLD: "com", NSHosts: []string{"ns1.op.net"}, Operator: "cohort", HasDNSKEY: true},
+			"a.com\tns1.op.net\tk\t\t\tcohort\n"},
+		{Record{Domain: "a.co.uk", TLD: "co.uk", NSHosts: []string{"ns1.op.net"}, Operator: "op.net"},
+			"a.co.uk\tns1.op.net\t\t\tco.uk\n"},
+		{Record{Domain: "b.com", TLD: "com", NSHosts: []string{"ns-5.awsdns-01.org"}, Operator: "awsdns", HasDNSKEY: true, HasRRSIG: true, HasDS: true, ChainValid: true},
+			"b.com\tns-5.awsdns-01.org\tkrdv\n"},
 		{Record{Domain: "b.com", TLD: "com", NSHosts: []string{"ns-5.awsdns-01.org"}, Operator: "awsdns", HasDNSKEY: true, HasRRSIG: true, ChainValid: true},
-			"b.com\t\t\tns-5.awsdns-01.org\t1\t1\t0\t1\tok\n"},
-		{Record{Domain: "gap.nl", TLD: "nl", Failed: true, FailReason: "timeout"}, "gap.nl\t\t\t\t0\t0\t0\t0\ttimeout\n"},
-		{Record{Domain: "odd.nl", TLD: "nl", Failed: true}, "odd.nl\t\t\t\t0\t0\t0\t0\tfailed\n"},
+			"b.com\tns-5.awsdns-01.org\tkrv\n"},
+		{Record{Domain: "gap.nl", TLD: "nl", Failed: true, FailReason: "timeout"}, "gap.nl\t\t\ttimeout\n"},
+		{Record{Domain: "odd.nl", TLD: "nl", Failed: true}, "odd.nl\t\t\tfailed\n"},
+		{Record{Domain: "lame.nl", TLD: "nl"}, "lame.nl\t\n"},
 	} {
 		if got := string(appendRecord(nil, &tc.rec)); got != tc.line {
 			t.Errorf("%+v renders %q, want %q", tc.rec, got, tc.line)
+		}
+		if got := readLine(t, []byte(tc.line)); !reflect.DeepEqual(got, normalized(tc.rec)) {
+			t.Errorf("%q reads as %+v, want %+v", tc.line, got, normalized(tc.rec))
+		}
+	}
+}
+
+// TestNonCanonicalLineRejected: a line in today's form reads only as the
+// bytes its record renders to; every other spelling of it damages the
+// section, and so does a field count no form has.
+func TestNonCanonicalLineRejected(t *testing.T) {
+	for line, reason := range map[string]string{
+		"a.com":                               "1 fields, want 2–6 or 9",
+		"a.com\tns1.op.net\tk\t\t\tcohort\tx": "7 fields, want 2–6 or 9",
+		"\tns1.op.net":                        "empty domain",
+		"a.com\tns1.op.net\t":                 "trailing empty field",
+		"a.com\tns1.op.net\tk\t":              "trailing empty field",
+		"a.com\tns1.op.net\t\t\t\t":           "trailing empty field",
+		"a.com\tns1.op.net\trk":               `bad flags "rk"`,
+		"a.com\tns1.op.net\tkk":               `bad flags "kk"`,
+		"a.com\tns1.op.net\tK":                `bad flags "K"`,
+		"a.com\tns1.op.net\t1":                `bad flags "1"`,
+		"a.com\tns1.op.net\t\tok":             "explicit status ok",
+		"a.com\tns1.op.net\t\t\tcom":          `TLD "com" is the derived one`,
+		"a.com\tns1.op.net\t\t\t\top.net":     `operator "op.net" is the derived one`,
+	} {
+		if _, err := parseRecordFields(strings.Split(line, "\t"), &nsSets{}); err == nil || err.Error() != reason {
+			t.Errorf("%q: %v, want %q", line, err, reason)
+		}
+	}
+}
+
+// TestMissingStatusIsMeasured: in today's form a line that stops before its
+// status field is a measurement; in the older form an empty status is a
+// gap.
+func TestMissingStatusIsMeasured(t *testing.T) {
+	for line, failed := range map[string]bool{
+		"a.com\tns1.op.net":                     false,
+		"a.com\tns1.op.net\tkrdv":               false,
+		"a.com\tns1.op.net\t\ttimeout":          true,
+		"a.com\t\t\tns1.op.net\t0\t0\t0\t0\tok": false,
+		"a.com\t\t\tns1.op.net\t0\t0\t0\t0\t":   true,
+	} {
+		if rec := readLine(t, []byte(line)); rec.Failed != failed {
+			t.Errorf("%q reads as Failed=%v, want %v", line, rec.Failed, failed)
 		}
 	}
 }
@@ -164,9 +217,10 @@ func TestRecordLineAllocs(t *testing.T) {
 	}
 }
 
-// FuzzRecordLine holds the record line to two round trips: any line the
-// reader accepts renders to a line that reads back to the same Record; and
-// a record built from the fuzzed fields survives render → read, up to the
+// FuzzRecordLine holds the record line to three round trips: any line the
+// reader accepts renders to a line that reads back to the same Record; a
+// line of today's form that reads renders back to its own bytes; and a
+// record built from the fuzzed fields survives render → read, up to the
 // normalization Record documents (an empty TLD or operator reads back as
 // its derivation) and the ones the line has always made (see normalized).
 func FuzzRecordLine(f *testing.F) {
@@ -192,6 +246,15 @@ func FuzzRecordLine(f *testing.F) {
 		"c.de\t\t\tns-1and1.co.uk,ns.1and1.fr\t1\t1\t0\t0\tok",
 		"c.de\tde\tawsdns-01.org\tns-5.awsdns-01.org\t1\t1\t0\t0\tok",
 		"d.com.\t\tNS1.OVH.NET\tNS1.OVH.NET.,\t1\t0\t0\t0\tlame",
+		// Today's form.
+		"d0000063-domaincontro.com\tns1.domaincontrol.com",
+		"a.com\tns1.op.net,ns2.op.net\tkrdv",
+		"gap.nl\t\t\ttimeout",
+		"a.co.uk\tns1.op.net\tkd\t\tco.uk\tcohort",
+		"a.com\tns1.op.net\t\t\t\tcohort",
+		"a.com\tns1.op.net\tdk",
+		"a.com\tns1.op.net\t\tok",
+		"lame.nl\t",
 	} {
 		f.Add(line)
 	}
@@ -202,14 +265,17 @@ func FuzzRecordLine(f *testing.F) {
 		}
 		fields := strings.Split(line, "\t")
 		if rec, err := parseRecordFields(fields, &nsSets{}); err == nil {
-			again := readLine(t, appendRecord(nil, &rec))
-			if !reflect.DeepEqual(again, rec) {
-				t.Fatalf("%q reads as %+v, its rendering %q as %+v", line, rec, appendRecord(nil, &rec), again)
+			rendered := appendRecord(nil, &rec)
+			if again := readLine(t, rendered); !reflect.DeepEqual(again, rec) {
+				t.Fatalf("%q reads as %+v, its rendering %q as %+v", line, rec, rendered, again)
+			}
+			if len(fields) != 9 && string(rendered) != line+"\n" {
+				t.Fatalf("%q reads as %+v, which renders as %q", line, rec, rendered)
 			}
 		}
 
-		// Any record the line can carry: no tab or newline in a field, and
-		// hosts that LineCarriesHost accepts.
+		// Any record the line can carry: a domain, no tab or newline in a
+		// field, and hosts that LineCarriesHost accepts.
 		fields = append(fields, make([]string, 9)...)
 		rec := Record{Domain: fields[0], TLD: fields[1], Operator: fields[2],
 			HasDNSKEY: fields[4] != "", HasRRSIG: fields[5] != "", HasDS: fields[6] != "", ChainValid: fields[7] != "",
@@ -217,10 +283,8 @@ func FuzzRecordLine(f *testing.F) {
 		if fields[3] != "" {
 			rec.NSHosts = strings.Split(fields[3], ",")
 		}
-		for _, h := range rec.NSHosts {
-			if !LineCarriesHost(h) {
-				return
-			}
+		if rec.Domain == "" || slices.ContainsFunc(rec.NSHosts, func(h string) bool { return !LineCarriesHost(h) }) {
+			return
 		}
 		if got, want := readLine(t, appendRecord(nil, &rec)), normalized(rec); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v reads back as %+v, want %+v", rec, got, want)

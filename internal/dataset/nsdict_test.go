@@ -30,12 +30,12 @@ func TestNSReferences(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "#snapshot\t2016-12-31\t6\n" +
-		"a.com\t\t\tns1.op.net,ns2.op.net\t0\t0\t0\t0\tok\n" +
-		"b.com\t\t\tns-5.awsdns-01.org\t1\t0\t0\t0\tok\n" +
-		"c.com\t\t\t=0\t0\t0\t0\t0\tok\n" +
-		"d.com\t\tcohort\t=1\t0\t0\t0\t0\tok\n" +
-		"e.com\t\t\t\t0\t0\t0\t0\ttimeout\n" +
-		"f.com\t\t\t=0\t0\t0\t0\t0\tok\n"
+		"a.com\tns1.op.net,ns2.op.net\n" +
+		"b.com\tns-5.awsdns-01.org\tk\n" +
+		"c.com\t=0\n" +
+		"d.com\t=1\t\t\t\tcohort\n" +
+		"e.com\t\t\ttimeout\n" +
+		"f.com\t=0\n"
 	if got := section.String(); got != sealed(want) {
 		t.Fatalf("section:\n%s\nwant:\n%s", got, sealed(want))
 	}
@@ -108,7 +108,7 @@ func TestNSSetCap(t *testing.T) {
 	lines := strings.Split(section.String(), "\n")
 	tail := lines[1+distinct : 1+distinct+8]
 	for i, col := range []string{"=0", "=65535", "ns1.op065536.net", "ns1.op065545.net", "=0", "=65535", "ns1.op065536.net", "ns1.op065545.net"} {
-		if got := strings.Split(tail[i], "\t")[3]; got != col {
+		if got := strings.Split(tail[i], "\t")[1]; got != col {
 			t.Errorf("e%d.com writes its NS set as %q, want %q", i, got, col)
 		}
 	}
@@ -132,14 +132,19 @@ var nsPool = [][]string{
 }
 
 // fuzzRecords turns fuzz bytes into a canonical section's records, one per
-// byte: its NS set from the pool, its flags, and whether its operator is a
-// cohort name rather than the grouping of its hosts.
+// byte: its NS set from the pool, its flags, whether its operator is a
+// cohort name rather than the grouping of its hosts, and whether its TLD is
+// two labels, which the line must spell out. The records come back in
+// section order, every TLD before "com".
 func fuzzRecords(data []byte, pool [][]string) []Record {
 	recs := make([]Record, 0, len(data))
 	for i, b := range data {
 		hosts := pool[int(b)%len(pool)]
 		r := Record{Domain: fmt.Sprintf("d%04d.com", i), TLD: "com", NSHosts: hosts, Operator: GroupOperatorAll(hosts),
 			HasDNSKEY: b&0x10 != 0, HasRRSIG: b&0x20 != 0, HasDS: b&0x40 != 0, ChainValid: b&0x80 != 0}
+		if b&0x04 != 0 {
+			r.Domain, r.TLD = fmt.Sprintf("d%04d.co.uk", i), "co.uk"
+		}
 		switch {
 		case hosts == nil && b&0x08 != 0:
 			r.Failed, r.FailReason = true, "timeout"
@@ -149,6 +154,7 @@ func fuzzRecords(data []byte, pool [][]string) []Record {
 		}
 		recs = append(recs, r)
 	}
+	sortRecords(recs)
 	return recs
 }
 
@@ -169,6 +175,9 @@ func FuzzSectionRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 1}, "=2", false)   // a forward reference: two sets defined
 	f.Add([]byte{1, 2, 3, 4}, "=0", true) // defined only in the first section
 	f.Add([]byte{1, 1, 1, 5, 5, 0}, "ns9.x.net,ns8.x.net", false)
+	f.Add([]byte{0xf1, 0x31, 0xf2, 0x51, 0xf1}, "=1", false)     // signed, and partly signed
+	f.Add([]byte{0x28, 0x01, 0x28, 0x2d, 0x00}, "=0", false)     // failed, one with a TLD of two labels
+	f.Add([]byte{0x05, 0x0d, 0x09, 0x0c, 0xf5, 0x01}, "", false) // TLD and operator spelled out
 	f.Fuzz(func(t *testing.T, data []byte, col string, second bool) {
 		if len(data) == 0 || len(data) > 512 || strings.ContainsAny(col, "\t\n") {
 			return
@@ -222,7 +231,7 @@ func FuzzSectionRoundTrip(f *testing.F) {
 				}
 			}
 		}
-		line := "zz.com\t\t\t" + col + "\t0\t0\t0\t0\tok\n"
+		line := "zz.com\t" + col + "\n"
 		body := "#snapshot\t2016-01-02\t1\n" + line
 		archive := section.String()
 		if !second {

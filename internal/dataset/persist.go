@@ -18,17 +18,39 @@ import (
 // (archive.go), so torn writes and bit rot are detectable, and the section
 // scanner (tail.go) is the one reader.
 //
-// A record line has nine tab-separated columns:
+// A record line has two to six tab-separated fields:
+//
+//	domain  ns-hosts  [flags  [status  [tld  [operator]]]]
+//
+// ns-hosts is comma-joined. flags names the set flags by letter, in the
+// order k (DNSKEY), r (RRSIG), d (DS), v (chain valid); an empty field sets
+// none. status is empty for a measured record, and otherwise the failure
+// class of an unmeasured target ("failed" when it names none): a line that
+// stops before its status field is a measurement. tld is written only where
+// it is not the domain's last label, and operator only where it is not
+// GroupOperatorAll(ns-hosts): the reader derives both back. The writer drops
+// trailing empty fields with their tabs, so a measured unsigned record with
+// derived TLD and operator is "domain<TAB>ns-hosts". The reader takes only
+// the canonical line: a non-empty domain, no trailing empty field, flags in
+// order without repeats, no explicit "ok", no tld or operator equal to its
+// derivation — so every such line that reads is the bytes appendRecord
+// renders of its record. A line cut short still parses; the section's
+// length and CRC-32C (archive.go) are what catch it.
+//
+// Older archives hold nine-field lines, which read back to the same
+// records:
 //
 //	domain  tld  operator  ns-hosts  dnskey  rrsig  ds  chain  status
 //
-// ns-hosts is comma-joined; the four flags are 1 or 0; status is "ok" or
-// the failure class of an unmeasured target ("failed" when it names none).
-// The tld column is empty when it is the domain's last label, and the
-// operator column when it is GroupOperatorAll(ns-hosts): the reader derives
-// both back, so those bytes are never written. The reader also takes the
-// long form — every column spelled out, flags as true/false — which reads
-// back to the same records.
+// with flags as 1/0 or true/false, status "ok" or the failure class (an
+// empty status there reads as failed), and tld and operator empty where
+// derived or spelled out. A line of any other field count damages its
+// section.
+//
+// Within one section the records are in strictly ascending (TLD, domain)
+// order, TLD as read back: each domain appears once, and the writer
+// (writeSection) refuses, and the reader (section.record) quarantines, a
+// section that breaks the order.
 //
 // Within one section, an NS set is written in full the first time it
 // appears and takes the next ordinal, up to maxNSSets of them; every later
@@ -90,20 +112,18 @@ func (d *nsDict) write(w io.Writer, line []byte) error {
 	return err
 }
 
-// nsColumn returns the bounds of a rendered line's fourth, NS, column.
+// nsColumn returns the bounds of a rendered line's second, NS, column,
+// which ends at a tab or at the line's newline.
 func nsColumn(line []byte) (start, end int) {
-	for range 3 {
-		i := bytes.IndexByte(line[start:], '\t')
-		if i < 0 {
-			return 0, 0
-		}
-		start += i + 1
-	}
-	end = bytes.IndexByte(line[start:], '\t')
-	if end < 0 {
+	start = bytes.IndexByte(line, '\t') + 1
+	if start == 0 {
 		return 0, 0
 	}
-	return start, start + end
+	end = start
+	for end < len(line) && line[end] != '\t' && line[end] != '\n' {
+		end++
+	}
+	return start, end
 }
 
 // nsSets is the reader's half of a section's NS-set dictionary: the hosts
@@ -141,17 +161,28 @@ func (s *nsSets) ref(col string) (int, bool) {
 	return k, true
 }
 
-// appendRecord appends r's record line, newline included, to dst.
+// flagLetters names each flag of a record line in its fixed order: DNSKEY,
+// RRSIG, DS, chain valid.
+const flagLetters = "krdv"
+
+// flagFields is the flags field of each set of flags, bit i standing for
+// flagLetters[i].
+var flagFields = func() (out [16]string) {
+	for set := range out {
+		for i := range flagLetters {
+			if set&(1<<i) != 0 {
+				out[set] += flagLetters[i : i+1]
+			}
+		}
+	}
+	return out
+}()
+
+// appendRecord appends r's record line, newline included, to dst: the
+// domain and NS hosts, then the flags, status, TLD and operator fields up to
+// the last that is not empty.
 func appendRecord(dst []byte, r *Record) []byte {
 	dst = append(dst, r.Domain...)
-	dst = append(dst, '\t')
-	if r.TLD != lastLabel(r.Domain) {
-		dst = append(dst, r.TLD...)
-	}
-	dst = append(dst, '\t')
-	if r.Operator != GroupOperatorAll(r.NSHosts) {
-		dst = append(dst, r.Operator...)
-	}
 	dst = append(dst, '\t')
 	for i, h := range r.NSHosts {
 		if i > 0 {
@@ -159,21 +190,31 @@ func appendRecord(dst []byte, r *Record) []byte {
 		}
 		dst = append(dst, h...)
 	}
-	for _, f := range [4]bool{r.HasDNSKEY, r.HasRRSIG, r.HasDS, r.ChainValid} {
-		flag := byte('0')
+	set := 0
+	for i, f := range [4]bool{r.HasDNSKEY, r.HasRRSIG, r.HasDS, r.ChainValid} {
 		if f {
-			flag = '1'
+			set |= 1 << i
 		}
-		dst = append(dst, '\t', flag)
 	}
-	dst = append(dst, '\t')
-	switch {
-	case !r.Failed:
-		dst = append(dst, "ok"...)
-	case r.FailReason == "":
-		dst = append(dst, "failed"...)
-	default:
-		dst = append(dst, r.FailReason...)
+	var optional [4]string // flags, status, tld, operator
+	optional[0] = flagFields[set]
+	// A class of "ok" has always read back as measured.
+	if r.Failed && r.FailReason != "ok" {
+		optional[1] = cmp.Or(r.FailReason, "failed")
+	}
+	if r.TLD != lastLabel(r.Domain) {
+		optional[2] = r.TLD
+	}
+	if r.Operator != GroupOperatorAll(r.NSHosts) {
+		optional[3] = r.Operator
+	}
+	n := len(optional)
+	for n > 0 && optional[n-1] == "" {
+		n--
+	}
+	for _, f := range optional[:n] {
+		dst = append(dst, '\t')
+		dst = append(dst, f...)
 	}
 	return append(dst, '\n')
 }
@@ -212,40 +253,115 @@ func parseSnapshotHeader(fields []string) (simtime.Day, int, error) {
 	return day, declared, nil
 }
 
-// parseRecordFields parses one record line's tab-split fields. The ninth,
-// status, column is required: a line without it has lost the one field
-// that tells a measurement from a gap, and must not read back as measured.
-// sets is the section's NS-set dictionary; a line outside any section (a
-// spill run) has none, and its NS column is always hosts.
+// parseRecordFields parses one record line's tab-split fields: two to six
+// in today's form, nine in the older one. sets is the section's NS-set
+// dictionary; a line outside any section (a spill run) has none, and its NS
+// column is always hosts.
 func parseRecordFields(fields []string, sets *nsSets) (Record, error) {
-	if len(fields) != 9 {
-		return Record{}, fmt.Errorf("%d fields, want 9", len(fields))
+	switch {
+	case len(fields) < 2 || len(fields) > 6 && len(fields) != 9:
+		return Record{}, fmt.Errorf("%d fields, want 2–6 or 9", len(fields))
+	case fields[0] == "":
+		return Record{}, fmt.Errorf("empty domain")
+	case len(fields) == 9:
+		return parseNineFields(fields, sets)
 	}
-	rec := Record{Domain: fields[0], TLD: fields[1], Operator: fields[2]}
-	if rec.TLD == "" {
-		rec.TLD = lastLabel(rec.Domain)
+	if len(fields) > 2 && fields[len(fields)-1] == "" {
+		return Record{}, fmt.Errorf("trailing empty field")
 	}
+	var optional [4]string // flags, status, tld, operator
+	copy(optional[:], fields[2:])
+	rec := Record{Domain: fields[0], TLD: lastLabel(fields[0])}
+	op, err := parseNS(&rec, fields[1], sets)
+	if err != nil {
+		return Record{}, err
+	}
+	if !parseFlags(&rec, optional[0]) {
+		return Record{}, fmt.Errorf("bad flags %q", optional[0])
+	}
+	switch status := optional[1]; status {
+	case "":
+	case "ok":
+		return Record{}, fmt.Errorf("explicit status ok")
+	default:
+		rec.Failed, rec.FailReason = true, status
+	}
+	if rec.TLD, err = override(optional[2], rec.TLD, "TLD"); err != nil {
+		return Record{}, err
+	}
+	if rec.Operator, err = override(optional[3], op, "operator"); err != nil {
+		return Record{}, err
+	}
+	return rec, nil
+}
+
+// override returns what a TLD or operator field stands for: derived when
+// the field is empty. A field that spells out derived is not canonical.
+func override(field, derived, what string) (string, error) {
+	switch field {
+	case "":
+		return derived, nil
+	case derived:
+		return "", fmt.Errorf("%s %q is the derived one", what, field)
+	}
+	return field, nil
+}
+
+// parseFlags sets rec's flags from a flags field: letters of flagLetters,
+// each at most once and in its order.
+func parseFlags(rec *Record, field string) bool {
+	bools := [4]*bool{&rec.HasDNSKEY, &rec.HasRRSIG, &rec.HasDS, &rec.ChainValid}
+	next := 0
+	for i := 0; i < len(field); i++ {
+		k := strings.IndexByte(flagLetters[next:], field[i])
+		if k < 0 {
+			return false
+		}
+		next += k
+		*bools[next] = true
+		next++
+	}
+	return true
+}
+
+// parseNS reads a line's NS column into rec.NSHosts and returns the operator
+// the reader derives for it. The column is hosts, or in a section a
+// reference to a set an earlier line of the section defined.
+func parseNS(rec *Record, col string, sets *nsSets) (op string, err error) {
 	// An empty NS field means "no NS hosts": it must stay nil rather than
 	// re-parse as [""], which strings.Split would produce.
-	switch col := fields[3]; {
+	switch {
 	case col == "":
 	case col[0] == '=' && sets != nil:
 		k, ok := sets.ref(col)
 		if !ok {
-			return Record{}, fmt.Errorf("bad NS reference")
+			return "", fmt.Errorf("bad NS reference")
 		}
-		rec.NSHosts = sets.hosts[k]
-		rec.Operator = cmp.Or(rec.Operator, sets.ops[k])
+		rec.NSHosts, op = sets.hosts[k], sets.ops[k]
 	default:
 		rec.NSHosts = strings.Split(col, ",")
-		op := GroupOperatorAll(rec.NSHosts)
-		rec.Operator = cmp.Or(rec.Operator, op)
+		op = GroupOperatorAll(rec.NSHosts)
 		if sets != nil {
 			sets.define(rec.NSHosts, op)
 		}
 	}
-	// ParseBool takes the 1/0 of today's lines and the true/false of the
-	// long form alike.
+	return op, nil
+}
+
+// parseNineFields parses a line of the older, nine-field form. Its ninth,
+// status, column is required: a line without it has lost the one field
+// that tells a measurement from a gap, and must not read back as measured.
+func parseNineFields(fields []string, sets *nsSets) (Record, error) {
+	rec := Record{Domain: fields[0], TLD: fields[1]}
+	if rec.TLD == "" {
+		rec.TLD = lastLabel(rec.Domain)
+	}
+	op, err := parseNS(&rec, fields[3], sets)
+	if err != nil {
+		return Record{}, err
+	}
+	rec.Operator = cmp.Or(fields[2], op)
+	// ParseBool takes the 1/0 and the true/false of the older lines alike.
 	bools := [4]*bool{&rec.HasDNSKEY, &rec.HasRRSIG, &rec.HasDS, &rec.ChainValid}
 	for i, f := range fields[4:8] {
 		v, err := strconv.ParseBool(f)
@@ -254,7 +370,7 @@ func parseRecordFields(fields []string, sets *nsSets) (Record, error) {
 		}
 		*bools[i] = v
 	}
-	// An empty status reads as the writer renders a Failed record without
+	// An empty status reads as the writer rendered a Failed record without
 	// a class.
 	if status := fields[8]; status != "ok" {
 		rec.Failed = true

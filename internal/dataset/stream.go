@@ -52,11 +52,9 @@ type spillRun struct {
 // spills the excess as sorted TSV run files. WriteSectionTo merges buffer
 // and runs into canonical (TLD, domain) order on the fly.
 //
-// The byte-identity contract assumes each (TLD, domain) key appears once
-// per day — true for any sweep, whose targets are distinct domains. With
-// duplicate keys the merged order is still deterministic (ties break
-// toward earlier-spilled runs) but sort.Slice in Canonicalize is
-// unstable, so the two paths may legally disagree on duplicate ordering.
+// Each (TLD, domain) key appears once per day — true for any sweep, whose
+// targets are distinct domains: WriteSectionTo refuses a day that names a
+// domain twice, as WriteArchiveSection does.
 type SpillWriter struct {
 	day      simtime.Day
 	opt      SpillOptions
@@ -164,9 +162,10 @@ func (w *SpillWriter) Close() error {
 }
 
 // mergeItem is one source's current line in the k-way merge. Lines keep
-// their trailing newline so the merge can copy bytes verbatim.
+// their trailing newline so the merge can copy bytes verbatim; tld and
+// domain are the line's sort key, slices of it.
 type mergeItem struct {
-	tld, domain string
+	tld, domain []byte
 	line        []byte
 	src         int
 }
@@ -178,11 +177,8 @@ type mergeHeap []mergeItem
 func (h mergeHeap) Len() int { return len(h) }
 func (h mergeHeap) Less(i, j int) bool {
 	a, b := &h[i], &h[j]
-	if a.tld != b.tld {
-		return a.tld < b.tld
-	}
-	if a.domain != b.domain {
-		return a.domain < b.domain
+	if c := compareKeys(a.tld, a.domain, b.tld, b.domain); c != 0 {
+		return c < 0
 	}
 	return a.src < b.src
 }
@@ -190,24 +186,38 @@ func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeItem)) }
 func (h *mergeHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
-// lineKey extracts the (domain, TLD) sort key from a rendered record line
-// (domain and TLD are its first two tab-separated fields), deriving an
-// empty TLD as the reader does.
-func lineKey(line []byte) (domain, tld string, err error) {
-	t1 := bytes.IndexByte(line, '\t')
-	if t1 < 0 {
-		return "", "", fmt.Errorf("dataset: malformed run line %q", line)
+// compareKeys orders two (TLD, domain) keys as sortRecords orders records.
+func compareKeys(tldA, domainA, tldB, domainB []byte) int {
+	return cmp.Or(bytes.Compare(tldA, tldB), bytes.Compare(domainA, domainB))
+}
+
+// lineKey returns the (domain, TLD) sort key of a rendered record line, as
+// slices of it: its first field, and its fifth where present and not empty,
+// the domain's last label otherwise — the TLD the reader reads back.
+func lineKey(line []byte) (domain, tld []byte, err error) {
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		line = line[:n-1]
 	}
-	rest := line[t1+1:]
-	t2 := bytes.IndexByte(rest, '\t')
-	if t2 < 0 {
-		return "", "", fmt.Errorf("dataset: malformed run line %q", line)
+	t := bytes.IndexByte(line, '\t')
+	if t < 0 {
+		return nil, nil, fmt.Errorf("dataset: malformed record line %q", line)
 	}
-	domain = string(line[:t1])
-	if t2 == 0 {
-		return domain, lastLabel(domain), nil
+	domain, rest := line[:t], line[t+1:]
+	for range 3 { // past the NS, flags and status fields
+		i := bytes.IndexByte(rest, '\t')
+		if i < 0 {
+			rest = nil
+			break
+		}
+		rest = rest[i+1:]
 	}
-	return domain, string(rest[:t2]), nil
+	if i := bytes.IndexByte(rest, '\t'); i >= 0 {
+		rest = rest[:i]
+	}
+	if len(rest) == 0 {
+		rest = domain[bytes.LastIndexByte(domain, '.')+1:]
+	}
+	return domain, rest, nil
 }
 
 // mergeSource yields one source's lines in sorted order.
@@ -295,13 +305,14 @@ func (w *SpillWriter) merge(emit func(line []byte) error) error {
 		if !ok {
 			return nil
 		}
+		// The buffer source reuses its line buffer; copy so the heap's
+		// view survives the next render. Run lines are fresh allocations.
+		line = append([]byte(nil), line...)
 		domain, tld, err := lineKey(line)
 		if err != nil {
 			return err
 		}
-		// The buffer source reuses its line buffer; copy so the heap's
-		// view survives the next render. Run lines are fresh allocations.
-		heap.Push(&h, mergeItem{tld: tld, domain: domain, line: append([]byte(nil), line...), src: src})
+		heap.Push(&h, mergeItem{tld: tld, domain: domain, line: line, src: src})
 		return nil
 	}
 	for i := range sources {
@@ -337,7 +348,8 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 
 // writeSection frames one trailered archive section, the only place the
 // format is written: body hands each record line it renders, newline
-// included, to emit, which writes it through the section's own NS-set
+// included, to emit, which refuses a line that does not sort strictly after
+// the one before it and writes the rest through the section's own NS-set
 // dictionary; the header and those lines go through the counting,
 // checksumming writer, and the trailer records what it saw.
 func writeSection(out io.Writer, day simtime.Day, count int, body func(emit func(line []byte) error) error) error {
@@ -347,7 +359,21 @@ func writeSection(out io.Writer, day simtime.Day, count int, body func(emit func
 		return err
 	}
 	dict := nsDict{ordinal: map[string]int{}}
-	if err := body(func(line []byte) error { return dict.write(cw, line) }); err != nil {
+	var prevTLD, prevDomain []byte // the previous line's key, copied
+	first := true
+	emit := func(line []byte) error {
+		domain, tld, err := lineKey(line)
+		if err != nil {
+			return err
+		}
+		if !first && compareKeys(tld, domain, prevTLD, prevDomain) <= 0 {
+			return fmt.Errorf("dataset: section %s: record %s does not sort after %s (records go in ascending (TLD, domain) order, each domain once)", day, domain, prevDomain)
+		}
+		first = false
+		prevTLD, prevDomain = append(prevTLD[:0], tld...), append(prevDomain[:0], domain...)
+		return dict.write(cw, line)
+	}
+	if err := body(emit); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(bw, "%s\t%s\t%d\t%08x\n", trailerHeader, day, cw.n, cw.crc); err != nil {

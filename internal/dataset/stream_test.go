@@ -13,7 +13,8 @@ import (
 
 // fakeRecords fabricates a deterministic, shuffled record population with
 // every field class exercised (failed records, empty NS sets, multi-host
-// NS sets).
+// NS sets, TLDs of two labels, which the line spells out and which sort
+// apart from the domain's last label).
 func fakeRecords(n int, seed int64) []Record {
 	rng := rand.New(rand.NewSource(seed))
 	tlds := []string{"com", "net", "org", "nl", "se"}
@@ -24,6 +25,9 @@ func fakeRecords(n int, seed int64) []Record {
 			Domain:   fmt.Sprintf("d%06d.%s", i, tld),
 			TLD:      tld,
 			Operator: fmt.Sprintf("op%d", rng.Intn(40)),
+		}
+		if i%9 == 0 {
+			r.Domain, r.TLD = fmt.Sprintf("d%06d.co.%s", i, tld), "co."+tld
 		}
 		switch rng.Intn(4) {
 		case 0:

@@ -99,11 +99,12 @@ func TestSweptRecordBytes(t *testing.T) {
 	want := map[string]cost{
 		// The long form (every column spelled out, flags as true/false)
 		// took 58,938 B (98.2 B/record), 58,196 B (97.0) and 57,558 B (95.9);
-		// with every NS set written in full, 37,982 B (63.3), 37,560 B
-		// (62.6) and 37,982 B (63.3).
-		"clean":  {600, 32, 0, 32544},  // 54.2 B/record
-		"lossy":  {600, 30, 20, 32240}, // 53.7 B/record
-		"signed": {600, 384, 0, 32544}, // 54.2 B/record
+		// nine columns with every NS set written in full, 37,982 B (63.3),
+		// 37,560 B (62.6) and 37,982 B (63.3); nine columns with NS-set
+		// references, 32,544 B (54.2), 32,240 B (53.7) and 32,544 B (54.2).
+		"clean":  {600, 32, 0, 24896},  // 41.5 B/record
+		"lossy":  {600, 30, 20, 24666}, // 41.1 B/record
+		"signed": {600, 384, 0, 26628}, // 44.4 B/record
 	}
 	for _, shape := range sweepShapes {
 		var got cost
@@ -199,31 +200,122 @@ func TestLongFormDecodesIdentically(t *testing.T) {
 	}
 }
 
-// TestFullNSFormDecodesIdentically: testdata/archive-full-ns.tsv is the
-// clean sweep's two days as the writer made them before NS-set references,
-// with every NS set in full. Its sections read back, through all three
-// readers, to the records today's sections of the same sweep read back to.
-func TestFullNSFormDecodesIdentically(t *testing.T) {
-	archive, err := os.ReadFile(filepath.Join("testdata", "archive-full-ns.tsv"))
+// legacyArchives names what each testdata/archive-*.tsv holds: an archive
+// an earlier writer made, the snapshots it must read back to, and whether
+// it writes repeated NS sets as references.
+var legacyArchives = map[string]struct {
+	snaps func(t *testing.T) []*dataset.Snapshot
+	refs  bool
+}{
+	// The long form (every column spelled out, flags as true/false) of a
+	// hand-made fixture.
+	"archive-parent.tsv": {snaps: func(*testing.T) []*dataset.Snapshot {
+		fixture := dataset.LongFormFixture()
+		var snaps []*dataset.Snapshot
+		for _, day := range fixture.Days() {
+			snaps = append(snaps, fixture.Get(day))
+		}
+		return snaps
+	}},
+	// The clean sweep's two days in nine columns, every NS set in full.
+	"archive-full-ns.tsv": {snaps: cleanSweepDays},
+	// The clean sweep's two days in nine columns, with NS-set references.
+	"archive-nsref.tsv": {snaps: cleanSweepDays, refs: true},
+}
+
+func cleanSweepDays(t *testing.T) []*dataset.Snapshot {
+	var snaps []*dataset.Snapshot
+	for _, d := range sweep(t, sweepShapes[0]) {
+		snaps = append(snaps, d.snap)
+	}
+	return snaps
+}
+
+// TestLegacyArchivesDecode: every committed testdata/archive-*.tsv, each a
+// form an earlier writer made, reads back section by section to the
+// snapshots it was made of, through ReadArchive, TailArchive and the
+// checkpoint's chunk reader alike; and none of its sections is what
+// today's writer makes of those records.
+func TestLegacyArchivesDecode(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "archive-*.tsv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(archive, []byte("\t=")) {
-		t.Fatal("testdata/archive-full-ns.tsv holds an NS-set reference")
+	if len(files) != len(legacyArchives) {
+		t.Fatalf("testdata holds %d archives %q, the table names %d", len(files), files, len(legacyArchives))
 	}
 	readers := sectionReaders(t)
-	for _, d := range sweep(t, sweepShapes[0]) {
-		// Each section ends with its trailer line.
-		end := bytes.Index(archive, []byte("\n#end\t")) + 1
-		end += bytes.IndexByte(archive[end:], '\n') + 1
-		section := archive[:end]
-		archive = archive[end:]
-		if bytes.Equal(section, d.section) {
-			t.Fatalf("%s: today's section is the full-NS one", d.snap.Day)
-		}
-		checkDecodes(t, readers, fmt.Sprintf("%s, full-NS form", d.snap.Day), section, d.snap)
+	for _, file := range files {
+		t.Run(filepath.Base(file), func(t *testing.T) {
+			want, ok := legacyArchives[filepath.Base(file)]
+			if !ok {
+				t.Fatal("the table does not name this archive")
+			}
+			archive, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if refs := bytes.Contains(archive, []byte("\t=")); refs != want.refs {
+				t.Fatalf("the archive holds NS-set references: %v, want %v", refs, want.refs)
+			}
+			for _, snap := range want.snaps(t) {
+				// Each section ends with its trailer line.
+				end := bytes.Index(archive, []byte("\n#end\t")) + 1
+				end += bytes.IndexByte(archive[end:], '\n') + 1
+				section := archive[:end]
+				archive = archive[end:]
+				var today bytes.Buffer
+				if err := snap.WriteArchiveSection(&today); err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Equal(section, today.Bytes()) {
+					t.Fatalf("%s: the section is today's form", snap.Day)
+				}
+				checkDecodes(t, readers, snap.Day.String(), section, snap)
+			}
+			if len(archive) != 0 {
+				t.Fatalf("%d bytes after the expected days", len(archive))
+			}
+		})
 	}
-	if len(archive) != 0 {
-		t.Fatalf("%d bytes after the sweep's days", len(archive))
+}
+
+// TestTornLineQuarantined: a line of today's form that lost its trailing
+// fields still parses, so a torn line is caught by the section's framing
+// alone. The section here is the clean sweep's first day cut down to its
+// signed records and every eighth of the rest, in today's form; every
+// single-byte deletion inside its record lines, and the section cut at
+// every offset, is kept out by ReadArchive, TailArchive and the
+// checkpoint's chunk reader.
+func TestTornLineQuarantined(t *testing.T) {
+	day := sweep(t, sweepShapes[0])[0].snap
+	snap := &dataset.Snapshot{Day: day.Day}
+	for i, r := range day.Records {
+		if r.HasDNSKEY || i%8 == 0 {
+			snap.Records = append(snap.Records, r)
+		}
+	}
+	var buf bytes.Buffer
+	if err := snap.WriteArchiveSection(&buf); err != nil {
+		t.Fatal(err)
+	}
+	section := buf.Bytes()
+	readers := sectionReaders(t)
+	checkDecodes(t, readers, "intact", section, snap)
+	refuse := func(what string, torn []byte) {
+		for reader, read := range readers {
+			if got, err := read(torn, snap); err == nil && got != nil {
+				t.Fatalf("%s: %s read the section as %d records", what, reader, len(got.Records))
+			}
+		}
+	}
+	first, trailer := bytes.IndexByte(section, '\n')+1, bytes.LastIndex(section, []byte("#end\t"))
+	for i := first; i < trailer; i++ {
+		if section[i] != '\n' { // inside a record line
+			refuse(fmt.Sprintf("byte %d deleted", i), append(section[:i:i], section[i+1:]...))
+		}
+	}
+	for n := range len(section) {
+		refuse(fmt.Sprintf("cut at %d", n), section[:n])
 	}
 }

@@ -28,6 +28,7 @@ package dataset
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -176,6 +177,10 @@ type sectionScanner struct {
 	undecided []Corruption
 }
 
+// maxPresized bounds the records a section header's count reserves room
+// for before any record is read.
+const maxPresized = 1 << 12
+
 // scanBufSize is the scanner's read buffer: how far it reads ahead of the
 // line it is deciding.
 const scanBufSize = 64 << 10
@@ -274,7 +279,9 @@ func (s *sectionScanner) step(line []byte, full bool) (ev TailEvent, ok bool) {
 			s.cur.bad = fmt.Sprintf("bad header: %v", err)
 		} else {
 			s.cur.declared = declared
-			s.cur.snap = &Snapshot{Day: day}
+			// The header's count is untrusted: it sizes the record slice
+			// only up to maxPresized records.
+			s.cur.snap = &Snapshot{Day: day, Records: make([]Record, 0, min(max(declared, 0), maxPresized))}
 		}
 
 	case trailerHeader:
@@ -339,9 +346,10 @@ func (c *section) add(line []byte) {
 
 // record takes one line in record position. A damaged section keeps
 // consuming lines up to its trailer. A bad record is named by its position
-// in the section, which no scan's starting point changes. A record whose
-// NS column refers to a set shares that set's hosts with the line that
-// defined it.
+// in the section, which no scan's starting point changes; so is one that
+// does not sort strictly after the record before it by (TLD, domain). A
+// record whose NS column refers to a set shares that set's hosts with the
+// line that defined it.
 func (c *section) record(line []byte, text string, fields []string) {
 	if c.bad != "" {
 		return
@@ -351,10 +359,18 @@ func (c *section) record(line []byte, text string, fields []string) {
 		c.bad = "blank line inside section"
 		return
 	}
+	n := len(c.snap.Records)
 	rec, err := parseRecordFields(fields, &c.sets)
 	if err != nil {
-		c.bad = fmt.Sprintf("record %d: %v", len(c.snap.Records)+1, err)
+		c.bad = fmt.Sprintf("record %d: %v", n+1, err)
 		return
+	}
+	if n > 0 {
+		prev := &c.snap.Records[n-1]
+		if cmp.Or(strings.Compare(rec.TLD, prev.TLD), strings.Compare(rec.Domain, prev.Domain)) <= 0 {
+			c.bad = fmt.Sprintf("record %d: out of order", n+1)
+			return
+		}
 	}
 	c.snap.Records = append(c.snap.Records, rec)
 }

@@ -14,12 +14,13 @@ import (
 	"securepki.org/registrarsec/internal/simtime"
 )
 
-// tailSnap builds a small valid snapshot for archive writing.
+// tailSnap builds a valid snapshot for archive writing, its records in
+// canonical order.
 func tailSnap(day simtime.Day, n int) *Snapshot {
 	s := &Snapshot{Day: day}
 	for i := 0; i < n; i++ {
 		s.Records = append(s.Records, Record{
-			Domain: fmt.Sprintf("d%02d-%d.com", i, day), TLD: "com",
+			Domain: fmt.Sprintf("d%05d-%d.com", i, day), TLD: "com",
 			Operator: "op.example", NSHosts: []string{"ns1.op.example"},
 			HasDNSKEY: i%2 == 0, HasRRSIG: i%2 == 0,
 		})
@@ -351,7 +352,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 func TestScannerStreams(t *testing.T) {
 	var archive bytes.Buffer
 	for day := simtime.Day(10); day < 60; day++ {
-		archive.Write(sectionBytes(t, tailSnap(day, 5000)))
+		archive.Write(sectionBytes(t, tailSnap(day, 10000)))
 	}
 	sectionLen := int64(archive.Len() / 50)
 	if sectionLen < 2*scanBufSize {

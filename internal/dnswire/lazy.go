@@ -14,8 +14,7 @@ import (
 // The fast path deliberately accepts a strict subset of what
 // Message.Unpack accepts: one INET question, opcode QUERY, QR clear, empty
 // answer/authority sections, and at most one additional record which must
-// be an OPT. Anything else — including qnames with non-ASCII octets, whose
-// canonicalization would diverge from the strings.ToLower path — falls
+// be an OPT. Anything else — including qnames with non-ASCII octets — falls
 // back to the full parser. The subset property is what FuzzServeDNS pins
 // down: ParseQueryView success implies Unpack success with an identical
 // (qname, qtype, DO) view, so a cache keyed by the lazy view can never
@@ -127,9 +126,8 @@ func ParseQueryView(pkt, buf []byte) (QueryView, []byte, error) {
 // the canonical (lowercased, dot-separated, no trailing dot) name to dst
 // and returns the offset just past the name in the original stream. It
 // enforces the same compression-pointer and length rules as unpackName,
-// plus one extra restriction — labels must be pure ASCII, because
-// strings.ToLower rewrites invalid UTF-8 in ways a byte-wise fold cannot
-// reproduce. Non-ASCII names take the full-parse path instead.
+// plus one extra restriction — labels must be pure ASCII. Non-ASCII names
+// take the full-parse path instead.
 func appendCanonicalName(dst []byte, msg []byte, off int) ([]byte, int, error) {
 	start := len(dst)
 	ptrBudget := 32
@@ -175,10 +173,9 @@ func appendCanonicalName(dst []byte, msg []byte, off int) ([]byte, int, error) {
 				return dst, 0, ErrNameTooLong
 			}
 			for _, b := range msg[off+1 : off+1+c] {
-				// Non-ASCII canonicalizes differently under strings.ToLower,
-				// and a literal '.' inside a label is ambiguous in dotted
-				// text (the full parser's CanonicalName would strip it when
-				// trailing). Both fall back to the full parse.
+				// Non-ASCII falls back to the full parse, and so does a
+				// literal '.' inside a label, which dotted text cannot
+				// carry: the full parse refuses it.
 				if b >= 0x80 || b == '.' {
 					return dst, 0, errNotFastPath
 				}

@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ var (
 	ErrEmptyLabel       = errors.New("dnswire: empty label")
 	ErrBadCompression   = errors.New("dnswire: invalid compression pointer")
 	ErrTruncatedMessage = errors.New("dnswire: message truncated")
+	ErrDotInLabel       = errors.New("dnswire: '.' inside a label")
 )
 
 // CanonicalName normalizes a presentation-format domain name: lowercases it
@@ -189,7 +191,10 @@ func appendName(buf []byte, name string, cmp *compressor) ([]byte, error) {
 // unpackName decodes a (possibly compressed) name starting at off in msg.
 // It returns the canonical name and the offset just past the name in the
 // original (uncompressed) stream. Compression pointer chains are bounded to
-// defeat loops, and pointers must point strictly backwards.
+// defeat loops, and pointers must point strictly backwards. Only ASCII
+// letters are folded (RFC 4343): every other byte of a label comes back as
+// it was, so the name packs back to the same labels. A label holding a '.'
+// could not, and is refused.
 func unpackName(msg []byte, off int) (string, int, error) {
 	var sb strings.Builder
 	ptrBudget := 32 // far more than any legitimate message needs
@@ -205,8 +210,7 @@ func unpackName(msg []byte, off int) (string, int, error) {
 			if end < 0 {
 				end = off + 1
 			}
-			name := sb.String()
-			return strings.ToLower(strings.TrimSuffix(name, ".")), end, nil
+			return lowerASCII(strings.TrimSuffix(sb.String(), ".")), end, nil
 		case c&0xc0 == 0xc0:
 			if off+1 >= len(msg) {
 				return "", 0, ErrTruncatedMessage
@@ -232,9 +236,32 @@ func unpackName(msg []byte, off int) (string, int, error) {
 			if wireLen+1 > MaxNameWireLen {
 				return "", 0, ErrNameTooLong
 			}
-			sb.Write(msg[off+1 : off+1+c])
+			label := msg[off+1 : off+1+c]
+			if bytes.IndexByte(label, '.') >= 0 {
+				return "", 0, ErrDotInLabel
+			}
+			sb.Write(label)
 			sb.WriteByte('.')
 			off += 1 + c
 		}
 	}
+}
+
+// lowerASCII folds the ASCII letters of s to lower case and leaves every
+// other byte as it is; s itself comes back when it has no upper case.
+func lowerASCII(s string) string {
+	i := 0
+	for i < len(s) && !('A' <= s[i] && s[i] <= 'Z') {
+		i++
+	}
+	if i == len(s) {
+		return s
+	}
+	b := []byte(s)
+	for ; i < len(b); i++ {
+		if 'A' <= b[i] && b[i] <= 'Z' {
+			b[i] += 'a' - 'A'
+		}
+	}
+	return string(b)
 }

@@ -308,3 +308,21 @@ func TestCompressorMatchesMap(t *testing.T) {
 		}
 	}
 }
+
+// TestUnpackNameKeepsLabelBytes: a name folds ASCII letters only, so a
+// label of other octets unpacks to the same octets and packs back to them;
+// a label holding a '.' cannot be written as dotted text and is refused.
+func TestUnpackNameKeepsLabelBytes(t *testing.T) {
+	wire := []byte{3, 'A', 0xff, 0xc4, 3, 'c', 'O', 'm', 0}
+	name, end, err := unpackName(wire, 0)
+	if err != nil || name != "a\xff\xc4.com" || end != len(wire) {
+		t.Fatalf("unpackName = %q, %d, %v", name, end, err)
+	}
+	packed, err := appendName(nil, name, nil)
+	if err != nil || string(packed) != "\x03a\xff\xc4\x03com\x00" {
+		t.Fatalf("appendName(%q) = %q, %v", name, packed, err)
+	}
+	if _, _, err := unpackName([]byte{3, 'a', '.', 'b', 0}, 0); err != ErrDotInLabel {
+		t.Fatalf("a label with a dot: %v, want ErrDotInLabel", err)
+	}
+}

@@ -3,6 +3,7 @@ package dsweep
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -319,7 +320,9 @@ func TestCoordinatorRestartRecoversState(t *testing.T) {
 			t.Fatalf("unit %s granted twice", g.Unit)
 		}
 		seen[g.Unit] = true
-		complete(t, c2, g.LeaseID, "w2", g.Unit, flush(t, st, g.Unit, "w2", makeSnap(g.Unit.Day, "z.com")), CompleteAccepted)
+		// One domain per unit: a day's shards partition its targets.
+		name := fmt.Sprintf("z%d.com", g.Unit.Shard)
+		complete(t, c2, g.LeaseID, "w2", g.Unit, flush(t, st, g.Unit, "w2", makeSnap(g.Unit.Day, name)), CompleteAccepted)
 	}
 	select {
 	case <-c2.Done():
