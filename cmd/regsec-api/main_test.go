@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"io"
@@ -136,6 +137,25 @@ func fourDayArchive(t *testing.T, path string) []byte {
 	return archive.Bytes()
 }
 
+// memberEnds returns the offset just past each gzip member of archive.
+func memberEnds(t *testing.T, archive []byte) []int {
+	t.Helper()
+	r := bytes.NewReader(archive)
+	var zr gzip.Reader
+	var ends []int
+	for r.Len() > 0 {
+		if err := zr.Reset(r); err != nil {
+			t.Fatal(err)
+		}
+		zr.Multistream(false)
+		if _, err := io.Copy(io.Discard, &zr); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, len(archive)-r.Len())
+	}
+	return ends
+}
+
 // appendFile appends data to the file at path.
 func appendFile(t *testing.T, path string, data []byte) {
 	t.Helper()
@@ -155,8 +175,8 @@ func appendFile(t *testing.T, path string, data []byte) {
 // the real binary. A clean daemon ingests a four-section archive in one
 // pass. A second one ingests its first two sections, commits them and is
 // SIGKILLed; restarted over the same prefix, it watches the archive grow by
-// appending in two pieces, the first cut ten bytes into the third section's
-// second record, and must never consume the partial line. Its world file
+// appending in two pieces, the first cut halfway through the third
+// section's member, and must never consume the partial member. Its world file
 // and its Table 1 must then equal the clean daemon's, byte for byte.
 func TestKilledMidIngestRecovers(t *testing.T) {
 	dir := t.TempDir()
@@ -173,16 +193,12 @@ func TestKilledMidIngestRecovers(t *testing.T) {
 	}
 	clean.stop()
 
-	// The first two sections end at the second trailer line.
-	prefix := 0
-	for range 2 {
-		end := bytes.Index(data[prefix:], []byte("\n#end\t"))
-		if end < 0 {
-			t.Fatal("the archive has fewer than two sections")
-		}
-		prefix += end + 1
-		prefix += bytes.IndexByte(data[prefix:], '\n') + 1
+	// Each section is one gzip member.
+	ends := memberEnds(t, data)
+	if len(ends) != 4 {
+		t.Fatalf("the archive holds %d members, want 4", len(ends))
 	}
+	prefix := ends[1]
 	chaos, chaosWorld := filepath.Join(dir, "chaos.tsv"), filepath.Join(dir, "chaos.world")
 	if err := os.WriteFile(chaos, data[:prefix], 0o644); err != nil {
 		t.Fatal(err)
@@ -194,17 +210,12 @@ func TestKilledMidIngestRecovers(t *testing.T) {
 
 	d = startDaemon(t, "-archive", chaos, "-world", chaosWorld, "-poll", "200ms")
 	d.await("readiness", func() bool { return d.get("/readyz") != nil })
-	// Past the third section's header and first record, ten bytes into its
-	// second record.
-	cut := prefix
-	for range 2 {
-		cut += bytes.IndexByte(data[cut:], '\n') + 1
-	}
-	cut += 10
+	// Halfway through the third section's member.
+	cut := prefix + (ends[2]-prefix)/2
 	appendFile(t, chaos, data[prefix:cut])
-	time.Sleep(time.Second) // several polls at the partial line
+	time.Sleep(time.Second) // several polls at the partial member
 	if st, ok := d.status(); !ok || st.Sections != 2 || st.Quarantined != 0 {
-		t.Fatalf("at the partial line: %+v (read %v), want 2 sections and nothing quarantined\n%s", st, ok, d.stderr)
+		t.Fatalf("at the partial member: %+v (read %v), want 2 sections and nothing quarantined\n%s", st, ok, d.stderr)
 	}
 	appendFile(t, chaos, data[cut:])
 	if grown, err := os.ReadFile(chaos); err != nil || !bytes.Equal(grown, data) {

@@ -3,12 +3,15 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -107,27 +110,41 @@ func cleanArchive(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// damagedArchive is cleanArchive with one section's trailer torn off, one
-// byte flipped in another, the first section appended again, and a
-// section cut off mid-line at the end.
+// damagedArchive is cleanArchive with one section's member cut short, one
+// byte flipped in another's, the first section appended again, and a
+// member cut short at the end.
 func damagedArchive(t testing.TB) []byte {
-	sections := strings.SplitAfter(string(cleanArchive(t)), "#end")
-	// sections[k] ends with section k's "#end"; its trailer's tail opens
-	// sections[k+1].
-	torn := strings.TrimSuffix(sections[1], "#end")
-	rest := sections[2][strings.IndexByte(sections[2], '\n')+1:]
-	flip := strings.Index(rest, "\nd00042.")
-	if flip < 0 {
-		t.Fatal("no record to damage")
+	members := splitMembers(t, cleanArchive(t))
+	torn := members[1][:len(members[1])/2]
+	flipped := bytes.Clone(members[2])
+	flipped[len(flipped)/2] ^= 0x01
+	var partial bytes.Buffer
+	w := bufio.NewWriter(&partial)
+	synthSection(t, w, len(cleanSizes), 17, func(int, int) bool { return false })
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	b := []byte(sections[0] + torn + rest)
-	b[len(sections[0])+len(torn)+flip+2] ^= 0x01
-	out := string(b) + strings.Join(sections[3:], "")
-	first := sections[0] + sections[1][:strings.IndexByte(sections[1], '\n')+1]
-	out += first
-	partial := strings.SplitAfter(first, "\n")
-	out += "#snapshot\t" + synthDay(len(cleanSizes)).String() + "\t20\n" + partial[1] + partial[2] + partial[3][:10]
-	return []byte(out)
+	return slices.Concat(members[0], torn, flipped, members[3], members[0], partial.Bytes()[:partial.Len()/2])
+}
+
+// splitMembers splits an archive into its gzip members, one a section.
+func splitMembers(t testing.TB, archive []byte) [][]byte {
+	t.Helper()
+	r := bytes.NewReader(archive)
+	var zr gzip.Reader
+	var members [][]byte
+	for r.Len() > 0 {
+		start := len(archive) - r.Len()
+		if err := zr.Reset(r); err != nil {
+			t.Fatal(err)
+		}
+		zr.Multistream(false)
+		if _, err := io.Copy(io.Discard, &zr); err != nil {
+			t.Fatal(err)
+		}
+		members = append(members, archive[start:len(archive)-r.Len()])
+	}
+	return members
 }
 
 // measuredThenFailedArchive holds domains measured and later Failed: some

@@ -27,8 +27,9 @@
 // affecting the sweep plan.
 //
 // With -o the snapshots are written as a checksummed TSV archive (each
-// day's section carries a length+CRC trailer) that regsec-report -archive
-// can analyze and salvage; otherwise records go to stdout. The -fault-*
+// day's section carries a length+CRC trailer and is one gzip member, so
+// zcat prints the TSV) that regsec-report -archive can analyze and
+// salvage; otherwise records go to stdout. The -fault-*
 // flags wrap the materialized network in the fault injector, making a
 // configured fraction of DNS operators lossy — a resilience drill for the
 // scan path; each day's sweep-health report goes to stderr.

@@ -41,7 +41,7 @@ var testOnlyAllowed = map[string]string{
 var ifaceMethods = map[string]bool{
 	"Error": true, "String": true, "Unwrap": true, "Len": true, "Less": true,
 	"Swap": true, "Push": true, "Pop": true, "Int63": true, "Seed": true,
-	"Read": true, "Write": true, "WriteTo": true, "Close": true,
+	"Read": true, "ReadByte": true, "Write": true, "WriteTo": true, "Close": true,
 	"ServeHTTP": true, "MarshalJSON": true, "UnmarshalJSON": true,
 }
 

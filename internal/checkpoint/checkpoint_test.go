@@ -95,7 +95,7 @@ func TestShardWriteLoadVerify(t *testing.T) {
 		t.Errorf("shard records: %+v", got.Records)
 	}
 
-	// Tamper with the shard file: the CRC catches it.
+	// Tamper with the shard file: its own framing catches a flipped byte.
 	path := filepath.Join(cp.Dir(), meta.File)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -105,8 +105,18 @@ func TestShardWriteLoadVerify(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := cp.LoadChunk(day, meta); err == nil {
+		t.Error("tampered shard accepted")
+	}
+	// A shard that verifies but is not the one the ledger names: the CRC
+	// catches it.
+	other := testSnapshot(day)
+	other.Records = other.Records[:1]
+	if _, err := cp.WriteChunk(day, 1, 0, "w1", other); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := cp.LoadChunk(day, meta); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Errorf("tampered shard: %v", err)
+		t.Errorf("replaced shard: %v", err)
 	}
 
 	// A missing shard is an error, not a silent empty snapshot.

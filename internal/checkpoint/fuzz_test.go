@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"compress/gzip"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,7 +17,8 @@ import (
 // ledger entry. It must never panic, and it accepts exactly when all three
 // checks agree: the bytes' CRC32C is the recorded one, the bytes are a
 // strictly valid archive holding the day, and the day's record count is the
-// recorded one. Seeded from a real chunk file and near misses of it.
+// recorded one. Seeded from a real chunk file, its text form, and near
+// misses of both.
 func FuzzLoadChunk(f *testing.F) {
 	day := simtime.Date(2016, 3, 1)
 	cp, err := Open(f.TempDir())
@@ -40,6 +43,20 @@ func FuzzLoadChunk(f *testing.F) {
 	f.Add(real[:len(real)-4], crc32.Checksum(real[:len(real)-4], castagnoli), meta.Records)
 	f.Add(append(bytes.Clone(real), real...), uint32(0), 2*meta.Records)
 	f.Add([]byte{}, uint32(0), 0)
+	// The text form an earlier writer left as a chunk file, whole and cut,
+	// and mixed with the member form in either order.
+	zr, err := gzip.NewReader(bytes.NewReader(real))
+	if err != nil {
+		f.Fatal(err)
+	}
+	text, err := io.ReadAll(zr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(text, crc32.Checksum(text, castagnoli), meta.Records)
+	f.Add(text[:len(text)-4], crc32.Checksum(text[:len(text)-4], castagnoli), meta.Records)
+	f.Add(append(bytes.Clone(text), real...), uint32(0), 2*meta.Records)
+	f.Add(append(bytes.Clone(real), text...), uint32(0), 2*meta.Records)
 
 	const name = "fuzzed.tsv"
 	f.Fuzz(func(t *testing.T, data []byte, crc uint32, records int) {

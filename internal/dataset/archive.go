@@ -27,6 +27,23 @@ import (
 // The reader quarantines damaged sections with a precise reason and
 // salvages every intact one — a 21-month daily series must never silently
 // mis-parse one bad day into its adoption curves.
+//
+// On disk each section is one RFC 1952 gzip member (writeSection, deflate
+// at gzip.BestSpeed) whose text is exactly the lines above, so zcat of an
+// archive prints its text form, and `zcat archive.tsv | grep …` reads it.
+// Every member starts with the same 10 bytes (memberHeader: no flags, no
+// modification time), which is how the scanner tells one at a section
+// boundary from a text section, the form of earlier writers; both forms
+// may follow each other in one file. The member's own CRC-32 and length
+// guard its bytes, the trailer its text. A member that is cut short at the
+// end of the input may still be growing: a tailer leaves it, a batch
+// reader quarantines it. A member that fails to inflate, fails its
+// checksums, or whose text is not exactly one intact section is damage,
+// final up to where its decoder stopped — unless the bytes the decoder
+// read hold the start of another section, in which case the decoder may
+// have read past the damage into what follows, and the damage runs from
+// the member's first byte to that section. An event's offsets are member
+// boundaries, and damage in a member is located at its first byte.
 
 // trailerHeader closes one archived snapshot section.
 const trailerHeader = "#end"
@@ -49,12 +66,15 @@ type Corruption struct {
 	Day string
 	// Line is the 1-based line number where the damage was anchored — the
 	// section header for section-level damage, the offending line otherwise.
-	// It counts from where the scan started — the top of the file for
-	// ReadArchive, the resume offset for a tail scan — so String leaves it
-	// to callers that read a whole file.
+	// It counts lines as zcat prints them: a member's text lines, then the
+	// lines of text sections and stray bytes; a damaged member that runs
+	// into the next section counts as one line. It counts from where the scan
+	// started — the top of the file for ReadArchive, the resume offset for a
+	// tail scan — so String leaves it to callers that read a whole file.
 	Line int
-	// Offset is the absolute byte offset of that line in the archive,
-	// whichever scan found it.
+	// Offset is the absolute byte offset of that line in the archive —
+	// of its member's first byte for a line in a member — whichever scan
+	// found it.
 	Offset int64
 	// Reason says which integrity check failed.
 	Reason string

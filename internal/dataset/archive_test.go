@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
 	"io"
@@ -24,6 +25,21 @@ func archiveOf(store *Store) []byte {
 		}
 	}
 	return buf.Bytes()
+}
+
+// textOf is what zcat prints of archive bytes: the text of every member,
+// in order. Tests that edit an archive line by line edit this text form,
+// which earlier writers wrote and the reader still reads.
+func textOf(archive []byte) []byte {
+	zr, err := gzip.NewReader(bytes.NewReader(archive))
+	if err != nil {
+		panic(err)
+	}
+	text, err := io.ReadAll(zr)
+	if err != nil {
+		panic(err)
+	}
+	return text
 }
 
 // archiveFixture builds a two-day store and its archive bytes.
@@ -90,8 +106,10 @@ func TestArchiveSalvagesIntactSections(t *testing.T) {
 	if !found {
 		t.Errorf("no truncation reason in %s", report)
 	}
-	// A cut landing mid-record reports the truncation precisely.
-	midRecord := raw[:bytes.Index(raw, []byte("#end\t2016-06-01"))-5]
+	// A cut landing mid-record in the text form reports the truncation
+	// precisely.
+	text := textOf(raw)
+	midRecord := text[:bytes.Index(text, []byte("#end\t2016-06-01"))-5]
 	got2, report2, err := ReadArchive(bytes.NewReader(midRecord))
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +128,9 @@ func TestArchiveSalvagesIntactSections(t *testing.T) {
 
 func TestArchiveTornWriteDetected(t *testing.T) {
 	_, raw := archiveFixture(t)
-	// Drop the first section's trailer line: a torn write that left the
-	// next section's header right after the records.
-	lines := strings.SplitAfter(string(raw), "\n")
+	// Drop the first section's trailer line from the text form: a torn
+	// write that left the next section's header right after the records.
+	lines := strings.SplitAfter(string(textOf(raw)), "\n")
 	var torn strings.Builder
 	for _, l := range lines {
 		if strings.HasPrefix(l, "#end\t2016-01-01") {

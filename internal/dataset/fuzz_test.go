@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/iotest"
 
@@ -24,6 +25,32 @@ func fuzzSeedArchive() []byte {
 	return archiveOf(store)
 }
 
+// memberSeeds are the member form's seeds of the archive fuzzers: the two
+// sections as members cut inside a member and between them, with a byte
+// flipped mid-member, with stray bytes between the members, and mixed with
+// the text form in either order.
+func memberSeeds() [][]byte {
+	valid := fuzzSeedArchive()
+	first := len(textOf(valid)) // not a member boundary: any offset inside the first member
+	var day1 bytes.Buffer
+	if err := (&Snapshot{Day: simtime.Date(2016, 1, 1), Records: []Record{{Domain: "a.com", TLD: "com"}}}).WriteArchiveSection(&day1); err != nil {
+		panic(err)
+	}
+	one := day1.Len()
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)/4] ^= 0x01
+	return [][]byte{
+		valid,
+		valid[:first%len(valid)],
+		valid[:len(valid)-1],
+		flipped,
+		slices.Concat(day1.Bytes(), []byte("stray\x1f\x8b"), valid),
+		slices.Concat(textOf(day1.Bytes()), valid),
+		slices.Concat(valid, textOf(valid)),
+		slices.Concat(day1.Bytes()[:one/2], valid),
+	}
+}
+
 // FuzzReadArchive exercises the salvage reader with arbitrary bytes: it may
 // not panic, and whatever it accepts must be internally consistent —
 // re-serializing the salvaged store and re-reading it must verify clean
@@ -42,7 +69,10 @@ func FuzzReadArchive(f *testing.F) {
 	f.Add([]byte(""))
 	// The first record cut before its flags, trailer untouched: the line
 	// still parses, and only the framing catches the cut.
-	f.Add(bytes.Replace(valid, []byte("\tkrdv\n"), []byte("\n"), 1))
+	f.Add(bytes.Replace(textOf(valid), []byte("\tkrdv\n"), []byte("\n"), 1))
+	for _, seed := range memberSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Never an error on in-memory bytes, never a mislabeled section.
@@ -103,6 +133,12 @@ func FuzzTailArchive(f *testing.F) {
 	f.Add(append(bytes.Clone(valid), "\n\n#snapshot\t2016-07-01\t1\na.com"...))
 	f.Add([]byte("#end\t2016-01-01\t10\tdeadbeef\n"))
 	f.Add([]byte(""))
+	text := textOf(valid)
+	f.Add(bytes.Join([][]byte{text, []byte("stray\n\n"), text}, nil))
+	f.Add(append(bytes.Clone(text), "\n\n#snapshot\t2016-07-01\t1\na.com"...))
+	for _, seed := range memberSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res := scanAll(t, bytes.NewReader(data), 0)

@@ -36,7 +36,7 @@ func TestNSReferences(t *testing.T) {
 		"d.com\t=1\t\t\t\tcohort\n" +
 		"e.com\t\t\ttimeout\n" +
 		"f.com\t=0\n"
-	if got := section.String(); got != sealed(want) {
+	if got := string(textOf(section.Bytes())); got != sealed(want) {
 		t.Fatalf("section:\n%s\nwant:\n%s", got, sealed(want))
 	}
 	got, err := ReadArchiveStrict(&section)
@@ -105,7 +105,7 @@ func TestNSSetCap(t *testing.T) {
 	if err := snap.WriteArchiveSection(&section); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(section.String(), "\n")
+	lines := strings.Split(string(textOf(section.Bytes())), "\n")
 	tail := lines[1+distinct : 1+distinct+8]
 	for i, col := range []string{"=0", "=65535", "ns1.op065536.net", "ns1.op065545.net", "=0", "=65535", "ns1.op065536.net", "ns1.op065545.net"} {
 		if got := strings.Split(tail[i], "\t")[1]; got != col {
@@ -160,9 +160,9 @@ func fuzzRecords(data []byte, pool [][]string) []Record {
 
 // FuzzSectionRoundTrip holds the NS-set dictionary to its contract. Records
 // made from the fuzz bytes, whose hosts the line can carry and whose NS
-// sets repeat, round-trip through WriteArchiveSection and TailArchive, and
-// the section is byte for byte what a SpillWriter that spilled runs makes
-// of them. Then a line whose NS column is the fuzzed string is added to the
+// sets repeat, round-trip through WriteArchiveSection and TailArchive; the
+// member is refused cut short or with a byte flipped; and the section is
+// byte for byte what a SpillWriter that spilled runs makes of them. Then a line whose NS column is the fuzzed string is added to the
 // section, or to a second section after it: a column starting with '='
 // reads only as a canonical reference to a set defined earlier in the same
 // section, and as exactly that set; anything else starting with '=' is
@@ -204,6 +204,20 @@ func FuzzSectionRoundTrip(f *testing.F) {
 			t.Fatalf("TailArchive read %+v, want the records %+v", res.Events, snap.Records)
 		}
 
+		// Cut short where the first fuzz byte says, the member is undecided
+		// to a tail scan; with the bit flipped that the last byte names,
+		// it is refused, and the same section after it still reads.
+		member := section.Bytes()
+		if cut := scanAll(t, bytes.NewReader(member[:len(member)*int(data[0])/256]), 0); len(cut.Events) != 0 || cut.Offset != 0 {
+			t.Fatalf("the member cut at %d of %d bytes: events %+v to offset %d", len(member)*int(data[0])/256, len(member), cut.Events, cut.Offset)
+		}
+		flipped := bytes.Clone(member)
+		flipped[len(member)*int(data[len(data)-1])/256] ^= 0x01
+		if store, report, err := ReadArchive(bytes.NewReader(append(flipped, member...))); err != nil || len(report.Quarantined) == 0 ||
+			store.Len() != 1 || !reflect.DeepEqual(store.Get(snap.Day).Records, snap.Records) {
+			t.Fatalf("a byte flipped at %d: %v, %s", len(member)*int(data[len(data)-1])/256, err, report)
+		}
+
 		sw := NewSpillWriter(snap.Day, SpillOptions{Dir: t.TempDir(), MemBudget: 1 << 10})
 		defer sw.Close()
 		for i := len(snap.Records) - 1; i >= 0; i-- {
@@ -235,6 +249,7 @@ func FuzzSectionRoundTrip(f *testing.F) {
 		body := "#snapshot\t2016-01-02\t1\n" + line
 		archive := section.String()
 		if !second {
+			archive = string(textOf(section.Bytes()))
 			body = strings.Replace(archive[:strings.Index(archive, trailerHeader)], fmt.Sprintf("\t%d\n", len(snap.Records)), fmt.Sprintf("\t%d\n", len(snap.Records)+1), 1) + line
 			archive = ""
 		}

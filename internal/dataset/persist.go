@@ -13,10 +13,11 @@ import (
 
 // Snapshot persistence in a TSV format close to what OpenINTEL publishes:
 // one record per line, a header line naming the day. This file is the
-// section body — header and record lines; on disk a section is always
-// closed by the length+CRC32C trailer of the journaled archive format
-// (archive.go), so torn writes and bit rot are detectable, and the section
-// scanner (tail.go) is the one reader.
+// section body — header and record lines; a section is always closed by
+// the length+CRC32C trailer of the journaled archive format (archive.go),
+// so torn writes and bit rot are detectable, and on disk it is the text of
+// one gzip member, so `zcat archive.tsv` prints exactly these lines. The
+// section scanner (tail.go) is the one reader.
 //
 // A record line has two to six tab-separated fields:
 //

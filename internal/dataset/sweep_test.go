@@ -2,9 +2,11 @@ package dataset_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -91,26 +93,32 @@ func sweep(t *testing.T, shape sweepShape) []sweptDay {
 	return days
 }
 
-// TestSweptRecordBytes pins what a swept record costs on disk: the archive
-// bytes of each seeded sweep, headers and trailers included, over its
-// records. A change of the record line moves these exact figures.
+// TestSweptRecordBytes pins what a swept record costs on disk, in two
+// figures per seeded sweep, headers and trailers included, over its
+// records: the section text — what zcat prints, the cost of the record line
+// itself — and the members written to disk, which add what compress/flate
+// makes of that text. A change of the record line moves both; a Go
+// toolchain whose compress/flate compresses differently may move only the
+// second.
 func TestSweptRecordBytes(t *testing.T) {
-	type cost struct{ records, signed, failed, bytes int }
+	type cost struct{ records, signed, failed, text, disk int }
 	want := map[string]cost{
 		// The long form (every column spelled out, flags as true/false)
 		// took 58,938 B (98.2 B/record), 58,196 B (97.0) and 57,558 B (95.9);
 		// nine columns with every NS set written in full, 37,982 B (63.3),
 		// 37,560 B (62.6) and 37,982 B (63.3); nine columns with NS-set
 		// references, 32,544 B (54.2), 32,240 B (53.7) and 32,544 B (54.2).
-		"clean":  {600, 32, 0, 24896},  // 41.5 B/record
-		"lossy":  {600, 30, 20, 24666}, // 41.1 B/record
-		"signed": {600, 384, 0, 26628}, // 44.4 B/record
+		// Those, and today's text, were written to disk as they are.
+		"clean":  {600, 32, 0, 24896, 5410},  // 41.5 text, 9.0 disk B/record
+		"lossy":  {600, 30, 20, 24666, 5451}, // 41.1 text, 9.1 disk B/record
+		"signed": {600, 384, 0, 26628, 5850}, // 44.4 text, 9.8 disk B/record
 	}
 	for _, shape := range sweepShapes {
 		var got cost
 		for _, d := range sweep(t, shape) {
 			got.records += len(d.snap.Records)
-			got.bytes += len(d.section)
+			got.text += len(zcat(t, d.section))
+			got.disk += len(d.section)
 			for _, r := range d.snap.Records {
 				if r.HasDNSKEY {
 					got.signed++
@@ -121,9 +129,24 @@ func TestSweptRecordBytes(t *testing.T) {
 			}
 		}
 		if got != want[shape.name] {
-			t.Errorf("%s: %+v (%.1f B/record), want %+v", shape.name, got, float64(got.bytes)/float64(got.records), want[shape.name])
+			t.Errorf("%s: %+v (%.1f text, %.1f disk B/record), want %+v", shape.name, got,
+				float64(got.text)/float64(got.records), float64(got.disk)/float64(got.records), want[shape.name])
 		}
 	}
+}
+
+// zcat is what zcat prints of archive bytes: the text of every member.
+func zcat(t *testing.T, archive []byte) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(archive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text
 }
 
 // sectionReaders are the three readers of a section: ReadArchive,
@@ -221,6 +244,10 @@ var legacyArchives = map[string]struct {
 	"archive-full-ns.tsv": {snaps: cleanSweepDays},
 	// The clean sweep's two days in nine columns, with NS-set references.
 	"archive-nsref.tsv": {snaps: cleanSweepDays, refs: true},
+	// The clean sweep's two days in lines of two to six fields, as text
+	// sections: the last form written before each section became a gzip
+	// member, and what zcat prints of today's archive of the sweep.
+	"archive-text.tsv": {snaps: cleanSweepDays, refs: true},
 }
 
 func cleanSweepDays(t *testing.T) []*dataset.Snapshot {
@@ -284,9 +311,9 @@ func TestLegacyArchivesDecode(t *testing.T) {
 // fields still parses, so a torn line is caught by the section's framing
 // alone. The section here is the clean sweep's first day cut down to its
 // signed records and every eighth of the rest, in today's form; every
-// single-byte deletion inside its record lines, and the section cut at
-// every offset, is kept out by ReadArchive, TailArchive and the
-// checkpoint's chunk reader.
+// single-byte deletion inside the record lines of its text, and the member
+// and its text cut at every offset, are kept out by ReadArchive,
+// TailArchive and the checkpoint's chunk reader.
 func TestTornLineQuarantined(t *testing.T) {
 	day := sweep(t, sweepShapes[0])[0].snap
 	snap := &dataset.Snapshot{Day: day.Day}
@@ -299,9 +326,11 @@ func TestTornLineQuarantined(t *testing.T) {
 	if err := snap.WriteArchiveSection(&buf); err != nil {
 		t.Fatal(err)
 	}
-	section := buf.Bytes()
+	member := buf.Bytes()
+	section := zcat(t, member)
 	readers := sectionReaders(t)
-	checkDecodes(t, readers, "intact", section, snap)
+	checkDecodes(t, readers, "intact", member, snap)
+	checkDecodes(t, readers, "intact text", section, snap)
 	refuse := func(what string, torn []byte) {
 		for reader, read := range readers {
 			if got, err := read(torn, snap); err == nil && got != nil {
@@ -316,6 +345,66 @@ func TestTornLineQuarantined(t *testing.T) {
 		}
 	}
 	for n := range len(section) {
-		refuse(fmt.Sprintf("cut at %d", n), section[:n])
+		refuse(fmt.Sprintf("text cut at %d", n), section[:n])
+	}
+	for n := range len(member) {
+		refuse(fmt.Sprintf("member cut at %d", n), member[:n])
+	}
+}
+
+// TestMembersZcatToTheTextForm: zcat of today's archive of the clean sweep
+// is byte for byte the text archive the writer before members wrote of it.
+func TestMembersZcatToTheTextForm(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "archive-text.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var archive []byte
+	for _, d := range sweep(t, sweepShapes[0]) {
+		archive = append(archive, d.section...)
+	}
+	if got := zcat(t, archive); !bytes.Equal(got, want) {
+		t.Fatalf("zcat prints %d bytes that differ from the %d of testdata/archive-text.tsv", len(got), len(want))
+	}
+}
+
+// TestMixedFormsDecode: an archive holding text sections and members, in
+// either order, reads to the sweep's records through ReadArchive and
+// TailArchive; and a chunk file in either form through the checkpoint's
+// chunk reader, as a resume reads what an earlier writer left.
+func TestMixedFormsDecode(t *testing.T) {
+	days := sweep(t, sweepShapes[0])
+	member := func(d sweptDay) []byte { return d.section }
+	text := func(d sweptDay) []byte { return zcat(t, d.section) }
+	readers := sectionReaders(t)
+	for _, d := range days {
+		checkDecodes(t, map[string]func([]byte, *dataset.Snapshot) (*dataset.Snapshot, error){"LoadChunk": readers["LoadChunk"]},
+			fmt.Sprintf("%s as text", d.snap.Day), text(d), d.snap)
+	}
+	for name, forms := range map[string][2]func(sweptDay) []byte{
+		"text, then member": {text, member},
+		"member, then text": {member, text},
+	} {
+		archive := append(forms[0](days[0]), forms[1](days[1])...)
+		store, err := dataset.ReadArchiveStrict(bytes.NewReader(archive))
+		if err != nil {
+			t.Fatalf("%s: ReadArchive: %v", name, err)
+		}
+		path := filepath.Join(t.TempDir(), "mixed.tsv")
+		if err := os.WriteFile(path, archive, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := dataset.TailArchive(path, 0)
+		if err != nil || len(res.Events) != len(days) || res.Offset != int64(len(archive)) {
+			t.Fatalf("%s: TailArchive: %v, %d events to offset %d of %d bytes", name, err, len(res.Events), res.Offset, len(archive))
+		}
+		for i, d := range days {
+			if got := store.Get(d.snap.Day); got == nil || !reflect.DeepEqual(got.Records, d.snap.Records) {
+				t.Errorf("%s: ReadArchive: day %s differs from the sweep's", name, d.snap.Day)
+			}
+			if got := res.Events[i].Snap; got == nil || !reflect.DeepEqual(got.Records, d.snap.Records) {
+				t.Errorf("%s: TailArchive: day %s differs from the sweep's", name, d.snap.Day)
+			}
+		}
 	}
 }

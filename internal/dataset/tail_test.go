@@ -38,6 +38,13 @@ func sectionBytes(t *testing.T, s *Snapshot) []byte {
 	return buf.Bytes()
 }
 
+// textSection renders one section in the text form earlier writers wrote:
+// what zcat prints of sectionBytes.
+func textSection(t *testing.T, s *Snapshot) []byte {
+	t.Helper()
+	return textOf(sectionBytes(t, s))
+}
+
 func writeTail(t *testing.T, path string, chunks ...[]byte) {
 	t.Helper()
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -116,11 +123,11 @@ func TestTailLeavesGrowingSection(t *testing.T) {
 	}
 }
 
-// TestTailTornSuperseded: a section abandoned without a trailer becomes
-// final damage the moment a newer section header follows it.
+// TestTailTornSuperseded: a text section abandoned without a trailer
+// becomes final damage the moment a newer section follows it.
 func TestTailTornSuperseded(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.archive")
-	s1 := sectionBytes(t, tailSnap(10, 3))
+	s1 := textSection(t, tailSnap(10, 3))
 	torn := s1[:len(s1)/2]
 	if !bytes.HasSuffix(torn, []byte("\n")) {
 		torn = s1[:bytes.LastIndexByte(s1[:len(s1)/2], '\n')+1]
@@ -282,7 +289,7 @@ func TestTailStrayAtEOFStaysPending(t *testing.T) {
 // cursor committed mid-batch equivalent to one committed at the end.
 func TestTailEventOffsetsAreResumePoints(t *testing.T) {
 	s1 := sectionBytes(t, tailSnap(10, 2))
-	corrupt := append([]byte(nil), sectionBytes(t, tailSnap(11, 2))...)
+	corrupt := textSection(t, tailSnap(11, 2))
 	corrupt[bytes.IndexByte(corrupt, '\n')+2] ^= 0x20
 	s3 := sectionBytes(t, tailSnap(12, 3))
 	path := filepath.Join(t.TempDir(), "a.archive")
@@ -312,12 +319,12 @@ func TestTailEventOffsetsAreResumePoints(t *testing.T) {
 	}
 }
 
-// TestDamageLocatedAlikeFromAnyStart: a section with a bad record is
+// TestDamageLocatedAlikeFromAnyStart: a text section with a bad record is
 // reported at the same absolute offset for the same reason — the record
 // named by its position in the section — wherever the scan started.
 func TestDamageLocatedAlikeFromAnyStart(t *testing.T) {
 	s1 := sectionBytes(t, tailSnap(10, 2))
-	lines := bytes.SplitAfter(sectionBytes(t, tailSnap(11, 3)), []byte("\n"))
+	lines := bytes.SplitAfter(textSection(t, tailSnap(11, 3)), []byte("\n"))
 	lines[2] = []byte("not a record\n")
 	path := filepath.Join(t.TempDir(), "a.archive")
 	writeTail(t, path, s1, bytes.Join(lines, nil))
@@ -348,29 +355,33 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 // TestScannerStreams: the scanner reads no further ahead than its buffer.
 // Each event comes back once the reader has handed over that section and at
-// most one buffer more — never the archive.
+// most one buffer more — never the archive — in text sections and members
+// alike.
 func TestScannerStreams(t *testing.T) {
-	var archive bytes.Buffer
-	for day := simtime.Day(10); day < 60; day++ {
-		archive.Write(sectionBytes(t, tailSnap(day, 10000)))
-	}
-	sectionLen := int64(archive.Len() / 50)
-	if sectionLen < 2*scanBufSize {
-		t.Fatalf("sections of %d bytes are too small against a %d-byte buffer to show anything", sectionLen, scanBufSize)
-	}
-	in := &countingReader{r: &archive}
-	sc := newSectionScanner(in, 0)
-	for i := int64(1); i <= 50; i++ {
-		ev, err := sc.next()
-		if err != nil || ev.Snap == nil || ev.End != i*sectionLen {
-			t.Fatalf("event %d: %+v, %v; want a snapshot ending at %d", i, ev, err, i*sectionLen)
+	for form, render := range map[string]func(*testing.T, *Snapshot) []byte{"text": textSection, "member": sectionBytes} {
+		var archive bytes.Buffer
+		var ends []int64
+		for day := simtime.Day(10); day < 60; day++ {
+			archive.Write(render(t, tailSnap(day, 10000)))
+			ends = append(ends, int64(archive.Len()))
 		}
-		if in.n > ev.End+scanBufSize {
-			t.Fatalf("event %d ends at %d, the reader has handed over %d bytes: more than one buffer ahead", i, ev.End, in.n)
+		if archive.Len() < 4*scanBufSize {
+			t.Fatalf("%s: an archive of %d bytes is too small against a %d-byte buffer to show anything", form, archive.Len(), scanBufSize)
 		}
-	}
-	if _, err := sc.next(); err != io.EOF {
-		t.Fatalf("after the last section: %v, want io.EOF", err)
+		in := &countingReader{r: &archive}
+		sc := newSectionScanner(in, 0)
+		for i, end := range ends {
+			ev, err := sc.next()
+			if err != nil || ev.Snap == nil || ev.End != end {
+				t.Fatalf("%s: event %d: %+v, %v; want a snapshot ending at %d", form, i, ev, err, end)
+			}
+			if in.n > ev.End+scanBufSize {
+				t.Fatalf("%s: event %d ends at %d, the reader has handed over %d bytes: more than one buffer ahead", form, i, ev.End, in.n)
+			}
+		}
+		if _, err := sc.next(); err != io.EOF {
+			t.Fatalf("%s: after the last section: %v, want io.EOF", form, err)
+		}
 	}
 }
 
@@ -379,7 +390,8 @@ func TestScannerStreams(t *testing.T) {
 // reasons — one scanner decides both.
 func TestEndOfInputStates(t *testing.T) {
 	s1 := string(sectionBytes(t, tailSnap(10, 2)))
-	s2 := string(sectionBytes(t, tailSnap(11, 2)))
+	member := string(sectionBytes(t, tailSnap(11, 2)))
+	s2 := string(textOf([]byte(member)))
 	header, rest, _ := strings.Cut(s2, "\n")
 	record, _, _ := strings.Cut(rest, "\n")
 	trailer := s2[strings.LastIndex(s2, trailerHeader):]
@@ -406,6 +418,16 @@ func TestEndOfInputStates(t *testing.T) {
 		{name: "torn section before a partial header", tail: header + "\n" + record + "\n" + header[:len(header)-3],
 			reasons: []string{"missing trailer (torn write)", "truncated section (no trailer)"}},
 		{name: "blank lines after the last section", tail: "\n\n", blank: 2},
+		{name: "partial member", tail: member[:len(member)-1],
+			reasons: []string{"truncated gzip member"}},
+		{name: "partial member header", tail: member[:5],
+			reasons: []string{"records outside any section"}},
+		{name: "blank line before a partial member", tail: "\n" + member[:len(member)/2], blank: 1,
+			reasons: []string{"truncated gzip member"}},
+		{name: "open section before a partial member header", tail: header + "\n" + record + "\n" + member[:5],
+			reasons: []string{"truncated section (no trailer)"}},
+		{name: "partial member header after a stray line", tail: "stray\n" + member[:5],
+			reasons: []string{"records outside any section"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "a.archive")

@@ -195,9 +195,6 @@ func (r *Registry) DSRecords() ([]*dnswire.DS, error) {
 	return r.apex.Signer.DSRecords(r.cfg.TLD, dnswire.DigestSHA256)
 }
 
-// SupportsCDS reports whether the registry polls CDS/CDNSKEY records.
-func (r *Registry) SupportsCDS() bool { return r.cfg.SupportsCDS }
-
 // Accredit grants a registrar write access to this registry.
 func (r *Registry) Accredit(registrarID string) {
 	r.mu.Lock()
