@@ -18,6 +18,9 @@
 //	regsec-api -archive scans.tsv -world world.colstore [-watermark path]
 //	           [-listen 127.0.0.1:7363] [-poll 500ms] [-drain-timeout 15s]
 //
+// The world file is one gzip member: zcat world.colstore yields the
+// regsecW1 colstore world it wraps.
+//
 // The daemon is crash-safe by construction: every ingest commit lands the
 // world file and its watermark atomically at a section boundary, so a kill
 // at any instruction resumes byte-identical to a clean run. SIGINT/SIGTERM

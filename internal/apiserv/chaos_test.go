@@ -386,3 +386,121 @@ func TestChaosTailerPanicIsSupervised(t *testing.T) {
 // Stalled-reader chaos (slow clients holding connections) is covered at
 // the listener layer by internal/httpx's slow-client test; the unit here
 // is everything above the listener.
+
+// TestChaosResumeFromRawWorld: a world file written as a raw colstore world,
+// the way worlds were committed before they were deflated, resumes to the
+// same ingest state without a warning, and the next commit rewrites it as
+// one member, byte-identical to a clean run's. The member of the same state
+// inflates to exactly those raw bytes.
+func TestChaosResumeFromRawWorld(t *testing.T) {
+	days := []simtime.Day{50, 80, 110, 140}
+	full := archiveBytes(t, days, 60)
+	clean := newTestServer(t, t.TempDir())
+	if err := os.WriteFile(clean.cfg.ArchivePath, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runToEnd(t, clean)
+	wantWorld := worldFile(t, clean)
+
+	dir := t.TempDir()
+	first := newTestServer(t, dir)
+	if err := os.WriteFile(first.cfg.ArchivePath, archiveBytes(t, days[:2], 60), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runToEnd(t, first)
+	member := worldFile(t, first)
+	if err := first.ing.Freeze().SaveFile(first.cfg.WorldPath, first.worldMeta()); err != nil {
+		t.Fatal(err)
+	}
+	raw := worldFile(t, first)
+	if !bytes.Equal(zcat(t, member), raw) {
+		t.Fatalf("the member inflates to %d bytes that are not the raw world's %d", len(zcat(t, member)), len(raw))
+	}
+	if err := os.WriteFile(first.cfg.ArchivePath, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	logged := logtest.Capture(t)
+	second := newTestServer(t, dir)
+	if err := second.resumeOnce(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range logged.Records("") {
+		if r.Level >= slog.LevelWarn {
+			t.Fatalf("resuming the raw world logged %+v", r)
+		}
+	}
+	if second.wm != first.wm || second.ing.Len() != first.ing.Len() {
+		t.Fatalf("resumed cursor %+v over %d domains, want %+v over %d", second.wm, second.ing.Len(), first.wm, first.ing.Len())
+	}
+	if err := second.pollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if got := worldFile(t, second); !bytes.Equal(got, wantWorld) {
+		t.Fatalf("world after the raw resume (%d bytes, begins % x) differs from the clean member (%d bytes)", len(got), got[:min(len(got), 10)], len(wantWorld))
+	}
+}
+
+// refused is the warning of a world file resume cannot load.
+const refused = "apiserv: cannot load world; re-ingesting from scratch"
+
+// TestChaosDamagedWorldReingests: the world member of a first section, cut
+// at any offset, with any checked byte flipped, or followed by anything, is
+// refused with a warning, and the daemon re-ingests the two-section archive
+// from scratch to a world file byte-identical to a clean run's. The member
+// header's mtime, XFL and OS bytes are covered by no checksum: a flip there
+// leaves the world intact, it resumes, and the next commit rewrites it.
+func TestChaosDamagedWorldReingests(t *testing.T) {
+	days := []simtime.Day{200, 230}
+	full := archiveBytes(t, days, 12)
+	clean := newTestServer(t, t.TempDir())
+	if err := os.WriteFile(clean.cfg.ArchivePath, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runToEnd(t, clean)
+	want := worldFile(t, clean)
+
+	first := newTestServer(t, t.TempDir())
+	if err := os.WriteFile(first.cfg.ArchivePath, archiveBytes(t, days[:1], 12), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runToEnd(t, first)
+	member := worldFile(t, first)
+	// resumes marks the damage that leaves the world intact.
+	type damage struct {
+		name    string
+		world   []byte
+		resumes bool
+	}
+	cases := []damage{
+		{"trailing byte", append(bytes.Clone(member), 0), false},
+		{"trailing member", append(bytes.Clone(member), member...), false},
+	}
+	for cut := range member {
+		cases = append(cases, damage{"cut at " + strconv.Itoa(cut), member[:cut], false})
+	}
+	for i := range member {
+		flipped := bytes.Clone(member)
+		flipped[i] ^= 0xff
+		cases = append(cases, damage{"byte " + strconv.Itoa(i) + " flipped", flipped, i >= 4 && i < 10})
+	}
+	logged := logtest.Capture(t)
+	for _, c := range cases {
+		s := newTestServer(t, t.TempDir())
+		if err := os.WriteFile(s.cfg.ArchivePath, full, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(s.cfg.WorldPath, c.world, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := len(logged.Records(refused))
+		runToEnd(t, s)
+		warned := len(logged.Records(refused)) - before
+		if c.resumes && warned != 0 || !c.resumes && warned != 1 {
+			t.Fatalf("%s: warned %d times (world intact: %v)", c.name, warned, c.resumes)
+		}
+		if got := worldFile(t, s); !bytes.Equal(got, want) {
+			t.Fatalf("%s: world after the re-ingest differs from the clean world", c.name)
+		}
+	}
+}

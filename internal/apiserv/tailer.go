@@ -5,9 +5,17 @@ package apiserv
 // ingester, and commits. One commit is:
 //
 //	freeze the ingester → publish the frozen index to readers (atomic
-//	pointer swap) → SaveFile the world with the ingest cursor in its
-//	META section (atomic rename) → write the checksummed watermark
-//	(atomic rename)
+//	pointer swap) → save the world with the ingest cursor in its META
+//	section, deflated into one gzip member (atomic rename) → write the
+//	checksummed watermark (atomic rename)
+//
+// The member wraps exactly the bytes colstore.Index.Save writes, so zcat
+// of the world file prints a colstore world; a raw world file, as written
+// before worlds were deflated, still resumes and is rewritten as a member
+// at the next commit. Nothing reads the observatory's world in place —
+// resume deep-copies it into a heap ingester — so deflating it costs the
+// daemon no mmap path, only one deflate per commit and one inflate per
+// start.
 //
 // Commits land only on tail-event boundaries, where the ingested state is
 // a pure function of the archive prefix before the committed offset — so
@@ -24,9 +32,13 @@ package apiserv
 // clean full re-ingest.
 
 import (
+	"bufio"
+	"bytes"
+	"compress/gzip"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"strconv"
@@ -69,9 +81,9 @@ func (s *Server) runTailer(ctx context.Context) error {
 }
 
 // resumeOnce restores the committed world and cursor, exactly once per
-// process. The world file is loaded (mmap where possible), deep-copied
-// into a fresh ingester, and closed again before any reader can hold it —
-// the served indexes are always heap-backed frozen views.
+// process. The world file is loaded (loadWorld), deep-copied into a fresh
+// ingester, and closed again before any reader can hold it — the served
+// indexes are always heap-backed frozen views.
 func (s *Server) resumeOnce() error {
 	s.ingMu.Lock()
 	defer s.ingMu.Unlock()
@@ -82,7 +94,7 @@ func (s *Server) resumeOnce() error {
 	wm := Watermark{}
 	lastDay := simtime.Never
 
-	idx, meta, err := colstore.Load(s.cfg.WorldPath)
+	idx, meta, err := loadWorld(s.cfg.WorldPath)
 	switch {
 	case err == nil:
 		resumed, metaWM, day, rerr := resumeFromWorld(idx, meta)
@@ -117,6 +129,42 @@ func (s *Server) resumeOnce() error {
 	s.lastDay = lastDay
 	s.publish(s.ing.Freeze(), lastDay)
 	return nil
+}
+
+// memberMagic is how a world file that commitLocked wrote begins: the gzip
+// magic. Anything else is handed to colstore.Load, which reads a raw world
+// and refuses the rest.
+var memberMagic = []byte{0x1f, 0x8b}
+
+// loadWorld reads a committed world file: one gzip member around a
+// colstore world, inflated into memory, or a raw colstore world. A member
+// that is cut, damaged or followed by any other byte is refused.
+func loadWorld(path string) (*colstore.Index, map[string]string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	if magic, _ := br.Peek(len(memberMagic)); !bytes.Equal(magic, memberMagic) {
+		return colstore.Load(path)
+	}
+	zr, err := gzip.NewReader(br)
+	if err != nil {
+		return nil, nil, err
+	}
+	zr.Multistream(false)
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		return nil, nil, err
+	}
+	switch _, err := br.ReadByte(); {
+	case err == nil:
+		return nil, nil, errors.New("bytes after the world's gzip member")
+	case err != io.EOF:
+		return nil, nil, err
+	}
+	return colstore.LoadBytes(raw)
 }
 
 // resumeFromWorld reconstructs the ingester and cursor from a loaded
@@ -218,16 +266,40 @@ func (s *Server) ingestLocked(ev dataset.TailEvent) error {
 func (s *Server) commitLocked() error {
 	idx := s.ing.Freeze()
 	s.publish(idx, s.lastDay)
-	meta := map[string]string{
+	if err := saveWorld(s.cfg.WorldPath, idx, s.worldMeta()); err != nil {
+		return err
+	}
+	return s.wm.WriteFile(s.watermarkPath())
+}
+
+// worldMeta is the ingest cursor as the world file's META section carries
+// it.
+func (s *Server) worldMeta() map[string]string {
+	return map[string]string{
 		metaOffset:      strconv.FormatInt(s.wm.Offset, 10),
 		metaSections:    strconv.Itoa(s.wm.Sections),
 		metaQuarantined: strconv.Itoa(s.wm.Quarantined),
 		metaLastDay:     s.wm.LastDay,
 	}
-	if err := idx.SaveFile(s.cfg.WorldPath, meta); err != nil {
+}
+
+// saveWorld durably replaces path with one gzip member (gzip.BestSpeed, the
+// fixed header 1f 8b 08 00 00 00 00 00 04 ff) whose contents are what
+// idx.Save writes.
+func saveWorld(path string, idx *colstore.Index, meta map[string]string) error {
+	f, err := dataset.CreateAtomic(path, 64<<10)
+	if err != nil {
 		return err
 	}
-	return s.wm.WriteFile(s.watermarkPath())
+	defer f.Abort()
+	zw, _ := gzip.NewWriterLevel(f, gzip.BestSpeed) // errs only on a bad level
+	if err := idx.Save(zw, meta); err != nil {
+		return err
+	}
+	if err := zw.Close(); err != nil {
+		return err
+	}
+	return f.Commit()
 }
 
 // sealedCopy returns wm with its CRC populated, for comparison against a

@@ -34,7 +34,6 @@ import (
 	"strings"
 
 	"securepki.org/registrarsec/internal/dataset"
-	"securepki.org/registrarsec/internal/simtime"
 )
 
 // Ingester accumulates observed daily snapshots into mutable columns and
@@ -63,9 +62,6 @@ type Ingester struct {
 	opIDs  map[string]uint32
 	tldIDs map[string]uint16
 	regIDs map[string]uint32
-
-	days    int         // sections ingested by this Ingester instance
-	lastDay simtime.Day // day of the most recent ingested section
 }
 
 // NewIngester returns an empty ingester.
@@ -191,19 +187,6 @@ func NewIngesterFromIndex(x *Index) (*Ingester, error) {
 // Len returns the current domain population.
 func (g *Ingester) Len() int { return len(g.nameOff) - 1 }
 
-// Days returns how many sections this instance has ingested (resumed
-// history is accounted by the caller's watermark, not here).
-func (g *Ingester) Days() int { return g.days }
-
-// LastDay returns the day of the most recently ingested section, or
-// simtime.Never before the first.
-func (g *Ingester) LastDay() simtime.Day {
-	if g.days == 0 {
-		return simtime.Never
-	}
-	return g.lastDay
-}
-
 // AppendDay folds one observed snapshot into the columns — the
 // incremental alternative to rebuilding the world from the full archive.
 // Sections may arrive in any day order (re-sweeps, backfills); event days
@@ -233,8 +216,6 @@ func (g *Ingester) AppendDay(snap *dataset.Snapshot) (skipped int, err error) {
 		g.flags[row] = observedFlags(rec)
 		g.fullDay[row] = deriveFullDay(g.keyDay[row], g.dsDay[row], g.flags[row])
 	}
-	g.days++
-	g.lastDay = snap.Day
 	return skipped, nil
 }
 

@@ -223,12 +223,6 @@ func TestIngestSemantics(t *testing.T) {
 			t.Errorf("a.com ChainValid at day %d = %v, want %v", tc.day, got, tc.valid)
 		}
 	}
-	if g.Days() != 4 || g.LastDay() != 40 {
-		t.Fatalf("Days=%d LastDay=%d, want 4/40", g.Days(), g.LastDay())
-	}
-	if NewIngester().LastDay() != simtime.Never {
-		t.Fatal("fresh ingester LastDay should be Never")
-	}
 }
 
 // TestIngestFreezeIsolation: a frozen view must not observe mutations

@@ -56,7 +56,9 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame receives one EPP data unit.
+// ReadFrame receives one EPP data unit. The payload grows as its bytes
+// arrive, so a header claiming a large frame reserves nothing by itself; a
+// frame that ends before its claimed length is io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -66,9 +68,12 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if total < 4 || total > maxFrame {
 		return nil, fmt.Errorf("epp: bad frame length %d", total)
 	}
-	payload := make([]byte, total-4)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := io.ReadAll(io.LimitReader(r, int64(total-4)))
+	if err != nil {
 		return nil, err
+	}
+	if len(payload) < int(total-4) {
+		return nil, io.ErrUnexpectedEOF
 	}
 	return payload, nil
 }

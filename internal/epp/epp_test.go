@@ -3,7 +3,10 @@ package epp_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -67,6 +70,92 @@ func TestFrameRoundTrip(t *testing.T) {
 	if _, err := epp.ReadFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})); err == nil {
 		t.Error("oversized frame accepted")
 	}
+}
+
+// TestShortFrameReservesNothing: a header claiming the largest frame,
+// followed by a few bytes and the end of the stream, is a short frame, and
+// reading it allocates about what arrived, not the claimed MiB.
+func TestShortFrameReservesNothing(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], 1<<20)
+	stream := append(hdr[:], "<epp>....."...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := epp.ReadFrame(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short frame: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta >= 64<<10 {
+		t.Fatalf("reading a 14-byte stream allocated %d B", delta)
+	}
+}
+
+// FuzzEPPFrame reads arbitrary bytes as a frame and a document. It must
+// never panic, and a document it accepts must reach a fixpoint: written
+// out, framed, read back and written again, it renders the same bytes.
+func FuzzEPPFrame(f *testing.F) {
+	for _, doc := range []*epp.Epp{
+		{Greeting: &epp.Greeting{SvID: "registry", Services: []string{"urn:ietf:params:xml:ns:domain-1.0"}}},
+		{Command: &epp.Command{Login: &epp.Login{ClID: "acme", Pw: "s3cret"}, ClTRID: "CL-1"}},
+		{Command: &epp.Command{
+			Update: &epp.DomainUpdate{Name: "x.com", NS: []string{"ns1.a.net", "ns2.a.net"}},
+			Extension: &epp.Extension{SecDNS: &epp.SecDNS{
+				RemAll: true,
+				Add:    []epp.DSData{{KeyTag: 60485, Alg: 8, DigestType: 2, Digest: "AABB"}},
+			}},
+		}},
+		{Response: &epp.Response{
+			Result:  epp.Result{Code: epp.CodeSuccess, Msg: "ok"},
+			ResData: &epp.DomainInfo{Name: "x.com", ClID: "acme", NS: []string{"ns1.a.net"}, DS: []epp.DSData{{KeyTag: 1}}},
+			ClTRID:  "CL-2", SvTRID: "SV-2",
+		}},
+	} {
+		b, err := epp.Marshal(doc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var frame bytes.Buffer
+		if err := epp.WriteFrame(&frame, b); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame.Bytes())
+	}
+	f.Add([]byte{0, 0, 0, 4})
+	f.Add([]byte{0, 0x10, 0, 0, '<'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, err := epp.ReadFrame(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		doc, err := epp.Unmarshal(payload)
+		if err != nil {
+			return
+		}
+		first, err := epp.Marshal(doc)
+		if err != nil {
+			t.Fatalf("accepted document does not render: %v", err)
+		}
+		var frame bytes.Buffer
+		if err := epp.WriteFrame(&frame, first); err != nil {
+			return // escaping grew it past the largest frame
+		}
+		payload, err = epp.ReadFrame(&frame)
+		if err != nil {
+			t.Fatalf("re-read of a written frame: %v", err)
+		}
+		again, err := epp.Unmarshal(payload)
+		if err != nil {
+			t.Fatalf("re-parse of a rendered document: %v\n%s", err, first)
+		}
+		second, err := epp.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("no fixpoint:\n%s\n%s", first, second)
+		}
+	})
 }
 
 func TestLoginRequiredAndAuth(t *testing.T) {
