@@ -23,7 +23,6 @@ import (
 	"securepki.org/registrarsec/internal/scan"
 	"securepki.org/registrarsec/internal/simtime"
 	"securepki.org/registrarsec/internal/tldsim"
-	"securepki.org/registrarsec/internal/whois"
 )
 
 // sharedStudy lazily builds one world for all measurement benches.
@@ -316,7 +315,7 @@ func BenchmarkAblationGrouping(b *testing.B) {
 		texts := make([]string, 0, 3000)
 		for j := range snap.Records[:min(3000, len(snap.Records))] {
 			r := &snap.Records[j]
-			texts = append(texts, whois.Schemas[j%len(whois.Schemas)](whois.Record{
+			texts = append(texts, whoisSchemas[j%len(whoisSchemas)](whoisRecord{
 				Domain: r.Domain, Registrar: r.Operator, NameServers: r.NSHosts,
 			}))
 		}
@@ -325,7 +324,7 @@ func BenchmarkAblationGrouping(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			fails = 0
 			for _, text := range texts {
-				if _, err := whois.Parse(text); err != nil {
+				if _, err := parseWhois(text); err != nil {
 					fails++
 				}
 			}

@@ -213,7 +213,9 @@ func TestServerLifecycleAndEndpoints(t *testing.T) {
 	// Malformed queries are 400s, not 500s.
 	for _, path := range []string{
 		"/v1/table1?day=bogus",
+		"/v1/table1?day=9999-12-31",
 		"/v1/series",
+		"/v1/series?operator=x&from=2016-12-31&to=2016-01-01",
 		"/v1/series?operator=x&step=-1",
 		"/v1/operators?class=nonsense",
 	} {

@@ -312,6 +312,10 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request, view *worl
 			return
 		}
 	}
+	if from > to {
+		http.Error(w, fmt.Sprintf("from %s is after to %s", from, to), http.StatusBadRequest)
+		return
+	}
 	step := 1
 	if raw := q.Get("step"); raw != "" {
 		if step, err = strconv.Atoi(raw); err != nil || step <= 0 {

@@ -22,14 +22,13 @@ import (
 	"securepki.org/registrarsec/internal/dnswire"
 )
 
-// Kind enumerates DS-upload channels.
+// Kind enumerates DS-upload channels. The zero Kind is none: the registrar
+// offers no way to convey a DS record.
 type Kind int
 
 const (
-	// None: the registrar offers no way to convey a DS record.
-	None Kind = iota
 	// Web: an HTTPS form on the registrar's control panel.
-	Web
+	Web Kind = iota + 1
 	// Email: the customer emails the DS record to support.
 	Email
 	// Ticket: the customer attaches the DS record to a support ticket.
@@ -170,31 +169,4 @@ func (c *ChatSession) Submit(domain string, ds *dnswire.DS) Outcome {
 		}
 	}
 	return Outcome{AppliedDomain: domain}
-}
-
-// PhoneDictation models dictating a DS digest over the phone. Each hex
-// digit is independently mis-transcribed with ErrorRate probability — the
-// isoc.org anecdote (section 2, footnote 6).
-type PhoneDictation struct {
-	ErrorRate float64
-	Rng       *rand.Rand
-}
-
-// Transcribe returns the digest as the agent heard it.
-func (p *PhoneDictation) Transcribe(ds *dnswire.DS) *dnswire.DS {
-	out := *ds
-	out.Digest = append([]byte(nil), ds.Digest...)
-	if p.Rng == nil {
-		return &out
-	}
-	for i := range out.Digest {
-		for nib := 0; nib < 2; nib++ {
-			if p.Rng.Float64() < p.ErrorRate {
-				shift := uint(4 * nib)
-				repl := byte(p.Rng.Intn(16)) << shift
-				out.Digest[i] = out.Digest[i]&^(0xf<<shift) | repl
-			}
-		}
-	}
-	return &out
 }

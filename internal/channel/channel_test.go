@@ -109,7 +109,7 @@ func TestPhoneDictationNoise(t *testing.T) {
 
 func TestKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
-		None: "none", Web: "web", Email: "email", Ticket: "ticket", Chat: "chat", Phone: "phone",
+		Kind(0): "none", Web: "web", Email: "email", Ticket: "ticket", Chat: "chat", Phone: "phone",
 	} {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q", k, k.String())
@@ -130,4 +130,31 @@ func TestParseDSWithWrappedHex(t *testing.T) {
 	if !strings.HasPrefix(strings.ToUpper(got.String()), "60485 8 2 2BB183AF") {
 		t.Errorf("reassembled DS: %s", got)
 	}
+}
+
+// PhoneDictation models dictating a DS digest over the phone. Each hex
+// digit is independently mis-transcribed with ErrorRate probability — the
+// isoc.org anecdote (section 2, footnote 6).
+type PhoneDictation struct {
+	ErrorRate float64
+	Rng       *rand.Rand
+}
+
+// Transcribe returns the digest as the agent heard it.
+func (p *PhoneDictation) Transcribe(ds *dnswire.DS) *dnswire.DS {
+	out := *ds
+	out.Digest = append([]byte(nil), ds.Digest...)
+	if p.Rng == nil {
+		return &out
+	}
+	for i := range out.Digest {
+		for nib := 0; nib < 2; nib++ {
+			if p.Rng.Float64() < p.ErrorRate {
+				shift := uint(4 * nib)
+				repl := byte(p.Rng.Intn(16)) << shift
+				out.Digest[i] = out.Digest[i]&^(0xf<<shift) | repl
+			}
+		}
+	}
+	return &out
 }

@@ -53,7 +53,7 @@ const never = int32(simtime.Never)
 // itself (a broken chain validating). It must compare greater than never.
 const impossible = int32(1<<31 - 1)
 
-// Domain is one domain's full history, the ingest row for a Builder.
+// Domain is one domain's full history, one row of an Index.
 type Domain struct {
 	Name, TLD, Operator, Registrar string
 	// NSHost is the operator's concrete nameserver hostname; every domain
@@ -69,8 +69,9 @@ const (
 )
 
 // interner assigns the dense operator, TLD and registrar IDs of an index
-// under construction, by first occurrence. The sequential Builder and the
-// planned Plan share it, so both number a given row sequence identically.
+// under construction, by first occurrence. Plan and the tests' sequential
+// reference builder share it, so both number a given row sequence
+// identically.
 type interner struct {
 	idx    *Index
 	regIDs map[string]uint32
@@ -110,44 +111,6 @@ func (in *interner) intern(operator, nsHost, tld, registrar string) (op uint32, 
 	return op, tldID, reg
 }
 
-// Builder accumulates domains and freezes them into an Index.
-type Builder struct {
-	interner
-}
-
-// NewBuilder returns a builder with capacity hint n.
-func NewBuilder(n int) *Builder {
-	b := &Builder{newInterner()}
-	x := b.idx
-	x.nameOff = make([]uint64, 1, n+1)
-	x.opID = make([]uint32, 0, n)
-	x.tldID = make([]uint16, 0, n)
-	x.regID = make([]uint32, 0, n)
-	x.created = make([]int32, 0, n)
-	x.keyDay = make([]int32, 0, n)
-	x.dsDay = make([]int32, 0, n)
-	x.fullDay = make([]int32, 0, n)
-	x.flags = make([]uint8, 0, n)
-	return b
-}
-
-// Add appends one domain. Rows may arrive in any order; Build sorts the
-// derived event lists, not the rows themselves.
-func (b *Builder) Add(d Domain) {
-	x := b.idx
-	op, tld, reg := b.intern(d.Operator, d.NSHost, d.TLD, d.Registrar)
-	fl := historyFlags(d.BrokenDS, d.ExpiredSig)
-	x.appendName(d.Name)
-	x.opID = append(x.opID, op)
-	x.tldID = append(x.tldID, tld)
-	x.regID = append(x.regID, reg)
-	x.created = append(x.created, clampDay(d.Created))
-	x.keyDay = append(x.keyDay, int32(d.KeyDay))
-	x.dsDay = append(x.dsDay, int32(d.DSDay))
-	x.fullDay = append(x.fullDay, deriveFullDay(int32(d.KeyDay), int32(d.DSDay), fl))
-	x.flags = append(x.flags, fl)
-}
-
 func historyFlags(brokenDS, expiredSig bool) uint8 {
 	var fl uint8
 	if brokenDS {
@@ -176,20 +139,10 @@ func deriveFullDay(keyDay, dsDay int32, fl uint8) int32 {
 	return keyDay
 }
 
-// Build freezes the columns: the per-(operator, TLD) event groups are
-// bucketed and day-sorted, and the builder must not be reused. The record
-// template is built lazily on the first snapshot.
-func (b *Builder) Build() *Index {
-	x := b.idx
-	b.idx = nil
-	x.finish()
-	return x
-}
-
 // finish derives everything a frozen column set needs to serve queries:
 // population size and the day-sorted event groups. It is shared by the
-// sequential Builder, the planned fill, the ingester's Freeze and the
-// on-disk loader, so every construction path yields an identical engine.
+// planned fill, the ingester's Freeze and the on-disk loader, so every
+// construction path yields an identical engine.
 func (x *Index) finish() {
 	x.n = len(x.nameOff) - 1
 
@@ -389,9 +342,9 @@ func (x *Index) Target(i int) (domain, tld string) {
 	return x.name(i), x.tlds[x.tldID[i]]
 }
 
-// Row projects domain i back into its ingest form — the inverse of
-// Builder.Add. Day sentinels round-trip (never → simtime.Never); fullDay
-// is derived state and needs no inverse.
+// Row projects domain i back into the history it was built from. Day
+// sentinels round-trip (never → simtime.Never); fullDay is derived state
+// and needs no inverse.
 func (x *Index) Row(i int) Domain {
 	x.mustOpen()
 	toDay := func(v int32) simtime.Day {

@@ -4,10 +4,10 @@ package colstore
 // from observed daily snapshots, one archive section at a time, without
 // ever rebuilding from scratch.
 //
-// The Builder/Plan constructors ingest *domain histories* (each row
-// already knows its KeyDay/DSDay); an Ingester instead consumes what a
-// long-running measurement actually produces — per-day observation
-// snapshots — and derives the event columns on the fly:
+// Plan ingests *domain histories* (each row already knows its
+// KeyDay/DSDay); an Ingester instead consumes what a long-running
+// measurement actually produces — per-day observation snapshots — and
+// derives the event columns on the fly:
 //
 //   - a domain's row is created the first day it is observed (Created);
 //   - KeyDay / DSDay are the first observed days with a DNSKEY / DS;

@@ -247,7 +247,7 @@ func decode(data []byte, zeroCopy bool) (*Index, map[string]string, error) {
 		x.opNS[i] = []string{host}
 	}
 
-	// fullDay is derived state (see Builder.Add); recompute rather than
+	// fullDay is derived state (see deriveFullDay); recompute rather than
 	// trust the file.
 	x.fullDay = make([]int32, n)
 	for i := 0; i < n; i++ {

@@ -11,10 +11,10 @@ import (
 // domain, how many rows and how many name bytes every run of rows will
 // take, builds the index in place. Reserve lays the runs out end to end —
 // serially, in row order, interning each run's operator, TLD and registrar
-// by first occurrence exactly as a sequential Builder fed the same rows
-// would — and then any number of goroutines fill the runs through
-// RowWriters, each writing only its own row and byte range of the final
-// columns. Nothing is copied or renumbered afterwards, and the result
+// by first occurrence exactly as a sequential row-at-a-time builder fed
+// the same rows would — and then any number of goroutines fill the runs
+// through RowWriters, each writing only its own row and byte range of the
+// final columns. Nothing is copied or renumbered afterwards, and the result
 // cannot depend on which goroutine filled what.
 type Plan struct {
 	interner

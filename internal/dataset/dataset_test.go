@@ -331,6 +331,7 @@ func TestReadTSVErrors(t *testing.T) {
 		{"a.com\tcom\top\tns\ttrue\ttrue\ttrue\ttrue\tok\n", "records outside any section"},
 		{sealed("#snapshot\n"), "bad header"},                                                            // missing day
 		{sealed("#snapshot\tnot-a-date\t1\n"), "bad header"},                                             // bad day
+		{sealed("#snapshot\t2400-01-01\t0\n"), "bad header"},                                             // a day no Day holds
 		{sealed("#snapshot\t2016-01-01\t1\na.com\n"), "1 fields"},                                        // short record
 		{sealed("#snapshot\t2016-01-01\t1\na.com\tcom\top\tns\t1\t1\t1\n"), "7 fields"},                  // neither form
 		{sealed("#snapshot\t2016-01-01\t1\na\tcom\top\tns\tx\tt\tt\tt\tok\n"), "bad bool"},               // bad bool

@@ -479,16 +479,6 @@ func (aw *ArchiveWriter) Section(sw *SpillWriter) error {
 	return sw.WriteSectionTo(aw.f.bw)
 }
 
-// Snapshot writes one in-RAM snapshot as a section (canonicalizing it) —
-// the convenience bridge for callers mixing restored and streamed days.
-func (aw *ArchiveWriter) Snapshot(snap *Snapshot) error {
-	if err := aw.checkDay(snap.Day); err != nil {
-		return err
-	}
-	snap.Canonicalize()
-	return snap.WriteArchiveSection(aw.f.bw)
-}
-
 // Abort discards the partial archive, leaving any previous file at the
 // target path untouched. Safe after Close (no-op).
 func (aw *ArchiveWriter) Abort() { aw.f.Abort() }

@@ -274,3 +274,13 @@ func TestArchiveWriterAbort(t *testing.T) {
 		t.Fatalf("temp files left behind: %v", left)
 	}
 }
+
+// Snapshot writes one in-RAM snapshot as a section (canonicalizing it),
+// for tests mixing in-RAM and streamed days.
+func (aw *ArchiveWriter) Snapshot(snap *Snapshot) error {
+	if err := aw.checkDay(snap.Day); err != nil {
+		return err
+	}
+	snap.Canonicalize()
+	return snap.WriteArchiveSection(aw.f.bw)
+}

@@ -78,17 +78,6 @@ type TailResult struct {
 	Offset int64
 }
 
-// Quarantined returns the damage entries, in file order.
-func (r *TailResult) Quarantined() []Corruption {
-	var out []Corruption
-	for _, ev := range r.Events {
-		if ev.Damage != nil {
-			out = append(out, *ev.Damage)
-		}
-	}
-	return out
-}
-
 // TailArchive scans path's bytes from offset `from` (the Offset or an
 // event End of a previous scan, 0 for a fresh start) and returns whatever
 // complete sections have appeared since. An archive smaller than `from`

@@ -498,3 +498,14 @@ func snapshotsOf(r *TailResult) []*Snapshot {
 	}
 	return out
 }
+
+// Quarantined returns the damage entries, in file order.
+func (r *TailResult) Quarantined() []Corruption {
+	var out []Corruption
+	for _, ev := range r.Events {
+		if ev.Damage != nil {
+			out = append(out, *ev.Damage)
+		}
+	}
+	return out
+}

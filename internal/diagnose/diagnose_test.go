@@ -2,6 +2,8 @@ package diagnose_test
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -249,18 +251,24 @@ func TestCheckUnobservedIsAnError(t *testing.T) {
 		{"every nameserver dark", faultnet.Rule{Pattern: "ns1.op.net", Timeout: 1}, dnswire.TypeDNSKEY},
 	} {
 		faulty := faultnet.New(h.Net, 1, nil, tc.rule)
+		var fired atomic.Bool
 		c := newChecker(t, h)
 		c.Exchange = exchange.Func(func(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
-			if q.Questions[0].Type == tc.only {
-				return faulty.Exchange(ctx, server, q)
+			if q.Questions[0].Type != tc.only {
+				return h.Net.Exchange(ctx, server, q)
 			}
-			return h.Net.Exchange(ctx, server, q)
+			resp, err := faulty.Exchange(ctx, server, q)
+			var fault *faultnet.FaultError
+			if errors.As(err, &fault) || (err == nil && resp.RCode == dnswire.RCodeServerFailure) {
+				fired.Store(true)
+			}
+			return resp, err
 		})
 		rep, err := c.Check(context.Background(), "full.com")
 		if err == nil {
 			t.Errorf("%s: got a report (%s, %+v), want an error", tc.name, rep.Deployment, rep.Findings)
 		}
-		if faulty.Total() == 0 {
+		if !fired.Load() {
 			t.Errorf("%s: the rule never fired", tc.name)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/exchange"
@@ -24,8 +23,6 @@ type MemNet struct {
 
 	mu       sync.RWMutex
 	handlers map[string]Handler
-
-	queries atomic.Int64
 }
 
 // NewMemNet creates an empty in-memory network.
@@ -47,9 +44,6 @@ func (m *MemNet) Lookup(addr string) Handler {
 	return m.handlers[addr]
 }
 
-// Queries returns the number of exchanges performed, for scan accounting.
-func (m *MemNet) Queries() int64 { return m.queries.Load() }
-
 // Exchange implements exchange.Exchanger by direct dispatch to the registered
 // handler.
 func (m *MemNet) Exchange(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
@@ -60,7 +54,6 @@ func (m *MemNet) Exchange(ctx context.Context, server string, q *dnswire.Message
 	if h == nil {
 		return nil, fmt.Errorf("%w: %s", exchange.ErrNoRoute, server)
 	}
-	m.queries.Add(1)
 	if !m.Strict {
 		return h.ServeDNS(q), nil
 	}

@@ -113,7 +113,7 @@ func TestTransportIndependence(t *testing.T) {
 		if got := overTCP(t, conn, pkt); !bytes.Equal(got, want) {
 			t.Errorf("query %d: TCP diverges from ServeWireFull:\ntcp:  %x\nwant: %x", i, got, want)
 		}
-		if len(want) <= q.MaxPayload() {
+		if len(want) <= maxPayload(&q) {
 			compared++
 			if got := overUDP(t, srv.Addr(), pkt); !bytes.Equal(got, want) {
 				t.Errorf("query %d: UDP diverges from ServeWireFull:\nudp:  %x\nwant: %x", i, got, want)

@@ -83,7 +83,7 @@ func refAnswerInZone(resp *dnswire.Message, q *dnswire.Message, qname string, z 
 		return
 	}
 
-	if !z.HasName(qname) {
+	if !refHasName(z, qname) {
 		resp.RCode = dnswire.RCodeNameError
 		refAttachSOA(resp, z, dnssecOK)
 		if dnssecOK {
@@ -104,7 +104,7 @@ func refAnswerInZone(resp *dnswire.Message, q *dnswire.Message, qname string, z 
 				refAppendSigs(z, qname, dnswire.TypeCNAME, &resp.Answers)
 			}
 			target := cn[0].Data.(*dnswire.CNAME).Target
-			if dnswire.IsSubdomain(target, z.Origin) && z.HasName(target) {
+			if dnswire.IsSubdomain(target, z.Origin) && refHasName(z, target) {
 				for _, rr := range z.Lookup(target, question.Type) {
 					resp.Answers = append(resp.Answers, rr)
 				}
@@ -227,7 +227,7 @@ func refAttachNSEC3Denial(resp *dnswire.Message, z *zone.Zone, params *dnswire.N
 	ce := qname
 	nextCloser := ""
 	for {
-		if z.HasName(ce) || ce == z.Origin {
+		if refHasName(z, ce) || ce == z.Origin {
 			break
 		}
 		nextCloser = ce
@@ -261,8 +261,16 @@ func refAttachCoveringNSEC(resp *dnswire.Message, z *zone.Zone, qname string) {
 }
 
 // refAppendSigs adds the RRSIGs covering (name, covered) to the given section.
-// Zone.Sigs runs the key for a signature that was planned and not read yet,
-// so a response costs the signatures it carries and no others.
+// Reading them runs the key for a signature that was planned and not read
+// yet, so a response costs the signatures it carries and no others.
 func refAppendSigs(z *zone.Zone, name string, covered dnswire.Type, section *[]*dnswire.RR) {
-	*section = append(*section, z.Sigs(name, covered)...)
+	name = dnswire.CanonicalName(name)
+	z.Read(nil, func(r *zone.Reader) { *section = r.AppendSigs(*section, name, covered) })
+}
+
+// refHasName reports whether any RRset is owned by name.
+func refHasName(z *zone.Zone, name string) (has bool) {
+	name = dnswire.CanonicalName(name)
+	z.Read(nil, func(r *zone.Reader) { has = r.HasName(name) })
+	return has
 }

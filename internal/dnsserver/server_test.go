@@ -212,9 +212,6 @@ func TestMemNetStrictRoundTrip(t *testing.T) {
 	if _, err := h.Net.Exchange(context.Background(), "nonexistent.example", q); err == nil {
 		t.Error("exchange to unregistered address succeeded")
 	}
-	if h.Net.Queries() < 1 {
-		t.Error("query counter not incremented")
-	}
 }
 
 func TestUDPTCPServer(t *testing.T) {

@@ -9,8 +9,6 @@ type (
 	Ecosystem = ecosystem.Ecosystem
 	// EcosystemConfig aliases ecosystem.Config.
 	EcosystemConfig = ecosystem.Config
-	// Clock aliases ecosystem.Clock.
-	Clock = ecosystem.Clock
 )
 
 // NewEcosystem builds a live registry substrate (see ecosystem.New).

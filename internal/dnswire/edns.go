@@ -99,17 +99,3 @@ func (m *Message) DNSSECOK() bool {
 	e := m.EDNS()
 	return e != nil && e.DNSSECOK
 }
-
-// MaxPayload returns the UDP response size the sender can accept: what its
-// OPT advertises, or the classic 512-octet limit without EDNS0.
-func (m *Message) MaxPayload() int {
-	if e := m.EDNS(); e != nil {
-		return udpLimit(e.UDPSize)
-	}
-	return MaxUDPPayload
-}
-
-// udpLimit is the limit an OPT advertising udpSize sets, for the full and
-// the lazy parse alike: RFC 6891 section 6.2.3 requires a value below 512
-// to be treated as 512.
-func udpLimit(udpSize uint16) int { return max(int(udpSize), MaxUDPPayload) }

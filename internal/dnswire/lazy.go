@@ -40,10 +40,12 @@ type QueryView struct {
 	UDPSize  uint16
 }
 
-// MaxPayload mirrors Message.MaxPayload for the lazy view.
+// MaxPayload returns the UDP response size the sender can accept: what its
+// OPT advertises, or the classic 512-octet limit without EDNS0. RFC 6891
+// section 6.2.3 requires an advertised size below 512 to be treated as 512.
 func (v *QueryView) MaxPayload() int {
 	if v.HasEDNS {
-		return udpLimit(v.UDPSize)
+		return max(int(v.UDPSize), MaxUDPPayload)
 	}
 	return MaxUDPPayload
 }

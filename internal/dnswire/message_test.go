@@ -396,3 +396,12 @@ func BenchmarkAppendPack(b *testing.B) {
 		})
 	}
 }
+
+// MaxPayload is QueryView.MaxPayload's answer from the full parse, which
+// the lazy view is held to.
+func (m *Message) MaxPayload() int {
+	if e := m.EDNS(); e != nil {
+		return max(int(e.UDPSize), MaxUDPPayload)
+	}
+	return MaxUDPPayload
+}

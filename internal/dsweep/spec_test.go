@@ -75,12 +75,13 @@ func TestEveryDefinitionFieldIsFingerprinted(t *testing.T) {
 }
 
 // TestPlanFlagsRefuseUnorderedDays: -days must ascend, so a sweep writes its
-// archive oldest section first.
+// archive oldest section first, and name days a simtime.Day can hold.
 func TestPlanFlagsRefuseUnorderedDays(t *testing.T) {
 	for days, want := range map[string]string{
 		"2016-06-01,2016-12-31": "",
 		"2016-12-31,2016-06-01": "must ascend",
 		"2016-06-01,2016-06-01": "must ascend",
+		"2016-06-01,9999-12-31": "outside the range",
 	} {
 		fs := flag.NewFlagSet("", flag.ContinueOnError)
 		planOf := RegisterPlanFlags(fs)

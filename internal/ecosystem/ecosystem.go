@@ -47,10 +47,6 @@ func (c *Clock) Advance(n simtime.Day) simtime.Day {
 	return c.day
 }
 
-// Func adapts the clock to the func() simtime.Day dependency used across
-// the module.
-func (c *Clock) Func() func() simtime.Day { return c.Day }
-
 // TimeFunc adapts the clock to wall-clock time.
 func (c *Clock) TimeFunc() func() time.Time {
 	return func() time.Time { return c.Day().Time() }

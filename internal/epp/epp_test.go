@@ -232,7 +232,7 @@ func TestDomainLifecycleOverEPP(t *testing.T) {
 		t.Errorf("info: %+v", info)
 	}
 	// The registration is immediately visible in the signed TLD zone.
-	if len(eco.Registries["com"].Zone().Lookup("wired.com", dnswire.TypeNS)) != 2 {
+	if len(eco.Registries["com"].Server().Zone("com").Lookup("wired.com", dnswire.TypeNS)) != 2 {
 		t.Error("delegation not in zone")
 	}
 	// Update NS, renew, delete.

@@ -24,7 +24,6 @@ import (
 	"hash/fnv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"securepki.org/registrarsec/internal/dnswire"
@@ -80,8 +79,8 @@ type Rule struct {
 
 	// Loss is the probability an exchange is dropped outright.
 	Loss float64
-	// Timeout is the probability of an explicit timeout (distinct class
-	// for accounting; same observable as Loss).
+	// Timeout is the probability of an explicit timeout (a distinct
+	// FaultError class; otherwise the same observable as Loss).
 	Timeout float64
 	// ServFail / Refused substitute the rcode of an otherwise-successful
 	// exchange.
@@ -127,14 +126,6 @@ type Injector struct {
 
 	mu       sync.Mutex
 	attempts map[string]uint64 // per-question deterministic attempt counter
-
-	counts [7]atomic.Int64 // indexed by classIndex
-}
-
-// classIndex maps a Class to its counter slot.
-var classIndex = map[Class]int{
-	ClassLoss: 0, ClassTimeout: 1, ClassServFail: 2, ClassRefused: 3,
-	ClassTruncate: 4, ClassBadID: 5, ClassOutage: 6,
 }
 
 // New wraps inner with the rules. The seed fixes the fault schedule; clock
@@ -149,40 +140,15 @@ func New(inner exchange.Exchanger, seed int64, clock func() simtime.Day, rules .
 // Middleware adapts the injector for an exchange.Build stack: it binds the
 // injector's inner exchanger to whatever layer sits below it and returns
 // the injector as the wrapped layer. Construct with New(nil, ...) when the
-// transport is supplied by the stack, keep the *Injector for Stats, and
-// place the middleware in exchange.Options.Middleware — below the retry
-// budget (so injected faults consume attempts like real ones) and above
-// the transport Tap. A Middleware is single-use: it rebinds this injector.
+// transport is supplied by the stack, and place the middleware in
+// exchange.Options.Middleware — below the retry budget (so injected faults
+// consume attempts like real ones) and above the transport Tap. A Middleware is single-use: it rebinds this injector.
 func (in *Injector) Middleware() exchange.Middleware {
 	return func(next exchange.Exchanger) exchange.Exchanger {
 		in.inner = next
 		return in
 	}
 }
-
-// Stats returns the injected-fault counts per class (zero-count classes
-// omitted).
-func (in *Injector) Stats() map[Class]int64 {
-	out := make(map[Class]int64)
-	for class, i := range classIndex {
-		if n := in.counts[i].Load(); n > 0 {
-			out[class] = n
-		}
-	}
-	return out
-}
-
-// Total returns the total number of injected faults.
-func (in *Injector) Total() int64 {
-	var sum int64
-	for i := range in.counts {
-		sum += in.counts[i].Load()
-	}
-	return sum
-}
-
-// count records one injected fault.
-func (in *Injector) count(c Class) { in.counts[classIndex[c]].Add(1) }
 
 // nextAttempt returns the 0-based attempt number for the question key.
 func (in *Injector) nextAttempt(key string) uint64 {
@@ -236,7 +202,6 @@ func (in *Injector) Exchange(ctx context.Context, server string, q *dnswire.Mess
 	}
 	if rule.hasOutage() && in.clock != nil {
 		if day := in.clock(); day >= rule.OutageFrom && day <= rule.OutageTo {
-			in.count(ClassOutage)
 			return nil, &FaultError{Class: ClassOutage, Server: server}
 		}
 	}
@@ -257,7 +222,6 @@ func (in *Injector) Exchange(ctx context.Context, server string, q *dnswire.Mess
 		{rule.BadID, ClassBadID},
 	} {
 		if u < band.p {
-			in.count(band.class)
 			return in.inject(ctx, server, q, band.class)
 		}
 		u -= band.p

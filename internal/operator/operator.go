@@ -89,17 +89,8 @@ func New(cfg Config) (*Operator, error) {
 	return o, nil
 }
 
-// Name returns the operator's display name.
-func (o *Operator) Name() string { return o.cfg.Name }
-
 // NSHosts returns the nameservers a customer must delegate to.
 func (o *Operator) NSHosts() []string { return append([]string(nil), o.cfg.NSHosts...) }
-
-// SupportsDNSSEC reports whether the operator can sign zones at all.
-func (o *Operator) SupportsDNSSEC() bool { return o.cfg.SupportsDNSSEC }
-
-// Server exposes the authoritative server (for direct harness queries).
-func (o *Operator) Server() *dnsserver.Authoritative { return o.srv }
 
 // CreateZone onboards a domain: the operator builds and serves the zone.
 // The customer must separately point the registry delegation at NSHosts via
@@ -121,14 +112,6 @@ func (o *Operator) CreateZone(domain string) (*zone.Zone, error) {
 	o.mu.Unlock()
 	o.srv.AddZone(z)
 	return z, nil
-}
-
-// Zone returns a managed zone.
-func (o *Operator) Zone(domain string) (*zone.Zone, bool) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	z, ok := o.zones[dnswire.CanonicalName(domain)]
-	return z, ok
 }
 
 // EnableDNSSEC signs the customer's zone and returns the DS record the

@@ -166,7 +166,7 @@ func TestOperatorDisableOrderMatters(t *testing.T) {
 		t.Errorf("disable with stale DS: %v", got)
 	}
 	// Removing the DS restores a clean insecure state.
-	if err := f.reg.RemoveDS("cust@x.net", "site.com"); err != nil {
+	if err := f.eco.Registries["com"].DeleteDS("webreg", "site.com"); err != nil {
 		t.Fatal(err)
 	}
 	if got := classify(t, f, "site.com"); got != dnssec.DeploymentNone {
@@ -215,21 +215,9 @@ func TestOperatorBootstrapViaRegistrarDraft(t *testing.T) {
 
 func TestOperatorAccessors(t *testing.T) {
 	f := newFixture(t, cloudflareCfg())
-	if f.op.Name() != "Cloudflare" || !f.op.SupportsDNSSEC() {
-		t.Error("identity accessors")
-	}
 	hosts := f.op.NSHosts()
 	if len(hosts) != 2 || hosts[0] != "ana.ns.cloudflare.com" {
 		t.Errorf("NSHosts: %v", hosts)
-	}
-	if f.op.Server() == nil {
-		t.Error("Server nil")
-	}
-	if _, ok := f.op.Zone("site.com"); !ok {
-		t.Error("Zone lookup failed")
-	}
-	if _, ok := f.op.Zone("ghost.com"); ok {
-		t.Error("Zone lookup for unknown domain succeeded")
 	}
 	if _, ok := f.op.SignatureValidUntil("site.com"); ok {
 		t.Error("signature window before enable")

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -184,9 +183,6 @@ func (cfg Config) withDefaults() Config {
 // TLD returns the TLD this registry operates.
 func (r *Registry) TLD() string { return r.cfg.TLD }
 
-// Zone exposes the live TLD zone (for scan harnesses and tests).
-func (r *Registry) Zone() *zone.Zone { return r.apex.Zone }
-
 // Server exposes the registry's authoritative server.
 func (r *Registry) Server() *dnsserver.Authoritative { return r.apex.Server }
 
@@ -345,18 +341,6 @@ func (r *Registry) Registration(domain string) (*Registration, bool) {
 		return nil, false
 	}
 	return reg.clone(), true
-}
-
-// Domains returns all registered domain names, sorted.
-func (r *Registry) Domains() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.regs))
-	for d := range r.regs {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // syncDelegationLocked rewrites the zone records for one domain from its

@@ -52,12 +52,12 @@ func TestRegisterAndDelegation(t *testing.T) {
 		t.Errorf("period: %d days", r.Expires-r.Created)
 	}
 	// Delegation is visible in the zone.
-	ns := reg.Zone().Lookup("example.com", dnswire.TypeNS)
+	ns := reg.Server().Zone(reg.TLD()).Lookup("example.com", dnswire.TypeNS)
 	if len(ns) != 2 {
 		t.Errorf("zone NS count %d", len(ns))
 	}
-	if len(reg.Domains()) != 1 {
-		t.Error("Domains bookkeeping")
+	if _, ok := reg.Registration("example.com"); !ok {
+		t.Error("registration bookkeeping")
 	}
 }
 
@@ -101,7 +101,7 @@ func TestDSLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// DS RRset present and signed in the TLD zone.
-	z := reg.Zone()
+	z := reg.Server().Zone(reg.TLD())
 	if len(z.Lookup("signed.com", dnswire.TypeDS)) != 1 {
 		t.Fatal("DS not in zone")
 	}
@@ -379,7 +379,7 @@ func TestDropRemovesDelegation(t *testing.T) {
 	if _, ok := reg.Registration("gone.com"); ok {
 		t.Error("registration survived Drop")
 	}
-	z := reg.Zone()
+	z := reg.Server().Zone(reg.TLD())
 	if len(z.Lookup("gone.com", dnswire.TypeNS)) != 0 || len(z.Lookup("gone.com", dnswire.TypeDS)) != 0 {
 		t.Error("zone records survived Drop")
 	}
@@ -402,7 +402,7 @@ func TestDropRemovesDelegation(t *testing.T) {
 // zoneKeys returns the DNSKEYs at the registry zone's apex.
 func zoneKeys(reg *registry.Registry) []*dnswire.DNSKEY {
 	var keys []*dnswire.DNSKEY
-	for _, rr := range reg.Zone().Lookup(reg.Zone().Origin, dnswire.TypeDNSKEY) {
+	for _, rr := range reg.Server().Zone(reg.TLD()).Lookup(reg.Server().Zone(reg.TLD()).Origin, dnswire.TypeDNSKEY) {
 		keys = append(keys, rr.Data.(*dnswire.DNSKEY))
 	}
 	return keys

@@ -92,21 +92,6 @@ func New(cfg Config) *Resolver {
 	return r
 }
 
-// Stack exposes the assembled exchange stack (per-layer counters, server
-// health); nil when the resolver was built without an Exchange.
-func (r *Resolver) Stack() *exchange.Stack { return r.stack }
-
-// Queries returns the number of upstream queries sent.
-func (r *Resolver) Queries() int64 { return r.queries.Load() }
-
-// FlushCache clears the referral cache; the simulation calls this when it
-// mutates delegations between measurement days.
-func (r *Resolver) FlushCache() {
-	r.mu.Lock()
-	r.cache = make(map[string]cacheEntry)
-	r.mu.Unlock()
-}
-
 // cacheEntry remembers a zone cut's nameserver addresses and the chain of
 // cuts from the root down to it (inclusive), so cache hits can reconstruct
 // the Cuts list without re-walking the hierarchy.

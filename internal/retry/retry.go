@@ -107,9 +107,6 @@ func NewDoer(p Policy) *Doer {
 	return &Doer{policy: p, rng: rand.New(rand.NewSource(jitterSeed))}
 }
 
-// Policy returns the normalized policy in force.
-func (d *Doer) Policy() Policy { return d.policy }
-
 // jittered draws the next delay for retry n from the shared stream.
 func (d *Doer) jittered(n int) time.Duration {
 	d.mu.Lock()

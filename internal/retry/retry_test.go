@@ -118,8 +118,7 @@ func TestJitterDeterministic(t *testing.T) {
 }
 
 func TestDefaultsFilled(t *testing.T) {
-	d := NewDoer(Policy{})
-	p := d.Policy()
+	p := NewDoer(Policy{}).policy
 	if p.MaxAttempts != 3 || p.BaseDelay != 10*time.Millisecond || p.MaxDelay != 500*time.Millisecond {
 		t.Errorf("defaults: %+v", p)
 	}

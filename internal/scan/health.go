@@ -79,7 +79,8 @@ type SweepHealth struct {
 	SkippedUnknownTLD []string
 	// Failures lists the targets still unmeasured after every re-sweep.
 	Failures []Failure
-	// ByClass tallies failures (and unknown-TLD skips) per class.
+	// ByClass tallies failures (and unknown-TLD skips) per class; it is
+	// empty when every target was measured or found unregistered.
 	ByClass map[FailClass]int
 	// Resweeps is how many bounded re-sweep passes ran over failed
 	// targets.
@@ -88,12 +89,6 @@ type SweepHealth struct {
 	// this sweep: transport exchanges, cache hit rate, dedup coalescing,
 	// retries spent and exchanges that exhausted them.
 	Exchange exchange.Counters
-}
-
-// Complete reports whether every target was either measured or positively
-// identified as unregistered.
-func (h *SweepHealth) Complete() bool {
-	return len(h.Failures) == 0 && len(h.SkippedUnknownTLD) == 0
 }
 
 // Merge folds another report into h — used to aggregate per-shard health

@@ -58,11 +58,16 @@ func (d Day) String() string {
 	return d.Time().Format("2006-01-02")
 }
 
-// Parse converts an ISO date ("2016-12-31") to a Day.
+// Parse converts an ISO date ("2016-12-31") to a Day. A date a Day cannot
+// represent — beyond the ±292 years of time.Duration around the epoch —
+// is an error.
 func Parse(s string) (Day, error) {
 	t, err := time.Parse("2006-01-02", s)
 	if err != nil {
 		return 0, fmt.Errorf("simtime: %w", err)
 	}
-	return FromTime(t), nil
+	if d := FromTime(t); d.Time().Equal(t) {
+		return d, nil
+	}
+	return 0, fmt.Errorf("simtime: %s is outside the range of a Day", s)
 }

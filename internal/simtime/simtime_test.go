@@ -41,12 +41,20 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	d, err := Parse("2016-06-07")
-	if err != nil || d != SEStart {
-		t.Errorf("Parse: %v %v", d, err)
-	}
-	if _, err := Parse("junk"); err == nil {
-		t.Error("Parse accepted junk")
+	for in, want := range map[string]Day{
+		"2016-06-07": SEStart,
+		"2015-01-01": 0,
+		"1900-01-01": Date(1900, 1, 1),
+		"2300-01-01": Date(2300, 1, 1),
+		// Never stands for an error. Dates a Day cannot represent are
+		// errors, not the day they saturate to.
+		"9999-12-31": Never, "2400-01-01": Never, "2500-01-01": Never, "1700-01-01": Never,
+		"junk": Never,
+	} {
+		d, err := Parse(in)
+		if (err == nil) != (want != Never) || (err == nil && d != want) {
+			t.Errorf("Parse(%q) = %v, %v; want %v", in, d, err, want)
+		}
 	}
 }
 

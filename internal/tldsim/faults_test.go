@@ -2,10 +2,14 @@ package tldsim
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"securepki.org/registrarsec/internal/dataset"
+	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/faultnet"
 	"securepki.org/registrarsec/internal/retry"
 	"securepki.org/registrarsec/internal/scan"
@@ -76,7 +80,7 @@ func TestScanUnderFaultsMatchesCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cleanHealth.Complete() || cleanHealth.Measured != len(targets) {
+	if len(cleanHealth.ByClass) != 0 || cleanHealth.Measured != len(targets) {
 		t.Fatalf("clean baseline incomplete: %s", cleanHealth)
 	}
 
@@ -85,14 +89,25 @@ func TestScanUnderFaultsMatchesCleanRun(t *testing.T) {
 		t.Fatalf("lossy operator selection: %d rules for %d operators", len(rules), len(flaky))
 	}
 	inj := faultnet.New(mat.Net, 5, func() simtime.Day { return mat.Day }, rules...)
-	faulty := newScanner(t, mat, scan.Config{Exchange: inj, Retry: fastRetry(4)})
+	var injected atomic.Int64
+	counted := exchange.Func(func(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
+		resp, err := inj.Exchange(ctx, server, q)
+		if fault := new(faultnet.FaultError); errors.As(err, &fault) {
+			injected.Add(1)
+			if fault.Class != faultnet.ClassLoss {
+				t.Errorf("injected %s, want loss only", fault.Class)
+			}
+		}
+		return resp, err
+	})
+	faulty := newScanner(t, mat, scan.Config{Exchange: counted, Retry: fastRetry(4)})
 	snap, health, err := faulty.ScanDay(context.Background(), simtime.End, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Every reachable domain measured, none silently dropped.
-	if !health.Complete() {
+	if len(health.ByClass) != 0 {
 		t.Fatalf("faulty sweep incomplete: %s", health)
 	}
 	if health.Measured != len(targets) || health.Targets != len(targets) {
@@ -116,16 +131,12 @@ func TestScanUnderFaultsMatchesCleanRun(t *testing.T) {
 	// The injector did interfere, and the health report accounts for every
 	// single injected fault: a loss either triggered a retry or ended a
 	// failed exchange — nothing vanished.
-	if inj.Total() == 0 {
+	if injected.Load() == 0 {
 		t.Fatal("no faults injected; the drill exercised nothing")
 	}
-	if rc := health.Exchange.Retry; rc.Retries+rc.Failures != inj.Total() {
+	if rc := health.Exchange.Retry; rc.Retries+rc.Failures != injected.Load() {
 		t.Errorf("accounting: %d retries + %d failed exchanges != %d injected faults",
-			rc.Retries, rc.Failures, inj.Total())
-	}
-	stats := inj.Stats()
-	if len(stats) != 1 || stats[faultnet.ClassLoss] != inj.Total() {
-		t.Errorf("injected classes %v, want loss only", stats)
+			rc.Retries, rc.Failures, injected.Load())
 	}
 }
 
@@ -156,7 +167,7 @@ func TestOperatorOutageSurfacesAsFailedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if health.Complete() {
+	if len(health.ByClass) == 0 {
 		t.Fatal("outage went unnoticed: health reports a complete sweep")
 	}
 	if len(health.Failures) != len(darkDomains) {

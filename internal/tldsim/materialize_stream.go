@@ -153,9 +153,6 @@ func NewStreamMaterializer(day simtime.Day, src DomainSource) *StreamMaterialize
 	return m
 }
 
-// Day returns the materialized measurement day.
-func (m *StreamMaterializer) Day() simtime.Day { return m.day }
-
 // Prepare materializes the cursor span [lo, hi): real signed zones for
 // just those domains, served on a fresh in-memory network that replaces
 // the previous chunk's. It is the scan.ChunkPrepare for this cursor.

@@ -210,7 +210,10 @@ func TestSweepProducesOnlyWhatItReads(t *testing.T) {
 			t.Fatalf("%s: %d child zones unbuilt, want %d", stage, n, want)
 		}
 	}
-	dsSigs := func(d *tldsim.DomainState) int { return len(tldZone(d).Sigs(d.Name, dnswire.TypeDS)) }
+	dsSigs := func(d *tldsim.DomainState) (n int) {
+		tldZone(d).Read(nil, func(r *zone.Reader) { n = len(r.AppendSigs(nil, d.Name, dnswire.TypeDS)) })
+		return n
+	}
 	deferred("at bring-up", len(domains))
 	for i := range domains {
 		d := &domains[i]

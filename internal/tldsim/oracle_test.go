@@ -111,27 +111,26 @@ func TestTailPlanMatchesReferenceExponent(t *testing.T) {
 	}
 }
 
-// worldFromDomains indexes an explicit population through colstore's
-// row-at-a-time Builder — how tests fabricate worlds the cohort machinery
+// worldFromDomains indexes an explicit population through a colstore Plan
+// of one run per domain — how tests fabricate worlds the cohort machinery
 // never produces.
 func worldFromDomains(domains []DomainState) *World {
-	b := colstore.NewBuilder(len(domains))
+	p := colstore.NewPlan(len(domains))
 	for i := range domains {
 		d := &domains[i]
-		b.Add(colstore.Domain{
-			Name:       d.Name,
-			TLD:        d.TLD,
-			Operator:   d.Operator,
-			Registrar:  d.Registrar,
-			NSHost:     nsFor(d.Operator),
-			Created:    d.Created,
-			KeyDay:     d.KeyDay,
-			DSDay:      d.DSDay,
-			BrokenDS:   d.BrokenDS,
-			ExpiredSig: d.ExpiredSig,
-		})
+		p.Reserve(1, uint64(len(d.Name)), d.Operator, nsFor(d.Operator), d.TLD, d.Registrar)
 	}
-	return &World{idx: b.Build()}
+	for i := range domains {
+		d := &domains[i]
+		w := p.Writer(i)
+		w.Add([]byte(d.Name), d.Created, d.KeyDay, d.DSDay, d.BrokenDS, d.ExpiredSig)
+		w.Close()
+	}
+	idx, err := p.Build()
+	if err != nil {
+		panic(err)
+	}
+	return &World{idx: idx}
 }
 
 // referenceSnapshot is the record-at-a-time projection of a population

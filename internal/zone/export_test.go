@@ -26,3 +26,19 @@ func EagerSign(s *Signer, z *Zone) error {
 	}
 	return nil
 }
+
+// Sigs returns the RRSIGs at name covering the given type, producing the
+// one still planned, if any.
+func (z *Zone) Sigs(name string, covered dnswire.Type) (out []*dnswire.RR) {
+	name = dnswire.CanonicalName(name)
+	z.Read(nil, func(r *Reader) { out = r.AppendSigs(nil, name, covered) })
+	return out
+}
+
+// HasName reports whether any RRset is owned by name.
+func (z *Zone) HasName(name string) bool {
+	name = dnswire.CanonicalName(name)
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	return len(z.types[name]) > 0
+}

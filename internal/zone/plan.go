@@ -233,14 +233,6 @@ func (z *Zone) lockProduced(name string, all bool) (unlock func()) {
 	return z.mu.Unlock
 }
 
-// Sigs returns the RRSIGs at name covering the given type, producing the
-// one still planned, if any.
-func (z *Zone) Sigs(name string, covered dnswire.Type) (out []*dnswire.RR) {
-	name = dnswire.CanonicalName(name)
-	z.Read(nil, func(r *Reader) { out = r.AppendSigs(nil, name, covered) })
-	return out
-}
-
 // PlannedSigs returns how many signatures are planned and not yet produced.
 func (z *Zone) PlannedSigs() int {
 	z.mu.RLock()

@@ -203,14 +203,6 @@ func (z *Zone) LookupAll(name string) map[dnswire.Type][]*dnswire.RR {
 	return out
 }
 
-// HasName reports whether any RRset is owned by name.
-func (z *Zone) HasName(name string) bool {
-	name = dnswire.CanonicalName(name)
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return len(z.types[name]) > 0
-}
-
 // Names returns every owner name in canonical (RFC 4034 section 6.1) order.
 func (z *Zone) Names() []string {
 	z.mu.RLock()

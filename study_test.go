@@ -116,7 +116,7 @@ func TestStudyScanSampleAgreesWithModel(t *testing.T) {
 	if len(snap.Records) != 120 {
 		t.Fatalf("scanned %d records", len(snap.Records))
 	}
-	if !health.Complete() || health.Measured != 120 {
+	if len(health.ByClass) != 0 || health.Measured != 120 {
 		t.Fatalf("unhealthy sweep over a clean network: %s", health)
 	}
 	model := s.World.Index().Snapshot(simtime.End)
