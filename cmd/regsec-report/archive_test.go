@@ -220,33 +220,21 @@ func TestArchiveReportGolden(t *testing.T) {
 	}
 }
 
-// TestArchiveReportReadsLongForm: an archive in the record line's long
-// form (every column spelled out, flags as true/false) reports exactly as
-// its rewrite in today's form does.
-func TestArchiveReportReadsLongForm(t *testing.T) {
-	long, err := os.ReadFile(filepath.Join("..", "..", "internal", "dataset", "testdata", "archive-parent.tsv"))
+// TestArchiveReportRefusesText: an archive in the text form, as written
+// before each section became a gzip member, is refused whole: the report
+// exits non-zero, saying why, and prints no figures.
+func TestArchiveReportRefusesText(t *testing.T) {
+	zr, err := gzip.NewReader(bytes.NewReader(measuredThenFailedArchive(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := dataset.ReadArchiveStrict(bytes.NewReader(long))
+	text, err := io.ReadAll(zr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rewritten bytes.Buffer
-	for _, day := range store.Days() {
-		if err := store.Get(day).WriteArchiveSection(&rewritten); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if bytes.Equal(rewritten.Bytes(), long) {
-		t.Fatal("the rewrite is the long form itself")
-	}
-	got, want := runReport(t, rewritten.Bytes()), runReport(t, long)
-	if got != want {
-		t.Errorf("today's form reports\n%s\nthe long form\n%s", got, want)
-	}
-	if !strings.HasPrefix(want, "exit 0\n") || !strings.Contains(want, "operators") {
-		t.Errorf("the long form reports no figures:\n%s", want)
+	got := runReport(t, text)
+	if !strings.HasPrefix(got, "exit 1\n-- stdout --\n-- stderr --\n") || !strings.Contains(got, dataset.ErrTextArchive.Error()) {
+		t.Errorf("a text archive reports\n%s", got)
 	}
 }
 

@@ -64,7 +64,7 @@ func appendSection(t *testing.T, path string, snap *dataset.Snapshot) {
 
 // newTestServer builds a Server over dir with fast test cadences. Nothing
 // is started; tests drive resumeOnce/pollOnce directly or call Run.
-func newTestServer(t *testing.T, dir string) *Server {
+func newTestServer(t testing.TB, dir string) *Server {
 	t.Helper()
 	return New(Config{
 		ArchivePath:  filepath.Join(dir, "scans.tsv"),

@@ -9,6 +9,7 @@ package apiserv
 import (
 	"bytes"
 	"context"
+	"errors"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -24,7 +25,7 @@ import (
 )
 
 // archiveBytes renders a full archive for the given days in memory.
-func archiveBytes(t *testing.T, days []simtime.Day, n int) []byte {
+func archiveBytes(t testing.TB, days []simtime.Day, n int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, d := range days {
@@ -37,7 +38,7 @@ func archiveBytes(t *testing.T, days []simtime.Day, n int) []byte {
 
 // runToEnd drives a server's ingest synchronously over the current
 // archive state: resume from disk, then poll once.
-func runToEnd(t *testing.T, s *Server) {
+func runToEnd(t testing.TB, s *Server) {
 	t.Helper()
 	if err := s.resumeOnce(); err != nil {
 		t.Fatal(err)
@@ -48,7 +49,7 @@ func runToEnd(t *testing.T, s *Server) {
 }
 
 // worldFile reads the committed world bytes.
-func worldFile(t *testing.T, s *Server) []byte {
+func worldFile(t testing.TB, s *Server) []byte {
 	t.Helper()
 	data, err := os.ReadFile(s.cfg.WorldPath)
 	if err != nil {
@@ -387,57 +388,23 @@ func TestChaosTailerPanicIsSupervised(t *testing.T) {
 // the listener layer by internal/httpx's slow-client test; the unit here
 // is everything above the listener.
 
-// TestChaosResumeFromRawWorld: a world file written as a raw colstore world,
-// the way worlds were committed before they were deflated, resumes to the
-// same ingest state without a warning, and the next commit rewrites it as
-// one member, byte-identical to a clean run's. The member of the same state
-// inflates to exactly those raw bytes.
-func TestChaosResumeFromRawWorld(t *testing.T) {
-	days := []simtime.Day{50, 80, 110, 140}
-	full := archiveBytes(t, days, 60)
-	clean := newTestServer(t, t.TempDir())
-	if err := os.WriteFile(clean.cfg.ArchivePath, full, 0o644); err != nil {
+// TestChaosTextArchiveRefused: an archive of text sections, as written
+// before each section became a gzip member, fails the poll with
+// dataset.ErrTextArchive, for the supervisor to report and retry, and
+// commits nothing.
+func TestChaosTextArchiveRefused(t *testing.T) {
+	s := newTestServer(t, t.TempDir())
+	if err := os.WriteFile(s.cfg.ArchivePath, zcat(t, archiveBytes(t, []simtime.Day{50, 80}, 10)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	runToEnd(t, clean)
-	wantWorld := worldFile(t, clean)
-
-	dir := t.TempDir()
-	first := newTestServer(t, dir)
-	if err := os.WriteFile(first.cfg.ArchivePath, archiveBytes(t, days[:2], 60), 0o644); err != nil {
+	if err := s.resumeOnce(); err != nil {
 		t.Fatal(err)
 	}
-	runToEnd(t, first)
-	member := worldFile(t, first)
-	if err := first.ing.Freeze().SaveFile(first.cfg.WorldPath, first.worldMeta()); err != nil {
-		t.Fatal(err)
+	if err := s.pollOnce(); !errors.Is(err, dataset.ErrTextArchive) {
+		t.Fatalf("polling a text archive: %v, want ErrTextArchive", err)
 	}
-	raw := worldFile(t, first)
-	if !bytes.Equal(zcat(t, member), raw) {
-		t.Fatalf("the member inflates to %d bytes that are not the raw world's %d", len(zcat(t, member)), len(raw))
-	}
-	if err := os.WriteFile(first.cfg.ArchivePath, full, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	logged := logtest.Capture(t)
-	second := newTestServer(t, dir)
-	if err := second.resumeOnce(); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range logged.Records("") {
-		if r.Level >= slog.LevelWarn {
-			t.Fatalf("resuming the raw world logged %+v", r)
-		}
-	}
-	if second.wm != first.wm || second.ing.Len() != first.ing.Len() {
-		t.Fatalf("resumed cursor %+v over %d domains, want %+v over %d", second.wm, second.ing.Len(), first.wm, first.ing.Len())
-	}
-	if err := second.pollOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if got := worldFile(t, second); !bytes.Equal(got, wantWorld) {
-		t.Fatalf("world after the raw resume (%d bytes, begins % x) differs from the clean member (%d bytes)", len(got), got[:min(len(got), 10)], len(wantWorld))
+	if _, err := os.Stat(s.cfg.WorldPath); !os.IsNotExist(err) || s.wm != (Watermark{}) {
+		t.Fatalf("a text archive committed %+v (world: %v)", s.wm, err)
 	}
 }
 
@@ -447,9 +414,11 @@ const refused = "apiserv: cannot load world; re-ingesting from scratch"
 // TestChaosDamagedWorldReingests: the world member of a first section, cut
 // at any offset, with any checked byte flipped, or followed by anything, is
 // refused with a warning, and the daemon re-ingests the two-section archive
-// from scratch to a world file byte-identical to a clean run's. The member
-// header's mtime, XFL and OS bytes are covered by no checksum: a flip there
-// leaves the world intact, it resumes, and the next commit rewrites it.
+// from scratch to a world file byte-identical to a clean run's; so is the
+// raw colstore world the member wraps, as worlds were written before they
+// were deflated. The member header's mtime, XFL and OS bytes are covered by
+// no checksum: a flip there leaves the world intact, it resumes, and the
+// next commit rewrites it.
 func TestChaosDamagedWorldReingests(t *testing.T) {
 	days := []simtime.Day{200, 230}
 	full := archiveBytes(t, days, 12)
@@ -466,6 +435,9 @@ func TestChaosDamagedWorldReingests(t *testing.T) {
 	}
 	runToEnd(t, first)
 	member := worldFile(t, first)
+	if raw := zcat(t, member); !bytes.HasPrefix(raw, []byte("regsecW1")) {
+		t.Fatalf("the member inflates to bytes beginning %q, not a raw colstore world", raw[:min(len(raw), 8)])
+	}
 	// resumes marks the damage that leaves the world intact.
 	type damage struct {
 		name    string
@@ -475,6 +447,7 @@ func TestChaosDamagedWorldReingests(t *testing.T) {
 	cases := []damage{
 		{"trailing byte", append(bytes.Clone(member), 0), false},
 		{"trailing member", append(bytes.Clone(member), member...), false},
+		{"raw world", zcat(t, member), false},
 	}
 	for cut := range member {
 		cases = append(cases, damage{"cut at " + strconv.Itoa(cut), member[:cut], false})

@@ -9,13 +9,13 @@ package apiserv
 //	section, deflated into one gzip member (atomic rename) → write the
 //	checksummed watermark (atomic rename)
 //
-// The member wraps exactly the bytes colstore.Index.Save writes, so zcat
-// of the world file prints a colstore world; a raw world file, as written
-// before worlds were deflated, still resumes and is rewritten as a member
-// at the next commit. Nothing reads the observatory's world in place —
-// resume deep-copies it into a heap ingester — so deflating it costs the
-// daemon no mmap path, only one deflate per commit and one inflate per
-// start.
+// Members only: the member wraps exactly the bytes colstore.Index.Save
+// writes, so zcat of the world file prints a colstore world, and anything
+// else — a raw world as written before worlds were deflated included — is
+// refused, and the derived world re-ingested from the archive. Nothing
+// reads the observatory's world in place — resume deep-copies it into a
+// heap ingester — so deflating it costs the daemon no mmap path, only one
+// deflate per commit and one inflate per start.
 //
 // Commits land only on tail-event boundaries, where the ingested state is
 // a pure function of the archive prefix before the committed offset — so
@@ -33,7 +33,6 @@ package apiserv
 
 import (
 	"bufio"
-	"bytes"
 	"compress/gzip"
 	"context"
 	"errors"
@@ -131,14 +130,9 @@ func (s *Server) resumeOnce() error {
 	return nil
 }
 
-// memberMagic is how a world file that commitLocked wrote begins: the gzip
-// magic. Anything else is handed to colstore.Load, which reads a raw world
-// and refuses the rest.
-var memberMagic = []byte{0x1f, 0x8b}
-
 // loadWorld reads a committed world file: one gzip member around a
-// colstore world, inflated into memory, or a raw colstore world. A member
-// that is cut, damaged or followed by any other byte is refused.
+// colstore world, inflated into memory. Anything else, or a member that is
+// cut, damaged or followed by any other byte, is refused.
 func loadWorld(path string) (*colstore.Index, map[string]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -146,9 +140,6 @@ func loadWorld(path string) (*colstore.Index, map[string]string, error) {
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
-	if magic, _ := br.Peek(len(memberMagic)); !bytes.Equal(magic, memberMagic) {
-		return colstore.Load(path)
-	}
 	zr, err := gzip.NewReader(br)
 	if err != nil {
 		return nil, nil, err
@@ -199,12 +190,12 @@ func resumeFromWorld(idx *colstore.Index, meta map[string]string) (*colstore.Ing
 
 // pollOnce consumes whatever complete tail events have appeared since the
 // committed offset, one section in memory at a time, committing after
-// every event and once more when trailing bytes moved the offset.
+// every event.
 func (s *Server) pollOnce() error {
 	s.ingMu.Lock()
 	defer s.ingMu.Unlock()
 
-	offset, err := dataset.ScanArchiveFile(s.cfg.ArchivePath, s.wm.Offset, s.ingestLocked)
+	err := dataset.ScanArchiveFile(s.cfg.ArchivePath, s.wm.Offset, s.ingestLocked)
 	if errors.Is(err, dataset.ErrTailTruncated) {
 		// The archive was rotated or rewritten underneath us: drop
 		// everything, commit the empty state, and re-ingest the new file
@@ -216,24 +207,10 @@ func (s *Server) pollOnce() error {
 		if err := s.commitLocked(); err != nil {
 			return err
 		}
-		offset, err = dataset.ScanArchiveFile(s.cfg.ArchivePath, 0, s.ingestLocked)
+		err = dataset.ScanArchiveFile(s.cfg.ArchivePath, 0, s.ingestLocked)
 	}
-	switch {
-	case err == nil:
-	case os.IsNotExist(err):
-		s.markPolled()
-		return nil
-	default:
+	if err != nil && !os.IsNotExist(err) {
 		return err
-	}
-
-	// Trailing blank lines advance the offset without an event; fold them
-	// into a final commit.
-	if offset != s.wm.Offset {
-		s.wm.Offset = offset
-		if err := s.commitLocked(); err != nil {
-			return err
-		}
 	}
 	s.markPolled()
 	return nil

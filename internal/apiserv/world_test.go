@@ -6,6 +6,8 @@ import (
 	"context"
 	"io"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"securepki.org/registrarsec/internal/dataset"
@@ -44,7 +46,7 @@ func sweptArchive(t *testing.T) ([]byte, int) {
 }
 
 // zcat is what zcat prints of a world file: the text of its one member.
-func zcat(t *testing.T, world []byte) []byte {
+func zcat(t testing.TB, world []byte) []byte {
 	t.Helper()
 	zr, err := gzip.NewReader(bytes.NewReader(world))
 	if err != nil {
@@ -83,4 +85,61 @@ func TestObservedWorldBytes(t *testing.T) {
 		t.Errorf("%+v (%.2f raw, %.2f disk B/record), want %+v", got,
 			float64(got.raw)/float64(got.records), float64(got.disk)/float64(got.records), want)
 	}
+}
+
+// FuzzWorldFile feeds loadWorld arbitrary file bytes: it never panics, and
+// every world it accepts, written back through saveWorld and loaded again,
+// saves to the same colstore bytes with the same META. Seeded from a
+// committed world, the raw colstore world it wraps, and both cut short or
+// followed by more bytes.
+func FuzzWorldFile(f *testing.F) {
+	s := newTestServer(f, f.TempDir())
+	if err := os.WriteFile(s.cfg.ArchivePath, archiveBytes(f, []simtime.Day{200, 230}, 12), 0o644); err != nil {
+		f.Fatal(err)
+	}
+	runToEnd(f, s)
+	member := worldFile(f, s)
+	raw := zcat(f, member)
+	for _, seed := range [][]byte{member, raw} {
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+		f.Add(seed[:len(seed)-1])
+		f.Add(append(bytes.Clone(seed), 0))
+		f.Add(append(bytes.Clone(seed), seed...))
+	}
+	f.Add(member[:len(worldHeader)])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "world.colstore")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		idx, meta, err := loadWorld(path)
+		if err != nil {
+			return
+		}
+		defer idx.Close()
+		var want bytes.Buffer
+		if err := idx.Save(&want, meta); err != nil {
+			t.Fatalf("a loaded world does not save: %v", err)
+		}
+		again := filepath.Join(dir, "again.colstore")
+		if err := saveWorld(again, idx, meta); err != nil {
+			t.Fatalf("a loaded world does not save as a member: %v", err)
+		}
+		back, backMeta, err := loadWorld(again)
+		if err != nil {
+			t.Fatalf("saveWorld wrote a world loadWorld refuses: %v", err)
+		}
+		defer back.Close()
+		var got bytes.Buffer
+		if err := back.Save(&got, backMeta); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) || !reflect.DeepEqual(backMeta, meta) {
+			t.Fatalf("a world loaded, saved and loaded again saves %d bytes, META %v; want %d bytes, META %v", got.Len(), backMeta, want.Len(), meta)
+		}
+	})
 }

@@ -1,7 +1,11 @@
 package checkpoint
 
 import (
+	"bytes"
+	"compress/gzip"
 	"errors"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -101,6 +105,45 @@ func TestChunkOwnerTaggedLoad(t *testing.T) {
 	}
 	if prog, damaged := recoverAs(cp, day, "w1"); len(prog.Done) != 0 || !reflect.DeepEqual(damaged, []int{1}) {
 		t.Errorf("truncated owner chunk: recovered %v, damaged %v", prog.Done, damaged)
+	}
+}
+
+// TestTextChunkRescanned: a chunk file in the text form, as written before
+// each section became a gzip member, is refused by LoadChunk even under the
+// CRC of its own bytes, and RecoverChunks reports it damaged, so its chunk
+// is scanned again.
+func TestTextChunkRescanned(t *testing.T) {
+	cp, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	day := simtime.Date(2016, 3, 3)
+	meta, err := cp.WriteChunk(day, 0, 0, "w1", testSnapshot(day))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(cp.Dir(), meta.File)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, text, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	textMeta := &Shard{File: meta.File, CRC: crc32.Checksum(text, castagnoli), Records: meta.Records}
+	if _, err := cp.LoadChunk(day, textMeta); !errors.Is(err, dataset.ErrTextArchive) {
+		t.Errorf("LoadChunk of a text chunk: %v, want ErrTextArchive", err)
+	}
+	if prog, damaged := recoverAs(cp, day, "w1"); len(prog.Done) != 0 || !reflect.DeepEqual(damaged, []int{0}) {
+		t.Errorf("a text chunk: recovered %v, damaged %v; want chunk 0 re-scanned", prog.Done, damaged)
 	}
 }
 

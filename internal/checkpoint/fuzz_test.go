@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"hash/crc32"
 	"io"
 	"os"
@@ -17,8 +18,8 @@ import (
 // ledger entry. It must never panic, and it accepts exactly when all three
 // checks agree: the bytes' CRC32C is the recorded one, the bytes are a
 // strictly valid archive holding the day, and the day's record count is the
-// recorded one. Seeded from a real chunk file, its text form, and near
-// misses of both.
+// recorded one; a file in the text form is refused as a text archive.
+// Seeded from a real chunk file, its text form, and near misses of both.
 func FuzzLoadChunk(f *testing.F) {
 	day := simtime.Date(2016, 3, 1)
 	cp, err := Open(f.TempDir())
@@ -44,7 +45,7 @@ func FuzzLoadChunk(f *testing.F) {
 	f.Add(append(bytes.Clone(real), real...), uint32(0), 2*meta.Records)
 	f.Add([]byte{}, uint32(0), 0)
 	// The text form an earlier writer left as a chunk file, whole and cut,
-	// and mixed with the member form in either order.
+	// and mixed with the member form in either order: refused.
 	zr, err := gzip.NewReader(bytes.NewReader(real))
 	if err != nil {
 		f.Fatal(err)
@@ -73,6 +74,9 @@ func FuzzLoadChunk(f *testing.F) {
 		}
 		if (err == nil) != want {
 			t.Fatalf("LoadChunk err %v, but CRC, trailer and count agree = %v", err, want)
+		}
+		if text := bytes.HasPrefix(data, []byte("#snapshot\t")); text != errors.Is(err, dataset.ErrTextArchive) {
+			t.Fatalf("LoadChunk err %v of a file that is a text archive: %v", err, text)
 		}
 		if err == nil && len(snap.Records) != records {
 			t.Fatalf("accepted %d records under a ledger entry of %d", len(snap.Records), records)

@@ -31,19 +31,21 @@ import (
 // On disk each section is one RFC 1952 gzip member (writeSection, deflate
 // at gzip.BestSpeed) whose text is exactly the lines above, so zcat of an
 // archive prints its text form, and `zcat archive.tsv | grep …` reads it.
-// Every member starts with the same 10 bytes (memberHeader: no flags, no
-// modification time), which is how the scanner tells one at a section
-// boundary from a text section, the form of earlier writers; both forms
-// may follow each other in one file. The member's own CRC-32 and length
-// guard its bytes, the trailer its text. A member that is cut short at the
-// end of the input may still be growing: a tailer leaves it, a batch
-// reader quarantines it. A member that fails to inflate, fails its
-// checksums, or whose text is not exactly one intact section is damage,
-// final up to where its decoder stopped — unless the bytes the decoder
-// read hold the start of another section, in which case the decoder may
-// have read past the damage into what follows, and the damage runs from
-// the member's first byte to that section. An event's offsets are member
-// boundaries, and damage in a member is located at its first byte.
+// Members only: every member starts with the same 10 bytes (memberHeader:
+// no flags, no modification time), the only thing that starts a section;
+// any other bytes between sections are a stray run up to the next member
+// header, and a file that starts with a text section header — the form of
+// the writers before members — is refused (ErrTextArchive). The member's
+// own CRC-32 and length guard its bytes, the trailer its text. A member
+// that is cut short at the end of the input may still be growing: a
+// tailer leaves it, a batch reader quarantines it. A member that fails to
+// inflate, fails its checksums, or whose text is not exactly one intact
+// section is damage, final up to where its decoder stopped — unless the
+// bytes the decoder read hold another member header, in which case the
+// decoder may have read past the damage into what follows, and the damage
+// runs from the member's first byte to that header. An event's offsets
+// are member boundaries, and damage in a member is located at its first
+// byte.
 
 // trailerHeader closes one archived snapshot section.
 const trailerHeader = "#end"
@@ -64,13 +66,13 @@ type Corruption struct {
 	// Day is the section's day token as written (it may itself be damaged;
 	// empty when the damage precedes any section header).
 	Day string
-	// Line is the 1-based line number where the damage was anchored — the
-	// section header for section-level damage, the offending line otherwise.
-	// It counts lines as zcat prints them: a member's text lines, then the
-	// lines of text sections and stray bytes; a damaged member that runs
-	// into the next section counts as one line. It counts from where the scan
-	// started — the top of the file for ReadArchive, the resume offset for a
-	// tail scan — so String leaves it to callers that read a whole file.
+	// Line is the 1-based line number where the damage was anchored: the
+	// first line of the damaged member or of the stray run. It counts lines
+	// as zcat prints them: a member's text lines; a stray run, and a
+	// damaged member that runs into the next section, count as one line
+	// each. It counts from where the scan started — the top of the file for
+	// ReadArchive, the resume offset for a tail scan — so String leaves it
+	// to callers that read a whole file.
 	Line int
 	// Offset is the absolute byte offset of that line in the archive —
 	// of its member's first byte for a line in a member — whichever scan
@@ -129,7 +131,9 @@ func ScanArchive(r io.Reader, fn func(*Snapshot) error) (*ArchiveReport, error) 
 		ev, err := sc.next()
 		report.Sections = sc.sections
 		if err == io.EOF {
-			report.Quarantined = append(report.Quarantined, sc.undecided...)
+			if sc.stray != nil {
+				report.Quarantined = append(report.Quarantined, *sc.stray)
+			}
 			return report, nil
 		}
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,8 +29,8 @@ func archiveOf(store *Store) []byte {
 }
 
 // textOf is what zcat prints of archive bytes: the text of every member,
-// in order. Tests that edit an archive line by line edit this text form,
-// which earlier writers wrote and the reader still reads.
+// in order. Tests that edit a section line by line edit this text, and
+// deflate the result back into a member (memberOf).
 func textOf(archive []byte) []byte {
 	zr, err := gzip.NewReader(bytes.NewReader(archive))
 	if err != nil {
@@ -40,6 +41,18 @@ func textOf(archive []byte) []byte {
 		panic(err)
 	}
 	return text
+}
+
+// memberOf deflates text into one member with the header writeSection
+// writes.
+func memberOf(text []byte) []byte {
+	zw := compressors.Get().(*gzip.Writer)
+	defer compressors.Put(zw)
+	var buf bytes.Buffer
+	zw.Reset(&buf)
+	zw.Write(text) // writes to a bytes.Buffer do not fail
+	zw.Close()
+	return buf.Bytes()
 }
 
 // archiveFixture builds a two-day store and its archive bytes.
@@ -83,7 +96,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 }
 
 func TestArchiveSalvagesIntactSections(t *testing.T) {
-	_, raw := archiveFixture(t)
+	store, raw := archiveFixture(t)
 	// Truncate inside the second section: the first must still be salvaged.
 	cut := raw[:len(raw)-10]
 	got, report, err := ReadArchive(bytes.NewReader(cut))
@@ -106,10 +119,11 @@ func TestArchiveSalvagesIntactSections(t *testing.T) {
 	if !found {
 		t.Errorf("no truncation reason in %s", report)
 	}
-	// A cut landing mid-record in the text form reports the truncation
+	// A member whose text is cut mid-record reports the truncation
 	// precisely.
-	text := textOf(raw)
-	midRecord := text[:bytes.Index(text, []byte("#end\t2016-06-01"))-5]
+	first := sectionBytes(t, store.Get(simtime.Date(2016, 1, 1)))
+	text := textOf(raw[len(first):])
+	midRecord := slices.Concat(first, memberOf(text[:bytes.Index(text, []byte("#end\t2016-06-01"))-5]))
 	got2, report2, err := ReadArchive(bytes.NewReader(midRecord))
 	if err != nil {
 		t.Fatal(err)
@@ -127,18 +141,13 @@ func TestArchiveSalvagesIntactSections(t *testing.T) {
 }
 
 func TestArchiveTornWriteDetected(t *testing.T) {
-	_, raw := archiveFixture(t)
-	// Drop the first section's trailer line from the text form: a torn
-	// write that left the next section's header right after the records.
-	lines := strings.SplitAfter(string(textOf(raw)), "\n")
-	var torn strings.Builder
-	for _, l := range lines {
-		if strings.HasPrefix(l, "#end\t2016-01-01") {
-			continue
-		}
-		torn.WriteString(l)
-	}
-	got, report, err := ReadArchive(strings.NewReader(torn.String()))
+	store, raw := archiveFixture(t)
+	// Drop the first section's trailer line from its member's text: a torn
+	// section, with the next section after it.
+	first := sectionBytes(t, store.Get(simtime.Date(2016, 1, 1)))
+	text := textOf(first)
+	torn := slices.Concat(memberOf(text[:bytes.Index(text, []byte("#end\t2016-01-01"))]), raw[len(first):])
+	got, report, err := ReadArchive(bytes.NewReader(torn))
 	if err != nil {
 		t.Fatal(err)
 	}

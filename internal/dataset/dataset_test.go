@@ -214,10 +214,10 @@ func TestTSVFailedRecordRoundTrip(t *testing.T) {
 
 }
 
-// sealed closes a hand-written section body with the trailer that matches
-// it, so that what a reader makes of the section depends on its header and
-// record lines alone.
-func sealed(body string) string {
+// sealedText closes a hand-written section body with the trailer that
+// matches it, so that what a reader makes of the section depends on its
+// header and record lines alone.
+func sealedText(body string) string {
 	day := ""
 	if header := strings.Split(strings.SplitN(body, "\n", 2)[0], "\t"); len(header) >= 2 {
 		day = header[1]
@@ -226,9 +226,15 @@ func sealed(body string) string {
 		crc32.Checksum([]byte(body), castagnoli))
 }
 
-// TestRecordWithoutStatusColumnRejected: a record line cut before its
-// status column must never read back as a measurement — both archive
-// readers quarantine its section.
+// sealed is sealedText deflated into one member, as the writer writes a
+// section.
+func sealed(body string) string {
+	return string(memberOf([]byte(sealedText(body))))
+}
+
+// TestRecordWithoutStatusColumnRejected: a line of the older nine-field
+// form cut before its status column must never read back as a measurement
+// — both archive readers quarantine its section.
 func TestRecordWithoutStatusColumnRejected(t *testing.T) {
 	// A trailer that matches the cut body: only the field count can catch it.
 	archive := sealed("#snapshot\t2016-01-01\t1\nold.com\tcom\top.net\tns1.op.net\ttrue\tfalse\tfalse\tfalse\n")
@@ -280,7 +286,7 @@ func TestTSVEmptyNSHostsRoundTrip(t *testing.T) {
 	}
 }
 
-// quarantines reads a hand-written archive and returns how many snapshots
+// quarantines reads a hand-written archive of members and returns how many snapshots
 // it yielded and the reasons of everything quarantined, joined.
 func quarantines(t *testing.T, archive string) (int, string) {
 	t.Helper()
@@ -302,25 +308,25 @@ func quarantines(t *testing.T, archive string) (int, string) {
 func TestReadTSVRecordCountMismatch(t *testing.T) {
 	// The header declares 2 records but only 1 survives — a torn write
 	// must be quarantined, not read as a silently shorter day.
-	torn := "#snapshot\t2016-01-01\t2\na.com\tcom\top\tns1.op.net\ttrue\ttrue\ttrue\ttrue\tok\n"
+	torn := "#snapshot\t2016-01-01\t2\na.com\tns1.op.net\tkrdv\n"
 	if n, reasons := quarantines(t, sealed(torn)); n != 0 || !strings.Contains(reasons, "record count mismatch") {
 		t.Errorf("count mismatch: %d snapshot(s), quarantined %q", n, reasons)
 	}
-	// A headerless count (hand-written archive) is still tolerated.
-	loose := "#snapshot\t2016-01-01\na.com\tcom\top\tns1.op.net\ttrue\ttrue\ttrue\ttrue\tok\n"
-	if n, reasons := quarantines(t, sealed(loose)); n != 1 || reasons != "" {
+	// A header without a count is quarantined as a bad header.
+	loose := "#snapshot\t2016-01-01\na.com\tns1.op.net\tkrdv\n"
+	if n, reasons := quarantines(t, sealed(loose)); n != 0 || reasons != "bad header: bad snapshot header" {
 		t.Errorf("countless header: %d snapshot(s), quarantined %q", n, reasons)
 	}
 	// Mismatch on the final section is caught too, and costs the first
 	// section nothing.
-	first := "#snapshot\t2016-01-01\t1\na.com\tcom\top\t\ttrue\ttrue\ttrue\ttrue\tok\n"
+	first := "#snapshot\t2016-01-01\t1\na.com\t\tkrdv\n"
 	if n, reasons := quarantines(t, sealed(first)+sealed("#snapshot\t2016-06-01\t3\n")); n != 1 || !strings.Contains(reasons, "record count mismatch") {
 		t.Errorf("trailing count mismatch: %d snapshot(s), quarantined %q", n, reasons)
 	}
 }
 
 func TestReadTSVDuplicateDayRejected(t *testing.T) {
-	section := sealed("#snapshot\t2016-01-01\t1\na.com\tcom\top\tns1.op.net\ttrue\ttrue\ttrue\ttrue\tok\n")
+	section := sealed("#snapshot\t2016-01-01\t1\na.com\tns1.op.net\tkrdv\n")
 	if n, reasons := quarantines(t, section+section); n != 1 || !strings.Contains(reasons, "duplicate snapshot day") {
 		t.Errorf("duplicate day: %d snapshot(s), quarantined %q", n, reasons)
 	}
@@ -328,14 +334,14 @@ func TestReadTSVDuplicateDayRejected(t *testing.T) {
 
 func TestReadTSVErrors(t *testing.T) {
 	cases := []struct{ archive, reason string }{
-		{"a.com\tcom\top\tns\ttrue\ttrue\ttrue\ttrue\tok\n", "records outside any section"},
-		{sealed("#snapshot\n"), "bad header"},                                                            // missing day
-		{sealed("#snapshot\tnot-a-date\t1\n"), "bad header"},                                             // bad day
-		{sealed("#snapshot\t2400-01-01\t0\n"), "bad header"},                                             // a day no Day holds
-		{sealed("#snapshot\t2016-01-01\t1\na.com\n"), "1 fields"},                                        // short record
-		{sealed("#snapshot\t2016-01-01\t1\na.com\tcom\top\tns\t1\t1\t1\n"), "7 fields"},                  // neither form
-		{sealed("#snapshot\t2016-01-01\t1\na\tcom\top\tns\tx\tt\tt\tt\tok\n"), "bad bool"},               // bad bool
-		{"#snapshot\t2016-01-01\t1\na\tcom\top\tns\tt\tt\tt\tt\tok\n", "truncated section (no trailer)"}, // never sealed
+		{"a.com\tns\tkrdv\n", "bytes outside any gzip member"},                                                  // no member
+		{sealed("#snapshot\n"), "bad header"},                                                                   // missing day
+		{sealed("#snapshot\tnot-a-date\t1\n"), "bad header"},                                                    // bad day
+		{sealed("#snapshot\t2400-01-01\t0\n"), "bad header"},                                                    // a day no Day holds
+		{sealed("#snapshot\t2016-01-01\t1\na.com\n"), "1 fields"},                                               // short record
+		{sealed("#snapshot\t2016-01-01\t1\na.com\tns\tk\t\t\tcohort\tx\n"), "7 fields"},                         // too many fields
+		{sealed("#snapshot\t2016-01-01\t1\na\tns\tx\n"), "bad flags"},                                           // bad flags
+		{string(memberOf([]byte("#snapshot\t2016-01-01\t1\na\tns\tkrdv\n"))), "truncated section (no trailer)"}, // never sealed
 	}
 	for i, c := range cases {
 		if n, reasons := quarantines(t, c.archive); n != 0 || !strings.Contains(reasons, c.reason) {

@@ -2,11 +2,6 @@ package dataset
 
 import (
 	"bytes"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -14,97 +9,6 @@ import (
 
 	"securepki.org/registrarsec/internal/simtime"
 )
-
-// writeLongRecord writes the record line's long form: every column spelled
-// out, flags as true/false. Archives, checkpoint chunks and spill runs exist
-// in that form, and the reader must keep decoding them; this is their
-// reference writer.
-func writeLongRecord(w io.Writer, r *Record) {
-	status := "ok"
-	if r.Failed {
-		status = r.FailReason
-		if status == "" {
-			status = "failed"
-		}
-	}
-	fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%t\t%t\t%t\t%t\t%s\n",
-		r.Domain, r.TLD, r.Operator, strings.Join(r.NSHosts, ","),
-		r.HasDNSKEY, r.HasRRSIG, r.HasDS, r.ChainValid, status)
-}
-
-// writeLongSection is WriteArchiveSection through the reference writer,
-// framed here so that no NS set is written as a reference.
-func writeLongSection(w io.Writer, s *Snapshot) error {
-	var section bytes.Buffer
-	fmt.Fprintf(&section, "%s\t%s\t%d\n", tsvHeader, s.Day, len(s.Records))
-	for i := range s.Records {
-		writeLongRecord(&section, &s.Records[i])
-	}
-	fmt.Fprintf(&section, "%s\t%s\t%d\t%08x\n", trailerHeader, s.Day, section.Len(), crc32.Checksum(section.Bytes(), castagnoli))
-	_, err := w.Write(section.Bytes())
-	return err
-}
-
-// longFormFixture is what testdata/archive-parent.tsv holds in the long
-// form: two sections
-// with a Failed record, an awsdns and a 1and1 NS set, and a record whose
-// operator is not the grouping of its hosts (a cohort name of the world).
-func longFormFixture() *Store {
-	store := NewStore()
-	for k, day := range []simtime.Day{simtime.Date(2016, 6, 30), simtime.End} {
-		snap := &Snapshot{Day: day, Records: []Record{
-			{Domain: "alpha.com", TLD: "com", NSHosts: []string{"ns-1.awsdns-13.net", "ns-2.awsdns-07.co.uk"}, Operator: "awsdns",
-				HasDNSKEY: true, HasRRSIG: true, HasDS: k == 1, ChainValid: k == 1},
-			{Domain: "beta.de", TLD: "de", NSHosts: []string{"ns-1and1.co.uk", "ns.1and1.fr"}, Operator: "1and1",
-				HasDNSKEY: true, HasRRSIG: true},
-			{Domain: "gamma.nl", TLD: "nl", NSHosts: []string{"ns1.transip.nl", "ns2.transip.net"}, Operator: "transip.nl",
-				HasDNSKEY: true, HasRRSIG: true, HasDS: true, ChainValid: true},
-			{Domain: "delta.com", TLD: "com", NSHosts: []string{"ns1.tail0001.com-hosting.example"}, Operator: "tail0001.com-hosting.example",
-				HasDNSKEY: k == 1, HasRRSIG: k == 1, HasDS: k == 1},
-			{Domain: "epsilon.org", TLD: "org", NSHosts: []string{"ns1.ovh.net"}, Operator: "ovh.net"},
-		}}
-		if k == 0 {
-			snap.Records[4] = Record{Domain: "epsilon.org", TLD: "org", Failed: true, FailReason: "timeout"}
-		}
-		snap.Canonicalize()
-		store.Add(snap)
-	}
-	return store
-}
-
-// TestLongFormArchive: the committed archive in the long form is what the
-// reference writer makes of the fixture, and today's form of the fixture is
-// shorter and reads back to its records exactly. TestLegacyArchivesDecode
-// reads the committed file.
-func TestLongFormArchive(t *testing.T) {
-	fixture := longFormFixture()
-	var want bytes.Buffer
-	for _, day := range fixture.Days() {
-		if err := writeLongSection(&want, fixture.Get(day)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	onDisk, err := os.ReadFile(filepath.Join("testdata", "archive-parent.tsv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(onDisk, want.Bytes()) {
-		t.Fatalf("testdata/archive-parent.tsv is not the reference writer's rendering of the fixture:\n%s", want.Bytes())
-	}
-	today := archiveOf(fixture)
-	if len(today) >= len(onDisk) {
-		t.Errorf("today's form takes %d bytes, the long form %d", len(today), len(onDisk))
-	}
-	got, err := ReadArchiveStrict(bytes.NewReader(today))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, day := range fixture.Days() {
-		if !reflect.DeepEqual(got.Get(day), fixture.Get(day)) {
-			t.Errorf("%s: today's form read %+v, want %+v", day, got.Get(day), fixture.Get(day))
-		}
-	}
-}
 
 // TestRecordLineForm pins today's record line: the domain and NS hosts, then
 // the flags, status, TLD and operator up to the last that is not empty —
@@ -143,22 +47,24 @@ func TestRecordLineForm(t *testing.T) {
 
 // TestNonCanonicalLineRejected: a line in today's form reads only as the
 // bytes its record renders to; every other spelling of it damages the
-// section, and so does a field count no form has.
+// section, and so does a field count outside 2–6, the nine fields of the
+// older form included.
 func TestNonCanonicalLineRejected(t *testing.T) {
 	for line, reason := range map[string]string{
-		"a.com":                               "1 fields, want 2–6 or 9",
-		"a.com\tns1.op.net\tk\t\t\tcohort\tx": "7 fields, want 2–6 or 9",
-		"\tns1.op.net":                        "empty domain",
-		"a.com\tns1.op.net\t":                 "trailing empty field",
-		"a.com\tns1.op.net\tk\t":              "trailing empty field",
-		"a.com\tns1.op.net\t\t\t\t":           "trailing empty field",
-		"a.com\tns1.op.net\trk":               `bad flags "rk"`,
-		"a.com\tns1.op.net\tkk":               `bad flags "kk"`,
-		"a.com\tns1.op.net\tK":                `bad flags "K"`,
-		"a.com\tns1.op.net\t1":                `bad flags "1"`,
-		"a.com\tns1.op.net\t\tok":             "explicit status ok",
-		"a.com\tns1.op.net\t\t\tcom":          `TLD "com" is the derived one`,
-		"a.com\tns1.op.net\t\t\t\top.net":     `operator "op.net" is the derived one`,
+		"a.com":                                 "1 fields, want 2–6",
+		"a.com\tns1.op.net\tk\t\t\tcohort\tx":   "7 fields, want 2–6",
+		"a.com\t\t\tns1.op.net\t0\t0\t0\t0\tok": "9 fields, want 2–6",
+		"\tns1.op.net":                          "empty domain",
+		"a.com\tns1.op.net\t":                   "trailing empty field",
+		"a.com\tns1.op.net\tk\t":                "trailing empty field",
+		"a.com\tns1.op.net\t\t\t\t":             "trailing empty field",
+		"a.com\tns1.op.net\trk":                 `bad flags "rk"`,
+		"a.com\tns1.op.net\tkk":                 `bad flags "kk"`,
+		"a.com\tns1.op.net\tK":                  `bad flags "K"`,
+		"a.com\tns1.op.net\t1":                  `bad flags "1"`,
+		"a.com\tns1.op.net\t\tok":               "explicit status ok",
+		"a.com\tns1.op.net\t\t\tcom":            `TLD "com" is the derived one`,
+		"a.com\tns1.op.net\t\t\t\top.net":       `operator "op.net" is the derived one`,
 	} {
 		if _, err := parseRecordFields(strings.Split(line, "\t"), &nsSets{}); err == nil || err.Error() != reason {
 			t.Errorf("%q: %v, want %q", line, err, reason)
@@ -166,16 +72,13 @@ func TestNonCanonicalLineRejected(t *testing.T) {
 	}
 }
 
-// TestMissingStatusIsMeasured: in today's form a line that stops before its
-// status field is a measurement; in the older form an empty status is a
-// gap.
+// TestMissingStatusIsMeasured: a line that stops before its status field is
+// a measurement.
 func TestMissingStatusIsMeasured(t *testing.T) {
 	for line, failed := range map[string]bool{
-		"a.com\tns1.op.net":                     false,
-		"a.com\tns1.op.net\tkrdv":               false,
-		"a.com\tns1.op.net\t\ttimeout":          true,
-		"a.com\t\t\tns1.op.net\t0\t0\t0\t0\tok": false,
-		"a.com\t\t\tns1.op.net\t0\t0\t0\t0\t":   true,
+		"a.com\tns1.op.net":            false,
+		"a.com\tns1.op.net\tkrdv":      false,
+		"a.com\tns1.op.net\t\ttimeout": true,
 	} {
 		if rec := readLine(t, []byte(line)); rec.Failed != failed {
 			t.Errorf("%q reads as Failed=%v, want %v", line, rec.Failed, failed)
@@ -218,14 +121,14 @@ func TestRecordLineAllocs(t *testing.T) {
 }
 
 // FuzzRecordLine holds the record line to three round trips: any line the
-// reader accepts renders to a line that reads back to the same Record; a
-// line of today's form that reads renders back to its own bytes; and a
+// reader accepts renders to a line that reads back to the same Record, and
+// that line is its own bytes; and a
 // record built from the fuzzed fields survives render → read, up to the
 // normalization Record documents (an empty TLD or operator reads back as
 // its derivation) and the ones the line has always made (see normalized).
 func FuzzRecordLine(f *testing.F) {
 	for _, line := range []string{
-		// The long form, as the hand-written archives of the tests wrote it.
+		// The older nine-field form, which reads no longer.
 		"old.com\tcom\top.net\tns1.op.net\ttrue\tfalse\tfalse\tfalse",
 		"a.com\tcom\top\tns1.op.net\ttrue\ttrue\ttrue\ttrue\tok",
 		"a.com\tcom\top\t\ttrue\ttrue\ttrue\ttrue\tok",
@@ -235,7 +138,6 @@ func FuzzRecordLine(f *testing.F) {
 		"a\tcom\top\tns\tt\tt\tt\tt\tok",
 		"a.com\tcom\top\n",
 		"gap.com\tcom\t\t\tfalse\tfalse\tfalse\tfalse\ttimeout",
-		// Today's form.
 		"a.com\t\t\tns1.op.net,ns2.op.net\t1\t0\t1\t0\tok",
 		"a.co.uk\tco.uk\ttail0001.uk-hosting.example\tns1.tail0001.uk-hosting.example\t0\t0\t0\t0\tok",
 		"gap.nl\t\t\t\t0\t0\t0\t0\ttimeout",
@@ -269,7 +171,7 @@ func FuzzRecordLine(f *testing.F) {
 			if again := readLine(t, rendered); !reflect.DeepEqual(again, rec) {
 				t.Fatalf("%q reads as %+v, its rendering %q as %+v", line, rec, rendered, again)
 			}
-			if len(fields) != 9 && string(rendered) != line+"\n" {
+			if string(rendered) != line+"\n" {
 				t.Fatalf("%q reads as %+v, which renders as %q", line, rec, rendered)
 			}
 		}

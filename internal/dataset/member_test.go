@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bytes"
-	"compress/gzip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -85,17 +84,17 @@ func TestMemberTextNotOneSection(t *testing.T) {
 		reason string
 	}{
 		"two sections":         {string(one) + string(other), "text after the section trailer"},
-		"torn section":         {string(one[:bytes.LastIndex(one, []byte(trailerHeader))]) + string(other), "missing trailer (torn write)"},
-		"records before":       {"a.com\tns1.x\n" + string(one), "records outside any section"},
+		"torn section":         {string(one[:bytes.LastIndex(one, []byte(trailerHeader))]) + string(other), "record count mismatch: header declares 2, found more"},
+		"records before":       {"a.com\tns1.x\n" + string(one), "text before the section header"},
 		"blank line after":     {string(one) + "\n", "text after the section trailer"},
 		"no trailer":           {string(one[:bytes.LastIndex(one, []byte(trailerHeader))]), "truncated section (no trailer)"},
 		"empty":                {"", "member holds no section"},
-		"blank line":           {"\n", "member holds no section"},
+		"blank line":           {"\n", "text before the section header"},
 		"trailer without \\n":  {string(one[:len(one)-1]), "malformed trailer"},
-		"bad record":           {sealed("#snapshot\t2016-01-11\t1\n\tns1.x\n"), "record 1: empty domain"},
-		"records past a count": {sealed("#snapshot\t2016-01-11\t1\na.com\tns1.x\nb.com\t=0\n"), "record count mismatch: header declares 1, found more"},
+		"bad record":           {sealedText("#snapshot\t2016-01-11\t1\n\tns1.x\n"), "record 1: empty domain"},
+		"records past a count": {sealedText("#snapshot\t2016-01-11\t1\na.com\tns1.x\nb.com\t=0\n"), "record count mismatch: header declares 1, found more"},
 	} {
-		member := gzipMember(t, []byte(tc.text))
+		member := memberOf([]byte(tc.text))
 		store, report, err := ReadArchive(bytes.NewReader(append(member, after...)))
 		if err != nil || store.Len() != 1 || store.Get(12) == nil {
 			t.Fatalf("%s: %v, days %v", name, err, store.Days())
@@ -171,28 +170,11 @@ func TestMemberCutThenIntact(t *testing.T) {
 	}
 }
 
-// gzipMember deflates text into one member with the header writeSection
-// writes.
-func gzipMember(t *testing.T, text []byte) []byte {
-	t.Helper()
-	zw := compressors.Get().(*gzip.Writer)
-	defer compressors.Put(zw)
-	var buf bytes.Buffer
-	zw.Reset(&buf)
-	if _, err := zw.Write(text); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestMemberLinesCountAsZcatPrints: an event's Line is the line zcat prints
-// its header on, whatever mix of members and text sections precedes it.
+// its header on, whatever members precede it.
 func TestMemberLinesCountAsZcatPrints(t *testing.T) {
 	texts := [][]byte{textSection(t, tailSnap(10, 3)), textSection(t, tailSnap(11, 4)), textSection(t, tailSnap(12, 5))}
-	archive := slices.Concat(gzipMember(t, texts[0]), texts[1], gzipMember(t, texts[2]))
+	archive := slices.Concat(memberOf(texts[0]), memberOf(texts[1]), memberOf(texts[2]))
 	res := scanAll(t, bytes.NewReader(archive), 0)
 	line := 1
 	for i, ev := range res.Events {

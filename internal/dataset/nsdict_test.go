@@ -36,8 +36,8 @@ func TestNSReferences(t *testing.T) {
 		"d.com\t=1\t\t\t\tcohort\n" +
 		"e.com\t\t\ttimeout\n" +
 		"f.com\t=0\n"
-	if got := string(textOf(section.Bytes())); got != sealed(want) {
-		t.Fatalf("section:\n%s\nwant:\n%s", got, sealed(want))
+	if got := string(textOf(section.Bytes())); got != sealedText(want) {
+		t.Fatalf("section:\n%s\nwant:\n%s", got, sealedText(want))
 	}
 	got, err := ReadArchiveStrict(&section)
 	if err != nil {
@@ -57,20 +57,20 @@ func TestNSReferences(t *testing.T) {
 // is never resolved to another set.
 func TestBadNSReference(t *testing.T) {
 	const defined = "#snapshot\t2016-01-01\t3\n" +
-		"a.com\t\t\tns1.op.net\t0\t0\t0\t0\tok\n" +
-		"b.com\t\t\tns1.other.net\t0\t0\t0\t0\tok\n"
+		"a.com\tns1.op.net\n" +
+		"b.com\tns1.other.net\n"
 	for _, ref := range []string{"=", "=01", "=00", "=-1", "=+1", "= 1", "=1x", "=2", "=65536", "=99999999999999999999"} {
-		archive := sealed(defined + "c.com\t\t\t" + ref + "\t0\t0\t0\t0\tok\n")
+		archive := sealed(defined + "c.com\t" + ref + "\n")
 		if n, reasons := quarantines(t, archive); n != 0 || reasons != "record 3: bad NS reference" {
 			t.Errorf("%q: %d snapshot(s), quarantined %q", ref, n, reasons)
 		}
 	}
 	// The same section with canonical references reads.
 	ok := sealed("#snapshot\t2016-01-01\t4\n" +
-		"a.com\t\t\tns1.op.net\t0\t0\t0\t0\tok\n" +
-		"b.com\t\t\tns1.other.net\t0\t0\t0\t0\tok\n" +
-		"c.com\t\t\t=1\t0\t0\t0\t0\tok\n" +
-		"d.com\t\t\t=0\t0\t0\t0\t0\tok\n")
+		"a.com\tns1.op.net\n" +
+		"b.com\tns1.other.net\n" +
+		"c.com\t=1\n" +
+		"d.com\t=0\n")
 	store, err := ReadArchiveStrict(strings.NewReader(ok))
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestBadNSReference(t *testing.T) {
 	}
 	// A second section starts with no sets: a reference to the first's is
 	// damage, and costs the first section nothing.
-	second := sealed("#snapshot\t2016-01-02\t1\nc.com\t\t\t=0\t0\t0\t0\t0\tok\n")
+	second := sealed("#snapshot\t2016-01-02\t1\nc.com\t=0\n")
 	if n, reasons := quarantines(t, ok+second); n != 1 || reasons != "record 1: bad NS reference" {
 		t.Errorf("a reference across sections: %d snapshot(s), quarantined %q", n, reasons)
 	}

@@ -17,7 +17,7 @@ import (
 // the length+CRC32C trailer of the journaled archive format (archive.go),
 // so torn writes and bit rot are detectable, and on disk it is the text of
 // one gzip member, so `zcat archive.tsv` prints exactly these lines. The
-// section scanner (tail.go) is the one reader.
+// section scanner (tail.go) is the one reader, of members only.
 //
 // A record line has two to six tab-separated fields:
 //
@@ -36,17 +36,8 @@ import (
 // order without repeats, no explicit "ok", no tld or operator equal to its
 // derivation — so every such line that reads is the bytes appendRecord
 // renders of its record. A line cut short still parses; the section's
-// length and CRC-32C (archive.go) are what catch it.
-//
-// Older archives hold nine-field lines, which read back to the same
-// records:
-//
-//	domain  tld  operator  ns-hosts  dnskey  rrsig  ds  chain  status
-//
-// with flags as 1/0 or true/false, status "ok" or the failure class (an
-// empty status there reads as failed), and tld and operator empty where
-// derived or spelled out. A line of any other field count damages its
-// section.
+// length and CRC-32C (archive.go) are what catch it. A line of any other
+// field count damages its section.
 //
 // Within one section the records are in strictly ascending (TLD, domain)
 // order, TLD as read back: each domain appears once, and the writer
@@ -233,41 +224,33 @@ func lineTLD(r *Record) string {
 	return r.TLD
 }
 
-// parseSnapshotHeader parses a "#snapshot <day> [count]" line. The declared
-// record count is -1 when the header omits it (hand-written archives).
+// parseSnapshotHeader parses a "#snapshot <day> <count>" line, the one
+// form writeSection writes.
 func parseSnapshotHeader(fields []string) (simtime.Day, int, error) {
-	if len(fields) < 2 {
+	if len(fields) != 3 {
 		return 0, 0, fmt.Errorf("bad snapshot header")
 	}
 	day, err := simtime.Parse(fields[1])
 	if err != nil {
 		return 0, 0, err
 	}
-	declared := -1
-	if len(fields) >= 3 {
-		n, err := strconv.Atoi(fields[2])
-		if err != nil || n < 0 {
-			return 0, 0, fmt.Errorf("bad record count %q", fields[2])
-		}
-		declared = n
+	n, err := strconv.Atoi(fields[2])
+	if err != nil || n < 0 {
+		return 0, 0, fmt.Errorf("bad record count %q", fields[2])
 	}
-	return day, declared, nil
+	return day, n, nil
 }
 
-// parseRecordFields parses one record line's tab-split fields: two to six
-// in today's form, nine in the older one. sets is the section's NS-set
-// dictionary; a line outside any section (a spill run) has none, and its NS
-// column is always hosts.
+// parseRecordFields parses one record line's tab-split fields, two to six.
+// sets is the section's NS-set dictionary; a line outside any section (a
+// spill run) has none, and its NS column is always hosts.
 func parseRecordFields(fields []string, sets *nsSets) (Record, error) {
 	switch {
-	case len(fields) < 2 || len(fields) > 6 && len(fields) != 9:
-		return Record{}, fmt.Errorf("%d fields, want 2–6 or 9", len(fields))
+	case len(fields) < 2 || len(fields) > 6:
+		return Record{}, fmt.Errorf("%d fields, want 2–6", len(fields))
 	case fields[0] == "":
 		return Record{}, fmt.Errorf("empty domain")
-	case len(fields) == 9:
-		return parseNineFields(fields, sets)
-	}
-	if len(fields) > 2 && fields[len(fields)-1] == "" {
+	case len(fields) > 2 && fields[len(fields)-1] == "":
 		return Record{}, fmt.Errorf("trailing empty field")
 	}
 	var optional [4]string // flags, status, tld, operator
@@ -347,35 +330,4 @@ func parseNS(rec *Record, col string, sets *nsSets) (op string, err error) {
 		}
 	}
 	return op, nil
-}
-
-// parseNineFields parses a line of the older, nine-field form. Its ninth,
-// status, column is required: a line without it has lost the one field
-// that tells a measurement from a gap, and must not read back as measured.
-func parseNineFields(fields []string, sets *nsSets) (Record, error) {
-	rec := Record{Domain: fields[0], TLD: fields[1]}
-	if rec.TLD == "" {
-		rec.TLD = lastLabel(rec.Domain)
-	}
-	op, err := parseNS(&rec, fields[3], sets)
-	if err != nil {
-		return Record{}, err
-	}
-	rec.Operator = cmp.Or(fields[2], op)
-	// ParseBool takes the 1/0 and the true/false of the older lines alike.
-	bools := [4]*bool{&rec.HasDNSKEY, &rec.HasRRSIG, &rec.HasDS, &rec.ChainValid}
-	for i, f := range fields[4:8] {
-		v, err := strconv.ParseBool(f)
-		if err != nil {
-			return Record{}, fmt.Errorf("bad bool %q", f)
-		}
-		*bools[i] = v
-	}
-	// An empty status reads as the writer rendered a Failed record without
-	// a class.
-	if status := fields[8]; status != "ok" {
-		rec.Failed = true
-		rec.FailReason = cmp.Or(status, "failed")
-	}
-	return rec, nil
 }

@@ -135,6 +135,23 @@ func TestSweptRecordBytes(t *testing.T) {
 	}
 }
 
+// deflate is text as one gzip member.
+func deflate(t *testing.T, text []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(text); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // zcat is what zcat prints of archive bytes: the text of every member.
 func zcat(t *testing.T, archive []byte) []byte {
 	t.Helper()
@@ -204,116 +221,68 @@ func checkDecodes(t *testing.T, readers map[string]func([]byte, *dataset.Snapsho
 	}
 }
 
-// TestLongFormDecodesIdentically: each seeded sweep's days, written by
-// the spill writer in today's form and by the reference writer in the
-// long form, read back to the records the scan emitted — through
-// ReadArchive, TailArchive and the checkpoint's chunk reader alike.
-func TestLongFormDecodesIdentically(t *testing.T) {
+// handMadeDays are two sections of hand-made records that a seeded sweep
+// does not make: a Failed record with a class and one without, an empty NS
+// set, an awsdns and a 1and1 NS set, a TLD of two labels, and operators
+// that are not the grouping of their hosts (cohort names of the world).
+func handMadeDays() []*dataset.Snapshot {
+	var days []*dataset.Snapshot
+	for k, day := range []simtime.Day{simtime.Date(2016, 6, 30), simtime.End} {
+		snap := &dataset.Snapshot{Day: day, Records: []dataset.Record{
+			{Domain: "alpha.com", TLD: "com", NSHosts: []string{"ns-1.awsdns-13.net", "ns-2.awsdns-07.co.uk"}, Operator: "awsdns",
+				HasDNSKEY: true, HasRRSIG: true, HasDS: k == 1, ChainValid: k == 1},
+			{Domain: "beta.de", TLD: "de", NSHosts: []string{"ns-1and1.co.uk", "ns.1and1.fr"}, Operator: "1and1",
+				HasDNSKEY: true, HasRRSIG: true},
+			{Domain: "gamma.nl", TLD: "nl", NSHosts: []string{"ns1.transip.nl", "ns2.transip.net"}, Operator: "transip.nl",
+				HasDNSKEY: true, HasRRSIG: true, HasDS: true, ChainValid: true},
+			{Domain: "delta.com", TLD: "com", NSHosts: []string{"ns1.tail0001.com-hosting.example"}, Operator: "tail0001.com-hosting.example",
+				HasDNSKEY: k == 1, HasRRSIG: k == 1, HasDS: k == 1},
+			{Domain: "epsilon.org", TLD: "org", NSHosts: []string{"ns1.ovh.net"}, Operator: "ovh.net"},
+			{Domain: "zeta.co.uk", TLD: "co.uk", NSHosts: []string{"ns1.ovh.net"}, Operator: "ovh.net", HasDNSKEY: true},
+			{Domain: "eta.nl", TLD: "nl", Failed: true},
+		}}
+		if k == 0 {
+			snap.Records[4] = dataset.Record{Domain: "epsilon.org", TLD: "org", Failed: true, FailReason: "timeout"}
+		}
+		snap.Canonicalize()
+		days = append(days, snap)
+	}
+	return days
+}
+
+// TestSectionsDecode: each seeded sweep's days, as the spill writer wrote
+// them, and the hand-made days, as WriteArchiveSection writes them, read
+// back to their records through ReadArchive, TailArchive and the
+// checkpoint's chunk reader alike.
+func TestSectionsDecode(t *testing.T) {
 	readers := sectionReaders(t)
 	for _, shape := range sweepShapes {
 		for _, d := range sweep(t, shape) {
-			var long bytes.Buffer
-			if err := dataset.WriteLongSection(&long, d.snap); err != nil {
-				t.Fatal(err)
-			}
-			for form, section := range map[string][]byte{"today's": d.section, "long": long.Bytes()} {
-				checkDecodes(t, readers, fmt.Sprintf("%s %s, %s form", shape.name, d.snap.Day, form), section, d.snap)
-			}
+			checkDecodes(t, readers, fmt.Sprintf("%s %s", shape.name, d.snap.Day), d.section, d.snap)
 		}
 	}
-}
-
-// legacyArchives names what each testdata/archive-*.tsv holds: an archive
-// an earlier writer made, the snapshots it must read back to, and whether
-// it writes repeated NS sets as references.
-var legacyArchives = map[string]struct {
-	snaps func(t *testing.T) []*dataset.Snapshot
-	refs  bool
-}{
-	// The long form (every column spelled out, flags as true/false) of a
-	// hand-made fixture.
-	"archive-parent.tsv": {snaps: func(*testing.T) []*dataset.Snapshot {
-		fixture := dataset.LongFormFixture()
-		var snaps []*dataset.Snapshot
-		for _, day := range fixture.Days() {
-			snaps = append(snaps, fixture.Get(day))
+	for _, snap := range handMadeDays() {
+		var section bytes.Buffer
+		if err := snap.WriteArchiveSection(&section); err != nil {
+			t.Fatal(err)
 		}
-		return snaps
-	}},
-	// The clean sweep's two days in nine columns, every NS set in full.
-	"archive-full-ns.tsv": {snaps: cleanSweepDays},
-	// The clean sweep's two days in nine columns, with NS-set references.
-	"archive-nsref.tsv": {snaps: cleanSweepDays, refs: true},
-	// The clean sweep's two days in lines of two to six fields, as text
-	// sections: the last form written before each section became a gzip
-	// member, and what zcat prints of today's archive of the sweep.
-	"archive-text.tsv": {snaps: cleanSweepDays, refs: true},
-}
-
-func cleanSweepDays(t *testing.T) []*dataset.Snapshot {
-	var snaps []*dataset.Snapshot
-	for _, d := range sweep(t, sweepShapes[0]) {
-		snaps = append(snaps, d.snap)
-	}
-	return snaps
-}
-
-// TestLegacyArchivesDecode: every committed testdata/archive-*.tsv, each a
-// form an earlier writer made, reads back section by section to the
-// snapshots it was made of, through ReadArchive, TailArchive and the
-// checkpoint's chunk reader alike; and none of its sections is what
-// today's writer makes of those records.
-func TestLegacyArchivesDecode(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("testdata", "archive-*.tsv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != len(legacyArchives) {
-		t.Fatalf("testdata holds %d archives %q, the table names %d", len(files), files, len(legacyArchives))
-	}
-	readers := sectionReaders(t)
-	for _, file := range files {
-		t.Run(filepath.Base(file), func(t *testing.T) {
-			want, ok := legacyArchives[filepath.Base(file)]
-			if !ok {
-				t.Fatal("the table does not name this archive")
+		// A Failed record without a class reads back as "failed".
+		for i := range snap.Records {
+			if snap.Records[i].Failed && snap.Records[i].FailReason == "" {
+				snap.Records[i].FailReason = "failed"
 			}
-			archive, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if refs := bytes.Contains(archive, []byte("\t=")); refs != want.refs {
-				t.Fatalf("the archive holds NS-set references: %v, want %v", refs, want.refs)
-			}
-			for _, snap := range want.snaps(t) {
-				// Each section ends with its trailer line.
-				end := bytes.Index(archive, []byte("\n#end\t")) + 1
-				end += bytes.IndexByte(archive[end:], '\n') + 1
-				section := archive[:end]
-				archive = archive[end:]
-				var today bytes.Buffer
-				if err := snap.WriteArchiveSection(&today); err != nil {
-					t.Fatal(err)
-				}
-				if bytes.Equal(section, today.Bytes()) {
-					t.Fatalf("%s: the section is today's form", snap.Day)
-				}
-				checkDecodes(t, readers, snap.Day.String(), section, snap)
-			}
-			if len(archive) != 0 {
-				t.Fatalf("%d bytes after the expected days", len(archive))
-			}
-		})
+		}
+		checkDecodes(t, readers, "hand-made "+snap.Day.String(), section.Bytes(), snap)
 	}
 }
 
 // TestTornLineQuarantined: a line of today's form that lost its trailing
 // fields still parses, so a torn line is caught by the section's framing
 // alone. The section here is the clean sweep's first day cut down to its
-// signed records and every eighth of the rest, in today's form; every
-// single-byte deletion inside the record lines of its text, and the member
-// and its text cut at every offset, are kept out by ReadArchive,
-// TailArchive and the checkpoint's chunk reader.
+// signed records and every eighth of the rest; every single-byte deletion
+// inside the record lines of its text, and its text cut at every offset,
+// each deflated into a member, and the member cut at every offset, are
+// kept out by ReadArchive, TailArchive and the checkpoint's chunk reader.
 func TestTornLineQuarantined(t *testing.T) {
 	day := sweep(t, sweepShapes[0])[0].snap
 	snap := &dataset.Snapshot{Day: day.Day}
@@ -330,7 +299,6 @@ func TestTornLineQuarantined(t *testing.T) {
 	section := zcat(t, member)
 	readers := sectionReaders(t)
 	checkDecodes(t, readers, "intact", member, snap)
-	checkDecodes(t, readers, "intact text", section, snap)
 	refuse := func(what string, torn []byte) {
 		for reader, read := range readers {
 			if got, err := read(torn, snap); err == nil && got != nil {
@@ -341,11 +309,11 @@ func TestTornLineQuarantined(t *testing.T) {
 	first, trailer := bytes.IndexByte(section, '\n')+1, bytes.LastIndex(section, []byte("#end\t"))
 	for i := first; i < trailer; i++ {
 		if section[i] != '\n' { // inside a record line
-			refuse(fmt.Sprintf("byte %d deleted", i), append(section[:i:i], section[i+1:]...))
+			refuse(fmt.Sprintf("byte %d deleted", i), deflate(t, append(section[:i:i], section[i+1:]...)))
 		}
 	}
 	for n := range len(section) {
-		refuse(fmt.Sprintf("text cut at %d", n), section[:n])
+		refuse(fmt.Sprintf("text cut at %d", n), deflate(t, section[:n]))
 	}
 	for n := range len(member) {
 		refuse(fmt.Sprintf("member cut at %d", n), member[:n])
@@ -365,46 +333,5 @@ func TestMembersZcatToTheTextForm(t *testing.T) {
 	}
 	if got := zcat(t, archive); !bytes.Equal(got, want) {
 		t.Fatalf("zcat prints %d bytes that differ from the %d of testdata/archive-text.tsv", len(got), len(want))
-	}
-}
-
-// TestMixedFormsDecode: an archive holding text sections and members, in
-// either order, reads to the sweep's records through ReadArchive and
-// TailArchive; and a chunk file in either form through the checkpoint's
-// chunk reader, as a resume reads what an earlier writer left.
-func TestMixedFormsDecode(t *testing.T) {
-	days := sweep(t, sweepShapes[0])
-	member := func(d sweptDay) []byte { return d.section }
-	text := func(d sweptDay) []byte { return zcat(t, d.section) }
-	readers := sectionReaders(t)
-	for _, d := range days {
-		checkDecodes(t, map[string]func([]byte, *dataset.Snapshot) (*dataset.Snapshot, error){"LoadChunk": readers["LoadChunk"]},
-			fmt.Sprintf("%s as text", d.snap.Day), text(d), d.snap)
-	}
-	for name, forms := range map[string][2]func(sweptDay) []byte{
-		"text, then member": {text, member},
-		"member, then text": {member, text},
-	} {
-		archive := append(forms[0](days[0]), forms[1](days[1])...)
-		store, err := dataset.ReadArchiveStrict(bytes.NewReader(archive))
-		if err != nil {
-			t.Fatalf("%s: ReadArchive: %v", name, err)
-		}
-		path := filepath.Join(t.TempDir(), "mixed.tsv")
-		if err := os.WriteFile(path, archive, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		res, err := dataset.TailArchive(path, 0)
-		if err != nil || len(res.Events) != len(days) || res.Offset != int64(len(archive)) {
-			t.Fatalf("%s: TailArchive: %v, %d events to offset %d of %d bytes", name, err, len(res.Events), res.Offset, len(archive))
-		}
-		for i, d := range days {
-			if got := store.Get(d.snap.Day); got == nil || !reflect.DeepEqual(got.Records, d.snap.Records) {
-				t.Errorf("%s: ReadArchive: day %s differs from the sweep's", name, d.snap.Day)
-			}
-			if got := res.Events[i].Snap; got == nil || !reflect.DeepEqual(got.Records, d.snap.Records) {
-				t.Errorf("%s: TailArchive: day %s differs from the sweep's", name, d.snap.Day)
-			}
-		}
 	}
 }

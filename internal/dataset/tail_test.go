@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,8 +39,8 @@ func sectionBytes(t *testing.T, s *Snapshot) []byte {
 	return buf.Bytes()
 }
 
-// textSection renders one section in the text form earlier writers wrote:
-// what zcat prints of sectionBytes.
+// textSection renders one section's text: what zcat prints of
+// sectionBytes, and what a member holds.
 func textSection(t *testing.T, s *Snapshot) []byte {
 	t.Helper()
 	return textOf(sectionBytes(t, s))
@@ -123,15 +124,13 @@ func TestTailLeavesGrowingSection(t *testing.T) {
 	}
 }
 
-// TestTailTornSuperseded: a text section abandoned without a trailer
-// becomes final damage the moment a newer section follows it.
+// TestTailTornSuperseded: a member abandoned part-way, its decoder wanting
+// bytes the next member holds, becomes final damage the moment a newer
+// member follows it.
 func TestTailTornSuperseded(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.archive")
-	s1 := textSection(t, tailSnap(10, 3))
-	torn := s1[:len(s1)/2]
-	if !bytes.HasSuffix(torn, []byte("\n")) {
-		torn = s1[:bytes.LastIndexByte(s1[:len(s1)/2], '\n')+1]
-	}
+	s1 := sectionBytes(t, tailSnap(10, 3))
+	torn := s1[:len(memberHeader)+2]
 	s2 := sectionBytes(t, tailSnap(11, 2))
 	writeTail(t, path, torn, s2)
 
@@ -142,8 +141,8 @@ func TestTailTornSuperseded(t *testing.T) {
 	if len(snapshotsOf(res)) != 1 || snapshotsOf(res)[0].Day != 11 {
 		t.Fatalf("snapshots %+v, want just day 11", snapshotsOf(res))
 	}
-	if len(res.Quarantined()) != 1 || !strings.Contains(res.Quarantined()[0].Reason, "torn") {
-		t.Fatalf("quarantined %+v, want one torn-write entry", res.Quarantined())
+	if q := res.Quarantined(); len(q) != 1 || q[0].Offset != 0 || q[0].Reason != "damaged gzip member runs into the next section" {
+		t.Fatalf("quarantined %+v, want the torn member at byte 0", q)
 	}
 	if res.Offset != int64(len(torn)+len(s2)) {
 		t.Fatalf("Offset %d, want %d (torn section must be consumed once superseded)", res.Offset, len(torn)+len(s2))
@@ -289,8 +288,9 @@ func TestTailStrayAtEOFStaysPending(t *testing.T) {
 // cursor committed mid-batch equivalent to one committed at the end.
 func TestTailEventOffsetsAreResumePoints(t *testing.T) {
 	s1 := sectionBytes(t, tailSnap(10, 2))
-	corrupt := textSection(t, tailSnap(11, 2))
-	corrupt[bytes.IndexByte(corrupt, '\n')+2] ^= 0x20
+	text := textSection(t, tailSnap(11, 2))
+	text[bytes.IndexByte(text, '\n')+2] ^= 0x20
+	corrupt := memberOf(text)
 	s3 := sectionBytes(t, tailSnap(12, 3))
 	path := filepath.Join(t.TempDir(), "a.archive")
 	writeTail(t, path, s1, corrupt, []byte("stray\n"), s3)
@@ -319,7 +319,7 @@ func TestTailEventOffsetsAreResumePoints(t *testing.T) {
 	}
 }
 
-// TestDamageLocatedAlikeFromAnyStart: a text section with a bad record is
+// TestDamageLocatedAlikeFromAnyStart: a member with a bad record is
 // reported at the same absolute offset for the same reason — the record
 // named by its position in the section — wherever the scan started.
 func TestDamageLocatedAlikeFromAnyStart(t *testing.T) {
@@ -327,7 +327,7 @@ func TestDamageLocatedAlikeFromAnyStart(t *testing.T) {
 	lines := bytes.SplitAfter(textSection(t, tailSnap(11, 3)), []byte("\n"))
 	lines[2] = []byte("not a record\n")
 	path := filepath.Join(t.TempDir(), "a.archive")
-	writeTail(t, path, s1, bytes.Join(lines, nil))
+	writeTail(t, path, s1, memberOf(bytes.Join(lines, nil)))
 
 	for _, from := range []int64{0, int64(len(s1))} {
 		res, err := TailArchive(path, from)
@@ -354,40 +354,38 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // TestScannerStreams: the scanner reads no further ahead than its buffer.
-// Each event comes back once the reader has handed over that section and at
-// most one buffer more — never the archive — in text sections and members
-// alike.
+// Each event comes back once the reader has handed over that member and at
+// most one buffer more — never the archive.
 func TestScannerStreams(t *testing.T) {
-	for form, render := range map[string]func(*testing.T, *Snapshot) []byte{"text": textSection, "member": sectionBytes} {
-		var archive bytes.Buffer
-		var ends []int64
-		for day := simtime.Day(10); day < 60; day++ {
-			archive.Write(render(t, tailSnap(day, 10000)))
-			ends = append(ends, int64(archive.Len()))
+	var archive bytes.Buffer
+	var ends []int64
+	for day := simtime.Day(10); day < 60; day++ {
+		archive.Write(sectionBytes(t, tailSnap(day, 10000)))
+		ends = append(ends, int64(archive.Len()))
+	}
+	if archive.Len() < 4*scanBufSize {
+		t.Fatalf("an archive of %d bytes is too small against a %d-byte buffer to show anything", archive.Len(), scanBufSize)
+	}
+	in := &countingReader{r: &archive}
+	sc := newSectionScanner(in, 0)
+	for i, end := range ends {
+		ev, err := sc.next()
+		if err != nil || ev.Snap == nil || ev.End != end {
+			t.Fatalf("event %d: %+v, %v; want a snapshot ending at %d", i, ev, err, end)
 		}
-		if archive.Len() < 4*scanBufSize {
-			t.Fatalf("%s: an archive of %d bytes is too small against a %d-byte buffer to show anything", form, archive.Len(), scanBufSize)
+		if in.n > ev.End+scanBufSize {
+			t.Fatalf("event %d ends at %d, the reader has handed over %d bytes: more than one buffer ahead", i, ev.End, in.n)
 		}
-		in := &countingReader{r: &archive}
-		sc := newSectionScanner(in, 0)
-		for i, end := range ends {
-			ev, err := sc.next()
-			if err != nil || ev.Snap == nil || ev.End != end {
-				t.Fatalf("%s: event %d: %+v, %v; want a snapshot ending at %d", form, i, ev, err, end)
-			}
-			if in.n > ev.End+scanBufSize {
-				t.Fatalf("%s: event %d ends at %d, the reader has handed over %d bytes: more than one buffer ahead", form, i, ev.End, in.n)
-			}
-		}
-		if _, err := sc.next(); err != io.EOF {
-			t.Fatalf("%s: after the last section: %v, want io.EOF", form, err)
-		}
+	}
+	if _, err := sc.next(); err != io.EOF {
+		t.Fatalf("after the last section: %v, want io.EOF", err)
 	}
 }
 
 // TestEndOfInputStates: whatever the input ends in, the bytes TailArchive
-// leaves unconsumed are the bytes ReadArchive quarantines, for ReadArchive's
-// reasons — one scanner decides both.
+// leaves unconsumed are the bytes ReadArchive quarantines last, for
+// ReadArchive's reasons — one scanner decides both. Text after the last
+// member, whatever it holds, is a stray run nothing has superseded yet.
 func TestEndOfInputStates(t *testing.T) {
 	s1 := string(sectionBytes(t, tailSnap(10, 2)))
 	member := string(sectionBytes(t, tailSnap(11, 2)))
@@ -395,39 +393,31 @@ func TestEndOfInputStates(t *testing.T) {
 	header, rest, _ := strings.Cut(s2, "\n")
 	record, _, _ := strings.Cut(rest, "\n")
 	trailer := s2[strings.LastIndex(s2, trailerHeader):]
+	const stray = "bytes outside any gzip member"
 	for _, tc := range []struct {
 		name    string
 		tail    string   // what follows one intact section
-		blank   int      // leading bytes of tail that are consumed as blank lines
-		reasons []string // what ReadArchive makes of the rest, in order
+		final   int      // leading bytes of tail that are final damage, one event
+		reasons []string // what ReadArchive makes of the tail, in order
 	}{
-		{name: "open section", tail: header + "\n" + record + "\n",
-			reasons: []string{"truncated section (no trailer)"}},
-		{name: "stray run at EOF", tail: "\nstray\n\n", blank: 1,
-			reasons: []string{"records outside any section"}},
-		{name: "partial header", tail: header[:len(header)-3],
-			reasons: []string{"truncated section (no trailer)"}},
-		{name: "partial record", tail: header + "\n" + record[:len(record)/2],
-			reasons: []string{"truncated section (no trailer)"}},
-		{name: "partial trailer", tail: s2[:len(s2)-1],
-			reasons: []string{"malformed trailer"}},
-		{name: "partial line outside any section", tail: "\n\nstr", blank: 2,
-			reasons: []string{"records outside any section"}},
-		{name: "orphan trailer", tail: trailer,
-			reasons: []string{"trailer without a section"}},
+		{name: "open section", tail: header + "\n" + record + "\n", reasons: []string{stray}},
+		{name: "stray run at EOF", tail: "\nstray\n\n", reasons: []string{stray}},
+		{name: "partial header", tail: header[:len(header)-3], reasons: []string{stray}},
+		{name: "partial record", tail: header + "\n" + record[:len(record)/2], reasons: []string{stray}},
+		{name: "partial trailer", tail: s2[:len(s2)-1], reasons: []string{stray}},
+		{name: "partial line outside any section", tail: "\n\nstr", reasons: []string{stray}},
+		{name: "orphan trailer", tail: trailer, reasons: []string{stray}},
 		{name: "torn section before a partial header", tail: header + "\n" + record + "\n" + header[:len(header)-3],
-			reasons: []string{"missing trailer (torn write)", "truncated section (no trailer)"}},
-		{name: "blank lines after the last section", tail: "\n\n", blank: 2},
+			reasons: []string{stray}},
+		{name: "blank lines after the last section", tail: "\n\n", reasons: []string{stray}},
 		{name: "partial member", tail: member[:len(member)-1],
 			reasons: []string{"truncated gzip member"}},
-		{name: "partial member header", tail: member[:5],
-			reasons: []string{"records outside any section"}},
-		{name: "blank line before a partial member", tail: "\n" + member[:len(member)/2], blank: 1,
-			reasons: []string{"truncated gzip member"}},
+		{name: "partial member header", tail: member[:5], reasons: []string{stray}},
+		{name: "blank line before a partial member", tail: "\n" + member[:len(member)/2], final: 1,
+			reasons: []string{stray, "truncated gzip member"}},
 		{name: "open section before a partial member header", tail: header + "\n" + record + "\n" + member[:5],
-			reasons: []string{"truncated section (no trailer)"}},
-		{name: "partial member header after a stray line", tail: "stray\n" + member[:5],
-			reasons: []string{"records outside any section"}},
+			reasons: []string{stray}},
+		{name: "partial member header after a stray line", tail: "stray\n" + member[:5], reasons: []string{stray}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "a.archive")
@@ -436,8 +426,12 @@ func TestEndOfInputStates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := int64(len(s1) + tc.blank); len(res.Events) != 1 || res.Offset != want {
-				t.Fatalf("TailArchive: %d event(s) to offset %d, want the intact section and offset %d", len(res.Events), res.Offset, want)
+			events := 1
+			if tc.final > 0 {
+				events++
+			}
+			if want := int64(len(s1) + tc.final); len(res.Events) != events || res.Offset != want {
+				t.Fatalf("TailArchive: %d event(s) to offset %d, want %d to offset %d", len(res.Events), res.Offset, events, want)
 			}
 			store, report, err := ReadArchive(strings.NewReader(s1 + tc.tail))
 			if err != nil || store.Len() != 1 {
@@ -450,10 +444,31 @@ func TestEndOfInputStates(t *testing.T) {
 			if !reflect.DeepEqual(reasons, tc.reasons) {
 				t.Fatalf("ReadArchive quarantined %q, want %q", reasons, tc.reasons)
 			}
-			if len(reasons) > 0 && report.Quarantined[0].Offset != res.Offset {
-				t.Fatalf("ReadArchive's first damage starts at byte %d, TailArchive stopped at %d", report.Quarantined[0].Offset, res.Offset)
+			if undecided := report.Quarantined[events-1]; undecided.Offset != res.Offset {
+				t.Fatalf("ReadArchive's undecided damage starts at byte %d, TailArchive stopped at %d", undecided.Offset, res.Offset)
 			}
 		})
+	}
+}
+
+// TestTextArchiveRefused: an archive in the text form, as written before
+// each section became a gzip member, is refused whole by ReadArchive and
+// TailArchive, not salvaged as damage; text that follows a member is a stray
+// run.
+func TestTextArchiveRefused(t *testing.T) {
+	text := textSection(t, tailSnap(10, 2))
+	if _, _, err := ReadArchive(bytes.NewReader(text)); !errors.Is(err, ErrTextArchive) {
+		t.Errorf("ReadArchive: %v, want ErrTextArchive", err)
+	}
+	path := filepath.Join(t.TempDir(), "a.archive")
+	writeTail(t, path, text)
+	if _, err := TailArchive(path, 0); !errors.Is(err, ErrTextArchive) {
+		t.Errorf("TailArchive: %v, want ErrTextArchive", err)
+	}
+	member := sectionBytes(t, tailSnap(11, 2))
+	store, report, err := ReadArchive(bytes.NewReader(slices.Concat(member, text)))
+	if err != nil || store.Len() != 1 || len(report.Quarantined) != 1 || report.Quarantined[0].Offset != int64(len(member)) {
+		t.Errorf("a member, then text: %v, %d snapshot(s), %s", err, store.Len(), report)
 	}
 }
 
