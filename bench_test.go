@@ -8,6 +8,7 @@ package registrarsec
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -59,7 +60,7 @@ func BenchmarkTable1DatasetOverview(b *testing.B) {
 	b.ResetTimer()
 	var rows []TLDOverview
 	for i := 0; i < b.N; i++ {
-		rows = s.Table1()
+		rows = Table1(s.World.Index())
 	}
 	b.StopTimer()
 	text := RenderTable1(rows)
@@ -124,7 +125,7 @@ func BenchmarkFigure3OperatorCDF(b *testing.B) {
 	b.ResetTimer()
 	var all, partial, full []CDFPoint
 	for i := 0; i < b.N; i++ {
-		all, partial, full = s.Figure3()
+		all, partial, full = Figure3(s.World.Index())
 	}
 	b.StopTimer()
 	text := fmt.Sprintf("operators: %d (all) / %d (partial) / %d (full)\n", len(all), len(partial), len(full))
@@ -158,7 +159,7 @@ func BenchmarkFigure4OVHvsGoDaddy(b *testing.B) {
 	b.ResetTimer()
 	var ovh, gd []SeriesPoint
 	for i := 0; i < b.N; i++ {
-		ovh, gd = s.Figure4(30)
+		ovh, gd = Figure4(s.World.Index(), 30)
 	}
 	b.StopTimer()
 	text := seriesText("OVH    ", ovh, 4) + seriesText("GoDaddy", gd, 4)
@@ -174,10 +175,10 @@ func BenchmarkFigure5LoopiaKPN(b *testing.B) {
 	b.ResetTimer()
 	var loopiaSE, loopiaCOM, kpnNL, kpnCOM []SeriesPoint
 	for i := 0; i < b.N; i++ {
-		loopiaSE = s.Series("loopia.se", "se", simtime.SEStart, simtime.End, 30)
-		loopiaCOM = s.Series("loopia.se", "com", simtime.GTLDStart, simtime.End, 60)
-		kpnNL = s.Series("is.nl", "nl", simtime.NLStart, simtime.End, 30)
-		kpnCOM = s.Series("is.nl", "com", simtime.GTLDStart, simtime.End, 60)
+		loopiaSE = s.World.Index().Series("loopia.se", "se", simtime.SEStart, simtime.End, 30)
+		loopiaCOM = s.World.Index().Series("loopia.se", "com", simtime.GTLDStart, simtime.End, 60)
+		kpnNL = s.World.Index().Series("is.nl", "nl", simtime.NLStart, simtime.End, 30)
+		kpnCOM = s.World.Index().Series("is.nl", "com", simtime.GTLDStart, simtime.End, 60)
 	}
 	b.StopTimer()
 	last := func(p []SeriesPoint) SeriesPoint { return p[len(p)-1] }
@@ -195,10 +196,10 @@ func BenchmarkFigure6AntagonistBinero(b *testing.B) {
 	b.ResetTimer()
 	var antCOM, antNL, binSE, binCOM []SeriesPoint
 	for i := 0; i < b.N; i++ {
-		antCOM = s.Series("webhostingserver.nl", "com", simtime.GTLDStart, simtime.End, 30)
-		antNL = s.Series("webhostingserver.nl", "nl", simtime.NLStart, simtime.End, 60)
-		binSE = s.Series("binero.se", "se", simtime.SEStart, simtime.End, 60)
-		binCOM = s.Series("binero.se", "com", simtime.GTLDStart, simtime.End, 60)
+		antCOM = s.World.Index().Series("webhostingserver.nl", "com", simtime.GTLDStart, simtime.End, 30)
+		antNL = s.World.Index().Series("webhostingserver.nl", "nl", simtime.NLStart, simtime.End, 60)
+		binSE = s.World.Index().Series("binero.se", "se", simtime.SEStart, simtime.End, 60)
+		binCOM = s.World.Index().Series("binero.se", "com", simtime.GTLDStart, simtime.End, 60)
 	}
 	b.StopTimer()
 	last := func(p []SeriesPoint) SeriesPoint { return p[len(p)-1] }
@@ -217,9 +218,9 @@ func BenchmarkFigure7TransIPPCExtreme(b *testing.B) {
 	b.ResetTimer()
 	var pcx, tipCOM, tipSE []SeriesPoint
 	for i := 0; i < b.N; i++ {
-		pcx = s.Series("pcextreme.nl", "com", simtime.GTLDStart-20, simtime.End, 5)
-		tipCOM = s.Series("transip.net", "com", simtime.GTLDStart, simtime.End, 60)
-		tipSE = s.Series("transip.net", "se", simtime.SEStart, simtime.End, 30)
+		pcx = s.World.Index().Series("pcextreme.nl", "com", simtime.GTLDStart-20, simtime.End, 5)
+		tipCOM = s.World.Index().Series("transip.net", "com", simtime.GTLDStart, simtime.End, 60)
+		tipSE = s.World.Index().Series("transip.net", "se", simtime.SEStart, simtime.End, 30)
 	}
 	b.StopTimer()
 	last := func(p []SeriesPoint) SeriesPoint { return p[len(p)-1] }
@@ -238,7 +239,7 @@ func BenchmarkFigure8Cloudflare(b *testing.B) {
 	b.ResetTimer()
 	var cf []SeriesPoint
 	for i := 0; i < b.N; i++ {
-		cf = s.Figure8(15)
+		cf = Figure8(s.World.Index(), 15)
 	}
 	b.StopTimer()
 	text := ""
@@ -256,19 +257,19 @@ func BenchmarkFigure8Cloudflare(b *testing.B) {
 
 // ------------------------------------------------------- live-scan check
 
-func BenchmarkScanSampleVerification(b *testing.B) {
+func BenchmarkMeasureVerification(b *testing.B) {
 	s := getStudy(b)
-	ctx := context.Background()
+	cfg := LongitudinalConfig{Days: []Day{simtime.End}, Sample: 200, Workers: 8, Archive: filepath.Join(b.TempDir(), "scans.tsv")}
 	b.ResetTimer()
-	var snap *Snapshot
+	var idx *Index
 	for i := 0; i < b.N; i++ {
 		var err error
-		snap, _, err = s.ScanSample(ctx, simtime.End, 200, 8)
-		if err != nil {
+		if idx, err = s.Measure(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
+	snap := idx.Snapshot(simtime.End)
 	counts := map[Deployment]int{}
 	for i := range snap.Records {
 		counts[snap.Records[i].Deployment()]++
@@ -350,7 +351,7 @@ func BenchmarkAblationCDS(b *testing.B) {
 				relay = tldsim.DSSpec{Mode: tldsim.DSWithKey}
 			}
 			world := simulateCDSWorld(b, relay)
-			pts := world.SeriesFor("cloudflare.com", "", simtime.End, simtime.End, 1)
+			pts := world.Index().Series("cloudflare.com", "", simtime.End, simtime.End, 1)
 			gap = pts[0].PctDSGivenDNSKEY()
 		}
 		return gap

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"maps"
@@ -32,12 +31,12 @@ func reportRows(d dayRows, tlds []string) []analysis.TLDOverview {
 	return out
 }
 
-// TestArchiveFoldMatchesReference sweeps a seeded sample over four days,
-// clean and under faults, and folds each day's section as the report does.
-// Every day's Table 1 and the final day's two operator CDFs must equal the
-// record-at-a-time reference over the same sections, read with colstore's
-// Failed rule: a domain keeps its last measured record through the days it
-// could not be measured.
+// TestArchiveFoldMatchesReference measures a seeded sample over four days,
+// clean and under faults, and folds the archive Measure wrote as the report
+// does. Every day's Table 1 and the final day's two operator CDFs must
+// equal the record-at-a-time reference over the same sections, read with
+// colstore's Failed rule: a domain keeps its last measured record through
+// the days it could not be measured.
 func TestArchiveFoldMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a world and sweeps it")
@@ -60,20 +59,19 @@ func TestArchiveFoldMatchesReference(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			archive, err := study.ScanLongitudinal(context.Background(), registrarsec.LongitudinalConfig{
-				Days: days, Sample: 300, Workers: 8, Shards: 2, FaultSeed: 7, Rules: tc.rules,
-			})
-			if err != nil {
+			path := filepath.Join(t.TempDir(), "scans.tsv")
+			if _, err := study.Measure(context.Background(), registrarsec.LongitudinalConfig{
+				Days: days, Sample: 300, Workers: 8, Shards: 2, FaultSeed: 7, Rules: tc.rules, Archive: path,
+			}); err != nil {
 				t.Fatal(err)
 			}
-			fold := newArchiveFold()
+			fold := &archiveFold{tlds: map[string]bool{}}
 			latest := map[string]dataset.Record{}
 			measuredThenFailed := 0
 			var ref *dataset.Snapshot
-			for k, day := range archive.Days() {
-				snap := archive.Get(day)
-				if err := fold.add(snap); err != nil {
-					t.Fatal(err)
+			idx, _, err := colstore.FoldArchive(path, func(snap *dataset.Snapshot, idx *colstore.Index) error {
+				if err := fold.add(snap, idx); err != nil {
+					return err
 				}
 				for _, r := range snap.Records {
 					if !r.Failed {
@@ -82,15 +80,19 @@ func TestArchiveFoldMatchesReference(t *testing.T) {
 						measuredThenFailed++
 					}
 				}
-				ref = &dataset.Snapshot{Day: day}
+				ref = &dataset.Snapshot{Day: snap.Day}
 				for _, r := range latest {
 					ref.Records = append(ref.Records, r)
 				}
 				ref.Canonicalize()
 				tlds := slices.Sorted(maps.Keys(fold.tlds))
-				if got, want := reportRows(fold.days[k], tlds), analysis.Overview(ref, tlds); !reflect.DeepEqual(got, want) {
-					t.Errorf("day %s: Table 1\ngot  %v\nwant %v", day, got, want)
+				if got, want := reportRows(fold.days[len(fold.days)-1], tlds), analysis.Overview(ref, tlds); !reflect.DeepEqual(got, want) {
+					t.Errorf("day %s: Table 1\ngot  %v\nwant %v", snap.Day, got, want)
 				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 			t.Logf("%d domains, %d failed after being measured", len(latest), measuredThenFailed)
 			if tc.rules != nil && measuredThenFailed == 0 {
@@ -100,7 +102,7 @@ func TestArchiveFoldMatchesReference(t *testing.T) {
 				class  colstore.Class
 				filter analysis.Filter
 			}{{colstore.ClassAny, analysis.All}, {colstore.ClassFull, analysis.FullyDeployed}} {
-				got, want := fold.idx.OperatorCDF(ref.Day, c.class), analysis.OperatorCDF(ref, c.filter)
+				got, want := idx.OperatorCDF(ref.Day, c.class), analysis.OperatorCDF(ref, c.filter)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("final day, class %d: operator CDF\ngot  %v\nwant %v", c.class, got, want)
 				}
@@ -119,8 +121,8 @@ func TestReportAgreesWithAPI(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fold := newArchiveFold()
-	if _, err := dataset.ScanArchive(bytes.NewReader(raw), fold.add); err != nil {
+	fold := &archiveFold{tlds: map[string]bool{}}
+	if _, _, err := colstore.FoldArchive(path, fold.add); err != nil {
 		t.Fatal(err)
 	}
 	tlds := slices.Sorted(maps.Keys(fold.tlds))

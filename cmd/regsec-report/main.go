@@ -63,17 +63,18 @@ func run() int {
 		return 1
 	}
 
+	idx := study.World.Index()
 	runAll := *artifact == "all"
 	did := false
 
 	if runAll || *artifact == "table1" {
 		did = true
 		fmt.Println("Table 1 — dataset overview at 2016-12-31:")
-		fmt.Println(registrarsec.RenderTable1(study.Table1()))
+		fmt.Println(registrarsec.RenderTable1(registrarsec.Table1(idx)))
 	}
 	if runAll || *artifact == "figure3" {
 		did = true
-		all, partial, full := study.Figure3()
+		all, partial, full := registrarsec.Figure3(idx)
 		fmt.Println("Figure 3 — cumulative distribution of gTLD domains by DNS operator:")
 		fmt.Printf("  operators: all=%d partial=%d full=%d\n", len(all), len(partial), len(full))
 		fmt.Printf("  to cover 50%%: all=%d partial=%d full=%d (paper: 26/4/2)\n",
@@ -83,13 +84,13 @@ func run() int {
 		fmt.Println("  rank,cum_all,cum_partial,cum_full")
 		for _, rank := range []int{1, 2, 4, 10, 26, 100, 1000} {
 			fmt.Printf("  %d,%.3f,%.3f,%.3f\n", rank,
-				cumAt(all, rank), cumAt(partial, rank), cumAt(full, rank))
+				analysis.CoverageOfTop(all, rank), analysis.CoverageOfTop(partial, rank), analysis.CoverageOfTop(full, rank))
 		}
 		fmt.Println()
 	}
 
 	series := func(title, op, tld string, from registrarsec.Day) {
-		pts := study.Series(op, tld, from, simtime.End, *step)
+		pts := idx.Series(op, tld, from, simtime.End, *step)
 		fmt.Printf("%s (%s/.%s)\nday,total,pct_dnskey,pct_full\n", title, op, orAll(tld))
 		for _, p := range pts {
 			fmt.Printf("%s,%d,%.3f,%.3f\n", p.Day, p.Total, p.PctDNSKEY(), p.PctFull())
@@ -123,7 +124,7 @@ func run() int {
 	}
 	if runAll || *artifact == "figure8" {
 		did = true
-		pts := study.Figure8(*step)
+		pts := registrarsec.Figure8(idx, *step)
 		fmt.Println("Figure 8 — Cloudflare (cloudflare.com)\nday,total,pct_dnskey,pct_ds_given_dnskey")
 		for _, p := range pts {
 			fmt.Printf("%s,%d,%.3f,%.3f\n", p.Day, p.Total, p.PctDNSKEY(), p.PctDSGivenDNSKEY())
@@ -143,13 +144,8 @@ func run() int {
 // instead of mis-parsing, and each section it verifies is folded into the
 // colstore engine as regsec-api folds it, one section in memory at a time.
 func reportArchive(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fold := newArchiveFold()
-	report, err := dataset.ScanArchive(f, fold.add)
+	fold := &archiveFold{tlds: map[string]bool{}}
+	idx, report, err := colstore.FoldArchive(path, fold.add)
 	if err != nil {
 		return err
 	}
@@ -172,19 +168,17 @@ func reportArchive(path string) error {
 		}
 	}
 	final := fold.days[len(fold.days)-1].day
-	all := fold.idx.OperatorCDF(final, colstore.ClassAny)
-	full := fold.idx.OperatorCDF(final, colstore.ClassFull)
+	all := idx.OperatorCDF(final, colstore.ClassAny)
+	full := idx.OperatorCDF(final, colstore.ClassFull)
 	fmt.Printf("final day: %d operators; 50%% coverage needs %d (all) / %d (full)\n",
 		len(all), analysis.OperatorsToCover(all, 0.5), analysis.OperatorsToCover(full, 0.5))
 	return nil
 }
 
-// archiveFold is what the report keeps of an archive: the ingester, the
-// index frozen after the section folded last, each day's Table 1 rows, and
-// every TLD a record names, Failed records included.
+// archiveFold is what the report keeps of an archive beside the fold: each
+// day's Table 1 rows, and every TLD a record names, Failed records
+// included.
 type archiveFold struct {
-	ing  *colstore.Ingester
-	idx  *colstore.Index
 	days []dayRows
 	tlds map[string]bool
 }
@@ -195,36 +189,18 @@ type dayRows struct {
 	rows    map[string]analysis.TLDOverview
 }
 
-func newArchiveFold() *archiveFold {
-	return &archiveFold{ing: colstore.NewIngester(), tlds: map[string]bool{}}
-}
-
-// add folds one section in, freezes, and keeps the day's rows: regsec-api's
-// commit, with the Table 1 query it would answer for the day. A day's rows
-// are the state after its section, so sections must ascend by day: one
-// older than a section already folded is refused, not answered from later
-// observations.
-func (a *archiveFold) add(snap *dataset.Snapshot) error {
-	if n := len(a.days); n > 0 && snap.Day < a.days[n-1].day {
-		return fmt.Errorf("archive section %s follows section %s: sections must ascend by day", snap.Day, a.days[n-1].day)
-	}
+// add keeps a folded section's rows: the Table 1 regsec-api would answer
+// for the day once it had committed the section.
+func (a *archiveFold) add(snap *dataset.Snapshot, idx *colstore.Index) error {
 	for i := range snap.Records {
 		a.tlds[snap.Records[i].TLD] = true
 	}
-	if _, err := a.ing.AppendDay(snap); err != nil {
-		return err
-	}
-	a.idx = a.ing.Freeze()
 	rows := map[string]analysis.TLDOverview{}
-	for _, row := range a.idx.Overview(snap.Day, a.idx.TLDs()) {
+	for _, row := range idx.Overview(snap.Day, idx.TLDs()) {
 		rows[row.TLD] = row
 	}
 	a.days = append(a.days, dayRows{snap.Day, len(snap.Records), rows})
 	return nil
-}
-
-func cumAt(cdf []registrarsec.CDFPoint, rank int) float64 {
-	return analysis.CoverageOfTop(cdf, rank)
 }
 
 func orAll(tld string) string {

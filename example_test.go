@@ -3,6 +3,7 @@ package registrarsec_test
 import (
 	"context"
 	"fmt"
+	"log"
 
 	"securepki.org/registrarsec"
 )
@@ -47,4 +48,24 @@ func ExampleNewStudy() {
 	}
 	fmt.Println(obs.Registrar, "needs a fee for hosted DNSSEC:", obs.HostedNeededFee)
 	// Output: GoDaddy needs a fee for hosted DNSSEC: true
+}
+
+// Example_library is README's library snippet.
+func Example_library() {
+	study, err := registrarsec.NewStudy(registrarsec.Options{Scale: 1.0 / 1000})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Probe the top-20 registrars, and read Figure 4 off the model.
+	fmt.Println(study.RenderTable2(study.ProbeTable2()))
+	ovh, godaddy := registrarsec.Figure4(study.World.Index(), 30)
+	fmt.Println(ovh[len(ovh)-1].PctFull(), godaddy[len(godaddy)-1].PctFull())
+	// Measure a day of real signed DNS, and read Table 1 off the archive.
+	measured, err := study.Measure(context.Background(), registrarsec.LongitudinalConfig{
+		Days: []registrarsec.Day{registrarsec.WindowEnd}, Sample: 1000, Archive: "scans.tsv",
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(registrarsec.RenderTable1(registrarsec.Table1(measured)))
 }

@@ -31,9 +31,11 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"os"
 	"strings"
 
 	"securepki.org/registrarsec/internal/dataset"
+	"securepki.org/registrarsec/internal/simtime"
 )
 
 // Ingester accumulates observed daily snapshots into mutable columns and
@@ -217,6 +219,40 @@ func (g *Ingester) AppendDay(snap *dataset.Snapshot) (skipped int, err error) {
 		g.fullDay[row] = deriveFullDay(g.keyDay[row], g.dsDay[row], g.flags[row])
 	}
 	return skipped, nil
+}
+
+// FoldArchive folds the archive file at path into a fresh Ingester one
+// verified section at a time, as regsec-api commits it: dataset.ScanArchive
+// quarantines damage into the returned report, and every section it
+// verifies is appended and frozen after. each, when non-nil, sees the
+// section and the index frozen after it. That index answers for the
+// section's day only when no later day is in it, so sections must ascend
+// by day: one older than a section already folded is refused, not answered
+// from later observations. The returned index is the last frozen, nil when
+// no section verified.
+func FoldArchive(path string, each func(*dataset.Snapshot, *Index) error) (*Index, *dataset.ArchiveReport, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	ing := NewIngester()
+	var idx *Index
+	var last simtime.Day
+	report, err := dataset.ScanArchive(f, func(snap *dataset.Snapshot) error {
+		if idx != nil && snap.Day < last {
+			return fmt.Errorf("archive section %s follows section %s: sections must ascend by day", snap.Day, last)
+		}
+		if _, err := ing.AppendDay(snap); err != nil {
+			return err
+		}
+		idx, last = ing.Freeze(), snap.Day
+		if each == nil {
+			return nil
+		}
+		return each(snap, idx)
+	})
+	return idx, report, err
 }
 
 // appendRow creates the row for a domain's first observation; slot is

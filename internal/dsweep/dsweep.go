@@ -100,13 +100,13 @@ func (p *Plan) validate() error {
 		return fmt.Errorf("dsweep: plan fingerprint %q is not its spec's (%q)",
 			p.Fingerprint, p.Spec.Fingerprint(p.Days, p.Shards, p.Chunk))
 	}
-	return checkDays(p.Days)
+	return CheckDays(p.Days)
 }
 
-// checkDays requires a plan's days to ascend strictly: a sweep writes its
+// CheckDays requires a plan's days to ascend strictly: a sweep writes its
 // archive's sections in plan order, and the archive's readers fold them
 // oldest first.
-func checkDays(days []simtime.Day) error {
+func CheckDays(days []simtime.Day) error {
 	for i := 1; i < len(days); i++ {
 		if days[i] <= days[i-1] {
 			return fmt.Errorf("dsweep: plan day %s does not follow %s (days must ascend, each once)", days[i], days[i-1])

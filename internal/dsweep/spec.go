@@ -19,10 +19,10 @@ import (
 )
 
 // WorldSpec is the one declaration of a sweep: the world, the sample, the
-// query stack and the sweep-wide faults. The facade (Study.ScanLongitudinal,
-// ScanDistributed, ScanSample), regsec-scan, regsec-sweepd and every worker
-// translate what they are given into a spec and hand it to BuildStreamWith,
-// the only assembler; the fingerprint is an encoding of the same value. It
+// query stack and the sweep-wide faults. The facade (Study.Measure),
+// regsec-scan, regsec-sweepd and every worker translate what they are given
+// into a spec and hand it to BuildStreamWith, the only assembler; the
+// fingerprint is an encoding of the same value. It
 // travels inside the Plan, so a remote worker process needs only the
 // coordinator's address — determinism of the world builder and the scan
 // engine guarantees every worker sees the same targets and produces the
@@ -132,7 +132,7 @@ func RegisterPlanFlags(fs *flag.FlagSet) func() (Plan, error) {
 			}
 			days = append(days, day)
 		}
-		if err := checkDays(days); err != nil {
+		if err := CheckDays(days); err != nil {
 			return Plan{}, err
 		}
 		return spec.PlanFor(days, *shards, *chunk), nil

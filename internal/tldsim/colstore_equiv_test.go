@@ -84,7 +84,7 @@ func TestColstoreSeriesEquivalence(t *testing.T) {
 			from := simtime.Day(rng.Intn(1100) - 300)
 			to := from + simtime.Day(rng.Intn(600)-60)
 			step := rng.Intn(45) - 5
-			got := w.SeriesFor(operator, tld, from, to, step)
+			got := w.Index().Series(operator, tld, from, to, step)
 			want := referenceSeries(w.domains, operator, tld, from, to, step)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("world %d trial %d: series diverges for op=%s tld=%q [%v,%v] step %d",
@@ -180,11 +180,11 @@ func TestColstoreRegistrarTallyEquivalence(t *testing.T) {
 					legacyKeyed[d.Registrar]++
 				}
 			}
-			if got := w.DomainsByRegistrar(tlds...); !reflect.DeepEqual(got, legacyAll) {
+			if got := w.Index().DomainsByRegistrar(tlds...); !reflect.DeepEqual(got, legacyAll) {
 				t.Fatalf("world %d tlds %v: DomainsByRegistrar diverges", wi, tlds)
 			}
-			if got := w.DNSKEYDomainsByRegistrar(simtime.End, tlds...); !reflect.DeepEqual(got, legacyKeyed) {
-				t.Fatalf("world %d tlds %v: DNSKEYDomainsByRegistrar diverges", wi, tlds)
+			if got := w.Index().DNSKEYByRegistrar(simtime.End, tlds...); !reflect.DeepEqual(got, legacyKeyed) {
+				t.Fatalf("world %d tlds %v: DNSKEYByRegistrar diverges", wi, tlds)
 			}
 		}
 	}

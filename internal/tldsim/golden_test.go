@@ -94,7 +94,7 @@ func TestWorldQueryGoldenDigests(t *testing.T) {
 			}
 			who := fmt.Sprintf("the index at %d workers", workers)
 			check(who, snapKey, snapshotDigest(t, w.Index().Snapshot(simtime.End)))
-			check(who, seriesKey, seriesDigest(w.SeriesFor(operator, "", simtime.GTLDStart, simtime.End, 1)))
+			check(who, seriesKey, seriesDigest(w.Index().Series(operator, "", simtime.GTLDStart, simtime.End, 1)))
 		}
 		ref := referenceDomains(t, cfg)
 		check("the reference projection", snapKey, snapshotDigest(t, referenceSnapshot(ref, simtime.End)))

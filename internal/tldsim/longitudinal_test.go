@@ -70,7 +70,7 @@ func TestLongitudinalScanMatchesModelSeries(t *testing.T) {
 			t.Fatalf("%s: %d scanned points", operator, len(scanned))
 		}
 		for i, day := range days {
-			model := w.SeriesFor(operator, "", day, day, 1)[0]
+			model := w.Index().Series(operator, "", day, day, 1)[0]
 			got := scanned[i]
 			if got.Total != model.Total || got.WithDNSKEY != model.WithDNSKEY ||
 				got.WithDS != model.WithDS || got.Full != model.Full {

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"sync"
 
-	"securepki.org/registrarsec/internal/analysis"
 	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
@@ -476,26 +475,4 @@ func solveExponent(lnI []float64, ratio float64) float64 {
 		}
 		s = next
 	}
-}
-
-// SeriesFor computes a daily deployment series for one operator (all its
-// TLDs when tld == "", one otherwise) on the columnar engine: the
-// operator's day-sorted event groups are swept once with advancing
-// cursors, so an N-day series costs O(operator events + days) instead of
-// a full population scan plus per-query sorting.
-func (w *World) SeriesFor(operator, tld string, from, to simtime.Day, stepDays int) []analysis.SeriesPoint {
-	return w.Index().Series(operator, tld, from, to, stepDays)
-}
-
-// DomainsByRegistrar tallies scaled population per named registrar in the
-// given TLDs (for the Table 2 "Domains" column), via the dense registrar
-// ID column.
-func (w *World) DomainsByRegistrar(tlds ...string) map[string]int {
-	return w.Index().DomainsByRegistrar(tlds...)
-}
-
-// DNSKEYDomainsByRegistrar tallies DNSKEY-publishing domains per named
-// registrar at the given day (for the Table 3 column).
-func (w *World) DNSKEYDomainsByRegistrar(day simtime.Day, tlds ...string) map[string]int {
-	return w.Index().DNSKEYByRegistrar(day, tlds...)
 }

@@ -71,10 +71,10 @@ func TestStreamingMatchesLegacy(t *testing.T) {
 		}
 	}
 	for _, op := range []string{"ovh.net", "cloudflare.com", "tail0000.com-hosting.example"} {
-		got := stream.SeriesFor(op, "", simtime.GTLDStart, simtime.End, 30)
+		got := stream.Index().Series(op, "", simtime.GTLDStart, simtime.End, 30)
 		want := referenceSeries(ref, op, "", simtime.GTLDStart, simtime.End, 30)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("SeriesFor(%s) diverges from the reference scan", op)
+			t.Fatalf("Series(%s) diverges from the reference scan", op)
 		}
 	}
 	// Samples must coincide too: the sweep pipeline scans identical
@@ -117,12 +117,12 @@ func TestWorldSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal("snapshot diverges after round trip")
 	}
 	series := func(w *World) []analysis.SeriesPoint {
-		return w.SeriesFor("ovh.net", "", simtime.GTLDStart, simtime.End, 30)
+		return w.Index().Series("ovh.net", "", simtime.GTLDStart, simtime.End, 30)
 	}
 	if !reflect.DeepEqual(series(loaded), series(w)) {
 		t.Fatal("series diverges after round trip")
 	}
-	if !reflect.DeepEqual(loaded.DomainsByRegistrar(GTLDs...), w.DomainsByRegistrar(GTLDs...)) {
+	if !reflect.DeepEqual(loaded.Index().DomainsByRegistrar(GTLDs...), w.Index().DomainsByRegistrar(GTLDs...)) {
 		t.Fatal("registrar tally diverges after round trip")
 	}
 }

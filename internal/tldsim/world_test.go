@@ -122,8 +122,8 @@ func TestFigure3OperatorConcentration(t *testing.T) {
 
 func TestFigure4OVHvsGoDaddy(t *testing.T) {
 	w := testWorld(t)
-	ovh := w.SeriesFor("ovh.net", "", simtime.GTLDStart, simtime.End, 30)
-	gd := w.SeriesFor("domaincontrol.com", "", simtime.GTLDStart, simtime.End, 30)
+	ovh := w.Index().Series("ovh.net", "", simtime.GTLDStart, simtime.End, 30)
+	gd := w.Index().Series("domaincontrol.com", "", simtime.GTLDStart, simtime.End, 30)
 	ovhStart, ovhEnd := ovh[0].PctFull(), ovh[len(ovh)-1].PctFull()
 	within(t, "OVH full%% at start", ovhStart, 18.3, 2.5)
 	within(t, "OVH full%% at end", ovhEnd, 25.9, 2.5)
@@ -143,9 +143,9 @@ func TestFigure4OVHvsGoDaddy(t *testing.T) {
 func TestFigure5LoopiaKPNPartialByTLD(t *testing.T) {
 	w := testWorld(t)
 	// Loopia: .se essentially fully deployed, gTLDs signed but DS-less.
-	se := w.SeriesFor("loopia.se", "se", simtime.SEStart, simtime.End, 30)
+	se := w.Index().Series("loopia.se", "se", simtime.SEStart, simtime.End, 30)
 	within(t, "Loopia .se full%%", se[len(se)-1].PctFull(), 93, 4)
-	com := w.SeriesFor("loopia.se", "com", simtime.GTLDStart, simtime.End, 60)
+	com := w.Index().Series("loopia.se", "com", simtime.GTLDStart, simtime.End, 60)
 	last := com[len(com)-1]
 	if last.PctFull() > 1 {
 		t.Errorf("Loopia .com full%% = %.2f, want ~0", last.PctFull())
@@ -154,9 +154,9 @@ func TestFigure5LoopiaKPNPartialByTLD(t *testing.T) {
 		t.Errorf("Loopia .com DNSKEY%% = %.2f, want >90 (signed but partial)", last.PctDNSKEY())
 	}
 	// KPN mirrors it for .nl.
-	nl := w.SeriesFor("is.nl", "nl", simtime.NLStart, simtime.End, 30)
+	nl := w.Index().Series("is.nl", "nl", simtime.NLStart, simtime.End, 30)
 	within(t, "KPN .nl full%%", nl[len(nl)-1].PctFull(), 96, 4)
-	kcom := w.SeriesFor("is.nl", "com", simtime.GTLDStart, simtime.End, 60)
+	kcom := w.Index().Series("is.nl", "com", simtime.GTLDStart, simtime.End, 60)
 	if kcom[len(kcom)-1].PctFull() > 1 {
 		t.Errorf("KPN .com full%% = %.2f, want ~0", kcom[len(kcom)-1].PctFull())
 	}
@@ -165,7 +165,7 @@ func TestFigure5LoopiaKPNPartialByTLD(t *testing.T) {
 func TestFigure6AntagonistBinero(t *testing.T) {
 	w := testWorld(t)
 	// Antagonist: gradual renewal-driven ramp in the gTLDs to ~52.7%.
-	ant := w.SeriesFor("webhostingserver.nl", "com", simtime.GTLDStart, simtime.End, 30)
+	ant := w.Index().Series("webhostingserver.nl", "com", simtime.GTLDStart, simtime.End, 30)
 	first, last := ant[0], ant[len(ant)-1]
 	within(t, "Antagonist .com full%% at end", last.PctFull(), 52.7, 10)
 	if first.PctFull() > 45 {
@@ -177,19 +177,19 @@ func TestFigure6AntagonistBinero(t *testing.T) {
 		t.Errorf("Antagonist ramp too slow: %.1f%% at mid-window", mid.PctFull())
 	}
 	// .nl stays high throughout.
-	nl := w.SeriesFor("webhostingserver.nl", "nl", simtime.NLStart, simtime.End, 60)
+	nl := w.Index().Series("webhostingserver.nl", "nl", simtime.NLStart, simtime.End, 60)
 	within(t, "Antagonist .nl full%%", nl[len(nl)-1].PctFull(), 95.4, 4)
 
 	// Binero: .se high, gTLDs ~37.8%, both roughly flat.
-	se := w.SeriesFor("binero.se", "se", simtime.SEStart, simtime.End, 60)
+	se := w.Index().Series("binero.se", "se", simtime.SEStart, simtime.End, 60)
 	within(t, "Binero .se full%%", se[len(se)-1].PctFull(), 92.9, 4)
-	com := w.SeriesFor("binero.se", "com", simtime.GTLDStart, simtime.End, 60)
+	com := w.Index().Series("binero.se", "com", simtime.GTLDStart, simtime.End, 60)
 	within(t, "Binero .com full%%", com[len(com)-1].PctFull(), 37.8, 4)
 }
 
 func TestFigure7PCExtremeStepAndTransIP(t *testing.T) {
 	w := testWorld(t)
-	pcx := w.SeriesFor("pcextreme.nl", "com", simtime.GTLDStart-20, simtime.End, 1)
+	pcx := w.Index().Series("pcextreme.nl", "com", simtime.GTLDStart-20, simtime.End, 1)
 	at := func(day simtime.Day) analysis.SeriesPoint {
 		return pcx[int(day-(simtime.GTLDStart-20))]
 	}
@@ -208,13 +208,13 @@ func TestFigure7PCExtremeStepAndTransIP(t *testing.T) {
 	within(t, "PCExtreme end full%%", pcx[len(pcx)-1].PctFull(), 97.0, 3)
 
 	// TransIP: near-total where it is the registrar...
-	com := w.SeriesFor("transip.net", "com", simtime.GTLDStart, simtime.End, 60)
+	com := w.Index().Series("transip.net", "com", simtime.GTLDStart, simtime.End, 60)
 	within(t, "TransIP .com full%%", com[len(com)-1].PctFull(), 97, 3)
 	// ...but only ~48.4% for .se, where the KeySystems partnership gates
 	// DS uploads, ramping only after enablement.
-	se := w.SeriesFor("transip.net", "se", simtime.SEStart, simtime.End, 10)
+	se := w.Index().Series("transip.net", "se", simtime.SEStart, simtime.End, 10)
 	within(t, "TransIP .se full%% at end", se[len(se)-1].PctFull(), 48.4, 9)
-	preEnable := w.SeriesFor("transip.net", "se", keySystemsDSDay-30, keySystemsDSDay-1, 29)
+	preEnable := w.Index().Series("transip.net", "se", keySystemsDSDay-30, keySystemsDSDay-1, 29)
 	if preEnable[0].PctFull() > 2 {
 		t.Errorf("TransIP .se full before KeySystems enablement: %.1f%%", preEnable[0].PctFull())
 	}
@@ -222,7 +222,7 @@ func TestFigure7PCExtremeStepAndTransIP(t *testing.T) {
 
 func TestFigure8CloudflareDSGap(t *testing.T) {
 	w := testWorld(t)
-	cf := w.SeriesFor("cloudflare.com", "", simtime.GTLDStart, simtime.End, 10)
+	cf := w.Index().Series("cloudflare.com", "", simtime.GTLDStart, simtime.End, 10)
 	// Nothing before the universal DNSSEC launch.
 	for _, p := range cf {
 		if p.Day < simtime.CloudflareUniversalDNSSEC && p.WithDNSKEY > 0 {
@@ -344,11 +344,11 @@ func TestWorldDeterminism(t *testing.T) {
 
 func TestRegistrarAggregations(t *testing.T) {
 	w := testWorld(t)
-	byReg := w.DomainsByRegistrar("com", "net", "org")
+	byReg := w.Index().DomainsByRegistrar("com", "net", "org")
 	if byReg["GoDaddy"] < 30000 {
 		t.Errorf("GoDaddy gTLD domains: %d", byReg["GoDaddy"])
 	}
-	keys := w.DNSKEYDomainsByRegistrar(simtime.End, "com", "net", "org")
+	keys := w.Index().DNSKEYByRegistrar(simtime.End, "com", "net", "org")
 	// OVH ~372, Loopia ~132, TransIP ~138 at scale 1/1000.
 	within(t, "OVH DNSKEY count", float64(keys["OVH"]), 372*4, 150)
 	within(t, "Loopia DNSKEY count", float64(keys["Loopia"]), 132*4, 80)

@@ -47,14 +47,9 @@ type (
 	CDFPoint = analysis.CDFPoint
 	// TLDOverview is one Table 1 row.
 	TLDOverview = analysis.TLDOverview
-	// Snapshot is one day of scan records.
-	Snapshot = dataset.Snapshot
-	// Archive is a day-indexed snapshot store (the longitudinal dataset).
-	Archive = dataset.Store
-	// ArchiveReport is the integrity accounting of an archive read.
-	ArchiveReport = dataset.ArchiveReport
-	// Record is one domain's observed state.
-	Record = dataset.Record
+	// Index is a columnar domain population the figures are computed
+	// over: the model's (World.Index) or a measurement's (Measure).
+	Index = colstore.Index
 	// Deployment is the none/partial/full/broken classification.
 	Deployment = dnssec.Deployment
 	// Day is a simulation day (days since 2015-01-01).
@@ -69,11 +64,6 @@ type (
 	Registrar = registrar.Registrar
 	// World is the generated domain population.
 	World = tldsim.World
-	// DistributedResult is a distributed sweep's outcome accounting:
-	// coordinator fault stats plus per-day and per-worker health.
-	DistributedResult = dsweep.Result
-	// SweepStats is the distributed coordinator's fault accounting.
-	SweepStats = dsweep.Stats
 )
 
 // Deployment classes.
@@ -202,15 +192,14 @@ func (s *Study) SurveyTable4() []SurveyRow {
 
 // Table1 computes the dataset overview at the end of the window on the
 // columnar engine — no snapshot materialization, sharded parallel tally.
-func (s *Study) Table1() []TLDOverview {
-	return s.World.Index().Overview(simtime.End, tldsim.AllTLDs)
+func Table1(idx *Index) []TLDOverview {
+	return idx.Overview(simtime.End, tldsim.AllTLDs)
 }
 
 // Figure3 computes the three operator CDFs of Figure 3 over the gTLDs,
 // counting per dense operator ID instead of rebuilding string-keyed maps
 // from a materialized snapshot.
-func (s *Study) Figure3() (all, partial, full []CDFPoint) {
-	idx := s.World.Index()
+func Figure3(idx *Index) (all, partial, full []CDFPoint) {
 	all = idx.OperatorCDF(simtime.End, colstore.ClassAny, tldsim.GTLDs...)
 	partial = idx.OperatorCDF(simtime.End, colstore.ClassPartial, tldsim.GTLDs...)
 	full = idx.OperatorCDF(simtime.End, colstore.ClassFull, tldsim.GTLDs...)
@@ -222,59 +211,27 @@ func OperatorsToCover(cdf []CDFPoint, frac float64) int {
 	return analysis.OperatorsToCover(cdf, frac)
 }
 
-// Series computes a deployment time series for one operator/TLD pair
-// ("" = all TLDs) at the given day step.
-func (s *Study) Series(operator, tld string, from, to Day, stepDays int) []SeriesPoint {
-	return s.World.SeriesFor(operator, tld, from, to, stepDays)
-}
-
 // Figure4 returns the OVH and GoDaddy full-deployment series.
-func (s *Study) Figure4(stepDays int) (ovh, godaddy []SeriesPoint) {
-	return s.Series("ovh.net", "", simtime.GTLDStart, simtime.End, stepDays),
-		s.Series("domaincontrol.com", "", simtime.GTLDStart, simtime.End, stepDays)
+func Figure4(idx *Index, stepDays int) (ovh, godaddy []SeriesPoint) {
+	return idx.Series("ovh.net", "", simtime.GTLDStart, simtime.End, stepDays),
+		idx.Series("domaincontrol.com", "", simtime.GTLDStart, simtime.End, stepDays)
 }
 
 // Figure8 returns the Cloudflare series (DNSKEY growth and the DS gap).
-func (s *Study) Figure8(stepDays int) []SeriesPoint {
-	return s.Series("cloudflare.com", "", simtime.GTLDStart, simtime.End, stepDays)
-}
-
-// ScanSample materializes n sampled domains as real signed DNS at the given
-// day and measures them with the scan engine — the live-measurement
-// cross-check of the world model. The returned SweepHealth accounts for
-// any target the sweep could not measure.
-func (s *Study) ScanSample(ctx context.Context, day Day, n int, workers int) (*Snapshot, *SweepHealth, error) {
-	return s.ScanSampleFaulty(ctx, day, n, workers, 0, nil)
-}
-
-// ScanSampleFaulty is ScanSample under injected transport faults: the
-// materialized network is wrapped in a faultnet.Injector driven by the
-// seed and rules, so resilience experiments run through the public facade.
-// With no rules it degrades to a clean scan. A sampled day is a one-day,
-// one-shard ScanLongitudinal whose sample seed is the day: the snapshot is
-// in canonical order (by TLD, then domain).
-func (s *Study) ScanSampleFaulty(ctx context.Context, day Day, n int, workers int, faultSeed int64, rules []faultnet.Rule) (*Snapshot, *SweepHealth, error) {
-	var health *SweepHealth
-	archive, err := s.ScanLongitudinal(ctx, LongitudinalConfig{
-		Days: []Day{day}, Sample: n, SampleSeed: int64(day), Workers: workers, Shards: 1,
-		FaultSeed: faultSeed, Rules: rules,
-		OnDayHealth: func(_ Day, h *SweepHealth) { health = h },
-	})
-	if err != nil {
-		return nil, health, err
-	}
-	return archive.Get(day), health, nil
+func Figure8(idx *Index, stepDays int) []SeriesPoint {
+	return idx.Series("cloudflare.com", "", simtime.GTLDStart, simtime.End, stepDays)
 }
 
 // LongitudinalConfig configures a resumable multi-day sweep.
 type LongitudinalConfig struct {
-	// Days are the measurement days, oldest first.
+	// Days are the measurement days, strictly ascending.
 	Days []Day
 	// Sample is the number of domains drawn from the world (default 1000;
 	// the same sample is tracked across every day, as the paper tracks a
 	// fixed population).
 	Sample int
-	// SampleSeed drives the sample draw (default 1).
+	// SampleSeed drives the sample draw (default: the world's seed, as
+	// for regsec-scan).
 	SampleSeed int64
 	// Workers is the per-day scan concurrency.
 	Workers int
@@ -286,17 +243,24 @@ type LongitudinalConfig struct {
 	// checkpointed there, and a re-run resumes from the last completed
 	// chunk with finished days verified by checksum instead of re-scanned.
 	CheckpointDir string
-	// FaultSeed (default 1) and Rules optionally inject transport faults,
-	// as in ScanSampleFaulty.
+	// FaultSeed (default 1) and Rules optionally inject transport faults.
 	FaultSeed int64
 	Rules     []FaultRule
 	// OnDayHealth receives per-day health reports.
 	OnDayHealth func(day Day, h *SweepHealth)
+	// Archive is the path of the archive file the sweep writes (required).
+	Archive string
+	// Fleet, when positive, is the number of in-process workers leasing
+	// (day, shard) units from a dsweep coordinator, each with its own
+	// exchange stack; CheckpointDir is their shared chunk store and
+	// required. Zero sweeps in one process.
+	Fleet int
 }
 
 // plan translates the configuration into the sweep definition regsec-scan
 // and regsec-sweepd assemble from their flags, over this study's world, and
-// opens the checkpoint store when the configuration names one.
+// opens the checkpoint store when the configuration names one — after
+// CheckDays, so days out of order leave nothing on disk.
 func (s *Study) plan(cfg LongitudinalConfig) (dsweep.Plan, *checkpoint.Store, error) {
 	if s.World == nil {
 		return dsweep.Plan{}, nil, fmt.Errorf("study: a longitudinal sweep requires a world (Options.SkipWorld unset)")
@@ -304,13 +268,13 @@ func (s *Study) plan(cfg LongitudinalConfig) (dsweep.Plan, *checkpoint.Store, er
 	if len(cfg.Days) == 0 {
 		return dsweep.Plan{}, nil, fmt.Errorf("study: no measurement days")
 	}
+	if err := dsweep.CheckDays(cfg.Days); err != nil {
+		return dsweep.Plan{}, nil, err
+	}
 	spec := dsweep.WorldSpec{
 		ScaleDiv: 1 / s.World.Config.Scale, Seed: s.World.Config.Seed,
 		Sample: cfg.Sample, SampleSeed: cfg.SampleSeed, Workers: cfg.Workers,
 		FaultSeed: cfg.FaultSeed, Rules: cfg.Rules,
-	}
-	if spec.SampleSeed == 0 {
-		spec.SampleSeed = 1
 	}
 	shards := cfg.Shards
 	if shards <= 0 {
@@ -326,90 +290,56 @@ func (s *Study) plan(cfg LongitudinalConfig) (dsweep.Plan, *checkpoint.Store, er
 	return spec.PlanFor(cfg.Days, shards, 0), cp, nil
 }
 
-// ScanLongitudinal runs a multi-day, checkpoint-resumable measurement
-// sweep over one fixed domain sample — the paper's 21-month daily series
-// in miniature, hardened against the process dying partway. On context
-// cancellation (e.g. SIGINT) it persists a clean checkpoint and returns
-// the context's error; calling it again with the same configuration
-// resumes instead of restarting, and the final archive is byte-identical
-// to an uninterrupted run. Each day of the returned archive is collected
-// from the sweep's sorted record stream, so it is in canonical order
-// across the whole day (by TLD, then domain), not shard by shard.
-func (s *Study) ScanLongitudinal(ctx context.Context, cfg LongitudinalConfig) (*Archive, error) {
+// Measure runs a multi-day, checkpoint-resumable sweep over one fixed
+// domain sample — the paper's daily series in miniature — into the archive
+// file cfg.Archive, as regsec-scan -o (or, with a Fleet, regsec-sweepd)
+// writes it, and returns the index regsec-report -archive folds from that
+// file. A cancelled sweep persists a clean checkpoint and returns the
+// context's error; the same configuration then resumes, and the archive is
+// byte-identical to an uninterrupted run's. On a sweep error no archive is
+// left; the checkpoint directory is left for the caller to clear. An
+// archive that does not read back clean is an error.
+func (s *Study) Measure(ctx context.Context, cfg LongitudinalConfig) (*Index, error) {
+	if cfg.Archive == "" {
+		return nil, fmt.Errorf("study: no archive path")
+	}
 	plan, cp, err := s.plan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	rs := plan.Sweep(s.World, cp, dataset.SpillOptions{}, cfg.OnDayHealth)
-	archive := dataset.NewStore()
-	return archive, rs.RunStream(ctx, plan.Days, collectDays(archive))
-}
-
-// collectDays is the sink that gathers a sweep's days into an in-memory
-// archive, each from the day's sorted record stream.
-func collectDays(archive *Archive) scan.DaySink {
-	return func(day Day, sw *dataset.SpillWriter) error {
-		snap := &Snapshot{Day: day, Records: make([]dataset.Record, 0, sw.Len())}
-		err := sw.EachSorted(func(r *dataset.Record) error {
-			snap.Records = append(snap.Records, *r)
-			return nil
-		})
-		if err == nil {
-			archive.Add(snap)
-		}
-		return err
-	}
-}
-
-// DistributedConfig configures ScanDistributed.
-type DistributedConfig struct {
-	// Longitudinal is the sweep definition: days, sample, sharding, faults.
-	// CheckpointDir is mandatory — it is the workers' shared chunk store.
-	Longitudinal LongitudinalConfig
-	// Fleet is the number of concurrent sweep workers (default 2). Each
-	// worker owns a full exchange stack and claims (day, shard) leases
-	// from the in-process coordinator.
-	Fleet int
-}
-
-// ScanDistributed runs the longitudinal sweep through the crash-tolerant
-// coordinator/worker topology of internal/dsweep: Fleet workers lease
-// (day, shard) units, flush checksummed chunk files into the shared
-// checkpoint directory, and the coordinator's CRC-verified merge of their
-// manifests, collected as ScanLongitudinal collects its days, yields an
-// archive byte-identical to ScanLongitudinal of the same configuration. A
-// previous partial run in the same checkpoint directory is adopted, not
-// redone. The checkpoint directory is left for the caller to clear once
-// the archive is durable.
-func (s *Study) ScanDistributed(ctx context.Context, cfg DistributedConfig) (*Archive, *DistributedResult, error) {
-	lc := cfg.Longitudinal
-	plan, cp, err := s.plan(lc)
+	aw, err := dataset.NewArchiveWriter(cfg.Archive)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if cp == nil {
-		return nil, nil, fmt.Errorf("study: a distributed sweep requires a checkpoint directory (the workers' shared chunk store)")
-	}
+	defer aw.Abort()
+	sink := func(_ Day, sw *dataset.SpillWriter) error { return aw.Section(sw) }
 	if cfg.Fleet <= 0 {
-		cfg.Fleet = 2
-	}
-	archive := dataset.NewStore()
-	res, err := dsweep.RunLocal(ctx, dsweep.LocalConfig{
-		Plan:    plan,
-		Store:   cp,
-		Workers: plan.Fleet(s.World, cfg.Fleet),
-	}, collectDays(archive))
-	if err != nil {
-		return nil, res, err
-	}
-	if lc.OnDayHealth != nil {
-		for _, day := range plan.Days {
-			if h := res.HealthByDay[day]; h != nil {
-				lc.OnDayHealth(day, h)
+		err = plan.Sweep(s.World, cp, dataset.SpillOptions{}, cfg.OnDayHealth).RunStream(ctx, plan.Days, sink)
+	} else {
+		var res *dsweep.Result
+		res, err = dsweep.RunLocal(ctx, dsweep.LocalConfig{Plan: plan, Store: cp, Workers: plan.Fleet(s.World, cfg.Fleet)}, sink)
+		if err == nil && cfg.OnDayHealth != nil {
+			for _, day := range plan.Days {
+				if h := res.HealthByDay[day]; h != nil {
+					cfg.OnDayHealth(day, h)
+				}
 			}
 		}
 	}
-	return archive, res, nil
+	if err == nil {
+		err = aw.Close()
+	}
+	if err != nil {
+		return nil, err
+	}
+	idx, report, err := colstore.FoldArchive(cfg.Archive, nil)
+	if err == nil && !report.Clean() {
+		err = fmt.Errorf("study: %s: %s", cfg.Archive, report)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return idx, nil
 }
 
 // RenderTable2 formats Table 2 observations with per-registrar domain
@@ -417,7 +347,7 @@ func (s *Study) ScanDistributed(ctx context.Context, cfg DistributedConfig) (*Ar
 func (s *Study) RenderTable2(obs []*Observation) string {
 	counts := map[string]int{}
 	if s.World != nil {
-		counts = s.World.DomainsByRegistrar("com", "net", "org")
+		counts = s.World.Index().DomainsByRegistrar("com", "net", "org")
 	}
 	return probe.RenderTable2(obs, counts)
 }
@@ -426,7 +356,7 @@ func (s *Study) RenderTable2(obs []*Observation) string {
 func (s *Study) RenderTable3(obs []*Observation) string {
 	counts := map[string]int{}
 	if s.World != nil {
-		counts = s.World.DNSKEYDomainsByRegistrar(simtime.End, "com", "net", "org")
+		counts = s.World.Index().DNSKEYByRegistrar(simtime.End, "com", "net", "org")
 	}
 	return probe.RenderTable3(obs, counts)
 }

@@ -1,8 +1,12 @@
 package registrarsec
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -34,7 +38,7 @@ func testStudy(t *testing.T) *Study {
 
 func TestStudyTable1(t *testing.T) {
 	s := testStudy(t)
-	rows := s.Table1()
+	rows := Table1(s.World.Index())
 	if len(rows) != 5 {
 		t.Fatalf("Table 1 rows: %d", len(rows))
 	}
@@ -56,7 +60,7 @@ func TestStudyTable1(t *testing.T) {
 
 func TestStudyFigure3(t *testing.T) {
 	s := testStudy(t)
-	all, partial, full := s.Figure3()
+	all, partial, full := Figure3(s.World.Index())
 	if OperatorsToCover(full, 0.5) > OperatorsToCover(all, 0.5) {
 		t.Error("full deployment should be more concentrated than the overall market")
 	}
@@ -67,14 +71,14 @@ func TestStudyFigure3(t *testing.T) {
 
 func TestStudySeriesAndFigures(t *testing.T) {
 	s := testStudy(t)
-	ovh, gd := s.Figure4(60)
+	ovh, gd := Figure4(s.World.Index(), 60)
 	if len(ovh) == 0 || len(gd) == 0 {
 		t.Fatal("empty Figure 4 series")
 	}
 	if ovh[len(ovh)-1].PctFull() < gd[len(gd)-1].PctFull() {
 		t.Error("OVH should far exceed GoDaddy")
 	}
-	cf := s.Figure8(60)
+	cf := Figure8(s.World.Index(), 60)
 	if cf[0].WithDNSKEY != 0 {
 		t.Error("Cloudflare series should start at zero before launch")
 	}
@@ -107,76 +111,105 @@ func TestStudyProbeCampaigns(t *testing.T) {
 	}
 }
 
-func TestStudyScanSampleAgreesWithModel(t *testing.T) {
+// measure runs Measure and returns the bytes of the archive it wrote.
+func measure(ctx context.Context, s *Study, cfg LongitudinalConfig) ([]byte, error) {
+	if _, err := s.Measure(ctx, cfg); err != nil {
+		return nil, err
+	}
+	return os.ReadFile(cfg.Archive)
+}
+
+func TestStudyMeasureAgreesWithModel(t *testing.T) {
 	s := testStudy(t)
-	snap, health, err := s.ScanSample(context.Background(), simtime.End, 120, 8)
+	var health *SweepHealth
+	idx, err := s.Measure(context.Background(), LongitudinalConfig{
+		Days: []Day{simtime.End}, Sample: 120, Workers: 8, Archive: filepath.Join(t.TempDir(), "scans.tsv"),
+		OnDayHealth: func(_ Day, h *SweepHealth) { health = h },
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(snap.Records) != 120 {
-		t.Fatalf("scanned %d records", len(snap.Records))
 	}
 	if len(health.ByClass) != 0 || health.Measured != 120 {
 		t.Fatalf("unhealthy sweep over a clean network: %s", health)
 	}
-	model := s.World.Index().Snapshot(simtime.End)
-	modelClass := map[string]Deployment{}
-	for i := range model.Records {
-		modelClass[model.Records[i].Domain] = model.Records[i].Deployment()
+	snap := idx.Snapshot(simtime.End)
+	if len(snap.Records) != 120 {
+		t.Fatalf("measured %d records", len(snap.Records))
 	}
-	for i := range snap.Records {
-		r := &snap.Records[i]
+	modelClass := map[string]Deployment{}
+	for _, r := range s.World.Index().Snapshot(simtime.End).Records {
+		modelClass[r.Domain] = r.Deployment()
+	}
+	for _, r := range snap.Records {
 		if want, ok := modelClass[r.Domain]; !ok || r.Deployment() != want {
-			t.Errorf("%s: scan %v, model %v", r.Domain, r.Deployment(), want)
+			t.Errorf("%s: measured %v, model %v", r.Domain, r.Deployment(), want)
 		}
 	}
+}
+
+// measureReference writes the uninterrupted one-process archive the
+// resumed and fleet runs are held to, and returns its bytes and config.
+func measureReference(t *testing.T, s *Study) ([]byte, LongitudinalConfig) {
+	t.Helper()
+	days := []Day{simtime.Date(2016, 6, 1), simtime.End}
+	cfg := LongitudinalConfig{Days: days, Sample: 40, Workers: 4, Shards: 2, Archive: filepath.Join(t.TempDir(), "a.tsv")}
+	want, err := measure(context.Background(), s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report, err := dataset.ScanArchive(bytes.NewReader(want), func(*dataset.Snapshot) error { return nil }); err != nil || report.Sections != 2 {
+		t.Fatalf("archive of %d sections (%v), want 2", report.Sections, err)
+	}
+	return want, cfg
 }
 
 // TestStudyScanLongitudinal runs the resumable multi-day sweep through the
-// public facade: interrupted and uninterrupted runs must converge on
-// byte-identical archives.
-// archiveText renders a swept store as the sweep's archive writer does: one
-// trailered section per day, oldest first.
-func archiveText(t *testing.T, store *dataset.Store) string {
-	t.Helper()
-	var b strings.Builder
-	for _, day := range store.Days() {
-		if err := store.Get(day).WriteArchiveSection(&b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return b.String()
-}
-
+// public facade: a cancelled run leaves no archive, and its resume writes
+// the file of an uninterrupted one-process run.
 func TestStudyScanLongitudinal(t *testing.T) {
 	s := testStudy(t)
-	days := []Day{simtime.Date(2016, 6, 1), simtime.End}
-	base := LongitudinalConfig{Days: days, Sample: 40, Workers: 4, Shards: 2}
+	want, cfg := measureReference(t, s)
 
-	store, err := s.ScanLongitudinal(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store.Len() != 2 {
-		t.Fatalf("snapshots: %d", store.Len())
-	}
-	want := archiveText(t, store)
-
-	// Checkpointed run interrupted before day two, then resumed.
-	cfg := base
-	cfg.CheckpointDir = t.TempDir()
+	// A checkpointed run cancelled before it starts, then resumed.
+	cfg.CheckpointDir, cfg.Archive = t.TempDir(), filepath.Join(t.TempDir(), "b.tsv")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.ScanLongitudinal(ctx, cfg); err == nil {
+	if _, err := s.Measure(ctx, cfg); err == nil {
 		t.Fatal("cancelled sweep reported success")
 	}
-	resumed, err := s.ScanLongitudinal(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(cfg.Archive); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the cancelled sweep left its archive: %v", err)
 	}
-	got := archiveText(t, resumed)
-	if want != got {
-		t.Error("resumed archive differs from uninterrupted run")
+	if got, err := measure(context.Background(), s, cfg); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("resumed archive differs from uninterrupted run (err %v)", err)
+	}
+}
+
+// TestStudyScanDistributed: the coordinator/worker topology (Fleet: 3)
+// writes the file of the one-process sweep (Fleet: 0).
+func TestStudyScanDistributed(t *testing.T) {
+	s := testStudy(t)
+	want, cfg := measureReference(t, s)
+	cfg.Fleet, cfg.CheckpointDir, cfg.Archive = 3, t.TempDir(), filepath.Join(t.TempDir(), "fleet.tsv")
+	if got, err := measure(context.Background(), s, cfg); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("the fleet's archive differs from the one-process sweep's (err %v)", err)
+	}
+}
+
+// TestMeasureRefusesDaysOutOfOrder: days that do not ascend, each once, are
+// refused on both topologies with dsweep's error, before the sweep creates
+// the checkpoint directory or the archive, or touches the network.
+func TestMeasureRefusesDaysOutOfOrder(t *testing.T) {
+	s := testStudy(t)
+	for _, days := range [][]Day{{simtime.End, simtime.Date(2016, 6, 1)}, {simtime.End, simtime.End}} {
+		for _, fleet := range []int{0, 2} {
+			dir := t.TempDir()
+			_, err := s.Measure(context.Background(), LongitudinalConfig{Days: days, Fleet: fleet,
+				CheckpointDir: filepath.Join(dir, "checkpoint"), Archive: filepath.Join(dir, "a.tsv")})
+			if left, _ := os.ReadDir(dir); err == nil || err.Error() != dsweep.CheckDays(days).Error() || len(left) != 0 {
+				t.Errorf("days %v, fleet %d: err = %v, left %v; want dsweep's refusal and nothing written", days, fleet, err, left)
+			}
+		}
 	}
 }
 
@@ -194,11 +227,11 @@ func TestLongitudinalResumeRefusesOtherConfiguration(t *testing.T) {
 	base := LongitudinalConfig{
 		Days: []Day{simtime.End}, Sample: 20, Workers: 2, Shards: 2,
 		FaultSeed: 1, Rules: []FaultRule{{Pattern: "*.com-hosting.example", Loss: 0.1}},
-		CheckpointDir: t.TempDir(),
+		CheckpointDir: t.TempDir(), Archive: filepath.Join(t.TempDir(), "a.tsv"),
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.ScanLongitudinal(ctx, base); err == nil {
+	if _, err := s.Measure(ctx, base); err == nil {
 		t.Fatal("cancelled sweep reported success")
 	}
 	for _, tc := range []struct {
@@ -214,25 +247,25 @@ func TestLongitudinalResumeRefusesOtherConfiguration(t *testing.T) {
 	} {
 		cfg := base
 		tc.change(&cfg)
-		if _, err := tc.study.ScanLongitudinal(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "different sweep") {
+		if _, err := tc.study.Measure(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "different sweep") {
 			t.Errorf("resume with another %s: err = %v, want a fingerprint refusal", tc.name, err)
 		}
 	}
-	if _, err := s.ScanLongitudinal(context.Background(), base); err != nil {
+	if _, err := s.Measure(context.Background(), base); err != nil {
 		t.Errorf("resume under the original configuration: %v", err)
 	}
 }
 
-// TestFacadeAndCLIRunOneDefinition: Study.ScanLongitudinal and the sweep
-// regsec-scan builds from a spec's plan are one definition — equal
-// fingerprints, byte-identical archives, and a checkpoint either wrote is a
-// resume point for the other.
+// TestFacadeAndCLIRunOneDefinition: Study.Measure and the sweep regsec-scan
+// -o builds from a spec's plan are one definition — equal fingerprints,
+// byte-identical archive files, and a checkpoint either wrote is a resume
+// point for the other.
 func TestFacadeAndCLIRunOneDefinition(t *testing.T) {
 	s := testStudy(t)
 	days := []Day{simtime.Date(2016, 6, 1), simtime.End}
 	rules := []FaultRule{{Pattern: "*.com-hosting.example", Loss: 0.3}}
 	cfg := LongitudinalConfig{Days: days, Sample: 40, Workers: 4, Shards: 2, FaultSeed: 5, Rules: rules}
-	spec := &dsweep.WorldSpec{ScaleDiv: 2000, Seed: 3, Sample: 40, SampleSeed: 1, Workers: 2, FaultSeed: 5, Rules: rules}
+	spec := &dsweep.WorldSpec{ScaleDiv: 2000, Seed: 3, Sample: 40, Workers: 2, FaultSeed: 5, Rules: rules}
 	plan := spec.PlanFor(days, 2, 0)
 
 	facadePlan, _, err := s.plan(cfg)
@@ -243,55 +276,57 @@ func TestFacadeAndCLIRunOneDefinition(t *testing.T) {
 		t.Fatalf("fingerprints differ:\nfacade %s\nspec   %s", facadePlan.Fingerprint, plan.Fingerprint)
 	}
 
-	// cli runs the plan as regsec-scan does, until stopAfter days are done.
-	cli := func(dir string, stopAfter int) (string, error) {
+	// stopper's context is cancelled once onDay has seen n > 0 days.
+	stopper := func(n int) (ctx context.Context, onDay func(Day, *SweepHealth)) {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		return ctx, func(Day, *SweepHealth) {
+			if n--; n == 0 {
+				cancel()
+			}
+		}
+	}
+	// cli runs the plan as regsec-scan -o does, until stopAfter days are done.
+	cli := func(dir string, stopAfter int) ([]byte, error) {
 		var cp *checkpoint.Store
 		if dir != "" {
 			if cp, err = checkpoint.Open(dir); err != nil {
 				t.Fatal(err)
 			}
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		done := 0
-		rs := plan.Sweep(s.World, cp, dataset.SpillOptions{}, func(Day, *SweepHealth) {
-			if done++; done == stopAfter {
-				cancel()
-			}
-		})
-		var out strings.Builder
-		err = rs.RunStream(ctx, plan.Days, func(_ Day, sw *dataset.SpillWriter) error { return sw.WriteSectionTo(&out) })
-		return out.String(), err
-	}
-	// facade runs the same sweep through ScanLongitudinal.
-	facade := func(dir string, stopAfter int) (string, error) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		c := cfg
-		c.CheckpointDir = dir
-		done := 0
-		c.OnDayHealth = func(Day, *SweepHealth) {
-			if done++; done == stopAfter {
-				cancel()
-			}
-		}
-		archive, err := s.ScanLongitudinal(ctx, c)
+		ctx, onDay := stopper(stopAfter)
+		path := filepath.Join(t.TempDir(), "scans.tsv")
+		aw, err := dataset.NewArchiveWriter(path)
 		if err != nil {
-			return "", err
+			t.Fatal(err)
 		}
-		return archiveText(t, archive), nil
+		sink := func(_ Day, sw *dataset.SpillWriter) error { return aw.Section(sw) }
+		if err := plan.Sweep(s.World, cp, dataset.SpillOptions{}, onDay).RunStream(ctx, plan.Days, sink); err != nil {
+			return nil, err
+		}
+		if err := aw.Close(); err != nil {
+			return nil, err
+		}
+		return os.ReadFile(path)
+	}
+	// facade runs the same sweep through Measure.
+	facade := func(dir string, stopAfter int) ([]byte, error) {
+		ctx, onDay := stopper(stopAfter)
+		c := cfg
+		c.CheckpointDir, c.Archive, c.OnDayHealth = dir, filepath.Join(t.TempDir(), "scans.tsv"), onDay
+		return measure(ctx, s, c)
 	}
 
 	want, err := cli("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := facade("", 0); err != nil || got != want {
+	if got, err := facade("", 0); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("facade archive differs from the spec's sweep (err %v)", err)
 	}
 	for _, tc := range []struct {
 		name          string
-		first, second func(string, int) (string, error)
+		first, second func(string, int) ([]byte, error)
 	}{
 		{"facade then cli", facade, cli},
 		{"cli then facade", cli, facade},
@@ -305,45 +340,13 @@ func TestFacadeAndCLIRunOneDefinition(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: resume: %v", tc.name, err)
 		}
-		if got != want {
+		if !bytes.Equal(got, want) {
 			t.Errorf("%s: resumed archive differs", tc.name)
 		}
 		verified := logged.Records("resume: day verified from checkpoint, skipping scan")
 		if len(verified) != 1 || verified[0].Attrs["day"] != days[0].String() {
 			t.Errorf("%s: the resume re-scanned the finished day %s: %v", tc.name, days[0], logged.Records(""))
 		}
-	}
-}
-
-// TestStudyScanDistributed runs the coordinator/worker topology through
-// the public facade: the merged archive must be byte-identical to the
-// single-process resumable sweep of the same configuration.
-func TestStudyScanDistributed(t *testing.T) {
-	s := testStudy(t)
-	days := []Day{simtime.Date(2016, 6, 1), simtime.End}
-	base := LongitudinalConfig{Days: days, Sample: 40, Workers: 4, Shards: 2}
-
-	single, err := s.ScanLongitudinal(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := archiveText(t, single)
-
-	cfg := DistributedConfig{Longitudinal: base, Fleet: 3}
-	cfg.Longitudinal.CheckpointDir = t.TempDir()
-	store, res, err := s.ScanDistributed(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := archiveText(t, store)
-	if want != got {
-		t.Error("distributed archive differs from single-process sweep")
-	}
-	if res.Stats.Done != len(days)*base.Shards {
-		t.Fatalf("stats: %+v", res.Stats)
-	}
-	if len(res.HealthByWorker) == 0 {
-		t.Fatal("no per-worker health attribution")
 	}
 }
 
