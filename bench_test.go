@@ -16,6 +16,7 @@ import (
 
 	"securepki.org/registrarsec/internal/analysis"
 	"securepki.org/registrarsec/internal/dataset"
+	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
@@ -270,13 +271,13 @@ func BenchmarkMeasureVerification(b *testing.B) {
 	}
 	b.StopTimer()
 	snap := idx.Snapshot(simtime.End)
-	counts := map[Deployment]int{}
+	counts := map[dnssec.Deployment]int{}
 	for i := range snap.Records {
 		counts[snap.Records[i].Deployment()]++
 	}
 	emit("Live-scan verification (200 sampled domains, real signed zones)",
 		fmt.Sprintf("none=%d partial=%d full=%d broken=%d\n",
-			counts[DeploymentNone], counts[DeploymentPartial], counts[DeploymentFull], counts[DeploymentBroken]))
+			counts[dnssec.DeploymentNone], counts[dnssec.DeploymentPartial], counts[dnssec.DeploymentFull], counts[dnssec.DeploymentBroken]))
 }
 
 // -------------------------------------------------------------- ablations

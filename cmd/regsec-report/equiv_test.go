@@ -22,8 +22,8 @@ import (
 )
 
 // reportRows is the report's Table 1 for one folded day, as it prints it.
-func reportRows(d dayRows, tlds []string) []analysis.TLDOverview {
-	out := make([]analysis.TLDOverview, len(tlds))
+func reportRows(d dayRows, tlds []string) []colstore.TLDOverview {
+	out := make([]colstore.TLDOverview, len(tlds))
 	for i, tld := range tlds {
 		out[i] = d.rows[tld]
 		out[i].TLD = tld
@@ -154,7 +154,7 @@ func TestReportAgreesWithAPI(t *testing.T) {
 	}
 	var table struct {
 		Day  string                 `json:"day"`
-		TLDs []analysis.TLDOverview `json:"tlds"`
+		TLDs []colstore.TLDOverview `json:"tlds"`
 	}
 	get("/v1/table1?tlds="+strings.Join(tlds, ","), &table)
 	last := fold.days[len(fold.days)-1].day

@@ -17,7 +17,6 @@ import (
 	"slices"
 
 	"securepki.org/registrarsec"
-	"securepki.org/registrarsec/internal/analysis"
 	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/profdump"
@@ -84,7 +83,7 @@ func run() int {
 		fmt.Println("  rank,cum_all,cum_partial,cum_full")
 		for _, rank := range []int{1, 2, 4, 10, 26, 100, 1000} {
 			fmt.Printf("  %d,%.3f,%.3f,%.3f\n", rank,
-				analysis.CoverageOfTop(all, rank), analysis.CoverageOfTop(partial, rank), analysis.CoverageOfTop(full, rank))
+				colstore.CoverageOfTop(all, rank), colstore.CoverageOfTop(partial, rank), colstore.CoverageOfTop(full, rank))
 		}
 		fmt.Println()
 	}
@@ -171,7 +170,7 @@ func reportArchive(path string) error {
 	all := idx.OperatorCDF(final, colstore.ClassAny)
 	full := idx.OperatorCDF(final, colstore.ClassFull)
 	fmt.Printf("final day: %d operators; 50%% coverage needs %d (all) / %d (full)\n",
-		len(all), analysis.OperatorsToCover(all, 0.5), analysis.OperatorsToCover(full, 0.5))
+		len(all), colstore.OperatorsToCover(all, 0.5), colstore.OperatorsToCover(full, 0.5))
 	return nil
 }
 
@@ -186,7 +185,7 @@ type archiveFold struct {
 type dayRows struct {
 	day     simtime.Day
 	records int
-	rows    map[string]analysis.TLDOverview
+	rows    map[string]colstore.TLDOverview
 }
 
 // add keeps a folded section's rows: the Table 1 regsec-api would answer
@@ -195,7 +194,7 @@ func (a *archiveFold) add(snap *dataset.Snapshot, idx *colstore.Index) error {
 	for i := range snap.Records {
 		a.tlds[snap.Records[i].TLD] = true
 	}
-	rows := map[string]analysis.TLDOverview{}
+	rows := map[string]colstore.TLDOverview{}
 	for _, row := range idx.Overview(snap.Day, idx.TLDs()) {
 		rows[row.TLD] = row
 	}

@@ -2,10 +2,14 @@ package registrarsec
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -59,5 +63,41 @@ func TestDesignInventory(t *testing.T) {
 	sort.Strings(problems)
 	for _, p := range problems {
 		t.Error(p)
+	}
+}
+
+// TestNoProductionImportOfAnalysis fails when a non-test Go file outside
+// bench/ imports internal/analysis: colstore owns the result types and
+// computes every figure, and the record-at-a-time reference only checks
+// it, in tests and in bench/'s oracles.
+func TestNoProductionImportOfAnalysis(t *testing.T) {
+	ref := strconv.Quote("securepki.org/registrarsec/internal/analysis")
+	files := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		files++
+		for _, spec := range f.Imports {
+			if spec.Path.Value == ref {
+				t.Errorf("%s imports internal/analysis; take the result types and figures from colstore", filepath.ToSlash(path))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("no Go file parsed: the test checks nothing")
 	}
 }

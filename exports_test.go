@@ -24,7 +24,8 @@ import (
 
 // testOnlyAllowed lists checked objects that no production code uses but
 // that stay in production, each with the reason. Keys are package-qualified
-// (pkg.Name, or pkg.Type.Method for a method).
+// (pkg.Name, or pkg.Type.Method for a method); a command's package is its
+// directory (cmd/regsec-scan.name).
 var testOnlyAllowed = map[string]string{
 	"epp.Dial":                                "EPP client half of the protocol regsec-epp serves",
 	"epp.Client.Login":                        "EPP client half of the protocol regsec-epp serves",
@@ -42,6 +43,9 @@ var testOnlyAllowed = map[string]string{
 	"tldsim.BuildCustom":                      "hand-set world for the root BenchmarkAblationCDS and tldsim tests",
 	"dnsserver.Authoritative.DeferredCount":   "counts unbuilt child zones without building one; tldsim's sweep test reads it",
 	"zone.Zone.PlannedSigs":                   "counts unproduced signatures without producing one; dnsserver and tldsim tests read it",
+	"registrarsec.Study.Measure":              "library entry point README.md documents (Quickstart, \"As a library\")",
+	"registrarsec.Figure4":                    "library entry point README.md documents (Quickstart, \"As a library\")",
+	"registrarsec.WindowEnd":                  "library entry point README.md documents (Quickstart, \"As a library\")",
 }
 
 // TestNoTestOnlyExports fails on an object of the root module's checked
@@ -80,8 +84,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 // guardFixture is a module, one "-- path --" line before each file. The
 // guard must flag an exported helper only a test calls, a function nothing
 // calls and a method whose only interface has no production user (an
-// assertion is no use), and must pass a String method, heap.Interface
-// methods and a name only bench/ uses.
+// assertion is no use), and each command's unused helper under its own
+// directory's key; it must pass a String method, heap.Interface methods, a
+// name only bench/ uses and a command's func main.
 const guardFixture = `-- internal/p/p.go --
 package p
 
@@ -119,6 +124,16 @@ package main
 import ("fmt"; "example.org/m/internal/p")
 
 func main() { fmt.Println(p.Min(3, 1, 2), p.BenchOnly()) }
+-- cmd/a/main.go --
+package main
+
+func main()   {}
+func helper() {}
+-- cmd/b/main.go --
+package main
+
+func main()   {}
+func helper() {}
 `
 
 // TestExportGuardFixtures runs the guard over guardFixture.
@@ -138,7 +153,7 @@ func TestExportGuardFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := slices.Sorted(maps.Keys(unused)), "p.Box.Size p.HelperForTests p.unusedHelper"; strings.Join(got, " ") != want {
+	if got, want := slices.Sorted(maps.Keys(unused)), "cmd/a.helper cmd/b.helper p.Box.Size p.HelperForTests p.unusedHelper"; strings.Join(got, " ") != want {
 		t.Errorf("flagged %q, want %s", got, want)
 	}
 }
@@ -294,13 +309,17 @@ func checkModule(root, module string) (unused map[string]string, callbacks []str
 
 	unused = map[string]string{}
 	report := func(obj types.Object) {
-		key := obj.Pkg().Name() + "." + obj.Name()
+		qual := obj.Pkg().Name()
+		if qual == "main" { // every command is package main: key it by directory
+			qual = strings.TrimPrefix(obj.Pkg().Path(), module+"/")
+		}
+		key := qual + "." + obj.Name()
 		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
 			recv := sig.Recv().Type()
 			if ptr, ok := recv.(*types.Pointer); ok {
 				recv = ptr.Elem()
 			}
-			key = obj.Pkg().Name() + "." + recv.(*types.Named).Obj().Name() + "." + obj.Name()
+			key = qual + "." + recv.(*types.Named).Obj().Name() + "." + obj.Name()
 			for it := range ifaces {
 				if m, _, _ := types.LookupFieldOrMethod(it, false, obj.Pkg(), obj.Name()); m != nil && types.Implements(types.NewPointer(recv), it) {
 					used[obj] = true
@@ -325,7 +344,9 @@ func checkModule(root, module string) (unused map[string]string, callbacks []str
 					}
 				}
 			case *types.Func:
-				report(obj)
+				if p.pkg.Name() != "main" || name != "main" {
+					report(obj)
+				}
 			default:
 				if obj.Exported() {
 					report(obj)
@@ -376,13 +397,11 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // guarded reports whether the package in dir (slash-separated, relative to
-// the module root) is checked: production packages of the root module
-// other than the facade, commands, test support and the reference engine.
+// the module root) is checked: production packages of the root module, the
+// facade and the commands included, other than the benchmark, the examples,
+// test support and the reference engine.
 func guarded(dir string) bool {
-	if dir == "" || dir == "." {
-		return false
-	}
-	for _, skip := range []string{"bench", "examples", "cmd", "internal/dnstest", "internal/cmdtest", "internal/logtest", "internal/analysis"} {
+	for _, skip := range []string{"bench", "examples", "internal/dnstest", "internal/cmdtest", "internal/logtest", "internal/analysis"} {
 		if dir == skip || strings.HasPrefix(dir, skip+"/") {
 			return false
 		}

@@ -1,18 +1,16 @@
-// Package analysis holds the result types of the paper's measurements —
-// per-operator cumulative distributions (Figure 3), deployment time series
-// (Figures 4-8) and the per-TLD dataset overview (Table 1) — and the
-// record-at-a-time reference that computes them from dataset snapshots.
-// Production asks colstore, which answers the same queries from columns;
-// the aggregators here are what colstore's equivalence tests and bench/'s
-// oracles hold it to.
+// Package analysis is the record-at-a-time reference for the paper's
+// measurements — per-operator cumulative distributions (Figure 3),
+// deployment time series (Figures 4-8), the DS gap and the per-TLD dataset
+// overview (Table 1) — computed from dataset snapshots. Production asks
+// colstore, which owns the result types and answers the same queries from
+// columns; the aggregators here are what colstore's equivalence tests and
+// bench/'s oracles hold it to. No production package imports this one.
 package analysis
 
 import (
-	"sort"
-
+	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dnssec"
-	"securepki.org/registrarsec/internal/simtime"
 )
 
 // Filter selects records for an analysis.
@@ -56,14 +54,8 @@ func And(fs ...Filter) Filter {
 	}
 }
 
-// OperatorCount is one operator's domain count under some filter.
-type OperatorCount struct {
-	Operator string
-	Count    int
-}
-
 // CountByOperator tallies matching domains per operator, descending.
-func CountByOperator(snap *dataset.Snapshot, f Filter) []OperatorCount {
+func CountByOperator(snap *dataset.Snapshot, f Filter) []colstore.OperatorCount {
 	counts := make(map[string]int)
 	for i := range snap.Records {
 		r := &snap.Records[i]
@@ -72,92 +64,24 @@ func CountByOperator(snap *dataset.Snapshot, f Filter) []OperatorCount {
 		}
 		counts[r.Operator]++
 	}
-	out := make([]OperatorCount, 0, len(counts))
+	out := make([]colstore.OperatorCount, 0, len(counts))
 	for op, n := range counts {
-		out = append(out, OperatorCount{Operator: op, Count: n})
+		out = append(out, colstore.OperatorCount{Operator: op, Count: n})
 	}
-	Rank(out)
+	colstore.Rank(out)
 	return out
-}
-
-// Rank orders per-operator counts as Figure 3 ranks operators: count
-// descending, operator name breaking ties.
-func Rank(counts []OperatorCount) {
-	sort.Slice(counts, func(i, j int) bool {
-		if counts[i].Count != counts[j].Count {
-			return counts[i].Count > counts[j].Count
-		}
-		return counts[i].Operator < counts[j].Operator
-	})
-}
-
-// CDFPoint is one step of the operator-coverage CDF of Figure 3: after the
-// top Rank operators, CumFrac of the matching domains are covered.
-type CDFPoint struct {
-	Rank     int
-	Operator string
-	Count    int
-	CumFrac  float64
 }
 
 // OperatorCDF computes the cumulative distribution of domains over
 // operators ranked by size — the exact construction of Figure 3.
-func OperatorCDF(snap *dataset.Snapshot, f Filter) []CDFPoint {
-	return CDF(CountByOperator(snap, f))
-}
-
-// CDF accumulates ranked per-operator counts into the Figure 3
-// distribution; no domains is no distribution (nil).
-func CDF(counts []OperatorCount) []CDFPoint {
-	total := 0
-	for _, c := range counts {
-		total += c.Count
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]CDFPoint, len(counts))
-	cum := 0
-	for i, c := range counts {
-		cum += c.Count
-		out[i] = CDFPoint{
-			Rank: i + 1, Operator: c.Operator, Count: c.Count,
-			CumFrac: float64(cum) / float64(total),
-		}
-	}
-	return out
-}
-
-// OperatorsToCover returns how many top operators are needed to cover frac
-// of the matching domains (e.g. the paper's "26 registrars cover 50% of all
-// domains; 2 cover 50% of fully deployed ones").
-func OperatorsToCover(cdf []CDFPoint, frac float64) int {
-	for _, p := range cdf {
-		if p.CumFrac >= frac {
-			return p.Rank
-		}
-	}
-	return len(cdf)
-}
-
-// CoverageOfTop returns the fraction covered by the top n operators.
-func CoverageOfTop(cdf []CDFPoint, n int) float64 {
-	if len(cdf) == 0 {
-		return 0
-	}
-	if n > len(cdf) {
-		n = len(cdf)
-	}
-	if n <= 0 {
-		return 0
-	}
-	return cdf[n-1].CumFrac
+func OperatorCDF(snap *dataset.Snapshot, f Filter) []colstore.CDFPoint {
+	return colstore.CDF(CountByOperator(snap, f))
 }
 
 // TopOverlap counts operators appearing in the top n of both CDFs — the
 // paper observes only three registrars overlap between the top-25 overall
 // and the top-25 fully deployed.
-func TopOverlap(a, b []CDFPoint, n int) int {
+func TopOverlap(a, b []colstore.CDFPoint, n int) int {
 	set := make(map[string]bool, n)
 	for i := 0; i < n && i < len(a); i++ {
 		set[a[i].Operator] = true
@@ -171,27 +95,6 @@ func TopOverlap(a, b []CDFPoint, n int) int {
 	return overlap
 }
 
-// SeriesPoint is one day of a deployment time series.
-type SeriesPoint struct {
-	Day simtime.Day
-	// Total matching domains (the filter's population).
-	Total int
-	// WithDNSKEY / WithDS / Full are deployment-state counts within it.
-	WithDNSKEY int
-	WithDS     int
-	Full       int
-}
-
-// PctDNSKEY is the percentage of the population with DNSKEYs.
-func (p SeriesPoint) PctDNSKEY() float64 { return pct(p.WithDNSKEY, p.Total) }
-
-// PctFull is the percentage fully deployed (DNSKEY + matching DS).
-func (p SeriesPoint) PctFull() float64 { return pct(p.Full, p.Total) }
-
-// PctDSGivenDNSKEY is the share of DNSKEY-publishing domains that also have
-// a DS — the complement of the paper's Cloudflare 39.3% gap.
-func (p SeriesPoint) PctDSGivenDNSKEY() float64 { return pct(p.WithDS, p.WithDNSKEY) }
-
 func pct(a, b int) float64 {
 	if b == 0 {
 		return 0
@@ -200,11 +103,11 @@ func pct(a, b int) float64 {
 }
 
 // Series extracts a time series from the store for records matching f.
-func Series(store *dataset.Store, f Filter) []SeriesPoint {
-	var out []SeriesPoint
+func Series(store *dataset.Store, f Filter) []colstore.SeriesPoint {
+	var out []colstore.SeriesPoint
 	for _, day := range store.Days() {
 		snap := store.Get(day)
-		p := SeriesPoint{Day: day}
+		p := colstore.SeriesPoint{Day: day}
 		for i := range snap.Records {
 			r := &snap.Records[i]
 			if r.Failed || !f(r) {
@@ -245,14 +148,8 @@ func DSGapPct(snap *dataset.Snapshot, f Filter) float64 {
 	return pct(gap, keyed)
 }
 
-// TLDOverview is one Table 1 row.
-type TLDOverview struct {
-	TLD        string
-	Domains    int
-	PctDNSKEY  float64
-	PctFull    float64
-	PctPartial float64
-}
+// TLDOverview is colstore's Table 1 row, named here for bench/'s oracles.
+type TLDOverview = colstore.TLDOverview
 
 // Overview computes the Table 1 dataset summary from a snapshot.
 func Overview(snap *dataset.Snapshot, tlds []string) []TLDOverview {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
 )
@@ -57,20 +58,20 @@ func TestCountByOperatorAndCDF(t *testing.T) {
 		t.Errorf("CDF does not end at 1: %v", cdf[len(cdf)-1].CumFrac)
 	}
 	// 50/100 at rank 1 → covering 50% needs 1 operator.
-	if n := OperatorsToCover(cdf, 0.5); n != 1 {
-		t.Errorf("OperatorsToCover(all, 0.5) = %d", n)
+	if n := colstore.OperatorsToCover(cdf, 0.5); n != 1 {
+		t.Errorf("colstore.OperatorsToCover(all, 0.5) = %d", n)
 	}
 	// Fully deployed: dnssec.net 15, mid.net 10 → 50% needs 1.
 	fullCDF := OperatorCDF(snap, FullyDeployed)
-	if n := OperatorsToCover(fullCDF, 0.5); n != 1 {
-		t.Errorf("OperatorsToCover(full, 0.5) = %d", n)
+	if n := colstore.OperatorsToCover(fullCDF, 0.5); n != 1 {
+		t.Errorf("colstore.OperatorsToCover(full, 0.5) = %d", n)
 	}
 	if fullCDF[0].Operator != "dnssec.net" {
 		t.Errorf("top full operator: %v", fullCDF[0].Operator)
 	}
 	// Top-2: big.net (50) + mid.net (30 incl. its 10 full) = 80 of 100.
-	if got := CoverageOfTop(cdf, 2); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("CoverageOfTop(2) = %v", got)
+	if got := colstore.CoverageOfTop(cdf, 2); math.Abs(got-0.8) > 1e-12 {
+		t.Errorf("colstore.CoverageOfTop(2) = %v", got)
 	}
 	if got := TopOverlap(cdf, fullCDF, 2); got != 1 { // mid.net appears in both top-2
 		t.Errorf("TopOverlap = %d", got)
@@ -171,10 +172,10 @@ func TestEmptyInputs(t *testing.T) {
 	if cdf := OperatorCDF(&dataset.Snapshot{}, All); cdf != nil {
 		t.Error("CDF of empty snapshot should be nil")
 	}
-	if n := OperatorsToCover(nil, 0.5); n != 0 {
-		t.Errorf("OperatorsToCover(nil) = %d", n)
+	if n := colstore.OperatorsToCover(nil, 0.5); n != 0 {
+		t.Errorf("colstore.OperatorsToCover(nil) = %d", n)
 	}
-	if CoverageOfTop(nil, 3) != 0 {
-		t.Error("CoverageOfTop(nil)")
+	if colstore.CoverageOfTop(nil, 3) != 0 {
+		t.Error("colstore.CoverageOfTop(nil)")
 	}
 }

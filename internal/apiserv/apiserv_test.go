@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"securepki.org/registrarsec/internal/analysis"
 	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
@@ -104,7 +103,7 @@ func decodeJSON[T any](t *testing.T, rec *httptest.ResponseRecorder) T {
 
 type table1Doc struct {
 	Day  string                 `json:"day"`
-	TLDs []analysis.TLDOverview `json:"tlds"`
+	TLDs []colstore.TLDOverview `json:"tlds"`
 }
 
 // TestServerLifecycleAndEndpoints runs the daemon end to end against a
@@ -164,7 +163,7 @@ func TestServerLifecycleAndEndpoints(t *testing.T) {
 
 	// Operators: descending counts, limit respected.
 	opsDoc := decodeJSON[struct {
-		Operators []analysis.OperatorCount `json:"operators"`
+		Operators []colstore.OperatorCount `json:"operators"`
 	}](t, get(h, "/v1/operators?class=dnskey&limit=2"))
 	if len(opsDoc.Operators) == 0 || len(opsDoc.Operators) > 2 {
 		t.Fatalf("operators = %+v", opsDoc.Operators)
@@ -173,7 +172,7 @@ func TestServerLifecycleAndEndpoints(t *testing.T) {
 	// Series for one operator.
 	serDoc := decodeJSON[struct {
 		Operator string                 `json:"operator"`
-		Points   []analysis.SeriesPoint `json:"points"`
+		Points   []colstore.SeriesPoint `json:"points"`
 	}](t, get(h, "/v1/series?operator=alpha-dns&from=2015-04-11&to=2015-06-10&step=30"))
 	if serDoc.Operator != "alpha-dns" || len(serDoc.Points) != 3 {
 		t.Fatalf("series = %+v", serDoc)

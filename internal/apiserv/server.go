@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"securepki.org/registrarsec/internal/analysis"
 	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/simtime"
 )
@@ -287,7 +286,7 @@ func (s *Server) handleTable1(w http.ResponseWriter, r *http.Request, view *worl
 	}
 	writeJSON(w, struct {
 		Day  string                 `json:"day"`
-		TLDs []analysis.TLDOverview `json:"tlds"`
+		TLDs []colstore.TLDOverview `json:"tlds"`
 	}{day.String(), view.idx.Overview(day, parseTLDs(r, view))})
 }
 
@@ -331,7 +330,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request, view *worl
 	writeJSON(w, struct {
 		Operator string                 `json:"operator"`
 		TLD      string                 `json:"tld,omitempty"`
-		Points   []analysis.SeriesPoint `json:"points"`
+		Points   []colstore.SeriesPoint `json:"points"`
 	}{operator, q.Get("tld"), points})
 }
 
@@ -359,7 +358,7 @@ func (s *Server) handleOperators(w http.ResponseWriter, r *http.Request, view *w
 	}
 	writeJSON(w, struct {
 		Day       string                   `json:"day"`
-		Operators []analysis.OperatorCount `json:"operators"`
+		Operators []colstore.OperatorCount `json:"operators"`
 	}{day.String(), counts})
 }
 

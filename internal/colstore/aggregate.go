@@ -4,12 +4,11 @@ import (
 	"runtime"
 	"sync"
 
-	"securepki.org/registrarsec/internal/analysis"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
 // Class selects a deployment population for an aggregation, mirroring the
-// analysis package's record filters over the columnar layout.
+// reference engine's record filters over the columnar layout.
 type Class uint8
 
 const (
@@ -95,9 +94,8 @@ func (x *Index) tally(size int, count func(lo, hi int, t []int32)) []int32 {
 }
 
 // CountByOperator tallies matching domains per operator at the given day,
-// ranked as analysis.CountByOperator ranks them over the materialized
-// snapshot, without the snapshot or the string-keyed map.
-func (x *Index) CountByOperator(day simtime.Day, c Class, tlds ...string) []analysis.OperatorCount {
+// ranked by Rank, without a materialized snapshot or a string-keyed map.
+func (x *Index) CountByOperator(day simtime.Day, c Class, tlds ...string) []OperatorCount {
 	x.mustOpen()
 	d, tldMask := clampDay(day), x.tldMask(tlds)
 	counts := x.tally(len(x.ops), func(lo, hi int, t []int32) {
@@ -107,27 +105,27 @@ func (x *Index) CountByOperator(day simtime.Day, c Class, tlds ...string) []anal
 			}
 		}
 	})
-	out := make([]analysis.OperatorCount, 0, len(counts))
+	out := make([]OperatorCount, 0, len(counts))
 	for id, n := range counts {
 		if n > 0 {
-			out = append(out, analysis.OperatorCount{Operator: x.ops[id], Count: int(n)})
+			out = append(out, OperatorCount{Operator: x.ops[id], Count: int(n)})
 		}
 	}
-	analysis.Rank(out)
+	Rank(out)
 	return out
 }
 
 // OperatorCDF computes the Figure 3 cumulative distribution of domains
-// over operators ranked by size, identical to analysis.OperatorCDF.
-func (x *Index) OperatorCDF(day simtime.Day, c Class, tlds ...string) []analysis.CDFPoint {
-	return analysis.CDF(x.CountByOperator(day, c, tlds...))
+// over operators ranked by size.
+func (x *Index) OperatorCDF(day simtime.Day, c Class, tlds ...string) []CDFPoint {
+	return CDF(x.CountByOperator(day, c, tlds...))
 }
 
-// Overview computes the Table 1 per-TLD dataset summary at the given day,
-// identical to analysis.Overview over the materialized snapshot: one row
-// per entry of tlds, a TLD named twice answered twice, and an unknown one
-// with zeros. The sharded tally keeps four counters per interned TLD.
-func (x *Index) Overview(day simtime.Day, tlds []string) []analysis.TLDOverview {
+// Overview computes the Table 1 per-TLD dataset summary at the given day:
+// one row per entry of tlds, a TLD named twice answered twice, and an
+// unknown one with zeros. The sharded tally keeps four counters per
+// interned TLD.
+func (x *Index) Overview(day simtime.Day, tlds []string) []TLDOverview {
 	x.mustOpen()
 	d := clampDay(day)
 	// Per TLD: total, DNSKEY, full, partial.
@@ -146,7 +144,7 @@ func (x *Index) Overview(day simtime.Day, tlds []string) []analysis.TLDOverview 
 			}
 		}
 	})
-	out := make([]analysis.TLDOverview, len(tlds))
+	out := make([]TLDOverview, len(tlds))
 	for row, tld := range tlds {
 		var n [4]int
 		if id, ok := x.tldIDs[tld]; ok {
@@ -154,7 +152,7 @@ func (x *Index) Overview(day simtime.Day, tlds []string) []analysis.TLDOverview 
 				n[k] = int(c[4*int(id)+k])
 			}
 		}
-		out[row] = analysis.TLDOverview{
+		out[row] = TLDOverview{
 			TLD:        tld,
 			Domains:    n[0],
 			PctDNSKEY:  pct(n[1], n[0]),
@@ -166,7 +164,7 @@ func (x *Index) Overview(day simtime.Day, tlds []string) []analysis.TLDOverview 
 }
 
 // DSGapPct computes the share of DNSKEY-publishing domains without a DS at
-// the given day — analysis.DSGapPct over the columns.
+// the given day.
 func (x *Index) DSGapPct(day simtime.Day, tlds ...string) float64 {
 	x.mustOpen()
 	d := clampDay(day)
@@ -185,11 +183,4 @@ func (x *Index) DSGapPct(day simtime.Day, tlds ...string) float64 {
 		}
 	}
 	return pct(gap, keyed)
-}
-
-func pct(a, b int) float64 {
-	if b == 0 {
-		return 0
-	}
-	return 100 * float64(a) / float64(b)
 }

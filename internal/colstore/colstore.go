@@ -20,10 +20,13 @@
 //     memcpy'd and only the four day-dependent booleans are patched, and
 //     every record of an operator shares one NS-host slice.
 //
-// Results are bit-identical to a record-at-a-time computation over
-// tldsim.DomainState, which tldsim's tests keep as the oracle
-// (referenceSnapshot / referenceSeries and the equivalence property
-// tests).
+// The package owns the result types of the paper's numbers (results.go):
+// Table 1 rows, series points, operator counts and CDF steps, which the
+// facade, apiserv and regsec-report hand on unchanged. Results are
+// bit-identical to a record-at-a-time computation over tldsim.DomainState,
+// which tldsim's tests keep as the oracle (referenceSnapshot /
+// referenceSeries and the equivalence property tests), and to the
+// snapshot aggregators of internal/analysis.
 package colstore
 
 import (
@@ -35,7 +38,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"securepki.org/registrarsec/internal/analysis"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
 )
@@ -461,7 +463,7 @@ const cancelStride = 32 << 10
 // groups: O(group events + days) total, independent of the rest of the
 // population. Unknown operators/TLDs yield all-zero points, matching the
 // full-scan oracle.
-func (x *Index) Series(operator, tld string, from, to simtime.Day, stepDays int) []analysis.SeriesPoint {
+func (x *Index) Series(operator, tld string, from, to simtime.Day, stepDays int) []SeriesPoint {
 	x.mustOpen()
 	out, _ := x.SeriesCtx(context.Background(), operator, tld, from, to, stepDays)
 	return out
@@ -470,7 +472,7 @@ func (x *Index) Series(operator, tld string, from, to simtime.Day, stepDays int)
 // SeriesCtx is Series with cancellation: the day sweep polls the context
 // every cancelStride steps, so an API request dropped mid-series stops
 // paying for the rest of the range, and a closed index answers ErrClosed.
-func (x *Index) SeriesCtx(ctx context.Context, operator, tld string, from, to simtime.Day, stepDays int) ([]analysis.SeriesPoint, error) {
+func (x *Index) SeriesCtx(ctx context.Context, operator, tld string, from, to simtime.Day, stepDays int) ([]SeriesPoint, error) {
 	if x.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -501,9 +503,9 @@ func (x *Index) SeriesCtx(ctx context.Context, operator, tld string, from, to si
 	for i := range curs {
 		total += curs[i].g.total
 	}
-	var out []analysis.SeriesPoint
+	var out []SeriesPoint
 	if from <= to {
-		out = make([]analysis.SeriesPoint, 0, int(to-from)/stepDays+1)
+		out = make([]SeriesPoint, 0, int(to-from)/stepDays+1)
 	}
 	// Each cursor only ever advances, so the whole sweep touches every
 	// event at most once regardless of the day range.
@@ -531,7 +533,7 @@ func (x *Index) SeriesCtx(ctx context.Context, operator, tld string, from, to si
 				full++
 			}
 		}
-		out = append(out, analysis.SeriesPoint{
+		out = append(out, SeriesPoint{
 			Day:        day,
 			Total:      total,
 			WithDNSKEY: withKey,

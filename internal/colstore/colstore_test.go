@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
-	"securepki.org/registrarsec/internal/analysis"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
 )
@@ -83,13 +81,13 @@ func refSnapshot(domains []Domain, day simtime.Day) *dataset.Snapshot {
 }
 
 // refSeries is the oracle series: the original full-scan SeriesFor logic.
-func refSeries(domains []Domain, operator, tld string, from, to simtime.Day, stepDays int) []analysis.SeriesPoint {
+func refSeries(domains []Domain, operator, tld string, from, to simtime.Day, stepDays int) []SeriesPoint {
 	if stepDays <= 0 {
 		stepDays = 1
 	}
-	var out []analysis.SeriesPoint
+	var out []SeriesPoint
 	for day := from; day <= to; day += simtime.Day(stepDays) {
-		p := analysis.SeriesPoint{Day: day}
+		p := SeriesPoint{Day: day}
 		for i := range domains {
 			d := &domains[i]
 			if d.Operator != operator || (tld != "" && d.TLD != tld) {
@@ -115,42 +113,6 @@ func refSeries(domains []Domain, operator, tld string, from, to simtime.Day, ste
 		out = append(out, p)
 	}
 	return out
-}
-
-func classFilter(c Class) analysis.Filter {
-	switch c {
-	case ClassAny:
-		return analysis.All
-	case ClassDNSKEY:
-		return analysis.WithDNSKEY
-	case ClassPartial:
-		return analysis.PartiallyDeployed
-	case ClassFull:
-		return analysis.FullyDeployed
-	case ClassBroken:
-		return func(r *dataset.Record) bool { return r.Deployment() == DeploymentBrokenRef }
-	case ClassNone:
-		return func(r *dataset.Record) bool { return r.Deployment() == DeploymentNoneRef }
-	}
-	panic("unknown class")
-}
-
-// Re-derive the dnssec constants through a record so the test does not
-// import dnssec directly.
-var (
-	DeploymentNoneRef   = (&dataset.Record{}).Deployment()
-	DeploymentBrokenRef = (&dataset.Record{HasDS: true}).Deployment()
-)
-
-func tldFilter(tlds []string) analysis.Filter {
-	if len(tlds) == 0 {
-		return analysis.All
-	}
-	set := map[string]bool{}
-	for _, t := range tlds {
-		set[t] = true
-	}
-	return func(r *dataset.Record) bool { return set[r.TLD] }
 }
 
 func TestSnapshotMatchesOracle(t *testing.T) {
@@ -196,67 +158,6 @@ func TestSeriesMatchesOracle(t *testing.T) {
 			t.Fatalf("trial %d: series mismatch for op=%s tld=%q [%v,%v] step %d\ngot  %v\nwant %v",
 				trial, operator, tld, from, to, step, got, want)
 		}
-	}
-}
-
-func TestAggregationsMatchAnalysis(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 15; trial++ {
-		domains := randomDomains(rng, rng.Intn(600))
-		idx := buildIndex(domains)
-		day := simtime.Day(rng.Intn(900) - 50)
-		snap := refSnapshot(domains, day)
-		tldSets := [][]string{nil, {"com", "net", "org"}, {"se"}, {"nosuch"}}
-		for _, tlds := range tldSets {
-			for _, c := range []Class{ClassAny, ClassDNSKEY, ClassPartial, ClassFull, ClassBroken, ClassNone} {
-				f := analysis.And(tldFilter(tlds), classFilter(c))
-				gotCounts := idx.CountByOperator(day, c, tlds...)
-				wantCounts := analysis.CountByOperator(snap, f)
-				if len(gotCounts) == 0 && len(wantCounts) == 0 {
-					// DeepEqual distinguishes nil from empty; both mean none.
-				} else if !reflect.DeepEqual(gotCounts, wantCounts) {
-					t.Fatalf("trial %d class %d tlds %v: counts mismatch\ngot  %v\nwant %v",
-						trial, c, tlds, gotCounts, wantCounts)
-				}
-				gotCDF := idx.OperatorCDF(day, c, tlds...)
-				wantCDF := analysis.OperatorCDF(snap, f)
-				if !reflect.DeepEqual(gotCDF, wantCDF) {
-					t.Fatalf("trial %d class %d tlds %v: CDF mismatch", trial, c, tlds)
-				}
-			}
-			gotGap := idx.DSGapPct(day, tlds...)
-			wantGap := analysis.DSGapPct(snap, tldFilter(tlds))
-			if gotGap != wantGap {
-				t.Fatalf("trial %d tlds %v: DS gap %.6f != %.6f", trial, tlds, gotGap, wantGap)
-			}
-		}
-		// A TLD named twice is answered twice, known or not.
-		order := []string{"com", "net", "org", "nl", "se", "xyz", "missing", "com", "missing"}
-		gotOv := idx.Overview(day, order)
-		wantOv := analysis.Overview(snap, order)
-		if !reflect.DeepEqual(gotOv, wantOv) {
-			t.Fatalf("trial %d: overview mismatch\ngot  %v\nwant %v", trial, gotOv, wantOv)
-		}
-	}
-}
-
-// TestShardedAggregationsMatchAnalysis: a population of several shards,
-// tallied by four workers with a stride that does not divide it, answers
-// what the serial reference does.
-func TestShardedAggregationsMatchAnalysis(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	domains := randomDomains(rand.New(rand.NewSource(5)), 3*aggShardMin+17)
-	idx := buildIndex(domains)
-	day := simtime.Day(400)
-	snap := refSnapshot(domains, day)
-	for _, c := range []Class{ClassAny, ClassFull} {
-		if got, want := idx.CountByOperator(day, c), analysis.CountByOperator(snap, classFilter(c)); !reflect.DeepEqual(got, want) {
-			t.Errorf("class %d: counts\ngot  %v\nwant %v", c, got, want)
-		}
-	}
-	order := []string{"com", "net", "org", "nl", "se", "xyz", "com"}
-	if got, want := idx.Overview(day, order), analysis.Overview(snap, order); !reflect.DeepEqual(got, want) {
-		t.Errorf("overview\ngot  %v\nwant %v", got, want)
 	}
 }
 

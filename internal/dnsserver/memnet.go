@@ -12,15 +12,11 @@ import (
 // MemNet is an in-memory "network" of DNS servers keyed by address. It lets
 // the ecosystem simulation host one logical server per DNS operator —
 // tens of thousands of them — without consuming sockets, while exercising
-// the same Handler code the real transport runs.
-//
-// With Strict set, Exchange packs the query and answers it through
+// the same Handler code the real transport runs. Every exchange is a full
+// wire-format round trip: Exchange packs the query and answers it through
 // serveWire, as the TCP transport does, so wire-format bugs cannot hide
-// behind the in-memory shortcut.
+// behind in-memory dispatch.
 type MemNet struct {
-	// Strict forces a full wire-format round trip on every exchange.
-	Strict bool
-
 	mu       sync.RWMutex
 	handlers map[string]Handler
 }
@@ -44,8 +40,8 @@ func (m *MemNet) Lookup(addr string) Handler {
 	return m.handlers[addr]
 }
 
-// Exchange implements exchange.Exchanger by direct dispatch to the registered
-// handler.
+// Exchange implements exchange.Exchanger: it packs q, serves the bytes
+// through the handler registered at server and unpacks the answer.
 func (m *MemNet) Exchange(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -53,9 +49,6 @@ func (m *MemNet) Exchange(ctx context.Context, server string, q *dnswire.Message
 	h := m.Lookup(server)
 	if h == nil {
 		return nil, fmt.Errorf("%w: %s", exchange.ErrNoRoute, server)
-	}
-	if !m.Strict {
-		return h.ServeDNS(q), nil
 	}
 	wire, err := q.Pack()
 	if err != nil {

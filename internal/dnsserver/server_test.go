@@ -2,6 +2,7 @@ package dnsserver_test
 
 import (
 	"context"
+	"net"
 	"net/netip"
 	"strings"
 	"testing"
@@ -258,10 +259,27 @@ func TestUDPTCPServer(t *testing.T) {
 		t.Fatalf("big answers: %d", len(resp2.Answers))
 	}
 
-	// With fallback disabled we must see the truncated response.
-	exNoTCP := &dnsserver.NetExchanger{Timeout: 2 * time.Second, DisableTCPFallback: true}
-	resp3, err := exNoTCP.Exchange(ctx, srv.Addr(), q2)
+	// The UDP answer itself is truncated: a plain datagram exchange sees TC=1.
+	wire, err := q2.Pack()
 	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("udp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 65535)
+	n, err := conn.Read(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp3 dnswire.Message
+	if err := resp3.Unpack(buf[:n]); err != nil {
 		t.Fatal(err)
 	}
 	if !resp3.Truncated {

@@ -428,8 +428,6 @@ func writeTCPMessage(w io.Writer, msg []byte) error {
 type NetExchanger struct {
 	// Timeout per attempt (default 3s).
 	Timeout time.Duration
-	// DisableTCPFallback suppresses the TCP retry after TC=1.
-	DisableTCPFallback bool
 }
 
 // Exchange implements exchange.Exchanger. server must be a host:port address.
@@ -476,7 +474,7 @@ func (e *NetExchanger) Exchange(ctx context.Context, server string, q *dnswire.M
 	if err != nil {
 		return nil, err
 	}
-	if resp.Truncated && !e.DisableTCPFallback {
+	if resp.Truncated {
 		return e.exchangeTCP(ctx, server, out, q.ID, timeout)
 	}
 	return resp, nil

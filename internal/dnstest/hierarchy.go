@@ -57,7 +57,7 @@ type Hierarchy struct {
 }
 
 // TLDServerAddr returns the network address of a TLD's authoritative
-// server in hierarchies and ecosystems built by this package.
+// server in hierarchies built by this package.
 func TLDServerAddr(tld string) string { return ecosystem.TLDServerAddr(tld) }
 
 // NewHierarchy builds a signed root and the given signed TLDs at time now.

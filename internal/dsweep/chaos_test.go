@@ -26,6 +26,7 @@ import (
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/logtest"
 	"securepki.org/registrarsec/internal/registrar"
 	"securepki.org/registrarsec/internal/scan"
@@ -177,9 +178,9 @@ func (c *chaos) prepare(ctx context.Context, name string) error {
 
 // buildTestWorld wires an ecosystem with registrars producing every
 // deployment class (mirrors the scan package's test world).
-func buildTestWorld(t *testing.T) (*dnstest.Ecosystem, []scan.Target) {
+func buildTestWorld(t *testing.T) (*ecosystem.Ecosystem, []scan.Target) {
 	t.Helper()
-	eco, err := dnstest.NewEcosystem(dnstest.EcosystemConfig{TLDs: []string{"com", "nl"}})
+	eco, err := ecosystem.New(ecosystem.Config{TLDs: []string{"com", "nl"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func (l targetList) Target(i int) (string, string) { return l[i].Domain, l[i].TL
 // testStreamSetup builds a StreamDaySetup over the fixed in-memory world:
 // a cursor over the targets, with no per-chunk prepare work (the ecosystem
 // is fully materialized already).
-func testStreamSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target) scan.StreamDaySetup {
+func testStreamSetup(t *testing.T, eco *ecosystem.Ecosystem, targets []scan.Target) scan.StreamDaySetup {
 	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
 		s, err := scan.New(scan.Config{
 			Exchange: eco.Net,
@@ -267,7 +268,7 @@ func testStreamSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target
 
 // referenceArchive runs an uninterrupted single-process ResumableSweep of
 // the plan and returns its archive bytes — the byte-identity oracle.
-func referenceArchive(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, days []simtime.Day, shards int) []byte {
+func referenceArchive(t *testing.T, eco *ecosystem.Ecosystem, targets []scan.Target, days []simtime.Day, shards int) []byte {
 	t.Helper()
 	rs := &scan.ResumableSweep{Shards: shards, StreamSetup: testStreamSetup(t, eco, targets)}
 	var buf bytes.Buffer
@@ -282,7 +283,7 @@ func referenceArchive(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Targe
 
 // chaosEnv is one prepared distributed-sweep scenario.
 type chaosEnv struct {
-	eco     *dnstest.Ecosystem
+	eco     *ecosystem.Ecosystem
 	targets []scan.Target
 	days    []simtime.Day
 	plan    Plan

@@ -36,7 +36,6 @@ type Tree struct {
 // valid as registry.NewApex has it.
 func NewTree(now time.Time, tlds ...string) (*Tree, error) {
 	t := &Tree{Net: dnsserver.NewMemNet(), TLDs: make(map[string]*registry.Apex, len(tlds))}
-	t.Net.Strict = true
 	var delegations []*dnswire.RR
 	for _, tld := range tlds {
 		apex, err := registry.NewApex(tld, TLDServerAddr(tld), now)

@@ -12,17 +12,17 @@ import (
 
 	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnsserver"
-	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/epp"
 	"securepki.org/registrarsec/internal/simtime"
 	"securepki.org/registrarsec/internal/zone"
 )
 
 // startServer brings up an ecosystem's .com registry behind an EPP endpoint.
-func startServer(t *testing.T) (*dnstest.Ecosystem, *epp.Server) {
+func startServer(t *testing.T) (*ecosystem.Ecosystem, *epp.Server) {
 	t.Helper()
-	eco, err := dnstest.NewEcosystem(dnstest.EcosystemConfig{TLDs: []string{"com"}})
+	eco, err := ecosystem.New(ecosystem.Config{TLDs: []string{"com"}})
 	if err != nil {
 		t.Fatal(err)
 	}

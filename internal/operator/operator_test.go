@@ -7,15 +7,15 @@ import (
 
 	"securepki.org/registrarsec/internal/channel"
 	"securepki.org/registrarsec/internal/dnssec"
-	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/operator"
 	"securepki.org/registrarsec/internal/registrar"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
 type fixture struct {
-	eco *dnstest.Ecosystem
+	eco *ecosystem.Ecosystem
 	op  *operator.Operator
 	reg *registrar.Registrar
 }
@@ -24,7 +24,7 @@ type fixture struct {
 // DS form, and a customer domain delegated to the operator.
 func newFixture(t *testing.T, opCfg operator.Config) *fixture {
 	t.Helper()
-	eco, err := dnstest.NewEcosystem(dnstest.EcosystemConfig{
+	eco, err := ecosystem.New(ecosystem.Config{
 		TLDs:    []string{"com"},
 		CDSTLDs: map[string]bool{"com": true},
 	})

@@ -7,13 +7,13 @@ import (
 
 	"securepki.org/registrarsec/internal/channel"
 	"securepki.org/registrarsec/internal/dnssec"
-	"securepki.org/registrarsec/internal/dnstest"
+	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/probe"
 	"securepki.org/registrarsec/internal/registrar"
 )
 
 type world struct {
-	eco  *dnstest.Ecosystem
+	eco  *ecosystem.Ecosystem
 	env  *probe.Env
 	byID map[string]*registrar.Registrar
 	t    *testing.T
@@ -21,7 +21,7 @@ type world struct {
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	eco, err := dnstest.NewEcosystem(dnstest.EcosystemConfig{TLDs: []string{"com", "se"}})
+	eco, err := ecosystem.New(ecosystem.Config{TLDs: []string{"com", "se"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dnstest"
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/logtest"
 	"securepki.org/registrarsec/internal/scan"
@@ -46,7 +47,7 @@ func (e *cancelAtExchanger) Exchange(ctx context.Context, server string, q *dnsw
 // sweepSetup returns a StreamDaySetup over the fixed in-memory world: the
 // target list behind a cursor, no per-chunk prepare (the in-memory world
 // serves every domain already), optionally wrapping the exchanger.
-func sweepSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, wrap func(exchange.Exchanger) exchange.Exchanger) scan.StreamDaySetup {
+func sweepSetup(t *testing.T, eco *ecosystem.Ecosystem, targets []scan.Target, wrap func(exchange.Exchanger) exchange.Exchanger) scan.StreamDaySetup {
 	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
 		var ex exchange.Exchanger = eco.Net
 		if wrap != nil {
@@ -71,7 +72,7 @@ func sweepSetup(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, wra
 // oracleArchive is the byte-identity oracle: every day scanned in one
 // ScanDay over all the targets, canonicalized and written in RAM. It also
 // returns each day's health for ledger comparisons.
-func oracleArchive(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, days []simtime.Day) ([]byte, []*scan.SweepHealth) {
+func oracleArchive(t *testing.T, eco *ecosystem.Ecosystem, targets []scan.Target, days []simtime.Day) ([]byte, []*scan.SweepHealth) {
 	t.Helper()
 	store := dataset.NewStore()
 	var healths []*scan.SweepHealth
@@ -141,7 +142,7 @@ func healthKey(h *scan.SweepHealth) string {
 
 // chunkHealths scans the targets in chunks of the given size, as the chunk
 // loop does, and returns each chunk's health report.
-func chunkHealths(t *testing.T, eco *dnstest.Ecosystem, targets []scan.Target, chunk int) []*scan.SweepHealth {
+func chunkHealths(t *testing.T, eco *ecosystem.Ecosystem, targets []scan.Target, chunk int) []*scan.SweepHealth {
 	t.Helper()
 	s := newScanner(t, eco, 3)
 	var parts []*scan.SweepHealth

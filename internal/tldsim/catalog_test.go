@@ -5,16 +5,16 @@ import (
 	"testing"
 
 	"securepki.org/registrarsec/internal/channel"
-	"securepki.org/registrarsec/internal/dnstest"
+	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/probe"
 	"securepki.org/registrarsec/internal/registrar"
 )
 
 // buildProbeWorld wires the catalogue's registrar agents onto a live
 // registry substrate.
-func buildProbeWorld(t *testing.T) (*dnstest.Ecosystem, map[string]*registrar.Registrar, []*registrar.Registrar, []*registrar.Registrar) {
+func buildProbeWorld(t *testing.T) (*ecosystem.Ecosystem, map[string]*registrar.Registrar, []*registrar.Registrar, []*registrar.Registrar) {
 	t.Helper()
-	eco, err := dnstest.NewEcosystem(dnstest.EcosystemConfig{})
+	eco, err := ecosystem.New(ecosystem.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

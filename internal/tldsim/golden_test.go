@@ -12,7 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	"securepki.org/registrarsec/internal/analysis"
+	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
 )
@@ -122,7 +122,7 @@ func snapshotDigest(t *testing.T, snap *dataset.Snapshot) string {
 }
 
 // seriesDigest hashes one "day total dnskey ds full" line per point.
-func seriesDigest(pts []analysis.SeriesPoint) string {
+func seriesDigest(pts []colstore.SeriesPoint) string {
 	h := sha256.New()
 	for _, p := range pts {
 		fmt.Fprintf(h, "%d\t%d\t%d\t%d\t%d\n", int(p.Day), p.Total, p.WithDNSKEY, p.WithDS, p.Full)
@@ -204,7 +204,7 @@ func TestWorldV1FileRoundTrips(t *testing.T) {
 			t.Errorf("row %d is %+v, want %+v", i, got, want)
 		}
 	}
-	wantOverview := []analysis.TLDOverview{
+	wantOverview := []colstore.TLDOverview{
 		{TLD: "com", Domains: 295, PctDNSKEY: 300.0 / 295, PctFull: 300.0 / 295},
 		{TLD: "net", Domains: 34},
 		{TLD: "org", Domains: 24, PctDNSKEY: 100.0 / 24, PctFull: 100.0 / 24},

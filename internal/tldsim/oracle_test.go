@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"securepki.org/registrarsec/internal/analysis"
 	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
@@ -153,7 +152,7 @@ func referenceSnapshot(domains []DomainState, day simtime.Day) *dataset.Snapshot
 // referenceSeries is the full-scan series computation: gather the
 // operator's event days, sort them, and count the events at or before each
 // sampled day.
-func referenceSeries(domains []DomainState, operator, tld string, from, to simtime.Day, stepDays int) []analysis.SeriesPoint {
+func referenceSeries(domains []DomainState, operator, tld string, from, to simtime.Day, stepDays int) []colstore.SeriesPoint {
 	if stepDays <= 0 {
 		stepDays = 1
 	}
@@ -186,9 +185,9 @@ func referenceSeries(domains []DomainState, operator, tld string, from, to simti
 	countLE := func(s []simtime.Day, day simtime.Day) int {
 		return sort.Search(len(s), func(i int) bool { return s[i] > day })
 	}
-	var out []analysis.SeriesPoint
+	var out []colstore.SeriesPoint
 	for day := from; day <= to; day += simtime.Day(stepDays) {
-		out = append(out, analysis.SeriesPoint{
+		out = append(out, colstore.SeriesPoint{
 			Day:        day,
 			Total:      total,
 			WithDNSKEY: countLE(keyDays, day),

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"securepki.org/registrarsec/internal/analysis"
+	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
@@ -116,7 +117,7 @@ func TestWorldSaveLoadRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(loaded.Index().Snapshot(simtime.End), w.Index().Snapshot(simtime.End)) {
 		t.Fatal("snapshot diverges after round trip")
 	}
-	series := func(w *World) []analysis.SeriesPoint {
+	series := func(w *World) []colstore.SeriesPoint {
 		return w.Index().Series("ovh.net", "", simtime.GTLDStart, simtime.End, 30)
 	}
 	if !reflect.DeepEqual(series(loaded), series(w)) {

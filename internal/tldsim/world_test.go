@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"securepki.org/registrarsec/internal/analysis"
+	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/scan"
@@ -86,15 +87,15 @@ func TestFigure3OperatorConcentration(t *testing.T) {
 
 	// The paper: tens of operators to cover half of all domains, but only
 	// ~4 for partial and ~2 for fully deployed — the concentration finding.
-	nAll := analysis.OperatorsToCover(all, 0.5)
+	nAll := colstore.OperatorsToCover(all, 0.5)
 	if nAll < 10 || nAll > 45 {
 		t.Errorf("operators to cover 50%% of all domains = %d, want tens", nAll)
 	}
-	nPartial := analysis.OperatorsToCover(partial, 0.5)
+	nPartial := colstore.OperatorsToCover(partial, 0.5)
 	if nPartial < 2 || nPartial > 7 {
 		t.Errorf("operators to cover 50%% of partial = %d, want ~4", nPartial)
 	}
-	nFull := analysis.OperatorsToCover(full, 0.5)
+	nFull := colstore.OperatorsToCover(full, 0.5)
 	if nFull < 1 || nFull > 4 {
 		t.Errorf("operators to cover 50%% of full = %d, want ~2", nFull)
 	}
@@ -190,7 +191,7 @@ func TestFigure6AntagonistBinero(t *testing.T) {
 func TestFigure7PCExtremeStepAndTransIP(t *testing.T) {
 	w := testWorld(t)
 	pcx := w.Index().Series("pcextreme.nl", "com", simtime.GTLDStart-20, simtime.End, 1)
-	at := func(day simtime.Day) analysis.SeriesPoint {
+	at := func(day simtime.Day) colstore.SeriesPoint {
 		return pcx[int(day-(simtime.GTLDStart-20))]
 	}
 	before := at(pcxStepDay - 2)

@@ -21,11 +21,9 @@ import (
 	"fmt"
 	"strings"
 
-	"securepki.org/registrarsec/internal/analysis"
 	"securepki.org/registrarsec/internal/checkpoint"
 	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/dataset"
-	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dsweep"
 	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/faultnet"
@@ -42,16 +40,14 @@ type (
 	// Observation is one registrar's probe result (a Table 2/3 row).
 	Observation = probe.Observation
 	// SeriesPoint is one day of a deployment time series.
-	SeriesPoint = analysis.SeriesPoint
+	SeriesPoint = colstore.SeriesPoint
 	// CDFPoint is one step of the Figure 3 operator CDF.
-	CDFPoint = analysis.CDFPoint
+	CDFPoint = colstore.CDFPoint
 	// TLDOverview is one Table 1 row.
-	TLDOverview = analysis.TLDOverview
+	TLDOverview = colstore.TLDOverview
 	// Index is a columnar domain population the figures are computed
 	// over: the model's (World.Index) or a measurement's (Measure).
 	Index = colstore.Index
-	// Deployment is the none/partial/full/broken classification.
-	Deployment = dnssec.Deployment
 	// Day is a simulation day (days since 2015-01-01).
 	Day = simtime.Day
 	// SurveyRow is one Table 4 row.
@@ -60,31 +56,10 @@ type (
 	SweepHealth = scan.SweepHealth
 	// FaultRule declares injected transport faults for one server pattern.
 	FaultRule = faultnet.Rule
-	// Registrar is a live registrar agent.
-	Registrar = registrar.Registrar
-	// World is the generated domain population.
-	World = tldsim.World
 )
 
-// Deployment classes.
-const (
-	DeploymentNone    = dnssec.DeploymentNone
-	DeploymentPartial = dnssec.DeploymentPartial
-	DeploymentFull    = dnssec.DeploymentFull
-	DeploymentBroken  = dnssec.DeploymentBroken
-)
-
-// Milestone days of the measurement window.
-var (
-	WindowStart   = simtime.GTLDStart
-	WindowEnd     = simtime.End
-	NLWindowStart = simtime.NLStart
-	SEWindowStart = simtime.SEStart
-	CloudflareDay = simtime.CloudflareUniversalDNSSEC
-)
-
-// AllTLDs is the study's TLD set: com, net, org, nl, se.
-var AllTLDs = tldsim.AllTLDs
+// WindowEnd is the last day of the measurement window, 2016-12-31.
+var WindowEnd = simtime.End
 
 // Options configure a Study.
 type Options struct {
@@ -208,7 +183,7 @@ func Figure3(idx *Index) (all, partial, full []CDFPoint) {
 
 // OperatorsToCover re-exports the CDF coverage helper.
 func OperatorsToCover(cdf []CDFPoint, frac float64) int {
-	return analysis.OperatorsToCover(cdf, frac)
+	return colstore.OperatorsToCover(cdf, frac)
 }
 
 // Figure4 returns the OVH and GoDaddy full-deployment series.

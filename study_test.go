@@ -13,9 +13,11 @@ import (
 
 	"securepki.org/registrarsec/internal/checkpoint"
 	"securepki.org/registrarsec/internal/dataset"
+	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dsweep"
 	"securepki.org/registrarsec/internal/logtest"
 	"securepki.org/registrarsec/internal/simtime"
+	"securepki.org/registrarsec/internal/tldsim"
 )
 
 // testStudyOnce shares one full study across the root-package tests.
@@ -43,7 +45,7 @@ func TestStudyTable1(t *testing.T) {
 		t.Fatalf("Table 1 rows: %d", len(rows))
 	}
 	text := RenderTable1(rows)
-	for _, tld := range AllTLDs {
+	for _, tld := range tldsim.AllTLDs {
 		if !strings.Contains(text, "."+tld) {
 			t.Errorf("Table 1 missing .%s:\n%s", tld, text)
 		}
@@ -136,7 +138,7 @@ func TestStudyMeasureAgreesWithModel(t *testing.T) {
 	if len(snap.Records) != 120 {
 		t.Fatalf("measured %d records", len(snap.Records))
 	}
-	modelClass := map[string]Deployment{}
+	modelClass := map[string]dnssec.Deployment{}
 	for _, r := range s.World.Index().Snapshot(simtime.End).Records {
 		modelClass[r.Domain] = r.Deployment()
 	}
