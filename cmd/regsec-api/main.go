@@ -6,7 +6,7 @@
 //
 //	GET /healthz            liveness (the process serves HTTP)
 //	GET /readyz             readiness (world loaded AND archive poll fresh)
-//	GET /v1/status          ingest cursor, counts, gate + supervisor stats
+//	GET /v1/status          ingest cursor, counts, gate stats, tailer restarts
 //	GET /v1/table1          Table 1 per-TLD overview    [?day=][&tlds=com,net]
 //	GET /v1/series          deployment series           ?operator=[&tld=][&from=][&to=][&step=]
 //	GET /v1/operators       per-operator counts         [?day=][&class=][&limit=]
@@ -15,16 +15,16 @@
 //
 // Usage:
 //
-//	regsec-api -archive scans.tsv -world world.colstore [-watermark path]
+//	regsec-api -archive scans.tsv -world world.colstore
 //	           [-listen 127.0.0.1:7363] [-poll 500ms] [-drain-timeout 15s]
 //
 // The world file is one gzip member: zcat world.colstore yields the
 // regsecW1 colstore world it wraps.
 //
 // The daemon is crash-safe by construction: every ingest commit lands the
-// world file and its watermark atomically at a section boundary, so a kill
-// at any instruction resumes byte-identical to a clean run. SIGINT/SIGTERM
-// drain in-flight requests gracefully with a hard deadline.
+// world file, its ingest cursor inside, atomically at a section boundary,
+// so a kill at any instruction resumes byte-identical to a clean run.
+// SIGINT/SIGTERM drain in-flight requests gracefully with a hard deadline.
 package main
 
 import (
@@ -50,7 +50,6 @@ func main() {
 func run() int {
 	archive := flag.String("archive", "", "checksummed scan archive to tail (required)")
 	world := flag.String("world", "", "committed world file, created on first ingest (required)")
-	watermark := flag.String("watermark", "", "ingest watermark path (default <world>.watermark)")
 	listen := flag.String("listen", "127.0.0.1:7363", "query-plane listen address")
 	poll := flag.Duration("poll", 500*time.Millisecond, "archive poll cadence")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "hard deadline for graceful shutdown")
@@ -62,10 +61,9 @@ func run() int {
 	}
 
 	s := apiserv.New(apiserv.Config{
-		ArchivePath:   *archive,
-		WorldPath:     *world,
-		WatermarkPath: *watermark,
-		PollInterval:  *poll,
+		ArchivePath:  *archive,
+		WorldPath:    *world,
+		PollInterval: *poll,
 	})
 
 	ln, err := net.Listen("tcp", *listen)

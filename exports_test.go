@@ -22,10 +22,11 @@ import (
 	"testing"
 )
 
-// testOnlyAllowed lists checked objects that no production code uses but
-// that stay in production, each with the reason. Keys are package-qualified
-// (pkg.Name, or pkg.Type.Method for a method); a command's package is its
-// directory (cmd/regsec-scan.name).
+// testOnlyAllowed lists checked objects that no production code uses, and
+// fields it never sets, that stay in production, each with the reason. Keys
+// are package-qualified (pkg.Name, pkg.Type.Method for a method, pkg.Type{F}
+// for a field, pkg.Type{} for every field of the struct); a command's
+// package is its directory (cmd/regsec-scan.name).
 var testOnlyAllowed = map[string]string{
 	"epp.Dial":                                "EPP client half of the protocol regsec-epp serves",
 	"epp.Client.Login":                        "EPP client half of the protocol regsec-epp serves",
@@ -46,11 +47,27 @@ var testOnlyAllowed = map[string]string{
 	"registrarsec.Study.Measure":              "library entry point README.md documents (Quickstart, \"As a library\")",
 	"registrarsec.Figure4":                    "library entry point README.md documents (Quickstart, \"As a library\")",
 	"registrarsec.WindowEnd":                  "library entry point README.md documents (Quickstart, \"As a library\")",
+	"registrarsec.LongitudinalConfig{}":       "options of the library entry point README.md documents (Quickstart, \"As a library\")",
+}
+
+// allowEntry returns the allowlist entry that covers key: key itself or,
+// for a field pkg.Type{F}, the entry pkg.Type{}.
+func allowEntry(key string) (string, bool) {
+	if _, ok := testOnlyAllowed[key]; ok {
+		return key, true
+	}
+	if typ, _, isField := strings.Cut(key, "{"); isField {
+		_, ok := testOnlyAllowed[typ+"{}"]
+		return typ + "{}", ok
+	}
+	return "", false
 }
 
 // TestNoTestOnlyExports fails on an object of the root module's checked
 // packages that no production code uses: what only tests use belongs beside
-// those tests, and what nothing uses goes. It also fails on a format
+// those tests, and what nothing uses goes. It fails likewise on an option
+// only tests set: an exported field of an exported struct that production
+// code reads and never sets. It also fails on a format
 // callback — an exported struct field or a function parameter of type
 // func(string, ...any) — in the root module: diagnostics go to log/slog's
 // default logger.
@@ -63,20 +80,23 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Errorf("%d format callbacks; log through log/slog's default logger instead:\n%s",
 			len(callbacks), strings.Join(callbacks, "\n"))
 	}
-	for key, reason := range testOnlyAllowed {
-		if _, ok := unused[key]; !ok || reason == "" {
-			t.Errorf("allowlist entry %s has no reason, names nothing checked or has a production user now: fix or delete it", key)
-		}
-	}
+	matched := map[string]bool{}
 	var hits []string
 	for key, at := range unused {
-		if _, allowed := testOnlyAllowed[key]; !allowed {
+		if entry, allowed := allowEntry(key); allowed {
+			matched[entry] = true
+		} else {
 			hits = append(hits, at+" "+key)
+		}
+	}
+	for key, reason := range testOnlyAllowed {
+		if !matched[key] || reason == "" {
+			t.Errorf("allowlist entry %s has no reason, names nothing checked or has a production user now: fix or delete it", key)
 		}
 	}
 	sort.Strings(hits)
 	if len(hits) > 0 {
-		t.Errorf("%d objects no production code uses; delete them, move them beside their tests, or allowlist them with a reason:\n%s",
+		t.Errorf("%d objects no production code uses, or fields it never sets; delete them, move them beside their tests, or allowlist them with a reason:\n%s",
 			len(hits), strings.Join(hits, "\n"))
 	}
 }
@@ -84,9 +104,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 // guardFixture is a module, one "-- path --" line before each file. The
 // guard must flag an exported helper only a test calls, a function nothing
 // calls and a method whose only interface has no production user (an
-// assertion is no use), and each command's unused helper under its own
-// directory's key; it must pass a String method, heap.Interface methods, a
-// name only bench/ uses and a command's func main.
+// assertion is no use), a field production code reads that only a test
+// sets, and each command's unused helper under its own directory's key; it
+// must pass a String method, heap.Interface methods, a name only bench/
+// uses, a field only bench/ sets, a field set through &x.F and a command's
+// func main.
 const guardFixture = `-- internal/p/p.go --
 package p
 
@@ -114,16 +136,20 @@ func (h *ints) Push(x any)        { *h = append(*h, x.(int)) }
 func (h *ints) Pop() any          { x := (*h)[len(*h)-1]; *h = (*h)[:len(*h)-1]; return x }
 
 func Min(xs ...int) int { h := ints(xs); heap.Init(&h); return heap.Pop(&h).(int) }
+
+type Options struct{ TestSet, BenchSet, AddrSet int }
+
+func Run(o *Options) int { fmt.Sscan("1", &o.AddrSet); return o.TestSet + o.BenchSet + o.AddrSet }
 -- internal/p/p_test.go --
 package p
 
-func use(s Sizer) int { return s.Size() + HelperForTests() }
+func use(s Sizer) int { return s.Size() + HelperForTests() + Run(&Options{TestSet: 1}) }
 -- bench/b.go --
 package main
 
 import ("fmt"; "example.org/m/internal/p")
 
-func main() { fmt.Println(p.Min(3, 1, 2), p.BenchOnly()) }
+func main() { fmt.Println(p.Min(3, 1, 2), p.BenchOnly(), p.Run(&p.Options{BenchSet: 1})) }
 -- cmd/a/main.go --
 package main
 
@@ -153,7 +179,7 @@ func TestExportGuardFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := slices.Sorted(maps.Keys(unused)), "cmd/a.helper cmd/b.helper p.Box.Size p.HelperForTests p.unusedHelper"; strings.Join(got, " ") != want {
+	if got, want := slices.Sorted(maps.Keys(unused)), "cmd/a.helper cmd/b.helper p.Box.Size p.HelperForTests p.Options{TestSet} p.unusedHelper"; strings.Join(got, " ") != want {
 		t.Errorf("flagged %q, want %s", got, want)
 	}
 }
@@ -180,7 +206,9 @@ var _ = []any{fmt.Stringer(nil), (interface{ Unwrap() error })(nil), (interface{
 // examples/ included, once and in one universe. It returns, by key with
 // their positions, the objects of checked packages (see guarded) that no
 // production code uses — package-level functions, types and methods, and
-// exported consts and vars — and where format callbacks are declared. A
+// exported consts and vars — the exported fields of their exported structs
+// that production code reads and never sets (see fieldAccesses), and where
+// format callbacks are declared. A
 // use is a reference or selection, other than a function's call of itself; a
 // method also counts as used when its receiver type implements a non-empty
 // interface production code uses: the type of a value expression or a
@@ -278,7 +306,9 @@ func checkModule(root, module string) (unused map[string]string, callbacks []str
 			ifaces[it] = true
 		}
 	}
+	read, set := map[*types.Var]bool{}, map[*types.Var]bool{}
 	for _, p := range pkgs {
+		fieldAccesses(p, read, set)
 		for id, obj := range p.info.Uses {
 			use(obj, id.Pos())
 			if v, ok := obj.(*types.Var); ok {
@@ -343,6 +373,13 @@ func checkModule(root, module string) (unused map[string]string, callbacks []str
 						report(n.Method(i))
 					}
 				}
+				if st, ok := obj.Type().Underlying().(*types.Struct); ok && obj.Exported() && !obj.IsAlias() {
+					for i := range st.NumFields() {
+						if f := st.Field(i); f.Exported() && read[f] && !set[f] {
+							unused[p.pkg.Name()+"."+name+"{"+f.Name()+"}"] = fset.Position(f.Pos()).String()
+						}
+					}
+				}
 			case *types.Func:
 				if p.pkg.Name() != "main" || name != "main" {
 					report(obj)
@@ -355,6 +392,60 @@ func checkModule(root, module string) (unused map[string]string, callbacks []str
 		}
 	}
 	return unused, callbacks, nil
+}
+
+// fieldAccesses marks in set the struct fields p's files set — as a
+// composite-literal key or position, the target of an assignment or ++/--,
+// or the operand of & — and in read every other field they select.
+func fieldAccesses(p *srcPackage, read, set map[*types.Var]bool) {
+	targets := map[*ast.SelectorExpr]bool{}
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			targets[sel] = true
+		}
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					target(n.X)
+				}
+			case *ast.CompositeLit:
+				t := p.info.TypeOf(n).Underlying()
+				if ptr, ok := t.(*types.Pointer); ok {
+					t = ptr.Elem().Underlying() // an element of []*T written {...}
+				}
+				st, ok := t.(*types.Struct)
+				if !ok {
+					return true
+				}
+				for i, elt := range n.Elts {
+					f := st.Field(i)
+					if kv, isKV := elt.(*ast.KeyValueExpr); isKV {
+						f = p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+					}
+					set[f.Origin()] = true
+				}
+			}
+			return true
+		})
+	}
+	for sel, s := range p.info.Selections {
+		if f, ok := s.Obj().(*types.Var); ok {
+			if targets[sel] {
+				set[f.Origin()] = true
+			} else {
+				read[f.Origin()] = true
+			}
+		}
+	}
 }
 
 // stdImporter imports the standard-library packages that pkgs import from

@@ -14,8 +14,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,50 +117,42 @@ func TestChaosResumeAtEveryCommitPoint(t *testing.T) {
 	}
 }
 
-// TestChaosWatermarkLost: a crash between the world save and the
-// watermark write loses only the introspection copy — the world META is
-// authoritative and the next run is still byte-identical.
-func TestChaosWatermarkLost(t *testing.T) {
-	days := []simtime.Day{400, 430, 460}
-	full := archiveBytes(t, days, 50)
-	half := archiveBytes(t, days[:2], 50)
-
+// TestCommitLeavesOneFile: a commit writes the world file and nothing
+// beside it. After two sections, a restart and an archive-shrink reset, the
+// world's directory holds the world file alone: no second copy of the
+// cursor, no temp file.
+func TestCommitLeavesOneFile(t *testing.T) {
 	dir := t.TempDir()
-	first := newTestServer(t, dir)
-	if err := os.WriteFile(first.cfg.ArchivePath, half, 0o644); err != nil {
+	worldDir := filepath.Join(dir, "world")
+	if err := os.Mkdir(worldDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	runToEnd(t, first)
-	for name, mutate := range map[string]func() error{
-		"missing": func() error { return os.Remove(first.watermarkPath()) },
-		"corrupt": func() error {
-			return os.WriteFile(first.watermarkPath(), []byte(`{"offset": 7, "crc32c": "00000000"}`), 0o644)
-		},
-	} {
-		if err := mutate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := os.WriteFile(first.cfg.ArchivePath, full, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		second := newTestServer(t, dir)
-		runToEnd(t, second)
-		s2 := decodeJSON[Status](t, get(second.Handler(), "/v1/status"))
-		if s2.Sections != 3 || s2.Quarantined != 0 {
-			t.Fatalf("%s watermark: status %+v after resume", name, s2)
-		}
-	}
-
-	cleanDir := t.TempDir()
-	clean := newTestServer(t, cleanDir)
-	if err := os.WriteFile(clean.cfg.ArchivePath, full, 0o644); err != nil {
+	cfg := Config{ArchivePath: filepath.Join(dir, "scans.tsv"), WorldPath: filepath.Join(worldDir, "world.colstore")}
+	if err := os.WriteFile(cfg.ArchivePath, archiveBytes(t, []simtime.Day{400, 430}, 30), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	runToEnd(t, clean)
-	second := newTestServer(t, dir)
-	runToEnd(t, second)
-	if !bytes.Equal(worldFile(t, second), worldFile(t, clean)) {
-		t.Fatal("world after watermark loss differs from clean world")
+	runToEnd(t, New(cfg))
+	restarted := New(cfg)
+	runToEnd(t, restarted)
+	if err := os.WriteFile(cfg.ArchivePath, archiveBytes(t, []simtime.Day{500}, 10), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := restarted.pollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if st := decodeJSON[Status](t, get(restarted.Handler(), "/v1/status")); st.Sections != 1 {
+		t.Fatalf("status after the reset: %+v, want 1 section", st)
+	}
+	entries, err := os.ReadDir(worldDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != "world.colstore" {
+		t.Fatalf("the world's directory holds %q, want only world.colstore", names)
 	}
 }
 
@@ -347,40 +341,59 @@ func TestChaosPoisonedHandler(t *testing.T) {
 	}
 }
 
-// TestChaosTailerPanicIsSupervised: a panic inside the ingest path takes
-// down the component, not the process — the supervisor restarts it and
-// ingest completes.
-func TestChaosTailerPanicIsSupervised(t *testing.T) {
-	dir := t.TempDir()
-	s := newTestServer(t, dir)
-	appendSection(t, s.cfg.ArchivePath, mkSnap(950, 30))
+// panicOnce is a slog.Handler that panics on the first record with message
+// msg and drops every record: a log call in the tailer's path then stands in
+// for a transient bug there.
+type panicOnce struct {
+	msg   string
+	fired atomic.Bool
+}
 
-	// A component that panics on its first run and then defers to the
-	// real tailer stands in for a transient ingest bug.
-	ran := false
-	sup := &Supervisor{
-		backoff:   time.Millisecond,
-		OnRestart: func(string, error) { s.restarts.Add(1) },
+func (h *panicOnce) Enabled(context.Context, slog.Level) bool { return true }
+func (h *panicOnce) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *panicOnce) WithGroup(string) slog.Handler            { return h }
+func (h *panicOnce) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == h.msg && h.fired.CompareAndSwap(false, true) {
+		panic("transient bug at " + h.msg)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go sup.Run(ctx, Component{Name: "tailer", Run: func(ctx context.Context) error {
-		if !ran {
-			ran = true
-			panic("transient ingest bug")
-		}
-		return s.runTailer(ctx)
-	}})
+	return nil
+}
+
+// panicOnceAt makes the tailer panic the first time it logs msg, until the
+// test ends. Tests that call it must not run in parallel.
+func panicOnceAt(t *testing.T, msg string) {
+	logtest.Capture(t) // restores the default logger when the test ends
+	slog.SetDefault(slog.New(&panicOnce{msg: msg}))
+}
+
+// TestChaosTailerPanicIsSupervised: a panic in the middle of an ingest —
+// the section folded, its commit not yet made — takes down the tailer, not
+// the process: Run restarts it, the section is folded again, and the world
+// file equals a clean run's.
+func TestChaosTailerPanicIsSupervised(t *testing.T) {
+	archive := archiveBytes(t, []simtime.Day{950}, 30)
+	clean := newTestServer(t, t.TempDir())
+	if err := os.WriteFile(clean.cfg.ArchivePath, archive, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runToEnd(t, clean)
+
+	s := newTestServer(t, t.TempDir())
+	if err := os.WriteFile(s.cfg.ArchivePath, archive, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	panicOnceAt(t, "apiserv: failed records skipped")
+	runUntilCleanup(t, s)
 	h := s.Handler()
 	waitFor(t, "recovery after tailer panic", func() bool {
 		return get(h, "/readyz").Code == http.StatusOK
 	})
-	if s.restarts.Load() == 0 {
-		t.Fatal("no restart recorded")
-	}
 	st := decodeJSON[Status](t, get(h, "/v1/status"))
-	if st.Sections != 1 || st.Restarts == 0 {
-		t.Fatalf("status after supervised recovery: %+v", st)
+	if st.Sections != 1 || st.Restarts != 1 {
+		t.Fatalf("status after the restart: %+v, want 1 section and 1 restart", st)
+	}
+	if !bytes.Equal(worldFile(t, s), worldFile(t, clean)) {
+		t.Fatal("the world after a tailer panic differs from the clean world")
 	}
 }
 
@@ -390,8 +403,8 @@ func TestChaosTailerPanicIsSupervised(t *testing.T) {
 
 // TestChaosTextArchiveRefused: an archive of text sections, as written
 // before each section became a gzip member, fails the poll with
-// dataset.ErrTextArchive, for the supervisor to report and retry, and
-// commits nothing.
+// dataset.ErrTextArchive, for Run to report and retry, and commits
+// nothing.
 func TestChaosTextArchiveRefused(t *testing.T) {
 	s := newTestServer(t, t.TempDir())
 	if err := os.WriteFile(s.cfg.ArchivePath, zcat(t, archiveBytes(t, []simtime.Day{50, 80}, 10)), 0o644); err != nil {
@@ -403,8 +416,8 @@ func TestChaosTextArchiveRefused(t *testing.T) {
 	if err := s.pollOnce(); !errors.Is(err, dataset.ErrTextArchive) {
 		t.Fatalf("polling a text archive: %v, want ErrTextArchive", err)
 	}
-	if _, err := os.Stat(s.cfg.WorldPath); !os.IsNotExist(err) || s.wm != (Watermark{}) {
-		t.Fatalf("a text archive committed %+v (world: %v)", s.wm, err)
+	if _, err := os.Stat(s.cfg.WorldPath); !os.IsNotExist(err) || s.cur != noCursor {
+		t.Fatalf("a text archive committed %+v (world: %v)", s.cur, err)
 	}
 }
 

@@ -4,12 +4,12 @@
 // write side and a read side joined by one atomic pointer:
 //
 //   - the tailer (tailer.go) follows the archive, ingests new sections
-//     incrementally, and commits crash-safe world+watermark files;
+//     incrementally, and commits each one to a crash-safe world file;
 //   - readers serve every query from the immutable frozen Index the
 //     pointer currently holds — no locks, no coordination with ingest;
-//   - a supervisor (supervisor.go) restarts the tailer on failure, and
-//     the admission gate (admission.go) sheds load before overload can
-//     take the process down.
+//   - Run restarts the tailer on failure, and the admission gate
+//     (admission.go) sheds load before overload can take the process
+//     down.
 //
 // Health semantics: /healthz answers 200 whenever the process serves
 // HTTP at all (liveness); /readyz answers 200 only once a world is
@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -41,8 +42,6 @@ type Config struct {
 	// WorldPath is the persisted colstore world (created on first
 	// commit, resumed from on restart).
 	WorldPath string
-	// WatermarkPath overrides the default WorldPath+".watermark".
-	WatermarkPath string
 
 	// PollInterval is the tailer's archive poll cadence (default 500ms).
 	PollInterval time.Duration
@@ -60,6 +59,12 @@ const (
 	maxInFlight = 64
 	maxQueue    = 256
 	queueWait   = 100 * time.Millisecond
+	// The tailer's restarts: the first waits restartBackoff, the wait
+	// doubles per consecutive failure up to maxRestartBackoff, and it
+	// resets once a run survives longer than resetBackoffAfter.
+	restartBackoff    = 100 * time.Millisecond
+	maxRestartBackoff = 5 * time.Second
+	resetBackoffAfter = 30 * time.Second
 )
 
 // worldView pairs a frozen index with the day its data reaches.
@@ -81,12 +86,10 @@ type Server struct {
 	panics       atomic.Uint64
 	restarts     atomic.Uint64
 
-	// Tailer state; ingMu serializes the tailer against supervisor
-	// restarts of itself.
-	ingMu   sync.Mutex
-	ing     *colstore.Ingester
-	wm      Watermark
-	lastDay simtime.Day
+	// Tailer state; ingMu serializes the tailer against /v1/status.
+	ingMu sync.Mutex
+	ing   *colstore.Ingester
+	cur   cursor
 }
 
 // New builds a Server. It performs no I/O; the world is resumed when Run
@@ -107,13 +110,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/registrars", s.guarded(s.handleRegistrars))
 	s.mux.HandleFunc("GET /v1/dsgap", s.guarded(s.handleDSGap))
 	return s
-}
-
-func (s *Server) watermarkPath() string {
-	if s.cfg.WatermarkPath != "" {
-		return s.cfg.WatermarkPath
-	}
-	return s.cfg.WorldPath + ".watermark"
 }
 
 // publish swaps the served world. The old view is simply dropped: frozen
@@ -137,21 +133,43 @@ func (s *Server) ready() (bool, string) {
 		return false, "ingest has not polled the archive yet"
 	}
 	if since := time.Since(time.Unix(0, last)); since > lag {
-		return false, fmt.Sprintf("ingest watermark stale: last poll %v ago (max %v)", since.Round(time.Millisecond), lag)
+		return false, fmt.Sprintf("ingest stale: last poll %v ago (max %v)", since.Round(time.Millisecond), lag)
 	}
 	return true, ""
 }
 
-// Run supervises the daemon's background component, the tailer, until ctx
-// is canceled. The HTTP listener is the caller's (cmd/regsec-api pairs
-// Handler with httpx.NewServer).
+// Run runs the daemon's background job, the tailer, until ctx is
+// canceled. A tailer that fails — by returning an error or by panicking —
+// is logged, counted in component_restarts and restarted after
+// restartDelay: a panic in ingest never takes down the query plane. The
+// HTTP listener is the caller's (cmd/regsec-api pairs Handler with
+// httpx.NewServer).
 func (s *Server) Run(ctx context.Context) {
-	sup := &Supervisor{
-		OnRestart: func(string, error) {
-			s.restarts.Add(1)
-		},
+	var delay time.Duration
+	for {
+		start := time.Now()
+		err := s.runTailer(ctx)
+		if ctx.Err() != nil {
+			return
+		}
+		delay = restartDelay(delay, time.Since(start))
+		slog.Warn("apiserv: tailer failed, restarting", "delay", delay, "err", err)
+		s.restarts.Add(1)
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(delay):
+		}
 	}
-	sup.Run(ctx, Component{Name: "tailer", Run: s.runTailer})
+}
+
+// restartDelay is the wait before restarting a tailer that failed after
+// running for ran, given the previous wait (0 before the first restart).
+func restartDelay(prev, ran time.Duration) time.Duration {
+	if prev == 0 || ran > resetBackoffAfter {
+		return restartBackoff
+	}
+	return min(2*prev, maxRestartBackoff)
 }
 
 // Handler returns the full middleware stack: panic recovery outermost,
@@ -212,11 +230,20 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		st.LastDay = lastDayString(view.day)
 	}
 	s.ingMu.Lock()
-	st.Sections = s.wm.Sections
-	st.Quarantined = s.wm.Quarantined
-	st.Offset = s.wm.Offset
+	st.Sections = s.cur.sections
+	st.Quarantined = s.cur.quarantined
+	st.Offset = s.cur.offset
 	s.ingMu.Unlock()
 	writeJSON(w, &st)
+}
+
+// lastDayString renders a day for /v1/status and the world META ("" for
+// Never).
+func lastDayString(d simtime.Day) string {
+	if d == simtime.Never {
+		return ""
+	}
+	return d.String()
 }
 
 // guarded wraps a data handler with the world-availability check shared

@@ -6,8 +6,10 @@ package apiserv
 //
 //	freeze the ingester → publish the frozen index to readers (atomic
 //	pointer swap) → save the world with the ingest cursor in its META
-//	section, deflated into one gzip member (atomic rename) → write the
-//	checksummed watermark (atomic rename)
+//	section, deflated into one gzip member (atomic rename)
+//
+// The world file is the only file a commit writes and the only one resume
+// reads.
 //
 // Members only: the member wraps exactly the bytes colstore.Index.Save
 // writes, so zcat of the world file prints a colstore world, and anything
@@ -22,9 +24,7 @@ package apiserv
 // a SIGKILL between any two instructions leaves a world file some clean
 // prefix produced, and the next start replays the remainder to a
 // byte-identical state (the equivalence oracle in colstore's ingest
-// tests). A crash between world save and watermark write only loses the
-// cheap introspection copy; the world META is authoritative and the
-// watermark is rewritten at the next commit.
+// tests).
 //
 // Damage in the archive never stops ingest: torn or corrupt sections are
 // quarantined (dataset.ScanArchiveFile) and counted, and an archive that
@@ -40,6 +40,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -47,6 +48,18 @@ import (
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
 )
+
+// cursor is how far ingest has committed into the archive. Every commit
+// saves it in the world file's META section, and resume reads it back.
+type cursor struct {
+	offset      int64       // the archive offset every committed section ends before
+	sections    int         // sections folded into the world
+	quarantined int         // damaged archive pieces skipped
+	lastDay     simtime.Day // the last folded section's day, simtime.Never before the first
+}
+
+// noCursor is the cursor of an empty world.
+var noCursor = cursor{lastDay: simtime.Never}
 
 // META keys carrying the ingest cursor inside the world file.
 const (
@@ -56,8 +69,24 @@ const (
 	metaLastDay     = "ingest_last_day"
 )
 
-// runTailer is the supervised ingest component.
-func (s *Server) runTailer(ctx context.Context) error {
+// meta is the cursor as the world file's META section carries it.
+func (c cursor) meta() map[string]string {
+	return map[string]string{
+		metaOffset:      strconv.FormatInt(c.offset, 10),
+		metaSections:    strconv.Itoa(c.sections),
+		metaQuarantined: strconv.Itoa(c.quarantined),
+		metaLastDay:     lastDayString(c.lastDay),
+	}
+}
+
+// runTailer is the ingest loop Run restarts on failure. It returns nil
+// only once ctx is canceled, and a panic as an error.
+func (s *Server) runTailer(ctx context.Context) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+		}
+	}()
 	if err := s.resumeOnce(); err != nil {
 		return err
 	}
@@ -89,14 +118,12 @@ func (s *Server) resumeOnce() error {
 	if s.ing != nil {
 		return nil
 	}
-	ing := colstore.NewIngester()
-	wm := Watermark{}
-	lastDay := simtime.Never
+	ing, cur := colstore.NewIngester(), noCursor
 
 	idx, meta, err := loadWorld(s.cfg.WorldPath)
 	switch {
 	case err == nil:
-		resumed, metaWM, day, rerr := resumeFromWorld(idx, meta)
+		resumed, resumedCur, rerr := resumeFromWorld(idx, meta)
 		closeErr := idx.Close()
 		switch {
 		case rerr != nil:
@@ -104,18 +131,9 @@ func (s *Server) resumeOnce() error {
 		case closeErr != nil:
 			return closeErr
 		default:
-			ing, wm, lastDay = resumed, metaWM, day
-			// The watermark is the non-authoritative copy: cross-check it
-			// against the world META and warn when they diverge (swapped
-			// or hand-edited files).
-			if disk, err := ReadWatermark(s.watermarkPath()); err != nil {
-				slog.Warn("apiserv: unreadable watermark; world META wins", "err", err)
-			} else if disk != nil && *disk != sealedCopy(wm) {
-				slog.Warn("apiserv: watermark disagrees with world META; world META wins",
-					"watermark", s.watermarkPath(), "watermark_offset", disk.Offset, "offset", wm.Offset)
-			}
+			ing, cur = resumed, resumedCur
 			slog.Info("apiserv: resumed world", "world", s.cfg.WorldPath, "domains", ing.Len(),
-				"sections", wm.Sections, "offset", wm.Offset)
+				"sections", cur.sections, "offset", cur.offset)
 		}
 	case os.IsNotExist(err):
 		// First boot: empty world, ingest everything.
@@ -124,9 +142,8 @@ func (s *Server) resumeOnce() error {
 	}
 
 	s.ing = ing
-	s.wm = wm
-	s.lastDay = lastDay
-	s.publish(s.ing.Freeze(), lastDay)
+	s.cur = cur
+	s.publish(s.ing.Freeze(), cur.lastDay)
 	return nil
 }
 
@@ -160,32 +177,30 @@ func loadWorld(path string) (*colstore.Index, map[string]string, error) {
 
 // resumeFromWorld reconstructs the ingester and cursor from a loaded
 // world file.
-func resumeFromWorld(idx *colstore.Index, meta map[string]string) (*colstore.Ingester, Watermark, simtime.Day, error) {
-	var wm Watermark
+func resumeFromWorld(idx *colstore.Index, meta map[string]string) (*colstore.Ingester, cursor, error) {
 	offset, err := strconv.ParseInt(meta[metaOffset], 10, 64)
 	if err != nil || offset < 0 {
-		return nil, wm, 0, fmt.Errorf("bad %s %q", metaOffset, meta[metaOffset])
+		return nil, cursor{}, fmt.Errorf("bad %s %q", metaOffset, meta[metaOffset])
 	}
 	sections, err := strconv.Atoi(meta[metaSections])
 	if err != nil || sections < 0 {
-		return nil, wm, 0, fmt.Errorf("bad %s %q", metaSections, meta[metaSections])
+		return nil, cursor{}, fmt.Errorf("bad %s %q", metaSections, meta[metaSections])
 	}
 	quarantined, err := strconv.Atoi(meta[metaQuarantined])
 	if err != nil || quarantined < 0 {
-		return nil, wm, 0, fmt.Errorf("bad %s %q", metaQuarantined, meta[metaQuarantined])
+		return nil, cursor{}, fmt.Errorf("bad %s %q", metaQuarantined, meta[metaQuarantined])
 	}
 	lastDay := simtime.Never
 	if raw := meta[metaLastDay]; raw != "" {
 		if lastDay, err = simtime.Parse(raw); err != nil {
-			return nil, wm, 0, fmt.Errorf("bad %s %q", metaLastDay, raw)
+			return nil, cursor{}, fmt.Errorf("bad %s %q", metaLastDay, raw)
 		}
 	}
 	ing, err := colstore.NewIngesterFromIndex(idx)
 	if err != nil {
-		return nil, wm, 0, err
+		return nil, cursor{}, err
 	}
-	wm = Watermark{Offset: offset, Sections: sections, Quarantined: quarantined, LastDay: lastDayString(lastDay)}
-	return ing, wm, lastDay, nil
+	return ing, cursor{offset: offset, sections: sections, quarantined: quarantined, lastDay: lastDay}, nil
 }
 
 // pollOnce consumes whatever complete tail events have appeared since the
@@ -195,15 +210,14 @@ func (s *Server) pollOnce() error {
 	s.ingMu.Lock()
 	defer s.ingMu.Unlock()
 
-	err := dataset.ScanArchiveFile(s.cfg.ArchivePath, s.wm.Offset, s.ingestLocked)
+	err := dataset.ScanArchiveFile(s.cfg.ArchivePath, s.cur.offset, s.ingestLocked)
 	if errors.Is(err, dataset.ErrTailTruncated) {
 		// The archive was rotated or rewritten underneath us: drop
 		// everything, commit the empty state, and re-ingest the new file
 		// from the top within this same poll.
-		slog.Warn("apiserv: archive shrank; resetting to a full re-ingest", "offset", s.wm.Offset, "err", err)
+		slog.Warn("apiserv: archive shrank; resetting to a full re-ingest", "offset", s.cur.offset, "err", err)
 		s.ing = colstore.NewIngester()
-		s.wm = Watermark{}
-		s.lastDay = simtime.Never
+		s.cur = noCursor
 		if err := s.commitLocked(); err != nil {
 			return err
 		}
@@ -221,7 +235,7 @@ func (s *Server) pollOnce() error {
 func (s *Server) ingestLocked(ev dataset.TailEvent) error {
 	if d := ev.Damage; d != nil {
 		slog.Warn("apiserv: archive damage quarantined", "day", d.Day, "offset", d.Offset, "reason", d.Reason)
-		s.wm.Quarantined++
+		s.cur.quarantined++
 	} else {
 		skipped, err := s.ing.AppendDay(ev.Snap)
 		if err != nil {
@@ -230,34 +244,19 @@ func (s *Server) ingestLocked(ev dataset.TailEvent) error {
 		if skipped > 0 {
 			slog.Info("apiserv: failed records skipped", "day", ev.Snap.Day, "offset", ev.At.Offset, "skipped", skipped)
 		}
-		s.wm.Sections++
-		s.lastDay = ev.Snap.Day
-		s.wm.LastDay = lastDayString(s.lastDay)
+		s.cur.sections++
+		s.cur.lastDay = ev.Snap.Day
 	}
-	s.wm.Offset = ev.End
+	s.cur.offset = ev.End
 	return s.commitLocked()
 }
 
-// commitLocked publishes and persists the current ingest state. Caller
-// holds ingMu.
+// commitLocked publishes the current ingest state and saves it with its
+// cursor. Caller holds ingMu.
 func (s *Server) commitLocked() error {
 	idx := s.ing.Freeze()
-	s.publish(idx, s.lastDay)
-	if err := saveWorld(s.cfg.WorldPath, idx, s.worldMeta()); err != nil {
-		return err
-	}
-	return s.wm.WriteFile(s.watermarkPath())
-}
-
-// worldMeta is the ingest cursor as the world file's META section carries
-// it.
-func (s *Server) worldMeta() map[string]string {
-	return map[string]string{
-		metaOffset:      strconv.FormatInt(s.wm.Offset, 10),
-		metaSections:    strconv.Itoa(s.wm.Sections),
-		metaQuarantined: strconv.Itoa(s.wm.Quarantined),
-		metaLastDay:     s.wm.LastDay,
-	}
+	s.publish(idx, s.cur.lastDay)
+	return saveWorld(s.cfg.WorldPath, idx, s.cur.meta())
 }
 
 // saveWorld durably replaces path with one gzip member (gzip.BestSpeed, the
@@ -277,13 +276,4 @@ func saveWorld(path string, idx *colstore.Index, meta map[string]string) error {
 		return err
 	}
 	return f.Commit()
-}
-
-// sealedCopy returns wm with its CRC populated, for comparison against a
-// watermark read back from disk.
-func sealedCopy(wm Watermark) Watermark {
-	if sum, err := wm.sum(); err == nil {
-		wm.CRC = sum
-	}
-	return wm
 }

@@ -137,8 +137,8 @@ func TestIngestResumeFromMmap(t *testing.T) {
 }
 
 // TestIngestIdempotentDay: re-ingesting an already-applied section (the
-// at-least-once replay after a crash between ingest and watermark) is a
-// no-op for the serialized state.
+// at-least-once replay after a crash, or a tailer panic, between ingest
+// and commit) is a no-op for the serialized state.
 func TestIngestIdempotentDay(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	domains := randomDomains(rng, 120)

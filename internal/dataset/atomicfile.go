@@ -13,7 +13,7 @@ import (
 // A crash (or Abort) at any point before the rename leaves the previous
 // file at path untouched, and after it the complete new one — never a torn
 // mixture. It is the one durability primitive behind archive, checkpoint,
-// watermark and world-file writes.
+// ledger and world-file writes.
 type AtomicFile struct {
 	path string
 	tmp  *os.File

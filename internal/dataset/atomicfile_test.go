@@ -21,7 +21,7 @@ func dirNames(t *testing.T, dir string) []string {
 }
 
 // TestAtomicFile walks the create/commit/abort contract every durable
-// writer (archives, checkpoints, watermarks, world files) now
+// writer (archives, checkpoints, ledgers, world files) now
 // shares.
 func TestAtomicFile(t *testing.T) {
 	const previous = "previous contents\n"

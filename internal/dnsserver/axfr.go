@@ -129,25 +129,21 @@ func (s *Server) serveAXFR(conn net.Conn, msg []byte) bool {
 	return true
 }
 
+// axfrTimeout bounds a whole transfer; a shorter ctx deadline wins.
+const axfrTimeout = 30 * time.Second
+
 // AXFRClient pulls whole zones over TCP.
-type AXFRClient struct {
-	// Timeout bounds the whole transfer (default 30s).
-	Timeout time.Duration
-}
+type AXFRClient struct{}
 
 // Transfer requests the zone rooted at origin from server and rebuilds it.
 func (c *AXFRClient) Transfer(ctx context.Context, server, origin string) (*zone.Zone, error) {
-	timeout := c.Timeout
-	if timeout == 0 {
-		timeout = 30 * time.Second
-	}
-	d := net.Dialer{Timeout: timeout}
+	d := net.Dialer{Timeout: axfrTimeout}
 	conn, err := d.DialContext(ctx, "tcp", server)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(axfrTimeout)
 	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
 		deadline = dl
 	}

@@ -41,7 +41,7 @@ func TestAXFRTransfersWholeZone(t *testing.T) {
 	}
 	srv := startTLDServer(t, h, func(string) bool { return true })
 
-	client := &dnsserver.AXFRClient{Timeout: 5 * time.Second}
+	client := &dnsserver.AXFRClient{}
 	z, err := client.Transfer(context.Background(), srv.Addr(), "com")
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestAXFRTransfersWholeZone(t *testing.T) {
 func TestAXFRDeniedByPolicy(t *testing.T) {
 	h := newHierarchy(t)
 	srv := startTLDServer(t, h, func(string) bool { return false })
-	client := &dnsserver.AXFRClient{Timeout: 2 * time.Second}
+	client := &dnsserver.AXFRClient{}
 	if _, err := client.Transfer(context.Background(), srv.Addr(), "com"); err == nil {
 		t.Fatal("denied transfer succeeded")
 	}
@@ -86,7 +86,7 @@ func TestAXFRLargeZoneChunks(t *testing.T) {
 		}
 	}
 	srv := startTLDServer(t, h, func(string) bool { return true })
-	client := &dnsserver.AXFRClient{Timeout: 10 * time.Second}
+	client := &dnsserver.AXFRClient{}
 	z, err := client.Transfer(context.Background(), srv.Addr(), "com")
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestAXFROfPlannedZone(t *testing.T) {
 		t.Fatal("fixture: nothing left planned in the TLD zone")
 	}
 	srv := startTLDServer(t, h, func(string) bool { return true })
-	client := &dnsserver.AXFRClient{Timeout: 5 * time.Second}
+	client := &dnsserver.AXFRClient{}
 	var files [3]bytes.Buffer
 	for i := 0; i < 2; i++ {
 		z, err := client.Transfer(context.Background(), srv.Addr(), "com")

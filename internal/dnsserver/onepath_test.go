@@ -158,7 +158,7 @@ func TestCachingHostAXFR(t *testing.T) {
 	host := dnsserver.NewSharded(dnsserver.ShardedConfig{})
 	host.AddZone(z)
 	srv := listen(t, host)
-	client := &dnsserver.AXFRClient{Timeout: 5 * time.Second}
+	client := &dnsserver.AXFRClient{}
 	ctx := context.Background()
 
 	if _, err := client.Transfer(ctx, srv.Addr(), "com"); err == nil {

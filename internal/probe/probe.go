@@ -36,17 +36,10 @@ type Env struct {
 	*ecosystem.Tree
 	Registries map[string]*registry.Registry
 	Clock      func() simtime.Day
-	// AccountEmail is the identity the probe registers with (defaults to
-	// probe@securepki.org).
-	AccountEmail string
 }
 
-func (e *Env) email() string {
-	if e.AccountEmail == "" {
-		return "probe@securepki.org"
-	}
-	return e.AccountEmail
-}
+// accountEmail is the identity the probe registers with.
+const accountEmail = "probe@securepki.org"
 
 func (e *Env) now() time.Time {
 	if e.Clock == nil {
@@ -195,7 +188,7 @@ func (p *Prober) Run(ctx context.Context, r *registrar.Registrar) (*Observation,
 		return nil, err
 	}
 	obs.TLD = tld
-	account := p.Env.email()
+	account := accountEmail
 	r.CreateAccount(account)
 	domain := fmt.Sprintf("rsprobe%d.%s", nextSeq(), tld)
 

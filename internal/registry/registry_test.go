@@ -493,7 +493,7 @@ func TestDropBumpsSerial(t *testing.T) {
 	defer srv.Close()
 	transfer := func() *zone.Zone {
 		t.Helper()
-		client := &dnsserver.AXFRClient{Timeout: 5 * time.Second}
+		client := &dnsserver.AXFRClient{}
 		z, err := client.Transfer(context.Background(), srv.Addr(), "com")
 		if err != nil {
 			t.Fatal(err)

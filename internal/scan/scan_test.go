@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dnssec"
@@ -308,7 +307,7 @@ func TestAXFRDrivenScan(t *testing.T) {
 	}
 	defer srv.Close()
 
-	client := &dnsserver.AXFRClient{Timeout: 5 * time.Second}
+	client := &dnsserver.AXFRClient{}
 	z, err := client.Transfer(context.Background(), srv.Addr(), "com")
 	if err != nil {
 		t.Fatal(err)

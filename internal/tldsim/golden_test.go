@@ -26,16 +26,16 @@ func TestSavedWorldGoldenDigests(t *testing.T) {
 	golden := readGoldenDigests(t, filepath.Join("testdata", "world_digests.txt"))
 	cases := []struct {
 		key   string
-		build func(workers int) (*World, error)
+		build func() (*World, error)
 	}{
-		{"build-divisor4000-seed1", func(workers int) (*World, error) {
-			return Build(WorldConfig{Scale: 1.0 / 4000, Seed: 1, Workers: workers})
+		{"build-divisor4000-seed1", func() (*World, error) {
+			return Build(WorldConfig{Scale: 1.0 / 4000, Seed: 1})
 		}},
-		{"build-divisor4000-seed7", func(workers int) (*World, error) {
-			return Build(WorldConfig{Scale: 1.0 / 4000, Seed: 7, Workers: workers})
+		{"build-divisor4000-seed7", func() (*World, error) {
+			return Build(WorldConfig{Scale: 1.0 / 4000, Seed: 7})
 		}},
-		{"gtld-incentives-divisor4000-seed1", func(workers int) (*World, error) {
-			return BuildScenario(GTLDIncentives, WorldConfig{Scale: 1.0 / 4000, Seed: 1, Workers: workers})
+		{"gtld-incentives-divisor4000-seed1", func() (*World, error) {
+			return BuildScenario(GTLDIncentives, WorldConfig{Scale: 1.0 / 4000, Seed: 1})
 		}},
 	}
 	for _, tc := range cases {
@@ -44,7 +44,9 @@ func TestSavedWorldGoldenDigests(t *testing.T) {
 			t.Errorf("%s: no golden digest checked in", tc.key)
 		}
 		for _, workers := range []int{1, 8} {
-			w, err := tc.build(workers)
+			var w *World
+			var err error
+			withGOMAXPROCS(workers, func() { w, err = tc.build() })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +69,7 @@ func TestSavedWorldGoldenDigests(t *testing.T) {
 
 // TestWorldQueryGoldenDigests pins what the world answers, not only how it
 // is stored: the Table 1 day's snapshot (as TSV) and OVH's daily series,
-// through the index at Workers 1 and 8 and through the record-at-a-time
+// through the index at GOMAXPROCS 1 and 8 and through the record-at-a-time
 // reference implementations over the reference population, so neither side
 // can drift and take the other along.
 func TestWorldQueryGoldenDigests(t *testing.T) {
@@ -86,9 +88,9 @@ func TestWorldQueryGoldenDigests(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 8} {
-			c := cfg
-			c.Workers = workers
-			w, err := Build(c)
+			var w *World
+			var err error
+			withGOMAXPROCS(workers, func() { w, err = Build(cfg) })
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,8 +30,8 @@ const generatorVersion = "v2"
 
 // Fingerprint hashes the generator version and the generation-determining
 // parts of the config: scale and seed, with the window and tail-operator
-// plan every world shares. Workers is excluded — the build is
-// byte-identical at any parallelism.
+// plan every world shares. The build's parallelism is not part of the
+// config: the world is byte-identical at any GOMAXPROCS.
 func (c WorldConfig) Fingerprint() string {
 	cc := c
 	cc.fill()

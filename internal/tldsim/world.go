@@ -19,13 +19,10 @@ type WorldConfig struct {
 	// Scale multiplies every population (default 1/1000 — .com becomes
 	// ~118k domains instead of 118M). Percentages are scale-invariant.
 	Scale float64
-	// Seed drives all sampling; same seed → same world.
+	// Seed drives all sampling; same seed → same world. The build runs
+	// on GOMAXPROCS workers, and its world is byte-identical at any
+	// count.
 	Seed int64
-	// Workers bounds the parallelism of the streaming build (0 = all
-	// cores). The generated world is byte-identical for a given seed
-	// regardless of this value, so it is excluded from the config
-	// fingerprint.
-	Workers int
 }
 
 // tailOperators is the number of anonymous tail operators per TLD, chosen
@@ -204,7 +201,7 @@ func Build(cfg WorldConfig) (*World, error) {
 
 // buildWorld generates the population of an already scaled cohort list.
 func buildWorld(cfg WorldConfig, cohorts []Cohort, baseSeed int64) (*World, error) {
-	idx, err := buildIndexStreaming(&cfg, cohorts, baseSeed, cfg.Workers)
+	idx, err := buildIndexStreaming(&cfg, cohorts, baseSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -337,11 +334,9 @@ const fillChunkDomains = 4096
 // name-byte ranges of the final columns in place, cohort ci always drawing
 // from cohortSeed(baseSeed, ci). No worker's output is ever moved or
 // renumbered, so the index — and its serialized bytes — are identical for
-// any worker count.
-func buildIndexStreaming(cfg *WorldConfig, cohorts []Cohort, baseSeed int64, workers int) (*colstore.Index, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// any worker count; the pool has GOMAXPROCS workers.
+func buildIndexStreaming(cfg *WorldConfig, cohorts []Cohort, baseSeed int64) (*colstore.Index, error) {
+	workers := runtime.GOMAXPROCS(0)
 	plan := colstore.NewPlan(len(cohorts))
 	starts := make([]int, len(cohorts)+1)
 	var suffix []byte

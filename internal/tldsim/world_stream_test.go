@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"securepki.org/registrarsec/internal/analysis"
@@ -19,14 +20,14 @@ func TestStreamingBuildWorkerInvariance(t *testing.T) {
 	cfg := WorldConfig{Scale: 1.0 / 5000, Seed: 1234}
 	var want []byte
 	for _, workers := range []int{1, 2, 8} {
-		c := cfg
-		c.Workers = workers
-		w, err := Build(c)
+		var w *World
+		var err error
+		withGOMAXPROCS(workers, func() { w, err = Build(cfg) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := w.Index().Save(&buf, map[string]string{"fingerprint": c.Fingerprint()}); err != nil {
+		if err := w.Index().Save(&buf, map[string]string{"fingerprint": cfg.Fingerprint()}); err != nil {
 			t.Fatal(err)
 		}
 		if want == nil {
@@ -242,16 +243,24 @@ func TestBuildCachedIgnoresGeneratorV1Files(t *testing.T) {
 	}
 }
 
-// TestWorkersExcludedFromFingerprint: worker count must not change the
-// cache key, because it does not change the world.
-func TestWorkersExcludedFromFingerprint(t *testing.T) {
-	a := WorldConfig{Scale: 1.0 / 5000, Seed: 3, Workers: 1}
-	b := WorldConfig{Scale: 1.0 / 5000, Seed: 3, Workers: 8}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Error("worker count changed the config fingerprint")
+// TestFingerprintCoversScaleAndSeed: the cache key moves with each of the
+// two config fields, and only with them: a zero scale is the default one.
+func TestFingerprintCoversScaleAndSeed(t *testing.T) {
+	a := WorldConfig{Scale: 1.0 / 5000, Seed: 3}
+	for _, other := range []WorldConfig{{Scale: 1.0 / 5000, Seed: 4}, {Scale: 1.0 / 4000, Seed: 3}} {
+		if a.Fingerprint() == other.Fingerprint() {
+			t.Errorf("%+v and %+v share a fingerprint", a, other)
+		}
 	}
-	c := WorldConfig{Scale: 1.0 / 5000, Seed: 4}
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Error("seed change did not change the config fingerprint")
+	if (WorldConfig{Seed: 3}).Fingerprint() != (WorldConfig{Scale: 1.0 / 1000, Seed: 3}).Fingerprint() {
+		t.Error("a zero scale and the default scale fingerprint differently")
 	}
+}
+
+// withGOMAXPROCS runs f with GOMAXPROCS n, the size of the world build's
+// worker pool, and restores the previous value. Tests that call it must
+// not run in parallel.
+func withGOMAXPROCS(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
 }
