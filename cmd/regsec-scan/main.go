@@ -43,14 +43,15 @@
 // as the sample materializes each day once.
 //
 // Long sweeps are crash-safe when -checkpoint-dir is set: every completed
-// chunk is durably checkpointed, and SIGINT/SIGTERM drains the in-flight
-// chunk's workers and flushes the checkpoint before exiting. Re-running
-// with -resume re-enters the interrupted shard at its first missing chunk
-// — finished work is verified by checksum, not re-scanned — and the final
-// archive is byte-identical to an uninterrupted run. The chunk size is
-// part of the checkpoint fingerprint, so -resume with a different -chunk
-// is refused; so is a -checkpoint-dir that holds a regsec-sweepd
-// coordinator's state, with or without -resume.
+// chunk is a durable file before the next starts, so SIGINT/SIGTERM (which
+// drain the in-flight chunk's workers and drop that chunk) and SIGKILL
+// leave the same directory — nothing is flushed on the way out. Re-running
+// with -resume reuses every chunk file that verifies and scans the rest,
+// and the final archive is byte-identical to an uninterrupted run. The
+// directory's checkpoint.json, written once, names the sweep and its chunk
+// geometry, so -resume with a different -chunk is refused; so is a
+// -checkpoint-dir that holds a regsec-sweepd coordinator's state, with or
+// without -resume.
 package main
 
 import (
@@ -159,8 +160,8 @@ func run() int {
 		return scanner, src, prepare, err
 	}
 
-	// SIGINT/SIGTERM cancel the sweep context: workers drain, the partial
-	// chunk is discarded, and the checkpoint is flushed before we exit.
+	// SIGINT/SIGTERM cancel the sweep context: workers drain and the
+	// partial chunk is discarded; every finished chunk is already durable.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -231,7 +232,7 @@ func runStreamOut(ctx context.Context, rs *scan.ResumableSweep, days []simtime.D
 			aw.Abort()
 		}
 		if errors.Is(err, context.Canceled) && cp != nil {
-			fmt.Fprintf(os.Stderr, "interrupted; checkpoint saved in %s — re-run with -resume to continue\n", cpDir)
+			fmt.Fprintf(os.Stderr, "interrupted; checkpoint in %s — re-run with -resume to continue\n", cpDir)
 			return total, 130
 		}
 		fmt.Fprintln(os.Stderr, err)

@@ -156,6 +156,76 @@ func TestWorkerKilledMidUnitFleetDrains(t *testing.T) {
 	}
 }
 
+// TestSweepKilledMidDayResumes is the single-process drill with the real
+// binary: regsec-scan -checkpoint-dir is SIGKILLed once a chunk file is
+// durable — nothing is flushed on the way out — and regsec-scan -resume
+// over that directory finishes an archive byte-identical to an
+// uninterrupted run's, reusing the durable chunks, then clears the
+// directory down to nothing. Lossy operators make retries back off, so the
+// sweep is still running when the kill lands.
+func TestSweepKilledMidDayResumes(t *testing.T) {
+	dir := t.TempDir()
+	plan := []string{"-scale", "4000", "-sample", "240", "-shards", "4", "-chunk", "4", "-days", simtime.End.String(),
+		"-fault-frac", "1", "-fault-loss", "0.3"}
+	ref := filepath.Join(dir, "ref.tsv")
+	if out, err := cmdtest.Command(append(plan, "-o", ref)...).CombinedOutput(); err != nil {
+		t.Fatalf("uninterrupted reference: %v\n%s", err, out)
+	}
+
+	state := filepath.Join(dir, "state")
+	doomed := cmdtest.Command(append(plan, "-checkpoint-dir", state, "-o", filepath.Join(dir, "killed.tsv"))...)
+	if err := doomed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	chunks := func() []string {
+		names, _ := filepath.Glob(filepath.Join(state, "day-*-chunk-*.tsv"))
+		return names
+	}
+	for deadline := time.Now().Add(20 * time.Second); len(chunks()) == 0; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			doomed.Process.Kill()
+			t.Fatal("the sweep never wrote a chunk file")
+		}
+	}
+	doomed.Process.Signal(syscall.SIGKILL)
+	var exit *exec.ExitError
+	if err := doomed.Wait(); !errors.As(err, &exit) || exit.ExitCode() != -1 {
+		t.Fatalf("the sweep was not killed mid-day: %v", err)
+	}
+	if n := len(chunks()); n == 0 || n >= 60 {
+		t.Fatalf("the kill left %d of 60 chunk files", n)
+	}
+
+	out := filepath.Join(dir, "resumed.tsv")
+	resume := cmdtest.Command(append(plan, "-checkpoint-dir", state, "-resume", "-o", out)...)
+	var stderr bytes.Buffer
+	resume.Stderr = &stderr
+	if err := resume.Run(); err != nil {
+		t.Fatalf("regsec-scan -resume: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), " WARN resume: chunk verified from checkpoint ") {
+		t.Errorf("the resume reused no chunk:\n%s", stderr.String())
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("the resumed archive differs from the uninterrupted run's")
+	}
+	left, err := os.ReadDir(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("left in the checkpoint directory after the sweep: %s", e.Name())
+	}
+}
+
 // TestResumeLogsChunkReuse: regsec-scan -resume over a checkpoint holding
 // the first chunk of an interrupted shard reuses that chunk and says so on
 // stderr as a record locating it by day, shard and chunk.

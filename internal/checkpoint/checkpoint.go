@@ -1,20 +1,22 @@
-// Package checkpoint persists the progress of a multi-day measurement
+// Package checkpoint keeps the durable pieces of a multi-day measurement
 // sweep so an interrupted run — crash, SIGINT, OOM kill — resumes from the
 // last completed chunk instead of day zero. The paper's core evidence is
 // an unbroken 21-month daily archive (section 4.1); at production scale a
 // sweep that cannot survive its own process dying will eventually put a
 // hole in that series.
 //
-// A checkpoint directory holds one ledger plus one trailered archive file
-// per completed chunk of a shard. The durable unit of a sweep is a finished
-// (day, shard): a ChunkProgress naming each of its chunk files with the
-// file's CRC32C and record count. Whoever runs the sweep owns the ledger
-// that records those units — SweepLedger for a single-process
-// scan.ResumableSweep, CoordLedger for a dsweep.Coordinator — and both turn
-// finished units into an archive through AppendUnit. Every write is durable
-// (temp file + fsync + atomic rename), and every file read back is verified
-// three times: its bytes against the recorded CRC32C, the archive against
-// its own per-section trailers, its record count against the ledger. A file
+// A checkpoint directory holds one trailered archive file per completed
+// chunk of a shard, and the directory is the record of them: ReadChunk
+// finds a chunk's file by its name (day, shard, chunk and, for a
+// distributed worker, an owner tag), and the file's own checks — the gzip
+// CRC-32 and length, the trailer's length and CRC32C, the declared record
+// count and the day — decide whether it is reused. Beside the files sits
+// one ledger saying whose they are: a single-process scan.ResumableSweep's
+// Header, written once per sweep, or a dsweep.Coordinator's lease and
+// completion state. A finished (day, shard) is a ChunkProgress naming each
+// of its chunk files with the file's CRC32C and record count, and
+// AppendUnit turns one into records, holding every file to its entry.
+// Every write is durable (temp file + fsync + atomic rename), and a file
 // that fails any check is reported damaged rather than trusted.
 package checkpoint
 
@@ -24,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,7 +37,7 @@ import (
 // The two ledgers a checkpoint directory can hold. A directory belongs to
 // the sweep whose ledger is in it, and never to both kinds.
 const (
-	// SweepLedger is a single-process scan.ResumableSweep's State.
+	// SweepLedger is a single-process scan.ResumableSweep's Header.
 	SweepLedger = "checkpoint.json"
 	// CoordLedger is a dsweep.Coordinator's lease and completion state.
 	CoordLedger = "coordinator.json"
@@ -54,22 +55,11 @@ type Shard struct {
 	Records int `json:"records"`
 }
 
-// DayProgress tracks one day of the sweep.
-type DayProgress struct {
-	// Done is set once every chunk of every shard has been written.
-	Done bool `json:"done"`
-	// Partial maps shard index to its chunk-granular progress. A day is
-	// Done when every chunk of every shard is recorded here.
-	Partial map[int]*ChunkProgress `json:"partial,omitempty"`
-}
-
-// ChunkProgress tracks one shard of a day at chunk granularity: a SIGKILL
-// mid-shard loses at most the chunk in flight, and a resume re-enters the
-// shard at the first chunk missing from Done.
+// ChunkProgress is one shard of a day at chunk granularity: its geometry
+// and the file of every chunk entered so far. A finished shard's is the
+// manifest a worker reports and the coordinator merges.
 type ChunkProgress struct {
 	// Chunk is the chunk size (targets per chunk) the shard was cut with.
-	// A resume under a different chunk size is refused — chunk boundaries
-	// are part of what the recorded files mean.
 	Chunk int `json:"chunk"`
 	// Chunks is the shard's total chunk count.
 	Chunks int `json:"chunks"`
@@ -79,30 +69,23 @@ type ChunkProgress struct {
 	Done map[int]*Shard `json:"done"`
 }
 
-// State is the whole sweep's progress.
-type State struct {
+// Header is a single-process sweep's ledger (SweepLedger), written once,
+// before the sweep's first chunk: the sweep the directory's chunk files
+// belong to and how its days were cut. A chunk file's name locates its
+// targets only under this geometry, so a run that cuts its days otherwise
+// is refused rather than handed another cut's files.
+type Header struct {
 	// Fingerprint identifies the sweep configuration (days, sample,
 	// sharding, seeds). Resuming under a different configuration is
 	// refused: mixing shards of two different sweeps would fabricate data.
 	Fingerprint string `json:"fingerprint"`
-	// Days maps day (YYYY-MM-DD) to its progress.
-	Days map[string]*DayProgress `json:"days"`
-}
-
-// NewState creates an empty state for a sweep configuration.
-func NewState(fingerprint string) *State {
-	return &State{Fingerprint: fingerprint, Days: make(map[string]*DayProgress)}
-}
-
-// Day returns the progress entry for day, creating it if needed.
-func (st *State) Day(day simtime.Day) *DayProgress {
-	key := day.String()
-	dp := st.Days[key]
-	if dp == nil {
-		dp = &DayProgress{}
-		st.Days[key] = dp
-	}
-	return dp
+	// Shards is the number of shards each day is cut into.
+	Shards int `json:"shards"`
+	// Chunk is the chunk size (targets per chunk) each shard is cut with.
+	Chunk int `json:"chunk"`
+	// Targets is each day's target count; with Shards it fixes every
+	// shard's span.
+	Targets int `json:"targets"`
 }
 
 // Store is a checkpoint directory.
@@ -158,8 +141,8 @@ func (s *Store) Adopt(want string, resume bool) (found bool, err error) {
 	return true, nil
 }
 
-// Load returns the saved state, or nil when no checkpoint exists yet.
-func (s *Store) Load() (*State, error) {
+// Load returns the directory's header, or nil when it holds none.
+func (s *Store) Load() (*Header, error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, SweepLedger))
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -167,19 +150,16 @@ func (s *Store) Load() (*State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	st := &State{}
-	if err := json.Unmarshal(data, st); err != nil {
-		return nil, fmt.Errorf("checkpoint: corrupt state file %s: %w", SweepLedger, err)
+	h := &Header{}
+	if err := json.Unmarshal(data, h); err != nil {
+		return nil, fmt.Errorf("checkpoint: corrupt header %s: %w", SweepLedger, err)
 	}
-	if st.Days == nil {
-		st.Days = make(map[string]*DayProgress)
-	}
-	return st, nil
+	return h, nil
 }
 
-// Save atomically and durably replaces the state file.
-func (s *Store) Save(st *State) error {
-	data, err := json.MarshalIndent(st, "", "  ")
+// Save durably writes the header.
+func (s *Store) Save(h *Header) error {
+	data, err := json.MarshalIndent(h, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -193,31 +173,6 @@ func chunkCount(chunkSize, targets int) int { return (targets + chunkSize - 1) /
 // cut into chunks of chunkSize.
 func NewChunkProgress(chunkSize, targets int) *ChunkProgress {
 	return &ChunkProgress{Chunk: chunkSize, Chunks: chunkCount(chunkSize, targets), Targets: targets, Done: make(map[int]*Shard)}
-}
-
-// ChunkShard returns the chunk-progress entry for one shard of a day,
-// creating it for the given geometry if absent. If an existing entry was
-// recorded under a different geometry (chunk size or target count), it
-// returns an error instead: the recorded chunk files were cut at different
-// boundaries and cannot be reused.
-func (dp *DayProgress) ChunkShard(shard, chunkSize, targets int) (*ChunkProgress, error) {
-	if dp.Partial == nil {
-		dp.Partial = make(map[int]*ChunkProgress)
-	}
-	cp := dp.Partial[shard]
-	if cp == nil {
-		cp = NewChunkProgress(chunkSize, targets)
-		dp.Partial[shard] = cp
-		return cp, nil
-	}
-	if cp.Chunk != chunkSize || cp.Targets != targets {
-		return nil, fmt.Errorf("checkpoint: shard %d was chunked as %d targets in chunks of %d; this run wants %d in chunks of %d",
-			shard, cp.Targets, cp.Chunk, targets, chunkSize)
-	}
-	if cp.Done == nil {
-		cp.Done = make(map[int]*Shard)
-	}
-	return cp, nil
 }
 
 // WellFormed checks a manifest that arrived from outside the process — a
@@ -248,26 +203,19 @@ func plainName(name string) bool {
 
 // sanitizeOwner restricts an owner tag to filename-safe characters.
 func sanitizeOwner(owner string) string {
-	out := make([]byte, 0, len(owner))
-	for i := 0; i < len(owner); i++ {
-		c := owner[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
-			out = append(out, c)
-		default:
-			out = append(out, '-')
+	return strings.Map(func(c rune) rune {
+		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || strings.ContainsRune("-_.", c) {
+			return c
 		}
-	}
-	if len(out) == 0 {
-		return "anon"
-	}
-	return string(out)
+		return '-'
+	}, owner)
 }
 
 // chunkFile names one chunk's archive inside the directory. A distributed
 // worker's files carry its owner tag, so two workers racing on a re-leased
 // shard never clobber each other's bytes: each completion is its own set of
-// files, chosen between by checksum.
+// files, chosen between by checksum. The tag is only made filename-safe
+// here; keeping two owners' tags apart is the caller's part.
 func chunkFile(day simtime.Day, shard, chunk int, owner string) string {
 	if owner == "" {
 		return fmt.Sprintf("day-%s-shard-%03d-chunk-%05d.tsv", day, shard, chunk)
@@ -277,7 +225,7 @@ func chunkFile(day simtime.Day, shard, chunk int, owner string) string {
 
 // WriteChunk durably writes one completed chunk snapshot as a trailered
 // archive — under owner's tag when owner is non-empty — and returns its
-// metadata for the ledger.
+// manifest entry.
 func (s *Store) WriteChunk(day simtime.Day, shard, chunk int, owner string, snap *dataset.Snapshot) (*Shard, error) {
 	var buf bytes.Buffer
 	if err := snap.WriteArchiveSection(&buf); err != nil {
@@ -294,66 +242,61 @@ func (s *Store) WriteChunk(day simtime.Day, shard, chunk int, owner string, snap
 	}, nil
 }
 
-// readChunk reads one trailered chunk file and verifies the archive against
-// its own trailers, returning the day's snapshot and the CRC32C of the bytes
-// read. A missing file is returned as fs.ErrNotExist (via os.ReadFile).
-func (s *Store) readChunk(day simtime.Day, name string) (*dataset.Snapshot, uint32, error) {
+// readChunk reads the chunk file name and verifies it by its own checks: it
+// must be exactly one verified section (gzip CRC-32 and length, trailer
+// length and CRC32C, declared record count), of day. It returns the
+// section's snapshot and the entry naming the file, with the CRC32C of the
+// bytes read. A missing file is an error wrapping fs.ErrNotExist.
+func (s *Store) readChunk(day simtime.Day, name string) (*dataset.Snapshot, *Shard, error) {
 	if !plainName(name) {
-		return nil, 0, fmt.Errorf("checkpoint: chunk %q names no file in the directory", name)
+		return nil, nil, fmt.Errorf("checkpoint: chunk %q names no file in the directory", name)
 	}
 	data, err := os.ReadFile(filepath.Join(s.dir, name))
 	if err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: chunk %s: %w", name, err)
+		return nil, nil, fmt.Errorf("checkpoint: chunk %s: %w", name, err)
 	}
-	store, err := dataset.ReadArchiveStrict(bytes.NewReader(data))
-	if err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: chunk %s: %w", name, err)
+	var snap *dataset.Snapshot
+	report, err := dataset.ScanArchive(bytes.NewReader(data), func(sn *dataset.Snapshot) error {
+		snap = sn
+		return nil
+	})
+	switch {
+	case err != nil:
+		return nil, nil, fmt.Errorf("checkpoint: chunk %s: %w", name, err)
+	case !report.Clean():
+		return nil, nil, fmt.Errorf("checkpoint: chunk %s: %s", name, report)
+	case report.Sections != 1:
+		return nil, nil, fmt.Errorf("checkpoint: chunk %s holds %d sections, want one", name, report.Sections)
+	case snap.Day != day:
+		return nil, nil, fmt.Errorf("checkpoint: chunk %s holds %s, want %s", name, snap.Day, day)
 	}
-	snap := store.Get(day)
-	if snap == nil {
-		return nil, 0, fmt.Errorf("checkpoint: chunk %s: no snapshot for %s", name, day)
-	}
-	return snap, crc32.Checksum(data, castagnoli), nil
+	return snap, &Shard{File: name, CRC: crc32.Checksum(data, castagnoli), Records: len(snap.Records)}, nil
 }
 
-// LoadChunk re-reads a chunk archive and verifies it against its ledger
-// entry: the file's bytes against the recorded CRC, the archive against its
-// own trailers, the record count against the ledger. The returned snapshot
-// carries exactly the records written at checkpoint time; any mismatch is
-// an error so the caller re-scans instead of trusting damage.
+// ReadChunk reads one chunk's file by its name — under owner's tag when
+// owner is non-empty — and verifies it by the file's own checks, returning
+// its snapshot and its manifest entry. A missing file is an error wrapping
+// fs.ErrNotExist.
+func (s *Store) ReadChunk(day simtime.Day, shard, chunk int, owner string) (*dataset.Snapshot, *Shard, error) {
+	return s.readChunk(day, chunkFile(day, shard, chunk, owner))
+}
+
+// LoadChunk re-reads a chunk archive and verifies it against its manifest
+// entry: the file by its own checks, as ReadChunk does, then its bytes
+// against the recorded CRC and its record count against the recorded one.
+// Any mismatch is an error, so the caller never trusts damage.
 func (s *Store) LoadChunk(day simtime.Day, meta *Shard) (*dataset.Snapshot, error) {
-	snap, crc, err := s.readChunk(day, meta.File)
+	snap, got, err := s.readChunk(day, meta.File)
 	if err != nil {
 		return nil, err
 	}
-	if crc != meta.CRC {
-		return nil, fmt.Errorf("checkpoint: chunk %s: checksum mismatch (state %08x, file %08x)", meta.File, meta.CRC, crc)
+	if got.CRC != meta.CRC {
+		return nil, fmt.Errorf("checkpoint: chunk %s: checksum mismatch (manifest %08x, file %08x)", meta.File, meta.CRC, got.CRC)
 	}
-	if len(snap.Records) != meta.Records {
-		return nil, fmt.Errorf("checkpoint: chunk %s: %d records, state says %d", meta.File, len(snap.Records), meta.Records)
+	if got.Records != meta.Records {
+		return nil, fmt.Errorf("checkpoint: chunk %s: %d records, manifest says %d", meta.File, got.Records, meta.Records)
 	}
 	return snap, nil
-}
-
-// RecoverChunks rebuilds an owner's progress on one shard from the files it
-// left in the directory: a distributed worker keeps no ledger of its own, so
-// after a kill its owner-tagged chunk files are the record. Each file found
-// is verified by its trailers and entered in cp under the CRC of the bytes
-// read; found hears of each (err non-nil for a damaged file, which is left
-// out and re-scanned).
-func (s *Store) RecoverChunks(day simtime.Day, shard int, owner string, cp *ChunkProgress, found func(chunk, records int, err error)) {
-	for c := 0; c < cp.Chunks; c++ {
-		name := chunkFile(day, shard, c, owner)
-		snap, crc, err := s.readChunk(day, name)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-		case err != nil:
-			found(c, 0, err)
-		default:
-			cp.Done[c] = &Shard{File: name, CRC: crc, Records: len(snap.Records)}
-			found(c, len(snap.Records), nil)
-		}
-	}
 }
 
 // ChunkError reports the chunk of a finished unit that is missing from its
@@ -389,18 +332,29 @@ func (s *Store) AppendUnit(day simtime.Day, cp *ChunkProgress, emit func(recs ..
 	return nil
 }
 
-// Clear removes both ledgers and every chunk archive — called after the
-// final archive has been durably written, when the checkpoint has nothing
-// left to protect.
+// sweepFile reports whether name is a file a sweep leaves in the
+// directory: a ledger, a chunk archive, or the temp file of an atomic write
+// of either that a kill cut short.
+func sweepFile(name string) bool {
+	if tmp, ok := strings.CutPrefix(name, "."); ok {
+		if target, _, ok := strings.Cut(tmp, ".tmp-"); ok {
+			name = target
+		}
+	}
+	return name == SweepLedger || name == CoordLedger || strings.HasPrefix(name, "day-") && strings.HasSuffix(name, ".tsv")
+}
+
+// Clear removes both ledgers, every chunk archive and any temp file a killed
+// write of one left behind — called after the final archive has been durably
+// written, when the checkpoint has nothing left to protect.
 func (s *Store) Clear() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return err
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if name == SweepLedger || name == CoordLedger || (strings.HasPrefix(name, "day-") && strings.HasSuffix(name, ".tsv")) {
-			if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
+		if sweepFile(e.Name()) {
+			if err := os.Remove(filepath.Join(s.dir, e.Name())); err != nil {
 				return err
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -49,17 +50,22 @@ func TestChunkWriteLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// recoverAs runs RecoverChunks for one owner over a two-chunk shard and
-// returns the rebuilt progress and the chunks reported damaged.
-func recoverAs(cp *Store, day simtime.Day, owner string) (*ChunkProgress, []int) {
-	prog := NewChunkProgress(2, 4)
+// readAs reads both chunks of a two-chunk shard by name, as one owner, and
+// returns the entries of those that verify and the chunks found damaged.
+func readAs(cp *Store, day simtime.Day, owner string) (map[int]*Shard, []int) {
+	found := map[int]*Shard{}
 	var damaged []int
-	cp.RecoverChunks(day, 0, owner, prog, func(c, _ int, err error) {
-		if err != nil {
+	for c := 0; c < 2; c++ {
+		_, meta, err := cp.ReadChunk(day, 0, c, owner)
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+		case err != nil:
 			damaged = append(damaged, c)
+		default:
+			found[c] = meta
 		}
-	})
-	return prog, damaged
+	}
+	return found, damaged
 }
 
 func TestChunkOwnerTaggedLoad(t *testing.T) {
@@ -70,9 +76,9 @@ func TestChunkOwnerTaggedLoad(t *testing.T) {
 	day := simtime.Date(2016, 3, 2)
 	snap := testSnapshot(day)
 
-	// Never written → nothing recovered, nothing damaged.
-	if prog, damaged := recoverAs(cp, day, "w1"); len(prog.Done) != 0 || len(damaged) != 0 {
-		t.Fatalf("empty directory: recovered %v, damaged %v", prog.Done, damaged)
+	// Never written → nothing found, nothing damaged.
+	if found, damaged := readAs(cp, day, "w1"); len(found) != 0 || len(damaged) != 0 {
+		t.Fatalf("empty directory: found %v, damaged %v", found, damaged)
 	}
 
 	meta, err := cp.WriteChunk(day, 0, 1, "w1", snap)
@@ -81,11 +87,11 @@ func TestChunkOwnerTaggedLoad(t *testing.T) {
 	}
 	// The owner's file comes back under the metadata its writer was handed
 	// (the CRC is computed from the bytes read), and loads by it.
-	prog, damaged := recoverAs(cp, day, "w1")
-	if len(damaged) != 0 || len(prog.Done) != 1 || !reflect.DeepEqual(prog.Done[1], meta) {
-		t.Fatalf("recovered %+v (damaged %v), want chunk 1 = %+v", prog.Done, damaged, meta)
+	found, damaged := readAs(cp, day, "w1")
+	if len(damaged) != 0 || len(found) != 1 || !reflect.DeepEqual(found[1], meta) {
+		t.Fatalf("found %+v (damaged %v), want chunk 1 = %+v", found, damaged, meta)
 	}
-	got, err := cp.LoadChunk(day, prog.Done[1])
+	got, err := cp.LoadChunk(day, found[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +99,8 @@ func TestChunkOwnerTaggedLoad(t *testing.T) {
 		t.Errorf("records differ after owner-tagged round trip")
 	}
 	// Another owner's name does not collide.
-	if prog, _ := recoverAs(cp, day, "w2"); len(prog.Done) != 0 {
-		t.Fatalf("w2 recovered w1's chunk: %+v", prog.Done)
+	if found, _ := readAs(cp, day, "w2"); len(found) != 0 {
+		t.Fatalf("w2 found w1's chunk: %+v", found)
 	}
 
 	// Trailer damage is detected without a recorded CRC.
@@ -103,15 +109,15 @@ func TestChunkOwnerTaggedLoad(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-4], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if prog, damaged := recoverAs(cp, day, "w1"); len(prog.Done) != 0 || !reflect.DeepEqual(damaged, []int{1}) {
-		t.Errorf("truncated owner chunk: recovered %v, damaged %v", prog.Done, damaged)
+	if found, damaged := readAs(cp, day, "w1"); len(found) != 0 || !reflect.DeepEqual(damaged, []int{1}) {
+		t.Errorf("truncated owner chunk: found %v, damaged %v", found, damaged)
 	}
 }
 
 // TestTextChunkRescanned: a chunk file in the text form, as written before
 // each section became a gzip member, is refused by LoadChunk even under the
-// CRC of its own bytes, and RecoverChunks reports it damaged, so its chunk
-// is scanned again.
+// CRC of its own bytes, and ReadChunk reports it damaged, so its chunk is
+// scanned again.
 func TestTextChunkRescanned(t *testing.T) {
 	cp, err := Open(t.TempDir())
 	if err != nil {
@@ -142,8 +148,8 @@ func TestTextChunkRescanned(t *testing.T) {
 	if _, err := cp.LoadChunk(day, textMeta); !errors.Is(err, dataset.ErrTextArchive) {
 		t.Errorf("LoadChunk of a text chunk: %v, want ErrTextArchive", err)
 	}
-	if prog, damaged := recoverAs(cp, day, "w1"); len(prog.Done) != 0 || !reflect.DeepEqual(damaged, []int{0}) {
-		t.Errorf("a text chunk: recovered %v, damaged %v; want chunk 0 re-scanned", prog.Done, damaged)
+	if found, damaged := readAs(cp, day, "w1"); len(found) != 0 || !reflect.DeepEqual(damaged, []int{0}) {
+		t.Errorf("a text chunk: found %v, damaged %v; want chunk 0 re-scanned", found, damaged)
 	}
 }
 
@@ -246,43 +252,66 @@ func TestWellFormed(t *testing.T) {
 	}
 }
 
+// TestChunkShardGeometry: the chunk geometry a header's chunk size cuts a
+// shard into, and the manifest it must fill.
 func TestChunkShardGeometry(t *testing.T) {
-	dp := &DayProgress{}
-	cp, err := dp.ChunkShard(0, 10, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := &Header{Fingerprint: "fp", Shards: 1, Chunk: 10, Targets: 25}
+	cp := NewChunkProgress(h.Chunk, h.Targets)
 	if cp.Chunks != 3 || cp.Chunk != 10 || cp.Targets != 25 {
 		t.Fatalf("geometry: %+v", cp)
 	}
-	if cp.WellFormed(10) == nil {
+	if cp.WellFormed(h.Chunk) == nil {
 		t.Error("empty progress reported well-formed")
 	}
 	cp.Done[0], cp.Done[1], cp.Done[2] = &Shard{File: "a"}, &Shard{File: "b"}, &Shard{File: "c"}
-	if err := cp.WellFormed(10); err != nil {
+	if err := cp.WellFormed(h.Chunk); err != nil {
 		t.Errorf("full progress: %v", err)
 	}
-
-	// Same geometry returns the same entry.
-	again, err := dp.ChunkShard(0, 10, 25)
-	if err != nil || again != cp {
-		t.Fatalf("re-entry: %v, same=%v", err, again == cp)
-	}
-	// Different chunk size is refused.
-	if _, err := dp.ChunkShard(0, 8, 25); err == nil {
-		t.Error("chunk-size change accepted")
-	}
-	// Different target count is refused.
-	if _, err := dp.ChunkShard(0, 10, 30); err == nil {
-		t.Error("target-count change accepted")
+	if cp.WellFormed(8) == nil {
+		t.Error("progress of another chunk size reported well-formed")
 	}
 	// Empty shard has zero chunks and is trivially complete.
-	empty, err := dp.ChunkShard(1, 10, 0)
+	if empty := NewChunkProgress(h.Chunk, 0); empty.Chunks != 0 || empty.WellFormed(h.Chunk) != nil {
+		t.Errorf("empty shard: %+v", empty)
+	}
+}
+
+// TestChunkOfOneSectionOfItsDay: a chunk file is exactly one verified
+// section, of the chunk's day. A file that also carries a verified section
+// of another day, or holds only another day's, is damaged — read by name
+// or under the CRC and count of its own bytes.
+func TestChunkOfOneSectionOfItsDay(t *testing.T) {
+	cp, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.Chunks != 0 || empty.WellFormed(10) != nil {
-		t.Errorf("empty shard: %+v", empty)
+	day := simtime.Date(2016, 3, 5)
+	meta, err := cp.WriteChunk(day, 0, 0, "", testSnapshot(day))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(cp.Dir(), meta.File)
+	own, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var next bytes.Buffer
+	if err := testSnapshot(day + 1).WriteArchiveSection(&next); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"extra section": append(bytes.Clone(own), next.Bytes()...),
+		"another day":   next.Bytes(),
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := cp.ReadChunk(day, 0, 0, ""); err == nil {
+			t.Errorf("%s: read by name", name)
+		}
+		if _, err := cp.LoadChunk(day, &Shard{File: meta.File, CRC: crc32.Checksum(data, castagnoli), Records: meta.Records}); err == nil {
+			t.Errorf("%s: loaded under its own CRC", name)
+		}
 	}
 }
 
@@ -298,7 +327,7 @@ func TestClearRemovesChunkFiles(t *testing.T) {
 	if _, err := cp.WriteChunk(day, 0, 1, "w1", testSnapshot(day)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Save(NewState("fp")); err != nil {
+	if err := cp.Save(&Header{Fingerprint: "fp"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Clear(); err != nil {

@@ -14,12 +14,15 @@ import (
 	"securepki.org/registrarsec/internal/simtime"
 )
 
-// FuzzLoadChunk feeds LoadChunk arbitrary file bytes under an arbitrary
-// ledger entry. It must never panic, and it accepts exactly when all three
-// checks agree: the bytes' CRC32C is the recorded one, the bytes are a
-// strictly valid archive holding the day, and the day's record count is the
-// recorded one; a file in the text form is refused as a text archive.
-// Seeded from a real chunk file, its text form, and near misses of both.
+// FuzzLoadChunk feeds a chunk file arbitrary bytes and reads it both ways:
+// under an arbitrary manifest entry (LoadChunk) and by its name (ReadChunk).
+// Neither may panic. LoadChunk accepts exactly when all three checks agree:
+// the bytes' CRC32C is the recorded one, the bytes are one strictly valid
+// section, of the chunk's day, and its record count is the recorded one.
+// ReadChunk accepts exactly the bytes LoadChunk accepts under their own CRC
+// and count, and returns that CRC and count. A file in the text form is
+// refused as a text archive by both. Seeded from a real chunk file, its
+// text form, and near misses of both.
 func FuzzLoadChunk(f *testing.F) {
 	day := simtime.Date(2016, 3, 1)
 	cp, err := Open(f.TempDir())
@@ -58,28 +61,54 @@ func FuzzLoadChunk(f *testing.F) {
 	f.Add(text[:len(text)-4], crc32.Checksum(text[:len(text)-4], castagnoli), meta.Records)
 	f.Add(append(bytes.Clone(text), real...), uint32(0), 2*meta.Records)
 	f.Add(append(bytes.Clone(real), text...), uint32(0), 2*meta.Records)
+	// A second verified section, of another day, after the chunk's own; and
+	// another day's section alone.
+	var next bytes.Buffer
+	if err := testSnapshot(day + 1).WriteArchiveSection(&next); err != nil {
+		f.Fatal(err)
+	}
+	twoDays := append(bytes.Clone(real), next.Bytes()...)
+	f.Add(twoDays, crc32.Checksum(twoDays, castagnoli), meta.Records)
+	f.Add(next.Bytes(), crc32.Checksum(next.Bytes(), castagnoli), meta.Records)
 
-	const name = "fuzzed.tsv"
 	f.Fuzz(func(t *testing.T, data []byte, crc uint32, records int) {
-		if err := os.WriteFile(filepath.Join(cp.Dir(), name), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(cp.Dir(), meta.File), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := cp.LoadChunk(day, &Shard{File: name, CRC: crc, Records: records})
+		snap, err := cp.LoadChunk(day, &Shard{File: meta.File, CRC: crc, Records: records})
 
-		want := crc32.Checksum(data, castagnoli) == crc
-		if store, serr := dataset.ReadArchiveStrict(bytes.NewReader(data)); serr != nil || store.Get(day) == nil {
-			want = false
-		} else if len(store.Get(day).Records) != records {
-			want = false
+		own := crc32.Checksum(data, castagnoli)
+		store, serr := dataset.ReadArchiveStrict(bytes.NewReader(data))
+		valid := serr == nil && store.Len() == 1 && store.Get(day) != nil
+		count := -1
+		if valid {
+			count = len(store.Get(day).Records)
 		}
-		if (err == nil) != want {
+		if want := valid && own == crc && count == records; (err == nil) != want {
 			t.Fatalf("LoadChunk err %v, but CRC, trailer and count agree = %v", err, want)
 		}
-		if text := bytes.HasPrefix(data, []byte("#snapshot\t")); text != errors.Is(err, dataset.ErrTextArchive) {
+		text := bytes.HasPrefix(data, []byte("#snapshot\t"))
+		if text != errors.Is(err, dataset.ErrTextArchive) {
 			t.Fatalf("LoadChunk err %v of a file that is a text archive: %v", err, text)
 		}
 		if err == nil && len(snap.Records) != records {
-			t.Fatalf("accepted %d records under a ledger entry of %d", len(snap.Records), records)
+			t.Fatalf("accepted %d records under a manifest entry of %d", len(snap.Records), records)
+		}
+
+		_, got, rerr := cp.ReadChunk(day, 0, 0, "w1")
+		if (rerr == nil) != valid {
+			t.Fatalf("ReadChunk err %v, but the file is one valid section of its day = %v", rerr, valid)
+		}
+		if text != errors.Is(rerr, dataset.ErrTextArchive) {
+			t.Fatalf("ReadChunk err %v of a file that is a text archive: %v", rerr, text)
+		}
+		if rerr == nil {
+			if got.File != meta.File || got.CRC != own || got.Records != count {
+				t.Fatalf("ReadChunk entry %+v, want file %s, CRC %08x, %d records", got, meta.File, own, count)
+			}
+			if _, err := cp.LoadChunk(day, got); err != nil {
+				t.Fatalf("LoadChunk refuses the entry ReadChunk returned: %v", err)
+			}
 		}
 	})
 }

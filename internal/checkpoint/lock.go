@@ -11,9 +11,9 @@ import (
 
 // lockFile is the owner lockfile inside a checkpoint directory. Exactly one
 // process may mutate a checkpoint directory's state at a time: two sweeps
-// interleaving Save calls would silently corrupt each other's progress and
-// could mix shards of different runs into one archive. The lockfile makes
-// the second process fail loudly instead.
+// writing the same chunk files would silently replace each other's bytes
+// and could mix shards of different runs into one archive. The lockfile
+// makes the second process fail loudly instead.
 //
 // Ownership is an exclusive flock on the file, held for the owner's
 // lifetime: the kernel drops it when the process dies, and it never

@@ -12,8 +12,10 @@ import (
 // fsyncs, closes, renames the temp file over path and fsyncs the directory.
 // A crash (or Abort) at any point before the rename leaves the previous
 // file at path untouched, and after it the complete new one — never a torn
-// mixture. It is the one durability primitive behind archive, checkpoint,
-// ledger and world-file writes.
+// mixture. It is the one durability primitive behind every durable write:
+// the archive, each checkpoint chunk file, a single-process sweep's
+// checkpoint.json (written once per sweep), the coordinator's ledger and
+// the observatory's world file.
 type AtomicFile struct {
 	path string
 	tmp  *os.File

@@ -525,7 +525,7 @@ func TestRunLocalChunkedKillBetweenChunksResumes(t *testing.T) {
 	if len(res2.WorkerErrs) != 0 {
 		t.Fatalf("phase 2 worker errors: %v", res2.WorkerErrs)
 	}
-	reused := logged.Records("worker: reusing chunk")
+	reused := logged.Records("resume: chunk verified from checkpoint")
 	if len(reused) == 0 {
 		t.Fatal("restarted worker re-scanned its flushed chunk instead of reusing it")
 	}
@@ -553,7 +553,7 @@ func TestRunLocalChunkedOwnerTagIsolation(t *testing.T) {
 	if len(res.WorkerErrs) != 0 {
 		t.Fatalf("phase 2 worker errors: %v", res.WorkerErrs)
 	}
-	if len(logged.Records("worker: reusing chunk")) != 0 {
+	if len(logged.Records("resume: chunk verified from checkpoint")) != 0 {
 		t.Fatal("w2 reused another worker's owner-tagged chunks")
 	}
 }

@@ -390,7 +390,7 @@ func refusedAsDifferentSweep(t *testing.T, plan Plan, old string) {
 	}
 
 	cp := openStore(t)
-	if err := cp.Save(checkpoint.NewState(old)); err != nil {
+	if err := cp.Save(&checkpoint.Header{Fingerprint: old}); err != nil {
 		t.Fatal(err)
 	}
 	rs := &scan.ResumableSweep{Checkpoint: cp, Fingerprint: plan.Fingerprint, Shards: plan.Shards, Chunk: plan.Chunk,

@@ -283,3 +283,31 @@ func FuzzCoordinatorRestore(f *testing.F) {
 		}
 	})
 }
+
+// TestChunkOwnerTagsKeepRawNamesApart: workers named "a/b" and "a-b" share
+// a filename-safe form, yet under one plan they write different chunk
+// files, and neither reads the other's as its own.
+func TestChunkOwnerTagsKeepRawNamesApart(t *testing.T) {
+	plan := testPlan(1, 10)
+	st := openStore(t)
+	d := plan.Days[0]
+	files := map[string]string{}
+	for _, name := range []string{"a/b", "a-b"} {
+		w := &Worker{cfg: WorkerConfig{Name: name}}
+		meta, err := st.WriteChunk(d, 0, 0, w.chunkOwner(&plan), makeSnap(d, "only-"+strings.ReplaceAll(name, "/", "")+".com"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = meta.File
+	}
+	if files["a/b"] == files["a-b"] {
+		t.Fatalf("workers a/b and a-b share the chunk file %s", files["a/b"])
+	}
+	for name, domain := range map[string]string{"a/b": "only-ab.com", "a-b": "only-a-b.com"} {
+		w := &Worker{cfg: WorkerConfig{Name: name}}
+		snap, _, err := st.ReadChunk(d, 0, 0, w.chunkOwner(&plan))
+		if err != nil || len(snap.Records) != 1 || snap.Records[0].Domain != domain {
+			t.Errorf("worker %s reads back %v (%v), want its own %s", name, snap, err, domain)
+		}
+	}
+}

@@ -151,23 +151,23 @@ func (w *Worker) day(ctx context.Context, plan *Plan, d simtime.Day) (*scan.DayE
 	return w.cached, w.spans, nil
 }
 
-// chunkOwner tags this worker's durable chunk files with a hash of the plan
-// fingerprint, so a restarted worker trusts only chunks it wrote itself
-// under this exact plan — never a stale file from a previous sweep in the
-// same directory, and never another worker's chunks, whose vantage-point
-// fault profile may legitimately differ.
+// chunkOwner tags this worker's durable chunk files with a hash of its raw
+// name and the plan fingerprint, so a restarted worker trusts only chunks
+// it wrote itself under this exact plan — never a stale file from a
+// previous sweep in the same directory, and never another worker's chunks,
+// whose vantage-point fault profile may legitimately differ. The hash
+// keeps apart names the tag's filename-safe form would not ("a/b", "a-b").
 func (w *Worker) chunkOwner(plan *Plan) string {
 	h := fnv.New32a()
-	h.Write([]byte(plan.Fingerprint))
+	h.Write([]byte(w.cfg.Name + "\x00" + plan.Fingerprint))
 	return fmt.Sprintf("%s-%08x", w.cfg.Name, h.Sum32())
 }
 
 // scanUnit scans one unit through scan's chunk loop and returns the unit's
-// chunk manifest. Chunks already flushed by an earlier (killed) incarnation
-// of this worker are recovered from its owner-tagged files; from there the
-// loop runs the store the single-process sweep runs — recorded chunks are
-// reused once they verify against their checksum, fresh ones are flushed
-// and recorded the moment they complete.
+// chunk manifest. The loop runs the rule the single-process sweep runs:
+// each chunk file this worker already flushed under its owner tag — before
+// a kill, say — is reused once it verifies, and every other chunk is
+// scanned and flushed the moment it completes.
 func (w *Worker) scanUnit(ctx context.Context, plan *Plan, unit UnitID) (*checkpoint.ChunkProgress, *scan.SweepHealth, error) {
 	env, spans, err := w.day(ctx, plan, unit.Day)
 	if err != nil {
@@ -180,23 +180,14 @@ func (w *Worker) scanUnit(ctx context.Context, plan *Plan, unit UnitID) (*checkp
 	if unit.Shard < len(spans) {
 		span = spans[unit.Shard]
 	}
-	owner := w.chunkOwner(plan)
-	manifest := checkpoint.NewChunkProgress(scan.ChunkSize(plan.Chunk), span.Len())
-	w.cfg.Store.RecoverChunks(unit.Day, unit.Shard, owner, manifest, func(c, records int, err error) {
-		if err != nil {
-			slog.Warn("worker: chunk damaged, re-scanning", "worker", w.cfg.Name, "day", unit.Day, "shard", unit.Shard, "chunk", c, "err", err)
-			return
-		}
-		slog.Warn("worker: reusing chunk", "worker", w.cfg.Name, "day", unit.Day, "shard", unit.Shard, "chunk", c, "records", records)
-	})
-	store := &scan.ChunkStore{Dir: w.cfg.Store, Shard: unit.Shard, Owner: owner, Progress: manifest,
-		Persist: func() error { return nil }}
+	store := &scan.ChunkStore{Dir: w.cfg.Store, Shard: unit.Shard, Owner: w.chunkOwner(plan), Worker: w.cfg.Name,
+		Progress: checkpoint.NewChunkProgress(scan.ChunkSize(plan.Chunk), span.Len())}
 	// The records stay in the chunk files; the merge reads them from there.
 	health, err := env.ScanSpan(ctx, unit.Day, span, store, func(...dataset.Record) error { return nil })
 	if err != nil {
 		return nil, nil, fmt.Errorf("dsweep: worker %s: unit %s: %w", w.cfg.Name, unit, err)
 	}
-	return manifest, health, nil
+	return store.Progress, health, nil
 }
 
 // startHeartbeat extends the lease on a ttl/3 cadence until stopped. A

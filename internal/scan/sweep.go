@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 
 	"securepki.org/registrarsec/internal/checkpoint"
@@ -89,8 +90,9 @@ func ShardBounds(n, shards int) []Span {
 // StreamDaySetup materializes the scan environment for one day: the
 // scanner, a random-access target cursor, and an optional per-chunk
 // prepare hook (nil when the scanning substrate needs no per-chunk work).
-// It is called lazily — a day fully verified from the checkpoint never
-// pays for a setup.
+// It is called once per day, resumed or not: the cursor's length fixes the
+// day's shard spans and so which chunk each file holds. The costly work
+// belongs in the prepare hook, which only a chunk being scanned pays for.
 type StreamDaySetup func(ctx context.Context, day simtime.Day) (*Scanner, TargetSource, ChunkPrepare, error)
 
 // DayEnv is one day's scan environment as a StreamDaySetup yields it; it
@@ -102,11 +104,13 @@ type DayEnv struct {
 	buf     []Target
 }
 
-// ChunkStore is one shard's durable chunk ledger as the chunk loop uses it:
-// chunks recorded in Progress are reused once their file verifies against
-// the recorded checksum, and every fresh chunk is written and recorded
-// before the loop moves on. The single-process sweep and a distributed
-// worker run the same store; they differ in who persists the ledger.
+// ChunkStore is one shard's durable chunks as the chunk loop uses them: the
+// one resume rule of both sweep topologies, in which the directory is the
+// ledger. The loop reads each chunk's file by its name; a file that
+// verifies by its own checks is reused, a missing one is scanned, a damaged
+// one is warned of and scanned again, and every fresh chunk is written
+// before the loop moves on. Each chunk reused or written is entered in
+// Progress.
 type ChunkStore struct {
 	// Dir holds the chunk files; nil runs the loop without durability.
 	Dir *checkpoint.Store
@@ -115,34 +119,37 @@ type ChunkStore struct {
 	// Owner tags a distributed worker's chunk files; empty for the
 	// single-process sweep.
 	Owner string
-	// Progress is the shard's geometry and its recorded chunks.
+	// Worker names the distributed worker in the loop's log records; empty
+	// for the single-process sweep.
+	Worker string
+	// Progress is the shard's geometry and the chunks entered so far.
 	Progress *checkpoint.ChunkProgress
-	// Persist makes the ledger holding Progress durable after a chunk is
-	// recorded. A worker has nothing to do here: its ledger is the
-	// directory itself (checkpoint.Store.RecoverChunks).
-	Persist func() error
 }
 
-// load returns chunk c's durable snapshot, or nil when there is none to
-// reuse (never recorded, or damaged — then it is dropped from Progress).
+// load returns chunk c's durable snapshot, entered in Progress, or nil when
+// there is none to reuse: no directory, no file, or a damaged one.
 func (s *ChunkStore) load(day simtime.Day, c int) *dataset.Snapshot {
-	// Without a directory nothing is ever recorded in Progress.Done.
-	meta := s.Progress.Done[c]
-	if meta == nil {
+	if s.Dir == nil {
 		return nil
 	}
-	snap, err := s.Dir.LoadChunk(day, meta)
+	snap, meta, err := s.Dir.ReadChunk(day, s.Shard, c, s.Owner)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	attrs := []any{"day", day, "shard", s.Shard, "chunk", c, "chunks", s.Progress.Chunks}
+	if s.Worker != "" {
+		attrs = append(attrs, "worker", s.Worker)
+	}
 	if err != nil {
-		slog.Warn("resume: chunk damaged, re-scanning", "day", day, "shard", s.Shard, "chunk", c, "chunks", s.Progress.Chunks, "err", err)
-		delete(s.Progress.Done, c)
+		slog.Warn("resume: chunk damaged, re-scanning", append(attrs, "err", err)...)
 		return nil
 	}
-	slog.Warn("resume: chunk verified from checkpoint", "day", day, "shard", s.Shard, "chunk", c, "chunks", s.Progress.Chunks,
-		"records", len(snap.Records))
+	s.Progress.Done[c] = meta
+	slog.Warn("resume: chunk verified from checkpoint", append(attrs, "records", meta.Records)...)
 	return snap
 }
 
-// flush makes chunk c's freshly scanned snapshot durable and records it.
+// flush makes chunk c's freshly scanned snapshot durable and enters it.
 func (s *ChunkStore) flush(day simtime.Day, c int, snap *dataset.Snapshot) error {
 	if s.Dir == nil {
 		return nil
@@ -152,7 +159,7 @@ func (s *ChunkStore) flush(day simtime.Day, c int, snap *dataset.Snapshot) error
 		return fmt.Errorf("flushing chunk %d: %w", c, err)
 	}
 	s.Progress.Done[c] = meta
-	return s.Persist()
+	return nil
 }
 
 // ScanSpan is the chunk loop: it walks the cursor span in steps of the
@@ -216,14 +223,15 @@ type DaySink func(day simtime.Day, sw *dataset.SpillWriter) error
 // number of shards and each shard into chunks; every completed chunk is
 // durably written to the checkpoint directory before the next one starts,
 // so an interruption — SIGINT, crash, kill — loses at most the chunk in
-// flight. A re-run with the same configuration resumes there: finished
-// days and chunks are verified by checksum instead of re-scanned, damaged
-// or missing chunks are re-scanned, and the interrupted chunk is re-done
-// from scratch (partial chunks are never persisted), which keeps the
-// final archive byte-identical to an uninterrupted run.
+// flight, and nothing is left to flush on the way out. A re-run with the
+// same configuration resumes there through the chunk loop's one rule:
+// chunk files that verify are reused, missing or damaged ones are scanned
+// (partial chunks are never written), which keeps the final archive
+// byte-identical to an uninterrupted run. The directory's only other file
+// is its header (checkpoint.Header), written once, before the first chunk.
 type ResumableSweep struct {
-	// Checkpoint persists progress; nil runs the sweep without durability
-	// (output bytes are identical).
+	// Checkpoint holds the chunk files and the header; nil runs the sweep
+	// without durability (output bytes are identical).
 	Checkpoint *checkpoint.Store
 	// Fingerprint identifies the sweep configuration. A checkpoint written
 	// under a different fingerprint is refused rather than mixed in.
@@ -235,7 +243,7 @@ type ResumableSweep struct {
 	StreamSetup StreamDaySetup
 	// Chunk is the targets-per-chunk size (see ChunkSize). It shapes the
 	// durable chunk files, so it must be covered by the Fingerprint —
-	// resuming under a different chunk size is refused at the shard level
+	// resuming under a different chunk size is refused by the header
 	// regardless.
 	Chunk int
 	// Spill configures the per-day spill-to-disk writers.
@@ -253,184 +261,124 @@ func (rs *ResumableSweep) shards() int {
 }
 
 // RunStream executes the sweep over days: targets come off a cursor chunk
-// by chunk, every completed chunk is durably checkpointed before the next
+// by chunk, every completed chunk is durably written before the next
 // starts, and each day's records accumulate in a spill writer (RAM up to
 // Spill.MemBudget, sorted run files beyond) handed to sink when the day
-// completes. On context cancellation it persists a clean checkpoint
-// (every finished chunk recorded, the interrupted chunk dropped) and
-// returns the context's error; re-running with the same configuration
-// picks up from there. The day sections are byte-identical to one ScanDay
-// over the day's targets, canonicalized and written in RAM.
+// completes. On context cancellation it returns the context's error, the
+// interrupted chunk dropped; re-running with the same configuration picks
+// up from the chunk files. The day sections are byte-identical to one
+// ScanDay over the day's targets, canonicalized and written in RAM.
 func (rs *ResumableSweep) RunStream(ctx context.Context, days []simtime.Day, sink DaySink) error {
 	if rs.StreamSetup == nil {
 		return fmt.Errorf("scan: RunStream requires a StreamSetup function")
 	}
-	st, release, err := rs.lockAndLoad()
+	hdr, release, err := rs.lockAndLoad()
 	if err != nil {
 		return err
 	}
 	defer release()
 	for _, day := range days {
-		if err := rs.runDay(ctx, day, st, sink); err != nil {
+		if err := rs.runDay(ctx, day, &hdr, sink); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// lockAndLoad acquires the checkpoint's single-writer lock and loads (or
-// creates) the state, refusing a state written under a different
-// fingerprint. With no checkpoint configured it returns a fresh in-memory
-// state and a no-op release.
-func (rs *ResumableSweep) lockAndLoad() (*checkpoint.State, func() error, error) {
+// lockAndLoad acquires the checkpoint's single-writer lock and loads the
+// directory's header, refusing one written for a different sweep or cut
+// into other shards or chunks — all before any setup runs. A directory
+// that no sweep owns yet is cleared of whatever chunk files an earlier
+// sweep left, which belong to no header. With no checkpoint configured it
+// returns a no-op release.
+func (rs *ResumableSweep) lockAndLoad() (*checkpoint.Header, func() error, error) {
 	if rs.Checkpoint == nil {
-		return checkpoint.NewState(rs.Fingerprint), func() error { return nil }, nil
+		return nil, func() error { return nil }, nil
 	}
-	// The sweep is the sole mutator of the checkpoint state for its whole
-	// run: a second process resuming the same directory must fail here,
-	// not interleave Save calls with us.
+	// The sweep is the sole writer of the directory for its whole run: a
+	// second process resuming it must fail here, not write beside us.
 	release, err := rs.Checkpoint.AcquireLock("resumable-sweep", rs.Fingerprint)
 	if err != nil {
 		return nil, nil, err
 	}
-	loaded, err := rs.Checkpoint.Load()
+	hdr, err := rs.Checkpoint.Load()
+	if err == nil && hdr == nil && rs.Checkpoint.Ledger() == "" {
+		err = rs.Checkpoint.Clear()
+	}
+	if err == nil && hdr != nil {
+		err = rs.matches(hdr, hdr.Targets)
+	}
 	if err != nil {
 		release()
 		return nil, nil, err
 	}
-	if loaded != nil {
-		if loaded.Fingerprint != rs.Fingerprint {
-			release()
-			return nil, nil, fmt.Errorf("scan: checkpoint in %s belongs to a different sweep (fingerprint %q, this run %q)",
-				rs.Checkpoint.Dir(), loaded.Fingerprint, rs.Fingerprint)
+	return hdr, release, nil
+}
+
+// matches refuses a header written for another sweep, or for days cut
+// otherwise than this run cuts days of targets targets.
+func (rs *ResumableSweep) matches(hdr *checkpoint.Header, targets int) error {
+	if hdr.Fingerprint != rs.Fingerprint {
+		return fmt.Errorf("scan: checkpoint in %s belongs to a different sweep (fingerprint %q, this run %q)",
+			rs.Checkpoint.Dir(), hdr.Fingerprint, rs.Fingerprint)
+	}
+	if hdr.Shards != rs.shards() || hdr.Chunk != ChunkSize(rs.Chunk) || hdr.Targets != targets {
+		return fmt.Errorf("scan: checkpoint in %s was chunked as %d targets a day in %d shards, chunks of %d; this run wants %d in %d shards, chunks of %d",
+			rs.Checkpoint.Dir(), hdr.Targets, hdr.Shards, hdr.Chunk, targets, rs.shards(), ChunkSize(rs.Chunk))
+	}
+	return nil
+}
+
+// runDay completes one day: every shard's chunks are walked, the verified
+// ones reused and the rest scanned. The sweep's first day writes the
+// header, before its first chunk; every later one, and every day of a
+// resume, must cut its targets as the header says.
+func (rs *ResumableSweep) runDay(ctx context.Context, day simtime.Day, hdr **checkpoint.Header, sink DaySink) (err error) {
+	env := &DayEnv{}
+	if env.Scanner, env.Source, env.Prepare, err = rs.StreamSetup(ctx, day); err != nil {
+		return err
+	}
+	targets := env.Source.Len()
+	switch {
+	case rs.Checkpoint == nil:
+	case *hdr == nil:
+		*hdr = &checkpoint.Header{Fingerprint: rs.Fingerprint, Shards: rs.shards(), Chunk: ChunkSize(rs.Chunk), Targets: targets}
+		if err := rs.Checkpoint.Save(*hdr); err != nil {
+			return err
 		}
-		return loaded, release, nil
+	default:
+		// The chunk files were cut from spans of another target count:
+		// refuse, like a fingerprint mismatch, rather than fabricate a day
+		// out of incompatible pieces.
+		if err := rs.matches(*hdr, targets); err != nil {
+			return fmt.Errorf("day %s: %w", day, err)
+		}
 	}
-	return checkpoint.NewState(rs.Fingerprint), release, nil
-}
 
-// saveState persists the checkpoint state if checkpointing is on.
-func (rs *ResumableSweep) saveState(st *checkpoint.State) error {
-	if rs.Checkpoint == nil {
-		return nil
-	}
-	return rs.Checkpoint.Save(st)
-}
-
-// runDay completes one day: a day already Done verifies from its chunk
-// files; anything else walks every shard's chunks, reusing the verified
-// ones and scanning the rest.
-func (rs *ResumableSweep) runDay(ctx context.Context, day simtime.Day, st *checkpoint.State, sink DaySink) (err error) {
-	dp := st.Day(day)
 	sw := dataset.NewSpillWriter(day, rs.Spill)
 	defer func() {
 		if cerr := sw.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}()
-
-	// Fast path: the whole day is checkpointed — verify every chunk by
-	// checksum and skip the scan (and the day's setup) entirely.
-	if dp.Done && rs.Checkpoint != nil {
-		ok, lerr := rs.loadDoneDay(day, dp, sw)
-		if lerr != nil {
-			return lerr
-		}
-		if ok {
-			slog.Warn("resume: day verified from checkpoint, skipping scan", "day", day, "records", sw.Len())
-			return finishDay(day, sw, sink)
-		}
-		// Some chunk is damaged or missing: demote the day, discard
-		// whatever the partial verification appended, and re-enter the
-		// general path with a fresh writer.
-		dp.Done = false
-		if serr := rs.saveState(st); serr != nil {
-			return serr
-		}
-		if cerr := sw.Close(); cerr != nil {
-			return cerr
-		}
-		sw = dataset.NewSpillWriter(day, rs.Spill)
-	}
-
-	env := &DayEnv{}
-	if env.Scanner, env.Source, env.Prepare, err = rs.StreamSetup(ctx, day); err != nil {
-		return err
-	}
-	chunkSz := ChunkSize(rs.Chunk)
+	// An interrupted day still hands the caller the ledger of what it reached.
 	dayHealth := &SweepHealth{Day: day, ByClass: make(map[FailClass]int)}
-	for k, span := range ShardBounds(env.Source.Len(), rs.shards()) {
-		cp, err := dp.ChunkShard(k, chunkSz, span.Len())
-		if err != nil {
-			// The checkpoint's chunk geometry disagrees with this run's
-			// plan — the recorded chunk files mean something else. Refuse,
-			// like a fingerprint mismatch, rather than fabricate a day out
-			// of incompatible pieces.
-			return fmt.Errorf("scan: day %s: %w", day, err)
-		}
-		store := &ChunkStore{Dir: rs.Checkpoint, Shard: k, Progress: cp,
-			Persist: func() error { return rs.saveState(st) }}
-		h, err := env.ScanSpan(ctx, day, span, store, sw.Append)
+	for k, span := range ShardBounds(targets, rs.shards()) {
+		store := &ChunkStore{Dir: rs.Checkpoint, Shard: k, Progress: checkpoint.NewChunkProgress(ChunkSize(rs.Chunk), span.Len())}
+		var h *SweepHealth
+		h, err = env.ScanSpan(ctx, day, span, store, sw.Append)
 		dayHealth.Merge(h)
 		if err != nil {
-			// Persist what is already complete and hand the caller a clean
-			// resume point, with the ledger of what the day reached.
-			if saveErr := rs.saveState(st); saveErr != nil {
-				return fmt.Errorf("scan: %w (and checkpoint save failed: %v)", err, saveErr)
-			}
-			if rs.OnDayHealth != nil {
-				rs.OnDayHealth(day, dayHealth)
-			}
-			return err
+			break
 		}
-	}
-
-	dp.Done = true
-	if err := rs.saveState(st); err != nil {
-		return err
 	}
 	if rs.OnDayHealth != nil {
 		rs.OnDayHealth(day, dayHealth)
 	}
-	return finishDay(day, sw, sink)
-}
-
-// finishDay hands the completed day to the sink.
-func finishDay(day simtime.Day, sw *dataset.SpillWriter, sink DaySink) error {
-	if sink == nil {
-		return nil
+	if err != nil || sink == nil {
+		return err
 	}
 	return sink(day, sw)
-}
-
-// loadDoneDay assembles a completed day from its checkpointed units into
-// sw, verifying each. ok is false if any chunk fails verification (damaged
-// entries are removed so the caller re-scans just those).
-func (rs *ResumableSweep) loadDoneDay(day simtime.Day, dp *checkpoint.DayProgress, sw *dataset.SpillWriter) (bool, error) {
-	if len(dp.Partial) == 0 {
-		// A state that calls the day done but names no chunks has nothing
-		// to verify; trusting it would fabricate an empty day.
-		slog.Warn("resume: day marked done without chunk progress", "day", day)
-		return false, nil
-	}
-	for k := 0; k < len(dp.Partial); k++ {
-		cp := dp.Partial[k]
-		if cp == nil {
-			slog.Warn("resume: shard missing from chunk progress", "day", day, "shard", k)
-			return false, nil
-		}
-		err := rs.Checkpoint.AppendUnit(day, cp, sw.Append)
-		var bad *checkpoint.ChunkError
-		if errors.As(err, &bad) {
-			slog.Warn("resume: chunk failed verification", "day", day, "shard", k, "chunk", bad.Chunk, "err", bad.Err)
-			delete(cp.Done, bad.Chunk)
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-	}
-	return true, nil
 }
 
 // healthFromSnapshot reconstructs approximate health accounting for a

@@ -317,17 +317,11 @@ func killResume(t *testing.T, chunk int) {
 	if cp.Ledger() != checkpoint.SweepLedger {
 		t.Fatal("no checkpoint persisted by the interrupted run")
 	}
-	st, err := cp.Load()
+	doneChunks, err := filepath.Glob(filepath.Join(cp.Dir(), "day-*-chunk-*.tsv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	doneChunks := 0
-	for _, dp := range st.Days {
-		for _, cpr := range dp.Partial {
-			doneChunks += len(cpr.Done)
-		}
-	}
-	if doneChunks == 0 {
+	if len(doneChunks) == 0 {
 		t.Fatal("kill landed before any chunk completed; cannot exercise chunk-level resume")
 	}
 
@@ -428,7 +422,7 @@ func TestResumableSweepDamagedShardRescanned(t *testing.T) {
 	if n := scans.Load(); n != 1 {
 		t.Errorf("re-scanned %d of %d chunks after damaging one", n, totalChunks)
 	}
-	damage := logged.Records("resume: chunk failed verification")
+	damage := logged.Records("resume: chunk damaged, re-scanning")
 	if len(damage) != 1 || damage[0].Level != slog.LevelWarn || damage[0].Attrs["day"] != days[0].String() ||
 		damage[0].Attrs["shard"] != "0" || damage[0].Attrs["chunk"] != "1" {
 		t.Errorf("damage not reported as one warning locating day %s shard 0 chunk 1: %v", days[0], logged.Records(""))
@@ -443,8 +437,8 @@ func TestRunStreamChunkGeometryGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupt almost immediately so the day stays incomplete but has
-	// recorded chunk geometry.
+	// Interrupt almost immediately so the day stays incomplete; its header
+	// records the chunk geometry.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	killer := &cancelAtExchanger{cancel: cancel, at: 25}
@@ -458,18 +452,8 @@ func TestRunStreamChunkGeometryGuard(t *testing.T) {
 	if err := first.RunStream(ctx, []simtime.Day{day}, nil); err == nil {
 		t.Fatal("interrupted run reported success")
 	}
-	st, err := cp.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hasGeometry := false
-	for _, dp := range st.Days {
-		if len(dp.Partial) > 0 {
-			hasGeometry = true
-		}
-	}
-	if !hasGeometry {
-		t.Skip("kill landed before any shard recorded chunk geometry")
+	if h, err := cp.Load(); err != nil || h == nil || h.Chunk != 2 {
+		t.Fatalf("the interrupted run left header %+v (%v), want one of chunk size 2", h, err)
 	}
 
 	// Resuming with a different chunk size must be refused.
@@ -480,6 +464,123 @@ func TestRunStreamChunkGeometryGuard(t *testing.T) {
 	err = second.RunStream(context.Background(), []simtime.Day{day}, nil)
 	if err == nil || !strings.Contains(err.Error(), "chunked as") {
 		t.Errorf("chunk-size change accepted on resume: %v", err)
+	}
+}
+
+// countingSetup is sweepSetup with a prepare hook that counts the chunks
+// the loop actually scans and runs each chunk's before hook first.
+func countingSetup(t *testing.T, eco *ecosystem.Ecosystem, targets []scan.Target, scans *atomic.Int64, before func()) scan.StreamDaySetup {
+	setup := sweepSetup(t, eco, targets, nil)
+	return func(ctx context.Context, day simtime.Day) (*scan.Scanner, scan.TargetSource, scan.ChunkPrepare, error) {
+		s, src, _, err := setup(ctx, day)
+		return s, src, func(context.Context, int, int) error {
+			if before != nil {
+				before()
+			}
+			scans.Add(1)
+			return nil
+		}, err
+	}
+}
+
+// TestCheckpointHeaderWrittenOnce: checkpoint.json is written before the
+// first chunk and never again — its bytes, and the file itself, once the
+// first chunk is durable are what a finished multi-day sweep leaves.
+func TestCheckpointHeaderWrittenOnce(t *testing.T) {
+	eco, targets := buildWorld(t)
+	days := []simtime.Day{eco.Clock.Day(), eco.Clock.Day() + 1, eco.Clock.Day() + 2}
+	cp, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(cp.Dir(), checkpoint.SweepLedger)
+	var scans atomic.Int64
+	var first []byte
+	var firstInfo os.FileInfo
+	// The second prepare comes once the first chunk is written.
+	before := func() {
+		if scans.Load() == 1 {
+			if first, err = os.ReadFile(path); err == nil {
+				firstInfo, err = os.Stat(path)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	rs := &scan.ResumableSweep{Checkpoint: cp, Fingerprint: "once", Shards: 2, Chunk: 2,
+		StreamSetup: countingSetup(t, eco, targets, &scans, before)}
+	archiveViaStream(t, rs, days)
+	if first == nil {
+		t.Fatal("no header once the first chunk was written")
+	}
+	last, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, last) {
+		t.Errorf("header after the first chunk\n%s\ndiffers from the finished sweep's\n%s", first, last)
+	}
+	if lastInfo, err := os.Stat(path); err != nil || !os.SameFile(firstInfo, lastInfo) {
+		t.Errorf("the header was replaced after the first chunk (%v)", err)
+	}
+	if n := scans.Load(); n < int64(3*len(days)) {
+		t.Fatalf("only %d chunks scanned over %d days", n, len(days))
+	}
+}
+
+// TestResumeOfOtherTargetCountRefused: a resume whose days hold another
+// target count — so every shard another span — is refused before it
+// reuses a single chunk file cut from the old spans.
+func TestResumeOfOtherTargetCountRefused(t *testing.T) {
+	eco, targets := buildWorld(t)
+	days := []simtime.Day{eco.Clock.Day()}
+	cp, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scans atomic.Int64
+	first := &scan.ResumableSweep{Checkpoint: cp, Fingerprint: "targets", Shards: 2, Chunk: 2,
+		StreamSetup: countingSetup(t, eco, targets[:len(targets)-3], &scans, nil)}
+	archiveViaStream(t, first, days)
+
+	logged := logtest.Capture(t)
+	scans.Store(0)
+	second := &scan.ResumableSweep{Checkpoint: cp, Fingerprint: "targets", Shards: 2, Chunk: 2,
+		StreamSetup: countingSetup(t, eco, targets, &scans, nil)}
+	err = second.RunStream(context.Background(), days, nil)
+	if err == nil || !strings.Contains(err.Error(), "chunked as") {
+		t.Errorf("a resume over %d targets of a directory cut for %d: %v", len(targets), len(targets)-3, err)
+	}
+	if reused := logged.Records("resume: chunk verified from checkpoint"); len(reused) != 0 || scans.Load() != 0 {
+		t.Errorf("the refused resume reused %d chunks and scanned %d", len(reused), scans.Load())
+	}
+}
+
+// TestFreshSweepIgnoresStaleChunks: chunk files in a directory that no
+// header claims belong to no sweep — a fresh sweep scans every chunk
+// rather than trust one.
+func TestFreshSweepIgnoresStaleChunks(t *testing.T) {
+	eco, targets := buildWorld(t)
+	days := []simtime.Day{eco.Clock.Day()}
+	cp, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scans atomic.Int64
+	rs := &scan.ResumableSweep{Checkpoint: cp, Fingerprint: "stale", Shards: 2, Chunk: 2,
+		StreamSetup: countingSetup(t, eco, targets, &scans, nil)}
+	want := archiveViaStream(t, rs, days)
+	total := scans.Swap(0)
+	if err := os.Remove(filepath.Join(cp.Dir(), checkpoint.SweepLedger)); err != nil {
+		t.Fatal(err)
+	}
+	logged := logtest.Capture(t)
+	if got := archiveViaStream(t, rs, days); !bytes.Equal(got, want) {
+		t.Error("the fresh sweep's archive differs")
+	}
+	if reused := logged.Records("resume: chunk verified from checkpoint"); len(reused) != 0 || scans.Load() != total {
+		t.Errorf("a fresh sweep reused %d stale chunks and scanned %d of %d", len(reused), scans.Load(), total)
 	}
 }
 

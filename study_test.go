@@ -345,8 +345,9 @@ func TestFacadeAndCLIRunOneDefinition(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: resumed archive differs", tc.name)
 		}
-		verified := logged.Records("resume: day verified from checkpoint, skipping scan")
-		if len(verified) != 1 || verified[0].Attrs["day"] != days[0].String() {
+		// The finished day's two shards are one chunk each, both reused.
+		verified := logged.Records("resume: chunk verified from checkpoint")
+		if len(verified) != 2 || verified[0].Attrs["day"] != days[0].String() || verified[1].Attrs["day"] != days[0].String() {
 			t.Errorf("%s: the resume re-scanned the finished day %s: %v", tc.name, days[0], logged.Records(""))
 		}
 	}
