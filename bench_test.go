@@ -8,6 +8,7 @@ package registrarsec
 import (
 	"context"
 	"fmt"
+	"net"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -537,13 +538,17 @@ func BenchmarkEPPDSUpdate(b *testing.B) {
 		b.Fatal(err)
 	}
 	reg := eco.Registries["com"]
-	reg.Accredit("bench")
-	srv := &epp.Server{Registry: reg, Passwords: map[string]string{"bench": "pw"}}
+	reg.Accredit("bench", "pw")
+	srv := &epp.Server{Session: reg.ServeEPP}
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := epp.Dial(srv.Addr(), 5*time.Second)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := epp.NewClient(conn)
 	if err != nil {
 		b.Fatal(err)
 	}

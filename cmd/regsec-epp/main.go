@@ -8,8 +8,11 @@
 //
 //	regsec-epp -tld com -epp 127.0.0.1:7000 -dns 127.0.0.1:5301 -accredit acme:s3cret [-axfr]
 //
-// Then provision with any EPP client speaking the subset (see
-// internal/epp), and watch with:
+// -accredit names each registrar once, with a non-empty password. The
+// registry serves each EPP connection as a session (registry.ServeEPP), the
+// one registrar agents provision through in process. Provision with any EPP
+// client speaking the subset (internal/epp's client; examples/epp-session
+// runs one), and watch with:
 //
 //	regsec-dig -dnssec @127.0.0.1:5301 example.com DS
 package main
@@ -19,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 
 	"securepki.org/registrarsec/internal/dnsserver"
@@ -34,6 +38,10 @@ func main() {
 	accredit := flag.String("accredit", "acme:s3cret", "comma-separated registrarID:password pairs")
 	axfr := flag.Bool("axfr", false, "allow zone transfers of the TLD zone")
 	flag.Parse()
+	// Caught from the start, so an interrupt once the startup lines are out
+	// shuts the registry down cleanly.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
 
 	reg, err := registry.New(registry.Config{
 		TLD:       *tld,
@@ -44,18 +52,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	passwords := map[string]string{}
+	var ids []string
 	for _, pair := range strings.Split(*accredit, ",") {
-		id, pw, ok := strings.Cut(strings.TrimSpace(pair), ":")
-		if !ok {
-			fmt.Fprintf(os.Stderr, "bad -accredit entry %q (want id:password)\n", pair)
+		id, pw, _ := strings.Cut(strings.TrimSpace(pair), ":")
+		if id == "" || pw == "" || slices.Contains(ids, id) {
+			fmt.Fprintf(os.Stderr, "bad -accredit entry %q (want id:password, a non-empty password and each id once)\n", pair)
 			os.Exit(2)
 		}
-		reg.Accredit(id)
-		passwords[id] = pw
+		reg.Accredit(id, pw)
+		ids = append(ids, id)
 	}
+	slices.Sort(ids)
 
-	eppSrv := &epp.Server{Registry: reg, Passwords: passwords}
+	eppSrv := &epp.Server{Session: reg.ServeEPP}
 	if err := eppSrv.ListenAndServe(*eppAddr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -79,19 +88,8 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf(".%s registry up:\n", reg.TLD())
-	fmt.Printf("  EPP:  %s   (registrars: %s)\n", eppSrv.Addr(), strings.Join(keys(passwords), ", "))
+	fmt.Printf("  EPP:  %s   (registrars: %s)\n", eppSrv.Addr(), strings.Join(ids, ", "))
 	fmt.Printf("  DNS:  %s   (udp+tcp%s)\n", dnsSrv.Addr(), map[bool]string{true: ", axfr open", false: ""}[*axfr])
 	fmt.Printf("  trust anchor DS for .%s: %s\n", reg.TLD(), dss[0])
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
 	<-sig
-}
-
-func keys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }

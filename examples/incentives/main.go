@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 
+	"securepki.org/registrarsec/internal/channel"
 	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/registrar"
@@ -30,11 +31,17 @@ func main() {
 		log.Fatal(err)
 	}
 	mk := func(id string, sloppy bool) *registrar.Registrar {
-		r, err := registrar.New(registrar.Policy{
+		p := registrar.Policy{
 			ID: id, Name: id, NSHosts: []string{"ns1." + id + ".nl"},
 			HostedDNSSEC: registrar.SupportDefault,
 			Roles:        map[string]registrar.Role{"nl": {Kind: registrar.RoleRegistrar}},
-		}, registrar.Deps{Registries: eco.Registries, Net: eco.Net, Clock: eco.Clock.Day})
+		}
+		if sloppy {
+			// Its support desk takes DS records over live chat and
+			// installs them unchecked, hosted domains included.
+			p.OwnerDNSSEC, p.DSChannel = true, channel.Chat
+		}
+		r, err := registrar.New(p, registrar.Deps{Registries: eco.Registries, Net: eco.Net, Clock: eco.Clock.Day})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,14 +62,14 @@ func main() {
 	}
 	// The sloppy registrar corrupts its DS records (transcription errors,
 	// no validation): every domain is broken for validating resolvers.
-	nl := eco.Registries["nl"]
 	for i := 0; i < 10; i++ {
 		garbage := &dnswire.DS{KeyTag: uint16(i), Algorithm: dnswire.AlgED25519,
 			DigestType: dnswire.DigestSHA256, Digest: make([]byte, 32)}
-		if err := nl.SetDS("brokenhost", fmt.Sprintf("kapot%02d.nl", i), []*dnswire.DS{garbage}); err != nil {
+		if _, err := sloppy.ChatUploadDS(context.Background(), "c@x.nl", fmt.Sprintf("kapot%02d.nl", i), garbage); err != nil {
 			log.Fatal(err)
 		}
 	}
+	nl := eco.Registries["nl"]
 
 	// The registry audits daily for 30 days.
 	fmt.Println("daily registry audits (the .nl/.se compliance checks):")

@@ -28,17 +28,7 @@ import (
 // for a field, pkg.Type{} for every field of the struct); a command's
 // package is its directory (cmd/regsec-scan.name).
 var testOnlyAllowed = map[string]string{
-	"epp.Dial":                                "EPP client half of the protocol regsec-epp serves",
-	"epp.Client.Login":                        "EPP client half of the protocol regsec-epp serves",
-	"epp.Client.Info":                         "EPP client half of the protocol regsec-epp serves",
-	"epp.Client.CreateDomain":                 "EPP client half of the protocol regsec-epp serves",
-	"epp.Client.Renew":                        "EPP client half of the protocol regsec-epp serves",
-	"epp.Client.UpdateNS":                     "EPP client half of the protocol regsec-epp serves",
-	"epp.Client.UpdateDS":                     "EPP client half of the protocol regsec-epp serves",
-	"epp.Client.DeleteDomain":                 "EPP client half of the protocol regsec-epp serves",
-	"epp.Client.Close":                        "EPP client half of the protocol regsec-epp serves",
 	"dnsserver.AXFRClient.Transfer":           "AXFR client half of the zone transfer dnsserver serves",
-	"registrar.Registrar.TransferIn":          "registrar behaviour model (domain transfer) only its tests drive; registry.TransferRegistrar would go with it",
 	"operator.Operator.DisableDNSSEC":         "operator behaviour model (signing switched off) only its tests drive; zone.Unsign would go with it",
 	"operator.Operator.BootstrapViaRegistrar": "operator half of the DS bootstrap draft registrar agents serve (RegistrarBootstrapAPI)",
 	"tldsim.BuildCustom":                      "hand-set world for the root BenchmarkAblationCDS and tldsim tests",

@@ -153,11 +153,14 @@ func TestChainLinkAgreement(t *testing.T) {
 
 			// The audit covers DS-bearing domains only; with one registrar
 			// per row, a row is valid when its registrar has a valid domain.
-			audit.Accredit(row.name)
-			if err := audit.Register(row.name, domain, []string{agreementNS}); err != nil {
+			audit.Accredit(row.name, "pw")
+			c, err := audit.Dial(row.name, "pw")
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := audit.SetDS(row.name, domain, parentDS); err != nil {
+			err = c.CreateDomain(domain, []string{agreementNS}, parentDS)
+			c.Close()
+			if err != nil {
 				t.Fatal(err)
 			}
 			report, err := audit.HealthCheck(ctx, h.Net, day)

@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"securepki.org/registrarsec/internal/channel"
 	"securepki.org/registrarsec/internal/checkpoint"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dnstest"
@@ -209,8 +210,11 @@ func buildTestWorld(t *testing.T) (*ecosystem.Ecosystem, []scan.Target) {
 		HostedDNSSEC:  registrar.SupportDefault,
 		PublishDSTLDs: map[string]bool{"nl": true},
 	})
+	// Plain signs nothing, and its chat desk installs whatever DS a
+	// customer pastes, even on a hosted domain.
 	plain := mk(registrar.Policy{
 		ID: "plain", Name: "Plain", NSHosts: []string{"ns1.plain.net"},
+		OwnerDNSSEC: true, DSChannel: channel.Chat,
 	})
 	var domains []string
 	for _, d := range []struct {
@@ -228,7 +232,7 @@ func buildTestWorld(t *testing.T) (*ecosystem.Ecosystem, []scan.Target) {
 		domains = append(domains, d.domain)
 	}
 	garbage := &dnswire.DS{KeyTag: 7, Algorithm: dnswire.AlgED25519, DigestType: dnswire.DigestSHA256, Digest: make([]byte, 32)}
-	if err := eco.Registries["com"].SetDS("plain", "victim.com", []*dnswire.DS{garbage}); err != nil {
+	if _, err := plain.ChatUploadDS(context.Background(), "c@x.net", "victim.com", garbage); err != nil {
 		t.Fatal(err)
 	}
 	domains = append(domains, "ghost.com")

@@ -12,9 +12,6 @@ import (
 
 // Client is one registrar-side EPP session.
 type Client struct {
-	// Timeout bounds each request/response exchange (default 10s).
-	Timeout time.Duration
-
 	mu     sync.Mutex
 	conn   net.Conn
 	trid   int
@@ -24,17 +21,11 @@ type Client struct {
 // ErrEPPResult wraps a non-success result code.
 var ErrEPPResult = errors.New("epp: command failed")
 
-// Dial connects and consumes the server greeting.
-func Dial(addr string, timeout time.Duration) (*Client, error) {
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	c := &Client{Timeout: timeout, conn: conn}
-	conn.SetReadDeadline(time.Now().Add(timeout))
+// NewClient starts a session on conn, a TCP connection to a registry's
+// listener or one end of an in-process pipe, and consumes the server
+// greeting.
+func NewClient(conn net.Conn) (*Client, error) {
+	conn.SetReadDeadline(time.Now().Add(Timeout))
 	frame, err := ReadFrame(conn)
 	if err != nil {
 		conn.Close()
@@ -45,7 +36,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 		conn.Close()
 		return nil, errors.New("epp: no greeting from server")
 	}
-	return c, nil
+	return &Client{conn: conn}, nil
 }
 
 // Close terminates the session (with a logout when logged in).
@@ -69,8 +60,7 @@ func (c *Client) roundTrip(cmd *Command) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	deadline := time.Now().Add(c.Timeout)
-	c.conn.SetDeadline(deadline)
+	c.conn.SetDeadline(time.Now().Add(Timeout))
 	if err := WriteFrame(c.conn, out); err != nil {
 		return nil, err
 	}
@@ -88,8 +78,8 @@ func (c *Client) roundTrip(cmd *Command) (*Response, error) {
 	return doc.Response, nil
 }
 
-// run executes a command and converts failure results to errors.
-func (c *Client) run(cmd *Command) (*Response, error) {
+// Do executes a command; a failure result is also an ErrEPPResult error.
+func (c *Client) Do(cmd *Command) (*Response, error) {
 	resp, err := c.roundTrip(cmd)
 	if err != nil {
 		return nil, err
@@ -102,7 +92,7 @@ func (c *Client) run(cmd *Command) (*Response, error) {
 
 // Login authenticates the session.
 func (c *Client) Login(clID, pw string) error {
-	_, err := c.run(&Command{Login: &Login{ClID: clID, Pw: pw}})
+	_, err := c.Do(&Command{Login: &Login{ClID: clID, Pw: pw}})
 	if err == nil {
 		c.mu.Lock()
 		c.logged = true
@@ -117,13 +107,14 @@ func (c *Client) CreateDomain(name string, ns []string, ds []*dnswire.DS) error 
 	if len(ds) > 0 {
 		cmd.Extension = secDNSAdd(ds)
 	}
-	_, err := c.run(cmd)
+	_, err := c.Do(cmd)
 	return err
 }
 
-// UpdateNS replaces a domain's delegation.
+// UpdateNS replaces a domain's delegation; the registry refuses an empty
+// one.
 func (c *Client) UpdateNS(name string, ns []string) error {
-	_, err := c.run(&Command{Update: &DomainUpdate{Name: name, NS: ns}})
+	_, err := c.Do(&Command{Update: &DomainUpdate{Name: name, Chg: &DomainChg{NS: ns}}})
 	return err
 }
 
@@ -136,25 +127,25 @@ func (c *Client) UpdateDS(name string, ds []*dnswire.DS) error {
 	} else {
 		cmd.Extension = secDNSAdd(ds)
 	}
-	_, err := c.run(cmd)
+	_, err := c.Do(cmd)
 	return err
 }
 
 // DeleteDomain drops a registration.
 func (c *Client) DeleteDomain(name string) error {
-	_, err := c.run(&Command{Delete: &DomainRef{Name: name}})
+	_, err := c.Do(&Command{Delete: &DomainRef{Name: name}})
 	return err
 }
 
 // Renew extends a registration.
 func (c *Client) Renew(name string) error {
-	_, err := c.run(&Command{Renew: &DomainRef{Name: name}})
+	_, err := c.Do(&Command{Renew: &DomainRef{Name: name}})
 	return err
 }
 
 // Info fetches a domain's registry state.
 func (c *Client) Info(name string) (*DomainInfo, error) {
-	resp, err := c.run(&Command{Info: &DomainRef{Name: name}})
+	resp, err := c.Do(&Command{Info: &DomainRef{Name: name}})
 	if err != nil {
 		return nil, err
 	}

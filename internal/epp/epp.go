@@ -5,10 +5,11 @@
 // operation rides: a registrar uploading a customer's DS record to the
 // registry.
 //
-// The implementation covers login/logout, domain create/info/update/delete
-// and renew, with the secDNS extension carrying DS data on create and
-// update. The server side fronts a registry.Registry; every state change it
-// makes is therefore immediately visible in the signed TLD zone and to the
+// The package holds the frame and document codec, the registrar-side
+// client and a TCP listener. The session itself — login, domain
+// create/info/update/delete and renew, with the secDNS extension carrying
+// DS data on create and update — is served by package registry, so every
+// state change is immediately visible in the signed TLD zone and to the
 // scan engine.
 package epp
 
@@ -20,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"securepki.org/registrarsec/internal/dnswire"
 )
@@ -28,6 +30,7 @@ import (
 const (
 	CodeSuccess        = 1000
 	CodeSuccessLogout  = 1500
+	CodeCommandUse     = 2002
 	CodeAuthError      = 2200
 	CodeObjectExists   = 2302
 	CodeObjectNotFound = 2303
@@ -42,17 +45,19 @@ const (
 // maxFrame bounds accepted frames (1 MiB).
 const maxFrame = 1 << 20
 
-// WriteFrame sends one EPP data unit.
+// Timeout bounds each frame exchange on either side of a session: a peer
+// that goes silent, or stops reading, holds it no longer than this.
+const Timeout = 10 * time.Second
+
+// WriteFrame sends one EPP data unit in one write: over a synchronous pipe
+// a second write, even an empty one, would wait for a read the peer need
+// not make.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload)+4 > maxFrame {
 		return errors.New("epp: frame too large")
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)+4))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	frame := binary.BigEndian.AppendUint32(make([]byte, 0, len(payload)+4), uint32(len(payload)+4))
+	_, err := w.Write(append(frame, payload...))
 	return err
 }
 
@@ -125,12 +130,18 @@ type DomainCreate struct {
 	NS   []string `xml:"ns>hostObj"`
 }
 
-// DomainUpdate changes a delegation (RFC 5731 3.2.5). A non-empty NS list
-// replaces the delegation — a simplification of the RFC's add/rem dance
-// that matches how registrar control panels behave.
+// DomainUpdate changes a delegation (RFC 5731 3.2.5). A chg element
+// replaces the delegation with its NS list — a simplification of the RFC's
+// add/rem dance that matches how registrar control panels behave — and
+// one without nameservers is a parameter error.
 type DomainUpdate struct {
-	Name string   `xml:"name"`
-	NS   []string `xml:"chg>ns>hostObj,omitempty"`
+	Name string     `xml:"name"`
+	Chg  *DomainChg `xml:"chg,omitempty"`
+}
+
+// DomainChg is the new delegation of an update.
+type DomainChg struct {
+	NS []string `xml:"ns>hostObj"`
 }
 
 // Extension wraps protocol extensions; only secDNS is supported.

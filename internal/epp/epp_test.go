@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/ecosystem"
 	"securepki.org/registrarsec/internal/epp"
+	"securepki.org/registrarsec/internal/registry"
 	"securepki.org/registrarsec/internal/simtime"
 	"securepki.org/registrarsec/internal/zone"
 )
@@ -27,12 +30,9 @@ func startServer(t *testing.T) (*ecosystem.Ecosystem, *epp.Server) {
 		t.Fatal(err)
 	}
 	reg := eco.Registries["com"]
-	reg.Accredit("acme")
-	reg.Accredit("rival")
-	srv := &epp.Server{
-		Registry:  reg,
-		Passwords: map[string]string{"acme": "s3cret", "rival": "hunter2"},
-	}
+	reg.Accredit("acme", "s3cret")
+	reg.Accredit("rival", "hunter2")
+	srv := &epp.Server{Session: reg.ServeEPP}
 	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,11 @@ func startServer(t *testing.T) (*ecosystem.Ecosystem, *epp.Server) {
 
 func dial(t *testing.T, srv *epp.Server) *epp.Client {
 	t.Helper()
-	c, err := epp.Dial(srv.Addr(), 5*time.Second)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := epp.NewClient(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +95,13 @@ func TestShortFrameReservesNothing(t *testing.T) {
 	}
 }
 
-// FuzzEPPFrame reads arbitrary bytes as a frame and a document. It must
-// never panic, and a document it accepts must reach a fixpoint: written
-// out, framed, read back and written again, it renders the same bytes.
-func FuzzEPPFrame(f *testing.F) {
-	for _, doc := range []*epp.Epp{
+// seedDocs are a document of each kind a session carries.
+func seedDocs() []*epp.Epp {
+	return []*epp.Epp{
 		{Greeting: &epp.Greeting{SvID: "registry", Services: []string{"urn:ietf:params:xml:ns:domain-1.0"}}},
 		{Command: &epp.Command{Login: &epp.Login{ClID: "acme", Pw: "s3cret"}, ClTRID: "CL-1"}},
 		{Command: &epp.Command{
-			Update: &epp.DomainUpdate{Name: "x.com", NS: []string{"ns1.a.net", "ns2.a.net"}},
+			Update: &epp.DomainUpdate{Name: "x.com", Chg: &epp.DomainChg{NS: []string{"ns1.a.net", "ns2.a.net"}}},
 			Extension: &epp.Extension{SecDNS: &epp.SecDNS{
 				RemAll: true,
 				Add:    []epp.DSData{{KeyTag: 60485, Alg: 8, DigestType: 2, Digest: "AABB"}},
@@ -110,7 +112,17 @@ func FuzzEPPFrame(f *testing.F) {
 			ResData: &epp.DomainInfo{Name: "x.com", ClID: "acme", NS: []string{"ns1.a.net"}, DS: []epp.DSData{{KeyTag: 1}}},
 			ClTRID:  "CL-2", SvTRID: "SV-2",
 		}},
-	} {
+	}
+}
+
+// rawSeeds are byte strings no frame reader may choke on.
+var rawSeeds = [][]byte{{0, 0, 0, 4}, {0, 0x10, 0, 0, '<'}}
+
+// FuzzEPPFrame reads arbitrary bytes as a frame and a document. It must
+// never panic, and a document it accepts must reach a fixpoint: written
+// out, framed, read back and written again, it renders the same bytes.
+func FuzzEPPFrame(f *testing.F) {
+	for _, doc := range seedDocs() {
 		b, err := epp.Marshal(doc)
 		if err != nil {
 			f.Fatal(err)
@@ -121,8 +133,9 @@ func FuzzEPPFrame(f *testing.F) {
 		}
 		f.Add(frame.Bytes())
 	}
-	f.Add([]byte{0, 0, 0, 4})
-	f.Add([]byte{0, 0x10, 0, 0, '<'})
+	for _, raw := range rawSeeds {
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := epp.ReadFrame(bytes.NewReader(data))
 		if err != nil {
@@ -390,4 +403,180 @@ func TestDocumentRoundTrip(t *testing.T) {
 	if _, err := (epp.DSData{Digest: "zz"}).ToDS(); err == nil {
 		t.Error("bad digest accepted")
 	}
+}
+
+// secDNSAdd is a secDNS payload replacing the DS RRset with one record of
+// the given digest.
+func secDNSAdd(digest string) *epp.Extension {
+	return &epp.Extension{SecDNS: &epp.SecDNS{RemAll: true, Add: []epp.DSData{{KeyTag: 1, Alg: 15, DigestType: 2, Digest: digest}}}}
+}
+
+// badDigestCommands are a create and an update whose DS digest is not hex:
+// each must fail whole, before the registry changes.
+var badDigestCommands = []*epp.Command{
+	{Create: &epp.DomainCreate{Name: "half.com", NS: []string{"ns1.x.net"}}, Extension: secDNSAdd("zz")},
+	{Update: &epp.DomainUpdate{Name: "x.com", Chg: &epp.DomainChg{NS: []string{"ns9.x.net"}}}, Extension: secDNSAdd("zz")},
+}
+
+// TestFailedCommandChangesNothing: a create or an update whose secDNS data
+// does not decode is a parameter error (2005), and neither registers the
+// domain nor touches its delegation.
+func TestFailedCommandChangesNothing(t *testing.T) {
+	eco, srv := startServer(t)
+	reg := eco.Registries["com"]
+	c := dial(t, srv)
+	if err := c.Login("acme", "s3cret"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateDomain("x.com", []string{"ns1.x.net"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := reg.Registration("x.com")
+	for _, cmd := range badDigestCommands {
+		resp, _ := c.Do(cmd)
+		if resp == nil || resp.Result.Code != epp.CodeParamError {
+			t.Errorf("bad digest: %+v, want %d", resp, epp.CodeParamError)
+		}
+	}
+	if r, ok := reg.Registration("half.com"); ok {
+		t.Errorf("a failed create registered half.com to %s", r.RegistrarID)
+	}
+	if after, _ := reg.Registration("x.com"); !reflect.DeepEqual(after, before) {
+		t.Errorf("a failed update changed x.com: NS %v, was %v", after.NS, before.NS)
+	}
+	// An update whose chg names no nameserver is refused too, not ignored.
+	if err := c.UpdateNS("x.com", nil); !errors.Is(err, epp.ErrEPPResult) {
+		t.Errorf("update to no nameservers: %v", err)
+	}
+}
+
+// TestSecondLoginRefused: a logged-in session refuses another <login> with
+// 2002 (RFC 5730 section 2.9.1.1) and keeps acting as who it was.
+func TestSecondLoginRefused(t *testing.T) {
+	eco, srv := startServer(t)
+	c := dial(t, srv)
+	if err := c.Login("acme", "s3cret"); err != nil {
+		t.Fatal(err)
+	}
+	resp, _ := c.Do(&epp.Command{Login: &epp.Login{ClID: "rival", Pw: "hunter2"}})
+	if resp == nil || resp.Result.Code != epp.CodeCommandUse {
+		t.Fatalf("second login: %+v, want %d", resp, epp.CodeCommandUse)
+	}
+	if err := c.CreateDomain("after.com", []string{"ns1.x.net"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := eco.Registries["com"].Registration("after.com"); r.RegistrarID != "acme" {
+		t.Errorf("created as %s after a refused login, want acme", r.RegistrarID)
+	}
+}
+
+// TestEmptyPasswordNeverAuthenticates: a registrar accredited with an empty
+// password cannot log in, with that password or any other.
+func TestEmptyPasswordNeverAuthenticates(t *testing.T) {
+	eco, srv := startServer(t)
+	eco.Registries["com"].Accredit("blank", "")
+	c := dial(t, srv)
+	for _, pw := range []string{"", "x"} {
+		if err := c.Login("blank", pw); !errors.Is(err, epp.ErrEPPResult) {
+			t.Errorf("login with %q: %v", pw, err)
+		}
+	}
+}
+
+// FuzzEPPSession sends an arbitrary document, as a command, to a registry
+// session logged in as acme, in a registry where acme holds x.com and rival
+// y.com. It must never panic, every reply is a <response>, and a command
+// that fails leaves the registration of every domain it names — and of x.com
+// and y.com — as it was.
+func FuzzEPPSession(f *testing.F) {
+	for _, doc := range seedDocs() {
+		b, err := epp.Marshal(doc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, raw := range append(rawSeeds, nil) { // nil: an empty document
+		f.Add(raw)
+	}
+	for _, cmd := range append(badDigestCommands, &epp.Command{Login: &epp.Login{ClID: "rival", Pw: "hunter2"}}) {
+		b, err := epp.Marshal(&epp.Epp{Command: cmd})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		reg, err := registry.New(registry.Config{TLD: "com", NSHost: "a.gtld.test", AcceptsDS: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, owner := range []struct{ id, domain string }{{"acme", "x.com"}, {"rival", "y.com"}} {
+			reg.Accredit(owner.id, "pw")
+			c, err := reg.Dial(owner.id, "pw")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = c.CreateDomain(owner.domain, []string{"ns1.op.net"}, nil)
+			c.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		named := []string{"x.com", "y.com"}
+		if parsed, err := epp.Unmarshal(doc); err == nil && parsed.Command != nil {
+			cmd := parsed.Command
+			for _, ref := range []*epp.DomainRef{cmd.Info, cmd.Delete, cmd.Renew} {
+				if ref != nil {
+					named = append(named, ref.Name)
+				}
+			}
+			if cmd.Create != nil {
+				named = append(named, cmd.Create.Name)
+			}
+			if cmd.Update != nil {
+				named = append(named, cmd.Update.Name)
+			}
+		}
+		before := map[string]*registry.Registration{}
+		for _, name := range named {
+			before[name], _ = reg.Registration(name)
+		}
+
+		conn, srv := net.Pipe()
+		defer conn.Close()
+		go reg.ServeEPP(srv)
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := epp.ReadFrame(conn); err != nil {
+			t.Fatalf("greeting: %v", err)
+		}
+		login, err := epp.Marshal(&epp.Epp{Command: &epp.Command{Login: &epp.Login{ClID: "acme", Pw: "pw"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(doc)+4 > 1<<20 {
+			return // no frame holds it
+		}
+		for i, payload := range [][]byte{login, doc} {
+			if err := epp.WriteFrame(conn, payload); err != nil {
+				t.Fatal(err)
+			}
+			frame, err := epp.ReadFrame(conn)
+			if err != nil {
+				t.Fatalf("reply %d: %v", i, err)
+			}
+			reply, err := epp.Unmarshal(frame)
+			if err != nil || reply.Response == nil {
+				t.Fatalf("reply %d is not a response: %v\n%s", i, err, frame)
+			}
+			if i == 0 || reply.Response.Result.OK() {
+				continue
+			}
+			for name, was := range before {
+				if now, _ := reg.Registration(name); !reflect.DeepEqual(now, was) {
+					t.Fatalf("failed command (%d %s) changed %s: %+v, was %+v", reply.Response.Result.Code, reply.Response.Result.Msg, name, now, was)
+				}
+			}
+		}
+	})
 }

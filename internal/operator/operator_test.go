@@ -165,8 +165,17 @@ func TestOperatorDisableOrderMatters(t *testing.T) {
 	if got := classify(t, f, "site.com"); got != dnssec.DeploymentBroken {
 		t.Errorf("disable with stale DS: %v", got)
 	}
-	// Removing the DS restores a clean insecure state.
-	if err := f.eco.Registries["com"].DeleteDS("webreg", "site.com"); err != nil {
+	// Removing the DS restores a clean insecure state. WebReg offers no
+	// DS removal, so the test resets its registry password and withdraws
+	// the DS in an EPP session of its own as webreg.
+	com := f.eco.Registries["com"]
+	com.Accredit("webreg", "reset")
+	c, err := com.Dial("webreg", "reset")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.UpdateDS("site.com", nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := classify(t, f, "site.com"); got != dnssec.DeploymentNone {

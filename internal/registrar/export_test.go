@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"securepki.org/registrarsec/internal/dnswire"
+	"securepki.org/registrarsec/internal/epp"
 	"securepki.org/registrarsec/internal/simtime"
 	"securepki.org/registrarsec/internal/zone"
 )
@@ -56,7 +57,7 @@ func (r *Registrar) RolloverHostedDNSSEC(accountEmail, name string) error {
 		if err != nil {
 			return err
 		}
-		if err := path.reg.SetDS(path.actorID, d.Name, append(oldDS, newDS...)); err != nil {
+		if err := path.setDS(d.Name, append(oldDS, newDS...)); err != nil {
 			return err
 		}
 	}
@@ -74,7 +75,7 @@ func (r *Registrar) RolloverHostedDNSSEC(accountEmail, name string) error {
 		if err != nil {
 			return err
 		}
-		return path.reg.SetDS(path.actorID, d.Name, newDS)
+		return path.setDS(d.Name, newDS)
 	}
 	return nil
 }
@@ -93,7 +94,7 @@ func (r *Registrar) DisableHostedDNSSEC(accountEmail, name string) error {
 	if err != nil {
 		return err
 	}
-	if err := path.reg.DeleteDS(path.actorID, d.Name); err != nil {
+	if err := path.setDS(d.Name, nil); err != nil {
 		return err
 	}
 	zone.Unsign(d.zone)
@@ -112,10 +113,10 @@ func (r *Registrar) UseRegistrarHosting(accountEmail, name string) error {
 	if err != nil {
 		return err
 	}
-	if err := path.reg.SetNS(path.actorID, d.Name, r.NSHosts); err != nil {
+	if err := path.session(func(c *epp.Client) error { return c.UpdateNS(d.Name, r.NSHosts) }); err != nil {
 		return err
 	}
-	_ = path.reg.DeleteDS(path.actorID, d.Name)
+	_ = path.setDS(d.Name, nil)
 	if d.zone == nil {
 		d.zone = r.buildHostedZone(d.Name)
 	}
@@ -138,5 +139,5 @@ func (r *Registrar) RemoveDS(accountEmail, name string) error {
 	if err != nil {
 		return err
 	}
-	return path.reg.DeleteDS(path.actorID, d.Name)
+	return path.setDS(d.Name, nil)
 }

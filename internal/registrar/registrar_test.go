@@ -3,6 +3,7 @@ package registrar_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -280,6 +281,32 @@ func TestExternalNameserverSwitch(t *testing.T) {
 	}
 	if got := w.classify("move.com"); got != dnssec.DeploymentFull {
 		t.Fatalf("back to hosted: %v", got)
+	}
+}
+
+// TestExternalNameserversRequiresOne: a switch to owner-run DNS without a
+// nameserver fails and changes nothing — the delegation, the DS and the
+// hosted, fully deployed zone all stay.
+func TestExternalNameserversRequiresOne(t *testing.T) {
+	w := newWorld(t)
+	r := w.newRegistrar(registrar.Policy{
+		ID: "switch", Name: "Switch", NSHosts: []string{"ns1.switch.net"},
+		HostedDNSSEC: registrar.SupportDefault,
+	})
+	r.CreateAccount("a@x.net")
+	if err := r.Purchase("a@x.net", "stay.com", ""); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := w.Registries["com"].Registration("stay.com")
+	if err := r.UseExternalNameservers("a@x.net", "stay.com", nil); err == nil {
+		t.Fatal("switch to no nameservers accepted")
+	}
+	after, _ := w.Registries["com"].Registration("stay.com")
+	if !reflect.DeepEqual(after, before) {
+		t.Errorf("registration changed: %+v, was %+v", after, before)
+	}
+	if got := w.classify("stay.com"); got != dnssec.DeploymentFull {
+		t.Errorf("after the refused switch: %v", got)
 	}
 }
 
@@ -738,43 +765,6 @@ func TestRolloverPartialPublisherStaysPartial(t *testing.T) {
 	}
 	if got := w.classify("quiet.com"); got != dnssec.DeploymentPartial {
 		t.Errorf("after rollover: %v, want still partial", got)
-	}
-}
-
-func TestTransferInAppliesNewPolicy(t *testing.T) {
-	// The Antagonist mechanism: a domain moves from a no-DNSSEC registrar
-	// to a DNSSEC-by-default one and comes out fully deployed.
-	w := newWorld(t)
-	oldReg := w.newRegistrar(registrar.Policy{
-		ID: "oldpartner", Name: "OldPartner", NSHosts: []string{"ns1.oldp.net"},
-	})
-	newReg := w.newRegistrar(registrar.Policy{
-		ID: "newpartner", Name: "NewPartner", NSHosts: []string{"ns1.newp.net"},
-		HostedDNSSEC: registrar.SupportDefault,
-	})
-	oldReg.CreateAccount("a@x.net")
-	if err := oldReg.Purchase("a@x.net", "migrating.com", ""); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.classify("migrating.com"); got != dnssec.DeploymentNone {
-		t.Fatalf("before transfer: %v", got)
-	}
-	if err := newReg.TransferIn("a@x.net", "migrating.com", oldReg); err != nil {
-		t.Fatal(err)
-	}
-	reg, _ := w.Registries["com"].Registration("migrating.com")
-	if reg.RegistrarID != "newpartner" {
-		t.Errorf("registrar of record: %s", reg.RegistrarID)
-	}
-	if dnswire.SecondLevel(reg.NS[0]) != "newp.net" {
-		t.Errorf("NS after transfer: %v", reg.NS)
-	}
-	if got := w.classify("migrating.com"); got != dnssec.DeploymentFull {
-		t.Errorf("after transfer: %v", got)
-	}
-	// The old registrar no longer knows the domain.
-	if slices.Contains(oldReg.DomainNames(), "migrating.com") {
-		t.Error("old registrar retained the domain")
 	}
 }
 

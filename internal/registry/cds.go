@@ -86,19 +86,16 @@ func (r *Registry) ScanCDS(ctx context.Context, ex exchange.Exchanger, day simti
 			report.Rejected++
 			continue
 		}
+		if err := r.apply(it.regID, false, change{domain: it.domain, ds: newDS, setDS: true}); err != nil {
+			continue
+		}
 		switch {
 		case remove:
-			if err := r.SetDS(it.regID, it.domain, nil); err == nil {
-				report.Removed++
-			}
+			report.Removed++
 		case len(it.ds) == 0:
-			if err := r.SetDS(it.regID, it.domain, newDS); err == nil {
-				report.Bootstrapped++
-			}
+			report.Bootstrapped++
 		default:
-			if err := r.SetDS(it.regID, it.domain, newDS); err == nil {
-				report.Updated++
-			}
+			report.Updated++
 		}
 	}
 	return report, nil

@@ -4,7 +4,8 @@
 // correctly DNSSEC-signed domains.
 //
 // A Registry owns an authoritative, DNSSEC-signed TLD zone served through
-// package dnsserver. Every state change a registrar makes (registration,
+// package dnsserver. Registrars write to it only through EPP sessions
+// (ServeEPP, Dial). Every state change a registrar makes (registration,
 // nameserver change, DS upload) is reflected in the zone immediately, with
 // the affected DS RRset re-signed incrementally, so the scanning and
 // validation layers observe registry state strictly through DNS — exactly
@@ -16,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"securepki.org/registrarsec/internal/dnssec"
@@ -26,15 +28,18 @@ import (
 	"securepki.org/registrarsec/internal/zone"
 )
 
-// Errors returned by registry operations.
+// ErrNoDNSSEC refuses DS data, and a CDS scan, at a registry that takes none.
+var ErrNoDNSSEC = errors.New("registry: registry does not accept DS records")
+
+// Errors of registry writes; a session answers each with its result code
+// (resultFor).
 var (
-	ErrNotAccredited    = errors.New("registry: registrar is not accredited for this TLD")
-	ErrAlreadyExists    = errors.New("registry: domain is already registered")
-	ErrNoSuchDomain     = errors.New("registry: domain is not registered")
-	ErrWrongRegistrar   = errors.New("registry: domain is managed by another registrar")
-	ErrOutsideTLD       = errors.New("registry: domain does not belong to this TLD")
-	ErrNoDNSSEC         = errors.New("registry: registry does not accept DS records")
-	ErrEmptyNameservers = errors.New("registry: at least one nameserver is required")
+	errAlreadyExists    = errors.New("registry: domain is already registered")
+	errNoSuchDomain     = errors.New("registry: domain is not registered")
+	errWrongRegistrar   = errors.New("registry: domain is managed by another registrar")
+	errOutsideTLD       = errors.New("registry: domain does not belong to this TLD")
+	errEmptyNameservers = errors.New("registry: at least one nameserver is required")
+	errBadDS            = errors.New("registry: malformed DS data")
 )
 
 // Incentive is a ccTLD-style financial incentive program (section 6.3):
@@ -139,9 +144,12 @@ type Registry struct {
 	cfg  Config
 	apex *Apex
 
-	mu         sync.RWMutex
-	regs       map[string]*Registration
-	accredited map[string]bool
+	svTRID atomic.Int64 // the last server transaction ID a session issued
+
+	mu   sync.RWMutex
+	regs map[string]*Registration
+	// passwords holds the EPP login password of each accredited registrar.
+	passwords map[string]string
 	// failures tracks validation-failure days per registrar for the
 	// incentive audit window.
 	failures map[string][]simtime.Day
@@ -163,12 +171,12 @@ func New(cfg Config) (*Registry, error) {
 // uploads go into its zone, signed by its signer.
 func Operate(cfg Config, apex *Apex) *Registry {
 	return &Registry{
-		cfg:        cfg.withDefaults(),
-		apex:       apex,
-		regs:       make(map[string]*Registration),
-		accredited: make(map[string]bool),
-		failures:   make(map[string][]simtime.Day),
-		discounts:  make(map[string]float64),
+		cfg:       cfg.withDefaults(),
+		apex:      apex,
+		regs:      make(map[string]*Registration),
+		passwords: make(map[string]string),
+		failures:  make(map[string][]simtime.Day),
+		discounts: make(map[string]float64),
 	}
 }
 
@@ -191,145 +199,106 @@ func (r *Registry) DSRecords() ([]*dnswire.DS, error) {
 	return r.apex.Signer.DSRecords(r.cfg.TLD, dnswire.DigestSHA256)
 }
 
-// Accredit grants a registrar write access to this registry.
-func (r *Registry) Accredit(registrarID string) {
+// Accredit grants registrarID write access to this registry: it may log in
+// to an EPP session with password, which replaces any it had. An empty
+// password never authenticates.
+func (r *Registry) Accredit(registrarID, password string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.accredited[registrarID] = true
+	r.passwords[registrarID] = password
 }
 
-// checkDomain validates bailiwick and accreditation.
-func (r *Registry) checkDomain(registrarID, domain string) (string, error) {
+// inTLD canonicalizes domain and checks that it is a name directly under
+// the TLD.
+func (r *Registry) inTLD(domain string) (string, error) {
 	domain = dnswire.CanonicalName(domain)
 	parent, _ := dnswire.Parent(domain)
 	if parent != r.cfg.TLD || dnswire.CountLabels(domain) != dnswire.CountLabels(r.cfg.TLD)+1 {
-		return "", fmt.Errorf("%w: %s not in .%s", ErrOutsideTLD, domain, r.cfg.TLD)
-	}
-	if !r.accredited[registrarID] {
-		return "", fmt.Errorf("%w: %s", ErrNotAccredited, registrarID)
+		return "", fmt.Errorf("%w: %s not in .%s", errOutsideTLD, domain, r.cfg.TLD)
 	}
 	return domain, nil
 }
 
-// Register creates a new registration with its delegation.
-func (r *Registry) Register(registrarID, domain string, ns []string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	domain, err := r.checkDomain(registrarID, domain)
-	if err != nil {
-		return err
-	}
-	if len(ns) == 0 {
-		return ErrEmptyNameservers
-	}
-	if _, ok := r.regs[domain]; ok {
-		return fmt.Errorf("%w: %s", ErrAlreadyExists, domain)
-	}
-	now := r.cfg.Clock()
-	r.regs[domain] = &Registration{
-		Domain:      domain,
-		RegistrarID: registrarID,
-		NS:          normalizeHosts(ns),
-		Created:     now,
-		Expires:     now + registrationPeriod,
-	}
-	return r.syncDelegationLocked(domain)
+// change is one decoded create or update: the domain's new delegation, nil
+// to keep it, and, when setDS, its new DS RRset.
+type change struct {
+	domain string
+	ns     []string
+	ds     []*dnswire.DS
+	setDS  bool
 }
 
-// Drop removes a registration entirely.
-func (r *Registry) Drop(registrarID, domain string) error {
+// apply carries out a change under one lock — a create when create is set,
+// an update of registrarID's domain otherwise — and checks everything it
+// needs before it changes anything. The registry stores whatever DS data
+// the registrar sends: the paper shows that validation, when it happens at
+// all, happens at the registrar.
+func (r *Registry) apply(registrarID string, create bool, c change) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	domain, err := r.ownedDomain(registrarID, domain)
-	if err != nil {
+	if c.setDS && !r.cfg.AcceptsDS {
+		return ErrNoDNSSEC
+	}
+	reg := r.regs[c.domain]
+	switch {
+	case create && reg != nil:
+		return fmt.Errorf("%w: %s", errAlreadyExists, c.domain)
+	case create:
+		now := r.cfg.Clock()
+		reg = &Registration{Domain: c.domain, RegistrarID: registrarID, Created: now, Expires: now + registrationPeriod}
+		r.regs[c.domain] = reg
+	default:
+		if err := r.owns(registrarID, c.domain); err != nil {
+			return err
+		}
+		if c.ns == nil && !c.setDS {
+			return nil
+		}
+	}
+	if c.ns != nil {
+		reg.NS = c.ns
+	}
+	if c.setDS {
+		reg.DS = append([]*dnswire.DS(nil), c.ds...)
+	}
+	return r.syncDelegationLocked(c.domain)
+}
+
+// drop removes a registration entirely.
+func (r *Registry) drop(registrarID, domain string) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.owns(registrarID, domain); err != nil {
 		return err
 	}
 	delete(r.regs, domain)
 	return r.syncDelegationLocked(domain)
 }
 
-// SetNS replaces a domain's delegation.
-func (r *Registry) SetNS(registrarID, domain string, ns []string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	domain, err := r.ownedDomain(registrarID, domain)
-	if err != nil {
-		return err
-	}
-	if len(ns) == 0 {
-		return ErrEmptyNameservers
-	}
-	r.regs[domain].NS = normalizeHosts(ns)
-	return r.syncDelegationLocked(domain)
-}
-
-// SetDS replaces a domain's DS RRset. The registry stores whatever the
-// registrar sends — the paper shows that validation, when it happens at
-// all, happens at the registrar.
-func (r *Registry) SetDS(registrarID, domain string, ds []*dnswire.DS) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.cfg.AcceptsDS {
-		return ErrNoDNSSEC
-	}
-	domain, err := r.ownedDomain(registrarID, domain)
-	if err != nil {
-		return err
-	}
-	r.regs[domain].DS = append([]*dnswire.DS(nil), ds...)
-	return r.syncDelegationLocked(domain)
-}
-
-// DeleteDS removes a domain's DS RRset.
-func (r *Registry) DeleteDS(registrarID, domain string) error {
-	return r.SetDS(registrarID, domain, nil)
-}
-
-// Renew extends a registration by the registry's period. Resellers that
+// renew extends a registration by the registry's period. Resellers that
 // switch partner registrars migrate domains at renewal (section 6.3), so
 // renewal is an explicit event.
-func (r *Registry) Renew(registrarID, domain string) error {
+func (r *Registry) renew(registrarID, domain string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	domain, err := r.ownedDomain(registrarID, domain)
-	if err != nil {
+	if err := r.owns(registrarID, domain); err != nil {
 		return err
 	}
 	r.regs[domain].Expires += registrationPeriod
 	return nil
 }
 
-// TransferRegistrar reassigns management of a domain to another accredited
-// registrar (used by resellers switching partners).
-func (r *Registry) TransferRegistrar(fromID, toID, domain string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	domain, err := r.ownedDomain(fromID, domain)
-	if err != nil {
-		return err
-	}
-	if !r.accredited[toID] {
-		return fmt.Errorf("%w: %s", ErrNotAccredited, toID)
-	}
-	r.regs[domain].RegistrarID = toID
-	return nil
-}
-
-// ownedDomain checks bailiwick, accreditation and ownership. Callers hold
+// owns checks that registrarID manages the canonical domain. Callers hold
 // the lock.
-func (r *Registry) ownedDomain(registrarID, domain string) (string, error) {
-	domain, err := r.checkDomain(registrarID, domain)
-	if err != nil {
-		return "", err
-	}
+func (r *Registry) owns(registrarID, domain string) error {
 	reg, ok := r.regs[domain]
 	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrNoSuchDomain, domain)
+		return fmt.Errorf("%w: %s", errNoSuchDomain, domain)
 	}
 	if reg.RegistrarID != registrarID {
-		return "", fmt.Errorf("%w: %s is managed by %s", ErrWrongRegistrar, domain, reg.RegistrarID)
+		return fmt.Errorf("%w: %s is managed by %s", errWrongRegistrar, domain, reg.RegistrarID)
 	}
-	return domain, nil
+	return nil
 }
 
 // Registration returns a copy of a domain's registry entry.

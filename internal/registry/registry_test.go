@@ -10,6 +10,7 @@ import (
 	"securepki.org/registrarsec/internal/dnsserver"
 	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/ecosystem"
+	"securepki.org/registrarsec/internal/epp"
 	"securepki.org/registrarsec/internal/registry"
 	"securepki.org/registrarsec/internal/simtime"
 	"securepki.org/registrarsec/internal/zone"
@@ -34,11 +35,45 @@ func newEco(t *testing.T, tlds ...string) *ecosystem.Ecosystem {
 	return e
 }
 
+// session logs in to reg as registrarID, accredited with a password of its
+// own, for the rest of the test.
+func session(t *testing.T, reg *registry.Registry, registrarID string) *epp.Client {
+	t.Helper()
+	reg.Accredit(registrarID, registrarID+"-pw")
+	c, err := reg.Dial(registrarID, registrarID+"-pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// code runs cmd in the session c and returns its result code.
+func code(t *testing.T, c *epp.Client, cmd *epp.Command) int {
+	t.Helper()
+	resp, err := c.Do(cmd)
+	if resp == nil {
+		t.Fatal(err)
+	}
+	return resp.Result.Code
+}
+
+// create, delegate, drop and renew are the commands that register domain,
+// replace its delegation, delete it and renew it.
+func create(domain string, ns ...string) *epp.Command {
+	return &epp.Command{Create: &epp.DomainCreate{Name: domain, NS: ns}}
+}
+func delegate(domain string, ns ...string) *epp.Command {
+	return &epp.Command{Update: &epp.DomainUpdate{Name: domain, Chg: &epp.DomainChg{NS: ns}}}
+}
+func drop(domain string) *epp.Command  { return &epp.Command{Delete: &epp.DomainRef{Name: domain}} }
+func renew(domain string) *epp.Command { return &epp.Command{Renew: &epp.DomainRef{Name: domain}} }
+
 func TestRegisterAndDelegation(t *testing.T) {
 	e := newEco(t)
 	reg := e.Registries["com"]
-	reg.Accredit("acme")
-	if err := reg.Register("acme", "example.com", []string{"ns1.host.net", "NS2.Host.NET", "ns1.host.net"}); err != nil {
+	c := session(t, reg, "acme")
+	if err := c.CreateDomain("example.com", []string{"ns1.host.net", "NS2.Host.NET", "ns1.host.net"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	r, ok := reg.Registration("example.com")
@@ -64,40 +99,42 @@ func TestRegisterAndDelegation(t *testing.T) {
 func TestRegistryAuth(t *testing.T) {
 	e := newEco(t)
 	reg := e.Registries["com"]
-	if err := reg.Register("stranger", "x.com", []string{"ns1.x.net"}); !errors.Is(err, registry.ErrNotAccredited) {
-		t.Errorf("unaccredited register: %v", err)
+	if _, err := reg.Dial("stranger", "pw"); !errors.Is(err, epp.ErrEPPResult) {
+		t.Errorf("unaccredited login: %v", err)
 	}
-	reg.Accredit("acme")
-	reg.Accredit("rival")
-	if err := reg.Register("acme", "x.com", []string{"ns1.x.net"}); err != nil {
-		t.Fatal(err)
+	acme, rival := session(t, reg, "acme"), session(t, reg, "rival")
+	if got := code(t, acme, create("x.com", "ns1.x.net")); got != epp.CodeSuccess {
+		t.Fatalf("create: %d", got)
 	}
-	if err := reg.Register("acme", "x.com", []string{"ns1.x.net"}); !errors.Is(err, registry.ErrAlreadyExists) {
-		t.Errorf("duplicate register: %v", err)
+	if got := code(t, acme, create("x.com", "ns1.x.net")); got != epp.CodeObjectExists {
+		t.Errorf("duplicate create: %d", got)
 	}
-	if err := reg.SetNS("rival", "x.com", []string{"ns1.evil.net"}); !errors.Is(err, registry.ErrWrongRegistrar) {
-		t.Errorf("cross-registrar SetNS: %v", err)
+	if got := code(t, rival, delegate("x.com", "ns1.evil.net")); got != epp.CodeAuthorization {
+		t.Errorf("cross-registrar NS update: %d", got)
 	}
-	if err := reg.Register("acme", "x.org", []string{"ns1.x.net"}); !errors.Is(err, registry.ErrOutsideTLD) {
-		t.Errorf("out-of-TLD register: %v", err)
+	if got := code(t, acme, create("x.org", "ns1.x.net")); got != epp.CodeParamError {
+		t.Errorf("out-of-TLD create: %d", got)
 	}
-	if err := reg.Register("acme", "a.b.com", []string{"ns1.x.net"}); !errors.Is(err, registry.ErrOutsideTLD) {
-		t.Errorf("third-level register: %v", err)
+	if got := code(t, acme, create("a.b.com", "ns1.x.net")); got != epp.CodeParamError {
+		t.Errorf("third-level create: %d", got)
 	}
-	if err := reg.SetNS("acme", "x.com", nil); !errors.Is(err, registry.ErrEmptyNameservers) {
-		t.Errorf("empty NS: %v", err)
+	if got := code(t, acme, create("y.com")); got != epp.CodeParamError {
+		t.Errorf("create without NS: %d", got)
+	}
+	if got := code(t, acme, delegate("x.com")); got != epp.CodeParamError {
+		t.Errorf("empty NS: %d", got)
 	}
 }
 
 func TestDSLifecycle(t *testing.T) {
 	e := newEco(t)
 	reg := e.Registries["com"]
-	reg.Accredit("acme")
-	if err := reg.Register("acme", "signed.com", []string{"ns1.op.net"}); err != nil {
+	c := session(t, reg, "acme")
+	if err := c.CreateDomain("signed.com", []string{"ns1.op.net"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ds := &dnswire.DS{KeyTag: 1, Algorithm: dnswire.AlgED25519, DigestType: dnswire.DigestSHA256, Digest: make([]byte, 32)}
-	if err := reg.SetDS("acme", "signed.com", []*dnswire.DS{ds}); err != nil {
+	if err := c.UpdateDS("signed.com", []*dnswire.DS{ds}); err != nil {
 		t.Fatal(err)
 	}
 	// DS RRset present and signed in the TLD zone.
@@ -115,7 +152,7 @@ func TestDSLifecycle(t *testing.T) {
 	if !found {
 		t.Error("DS RRset unsigned")
 	}
-	if err := reg.DeleteDS("acme", "signed.com"); err != nil {
+	if err := c.UpdateDS("signed.com", nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(z.Lookup("signed.com", dnswire.TypeDS)) != 0 {
@@ -126,36 +163,31 @@ func TestDSLifecycle(t *testing.T) {
 	}
 }
 
-func TestTransferAndRenew(t *testing.T) {
+// TestRenew: a renewal extends the registration by a year, and only its
+// registrar may renew it.
+func TestRenew(t *testing.T) {
 	e := newEco(t)
 	reg := e.Registries["com"]
-	reg.Accredit("a")
-	reg.Accredit("b")
-	if err := reg.Register("a", "move.com", []string{"ns1.op.net"}); err != nil {
+	a, b := session(t, reg, "a"), session(t, reg, "b")
+	if err := a.CreateDomain("keep.com", []string{"ns1.op.net"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.TransferRegistrar("a", "b", "move.com"); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := reg.Registration("move.com")
-	if r.RegistrarID != "b" {
-		t.Errorf("registrar after transfer: %s", r.RegistrarID)
-	}
+	r, _ := reg.Registration("keep.com")
 	before := r.Expires
-	if err := reg.Renew("b", "move.com"); err != nil {
-		t.Fatal(err)
+	if got := code(t, a, renew("keep.com")); got != epp.CodeSuccess {
+		t.Fatalf("renew: %d", got)
 	}
-	r, _ = reg.Registration("move.com")
+	r, _ = reg.Registration("keep.com")
 	if r.Expires != before+365 {
 		t.Errorf("renewal: %d -> %d", before, r.Expires)
 	}
-	if err := reg.TransferRegistrar("b", "ghost", "move.com"); !errors.Is(err, registry.ErrNotAccredited) {
-		t.Errorf("transfer to unaccredited: %v", err)
+	if got := code(t, b, renew("keep.com")); got != epp.CodeAuthorization {
+		t.Errorf("cross-registrar renew: %d", got)
 	}
 }
 
 // addSignedDomain wires a real signed child zone on the ecosystem network
-// and registers it with a correct (or garbage) DS.
+// and registers it with a correct (or garbage) DS, as registrarID.
 func addSignedDomain(t *testing.T, e *ecosystem.Ecosystem, reg *registry.Registry, registrarID, domain, nsHost string, goodDS bool) *zone.Signer {
 	t.Helper()
 	z := zone.New(domain)
@@ -174,9 +206,6 @@ func addSignedDomain(t *testing.T, e *ecosystem.Ecosystem, reg *registry.Registr
 	}
 	srv := dnstestServer(e, nsHost)
 	srv.AddZone(z)
-	if err := reg.Register(registrarID, domain, []string{nsHost}); err != nil {
-		t.Fatal(err)
-	}
 	var ds []*dnswire.DS
 	if goodDS {
 		ds, err = signer.DSRecords(domain, dnswire.DigestSHA256)
@@ -186,7 +215,7 @@ func addSignedDomain(t *testing.T, e *ecosystem.Ecosystem, reg *registry.Registr
 	} else {
 		ds = []*dnswire.DS{{KeyTag: 9, Algorithm: dnswire.AlgED25519, DigestType: dnswire.DigestSHA256, Digest: make([]byte, 32)}}
 	}
-	if err := reg.SetDS(registrarID, domain, ds); err != nil {
+	if err := session(t, reg, registrarID).CreateDomain(domain, []string{nsHost}, ds); err != nil {
 		t.Fatal(err)
 	}
 	return signer
@@ -205,8 +234,6 @@ func dnstestServer(e *ecosystem.Ecosystem, nsHost string) *dnsserver.Authoritati
 func TestHealthCheckIncentives(t *testing.T) {
 	e := newEco(t)
 	reg := e.Registries["nl"]
-	reg.Accredit("dutchreg")
-	reg.Accredit("sloppyreg")
 	addSignedDomain(t, e, reg, "dutchreg", "good.nl", "ns1.dutchreg.nl", true)
 	addSignedDomain(t, e, reg, "dutchreg", "good2.nl", "ns1.dutchreg.nl", true)
 	addSignedDomain(t, e, reg, "sloppyreg", "bad.nl", "ns1.sloppyreg.nl", false)
@@ -243,7 +270,6 @@ func TestHealthCheckIncentives(t *testing.T) {
 func TestHealthCheckFailureThreshold(t *testing.T) {
 	e := newEco(t)
 	reg := e.Registries["nl"]
-	reg.Accredit("flaky")
 	addSignedDomain(t, e, reg, "flaky", "good.nl", "ns1.flaky.nl", true)
 	addSignedDomain(t, e, reg, "flaky", "bad.nl", "ns2.flaky.nl", false)
 
@@ -266,7 +292,6 @@ func TestHealthCheckFailureThreshold(t *testing.T) {
 func TestCDSScan(t *testing.T) {
 	e := newEco(t)
 	reg := e.Registries["com"] // CDS-enabled in newEco
-	reg.Accredit("acme")
 	signer := addSignedDomain(t, e, reg, "acme", "roll.com", "ns1.roll.net", true)
 
 	// The child publishes a CDS for a NEW key (simulating a rollover): the
@@ -315,7 +340,6 @@ func TestCDSScan(t *testing.T) {
 func TestCDSBootstrap(t *testing.T) {
 	e := newEco(t)
 	reg := e.Registries["com"]
-	reg.Accredit("acme")
 
 	// A signed domain with NO DS (partial deployment) publishing CDS.
 	z := zone.New("boot.com")
@@ -336,7 +360,7 @@ func TestCDSBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	dnstestServer(e, "ns1.boot.net").AddZone(z)
-	if err := reg.Register("acme", "boot.com", []string{"ns1.boot.net"}); err != nil {
+	if err := session(t, reg, "acme").CreateDomain("boot.com", []string{"ns1.boot.net"}, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -365,16 +389,13 @@ func TestCDSBootstrap(t *testing.T) {
 func TestDropRemovesDelegation(t *testing.T) {
 	e := newEco(t)
 	reg := e.Registries["com"]
-	reg.Accredit("acme")
-	if err := reg.Register("acme", "gone.com", []string{"ns1.op.net"}); err != nil {
-		t.Fatal(err)
-	}
+	acme := session(t, reg, "acme")
 	ds := &dnswire.DS{KeyTag: 3, Algorithm: dnswire.AlgED25519, DigestType: dnswire.DigestSHA256, Digest: make([]byte, 32)}
-	if err := reg.SetDS("acme", "gone.com", []*dnswire.DS{ds}); err != nil {
+	if err := acme.CreateDomain("gone.com", []string{"ns1.op.net"}, []*dnswire.DS{ds}); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Drop("acme", "gone.com"); err != nil {
-		t.Fatal(err)
+	if got := code(t, acme, drop("gone.com")); got != epp.CodeSuccess {
+		t.Fatalf("delete: %d", got)
 	}
 	if _, ok := reg.Registration("gone.com"); ok {
 		t.Error("registration survived Drop")
@@ -390,12 +411,11 @@ func TestDropRemovesDelegation(t *testing.T) {
 		t.Errorf("rcode after drop: %v", resp.RCode)
 	}
 	// Dropping someone else's domain is refused.
-	reg.Accredit("rival")
-	if err := reg.Register("acme", "keep.com", []string{"ns1.op.net"}); err != nil {
+	if err := acme.CreateDomain("keep.com", []string{"ns1.op.net"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Drop("rival", "keep.com"); !errors.Is(err, registry.ErrWrongRegistrar) {
-		t.Errorf("cross-registrar drop: %v", err)
+	if got := code(t, session(t, reg, "rival"), drop("keep.com")); got != epp.CodeAuthorization {
+		t.Errorf("cross-registrar delete: %d", got)
 	}
 }
 
@@ -445,7 +465,7 @@ func negativeSerial(t *testing.T, reg *registry.Registry, keys []*dnswire.DNSKEY
 func TestNegativeAnswerVerifiesAfterDelegationChange(t *testing.T) {
 	e := newEco(t)
 	reg := e.Registries["com"]
-	reg.Accredit("acme")
+	acme := session(t, reg, "acme")
 	keys := zoneKeys(reg)
 	check := func(step string, serial uint32) {
 		t.Helper()
@@ -454,19 +474,19 @@ func TestNegativeAnswerVerifiesAfterDelegationChange(t *testing.T) {
 		}
 	}
 	check("fresh zone", 1)
-	if err := reg.Register("acme", "example.com", []string{"ns1.host.net"}); err != nil {
+	if err := acme.CreateDomain("example.com", []string{"ns1.host.net"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	check("after Register", 2)
+	check("after create", 2)
 	ds := &dnswire.DS{KeyTag: 7, Algorithm: dnswire.AlgED25519, DigestType: dnswire.DigestSHA256, Digest: make([]byte, 32)}
-	if err := reg.SetDS("acme", "example.com", []*dnswire.DS{ds}); err != nil {
+	if err := acme.UpdateDS("example.com", []*dnswire.DS{ds}); err != nil {
 		t.Fatal(err)
 	}
-	check("after SetDS", 3)
-	if err := reg.Drop("acme", "example.com"); err != nil {
-		t.Fatal(err)
+	check("after DS update", 3)
+	if got := code(t, acme, drop("example.com")); got != epp.CodeSuccess {
+		t.Fatalf("delete: %d", got)
 	}
-	check("after Drop", 4)
+	check("after delete", 4)
 }
 
 // TestDropBumpsSerial: an EPP <delete> changes the TLD zone, so a secondary
@@ -477,12 +497,9 @@ func TestNegativeAnswerVerifiesAfterDelegationChange(t *testing.T) {
 func TestDropBumpsSerial(t *testing.T) {
 	e := newEco(t)
 	reg := e.Registries["com"]
-	reg.Accredit("acme")
-	if err := reg.Register("acme", "gone.com", []string{"ns1.op.net"}); err != nil {
-		t.Fatal(err)
-	}
+	acme := session(t, reg, "acme")
 	ds := &dnswire.DS{KeyTag: 3, Algorithm: dnswire.AlgED25519, DigestType: dnswire.DigestSHA256, Digest: make([]byte, 32)}
-	if err := reg.SetDS("acme", "gone.com", []*dnswire.DS{ds}); err != nil {
+	if err := acme.CreateDomain("gone.com", []string{"ns1.op.net"}, []*dnswire.DS{ds}); err != nil {
 		t.Fatal(err)
 	}
 	reg.Server().EnableAXFR(func(string) bool { return true })
@@ -507,8 +524,8 @@ func TestDropBumpsSerial(t *testing.T) {
 	}
 	serialBefore := before.SOA().Data.(*dnswire.SOA).Serial
 
-	if err := reg.Drop("acme", "gone.com"); err != nil {
-		t.Fatal(err)
+	if got := code(t, acme, drop("gone.com")); got != epp.CodeSuccess {
+		t.Fatalf("delete: %d", got)
 	}
 	served := negativeSerial(t, reg, zoneKeys(reg), "gone.com", "after Drop")
 	if served <= serialBefore {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"securepki.org/registrarsec/internal/channel"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dnssec"
 	"securepki.org/registrarsec/internal/dnsserver"
@@ -52,8 +53,11 @@ func buildWorld(t *testing.T) (*ecosystem.Ecosystem, []scan.Target) {
 		HostedDNSSEC:  registrar.SupportDefault,
 		PublishDSTLDs: map[string]bool{"nl": true}, // signs, uploads DS only for .nl
 	})
+	// Plain signs nothing, and its chat desk installs whatever DS a
+	// customer pastes, even on a hosted domain.
 	plain := mk(registrar.Policy{
 		ID: "plain", Name: "Plain", NSHosts: []string{"ns1.plain.net"},
+		OwnerDNSSEC: true, DSChannel: channel.Chat,
 	})
 	var domains []string
 	for _, d := range []struct {
@@ -73,7 +77,7 @@ func buildWorld(t *testing.T) (*ecosystem.Ecosystem, []scan.Target) {
 	// Break victim.com: an unsigned zone behind a garbage DS — what a
 	// registrar that accepts anything produces.
 	garbage := &dnswire.DS{KeyTag: 7, Algorithm: dnswire.AlgED25519, DigestType: dnswire.DigestSHA256, Digest: make([]byte, 32)}
-	if err := eco.Registries["com"].SetDS("plain", "victim.com", []*dnswire.DS{garbage}); err != nil {
+	if _, err := plain.ChatUploadDS(context.Background(), "c@x.net", "victim.com", garbage); err != nil {
 		t.Fatal(err)
 	}
 	// A never-registered domain should be skipped by the scanner.
