@@ -259,16 +259,16 @@ func (s *Server) commitLocked() error {
 	return saveWorld(s.cfg.WorldPath, idx, s.cur.meta())
 }
 
-// saveWorld durably replaces path with one gzip member (gzip.BestSpeed, the
-// fixed header 1f 8b 08 00 00 00 00 00 04 ff) whose contents are what
-// idx.Save writes.
+// saveWorld durably replaces path with one gzip member, written by the
+// archive's own dataset.MemberWriter, whose contents are what idx.Save
+// writes.
 func saveWorld(path string, idx *colstore.Index, meta map[string]string) error {
 	f, err := dataset.CreateAtomic(path, 64<<10)
 	if err != nil {
 		return err
 	}
 	defer f.Abort()
-	zw, _ := gzip.NewWriterLevel(f, gzip.BestSpeed) // errs only on a bad level
+	zw := dataset.NewMemberWriter(f)
 	if err := idx.Save(zw, meta); err != nil {
 		return err
 	}

@@ -18,7 +18,7 @@ import (
 )
 
 // worldHeader is the fixed header saveWorld writes: the gzip magic,
-// deflate, no flags, no modification time, XFL 4 (gzip.BestSpeed) and OS
+// deflate, no flags, no modification time, the format byte 4 in XFL and OS
 // 255 (unknown).
 var worldHeader = []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 4, 0xff}
 
@@ -78,8 +78,9 @@ func TestObservedWorldBytes(t *testing.T) {
 	}
 	type cost struct{ records, raw, disk int }
 	// The raw world was written to disk as it is before worlds were
-	// deflated.
-	want := cost{1200, 18752, 3989} // 15.63 raw, 3.32 disk B/record
+	// deflated; deflated at gzip.BestSpeed it took 3,989 B (3.32 disk
+	// B/record).
+	want := cost{1200, 18752, 3757} // 15.63 raw, 3.13 disk B/record
 	got := cost{records, len(zcat(t, world)), len(world)}
 	if got != want {
 		t.Errorf("%+v (%.2f raw, %.2f disk B/record), want %+v", got,

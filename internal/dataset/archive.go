@@ -28,9 +28,10 @@ import (
 // salvages every intact one — a 21-month daily series must never silently
 // mis-parse one bad day into its adoption curves.
 //
-// On disk each section is one RFC 1952 gzip member (writeSection, deflate
-// at gzip.BestSpeed) whose text is exactly the lines above, so zcat of an
-// archive prints its text form, and `zcat archive.tsv | grep …` reads it.
+// On disk each section is one RFC 1952 gzip member (writeSection, through
+// MemberWriter: 128 KiB blocks deflated at level 4 on every core) whose
+// text is exactly the lines above, so zcat of an archive prints its text
+// form, and `zcat archive.tsv | grep …` reads it.
 // Members only: every member starts with the same 10 bytes (memberHeader:
 // no flags, no modification time), the only thing that starts a section;
 // any other bytes between sections are a stray run up to the next member

@@ -46,10 +46,8 @@ func textOf(archive []byte) []byte {
 // memberOf deflates text into one member with the header writeSection
 // writes.
 func memberOf(text []byte) []byte {
-	zw := compressors.Get().(*gzip.Writer)
-	defer compressors.Put(zw)
 	var buf bytes.Buffer
-	zw.Reset(&buf)
+	zw := NewMemberWriter(&buf)
 	zw.Write(text) // writes to a bytes.Buffer do not fail
 	zw.Close()
 	return buf.Bytes()

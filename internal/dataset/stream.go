@@ -4,14 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"cmp"
-	"compress/gzip"
 	"container/heap"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"strings"
-	"sync"
 
 	"securepki.org/registrarsec/internal/simtime"
 )
@@ -348,28 +346,16 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// compressors pools writeSection's compressors: each is reset for the next
-// section, as building one costs more than deflating a small section.
-var compressors = sync.Pool{New: func() any {
-	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed)
-	return zw
-}}
-
 // writeSection frames one trailered archive section, the only place the
-// format is written: a gzip member of fixed header (memberHeader) whose text
-// is the section. body hands each record line it renders, newline included,
+// format is written: a gzip member (MemberWriter) whose text is the
+// section. body hands each record line it renders, newline included,
 // to emit, which refuses a line that does not sort strictly after the one
 // before it and writes the rest through the section's own NS-set
 // dictionary; the header and those lines go through the counting,
 // checksumming writer, and the trailer records what it saw.
 func writeSection(out io.Writer, day simtime.Day, count int, body func(emit func(line []byte) error) error) error {
 	bw := bufio.NewWriterSize(out, archiveBufSize)
-	zw := compressors.Get().(*gzip.Writer)
-	defer func() {
-		zw.Reset(io.Discard) // a pooled compressor keeps no writer alive
-		compressors.Put(zw)
-	}()
-	zw.Reset(bw)
+	zw := NewMemberWriter(bw)
 	cw := &crcWriter{w: zw}
 	if _, err := fmt.Fprintf(cw, "%s\t%s\t%d\n", tsvHeader, day, count); err != nil {
 		return err

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -108,10 +109,12 @@ func TestSweptRecordBytes(t *testing.T) {
 		// nine columns with every NS set written in full, 37,982 B (63.3),
 		// 37,560 B (62.6) and 37,982 B (63.3); nine columns with NS-set
 		// references, 32,544 B (54.2), 32,240 B (53.7) and 32,544 B (54.2).
-		// Those, and today's text, were written to disk as they are.
-		"clean":  {600, 32, 0, 24896, 5410},  // 41.5 text, 9.0 disk B/record
-		"lossy":  {600, 30, 20, 24666, 5451}, // 41.1 text, 9.1 disk B/record
-		"signed": {600, 384, 0, 26628, 5850}, // 44.4 text, 9.8 disk B/record
+		// Those, and today's text, were written to disk as they are. Today's
+		// text deflated at gzip.BestSpeed took 5,410 B (9.0 disk B/record),
+		// 5,451 B (9.1) and 5,850 B (9.8).
+		"clean":  {600, 32, 0, 24896, 5032},  // 41.5 text, 8.4 disk B/record
+		"lossy":  {600, 30, 20, 24666, 5058}, // 41.1 text, 8.4 disk B/record
+		"signed": {600, 384, 0, 26628, 5348}, // 44.4 text, 8.9 disk B/record
 	}
 	for _, shape := range sweepShapes {
 		var got cost
@@ -273,6 +276,121 @@ func TestSectionsDecode(t *testing.T) {
 			}
 		}
 		checkDecodes(t, readers, "hand-made "+snap.Day.String(), section.Bytes(), snap)
+	}
+}
+
+// multiBlockDay is a seeded section of more than three of the member
+// writer's blocks of text: 20,000 records of a few hundred operators, a
+// tenth of them Failed.
+func multiBlockDay() *dataset.Snapshot {
+	rng := rand.New(rand.NewPCG(42, 0))
+	tlds := []string{"com", "net", "org"}
+	snap := &dataset.Snapshot{Day: simtime.End}
+	for i := range 20000 {
+		tld := tlds[rng.IntN(len(tlds))]
+		r := dataset.Record{Domain: fmt.Sprintf("d%05d-%x.%s", i, rng.Uint32()>>16, tld), TLD: tld}
+		if rng.IntN(10) == 0 {
+			r.Failed, r.FailReason = true, "timeout"
+		} else {
+			op := fmt.Sprintf("op%d.net", rng.IntN(300))
+			r.NSHosts, r.Operator = []string{"ns1." + op, "ns2." + op}, op
+			r.HasDNSKEY = rng.IntN(4) == 0
+			r.HasRRSIG, r.HasDS = r.HasDNSKEY, r.HasDNSKEY && rng.IntN(2) == 0
+			r.ChainValid = r.HasDS
+		}
+		snap.Records = append(snap.Records, r)
+	}
+	snap.Canonicalize()
+	return snap
+}
+
+// writeLog records the offset each write to it ends at.
+type writeLog struct {
+	bytes.Buffer
+	ends []int
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.Buffer.Write(p)
+	w.ends = append(w.ends, w.Len())
+	return len(p), nil
+}
+
+// TestMultiBlockSection: a section deflated in more than three blocks
+// reads back through ReadArchive, TailArchive and the checkpoint's chunk
+// reader; cut at the end of any block, a byte either side of it, or inside
+// the final block, it is refused by all three and left as still growing by
+// a tail scan; with a bit flipped inside its second block it is
+// quarantined.
+func TestMultiBlockSection(t *testing.T) {
+	snap := multiBlockDay()
+	var buf bytes.Buffer
+	if err := snap.WriteArchiveSection(&buf); err != nil {
+		t.Fatal(err)
+	}
+	section := buf.Bytes()
+	// The member writer writes the header, each block and the trailer in
+	// one write each.
+	var log writeLog
+	mw := dataset.NewMemberWriter(&log)
+	mw.Write(zcat(t, section)) // writeLog does not fail
+	if err := mw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(log.Bytes(), section) {
+		t.Fatal("the section's text written again is not the section")
+	}
+	blockEnds := log.ends[1 : len(log.ends)-1]
+	if len(blockEnds) <= 3 {
+		t.Fatalf("the section is %d block(s), want more than 3", len(blockEnds))
+	}
+	readers := sectionReaders(t)
+	checkDecodes(t, readers, "intact", section, snap)
+
+	dir := t.TempDir()
+	tail := func(archive []byte) *dataset.TailResult {
+		path := filepath.Join(dir, "tail.tsv")
+		if err := os.WriteFile(path, archive, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := dataset.TailArchive(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	refused := func(what string, damaged []byte) {
+		t.Helper()
+		for reader, read := range readers {
+			if got, err := read(damaged, snap); err == nil && got != nil {
+				t.Errorf("%s: %s read the section as %d records", what, reader, len(got.Records))
+			}
+		}
+	}
+	cuts := map[string]int{}
+	for k, end := range blockEnds {
+		for d := -1; d <= 1; d++ {
+			cuts[fmt.Sprintf("block %d's end %+d", k+1, d)] = end + d
+		}
+	}
+	last := blockEnds[len(blockEnds)-1]
+	cuts["inside the final block"] = (blockEnds[len(blockEnds)-2] + last) / 2
+	for what, n := range cuts {
+		refused("cut at "+what, section[:n])
+		if res := tail(section[:n]); len(res.Events) != 0 || res.Offset != 0 {
+			t.Errorf("cut at %s: a tail scan consumed %d event(s) to offset %d, want the section left growing", what, len(res.Events), res.Offset)
+		}
+	}
+
+	flipped := bytes.Clone(section)
+	flipped[(blockEnds[0]+blockEnds[1])/2] ^= 0x10
+	refused("a bit flipped inside block 2", flipped)
+	store, report, err := dataset.ReadArchive(bytes.NewReader(flipped))
+	if err != nil || store.Len() != 0 || report.Clean() || report.Quarantined[0].Offset != 0 {
+		t.Errorf("a bit flipped inside block 2: %v, %d snapshot(s), %s", err, store.Len(), report)
+	}
+	if res := tail(flipped); len(res.Events) == 0 || res.Events[0].Damage == nil || res.Events[0].Damage.Offset != 0 {
+		t.Errorf("a bit flipped inside block 2: tail events %+v, want the section's damage first", res.Events)
 	}
 }
 

@@ -154,9 +154,10 @@ type section struct {
 	sets     nsSets // the NS sets the section's lines have defined so far
 }
 
-// memberHeader is the fixed header of every member writeSection writes:
-// the gzip magic, deflate, no flags, no modification time, XFL 4
-// (gzip.BestSpeed) and OS 255 (unknown).
+// memberHeader is the fixed header of every member MemberWriter writes:
+// the gzip magic, deflate, no flags, no modification time, XFL 4 and OS
+// 255 (unknown). XFL is advisory (RFC 1952) and no decoder reads it; here
+// it is a fixed format byte, not a statement of the deflate level.
 var memberHeader = []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 4, 0xff}
 
 // maxLineLen bounds a line of a member's text the scanner reads, newline
