@@ -77,7 +77,9 @@ func TestGateShedsAtCapacity(t *testing.T) {
 func TestGateQueueAdmitsWhenSlotFrees(t *testing.T) {
 	g := newGate(1, 1, 2*time.Second)
 	release := make(chan struct{})
-	entered := make(chan struct{})
+	// Buffered: the first handler must not find the test not yet
+	// receiving and take the default branch, which would never signal.
+	entered := make(chan struct{}, 1)
 	h := g.wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case entered <- struct{}{}:

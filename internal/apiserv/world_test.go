@@ -12,6 +12,7 @@ import (
 
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dsweep"
+	"securepki.org/registrarsec/internal/logtest"
 	"securepki.org/registrarsec/internal/scan"
 	"securepki.org/registrarsec/internal/simtime"
 	"securepki.org/registrarsec/internal/tldsim"
@@ -79,8 +80,9 @@ func TestObservedWorldBytes(t *testing.T) {
 	type cost struct{ records, raw, disk int }
 	// The raw world was written to disk as it is before worlds were
 	// deflated; deflated at gzip.BestSpeed it took 3,989 B (3.32 disk
-	// B/record).
-	want := cost{1200, 18752, 3757} // 15.63 raw, 3.13 disk B/record
+	// B/record). With NAMES and NAMESOFF in place of NAMELINE it was
+	// 18,752 raw and 3,757 disk B (15.63 and 3.13 B/record).
+	want := cost{1200, 16616, 3002} // 13.85 raw, 2.50 disk B/record
 	got := cost{records, len(zcat(t, world)), len(world)}
 	if got != want {
 		t.Errorf("%+v (%.2f raw, %.2f disk B/record), want %+v", got,
@@ -88,11 +90,102 @@ func TestObservedWorldBytes(t *testing.T) {
 	}
 }
 
+// mappedMember is the world member as a build before the line form wrote
+// it: the same index and META, in the mapped form SaveFile writes (NAMES and
+// NAMESOFF), deflated into one member by the same writer.
+func mappedMember(t testing.TB, dir string, member []byte) []byte {
+	t.Helper()
+	path := filepath.Join(dir, "member.colstore")
+	if err := os.WriteFile(path, member, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	idx, meta, err := loadWorld(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	mapped := filepath.Join(dir, "mapped.rscw")
+	if err := idx.SaveFile(mapped, meta); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	zw := dataset.NewMemberWriter(&out)
+	zw.Write(raw) // a bytes.Buffer does not fail
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestMappedFormWorldResumes: a world file whose member holds the mapped
+// form, as the observatory committed before the line form, resumes from
+// its cursor without a re-ingest, serves what the daemon that wrote it
+// served, catches up to a clean run's Table 1 and world bytes, and is
+// rewritten in the line form by its next commit.
+func TestMappedFormWorldResumes(t *testing.T) {
+	days := []simtime.Day{200, 230}
+	full := archiveBytes(t, days, 12)
+	clean := newTestServer(t, t.TempDir())
+	if err := os.WriteFile(clean.cfg.ArchivePath, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runToEnd(t, clean)
+	wantWorld := worldFile(t, clean)
+	wantTable := get(clean.Handler(), "/v1/table1").Body.String()
+
+	dir := t.TempDir()
+	first := newTestServer(t, dir)
+	if err := os.WriteFile(first.cfg.ArchivePath, archiveBytes(t, days[:1], 12), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runToEnd(t, first)
+	firstTable := get(first.Handler(), "/v1/table1").Body.String()
+	mapped := mappedMember(t, t.TempDir(), worldFile(t, first))
+	if raw := zcat(t, mapped); !bytes.Contains(raw, []byte("NAMESOFF")) || bytes.Contains(raw, []byte("NAMELINE")) {
+		t.Fatal("the mapped member does not hold NAMES and NAMESOFF alone")
+	}
+	if err := os.WriteFile(first.cfg.WorldPath, mapped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(first.cfg.ArchivePath, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	logged := logtest.Capture(t)
+	s := newTestServer(t, dir)
+	if err := s.resumeOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if len(logged.Records(refused)) != 0 || s.cur != first.cur {
+		t.Fatalf("resumed at %+v, want the writer's cursor %+v without a re-ingest", s.cur, first.cur)
+	}
+	if got := get(s.Handler(), "/v1/table1").Body.String(); got != firstTable {
+		t.Errorf("the resumed daemon serves Table 1\n%s\nwant the writer's\n%s", got, firstTable)
+	}
+	if err := s.pollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if got := get(s.Handler(), "/v1/table1").Body.String(); got != wantTable {
+		t.Errorf("after catching up the daemon serves Table 1\n%s\nwant a clean run's\n%s", got, wantTable)
+	}
+	world := worldFile(t, s)
+	if raw := zcat(t, world); !bytes.Contains(raw, []byte("NAMELINE")) || bytes.Contains(raw, []byte("NAMESOFF")) {
+		t.Error("the next commit did not write the line form")
+	}
+	if !bytes.Equal(world, wantWorld) {
+		t.Errorf("the caught-up world file is %d bytes that differ from a clean run's %d", len(world), len(wantWorld))
+	}
+}
+
 // FuzzWorldFile feeds loadWorld arbitrary file bytes: it never panics, and
 // every world it accepts, written back through saveWorld and loaded again,
 // saves to the same colstore bytes with the same META. Seeded from a
-// committed world, the raw colstore world it wraps, and both cut short or
-// followed by more bytes.
+// committed world, the raw colstore world it wraps, a member holding the
+// mapped form, and each cut short or followed by more bytes.
 func FuzzWorldFile(f *testing.F) {
 	s := newTestServer(f, f.TempDir())
 	if err := os.WriteFile(s.cfg.ArchivePath, archiveBytes(f, []simtime.Day{200, 230}, 12), 0o644); err != nil {
@@ -101,7 +194,7 @@ func FuzzWorldFile(f *testing.F) {
 	runToEnd(f, s)
 	member := worldFile(f, s)
 	raw := zcat(f, member)
-	for _, seed := range [][]byte{member, raw} {
+	for _, seed := range [][]byte{member, raw, mappedMember(f, f.TempDir(), member)} {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 		f.Add(seed[:len(seed)-1])

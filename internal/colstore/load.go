@@ -131,7 +131,7 @@ func parseSections(data []byte) (map[string]section, error) {
 		off = trailerOff + 8
 	}
 	for _, tag := range sectionOrder {
-		if _, ok := secs[tag]; !ok {
+		if _, ok := secs[tag]; !ok && !isNameSection(tag) {
 			return nil, fmt.Errorf("colstore: world file is missing section %q", strings.TrimRight(tag, "\x00"))
 		}
 	}
@@ -183,7 +183,7 @@ func decode(data []byte, zeroCopy bool) (*Index, map[string]string, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	names, err := unpackNames(data, secs[secNames], secs[secNamesOff], n, zeroCopy)
+	names, err := decodeNames(data, secs, n, zeroCopy)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -278,6 +278,32 @@ func decodeMeta(payload []byte) (map[string]string, error) {
 	return meta, nil
 }
 
+// isNameSection reports whether tag belongs to one of the two forms of
+// the name column, which decodeNames checks.
+func isNameSection(tag string) bool {
+	return tag == secNames || tag == secNamesOff || tag == secNameLine
+}
+
+// decodeNames takes the name column from the one form the file holds:
+// NAMES and NAMESOFF, or NAMELINE.
+func decodeNames(data []byte, secs map[string]section, n int, zeroCopy bool) (packedNames, error) {
+	lines, hasLines := secs[secNameLine]
+	blob, hasBlob := secs[secNames]
+	offs, hasOffs := secs[secNamesOff]
+	switch {
+	case hasLines && (hasBlob || hasOffs):
+		return packedNames{}, fmt.Errorf("colstore: world file holds both NAMELINE and NAMES/NAMESOFF")
+	case hasLines:
+		return unpackNameLines(lines.bytes(data), n)
+	case hasBlob && hasOffs:
+		return unpackNames(data, blob, offs, n, zeroCopy)
+	case hasBlob:
+		return packedNames{}, fmt.Errorf("colstore: world file is missing section \"NAMESOFF\"")
+	default:
+		return packedNames{}, fmt.Errorf("colstore: world file is missing section \"NAMES\" (or \"NAMELINE\")")
+	}
+}
+
 // unpackStrings rebuilds an intern table from its blob + u32 offsets
 // sections; wantCount, when >= 0, pins the expected entry count. Offsets
 // must start at 0, be non-decreasing, and end at the blob length.
@@ -313,37 +339,6 @@ func unpackStrings(data []byte, blob, offs section, wantCount int, what string, 
 		prev = end
 	}
 	return out, nil
-}
-
-// unpackNames validates the domain-name column — n+1 u64 offsets that
-// start at 0, never decrease, never pass the blob and end at its length —
-// and returns it as the two slices the Index keeps: views of data when
-// zeroCopy, copies otherwise. No per-name value is created either way.
-func unpackNames(data []byte, blob, offs section, n int, zeroCopy bool) (packedNames, error) {
-	if offs.n != 8*(n+1) {
-		return packedNames{}, fmt.Errorf("colstore: name offsets section is %d bytes, want %d for %d domains", offs.n, 8*(n+1), n)
-	}
-	p := packedNames{
-		nameBlob: blob.bytes(data),
-		nameOff:  unpackColumn(data, offs, zeroCopy, binary.LittleEndian.Uint64),
-	}
-	if !zeroCopy {
-		p.nameBlob = append([]byte(nil), p.nameBlob...)
-	}
-	if p.nameOff[0] != 0 {
-		return packedNames{}, fmt.Errorf("colstore: name offsets start at %d, want 0", p.nameOff[0])
-	}
-	if p.nameOff[n] != uint64(blob.n) {
-		return packedNames{}, fmt.Errorf("colstore: name offsets end at %d, blob is %d bytes", p.nameOff[n], blob.n)
-	}
-	prev := uint64(0)
-	for i, end := range p.nameOff[1:] {
-		if end < prev || end > uint64(blob.n) {
-			return packedNames{}, fmt.Errorf("colstore: name offsets are not monotonic at entry %d", i)
-		}
-		prev = end
-	}
-	return p, nil
 }
 
 // unpackColumn returns a fixed-width column: a zero-copy reinterpretation

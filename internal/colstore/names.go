@@ -1,14 +1,25 @@
 package colstore
 
-import "unsafe"
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"sort"
+	"unsafe"
+)
 
-// packedNames is the domain-name column in the shape the NAMES and
-// NAMESOFF sections give it on disk: one blob, and n+1 offsets into it
-// (nameOff[0] == 0, nameOff[n] == len(nameBlob)). A population's names are
-// therefore two allocations the collector never looks inside, where a
-// []string was one heap object per domain, all of them marked on every
-// cycle. Bytes below nameOff[n] are never rewritten, which is what lets
-// name hand out views and an ingester share its blob with a frozen index.
+// packedNames is the domain-name column: one blob, and n+1 offsets into
+// it (nameOff[0] == 0, nameOff[n] == len(nameBlob)). That is the shape the
+// mapped form's NAMES and NAMESOFF sections give it on disk; the line
+// form's NAMELINE is the same names, each followed by '\n', from which the
+// decoder recounts the offsets. A population's names are therefore two
+// allocations the collector never looks inside, where a []string was one
+// heap object per domain, all of them marked on every cycle. Bytes below
+// nameOff[n] are never rewritten, which is what lets name hand out views
+// and an ingester share its blob with a frozen index. No name holds a
+// newline: neither form saves one, and the decoder refuses one in both.
 type packedNames struct {
 	nameBlob []byte
 	nameOff  []uint64
@@ -25,4 +36,118 @@ func (p *packedNames) name(i int) string {
 func (p *packedNames) appendName(name string) {
 	p.nameBlob = append(p.nameBlob, name...)
 	p.nameOff = append(p.nameOff, uint64(len(p.nameBlob)))
+}
+
+// checkNames refuses a column with a name the line form cannot carry —
+// one holding a newline — naming its row.
+func (p *packedNames) checkNames() error {
+	n := len(p.nameOff) - 1
+	at := bytes.IndexByte(p.nameBlob[:p.nameOff[n]], '\n')
+	if at < 0 {
+		return nil
+	}
+	row := sort.Search(n, func(i int) bool { return p.nameOff[i+1] > uint64(at) })
+	return fmt.Errorf("colstore: domain %d's name %q holds a newline", row, p.name(row))
+}
+
+// nameLineBuf is the buffer NAMELINE is written through.
+const nameLineBuf = 32 << 10
+
+// writeNameLines writes the NAMELINE section: every name followed by
+// '\n'. Its length is known up front, so the payload streams through one
+// fixed buffer with its CRC updated as it goes, and a save builds no
+// second copy of the column.
+func (p *packedNames) writeNameLines(w io.Writer) error {
+	n := len(p.nameOff) - 1
+	size := p.nameOff[n] + uint64(n)
+	if err := writeSectionHeader(w, secNameLine, size); err != nil {
+		return err
+	}
+	crc := uint32(0)
+	emit := func(b []byte) error {
+		crc = crc32.Update(crc, worldCRC, b)
+		_, err := w.Write(b)
+		return err
+	}
+	buf := make([]byte, 0, nameLineBuf)
+	for i := range n {
+		name := p.nameBlob[p.nameOff[i]:p.nameOff[i+1]]
+		if len(buf)+len(name)+1 > cap(buf) {
+			if err := emit(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		buf = append(append(buf, name...), '\n')
+	}
+	if err := emit(buf); err != nil {
+		return err
+	}
+	return writeSectionTrailer(w, size, crc)
+}
+
+// unpackNameLines rebuilds the name column from a NAMELINE payload: n
+// names, each followed by '\n', and nothing after the last. The names are
+// copied into a blob without the separators and their offsets recounted,
+// so the column has the shape the mapped form gives it.
+func unpackNameLines(payload []byte, n int) (packedNames, error) {
+	if len(payload) < n {
+		return packedNames{}, fmt.Errorf("colstore: NAMELINE is %d bytes, too short for %d domains", len(payload), n)
+	}
+	p := packedNames{
+		nameBlob: make([]byte, 0, len(payload)-n),
+		nameOff:  make([]uint64, 1, n+1),
+	}
+	rest := payload
+	for i := range n {
+		end := bytes.IndexByte(rest, '\n')
+		if end < 0 {
+			if len(rest) > 0 {
+				return packedNames{}, fmt.Errorf("colstore: NAMELINE's name %d is not newline-terminated", i)
+			}
+			return packedNames{}, fmt.Errorf("colstore: NAMELINE holds %d names, want %d", i, n)
+		}
+		p.nameBlob = append(p.nameBlob, rest[:end]...)
+		p.nameOff = append(p.nameOff, uint64(len(p.nameBlob)))
+		rest = rest[end+1:]
+	}
+	if len(rest) > 0 {
+		return packedNames{}, fmt.Errorf("colstore: NAMELINE has %d bytes after its %d names", len(rest), n)
+	}
+	return p, nil
+}
+
+// unpackNames validates the mapped form's name column — n+1 u64 offsets
+// that start at 0, never decrease, never pass the blob and end at its
+// length, and no name with a newline — and returns it as the two slices
+// the Index keeps: views of data when zeroCopy, copies otherwise. No
+// per-name value is created either way.
+func unpackNames(data []byte, blob, offs section, n int, zeroCopy bool) (packedNames, error) {
+	if offs.n != 8*(n+1) {
+		return packedNames{}, fmt.Errorf("colstore: name offsets section is %d bytes, want %d for %d domains", offs.n, 8*(n+1), n)
+	}
+	p := packedNames{
+		nameBlob: blob.bytes(data),
+		nameOff:  unpackColumn(data, offs, zeroCopy, binary.LittleEndian.Uint64),
+	}
+	if !zeroCopy {
+		p.nameBlob = append([]byte(nil), p.nameBlob...)
+	}
+	if p.nameOff[0] != 0 {
+		return packedNames{}, fmt.Errorf("colstore: name offsets start at %d, want 0", p.nameOff[0])
+	}
+	if p.nameOff[n] != uint64(blob.n) {
+		return packedNames{}, fmt.Errorf("colstore: name offsets end at %d, blob is %d bytes", p.nameOff[n], blob.n)
+	}
+	prev := uint64(0)
+	for i, end := range p.nameOff[1:] {
+		if end < prev || end > uint64(blob.n) {
+			return packedNames{}, fmt.Errorf("colstore: name offsets are not monotonic at entry %d", i)
+		}
+		prev = end
+	}
+	if err := p.checkNames(); err != nil {
+		return packedNames{}, err
+	}
+	return p, nil
 }

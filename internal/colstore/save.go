@@ -18,12 +18,20 @@ package colstore
 // truncated or bit-flipped file fails loudly at load, never silently.
 //
 // String tables are stored as one concatenated blob plus an offsets
-// column (u32 for the small intern tables, u64 for domain names, whose
-// blob exceeds 4 GiB at real-.com scale). The per-domain sections are the
-// Index's own slices: on a little-endian host Save writes them as they lie
-// in memory and Load maps them back without a copy. The derived state —
-// fullDay, event groups, the record template — is rebuilt or lazily built
-// at load and never serialized.
+// column (u32). The per-domain ID, day and flag sections are the Index's
+// own slices: on a little-endian host a save writes them as they lie in
+// memory. The domain names come in one of two forms:
+//
+//   - mapped (SaveFile): NAMES, the name blob, and NAMESOFF, its n+1 u64
+//     offsets (the blob passes 4 GiB at real-.com scale), which Load maps
+//     back without a copy;
+//   - line (Save): NAMELINE, every name followed by '\n' — one byte a
+//     domain where NAMESOFF takes eight. The decoder recounts the offsets
+//     into a heap copy, so it is the form for a world that is deflated
+//     and copied on load anyway.
+//
+// The derived state — fullDay, event groups, the record template — is
+// rebuilt or lazily built at load and never serialized.
 
 import (
 	"bytes"
@@ -47,8 +55,10 @@ const (
 	endianMarker = 0x01020304
 )
 
-// Section tags, fixed order. Load rejects unknown tags, so a future
-// version adding sections bumps worldVersion.
+// Section tags, fixed order. Load refuses a tag it does not know, naming
+// it, so a reader that predates a section fails loudly on a file that
+// holds one: NAMELINE came under version 1 that way. The version changes
+// only when a known section's meaning does.
 const (
 	secMeta     = "META\x00\x00\x00\x00"
 	secOps      = "OPS\x00\x00\x00\x00\x00"
@@ -61,6 +71,7 @@ const (
 	secRegsOff  = "REGSOFF\x00"
 	secNames    = "NAMES\x00\x00\x00"
 	secNamesOff = "NAMESOFF"
+	secNameLine = "NAMELINE"
 	secOpID     = "OPID\x00\x00\x00\x00"
 	secTLDID    = "TLDID\x00\x00\x00"
 	secRegID    = "REGID\x00\x00\x00"
@@ -70,29 +81,55 @@ const (
 	secFlags    = "FLAGS\x00\x00\x00"
 )
 
-// sectionOrder is the exact on-disk sequence, making Save deterministic:
-// the same Index always serializes to the same bytes.
+// sectionOrder is the exact on-disk sequence, making a save
+// deterministic: the same Index always serializes to the same bytes. A
+// file holds either NAMES and NAMESOFF or NAMELINE, never both.
 var sectionOrder = []string{
 	secMeta,
 	secOps, secOpsOff, secOpNS, secOpNSOff,
 	secTLDs, secTLDsOff, secRegs, secRegsOff,
-	secNames, secNamesOff,
+	secNames, secNamesOff, secNameLine,
 	secOpID, secTLDID, secRegID,
 	secCreated, secKeyDay, secDSDay, secFlags,
 }
 
 var worldCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// Save serializes the index. meta is an arbitrary key=value annotation
-// block (world configuration, fingerprints) returned verbatim by Load;
-// keys must not contain '=' or newlines, values must not contain
-// newlines.
+// Save serializes the index in the line form. meta is an arbitrary
+// key=value annotation block (world configuration, fingerprints) returned
+// verbatim by Load; keys must not contain '=' or newlines, values must not
+// contain newlines.
 func (x *Index) Save(w io.Writer, meta map[string]string) error {
+	return x.save(w, meta, false)
+}
+
+// SaveFile writes the index to path in the mapped form, durably and
+// atomically (through a dataset.AtomicFile): a crash mid-save leaves
+// either the old file or none, never a torn one.
+func (x *Index) SaveFile(path string, meta map[string]string) error {
+	f, err := dataset.CreateAtomic(path, 1<<20)
+	if err != nil {
+		return err
+	}
+	defer f.Abort()
+	if err := x.save(f, meta, true); err != nil {
+		return err
+	}
+	return f.Commit()
+}
+
+// save writes the index in the mapped form (NAMES and NAMESOFF) or the
+// line form (NAMELINE). Either refuses a name holding a newline before it
+// writes a byte, so both forms carry the same indexes.
+func (x *Index) save(w io.Writer, meta map[string]string, mapped bool) error {
 	if x.closed.Load() {
 		return ErrClosed
 	}
 	metaPayload, err := encodeMeta(meta)
 	if err != nil {
+		return err
+	}
+	if err := x.checkNames(); err != nil {
 		return err
 	}
 	var hdr [16]byte
@@ -113,66 +150,70 @@ func (x *Index) Save(w io.Writer, meta map[string]string) error {
 	regBlob, regOff := packStrings32(x.regs)
 
 	payloads := map[string][]byte{
-		secMeta:     metaPayload,
-		secOps:      opsBlob,
-		secOpsOff:   opsOff,
-		secOpNS:     nsBlob,
-		secOpNSOff:  nsOff,
-		secTLDs:     tldBlob,
-		secTLDsOff:  tldOff,
-		secRegs:     regBlob,
-		secRegsOff:  regOff,
-		secNames:    x.nameBlob,
-		secNamesOff: columnBytes(x.nameOff, binary.LittleEndian.PutUint64),
-		secOpID:     columnBytes(x.opID, binary.LittleEndian.PutUint32),
-		secTLDID:    columnBytes(x.tldID, binary.LittleEndian.PutUint16),
-		secRegID:    columnBytes(x.regID, binary.LittleEndian.PutUint32),
-		secCreated:  columnBytes(x.created, putInt32),
-		secKeyDay:   columnBytes(x.keyDay, putInt32),
-		secDSDay:    columnBytes(x.dsDay, putInt32),
-		secFlags:    x.flags,
+		secMeta:    metaPayload,
+		secOps:     opsBlob,
+		secOpsOff:  opsOff,
+		secOpNS:    nsBlob,
+		secOpNSOff: nsOff,
+		secTLDs:    tldBlob,
+		secTLDsOff: tldOff,
+		secRegs:    regBlob,
+		secRegsOff: regOff,
+		secOpID:    columnBytes(x.opID, binary.LittleEndian.PutUint32),
+		secTLDID:   columnBytes(x.tldID, binary.LittleEndian.PutUint16),
+		secRegID:   columnBytes(x.regID, binary.LittleEndian.PutUint32),
+		secCreated: columnBytes(x.created, putInt32),
+		secKeyDay:  columnBytes(x.keyDay, putInt32),
+		secDSDay:   columnBytes(x.dsDay, putInt32),
+		secFlags:   x.flags,
+	}
+	if mapped {
+		payloads[secNames] = x.nameBlob
+		payloads[secNamesOff] = columnBytes(x.nameOff, binary.LittleEndian.PutUint64)
 	}
 	for _, tag := range sectionOrder {
-		if err := writeSection(w, tag, payloads[tag]); err != nil {
+		if tag == secNameLine && !mapped {
+			err = x.writeNameLines(w)
+		} else if payload, ok := payloads[tag]; ok {
+			err = writeSection(w, tag, payload)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// SaveFile writes the index to path durably and atomically (through a
-// dataset.AtomicFile): a crash mid-save leaves either the old file or
-// none, never a torn one.
-func (x *Index) SaveFile(path string, meta map[string]string) error {
-	f, err := dataset.CreateAtomic(path, 1<<20)
-	if err != nil {
-		return err
-	}
-	defer f.Abort()
-	if err := x.Save(f, meta); err != nil {
-		return err
-	}
-	return f.Commit()
-}
-
 // writeSection frames one payload: tag, length, payload, alignment
 // padding, CRC32C trailer.
 func writeSection(w io.Writer, tag string, payload []byte) error {
-	if len(tag) != 8 {
-		return fmt.Errorf("colstore: section tag %q is not 8 bytes", tag)
-	}
-	var hdr [16]byte
-	copy(hdr[:8], tag)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if err := writeSectionHeader(w, tag, uint64(len(payload))); err != nil {
 		return err
 	}
 	if _, err := w.Write(payload); err != nil {
 		return err
 	}
+	return writeSectionTrailer(w, uint64(len(payload)), crc32.Checksum(payload, worldCRC))
+}
+
+// writeSectionHeader writes a section's tag and payload length.
+func writeSectionHeader(w io.Writer, tag string, n uint64) error {
+	if len(tag) != 8 {
+		return fmt.Errorf("colstore: section tag %q is not 8 bytes", tag)
+	}
+	var hdr [16]byte
+	copy(hdr[:8], tag)
+	binary.LittleEndian.PutUint64(hdr[8:16], n)
+	_, err := w.Write(hdr[:])
+	return err
+}
+
+// writeSectionTrailer pads an n-byte payload to 8 bytes and writes its
+// CRC32C trailer.
+func writeSectionTrailer(w io.Writer, n uint64, crc uint32) error {
 	var trailer [16]byte // up to 7 pad bytes + 8-byte CRC trailer
-	pad := (8 - len(payload)%8) % 8
-	binary.LittleEndian.PutUint32(trailer[pad:], crc32.Checksum(payload, worldCRC))
+	pad := (8 - n%8) % 8
+	binary.LittleEndian.PutUint32(trailer[pad:], crc)
 	_, err := w.Write(trailer[:pad+8])
 	return err
 }

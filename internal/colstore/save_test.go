@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"securepki.org/registrarsec/internal/simtime"
@@ -228,10 +231,12 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	})
 }
 
-// rewriteSection returns file with one section's payload replaced by
-// f(payload) and re-framed, so the CRC is good and only the semantic
-// validation in decode stands between the damage and a load.
-func rewriteSection(t testing.TB, file []byte, tag string, f func(payload []byte) []byte) []byte {
+// reframe returns file re-framed section by section in sectionOrder,
+// each payload replaced by edit(tag, payload, present): a section is
+// written when edit returns true, so edit can drop a section or add one the
+// file lacks. The CRCs are good, so only the semantic validation in decode
+// stands between the damage and a load.
+func reframe(t testing.TB, file []byte, edit func(tag string, payload []byte, present bool) ([]byte, bool)) []byte {
 	t.Helper()
 	secs, err := parseSections(file)
 	if err != nil {
@@ -239,31 +244,60 @@ func rewriteSection(t testing.TB, file []byte, tag string, f func(payload []byte
 	}
 	var out bytes.Buffer
 	out.Write(file[:16])
-	for _, sec := range sectionOrder {
-		payload := append([]byte(nil), secs[sec].bytes(file)...)
-		if sec == tag {
-			payload = f(payload)
+	for _, tag := range sectionOrder {
+		s, present := secs[tag]
+		var payload []byte
+		if present {
+			payload = bytes.Clone(s.bytes(file))
 		}
-		if err := writeSection(&out, sec, payload); err != nil {
+		if payload, present = edit(tag, payload, present); !present {
+			continue
+		}
+		if err := writeSection(&out, tag, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return out.Bytes()
 }
 
-// badNameColumns damages the NAMES/NAMESOFF pair of a valid file in each
-// way the packed name column could be handed offsets that do not describe
-// its blob.
+// rewriteSection returns file with one section's payload replaced by
+// f(payload) and re-framed.
+func rewriteSection(t testing.TB, file []byte, tag string, f func(payload []byte) []byte) []byte {
+	t.Helper()
+	return reframe(t, file, func(sec string, payload []byte, present bool) ([]byte, bool) {
+		if sec == tag && present {
+			payload = f(payload)
+		}
+		return payload, present
+	})
+}
+
+// badNameColumns damages the name column of a valid file in each way it
+// could fail to describe n names: NAMESOFF offsets that do not describe
+// the NAMES blob, NAMELINE lines that are not n newline-terminated names,
+// a name holding a newline in either form, and both forms or neither.
 func badNameColumns(t testing.TB) map[string][]byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := testIndex(40, 9).Save(&buf, nil); err != nil {
+	x := testIndex(40, 9)
+	var m, l bytes.Buffer
+	if err := x.save(&m, nil, true); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
-	offsets := func(f func(off []byte) []byte) []byte {
-		return rewriteSection(t, good, secNamesOff, f)
+	if err := x.Save(&l, nil); err != nil {
+		t.Fatal(err)
 	}
+	mapped, lines := m.Bytes(), l.Bytes()
+	offsets := func(f func(off []byte) []byte) []byte {
+		return rewriteSection(t, mapped, secNamesOff, f)
+	}
+	nameLines := func(f func(payload []byte) []byte) []byte {
+		return rewriteSection(t, lines, secNameLine, f)
+	}
+	secs, err := parseSections(lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineSection := secs[secNameLine].bytes(lines)
 	return map[string][]byte{
 		"offsets go backwards": offsets(func(off []byte) []byte {
 			binary.LittleEndian.PutUint64(off[8*5:], binary.LittleEndian.Uint64(off[8*4:])-1)
@@ -286,15 +320,43 @@ func badNameColumns(t testing.TB) map[string][]byte {
 		"one offset too many": offsets(func(off []byte) []byte { return append(off, off[len(off)-8:]...) }),
 		"offsets not 8-byte":  offsets(func(off []byte) []byte { return off[:len(off)-3] }),
 		"no offsets at all":   offsets(func(off []byte) []byte { return nil }),
-		"blob shorter than offsets say": rewriteSection(t, good, secNames, func(blob []byte) []byte {
+		"blob shorter than offsets say": rewriteSection(t, mapped, secNames, func(blob []byte) []byte {
 			return blob[:len(blob)-1]
+		}),
+		"mapped name holds a newline": rewriteSection(t, mapped, secNames, func(blob []byte) []byte {
+			blob[2] = '\n'
+			return blob
+		}),
+		"line name holds a newline": nameLines(func(p []byte) []byte {
+			p[2] = '\n'
+			return p
+		}),
+		"one line short": nameLines(func(p []byte) []byte {
+			return p[:bytes.LastIndexByte(p[:len(p)-1], '\n')+1]
+		}),
+		"one line over":        nameLines(func(p []byte) []byte { return append(p, "d99999.com\n"...) }),
+		"no final newline":     nameLines(func(p []byte) []byte { return p[:len(p)-1] }),
+		"bytes after the last": nameLines(func(p []byte) []byte { return append(p, 'x') }),
+		"no lines at all":      nameLines(func(p []byte) []byte { return nil }),
+		"both name forms": reframe(t, mapped, func(tag string, payload []byte, present bool) ([]byte, bool) {
+			if tag == secNameLine {
+				return lineSection, true
+			}
+			return payload, present
+		}),
+		"neither name form": reframe(t, mapped, func(tag string, payload []byte, present bool) ([]byte, bool) {
+			return payload, present && !isNameSection(tag)
+		}),
+		"NAMES without NAMESOFF": reframe(t, mapped, func(tag string, payload []byte, present bool) ([]byte, bool) {
+			return payload, present && tag != secNamesOff
 		}),
 	}
 }
 
 // TestLoadRejectsBadNameOffsets: names are served as views computed from
-// NAMESOFF, so an offsets column that does not describe the blob must be
-// refused by both the copying and the zero-copy decoder.
+// the offsets, stored or recounted, so a name column that does not
+// describe exactly n names must be refused by both the copying and the
+// zero-copy decoder.
 func TestLoadRejectsBadNameOffsets(t *testing.T) {
 	for name, file := range badNameColumns(t) {
 		if _, _, err := LoadBytes(file); err == nil {
@@ -308,6 +370,119 @@ func TestLoadRejectsBadNameOffsets(t *testing.T) {
 	}
 }
 
+// TestSaveRefusesNewlineName: the line form cannot carry a name holding a
+// newline, so neither form saves one: both name the row and write nothing.
+func TestSaveRefusesNewlineName(t *testing.T) {
+	b := NewBuilder(3)
+	for _, name := range []string{"a.com", "b.com", "c\n.com"} {
+		b.Add(Domain{Name: name, TLD: "com", Operator: "op.example", NSHost: "ns1.op.example",
+			KeyDay: simtime.Never, DSDay: simtime.Never})
+	}
+	x := b.Build()
+	var buf bytes.Buffer
+	if err := x.Save(&buf, nil); err == nil || !strings.Contains(err.Error(), "domain 2") {
+		t.Errorf("Save: %v, want an error naming domain 2", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("Save wrote %d bytes before refusing", buf.Len())
+	}
+	path := filepath.Join(t.TempDir(), "idx.rscw")
+	if err := x.SaveFile(path, nil); err == nil || !strings.Contains(err.Error(), "domain 2") {
+		t.Errorf("SaveFile: %v, want an error naming domain 2", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("SaveFile left a file: %v", err)
+	}
+}
+
+// TestSaveFormsAgree holds the two forms to one index: the line form is
+// every name and a newline, the mapped form is what SaveFile writes, and
+// an index loaded from either — copied, or mapped from the file — saves
+// to the same bytes in both forms. CI runs it at GOMAXPROCS 1 and 4.
+func TestSaveFormsAgree(t *testing.T) {
+	dir := t.TempDir()
+	// 5,000 rows' names pass through NAMELINE's buffer twice.
+	for _, n := range []int{0, 1, 400, 5000} {
+		x := testIndex(n, int64(n))
+		meta := map[string]string{"k": "v"}
+		var lines, mapped bytes.Buffer
+		if err := x.Save(&lines, meta); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.save(&mapped, meta, true); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("%d.rscw", n))
+		if err := x.SaveFile(path, meta); err != nil {
+			t.Fatal(err)
+		}
+		if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, mapped.Bytes()) {
+			t.Fatalf("%d rows: SaveFile wrote other bytes than the mapped form (%v)", n, err)
+		}
+		secs, err := parseSections(lines.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		for i := range n {
+			want.WriteString(x.name(i) + "\n")
+		}
+		if got := string(secs[secNameLine].bytes(lines.Bytes())); got != want.String() {
+			t.Fatalf("%d rows: NAMELINE is %q, want %q", n, got, want.String())
+		}
+
+		fromLines, _, err := LoadBytes(lines.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromMapped, _, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for form, y := range map[string]*Index{"line": fromLines, "mapped": fromMapped} {
+			if n > 0 {
+				assertIndexEqual(t, y, x)
+			}
+			var l, m bytes.Buffer
+			if err := y.Save(&l, meta); err != nil {
+				t.Fatal(err)
+			}
+			if err := y.save(&m, meta, true); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(l.Bytes(), lines.Bytes()) || !bytes.Equal(m.Bytes(), mapped.Bytes()) {
+				t.Errorf("%d rows: loaded from the %s form, the index saves to other bytes", n, form)
+			}
+		}
+		fromMapped.Close()
+	}
+}
+
+// TestSaveHeapBounded: Save streams NAMELINE through one fixed buffer and
+// writes the other columns as they lie in memory, so what it allocates
+// does not grow with the rows: at 100k rows the offsets alone are 800 KB.
+func TestSaveHeapBounded(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("columns are encoded element by element on a big-endian host")
+	}
+	const bound = 2*nameLineBuf + 16<<10
+	for _, n := range []int{1000, 100_000} {
+		x := testIndex(n, 5)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := x.Save(io.Discard, map[string]string{"k": "v"}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		grew := after.TotalAlloc - before.TotalAlloc
+		if grew > bound {
+			t.Errorf("%d rows: Save allocated %d B, bound %d B", n, grew, bound)
+		}
+		t.Logf("%d rows: Save allocated %d B", n, grew)
+	}
+}
+
 func TestLoadMissingFile(t *testing.T) {
 	if _, _, err := Load(filepath.Join(t.TempDir(), "nope.rscw")); err == nil {
 		t.Fatal("loading a missing file succeeded")
@@ -316,13 +491,19 @@ func TestLoadMissingFile(t *testing.T) {
 
 // FuzzLoadWorld hammers the reader with mutated files: any input must
 // either load cleanly or return an error — no panics, no silent garbage.
+// An accepted file, saved in the line form and in SaveFile's mapped form
+// and each loaded again, gives the same Save bytes both ways. Seeded with
+// both forms of 0, 1 and 50 rows and every damaged name column.
 func FuzzLoadWorld(f *testing.F) {
 	for _, n := range []int{0, 1, 50} {
-		var buf bytes.Buffer
-		if err := testIndex(n, int64(n)).Save(&buf, map[string]string{"k": "v"}); err != nil {
-			f.Fatal(err)
+		x := testIndex(n, int64(n))
+		for _, mapped := range []bool{false, true} {
+			var buf bytes.Buffer
+			if err := x.save(&buf, map[string]string{"k": "v"}, mapped); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
 		}
-		f.Add(buf.Bytes())
 	}
 	f.Add([]byte{})
 	f.Add([]byte(worldMagic))
@@ -330,7 +511,7 @@ func FuzzLoadWorld(f *testing.F) {
 		f.Add(file)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		x, _, err := LoadBytes(data)
+		x, meta, err := LoadBytes(data)
 		if err != nil {
 			return
 		}
@@ -342,5 +523,27 @@ func FuzzLoadWorld(f *testing.F) {
 		}
 		_ = x.Snapshot(simtime.End)
 		_ = x.DomainsByRegistrar()
+
+		var lines, mapped bytes.Buffer
+		if err := x.Save(&lines, meta); err != nil {
+			t.Fatalf("an accepted world does not save: %v", err)
+		}
+		// x.save(w, meta, true) writes SaveFile's bytes, without the file.
+		if err := x.save(&mapped, meta, true); err != nil {
+			t.Fatalf("an accepted world does not save in the mapped form: %v", err)
+		}
+		for form, saved := range map[string][]byte{"line": lines.Bytes(), "mapped": mapped.Bytes()} {
+			y, _, err := LoadBytes(saved)
+			if err != nil {
+				t.Fatalf("the %s form of an accepted world does not load: %v", form, err)
+			}
+			var again bytes.Buffer
+			if err := y.Save(&again, meta); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), lines.Bytes()) {
+				t.Fatalf("reloaded from its %s form the world saves %d bytes, want %d", form, again.Len(), lines.Len())
+			}
+		}
 	})
 }

@@ -5,6 +5,8 @@ import (
 	"compress/gzip"
 	"context"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -20,8 +22,10 @@ import (
 // benchmark's paper_clean workload writes — 16,000 targets of a
 // divisor-400 world, seed 1, on six month-ends from the first of the study
 // window to its last — and of the world the observatory folds them into:
-// the six section texts and the colstore world.
-var paperCleanTexts = sync.OnceValues(func() ([][]byte, []byte) {
+// the six section texts, the colstore world as Save writes it (the line
+// form) and the same world as SaveFile writes it (the mapped form, which
+// the world member held before the line form).
+var paperCleanTexts = sync.OnceValues(func() ([][]byte, [2][]byte) {
 	spec := &dsweep.WorldSpec{ScaleDiv: 400, Sample: 16000, Seed: 1}
 	days := []simtime.Day{
 		simtime.Date(2015, 4, 30), simtime.Date(2015, 8, 31), simtime.Date(2015, 12, 31),
@@ -57,15 +61,30 @@ var paperCleanTexts = sync.OnceValues(func() ([][]byte, []byte) {
 		}); err != nil {
 		panic(err)
 	}
+	idx := ing.Freeze()
 	var w bytes.Buffer
-	if err := ing.Freeze().Save(&w, nil); err != nil {
+	if err := idx.Save(&w, nil); err != nil {
 		panic(err)
 	}
-	return sections, w.Bytes()
+	dir, err := os.MkdirTemp("", "member-bench-")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "world.rscw")
+	if err := idx.SaveFile(path, nil); err != nil {
+		panic(err)
+	}
+	mapped, err := os.ReadFile(path)
+	if err != nil {
+		panic(err)
+	}
+	return sections, [2][]byte{w.Bytes(), mapped}
 })
 
 // BenchmarkMemberWriter deflates the paper_clean-sized sweep's members —
-// its six sections, and the world folded from them — through the member
+// its six sections, and the world folded from them in the line form
+// ("world") and in the mapped form ("world-mapped") — through the member
 // writer at GOMAXPROCS workers ("member"), and, for comparison, through the
 // single-stream gzip.BestSpeed writer each member went through before it
 // ("bestspeed"). disk-B is the bytes written.
@@ -74,7 +93,7 @@ func BenchmarkMemberWriter(b *testing.B) {
 	for _, load := range []struct {
 		name  string
 		texts [][]byte
-	}{{"sections", sections}, {"world", [][]byte{world}}} {
+	}{{"sections", sections}, {"world", [][]byte{world[0]}}, {"world-mapped", [][]byte{world[1]}}} {
 		size := 0
 		for _, text := range load.texts {
 			size += len(text)

@@ -220,12 +220,28 @@ func TestWorldV1FileRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resaved bytes.Buffer
-	if err := w.Index().Save(&resaved, meta); err != nil {
+	// SaveFile writes the mapped form, the file's own; the line form that
+	// Save writes must carry the same index back to it.
+	var lines bytes.Buffer
+	if err := w.Index().Save(&lines, meta); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(resaved.Bytes(), onDisk) {
-		t.Errorf("the loaded index re-saves to %d bytes that differ from the file's %d: the world format drifted",
-			resaved.Len(), len(onDisk))
+	fromLines, _, err := colstore.LoadBytes(lines.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, idx := range map[string]*colstore.Index{"loaded": w.Index(), "through the line form": fromLines} {
+		again := filepath.Join(t.TempDir(), "again.rscw")
+		if err := idx.SaveFile(again, meta); err != nil {
+			t.Fatal(err)
+		}
+		resaved, err := os.ReadFile(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resaved, onDisk) {
+			t.Errorf("the index %s re-saves to %d bytes that differ from the file's %d: the world format drifted",
+				name, len(resaved), len(onDisk))
+		}
 	}
 }
