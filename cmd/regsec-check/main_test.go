@@ -2,28 +2,19 @@ package main
 
 import (
 	"os"
-	"os/exec"
 	"strings"
 	"testing"
 
 	"securepki.org/registrarsec/internal/cmdtest"
 )
 
-// TestMain lets the test run the command itself: re-executed with
-// REGSEC_RUN_MAIN set, the test binary is regsec-check.
-func TestMain(m *testing.M) {
-	if os.Getenv("REGSEC_RUN_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+// TestMain makes the test binary regsec-check when the tests re-execute it.
+func TestMain(m *testing.M) { cmdtest.Main(m, func() int { main(); return 0 }) }
 
 // The demonstration hierarchy holds one domain per misconfiguration class
 // the paper's measurements surface, and -demo must report each of them.
 func TestDemoReportsEveryFindingClass(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-demo")
-	cmd.Env = append(os.Environ(), "REGSEC_RUN_MAIN=1")
+	cmd := cmdtest.Command("-demo")
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {

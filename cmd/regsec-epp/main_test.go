@@ -15,15 +15,8 @@ import (
 	"securepki.org/registrarsec/internal/epp"
 )
 
-// TestMain lets the test run the command itself: re-executed with
-// REGSEC_RUN_MAIN set, the test binary is regsec-epp.
-func TestMain(m *testing.M) {
-	if os.Getenv("REGSEC_RUN_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+// TestMain makes the test binary regsec-epp when the tests re-execute it.
+func TestMain(m *testing.M) { cmdtest.Main(m, func() int { main(); return 0 }) }
 
 // TestFlagDocs: README's Tools row and the Usage comment name the flags -h
 // prints, each once, and no other.

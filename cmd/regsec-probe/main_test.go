@@ -2,23 +2,16 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/cmdtest"
 )
 
-// TestMain lets the test run the command itself: re-executed with
-// REGSEC_RUN_MAIN set, the test binary is regsec-probe.
-func TestMain(m *testing.M) {
-	if os.Getenv("REGSEC_RUN_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+// TestMain makes the test binary regsec-probe when the tests re-execute it.
+func TestMain(m *testing.M) { cmdtest.Main(m, func() int { main(); return 0 }) }
 
 // TestFlagDocs: README's Tools row and the Usage comment name the flags -h
 // prints, each once, and no other.
@@ -34,10 +27,7 @@ func TestProbeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "probe.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := archivetest.Read(t, filepath.Join("testdata", "probe.golden"))
 	if string(got) != string(want) {
 		t.Errorf("output differs from testdata/probe.golden\n--- got ---\n%s--- want ---\n%s", got, want)
 	}

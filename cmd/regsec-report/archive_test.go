@@ -16,6 +16,7 @@ import (
 	"syscall"
 	"testing"
 
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/cmdtest"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
@@ -99,22 +100,27 @@ var cleanSizes = []int{1000, 1200, 1500, 33000}
 
 // cleanArchive is an undamaged archive whose only Failed records are
 // targets not yet measured: a domain failing the first day it is swept,
-// and the .info targets no day measures.
+// and the .info targets no day measures. It is built once; callers do not
+// write to it.
 func cleanArchive(t testing.TB) []byte {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	synthArchive(t, w, cleanSizes, func(i, k int) bool {
-		first := k == 0 || i >= cleanSizes[k-1]
-		return first && k < len(cleanSizes)-1 && i%31 == 7
-	})
-	return buf.Bytes()
+	if cleanArchiveBytes == nil {
+		var buf bytes.Buffer
+		synthArchive(t, bufio.NewWriter(&buf), cleanSizes, func(i, k int) bool {
+			first := k == 0 || i >= cleanSizes[k-1]
+			return first && k < len(cleanSizes)-1 && i%31 == 7
+		})
+		cleanArchiveBytes = buf.Bytes()
+	}
+	return cleanArchiveBytes
 }
+
+var cleanArchiveBytes []byte
 
 // damagedArchive is cleanArchive with one section's member cut short, one
 // byte flipped in another's, the first section appended again, and a
 // member cut short at the end.
 func damagedArchive(t testing.TB) []byte {
-	members := splitMembers(t, cleanArchive(t))
+	members := archivetest.Members(t, cleanArchive(t))
 	torn := members[1][:len(members[1])/2]
 	flipped := bytes.Clone(members[2])
 	flipped[len(flipped)/2] ^= 0x01
@@ -125,26 +131,6 @@ func damagedArchive(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	return slices.Concat(members[0], torn, flipped, members[3], members[0], partial.Bytes()[:partial.Len()/2])
-}
-
-// splitMembers splits an archive into its gzip members, one a section.
-func splitMembers(t testing.TB, archive []byte) [][]byte {
-	t.Helper()
-	r := bytes.NewReader(archive)
-	var zr gzip.Reader
-	var members [][]byte
-	for r.Len() > 0 {
-		start := len(archive) - r.Len()
-		if err := zr.Reset(r); err != nil {
-			t.Fatal(err)
-		}
-		zr.Multistream(false)
-		if _, err := io.Copy(io.Discard, &zr); err != nil {
-			t.Fatal(err)
-		}
-		members = append(members, archive[start:len(archive)-r.Len()])
-	}
-	return members
 }
 
 // measuredThenFailedArchive holds domains measured and later Failed: some
@@ -178,9 +164,7 @@ func descendingArchive(t testing.TB) []byte {
 func runReport(t *testing.T, archive []byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "scans.tsv")
-	if err := os.WriteFile(path, archive, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, path, archive)
 	var stdout, stderr bytes.Buffer
 	cmd := cmdtest.Command("-archive", path)
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -209,10 +193,7 @@ func TestArchiveReportGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := runReport(t, tc.archive(t))
-			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := archivetest.Read(t, filepath.Join("testdata", tc.name+".golden"))
 			if got != string(want) {
 				t.Errorf("report differs from testdata/%s.golden\n--- got ---\n%s--- want ---\n%s", tc.name, got, want)
 			}

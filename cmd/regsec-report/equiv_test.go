@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"maps"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -16,6 +15,8 @@ import (
 	"securepki.org/registrarsec"
 	"securepki.org/registrarsec/internal/analysis"
 	"securepki.org/registrarsec/internal/apiserv"
+	"securepki.org/registrarsec/internal/archivetest"
+	"securepki.org/registrarsec/internal/cmdtest"
 	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
@@ -118,9 +119,7 @@ func TestReportAgreesWithAPI(t *testing.T) {
 	dir := t.TempDir()
 	raw := measuredThenFailedArchive(t)
 	path := filepath.Join(dir, "scans.tsv")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, path, raw)
 	fold := &archiveFold{tlds: map[string]bool{}}
 	if _, _, err := colstore.FoldArchive(path, fold.add); err != nil {
 		t.Fatal(err)
@@ -142,16 +141,11 @@ func TestReportAgreesWithAPI(t *testing.T) {
 			t.Fatalf("%s: %v: %s", url, err, rec.Body)
 		}
 	}
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+	cmdtest.Await(t, "the api ingest every section", nil, func() bool {
 		var st apiserv.Status
 		get("/v1/status", &st)
-		if st.Sections == len(fold.days) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("api ingested %d of %d sections", st.Sections, len(fold.days))
-		}
-	}
+		return st.Sections == len(fold.days)
+	})
 	var table struct {
 		Day  string                 `json:"day"`
 		TLDs []colstore.TLDOverview `json:"tlds"`

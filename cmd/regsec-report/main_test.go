@@ -1,20 +1,13 @@
 package main
 
 import (
-	"os"
 	"testing"
 
 	"securepki.org/registrarsec/internal/cmdtest"
 )
 
-// TestMain lets the test run the command itself: re-executed with
-// REGSEC_RUN_MAIN set, the test binary is regsec-report.
-func TestMain(m *testing.M) {
-	if os.Getenv("REGSEC_RUN_MAIN") == "1" {
-		os.Exit(run())
-	}
-	os.Exit(m.Run())
-}
+// TestMain makes the test binary regsec-report when the tests re-execute it.
+func TestMain(m *testing.M) { cmdtest.Main(m, run) }
 
 // TestFlagDocs: README's Tools row and the Usage comment name the flags -h
 // prints, each once, and no other.

@@ -10,10 +10,10 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/checkpoint"
 	"securepki.org/registrarsec/internal/cmdtest"
 	"securepki.org/registrarsec/internal/dataset"
@@ -23,14 +23,8 @@ import (
 	"securepki.org/registrarsec/internal/tldsim"
 )
 
-// TestMain lets the tests run the command itself: re-executed with
-// REGSEC_RUN_MAIN set, the test binary is regsec-scan.
-func TestMain(m *testing.M) {
-	if os.Getenv("REGSEC_RUN_MAIN") == "1" {
-		os.Exit(run())
-	}
-	os.Exit(m.Run())
-}
+// TestMain makes the test binary regsec-scan when the tests re-execute it.
+func TestMain(m *testing.M) { cmdtest.Main(m, run) }
 
 // A stopped coordinator's directory is not a single-process checkpoint:
 // regsec-scan refuses it by name, with or without -resume, before any work
@@ -40,22 +34,14 @@ func TestCoordinatorDirectoryIsRefused(t *testing.T) {
 		dir := t.TempDir()
 		chunk := filepath.Join(dir, "day-2016-12-31-shard-000-chunk-00000.w-w1-0badcafe.tsv")
 		for _, name := range []string{filepath.Join(dir, "coordinator.json"), chunk} {
-			if err := os.WriteFile(name, []byte("{}\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			archivetest.Write(t, name, []byte("{}\n"))
 		}
 		args := []string{"-checkpoint-dir", dir, "-o", filepath.Join(dir, "out.tsv"), "-scale", "4000", "-sample", "10"}
 		if resume {
 			args = append(args, "-resume")
 		}
-		cmd := cmdtest.Command(args...)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
-			!strings.Contains(stderr.String(), "coordinator.json") || !strings.Contains(stderr.String(), "regsec-sweepd") {
-			t.Errorf("resume=%v: %v, stderr %q; want exit 2 naming the regsec-sweepd coordinator's state", resume, err, stderr.String())
+		if code, stderr := cmdtest.Exit(t, args...); code != 2 || !strings.Contains(stderr, "coordinator.json") || !strings.Contains(stderr, "regsec-sweepd") {
+			t.Errorf("resume=%v: exit %d, stderr %q; want exit 2 naming the regsec-sweepd coordinator's state", resume, code, stderr)
 		}
 		if _, err := os.Stat(chunk); err != nil {
 			t.Errorf("resume=%v: the coordinator's chunk file did not survive: %v", resume, err)
@@ -74,6 +60,7 @@ func TestFlagDocs(t *testing.T) { cmdtest.CheckFlagDocs(t, "regsec-scan") }
 // the plan once that lease expires, and the merged archive is the
 // single-process regsec-scan's, byte for byte.
 func TestWorkerKilledMidUnitFleetDrains(t *testing.T) {
+	t.Parallel() // the survivor idles for the killed lease's 2 s TTL; overlap it
 	dir := t.TempDir()
 	ref := filepath.Join(dir, "ref.tsv")
 	if out, err := cmdtest.Command("-scale", "4000", "-sample", "120", "-days", "2016-06-01,2016-12-31",
@@ -100,24 +87,13 @@ func TestWorkerKilledMidUnitFleetDrains(t *testing.T) {
 	// most of a second, and the coordinator persists its ledger on every
 	// grant: the worker dies owning a unit.
 	vantage := filepath.Join(dir, "slow-vantage.txt")
-	if err := os.WriteFile(vantage, []byte("* latency=100ms\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	doomed := cmdtest.Command("-worker", srv.URL, "-checkpoint-dir", state, "-name", "doomed", "-fault-profile", vantage)
-	if err := doomed.Start(); err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		if ledger, _ := os.ReadFile(filepath.Join(state, "coordinator.json")); bytes.Contains(ledger, []byte("doomed")) {
-			break
-		}
-		if time.Now().After(deadline) {
-			doomed.Process.Kill()
-			t.Fatal("the doomed worker never held a lease")
-		}
-	}
-	doomed.Process.Signal(syscall.SIGKILL)
-	doomed.Wait()
+	archivetest.Write(t, vantage, []byte("* latency=100ms\n"))
+	doomed := cmdtest.Start(t, "-worker", srv.URL, "-checkpoint-dir", state, "-name", "doomed", "-fault-profile", vantage)
+	doomed.Await("the doomed worker holding a lease", func() bool {
+		ledger, _ := os.ReadFile(filepath.Join(state, "coordinator.json"))
+		return bytes.Contains(ledger, []byte("doomed"))
+	})
+	doomed.Kill()
 
 	if out, err := cmdtest.Command("-worker", srv.URL, "-checkpoint-dir", state, "-name", "survivor").CombinedOutput(); err != nil {
 		t.Fatalf("surviving worker: %v\n%s", err, out)
@@ -147,10 +123,7 @@ func TestWorkerKilledMidUnitFleetDrains(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := archivetest.Read(t, ref)
 	if !bytes.Equal(merged.Bytes(), want) {
 		t.Error("the fleet's merged archive differs from the single-process regsec-scan archive")
 	}
@@ -164,6 +137,7 @@ func TestWorkerKilledMidUnitFleetDrains(t *testing.T) {
 // directory down to nothing. Lossy operators make retries back off, so the
 // sweep is still running when the kill lands.
 func TestSweepKilledMidDayResumes(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	plan := []string{"-scale", "4000", "-sample", "240", "-shards", "4", "-chunk", "4", "-days", simtime.End.String(),
 		"-fault-frac", "1", "-fault-loss", "0.3"}
@@ -173,23 +147,14 @@ func TestSweepKilledMidDayResumes(t *testing.T) {
 	}
 
 	state := filepath.Join(dir, "state")
-	doomed := cmdtest.Command(append(plan, "-checkpoint-dir", state, "-o", filepath.Join(dir, "killed.tsv"))...)
-	if err := doomed.Start(); err != nil {
-		t.Fatal(err)
-	}
+	doomed := cmdtest.Start(t, append(plan, "-checkpoint-dir", state, "-o", filepath.Join(dir, "killed.tsv"))...)
 	chunks := func() []string {
 		names, _ := filepath.Glob(filepath.Join(state, "day-*-chunk-*.tsv"))
 		return names
 	}
-	for deadline := time.Now().Add(20 * time.Second); len(chunks()) == 0; time.Sleep(2 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			doomed.Process.Kill()
-			t.Fatal("the sweep never wrote a chunk file")
-		}
-	}
-	doomed.Process.Signal(syscall.SIGKILL)
+	doomed.Await("a chunk file", func() bool { return len(chunks()) > 0 })
 	var exit *exec.ExitError
-	if err := doomed.Wait(); !errors.As(err, &exit) || exit.ExitCode() != -1 {
+	if err := doomed.Kill(); !errors.As(err, &exit) || exit.ExitCode() != -1 {
 		t.Fatalf("the sweep was not killed mid-day: %v", err)
 	}
 	if n := len(chunks()); n == 0 || n >= 60 {
@@ -206,14 +171,8 @@ func TestSweepKilledMidDayResumes(t *testing.T) {
 	if !strings.Contains(stderr.String(), " WARN resume: chunk verified from checkpoint ") {
 		t.Errorf("the resume reused no chunk:\n%s", stderr.String())
 	}
-	got, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := archivetest.Read(t, out)
+	want := archivetest.Read(t, ref)
 	if !bytes.Equal(got, want) {
 		t.Error("the resumed archive differs from the uninterrupted run's")
 	}

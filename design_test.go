@@ -2,12 +2,14 @@ package registrarsec
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -100,4 +102,97 @@ func TestNoProductionImportOfAnalysis(t *testing.T) {
 	if files == 0 {
 		t.Fatal("no Go file parsed: the test checks nothing")
 	}
+}
+
+// TestCIPatternsMatchTests: go test -run X exits 0 when X matches no test,
+// so a test renamed or merged away would drop out of a CI step unnoticed.
+// Every |-alternative of each -run and -fuzz pattern in
+// .github/workflows/ci.yml must match a Test, Fuzz or Benchmark function of
+// a package its go test line names. An alternative that matches the empty
+// name, as '^$' does, selects nothing on purpose.
+func TestCIPatternsMatchTests(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, line := range strings.Split(string(ci), "\n") {
+		_, cmd, ok := strings.Cut(line, "go test ")
+		if !ok {
+			continue
+		}
+		var dirs, patterns []string
+		fields := strings.Fields(cmd)
+		for k := 0; k < len(fields); k++ {
+			flag, value, _ := strings.Cut(fields[k], "=")
+			switch {
+			case (flag == "-run" || flag == "-fuzz") && value == "" && k+1 < len(fields):
+				k++
+				value = fields[k]
+				fallthrough
+			case flag == "-run" || flag == "-fuzz":
+				patterns = append(patterns, strings.Trim(value, `'"`))
+			case flag == "." || strings.HasPrefix(flag, "./"):
+				dirs = append(dirs, flag)
+			}
+		}
+		if len(patterns) == 0 {
+			continue
+		}
+		names := testFuncs(t, dirs)
+		for _, pattern := range patterns {
+			for _, alt := range strings.Split(pattern, "|") {
+				re, err := regexp.Compile(strings.Split(alt, "/")[0])
+				if err != nil {
+					t.Fatalf("ci.yml: %q: %v", line, err)
+				}
+				checked++
+				if re.MatchString("") || slices.ContainsFunc(names, re.MatchString) {
+					continue
+				}
+				t.Errorf("ci.yml runs %q in %v, which matches no test there: %s", alt, dirs, strings.TrimSpace(line))
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("ci.yml names no -run or -fuzz pattern")
+	}
+}
+
+var testFunc = regexp.MustCompile(`^(Test|Fuzz|Benchmark)`)
+
+// testFuncs returns the Test, Fuzz and Benchmark functions declared in the
+// packages dirs names, as go test names them: ".", "./path" or
+// "./path/...".
+func testFuncs(t *testing.T, dirs []string) []string {
+	var names []string
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		root, recursive := strings.CutSuffix(dir, "/...")
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && path != root && (!recursive || d.Name() == "testdata" || d.Name() == "bench" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && testFunc.MatchString(fn.Name.Name) {
+					names = append(names, fn.Name.Name)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return names
 }

@@ -62,6 +62,7 @@ func allowEntry(key string) (string, bool) {
 // func(string, ...any) — in the root module: diagnostics go to log/slog's
 // default logger.
 func TestNoTestOnlyExports(t *testing.T) {
+	t.Parallel()
 	unused, callbacks, err := checkModule(".", "securepki.org/registrarsec")
 	if err != nil {
 		t.Fatal(err)
@@ -480,9 +481,11 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // guarded reports whether the package in dir (slash-separated, relative to
 // the module root) is checked: production packages of the root module, the
 // facade and the commands included, other than the benchmark, the examples,
-// test support and the reference engine.
+// test support (dnstest, cmdtest, logtest, and archivetest and ecotest, the
+// archive's bytes and the registry ecosystem as tests build them) and the
+// reference engine.
 func guarded(dir string) bool {
-	for _, skip := range []string{"bench", "examples", "internal/dnstest", "internal/cmdtest", "internal/logtest", "internal/analysis"} {
+	for _, skip := range []string{"bench", "examples", "internal/dnstest", "internal/cmdtest", "internal/logtest", "internal/archivetest", "internal/ecotest", "internal/analysis"} {
 		if dir == skip || strings.HasPrefix(dir, skip+"/") {
 			return false
 		}

@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
@@ -44,21 +44,6 @@ func mkSnap(day simtime.Day, n int) *dataset.Snapshot {
 	}
 	snap.Canonicalize()
 	return snap
-}
-
-// appendSection appends one archived section to path.
-func appendSection(t *testing.T, path string, snap *dataset.Snapshot) {
-	t.Helper()
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.WriteArchiveSection(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // newTestServer builds a Server over dir with fast test cadences. Nothing
@@ -117,7 +102,7 @@ func TestServerLifecycleAndEndpoints(t *testing.T) {
 	for _, d := range days {
 		snap := mkSnap(d, 120)
 		snaps = append(snaps, snap)
-		appendSection(t, s.cfg.ArchivePath, snap)
+		archivetest.Append(t, s.cfg.ArchivePath, archivetest.Archive(t, snap))
 	}
 	h := s.Handler()
 
@@ -236,7 +221,7 @@ func TestServerLifecycleAndEndpoints(t *testing.T) {
 func TestServerIncrementalIngest(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, dir)
-	appendSection(t, s.cfg.ArchivePath, mkSnap(200, 60))
+	archivetest.Append(t, s.cfg.ArchivePath, archivetest.Archive(t, mkSnap(200, 60)))
 	h := s.Handler()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -245,8 +230,8 @@ func TestServerIncrementalIngest(t *testing.T) {
 		return decodeJSON[Status](t, get(h, "/v1/status")).Sections == 1
 	})
 
-	appendSection(t, s.cfg.ArchivePath, mkSnap(230, 90))
-	appendSection(t, s.cfg.ArchivePath, mkSnap(260, 90))
+	archivetest.Append(t, s.cfg.ArchivePath, archivetest.Archive(t, mkSnap(230, 90)))
+	archivetest.Append(t, s.cfg.ArchivePath, archivetest.Archive(t, mkSnap(260, 90)))
 	waitFor(t, "appended sections ingested", func() bool {
 		st := decodeJSON[Status](t, get(h, "/v1/status"))
 		return st.Sections == 3 && st.Ready
@@ -272,7 +257,7 @@ func TestReadinessGoesStaleWithoutPolls(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, dir)
 	s.readyMaxLag = 30 * time.Millisecond
-	appendSection(t, s.cfg.ArchivePath, mkSnap(300, 20))
+	archivetest.Append(t, s.cfg.ArchivePath, archivetest.Archive(t, mkSnap(300, 20)))
 	if err := s.resumeOnce(); err != nil {
 		t.Fatal(err)
 	}

@@ -21,21 +21,19 @@ import (
 	"testing"
 	"time"
 
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/logtest"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
-// archiveBytes renders a full archive for the given days in memory.
+// archiveBytes is the archive of mkSnap(day, n) for each of days.
 func archiveBytes(t testing.TB, days []simtime.Day, n int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
+	var snaps []*dataset.Snapshot
 	for _, d := range days {
-		if err := mkSnap(d, n).WriteArchiveSection(&buf); err != nil {
-			t.Fatal(err)
-		}
+		snaps = append(snaps, mkSnap(d, n))
 	}
-	return buf.Bytes()
+	return archivetest.Archive(t, snaps...)
 }
 
 // runToEnd drives a server's ingest synchronously over the current
@@ -53,11 +51,7 @@ func runToEnd(t testing.TB, s *Server) {
 // worldFile reads the committed world bytes.
 func worldFile(t testing.TB, s *Server) []byte {
 	t.Helper()
-	data, err := os.ReadFile(s.cfg.WorldPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return archivetest.Read(t, s.cfg.WorldPath)
 }
 
 // TestChaosResumeAtEveryCommitPoint is the crash-equivalence oracle at
@@ -72,9 +66,7 @@ func TestChaosResumeAtEveryCommitPoint(t *testing.T) {
 	// Clean single-pass reference.
 	cleanDir := t.TempDir()
 	clean := newTestServer(t, cleanDir)
-	if err := os.WriteFile(clean.cfg.ArchivePath, full, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, clean.cfg.ArchivePath, full)
 	runToEnd(t, clean)
 	wantWorld := worldFile(t, clean)
 	wantTable1 := get(clean.Handler(), "/v1/table1").Body.String()
@@ -96,15 +88,11 @@ func TestChaosResumeAtEveryCommitPoint(t *testing.T) {
 		dir := t.TempDir()
 		// Life before the crash: ingest the prefix and commit.
 		first := newTestServer(t, dir)
-		if err := os.WriteFile(first.cfg.ArchivePath, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
+		archivetest.Write(t, first.cfg.ArchivePath, full[:cut])
 		runToEnd(t, first)
 		// The crash: the first daemon is abandoned mid-flight, no shutdown,
 		// no cleanup. The archive keeps growing while it is dead.
-		if err := os.WriteFile(first.cfg.ArchivePath, full, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		archivetest.Write(t, first.cfg.ArchivePath, full)
 		// The restart: a fresh process resumes from the committed world.
 		second := newTestServer(t, dir)
 		runToEnd(t, second)
@@ -128,15 +116,11 @@ func TestCommitLeavesOneFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{ArchivePath: filepath.Join(dir, "scans.tsv"), WorldPath: filepath.Join(worldDir, "world.colstore")}
-	if err := os.WriteFile(cfg.ArchivePath, archiveBytes(t, []simtime.Day{400, 430}, 30), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, cfg.ArchivePath, archiveBytes(t, []simtime.Day{400, 430}, 30))
 	runToEnd(t, New(cfg))
 	restarted := New(cfg)
 	runToEnd(t, restarted)
-	if err := os.WriteFile(cfg.ArchivePath, archiveBytes(t, []simtime.Day{500}, 10), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, cfg.ArchivePath, archiveBytes(t, []simtime.Day{500}, 10))
 	if err := restarted.pollOnce(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +146,7 @@ func TestCommitLeavesOneFile(t *testing.T) {
 func TestChaosCorruptTailQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, dir)
-	appendSection(t, s.cfg.ArchivePath, mkSnap(500, 40))
+	archivetest.Append(t, s.cfg.ArchivePath, archivetest.Archive(t, mkSnap(500, 40)))
 
 	// Append a section and flip one byte in its body.
 	var buf bytes.Buffer
@@ -179,7 +163,7 @@ func TestChaosCorruptTailQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	appendSection(t, s.cfg.ArchivePath, mkSnap(560, 40))
+	archivetest.Append(t, s.cfg.ArchivePath, archivetest.Archive(t, mkSnap(560, 40)))
 
 	runToEnd(t, s)
 	st := decodeJSON[Status](t, get(s.Handler(), "/v1/status"))
@@ -204,19 +188,13 @@ func TestChaosCorruptTailQuarantined(t *testing.T) {
 // resumed.
 func TestChaosDamageIsLocatable(t *testing.T) {
 	s := newTestServer(t, t.TempDir())
-	appendSection(t, s.cfg.ArchivePath, mkSnap(500, 40))
-	appendSection(t, s.cfg.ArchivePath, mkSnap(530, 40))
+	archivetest.Append(t, s.cfg.ArchivePath, archiveBytes(t, []simtime.Day{500, 530}, 40))
 	runToEnd(t, s)
 
-	good, err := os.ReadFile(s.cfg.ArchivePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := archivetest.Read(t, s.cfg.ArchivePath)
 	bad := archiveBytes(t, []simtime.Day{560}, 40)
 	bad[len(bad)/2] ^= 0x40
-	if err := os.WriteFile(s.cfg.ArchivePath, append(good, bad...), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, s.cfg.ArchivePath, append(good, bad...))
 	logged := logtest.Capture(t)
 	if err := s.pollOnce(); err != nil {
 		t.Fatal(err)
@@ -233,14 +211,11 @@ func TestChaosDamageIsLocatable(t *testing.T) {
 func TestChaosArchiveRotated(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, dir)
-	appendSection(t, s.cfg.ArchivePath, mkSnap(600, 70))
-	appendSection(t, s.cfg.ArchivePath, mkSnap(630, 70))
+	archivetest.Append(t, s.cfg.ArchivePath, archiveBytes(t, []simtime.Day{600, 630}, 70))
 	runToEnd(t, s)
 
 	// Rotation: the archive is replaced by a shorter, different file.
-	if err := os.WriteFile(s.cfg.ArchivePath, archiveBytes(t, []simtime.Day{700}, 30), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, s.cfg.ArchivePath, archiveBytes(t, []simtime.Day{700}, 30))
 	if err := s.pollOnce(); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +240,7 @@ func TestChaosFloodShedsNotCrash(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, dir)
 	s.gate = newGate(2, 1, time.Millisecond)
-	appendSection(t, s.cfg.ArchivePath, mkSnap(800, 40))
+	archivetest.Append(t, s.cfg.ArchivePath, archivetest.Archive(t, mkSnap(800, 40)))
 	runToEnd(t, s)
 
 	// A deliberately slow route keeps slots occupied so the flood has
@@ -318,7 +293,7 @@ func TestChaosFloodShedsNotCrash(t *testing.T) {
 func TestChaosPoisonedHandler(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, dir)
-	appendSection(t, s.cfg.ArchivePath, mkSnap(900, 20))
+	archivetest.Append(t, s.cfg.ArchivePath, archivetest.Archive(t, mkSnap(900, 20)))
 	runToEnd(t, s)
 	s.mux.HandleFunc("GET /v1/boom", func(w http.ResponseWriter, r *http.Request) {
 		panic("poisoned request")
@@ -373,15 +348,11 @@ func panicOnceAt(t *testing.T, msg string) {
 func TestChaosTailerPanicIsSupervised(t *testing.T) {
 	archive := archiveBytes(t, []simtime.Day{950}, 30)
 	clean := newTestServer(t, t.TempDir())
-	if err := os.WriteFile(clean.cfg.ArchivePath, archive, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, clean.cfg.ArchivePath, archive)
 	runToEnd(t, clean)
 
 	s := newTestServer(t, t.TempDir())
-	if err := os.WriteFile(s.cfg.ArchivePath, archive, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, s.cfg.ArchivePath, archive)
 	panicOnceAt(t, "apiserv: failed records skipped")
 	runUntilCleanup(t, s)
 	h := s.Handler()
@@ -407,9 +378,7 @@ func TestChaosTailerPanicIsSupervised(t *testing.T) {
 // nothing.
 func TestChaosTextArchiveRefused(t *testing.T) {
 	s := newTestServer(t, t.TempDir())
-	if err := os.WriteFile(s.cfg.ArchivePath, zcat(t, archiveBytes(t, []simtime.Day{50, 80}, 10)), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, s.cfg.ArchivePath, archivetest.Zcat(t, archiveBytes(t, []simtime.Day{50, 80}, 10)))
 	if err := s.resumeOnce(); err != nil {
 		t.Fatal(err)
 	}
@@ -436,19 +405,15 @@ func TestChaosDamagedWorldReingests(t *testing.T) {
 	days := []simtime.Day{200, 230}
 	full := archiveBytes(t, days, 12)
 	clean := newTestServer(t, t.TempDir())
-	if err := os.WriteFile(clean.cfg.ArchivePath, full, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, clean.cfg.ArchivePath, full)
 	runToEnd(t, clean)
 	want := worldFile(t, clean)
 
 	first := newTestServer(t, t.TempDir())
-	if err := os.WriteFile(first.cfg.ArchivePath, archiveBytes(t, days[:1], 12), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, first.cfg.ArchivePath, archiveBytes(t, days[:1], 12))
 	runToEnd(t, first)
 	member := worldFile(t, first)
-	if raw := zcat(t, member); !bytes.HasPrefix(raw, []byte("regsecW1")) {
+	if raw := archivetest.Zcat(t, member); !bytes.HasPrefix(raw, []byte("regsecW1")) {
 		t.Fatalf("the member inflates to bytes beginning %q, not a raw colstore world", raw[:min(len(raw), 8)])
 	}
 	// resumes marks the damage that leaves the world intact.
@@ -460,7 +425,7 @@ func TestChaosDamagedWorldReingests(t *testing.T) {
 	cases := []damage{
 		{"trailing byte", append(bytes.Clone(member), 0), false},
 		{"trailing member", append(bytes.Clone(member), member...), false},
-		{"raw world", zcat(t, member), false},
+		{"raw world", archivetest.Zcat(t, member), false},
 	}
 	for cut := range member {
 		cases = append(cases, damage{"cut at " + strconv.Itoa(cut), member[:cut], false})
@@ -470,23 +435,52 @@ func TestChaosDamagedWorldReingests(t *testing.T) {
 		flipped[i] ^= 0xff
 		cases = append(cases, damage{"byte " + strconv.Itoa(i) + " flipped", flipped, i >= 4 && i < 10})
 	}
+	// Four workers each read one copy of the archive, in a directory of
+	// their own, and write each case's damaged world over the one their
+	// last case committed; their commits' fsyncs overlap. A warning names
+	// the world it refused.
 	logged := logtest.Capture(t)
-	for _, c := range cases {
-		s := newTestServer(t, t.TempDir())
-		if err := os.WriteFile(s.cfg.ArchivePath, full, 0o644); err != nil {
-			t.Fatal(err)
+	warnings := func(world string) (n int) {
+		for _, r := range logged.Records(refused) {
+			if r.Attrs["world"] == world {
+				n++
+			}
 		}
-		if err := os.WriteFile(s.cfg.WorldPath, c.world, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		before := len(logged.Records(refused))
-		runToEnd(t, s)
-		warned := len(logged.Records(refused)) - before
-		if c.resumes && warned != 0 || !c.resumes && warned != 1 {
-			t.Fatalf("%s: warned %d times (world intact: %v)", c.name, warned, c.resumes)
-		}
-		if got := worldFile(t, s); !bytes.Equal(got, want) {
-			t.Fatalf("%s: world after the re-ingest differs from the clean world", c.name)
-		}
+		return n
 	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := range workers {
+		dir := t.TempDir()
+		archivetest.Write(t, newTestServer(t, dir).cfg.ArchivePath, full)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := w; k < len(cases); k += workers {
+				c, s := cases[k], newTestServer(t, dir)
+				err := os.WriteFile(s.cfg.WorldPath, c.world, 0o644)
+				before := warnings(s.cfg.WorldPath)
+				if err == nil {
+					err = s.resumeOnce()
+				}
+				if err == nil {
+					err = s.pollOnce()
+				}
+				warned := warnings(s.cfg.WorldPath) - before
+				got, rerr := os.ReadFile(s.cfg.WorldPath)
+				switch {
+				case err != nil || rerr != nil:
+					t.Errorf("%s: %v, %v", c.name, err, rerr)
+				case c.resumes && warned != 0 || !c.resumes && warned != 1:
+					t.Errorf("%s: warned %d times (world intact: %v)", c.name, warned, c.resumes)
+				case !bytes.Equal(got, want):
+					t.Errorf("%s: world after the re-ingest differs from the clean world", c.name)
+				default:
+					continue
+				}
+				return
+			}
+		}()
+	}
+	wg.Wait()
 }

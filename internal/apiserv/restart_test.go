@@ -3,11 +3,11 @@ package apiserv
 import (
 	"context"
 	"net/http"
-	"os"
 	"slices"
 	"testing"
 	"time"
 
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/logtest"
 	"securepki.org/registrarsec/internal/simtime"
 )
@@ -30,7 +30,7 @@ func runUntilCleanup(t *testing.T, s *Server) {
 func TestRunRestartsPanickingTailer(t *testing.T) {
 	dir := t.TempDir()
 	first := newTestServer(t, dir)
-	appendSection(t, first.cfg.ArchivePath, mkSnap(700, 20))
+	archivetest.Append(t, first.cfg.ArchivePath, archivetest.Archive(t, mkSnap(700, 20)))
 	runToEnd(t, first)
 
 	s := newTestServer(t, dir)
@@ -50,9 +50,7 @@ func TestRunRestartsPanickingTailer(t *testing.T) {
 func TestRunReturnsOnCancel(t *testing.T) {
 	s := newTestServer(t, t.TempDir())
 	// A text archive fails every poll with dataset.ErrTextArchive.
-	if err := os.WriteFile(s.cfg.ArchivePath, zcat(t, archiveBytes(t, []simtime.Day{50}, 10)), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, s.cfg.ArchivePath, archivetest.Zcat(t, archiveBytes(t, []simtime.Day{50}, 10)))
 	logged := logtest.Capture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})

@@ -2,14 +2,12 @@ package apiserv
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
-	"io"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dsweep"
 	"securepki.org/registrarsec/internal/logtest"
@@ -17,11 +15,6 @@ import (
 	"securepki.org/registrarsec/internal/simtime"
 	"securepki.org/registrarsec/internal/tldsim"
 )
-
-// worldHeader is the fixed header saveWorld writes: the gzip magic,
-// deflate, no flags, no modification time, the format byte 4 in XFL and OS
-// 255 (unknown).
-var worldHeader = []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 4, 0xff}
 
 // sweptArchive is the archive of a seeded four-day sweep of 300 targets of
 // a divisor-4000 world, and the number of records it holds.
@@ -46,20 +39,6 @@ func sweptArchive(t *testing.T) ([]byte, int) {
 	return archive.Bytes(), records
 }
 
-// zcat is what zcat prints of a world file: the text of its one member.
-func zcat(t testing.TB, world []byte) []byte {
-	t.Helper()
-	zr, err := gzip.NewReader(bytes.NewReader(world))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
-
 // TestObservedWorldBytes pins what the observatory's world file costs per
 // swept record of a seeded archive ingested through the tailer, in two
 // figures: the colstore world that zcat prints — the cost of colstore's
@@ -69,13 +48,11 @@ func zcat(t testing.TB, world []byte) []byte {
 func TestObservedWorldBytes(t *testing.T) {
 	archive, records := sweptArchive(t)
 	s := newTestServer(t, t.TempDir())
-	if err := os.WriteFile(s.cfg.ArchivePath, archive, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, s.cfg.ArchivePath, archive)
 	runToEnd(t, s)
 	world := worldFile(t, s)
-	if !bytes.HasPrefix(world, worldHeader) {
-		t.Fatalf("world file begins % x, want % x", world[:min(len(world), len(worldHeader))], worldHeader)
+	if !bytes.HasPrefix(world, archivetest.Header) {
+		t.Fatalf("world file begins % x, want % x", world[:min(len(world), len(archivetest.Header))], archivetest.Header)
 	}
 	type cost struct{ records, raw, disk int }
 	// The raw world was written to disk as it is before worlds were
@@ -83,7 +60,7 @@ func TestObservedWorldBytes(t *testing.T) {
 	// B/record). With NAMES and NAMESOFF in place of NAMELINE it was
 	// 18,752 raw and 3,757 disk B (15.63 and 3.13 B/record).
 	want := cost{1200, 16616, 3002} // 13.85 raw, 2.50 disk B/record
-	got := cost{records, len(zcat(t, world)), len(world)}
+	got := cost{records, len(archivetest.Zcat(t, world)), len(world)}
 	if got != want {
 		t.Errorf("%+v (%.2f raw, %.2f disk B/record), want %+v", got,
 			float64(got.raw)/float64(got.records), float64(got.disk)/float64(got.records), want)
@@ -96,9 +73,7 @@ func TestObservedWorldBytes(t *testing.T) {
 func mappedMember(t testing.TB, dir string, member []byte) []byte {
 	t.Helper()
 	path := filepath.Join(dir, "member.colstore")
-	if err := os.WriteFile(path, member, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, path, member)
 	idx, meta, err := loadWorld(path)
 	if err != nil {
 		t.Fatal(err)
@@ -108,10 +83,7 @@ func mappedMember(t testing.TB, dir string, member []byte) []byte {
 	if err := idx.SaveFile(mapped, meta); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(mapped)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := archivetest.Read(t, mapped)
 	var out bytes.Buffer
 	zw := dataset.NewMemberWriter(&out)
 	zw.Write(raw) // a bytes.Buffer does not fail
@@ -130,30 +102,22 @@ func TestMappedFormWorldResumes(t *testing.T) {
 	days := []simtime.Day{200, 230}
 	full := archiveBytes(t, days, 12)
 	clean := newTestServer(t, t.TempDir())
-	if err := os.WriteFile(clean.cfg.ArchivePath, full, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, clean.cfg.ArchivePath, full)
 	runToEnd(t, clean)
 	wantWorld := worldFile(t, clean)
 	wantTable := get(clean.Handler(), "/v1/table1").Body.String()
 
 	dir := t.TempDir()
 	first := newTestServer(t, dir)
-	if err := os.WriteFile(first.cfg.ArchivePath, archiveBytes(t, days[:1], 12), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, first.cfg.ArchivePath, archiveBytes(t, days[:1], 12))
 	runToEnd(t, first)
 	firstTable := get(first.Handler(), "/v1/table1").Body.String()
 	mapped := mappedMember(t, t.TempDir(), worldFile(t, first))
-	if raw := zcat(t, mapped); !bytes.Contains(raw, []byte("NAMESOFF")) || bytes.Contains(raw, []byte("NAMELINE")) {
+	if raw := archivetest.Zcat(t, mapped); !bytes.Contains(raw, []byte("NAMESOFF")) || bytes.Contains(raw, []byte("NAMELINE")) {
 		t.Fatal("the mapped member does not hold NAMES and NAMESOFF alone")
 	}
-	if err := os.WriteFile(first.cfg.WorldPath, mapped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(first.cfg.ArchivePath, full, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, first.cfg.WorldPath, mapped)
+	archivetest.Write(t, first.cfg.ArchivePath, full)
 
 	logged := logtest.Capture(t)
 	s := newTestServer(t, dir)
@@ -173,7 +137,7 @@ func TestMappedFormWorldResumes(t *testing.T) {
 		t.Errorf("after catching up the daemon serves Table 1\n%s\nwant a clean run's\n%s", got, wantTable)
 	}
 	world := worldFile(t, s)
-	if raw := zcat(t, world); !bytes.Contains(raw, []byte("NAMELINE")) || bytes.Contains(raw, []byte("NAMESOFF")) {
+	if raw := archivetest.Zcat(t, world); !bytes.Contains(raw, []byte("NAMELINE")) || bytes.Contains(raw, []byte("NAMESOFF")) {
 		t.Error("the next commit did not write the line form")
 	}
 	if !bytes.Equal(world, wantWorld) {
@@ -188,12 +152,10 @@ func TestMappedFormWorldResumes(t *testing.T) {
 // mapped form, and each cut short or followed by more bytes.
 func FuzzWorldFile(f *testing.F) {
 	s := newTestServer(f, f.TempDir())
-	if err := os.WriteFile(s.cfg.ArchivePath, archiveBytes(f, []simtime.Day{200, 230}, 12), 0o644); err != nil {
-		f.Fatal(err)
-	}
+	archivetest.Write(f, s.cfg.ArchivePath, archiveBytes(f, []simtime.Day{200, 230}, 12))
 	runToEnd(f, s)
 	member := worldFile(f, s)
-	raw := zcat(f, member)
+	raw := archivetest.Zcat(f, member)
 	for _, seed := range [][]byte{member, raw, mappedMember(f, f.TempDir(), member)} {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
@@ -201,15 +163,13 @@ func FuzzWorldFile(f *testing.F) {
 		f.Add(append(bytes.Clone(seed), 0))
 		f.Add(append(bytes.Clone(seed), seed...))
 	}
-	f.Add(member[:len(worldHeader)])
+	f.Add(member[:len(archivetest.Header)])
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "world.colstore")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		archivetest.Write(t, path, data)
 		idx, meta, err := loadWorld(path)
 		if err != nil {
 			return

@@ -6,10 +6,10 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
-	"os"
 	"path/filepath"
 	"testing"
 
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
 )
@@ -33,10 +33,7 @@ func FuzzLoadChunk(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	real, err := os.ReadFile(filepath.Join(cp.Dir(), meta.File))
-	if err != nil {
-		f.Fatal(err)
-	}
+	real := archivetest.Read(f, filepath.Join(cp.Dir(), meta.File))
 	flipped := bytes.Clone(real)
 	flipped[len(flipped)/2] ^= 0x01
 	f.Add(real, meta.CRC, meta.Records)
@@ -72,9 +69,7 @@ func FuzzLoadChunk(f *testing.F) {
 	f.Add(next.Bytes(), crc32.Checksum(next.Bytes(), castagnoli), meta.Records)
 
 	f.Fuzz(func(t *testing.T, data []byte, crc uint32, records int) {
-		if err := os.WriteFile(filepath.Join(cp.Dir(), meta.File), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		archivetest.Write(t, filepath.Join(cp.Dir(), meta.File), data)
 		snap, err := cp.LoadChunk(day, &Shard{File: meta.File, CRC: crc, Records: records})
 
 		own := crc32.Checksum(data, castagnoli)

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bytes"
-	"compress/gzip"
 	"errors"
 	"fmt"
 	"io"
@@ -13,84 +12,100 @@ import (
 	"strings"
 	"testing"
 
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
-// archiveOf renders store as an archive the way the sweep writes one: one
-// WriteArchiveSection per day, oldest first.
-func archiveOf(store *Store) []byte {
-	var buf bytes.Buffer
+// archiveFixture builds a two-day store and its archive bytes.
+func archiveFixture(t testing.TB) (*Store, []byte) {
+	t.Helper()
+	snaps := []*Snapshot{
+		{Day: simtime.Date(2016, 1, 1), Records: []Record{
+			{Domain: "a.com", TLD: "com", Operator: "op.net", NSHosts: []string{"ns1.op.net", "ns2.op.net"},
+				HasDNSKEY: true, HasRRSIG: true, HasDS: true, ChainValid: true},
+			{Domain: "b.com", TLD: "com", Operator: "other.net", NSHosts: []string{"ns1.other.net"}},
+			{Domain: "gap.com", TLD: "com", Failed: true, FailReason: "timeout"},
+		}},
+		{Day: simtime.Date(2016, 6, 1), Records: []Record{
+			{Domain: "a.com", TLD: "com", Operator: "op.net", NSHosts: []string{"ns1.op.net"},
+				HasDNSKEY: true, HasRRSIG: true},
+		}},
+	}
+	store := NewStore()
+	for _, snap := range snaps {
+		store.Add(snap)
+	}
+	return store, archiveOf(t, store)
+}
+
+// archiveOf renders store as the sweep writes an archive: a section a day,
+// oldest first.
+func archiveOf(t testing.TB, store *Store) []byte {
+	var snaps []*Snapshot
 	for _, day := range store.Days() {
-		if err := store.Get(day).WriteArchiveSection(&buf); err != nil {
-			panic(err) // writes to a bytes.Buffer do not fail
+		snaps = append(snaps, store.Get(day))
+	}
+	return archivetest.Archive(t, snaps...)
+}
+
+// checkRoundTrip requires the archive of snaps to read back to their
+// records through ReadArchive, clean and with every section counted, and
+// ReadArchiveStrict alike; a Failed record without a class reads back as
+// "failed".
+func checkRoundTrip(t *testing.T, snaps ...*Snapshot) {
+	t.Helper()
+	raw := archivetest.Archive(t, snaps...)
+	got, report, err := ReadArchive(bytes.NewReader(raw))
+	if err != nil || !report.Clean() || report.Sections != len(snaps) || got.Len() != len(snaps) {
+		t.Fatalf("%v, report %s, %d snapshot(s)", err, report, got.Len())
+	}
+	strict, err := ReadArchiveStrict(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("strict read of a clean archive: %v", err)
+	}
+	for _, snap := range snaps {
+		want := &Snapshot{Day: snap.Day, Records: slices.Clone(snap.Records)}
+		for i := range want.Records {
+			if want.Records[i].Failed && want.Records[i].FailReason == "" {
+				want.Records[i].FailReason = "failed"
+			}
+		}
+		for reader, store := range map[string]*Store{"ReadArchive": got, "ReadArchiveStrict": strict} {
+			read := store.Get(snap.Day)
+			if !reflect.DeepEqual(read.Records, want.Records) {
+				t.Errorf("%s, day %s: records differ:\n%+v\n%+v", reader, snap.Day, read.Records, want.Records)
+			}
+			if read.MeasuredCount() != want.MeasuredCount() {
+				t.Errorf("%s, day %s: MeasuredCount %d, want %d", reader, snap.Day, read.MeasuredCount(), want.MeasuredCount())
+			}
 		}
 	}
-	return buf.Bytes()
-}
-
-// textOf is what zcat prints of archive bytes: the text of every member,
-// in order. Tests that edit a section line by line edit this text, and
-// deflate the result back into a member (memberOf).
-func textOf(archive []byte) []byte {
-	zr, err := gzip.NewReader(bytes.NewReader(archive))
-	if err != nil {
-		panic(err)
-	}
-	text, err := io.ReadAll(zr)
-	if err != nil {
-		panic(err)
-	}
-	return text
-}
-
-// memberOf deflates text into one member with the header writeSection
-// writes.
-func memberOf(text []byte) []byte {
-	var buf bytes.Buffer
-	zw := NewMemberWriter(&buf)
-	zw.Write(text) // writes to a bytes.Buffer do not fail
-	zw.Close()
-	return buf.Bytes()
-}
-
-// archiveFixture builds a two-day store and its archive bytes.
-func archiveFixture(t *testing.T) (*Store, []byte) {
-	t.Helper()
-	store := NewStore()
-	store.Add(&Snapshot{Day: simtime.Date(2016, 1, 1), Records: []Record{
-		{Domain: "a.com", TLD: "com", Operator: "op.net", NSHosts: []string{"ns1.op.net", "ns2.op.net"},
-			HasDNSKEY: true, HasRRSIG: true, HasDS: true, ChainValid: true},
-		{Domain: "b.com", TLD: "com", Operator: "other.net", NSHosts: []string{"ns1.other.net"}},
-		{Domain: "gap.com", TLD: "com", Failed: true, FailReason: "timeout"},
-	}})
-	store.Add(&Snapshot{Day: simtime.Date(2016, 6, 1), Records: []Record{
-		{Domain: "a.com", TLD: "com", Operator: "op.net", NSHosts: []string{"ns1.op.net"},
-			HasDNSKEY: true, HasRRSIG: true},
-	}})
-	return store, archiveOf(store)
 }
 
 func TestArchiveRoundTrip(t *testing.T) {
-	store, raw := archiveFixture(t)
-	got, report, err := ReadArchive(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.Clean() || report.Sections != 2 {
-		t.Fatalf("report: %s", report)
-	}
-	if got.Len() != 2 {
-		t.Fatalf("snapshots: %d", got.Len())
-	}
-	for _, day := range store.Days() {
-		if !reflect.DeepEqual(got.Get(day).Records, store.Get(day).Records) {
-			t.Errorf("day %s records differ", day)
-		}
-	}
-	// Strict mode agrees on clean input.
-	if _, err := ReadArchiveStrict(bytes.NewReader(raw)); err != nil {
-		t.Errorf("strict read of clean archive: %v", err)
-	}
+	store, _ := archiveFixture(t)
+	checkRoundTrip(t, store.Get(simtime.Date(2016, 1, 1)), store.Get(simtime.Date(2016, 6, 1)))
+}
+
+// TestTSVFailedRecordRoundTrip: a Failed record keeps its class and stays
+// unmeasured, one without a class reads back as "failed", and a measured
+// one stays measured.
+func TestTSVFailedRecordRoundTrip(t *testing.T) {
+	checkRoundTrip(t, &Snapshot{Day: simtime.Date(2016, 6, 1), Records: []Record{
+		{Domain: "down.com", TLD: "com", Failed: true, FailReason: "timeout"},
+		{Domain: "odd.com", TLD: "com", Failed: true}, // no class recorded
+		{Domain: "up.com", TLD: "com", Operator: "op.net", NSHosts: []string{"ns1.op.net"}, HasDNSKEY: true},
+	}})
+}
+
+// TestTSVEmptyNSHostsRoundTrip: strings.Join(nil, ",") writes an empty NS
+// field; it must come back as no NS hosts, nil, never [""].
+func TestTSVEmptyNSHostsRoundTrip(t *testing.T) {
+	checkRoundTrip(t, &Snapshot{Day: simtime.Date(2016, 1, 1), Records: []Record{
+		{Domain: "gap.com", TLD: "com", Failed: true, FailReason: "timeout"},
+		{Domain: "lame.com", TLD: "com", Operator: ""},
+		{Domain: "ok.com", TLD: "com", Operator: "op.net", NSHosts: []string{"ns1.op.net"}},
+	}})
 }
 
 func TestArchiveSalvagesIntactSections(t *testing.T) {
@@ -119,9 +134,9 @@ func TestArchiveSalvagesIntactSections(t *testing.T) {
 	}
 	// A member whose text is cut mid-record reports the truncation
 	// precisely.
-	first := sectionBytes(t, store.Get(simtime.Date(2016, 1, 1)))
-	text := textOf(raw[len(first):])
-	midRecord := slices.Concat(first, memberOf(text[:bytes.Index(text, []byte("#end\t2016-06-01"))-5]))
+	first := archivetest.Archive(t, store.Get(simtime.Date(2016, 1, 1)))
+	text := archivetest.Zcat(t, raw[len(first):])
+	midRecord := slices.Concat(first, archivetest.Deflate(text[:bytes.Index(text, []byte("#end\t2016-06-01"))-5]))
 	got2, report2, err := ReadArchive(bytes.NewReader(midRecord))
 	if err != nil {
 		t.Fatal(err)
@@ -142,9 +157,9 @@ func TestArchiveTornWriteDetected(t *testing.T) {
 	store, raw := archiveFixture(t)
 	// Drop the first section's trailer line from its member's text: a torn
 	// section, with the next section after it.
-	first := sectionBytes(t, store.Get(simtime.Date(2016, 1, 1)))
-	text := textOf(first)
-	torn := slices.Concat(memberOf(text[:bytes.Index(text, []byte("#end\t2016-01-01"))]), raw[len(first):])
+	first := archivetest.Archive(t, store.Get(simtime.Date(2016, 1, 1)))
+	text := archivetest.Zcat(t, first)
+	torn := slices.Concat(archivetest.Deflate(text[:bytes.Index(text, []byte("#end\t2016-01-01"))]), raw[len(first):])
 	got, report, err := ReadArchive(bytes.NewReader(torn))
 	if err != nil {
 		t.Fatal(err)
@@ -186,25 +201,6 @@ func TestArchiveBitFlipAlwaysDetected(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestArchiveDuplicateDayQuarantined(t *testing.T) {
-	store := NewStore()
-	store.Add(&Snapshot{Day: simtime.Date(2016, 1, 1), Records: []Record{
-		{Domain: "a.com", TLD: "com"},
-	}})
-	raw := archiveOf(store)
-	double := append(bytes.Clone(raw), raw...)
-	got, report, err := ReadArchive(bytes.NewReader(double))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Clean() || got.Len() != 1 {
-		t.Fatalf("duplicate day: report %s, %d snapshot(s)", report, got.Len())
-	}
-	if !strings.Contains(report.Quarantined[0].Reason, "duplicate") {
-		t.Errorf("reason: %s", report.Quarantined[0].Reason)
 	}
 }
 
@@ -253,10 +249,7 @@ func TestWriteArchiveFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "archive.tsv")
 	writeArchiveFile(t, store, path)
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := archivetest.Read(t, path)
 	if !bytes.Equal(got, raw) {
 		t.Error("file content differs from in-memory archive")
 	}
@@ -324,25 +317,18 @@ func TestWriteFileAtomicLeavesOnlyTheFile(t *testing.T) {
 // domain twice or lists records out of order, and the writer refuses to
 // make one, naming the day and the domain.
 func TestSectionOrder(t *testing.T) {
-	for body, reason := range map[string]string{
-		"a.com\tns1.op.net\nb.com\tns1.op.net\nb.com\t=0\n": "record 3: out of order",
-		"b.com\tns1.op.net\na.com\t=0\n":                    "record 2: out of order",
-		"a.com\tns1.op.net\na.nl\t=0\nb.com\t=0\n":          "record 3: out of order",
-		"b.com\tns1.op.net\na.co.uk\t=0\t\t\tco.uk\n":       "record 2: out of order",
-		"a.com\tns1.op.net\nb.co.uk\t=0\t\t\tco.uk\n":       "record 2: out of order",
-	} {
-		count := strings.Count(body, "\n")
-		archive := sealed(fmt.Sprintf("#snapshot\t2016-01-01\t%d\n", count) + body)
-		if n, reasons := quarantines(t, archive); n != 0 || reasons != reason {
-			t.Errorf("%q: %d snapshot(s), quarantined %q, want %q", body, n, reasons, reason)
-		}
+	counted := func(body string) string {
+		return archivetest.Seal(fmt.Sprintf("#snapshot\t2016-01-01\t%d\n", strings.Count(body, "\n")) + body)
 	}
-	// In order by the TLD as read back, not by the domain's last label.
-	ordered := sealed("#snapshot\t2016-01-01\t3\na.co.uk\tns1.op.net\t\t\tco.uk\na.com\t=0\nb.com\t=0\n")
-	if n, reasons := quarantines(t, ordered); n != 1 || reasons != "" {
-		t.Errorf("an ordered section: %d snapshot(s), quarantined %q", n, reasons)
-	}
-
+	checkQuarantines(t,
+		quarantineCase{"a domain twice", counted("a.com\tns1.op.net\nb.com\tns1.op.net\nb.com\t=0\n"), 0, "record 3: out of order"},
+		quarantineCase{"descending", counted("b.com\tns1.op.net\na.com\t=0\n"), 0, "record 2: out of order"},
+		quarantineCase{"a later TLD first", counted("a.com\tns1.op.net\na.nl\t=0\nb.com\t=0\n"), 0, "record 3: out of order"},
+		quarantineCase{"co.uk after com", counted("b.com\tns1.op.net\na.co.uk\t=0\t\t\tco.uk\n"), 0, "record 2: out of order"},
+		quarantineCase{"co.uk after com, by domain", counted("a.com\tns1.op.net\nb.co.uk\t=0\t\t\tco.uk\n"), 0, "record 2: out of order"},
+		// In order by the TLD as read back, not by the domain's last label.
+		quarantineCase{"ordered", counted("a.co.uk\tns1.op.net\t\t\tco.uk\na.com\t=0\nb.com\t=0\n"), 1, ""},
+	)
 	day := simtime.Date(2016, 1, 1)
 	for _, recs := range [][]Record{
 		{{Domain: "a.com", TLD: "com"}, {Domain: "a.com", TLD: "com", Failed: true}},

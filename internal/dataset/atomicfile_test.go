@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"securepki.org/registrarsec/internal/archivetest"
 )
 
 // dirNames lists a directory, so tests can assert no temp file is left.
@@ -116,9 +118,7 @@ func TestAtomicFile(t *testing.T) {
 func existingFile(contents string) func(t *testing.T, dir string) string {
 	return func(t *testing.T, dir string) string {
 		path := filepath.Join(dir, "archive.tsv")
-		if err := os.WriteFile(path, []byte(contents), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		archivetest.Write(t, path, []byte(contents))
 		return path
 	}
 }

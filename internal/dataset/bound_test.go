@@ -1,6 +1,7 @@
 package dataset_test
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"fmt"
@@ -42,7 +43,11 @@ func TestScannerBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		write(zw)
+		bw := bufio.NewWriterSize(zw, 1<<20) // a million lines in a few deflate writes
+		write(bw)
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		if err := zw.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -52,8 +57,15 @@ func TestScannerBounded(t *testing.T) {
 		"member of a 256 MiB line": member(func(w io.Writer) { longLine(w, 256<<20) }),
 		"member of a million records, one declared": member(func(w io.Writer) {
 			io.WriteString(w, header+"d0000000.com\tns1.op.net\n")
+			line := []byte("d0000001.com\t=0\n") // d%07d.com, counted up in place
 			for i := 1; i < 1e6; i++ {
-				fmt.Fprintf(w, "d%07d.com\t=0\n", i)
+				w.Write(line)
+				for k := 7; ; k-- {
+					if line[k]++; line[k] <= '9' {
+						break
+					}
+					line[k] = '0'
+				}
 			}
 			io.WriteString(w, trailer)
 		}),

@@ -9,35 +9,18 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/simtime"
 )
-
-// fuzzSeedArchive builds a small valid trailered archive for seeding.
-func fuzzSeedArchive() []byte {
-	store := NewStore()
-	store.Add(&Snapshot{Day: simtime.Date(2016, 1, 1), Records: []Record{
-		{Domain: "a.com", TLD: "com", Operator: "op.net", NSHosts: []string{"ns1.op.net"},
-			HasDNSKEY: true, HasRRSIG: true, HasDS: true, ChainValid: true},
-		{Domain: "gap.com", TLD: "com", Failed: true, FailReason: "timeout"},
-	}})
-	store.Add(&Snapshot{Day: simtime.Date(2016, 6, 1), Records: []Record{
-		{Domain: "a.com", TLD: "com", Operator: "op.net", NSHosts: nil},
-	}})
-	return archiveOf(store)
-}
 
 // memberSeeds are the member form's seeds of the archive fuzzers: the two
 // sections as members cut inside a member and between them, with a byte
 // flipped mid-member, with stray bytes between the members, and mixed with
 // the text form, which reads no longer, in either order.
-func memberSeeds() [][]byte {
-	valid := fuzzSeedArchive()
-	first := len(textOf(valid)) // not a member boundary: any offset inside the first member
-	var day1 bytes.Buffer
-	if err := (&Snapshot{Day: simtime.Date(2016, 1, 1), Records: []Record{{Domain: "a.com", TLD: "com"}}}).WriteArchiveSection(&day1); err != nil {
-		panic(err)
-	}
-	one := day1.Len()
+func memberSeeds(t testing.TB) [][]byte {
+	_, valid := archiveFixture(t)
+	first := len(archivetest.Zcat(t, valid)) // not a member boundary: any offset inside the first member
+	day1 := archivetest.Archive(t, &Snapshot{Day: simtime.Date(2016, 1, 1), Records: []Record{{Domain: "a.com", TLD: "com"}}})
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)/4] ^= 0x01
 	return [][]byte{
@@ -45,10 +28,10 @@ func memberSeeds() [][]byte {
 		valid[:first%len(valid)],
 		valid[:len(valid)-1],
 		flipped,
-		slices.Concat(day1.Bytes(), []byte("stray\x1f\x8b"), valid),
-		slices.Concat(textOf(day1.Bytes()), valid),
-		slices.Concat(valid, textOf(valid)),
-		slices.Concat(day1.Bytes()[:one/2], valid),
+		slices.Concat(day1, []byte("stray\x1f\x8b"), valid),
+		slices.Concat(archivetest.Zcat(t, day1), valid),
+		slices.Concat(valid, archivetest.Zcat(t, valid)),
+		slices.Concat(day1[:len(day1)/2], valid),
 	}
 }
 
@@ -59,7 +42,7 @@ func memberSeeds() [][]byte {
 // number of snapshots. A corrupted section that slipped into the store "as
 // clean" would break that round trip.
 func FuzzReadArchive(f *testing.F) {
-	valid := fuzzSeedArchive()
+	_, valid := archiveFixture(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2]) // torn mid-archive
 	flipped := bytes.Clone(valid)
@@ -71,8 +54,8 @@ func FuzzReadArchive(f *testing.F) {
 	f.Add([]byte(""))
 	// The first record cut before its flags, trailer untouched: the line
 	// still parses, and only the framing catches the cut.
-	f.Add(bytes.Replace(textOf(valid), []byte("\tkrdv\n"), []byte("\n"), 1))
-	for _, seed := range memberSeeds() {
+	f.Add(bytes.Replace(archivetest.Zcat(f, valid), []byte("\tkrdv\n"), []byte("\n"), 1))
+	for _, seed := range memberSeeds(f) {
 		f.Add(seed)
 	}
 
@@ -94,7 +77,7 @@ func FuzzReadArchive(f *testing.F) {
 			t.Fatalf("sections unaccounted for: %d in store, %d quarantined, %d seen",
 				store.Len(), len(report.Quarantined), report.Sections)
 		}
-		again, report2, err := ReadArchive(bytes.NewReader(archiveOf(store)))
+		again, report2, err := ReadArchive(bytes.NewReader(archiveOf(t, store)))
 		if err != nil || !report2.Clean() {
 			t.Fatalf("salvaged store did not re-read clean: %v, %s", err, report2)
 		}
@@ -134,7 +117,7 @@ func scanAll(t testing.TB, r io.Reader, base int64) *TailResult {
 // section boundary, its verified snapshots are the sections ReadArchive
 // accepts, except that ReadArchive keeps only the first section of a day.
 func FuzzTailArchive(f *testing.F) {
-	valid := fuzzSeedArchive()
+	_, valid := archiveFixture(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2]) // torn mid-archive
 	flipped := bytes.Clone(valid)
@@ -144,10 +127,10 @@ func FuzzTailArchive(f *testing.F) {
 	f.Add(append(bytes.Clone(valid), "\n\n#snapshot\t2016-07-01\t1\na.com"...))
 	f.Add([]byte("#end\t2016-01-01\t10\tdeadbeef\n"))
 	f.Add([]byte(""))
-	text := textOf(valid)
+	text := archivetest.Zcat(f, valid)
 	f.Add(bytes.Join([][]byte{text, []byte("stray\n\n"), text}, nil))
 	f.Add(append(bytes.Clone(text), "\n\n#snapshot\t2016-07-01\t1\na.com"...))
-	for _, seed := range memberSeeds() {
+	for _, seed := range memberSeeds(f) {
 		f.Add(seed)
 	}
 

@@ -2,18 +2,19 @@ package dataset
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
+
+	"securepki.org/registrarsec/internal/archivetest"
 )
 
 // TestMemberHeaderFixed: every section writeSection writes starts with the
 // one member header the scanner looks for.
 func TestMemberHeaderFixed(t *testing.T) {
 	for _, n := range []int{0, 1, 3000} {
-		if member := sectionBytes(t, tailSnap(10, n)); !bytes.HasPrefix(member, memberHeader) {
+		if member := archivetest.Archive(t, tailSnap(10, n)); !bytes.HasPrefix(member, memberHeader) {
 			t.Fatalf("a section of %d records starts % x, want % x", n, member[:len(memberHeader)], memberHeader)
 		}
 	}
@@ -28,7 +29,7 @@ func TestMemberFlipQuarantinesOnlyItsDay(t *testing.T) {
 	snaps := []*Snapshot{tailSnap(10, 30), tailSnap(11, 30), tailSnap(12, 30)}
 	var members [][]byte
 	for _, s := range snaps {
-		members = append(members, sectionBytes(t, s))
+		members = append(members, archivetest.Archive(t, s))
 	}
 	start, end := len(members[0]), len(members[0])+len(members[1])
 	for i := start; i < end; i++ {
@@ -58,27 +59,16 @@ func TestMemberFlipQuarantinesOnlyItsDay(t *testing.T) {
 // the first bytes of a member header among them — are one stray run, and
 // both members read.
 func TestMemberStrayBytes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.archive")
-	s1, s2 := sectionBytes(t, tailSnap(10, 2)), sectionBytes(t, tailSnap(11, 2))
-	stray := slices.Concat([]byte("\x00junk\tmore"), memberHeader[:6], []byte("\nnot a record\n\n"), memberHeader[:9])
-	writeTail(t, path, s1, stray, s2)
-	res, err := TailArchive(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snapshotsOf(res)) != 2 || len(res.Quarantined()) != 1 || res.Quarantined()[0].Offset != int64(len(s1)) {
-		t.Fatalf("events %+v, want two snapshots around one stray run at byte %d", res.Events, len(s1))
-	}
-	if res.Events[1].End != int64(len(s1)+len(stray)) || res.Offset != int64(len(s1)+len(stray)+len(s2)) {
-		t.Fatalf("stray run ends at %d, scan at %d", res.Events[1].End, res.Offset)
-	}
+	p := newTailPieces(t)
+	checkTailEvents(t, [][]byte{p.s10, slices.Concat([]byte("\x00junk\tmore"), memberHeader[:6], []byte("\nnot a record\n\n"), memberHeader[:9]), p.s11},
+		sectionOf(10), stray, sectionOf(11))
 }
 
 // TestMemberTextNotOneSection: a member is read only when its text is
 // exactly one section; else it is damage located at its first byte.
 func TestMemberTextNotOneSection(t *testing.T) {
 	one, other := textSection(t, tailSnap(10, 2)), textSection(t, tailSnap(11, 2))
-	after := sectionBytes(t, tailSnap(12, 1))
+	after := archivetest.Archive(t, tailSnap(12, 1))
 	for name, tc := range map[string]struct {
 		text   string
 		reason string
@@ -91,10 +81,10 @@ func TestMemberTextNotOneSection(t *testing.T) {
 		"empty":                {"", "member holds no section"},
 		"blank line":           {"\n", "text before the section header"},
 		"trailer without \\n":  {string(one[:len(one)-1]), "malformed trailer"},
-		"bad record":           {sealedText("#snapshot\t2016-01-11\t1\n\tns1.x\n"), "record 1: empty domain"},
-		"records past a count": {sealedText("#snapshot\t2016-01-11\t1\na.com\tns1.x\nb.com\t=0\n"), "record count mismatch: header declares 1, found more"},
+		"bad record":           {archivetest.SealText("#snapshot\t2016-01-11\t1\n\tns1.x\n"), "record 1: empty domain"},
+		"records past a count": {archivetest.SealText("#snapshot\t2016-01-11\t1\na.com\tns1.x\nb.com\t=0\n"), "record count mismatch: header declares 1, found more"},
 	} {
-		member := memberOf([]byte(tc.text))
+		member := archivetest.Deflate([]byte(tc.text))
 		store, report, err := ReadArchive(bytes.NewReader(append(member, after...)))
 		if err != nil || store.Len() != 1 || store.Get(12) == nil {
 			t.Fatalf("%s: %v, days %v", name, err, store.Days())
@@ -113,14 +103,12 @@ func TestMemberTextNotOneSection(t *testing.T) {
 // which is what a member still being written looks like.
 func TestMemberLastDamageFinal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.archive")
-	first, last := sectionBytes(t, tailSnap(10, 30)), sectionBytes(t, tailSnap(11, 30))
+	first, last := archivetest.Archive(t, tailSnap(10, 30)), archivetest.Archive(t, tailSnap(11, 30))
 	crc := len(last) - 8
 	for i := len(memberHeader); i < len(last); i++ {
 		flipped := bytes.Clone(last)
 		flipped[i] ^= 0x01
-		if err := os.WriteFile(path, slices.Concat(first, flipped), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		archivetest.Write(t, path, slices.Concat(first, flipped))
 		res, err := TailArchive(path, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -150,16 +138,14 @@ func TestMemberLastDamageFinal(t *testing.T) {
 // pass over to read the second.
 func TestMemberCutThenIntact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.archive")
-	cut, intact := sectionBytes(t, tailSnap(10, 30)), sectionBytes(t, tailSnap(11, 2))
+	cut, intact := archivetest.Archive(t, tailSnap(10, 30)), archivetest.Archive(t, tailSnap(11, 2))
 	for k := 1; k < len(cut); k++ {
 		archive := slices.Concat(cut[:k], intact)
 		store, report, err := ReadArchive(bytes.NewReader(archive))
 		if err != nil || store.Len() != 1 || !reflect.DeepEqual(store.Get(11), tailSnap(11, 2)) || len(report.Quarantined) == 0 {
 			t.Fatalf("cut at %d: %v, days %v, quarantined %v", k, err, store.Days(), report.Quarantined)
 		}
-		if err := os.WriteFile(path, archive, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		archivetest.Write(t, path, archive)
 		res, err := TailArchive(path, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -174,7 +160,7 @@ func TestMemberCutThenIntact(t *testing.T) {
 // its header on, whatever members precede it.
 func TestMemberLinesCountAsZcatPrints(t *testing.T) {
 	texts := [][]byte{textSection(t, tailSnap(10, 3)), textSection(t, tailSnap(11, 4)), textSection(t, tailSnap(12, 5))}
-	archive := slices.Concat(memberOf(texts[0]), memberOf(texts[1]), memberOf(texts[2]))
+	archive := slices.Concat(archivetest.Deflate(texts[0]), archivetest.Deflate(texts[1]), archivetest.Deflate(texts[2]))
 	res := scanAll(t, bytes.NewReader(archive), 0)
 	line := 1
 	for i, ev := range res.Events {

@@ -3,13 +3,13 @@ package dataset
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
@@ -36,8 +36,8 @@ func TestNSReferences(t *testing.T) {
 		"d.com\t=1\t\t\t\tcohort\n" +
 		"e.com\t\t\ttimeout\n" +
 		"f.com\t=0\n"
-	if got := string(textOf(section.Bytes())); got != sealedText(want) {
-		t.Fatalf("section:\n%s\nwant:\n%s", got, sealedText(want))
+	if got := string(archivetest.Zcat(t, section.Bytes())); got != archivetest.SealText(want) {
+		t.Fatalf("section:\n%s\nwant:\n%s", got, archivetest.SealText(want))
 	}
 	got, err := ReadArchiveStrict(&section)
 	if err != nil {
@@ -60,13 +60,13 @@ func TestBadNSReference(t *testing.T) {
 		"a.com\tns1.op.net\n" +
 		"b.com\tns1.other.net\n"
 	for _, ref := range []string{"=", "=01", "=00", "=-1", "=+1", "= 1", "=1x", "=2", "=65536", "=99999999999999999999"} {
-		archive := sealed(defined + "c.com\t" + ref + "\n")
+		archive := archivetest.Seal(defined + "c.com\t" + ref + "\n")
 		if n, reasons := quarantines(t, archive); n != 0 || reasons != "record 3: bad NS reference" {
 			t.Errorf("%q: %d snapshot(s), quarantined %q", ref, n, reasons)
 		}
 	}
 	// The same section with canonical references reads.
-	ok := sealed("#snapshot\t2016-01-01\t4\n" +
+	ok := archivetest.Seal("#snapshot\t2016-01-01\t4\n" +
 		"a.com\tns1.op.net\n" +
 		"b.com\tns1.other.net\n" +
 		"c.com\t=1\n" +
@@ -80,7 +80,7 @@ func TestBadNSReference(t *testing.T) {
 	}
 	// A second section starts with no sets: a reference to the first's is
 	// damage, and costs the first section nothing.
-	second := sealed("#snapshot\t2016-01-02\t1\nc.com\t=0\n")
+	second := archivetest.Seal("#snapshot\t2016-01-02\t1\nc.com\t=0\n")
 	if n, reasons := quarantines(t, ok+second); n != 1 || reasons != "record 1: bad NS reference" {
 		t.Errorf("a reference across sections: %d snapshot(s), quarantined %q", n, reasons)
 	}
@@ -105,7 +105,7 @@ func TestNSSetCap(t *testing.T) {
 	if err := snap.WriteArchiveSection(&section); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(string(textOf(section.Bytes())), "\n")
+	lines := strings.Split(string(archivetest.Zcat(t, section.Bytes())), "\n")
 	tail := lines[1+distinct : 1+distinct+8]
 	for i, col := range []string{"=0", "=65535", "ns1.op065536.net", "ns1.op065545.net", "=0", "=65535", "ns1.op065536.net", "ns1.op065545.net"} {
 		if got := strings.Split(tail[i], "\t")[1]; got != col {
@@ -193,9 +193,7 @@ func FuzzSectionRoundTrip(f *testing.F) {
 		}
 
 		path := filepath.Join(t.TempDir(), "a.archive")
-		if err := os.WriteFile(path, section.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		archivetest.Write(t, path, section.Bytes())
 		res, err := TailArchive(path, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -249,11 +247,11 @@ func FuzzSectionRoundTrip(f *testing.F) {
 		body := "#snapshot\t2016-01-02\t1\n" + line
 		archive := section.String()
 		if !second {
-			archive = string(textOf(section.Bytes()))
+			archive = string(archivetest.Zcat(t, section.Bytes()))
 			body = strings.Replace(archive[:strings.Index(archive, trailerHeader)], fmt.Sprintf("\t%d\n", len(snap.Records)), fmt.Sprintf("\t%d\n", len(snap.Records)+1), 1) + line
 			archive = ""
 		}
-		store, report, err := ReadArchive(strings.NewReader(archive + sealed(body)))
+		store, report, err := ReadArchive(strings.NewReader(archive + archivetest.Seal(body)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
@@ -199,7 +200,7 @@ func TestArchiveWriterByteIdentity(t *testing.T) {
 		store.Add(snap)
 	}
 	dir := t.TempDir()
-	want := archiveOf(store)
+	want := archiveOf(t, store)
 
 	gotPath := filepath.Join(dir, "got.tsv")
 	aw, err := NewArchiveWriter(gotPath)
@@ -220,10 +221,7 @@ func TestArchiveWriterByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := os.ReadFile(gotPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := archivetest.Read(t, gotPath)
 	if !bytes.Equal(got, want) {
 		t.Fatal("streamed archive differs from WriteArchiveSection's")
 	}

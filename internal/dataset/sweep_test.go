@@ -2,17 +2,16 @@ package dataset_test
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/checkpoint"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/dsweep"
@@ -120,7 +119,7 @@ func TestSweptRecordBytes(t *testing.T) {
 		var got cost
 		for _, d := range sweep(t, shape) {
 			got.records += len(d.snap.Records)
-			got.text += len(zcat(t, d.section))
+			got.text += len(archivetest.Zcat(t, d.section))
 			got.disk += len(d.section)
 			for _, r := range d.snap.Records {
 				if r.HasDNSKEY {
@@ -138,46 +137,19 @@ func TestSweptRecordBytes(t *testing.T) {
 	}
 }
 
-// deflate is text as one gzip member.
-func deflate(t *testing.T, text []byte) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := zw.Write(text); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// zcat is what zcat prints of archive bytes: the text of every member.
-func zcat(t *testing.T, archive []byte) []byte {
-	t.Helper()
-	zr, err := gzip.NewReader(bytes.NewReader(archive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return text
-}
-
 // sectionReaders are the three readers of a section: ReadArchive,
 // TailArchive and the checkpoint's chunk reader, each handed one section's
-// bytes and returning its snapshot.
+// bytes and returning its snapshot. The two readers of files each rewrite
+// one file they hold open.
 func sectionReaders(t *testing.T) map[string]func(section []byte, want *dataset.Snapshot) (*dataset.Snapshot, error) {
 	dir := t.TempDir()
 	chunks, err := checkpoint.Open(filepath.Join(dir, "checkpoint"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	const chunk = "chunk.tsv"
+	tailPath := filepath.Join(dir, "tail.tsv")
+	tailFile, chunkFile := rewritten(t, tailPath), rewritten(t, filepath.Join(chunks.Dir(), chunk))
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	return map[string]func([]byte, *dataset.Snapshot) (*dataset.Snapshot, error){
 		"ReadArchive": func(section []byte, want *dataset.Snapshot) (*dataset.Snapshot, error) {
@@ -188,24 +160,38 @@ func sectionReaders(t *testing.T) map[string]func(section []byte, want *dataset.
 			return store.Get(want.Day), nil
 		},
 		"TailArchive": func(section []byte, _ *dataset.Snapshot) (*dataset.Snapshot, error) {
-			path := filepath.Join(dir, "tail.tsv")
-			if err := os.WriteFile(path, section, 0o644); err != nil {
+			if err := tailFile(section); err != nil {
 				return nil, err
 			}
-			res, err := dataset.TailArchive(path, 0)
+			res, err := dataset.TailArchive(tailPath, 0)
 			if err != nil || len(res.Events) != 1 {
 				return nil, err
 			}
 			return res.Events[0].Snap, nil
 		},
 		"LoadChunk": func(section []byte, want *dataset.Snapshot) (*dataset.Snapshot, error) {
-			const name = "chunk.tsv"
-			if err := os.WriteFile(filepath.Join(chunks.Dir(), name), section, 0o644); err != nil {
+			if err := chunkFile(section); err != nil {
 				return nil, err
 			}
 			return chunks.LoadChunk(want.Day, &checkpoint.Shard{
-				File: name, CRC: crc32.Checksum(section, castagnoli), Records: len(want.Records)})
+				File: chunk, CRC: crc32.Checksum(section, castagnoli), Records: len(want.Records)})
 		},
+	}
+}
+
+// rewritten opens the file at path for the test and returns what replaces
+// its contents.
+func rewritten(t *testing.T, path string) func([]byte) error {
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return func(b []byte) error {
+		if _, err := f.WriteAt(b, 0); err != nil {
+			return err
+		}
+		return f.Truncate(int64(len(b)))
 	}
 }
 
@@ -333,7 +319,7 @@ func TestMultiBlockSection(t *testing.T) {
 	// one write each.
 	var log writeLog
 	mw := dataset.NewMemberWriter(&log)
-	mw.Write(zcat(t, section)) // writeLog does not fail
+	mw.Write(archivetest.Zcat(t, section)) // writeLog does not fail
 	if err := mw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -350,9 +336,7 @@ func TestMultiBlockSection(t *testing.T) {
 	dir := t.TempDir()
 	tail := func(archive []byte) *dataset.TailResult {
 		path := filepath.Join(dir, "tail.tsv")
-		if err := os.WriteFile(path, archive, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		archivetest.Write(t, path, archive)
 		res, err := dataset.TailArchive(path, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -414,7 +398,7 @@ func TestTornLineQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	member := buf.Bytes()
-	section := zcat(t, member)
+	section := archivetest.Zcat(t, member)
 	readers := sectionReaders(t)
 	checkDecodes(t, readers, "intact", member, snap)
 	refuse := func(what string, torn []byte) {
@@ -424,14 +408,18 @@ func TestTornLineQuarantined(t *testing.T) {
 			}
 		}
 	}
+	// One compressor and one buffer serve every case.
+	var d archivetest.Deflater
+	torn := make([]byte, 0, len(section))
 	first, trailer := bytes.IndexByte(section, '\n')+1, bytes.LastIndex(section, []byte("#end\t"))
 	for i := first; i < trailer; i++ {
 		if section[i] != '\n' { // inside a record line
-			refuse(fmt.Sprintf("byte %d deleted", i), deflate(t, append(section[:i:i], section[i+1:]...)))
+			torn = append(append(torn[:0], section[:i]...), section[i+1:]...)
+			refuse(fmt.Sprintf("byte %d deleted", i), d.Member(torn))
 		}
 	}
 	for n := range len(section) {
-		refuse(fmt.Sprintf("text cut at %d", n), deflate(t, section[:n]))
+		refuse(fmt.Sprintf("text cut at %d", n), d.Member(section[:n]))
 	}
 	for n := range len(member) {
 		refuse(fmt.Sprintf("member cut at %d", n), member[:n])
@@ -441,15 +429,12 @@ func TestTornLineQuarantined(t *testing.T) {
 // TestMembersZcatToTheTextForm: zcat of today's archive of the clean sweep
 // is byte for byte the text archive the writer before members wrote of it.
 func TestMembersZcatToTheTextForm(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "archive-text.tsv"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := archivetest.Read(t, filepath.Join("testdata", "archive-text.tsv"))
 	var archive []byte
 	for _, d := range sweep(t, sweepShapes[0]) {
 		archive = append(archive, d.section...)
 	}
-	if got := zcat(t, archive); !bytes.Equal(got, want) {
+	if got := archivetest.Zcat(t, archive); !bytes.Equal(got, want) {
 		t.Fatalf("zcat prints %d bytes that differ from the %d of testdata/archive-text.tsv", len(got), len(want))
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
@@ -29,64 +30,127 @@ func tailSnap(day simtime.Day, n int) *Snapshot {
 	return s
 }
 
-// sectionBytes renders one trailered section.
-func sectionBytes(t *testing.T, s *Snapshot) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := s.WriteArchiveSection(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// textSection renders one section's text: what zcat prints of
-// sectionBytes, and what a member holds.
+// textSection renders one section's text: what zcat prints of its member.
 func textSection(t *testing.T, s *Snapshot) []byte {
 	t.Helper()
-	return textOf(sectionBytes(t, s))
+	return archivetest.Zcat(t, archivetest.Archive(t, s))
 }
 
-func writeTail(t *testing.T, path string, chunks ...[]byte) {
+// tailPieces are the pieces the tail tests write an archive of: sections
+// of days 10 to 12, day 10's with a byte of its deflate stream flipped,
+// day 11's text with a byte of its first record flipped and with its second
+// record replaced by a line that is none, both deflated again.
+type tailPieces struct{ s10, s11, s12, corrupt, changed, badRecord []byte }
+
+func newTailPieces(t *testing.T) tailPieces {
+	p := tailPieces{s10: archivetest.Archive(t, tailSnap(10, 3)), s11: archivetest.Archive(t, tailSnap(11, 2)), s12: archivetest.Archive(t, tailSnap(12, 3))}
+	p.corrupt = bytes.Clone(p.s10)
+	p.corrupt[bytes.IndexByte(p.corrupt, '\n')+2] ^= 0x20
+	text := textSection(t, tailSnap(11, 2))
+	text[bytes.IndexByte(text, '\n')+2] ^= 0x20
+	p.changed = archivetest.Deflate(text)
+	lines := bytes.SplitAfter(textSection(t, tailSnap(11, 3)), []byte("\n"))
+	lines[2] = []byte("not a record\n")
+	p.badRecord = archivetest.Deflate(bytes.Join(lines, nil))
+	return p
+}
+
+const stray = "bytes outside any gzip member"
+
+// sectionOf is how checkTailEvents names a section that verifies.
+func sectionOf(d simtime.Day) string { return "section of " + d.String() }
+
+// checkTailEvents writes an archive of pieces and requires a tail scan to
+// read it as one event a piece, as events names them — a section that
+// verifies (sectionOf) or damage, for its reason, located at the piece's
+// first byte — and to consume up to the last event's end: pieces past the
+// events must stay pending. Resumed from any event's end, the last's too,
+// the scan reads exactly the events after it, damage located alike. And
+// with nothing pending, ReadArchive salvages and quarantines what the scan
+// does.
+func checkTailEvents(t *testing.T, pieces [][]byte, events ...string) {
 	t.Helper()
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "a.archive")
+	archivetest.Append(t, path, pieces...)
+	ends := make([]int64, len(pieces))
+	at := func(k int) int64 { // where piece k starts
+		if k == 0 {
+			return 0
+		}
+		return ends[k-1]
 	}
-	defer f.Close()
-	for _, c := range chunks {
-		if _, err := f.Write(c); err != nil {
-			t.Fatal(err)
+	for k, p := range pieces {
+		ends[k] = at(k) + int64(len(p))
+	}
+	consumed := ends[len(events)-1]
+	var days, damage []string
+	for from := range len(events) + 1 {
+		res, err := TailArchive(path, at(from))
+		if err != nil || len(res.Events) != len(events)-from || res.Offset != consumed {
+			t.Fatalf("from byte %d: %v, events %+v to offset %d; want %d event(s) to offset %d",
+				at(from), err, res.Events, res.Offset, len(events)-from, consumed)
+		}
+		for i, ev := range res.Events {
+			k, what := from+i, "damage elsewhere"
+			switch {
+			case ev.Snap != nil:
+				what = sectionOf(ev.Snap.Day)
+			case ev.Damage.Offset == at(k):
+				what = ev.Damage.Reason
+			}
+			if what != events[k] || ev.End != ends[k] {
+				t.Errorf("from byte %d: event %d is %q to byte %d, want %q to byte %d", at(from), k, what, ev.End, events[k], ends[k])
+			}
+			if from == 0 && ev.Snap != nil {
+				days = append(days, what)
+			} else if from == 0 {
+				damage = append(damage, what)
+			}
 		}
 	}
+	if len(events) < len(pieces) {
+		return // TestEndOfInputStates holds ReadArchive to what is pending
+	}
+	store, report, err := ReadArchive(bytes.NewReader(slices.Concat(pieces...)))
+	var readDays, readDamage []string
+	for _, d := range store.Days() {
+		readDays = append(readDays, sectionOf(d))
+	}
+	for _, q := range report.Quarantined {
+		readDamage = append(readDamage, q.Reason)
+	}
+	if err != nil || !reflect.DeepEqual(readDays, days) || !reflect.DeepEqual(readDamage, damage) {
+		t.Errorf("ReadArchive read %q and quarantined %q (%v); the tail scan %q and %q", readDays, readDamage, err, days, damage)
+	}
 }
 
+// TestTailConsumesCompleteSections: complete sections are consumed, and a
+// second poll from the resume offset sees nothing new.
 func TestTailConsumesCompleteSections(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.archive")
-	s1, s2 := sectionBytes(t, tailSnap(10, 3)), sectionBytes(t, tailSnap(11, 2))
-	writeTail(t, path, s1, s2)
+	p := newTailPieces(t)
+	checkTailEvents(t, [][]byte{p.s10, p.s11}, sectionOf(10), sectionOf(11))
+}
 
-	res, err := TailArchive(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snapshotsOf(res)) != 2 || len(res.Quarantined()) != 0 {
-		t.Fatalf("got %d snapshots, %d quarantined, want 2/0", len(snapshotsOf(res)), len(res.Quarantined()))
-	}
-	if snapshotsOf(res)[0].Day != 10 || snapshotsOf(res)[1].Day != 11 {
-		t.Fatalf("days %v/%v, want 10/11", snapshotsOf(res)[0].Day, snapshotsOf(res)[1].Day)
-	}
-	if want := int64(len(s1) + len(s2)); res.Offset != want {
-		t.Fatalf("Offset %d, want %d", res.Offset, want)
-	}
+// TestTailTornSuperseded: a member abandoned part-way, its decoder wanting
+// bytes the next member holds, becomes final damage the moment a newer
+// member follows it.
+func TestTailTornSuperseded(t *testing.T) {
+	p := newTailPieces(t)
+	checkTailEvents(t, [][]byte{p.s10[:len(memberHeader)+2], p.s11}, "damaged gzip member runs into the next section", sectionOf(11))
+}
 
-	// A second poll from the resume offset sees nothing new.
-	res2, err := TailArchive(path, res.Offset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snapshotsOf(res2)) != 0 || res2.Offset != res.Offset {
-		t.Fatalf("re-poll consumed %d snapshots, offset %d→%d", len(snapshotsOf(res2)), res.Offset, res2.Offset)
-	}
+// TestTailCorruptSection: a member damaged at rest is quarantined and
+// consumed — damage at rest is final.
+func TestTailCorruptSection(t *testing.T) {
+	p := newTailPieces(t)
+	checkTailEvents(t, [][]byte{p.corrupt, p.s11}, stray, sectionOf(11))
+}
+
+// TestTailStrayBytes: garbage between sections is consumed and reported
+// once, and the sections around it still verify.
+func TestTailStrayBytes(t *testing.T) {
+	p := newTailPieces(t)
+	checkTailEvents(t, [][]byte{p.s10, []byte("not\ta\trecord\nmore junk\n\n"), p.s11}, sectionOf(10), stray, sectionOf(11))
 }
 
 // TestTailLeavesGrowingSection: a trailing section with no trailer yet is
@@ -94,11 +158,11 @@ func TestTailConsumesCompleteSections(t *testing.T) {
 // whole once its trailer lands.
 func TestTailLeavesGrowingSection(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.archive")
-	s1 := sectionBytes(t, tailSnap(10, 3))
-	s2 := sectionBytes(t, tailSnap(11, 4))
+	s1 := archivetest.Archive(t, tailSnap(10, 3))
+	s2 := archivetest.Archive(t, tailSnap(11, 4))
 	for cut := 1; cut < len(s2); cut++ {
 		os.Remove(path)
-		writeTail(t, path, s1, s2[:cut])
+		archivetest.Append(t, path, s1, s2[:cut])
 		res, err := TailArchive(path, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -110,7 +174,7 @@ func TestTailLeavesGrowingSection(t *testing.T) {
 			t.Fatalf("cut %d: Offset %d, want %d (partial section must stay unconsumed)", cut, res.Offset, len(s1))
 		}
 		// The rest of the section arrives; the next poll consumes it.
-		writeTail(t, path, s2[cut:])
+		archivetest.Append(t, path, s2[cut:])
 		res2, err := TailArchive(path, res.Offset)
 		if err != nil {
 			t.Fatal(err)
@@ -124,85 +188,11 @@ func TestTailLeavesGrowingSection(t *testing.T) {
 	}
 }
 
-// TestTailTornSuperseded: a member abandoned part-way, its decoder wanting
-// bytes the next member holds, becomes final damage the moment a newer
-// member follows it.
-func TestTailTornSuperseded(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.archive")
-	s1 := sectionBytes(t, tailSnap(10, 3))
-	torn := s1[:len(memberHeader)+2]
-	s2 := sectionBytes(t, tailSnap(11, 2))
-	writeTail(t, path, torn, s2)
-
-	res, err := TailArchive(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snapshotsOf(res)) != 1 || snapshotsOf(res)[0].Day != 11 {
-		t.Fatalf("snapshots %+v, want just day 11", snapshotsOf(res))
-	}
-	if q := res.Quarantined(); len(q) != 1 || q[0].Offset != 0 || q[0].Reason != "damaged gzip member runs into the next section" {
-		t.Fatalf("quarantined %+v, want the torn member at byte 0", q)
-	}
-	if res.Offset != int64(len(torn)+len(s2)) {
-		t.Fatalf("Offset %d, want %d (torn section must be consumed once superseded)", res.Offset, len(torn)+len(s2))
-	}
-}
-
-// TestTailCorruptSection: a section whose bytes no longer hash to its
-// trailer is quarantined and consumed — damage at rest is final.
-func TestTailCorruptSection(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.archive")
-	s1 := sectionBytes(t, tailSnap(10, 3))
-	corrupt := append([]byte(nil), s1...)
-	corrupt[bytes.IndexByte(corrupt, '\n')+2] ^= 0x20 // flip a record byte
-	s2 := sectionBytes(t, tailSnap(11, 2))
-	writeTail(t, path, corrupt, s2)
-
-	res, err := TailArchive(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snapshotsOf(res)) != 1 || snapshotsOf(res)[0].Day != 11 {
-		t.Fatalf("snapshots %+v, want just day 11", snapshotsOf(res))
-	}
-	if len(res.Quarantined()) != 1 {
-		t.Fatalf("quarantined %+v, want one entry", res.Quarantined())
-	}
-	if res.Offset != int64(len(corrupt)+len(s2)) {
-		t.Fatalf("Offset %d, want %d", res.Offset, len(corrupt)+len(s2))
-	}
-}
-
-// TestTailStrayBytes: garbage between sections is consumed and reported
-// once, and the sections around it still verify.
-func TestTailStrayBytes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.archive")
-	s1 := sectionBytes(t, tailSnap(10, 2))
-	stray := []byte("not\ta\trecord\nmore junk\n\n")
-	s2 := sectionBytes(t, tailSnap(11, 2))
-	writeTail(t, path, s1, stray, s2)
-
-	res, err := TailArchive(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snapshotsOf(res)) != 2 {
-		t.Fatalf("got %d snapshots, want 2", len(snapshotsOf(res)))
-	}
-	if len(res.Quarantined()) != 1 {
-		t.Fatalf("quarantined %+v, want one stray-run entry", res.Quarantined())
-	}
-	if res.Offset != int64(len(s1)+len(stray)+len(s2)) {
-		t.Fatalf("Offset %d, want %d", res.Offset, len(s1)+len(stray)+len(s2))
-	}
-}
-
 // TestTailTruncatedArchive: an archive smaller than the resume offset is
 // a rotation/rewrite, not a tail — the caller must reset.
 func TestTailTruncatedArchive(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.archive")
-	writeTail(t, path, sectionBytes(t, tailSnap(10, 2)))
+	archivetest.Append(t, path, archivetest.Archive(t, tailSnap(10, 2)))
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -219,126 +209,38 @@ func TestTailTruncatedArchive(t *testing.T) {
 // open tail) the tail scanner and the batch salvage reader agree on what
 // is intact and what is quarantined.
 func TestTailMatchesReadArchive(t *testing.T) {
-	s1 := sectionBytes(t, tailSnap(10, 3))
-	corrupt := append([]byte(nil), sectionBytes(t, tailSnap(11, 2))...)
+	p := newTailPieces(t)
+	corrupt := bytes.Clone(p.s11)
 	corrupt[bytes.IndexByte(corrupt, '\n')+2] ^= 0x20
-	s3 := sectionBytes(t, tailSnap(12, 1))
-	archive := bytes.Join([][]byte{s1, corrupt, []byte("stray line\n"), s3}, nil)
-
-	path := filepath.Join(t.TempDir(), "a.archive")
-	writeTail(t, path, archive)
-	res, err := TailArchive(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, report, err := ReadArchive(bytes.NewReader(archive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snapshotsOf(res)) != len(store.Days()) {
-		t.Fatalf("tail salvaged %d sections, batch reader %d", len(snapshotsOf(res)), len(store.Days()))
-	}
-	for _, snap := range snapshotsOf(res) {
-		got := store.Get(snap.Day)
-		if got == nil || len(got.Records) != len(snap.Records) {
-			t.Fatalf("day %v: tail and batch reader disagree", snap.Day)
-		}
-	}
-	if len(res.Quarantined()) != len(report.Quarantined) {
-		t.Fatalf("tail quarantined %d, batch reader %d:\n%v\nvs\n%v",
-			len(res.Quarantined()), len(report.Quarantined), res.Quarantined(), report.Quarantined)
-	}
-	if res.Offset != int64(len(archive)) {
-		t.Fatalf("Offset %d, want %d", res.Offset, len(archive))
-	}
+	// The damaged member and the stray line after it are one stray run.
+	checkTailEvents(t, [][]byte{p.s10, slices.Concat(corrupt, []byte("stray line\n")), p.s12}, sectionOf(10), stray, sectionOf(12))
 }
 
 // TestTailStrayAtEOFStaysPending: a stray run nothing has superseded yet
 // must not be consumed — the committed cursor may only cover finalized
-// events, or a resumed scan would double-count the damage.
+// events, or a resumed scan would double-count the damage. A section
+// header finalizes the stray run on the next poll.
 func TestTailStrayAtEOFStaysPending(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.archive")
-	s1 := sectionBytes(t, tailSnap(10, 2))
-	writeTail(t, path, s1, []byte("junk line\n"))
-
-	res, err := TailArchive(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snapshotsOf(res)) != 1 || len(res.Quarantined()) != 0 {
-		t.Fatalf("got %d snapshots, %d quarantined, want 1/0", len(snapshotsOf(res)), len(res.Quarantined()))
-	}
-	if res.Offset != int64(len(s1)) {
-		t.Fatalf("Offset %d, want %d (pending stray run must stay unconsumed)", res.Offset, len(s1))
-	}
-	// A section header finalizes the stray run on the next poll.
-	s2 := sectionBytes(t, tailSnap(11, 1))
-	writeTail(t, path, s2)
-	res2, err := TailArchive(path, res.Offset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snapshotsOf(res2)) != 1 || len(res2.Quarantined()) != 1 {
-		t.Fatalf("got %d snapshots, %d quarantined after supersession, want 1/1", len(snapshotsOf(res2)), len(res2.Quarantined()))
-	}
+	p := newTailPieces(t)
+	checkTailEvents(t, [][]byte{p.s10, []byte("junk line\n")}, sectionOf(10))
+	checkTailEvents(t, [][]byte{p.s10, []byte("junk line\n"), p.s11}, sectionOf(10), stray, sectionOf(11))
 }
 
 // TestTailEventOffsetsAreResumePoints: resuming a scan from any event's
 // End yields exactly the events after it — the property that makes a
 // cursor committed mid-batch equivalent to one committed at the end.
 func TestTailEventOffsetsAreResumePoints(t *testing.T) {
-	s1 := sectionBytes(t, tailSnap(10, 2))
-	text := textSection(t, tailSnap(11, 2))
-	text[bytes.IndexByte(text, '\n')+2] ^= 0x20
-	corrupt := memberOf(text)
-	s3 := sectionBytes(t, tailSnap(12, 3))
-	path := filepath.Join(t.TempDir(), "a.archive")
-	writeTail(t, path, s1, corrupt, []byte("stray\n"), s3)
-
-	full, err := TailArchive(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Events) != 4 { // s1, corrupt, stray, s3
-		t.Fatalf("got %d events, want 4: %+v", len(full.Events), full.Events)
-	}
-	for i, ev := range full.Events {
-		res, err := TailArchive(path, ev.End)
-		if err != nil {
-			t.Fatalf("resume at event %d (offset %d): %v", i, ev.End, err)
-		}
-		if len(res.Events) != len(full.Events)-i-1 {
-			t.Fatalf("resume at event %d: got %d events, want %d", i, len(res.Events), len(full.Events)-i-1)
-		}
-		for j, got := range res.Events {
-			want := full.Events[i+1+j]
-			if got.End != want.End || (got.Snap == nil) != (want.Snap == nil) {
-				t.Fatalf("resume at event %d, event %d: got %+v, want %+v", i, j, got, want)
-			}
-		}
-	}
+	p := newTailPieces(t)
+	checkTailEvents(t, [][]byte{p.s10, p.changed, []byte("stray\n"), p.s12},
+		sectionOf(10), "checksum mismatch: trailer 8b2da9ec, section 003a927f", stray, sectionOf(12))
 }
 
 // TestDamageLocatedAlikeFromAnyStart: a member with a bad record is
 // reported at the same absolute offset for the same reason — the record
 // named by its position in the section — wherever the scan started.
 func TestDamageLocatedAlikeFromAnyStart(t *testing.T) {
-	s1 := sectionBytes(t, tailSnap(10, 2))
-	lines := bytes.SplitAfter(textSection(t, tailSnap(11, 3)), []byte("\n"))
-	lines[2] = []byte("not a record\n")
-	path := filepath.Join(t.TempDir(), "a.archive")
-	writeTail(t, path, s1, memberOf(bytes.Join(lines, nil)))
-
-	for _, from := range []int64{0, int64(len(s1))} {
-		res, err := TailArchive(path, from)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := res.Quarantined()
-		if len(q) != 1 || q[0].Offset != int64(len(s1)) || !strings.HasPrefix(q[0].Reason, "record 2: ") {
-			t.Fatalf("scan from %d quarantined %+v, want record 2 of the section at byte %d", from, q, len(s1))
-		}
-	}
+	p := newTailPieces(t)
+	checkTailEvents(t, [][]byte{p.s10, p.badRecord}, sectionOf(10), "record 2: 1 fields, want 2–6")
 }
 
 // countingReader counts the bytes it has handed over.
@@ -360,7 +262,7 @@ func TestScannerStreams(t *testing.T) {
 	var archive bytes.Buffer
 	var ends []int64
 	for day := simtime.Day(10); day < 60; day++ {
-		archive.Write(sectionBytes(t, tailSnap(day, 10000)))
+		archive.Write(archivetest.Archive(t, tailSnap(day, 10000)))
 		ends = append(ends, int64(archive.Len()))
 	}
 	if archive.Len() < 4*scanBufSize {
@@ -387,9 +289,9 @@ func TestScannerStreams(t *testing.T) {
 // ReadArchive's reasons — one scanner decides both. Text after the last
 // member, whatever it holds, is a stray run nothing has superseded yet.
 func TestEndOfInputStates(t *testing.T) {
-	s1 := string(sectionBytes(t, tailSnap(10, 2)))
-	member := string(sectionBytes(t, tailSnap(11, 2)))
-	s2 := string(textOf([]byte(member)))
+	s1 := string(archivetest.Archive(t, tailSnap(10, 2)))
+	member := string(archivetest.Archive(t, tailSnap(11, 2)))
+	s2 := string(archivetest.Zcat(t, []byte(member)))
 	header, rest, _ := strings.Cut(s2, "\n")
 	record, _, _ := strings.Cut(rest, "\n")
 	trailer := s2[strings.LastIndex(s2, trailerHeader):]
@@ -421,7 +323,7 @@ func TestEndOfInputStates(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "a.archive")
-			writeTail(t, path, []byte(s1+tc.tail))
+			archivetest.Append(t, path, []byte(s1+tc.tail))
 			res, err := TailArchive(path, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -461,11 +363,11 @@ func TestTextArchiveRefused(t *testing.T) {
 		t.Errorf("ReadArchive: %v, want ErrTextArchive", err)
 	}
 	path := filepath.Join(t.TempDir(), "a.archive")
-	writeTail(t, path, text)
+	archivetest.Append(t, path, text)
 	if _, err := TailArchive(path, 0); !errors.Is(err, ErrTextArchive) {
 		t.Errorf("TailArchive: %v, want ErrTextArchive", err)
 	}
-	member := sectionBytes(t, tailSnap(11, 2))
+	member := archivetest.Archive(t, tailSnap(11, 2))
 	store, report, err := ReadArchive(bytes.NewReader(slices.Concat(member, text)))
 	if err != nil || store.Len() != 1 || len(report.Quarantined) != 1 || report.Quarantined[0].Offset != int64(len(member)) {
 		t.Errorf("a member, then text: %v, %d snapshot(s), %s", err, store.Len(), report)

@@ -36,196 +36,130 @@ func hasCode(rep *diagnose.Report, code diagnose.Code) bool {
 	return false
 }
 
-func TestCheckHealthyDomain(t *testing.T) {
+var postures *dnstest.Hierarchy
+
+// postureHierarchy is one hierarchy, built once, with a domain in each
+// posture the checker reports on: plain, partial, full (signed without a
+// denial chain), bogus, rolled (signed by the wrong key) and orphan (an
+// unsigned zone behind a DS record: the chat-misapply, stale-DS case) by
+// dnstest's modes; healthy (signed with an NSEC chain) and stale (its
+// signatures expired a month ago) by signers of their own, their DS at
+// the parent.
+func postureHierarchy(t *testing.T) *dnstest.Hierarchy {
+	t.Helper()
+	if postures != nil {
+		return postures
+	}
 	h, err := dnstest.NewHierarchy(testNow, "com")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A fully deployed domain with an NSEC chain.
-	child, _, err := h.AddDomain("healthy.com", "ns1.op.net", dnstest.Unsigned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	signer, err := zone.NewSigner(dnswire.AlgED25519, testNow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	signer.AddNSEC = true
-	if err := signer.Sign(child); err != nil {
-		t.Fatal(err)
-	}
-	tz := h.TLDZone("com")
-	dss, _ := signer.DSRecords("healthy.com", dnswire.DigestSHA256)
-	for _, ds := range dss {
-		tz.MustAdd(dnswire.NewRR("healthy.com", 86400, ds))
-	}
-	if err := h.TLDSigner("com").Sign(tz); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := newChecker(t, h).Check(context.Background(), "healthy.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Deployment != dnssec.DeploymentFull {
-		t.Errorf("deployment: %v", rep.Deployment)
-	}
-	if len(rep.Errors()) != 0 {
-		t.Errorf("errors on healthy domain: %+v", rep.Errors())
-	}
-	if !hasCode(rep, diagnose.CodeHealthy) {
-		t.Errorf("missing CHAIN_OK: %+v", rep.Findings)
-	}
-	if hasCode(rep, diagnose.CodeNoDenial) {
-		t.Error("NSEC zone flagged for missing denial")
-	}
-}
-
-func TestCheckMisconfigurations(t *testing.T) {
-	h, err := dnstest.NewHierarchy(testNow, "com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []struct {
-		name string
-		mode dnstest.DomainMode
-	}{
-		{"plain.com", dnstest.Unsigned},
-		{"partial.com", dnstest.Partial},
-		{"full.com", dnstest.Full},
-		{"bogus.com", dnstest.BogusDS},
+	for name, mode := range map[string]dnstest.DomainMode{
+		"plain.com": dnstest.Unsigned, "partial.com": dnstest.Partial, "full.com": dnstest.Full,
+		"bogus.com": dnstest.BogusDS, "rolled.com": dnstest.WrongSigner, "orphan.com": dnstest.Unsigned,
 	} {
-		if _, _, err := h.AddDomain(d.name, "ns1.op.net", d.mode); err != nil {
+		if _, _, err := h.AddDomain(name, "ns1.op.net", mode); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c := newChecker(t, h)
-	ctx := context.Background()
-
-	cases := []struct {
-		domain     string
-		deployment dnssec.Deployment
-		code       diagnose.Code
-		severity   diagnose.Severity
-	}{
-		{"plain.com", dnssec.DeploymentNone, diagnose.CodeUnsigned, diagnose.Info},
-		{"partial.com", dnssec.DeploymentPartial, diagnose.CodePartial, diagnose.Error},
-		{"bogus.com", dnssec.DeploymentBroken, diagnose.CodeDSNoMatch, diagnose.Error},
-	}
-	for _, tc := range cases {
-		rep, err := c.Check(ctx, tc.domain)
+	tz := h.TLDZone("com")
+	for domain, configure := range map[string]func(*zone.Signer){
+		"healthy.com": func(s *zone.Signer) { s.AddNSEC = true },
+		"stale.com":   func(s *zone.Signer) { s.Inception, s.Expiration = testNow.AddDate(0, -3, 0), testNow.AddDate(0, -1, 0) },
+	} {
+		child, _, err := h.AddDomain(domain, "ns1.op.net", dnstest.Unsigned)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.domain, err)
+			t.Fatal(err)
 		}
-		if rep.Deployment != tc.deployment {
-			t.Errorf("%s: deployment %v, want %v", tc.domain, rep.Deployment, tc.deployment)
+		signer, err := zone.NewSigner(dnswire.AlgED25519, testNow)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !hasCode(rep, tc.code) {
-			t.Errorf("%s: missing %s in %+v", tc.domain, tc.code, rep.Findings)
+		configure(signer)
+		if err := signer.Sign(child); err != nil {
+			t.Fatal(err)
+		}
+		dss, _ := signer.DSRecords(domain, dnswire.DigestSHA256)
+		for _, ds := range dss {
+			tz.MustAdd(dnswire.NewRR(domain, 86400, ds))
 		}
 	}
-	// full.com is signed WITHOUT a denial chain: warn.
-	rep, err := c.Check(ctx, "full.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Deployment != dnssec.DeploymentFull {
-		t.Errorf("full.com: %v", rep.Deployment)
-	}
-	if !hasCode(rep, diagnose.CodeNoDenial) {
-		t.Errorf("full.com: missing NO_DENIAL_CHAIN warning: %+v", rep.Findings)
-	}
-	// Unregistered domain.
-	rep, err = c.Check(ctx, "ghost.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasCode(rep, diagnose.CodeNoDelegation) {
-		t.Errorf("ghost.com: %+v", rep.Findings)
-	}
-}
-
-func TestCheckExpiredSignature(t *testing.T) {
-	h, err := dnstest.NewHierarchy(testNow, "com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	child, _, err := h.AddDomain("stale.com", "ns1.op.net", dnstest.Unsigned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	signer, err := zone.NewSigner(dnswire.AlgED25519, testNow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	signer.Inception = testNow.AddDate(0, -3, 0)
-	signer.Expiration = testNow.AddDate(0, -1, 0)
-	if err := signer.Sign(child); err != nil {
-		t.Fatal(err)
-	}
-	tz := h.TLDZone("com")
-	dss, _ := signer.DSRecords("stale.com", dnswire.DigestSHA256)
-	for _, ds := range dss {
-		tz.MustAdd(dnswire.NewRR("stale.com", 86400, ds))
-	}
-	if err := h.TLDSigner("com").Sign(tz); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := newChecker(t, h).Check(context.Background(), "stale.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasCode(rep, diagnose.CodeSigExpired) {
-		t.Errorf("missing RRSIG_EXPIRED: %+v", rep.Findings)
-	}
-	if rep.Deployment != dnssec.DeploymentBroken {
-		t.Errorf("deployment: %v", rep.Deployment)
-	}
-}
-
-func TestCheckOrphanDS(t *testing.T) {
-	h, err := dnstest.NewHierarchy(testNow, "com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unsigned zone behind a DS record: the chat-misapply / stale-DS case.
-	if _, _, err := h.AddDomain("orphan.com", "ns1.op.net", dnstest.Unsigned); err != nil {
-		t.Fatal(err)
-	}
-	tz := h.TLDZone("com")
 	tz.MustAdd(dnswire.NewRR("orphan.com", 86400, &dnswire.DS{
 		KeyTag: 1, Algorithm: dnswire.AlgED25519, DigestType: dnswire.DigestSHA256, Digest: make([]byte, 32),
 	}))
 	if err := h.TLDSigner("com").Sign(tz); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := newChecker(t, h).Check(context.Background(), "orphan.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasCode(rep, diagnose.CodeDSOrphan) {
-		t.Errorf("missing DS_WITHOUT_DNSKEY: %+v", rep.Findings)
+	postures = h
+	return h
+}
+
+// anyDeployment is a findings case that leaves the deployment class open.
+const anyDeployment = dnssec.Deployment(-1)
+
+// findings is what the checker must report of a domain of
+// postureHierarchy: its deployment class, findings that must be there and
+// findings that must not, and, unless -1, how many errors.
+type findings struct {
+	domain     string
+	deployment dnssec.Deployment
+	codes      []diagnose.Code
+	absent     []diagnose.Code
+	errors     int
+}
+
+func checkFindings(t *testing.T, cases ...findings) {
+	t.Helper()
+	c := newChecker(t, postureHierarchy(t))
+	for _, tc := range cases {
+		rep, err := c.Check(context.Background(), tc.domain)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.domain, err)
+		}
+		if tc.deployment != anyDeployment && rep.Deployment != tc.deployment {
+			t.Errorf("%s: deployment %v, want %v", tc.domain, rep.Deployment, tc.deployment)
+		}
+		for _, code := range tc.codes {
+			if !hasCode(rep, code) {
+				t.Errorf("%s: missing %s in %+v", tc.domain, code, rep.Findings)
+			}
+		}
+		for _, code := range tc.absent {
+			if hasCode(rep, code) {
+				t.Errorf("%s: %s in %+v", tc.domain, code, rep.Findings)
+			}
+		}
+		if tc.errors >= 0 && len(rep.Errors()) != tc.errors {
+			t.Errorf("%s: %d error(s), want %d: %+v", tc.domain, len(rep.Errors()), tc.errors, rep.Errors())
+		}
 	}
 }
 
+func TestCheckHealthyDomain(t *testing.T) {
+	checkFindings(t, findings{"healthy.com", dnssec.DeploymentFull, []diagnose.Code{diagnose.CodeHealthy}, []diagnose.Code{diagnose.CodeNoDenial}, 0})
+}
+
+func TestCheckMisconfigurations(t *testing.T) {
+	checkFindings(t,
+		findings{"plain.com", dnssec.DeploymentNone, []diagnose.Code{diagnose.CodeUnsigned}, nil, -1},
+		findings{"partial.com", dnssec.DeploymentPartial, []diagnose.Code{diagnose.CodePartial}, nil, -1},
+		findings{"bogus.com", dnssec.DeploymentBroken, []diagnose.Code{diagnose.CodeDSNoMatch}, nil, -1},
+		// Signed without a denial chain: a warning.
+		findings{"full.com", dnssec.DeploymentFull, []diagnose.Code{diagnose.CodeNoDenial}, nil, -1},
+		findings{"ghost.com", anyDeployment, []diagnose.Code{diagnose.CodeNoDelegation}, nil, -1},
+	)
+}
+
+func TestCheckExpiredSignature(t *testing.T) {
+	checkFindings(t, findings{"stale.com", dnssec.DeploymentBroken, []diagnose.Code{diagnose.CodeSigExpired}, nil, -1})
+}
+
+func TestCheckOrphanDS(t *testing.T) {
+	checkFindings(t, findings{"orphan.com", anyDeployment, []diagnose.Code{diagnose.CodeDSOrphan}, nil, -1})
+}
+
 func TestCheckWrongSigner(t *testing.T) {
-	h, err := dnstest.NewHierarchy(testNow, "com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := h.AddDomain("rolled.com", "ns1.op.net", dnstest.WrongSigner); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := newChecker(t, h).Check(context.Background(), "rolled.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasCode(rep, diagnose.CodeWrongSigner) || len(rep.Errors()) != 1 {
-		t.Errorf("want DNSKEY_WRONG_SIGNER as the one error: %+v", rep.Findings)
-	}
-	if rep.Deployment != dnssec.DeploymentBroken {
-		t.Errorf("deployment: %v", rep.Deployment)
-	}
+	checkFindings(t, findings{"rolled.com", dnssec.DeploymentBroken, []diagnose.Code{diagnose.CodeWrongSigner}, nil, 1})
 }
 
 // TestCheckUnobservedIsAnError: a domain the checker could not observe whole
@@ -233,13 +167,7 @@ func TestCheckWrongSigner(t *testing.T) {
 // full deployment into PARTIAL_NO_DS, nor dark nameservers a signed zone into
 // UNSIGNED or DS_WITHOUT_DNSKEY.
 func TestCheckUnobservedIsAnError(t *testing.T) {
-	h, err := dnstest.NewHierarchy(testNow, "com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := h.AddDomain("full.com", "ns1.op.net", dnstest.Full); err != nil {
-		t.Fatal(err)
-	}
+	h := postureHierarchy(t)
 	parent := dnstest.TLDServerAddr("com")
 	for _, tc := range []struct {
 		name string

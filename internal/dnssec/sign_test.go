@@ -60,14 +60,21 @@ func TestSignVerifyAllAlgorithms(t *testing.T) {
 	}
 }
 
-func TestVerifyDetectsTampering(t *testing.T) {
+// signedSample is sampleRRSet signed for example.org over testWindow by a
+// fresh Ed25519 zone key.
+func signedSample(t *testing.T) (*KeyPair, []*dnswire.RR, *dnswire.RRSIG) {
+	t.Helper()
 	key := genKey(t, dnswire.AlgED25519, dnswire.FlagsZSK)
 	rrs := sampleRRSet()
 	sigRR, err := SignRRSet(rrs, key, "example.org", testWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := sigRR.Data.(*dnswire.RRSIG)
+	return key, rrs, sigRR.Data.(*dnswire.RRSIG)
+}
+
+func TestVerifyDetectsTampering(t *testing.T) {
+	key, rrs, sig := signedSample(t)
 
 	// Change one record: verification must fail.
 	tampered := sampleRRSet()
@@ -92,13 +99,7 @@ func TestVerifyDetectsTampering(t *testing.T) {
 }
 
 func TestVerifyOrderIndependence(t *testing.T) {
-	key := genKey(t, dnswire.AlgED25519, dnswire.FlagsZSK)
-	rrs := sampleRRSet()
-	sigRR, err := SignRRSet(rrs, key, "example.org", testWindow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig := sigRR.Data.(*dnswire.RRSIG)
+	key, rrs, sig := signedSample(t)
 	reversed := []*dnswire.RR{rrs[1], rrs[0]}
 	if err := VerifyRRSet(reversed, sig, key.DNSKEY(), testNow); err != nil {
 		t.Errorf("reordered RRset rejected: %v", err)
@@ -111,13 +112,7 @@ func TestVerifyOrderIndependence(t *testing.T) {
 }
 
 func TestVerifyWindow(t *testing.T) {
-	key := genKey(t, dnswire.AlgED25519, dnswire.FlagsZSK)
-	rrs := sampleRRSet()
-	sigRR, err := SignRRSet(rrs, key, "example.org", testWindow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig := sigRR.Data.(*dnswire.RRSIG)
+	key, rrs, sig := signedSample(t)
 	for _, tc := range []struct {
 		at   time.Time
 		want bool
@@ -136,15 +131,9 @@ func TestVerifyWindow(t *testing.T) {
 }
 
 func TestVerifyRejectsWrongKeyAndMetadata(t *testing.T) {
-	key := genKey(t, dnswire.AlgED25519, dnswire.FlagsZSK)
+	key, rrs, sig := signedSample(t)
 	other := genKey(t, dnswire.AlgED25519, dnswire.FlagsZSK)
 	ecdsaKey := genKey(t, dnswire.AlgECDSAP256SHA256, dnswire.FlagsZSK)
-	rrs := sampleRRSet()
-	sigRR, err := SignRRSet(rrs, key, "example.org", testWindow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig := sigRR.Data.(*dnswire.RRSIG)
 	if err := VerifyRRSet(rrs, sig, other.DNSKEY(), testNow); err == nil {
 		t.Error("verified with an unrelated key")
 	}

@@ -108,15 +108,24 @@ func (w *chainWorld) validator() *Validator {
 	return &Validator{Anchor: w.anchor, Fetch: w.fetcher, Now: func() time.Time { return testNow }}
 }
 
-func TestValidateSecureChain(t *testing.T) {
-	w := buildChain(t)
-	res, err := w.validator().Validate(context.Background(), "www.example.org", dnswire.TypeA)
-	if err != nil {
+// validates requires the validator's verdict on www.example.org's A RRset
+// to be want, and returns it; a fetch error is the verdict Indeterminate
+// alone may carry.
+func validates(t *testing.T, v *Validator, want Status) *Result {
+	t.Helper()
+	res, err := v.Validate(context.Background(), "www.example.org", dnswire.TypeA)
+	if err != nil && want != Indeterminate {
 		t.Fatal(err)
 	}
-	if res.Status != Secure {
-		t.Fatalf("Status = %v (%s), want secure", res.Status, res.Reason)
+	if res.Status != want {
+		t.Fatalf("Status = %v (%s), want %v", res.Status, res.Reason, want)
 	}
+	return res
+}
+
+func TestValidateSecureChain(t *testing.T) {
+	w := buildChain(t)
+	res := validates(t, w.validator(), Secure)
 	if len(res.Chain) != 3 {
 		t.Errorf("chain has %d links", len(res.Chain))
 	}
@@ -131,13 +140,7 @@ func TestValidateInsecureWithoutDS(t *testing.T) {
 	w := buildChain(t)
 	// Remove the DS for example.org: the classic partial deployment.
 	delete(w.fetcher.sets, rkey("example.org", dnswire.TypeDS))
-	res, err := w.validator().Validate(context.Background(), "www.example.org", dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != Insecure {
-		t.Fatalf("Status = %v (%s), want insecure", res.Status, res.Reason)
-	}
+	validates(t, w.validator(), Insecure)
 }
 
 func TestValidateBogusMismatchedDS(t *testing.T) {
@@ -155,60 +158,33 @@ func TestValidateBogusMismatchedDS(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.fetcher.put("example.org", []*dnswire.RR{dsRR}, sig)
-	res, err := w.validator().Validate(context.Background(), "www.example.org", dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != Bogus {
-		t.Fatalf("Status = %v (%s), want bogus", res.Status, res.Reason)
-	}
+	validates(t, w.validator(), Bogus)
 }
 
 func TestValidateBogusExpired(t *testing.T) {
 	w := buildChain(t)
 	v := w.validator()
 	v.Now = func() time.Time { return testWindow.Expiration.Add(48 * time.Hour) }
-	res, err := v.Validate(context.Background(), "www.example.org", dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != Bogus {
-		t.Fatalf("Status = %v (%s), want bogus after expiry", res.Status, res.Reason)
-	}
+	validates(t, v, Bogus)
 }
 
 func TestValidateBogusUnsignedTarget(t *testing.T) {
 	w := buildChain(t)
 	set := w.fetcher.sets[rkey("www.example.org", dnswire.TypeA)]
 	set.Sigs = nil
-	res, err := w.validator().Validate(context.Background(), "www.example.org", dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != Bogus {
-		t.Fatalf("Status = %v (%s), want bogus", res.Status, res.Reason)
-	}
+	validates(t, w.validator(), Bogus)
 }
 
 func TestValidateBogusMissingDNSKEY(t *testing.T) {
 	w := buildChain(t)
 	delete(w.fetcher.sets, rkey("example.org", dnswire.TypeDNSKEY))
-	res, err := w.validator().Validate(context.Background(), "www.example.org", dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != Bogus {
-		t.Fatalf("Status = %v (%s), want bogus: DS without DNSKEY", res.Status, res.Reason)
-	}
+	validates(t, w.validator(), Bogus)
 }
 
 func TestValidateIndeterminateOnFetchError(t *testing.T) {
 	w := buildChain(t)
 	w.fetcher.err = errors.New("network unreachable")
-	res, _ := w.validator().Validate(context.Background(), "www.example.org", dnswire.TypeA)
-	if res.Status != Indeterminate {
-		t.Fatalf("Status = %v, want indeterminate", res.Status)
-	}
+	validates(t, w.validator(), Indeterminate)
 }
 
 func TestClassify(t *testing.T) {

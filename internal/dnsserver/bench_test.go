@@ -52,10 +52,7 @@ func benchTLD(tb testing.TB, delegations int) (*zone.Zone, []string) {
 func benchQuery(tb testing.TB, name string, t dnswire.Type, edns, do bool) []byte {
 	tb.Helper()
 	if !edns {
-		pkt, err := dnswire.NewQuery(0, name, t).Pack()
-		if err != nil {
-			tb.Fatal(err)
-		}
+		pkt := mustPack(tb, dnswire.NewQuery(0, name, t))
 		return pkt
 	}
 	pkt, err := dnswire.AppendEDNSQuery(nil, 0, name, t, dnswire.ReplyUDPPayload, do)

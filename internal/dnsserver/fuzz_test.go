@@ -38,10 +38,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		case 2:
 			q.SetEDNS(512, true)
 		}
-		wire, err := q.Pack()
-		if err != nil {
-			tb.Fatal(err)
-		}
+		wire := mustPack(tb, q)
 		seeds = append(seeds, wire)
 	}
 	seed("example.com", dnswire.TypeNS, 0, false)

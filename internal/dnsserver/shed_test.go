@@ -43,10 +43,7 @@ func TestSlowPathShedsLoad(t *testing.T) {
 	defer c.Close()
 
 	q := dnswire.NewQuery(1, "example.com", dnswire.TypeA)
-	pkt, err := q.Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkt := mustPack(t, q)
 	for i := 0; i < 200; i++ {
 		if _, err := c.Write(pkt); err != nil {
 			t.Fatal(err)

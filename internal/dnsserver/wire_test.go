@@ -33,10 +33,7 @@ func sweepQueries(t *testing.T, names []string) [][]byte {
 				if edns > 0 {
 					q.SetEDNS(dnswire.ReplyUDPPayload, edns == 2)
 				}
-				wire, err := q.Pack()
-				if err != nil {
-					t.Fatal(err)
-				}
+				wire := mustPack(t, q)
 				out = append(out, wire)
 				id++
 			}
@@ -233,10 +230,7 @@ func TestFastPathAllocs(t *testing.T) {
 	cached, _ := newCachedUncachedPair(h.TLDZone("com"))
 	q := dnswire.NewQuery(7, "example.com", dnswire.TypeDS)
 	q.SetEDNS(dnswire.ReplyUDPPayload, true)
-	pkt, err := q.Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkt := mustPack(t, q)
 	sc := dnsserver.NewWireScratch()
 	if resp := cached.ServeWireFull(nil, pkt, sc, true); resp == nil {
 		t.Fatal("prime failed")
@@ -273,10 +267,7 @@ func TestRejectedFillAllocs(t *testing.T) {
 	pack := func(name string) []byte {
 		q := dnswire.NewQuery(7, name, dnswire.TypeA)
 		q.SetEDNS(dnswire.ReplyUDPPayload, true)
-		pkt, err := q.Pack()
-		if err != nil {
-			t.Fatal(err)
-		}
+		pkt := mustPack(t, q)
 		return pkt
 	}
 	sc := dnsserver.NewWireScratch()
@@ -378,18 +369,12 @@ func TestTruncatedReplyEchoesEDNS(t *testing.T) {
 	t.Run("edns-do", func(t *testing.T) {
 		q := dnswire.NewQuery(3, "com", dnswire.TypeANY)
 		q.SetEDNS(512, true)
-		pkt, err := q.Pack()
-		if err != nil {
-			t.Fatal(err)
-		}
+		pkt := mustPack(t, q)
 		check(t, pkt, true)
 	})
 	t.Run("no-edns", func(t *testing.T) {
 		q := dnswire.NewQuery(4, "com", dnswire.TypeANY)
-		pkt, err := q.Pack()
-		if err != nil {
-			t.Fatal(err)
-		}
+		pkt := mustPack(t, q)
 		check(t, pkt, false)
 	})
 }

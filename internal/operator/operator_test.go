@@ -7,15 +7,15 @@ import (
 
 	"securepki.org/registrarsec/internal/channel"
 	"securepki.org/registrarsec/internal/dnssec"
-	"securepki.org/registrarsec/internal/dnswire"
 	"securepki.org/registrarsec/internal/ecosystem"
+	"securepki.org/registrarsec/internal/ecotest"
 	"securepki.org/registrarsec/internal/operator"
 	"securepki.org/registrarsec/internal/registrar"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
 type fixture struct {
-	eco *ecosystem.Ecosystem
+	*ecotest.World
 	op  *operator.Operator
 	reg *registrar.Registrar
 }
@@ -24,54 +24,29 @@ type fixture struct {
 // DS form, and a customer domain delegated to the operator.
 func newFixture(t *testing.T, opCfg operator.Config) *fixture {
 	t.Helper()
-	eco, err := ecosystem.New(ecosystem.Config{
+	w := ecotest.New(t, ecosystem.Config{
 		TLDs:    []string{"com"},
 		CDSTLDs: map[string]bool{"com": true},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eco.Clock.Set(simtime.CloudflareUniversalDNSSEC + 30)
-	opCfg.Clock = eco.Clock.Day
-	opCfg.Net = eco.Net
+	w.Clock.Set(simtime.CloudflareUniversalDNSSEC + 30)
+	opCfg.Clock = w.Clock.Day
+	opCfg.Net = w.Net
 	op, err := operator.New(opCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := registrar.New(registrar.Policy{
+	reg := w.Registrar(registrar.Policy{
 		ID: "webreg", Name: "WebReg", NSHosts: []string{"ns1.webreg.net"},
 		OwnerDNSSEC: true, DSChannel: channel.Web,
-		Roles: map[string]registrar.Role{"com": {Kind: registrar.RoleRegistrar}},
-	}, registrar.Deps{Registries: eco.Registries, Net: eco.Net, Clock: eco.Clock.Day})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg.CreateAccount("cust@x.net")
-	if err := reg.Purchase("cust@x.net", "site.com", ""); err != nil {
-		t.Fatal(err)
-	}
+	})
+	w.Buy(reg, "cust@x.net", "site.com")
 	if _, err := op.CreateZone("site.com"); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.UseExternalNameservers("cust@x.net", "site.com", op.NSHosts()); err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{eco: eco, op: op, reg: reg}
-}
-
-func classify(t *testing.T, f *fixture, domain string) dnssec.Deployment {
-	t.Helper()
-	r, ok := f.eco.Registries["com"].Registration(domain)
-	if !ok {
-		t.Fatalf("%s not registered", domain)
-	}
-	v := f.eco.Validating()
-	res, chain, err := v.Lookup(context.Background(), domain, dnswire.TypeDNSKEY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hasKey := len(res.RRSet(domain, dnswire.TypeDNSKEY).RRs) > 0
-	return dnssec.Classify(hasKey, len(r.DS) > 0, chain.Status == dnssec.Secure)
+	return &fixture{World: w, op: op, reg: reg}
 }
 
 func cloudflareCfg() operator.Config {
@@ -86,25 +61,19 @@ func cloudflareCfg() operator.Config {
 func TestOperatorDSRelayFlow(t *testing.T) {
 	f := newFixture(t, cloudflareCfg())
 	// Delegated, unsigned: none.
-	if got := classify(t, f, "site.com"); got != dnssec.DeploymentNone {
-		t.Fatalf("before enable: %v", got)
-	}
+	f.Expect(t, "site.com", dnssec.DeploymentNone)
 	ds, err := f.op.EnableDNSSEC("site.com")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The operator signed the zone, but the customer has not relayed the
 	// DS: the paper's 40% gap state.
-	if got := classify(t, f, "site.com"); got != dnssec.DeploymentPartial {
-		t.Fatalf("before relay: %v", got)
-	}
+	f.Expect(t, "site.com", dnssec.DeploymentPartial)
 	// The customer completes the relay through the registrar web form.
 	if err := f.reg.SubmitDSWeb(context.Background(), "cust@x.net", "site.com", ds); err != nil {
 		t.Fatal(err)
 	}
-	if got := classify(t, f, "site.com"); got != dnssec.DeploymentFull {
-		t.Fatalf("after relay: %v", got)
-	}
+	f.Expect(t, "site.com", dnssec.DeploymentFull)
 	// DSRecord re-issues the same DS.
 	again, err := f.op.DSRecord("site.com")
 	if err != nil || again.KeyTag != ds.KeyTag {
@@ -125,11 +94,11 @@ func TestOperatorWithoutDNSSEC(t *testing.T) {
 
 func TestOperatorLaunchGate(t *testing.T) {
 	f := newFixture(t, cloudflareCfg())
-	f.eco.Clock.Set(simtime.CloudflareUniversalDNSSEC - 10)
+	f.Clock.Set(simtime.CloudflareUniversalDNSSEC - 10)
 	if _, err := f.op.EnableDNSSEC("site.com"); !errors.Is(err, operator.ErrNotLaunched) {
 		t.Errorf("pre-launch enable: %v", err)
 	}
-	f.eco.Clock.Set(simtime.CloudflareUniversalDNSSEC)
+	f.Clock.Set(simtime.CloudflareUniversalDNSSEC)
 	if _, err := f.op.EnableDNSSEC("site.com"); err != nil {
 		t.Errorf("launch-day enable: %v", err)
 	}
@@ -162,13 +131,11 @@ func TestOperatorDisableOrderMatters(t *testing.T) {
 	if err := f.op.DisableDNSSEC("site.com"); err != nil {
 		t.Fatal(err)
 	}
-	if got := classify(t, f, "site.com"); got != dnssec.DeploymentBroken {
-		t.Errorf("disable with stale DS: %v", got)
-	}
+	f.Expect(t, "site.com", dnssec.DeploymentBroken)
 	// Removing the DS restores a clean insecure state. WebReg offers no
 	// DS removal, so the test resets its registry password and withdraws
 	// the DS in an EPP session of its own as webreg.
-	com := f.eco.Registries["com"]
+	com := f.Registries["com"]
 	com.Accredit("webreg", "reset")
 	c, err := com.Dial("webreg", "reset")
 	if err != nil {
@@ -178,9 +145,7 @@ func TestOperatorDisableOrderMatters(t *testing.T) {
 	if err := c.UpdateDS("site.com", nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := classify(t, f, "site.com"); got != dnssec.DeploymentNone {
-		t.Errorf("after DS removal: %v", got)
-	}
+	f.Expect(t, "site.com", dnssec.DeploymentNone)
 }
 
 func TestOperatorCDSAutomation(t *testing.T) {
@@ -191,20 +156,16 @@ func TestOperatorCDSAutomation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Without the relay, partial...
-	if got := classify(t, f, "site.com"); got != dnssec.DeploymentPartial {
-		t.Fatalf("before CDS scan: %v", got)
-	}
+	f.Expect(t, "site.com", dnssec.DeploymentPartial)
 	// ...until the CDS-polling registry bootstraps the DS itself.
-	report, err := f.eco.Registries["com"].ScanCDS(context.Background(), f.eco.Net, f.eco.Clock.Day(), true)
+	report, err := f.Registries["com"].ScanCDS(context.Background(), f.Net, f.Clock.Day(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if report.Bootstrapped != 1 {
 		t.Fatalf("CDS report: %+v", report)
 	}
-	if got := classify(t, f, "site.com"); got != dnssec.DeploymentFull {
-		t.Errorf("after CDS scan: %v", got)
-	}
+	f.Expect(t, "site.com", dnssec.DeploymentFull)
 }
 
 func TestOperatorBootstrapViaRegistrarDraft(t *testing.T) {
@@ -217,9 +178,7 @@ func TestOperatorBootstrapViaRegistrarDraft(t *testing.T) {
 	if err := f.op.BootstrapViaRegistrar(context.Background(), "site.com", f.reg); err != nil {
 		t.Fatal(err)
 	}
-	if got := classify(t, f, "site.com"); got != dnssec.DeploymentFull {
-		t.Errorf("after draft bootstrap: %v", got)
-	}
+	f.Expect(t, "site.com", dnssec.DeploymentFull)
 }
 
 func TestOperatorAccessors(t *testing.T) {
@@ -235,7 +194,7 @@ func TestOperatorAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	until, ok := f.op.SignatureValidUntil("site.com")
-	if !ok || until.Before(f.eco.Clock.Day().Time()) {
+	if !ok || until.Before(f.Clock.Day().Time()) {
 		t.Errorf("signature window: %v %v", until, ok)
 	}
 	// Enabling twice reuses the signer (same DS).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"securepki.org/registrarsec/internal/analysis"
@@ -109,13 +110,35 @@ func TestColstoreSnapshotEquivalence(t *testing.T) {
 				t.Fatalf("world %d day %v: %d vs %d records", wi, day, len(got.Records), len(want.Records))
 			}
 			for i := range want.Records {
-				if !reflect.DeepEqual(got.Records[i], want.Records[i]) {
+				if !sameRecord(&got.Records[i], &want.Records[i]) {
 					t.Fatalf("world %d day %v record %d:\ncolstore  %+v\nreference %+v",
 						wi, day, i, got.Records[i], want.Records[i])
 				}
 			}
 		}
 	}
+}
+
+// recordFields is dataset.Record's fields: the conversion below stops the
+// build when a field is added that sameRecord does not compare.
+type recordFields struct {
+	Domain, TLD                                    string
+	NSHosts                                        []string
+	Operator                                       string
+	HasDNSKEY, HasRRSIG, HasDS, ChainValid, Failed bool
+	FailReason                                     string
+}
+
+var _ = recordFields(dataset.Record{})
+
+// sameRecord is reflect.DeepEqual of two records without reflection, which
+// costs most of a snapshot comparison: a nil NS-host slice differs from an
+// empty one.
+func sameRecord(a, b *dataset.Record) bool {
+	return a.Domain == b.Domain && a.TLD == b.TLD && a.Operator == b.Operator &&
+		(a.NSHosts == nil) == (b.NSHosts == nil) && slices.Equal(a.NSHosts, b.NSHosts) &&
+		a.HasDNSKEY == b.HasDNSKEY && a.HasRRSIG == b.HasRRSIG && a.HasDS == b.HasDS &&
+		a.ChainValid == b.ChainValid && a.Failed == b.Failed && a.FailReason == b.FailReason
 }
 
 func TestColstoreCDFAndOverviewEquivalence(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
@@ -54,10 +55,7 @@ func TestSavedWorldGoldenDigests(t *testing.T) {
 			if err := w.Save(path); err != nil {
 				t.Fatal(err)
 			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			data := archivetest.Read(t, path)
 			sum := sha256.Sum256(data)
 			if got := hex.EncodeToString(sum[:]); got != want {
 				t.Errorf("%s at %d workers: saved world hashes to %s, golden %s — the world format or the generator drifted",
@@ -216,10 +214,7 @@ func TestWorldV1FileRoundTrips(t *testing.T) {
 	if got := w.Index().Overview(simtime.End, AllTLDs); !reflect.DeepEqual(got, wantOverview) {
 		t.Errorf("overview %+v, want %+v", got, wantOverview)
 	}
-	onDisk, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	onDisk := archivetest.Read(t, path)
 	// SaveFile writes the mapped form, the file's own; the line form that
 	// Save writes must carry the same index back to it.
 	var lines bytes.Buffer
@@ -235,10 +230,7 @@ func TestWorldV1FileRoundTrips(t *testing.T) {
 		if err := idx.SaveFile(again, meta); err != nil {
 			t.Fatal(err)
 		}
-		resaved, err := os.ReadFile(again)
-		if err != nil {
-			t.Fatal(err)
-		}
+		resaved := archivetest.Read(t, again)
 		if !bytes.Equal(resaved, onDisk) {
 			t.Errorf("the index %s re-saves to %d bytes that differ from the file's %d: the world format drifted",
 				name, len(resaved), len(onDisk))

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"securepki.org/registrarsec/internal/analysis"
+	"securepki.org/registrarsec/internal/archivetest"
 	"securepki.org/registrarsec/internal/colstore"
 	"securepki.org/registrarsec/internal/simtime"
 )
@@ -181,12 +182,8 @@ func TestBuildCached(t *testing.T) {
 	}
 
 	// A corrupt cache entry is rebuilt, not trusted.
-	if err := os.WriteFile(files[0], []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(files[1], []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	archivetest.Write(t, files[0], []byte("garbage"))
+	archivetest.Write(t, files[1], []byte("garbage"))
 	c, err := BuildCached(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -202,10 +199,7 @@ func TestBuildCached(t *testing.T) {
 // that stays where it is, and the same bytes under today's name are
 // rebuilt over, not served.
 func TestBuildCachedIgnoresGeneratorV1Files(t *testing.T) {
-	v1File, err := os.ReadFile(filepath.Join("testdata", "world-v1.rscw"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1File := archivetest.Read(t, filepath.Join("testdata", "world-v1.rscw"))
 	cfg := WorldConfig{Scale: 1.0 / 400000, Seed: 1}
 	fresh, err := Build(cfg)
 	if err != nil {
@@ -218,9 +212,7 @@ func TestBuildCachedIgnoresGeneratorV1Files(t *testing.T) {
 		t.Fatal("the cache key did not change with the generator")
 	}
 	for _, path := range []string{v1Path, v2Path} {
-		if err := os.WriteFile(path, v1File, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		archivetest.Write(t, path, v1File)
 	}
 	w, err := BuildCached(dir, cfg)
 	if err != nil {
