@@ -17,12 +17,7 @@ func startTLDServer(t *testing.T, h *dnstest.Hierarchy, allow dnsserver.AXFRAllo
 	t.Helper()
 	auth := h.TLDServer("com")
 	auth.EnableAXFR(allow)
-	srv := &dnsserver.Server{Handler: auth}
-	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv
+	return listen(t, auth)
 }
 
 func TestAXFRTransfersWholeZone(t *testing.T) {

@@ -2,10 +2,7 @@ package dnsserver_test
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"io"
-	"net"
 	"testing"
 	"time"
 
@@ -26,40 +23,22 @@ func (h *slowHandler) ServeDNS(q *dnswire.Message) *dnswire.Message {
 	return q.Reply()
 }
 
-// tcpQuery writes one length-prefixed query on conn and returns the
-// length-prefixed response.
-func tcpQuery(conn net.Conn, q *dnswire.Message) (*dnswire.Message, error) {
-	out, err := q.Pack()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 2+len(out))
-	binary.BigEndian.PutUint16(buf, uint16(len(out)))
-	copy(buf[2:], out)
-	if _, err := conn.Write(buf); err != nil {
-		return nil, err
-	}
-	var lenBuf [2]byte
-	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-		return nil, err
-	}
-	msg := make([]byte, binary.BigEndian.Uint16(lenBuf[:]))
-	if _, err := io.ReadFull(conn, msg); err != nil {
-		return nil, err
-	}
-	var m dnswire.Message
-	if err := m.Unpack(msg); err != nil {
-		return nil, err
-	}
-	return &m, nil
+// inFlightTCP sends query id over a new TCP connection to srv and returns
+// where the exchange's error will arrive.
+func inFlightTCP(t *testing.T, srv *dnsserver.Server, id uint16) <-chan error {
+	conn := dialTCP(t, srv.Addr())
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	resp := make(chan error, 1)
+	go func() {
+		_, err := tcpQuery(conn, dnswire.NewQuery(id, "example.com", dnswire.TypeA))
+		resp <- err
+	}()
+	return resp
 }
 
 func TestShutdownDrainsInFlightQueries(t *testing.T) {
 	h := &slowHandler{entered: make(chan struct{}, 2), release: make(chan struct{})}
-	srv := &dnsserver.Server{Handler: h}
-	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	srv := listen(t, h)
 
 	// One in-flight query on each transport.
 	udpResp := make(chan error, 1)
@@ -68,17 +47,7 @@ func TestShutdownDrainsInFlightQueries(t *testing.T) {
 		_, err := ex.Exchange(context.Background(), srv.Addr(), dnswire.NewQuery(21, "example.com", dnswire.TypeA))
 		udpResp <- err
 	}()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	tcpResp := make(chan error, 1)
-	go func() {
-		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		_, err := tcpQuery(conn, dnswire.NewQuery(22, "example.com", dnswire.TypeA))
-		tcpResp <- err
-	}()
+	tcpResp := inFlightTCP(t, srv, 22)
 	<-h.entered
 	<-h.entered
 
@@ -109,21 +78,8 @@ func TestShutdownDrainsInFlightQueries(t *testing.T) {
 
 func TestShutdownDeadlineForcesClose(t *testing.T) {
 	h := &slowHandler{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	srv := &dnsserver.Server{Handler: h}
-	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	tcpResp := make(chan error, 1)
-	go func() {
-		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		_, err := tcpQuery(conn, dnswire.NewQuery(31, "example.com", dnswire.TypeA))
-		tcpResp <- err
-	}()
+	srv := listen(t, h)
+	tcpResp := inFlightTCP(t, srv, 31)
 	<-h.entered
 
 	// The handler never finishes within the drain budget: Shutdown must
@@ -140,19 +96,10 @@ func TestShutdownDeadlineForcesClose(t *testing.T) {
 }
 
 func TestShutdownIdleServerIsImmediate(t *testing.T) {
-	srv := &dnsserver.Server{Handler: dnsserver.HandlerFunc(func(q *dnswire.Message) *dnswire.Message {
-		return q.Reply()
-	})}
-	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	srv := listen(t, replyHandler{})
 	// An idle TCP connection must not hold the drain open for its read
 	// timeout.
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	dialTCP(t, srv.Addr())
 	time.Sleep(20 * time.Millisecond) // let the server accept and park in a read
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)

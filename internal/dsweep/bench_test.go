@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"securepki.org/registrarsec/internal/checkpoint"
 	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
 	"securepki.org/registrarsec/internal/tldsim"
@@ -31,10 +30,7 @@ func BenchmarkRunLocal(b *testing.B) {
 	// runFleet drains the plan with n workers and returns the merged archive,
 	// the coordinator's re-lease count and the time the drain took.
 	runFleet := func(b *testing.B, n int) ([]byte, int, time.Duration) {
-		store, err := checkpoint.Open(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
+		store := openStore(b)
 		workers := plan.Fleet(world, n)
 		start := time.Now()
 		// A 2s lease keeps the GrantWait retry cadence (TTL/8) short, so the

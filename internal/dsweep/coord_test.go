@@ -40,13 +40,37 @@ func makeSnap(d simtime.Day, names ...string) *dataset.Snapshot {
 }
 
 // openStore opens a checkpoint store in a fresh temp dir.
-func openStore(t *testing.T) *checkpoint.Store {
+func openStore(t testing.TB) *checkpoint.Store {
 	t.Helper()
 	st, err := checkpoint.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// coordinator opens a coordinator over cfg and closes it when the test
+// ends, if the test has not.
+func coordinator(t testing.TB, cfg CoordinatorConfig) *Coordinator {
+	t.Helper()
+	c, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// refuses requires NewCoordinator to refuse cfg with an error naming want.
+func refuses(t *testing.T, cfg CoordinatorConfig, want string) {
+	t.Helper()
+	c, err := NewCoordinator(cfg)
+	if err == nil {
+		c.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a coordinator over %q accepted, want an error naming %q: %v", cfg.Plan.Fingerprint, want, err)
+	}
 }
 
 // flush writes a unit's snapshot as the given owner — one chunk at the
@@ -109,11 +133,7 @@ func complete(t *testing.T, c *Coordinator, leaseID, worker string, u UnitID, ma
 func TestCoordinatorLeasesInPlanOrderAndMerges(t *testing.T) {
 	st := openStore(t)
 	clock := newFakeClock()
-	c, err := NewCoordinator(CoordinatorConfig{Plan: testPlan(2, 10, 11), Store: st, Now: clock.now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := coordinator(t, CoordinatorConfig{Plan: testPlan(2, 10, 11), Store: st, Now: clock.now})
 
 	ctx := context.Background()
 	wantOrder := []UnitID{{day(10), 0}, {day(10), 1}, {day(11), 0}, {day(11), 1}}
@@ -158,11 +178,7 @@ func TestCoordinatorLeasesInPlanOrderAndMerges(t *testing.T) {
 func TestCoordinatorExpiredLeaseIsReleased(t *testing.T) {
 	st := openStore(t)
 	clock := newFakeClock()
-	c, err := NewCoordinator(CoordinatorConfig{Plan: testPlan(1, 10), Store: st, Now: clock.now, LeaseTTL: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := coordinator(t, CoordinatorConfig{Plan: testPlan(1, 10), Store: st, Now: clock.now, LeaseTTL: time.Second})
 
 	ctx := context.Background()
 	g1, _ := c.Lease(ctx, "w1")
@@ -213,10 +229,7 @@ func TestCoordinatorDivergentDuplicateSettledByValue(t *testing.T) {
 	for _, swap := range []bool{false, true} {
 		st := openStore(t)
 		clock := newFakeClock()
-		c, err := NewCoordinator(CoordinatorConfig{Plan: testPlan(1, 10), Store: st, Now: clock.now, LeaseTTL: time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := coordinator(t, CoordinatorConfig{Plan: testPlan(1, 10), Store: st, Now: clock.now, LeaseTTL: time.Second})
 		u := UnitID{day(10), 0}
 		g1, _ := c.Lease(context.Background(), "w1")
 		clock.advance(2 * time.Second) // expire w1
@@ -249,11 +262,7 @@ func TestCoordinatorDivergentDuplicateSettledByValue(t *testing.T) {
 
 func TestCoordinatorRejectsUnverifiableShard(t *testing.T) {
 	st := openStore(t)
-	c, err := NewCoordinator(CoordinatorConfig{Plan: testPlan(1, 10), Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := coordinator(t, CoordinatorConfig{Plan: testPlan(1, 10), Store: st})
 	u := UnitID{day(10), 0}
 	g, _ := c.Lease(context.Background(), "w1")
 	meta := flush(t, st, u, "w1", makeSnap(u.Day, "a.com"))
@@ -275,16 +284,9 @@ func TestCoordinatorRejectsUnverifiableShard(t *testing.T) {
 }
 
 func TestCoordinatorRestartRecoversState(t *testing.T) {
-	dir := t.TempDir()
-	st, err := checkpoint.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t)
 	plan := testPlan(2, 10, 11)
-	c1, err := NewCoordinator(CoordinatorConfig{Plan: plan, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1 := coordinator(t, CoordinatorConfig{Plan: plan, Store: st})
 	ctx := context.Background()
 	// Complete the first unit, lease (but never finish) the second.
 	g1, _ := c1.Lease(ctx, "w1")
@@ -298,12 +300,8 @@ func TestCoordinatorRestartRecoversState(t *testing.T) {
 
 	// Restart with a clock one minute ahead, so the dead run's restored
 	// in-flight lease is immediately expired and its unit re-leasable.
-	c2, err := NewCoordinator(CoordinatorConfig{Plan: plan, Store: st,
+	c2 := coordinator(t, CoordinatorConfig{Plan: plan, Store: st,
 		Now: func() time.Time { return time.Now().Add(time.Minute) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
 	if s := c2.Stats(); s.Recovered != 1 || s.Done != 1 {
 		t.Fatalf("restored stats: %+v", s)
 	}
@@ -339,32 +337,16 @@ func TestCoordinatorRestartRecoversState(t *testing.T) {
 }
 
 func TestCoordinatorRefusesForeignState(t *testing.T) {
-	dir := t.TempDir()
-	st, err := checkpoint.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openStore(t)
 	plan := testPlan(1, 10)
-	c1, err := NewCoordinator(CoordinatorConfig{Plan: plan, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _ := c1.Lease(context.Background(), "w1")
-	_ = g
+	c1 := coordinator(t, CoordinatorConfig{Plan: plan, Store: st})
+	c1.Lease(context.Background(), "w1")
 	c1.Close()
 
 	other := plan
 	other.Fingerprint = "different-plan"
-	if _, err := NewCoordinator(CoordinatorConfig{Plan: other, Store: st}); err == nil ||
-		!strings.Contains(err.Error(), "different sweep") {
-		t.Fatalf("foreign state accepted: %v", err)
-	}
-
-	resharded := testPlan(3, 10)
-	if _, err := NewCoordinator(CoordinatorConfig{Plan: resharded, Store: st}); err == nil ||
-		!strings.Contains(err.Error(), "shards") {
-		t.Fatalf("resharded state accepted: %v", err)
-	}
+	refuses(t, CoordinatorConfig{Plan: other, Store: st}, "different sweep")
+	refuses(t, CoordinatorConfig{Plan: testPlan(3, 10), Store: st}, "shards")
 }
 
 // refusedAsDifferentSweep leaves a coordinator.json and a checkpoint.json
@@ -376,18 +358,12 @@ func refusedAsDifferentSweep(t *testing.T, plan Plan, old string) {
 		t.Fatalf("the plan still fingerprints as %q", old)
 	}
 	st := openStore(t)
-	c1, err := NewCoordinator(CoordinatorConfig{Plan: Plan{Fingerprint: old, Days: plan.Days, Shards: plan.Shards, Chunk: plan.Chunk}, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1 := coordinator(t, CoordinatorConfig{Plan: Plan{Fingerprint: old, Days: plan.Days, Shards: plan.Shards, Chunk: plan.Chunk}, Store: st})
 	if _, err := c1.Lease(context.Background(), "w1"); err != nil { // writes coordinator.json
 		t.Fatal(err)
 	}
 	c1.Close()
-	if _, err := NewCoordinator(CoordinatorConfig{Plan: plan, Store: st}); err == nil ||
-		!strings.Contains(err.Error(), "different sweep") {
-		t.Errorf("coordinator.json of %q accepted: %v", old, err)
-	}
+	refuses(t, CoordinatorConfig{Plan: plan, Store: st}, "different sweep")
 
 	cp := openStore(t)
 	if err := cp.Save(&checkpoint.Header{Fingerprint: old}); err != nil {
@@ -439,15 +415,8 @@ func TestParentFormatLedgerIsRefused(t *testing.T) {
 func TestCoordinatorLockRefusesSecondInstance(t *testing.T) {
 	st := openStore(t)
 	plan := testPlan(1, 10)
-	c1, err := NewCoordinator(CoordinatorConfig{Plan: plan, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	if _, err := NewCoordinator(CoordinatorConfig{Plan: plan, Store: st}); err == nil ||
-		!strings.Contains(err.Error(), "locked") {
-		t.Fatalf("second live coordinator accepted: %v", err)
-	}
+	coordinator(t, CoordinatorConfig{Plan: plan, Store: st})
+	refuses(t, CoordinatorConfig{Plan: plan, Store: st}, "locked")
 }
 
 func TestPlanValidation(t *testing.T) {

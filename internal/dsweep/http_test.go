@@ -18,13 +18,9 @@ import (
 // still match the single-process oracle.
 func TestHTTPTopologyByteIdentical(t *testing.T) {
 	env := newChaosEnv(t, 3)
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord := coordinator(t, CoordinatorConfig{
 		Plan: env.plan, Store: env.store, LeaseTTL: 300 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
 	srv := httptest.NewServer(NewHandler(coord))
 	defer srv.Close()
 
@@ -73,11 +69,7 @@ func TestHTTPTopologyByteIdentical(t *testing.T) {
 // client errors with the coordinator's message, not as decode garbage.
 func TestHTTPErrorMapping(t *testing.T) {
 	env := newChaosEnv(t, 2)
-	coord, err := NewCoordinator(CoordinatorConfig{Plan: env.plan, Store: env.store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	coord := coordinator(t, CoordinatorConfig{Plan: env.plan, Store: env.store})
 	srv := httptest.NewServer(NewHandler(coord))
 	defer srv.Close()
 	client := &Client{Base: srv.URL}

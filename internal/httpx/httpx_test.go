@@ -17,6 +17,26 @@ func TestNewServerSetsEveryTimeout(t *testing.T) {
 	}
 }
 
+// serve runs srv on a loopback listener until the test ends and returns
+// its address.
+func serve(t *testing.T, srv *http.Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		srv.Serve(ln)
+		close(done)
+	}()
+	t.Cleanup(func() {
+		srv.Shutdown(context.Background())
+		<-done
+	})
+	return ln.Addr().String()
+}
+
 // TestSlowClientDisconnected is the regression test for the unbounded
 // servers this package replaced: a client that dribbles headers forever
 // (slowloris) must be disconnected by the read-header budget, not pin a
@@ -28,21 +48,7 @@ func TestSlowClientDisconnected(t *testing.T) {
 	srv.ReadHeaderTimeout = 100 * time.Millisecond
 	srv.ReadTimeout = 200 * time.Millisecond
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		srv.Serve(ln)
-		close(done)
-	}()
-	defer func() {
-		srv.Shutdown(context.Background())
-		<-done
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	conn, err := net.Dial("tcp", serve(t, srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,21 +73,7 @@ func TestFastRequestStillServed(t *testing.T) {
 	srv := NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok")
 	}))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		srv.Serve(ln)
-		close(done)
-	}()
-	defer func() {
-		srv.Shutdown(context.Background())
-		<-done
-	}()
-
-	resp, err := http.Get("http://" + ln.Addr().String() + "/")
+	resp, err := http.Get("http://" + serve(t, srv) + "/")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"securepki.org/registrarsec/internal/dataset"
-	"securepki.org/registrarsec/internal/dnstest"
+	"securepki.org/registrarsec/internal/ecotest"
 	"securepki.org/registrarsec/internal/exchange"
 	"securepki.org/registrarsec/internal/faultnet"
 	"securepki.org/registrarsec/internal/retry"
@@ -37,20 +37,12 @@ func runLossySweep(t *testing.T, cached bool) ([]*dataset.Snapshot, *scan.SweepH
 	t.Helper()
 	eco, targets := buildWorld(t)
 	inj := faultnet.New(nil, 7, nil, faultnet.Rule{Pattern: "*.net", Loss: 0.5})
-	cfg := scan.Config{
-		Exchange:   eco.Net,
-		Middleware: []exchange.Middleware{inj.Middleware()},
-		TLDServers: map[string]string{
-			"com": dnstest.TLDServerAddr("com"),
-			"nl":  dnstest.TLDServerAddr("nl"),
-		},
-		// One worker keeps record order a pure function of target order, so
-		// the outputs can be compared byte for byte.
-		Workers:     1,
-		Clock:       eco.Clock.Day,
-		Retry:       retry.Policy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
-		MaxResweeps: 2,
-	}
+	// One worker keeps record order a pure function of target order, so
+	// the outputs can be compared byte for byte.
+	cfg := ecotest.ScanConfig(eco, 1)
+	cfg.Middleware = []exchange.Middleware{inj.Middleware()}
+	cfg.Retry = retry.Policy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
+	cfg.MaxResweeps = 2
 	if cached {
 		cfg.Cache = &exchange.CacheOptions{}
 		cfg.Dedup = true

@@ -19,17 +19,6 @@ func (h *SweepHealth) Cancelled() int {
 	return h.ByClass[FailCancelled]
 }
 
-// sliceTargets adapts an in-memory []Target to the cursor interface.
-type sliceTargets []Target
-
-func (s sliceTargets) Len() int { return len(s) }
-func (s sliceTargets) Target(i int) (string, string) {
-	return s[i].Domain, s[i].TLD
-}
-
-// SliceTargets wraps an in-memory target list as a TargetSource.
-func SliceTargets(ts []Target) TargetSource { return sliceTargets(ts) }
-
 // TargetsFromDomains builds scan targets from bare domain names.
 func TargetsFromDomains(domains []string) []Target {
 	out := make([]Target, 0, len(domains))

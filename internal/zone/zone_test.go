@@ -126,7 +126,7 @@ func TestNamesCanonicalOrder(t *testing.T) {
 	}
 }
 
-func newTestSigner(t *testing.T) *Signer {
+func newTestSigner(t testing.TB) *Signer {
 	t.Helper()
 	s, err := NewSigner(dnswire.AlgED25519, testNow)
 	if err != nil {
