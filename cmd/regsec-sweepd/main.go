@@ -100,7 +100,12 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	srv := httpx.NewServer(dsweep.NewHandler(coord))
+	// An interrupt ends the lease requests held waiting, so that Shutdown
+	// does not wait them out.
+	srv.BaseContext = func(net.Listener) context.Context { return ctx }
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, err)
@@ -109,8 +114,6 @@ func run() int {
 	fmt.Fprintf(os.Stderr, "coordinating %d units (%d day(s) × %d shard(s)) on http://%s — workers: regsec-scan -worker http://%s -checkpoint-dir %s\n",
 		plan.Units(), len(plan.Days), plan.Shards, ln.Addr(), ln.Addr(), *cpDir)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	start := time.Now()
 	select {
 	case <-ctx.Done():

@@ -44,10 +44,11 @@ func (f HandlerFunc) ServeDNS(q *dnswire.Message) *dnswire.Message { return f(q)
 // With a cache, installing a zone subscribes the cache to the zone's
 // mutation events before the zone becomes visible to queries, so every
 // response the cache ever holds is covered by the invalidation stream.
-// Zone-set changes themselves are guarded by a publish seqlock (pubGen):
-// fills pin it alongside the zone generation, so a fill racing
-// AddZone/RemoveZone — or a deferred zone's build — can never strand a
-// response rendered from the superseded zone set.
+// A zone-set change bumps the cache's stamps once it is visible, and
+// pubGen catches the fill that chose its zone before the change but read
+// its stamps after the bump: a fill racing AddZone/RemoveZone — or a
+// deferred zone's build — can never strand a response rendered from the
+// superseded zone set.
 type Authoritative struct {
 	mu    sync.RWMutex
 	zones map[string]*zone.Zone
@@ -61,8 +62,8 @@ type Authoritative struct {
 	// whose events already reach the cache, exists only beside it.
 	cache      *ResponseCache
 	subscribed map[*zone.Zone]bool
-	// pubGen is odd while a zone-set publish (and its cache flush) is in
-	// progress; fills pinned across a publish are rejected.
+	// pubGen counts zone-set changes. A fill reads it before findZone and
+	// is not stored if it moved by the insert.
 	pubGen atomic.Uint64
 }
 
@@ -72,8 +73,8 @@ func NewAuthoritative() *Authoritative {
 	return &Authoritative{zones: make(map[string]*zone.Zone)}
 }
 
-// Sharded is the name the serving daemons and the benchmark use for an
-// Authoritative that carries a response cache.
+// Sharded is the name the benchmark uses for an Authoritative that carries
+// a response cache.
 type Sharded = Authoritative
 
 // ShardedConfig sizes the response cache NewSharded builds.
@@ -122,9 +123,10 @@ func (a *Authoritative) RemoveZone(origin string) {
 // setZone changes what the host serves at origin: z, or the zone d builds
 // at first use, or nothing when both are nil. from is set when z is the
 // zone from built: the install is skipped unless from still holds origin.
-// The cache is subscribed to z before z is visible, and origin's subtree is
-// flushed after: an enclosing zone may have answered below its cut before
-// the child zone arrived, and a removed zone's renderings are all stale.
+// The cache is subscribed to z before z is visible, and the stamps of
+// origin's subtree are bumped after: an enclosing zone may have answered
+// below its cut before the child zone arrived, and a removed zone's
+// renderings are all stale.
 func (a *Authoritative) setZone(origin string, z *zone.Zone, d, from *deferredZone) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -133,7 +135,7 @@ func (a *Authoritative) setZone(origin string, z *zone.Zone, d, from *deferredZo
 	}
 	if z != nil && a.cache != nil && !a.subscribed[z] {
 		a.subscribed[z] = true
-		z.OnEvent(func(ev zone.Event) { a.cache.applyEvent(z, ev) })
+		z.OnEvent(func(ev zone.Event) { a.cache.applyEvent(origin, ev) })
 	}
 	a.pubGen.Add(1)
 	if z != nil {
@@ -149,9 +151,8 @@ func (a *Authoritative) setZone(origin string, z *zone.Zone, d, from *deferredZo
 		a.deferred[origin] = d
 	}
 	if a.cache != nil {
-		a.cache.FlushSubtree(origin)
+		a.cache.zoneMoved(origin)
 	}
-	a.pubGen.Add(1)
 }
 
 // built returns d's zone, building it first if no reader has: one build
@@ -240,15 +241,17 @@ func (a *Authoritative) ServeDNS(q *dnswire.Message) *dnswire.Message {
 // answer renders the response to (qname, qtype) into resp, which arrives as
 // the skeleton of one: header, question and — for an EDNS query — the
 // responder's OPT. z is the zone the answer came from — nil for REFUSED,
-// which no zone event could ever invalidate — and zg that zone's generation,
-// read before rendering for the cache fill to pin. r is the caller's reader
-// to reuse, or nil.
-func (a *Authoritative) answer(resp *dnswire.Message, r *zone.Reader, qname string, qtype dnswire.Type, dnssecOK bool) (z *zone.Zone, zg uint64) {
+// which no zone event could ever invalidate — and, on a host with a cache,
+// p the stamps the answer depends on, read before rendering for the fill.
+// r is the caller's reader to reuse, or nil.
+func (a *Authoritative) answer(resp *dnswire.Message, r *zone.Reader, qname string, qtype dnswire.Type, dnssecOK bool) (z *zone.Zone, p pin) {
 	if z = a.findZone(qname); z == nil {
 		resp.RCode = dnswire.RCodeRefused
-		return nil, 0
+		return nil, p
 	}
-	zg = z.Generation()
+	if a.cache != nil {
+		p = a.cache.pin(z.Origin, qname)
+	}
 	skeleton := len(resp.Additional)
 	z.Read(r, func(r *zone.Reader) {
 		// A pass over the zone may be run again: each starts from the skeleton.
@@ -256,7 +259,7 @@ func (a *Authoritative) answer(resp *dnswire.Message, r *zone.Reader, qname stri
 		resp.Answers, resp.Authority, resp.Additional = resp.Answers[:0], resp.Authority[:0], resp.Additional[:skeleton]
 		answerInZone(resp, r, qname, qtype, dnssecOK)
 	})
-	return z, zg
+	return z, p
 }
 
 // answerInZone fills resp with the authoritative answer for (qname, qtype)

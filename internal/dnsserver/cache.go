@@ -18,29 +18,37 @@ import (
 // Each bucket is an open-addressed table of atomic entry pointers. Reads
 // are lock-free: a lookup loads the bucket's table and probes linearly
 // until it finds the key or an empty slot. Writers hold the bucket mutex
-// and publish with single pointer stores — an entry into a slot, a
-// tombstone over a flushed entry, a rebuilt table (doubled, or the same
-// size with the tombstones shed) over the old one — so a fill costs
-// amortized O(1) whatever the bucket holds.
+// and publish with single pointer stores — an entry into an empty slot or
+// over the entry it replaces, a rebuilt table over the old one. No slot is
+// ever emptied in place, so a fill costs amortized O(1).
 //
-// Invalidation is driven by zone.Events (see Authoritative.setZone): a
-// name-scoped event flushes the enclosing delegation cut's subtree, an
-// apex-scoped event flushes only entries that embed apex-owned records,
-// and a zone-scoped event flushes everything rendered from that zone.
-// Name-scoped events find their entries through the index by name (see
-// nameShard), apex-scoped events through per-bucket lists, and visit
-// nothing else; zone-scoped events and FlushSubtree scan.
+// Invalidation is lazy, by version stamp. The cache keeps a fixed array of
+// counters, the stamps; a zone event only bumps the stamps of the scope it
+// names (see applyEvent). A fill reads, before rendering, the stamps its
+// answer depends on — its zone's, its zone apex's, and that of the name
+// directly below the origin that covers its qname — and the entry keeps
+// their sum. An entry whose stamps moved since is stale: a lookup that
+// finds it misses, and the refill replaces it in place. A bucket at its
+// cap drops its stale entries before it rejects a new key.
 //
-// A fill races with concurrent zone mutation, so inserts carry a guard:
-// the filler pins the zone's generation (and the handler's publish
-// generation) before rendering, and insert rejects the entry if either
-// moved — a response rendered from half-mutated state can never be cached.
+// This is sound because zone events fire after their mutation commits: a
+// fill that rendered the state before a mutation read its stamps before
+// the mutation's bump, so it is stale from the bump on, whenever it is
+// stored. Zone-set changes bump stamps too (see Authoritative.setZone).
 type ResponseCache struct {
 	buckets [cacheBuckets]respBucket
-	shards  [cacheBuckets]nameShard
-	// perBucketCap bounds each bucket's entries; inserts into a full bucket
-	// are rejected (counted, not evicted — the workload is a closed universe
-	// of simulated names, so steady state fits or it doesn't).
+	// stamps is a power of two plus one counters: a stamp is picked by the
+	// hash of its scope (stampOf), and the last one, quiet, is never bumped —
+	// it stands in for a dependency an entry does not have.
+	stamps []atomic.Uint64
+	quiet  uint32
+	// epoch counts bumps, so a bucket at its cap looks for stale entries
+	// only when some may have gone stale since it last looked.
+	epoch atomic.Uint64
+	// perBucketCap bounds each bucket's entries; a new key for a full bucket
+	// with nothing stale is rejected (counted, not evicted — the workload is
+	// a closed universe of simulated names, so steady state fits or it
+	// doesn't).
 	perBucketCap int
 
 	hits     atomic.Uint64
@@ -62,14 +70,10 @@ type respBucket struct {
 	table atomic.Pointer[respTable]
 
 	mu sync.Mutex
-	// live counts the entries a lookup can find; used also counts the
-	// tombstones, and is what bounds the table's load.
-	live, used int
-	// apex lets an apex-scoped flush visit only its candidates: under the
-	// hash of an origin, the bucket's apexDep entries rendered from that
-	// zone. A list sheds its dead entries when a flush walks it and before it
-	// would grow.
-	apex entryIndex
+	// n counts the entries in table, stale ones included.
+	n int
+	// shedAt is the epoch at which the bucket last looked for stale entries.
+	shedAt uint64
 }
 
 // respTable is one published generation of a bucket: len(slots) is a power
@@ -78,47 +82,16 @@ type respTable struct {
 	slots []atomic.Pointer[respEntry]
 }
 
-// nameShard is one shard of the index by name. The hash of the whole key
-// chooses an entry's bucket, which scatters a name's entries; the last two
-// labels of its qname choose its shard, and every name at or below a flush
-// target of two labels or more shares them with the target. chains holds,
-// under the hash of a name directly below a zone's origin, the entries
-// rendered from that zone whose qname is that name or below it — the names
-// a ScopeName event can carry are such a name or lie below one — chained
-// through respEntry.next, so listing an entry allocates nothing.
-//
-// Lock order: shard, then bucket. A fill holds both; a name-scoped flush
-// holds the shard's mutex and takes the bucket's of each entry it removes;
-// every other flush goes bucket by bucket.
-type nameShard struct {
-	mu     sync.Mutex
-	chains map[uint64]nameChain
-}
-
-// nameChain is one chain of a nameShard. It sheds dead entries whenever it
-// is walked, by a flush or by link: n counts the entries chained, kept how
-// many the last walk left, and link walks it when that has doubled.
-type nameChain struct {
-	head    *respEntry
-	n, kept int32
-}
-
 type respEntry struct {
 	// key is the respKey the entry answers and hash its hashKey.
 	key  string
 	hash uint64
 	// wire is the packed response with ID zeroed and RD cleared.
 	wire []byte
-	// origin of the zone the response was rendered from.
-	origin string
-	// apexDep marks responses embedding apex-owned records (SOA in negative
-	// answers, apex RRsets): the only entries a ScopeApex event flushes.
-	apexDep bool
-	// next chains the entry in its shard and belongs to the shard mutex.
-	// dead is set, under the bucket mutex, once the entry is flushed or
-	// replaced.
-	next *respEntry
-	dead atomic.Bool
+	// deps are the stamps the response was rendered under, and seen their
+	// sum then: the entry is fresh while the sum has not moved.
+	deps [3]uint32
+	seen uint64
 }
 
 // slab is a respEntry and the bytes its key and wire point into, so that an
@@ -160,10 +133,6 @@ func newRespEntry(key, wire []byte) *respEntry {
 	return e
 }
 
-// tombstone marks a slot whose entry was flushed: a probe passes over it
-// (it matches no key — keys are never empty) instead of stopping.
-var tombstone = new(respEntry)
-
 // EDNS-state key byte: responses differ by OPT presence and DO bit, but not
 // by the client's advertised size (Reply pins the responder payload).
 const (
@@ -188,16 +157,19 @@ func NewResponseCache(maxEntries int) *ResponseCache {
 	if maxEntries <= 0 {
 		maxEntries = 1 << 18
 	}
-	per := maxEntries / cacheBuckets
-	if per < 4 {
-		per = 4
+	// A stamp per four entries: a delegation's entries (its types, EDNS
+	// states and the names below it) share one.
+	n := 64
+	for n < maxEntries/4 {
+		n <<= 1
 	}
-	c := &ResponseCache{perBucketCap: per}
+	c := &ResponseCache{
+		stamps:       make([]atomic.Uint64, n+1),
+		quiet:        uint32(n),
+		perBucketCap: max(maxEntries/cacheBuckets, 4),
+	}
 	for i := range c.buckets {
-		b := &c.buckets[i]
-		b.table.Store(&respTable{slots: make([]atomic.Pointer[respEntry], minTableSlots)})
-		b.apex = make(entryIndex)
-		c.shards[i].chains = make(map[uint64]nameChain)
+		c.buckets[i].table.Store(&respTable{slots: make([]atomic.Pointer[respEntry], minTableSlots)})
 	}
 	return c
 }
@@ -209,37 +181,83 @@ func respKey(buf []byte, qname []byte, qtype dnswire.Type, edns byte) []byte {
 	return append(buf, byte(qtype>>8), byte(qtype), edns)
 }
 
-// keyQName recovers the qname portion of a key.
-func keyQName(key string) string { return key[:len(key)-3] }
+const (
+	fnvBasis = 14695981039346656037
+	fnvPrime = 1099511628211
+)
 
-func hashKey(b []byte) uint64 { return fnv(b, 0) }
+func hashKey(b []byte) uint64 { return fnv(fnvBasis, b) }
 
-// fnv is the FNV-1a hash of name[from:].
-func fnv[T string | []byte](name T, from int) uint64 {
-	h := uint64(14695981039346656037)
-	for i := from; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
+// fnv continues the FNV-1a hash h over s.
+func fnv[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
 	}
 	return h
 }
 
-// shardOf picks the index shard of a name: by its last two labels.
-func shardOf[T string | []byte](c *ResponseCache, name T) *nameShard {
-	from := 0
-	for i, dots := len(name)-1, 0; i >= 0; i-- {
-		if name[i] == '.' {
-			if dots++; dots == 2 {
-				from = i + 1
-				break
-			}
-		}
-	}
-	return &c.shards[fnv(name, from)&(cacheBuckets-1)]
+// The scopes a stamp covers in one zone.
+const (
+	scopeZone = iota
+	scopeApex
+	scopeName
+)
+
+// stampOf picks the stamp of one scope of the zone at origin: the whole
+// zone, its apex, or (scopeName) the name child directly below the origin
+// and everything below that. Two scopes may share a stamp; a bump of one
+// then also invalidates the other's entries, which is safe.
+func (c *ResponseCache) stampOf(origin string, scope byte, child string) uint32 {
+	h := fnv((fnv(fnvBasis, origin)^uint64(scope))*fnvPrime, child)
+	return uint32(h^h>>32) & (c.quiet - 1)
 }
 
+// childOf returns the ancestor of name (or name itself) directly below
+// origin, which name must be strictly below.
+func childOf(name, origin string) string {
+	above := len(name) - len(origin)
+	if origin != "" {
+		above-- // the dot before origin
+	}
+	return name[strings.LastIndexByte(name[:above], '.')+1:]
+}
+
+// bump moves stamp s, and the epoch after it.
+func (c *ResponseCache) bump(s uint32) {
+	c.stamps[s].Add(1)
+	c.epoch.Add(1)
+}
+
+// pin is what a fill reads before rendering: the stamps an answer for qname
+// out of the zone at origin may depend on — the zone's, the apex's and,
+// below the apex, the covering child's — and their values.
+type pin struct {
+	deps [3]uint32
+	seen [3]uint64
+}
+
+func (c *ResponseCache) pin(origin, qname string) pin {
+	p := pin{deps: [3]uint32{c.stampOf(origin, scopeZone, ""), c.stampOf(origin, scopeApex, ""), c.quiet}}
+	if len(qname) > len(origin) {
+		p.deps[2] = c.stampOf(origin, scopeName, childOf(qname, origin))
+	}
+	for i, s := range p.deps {
+		p.seen[i] = c.stamps[s].Load()
+	}
+	return p
+}
+
+// sum adds up the current values of the stamps at. Stamps only grow, so
+// the sum equals an earlier one only if none of them moved in between.
+func (c *ResponseCache) sum(at *[3]uint32) uint64 {
+	return c.stamps[at[0]].Load() + c.stamps[at[1]].Load() + c.stamps[at[2]].Load()
+}
+
+func (c *ResponseCache) fresh(e *respEntry) bool { return c.sum(&e.deps) == e.seen }
+
 // emptySlot returns the first empty slot of h's probe sequence: where a key
-// absent from a tombstone-free table goes.
+// absent from the table goes.
 func (t *respTable) emptySlot(h uint64) *atomic.Pointer[respEntry] {
 	for i := 0; ; i++ {
 		if s := t.slot(h, i); s.Load() == nil {
@@ -254,321 +272,167 @@ func (t *respTable) slot(h uint64, i int) *atomic.Pointer[respEntry] {
 	return &t.slots[(h>>cacheBucketBits+uint64(i))&uint64(len(t.slots)-1)]
 }
 
-// lookup returns the entry for key, or nil. Lock-free.
-func (c *ResponseCache) lookup(key []byte) *respEntry {
-	h := hashKey(key)
-	t := c.buckets[h&(cacheBuckets-1)].table.Load()
+// find probes for key: its slot and entry, or the empty slot that ends its
+// sequence and nil.
+func (t *respTable) find(h uint64, key []byte) (*atomic.Pointer[respEntry], *respEntry) {
 	for i := 0; ; i++ {
-		e := t.slot(h, i).Load()
-		if e == nil {
-			c.misses.Add(1)
-			return nil
-		}
-		if e.hash == h && e.key == string(key) {
-			c.hits.Add(1)
-			return e
+		s := t.slot(h, i)
+		if e := s.Load(); e == nil || e.hash == h && e.key == string(key) {
+			return s, e
 		}
 	}
 }
 
-// insert stores a normalized copy of the rendered response wire under key
-// unless guard reports the world moved since the response was rendered or
-// the bucket is full, and returns the entry stored (nil when rejected). The
-// entry is built only once both checks have passed: a rejected fill
-// allocates nothing. guard runs under the shard and bucket mutexes, after
-// which no invalidation for the pinned state can be missed: events fire
-// after the mutation's generation bump, and every flush of this entry takes
-// one of the two, so either guard sees the bump (reject) or the event's
-// flush runs after this insert (delete).
-func (c *ResponseCache) insert(key, wire []byte, origin string, apexDep bool, guard func() bool) *respEntry {
+// lookup returns the fresh entry for key, or nil. Lock-free.
+func (c *ResponseCache) lookup(key []byte) *respEntry {
 	h := hashKey(key)
-	s := shardOf(c, key[:len(key)-3])
+	if _, e := c.buckets[h&(cacheBuckets-1)].table.Load().find(h, key); e != nil && c.fresh(e) {
+		c.hits.Add(1)
+		return e
+	}
+	c.misses.Add(1)
+	return nil
+}
+
+// insert stores a normalized copy of the response wire, rendered for key
+// under pin p, and returns the entry stored. apexDep reports that the
+// response embeds apex-owned records (the SOA of a negative answer, an apex
+// RRset), the only entries an apex event invalidates. The fill is rejected
+// (nil) when a stamp of p moved during the rendering, or when key is new to
+// a bucket at its cap with nothing stale to drop; a rejected fill allocates
+// nothing.
+func (c *ResponseCache) insert(key, wire []byte, p pin, apexDep bool) *respEntry {
+	if !apexDep {
+		p.deps[1], p.seen[1] = c.quiet, 0
+	}
+	seen := p.seen[0] + p.seen[1] + p.seen[2]
+	h := hashKey(key)
 	b := &c.buckets[h&(cacheBuckets-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !guard() {
+	if c.sum(&p.deps) != seen {
 		c.rejected.Add(1)
 		return nil
 	}
-	// Probe to the key or to the empty slot that ends its sequence, noting
-	// the first tombstone on the way: a new key reuses it.
 	t := b.table.Load()
-	var at, free *atomic.Pointer[respEntry]
-	var old *respEntry
-	for i := 0; ; i++ {
-		at = t.slot(h, i)
-		if old = at.Load(); old == nil || old.hash == h && old.key == string(key) {
-			break
-		}
-		if old == tombstone && free == nil {
-			free = at
-		}
-	}
-	if old == nil && b.live >= c.perBucketCap {
-		c.rejected.Add(1)
-		return nil
-	}
-	e := newRespEntry(key, wire)
-	e.hash, e.origin, e.apexDep = h, origin, apexDep
+	at, old := t.find(h, key)
 	switch {
 	case old != nil: // replace in place
-		old.dead.Store(true)
-	case free != nil:
-		at = free
-		b.live++
-	case (b.used+1)*2 > len(t.slots):
-		// The table is half full of entries and tombstones: rebuild it with
-		// room for the live entries to double, and take a slot there.
-		at = b.rebuild(t).emptySlot(h)
-		b.live++
-		b.used++
+		if !c.fresh(old) {
+			c.flushed.Add(1)
+		}
+	case b.n >= c.perBucketCap && !c.shed(b):
+		c.rejected.Add(1)
+		return nil
 	default:
-		b.live++
-		b.used++
+		if t = b.table.Load(); 2*(b.n+1) > len(t.slots) {
+			t = c.rebuild(b, t)
+		}
+		at = t.emptySlot(h)
+		b.n++
 	}
-	s.link(e)
-	b.list(e)
+	e := newRespEntry(key, wire)
+	e.hash, e.deps, e.seen = h, p.deps, seen
 	at.Store(e)
 	c.fills.Add(1)
 	return e
 }
 
-// rebuild publishes a tombstone-free copy of t sized so that the live
-// entries, plus the one about to be inserted, fill at most a quarter of it.
-func (b *respBucket) rebuild(t *respTable) *respTable {
+// shed rebuilds bucket b, which is at its cap, without its stale entries
+// and reports whether there were any. Only a bump makes an entry stale, so
+// the bucket looks only if the epoch moved since it last did. b.mu held.
+func (c *ResponseCache) shed(b *respBucket) bool {
+	epoch := c.epoch.Load()
+	if epoch == b.shedAt {
+		return false
+	}
+	b.shedAt = epoch
+	t := b.table.Load()
+	for i := range t.slots {
+		if e := t.slots[i].Load(); e != nil && !c.fresh(e) {
+			c.rebuild(b, t)
+			return true
+		}
+	}
+	return false
+}
+
+// rebuild publishes a copy of b's table t without its stale entries, sized
+// so that the fresh ones plus one more fill at most a quarter of it, and
+// counts the stale ones as flushed. b.mu held.
+func (c *ResponseCache) rebuild(b *respBucket, t *respTable) *respTable {
+	live := 0
+	for i := range t.slots {
+		if e := t.slots[i].Load(); e != nil && c.fresh(e) {
+			live++
+		}
+	}
 	n := minTableSlots
-	for n < 4*(b.live+1) {
+	for n < 4*(live+1) {
 		n <<= 1
 	}
 	next := &respTable{slots: make([]atomic.Pointer[respEntry], n)}
+	kept := 0
 	for i := range t.slots {
-		e := t.slots[i].Load()
-		if e == nil || e == tombstone {
-			continue
+		// An entry may have gone stale since it was counted, never fresh.
+		if e := t.slots[i].Load(); e != nil && c.fresh(e) {
+			next.emptySlot(e.hash).Store(e)
+			kept++
 		}
-		next.emptySlot(e.hash).Store(e)
 	}
-	b.used = b.live
+	c.flushed.Add(uint64(b.n - kept))
+	b.n = kept
 	b.table.Store(next)
 	return next
 }
 
-// remove finds live entry e in the table and drops it. b.mu held.
-func (b *respBucket) remove(t *respTable, e *respEntry) {
-	for i := 0; ; i++ {
-		s := t.slot(e.hash, i)
-		if cur := s.Load(); cur == e {
-			b.drop(s, e)
-			return
-		} else if cur == nil {
-			panic("dnsserver: live cache entry missing from its table")
-		}
+// applyEvent bumps the stamp of the scope one committed mutation of the
+// zone at origin names. A name event below the apex bumps the stamp of the
+// name directly below the origin that covers it: a mutation at or under a
+// delegation cut invalidates every referral the cut covers (NS set, DS
+// proof and glue travel with each of them), and the cut lies at or below
+// that name.
+func (c *ResponseCache) applyEvent(origin string, ev zone.Event) {
+	switch {
+	case ev.Scope == zone.ScopeApex:
+		c.bump(c.stampOf(origin, scopeApex, ""))
+	case ev.Scope == zone.ScopeName && len(ev.Name) > len(origin):
+		c.bump(c.stampOf(origin, scopeName, childOf(ev.Name, origin)))
+	default:
+		c.bump(c.stampOf(origin, scopeZone, ""))
 	}
 }
 
-// drop leaves a tombstone in the slot that holds e and marks e dead; the
-// list and the chain that hold it shed it later. b.mu held.
-func (b *respBucket) drop(s *atomic.Pointer[respEntry], e *respEntry) {
-	s.Store(tombstone)
-	b.live--
-	e.dead.Store(true)
-}
-
-// entryIndex maps the hash of an origin to a bucket's candidate list, a
-// nameShard's chains that of a name to a chain's head. Being hashes, either
-// may hold strangers; a flush takes them as candidates and its predicate
-// decides.
-type entryIndex map[uint64][]*respEntry
-
-// childOf returns the ancestor of name (or name itself) directly below
-// origin, which name must be strictly below.
-func childOf(name, origin string) string {
-	above := len(name) - len(origin)
-	if origin != "" {
-		above-- // the dot before origin
-	}
-	return name[strings.LastIndexByte(name[:above], '.')+1:]
-}
-
-// link chains e, which is about to go live, in its shard. s.mu held.
-func (s *nameShard) link(e *respEntry) {
-	qname := keyQName(e.key)
-	if len(qname) <= len(e.origin) {
-		return
-	}
-	k := fnv(childOf(qname, e.origin), 0)
-	c := s.chains[k]
-	e.next, c.head = c.head, e
-	c.n++
-	s.chains[k] = c
-	// Walking when the chain has doubled keeps the shedding amortized O(1)
-	// per entry and the chain within twice what was live at the last walk.
-	if c.n > 2*max(c.kept, 8) {
-		s.keep(k, func(e *respEntry) bool { return !e.dead.Load() })
-	}
-}
-
-// keep filters chain k in place, dropping the key when nothing is left.
-// s.mu held.
-func (s *nameShard) keep(k uint64, keep func(*respEntry) bool) {
-	c := s.chains[k]
-	for at := &c.head; *at != nil; {
-		if e := *at; keep(e) {
-			at = &e.next
-		} else {
-			*at, e.next = e.next, nil
-			c.n--
-		}
-	}
-	if c.kept = c.n; c.head == nil {
-		delete(s.chains, k)
-	} else {
-		s.chains[k] = c
-	}
-}
-
-// list enters e in the bucket's apex lists. b.mu held.
-func (b *respBucket) list(e *respEntry) {
-	if !e.apexDep {
-		return
-	}
-	k := fnv(e.origin, 0)
-	l := b.apex[k]
-	if len(l) == cap(l) {
-		// Shedding the dead before growing keeps that amortized O(1) per
-		// entry and the list within twice its live size.
-		l = b.apex.keep(k, l, func(e *respEntry) bool { return !e.dead.Load() })
-	}
-	b.apex[k] = append(l, e)
-}
-
-// applyEvent translates one zone mutation event into the narrowest flush.
-func (c *ResponseCache) applyEvent(z *zone.Zone, ev zone.Event) {
-	origin := z.Origin
-	switch ev.Scope {
-	case zone.ScopeZone:
-		c.flushWhere(func(e *respEntry) bool { return e.origin == origin })
-	case zone.ScopeApex:
-		c.flushListed(fnv(origin, 0), func(e *respEntry) bool {
-			return e.apexDep && e.origin == origin
-		})
-	default: // ScopeName
-		// A mutation at or under a delegation cut invalidates every referral
-		// the cut covers (NS set, DS proof, glue travel with each of them),
-		// so widen the flush to the cut's whole subtree.
-		target := ev.Name
-		if cut, _ := z.DelegationFor(ev.Name); cut != "" {
-			target = cut
-		}
-		match := func(e *respEntry) bool {
-			return e.origin == origin && dnswire.IsSubdomain(keyQName(e.key), target)
-		}
-		switch {
-		case len(target) <= len(origin):
-			c.flushWhere(match) // not a name the index chains entries under
-		case strings.Contains(target, "."):
-			c.flushChain(shardOf(c, target), fnv(childOf(target, origin), 0), match)
-		default: // a TLD in the root zone: what lies below it is in every shard
-			for i := range c.shards {
-				c.flushChain(&c.shards[i], fnv(target, 0), match)
-			}
-		}
-	}
-}
-
-// FlushSubtree removes every entry whose qname is at or below name,
-// regardless of origin zone; used when a zone is installed or removed and
-// previous renderings (including from an enclosing zone) may be stale.
-func (c *ResponseCache) FlushSubtree(name string) {
-	c.flushWhere(func(e *respEntry) bool {
-		return dnswire.IsSubdomain(keyQName(e.key), name)
-	})
-}
-
-// flushChain removes the entries match accepts among those on chain k of
-// shard s, and visits nothing else.
-func (c *ResponseCache) flushChain(s *nameShard, k uint64, match func(*respEntry) bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.keep(k, func(e *respEntry) bool {
-		if !e.dead.Load() && match(e) {
-			b := &c.buckets[e.hash&(cacheBuckets-1)]
-			b.mu.Lock()
-			if !e.dead.Load() { // still, now that no other flush can have it
-				b.remove(b.table.Load(), e)
-				c.flushed.Add(1)
-			}
-			b.mu.Unlock()
-		}
-		return !e.dead.Load()
-	})
-}
-
-// flushListed removes the entries match accepts among those listed under k,
-// visiting only that list in each bucket.
-func (c *ResponseCache) flushListed(k uint64, match func(*respEntry) bool) {
-	for i := range c.buckets {
-		b := &c.buckets[i]
-		b.mu.Lock()
-		if l := b.apex[k]; l != nil {
-			t := b.table.Load()
-			b.apex.keep(k, l, func(e *respEntry) bool {
-				if !e.dead.Load() && match(e) {
-					b.remove(t, e)
-					c.flushed.Add(1)
-				}
-				return !e.dead.Load()
-			})
-		}
-		b.mu.Unlock()
-	}
-}
-
-// keep filters list l of index key k in place, dropping the key when nothing
-// is left, and returns what stayed.
-func (ix entryIndex) keep(k uint64, l []*respEntry, keep func(*respEntry) bool) []*respEntry {
-	kept := l[:0]
-	for _, e := range l {
-		if keep(e) {
-			kept = append(kept, e)
-		}
-	}
-	clear(l[len(kept):])
-	if len(kept) == 0 {
-		delete(ix, k)
-	} else {
-		ix[k] = kept
-	}
-	return kept
-}
-
-// flushWhere removes every entry match accepts, scanning the whole cache.
-func (c *ResponseCache) flushWhere(match func(*respEntry) bool) {
-	for i := range c.buckets {
-		b := &c.buckets[i]
-		b.mu.Lock()
-		t := b.table.Load()
-		for j := range t.slots {
-			s := &t.slots[j]
-			if e := s.Load(); e != nil && e != tombstone && match(e) {
-				b.drop(s, e)
-				c.flushed.Add(1)
-			}
-		}
-		b.mu.Unlock()
+// zoneMoved bumps what installing or removing the zone at origin moves:
+// every entry rendered from a zone at origin, and in each zone above it
+// every entry for a name at or below origin — an enclosing zone may have
+// answered there before the zone arrived, or will answer once it is gone.
+func (c *ResponseCache) zoneMoved(origin string) {
+	c.bump(c.stampOf(origin, scopeZone, ""))
+	for above := origin; above != ""; {
+		above, _ = dnswire.Parent(above)
+		c.bump(c.stampOf(above, scopeName, childOf(origin, above)))
 	}
 }
 
 // CacheStats is a point-in-time counter snapshot.
 type CacheStats struct {
-	Hits     uint64 `json:"hits"`
-	Misses   uint64 `json:"misses"`
-	Fills    uint64 `json:"fills"`
+	// Hits found a fresh entry.
+	Hits uint64 `json:"hits"`
+	// Misses found no entry, or a stale one.
+	Misses uint64 `json:"misses"`
+	// Fills stored an entry, new or in place of the key's previous one.
+	Fills uint64 `json:"fills"`
+	// Rejected fills stored nothing: the key was new to a bucket at its
+	// cap with nothing stale to drop, or the answer went stale while it was
+	// rendered (a stamp or the zone set moved).
 	Rejected uint64 `json:"rejected"`
-	Flushed  uint64 `json:"flushed"`
-	Entries  int    `json:"entries"`
+	// Flushed counts stale entries dropped from a rebuilt bucket or
+	// replaced by a refill.
+	Flushed uint64 `json:"flushed"`
+	// Entries counts the resident entries, stale ones not yet dropped or
+	// replaced included.
+	Entries int `json:"entries"`
 }
 
 // Stats snapshots the cache counters and current entry count.
@@ -583,7 +447,7 @@ func (c *ResponseCache) Stats() CacheStats {
 	for i := range c.buckets {
 		b := &c.buckets[i]
 		b.mu.Lock()
-		s.Entries += b.live
+		s.Entries += b.n
 		b.mu.Unlock()
 	}
 	return s

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"securepki.org/registrarsec/internal/dnswire"
@@ -49,6 +50,10 @@ type Server struct {
 	tcpSem      chan struct{}
 	readTimeout time.Duration
 
+	// listenUDP binds the UDP socket (nil: net.ListenUDP); a test hands it
+	// a port whose TCP twin is taken.
+	listenUDP func(network string, laddr *net.UDPAddr) (*net.UDPConn, error)
+
 	mu       sync.Mutex
 	pc       *net.UDPConn
 	ln       net.Listener
@@ -84,11 +89,13 @@ type ServerStats struct {
 	TCPShed uint64 `json:"tcp_shed"`
 }
 
-// The server's admission limits.
+// The server's admission limits, and how many ephemeral ports
+// ListenAndServe tries for one whose TCP twin is free.
 const (
 	maxInFlight    = 512
 	maxTCPConns    = 64
 	tcpReadTimeout = 5 * time.Second
+	bindTries      = 8
 )
 
 // Stats snapshots the server's UDP counters.
@@ -116,20 +123,9 @@ var scratchPool = sync.Pool{New: func() any { return NewWireScratch() }}
 // port) and serves until Close. It returns once both listeners are active;
 // Addr then reports the bound address.
 func (s *Server) ListenAndServe(addr string) error {
-	udpAddr, err := net.ResolveUDPAddr("udp", addr)
+	pc, ln, err := s.bind(addr)
 	if err != nil {
-		return fmt.Errorf("dnsserver: udp listen: %w", err)
-	}
-	pc, err := net.ListenUDP("udp", udpAddr)
-	if err != nil {
-		return fmt.Errorf("dnsserver: udp listen: %w", err)
-	}
-	// Bind TCP on the identical port so clients can retry after truncation.
-	tcpAddr := pc.LocalAddr().String()
-	ln, err := net.Listen("tcp", tcpAddr)
-	if err != nil {
-		pc.Close()
-		return fmt.Errorf("dnsserver: tcp listen: %w", err)
+		return err
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -156,6 +152,35 @@ func (s *Server) ListenAndServe(addr string) error {
 	s.wg.Add(1)
 	go s.serveTCP(ln)
 	return nil
+}
+
+// bind binds UDP on addr, then TCP on the port UDP got, so that clients can
+// retry after truncation. Another socket may hold the TCP twin of an
+// ephemeral UDP port: for port 0, bind tries a fresh pair, up to bindTries
+// times; a fixed port fails at once.
+func (s *Server) bind(addr string) (*net.UDPConn, net.Listener, error) {
+	udpAddr, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dnsserver: udp listen: %w", err)
+	}
+	listenUDP := s.listenUDP
+	if listenUDP == nil {
+		listenUDP = net.ListenUDP
+	}
+	for try := 1; ; try++ {
+		pc, err := listenUDP("udp", udpAddr)
+		if err != nil {
+			return nil, nil, fmt.Errorf("dnsserver: udp listen: %w", err)
+		}
+		ln, err := net.Listen("tcp", pc.LocalAddr().String())
+		if err == nil {
+			return pc, ln, nil
+		}
+		pc.Close()
+		if udpAddr.Port != 0 || try == bindTries || !errors.Is(err, syscall.EADDRINUSE) {
+			return nil, nil, fmt.Errorf("dnsserver: tcp listen: %w", err)
+		}
+	}
 }
 
 // Addr returns the bound UDP address, or "" before ListenAndServe.

@@ -11,7 +11,7 @@ import (
 // Wire-level serving: a packet is answered by two functions, whichever
 // transport carried it. serveCached is the zero-alloc hit side (lazy parse
 // → key → lock-free lookup → copy + patch ID/RD) and serveWire the slow
-// side (parse → answer → pack → guarded cache fill → truncate), which
+// side (parse → answer → pack → stamped cache fill → truncate), which
 // every Handler has; ServeWireFast and ServeWireFull export them.
 
 // WireScratch is per-worker reusable state for the wire paths. All slices
@@ -146,10 +146,11 @@ func (a *Authoritative) ServeWireFull(dst, pkt []byte, sc *WireScratch, udp bool
 // for any other Handler. An error means the packet gets no reply.
 func serveWire(h Handler, dst, pkt []byte, sc *WireScratch, udp bool) ([]byte, error) {
 	var (
-		v      dnswire.QueryView
-		resp   *dnswire.Message
-		z      *zone.Zone
-		pg, zg uint64
+		v    dnswire.QueryView
+		resp *dnswire.Message
+		z    *zone.Zone
+		p    pin
+		pg   uint64
 	)
 	a, lazy := h.(*Authoritative)
 	if lazy {
@@ -158,14 +159,12 @@ func serveWire(h Handler, dst, pkt []byte, sc *WireScratch, udp bool) ([]byte, e
 		lazy = err == nil
 	}
 	if lazy {
-		// Pin the publish generation before consulting the zone set, and
-		// (in answer) the zone generation before rendering: the cache fill
-		// below is discarded unless both are even and unmoved at insert
-		// time, which makes a response rendered from mid-mutation or
-		// superseded state uncacheable.
+		// Read the zone-set count before consulting the zone set, and (in
+		// answer) the stamps before rendering: the fill below is not stored
+		// if the count moved, and is stale from the first bump of a stamp.
 		pg = a.pubGen.Load()
 		resp = sc.replySkeleton(&v)
-		z, zg = a.answer(resp, &sc.reader, resp.Questions[0].Name, v.Type, v.DNSSECOK)
+		z, p = a.answer(resp, &sc.reader, resp.Questions[0].Name, v.Type, v.DNSSECOK)
 	} else {
 		q := &sc.q
 		if err := q.Unpack(pkt); err != nil {
@@ -184,12 +183,13 @@ func serveWire(h Handler, dst, pkt []byte, sc *WireScratch, udp bool) ([]byte, e
 		return nil, err
 	}
 	sc.pack = wire
-	if z != nil && a.cache != nil {
+	switch {
+	case z == nil || a.cache == nil:
+	case a.pubGen.Load() != pg:
+		a.cache.rejected.Add(1) // the zone chosen may no longer be the one that answers
+	default:
 		sc.key = respKey(sc.key, v.Name, v.Type, ednsState(v.HasEDNS, v.DNSSECOK))
-		a.cache.insert(sc.key, wire, z.Origin, respDependsOnApex(resp, z.Origin), func() bool {
-			return pg&1 == 0 && zg&1 == 0 &&
-				a.pubGen.Load() == pg && z.Generation() == zg
-		})
+		a.cache.insert(sc.key, wire, p, respDependsOnApex(resp, z.Origin))
 	}
 	if udp && len(wire) > v.MaxPayload() {
 		return appendTruncated(dst, &v, wire), nil
@@ -223,11 +223,14 @@ func (sc *WireScratch) replySkeleton(v *dnswire.QueryView) *dnswire.Message {
 	return resp
 }
 
-// respDependsOnApex reports whether the response embeds records owned by
-// the zone apex (the SOA in negative answers, apex RRset answers). Such
-// entries — and only such entries — are flushed by apex-scoped events like
-// BumpSerial.
+// respDependsOnApex reports whether the response answers for the zone apex
+// or embeds records it owns (the SOA in negative answers). Such entries —
+// and only such entries — depend on the apex stamp, which apex-scoped
+// events like BumpSerial bump.
 func respDependsOnApex(resp *dnswire.Message, origin string) bool {
+	if resp.Questions[0].Name == origin {
+		return true // a NODATA from a zone without SOA embeds no apex record
+	}
 	for _, sec := range [][]*dnswire.RR{resp.Answers, resp.Authority, resp.Additional} {
 		for _, rr := range sec {
 			if rr.Type != dnswire.TypeOPT && rr.Name == origin {

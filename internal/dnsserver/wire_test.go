@@ -446,7 +446,7 @@ func TestConcurrentMutationEquivalence(t *testing.T) {
 // TestDelegationFlipBesideReads runs the registry's delegation-flip idiom —
 // Remove, MustAdd, BumpSerial — against a TLD zone while workers serve from
 // it on both wire paths, with enough names that the cache's tables fill,
-// grow and shed tombstones under the load. Under -race it holds BumpSerial
+// grow and refill stale entries under the load. Under -race it holds BumpSerial
 // to replacing the SOA it bumps (the full path packs records after the zone
 // lock is released), and afterwards the cache must agree with the uncached
 // view. The flips start once a reader has been served from the cache and

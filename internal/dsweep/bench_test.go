@@ -33,9 +33,8 @@ func BenchmarkRunLocal(b *testing.B) {
 		store := openStore(b)
 		workers := plan.Fleet(world, n)
 		start := time.Now()
-		// A 2s lease keeps the GrantWait retry cadence (TTL/8) short, so the
-		// tail, workers idling while the last leases finish, reflects the
-		// topology and not the 30s production TTL.
+		// A 2s lease bounds what a lost lease would cost the drain, so the
+		// wall time reflects the topology and not the 30s production TTL.
 		var buf bytes.Buffer
 		res, err := RunLocal(context.Background(), LocalConfig{
 			Plan: plan, Store: store, leaseTTL: 2 * time.Second, Workers: workers,

@@ -121,12 +121,24 @@ func (cc *chaosCoord) Complete(ctx context.Context, req *CompleteRequest) (*Comp
 			return nil, errChaosKilled
 		case actStall:
 			slog.Info("chaos: stall", "worker", req.Worker, "unit", req.Unit, "delay", cc.c.delay)
-			if err := sleepCtx(ctx, cc.c.delay); err != nil {
+			if err := pause(ctx, cc.c.delay); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return cc.Coordination.Complete(ctx, req)
+}
+
+// pause waits d or until ctx is done.
+func pause(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
 }
 
 // worker builds the named worker of a fleet around coord, its control
@@ -165,7 +177,7 @@ func (c *chaos) prepare(ctx context.Context, name string) error {
 	case !scripted:
 	case c.act == actSlowDisk && prepares == 1:
 		slog.Info("chaos: slow disk", "worker", name, "delay", c.delay)
-		return sleepCtx(ctx, c.delay)
+		return pause(ctx, c.delay)
 	case c.act == actKillBetweenChunks && prepares > c.afterChunks:
 		slog.Info("chaos: kill between chunks", "worker", name, "flushed", c.afterChunks)
 		return errChaosKilled
@@ -310,7 +322,6 @@ func (env *chaosEnv) coversSweep(t *testing.T, res *Result) {
 }
 
 func TestRunLocalCleanByteIdentical(t *testing.T) {
-	t.Parallel() // a fleet of 10 s leases idles ~1 s on its last GrantWait
 	env := newChaosEnv(t, 3)
 	res := env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil})
 	if s := res.Stats; s.Done != env.plan.Units() || s.Releases != 0 || s.Duplicates != 0 {
@@ -392,7 +403,6 @@ func TestRunLocalCoordinatorRestartResumes(t *testing.T) {
 }
 
 func TestRunLocalMoreShardsThanTargets(t *testing.T) {
-	t.Parallel() // a fleet of 10 s leases idles ~1 s on its last GrantWait
 	// Shard count above the target count: ShardBounds clamps, so the tail
 	// units are legitimately empty. They must round-trip as empty archives
 	// and contribute nothing to the merge.
@@ -404,7 +414,6 @@ func TestRunLocalMoreShardsThanTargets(t *testing.T) {
 }
 
 func TestRunLocalChunkedCleanByteIdentical(t *testing.T) {
-	t.Parallel() // a fleet of 10 s leases idles ~1 s on its last GrantWait
 	env := newChunkedEnv(t, 3, 2)
 	res := env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil})
 	if res.Stats.Done != env.plan.Units() {

@@ -80,7 +80,11 @@ type Coordinator struct {
 	healthDay map[simtime.Day]*scan.SweepHealth
 	healthWkr map[string]*scan.SweepHealth
 	doneCh    chan struct{}
-	release   func() error // checkpoint dir lock
+	// wake is closed, and replaced, when a unit completes, a lease expires
+	// or the coordinator closes: whatever a Lease waiting on it waits for.
+	wake    chan struct{}
+	closed  bool
+	release func() error // checkpoint dir lock
 }
 
 // NewCoordinator opens (and locks) the checkpoint directory, restores any
@@ -111,6 +115,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		healthDay: make(map[simtime.Day]*scan.SweepHealth),
 		healthWkr: make(map[string]*scan.SweepHealth),
 		doneCh:    make(chan struct{}),
+		wake:      make(chan struct{}),
 		release:   release,
 	}
 	c.stats.Units = cfg.Plan.Units()
@@ -131,15 +136,26 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close releases the checkpoint directory lock. The persisted state stays
-// behind for a restart; Clear the store once the merged archive is durable.
+// Close releases the checkpoint directory lock, and a Lease waiting or yet
+// to come answers GrantWait at once. The persisted state stays behind for a
+// restart; Clear the store once the merged archive is durable.
 func (c *Coordinator) Close() error {
-	if c.release == nil {
-		return nil
-	}
+	c.mu.Lock()
+	c.closed = true
+	c.wakeLocked()
 	rel := c.release
 	c.release = nil
+	c.mu.Unlock()
+	if rel == nil {
+		return nil
+	}
 	return rel()
+}
+
+// wakeLocked wakes every Lease waiting for the pool to change.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // Done is closed once every unit of the plan is complete.
@@ -196,6 +212,7 @@ func (c *Coordinator) expireLocked(now time.Time) bool {
 			u.lease = nil
 			c.stats.Releases++
 			changed = true
+			c.wakeLocked()
 			slog.Warn("coordinator: lease expired; unit returns to the pool", "lease", id, "unit", l.unit, "worker", l.worker)
 		}
 	}
@@ -203,24 +220,51 @@ func (c *Coordinator) expireLocked(now time.Time) bool {
 }
 
 // Lease implements Coordination: grant the first pending unit in plan
-// order, after returning any expired leases to the pool.
-func (c *Coordinator) Lease(_ context.Context, worker string) (*Grant, error) {
+// order, after returning any expired leases to the pool. While every
+// pending unit is leased it waits — until a unit completes or a lease
+// expires — and answers GrantWait only once ctx is done or the coordinator
+// closed.
+func (c *Coordinator) Lease(ctx context.Context, worker string) (*Grant, error) {
 	if worker == "" {
 		return nil, fmt.Errorf("dsweep: lease request without a worker id")
 	}
+	for {
+		grant, wake, expiry, err := c.grant(worker)
+		if grant != nil || err != nil {
+			return grant, err
+		}
+		t := time.NewTimer(expiry)
+		select {
+		case <-wake:
+		case <-t.C:
+		case <-ctx.Done():
+		}
+		t.Stop()
+		if ctx.Err() != nil {
+			return &Grant{Status: GrantWait}, nil
+		}
+	}
+}
+
+// grant is one round of Lease. With every pending unit leased it grants
+// nothing and returns what to wait on: the channel closed when the pool
+// changes, and the time until the first lease expires.
+func (c *Coordinator) grant(worker string) (*Grant, <-chan struct{}, time.Duration, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.Now()
 	changed := c.expireLocked(now)
 	var grant *Grant
-	anyLeased := false
+	var expires time.Time // the first deadline of a live lease
 	for _, id := range c.order {
 		u := c.units[id]
 		if u.manifest != nil {
 			continue
 		}
 		if u.lease != nil {
-			anyLeased = true
+			if expires.IsZero() || u.lease.expires.Before(expires) {
+				expires = u.lease.expires
+			}
 			continue
 		}
 		c.seq++
@@ -238,24 +282,20 @@ func (c *Coordinator) Lease(_ context.Context, worker string) (*Grant, error) {
 	}
 	if changed {
 		if err := c.saveLocked(); err != nil {
-			return nil, err
+			return nil, nil, 0, err
 		}
 	}
-	if grant != nil {
+	switch {
+	case grant != nil:
 		slog.Info("coordinator: leased unit", "unit", grant.Unit, "worker", worker, "lease", grant.LeaseID)
-		return grant, nil
+		return grant, nil, 0, nil
+	case expires.IsZero():
+		return &Grant{Status: GrantDone}, nil, 0, nil
+	case c.closed:
+		return &Grant{Status: GrantWait}, nil, 0, nil
 	}
-	if anyLeased {
-		retry := c.cfg.LeaseTTL / 8
-		if retry < 10*time.Millisecond {
-			retry = 10 * time.Millisecond
-		}
-		if retry > time.Second {
-			retry = time.Second
-		}
-		return &Grant{Status: GrantWait, RetryMillis: retry.Milliseconds()}, nil
-	}
-	return &Grant{Status: GrantDone}, nil
+	// A lease expires once the clock is past its deadline.
+	return nil, c.wake, expires.Sub(now) + time.Millisecond, nil
 }
 
 // Heartbeat implements Coordination: extend the lease's deadline. An
@@ -350,6 +390,7 @@ func (c *Coordinator) Complete(_ context.Context, req *CompleteRequest) (*Comple
 			u.manifest, u.worker = req.Manifest, req.Worker
 		}
 	}
+	c.wakeLocked()
 	if err := c.saveLocked(); err != nil {
 		return nil, err
 	}

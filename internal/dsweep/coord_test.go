@@ -185,8 +185,15 @@ func TestCoordinatorExpiredLeaseIsReleased(t *testing.T) {
 	if g1.Status != GrantRun {
 		t.Fatalf("first lease: %+v", g1)
 	}
-	// While the lease is live, a second worker must wait.
-	if g, _ := c.Lease(ctx, "w2"); g.Status != GrantWait || g.RetryMillis <= 0 {
+	// While the lease is live, a second worker must wait, as long as its
+	// request may.
+	waiting := func() *Grant {
+		ctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+		defer cancel()
+		g, _ := c.Lease(ctx, "w2")
+		return g
+	}
+	if g := waiting(); g.Status != GrantWait {
 		t.Fatalf("concurrent lease: %+v", g)
 	}
 	// Heartbeat extends: half a TTL later + heartbeat + half a TTL later
@@ -196,7 +203,7 @@ func TestCoordinatorExpiredLeaseIsReleased(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.advance(600 * time.Millisecond)
-	if g, _ := c.Lease(ctx, "w2"); g.Status != GrantWait {
+	if g := waiting(); g.Status != GrantWait {
 		t.Fatalf("lease stolen despite heartbeat: %+v", g)
 	}
 	// Past the extended deadline the unit is re-leased.
@@ -222,6 +229,65 @@ func TestCoordinatorExpiredLeaseIsReleased(t *testing.T) {
 	if s := c.Stats(); s.Duplicates != 1 || s.Divergent != 0 {
 		t.Fatalf("stats: %+v", s)
 	}
+}
+
+// TestLeaseWaitsForThePool: a Lease that finds every pending unit leased
+// returns as soon as that changes — a completion, a lease's expiry, the
+// coordinator's Close — and not on a polling cadence.
+func TestLeaseWaitsForThePool(t *testing.T) {
+	type answer struct {
+		g    *Grant
+		took time.Duration
+	}
+	waitFor := func(c *Coordinator) <-chan answer {
+		out := make(chan answer, 1)
+		go func() {
+			start := time.Now()
+			g, err := c.Lease(context.Background(), "w2")
+			if err != nil {
+				t.Error(err)
+			}
+			out <- answer{g, time.Since(start)}
+		}()
+		return out
+	}
+	quiet := func(t *testing.T, got <-chan answer) {
+		t.Helper()
+		select {
+		case a := <-got:
+			t.Fatalf("Lease answered %+v while every unit was leased", a.g)
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+
+	t.Run("complete", func(t *testing.T) {
+		st := openStore(t)
+		c := coordinator(t, CoordinatorConfig{Plan: testPlan(1, 10), Store: st, LeaseTTL: time.Minute})
+		g, _ := c.Lease(context.Background(), "w1")
+		got := waitFor(c)
+		quiet(t, got)
+		complete(t, c, g.LeaseID, "w1", g.Unit, flush(t, st, g.Unit, "w1", makeSnap(g.Unit.Day, "a.com")), CompleteAccepted)
+		if a := <-got; a.g.Status != GrantDone || a.took > 5*time.Second {
+			t.Errorf("after the completion: %+v after %v", a.g, a.took)
+		}
+	})
+	t.Run("expiry", func(t *testing.T) {
+		c := coordinator(t, CoordinatorConfig{Plan: testPlan(1, 10), Store: openStore(t), LeaseTTL: 200 * time.Millisecond})
+		g1, _ := c.Lease(context.Background(), "w1")
+		if a := <-waitFor(c); a.g.Status != GrantRun || a.g.Unit != g1.Unit || a.took < 150*time.Millisecond || a.took > 5*time.Second {
+			t.Errorf("after the lease expired: %+v after %v", a.g, a.took)
+		}
+	})
+	t.Run("close", func(t *testing.T) {
+		c := coordinator(t, CoordinatorConfig{Plan: testPlan(1, 10), Store: openStore(t), LeaseTTL: time.Minute})
+		c.Lease(context.Background(), "w1")
+		got := waitFor(c)
+		quiet(t, got)
+		c.Close()
+		if a := <-got; a.g.Status != GrantWait {
+			t.Errorf("after Close: %+v", a.g)
+		}
+	})
 }
 
 func TestCoordinatorDivergentDuplicateSettledByValue(t *testing.T) {

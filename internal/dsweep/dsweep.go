@@ -121,7 +121,8 @@ type GrantStatus string
 const (
 	// GrantRun carries a lease: scan the unit and complete it.
 	GrantRun GrantStatus = "run"
-	// GrantWait means every pending unit is currently leased; poll again.
+	// GrantWait means every pending unit stayed leased for as long as the
+	// request could wait; ask again.
 	GrantWait GrantStatus = "wait"
 	// GrantDone means every unit is complete; the worker can exit.
 	GrantDone GrantStatus = "done"
@@ -135,8 +136,6 @@ type Grant struct {
 	// TTLMillis is the lease budget: the worker must complete or heartbeat
 	// within it, or the unit is re-leased to someone else.
 	TTLMillis int64 `json:"ttl_millis,omitempty"`
-	// RetryMillis suggests a poll delay when Status is "wait".
-	RetryMillis int64 `json:"retry_millis,omitempty"`
 }
 
 // CompleteRequest reports one finished unit: the manifest of the chunk
@@ -185,7 +184,8 @@ type CompleteReply struct {
 type Coordination interface {
 	// FetchPlan returns the sweep plan.
 	FetchPlan(ctx context.Context) (*Plan, error)
-	// Lease asks for the next work unit.
+	// Lease asks for the next work unit, waiting while every pending unit
+	// is leased.
 	Lease(ctx context.Context, worker string) (*Grant, error)
 	// Heartbeat extends a held lease's deadline.
 	Heartbeat(ctx context.Context, leaseID string) error

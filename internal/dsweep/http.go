@@ -31,7 +31,9 @@ func NewHandler(c *Coordinator) http.Handler {
 		if !decode(w, r, &req) {
 			return
 		}
-		grant, err := c.Lease(r.Context(), req.Worker)
+		ctx, cancel := context.WithTimeout(r.Context(), leaseWait)
+		defer cancel()
+		grant, err := c.Lease(ctx, req.Worker)
 		reply(w, grant, err)
 	})
 	mux.HandleFunc("POST /heartbeat", func(w http.ResponseWriter, r *http.Request) {
@@ -81,6 +83,11 @@ func reply(w http.ResponseWriter, value any, err error) {
 // completion (its unit's lease expires and is re-leased) and only logs a
 // failed heartbeat.
 const callBudget = 10 * time.Second
+
+// leaseWait bounds how long the handler holds a lease request while every
+// pending unit is leased, well inside callBudget; the worker then asks
+// again at once.
+const leaseWait = callBudget / 2
 
 // Client is the worker-side Coordination over HTTP.
 type Client struct {

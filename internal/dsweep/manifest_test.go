@@ -72,7 +72,6 @@ func reopen(t *testing.T, env *chaosEnv) *Coordinator {
 // The distributed merge under a budget that spills every record to a run
 // file emits the bytes of the in-budget merge and of the single process.
 func TestMergeForcedSpillByteIdentical(t *testing.T) {
-	t.Parallel() // a fleet of 10 s leases idles ~1 s on its last GrantWait
 	env := newChunkedEnv(t, 3, 2)
 	env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil})
 	c := reopen(t, env)
@@ -93,7 +92,6 @@ func TestMergeForcedSpillByteIdentical(t *testing.T) {
 // them: a chunk file bit-flipped or deleted since is never merged silently —
 // the merge fails naming the unit and the chunk.
 func TestCoordinatorRestartMergeNamesDamagedChunk(t *testing.T) {
-	t.Parallel() // a fleet of 10 s leases idles ~1 s on its last GrantWait
 	env := newChunkedEnv(t, 3, 2)
 	env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil})
 	c := reopen(t, env)
@@ -170,7 +168,6 @@ func checkDirectory(t *testing.T, env *chaosEnv, deadWorker string) int {
 }
 
 func TestRunLocalLeavesOnlyLedgerAndChunks(t *testing.T) {
-	t.Parallel() // a fleet of 10 s leases idles ~1 s on its last GrantWait
 	t.Run("clean", func(t *testing.T) {
 		env := newChunkedEnv(t, 3, 2)
 		env.run(t, 10*time.Second, map[string]*chaos{"w1": nil, "w2": nil})

@@ -84,10 +84,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		case GrantDone:
 			slog.Info("worker: plan complete, exiting", "worker", w.cfg.Name)
 			return nil
-		case GrantWait:
-			if err := sleepCtx(ctx, time.Duration(grant.RetryMillis)*time.Millisecond); err != nil {
-				return err
-			}
+		case GrantWait: // Lease waited as long as it could: ask again
 		case GrantRun:
 			done, err := w.runUnit(ctx, plan, grant)
 			if err != nil {
@@ -219,19 +216,4 @@ func (w *Worker) startHeartbeat(ctx context.Context, leaseID string, ttl time.Du
 		}
 	}()
 	return func() { once.Do(func() { close(done) }) }
-}
-
-// sleepCtx waits d or until the context is cancelled.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

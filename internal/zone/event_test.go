@@ -147,33 +147,25 @@ func TestCNAMEEscalation(t *testing.T) {
 	}
 }
 
-func TestGenerationSeqlock(t *testing.T) {
+// TestEventsFollowCommit holds events to what a cache's stamps rest on:
+// each committed mutation emits one event, after the commit (a subscriber
+// reads the new state), and a mutation that changes nothing emits none.
+func TestEventsFollowCommit(t *testing.T) {
 	z := New("example.com")
-	if g := z.Generation(); g != 0 {
-		t.Fatalf("fresh zone generation %d", g)
-	}
-	// Every committed mutation leaves the counter even and advanced.
-	before := z.Generation()
-	a(t, z, "www.example.com", "192.0.2.1")
-	after := z.Generation()
-	if after%2 != 0 || after <= before {
-		t.Errorf("generation %d -> %d", before, after)
-	}
-	// Callbacks run after commit: the generation observed inside must be
-	// even and equal to the final value.
-	var seen uint64
-	z.OnEvent(func(Event) { seen = z.Generation() })
+	var seen [][]*dnswire.RR
+	z.OnEvent(func(Event) { seen = append(seen, z.Lookup("mail.example.com", dnswire.TypeA)) })
 	a(t, z, "mail.example.com", "192.0.2.2")
-	if seen%2 != 0 || seen != z.Generation() {
-		t.Errorf("generation inside callback: %d (final %d)", seen, z.Generation())
+	z.Remove("mail.example.com", dnswire.TypeA)
+	if len(seen) != 2 || len(seen[0]) != 1 || len(seen[1]) != 0 {
+		t.Errorf("a subscriber read %v across an add and a remove, want the record and then nothing", seen)
 	}
-	// No-op mutations (duplicate add, missing remove) do not move it.
-	g := z.Generation()
+	a(t, z, "mail.example.com", "192.0.2.2")
+	n := len(seen)
 	a(t, z, "mail.example.com", "192.0.2.2")
 	z.Remove("absent.example.com", dnswire.TypeA)
 	z.RemoveSigs("absent.example.com", dnswire.TypeA)
-	if z.Generation() != g {
-		t.Errorf("no-op mutation moved generation %d -> %d", g, z.Generation())
+	if len(seen) != n {
+		t.Errorf("no-op mutations emitted %d events", len(seen)-n)
 	}
 }
 

@@ -7,12 +7,13 @@ import (
 )
 
 // First-class invalidation: every committed mutation emits an Event scoped
-// to the smallest set of cached responses it can possibly affect, and a
-// seqlock-style generation counter lets a cache fill detect that the zone
-// changed between rendering a response and inserting it.
+// to the smallest set of cached responses it can possibly affect. Events
+// fire after the mutation commits, so a cache that notes, before rendering
+// a response, what the events it has seen stand at can tell that a
+// response rendered from the state before a mutation is stale.
 //
-// Scoping rules (conservative by construction — an event may over-flush,
-// never under-flush):
+// Scoping rules (conservative by construction — an event may
+// over-invalidate, never under-invalidate):
 //
 //   - Mutations touching NSEC/NSEC3/NSEC3PARAM data, or RRSIGs covering
 //     them, escalate to ScopeZone: denial-of-existence proofs are chosen by
@@ -23,13 +24,13 @@ import (
 //     every nearby name changes).
 //   - While a zone contains any CNAME, every mutation escalates to
 //     ScopeZone: a chased answer for owner O embeds records of target T, so
-//     a name-scoped flush at T would strand O's cached response.
+//     a name-scoped invalidation at T would strand O's cached response.
 //   - Apex mutations (including BumpSerial) emit ScopeApex: only responses
 //     that embed apex-owned records — negative answers carrying the SOA,
 //     answers for the apex itself — depend on them.
 //   - Everything else is ScopeName at the mutated owner; the cache layer
-//     widens a name event to the enclosing delegation cut's subtree, which
-//     covers referrals and their glue.
+//     widens a name event to at least the enclosing delegation cut's
+//     subtree, which covers referrals and their glue.
 type Scope uint8
 
 const (
@@ -56,14 +57,6 @@ func (z *Zone) OnEvent(fn func(Event)) {
 	z.mu.Lock()
 	z.subs = append(z.subs, fn)
 	z.mu.Unlock()
-}
-
-// Generation returns the zone's mutation counter. It is odd while a
-// mutation is in progress and even when the zone is quiescent; a cache fill
-// pins an even generation before rendering and discards the entry if the
-// value changed by insert time.
-func (z *Zone) Generation() uint64 {
-	return z.gen.Load()
 }
 
 // eventLocked classifies a committed mutation at name affecting RRsets of

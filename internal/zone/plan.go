@@ -13,11 +13,11 @@ import (
 // produces the signature the first time a reader needs it, then keeps it.
 // What a reader sees is what signing up front would have shown it:
 //
-//   - Installing, replacing or dropping a plan is a mutation (generation
-//     bump, Event). Producing a planned signature is not: the zone's content,
-//     as every reader observes it, is the same before and after, so a
-//     response rendered across a production is cacheable and no cache entry
-//     is flushed by one.
+//   - Installing, replacing or dropping a plan is a mutation (an Event).
+//     Producing a planned signature is not: the zone's content, as every
+//     reader observes it, is the same before and after, so a response
+//     rendered across a production is cacheable and no cache entry goes
+//     stale by one.
 //   - The RRSIG RRset at an owner is ordered by covered type, whatever order
 //     its members were produced or added in, so an answer does not depend on
 //     which question was asked first.
@@ -158,10 +158,8 @@ func (z *Zone) resign(name string, t dnswire.Type, p *dnssec.PendingSig) {
 		z.mu.Unlock()
 		return
 	}
-	z.gen.Add(1)
 	z.resignLocked(name, t, p)
 	ev := z.eventLocked(name, t, false)
-	z.gen.Add(1)
 	subs := z.subs
 	z.mu.Unlock()
 	notify(subs, ev)
@@ -171,12 +169,10 @@ func (z *Zone) resign(name string, t dnswire.Type, p *dnssec.PendingSig) {
 // zone-wide mutation, and records the signer they were made under.
 func (z *Zone) planZone(signer *Signer, plans []*dnssec.PendingSig) {
 	z.mu.Lock()
-	z.gen.Add(1)
 	for _, p := range plans {
 		z.resignLocked(p.Owner(), p.Covered(), p)
 	}
 	z.signer = signer
-	z.gen.Add(1)
 	subs := z.subs
 	z.mu.Unlock()
 	notify(subs, Event{Scope: ScopeZone})

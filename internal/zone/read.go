@@ -16,8 +16,8 @@ import (
 // are planned, or order the denial chain: those take the write lock. The
 // first such need voids the pass — what it goes on to read is discarded, and
 // it asks for nothing more — and Read supplies it and runs the pass again.
-// Supplying is not a mutation (see plan.go), so a generation pinned before
-// Read stands.
+// Supplying is not a mutation (see plan.go): it emits no Event, and what
+// a cache noted before Read stands.
 type Reader struct {
 	z *Zone
 	// need is what voided the pass, at name: the planned signature over

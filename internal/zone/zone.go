@@ -13,7 +13,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"securepki.org/registrarsec/internal/dnswire"
 )
@@ -42,9 +41,6 @@ type Zone struct {
 	// trackSetAdded/trackSetRemoved maintain it.
 	types map[string][]dnswire.Type
 	subs  []func(Event)
-	// gen is a seqlock-style mutation counter: incremented to odd when a
-	// mutation begins, back to even when it commits.
-	gen atomic.Uint64
 	// nsecSets and cnameSets count RRsets whose presence forces zone-wide
 	// invalidation scopes (see eventLocked).
 	nsecSets  int
@@ -93,7 +89,6 @@ func (z *Zone) Add(rr *dnswire.RR) error {
 		}
 	}
 	structural := len(z.types[rr.Name]) == 0
-	z.gen.Add(1)
 	affects := rr.Type
 	if rr.Type != dnswire.TypeRRSIG {
 		z.sets[k] = append(z.sets[k], rr)
@@ -109,7 +104,6 @@ func (z *Zone) Add(rr *dnswire.RR) error {
 		}
 	}
 	ev := z.eventLocked(rr.Name, affects, structural)
-	z.gen.Add(1)
 	subs := z.subs
 	z.mu.Unlock()
 	notify(subs, ev)
@@ -137,14 +131,12 @@ func (z *Zone) Remove(name string, t dnswire.Type) {
 		z.mu.Unlock()
 		return
 	}
-	z.gen.Add(1)
 	if t == dnswire.TypeRRSIG {
 		delete(z.plans, name)
 	}
 	delete(z.sets, k)
 	z.trackSetRemoved(k)
 	ev := z.eventLocked(name, t, len(z.types[name]) == 0)
-	z.gen.Add(1)
 	subs := z.subs
 	z.mu.Unlock()
 	notify(subs, ev)
@@ -162,7 +154,6 @@ func (z *Zone) RemoveSigs(name string, t dnswire.Type) {
 // zone-wide event.
 func (z *Zone) RemoveType(t dnswire.Type) {
 	z.mu.Lock()
-	z.gen.Add(1)
 	if t == dnswire.TypeRRSIG {
 		for name := range z.plans {
 			z.dropPlansLocked(name)
@@ -175,7 +166,6 @@ func (z *Zone) RemoveType(t dnswire.Type) {
 			z.trackSetRemoved(k)
 		}
 	}
-	z.gen.Add(1)
 	subs := z.subs
 	z.mu.Unlock()
 	notify(subs, Event{Scope: ScopeZone})
@@ -270,7 +260,6 @@ func (z *Zone) SOA() *dnswire.RR {
 // signer.
 func (z *Zone) BumpSerial() {
 	z.mu.Lock()
-	z.gen.Add(1)
 	k := rrKey{z.Origin, dnswire.TypeSOA}
 	next := append([]*dnswire.RR(nil), z.sets[k]...)
 	for i, rr := range next {
@@ -292,7 +281,6 @@ func (z *Zone) BumpSerial() {
 		}
 	}
 	ev := z.eventLocked(z.Origin, dnswire.TypeSOA, false)
-	z.gen.Add(1)
 	subs := z.subs
 	z.mu.Unlock()
 	notify(subs, ev)

@@ -190,7 +190,6 @@ func TestStudyScanLongitudinal(t *testing.T) {
 // TestStudyScanDistributed: the coordinator/worker topology (Fleet: 3)
 // writes the file of the one-process sweep (Fleet: 0).
 func TestStudyScanDistributed(t *testing.T) {
-	t.Parallel() // its fleet idles ~1 s on a GrantWait; overlap it
 	s := testStudy(t)
 	want, cfg := measureReference(t, s)
 	cfg.Fleet, cfg.CheckpointDir, cfg.Archive = 3, t.TempDir(), filepath.Join(t.TempDir(), "fleet.tsv")
