@@ -117,7 +117,7 @@ func RegisterPlanFlags(fs *flag.FlagSet) func() (Plan, error) {
 	fs.IntVar(&spec.Workers, "workers", defaultSpec.Workers, "scan concurrency (of each worker process in a distributed sweep)")
 	fs.IntVar(&spec.Retries, "retries", defaultSpec.Retries, "per-query attempt budget")
 	fs.IntVar(&spec.Resweeps, "resweeps", defaultSpec.Resweeps, "re-sweep passes over failed targets (-1 disables)")
-	fs.BoolVar(&spec.Cache, "cache", false, "enable the TTL-respecting response cache in the exchange stack")
+	fs.BoolVar(&spec.Cache, "cache", false, "enable the response cache in the exchange stack")
 	fs.BoolVar(&spec.Dedup, "dedup", false, "coalesce concurrent identical queries in the exchange stack")
 	fs.Float64Var(&spec.FaultFrac, "fault-frac", 0, "fraction of DNS operators made faulty (0 disables injection)")
 	fs.Float64Var(&spec.FaultLoss, "fault-loss", defaultSpec.FaultLoss, "packet-loss probability on faulty operators")

@@ -24,34 +24,30 @@ type Options struct {
 	// Retry, when non-nil, adds the Retry layer with this policy.
 	Retry *retry.Policy
 
-	// Health, when non-nil, adds the per-server breaker/bookkeeping layer.
-	Health *HealthOptions
-
 	// Dedup adds the in-flight singleflight layer.
 	Dedup bool
 
-	// Cache, when non-nil, adds the TTL message cache.
+	// Cache, when non-nil, adds the message cache.
 	Cache *CacheOptions
 }
 
 // Stack is an assembled exchange path. It is itself an Exchanger (the
 // outermost layer), with typed handles to each optional layer — nil when
-// the layer was not selected — so callers can read counters, flush the
-// cache, or consult server health without re-plumbing.
+// the layer was not selected — so callers can read counters or flush the
+// cache without re-plumbing.
 type Stack struct {
 	Exchanger
 
 	Transport Exchanger
 	Tap       *Tap
 	Retry     *Retry
-	Health    *Health
 	Dedup     *Dedup
 	Cache     *Cache
 }
 
 // Build assembles the middleware stack in the package's canonical order,
 //
-//	Cache → Dedup → Health → Retry → opts.Middleware... → Tap → Transport,
+//	Cache → Dedup → Retry → opts.Middleware... → Tap → Transport,
 //
 // including only the layers Options selects.
 func Build(opts Options) (*Stack, error) {
@@ -68,30 +64,16 @@ func Build(opts Options) (*Stack, error) {
 		s.Retry = NewRetry(ex, *opts.Retry)
 		ex = s.Retry
 	}
-	if opts.Health != nil {
-		s.Health = NewHealth(ex, *opts.Health)
-		ex = s.Health
-	}
 	if opts.Dedup {
 		s.Dedup = NewDedup(ex)
 		ex = s.Dedup
 	}
 	if opts.Cache != nil {
-		s.Cache = NewCache(ex, *opts.Cache)
+		s.Cache = NewCache(ex)
 		ex = s.Cache
 	}
 	s.Exchanger = ex
 	return s, nil
-}
-
-// MustBuild is Build for static configurations known to be valid; it
-// panics on error.
-func MustBuild(opts Options) *Stack {
-	s, err := Build(opts)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Counters snapshots every present layer's accounting (absent layers
@@ -107,23 +89,10 @@ func (s *Stack) Counters() Counters {
 	if s.Dedup != nil {
 		c.Dedup = s.Dedup.counters()
 	}
-	if s.Health != nil {
-		c.Health = s.Health.counters()
-	}
 	if s.Retry != nil {
 		c.Retry = s.Retry.counters()
 	}
 	return c
-}
-
-// OrderServers returns servers in failover-preference order: Health's
-// healthy-first rotation when the layer is present, the input unchanged
-// otherwise.
-func (s *Stack) OrderServers(servers []string) []string {
-	if s.Health == nil {
-		return servers
-	}
-	return s.Health.Order(servers)
 }
 
 // FlushCache drops every cached response (no-op without a Cache layer).

@@ -9,10 +9,10 @@ import (
 )
 
 // Tap is the innermost middleware: a pass-through that counts what
-// actually reaches the transport. Because it sits below cache, dedup,
-// breaker, and retry, its Exchanges figure is the ground truth those
-// layers are judged against — the benchmark's "≥2x fewer transport-level
-// exchanges" claim is measured here.
+// actually reaches the transport. Because it sits below cache, dedup and
+// retry, its Exchanges figure is the ground truth those layers are judged
+// against — the benchmark's "≥2x fewer transport-level exchanges" claim is
+// measured here.
 type Tap struct {
 	inner Exchanger
 
@@ -49,24 +49,15 @@ type TransportCounters struct {
 
 // CacheCounters is the Cache layer's cumulative accounting.
 type CacheCounters struct {
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"`
-	Stores  int64 `json:"stores"`
-	Expired int64 `json:"expired"`
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	Stores int64 `json:"stores"`
 }
 
 // DedupCounters is the Dedup layer's cumulative accounting.
 type DedupCounters struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-}
-
-// HealthCounters is the Health layer's cumulative accounting.
-type HealthCounters struct {
-	Trips      int64 `json:"trips"`
-	Recoveries int64 `json:"recoveries"`
-	FastFails  int64 `json:"fast_fails"`
-	Probes     int64 `json:"probes"`
 }
 
 // RetryCounters is the Retry layer's cumulative accounting.
@@ -83,7 +74,6 @@ type Counters struct {
 	Transport TransportCounters `json:"transport"`
 	Cache     CacheCounters     `json:"cache"`
 	Dedup     DedupCounters     `json:"dedup"`
-	Health    HealthCounters    `json:"health"`
 	Retry     RetryCounters     `json:"retry"`
 }
 
@@ -96,20 +86,13 @@ func (c Counters) Sub(prev Counters) Counters {
 			Errors:    c.Transport.Errors - prev.Transport.Errors,
 		},
 		Cache: CacheCounters{
-			Hits:    c.Cache.Hits - prev.Cache.Hits,
-			Misses:  c.Cache.Misses - prev.Cache.Misses,
-			Stores:  c.Cache.Stores - prev.Cache.Stores,
-			Expired: c.Cache.Expired - prev.Cache.Expired,
+			Hits:   c.Cache.Hits - prev.Cache.Hits,
+			Misses: c.Cache.Misses - prev.Cache.Misses,
+			Stores: c.Cache.Stores - prev.Cache.Stores,
 		},
 		Dedup: DedupCounters{
 			Hits:   c.Dedup.Hits - prev.Dedup.Hits,
 			Misses: c.Dedup.Misses - prev.Dedup.Misses,
-		},
-		Health: HealthCounters{
-			Trips:      c.Health.Trips - prev.Health.Trips,
-			Recoveries: c.Health.Recoveries - prev.Health.Recoveries,
-			FastFails:  c.Health.FastFails - prev.Health.FastFails,
-			Probes:     c.Health.Probes - prev.Health.Probes,
 		},
 		Retry: RetryCounters{
 			Retries:  c.Retry.Retries - prev.Retry.Retries,
@@ -127,20 +110,13 @@ func (c Counters) Add(o Counters) Counters {
 			Errors:    c.Transport.Errors + o.Transport.Errors,
 		},
 		Cache: CacheCounters{
-			Hits:    c.Cache.Hits + o.Cache.Hits,
-			Misses:  c.Cache.Misses + o.Cache.Misses,
-			Stores:  c.Cache.Stores + o.Cache.Stores,
-			Expired: c.Cache.Expired + o.Cache.Expired,
+			Hits:   c.Cache.Hits + o.Cache.Hits,
+			Misses: c.Cache.Misses + o.Cache.Misses,
+			Stores: c.Cache.Stores + o.Cache.Stores,
 		},
 		Dedup: DedupCounters{
 			Hits:   c.Dedup.Hits + o.Dedup.Hits,
 			Misses: c.Dedup.Misses + o.Dedup.Misses,
-		},
-		Health: HealthCounters{
-			Trips:      c.Health.Trips + o.Health.Trips,
-			Recoveries: c.Health.Recoveries + o.Health.Recoveries,
-			FastFails:  c.Health.FastFails + o.Health.FastFails,
-			Probes:     c.Health.Probes + o.Health.Probes,
 		},
 		Retry: RetryCounters{
 			Retries:  c.Retry.Retries + o.Retry.Retries,
@@ -157,9 +133,6 @@ func (c Counters) String() string {
 	}
 	if c.Dedup.Hits > 0 {
 		s += fmt.Sprintf(", dedup=%d coalesced", c.Dedup.Hits)
-	}
-	if c.Health.Trips > 0 {
-		s += fmt.Sprintf(", breaker=%d trips/%d fastfails", c.Health.Trips, c.Health.FastFails)
 	}
 	if c.Retry.Retries > 0 {
 		s += fmt.Sprintf(", retries=%d (%d exhausted)", c.Retry.Retries, c.Retry.Failures)

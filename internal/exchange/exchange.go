@@ -1,25 +1,22 @@
 // Package exchange owns the canonical DNS query path of the module: the
 // Exchanger interface every transport implements, and a composable
 // middleware stack — Dedup (singleflight on identical in-flight queries),
-// Cache (TTL-honoring positive and RFC 2308 negative message cache),
-// Health (per-server consecutive-failure circuit breaker with half-open
-// probes), Retry (bounded per-query retries), and Tap (transport-level
+// Cache (a message cache of positive and NXDOMAIN answers, held until
+// flushed), Retry (bounded per-query retries), and Tap (transport-level
 // exchange accounting) — assembled in one declared order by Build.
 //
 // The paper's longitudinal half (section 4.1) issues millions of
 // NS/DS/DNSKEY/RRSIG queries per simulated day; real collector fleets get
-// their throughput from exactly this machinery — query dedup, referral
-// caching, and server-health tracking.
+// their throughput from exactly this machinery — query dedup and referral
+// caching.
 //
 // The stack composes outermost to innermost as
 //
-//	Cache → Dedup → Health → Retry → (extra middleware, e.g. faultnet) → Tap → transport
+//	Cache → Dedup → Retry → (extra middleware, e.g. faultnet) → Tap → transport
 //
 // so a cache hit costs nothing downstream, duplicate in-flight queries
-// collapse before they can trip a breaker, the breaker observes
-// post-retry outcomes (a server is "failing" only after its attempt
-// budget is spent), and the Tap counts what actually reached the
-// transport.
+// collapse before they spend retries, and the Tap counts what actually
+// reached the transport.
 package exchange
 
 import (

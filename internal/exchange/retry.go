@@ -49,12 +49,10 @@ func (errSoftResponse) Error() string { return "exchange: retryable response" }
 
 // retryable rejects permanent conditions: a dead context and an address
 // with no route (an unregistered in-memory server stays unregistered; real
-// scheduled outages surface as timeouts, which are retryable). A fast-fail
-// from an open circuit breaker is likewise not worth re-attempting — the
-// breaker already decided the server is down.
+// scheduled outages surface as timeouts, which are retryable).
 func retryable(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, ErrNoRoute) || errors.Is(err, ErrCircuitOpen) {
+		errors.Is(err, ErrNoRoute) {
 		return false
 	}
 	return true

@@ -28,9 +28,9 @@ func (e *scriptedExchanger) Exchange(_ context.Context, _ string, q *dnswire.Mes
 }
 
 // retrying is the stack Tap → Retry over inner with a fast policy.
-func retrying(inner exchange.Exchanger, attempts int) *exchange.Stack {
+func retrying(t testing.TB, inner exchange.Exchanger, attempts int) *exchange.Stack {
 	p := fastPolicy(attempts)
-	return exchange.MustBuild(exchange.Options{Transport: inner, Retry: &p})
+	return mustBuild(t, exchange.Options{Transport: inner, Retry: &p})
 }
 
 func fail(msg string) func(*dnswire.Message) (*dnswire.Message, error) {
@@ -49,7 +49,7 @@ func TestRetryingRecoversFromTransientErrors(t *testing.T) {
 	inner := &scriptedExchanger{script: []func(*dnswire.Message) (*dnswire.Message, error){
 		fail("timeout"), fail("timeout"),
 	}}
-	ex := retrying(inner, 3)
+	ex := retrying(t, inner, 3)
 	resp, err := ex.Exchange(context.Background(), "srv", dnswire.NewQuery(1, "a.com", dnswire.TypeNS))
 	if err != nil || !resp.Authoritative {
 		t.Fatalf("exchange: %v %v", resp, err)
@@ -63,7 +63,7 @@ func TestRetryingExhaustsBudget(t *testing.T) {
 	inner := &scriptedExchanger{script: []func(*dnswire.Message) (*dnswire.Message, error){
 		fail("t1"), fail("t2"), fail("t3"), fail("t4"),
 	}}
-	ex := retrying(inner, 3)
+	ex := retrying(t, inner, 3)
 	if _, err := ex.Exchange(context.Background(), "srv", dnswire.NewQuery(1, "a.com", dnswire.TypeNS)); err == nil {
 		t.Fatal("expected failure")
 	}
@@ -77,7 +77,7 @@ func TestRetryingExhaustsBudget(t *testing.T) {
 
 func TestRetryingNoRouteIsPermanent(t *testing.T) {
 	net := dnsserver.NewMemNet()
-	ex := retrying(net, 5)
+	ex := retrying(t, net, 5)
 	_, err := ex.Exchange(context.Background(), "dark.example", dnswire.NewQuery(1, "a.com", dnswire.TypeNS))
 	if !errors.Is(err, exchange.ErrNoRoute) {
 		t.Fatalf("err: %v", err)
@@ -92,7 +92,7 @@ func TestRetryLameRecoversAndGivesUpGracefully(t *testing.T) {
 	inner := &scriptedExchanger{script: []func(*dnswire.Message) (*dnswire.Message, error){
 		rcode(dnswire.RCodeServerFailure),
 	}}
-	ex := retrying(inner, 3)
+	ex := retrying(t, inner, 3)
 	resp, err := ex.Exchange(context.Background(), "srv", dnswire.NewQuery(1, "a.com", dnswire.TypeNS))
 	if err != nil || resp.RCode != dnswire.RCodeSuccess {
 		t.Fatalf("recovery: %v %v", resp, err)
@@ -105,7 +105,7 @@ func TestRetryLameRecoversAndGivesUpGracefully(t *testing.T) {
 	always := &scriptedExchanger{script: []func(*dnswire.Message) (*dnswire.Message, error){
 		rcode(dnswire.RCodeServerFailure), rcode(dnswire.RCodeServerFailure), rcode(dnswire.RCodeServerFailure),
 	}}
-	ex2 := retrying(always, 3)
+	ex2 := retrying(t, always, 3)
 	resp, err = ex2.Exchange(context.Background(), "srv", dnswire.NewQuery(2, "a.com", dnswire.TypeNS))
 	if err != nil || resp.RCode != dnswire.RCodeServerFailure {
 		t.Fatalf("persistent lame: %v %v", resp, err)
@@ -119,7 +119,7 @@ func TestRetryTruncated(t *testing.T) {
 		return resp, nil
 	}
 	inner := &scriptedExchanger{script: []func(*dnswire.Message) (*dnswire.Message, error){tc}}
-	ex := retrying(inner, 3)
+	ex := retrying(t, inner, 3)
 	resp, err := ex.Exchange(context.Background(), "srv", dnswire.NewQuery(1, "a.com", dnswire.TypeNS))
 	if err != nil || resp.Truncated {
 		t.Fatalf("truncation retry: %v %v", resp, err)

@@ -186,7 +186,10 @@ func TestRetryRecoversThroughInjector(t *testing.T) {
 		return resp, err
 	})
 	policy := retryTestPolicy()
-	rex := exchange.MustBuild(exchange.Options{Transport: counted, Retry: &policy})
+	rex, err := exchange.Build(exchange.Options{Transport: counted, Retry: &policy})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ok, failed := 0, 0
 	for i := 0; i < 200; i++ {
 		name := string(rune('a'+i%26)) + "x.com"

@@ -1,11 +1,5 @@
 package resolver
 
-import "securepki.org/registrarsec/internal/exchange"
-
-// Stack exposes the assembled exchange stack (per-layer counters, server
-// health); nil when the resolver was built without an Exchange.
-func (r *Resolver) Stack() *exchange.Stack { return r.stack }
-
 // Queries returns the number of upstream queries sent.
 func (r *Resolver) Queries() int64 { return r.queries.Load() }
 

@@ -2,6 +2,7 @@ package resolver_test
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +21,10 @@ func TestResolutionSurvivesLossyNetwork(t *testing.T) {
 	h := newWorld(t)
 	lossy := faultnet.New(h.Net, 11, nil, faultnet.Rule{Pattern: "*", Loss: 0.25})
 	policy := retry.Policy{MaxAttempts: 6, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
-	retrying := exchange.MustBuild(exchange.Options{Transport: lossy, Retry: &policy})
+	retrying, err := exchange.Build(exchange.Options{Transport: lossy, Retry: &policy})
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := resolver.New(resolver.Config{
 		Roots:    []string{dnstest.RootAddr},
 		Exchange: retrying,
@@ -41,16 +45,26 @@ func TestResolutionSurvivesLossyNetwork(t *testing.T) {
 	}
 }
 
-// TestRotationPastDeadServer lists a dark (unregistered) server ahead of a
-// live one: every query must rotate past it instead of failing the chase.
+// TestRotationPastDeadServer lists a dark (unregistered) root ahead of a
+// live one: servers are tried in the order listed, so every lookup spends
+// exactly one failed exchange on the dead root and then completes.
 func TestRotationPastDeadServer(t *testing.T) {
 	h := newWorld(t)
+	var failed atomic.Int64
+	counted := exchange.Func(func(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
+		resp, err := h.Net.Exchange(ctx, server, q)
+		if err != nil {
+			failed.Add(1)
+		}
+		return resp, err
+	})
 	r := resolver.New(resolver.Config{
 		Roots:    []string{"dead.root.example", dnstest.RootAddr},
-		Exchange: h.Net,
+		Exchange: counted,
 	})
 	ctx := context.Background()
 	for i := 0; i < 4; i++ {
+		before := failed.Load()
 		res, err := r.Resolve(ctx, "www.signed.com", dnswire.TypeA)
 		if err != nil {
 			t.Fatalf("resolve with a dead root listed: %v", err)
@@ -58,11 +72,9 @@ func TestRotationPastDeadServer(t *testing.T) {
 		if res.RCode != dnswire.RCodeSuccess {
 			t.Fatalf("rcode: %v", res.RCode)
 		}
+		if got := failed.Load() - before; got != 1 {
+			t.Errorf("lookup %d: %d failed exchanges, want 1 (the dead root, listed first)", i, got)
+		}
 		r.FlushCache()
-	}
-	// A failed exchange is a transport error, or a fast fail once the
-	// breaker has opened on the dead server.
-	if c := r.Stack().Counters(); c.Transport.Errors+c.Health.FastFails == 0 {
-		t.Error("dead server never hit: rotation not exercised")
 	}
 }

@@ -3,10 +3,9 @@
 // package dnssec.
 //
 // The resolver is transport-agnostic: it issues queries through an
-// exchange.Exchanger stack (transport accounting under a per-server health
-// breaker — see internal/exchange), so the same code
-// resolves against real UDP/TCP servers and against the in-memory
-// ecosystem simulation. This mirrors how the paper's measurements work —
+// exchange.Exchanger (see internal/exchange), so the same code resolves
+// against real UDP/TCP servers and against the in-memory ecosystem
+// simulation. This mirrors how the paper's measurements work —
 // the OpenINTEL scans and the hands-on registrar probes both observe
 // domains strictly through DNS queries.
 package resolver
@@ -66,8 +65,7 @@ func (r *Result) RRSet(name string, t dnswire.Type) *dnssec.RRSet {
 
 // Resolver iteratively resolves names starting from the root servers.
 type Resolver struct {
-	cfg   Config
-	stack *exchange.Stack
+	cfg Config
 
 	mu    sync.RWMutex
 	cache map[string]cacheEntry // zone apex -> servers + cut chain
@@ -78,18 +76,7 @@ type Resolver struct {
 
 // New creates a resolver from cfg.
 func New(cfg Config) *Resolver {
-	r := &Resolver{cfg: cfg, cache: make(map[string]cacheEntry)}
-	if cfg.Exchange != nil {
-		// The breaker drives healthy-first server ordering during referral
-		// chases; a failed exchange rotates to the next server at once
-		// (exchangeAny), so there is no retry layer — a caller on a lossy
-		// transport hands in an Exchange that retries.
-		r.stack = exchange.MustBuild(exchange.Options{
-			Transport: cfg.Exchange,
-			Health:    &exchange.HealthOptions{},
-		})
-	}
-	return r
+	return &Resolver{cfg: cfg, cache: make(map[string]cacheEntry)}
 }
 
 // cacheEntry remembers a zone cut's nameserver addresses and the chain of
@@ -121,23 +108,19 @@ func (r *Resolver) newQuery(name string, t dnswire.Type) *dnswire.Message {
 	return q
 }
 
-// exchangeAny tries servers until one gives a usable answer: a transport
-// error or lame rcode (SERVFAIL/REFUSED) moves on to the next server
-// rather than failing the referral chase. Ordering comes from the exchange
-// stack's health layer — open-circuit servers are tried last, and a
-// deterministic round-robin offset spreads load across a zone's NS set
-// without making failure behavior depend on a global random source.
+// exchangeAny tries servers in the order they are listed until one gives
+// a usable answer: a transport error or lame rcode (SERVFAIL/REFUSED)
+// moves on to the next server rather than failing the referral chase.
+// There is no retry here — a caller on a lossy transport hands in an
+// Exchange that retries.
 func (r *Resolver) exchangeAny(ctx context.Context, servers []string, q *dnswire.Message) (*dnswire.Message, string, error) {
-	if len(servers) == 0 {
-		return nil, "", ErrNoServers
-	}
-	if r.stack == nil {
+	if len(servers) == 0 || r.cfg.Exchange == nil {
 		return nil, "", ErrNoServers
 	}
 	var lastErr error = ErrAllServersBad
-	for _, server := range r.stack.OrderServers(servers) {
+	for _, server := range servers {
 		r.queries.Add(1)
-		resp, err := r.stack.Exchange(ctx, server, q)
+		resp, err := r.cfg.Exchange.Exchange(ctx, server, q)
 		if err != nil {
 			lastErr = err
 			continue

@@ -19,6 +19,10 @@ func (h *SweepHealth) Cancelled() int {
 	return h.ByClass[FailCancelled]
 }
 
+// DeadServers is the known-dead set a re-sweep pass would freeze now:
+// servers the scanner's own counts saw fail and never answer.
+func (s *Scanner) DeadServers() map[string]bool { return s.deadServers() }
+
 // TargetsFromDomains builds scan targets from bare domain names.
 func TargetsFromDomains(domains []string) []Target {
 	out := make([]Target, 0, len(domains))

@@ -2,6 +2,7 @@ package scan_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -111,13 +112,13 @@ func TestResweepOrdersKnownDeadHostsLast(t *testing.T) {
 	if h1 != 1 {
 		t.Errorf("dark host got %d DNSKEY queries, want 1: resweep must try known-alive hosts first\n%v", h1, world.queries)
 	}
-	// The health layer's record backs the ordering decision.
-	snapHealth := s.Stack().Health.Snapshot()
-	if !snapHealth["h1.example"].Dead() {
-		t.Errorf("h1 not recorded dead: %+v", snapHealth["h1.example"])
+	// The scanner's own per-server counts back the ordering decision.
+	dead := s.DeadServers()
+	if !dead["h1.example"] {
+		t.Errorf("h1 not recorded dead: %v", dead)
 	}
-	if snapHealth["h2.example"].Dead() {
-		t.Errorf("h2 wrongly dead: %+v", snapHealth["h2.example"])
+	if dead["h2.example"] {
+		t.Errorf("h2 wrongly dead: %v", dead)
 	}
 	// Exchange counters ride along in the sweep report.
 	if health.Exchange.Transport.Exchanges == 0 || health.Exchange.Retry.Failures == 0 {
@@ -125,5 +126,52 @@ func TestResweepOrdersKnownDeadHostsLast(t *testing.T) {
 	}
 	if got := len(snap.Records); got != 2 {
 		t.Errorf("records = %d, want 2", got)
+	}
+}
+
+// stallWorld answers nothing: every exchange waits for its context to die,
+// and the first to arrive closes arrived.
+type stallWorld struct {
+	arrived chan struct{}
+	once    sync.Once
+}
+
+func (w *stallWorld) Exchange(ctx context.Context, _ string, _ *dnswire.Message) (*dnswire.Message, error) {
+	w.once.Do(func() { close(w.arrived) })
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestCancelledSweepMarksNoServerDead cancels a ScanDay while its queries
+// wait on the TLD server: the cancellation is the caller's condition, so
+// it counts no failure against that server and leaves it out of the
+// known-dead set a later pass would order by.
+func TestCancelledSweepMarksNoServerDead(t *testing.T) {
+	world := &stallWorld{arrived: make(chan struct{})}
+	s, err := scan.New(scan.Config{
+		Exchange:   world,
+		TLDServers: map[string]string{"test": "tld.server"},
+		Workers:    2,
+		Retry:      retry.Policy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		<-world.arrived
+		cancel()
+	}()
+	targets := []scan.Target{{Domain: "a.test", TLD: "test"}, {Domain: "b.test", TLD: "test"}, {Domain: "c.test", TLD: "test"}}
+	_, health, err := s.ScanDay(ctx, simtime.Day(1), targets)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("ScanDay error = %v, want context.Canceled", err)
+	}
+	if !health.Balanced() || health.Cancelled() != len(targets) {
+		t.Fatalf("every target must be accounted cancelled: %s", health)
+	}
+	if dead := s.DeadServers(); len(dead) != 0 {
+		t.Errorf("cancelled queries marked servers dead: %v", dead)
 	}
 }

@@ -9,18 +9,18 @@
 // scans run identically against the in-memory simulation and against real
 // UDP/TCP servers. The engine assumes an unhealthy network: every query
 // runs under a retry policy, the DNSKEY step fails over across all NS
-// hosts — consulting the stack's per-server health so re-sweep passes stop
-// leading with known-dead servers — failed targets get bounded re-sweep
-// passes, and each ScanDay returns a SweepHealth report accounting for
-// everything it could not measure, including the exchange stack's
-// per-layer counters.
+// hosts — consulting the scanner's own per-server counts so re-sweep
+// passes stop leading with known-dead servers — failed targets get bounded
+// re-sweep passes, and each ScanDay returns a SweepHealth report
+// accounting for everything it could not measure, including the exchange
+// stack's per-layer counters.
 //
 // Determinism contract: the scanner's outputs are a pure function of the
 // zone data and the fault schedule, independent of worker interleaving.
-// The health layer therefore runs with fast-fail disabled (bookkeeping
-// only), and re-sweep ordering consults a dead-server set frozen at each
-// pass boundary — commutative counters whose pass-boundary values do not
-// depend on scheduling.
+// No exchange is ever short-circuited, and re-sweep ordering consults a
+// dead-server set frozen from the scanner's per-server success and failure
+// counts at each pass boundary — commutative counters whose pass-boundary
+// values do not depend on scheduling.
 package scan
 
 import (
@@ -65,7 +65,7 @@ type Config struct {
 	Middleware []exchange.Middleware
 	// Dedup coalesces identical in-flight queries across workers.
 	Dedup bool
-	// Cache adds a TTL message cache above everything (nil disables). The
+	// Cache adds a message cache above everything (nil disables). The
 	// scanner flushes it automatically when ScanDay's day changes, so a
 	// longitudinal run can never serve yesterday's zone from cache.
 	Cache *exchange.CacheOptions
@@ -82,7 +82,14 @@ type Scanner struct {
 	mu      sync.Mutex
 	lastDay simtime.Day
 	hasDay  bool
+	// servers counts each server's completed exchanges over the scanner's
+	// life (guarded by mu); deadServers freezes it at pass boundaries.
+	servers map[string]*serverCount
 }
+
+// serverCount is one server's completed exchanges: those that returned a
+// response and those that returned an error.
+type serverCount struct{ ok, failed int64 }
 
 // New creates a scanner.
 func New(cfg Config) (*Scanner, error) {
@@ -104,27 +111,24 @@ func New(cfg Config) (*Scanner, error) {
 	case cfg.MaxResweeps < 0:
 		cfg.MaxResweeps = 0
 	}
-	// Health runs with fast-fail disabled — see the package determinism
-	// contract.
 	stack, err := exchange.Build(exchange.Options{
 		Transport:  cfg.Exchange,
 		Middleware: cfg.Middleware,
 		Retry:      &cfg.Retry,
-		Health:     &exchange.HealthOptions{DisableFastFail: true},
 		Dedup:      cfg.Dedup,
 		Cache:      cfg.Cache,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scan: %w", err)
 	}
-	s := &Scanner{cfg: cfg, stack: stack}
+	s := &Scanner{cfg: cfg, stack: stack, servers: make(map[string]*serverCount)}
 	s.ask = exchange.Func(s.send)
 	return s, nil
 }
 
 // Stack exposes the scanner's exchange stack: per-layer counters for
-// benchmarks and health reports, the message cache for explicit flushes,
-// and the per-server health record that persists across ScanDay calls.
+// benchmarks and health reports, and the message cache for explicit
+// flushes.
 func (s *Scanner) Stack() *exchange.Stack { return s.stack }
 
 // Queries reports the total logical queries issued across all sweeps
@@ -166,8 +170,8 @@ func (s *Scanner) ScanDay(ctx context.Context, day simtime.Day, targets []Target
 	pending := targets
 	var failures []Failure
 	// dead is the frozen known-dead server set consulted for DNSKEY host
-	// ordering; empty on the first pass, refreshed from the health layer at
-	// each re-sweep boundary so later passes stop leading with servers that
+	// ordering; empty on the first pass, refreshed from the per-server
+	// counts at each re-sweep boundary so later passes stop leading with servers that
 	// answered nothing all sweep.
 	var dead map[string]bool
 	for pass := 0; ; pass++ {
@@ -205,14 +209,16 @@ func (s *Scanner) flushOnDayChange(day simtime.Day) {
 	s.lastDay, s.hasDay = day, true
 }
 
-// deadServers snapshots the health layer's known-dead set: servers that
-// failed at least once and never answered. The totals are commutative, so
-// at a pass boundary (workers quiesced) the set is a deterministic
-// function of the completed passes' outcomes, not of worker interleaving.
+// deadServers snapshots the known-dead set: servers that failed at least
+// once and never answered. The counts are commutative, so at a pass
+// boundary (workers quiesced) the set is a deterministic function of the
+// completed passes' outcomes, not of worker interleaving.
 func (s *Scanner) deadServers() map[string]bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var dead map[string]bool
-	for addr, sh := range s.stack.Health.Snapshot() {
-		if sh.Dead() {
+	for addr, c := range s.servers {
+		if c.failed > 0 && c.ok == 0 {
 			if dead == nil {
 				dead = make(map[string]bool)
 			}
@@ -289,12 +295,30 @@ func (s *Scanner) recordFailures(snap *dataset.Snapshot, health *SweepHealth, fa
 	}
 }
 
-// send carries one query of a sweep: it stamps a fresh ID and counts the
-// logical query before handing it to the stack.
+// send carries one query of a sweep: it stamps a fresh ID, counts the
+// logical query, hands it to the stack and counts the outcome against the
+// server. A context error is the caller's condition, not the server's: a
+// sweep being cancelled must not mark every server it was asking dead.
 func (s *Scanner) send(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
 	q.ID = uint16(s.qid.Add(1))
 	s.queries.Add(1)
-	return s.stack.Exchange(ctx, server, q)
+	resp, err := s.stack.Exchange(ctx, server, q)
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return resp, err
+	}
+	s.mu.Lock()
+	c := s.servers[server]
+	if c == nil {
+		c = &serverCount{}
+		s.servers[server] = c
+	}
+	if err != nil {
+		c.failed++
+	} else {
+		c.ok++
+	}
+	s.mu.Unlock()
+	return resp, err
 }
 
 // orderHosts returns hosts with known-dead servers moved to the back,
@@ -395,8 +419,8 @@ func Observe(ctx context.Context, ex exchange.Exchanger, parent, domain string, 
 	obs.DS = dnssec.ExtractRRSet(resp.Answers, domain, dnswire.TypeDS).DS()
 
 	// DNSKEY (+RRSIG) from the domain's own nameservers. Re-sweep passes
-	// order the hosts by the health layer's record so known-dead servers
-	// go last instead of being re-probed first every pass.
+	// order the hosts by the scanner's per-server counts so known-dead
+	// servers go last instead of being re-probed first every pass.
 	if obs.Keys, err = dnssec.FetchKeys(ctx, ex, 0, domain, orderHosts(obs.NSHosts, dead)); err != nil {
 		return nil, fail("dnskey", classifyErr(err), err)
 	}
