@@ -3,6 +3,8 @@ package apiserv
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -58,8 +60,10 @@ func TestObservedWorldBytes(t *testing.T) {
 	// The raw world was written to disk as it is before worlds were
 	// deflated; deflated at gzip.BestSpeed it took 3,989 B (3.32 disk
 	// B/record). With NAMES and NAMESOFF in place of NAMELINE it was
-	// 18,752 raw and 3,757 disk B (15.63 and 3.13 B/record).
-	want := cost{1200, 16616, 3002} // 13.85 raw, 2.50 disk B/record
+	// 18,752 raw and 3,757 disk B (15.63 and 3.13 B/record); with NAMELINE's
+	// names plain, not front-coded, 16,616 raw and 3,002 disk B (13.85 and
+	// 2.50 B/record).
+	want := cost{1200, 15400, 2995} // 12.83 raw, 2.50 disk B/record
 	got := cost{records, len(archivetest.Zcat(t, world)), len(world)}
 	if got != want {
 		t.Errorf("%+v (%.2f raw, %.2f disk B/record), want %+v", got,
@@ -145,18 +149,54 @@ func TestMappedFormWorldResumes(t *testing.T) {
 	}
 }
 
+// TestPlainWorldResumes: a world file committed before front coding, NAMELINE
+// holding every name in full, over the archive it ingested, resumes at its
+// cursor without a re-ingest, holds exactly the index and META it held then
+// (the digest of their mapped form) and serves what a daemon that ingests
+// the same archive now serves. CI runs it at GOMAXPROCS 1 and 4.
+func TestPlainWorldResumes(t *testing.T) {
+	clean := newTestServer(t, t.TempDir())
+	archivetest.Write(t, clean.cfg.ArchivePath, archivetest.PlainArchive)
+	runToEnd(t, clean)
+
+	dir := t.TempDir()
+	s := newTestServer(t, dir)
+	archivetest.Write(t, s.cfg.ArchivePath, archivetest.PlainArchive)
+	archivetest.Write(t, s.cfg.WorldPath, archivetest.PlainWorld)
+	logged := logtest.Capture(t)
+	if err := s.resumeOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if len(logged.Records(refused)) != 0 || s.cur != clean.cur || s.cur.offset != int64(len(archivetest.PlainArchive)) {
+		t.Fatalf("resumed at %+v, want %+v at the archive's end without a re-ingest", s.cur, clean.cur)
+	}
+	mapped := filepath.Join(dir, "mapped.rscw")
+	if err := s.ing.Freeze().SaveFile(mapped, s.cur.meta()); err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(archivetest.Read(t, mapped)); hex.EncodeToString(sum[:]) != archivetest.PlainWorldMapped {
+		t.Errorf("the resumed index and META save in the mapped form to digest %x, want %s", sum, archivetest.PlainWorldMapped)
+	}
+	for _, path := range []string{"/v1/table1", "/v1/operators"} {
+		if got, want := get(s.Handler(), path).Body.String(), get(clean.Handler(), path).Body.String(); got != want {
+			t.Errorf("%s: the resumed daemon serves\n%s\nwant a fresh ingest's\n%s", path, got, want)
+		}
+	}
+}
+
 // FuzzWorldFile feeds loadWorld arbitrary file bytes: it never panics, and
 // every world it accepts, written back through saveWorld and loaded again,
 // saves to the same colstore bytes with the same META. Seeded from a
 // committed world, the raw colstore world it wraps, a member holding the
-// mapped form, and each cut short or followed by more bytes.
+// mapped form, a member committed before front coding, and each cut short
+// or followed by more bytes.
 func FuzzWorldFile(f *testing.F) {
 	s := newTestServer(f, f.TempDir())
 	archivetest.Write(f, s.cfg.ArchivePath, archiveBytes(f, []simtime.Day{200, 230}, 12))
 	runToEnd(f, s)
 	member := worldFile(f, s)
 	raw := archivetest.Zcat(f, member)
-	for _, seed := range [][]byte{member, raw, mappedMember(f, f.TempDir(), member)} {
+	for _, seed := range [][]byte{member, raw, mappedMember(f, f.TempDir(), member), archivetest.PlainWorld} {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 		f.Add(seed[:len(seed)-1])

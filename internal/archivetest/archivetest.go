@@ -8,6 +8,7 @@ package archivetest
 import (
 	"bytes"
 	"compress/gzip"
+	_ "embed"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -20,6 +21,25 @@ import (
 // observatory's world file, starts with: the gzip magic, deflate, no flags,
 // no modification time, XFL 4 and OS 255 (unknown).
 var Header = []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 4, 0xff}
+
+// PlainArchive is an archive written before domain names were front-coded:
+// every record line starts with its domain in full. Its two sections hold
+// NS-set references, failed records and explicit TLD and operator columns;
+// plainArchiveDays in dataset's tests are the records it read to then.
+//
+//go:embed testdata/plain-archive.tsv
+var PlainArchive []byte
+
+// PlainWorld is the observatory's world file after it ingested PlainArchive
+// to its end, written before front coding: NAMELINE holds every name in
+// full. Saved in the mapped form, its index is PlainWorldMapped.
+//
+//go:embed testdata/plain-world.colstore
+var PlainWorld []byte
+
+// PlainWorldMapped is the SHA-256 of PlainWorld's index and META saved in the
+// mapped form (colstore.Index.SaveFile), which front coding leaves as it was.
+const PlainWorldMapped = "3ca2102581b63dd506d819fd45622eef6dc5385e98a2169012ea35d42671d485"
 
 // Deflater deflates members with one compressor, reset between them: an
 // exhaustive test deflates thousands of members, and building a compressor

@@ -25,10 +25,14 @@ package colstore
 //   - mapped (SaveFile): NAMES, the name blob, and NAMESOFF, its n+1 u64
 //     offsets (the blob passes 4 GiB at real-.com scale), which Load maps
 //     back without a copy;
-//   - line (Save): NAMELINE, every name followed by '\n' — one byte a
-//     domain where NAMESOFF takes eight. The decoder recounts the offsets
-//     into a heap copy, so it is the form for a world that is deflated
-//     and copied on load anyway.
+//   - line (Save): NAMELINE, every name front-coded against the one
+//     before it (dataset.AppendFrontCoded: a marker byte for the prefix
+//     they share, then the rest) and followed by '\n' — one byte a domain
+//     where NAMESOFF takes eight, less the shared prefixes. The decoder
+//     rebuilds the names and recounts the offsets into a heap copy, so it
+//     is the form for a world that is deflated and copied on load anyway.
+//     A NAMELINE of plain names, as written before front coding, reads as
+//     it did: a plain name is a shared prefix of 0.
 //
 // The derived state — fullDay, event groups, the record template — is
 // rebuilt or lazily built at load and never serialized.
@@ -119,8 +123,9 @@ func (x *Index) SaveFile(path string, meta map[string]string) error {
 }
 
 // save writes the index in the mapped form (NAMES and NAMESOFF) or the
-// line form (NAMELINE). Either refuses a name holding a newline before it
-// writes a byte, so both forms carry the same indexes.
+// line form (NAMELINE). Either refuses a name holding a newline or starting
+// with a front-coding marker before it writes a byte, so both forms carry
+// the same indexes.
 func (x *Index) save(w io.Writer, meta map[string]string, mapped bool) error {
 	if x.closed.Load() {
 		return ErrClosed

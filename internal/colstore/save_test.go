@@ -2,7 +2,9 @@ package colstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -14,6 +16,8 @@ import (
 	"strings"
 	"testing"
 
+	"securepki.org/registrarsec/internal/archivetest"
+	"securepki.org/registrarsec/internal/dataset"
 	"securepki.org/registrarsec/internal/simtime"
 )
 
@@ -331,6 +335,19 @@ func badNameColumns(t testing.TB) map[string][]byte {
 			p[2] = '\n'
 			return p
 		}),
+		"mapped name starts with a front-coding marker": rewriteSection(t, mapped, secNames, func(blob []byte) []byte {
+			blob[0] = 'D'
+			return blob
+		}),
+		"first line front-coded": nameLines(func(p []byte) []byte {
+			p[0] = 'A'
+			return p
+		}),
+		"line shares more than the name before": nameLines(func(p []byte) []byte {
+			second := bytes.IndexByte(p, '\n') + 1
+			p[second] = byte('A' + second - 1) // the first name and its newline
+			return p
+		}),
 		"one line short": nameLines(func(p []byte) []byte {
 			return p[:bytes.LastIndexByte(p[:len(p)-1], '\n')+1]
 		}),
@@ -372,9 +389,17 @@ func TestLoadRejectsBadNameOffsets(t *testing.T) {
 
 // TestSaveRefusesNewlineName: the line form cannot carry a name holding a
 // newline, so neither form saves one: both name the row and write nothing.
-func TestSaveRefusesNewlineName(t *testing.T) {
+func TestSaveRefusesNewlineName(t *testing.T) { checkSaveRefuses(t, "c\n.com") }
+
+// TestSaveRefusesFrontMarkerName: nor can it carry a name that starts with
+// a front-coding marker, an upper-case ASCII letter.
+func TestSaveRefusesFrontMarkerName(t *testing.T) { checkSaveRefuses(t, "C.com") }
+
+// checkSaveRefuses requires both forms to refuse an index whose third name
+// is bad, naming its row and writing nothing.
+func checkSaveRefuses(t *testing.T, bad string) {
 	b := NewBuilder(3)
-	for _, name := range []string{"a.com", "b.com", "c\n.com"} {
+	for _, name := range []string{"a.com", "b.com", bad} {
 		b.Add(Domain{Name: name, TLD: "com", Operator: "op.example", NSHost: "ns1.op.example",
 			KeyDay: simtime.Never, DSDay: simtime.Never})
 	}
@@ -396,7 +421,8 @@ func TestSaveRefusesNewlineName(t *testing.T) {
 }
 
 // TestSaveFormsAgree holds the two forms to one index: the line form is
-// every name and a newline, the mapped form is what SaveFile writes, and
+// every name front-coded against the one before it and a newline, the
+// mapped form is what SaveFile writes, and
 // an index loaded from either — copied, or mapped from the file — saves
 // to the same bytes in both forms. CI runs it at GOMAXPROCS 1 and 4.
 func TestSaveFormsAgree(t *testing.T) {
@@ -423,12 +449,16 @@ func TestSaveFormsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want strings.Builder
+		var want []byte
 		for i := range n {
-			want.WriteString(x.name(i) + "\n")
+			prev := ""
+			if i > 0 {
+				prev = x.name(i - 1)
+			}
+			want = append(dataset.AppendFrontCoded(want, []byte(prev), []byte(x.name(i))), '\n')
 		}
-		if got := string(secs[secNameLine].bytes(lines.Bytes())); got != want.String() {
-			t.Fatalf("%d rows: NAMELINE is %q, want %q", n, got, want.String())
+		if got := secs[secNameLine].bytes(lines.Bytes()); !bytes.Equal(got, want) {
+			t.Fatalf("%d rows: NAMELINE is %q, want %q", n, got, want)
 		}
 
 		fromLines, _, err := LoadBytes(lines.Bytes())
@@ -483,6 +513,40 @@ func TestSaveHeapBounded(t *testing.T) {
 	}
 }
 
+// TestPlainWorldLoads: the observatory's world written before front coding,
+// NAMELINE holding every name in full, decodes to exactly the index and META
+// it decoded to then — pinned by the digest of their mapped form, which
+// front coding left as it was — and the line form it saves now loads back to
+// them too. CI runs it at GOMAXPROCS 1 and 4.
+func TestPlainWorldLoads(t *testing.T) {
+	x, meta, err := LoadBytes(archivetest.Zcat(t, archivetest.PlainWorld))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mappedDigest := func(y *Index) string {
+		var mapped bytes.Buffer
+		if err := y.save(&mapped, meta, true); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(mapped.Bytes())
+		return hex.EncodeToString(sum[:])
+	}
+	if got := mappedDigest(x); got != archivetest.PlainWorldMapped {
+		t.Fatalf("the plain world decodes to an index whose mapped form hashes to %s, want %s", got, archivetest.PlainWorldMapped)
+	}
+	var lines bytes.Buffer
+	if err := x.Save(&lines, meta); err != nil {
+		t.Fatal(err)
+	}
+	y, _, err := LoadBytes(lines.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mappedDigest(y); got != archivetest.PlainWorldMapped {
+		t.Errorf("re-saved in the line form, the plain world loads to an index whose mapped form hashes to %s", got)
+	}
+}
+
 func TestLoadMissingFile(t *testing.T) {
 	if _, _, err := Load(filepath.Join(t.TempDir(), "nope.rscw")); err == nil {
 		t.Fatal("loading a missing file succeeded")
@@ -492,9 +556,22 @@ func TestLoadMissingFile(t *testing.T) {
 // FuzzLoadWorld hammers the reader with mutated files: any input must
 // either load cleanly or return an error — no panics, no silent garbage.
 // An accepted file, saved in the line form and in SaveFile's mapped form
-// and each loaded again, gives the same Save bytes both ways. Seeded with
-// both forms of 0, 1 and 50 rows and every damaged name column.
+// and each loaded again, gives the same Save bytes both ways: the line form
+// it saves is the canonical front coding, whatever coding it read. Seeded
+// with both forms of 0, 1 and 50 rows, every damaged name column, and the
+// observatory's world as written before front coding and since.
 func FuzzLoadWorld(f *testing.F) {
+	plain := archivetest.Zcat(f, archivetest.PlainWorld)
+	x, meta, err := LoadBytes(plain)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var coded bytes.Buffer
+	if err := x.Save(&coded, meta); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(plain)
+	f.Add(coded.Bytes())
 	for _, n := range []int{0, 1, 50} {
 		x := testIndex(n, int64(n))
 		for _, mapped := range []bool{false, true} {

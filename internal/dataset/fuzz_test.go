@@ -16,13 +16,22 @@ import (
 // memberSeeds are the member form's seeds of the archive fuzzers: the two
 // sections as members cut inside a member and between them, with a byte
 // flipped mid-member, with stray bytes between the members, and mixed with
-// the text form, which reads no longer, in either order.
+// the text form, which reads no longer, in either order; and the archive
+// written before front coding, with the front-coded archive of the same
+// records, its text cut inside its first front-coded line, and sealed
+// sections of a front-coded line and of markers that name more than the
+// name before holds.
 func memberSeeds(t testing.TB) [][]byte {
 	_, valid := archiveFixture(t)
 	first := len(archivetest.Zcat(t, valid)) // not a member boundary: any offset inside the first member
 	day1 := archivetest.Archive(t, &Snapshot{Day: simtime.Date(2016, 1, 1), Records: []Record{{Domain: "a.com", TLD: "com"}}})
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)/4] ^= 0x01
+	plain := archivetest.PlainArchive
+	coded := frontCodedPlain(t)
+	text := archivetest.Zcat(t, coded)
+	header := bytes.IndexByte(text, '\n') + 1
+	second := header + bytes.IndexByte(text[header:], '\n') + 1 // the first record is plain
 	return [][]byte{
 		valid,
 		valid[:first%len(valid)],
@@ -32,6 +41,46 @@ func memberSeeds(t testing.TB) [][]byte {
 		slices.Concat(archivetest.Zcat(t, day1), valid),
 		slices.Concat(valid, archivetest.Zcat(t, valid)),
 		slices.Concat(day1[:len(day1)/2], valid),
+		plain,
+		coded,
+		slices.Concat(plain, coded),
+		archivetest.Deflate(text[:second+3]),
+		[]byte(archivetest.Seal("#snapshot\t2016-01-01\t2\na.com\t\nBz.com\t\n")), // a.z.com
+		[]byte(archivetest.Seal("#snapshot\t2016-01-01\t2\na.com\t\nFb.com\t\n")),
+		[]byte(archivetest.Seal("#snapshot\t2016-01-01\t1\nAb.com\t\n")),
+	}
+}
+
+// frontCodedPlain is archivetest.PlainArchive written again: the same
+// records, their domains front-coded.
+func frontCodedPlain(t testing.TB) []byte {
+	store, err := ReadArchiveStrict(bytes.NewReader(archivetest.PlainArchive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coded := archiveOf(t, store)
+	if bytes.Equal(coded, archivetest.PlainArchive) {
+		t.Fatal("the plain archive writes again as it is: no domain is front-coded")
+	}
+	return coded
+}
+
+// checkRerenders holds a snapshot that read to the front coding's contract:
+// written again it is a section of the canonical coding — largest k — that
+// reads back to the same snapshot, and written once more, the same bytes.
+func checkRerenders(t *testing.T, snap *Snapshot) {
+	t.Helper()
+	var section, again bytes.Buffer
+	if err := snap.WriteArchiveSection(&section); err != nil {
+		t.Fatalf("a section that read does not write again: %v", err)
+	}
+	res := scanAll(t, bytes.NewReader(section.Bytes()), 0)
+	snaps := snapshotsOf(res)
+	if len(res.Events) != 1 || len(snaps) != 1 || !reflect.DeepEqual(snaps[0], snap) {
+		t.Fatalf("written again, a section that read reads as %+v, want %+v", res.Events, snap)
+	}
+	if err := snaps[0].WriteArchiveSection(&again); err != nil || !bytes.Equal(again.Bytes(), section.Bytes()) {
+		t.Fatalf("written twice, a section that read is not one coding: %v", err)
 	}
 }
 
@@ -39,7 +88,8 @@ func memberSeeds(t testing.TB) [][]byte {
 // not panic, it refuses exactly the input that starts as a text archive,
 // and whatever it accepts must be internally consistent — re-serializing
 // the salvaged store and re-reading it must verify clean with the same
-// number of snapshots. A corrupted section that slipped into the store "as
+// number of snapshots, each re-rendered in the canonical front coding
+// (checkRerenders). A corrupted section that slipped into the store "as
 // clean" would break that round trip.
 func FuzzReadArchive(f *testing.F) {
 	_, valid := archiveFixture(f)
@@ -84,6 +134,9 @@ func FuzzReadArchive(f *testing.F) {
 		if again.Len() != store.Len() {
 			t.Fatalf("archive round trip changed snapshot count: %d -> %d", store.Len(), again.Len())
 		}
+		for _, day := range store.Days() {
+			checkRerenders(t, store.Get(day))
+		}
 	})
 }
 
@@ -115,7 +168,9 @@ func scanAll(t testing.TB, r io.Reader, base int64) *TailResult {
 // yields exactly the events after that one, so a consumer's state is a pure
 // function of the bytes before its cursor; and on the input cut at Offset, a
 // section boundary, its verified snapshots are the sections ReadArchive
-// accepts, except that ReadArchive keeps only the first section of a day.
+// accepts, except that ReadArchive keeps only the first section of a day;
+// and each verified snapshot re-renders in the canonical front coding
+// (checkRerenders).
 func FuzzTailArchive(f *testing.F) {
 	_, valid := archiveFixture(f)
 	f.Add(valid)
@@ -204,6 +259,7 @@ func FuzzTailArchive(f *testing.F) {
 		}
 		firstOfDay := map[simtime.Day]*Snapshot{}
 		for _, snap := range snapshotsOf(res) {
+			checkRerenders(t, snap)
 			if firstOfDay[snap.Day] == nil {
 				firstOfDay[snap.Day] = snap
 			}

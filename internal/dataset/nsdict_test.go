@@ -158,27 +158,35 @@ func fuzzRecords(data []byte, pool [][]string) []Record {
 	return recs
 }
 
-// FuzzSectionRoundTrip holds the NS-set dictionary to its contract. Records
-// made from the fuzz bytes, whose hosts the line can carry and whose NS
-// sets repeat, round-trip through WriteArchiveSection and TailArchive; the
-// member is refused cut short or with a byte flipped; and the section is
-// byte for byte what a SpillWriter that spilled runs makes of them. Then a line whose NS column is the fuzzed string is added to the
-// section, or to a second section after it: a column starting with '='
-// reads only as a canonical reference to a set defined earlier in the same
-// section, and as exactly that set; anything else starting with '=' is
-// damage.
+// FuzzSectionRoundTrip holds the NS-set dictionary and the front coding to
+// their contract. Records made from the fuzz bytes, whose hosts the line can
+// carry, whose NS sets repeat and whose domains share prefixes, round-trip
+// through WriteArchiveSection and TailArchive; the member is refused cut
+// short or with a byte flipped; and the section is byte for byte what a
+// SpillWriter that spilled runs makes of them. Then a line whose NS column
+// is the fuzzed string, and whose domain takes the fuzzed count of bytes
+// from the record before it, is added to the section, or to a second
+// section after it: a column starting with '=' reads only as a canonical
+// reference to a set defined earlier in the same section, and as exactly
+// that set; anything else starting with '=' is damage; a count the name
+// before cannot give is damage; and what reads re-renders in the canonical
+// coding (checkRerenders).
 func FuzzSectionRoundTrip(f *testing.F) {
-	f.Add([]byte{1, 2, 1, 3, 0, 8, 1, 2}, "=", false)
-	f.Add([]byte{1, 2, 1, 3}, "=01", false)
-	f.Add([]byte{1, 2, 1, 3}, "=-1", false)
-	f.Add([]byte{1, 2, 1, 3}, "=65536", false)
-	f.Add([]byte{1, 2, 1}, "=2", false)   // a forward reference: two sets defined
-	f.Add([]byte{1, 2, 3, 4}, "=0", true) // defined only in the first section
-	f.Add([]byte{1, 1, 1, 5, 5, 0}, "ns9.x.net,ns8.x.net", false)
-	f.Add([]byte{0xf1, 0x31, 0xf2, 0x51, 0xf1}, "=1", false)     // signed, and partly signed
-	f.Add([]byte{0x28, 0x01, 0x28, 0x2d, 0x00}, "=0", false)     // failed, one with a TLD of two labels
-	f.Add([]byte{0x05, 0x0d, 0x09, 0x0c, 0xf5, 0x01}, "", false) // TLD and operator spelled out
-	f.Fuzz(func(t *testing.T, data []byte, col string, second bool) {
+	f.Add([]byte{1, 2, 1, 3, 0, 8, 1, 2}, "=", false, uint8(0))
+	f.Add([]byte{1, 2, 1, 3}, "=01", false, uint8(0))
+	f.Add([]byte{1, 2, 1, 3}, "=-1", false, uint8(0))
+	f.Add([]byte{1, 2, 1, 3}, "=65536", false, uint8(0))
+	f.Add([]byte{1, 2, 1}, "=2", false, uint8(0))   // a forward reference: two sets defined
+	f.Add([]byte{1, 2, 3, 4}, "=0", true, uint8(0)) // defined only in the first section
+	f.Add([]byte{1, 1, 1, 5, 5, 0}, "ns9.x.net,ns8.x.net", false, uint8(0))
+	f.Add([]byte{0xf1, 0x31, 0xf2, 0x51, 0xf1}, "=1", false, uint8(0))     // signed, and partly signed
+	f.Add([]byte{0x28, 0x01, 0x28, 0x2d, 0x00}, "=0", false, uint8(0))     // failed, one with a TLD of two labels
+	f.Add([]byte{0x05, 0x0d, 0x09, 0x0c, 0xf5, 0x01}, "", false, uint8(0)) // TLD and operator spelled out
+	f.Add([]byte{1, 2, 1, 3}, "=0", false, uint8(4))                       // the domain before's first label
+	f.Add([]byte{1, 2, 1, 3}, "=0", false, uint8(9))                       // all of the domain before
+	f.Add([]byte{1, 2, 1, 3}, "=0", false, uint8(10))                      // more than the domain before
+	f.Add([]byte{1, 2, 1, 3}, "=0", true, uint8(1))                        // a first record with a marker
+	f.Fuzz(func(t *testing.T, data []byte, col string, second bool, shared uint8) {
 		if len(data) == 0 || len(data) > 512 || strings.ContainsAny(col, "\t\n") {
 			return
 		}
@@ -243,7 +251,14 @@ func FuzzSectionRoundTrip(f *testing.F) {
 				}
 			}
 		}
+		prev, k := "", int(shared)%(maxShared+1)
+		if !second {
+			prev = snap.Records[len(snap.Records)-1].Domain
+		}
 		line := "zz.com\t" + col + "\n"
+		if k > 0 {
+			line = string(rune('A'+k-1)) + line
+		}
 		body := "#snapshot\t2016-01-02\t1\n" + line
 		archive := section.String()
 		if !second {
@@ -254,6 +269,15 @@ func FuzzSectionRoundTrip(f *testing.F) {
 		store, report, err := ReadArchive(strings.NewReader(archive + archivetest.Seal(body)))
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, day := range store.Days() {
+			checkRerenders(t, store.Get(day))
+		}
+		if k > len(prev) {
+			if len(report.Quarantined) != 1 || !strings.HasSuffix(report.Quarantined[0].Reason, fmt.Sprintf(": front-coded name shares %d bytes with a name of %d", k, len(prev))) {
+				t.Fatalf("a marker for %d bytes after %q: quarantined %v", k, prev, report.Quarantined)
+			}
+			return
 		}
 		want := strings.Split(col, ",")
 		canonical := false
@@ -281,8 +305,12 @@ func FuzzSectionRoundTrip(f *testing.F) {
 		if !report.Clean() || recs == nil {
 			t.Fatalf("NS column %q: quarantined %v", col, report.Quarantined)
 		}
-		if got := recs.Records[len(recs.Records)-1].NSHosts; !reflect.DeepEqual(got, want) {
-			t.Fatalf("NS column %q reads as %q, want %q", col, got, want)
+		last := recs.Records[len(recs.Records)-1]
+		if !reflect.DeepEqual(last.NSHosts, want) {
+			t.Fatalf("NS column %q reads as %q, want %q", col, last.NSHosts, want)
+		}
+		if name := prev[:k] + "zz.com"; last.Domain != name {
+			t.Fatalf("a marker for %d bytes after %q reads as %q, want %q", k, prev, last.Domain, name)
 		}
 	})
 }

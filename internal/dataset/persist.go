@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -19,7 +18,8 @@ import (
 // one gzip member, so `zcat archive.tsv` prints exactly these lines. The
 // section scanner (tail.go) is the one reader, of members only.
 //
-// A record line has two to six tab-separated fields:
+// A record line has two to six tab-separated fields (its domain front-coded
+// in a section, below):
 //
 //	domain  ns-hosts  [flags  [status  [tld  [operator]]]]
 //
@@ -52,6 +52,16 @@ import (
 // one NSHosts slice, which is read-only. A reference that is malformed,
 // non-canonical or not yet defined damages the section. Spill runs are
 // plain lines: no dictionary outside a section.
+//
+// Within one section, too, each domain is front-coded (frontcode.go)
+// against the domain of the line before it: a marker byte for the prefix
+// the two share, then the rest of the name. writeSection's emit codes it,
+// always the longest shared prefix, and refuses a domain that starts with a
+// marker; section.record rebuilds it from the record before, taking any
+// shared prefix the name before holds, so a section of plain names — every
+// section written before front coding — reads as it did, and refuses a
+// marker that names more. So the domain column is the one a line that reads
+// may spell otherwise than the writer would. Spill runs are plain here too.
 
 // tsvHeader introduces one snapshot section.
 const tsvHeader = "#snapshot"
@@ -85,27 +95,26 @@ func eachLine(recs []Record, emit func(line []byte) error) error {
 // column seen in full so far, by ordinal.
 type nsDict struct {
 	ordinal map[string]int
-	line    []byte // the rewritten line, reused
 }
 
-// write writes one rendered record line, newline included, to w, its NS
-// column replaced by a reference when an earlier line defined the set.
-func (d *nsDict) write(w io.Writer, line []byte) error {
-	if start, end := nsColumn(line); start < end {
-		if k, ok := d.ordinal[string(line[start:end])]; ok {
-			d.line = append(append(d.line[:0], line[:start]...), '=')
-			d.line = append(strconv.AppendInt(d.line, int64(k), 10), line[end:]...)
-			line = d.line
+// append appends the rest of a rendered record line — from the tab after
+// its domain, newline included — to dst, its NS column replaced by a
+// reference when an earlier line defined the set.
+func (d *nsDict) append(dst, rest []byte) []byte {
+	if start, end := nsColumn(rest); start < end {
+		if k, ok := d.ordinal[string(rest[start:end])]; ok {
+			dst = append(append(dst, rest[:start]...), '=')
+			return append(strconv.AppendInt(dst, int64(k), 10), rest[end:]...)
 		} else if len(d.ordinal) < maxNSSets {
-			d.ordinal[string(line[start:end])] = len(d.ordinal)
+			d.ordinal[string(rest[start:end])] = len(d.ordinal)
 		}
 	}
-	_, err := w.Write(line)
-	return err
+	return append(dst, rest...)
 }
 
-// nsColumn returns the bounds of a rendered line's second, NS, column,
-// which ends at a tab or at the line's newline.
+// nsColumn returns the bounds of the NS column of a rendered line, or of its
+// rest from the tab after the domain: the column after the first tab, which
+// ends at a tab or at the line's newline.
 func nsColumn(line []byte) (start, end int) {
 	start = bytes.IndexByte(line, '\t') + 1
 	if start == 0 {

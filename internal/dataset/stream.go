@@ -350,9 +350,11 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // format is written: a gzip member (MemberWriter) whose text is the
 // section. body hands each record line it renders, newline included,
 // to emit, which refuses a line that does not sort strictly after the one
-// before it and writes the rest through the section's own NS-set
-// dictionary; the header and those lines go through the counting,
-// checksumming writer, and the trailer records what it saw.
+// before it or whose domain starts with a front-coding marker, and writes
+// the rest with the domain front-coded against the line before it and the
+// NS column through the section's own NS-set dictionary; the header and
+// those lines go through the counting, checksumming writer, and the trailer
+// records what it saw.
 func writeSection(out io.Writer, day simtime.Day, count int, body func(emit func(line []byte) error) error) error {
 	bw := bufio.NewWriterSize(out, archiveBufSize)
 	zw := NewMemberWriter(bw)
@@ -362,18 +364,24 @@ func writeSection(out io.Writer, day simtime.Day, count int, body func(emit func
 	}
 	dict := nsDict{ordinal: map[string]int{}}
 	var prevTLD, prevDomain []byte // the previous line's key, copied
+	var coded []byte               // the line as written, reused
 	first := true
 	emit := func(line []byte) error {
 		domain, tld, err := lineKey(line)
 		if err != nil {
 			return err
 		}
+		if len(domain) > 0 && IsFrontMarker(domain[0]) {
+			return fmt.Errorf("dataset: section %s: record %s starts with %q, which marks a front-coded name", day, domain, domain[0])
+		}
 		if !first && compareKeys(tld, domain, prevTLD, prevDomain) <= 0 {
 			return fmt.Errorf("dataset: section %s: record %s does not sort after %s (records go in ascending (TLD, domain) order, each domain once)", day, domain, prevDomain)
 		}
 		first = false
+		coded = dict.append(AppendFrontCoded(coded[:0], prevDomain, domain), line[len(domain):])
 		prevTLD, prevDomain = append(prevTLD[:0], tld...), append(prevDomain[:0], domain...)
-		return dict.write(cw, line)
+		_, err = cw.Write(coded)
+		return err
 	}
 	if err := body(emit); err != nil {
 		return err

@@ -108,12 +108,15 @@ func TestSweptRecordBytes(t *testing.T) {
 		// nine columns with every NS set written in full, 37,982 B (63.3),
 		// 37,560 B (62.6) and 37,982 B (63.3); nine columns with NS-set
 		// references, 32,544 B (54.2), 32,240 B (53.7) and 32,544 B (54.2).
-		// Those, and today's text, were written to disk as they are. Today's
-		// text deflated at gzip.BestSpeed took 5,410 B (9.0 disk B/record),
-		// 5,451 B (9.1) and 5,850 B (9.8).
-		"clean":  {600, 32, 0, 24896, 5032},  // 41.5 text, 8.4 disk B/record
-		"lossy":  {600, 30, 20, 24666, 5058}, // 41.1 text, 8.4 disk B/record
-		"signed": {600, 384, 0, 26628, 5348}, // 44.4 text, 8.9 disk B/record
+		// Those, and the text of plain names, were written to disk as they
+		// are. The text of plain names deflated at gzip.BestSpeed took
+		// 5,410 B (9.0 disk B/record), 5,451 B (9.1) and 5,850 B (9.8); by
+		// the member writer, 24,896 text and 5,032 disk B (41.5 and 8.4
+		// B/record), 24,666 and 5,058 B (41.1 and 8.4) and 26,628 and
+		// 5,348 B (44.4 and 8.9). Today's text front-codes the domains.
+		"clean":  {600, 32, 0, 22462, 5014},  // 37.4 text, 8.4 disk B/record
+		"lossy":  {600, 30, 20, 22232, 5043}, // 37.1 text, 8.4 disk B/record
+		"signed": {600, 384, 0, 24194, 5271}, // 40.3 text, 8.8 disk B/record
 	}
 	for _, shape := range sweepShapes {
 		var got cost
@@ -266,13 +269,14 @@ func TestSectionsDecode(t *testing.T) {
 }
 
 // multiBlockDay is a seeded section of more than three of the member
-// writer's blocks of text: 20,000 records of a few hundred operators, a
-// tenth of them Failed.
+// writer's blocks of text: 25,000 records of a few hundred operators, a
+// tenth of them Failed. (20,000 records made four blocks before front
+// coding, three since.)
 func multiBlockDay() *dataset.Snapshot {
 	rng := rand.New(rand.NewPCG(42, 0))
 	tlds := []string{"com", "net", "org"}
 	snap := &dataset.Snapshot{Day: simtime.End}
-	for i := range 20000 {
+	for i := range 25000 {
 		tld := tlds[rng.IntN(len(tlds))]
 		r := dataset.Record{Domain: fmt.Sprintf("d%05d-%x.%s", i, rng.Uint32()>>16, tld), TLD: tld}
 		if rng.IntN(10) == 0 {
@@ -427,7 +431,9 @@ func TestTornLineQuarantined(t *testing.T) {
 }
 
 // TestMembersZcatToTheTextForm: zcat of today's archive of the clean sweep
-// is byte for byte the text archive the writer before members wrote of it.
+// is byte for byte testdata/archive-text.tsv: the text archive the writer
+// before members wrote of it, but for its record lines' front-coded domains
+// and the trailers that sum them.
 func TestMembersZcatToTheTextForm(t *testing.T) {
 	want := archivetest.Read(t, filepath.Join("testdata", "archive-text.tsv"))
 	var archive []byte
@@ -436,5 +442,65 @@ func TestMembersZcatToTheTextForm(t *testing.T) {
 	}
 	if got := archivetest.Zcat(t, archive); !bytes.Equal(got, want) {
 		t.Fatalf("zcat prints %d bytes that differ from the %d of testdata/archive-text.tsv", len(got), len(want))
+	}
+}
+
+// plainArchiveDays are the records archivetest.PlainArchive read to when it
+// was written, before front coding: two sections with an NS-set reference in
+// each, a failed record in each, an explicit operator and an explicit TLD.
+func plainArchiveDays() []*dataset.Snapshot {
+	pair := []string{"ns1.op.net", "ns2.op.net"}
+	return []*dataset.Snapshot{
+		{Day: simtime.Date(2016, 1, 1), Records: []dataset.Record{
+			{Domain: "alpha.com", TLD: "com", NSHosts: pair, Operator: "op.net", HasDNSKEY: true, HasRRSIG: true, HasDS: true, ChainValid: true},
+			{Domain: "alphabet.com", TLD: "com", NSHosts: pair, Operator: "op.net"},
+			{Domain: "alpine.com", TLD: "com", Failed: true, FailReason: "timeout"},
+			{Domain: "beta.com", TLD: "com", NSHosts: []string{"ns1.other.net"}, Operator: "reseller.example"},
+			{Domain: "zeta.example", TLD: "org", NSHosts: pair, Operator: "op.net", HasDNSKEY: true},
+		}},
+		{Day: simtime.Date(2016, 6, 1), Records: []dataset.Record{
+			{Domain: "alpha.com", TLD: "com", NSHosts: []string{"ns1.op.net"}, Operator: "op.net", HasDNSKEY: true, HasRRSIG: true},
+			{Domain: "alphabet.com", TLD: "com", Failed: true, FailReason: "lame"},
+			{Domain: "alps.com", TLD: "com", NSHosts: []string{"ns1.op.net"}, Operator: "op.net"},
+			{Domain: "beta.com", TLD: "com", NSHosts: []string{"ns1.other.net"}, Operator: "other.net"},
+		}},
+	}
+}
+
+// TestPlainArchiveReads: an archive written before front coding, every
+// domain in full, reads to exactly the records it read to then — each
+// section through ReadArchive, TailArchive and the checkpoint's chunk
+// reader, and the whole file through ReadArchiveStrict and TailArchive.
+func TestPlainArchiveReads(t *testing.T) {
+	days := plainArchiveDays()
+	members := archivetest.Members(t, archivetest.PlainArchive)
+	if len(members) != len(days) {
+		t.Fatalf("%d members, want %d", len(members), len(days))
+	}
+	readers := sectionReaders(t)
+	for i, section := range members {
+		checkDecodes(t, readers, days[i].Day.String(), section, days[i])
+	}
+	store, err := dataset.ReadArchiveStrict(bytes.NewReader(archivetest.PlainArchive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "plain.tsv")
+	archivetest.Write(t, path, archivetest.PlainArchive)
+	tail, err := dataset.TailArchive(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Len() != len(days) || len(tail.Events) != len(days) || tail.Offset != int64(len(archivetest.PlainArchive)) {
+		t.Fatalf("ReadArchiveStrict kept %d day(s), TailArchive %d event(s) to offset %d; want %d of each to %d",
+			store.Len(), len(tail.Events), tail.Offset, len(days), len(archivetest.PlainArchive))
+	}
+	for i, want := range days {
+		if got := store.Get(want.Day); got == nil || !reflect.DeepEqual(got.Records, want.Records) {
+			t.Errorf("ReadArchiveStrict, %s: %+v, want %+v", want.Day, got, want)
+		}
+		if got := tail.Events[i].Snap; got == nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("TailArchive, event %d: %+v, want %+v", i, got, want)
+		}
 	}
 }

@@ -312,9 +312,10 @@ func (in *input) release(pos int64) {
 // gzip members over any io.Reader, started at absolute offset base, each
 // member's text read line by line as one section.
 type sectionScanner struct {
-	in     input
-	lineNo int
-	fields []string // the line in hand, split at its tabs
+	in      input
+	lineNo  int
+	fields  []string // the line in hand, split at its tabs
+	decoded []byte   // the record line in hand with its domain decoded
 
 	zr   gzip.Reader   // a member's decoder, reset for each
 	text *bufio.Reader // a member's text, in lines of at most maxLineLen
@@ -475,7 +476,7 @@ func (s *sectionScanner) memberText() (c *section, reason string, err error) {
 				// The trailer is not part of the checksummed section body.
 				closed, reason = true, c.check(s.split(line), err == nil)
 			case c.bad == "":
-				c.record(line, s.split(line))
+				c.record(line, s)
 			}
 		}
 		if err == io.EOF {
@@ -552,20 +553,35 @@ func (c *section) overlong() {
 // one consumes its lines unread up to its trailer. A bad record is named by its position
 // in the section, which no scan's starting point changes; so is one that
 // does not sort strictly after the record before it by (TLD, domain), and
-// one past the count the header declares. A record whose NS column refers
-// to a set shares that set's hosts with the line that defined it.
-func (c *section) record(line []byte, fields []string) {
+// one past the count the header declares. A front-coded domain is rebuilt
+// from the record before it, before s.split makes the line a string, so a
+// record costs one string either way. A record whose NS column refers to a
+// set shares that set's hosts with the line that defined it.
+func (c *section) record(line []byte, s *sectionScanner) {
 	c.add(line)
 	n := len(c.snap.Records)
 	switch {
-	case len(fields) == 1 && fields[0] == "":
+	case string(line) == "\n":
 		c.bad = "blank line inside section"
 		return
 	case n == c.declared:
 		c.bad = fmt.Sprintf("record count mismatch: header declares %d, found more", c.declared)
 		return
 	}
-	rec, err := parseRecordFields(fields, &c.sets)
+	prev := ""
+	if n > 0 {
+		prev = c.snap.Records[n-1].Domain
+	}
+	k, rest, err := SplitFrontCoded(line, len(prev))
+	if err != nil {
+		c.bad = fmt.Sprintf("record %d: %v", n+1, err)
+		return
+	}
+	if k > 0 {
+		s.decoded = append(append(s.decoded[:0], prev[:k]...), rest...)
+		line = s.decoded
+	}
+	rec, err := parseRecordFields(s.split(line), &c.sets)
 	if err != nil {
 		c.bad = fmt.Sprintf("record %d: %v", n+1, err)
 		return

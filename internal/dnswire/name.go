@@ -87,10 +87,10 @@ func IsSubdomain(child, parent string) bool {
 	if parent == "" {
 		return true
 	}
-	if child == parent {
-		return true
-	}
-	return strings.HasSuffix(child, "."+parent)
+	// Compared in place: child ends with parent, and the label boundary
+	// before it is a dot.
+	cut := len(child) - len(parent)
+	return cut >= 0 && child[cut:] == parent && (cut == 0 || child[cut-1] == '.')
 }
 
 // SecondLevel returns the second-level domain of a canonical name: the label

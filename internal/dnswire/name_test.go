@@ -75,11 +75,27 @@ func TestIsSubdomain(t *testing.T) {
 		{"example.com", "", true},
 		{"badexample.com", "example.com", false},
 		{"com", "example.com", false},
+		{"", "", true},
+		{"", "com", false},
+		{"com", "com", true},
+		{"xcom", "com", false},
+		{".com", "com", true},
+		{"a.b.com", "b.com", true},
+		{"a.xb.com", "b.com", false},
+		{"example.com", "com", true},
 	}
 	for _, c := range cases {
 		if got := IsSubdomain(c.child, c.parent); got != c.want {
 			t.Errorf("IsSubdomain(%q, %q) = %v, want %v", c.child, c.parent, got, c.want)
 		}
+	}
+	// It runs once per ancestor of every delegation lookup: no allocation.
+	if n := testing.AllocsPerRun(100, func() {
+		for _, c := range cases {
+			IsSubdomain(c.child, c.parent)
+		}
+	}); n != 0 {
+		t.Errorf("IsSubdomain allocates %v times a run, want 0", n)
 	}
 }
 

@@ -14,11 +14,12 @@ type Options struct {
 	// real networks, MemNet for the simulation.
 	Transport Exchanger
 
-	// Middleware is applied between Retry and the Tap, first element
-	// outermost. This is where a fault injector composes: below the retry
-	// budget (so injected faults consume attempts exactly as real ones
-	// would) and above the Tap (so every injected draw is an accounted
-	// transport exchange).
+	// Middleware is applied between the Tap and the Transport, first
+	// element outermost. This is where a fault injector composes: below the
+	// retry budget (so injected faults consume attempts exactly as real ones
+	// would) and below the Tap (so every attempt the budget spends, injected
+	// or real, is one accounted exchange, and each failed one an accounted
+	// error).
 	Middleware []Middleware
 
 	// Retry, when non-nil, adds the Retry layer with this policy.
@@ -47,7 +48,7 @@ type Stack struct {
 
 // Build assembles the middleware stack in the package's canonical order,
 //
-//	Cache → Dedup → Retry → opts.Middleware... → Tap → Transport,
+//	Cache → Dedup → Retry → Tap → opts.Middleware... → Transport,
 //
 // including only the layers Options selects.
 func Build(opts Options) (*Stack, error) {
@@ -55,11 +56,12 @@ func Build(opts Options) (*Stack, error) {
 		return nil, errors.New("exchange: Build requires a Transport")
 	}
 	s := &Stack{Transport: opts.Transport}
-	s.Tap = NewTap(opts.Transport)
-	var ex Exchanger = s.Tap
+	ex := opts.Transport
 	for i := len(opts.Middleware) - 1; i >= 0; i-- {
 		ex = opts.Middleware[i](ex)
 	}
+	s.Tap = NewTap(ex)
+	ex = s.Tap
 	if opts.Retry != nil {
 		s.Retry = NewRetry(ex, *opts.Retry)
 		ex = s.Retry

@@ -12,11 +12,11 @@
 //
 // The stack composes outermost to innermost as
 //
-//	Cache → Dedup → Retry → (extra middleware, e.g. faultnet) → Tap → transport
+//	Cache → Dedup → Retry → Tap → (extra middleware, e.g. faultnet) → transport
 //
 // so a cache hit costs nothing downstream, duplicate in-flight queries
-// collapse before they spend retries, and the Tap counts what actually
-// reached the transport.
+// collapse before they spend retries, and the Tap counts every attempt the
+// retry budget spends, whether a fault injector or the transport ends it.
 package exchange
 
 import (

@@ -299,7 +299,7 @@ func TestBuildComposesSelectedLayersAndCounts(t *testing.T) {
 	}
 }
 
-func TestBuildMiddlewareSitsBetweenRetryAndTap(t *testing.T) {
+func TestBuildMiddlewareSitsBetweenTapAndTransport(t *testing.T) {
 	inner := &countingExchanger{}
 	var order []string
 	var mu sync.Mutex
@@ -327,6 +327,24 @@ func TestBuildMiddlewareSitsBetweenRetryAndTap(t *testing.T) {
 		t.Fatalf("middleware order: %v", order)
 	}
 	if st.Counters().Transport.Exchanges != 1 {
-		t.Error("tap below middleware did not count")
+		t.Error("tap above middleware did not count")
+	}
+	// A query the middleware fails never reaches the transport, and the Tap
+	// above it still counts it, as an exchange and an error.
+	drop := func(exchange.Exchanger) exchange.Exchanger {
+		return exchange.Func(func(context.Context, string, *dnswire.Message) (*dnswire.Message, error) {
+			return nil, errors.New("dropped")
+		})
+	}
+	st, err = exchange.Build(exchange.Options{Transport: inner, Middleware: []exchange.Middleware{drop}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := inner.calls.Load()
+	if _, err := st.Exchange(context.Background(), "srv", dnswire.NewQuery(2, "example.com", dnswire.TypeNS)); err == nil {
+		t.Fatal("the dropping middleware let a query through")
+	}
+	if c := st.Counters().Transport; c.Exchanges != 1 || c.Errors != 1 || inner.calls.Load() != calls {
+		t.Errorf("dropped query: tap %+v, transport calls %d → %d; want 1 exchange, 1 error, no call", c, calls, inner.calls.Load())
 	}
 }

@@ -142,7 +142,9 @@ func New(inner exchange.Exchanger, seed int64, clock func() simtime.Day, rules .
 // the injector as the wrapped layer. Construct with New(nil, ...) when the
 // transport is supplied by the stack, and place the middleware in
 // exchange.Options.Middleware — below the retry budget (so injected faults
-// consume attempts like real ones) and above the transport Tap. A Middleware is single-use: it rebinds this injector.
+// consume attempts like real ones) and below the transport Tap (so they
+// count as exchanges and errors like real ones). A Middleware is
+// single-use: it rebinds this injector.
 func (in *Injector) Middleware() exchange.Middleware {
 	return func(next exchange.Exchanger) exchange.Exchanger {
 		in.inner = next

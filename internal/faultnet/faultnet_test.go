@@ -221,10 +221,10 @@ func TestInjectorComposesAsExchangeMiddleware(t *testing.T) {
 	if _, err := st.Exchange(context.Background(), "ns1.flaky.example", query(1, "a.com")); !errors.As(err, new(*FaultError)) {
 		t.Fatalf("loss=1 rule did not fault through the stack: %v", err)
 	}
-	// A lost packet never reaches the layers below the injector: neither
-	// the Tap nor the transport may see it.
-	if st.Counters().Transport.Exchanges != 0 {
-		t.Errorf("lost query reached the tap: %+v", st.Counters().Transport)
+	// A lost packet never reaches the transport below the injector, but
+	// the Tap above it counts the attempt as an exchange and an error.
+	if tc := st.Counters().Transport; tc.Exchanges != 1 || tc.Errors != 1 {
+		t.Errorf("lost query not counted at the tap: %+v", tc)
 	}
 	if inner.calls != 0 {
 		t.Errorf("lost query reached the transport: %d calls", inner.calls)
@@ -233,7 +233,47 @@ func TestInjectorComposesAsExchangeMiddleware(t *testing.T) {
 	if err != nil || len(resp.Answers) != 1 {
 		t.Fatalf("unmatched server through stack: %v %v", resp, err)
 	}
-	if st.Counters().Transport.Exchanges != 1 {
-		t.Errorf("tap exchanges = %d, want 1", st.Counters().Transport.Exchanges)
+	if tc := st.Counters().Transport; tc.Exchanges != 2 || tc.Errors != 1 {
+		t.Errorf("tap = %+v, want 2 exchanges, 1 error", tc)
+	}
+}
+
+// TestTapCountsInjectedLoss holds the Tap to the retry budget under a
+// 100 %-loss injector: every attempt Retry spends is one exchange at the
+// Tap and one error, though none reaches the transport.
+func TestTapCountsInjectedLoss(t *testing.T) {
+	inner := &okExchanger{}
+	inj := New(nil, 5, nil, Rule{Pattern: "*", Loss: 1})
+	var attempts int64
+	count := func(next exchange.Exchanger) exchange.Exchanger {
+		return exchange.Func(func(ctx context.Context, server string, q *dnswire.Message) (*dnswire.Message, error) {
+			attempts++
+			return next.Exchange(ctx, server, q)
+		})
+	}
+	policy := retryTestPolicy()
+	st, err := exchange.Build(exchange.Options{
+		Transport:  inner,
+		Middleware: []exchange.Middleware{count, inj.Middleware()},
+		Retry:      &policy,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queries = 10
+	for i := range queries {
+		if _, err := st.Exchange(context.Background(), "ns1.op.example", query(uint16(i), "a.com")); err == nil {
+			t.Fatal("a query succeeded under 100% loss")
+		}
+	}
+	c := st.Counters()
+	if want := int64(queries * policy.MaxAttempts); attempts != want {
+		t.Fatalf("attempts = %d, want %d", attempts, want)
+	}
+	if c.Transport.Exchanges != attempts || c.Transport.Errors != attempts {
+		t.Errorf("tap = %+v, want exchanges == errors == attempts (%d)", c.Transport, attempts)
+	}
+	if c.Retry.Retries+c.Retry.Failures != attempts || inner.calls != 0 {
+		t.Errorf("retry = %+v, transport calls %d; want retries+failures == %d, no calls", c.Retry, inner.calls, attempts)
 	}
 }

@@ -83,7 +83,8 @@ type SweepHealth struct {
 	// empty when every target was measured or found unregistered.
 	ByClass map[FailClass]int
 	// Resweeps is how many bounded re-sweep passes ran over failed
-	// targets.
+	// targets. Shards re-sweep side by side, so a merged report holds the
+	// most passes any one shard ran, never more than the bound.
 	Resweeps int
 	// Exchange is the exchange stack's per-layer interval accounting for
 	// this sweep: transport exchanges, cache hit rate, dedup coalescing,
@@ -92,7 +93,8 @@ type SweepHealth struct {
 }
 
 // Merge folds another report into h — used to aggregate per-shard health
-// into one per-day report in checkpointed sweeps.
+// into one per-day report in checkpointed sweeps. Counts add up, but for
+// Resweeps, which takes the larger of the two.
 func (h *SweepHealth) Merge(o *SweepHealth) {
 	if o == nil {
 		return
@@ -108,7 +110,7 @@ func (h *SweepHealth) Merge(o *SweepHealth) {
 	for class, n := range o.ByClass {
 		h.ByClass[class] += n
 	}
-	h.Resweeps += o.Resweeps
+	h.Resweeps = max(h.Resweeps, o.Resweeps)
 	h.Exchange = h.Exchange.Add(o.Exchange)
 }
 

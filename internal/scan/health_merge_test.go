@@ -173,3 +173,13 @@ func TestSweepHealthMergeNilAndZero(t *testing.T) {
 		t.Fatalf("nil/zero merge changed the aggregate:\nwant %+v\ngot  %+v", want, got)
 	}
 }
+
+// Shards re-sweep side by side: two shards that each ran the default two
+// passes merged into one day ran two passes, not four.
+func TestSweepHealthMergeResweepsByMax(t *testing.T) {
+	day := simtime.Day(1)
+	agg := mergeAll(day, []*scan.SweepHealth{{Day: day, Resweeps: 2}, {Day: day, Resweeps: 2}, {Day: day, Resweeps: 1}})
+	if agg.Resweeps != 2 {
+		t.Fatalf("merged Resweeps = %d, want 2 (the most any shard ran)", agg.Resweeps)
+	}
+}

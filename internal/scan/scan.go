@@ -59,9 +59,10 @@ type Config struct {
 	// MaxResweeps bounds the re-sweep passes over failed targets at the
 	// end of a sweep (default 2; negative disables re-sweeping).
 	MaxResweeps int
-	// Middleware is composed into the exchange stack between the retry
-	// layer and the transport — the slot a fault injector occupies, so
-	// injected faults consume retry attempts exactly like real ones.
+	// Middleware is composed into the exchange stack between the transport
+	// Tap and the transport — the slot a fault injector occupies, so
+	// injected faults consume retry attempts, and count as exchanges and
+	// errors, exactly like real ones.
 	Middleware []exchange.Middleware
 	// Dedup coalesces identical in-flight queries across workers.
 	Dedup bool
