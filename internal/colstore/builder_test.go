@@ -10,7 +10,7 @@ type Builder struct {
 
 // NewBuilder returns a builder with capacity hint n.
 func NewBuilder(n int) *Builder {
-	b := &Builder{newInterner()}
+	b := &Builder{newInterner(0)}
 	x := b.idx
 	x.nameOff = make([]uint64, 1, n+1)
 	x.opID = make([]uint32, 0, n)
@@ -47,6 +47,7 @@ func (b *Builder) Add(d Domain) {
 func (b *Builder) Build() *Index {
 	x := b.idx
 	b.idx = nil
+	x.opNS = hostSlices(b.nsHosts)
 	x.finish()
 	return x
 }

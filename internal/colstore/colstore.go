@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -75,17 +76,21 @@ const (
 // reference builder share it, so both number a given row sequence
 // identically.
 type interner struct {
-	idx    *Index
-	regIDs map[string]uint32
+	idx     *Index
+	regIDs  map[string]uint32
+	nsHosts []string // operator ID -> its NS host; see hostSlices
 }
 
-func newInterner() interner {
+// newInterner returns an interner with room for about ops operators.
+func newInterner(ops int) interner {
 	return interner{
 		idx: &Index{
-			opIDs:  make(map[string]uint32),
+			opIDs:  make(map[string]uint32, ops),
 			tldIDs: make(map[string]uint16),
+			ops:    make([]string, 0, ops),
 		},
-		regIDs: make(map[string]uint32),
+		regIDs:  make(map[string]uint32),
+		nsHosts: make([]string, 0, ops),
 	}
 }
 
@@ -96,7 +101,7 @@ func (in *interner) intern(operator, nsHost, tld, registrar string) (op uint32, 
 		op = uint32(len(x.ops))
 		x.opIDs[operator] = op
 		x.ops = append(x.ops, operator)
-		x.opNS = append(x.opNS, []string{nsHost})
+		in.nsHosts = append(in.nsHosts, nsHost)
 	}
 	tldID, ok = x.tldIDs[tld]
 	if !ok {
@@ -111,6 +116,16 @@ func (in *interner) intern(operator, nsHost, tld, registrar string) (op uint32, 
 		x.regs = append(x.regs, registrar)
 	}
 	return op, tldID, reg
+}
+
+// hostSlices gives every operator its one-host NSHosts slice, each a
+// window of cap 1 onto hosts: one allocation for them all.
+func hostSlices(hosts []string) [][]string {
+	out := make([][]string, len(hosts))
+	for i := range hosts {
+		out[i] = hosts[i : i+1 : i+1]
+	}
+	return out
 }
 
 func historyFlags(brokenDS, expiredSig bool) uint8 {
@@ -145,50 +160,163 @@ func deriveFullDay(keyDay, dsDay int32, fl uint8) int32 {
 // population size and the day-sorted event groups. It is shared by the
 // planned fill, the ingester's Freeze and the on-disk loader, so every
 // construction path yields an identical engine.
+//
+// The rows are cut into runs — stretches sharing operator and TLD, a
+// cohort each in a generated world — on GOMAXPROCS workers, a slice of
+// the rows each. One serial pass over the runs then numbers the (operator,
+// TLD) event groups in order of first appearance, and the workers fill and
+// sort the groups' event lists, a group at a time. A sorted list of days
+// is the same whoever sorts it, so the engine is too, at any worker count.
 func (x *Index) finish() {
 	x.n = len(x.nameOff) - 1
+	workers := max(1, min(runtime.GOMAXPROCS(0), x.n/finishShardMin))
 
-	// Bucket domains into (operator, TLD) event groups. Group identity is
-	// opID<<16|tldID; the per-operator group lists let a tld=="" query
-	// sweep an operator's few TLD groups without touching anyone else.
-	// Rows arrive in cohort runs, so the map is probed only when the key
-	// differs from the previous row's.
-	x.groupIDs = make(map[uint64]int)
+	// Worker w finds the runs that start in its slice of the rows; a run
+	// that crosses a slice boundary is two runs of one group.
+	pieces := make([][]int, workers)
+	onWorkers(workers, func(w int) {
+		lo, hi := x.n*w/workers, x.n*(w+1)/workers
+		if lo == hi {
+			return
+		}
+		ops, tlds := x.opID[lo:hi], x.tldID[lo:hi]
+		starts := []int{lo}
+		op, tld := ops[0], tlds[0]
+		for i := range ops {
+			if ops[i] != op || tlds[i] != tld {
+				starts = append(starts, lo+i)
+				op, tld = ops[i], tlds[i]
+			}
+		}
+		pieces[w] = starts
+	})
+	starts := slices.Concat(pieces...) // run r is rows starts[r] to starts[r+1]
+	starts = append(starts, x.n)
+
+	// Group identity is opID<<16|tldID; the per-operator group lists let a
+	// tld=="" query sweep an operator's few TLD groups without touching
+	// anyone else.
+	x.groups = make([]eventGroup, 0, len(x.ops))
+	x.groupIDs = make(map[uint64]int, len(x.ops))
+	runGroup := make([]int32, len(starts)-1)
+	for r, i := range starts[:len(starts)-1] {
+		k := groupKey(x.opID[i], x.tldID[i])
+		gi, ok := x.groupIDs[k]
+		if !ok {
+			gi = len(x.groups)
+			x.groupIDs[k] = gi
+			x.groups = append(x.groups, eventGroup{op: x.opID[i], tld: x.tldID[i]})
+		}
+		runGroup[r] = int32(gi)
+	}
+	perOp := make([]int, len(x.ops))
+	for _, g := range x.groups {
+		perOp[g.op]++
+	}
 	x.opGroups = make([][]int, len(x.ops))
-	prevKey, gi := uint64(0), -1
-	for i := 0; i < x.n; i++ {
-		if k := groupKey(x.opID[i], x.tldID[i]); gi < 0 || k != prevKey {
-			var ok bool
-			if gi, ok = x.groupIDs[k]; !ok {
-				gi = len(x.groups)
-				x.groupIDs[k] = gi
-				x.groups = append(x.groups, eventGroup{op: x.opID[i], tld: x.tldID[i]})
-				x.opGroups[x.opID[i]] = append(x.opGroups[x.opID[i]], gi)
-			}
-			prevKey = k
-		}
-		g := &x.groups[gi]
-		g.total++
-		if x.keyDay[i] != never {
-			g.keyDays = append(g.keyDays, x.keyDay[i])
-		}
-		if x.dsDay[i] != never {
-			g.dsDays = append(g.dsDays, x.dsDay[i])
-			if x.fullDay[i] != impossible {
-				// Mirrors the full-scan oracle's event list exactly: a DS-holding,
-				// unbroken chain contributes max(KeyDay, DSDay) — which may
-				// itself be Never when the zone is never signed.
-				g.fullDays = append(g.fullDays, x.fullDay[i])
-			}
+	all, used := make([]int, len(x.groups)), 0
+	for op, n := range perOp {
+		if n > 0 {
+			x.opGroups[op], used = all[used:used:used+n], used+n
 		}
 	}
-	var counts []int32
+	for gi, g := range x.groups {
+		x.opGroups[g.op] = append(x.opGroups[g.op], gi)
+	}
+
+	// A counting sort of the runs by group: group g's runs, in row order,
+	// are byGroup[at[g]:at[g+1]].
+	at := make([]int32, len(x.groups)+1)
+	for _, gi := range runGroup {
+		at[gi+1]++
+	}
 	for gi := range x.groups {
-		g := &x.groups[gi]
-		counts = sortDays(g.keyDays, counts)
-		counts = sortDays(g.dsDays, counts)
-		counts = sortDays(g.fullDays, counts)
+		at[gi+1] += at[gi]
 	}
+	byGroup := make([]int32, len(runGroup))
+	next := slices.Clone(at[:len(x.groups)])
+	for r, gi := range runGroup {
+		byGroup[next[gi]] = int32(r)
+		next[gi]++
+	}
+
+	var claimed atomic.Int64
+	onWorkers(workers, func(int) {
+		var scratch groupScratch
+		for {
+			lo := int(claimed.Add(finishBatch) - finishBatch)
+			if lo >= len(x.groups) {
+				return
+			}
+			for gi := lo; gi < min(lo+finishBatch, len(x.groups)); gi++ {
+				x.fillGroup(&x.groups[gi], byGroup[at[gi]:at[gi+1]], starts, &scratch)
+			}
+		}
+	})
+}
+
+const (
+	// finishShardMin is the fewest rows finish gives a worker of its own.
+	finishShardMin = 16 << 10
+	// finishBatch is how many groups a finish worker claims at a time.
+	finishBatch = 32
+)
+
+// onWorkers runs f(0) to f(workers-1) at once, f(0) on the calling
+// goroutine, and returns when all have.
+func onWorkers(workers int, f func(w int)) {
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(w)
+		}()
+	}
+	f(0)
+	wg.Wait()
+}
+
+// groupScratch is one finish worker's reusable buffers: a group's events
+// are gathered here, then copied into one exactly sized allocation.
+type groupScratch struct {
+	key, ds, full, counts []int32
+}
+
+// fillGroup gathers one group's events from its runs, sorts them and
+// stores them in one allocation.
+func (x *Index) fillGroup(g *eventGroup, runs []int32, starts []int, s *groupScratch) {
+	keys, dss, fulls := s.key[:0], s.ds[:0], s.full[:0]
+	for _, r := range runs {
+		lo, hi := starts[r], starts[r+1]
+		g.total += hi - lo
+		keyDay, dsDay, fullDay := x.keyDay[lo:hi], x.dsDay[lo:hi], x.fullDay[lo:hi]
+		for i, key := range keyDay {
+			if key != never {
+				keys = append(keys, key)
+			}
+			if ds := dsDay[i]; ds != never {
+				dss = append(dss, ds)
+				if full := fullDay[i]; full != impossible {
+					// Mirrors the full-scan oracle's event list exactly: a
+					// DS-holding, unbroken chain contributes max(KeyDay,
+					// DSDay) — which may itself be Never when the zone is
+					// never signed.
+					fulls = append(fulls, full)
+				}
+			}
+		}
+	}
+	s.key, s.ds, s.full = keys, dss, fulls
+	nk, nd, nf := len(keys), len(dss), len(fulls)
+	if nk+nd+nf == 0 {
+		return
+	}
+	s.counts = sortDays(keys, s.counts)
+	s.counts = sortDays(dss, s.counts)
+	s.counts = sortDays(fulls, s.counts)
+	days := append(append(append(make([]int32, 0, nk+nd+nf), keys...), dss...), fulls...)
+	g.keyDays, g.dsDays, g.fullDays = days[:nk:nk], days[nk:nk+nd:nk+nd], days[nk+nd:]
 }
 
 // sortDays sorts an event list ascending, leaving exactly what slices.Sort

@@ -355,10 +355,7 @@ func (g *Ingester) Freeze() *Index {
 		opIDs:   make(map[string]uint32, len(g.ops)),
 		tldIDs:  make(map[string]uint16, len(g.tlds)),
 	}
-	x.opNS = make([][]string, len(g.opNS))
-	for i, host := range g.opNS {
-		x.opNS[i] = []string{host}
-	}
+	x.opNS = hostSlices(g.opNS)
 	for i, op := range x.ops {
 		x.opIDs[op] = uint32(i)
 	}

@@ -242,10 +242,7 @@ func decode(data []byte, zeroCopy bool) (*Index, map[string]string, error) {
 		}
 		x.tldIDs[tld] = uint16(i)
 	}
-	x.opNS = make([][]string, len(ops))
-	for i, host := range nsHosts {
-		x.opNS[i] = []string{host}
-	}
+	x.opNS = hostSlices(nsHosts)
 
 	// fullDay is derived state (see deriveFullDay); recompute rather than
 	// trust the file.

@@ -3,6 +3,7 @@ package colstore
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"securepki.org/registrarsec/internal/simtime"
 )
@@ -22,6 +23,7 @@ type Plan struct {
 	rows      int
 	nameBytes uint64
 	alloc     sync.Once
+	sized     atomic.Bool // the columns are made: no Reserve may follow
 }
 
 // plannedRun is one reserved run of rows sharing operator, TLD and
@@ -37,15 +39,21 @@ type plannedRun struct {
 	gotBytes       uint64
 }
 
-// NewPlan returns an empty plan with room for the given number of runs.
+// NewPlan returns an empty plan with room for the given number of runs,
+// and for as many operators.
 func NewPlan(runs int) *Plan {
-	return &Plan{interner: newInterner(), runs: make([]plannedRun, 0, runs)}
+	return &Plan{interner: newInterner(runs), runs: make([]plannedRun, 0, runs)}
 }
 
 // Reserve appends a run of rows whose names total exactly nameBytes and
 // returns its number. An empty run interns nothing, as it would have
-// contributed no row to intern from.
+// contributed no row to intern from. A Reserve after the first Writer
+// panics: the columns are already made at the plan's size, and earlier
+// writers hold the runs in place.
 func (p *Plan) Reserve(rows int, nameBytes uint64, operator, nsHost, tld, registrar string) int {
+	if p.sized.Load() {
+		panic("colstore: Plan.Reserve after Plan.Writer: the columns are already sized")
+	}
 	r := plannedRun{
 		rowLo: p.rows, rowHi: p.rows + rows,
 		byteLo: p.nameBytes, byteHi: p.nameBytes + nameBytes,
@@ -68,19 +76,25 @@ func (p *Plan) Writer(run int) RowWriter {
 	return RowWriter{x: p.idx, run: r, row: r.rowLo, off: r.byteLo}
 }
 
-// allocate makes the columns at their final sizes.
+// allocate makes the columns at their final sizes, each on a goroutine of
+// its own: a large allocation is zeroed outside the heap lock, so the
+// columns are cleared on every core while the first writer waits.
 func (p *Plan) allocate() {
-	x := p.idx
-	x.nameBlob = make([]byte, p.nameBytes)
-	x.nameOff = make([]uint64, p.rows+1)
-	x.opID = make([]uint32, p.rows)
-	x.tldID = make([]uint16, p.rows)
-	x.regID = make([]uint32, p.rows)
-	x.created = make([]int32, p.rows)
-	x.keyDay = make([]int32, p.rows)
-	x.dsDay = make([]int32, p.rows)
-	x.fullDay = make([]int32, p.rows)
-	x.flags = make([]uint8, p.rows)
+	p.sized.Store(true)
+	x, n := p.idx, p.rows
+	columns := []func(){
+		func() { x.nameBlob = make([]byte, p.nameBytes) },
+		func() { x.nameOff = make([]uint64, n+1) },
+		func() { x.opID = make([]uint32, n) },
+		func() { x.tldID = make([]uint16, n) },
+		func() { x.regID = make([]uint32, n) },
+		func() { x.created = make([]int32, n) },
+		func() { x.keyDay = make([]int32, n) },
+		func() { x.dsDay = make([]int32, n) },
+		func() { x.fullDay = make([]int32, n) },
+		func() { x.flags = make([]uint8, n) },
+	}
+	onWorkers(len(columns), func(i int) { columns[i]() })
 }
 
 // Build freezes the filled columns into an Index. A run that was not
@@ -94,6 +108,7 @@ func (p *Plan) Build() (*Index, error) {
 		}
 	}
 	p.alloc.Do(p.allocate) // a plan of no rows is still an index
+	p.idx.opNS = hostSlices(p.nsHosts)
 	p.idx.finish()
 	return p.idx, nil
 }

@@ -141,3 +141,30 @@ func TestPlanRejectsMisfilledRun(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanRefusesReserveAfterWriter: the first Writer makes the columns at
+// the plan's size, so a later Reserve could only describe rows past their
+// end, and moving the runs would strand the writers already handed out. It
+// panics, naming the misuse, before it changes the plan.
+func TestPlanRefusesReserveAfterWriter(t *testing.T) {
+	p := NewPlan(1)
+	id := p.Reserve(1, 5, "op.example", "ns1.op.example", "com", "")
+	w := p.Writer(id)
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "Reserve after Plan.Writer") {
+				t.Errorf("Reserve after Writer: recovered %q, want a panic naming the misuse", msg)
+			}
+		}()
+		p.Reserve(1, 5, "late.example", "ns1.late.example", "com", "")
+	}()
+	w.Add([]byte("a.com"), 0, 1, 2, false, false)
+	w.Close()
+	x, err := p.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.Len() != 1 || x.Operators() != 1 {
+		t.Fatalf("the refused Reserve changed the plan: %d rows, %d operators", x.Len(), x.Operators())
+	}
+}

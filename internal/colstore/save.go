@@ -124,8 +124,11 @@ func (x *Index) SaveFile(path string, meta map[string]string) error {
 
 // save writes the index in the mapped form (NAMES and NAMESOFF) or the
 // line form (NAMELINE). Either refuses a name holding a newline or starting
-// with a front-coding marker before it writes a byte, so both forms carry
-// the same indexes.
+// with a front-coding marker, so both forms carry the same indexes. The
+// line form refuses before it writes a byte. The mapped form, SaveFile's,
+// checks the names and sums its sections on a second goroutine while it
+// writes, and refuses once its bytes are out: in SaveFile they are a temp
+// file that a refusal never commits.
 func (x *Index) save(w io.Writer, meta map[string]string, mapped bool) error {
 	if x.closed.Load() {
 		return ErrClosed
@@ -134,15 +137,10 @@ func (x *Index) save(w io.Writer, meta map[string]string, mapped bool) error {
 	if err != nil {
 		return err
 	}
-	if err := x.checkNames(); err != nil {
-		return err
-	}
-	var hdr [16]byte
-	copy(hdr[:8], worldMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], worldVersion)
-	binary.LittleEndian.PutUint32(hdr[12:16], endianMarker)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	if !mapped {
+		if err := x.checkNames(); err != nil {
+			return err
+		}
 	}
 
 	opsBlob, opsOff := packStrings32(x.ops)
@@ -176,11 +174,53 @@ func (x *Index) save(w io.Writer, meta map[string]string, mapped bool) error {
 		payloads[secNames] = x.nameBlob
 		payloads[secNamesOff] = columnBytes(x.nameOff, binary.LittleEndian.PutUint64)
 	}
+	var crcs chan uint32
+	var checked chan error
+	if mapped {
+		// Room for every section's CRC: the summing goroutine never
+		// waits for the writer, and ends whatever the writer does.
+		crcs = make(chan uint32, len(sectionOrder))
+		checked = make(chan error, 1)
+		go func() {
+			for _, tag := range sectionOrder {
+				if payload, ok := payloads[tag]; ok {
+					crcs <- crc32.Checksum(payload, worldCRC)
+				}
+			}
+			checked <- x.checkNames()
+		}()
+	}
+	err = x.writeSections(w, payloads, crcs)
+	if mapped {
+		// Wait for the second goroutine whatever the write did: the
+		// caller may unmap the columns it reads once save returns.
+		if cerr := <-checked; err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// writeSections writes the header and payloads' sections in sectionOrder,
+// and NAMELINE in its place when payloads holds no NAMES. A payload's CRC
+// is summed here, or taken from crcs, which has them in the same order.
+func (x *Index) writeSections(w io.Writer, payloads map[string][]byte, crcs <-chan uint32) error {
+	var hdr [16]byte
+	copy(hdr[:8], worldMagic)
+	binary.LittleEndian.PutUint32(hdr[8:12], worldVersion)
+	binary.LittleEndian.PutUint32(hdr[12:16], endianMarker)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, mapped := payloads[secNames]
 	for _, tag := range sectionOrder {
-		if tag == secNameLine && !mapped {
+		payload, ok := payloads[tag]
+		var err error
+		switch {
+		case tag == secNameLine && !mapped:
 			err = x.writeNameLines(w)
-		} else if payload, ok := payloads[tag]; ok {
-			err = writeSection(w, tag, payload)
+		case ok:
+			err = writeSection(w, tag, payload, crcs)
 		}
 		if err != nil {
 			return err
@@ -190,15 +230,22 @@ func (x *Index) save(w io.Writer, meta map[string]string, mapped bool) error {
 }
 
 // writeSection frames one payload: tag, length, payload, alignment
-// padding, CRC32C trailer.
-func writeSection(w io.Writer, tag string, payload []byte) error {
+// padding, CRC32C trailer. The CRC is the next one crcs yields, or summed
+// here when crcs is nil.
+func writeSection(w io.Writer, tag string, payload []byte, crcs <-chan uint32) error {
 	if err := writeSectionHeader(w, tag, uint64(len(payload))); err != nil {
 		return err
 	}
 	if _, err := w.Write(payload); err != nil {
 		return err
 	}
-	return writeSectionTrailer(w, uint64(len(payload)), crc32.Checksum(payload, worldCRC))
+	var crc uint32
+	if crcs != nil {
+		crc = <-crcs
+	} else {
+		crc = crc32.Checksum(payload, worldCRC)
+	}
+	return writeSectionTrailer(w, uint64(len(payload)), crc)
 }
 
 // writeSectionHeader writes a section's tag and payload length.

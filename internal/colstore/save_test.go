@@ -257,7 +257,7 @@ func reframe(t testing.TB, file []byte, edit func(tag string, payload []byte, pr
 		if payload, present = edit(tag, payload, present); !present {
 			continue
 		}
-		if err := writeSection(&out, tag, payload); err != nil {
+		if err := writeSection(&out, tag, payload, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

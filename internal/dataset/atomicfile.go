@@ -16,14 +16,46 @@ import (
 // the archive, each checkpoint chunk file, a single-process sweep's
 // checkpoint.json (written once per sweep), the coordinator's ledger and
 // the observatory's world file.
+//
+// Writeback starts as the file is written: after every writebackChunk
+// bytes the kernel is asked to begin writing them to the disk (on Linux,
+// sync_file_range with SYNC_FILE_RANGE_WRITE; elsewhere nothing), so the
+// closing fsync finds most of a large file already on its way. The hint is
+// advisory and its error ignored: Commit's fsync stays the one point at
+// which the bytes are known durable. On Linux, too, the file a Commit
+// replaces is freed after the rename, not inside it (holdReplaced).
 type AtomicFile struct {
 	path string
 	tmp  *os.File
 	bw   *bufio.Writer
+	wb   writeback
 	done bool
 }
 
 var errAtomicFileDone = errors.New("dataset: AtomicFile used after Commit or Abort")
+
+// writebackChunk is how many bytes reach the temp file between two
+// writeback hints: small enough that most of a paper_clean world (19 MiB)
+// is on its way to the disk when the closing fsync starts.
+const writebackChunk = 2 << 20
+
+// writeback is the temp file as the buffer writes it: it counts the bytes
+// that reached the file and hints their writeback a chunk at a time.
+type writeback struct {
+	f       *os.File
+	written int64 // bytes written to f
+	hinted  int64 // bytes before this offset have been hinted
+}
+
+func (w *writeback) Write(p []byte) (int, error) {
+	n, err := w.f.Write(p)
+	w.written += int64(n)
+	if w.written-w.hinted >= writebackChunk {
+		_ = startWriteback(w.f, w.hinted, w.written-w.hinted) // advisory
+		w.hinted = w.written
+	}
+	return n, err
+}
 
 // CreateAtomic starts a replacement of path, buffering writes in bufSize
 // bytes (as bufio.NewWriterSize).
@@ -32,7 +64,9 @@ func CreateAtomic(path string, bufSize int) (*AtomicFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &AtomicFile{path: path, tmp: tmp, bw: bufio.NewWriterSize(tmp, bufSize)}, nil
+	f := &AtomicFile{path: path, tmp: tmp, wb: writeback{f: tmp}}
+	f.bw = bufio.NewWriterSize(&f.wb, bufSize)
+	return f, nil
 }
 
 // Write buffers p for the temp file.
@@ -61,7 +95,9 @@ func (f *AtomicFile) Commit() error {
 		err = cerr
 	}
 	if err == nil {
+		release := holdReplaced(f.path)
 		err = os.Rename(tmpName, f.path)
+		release()
 	}
 	if err != nil {
 		os.Remove(tmpName)

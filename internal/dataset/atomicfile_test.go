@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -159,5 +161,50 @@ func TestCommitReportsUndurableRename(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: a rename whose directory could not be fsynced reported success", name)
 		}
+	}
+}
+
+// TestAtomicFileWritebackIsAdvisory: the writeback hints an AtomicFile
+// gives as it writes change nothing it commits. Over 8 MiB in writes of
+// uneven sizes, Commit leaves the same bytes with the platform's hint and
+// with one that fails every time, asked once for each writebackChunk or
+// more that reached the file.
+func TestAtomicFileWritebackIsAdvisory(t *testing.T) {
+	data := make([]byte, 8<<20+12345)
+	for i := range data {
+		data[i] = byte(i * 7 / 5)
+	}
+	platform := startWriteback
+	defer func() { startWriteback = platform }()
+	hints := 0
+	for name, hint := range map[string]func(*os.File, int64, int64) error{
+		"platform": platform,
+		"failing": func(*os.File, int64, int64) error {
+			hints++
+			return errors.New("writeback refused")
+		},
+	} {
+		startWriteback = hint
+		path := filepath.Join(t.TempDir(), "big.bin")
+		f, err := CreateAtomic(path, 64<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rest, n := data, 1; len(rest) > 0; n = n*3 + 1 {
+			n = min(n%(3<<20)+1, len(rest))
+			if _, err := f.Write(rest[:n]); err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[n:]
+		}
+		if err := f.Commit(); err != nil {
+			t.Fatalf("%s hint: Commit: %v", name, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s hint: the committed file differs from what was written (%v)", name, err)
+		}
+	}
+	if most := len(data) / writebackChunk; hints == 0 || hints > most {
+		t.Errorf("the failing hint was asked %d times, want 1 to %d", hints, most)
 	}
 }

@@ -83,7 +83,10 @@ type Cohort struct {
 
 // nsFor maps an operator group to a concrete nameserver hostname for
 // materialized zones.
-func nsFor(operator string) string { return "ns1." + operator }
+func nsFor(operator string) string { return nsPrefix + operator }
+
+// nsPrefix is what nsFor puts before an operator's name.
+const nsPrefix = "ns1."
 
 // NSHostOf exposes the operator→nameserver mapping for tests and tools
 // that need to address one operator's server directly.

@@ -141,7 +141,7 @@ func BuildScenario(s Scenario, cfg WorldConfig) (*World, error) {
 	}
 	named := ScenarioCohorts(s)
 	// Scale named cohorts like Build does.
-	var cohorts []Cohort
+	cohorts := make([]Cohort, 0, len(named)+len(base))
 	for _, c := range named {
 		c.Domains = int(float64(c.Domains)*cfg.Scale + 0.5)
 		if c.Domains > 0 {

@@ -130,13 +130,18 @@ var tailDSByTLD = map[string]DSSpec{
 // planCohorts resolves the full cohort list for a config: named cohorts
 // from the catalogue plus a power-law tail per TLD calibrated so each TLD
 // hits its Table 1 size and DNSKEY percentage. Deterministic and cheap —
-// no per-domain sampling happens here.
+// no per-domain sampling happens here. The five tails are sized and named
+// at once, a goroutine each: they depend on the named cohorts alone.
 func planCohorts(cfg WorldConfig) ([]Cohort, error) {
 	named := NamedCohorts()
 	// Scale the named cohorts and account per-TLD totals.
 	namedDomains := make(map[string]int)    // tld -> scaled named population
 	namedKeyEnd := make(map[string]float64) // tld -> expected DNSKEY count at window end
-	var cohorts []Cohort
+	tailOps := 0
+	for _, tld := range AllTLDs {
+		tailOps += tailOperators[tld]
+	}
+	cohorts := make([]Cohort, 0, len(named)+tailOps)
 	for _, c := range named {
 		c.Domains = int(math.Round(float64(c.Domains) * cfg.Scale))
 		if c.Domains == 0 {
@@ -150,7 +155,8 @@ func planCohorts(cfg WorldConfig) ([]Cohort, error) {
 	// Tail per TLD: fill the population gap with power-law-sized anonymous
 	// operators whose DNSKEY fraction closes the gap to the Table 1
 	// percentage.
-	for _, tld := range AllTLDs {
+	tails := make([]tailPlan, len(AllTLDs))
+	for t, tld := range AllTLDs {
 		total := int(math.Round(float64(TLDTotals[tld]) * cfg.Scale))
 		tailTotal := total - namedDomains[tld]
 		if tailTotal <= 0 {
@@ -164,26 +170,77 @@ func planCohorts(cfg WorldConfig) ([]Cohort, error) {
 		if tailKeyFrac > 1 {
 			tailKeyFrac = 1
 		}
-		sizes := powerLawSizes(tailOperators[tld], tailTotal)
-		ds := tailDSByTLD[tld]
-		for i, size := range sizes {
-			if size == 0 {
-				continue
+		tails[t] = tailPlan{tld: tld, domains: tailTotal, keyFrac: tailKeyFrac}
+	}
+	var wg sync.WaitGroup
+	for t := range tails {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tails[t].size()
+		}()
+	}
+	wg.Wait()
+	for _, tp := range tails {
+		ds := tailDSByTLD[tp.tld]
+		start := 0
+		for i, size := range tp.sizes {
+			end := tp.ends[i]
+			if size > 0 {
+				cohorts = append(cohorts, Cohort{
+					Operator: tp.names[start:end],
+					TLD:      tp.tld,
+					Domains:  size,
+					// Tail adoption grows modestly across the window (the
+					// paper: "rare ... but growing").
+					Key: Linear(tp.keyFrac*0.8, tp.keyFrac),
+					DS:  ds,
+					// Small self-hosted operators let signatures lapse.
+					ExpiredSigFrac: 0.03,
+				})
 			}
-			cohorts = append(cohorts, Cohort{
-				Operator: fmt.Sprintf("tail%04d.%s-hosting.example", i, tld),
-				TLD:      tld,
-				Domains:  size,
-				// Tail adoption grows modestly across the window (the
-				// paper: "rare ... but growing").
-				Key: Linear(tailKeyFrac*0.8, tailKeyFrac),
-				DS:  ds,
-				// Small self-hosted operators let signatures lapse.
-				ExpiredSigFrac: 0.03,
-			})
+			start = end
 		}
 	}
 	return cohorts, nil
+}
+
+// tailPlan is one TLD's anonymous tail: its population and DNSKEY
+// fraction, then, once sized, its operators' sizes and names, the i-th
+// name being names[ends[i-1]:ends[i]].
+type tailPlan struct {
+	tld     string
+	domains int
+	keyFrac float64
+	sizes   []int
+	names   string
+	ends    []int
+}
+
+// size spreads the tail over the TLD's tail operators and names them all,
+// in one string.
+func (tp *tailPlan) size() {
+	tp.sizes = powerLawSizes(tailOperators[tp.tld], tp.domains)
+	names := make([]byte, 0, len(tp.sizes)*(len("tail0000.-hosting.example")+len(tp.tld)))
+	tp.ends = make([]int, len(tp.sizes))
+	for i := range tp.sizes {
+		names = appendTailOperator(names, i, tp.tld)
+		tp.ends[i] = len(names)
+	}
+	tp.names = string(names)
+}
+
+// appendTailOperator appends the name of a TLD's i-th tail operator,
+// "tail<i, zero-padded to 4>.<tld>-hosting.example".
+func appendTailOperator(dst []byte, i int, tld string) []byte {
+	dst = append(dst, "tail"...)
+	for limit := 1000; limit > i && limit > 1; limit /= 10 {
+		dst = append(dst, '0')
+	}
+	dst = strconv.AppendInt(dst, int64(i), 10)
+	dst = append(dst, '.')
+	dst = append(dst, tld...)
+	return append(dst, "-hosting.example"...)
 }
 
 // Build generates the world: the cohort plan fixes where every row goes,
@@ -339,13 +396,14 @@ func buildIndexStreaming(cfg *WorldConfig, cohorts []Cohort, baseSeed int64) (*c
 	workers := runtime.GOMAXPROCS(0)
 	plan := colstore.NewPlan(len(cohorts))
 	starts := make([]int, len(cohorts)+1)
+	hosts := nsHosts(cohorts)
 	var suffix []byte
 	for ci := range cohorts {
 		c := &cohorts[ci]
 		starts[ci+1] = starts[ci] + c.Domains
 		suffix = appendCohortSuffix(suffix[:0], c)
 		plan.Reserve(c.Domains, namesLen(starts[ci], c.Domains, len(suffix)),
-			c.Operator, nsFor(c.Operator), c.TLD, c.Registrar)
+			c.Operator, hosts[ci], c.TLD, c.Registrar)
 	}
 	// Chunk boundaries: close a chunk once it has accumulated the target
 	// domain count. chunks[k]..chunks[k+1] is a half-open cohort range.
@@ -381,6 +439,28 @@ func buildIndexStreaming(cfg *WorldConfig, cohorts []Cohort, baseSeed int64) (*c
 	return plan.Build()
 }
 
+// nsHosts returns nsFor of every cohort's operator, all of them cut from
+// one string.
+func nsHosts(cohorts []Cohort) []string {
+	size := 0
+	for ci := range cohorts {
+		size += len(nsPrefix) + len(cohorts[ci].Operator)
+	}
+	buf := make([]byte, 0, size)
+	ends := make([]int, len(cohorts))
+	for ci := range cohorts {
+		buf = append(append(buf, nsPrefix...), cohorts[ci].Operator...)
+		ends[ci] = len(buf)
+	}
+	all := string(buf)
+	hosts := make([]string, len(cohorts))
+	start := 0
+	for ci, end := range ends {
+		hosts[ci], start = all[start:end], end
+	}
+	return hosts
+}
+
 // cohortFiller is one worker's reusable state: its RNG is re-seeded per
 // cohort — the same stream a fresh newStream(seed) yields, at the cost of
 // two stores — and its suffix and name buffers are recycled, so filling a
@@ -389,7 +469,7 @@ type cohortFiller struct {
 	cfg    *WorldConfig
 	rng    *rand.Rand
 	suffix []byte
-	name   []byte
+	name   nameCounter
 }
 
 func newCohortFiller(cfg *WorldConfig) *cohortFiller {
@@ -400,12 +480,44 @@ func newCohortFiller(cfg *WorldConfig) *cohortFiller {
 func (f *cohortFiller) fill(w *colstore.RowWriter, c *Cohort, seed int64, nameStart int) {
 	f.rng.Seed(seed)
 	f.suffix = appendCohortSuffix(f.suffix[:0], c)
+	f.name.start(nameStart, f.suffix)
 	for i := 0; i < c.Domains; i++ {
+		if i > 0 {
+			f.name.next(f.suffix)
+		}
 		dr := drawDomain(f.rng, c, f.cfg)
-		f.name = appendDomainName(f.name[:0], nameStart+i, f.suffix)
-		w.Add(f.name, dr.created, dr.keyDay, dr.dsDay, dr.broken, dr.expired)
+		w.Add(f.name.buf, dr.created, dr.keyDay, dr.dsDay, dr.broken, dr.expired)
 	}
 	w.Close()
+}
+
+// nameCounter holds one domain name, appendDomainName's "d<index><suffix>",
+// and steps its index in place: a name costs the digits that change, not
+// a formatting of the whole index.
+type nameCounter struct {
+	buf    []byte
+	idx    int
+	digits int // the index's width: 7 below 10^7, its own from there on
+}
+
+// start sets the name to index idx's.
+func (c *nameCounter) start(idx int, suffix []byte) {
+	c.buf = appendDomainName(c.buf[:0], idx, suffix)
+	c.idx, c.digits = idx, len(c.buf)-1-len(suffix)
+}
+
+// next steps the name to the next index's.
+func (c *nameCounter) next(suffix []byte) {
+	c.idx++
+	for i := c.digits; i > 0; i-- {
+		if c.buf[i] != '9' {
+			c.buf[i]++
+			return
+		}
+		c.buf[i] = '0'
+	}
+	// Past all nines the index outgrows its width, as namesLen counts it.
+	c.start(c.idx, suffix)
 }
 
 // powerLawSizes distributes total domains over k operators with a power-law
