@@ -117,14 +117,22 @@ func TestWorkerKilledMidUnitFleetDrains(t *testing.T) {
 			t.Errorf("%s is not a chunk file", name)
 		}
 	}
-	var merged bytes.Buffer
+	mergedPath := filepath.Join(dir, "merged.tsv")
+	aw, err := dataset.NewArchiveWriter(mergedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := coord.Merge(dataset.SpillOptions{}, func(_ simtime.Day, sw *dataset.SpillWriter) error {
-		return sw.WriteSectionTo(&merged)
+		return aw.Section(sw)
 	}); err != nil {
+		aw.Abort()
+		t.Fatal(err)
+	}
+	if err := aw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	want := archivetest.Read(t, ref)
-	if !bytes.Equal(merged.Bytes(), want) {
+	if !bytes.Equal(archivetest.Read(t, mergedPath), want) {
 		t.Error("the fleet's merged archive differs from the single-process regsec-scan archive")
 	}
 }

@@ -102,14 +102,22 @@ func TestDaemonKilledMidPlanResumes(t *testing.T) {
 	}
 
 	rs := plan.Sweep(world, nil, dataset.SpillOptions{}, nil)
-	var want bytes.Buffer
+	wantPath := filepath.Join(t.TempDir(), "want.tsv")
+	aw, err := dataset.NewArchiveWriter(wantPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := rs.RunStream(ctx, plan.Days, func(_ simtime.Day, sw *dataset.SpillWriter) error {
-		return sw.WriteSectionTo(&want)
+		return aw.Section(sw)
 	}); err != nil {
+		aw.Abort()
+		t.Fatal(err)
+	}
+	if err := aw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got := archivetest.Read(t, merged)
-	if !bytes.Equal(got, want.Bytes()) {
+	if !bytes.Equal(got, archivetest.Read(t, wantPath)) {
 		t.Error("the daemon's merged archive differs from the single-process sweep of its plan")
 	}
 }

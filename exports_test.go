@@ -34,6 +34,7 @@ var testOnlyAllowed = map[string]string{
 	"tldsim.BuildCustom":                      "hand-set world for the root BenchmarkAblationCDS and tldsim tests",
 	"dnsserver.Authoritative.DeferredCount":   "counts unbuilt child zones without building one; tldsim's sweep test reads it",
 	"zone.Zone.PlannedSigs":                   "counts unproduced signatures without producing one; dnsserver and tldsim tests read it",
+	"dataset.SpillWriter.WriteSectionTo":      "a swept day as one self-contained section, the form checkpoint chunks and appended sections take; dsweep, apiserv and command tests build archives of it",
 	"registrarsec.Study.Measure":              "library entry point README.md documents (Quickstart, \"As a library\")",
 	"registrarsec.Figure4":                    "library entry point README.md documents (Quickstart, \"As a library\")",
 	"registrarsec.WindowEnd":                  "library entry point README.md documents (Quickstart, \"As a library\")",

@@ -105,6 +105,80 @@ func TestChaosResumeAtEveryCommitPoint(t *testing.T) {
 	}
 }
 
+// keyedArchiveBytes is the archive an ArchiveWriter writes of mkSnap(day, n)
+// for each of days: a key and sections keyed to it, a week at a time.
+func keyedArchiveBytes(t testing.TB, days []simtime.Day, n int) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "keyed.tsv")
+	aw, err := dataset.NewArchiveWriter(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range days {
+		sw := dataset.NewSpillWriter(d, dataset.SpillOptions{Dir: t.TempDir()})
+		if err := sw.Append(mkSnap(d, n).Records...); err != nil {
+			t.Fatal(err)
+		}
+		if err := aw.Section(sw); err != nil {
+			t.Fatal(err)
+		}
+		sw.Close()
+	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return archivetest.Read(t, path)
+}
+
+// TestChaosResumeInsideKeyedRun: a daemon stopped after k sections of an
+// ArchiveWriter archive — a key, the sections keyed to it, a second key and
+// one keyed to that — and restarted from its world's META cursor ends with
+// the world of a clean single pass, for every k: a restart inside a keyed
+// run reads its key back from the archive. Its Table 1 is the one the same
+// days written as self-contained sections make.
+func TestChaosResumeInsideKeyedRun(t *testing.T) {
+	var days []simtime.Day
+	for d := simtime.Day(50); d < 59; d++ {
+		days = append(days, d)
+	}
+	full := keyedArchiveBytes(t, days, 80)
+	if plain := archiveBytes(t, days, 80); len(full) >= len(plain) {
+		t.Fatalf("the keyed archive (%d bytes) is no smaller than its days self-contained (%d)", len(full), len(plain))
+	}
+
+	clean := newTestServer(t, t.TempDir())
+	archivetest.Write(t, clean.cfg.ArchivePath, full)
+	runToEnd(t, clean)
+	wantWorld := worldFile(t, clean)
+	if st := decodeJSON[Status](t, get(clean.Handler(), "/v1/status")); st.Sections != len(days) || st.Quarantined != 0 {
+		t.Fatalf("clean pass: %+v, want %d sections, none quarantined", st, len(days))
+	}
+	plain := newTestServer(t, t.TempDir())
+	archivetest.Write(t, plain.cfg.ArchivePath, archiveBytes(t, days, 80))
+	runToEnd(t, plain)
+	if get(plain.Handler(), "/v1/table1").Body.String() != get(clean.Handler(), "/v1/table1").Body.String() {
+		t.Fatal("the keyed archive folds to another Table 1 than its days self-contained")
+	}
+
+	res, err := dataset.TailArchive(clean.cfg.ArchivePath, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, ev := range res.Events {
+		dir := t.TempDir()
+		first := newTestServer(t, dir)
+		archivetest.Write(t, first.cfg.ArchivePath, full[:ev.End])
+		runToEnd(t, first)
+		archivetest.Write(t, first.cfg.ArchivePath, full)
+		second := newTestServer(t, dir)
+		runToEnd(t, second)
+		if got := worldFile(t, second); !bytes.Equal(got, wantWorld) {
+			st := decodeJSON[Status](t, get(second.Handler(), "/v1/status"))
+			t.Fatalf("stopped after %d section(s): resumed world differs from the clean pass's (%+v)", k+1, st)
+		}
+	}
+}
+
 // TestCommitLeavesOneFile: a commit writes the world file and nothing
 // beside it. After two sections, a restart and an archive-shrink reset, the
 // world's directory holds the world file alone: no second copy of the

@@ -30,6 +30,14 @@ var Header = []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 4, 0xff}
 //go:embed testdata/plain-archive.tsv
 var PlainArchive []byte
 
+// FrontArchive is an archive of three sections written when every section
+// was self-contained, its domains front-coded, with NS-set references and
+// signed and failed records; frontArchiveDays in dataset's tests are the
+// records it read to then.
+//
+//go:embed testdata/front-archive.tsv
+var FrontArchive []byte
+
 // PlainWorld is the observatory's world file after it ingested PlainArchive
 // to its end, written before front coding: NAMELINE holds every name in
 // full. Saved in the mapped form, its index is PlainWorldMapped.

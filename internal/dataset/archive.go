@@ -57,9 +57,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // WriteArchiveSection writes the snapshot as one trailered section.
 func (s *Snapshot) WriteArchiveSection(w io.Writer) error {
-	return writeSection(w, s.Day, len(s.Records), func(emit func(line []byte) error) error {
+	_, err := writeSection(w, s.Day, len(s.Records), nil, func(emit func(line []byte) error) error {
 		return eachLine(s.Records, emit)
 	})
+	return err
 }
 
 // Corruption describes one quarantined piece of an archive.
@@ -116,10 +117,13 @@ func (r *ArchiveReport) String() string {
 }
 
 // ScanArchive reads a trailered archive in salvage mode, one section in
-// memory at a time: fn sees every section whose trailer verifies (length,
-// CRC32C, declared record count, unique day) as soon as it closes; torn,
-// truncated, corrupted and duplicate sections are quarantined in the
-// report with a precise reason instead of being silently mis-parsed. It is
+// memory at a time beside the key the next keyed section reads (keyed.go):
+// fn sees every section whose trailer verifies (length, CRC32C, declared
+// record count, unique day, and a keyed section's key) as soon as it
+// closes; torn, truncated, corrupted and duplicate sections, and keyed
+// sections whose key does not verify, are quarantined in the report with a
+// precise reason instead of being silently mis-parsed. A snapshot fn sees
+// is read-only: a later keyed section may carry its records. It is
 // the batch fold over the section scanner (tail.go): the input is final,
 // so whatever the scanner left undecided at its end is damage too. The
 // returned error is non-nil only for I/O failures and fn's errors —
@@ -127,7 +131,7 @@ func (r *ArchiveReport) String() string {
 func ScanArchive(r io.Reader, fn func(*Snapshot) error) (*ArchiveReport, error) {
 	report := &ArchiveReport{}
 	seen := map[simtime.Day]bool{}
-	sc := newSectionScanner(r, 0)
+	sc := newSectionScanner(r, 0, nil)
 	for {
 		ev, err := sc.next()
 		report.Sections = sc.sections

@@ -250,8 +250,8 @@ func TestWriteArchiveFileAtomic(t *testing.T) {
 	path := filepath.Join(dir, "archive.tsv")
 	writeArchiveFile(t, store, path)
 	got := archivetest.Read(t, path)
-	if !bytes.Equal(got, raw) {
-		t.Error("file content differs from in-memory archive")
+	if want := keyedArchive(t, store.Get(store.Days()[0]), store.Get(store.Days()[1])); !bytes.Equal(got, want) || bytes.Equal(got, raw) {
+		t.Error("file content differs from the in-memory keyed archive")
 	}
 	// Overwrite in place: atomic replacement, no temp litter.
 	writeArchiveFile(t, store, path)

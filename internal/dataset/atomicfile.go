@@ -69,6 +69,10 @@ func CreateAtomic(path string, bufSize int) (*AtomicFile, error) {
 	return f, nil
 }
 
+// offset is how many bytes have been written: where the next write starts
+// in the file.
+func (f *AtomicFile) offset() int64 { return f.wb.written + int64(f.bw.Buffered()) }
+
 // Write buffers p for the temp file.
 func (f *AtomicFile) Write(p []byte) (int, error) {
 	if f.done {

@@ -3,9 +3,12 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/iotest"
 
@@ -20,7 +23,8 @@ import (
 // written before front coding, with the front-coded archive of the same
 // records, its text cut inside its first front-coded line, and sealed
 // sections of a front-coded line and of markers that name more than the
-// name before holds.
+// name before holds; the archive of self-contained front-coded sections
+// written before keyed sections; and keyedSeeds.
 func memberSeeds(t testing.TB) [][]byte {
 	_, valid := archiveFixture(t)
 	first := len(archivetest.Zcat(t, valid)) // not a member boundary: any offset inside the first member
@@ -48,7 +52,21 @@ func memberSeeds(t testing.TB) [][]byte {
 		[]byte(archivetest.Seal("#snapshot\t2016-01-01\t2\na.com\t\nBz.com\t\n")), // a.z.com
 		[]byte(archivetest.Seal("#snapshot\t2016-01-01\t2\na.com\t\nFb.com\t\n")),
 		[]byte(archivetest.Seal("#snapshot\t2016-01-01\t1\nAb.com\t\n")),
+		archivetest.FrontArchive,
 	}
+}
+
+// keyedSeeds are a keyed archive's seeds of the archive fuzzers: intact,
+// with a byte flipped in its key and in a keyed section, cut inside a keyed
+// section, and after another archive, joined as cat joins them.
+func keyedSeeds(t testing.TB) [][]byte {
+	_, valid := archiveFixture(t)
+	keyed := keyedArchive(t, sweptDays(3, 12)...)
+	key := len(archivetest.Members(t, keyed)[0])
+	inKey, inKeyed := bytes.Clone(keyed), bytes.Clone(keyed)
+	inKey[key/2] ^= 0x04
+	inKeyed[key+(len(keyed)-key)/3] ^= 0x04
+	return [][]byte{keyed, inKey, inKeyed, keyed[:key+(len(keyed)-key)/2], slices.Concat(valid, keyed)}
 }
 
 // frontCodedPlain is archivetest.PlainArchive written again: the same
@@ -105,7 +123,7 @@ func FuzzReadArchive(f *testing.F) {
 	// The first record cut before its flags, trailer untouched: the line
 	// still parses, and only the framing catches the cut.
 	f.Add(bytes.Replace(archivetest.Zcat(f, valid), []byte("\tkrdv\n"), []byte("\n"), 1))
-	for _, seed := range memberSeeds(f) {
+	for _, seed := range slices.Concat(memberSeeds(f), keyedSeeds(f)) {
 		f.Add(seed)
 	}
 
@@ -141,11 +159,23 @@ func FuzzReadArchive(f *testing.F) {
 }
 
 // scanAll drains the section scanner over r, which starts at absolute
-// offset base of its archive — what TailArchive does over a file.
+// offset base of its archive.
 func scanAll(t testing.TB, r io.Reader, base int64) *TailResult {
 	t.Helper()
-	res := &TailResult{Offset: base}
-	sc := newSectionScanner(r, base)
+	return drain(t, newSectionScanner(r, base, nil))
+}
+
+// resumeAt drains the section scanner over data from offset from, able to
+// read back before it — what TailArchive does over a file.
+func resumeAt(t testing.TB, data []byte, from int64) *TailResult {
+	t.Helper()
+	return drain(t, newSectionScanner(bytes.NewReader(data[from:]), from, bytes.NewReader(data)))
+}
+
+// drain returns every event of sc.
+func drain(t testing.TB, sc *sectionScanner) *TailResult {
+	t.Helper()
+	res := &TailResult{Offset: sc.base}
 	for {
 		ev, err := sc.next()
 		if err == io.EOF {
@@ -159,6 +189,39 @@ func scanAll(t testing.TB, r io.Reader, base int64) *TailResult {
 	}
 }
 
+// checkKeysDelivered holds a scan of data from its start to delivering a
+// section only if its member's text is intact — its trailer names the
+// length and checksum of the text before it — and, for a keyed section, only
+// if the scan delivered its key: a self-contained section at the distance,
+// of the day and checksum the header names.
+func checkKeysDelivered(t *testing.T, data []byte, res *TailResult) {
+	type delivered struct {
+		day   simtime.Day
+		crc   uint32
+		keyed bool
+	}
+	at := map[int64]delivered{}
+	for i, ev := range res.Events {
+		if ev.Snap == nil {
+			continue
+		}
+		text := archivetest.Zcat(t, data[ev.At.Offset:ev.End])
+		body := text[:bytes.LastIndex(text[:len(text)-1], []byte("\n"))+1]
+		header, _, _ := bytes.Cut(body, []byte("\n"))
+		_, _, ref, err := parseSnapshotHeader(strings.Split(string(header), "\t"))
+		crc := crc32.Checksum(body, castagnoli)
+		if want := fmt.Sprintf("%s\t%s\t%d\t%08x\n", trailerHeader, ev.Snap.Day, len(body), crc); err != nil || string(text[len(body):]) != want {
+			t.Fatalf("event %d delivers a section whose text is not intact (%v): %q", i, err, text)
+		}
+		if ref != nil {
+			if key, ok := at[ev.At.Offset-ref.dist]; !ok || key.keyed || key.day != ref.day || key.crc != ref.crc {
+				t.Fatalf("event %d delivers a section keyed to %+v, and the scan delivered %+v there", i, *ref, key)
+			}
+		}
+		at[ev.At.Offset] = delivered{ev.Snap.Day, crc, ref != nil}
+	}
+}
+
 // FuzzTailArchive holds the section scanner, on arbitrary bytes, to what
 // tail.go's header comment claims: it never panics; it refuses a text
 // archive whole; its events' End offsets strictly increase, and the last
@@ -166,7 +229,8 @@ func scanAll(t testing.TB, r io.Reader, base int64) *TailResult {
 // stray run there or nothing; the same bytes handed over one at a time yield the same events, so
 // nothing depends on read boundaries; a scan resumed at any event's End
 // yields exactly the events after that one, so a consumer's state is a pure
-// function of the bytes before its cursor; and on the input cut at Offset, a
+// function of the bytes before its cursor — a resumed scan reads back to a
+// key behind it (checkKeysDelivered); and on the input cut at Offset, a
 // section boundary, its verified snapshots are the sections ReadArchive
 // accepts, except that ReadArchive keeps only the first section of a day;
 // and each verified snapshot re-renders in the canonical front coding
@@ -185,18 +249,18 @@ func FuzzTailArchive(f *testing.F) {
 	text := archivetest.Zcat(f, valid)
 	f.Add(bytes.Join([][]byte{text, []byte("stray\n\n"), text}, nil))
 	f.Add(append(bytes.Clone(text), "\n\n#snapshot\t2016-07-01\t1\na.com"...))
-	for _, seed := range memberSeeds(f) {
+	for _, seed := range slices.Concat(memberSeeds(f), keyedSeeds(f)) {
 		f.Add(seed)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if bytes.HasPrefix(data, textHeader) {
-			if _, err := newSectionScanner(bytes.NewReader(data), 0).next(); !errors.Is(err, ErrTextArchive) {
+			if _, err := newSectionScanner(bytes.NewReader(data), 0, nil).next(); !errors.Is(err, ErrTextArchive) {
 				t.Fatalf("a text archive: %v, want ErrTextArchive", err)
 			}
 			return
 		}
-		sc := newSectionScanner(bytes.NewReader(data), 0)
+		sc := newSectionScanner(bytes.NewReader(data), 0, nil)
 		res := &TailResult{}
 		for {
 			ev, err := sc.next()
@@ -226,6 +290,8 @@ func FuzzTailArchive(f *testing.F) {
 			last = ev.End
 		}
 
+		checkKeysDelivered(t, data, res)
+
 		if trickled := scanAll(t, iotest.OneByteReader(bytes.NewReader(data)), 0); !reflect.DeepEqual(trickled, res) {
 			t.Fatalf("one byte at a time: events %+v to offset %d, want %+v to %d",
 				trickled.Events, trickled.Offset, res.Events, res.Offset)
@@ -245,7 +311,7 @@ func FuzzTailArchive(f *testing.F) {
 			return out
 		}
 		for i, ev := range res.Events {
-			resumed := scanAll(t, bytes.NewReader(data[ev.End:]), ev.End)
+			resumed := resumeAt(t, data, ev.End)
 			got, want := comparable(resumed.Events), comparable(res.Events[i+1:])
 			if !reflect.DeepEqual(got, want) || resumed.Offset != res.Offset {
 				t.Fatalf("resumed after event %d at %d: events %+v to offset %d, want %+v to %d",

@@ -62,6 +62,20 @@ import (
 // section written before front coding — reads as it did, and refuses a
 // marker that names more. So the domain column is the one a line that reads
 // may spell otherwise than the writer would. Spill runs are plain here too.
+//
+// A keyed section (keyed.go) names a section before it in the same file as
+// its key, in a fourth header field, "key=<day>:<distance>:<crc>", and
+// writes each record that the key holds for the same domain as a carry: a
+// line that starts with carryMark. The section's NS-set dictionary and front
+// coding run over its lines as above; a bare carry neither defines nor uses a
+// dictionary entry, and an explicit line's domain is front-coded against the
+// record before it, carried or not. The writer refuses a domain that starts
+// with carryMark, in every section, and the reader damages a section
+// without a key that holds a carry. The writer carries every record whose
+// domain the key holds, bare when the line is the key's; a reader also
+// takes such a record written explicitly, or carried with the key's own
+// fields, so a keyed section, like a front-coded domain, may read from
+// lines the writer would spell otherwise.
 
 // tsvHeader introduces one snapshot section.
 const tsvHeader = "#snapshot"
@@ -233,21 +247,25 @@ func lineTLD(r *Record) string {
 	return r.TLD
 }
 
-// parseSnapshotHeader parses a "#snapshot <day> <count>" line, the one
-// form writeSection writes.
-func parseSnapshotHeader(fields []string) (simtime.Day, int, error) {
-	if len(fields) != 3 {
-		return 0, 0, fmt.Errorf("bad snapshot header")
+// parseSnapshotHeader parses a "#snapshot <day> <count>" line, or a keyed
+// section's "#snapshot <day> <count> key=<day>:<distance>:<crc>", the two
+// forms writeSection writes. ref is nil for a section without a key.
+func parseSnapshotHeader(fields []string) (day simtime.Day, n int, ref *keyRef, err error) {
+	if len(fields) != 3 && len(fields) != 4 {
+		return 0, 0, nil, fmt.Errorf("bad snapshot header")
 	}
-	day, err := simtime.Parse(fields[1])
-	if err != nil {
-		return 0, 0, err
+	if day, err = simtime.Parse(fields[1]); err != nil {
+		return 0, 0, nil, err
 	}
-	n, err := strconv.Atoi(fields[2])
-	if err != nil || n < 0 {
-		return 0, 0, fmt.Errorf("bad record count %q", fields[2])
+	if n, err = strconv.Atoi(fields[2]); err != nil || n < 0 {
+		return 0, 0, nil, fmt.Errorf("bad record count %q", fields[2])
 	}
-	return day, n, nil
+	if len(fields) == 4 {
+		if ref, err = parseKeyField(fields[3]); err != nil {
+			return 0, 0, nil, err
+		}
+	}
+	return day, n, ref, nil
 }
 
 // parseRecordFields parses one record line's tab-split fields, two to six.

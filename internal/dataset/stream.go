@@ -350,17 +350,28 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // format is written: a gzip member (MemberWriter) whose text is the
 // section. body hands each record line it renders, newline included,
 // to emit, which refuses a line that does not sort strictly after the one
-// before it or whose domain starts with a front-coding marker, and writes
-// the rest with the domain front-coded against the line before it and the
-// NS column through the section's own NS-set dictionary; the header and
-// those lines go through the counting, checksumming writer, and the trailer
-// records what it saw.
-func writeSection(out io.Writer, day simtime.Day, count int, body func(emit func(line []byte) error) error) error {
+// before it or whose domain starts with a front-coding marker or carryMark,
+// and writes the rest: as a carry when key is not nil and holds the line's
+// domain (keyed.go), otherwise with the domain front-coded against the line
+// before it; the NS column, but a bare carry's, goes through the section's
+// own NS-set dictionary. The header and those lines go through the
+// counting, checksumming writer, and the trailer records what it saw. It
+// returns the trailer's checksum.
+func writeSection(out io.Writer, day simtime.Day, count int, key *sectionKey, body func(emit func(line []byte) error) error) (uint32, error) {
 	bw := bufio.NewWriterSize(out, archiveBufSize)
 	zw := NewMemberWriter(bw)
 	cw := &crcWriter{w: zw}
-	if _, err := fmt.Fprintf(cw, "%s\t%s\t%d\n", tsvHeader, day, count); err != nil {
-		return err
+	var cur *keyCursor
+	header := fmt.Sprintf("%s\t%s\t%d\n", tsvHeader, day, count)
+	if key != nil {
+		header = fmt.Sprintf("%s\t%s\t%d\tkey=%s:%d:%08x\n", tsvHeader, day, count, key.day, key.dist, key.crc)
+		cur = &keyCursor{rest: key.text}
+		if err := cur.advance(); err != nil {
+			return 0, err
+		}
+	}
+	if _, err := io.WriteString(cw, header); err != nil {
+		return 0, err
 	}
 	dict := nsDict{ordinal: map[string]int{}}
 	var prevTLD, prevDomain []byte // the previous line's key, copied
@@ -371,28 +382,36 @@ func writeSection(out io.Writer, day simtime.Day, count int, body func(emit func
 		if err != nil {
 			return err
 		}
-		if len(domain) > 0 && IsFrontMarker(domain[0]) {
-			return fmt.Errorf("dataset: section %s: record %s starts with %q, which marks a front-coded name", day, domain, domain[0])
+		if len(domain) > 0 && (IsFrontMarker(domain[0]) || domain[0] == carryMark) {
+			return fmt.Errorf("dataset: section %s: record %s starts with %q, which marks a front-coded name or a carry", day, domain, domain[0])
 		}
 		if !first && compareKeys(tld, domain, prevTLD, prevDomain) <= 0 {
 			return fmt.Errorf("dataset: section %s: record %s does not sort after %s (records go in ascending (TLD, domain) order, each domain once)", day, domain, prevDomain)
 		}
 		first = false
-		coded = dict.append(AppendFrontCoded(coded[:0], prevDomain, domain), line[len(domain):])
+		carried := false
+		if cur != nil {
+			if coded, carried, err = cur.carry(coded[:0], line, tld, domain, &dict); err != nil {
+				return err
+			}
+		}
+		if !carried {
+			coded = dict.append(AppendFrontCoded(coded[:0], prevDomain, domain), line[len(domain):])
+		}
 		prevTLD, prevDomain = append(prevTLD[:0], tld...), append(prevDomain[:0], domain...)
 		_, err = cw.Write(coded)
 		return err
 	}
 	if err := body(emit); err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := fmt.Fprintf(zw, "%s\t%s\t%d\t%08x\n", trailerHeader, day, cw.n, cw.crc); err != nil {
-		return err
+		return 0, err
 	}
 	if err := zw.Close(); err != nil {
-		return err
+		return 0, err
 	}
-	return bw.Flush()
+	return cw.crc, bw.Flush()
 }
 
 // WriteSectionTo streams the day's records as one trailered archive
@@ -400,17 +419,22 @@ func writeSection(out io.Writer, day simtime.Day, count int, body func(emit func
 // Snapshot.Canonicalize + WriteArchiveSection. It may be called more than
 // once (run files are re-read each time) until Close removes the runs.
 func (w *SpillWriter) WriteSectionTo(out io.Writer) error {
-	return writeSection(out, w.day, w.total, func(emit func(line []byte) error) error {
-		n := 0
-		err := w.merge(func(line []byte) error {
-			n++
-			return emit(line)
-		})
-		if err == nil && n != w.total {
-			err = fmt.Errorf("dataset: spill merge for %s produced %d records, appended %d (lost or duplicated run?)", w.day, n, w.total)
-		}
-		return err
+	_, err := writeSection(out, w.day, w.total, nil, w.body)
+	return err
+}
+
+// body is the section body of the day's records: the merge's lines, which
+// must be as many as were appended.
+func (w *SpillWriter) body(emit func(line []byte) error) error {
+	n := 0
+	err := w.merge(func(line []byte) error {
+		n++
+		return emit(line)
 	})
+	if err == nil && n != w.total {
+		err = fmt.Errorf("dataset: spill merge for %s produced %d records, appended %d (lost or duplicated run?)", w.day, n, w.total)
+	}
+	return err
 }
 
 // EachSorted calls fn for every record in canonical order, parsing run
@@ -435,11 +459,13 @@ const archiveBufSize = 256 << 10
 
 // ArchiveWriter writes a multi-day trailered archive to a file one
 // section at a time: an AtomicFile committed on Close, never holding more
-// than one section's merge state in memory. Sections must arrive in
-// ascending day order, so the file is byte-identical to the same days'
-// WriteArchiveSection output in that order.
+// than one section's merge state and its key's record lines in memory.
+// Sections must arrive in ascending day order. The first section, and every
+// keyEvery-th after it, is a key, byte-identical to the day's
+// WriteArchiveSection; every other is keyed to the key before it (keyed.go).
 type ArchiveWriter struct {
 	f       *AtomicFile
+	keys    keyer
 	lastDay simtime.Day
 	hasDay  bool
 }
@@ -470,7 +496,7 @@ func (aw *ArchiveWriter) Section(sw *SpillWriter) error {
 	if err := aw.checkDay(sw.Day()); err != nil {
 		return err
 	}
-	return sw.WriteSectionTo(aw.f.bw)
+	return aw.keys.section(aw.f.bw, aw.f.offset(), sw.day, sw.total, sw.body)
 }
 
 // Abort discards the partial archive, leaving any previous file at the

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"securepki.org/registrarsec/internal/archivetest"
@@ -182,35 +184,26 @@ func TestSpillWriterCleanup(t *testing.T) {
 	}
 }
 
-// TestArchiveWriterByteIdentity streams a multi-day archive and compares
-// it byte-for-byte with WriteArchiveSection over the same snapshots.
+// TestArchiveWriterByteIdentity streams a multi-day archive — two keys and
+// their keyed sections, from spilled runs — and holds it byte-for-byte to
+// the same days keyed from memory, and its decode to the days' records.
 func TestArchiveWriterByteIdentity(t *testing.T) {
-	days := []simtime.Day{
-		simtime.Date(2016, 6, 1),
-		simtime.Date(2016, 9, 1),
-		simtime.Date(2016, 12, 31),
-	}
-	store := NewStore()
-	byDay := map[simtime.Day][]Record{}
-	for i, day := range days {
-		recs := fakeRecords(100+i*37, int64(i)+1)
-		byDay[day] = recs
-		snap := &Snapshot{Day: day, Records: append([]Record(nil), recs...)}
-		snap.Canonicalize()
-		store.Add(snap)
-	}
+	days := sweptDays(keyEvery+3, 300)
 	dir := t.TempDir()
-	want := archiveOf(t, store)
-
 	gotPath := filepath.Join(dir, "got.tsv")
 	aw, err := NewArchiveWriter(gotPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, day := range days {
-		sw := NewSpillWriter(day, SpillOptions{Dir: dir, MemBudget: 512})
-		if err := sw.Append(byDay[day]...); err != nil {
+	for i, snap := range days {
+		sw := NewSpillWriter(snap.Day, SpillOptions{Dir: dir, MemBudget: 4096})
+		recs := slices.Clone(snap.Records)
+		rand.New(rand.NewSource(int64(i))).Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+		if err := sw.Append(recs...); err != nil {
 			t.Fatal(err)
+		}
+		if sw.Runs() == 0 {
+			t.Fatalf("%s: the spill writer spilled no run", snap.Day)
 		}
 		if err := aw.Section(sw); err != nil {
 			t.Fatal(err)
@@ -222,8 +215,26 @@ func TestArchiveWriterByteIdentity(t *testing.T) {
 	}
 
 	got := archivetest.Read(t, gotPath)
-	if !bytes.Equal(got, want) {
-		t.Fatal("streamed archive differs from WriteArchiveSection's")
+	if !bytes.Equal(got, keyedArchive(t, days...)) {
+		t.Fatal("streamed archive differs from the same days keyed from memory")
+	}
+	for i, member := range archivetest.Members(t, got) {
+		header, _, _ := bytes.Cut(archivetest.Zcat(t, member), []byte("\n"))
+		if keyed := bytes.Contains(header, []byte("\tkey=")); keyed != (i%keyEvery != 0) {
+			t.Errorf("section %d: header %q", i, header)
+		}
+	}
+	store, report, err := ReadArchive(bytes.NewReader(got))
+	if err != nil || !report.Clean() || store.Len() != len(days) {
+		t.Fatalf("%v, %s, %d day(s)", err, report, store.Len())
+	}
+	for _, want := range days {
+		if got := store.Get(want.Day); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded records differ from the day's", want.Day)
+		}
+	}
+	if len(got) >= len(archivetest.Archive(t, days...)) {
+		t.Errorf("keyed archive %d bytes, no smaller than its days self-contained", len(got))
 	}
 }
 
@@ -274,11 +285,13 @@ func TestArchiveWriterAbort(t *testing.T) {
 }
 
 // Snapshot writes one in-RAM snapshot as a section (canonicalizing it),
-// for tests mixing in-RAM and streamed days.
+// keyed as Section keys one, for tests mixing in-RAM and streamed days.
 func (aw *ArchiveWriter) Snapshot(snap *Snapshot) error {
 	if err := aw.checkDay(snap.Day); err != nil {
 		return err
 	}
 	snap.Canonicalize()
-	return snap.WriteArchiveSection(aw.f.bw)
+	return aw.keys.section(aw.f.bw, aw.f.offset(), snap.Day, len(snap.Records), func(emit func(line []byte) error) error {
+		return eachLine(snap.Records, emit)
+	})
 }

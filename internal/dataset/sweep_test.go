@@ -39,6 +39,10 @@ var sweepShapes = []sweepShape{
 
 var sweepDays = []simtime.Day{simtime.Date(2016, 11, 30), simtime.End}
 
+// keyedSweepDays are the days of a multi-day archive of a seeded sweep: two
+// daily sweeps, then one a month on.
+var keyedSweepDays = []simtime.Day{simtime.Date(2016, 11, 30), simtime.Date(2016, 12, 1), simtime.End}
+
 // sweptDay is one day of a seeded sweep: the records as the scan emitted
 // them, canonicalized, and the section the spill writer made of them.
 type sweptDay struct {
@@ -46,24 +50,39 @@ type sweptDay struct {
 	section []byte
 }
 
-var sweptCache = map[string][]sweptDay{}
+var (
+	sweptCache = map[string]sweptDay{} // by shape and day
+	sweepSetup = map[string]scan.StreamDaySetup{}
+)
 
-// sweep runs the shape's sweep through the scan engine's chunk loop and a
-// spill writer small enough to spill runs, once per test binary.
+// sweep runs the shape's sweep of sweepDays.
 func sweep(t *testing.T, shape sweepShape) []sweptDay {
 	t.Helper()
-	if days, ok := sweptCache[shape.name]; ok {
-		return days
+	return sweepOn(t, shape, sweepDays)
+}
+
+// sweepOn runs the shape's sweep of days through the scan engine's chunk
+// loop and a spill writer small enough to spill runs, each day once per test
+// binary.
+func sweepOn(t *testing.T, shape sweepShape, sweepDays []simtime.Day) []sweptDay {
+	t.Helper()
+	setup, ok := sweepSetup[shape.name]
+	if !ok {
+		spec := shape.spec
+		spec.ScaleDiv, spec.Seed, spec.Workers = 4000, 1, 4
+		world, err := tldsim.BuildScenario(shape.scenario, spec.WorldConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		setup = spec.BuildStreamWith(world, nil, 0)
+		sweepSetup[shape.name] = setup
 	}
-	spec := shape.spec
-	spec.ScaleDiv, spec.Seed, spec.Workers = 4000, 1, 4
-	world, err := tldsim.BuildScenario(shape.scenario, spec.WorldConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	setup := spec.BuildStreamWith(world, nil, 0)
 	var days []sweptDay
 	for _, day := range sweepDays {
+		if d, ok := sweptCache[shape.name+" "+day.String()]; ok {
+			days = append(days, d)
+			continue
+		}
 		scanner, src, prepare, err := setup(context.Background(), day)
 		if err != nil {
 			t.Fatal(err)
@@ -87,9 +106,10 @@ func sweep(t *testing.T, shape sweepShape) []sweptDay {
 		}
 		sw.Close()
 		snap.Canonicalize()
-		days = append(days, sweptDay{snap: snap, section: section.Bytes()})
+		d := sweptDay{snap: snap, section: section.Bytes()}
+		sweptCache[shape.name+" "+day.String()] = d
+		days = append(days, d)
 	}
-	sweptCache[shape.name] = days
 	return days
 }
 
@@ -99,7 +119,8 @@ func sweep(t *testing.T, shape sweepShape) []sweptDay {
 // itself — and the members written to disk, which add what compress/flate
 // makes of that text. A change of the record line moves both; a Go
 // toolchain whose compress/flate compresses differently may move only the
-// second.
+// second. The rows of single sections are each day self-contained; the
+// multi-day row is what an ArchiveWriter makes of three days, keyed.
 func TestSweptRecordBytes(t *testing.T) {
 	type cost struct{ records, signed, failed, text, disk int }
 	want := map[string]cost{
@@ -136,6 +157,55 @@ func TestSweptRecordBytes(t *testing.T) {
 		if got != want[shape.name] {
 			t.Errorf("%s: %+v (%.1f text, %.1f disk B/record), want %+v", shape.name, got,
 				float64(got.text)/float64(got.records), float64(got.disk)/float64(got.records), want[shape.name])
+		}
+	}
+
+	// The multi-day row: keyedSweepDays through an ArchiveWriter, a key and
+	// two sections keyed to it. As self-contained sections the same days
+	// take 33,693 text and 7,521 disk B (37.4 and 8.4 B/record), 33,348 and
+	// 7,564 B (37.1 and 8.4) and 36,291 and 7,907 B (40.3 and 8.8).
+	type archiveCost struct{ records, text, disk int }
+	keyedWant := map[string]archiveCost{
+		"clean":  {900, 12597, 2707}, // 14.0 text, 3.01 disk B/record
+		"lossy":  {900, 12482, 2720}, // 13.9 text, 3.02 disk B/record
+		"signed": {900, 13463, 2835}, // 15.0 text, 3.15 disk B/record
+	}
+	for _, shape := range sweepShapes {
+		days := sweepOn(t, shape, keyedSweepDays)
+		path := filepath.Join(t.TempDir(), "archive.tsv")
+		aw, err := dataset.NewArchiveWriter(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got archiveCost
+		for _, d := range days {
+			sw := dataset.NewSpillWriter(d.snap.Day, dataset.SpillOptions{Dir: t.TempDir()})
+			if err := sw.Append(d.snap.Records...); err != nil {
+				t.Fatal(err)
+			}
+			if err := aw.Section(sw); err != nil {
+				t.Fatal(err)
+			}
+			sw.Close()
+			got.records += len(d.snap.Records)
+		}
+		if err := aw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		archive := archivetest.Read(t, path)
+		got.text, got.disk = len(archivetest.Zcat(t, archive)), len(archive)
+		if got != keyedWant[shape.name] {
+			t.Errorf("%s keyed: %+v (%.1f text, %.2f disk B/record), want %+v", shape.name, got,
+				float64(got.text)/float64(got.records), float64(got.disk)/float64(got.records), keyedWant[shape.name])
+		}
+		store, err := dataset.ReadArchiveStrict(bytes.NewReader(archive))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range days {
+			if !reflect.DeepEqual(store.Get(d.snap.Day), d.snap) {
+				t.Errorf("%s keyed, %s: records differ from the sweep's", shape.name, d.snap.Day)
+			}
 		}
 	}
 }
@@ -445,6 +515,42 @@ func TestMembersZcatToTheTextForm(t *testing.T) {
 	}
 }
 
+// frontArchiveDays are the records archivetest.FrontArchive read to when it
+// was written, every section self-contained and its domains front-coded:
+// three days of mostly the same domains, with NS-set references, signed and
+// failed records, domains that come and go, an explicit operator and
+// explicit TLDs.
+func frontArchiveDays() []*dataset.Snapshot {
+	pair := []string{"ns1.op.net", "ns2.op.net"}
+	transip := []string{"ns1.transip.nl", "ns2.transip.net"}
+	ovh := []string{"ns1.ovh.net"}
+	day := func(d int, recs ...dataset.Record) *dataset.Snapshot {
+		snap := &dataset.Snapshot{Day: simtime.Date(2016, 3, d), Records: recs}
+		snap.Canonicalize()
+		return snap
+	}
+	alpha := dataset.Record{Domain: "alpha.com", TLD: "com", NSHosts: pair, Operator: "op.net", HasDNSKEY: true, HasRRSIG: true, HasDS: true, ChainValid: true}
+	alphabet := dataset.Record{Domain: "alphabet.com", TLD: "com", NSHosts: pair, Operator: "op.net"}
+	beta := dataset.Record{Domain: "beta.com", TLD: "com", NSHosts: []string{"ns1.other.net"}, Operator: "reseller.example"}
+	delta := dataset.Record{Domain: "delta.co.uk", TLD: "co.uk", NSHosts: ovh, Operator: "ovh.net", HasDNSKEY: true}
+	gamma := dataset.Record{Domain: "gamma.nl", TLD: "nl", NSHosts: transip, Operator: "transip.nl", HasDNSKEY: true, HasRRSIG: true, HasDS: true, ChainValid: true}
+	zeta := dataset.Record{Domain: "zeta.example", TLD: "org", NSHosts: pair, Operator: "op.net", HasDNSKEY: true}
+	deltaDS := delta
+	deltaDS.HasRRSIG, deltaDS.HasDS = true, true
+	return []*dataset.Snapshot{
+		day(1, alpha, alphabet, beta, delta, gamma, zeta,
+			dataset.Record{Domain: "alpine.com", TLD: "com", Failed: true, FailReason: "timeout"}),
+		day(2, alpha, alphabet, beta, delta, zeta,
+			dataset.Record{Domain: "alpine.com", TLD: "com", NSHosts: pair, Operator: "op.net"},
+			dataset.Record{Domain: "alps.com", TLD: "com", NSHosts: ovh, Operator: "ovh.net"},
+			dataset.Record{Domain: "gamma.nl", TLD: "nl", Failed: true, FailReason: "lame"}),
+		day(3, alpha, beta, deltaDS, gamma, zeta,
+			dataset.Record{Domain: "alpine.com", TLD: "com", NSHosts: pair, Operator: "op.net"},
+			dataset.Record{Domain: "alps.com", TLD: "com", NSHosts: ovh, Operator: "ovh.net"},
+			dataset.Record{Domain: "epsilon.org", TLD: "org", Failed: true, FailReason: "failed"}),
+	}
+}
+
 // plainArchiveDays are the records archivetest.PlainArchive read to when it
 // was written, before front coding: two sections with an NS-set reference in
 // each, a failed record in each, an explicit operator and an explicit TLD.
@@ -502,5 +608,47 @@ func TestPlainArchiveReads(t *testing.T) {
 		if got := tail.Events[i].Snap; got == nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("TailArchive, event %d: %+v, want %+v", i, got, want)
 		}
+	}
+}
+
+// TestFrontArchiveReads: an archive written when every section was
+// self-contained reads to exactly the records it read to then — each section
+// through ReadArchive, TailArchive and the checkpoint's chunk reader, and the
+// whole file through ReadArchiveStrict and TailArchive — and its days,
+// written as self-contained sections again, are its bytes.
+func TestFrontArchiveReads(t *testing.T) {
+	days := frontArchiveDays()
+	members := archivetest.Members(t, archivetest.FrontArchive)
+	if len(members) != len(days) {
+		t.Fatalf("%d members, want %d", len(members), len(days))
+	}
+	readers := sectionReaders(t)
+	for i, section := range members {
+		checkDecodes(t, readers, days[i].Day.String(), section, days[i])
+	}
+	store, err := dataset.ReadArchiveStrict(bytes.NewReader(archivetest.FrontArchive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "front.tsv")
+	archivetest.Write(t, path, archivetest.FrontArchive)
+	tail, err := dataset.TailArchive(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Len() != len(days) || len(tail.Events) != len(days) || tail.Offset != int64(len(archivetest.FrontArchive)) {
+		t.Fatalf("ReadArchiveStrict kept %d day(s), TailArchive %d event(s) to offset %d; want %d of each to %d",
+			store.Len(), len(tail.Events), tail.Offset, len(days), len(archivetest.FrontArchive))
+	}
+	for i, want := range days {
+		if got := store.Get(want.Day); got == nil || !reflect.DeepEqual(got.Records, want.Records) {
+			t.Errorf("ReadArchiveStrict, %s: %+v, want %+v", want.Day, got, want)
+		}
+		if got := tail.Events[i].Snap; got == nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("TailArchive, event %d: %+v, want %+v", i, got, want)
+		}
+	}
+	if !bytes.Equal(archivetest.Archive(t, days...), archivetest.FrontArchive) {
+		t.Error("the days written as self-contained sections differ from testdata/front-archive.tsv")
 	}
 }

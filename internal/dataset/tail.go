@@ -29,6 +29,11 @@ package dataset
 // before any committed offset is identical to a single clean scan. A
 // partial member is never consumed (the writer may be mid-write).
 // ReadArchive, whose input is final, quarantines the third state too.
+//
+// A keyed section (keyed.go) reads its carries from the last self-contained
+// section the scanner accepted, its key. A scan that starts past a keyed
+// section's key — a resumed tail — reads the key back from the file first,
+// so the events after a cursor stay those of a scan from the top.
 
 import (
 	"bufio"
@@ -104,9 +109,9 @@ func TailArchive(path string, from int64) (*TailResult, error) {
 }
 
 // ScanArchiveFile is TailArchive one event at a time: fn sees each event as
-// soon as its section closes, while only that section is in memory. An
-// error from fn stops the scan and is returned; every event delivered
-// before it is a valid resume point.
+// soon as its section closes, while only that section and the key it was
+// read against are in memory. An error from fn stops the scan and is
+// returned; every event delivered before it is a valid resume point.
 func ScanArchiveFile(path string, from int64, fn func(TailEvent) error) error {
 	if from < 0 {
 		return fmt.Errorf("dataset: negative tail offset %d", from)
@@ -126,7 +131,7 @@ func ScanArchiveFile(path string, from int64, fn func(TailEvent) error) error {
 	if _, err := f.Seek(from, io.SeekStart); err != nil {
 		return err
 	}
-	sc := newSectionScanner(f, from)
+	sc := newSectionScanner(f, from, f)
 	for {
 		ev, err := sc.next()
 		if err == io.EOF {
@@ -152,6 +157,17 @@ type section struct {
 	snap     *Snapshot
 	bad      string // first structural defect, "" while intact
 	sets     nsSets // the NS sets the section's lines have defined so far
+	keyed    bool   // the header names a key
+	key      *Snapshot
+	next     int // the key's record the next carry reads
+}
+
+// heldKey is the self-contained section a scanner holds for the keyed
+// sections after it.
+type heldKey struct {
+	off  int64 // where its member starts
+	crc  uint32
+	snap *Snapshot
 }
 
 // memberHeader is the fixed header of every member MemberWriter writes:
@@ -327,10 +343,26 @@ type sectionScanner struct {
 	// amount to anything: the damage a batch reader quarantines and a
 	// tailer leaves for its next poll.
 	stray *Corruption
+
+	start int64 // where the member in hand starts
+	// key is the last self-contained section the scan accepted (ownKey), or
+	// before it accepts one, the one last read back from back at backAt.
+	key    *heldKey
+	ownKey bool
+	base   int64       // where the scan started
+	back   io.ReaderAt // the archive's bytes before base; nil for none
+	backAt int64
+	// backErr is an I/O error reading back: it ends the scan.
+	backErr error
+	// keysOnly leaves keyed sections unread: the scan is for a key.
+	keysOnly bool
 }
 
-func newSectionScanner(r io.Reader, base int64) *sectionScanner {
-	return &sectionScanner{in: input{r: r, buf: make([]byte, 0, scanBufSize), base: base, watch: -1}}
+// newSectionScanner starts a scan of r, which starts at offset base of its
+// archive. back, if not nil, reads the archive's bytes before base.
+func newSectionScanner(r io.Reader, base int64, back io.ReaderAt) *sectionScanner {
+	return &sectionScanner{in: input{r: r, buf: make([]byte, 0, scanBufSize), base: base, watch: -1},
+		base: base, back: back, backAt: -1}
 }
 
 // next returns the next event — a verified snapshot, or damage that is
@@ -390,6 +422,7 @@ func (s *sectionScanner) next() (TailEvent, error) {
 // otherwise.
 func (s *sectionScanner) member() (TailEvent, bool, error) {
 	start := s.in.pos()
+	s.start = start
 	s.sections++
 	d := Corruption{Line: s.lineNo + 1, Offset: start}
 	s.in.watch, s.in.ahead = start+1, -1
@@ -399,6 +432,9 @@ func (s *sectionScanner) member() (TailEvent, bool, error) {
 	}
 	if s.in.err != nil && s.in.err != io.EOF {
 		return TailEvent{}, false, s.in.err
+	}
+	if s.backErr != nil {
+		return TailEvent{}, false, s.backErr
 	}
 	stop := s.in.pos()
 	definite := err != nil && !errors.Is(err, io.ErrUnexpectedEOF)
@@ -415,6 +451,9 @@ func (s *sectionScanner) member() (TailEvent, bool, error) {
 		return TailEvent{}, false, nil
 	case err == nil && reason == "":
 		s.in.release(stop)
+		if !c.keyed {
+			s.key, s.ownKey = &heldKey{off: start, crc: c.crc, snap: c.snap}, true
+		}
 		return TailEvent{Snap: c.snap, At: d, End: stop}, true, nil
 	case err != nil && !definite:
 		d.Reason = "truncated gzip member"
@@ -508,15 +547,69 @@ func (s *sectionScanner) open(line []byte) *section {
 		c.day = fields[1]
 	}
 	c.add(line)
-	if day, declared, err := parseSnapshotHeader(fields); err != nil {
+	day, declared, ref, err := parseSnapshotHeader(fields)
+	switch {
+	case err != nil:
 		c.bad = fmt.Sprintf("bad header: %v", err)
-	} else {
-		c.declared = declared
-		// The header's count is untrusted: it sizes the record slice only
-		// up to maxPresized records.
-		c.snap = &Snapshot{Day: day, Records: make([]Record, 0, min(declared, maxPresized))}
+		return c
+	case ref != nil && s.keysOnly:
+		c.keyed, c.bad = true, "keyed section left unread"
+		return c
+	case ref != nil:
+		c.keyed = true
+		c.key, c.bad = s.keyFor(ref)
 	}
+	c.declared = declared
+	// The header's count is untrusted: it sizes the record slice only up to
+	// maxPresized records.
+	c.snap = &Snapshot{Day: day, Records: make([]Record, 0, min(declared, maxPresized))}
 	return c
+}
+
+// keyFor returns the key a keyed section's header names, or why the scan
+// does not hold it. The scan holds the last self-contained section it
+// accepted. Until it has accepted one, a key before where it started is
+// read back from the file: the last self-contained section a scan from the
+// key to there accepts, which is the key only if nothing after the key
+// displaced it — as in a scan from the top, which holds the same section
+// there.
+func (s *sectionScanner) keyFor(ref *keyRef) (*Snapshot, string) {
+	off := s.start - ref.dist
+	held := s.key != nil && s.key.off == off
+	if !held && !s.ownKey && s.back != nil && 0 <= off && off < s.base && off != s.backAt {
+		s.backAt = off
+		s.key, s.backErr = s.readBack(off)
+		held = s.key != nil
+	}
+	switch {
+	case !held:
+		return nil, fmt.Sprintf("key %s at byte %d not held", ref.day, off)
+	case s.key.snap.Day != ref.day || s.key.crc != ref.crc:
+		return nil, fmt.Sprintf("key %s at byte %d: the section there is %s with checksum %08x, the header names %08x",
+			ref.day, off, s.key.snap.Day, s.key.crc, ref.crc)
+	}
+	return s.key.snap, ""
+}
+
+// readBack scans the archive from off to where the scan started for the key
+// a keyed section names at off: the last self-contained section accepted
+// there, if it starts at off.
+func (s *sectionScanner) readBack(off int64) (*heldKey, error) {
+	sc := newSectionScanner(io.NewSectionReader(s.back, off, s.base-off), off, nil)
+	sc.keysOnly = true
+	for {
+		_, err := sc.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if sc.key == nil || sc.key.off != off {
+		return nil, nil
+	}
+	return sc.key, nil
 }
 
 // appendFields appends text's tab-separated fields to dst, as
@@ -556,7 +649,8 @@ func (c *section) overlong() {
 // one past the count the header declares. A front-coded domain is rebuilt
 // from the record before it, before s.split makes the line a string, so a
 // record costs one string either way. A record whose NS column refers to a
-// set shares that set's hosts with the line that defined it.
+// set shares that set's hosts with the line that defined it; a carried one
+// shares its key record's strings.
 func (c *section) record(line []byte, s *sectionScanner) {
 	c.add(line)
 	n := len(c.snap.Records)
@@ -568,20 +662,7 @@ func (c *section) record(line []byte, s *sectionScanner) {
 		c.bad = fmt.Sprintf("record count mismatch: header declares %d, found more", c.declared)
 		return
 	}
-	prev := ""
-	if n > 0 {
-		prev = c.snap.Records[n-1].Domain
-	}
-	k, rest, err := SplitFrontCoded(line, len(prev))
-	if err != nil {
-		c.bad = fmt.Sprintf("record %d: %v", n+1, err)
-		return
-	}
-	if k > 0 {
-		s.decoded = append(append(s.decoded[:0], prev[:k]...), rest...)
-		line = s.decoded
-	}
-	rec, err := parseRecordFields(s.split(line), &c.sets)
+	rec, err := c.parse(line, s)
 	if err != nil {
 		c.bad = fmt.Sprintf("record %d: %v", n+1, err)
 		return
@@ -594,6 +675,55 @@ func (c *section) record(line []byte, s *sectionScanner) {
 		}
 	}
 	c.snap.Records = append(c.snap.Records, rec)
+}
+
+// parse reads one record line: a carry, or an explicit line whose domain is
+// front-coded against the record before it.
+func (c *section) parse(line []byte, s *sectionScanner) (Record, error) {
+	if line[0] == carryMark {
+		return c.carry(line[1:], s)
+	}
+	prev := ""
+	if n := len(c.snap.Records); n > 0 {
+		prev = c.snap.Records[n-1].Domain
+	}
+	k, rest, err := SplitFrontCoded(line, len(prev))
+	if err != nil {
+		return Record{}, err
+	}
+	if k > 0 {
+		s.decoded = append(append(s.decoded[:0], prev[:k]...), rest...)
+		line = s.decoded
+	}
+	return parseRecordFields(s.split(line), &c.sets)
+}
+
+// carry reads a carried line after its mark: a skip count, then nothing for
+// the key's record as it is, or the fields of the key's domain today.
+func (c *section) carry(line []byte, s *sectionScanner) (Record, error) {
+	if c.key == nil {
+		return Record{}, fmt.Errorf("a carry in a section without a key")
+	}
+	i, skip := 0, 0
+	for ; i < len(line) && '0' <= line[i] && line[i] <= '9'; i++ {
+		if i == 0 && line[i] == '0' {
+			return Record{}, fmt.Errorf("bad carry skip %q", line[:i+1])
+		}
+		skip = min(skip*10+int(line[i]-'0'), len(c.key.Records))
+	}
+	if c.next += skip; c.next >= len(c.key.Records) {
+		return Record{}, fmt.Errorf("carry runs past key %s", c.key.Day)
+	}
+	kr := &c.key.Records[c.next]
+	c.next++
+	switch rest := line[i:]; {
+	case len(rest) == 0 || rest[0] == '\n':
+		return *kr, nil
+	case rest[0] == '\t':
+		s.decoded = append(append(s.decoded[:0], kr.Domain...), rest...)
+		return parseRecordFields(s.split(s.decoded), &c.sets)
+	}
+	return Record{}, fmt.Errorf("bad carry %q", line)
 }
 
 // check runs every integrity check of one section against its trailer

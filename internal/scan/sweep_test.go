@@ -87,8 +87,9 @@ func sweepSetup(t *testing.T, eco *ecosystem.Ecosystem, targets []scan.Target, w
 }
 
 // oracleArchive is the byte-identity oracle: every day scanned in one
-// ScanDay over all the targets, canonicalized and written in RAM. It also
-// returns each day's health for ledger comparisons.
+// ScanDay over all the targets, canonicalized and written in RAM, then
+// through an ArchiveWriter, which keys the days as it keys a sweep's. It
+// also returns each day's health for ledger comparisons.
 func oracleArchive(t *testing.T, eco *ecosystem.Ecosystem, targets []scan.Target, days []simtime.Day) ([]byte, []*scan.SweepHealth) {
 	t.Helper()
 	store := dataset.NewStore()
@@ -102,13 +103,25 @@ func oracleArchive(t *testing.T, eco *ecosystem.Ecosystem, targets []scan.Target
 		store.Add(snap)
 		healths = append(healths, h)
 	}
-	var buf bytes.Buffer
+	path := filepath.Join(t.TempDir(), "oracle.tsv")
+	aw, err := dataset.NewArchiveWriter(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, day := range store.Days() {
-		if err := store.Get(day).WriteArchiveSection(&buf); err != nil {
+		sw := dataset.NewSpillWriter(day, dataset.SpillOptions{Dir: t.TempDir()})
+		if err := sw.Append(store.Get(day).Records...); err != nil {
 			t.Fatal(err)
 		}
+		if err := aw.Section(sw); err != nil {
+			t.Fatal(err)
+		}
+		sw.Close()
 	}
-	return buf.Bytes(), healths
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return archivetest.Read(t, path), healths
 }
 
 // archiveViaStream runs a sweep into an on-disk archive and returns the
